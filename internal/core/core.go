@@ -8,8 +8,8 @@
 //   - insertion promotion: the fill is promoted to the base policy's
 //     highest-protection position (MRU for stack policies, RRPV 0 for the
 //     RRIP family), and
-//   - victim exclusion (Full strength only): during victim selection the
-//     wrapper walks the base policy's preference order and skips protected
+//   - victim exclusion (Full strength only): victim selection takes the
+//     base policy's most-preferred unprotected way, passing over protected
 //     blocks while an unprotected candidate exists.
 //
 // Protection is deliberately *temporary*. A block predicted shared is only
@@ -17,8 +17,10 @@
 // the base policy's own recency/re-reference machinery is the right judge.
 // Two mechanisms bound every protection:
 //
-//   - fulfilment: the first LLC hit from a core other than the filler
-//     clears the protection (the sharing the hint promised has happened);
+//   - fulfilment: with Options.ClearOnFulfil, the first LLC hit from a
+//     core other than the filler clears the protection (the sharing the
+//     hint promised has happened); by default such a hit re-arms the skip
+//     budget instead, since the block is actively shared;
 //   - skip budget: each time victim selection passes over a protected
 //     block, that block's budget decreases; at zero the protection is
 //     dropped. This caps the collateral damage of mispredictions and of
@@ -32,6 +34,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/mem"
@@ -95,10 +99,14 @@ type Options struct {
 	ClearOnFulfil bool
 }
 
-// VictimRanker mirrors policy.VictimRanker (declared here too so that core
-// does not import the catalogue; any policy implementing the method works).
-type VictimRanker interface {
-	RankVictims(set int, a *cache.AccessInfo) []int
+// VictimKeyer is implemented by base policies whose eviction preference is
+// a total order over a set's ways. VictimKeys writes way w's key to dst[w]
+// (len(dst) is the associativity): a higher key is a better victim and
+// equal keys prefer the lower way. The call must be pure — no aging, no
+// training — because the wrapper consults it instead of, not in addition
+// to, the base's Victim.
+type VictimKeyer interface {
+	VictimKeys(set int, dst []int64)
 }
 
 // Demoter is implemented by base policies that can move a line to their
@@ -131,16 +139,20 @@ type Stats struct {
 	Promotions     uint64 // insertion promotions applied
 	Demotions      uint64 // unshared fills demoted to lowest priority
 	Exclusions     uint64 // victims redirected away from a protected block
-	Fulfilled      uint64 // protections cleared by an observed cross-core hit
-	Expired        uint64 // protections cleared by skip-budget exhaustion
-	Lockouts       uint64 // sets found fully protected (base victim used)
+	// Fulfilled counts cross-core hits on protected blocks. Each re-arms
+	// the block's skip budget; only with ClearOnFulfil does it clear the
+	// protection instead.
+	Fulfilled uint64
+	Expired   uint64 // protections cleared by skip-budget exhaustion
+	Lockouts  uint64 // sets found fully protected (base victim used)
 }
 
-// line is the wrapper's per-way state.
+// line is what the wrapper remembers about a protected way. Whether a way
+// is protected at all is the set's bit in Protector.prot; a line is read
+// and written only while its bit is set, so stale contents are harmless.
 type line struct {
-	protected bool
+	skipsLeft int32
 	fillCore  uint8
-	skipsLeft int
 }
 
 // duelPeriod spaces the leader sets: one sharing-aware leader and one
@@ -156,11 +168,18 @@ const pselMax = 1 << 8
 // Protector is the sharing-aware wrapper. It implements cache.Policy by
 // delegating to the wrapped base policy and intervening on hinted fills.
 type Protector struct {
-	base  cache.Policy
-	opts  Options
-	ways  int
-	lines []line
-	stats Stats
+	base   cache.Policy
+	keyer  VictimKeyer // base's ordering, nil when it has none (e.g. Random)
+	budget int32       // opts.SkipBudget as a line stores it
+	opts   Options
+	ways   int
+	// prot holds one bit per way, protWords words per set: the source of
+	// truth for "is this way protected".
+	prot      []uint64
+	protWords int
+	lines     []line
+	keys      []int64 // VictimKeys scratch, one per way
+	stats     Stats
 
 	period   int // leader spacing (shrunk for tiny caches)
 	psel     int
@@ -189,7 +208,11 @@ func NewProtectorOpts(base cache.Policy, opts Options) *Protector {
 	if opts.SkipBudget == 0 {
 		opts.SkipBudget = DefaultSkipBudget
 	}
-	return &Protector{base: base, opts: opts}
+	keyer, _ := base.(VictimKeyer)
+	// A budget beyond int32 is indistinguishable from it: no line is
+	// passed over two billion times.
+	budget := int32(min(opts.SkipBudget, math.MaxInt32))
+	return &Protector{base: base, keyer: keyer, budget: budget, opts: opts}
 }
 
 // Base returns the wrapped policy.
@@ -206,8 +229,11 @@ func (p *Protector) Stats() Stats { return p.stats }
 func (p *Protector) Attach(sets, ways int) {
 	p.base.Attach(sets, ways)
 	p.ways = ways
+	p.protWords = (ways + 63) / 64
+	p.prot = make([]uint64, sets*p.protWords)
 	p.lines = make([]line, sets*ways)
 	mem.Hugepages(p.lines)
+	p.keys = make([]int64, ways)
 	p.period = duelPeriod
 	if sets < p.period {
 		p.period = sets
@@ -274,29 +300,42 @@ func (p *Protector) observeMiss(set int) {
 // fulfils a pending protection.
 func (p *Protector) Hit(set, way int, a *cache.AccessInfo) {
 	p.base.Hit(set, way, a)
-	ln := &p.lines[set*p.ways+way]
-	if ln.protected && a.Core != ln.fillCore {
+	word, bit := p.protBit(set, way)
+	if *word&bit == 0 {
+		return
+	}
+	if ln := &p.lines[set*p.ways+way]; a.Core != ln.fillCore {
 		p.stats.Fulfilled++
 		if p.opts.ClearOnFulfil {
-			ln.protected = false
+			*word &^= bit
 		} else {
 			// Refresh: active sharing re-arms the budget.
-			ln.skipsLeft = p.opts.SkipBudget
+			ln.skipsLeft = p.budget
 		}
 	}
 }
 
+// protBit locates way's protection bit: the word of p.prot holding it and
+// its mask within that word.
+func (p *Protector) protBit(set, way int) (*uint64, uint64) {
+	return &p.prot[set*p.protWords+way>>6], 1 << (way & 63)
+}
+
 // Victim implements cache.Policy.
+//
+// With a keyed base the choice is one scan: the unprotected way with the
+// best (key, way). That is the first unprotected entry of the base's
+// preference order, and every way that outranks it is protected by
+// construction — had one been unprotected, it would have been chosen — so
+// exactly the protected ways the order would have walked past are charged.
 func (p *Protector) Victim(set int, a *cache.AccessInfo) int {
 	if p.opts.Strength < Full || !p.aware(set) {
 		return p.base.Victim(set, a)
 	}
-	base := set * p.ways
+	prot := p.prot[set*p.protWords : (set+1)*p.protWords]
 	nProtected := 0
-	for w := 0; w < p.ways; w++ {
-		if p.lines[base+w].protected {
-			nProtected++
-		}
+	for _, m := range prot {
+		nProtected += bits.OnesCount64(m)
 	}
 	if nProtected == 0 {
 		return p.base.Victim(set, a)
@@ -306,58 +345,61 @@ func (p *Protector) Victim(set int, a *cache.AccessInfo) int {
 		// every line's budget so a persistently saturated set drains.
 		p.stats.Lockouts++
 		for w := 0; w < p.ways; w++ {
-			p.charge(&p.lines[base+w])
+			p.charge(set, w)
 		}
 		return p.base.Victim(set, a)
 	}
-	if r, ok := p.base.(VictimRanker); ok {
-		rank := r.RankVictims(set, a)
-		for _, w := range rank {
-			ln := &p.lines[base+w]
-			if !ln.protected {
-				if w != rank[0] {
-					p.stats.Exclusions++
-					// Charge every protected line that outranked the
-					// chosen victim.
-					for _, s := range rank {
-						if s == w {
-							break
-						}
-						p.charge(&p.lines[base+s])
-					}
-				}
-				p.notifyEvict(set, w)
-				return w
+	if p.keyer != nil {
+		keys := p.keys
+		p.keyer.VictimKeys(set, keys)
+		v := -1
+		for w, k := range keys {
+			if prot[w>>6]>>(w&63)&1 == 0 && (v < 0 || k > keys[v]) {
+				v = w
 			}
 		}
-		// Unreachable: nProtected < ways guarantees an unprotected way.
-	}
-	// Base cannot rank (e.g. Random): take its victim, and if that is
-	// protected redirect to the lowest-numbered unprotected way.
-	v := p.base.Victim(set, a)
-	if !p.lines[base+v].protected {
+		excluded := false
+		for i, m := range prot {
+			for ; m != 0; m &= m - 1 {
+				if w := i<<6 + bits.TrailingZeros64(m); keys[w] > keys[v] || keys[w] == keys[v] && w < v {
+					p.charge(set, w)
+					excluded = true
+				}
+			}
+		}
+		if excluded {
+			p.stats.Exclusions++
+		}
+		p.notifyEvict(set, v)
 		return v
 	}
-	p.charge(&p.lines[base+v])
-	for w := 0; w < p.ways; w++ {
-		if !p.lines[base+w].protected {
-			p.stats.Exclusions++
-			return w
+	// Base has no ordering (e.g. Random): take its victim, and if that is
+	// protected redirect to the lowest-numbered unprotected way.
+	v := p.base.Victim(set, a)
+	if !p.Protected(set, v) {
+		return v
+	}
+	p.charge(set, v)
+	p.stats.Exclusions++
+	for i, m := range prot {
+		if free := ^m; free != 0 {
+			return i<<6 + bits.TrailingZeros64(free)
 		}
 	}
-	return v // unreachable, see above
+	return v // unreachable: nProtected < ways leaves an unprotected way
 }
 
-// charge decrements a protected line's skip budget, expiring the
-// protection when it runs out. Unlimited budgets (negative option) never
-// expire.
-func (p *Protector) charge(ln *line) {
-	if !ln.protected || p.opts.SkipBudget < 0 {
+// charge decrements a protected way's skip budget, expiring the protection
+// when it runs out. Unlimited budgets (negative option) never expire.
+func (p *Protector) charge(set, way int) {
+	if p.budget < 0 {
 		return
 	}
+	ln := &p.lines[set*p.ways+way]
 	ln.skipsLeft--
 	if ln.skipsLeft <= 0 {
-		ln.protected = false
+		word, bit := p.protBit(set, way)
+		*word &^= bit
 		p.stats.Expired++
 	}
 }
@@ -397,8 +439,8 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 		p.fillsSeen /= 2
 		p.fillsHinted /= 2
 	}
-	ln := &p.lines[set*p.ways+way]
-	*ln = line{}
+	word, bit := p.protBit(set, way)
+	*word &^= bit // the previous occupant's protection ends with it
 	if !p.aware(set) {
 		return
 	}
@@ -422,12 +464,8 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 	p.stats.Promotions++
 	if p.opts.Strength >= Full {
-		ln.protected = true
-		ln.fillCore = a.Core
-		ln.skipsLeft = p.opts.SkipBudget
-		if p.opts.SkipBudget < 0 {
-			ln.skipsLeft = 1 // unused sentinel; charge() ignores it
-		}
+		*word |= bit
+		p.lines[set*p.ways+way] = line{skipsLeft: p.budget, fillCore: a.Core}
 	}
 }
 
@@ -438,5 +476,6 @@ func (p *Protector) DuelState() (psel int, useAware bool) { return p.psel, p.use
 // Protected reports whether way in set currently holds a protected block.
 // Exposed for tests and detailed analysis.
 func (p *Protector) Protected(set, way int) bool {
-	return p.lines[set*p.ways+way].protected
+	word, bit := p.protBit(set, way)
+	return *word&bit != 0
 }

@@ -159,7 +159,7 @@ func TestSkipBudgetExpires(t *testing.T) {
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
 	// Each conflicting fill charges block 0 once (it is the base LRU
-	// victim). cache.LRU has no VictimRanker, so the wrapper uses the
+	// victim). cache.LRU has no VictimKeys, so the wrapper uses the
 	// fallback path: once the budget hits zero mid-selection, the
 	// expired block itself is evicted.
 	c.Access(cache.AccessInfo{Block: 4}) // charge 1 (skips left 1)
@@ -292,20 +292,10 @@ type evictCounter struct {
 	evicts int
 }
 
-func (e *evictCounter) RankVictims(set int, _ *cache.AccessInfo) []int {
-	ways := e.Ways()
-	rank := make([]int, ways)
-	for i := range rank {
-		rank[i] = i
+func (e *evictCounter) VictimKeys(set int, dst []int64) {
+	for w := range dst {
+		dst[w] = -int64(e.Stamp(set, w))
 	}
-	for i := 0; i < ways; i++ {
-		for j := i + 1; j < ways; j++ {
-			if e.Stamp(set, rank[j]) < e.Stamp(set, rank[i]) {
-				rank[i], rank[j] = rank[j], rank[i]
-			}
-		}
-	}
-	return rank
 }
 
 func (e *evictCounter) ObserveEvict(int, int) { e.evicts++ }
@@ -321,7 +311,7 @@ func TestEvictObserverNotified(t *testing.T) {
 	for b := uint64(1); b < 8; b++ {
 		c.Access(cache.AccessInfo{Block: b})
 	}
-	// 4 fills beyond capacity → 4 evictions routed through the ranking
+	// 4 fills beyond capacity → 4 evictions routed through the keyed
 	// path; each must have notified the base.
 	if base.evicts != 4 {
 		t.Errorf("ObserveEvict fired %d times, want 4", base.evicts)

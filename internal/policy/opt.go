@@ -16,7 +16,6 @@ import (
 type OPT struct {
 	ways    int
 	nextUse []int64
-	rankBuf []int
 }
 
 // NewOPT returns a Belady OPT policy.
@@ -59,13 +58,12 @@ func (p *OPT) Victim(set int, _ *cache.AccessInfo) int {
 	return victim
 }
 
-// RankVictims implements VictimRanker: farthest next use first.
-func (p *OPT) RankVictims(set int, _ *cache.AccessInfo) []int {
+// VictimKeys implements core.VictimKeyer: farthest next use first.
+func (p *OPT) VictimKeys(set int, dst []int64) {
 	base := set * p.ways
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
-		return p.horizonAt(base + w)
-	}, p.rankBuf)
-	return p.rankBuf
+	for w := range dst {
+		dst[w] = p.horizonAt(base + w)
+	}
 }
 
 // PerSetIndependent reports that OPT qualifies for set-sharded replay: its

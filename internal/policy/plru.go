@@ -15,10 +15,9 @@ import (
 //
 // PLRU requires a power-of-two associativity.
 type PLRU struct {
-	ways    int
-	levels  int
-	tree    []uint64 // one bitset of ways-1 direction bits per set
-	rankBuf []int
+	ways   int
+	levels int
+	tree   []uint64 // one bitset of ways-1 direction bits per set
 }
 
 // NewPLRU returns a tree pseudo-LRU policy.
@@ -107,17 +106,17 @@ func (p *PLRU) Victim(set int, _ *cache.AccessInfo) int {
 	return way
 }
 
-// RankVictims implements VictimRanker: ways ordered by how many direction
-// bits along their path currently point at them (victim path first). Ties
-// break by way index.
-func (p *PLRU) RankVictims(set int, _ *cache.AccessInfo) []int {
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
+// VictimKeys implements core.VictimKeyer: a way's key is how many
+// direction bits along its path currently point at it (the victim path
+// scores highest).
+func (p *PLRU) VictimKeys(set int, dst []int64) {
+	tree := p.tree[set]
+	for w := range dst {
 		score := int64(0)
 		node := 0
 		for level := p.levels - 1; level >= 0; level-- {
 			goRight := w>>level&1 == 1
-			bit := p.tree[set]>>node&1 == 1
-			if goRight == bit {
+			if goRight == (tree>>node&1 == 1) {
 				score++ // this node points toward w
 			}
 			if goRight {
@@ -126,7 +125,6 @@ func (p *PLRU) RankVictims(set int, _ *cache.AccessInfo) []int {
 				node = 2*node + 1
 			}
 		}
-		return score
-	}, p.rankBuf)
-	return p.rankBuf
+		dst[w] = score
+	}
 }

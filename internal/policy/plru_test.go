@@ -125,12 +125,13 @@ func TestPLRURankHeadMatchesVictim(t *testing.T) {
 	p := NewPLRU()
 	p.Attach(2, 8)
 	rnd := rng.New(3)
+	keys := make([]int64, 8)
 	for i := 0; i < 1000; i++ {
 		p.Hit(rnd.Intn(2), rnd.Intn(8), &cache.AccessInfo{})
 		for set := 0; set < 2; set++ {
-			rank := p.RankVictims(set, &cache.AccessInfo{})
-			if rank[0] != p.Victim(set, &cache.AccessInfo{}) {
-				t.Fatalf("rank head %d != victim %d", rank[0], p.Victim(set, &cache.AccessInfo{}))
+			p.VictimKeys(set, keys)
+			if head, v := argmaxKey(keys), p.Victim(set, &cache.AccessInfo{}); head != v {
+				t.Fatalf("best key at way %d != victim %d", head, v)
 			}
 		}
 	}

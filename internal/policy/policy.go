@@ -3,26 +3,22 @@
 // 2008-2013 literature (NRU, LIP/BIP/DIP, SRRIP/BRRIP/DRRIP, SHiP), simple
 // references (Random, FIFO) and the offline-optimal Belady OPT policy.
 //
-// Every policy implements cache.Policy. Policies that can enumerate their
-// eviction preference order additionally implement VictimRanker, which the
-// sharing-aware protection wrapper in internal/core uses to skip protected
-// blocks while otherwise honouring the base policy's ordering.
+// Every policy implements cache.Policy. Policies whose eviction preference
+// is a total order over a set's ways additionally expose it as
+// VictimKeys(set, dst): dst[w] receives way w's key, a higher key is a
+// better victim and equal keys prefer the lower way. The call is pure — it
+// never ages or trains — and the sharing-aware protection wrapper in
+// internal/core (which declares the interface, core.VictimKeyer) uses it
+// to skip protected blocks while otherwise honouring the base policy's
+// ordering.
 package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/rng"
 )
-
-// VictimRanker is implemented by policies that can rank every way of a set
-// from most-preferred victim to least-preferred. The returned slice has
-// one entry per way and is valid until the next call.
-type VictimRanker interface {
-	RankVictims(set int, a *cache.AccessInfo) []int
-}
 
 // Factory constructs a fresh policy instance. Policies carry per-cache
 // state, so each simulated cache needs its own instance; experiments pass
@@ -84,24 +80,3 @@ func Realistic(name string) bool { return name != "opt" }
 // BRRIP), set-dueling selectors (DIP, DRRIP) or global prediction tables
 // (SHiP) — do not, and fall back to the sequential replay path.
 func PerSet(p cache.Policy) bool { return cache.PerSetIndependent(p) }
-
-// rankByKey is a helper for VictimRanker implementations: it returns way
-// indices sorted by descending key (higher key = better victim), breaking
-// ties by ascending way index for determinism.
-func rankByKey(ways int, key func(way int) int64, buf []int) []int {
-	if cap(buf) < ways {
-		buf = make([]int, ways)
-	}
-	buf = buf[:ways]
-	for i := range buf {
-		buf[i] = i
-	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		ki, kj := key(buf[i]), key(buf[j])
-		if ki != kj {
-			return ki > kj
-		}
-		return buf[i] < buf[j]
-	})
-	return buf
-}

@@ -81,69 +81,6 @@ func TestAllPoliciesValidVictims(t *testing.T) {
 	}
 }
 
-// TestRankVictimsIsPermutation checks every VictimRanker returns a true
-// permutation of the ways and that its first element matches Victim for
-// deterministic policies.
-func TestRankVictimsIsPermutation(t *testing.T) {
-	for _, f := range Catalogue(3) {
-		p := f()
-		r, ok := p.(VictimRanker)
-		if !ok {
-			continue
-		}
-		name := p.Name()
-		t.Run(name, func(t *testing.T) {
-			const ways = 8
-			c := newCache(t, p, ways)
-			rnd := rng.New(5)
-			for i := 0; i < 5000; i++ {
-				c.Access(cache.AccessInfo{Block: rnd.Uint64n(256), PC: rnd.Uint64() & 0xFFFF})
-			}
-			for set := 0; set < 4; set++ {
-				rank := r.RankVictims(set, &cache.AccessInfo{})
-				if len(rank) != ways {
-					t.Fatalf("%s: rank has %d entries, want %d", name, len(rank), ways)
-				}
-				seen := make([]bool, ways)
-				for _, w := range rank {
-					if w < 0 || w >= ways || seen[w] {
-						t.Fatalf("%s: rank %v is not a permutation", name, rank)
-					}
-					seen[w] = true
-				}
-			}
-		})
-	}
-}
-
-func TestRankVictimsHeadAgreesWithVictim(t *testing.T) {
-	// Deterministic policies whose Victim has no training side effects.
-	for _, mk := range []Factory{
-		func() cache.Policy { return NewLRUPolicy() },
-		func() cache.Policy { return NewFIFO() },
-		func() cache.Policy { return NewLIP() },
-		func() cache.Policy { return NewOPT() },
-		func() cache.Policy { return NewNRU() },
-	} {
-		p := mk()
-		name := p.Name()
-		c := newCache(t, p, 4)
-		rnd := rng.New(9)
-		for i := 0; i < 2000; i++ {
-			c.Access(cache.AccessInfo{Block: rnd.Uint64n(64), NextUse: int64(i) + int64(rnd.Intn(100))})
-		}
-		r := p.(VictimRanker)
-		for set := 0; set < 4; set++ {
-			rank := r.RankVictims(set, &cache.AccessInfo{})
-			// NRU's Victim can mutate state (mass clear); call it last.
-			v := p.Victim(set, &cache.AccessInfo{})
-			if rank[0] != v {
-				t.Errorf("%s set %d: RankVictims head %d != Victim %d", name, set, rank[0], v)
-			}
-		}
-	}
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
 	p := NewLRUPolicy()
 	c := newCache(t, p, 4) // set 0: blocks 0,4,8,12,16...

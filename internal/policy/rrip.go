@@ -16,9 +16,8 @@ const rripMax = 1<<rripBits - 1
 // rripCore holds the per-line re-reference prediction values and the
 // shared victim search of SRRIP/BRRIP/DRRIP/SHiP.
 type rripCore struct {
-	ways    int
-	rrpv    []uint8
-	rankBuf []int
+	ways int
+	rrpv []uint8
 }
 
 func (p *rripCore) Attach(sets, ways int) {
@@ -53,12 +52,12 @@ func (p *rripCore) Victim(set int, _ *cache.AccessInfo) int {
 	}
 }
 
-// RankVictims implements VictimRanker: higher RRPV first.
-func (p *rripCore) RankVictims(set int, _ *cache.AccessInfo) []int {
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
-		return int64(p.rrpv[set*p.ways+w])
-	}, p.rankBuf)
-	return p.rankBuf
+// VictimKeys implements core.VictimKeyer: higher RRPV first, without the
+// aging Victim performs.
+func (p *rripCore) VictimKeys(set int, dst []int64) {
+	for w, v := range p.rrpv[set*p.ways : (set+1)*p.ways] {
+		dst[w] = int64(v)
+	}
 }
 
 // insert sets the fill RRPV of way.

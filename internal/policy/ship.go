@@ -82,7 +82,7 @@ func (p *SHiP) Victim(set int, a *cache.AccessInfo) int {
 
 // ObserveEvict trains the SHCT when a line leaves the cache without reuse.
 // It is called by Victim, and directly by wrappers (core.Protector) that
-// choose the victim from RankVictims instead of via Victim.
+// choose the victim from VictimKeys instead of via Victim.
 func (p *SHiP) ObserveEvict(set, way int) {
 	idx := set*p.ways + way
 	if !p.lineUsed[idx] {

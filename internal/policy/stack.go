@@ -7,24 +7,19 @@ import (
 )
 
 // LRUPolicy wraps cache.LRU (which lives in package cache so the private
-// levels can use it without importing the catalogue) and adds victim
-// ranking for the protection wrapper.
-type LRUPolicy struct {
-	cache.LRU
-	rankBuf []int
-}
+// levels can use it without importing the catalogue) and adds victim keys
+// for the protection wrapper.
+type LRUPolicy struct{ cache.LRU }
 
 // NewLRUPolicy returns the LRU baseline.
 func NewLRUPolicy() *LRUPolicy { return &LRUPolicy{} }
 
-// RankVictims implements VictimRanker: least-recent first.
-func (p *LRUPolicy) RankVictims(set int, _ *cache.AccessInfo) []int {
-	ways := p.Ways()
-	p.rankBuf = rankByKey(ways, func(w int) int64 {
-		// Lower stamp = older = better victim, so negate.
-		return -int64(p.Stamp(set, w))
-	}, p.rankBuf)
-	return p.rankBuf
+// VictimKeys implements core.VictimKeyer: least-recent first (a lower
+// stamp is older, so the key is the negated stamp).
+func (p *LRUPolicy) VictimKeys(set int, dst []int64) {
+	for w := range dst {
+		dst[w] = -int64(p.Stamp(set, w))
+	}
 }
 
 // Random evicts a uniformly random way. It is the weakest reference point
@@ -54,10 +49,9 @@ func (p *Random) Victim(int, *cache.AccessInfo) int { return p.rnd.Intn(p.ways) 
 
 // FIFO evicts in fill order, ignoring hits.
 type FIFO struct {
-	ways    int
-	stamp   []int64
-	clock   int64
-	rankBuf []int
+	ways  int
+	stamp []int64
+	clock int64
 }
 
 // NewFIFO returns a FIFO policy.
@@ -111,12 +105,11 @@ func (p *FIFO) Victim(set int, _ *cache.AccessInfo) int {
 // within-set stamp order is independent of cross-set interleaving.
 func (p *FIFO) PerSetIndependent() bool { return true }
 
-// RankVictims implements VictimRanker: oldest fill first.
-func (p *FIFO) RankVictims(set int, _ *cache.AccessInfo) []int {
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
-		return -p.stamp[set*p.ways+w]
-	}, p.rankBuf)
-	return p.rankBuf
+// VictimKeys implements core.VictimKeyer: oldest fill first.
+func (p *FIFO) VictimKeys(set int, dst []int64) {
+	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
+		dst[w] = -s
+	}
 }
 
 // NRU is the not-recently-used policy found in commercial LLCs: one
@@ -129,9 +122,8 @@ func (p *FIFO) RankVictims(set int, _ *cache.AccessInfo) []int {
 // set, and byte-wide so its victim search can scan eight ways per
 // machine word (see NewBatchKernel).
 type NRU struct {
-	ways    int
-	ref     []uint8
-	rankBuf []int
+	ways int
+	ref  []uint8
 }
 
 // NewNRU returns an NRU policy.
@@ -176,22 +168,20 @@ func (p *NRU) Victim(set int, _ *cache.AccessInfo) int {
 // reference bits are pure per-set state.
 func (p *NRU) PerSetIndependent() bool { return true }
 
-// RankVictims implements VictimRanker: clear-bit ways first (ascending
-// way), then set-bit ways.
-func (p *NRU) RankVictims(set int, _ *cache.AccessInfo) []int {
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
-		return 1 - int64(p.ref[set*p.ways+w])
-	}, p.rankBuf)
-	return p.rankBuf
+// VictimKeys implements core.VictimKeyer: clear-bit ways outrank set-bit
+// ways.
+func (p *NRU) VictimKeys(set int, dst []int64) {
+	for w, r := range p.ref[set*p.ways : (set+1)*p.ways] {
+		dst[w] = 1 - int64(r)
+	}
 }
 
 // lipCore is the shared machinery of LIP and BIP: LRU stamps with
 // configurable insertion position.
 type lipCore struct {
-	ways    int
-	stamp   []int64
-	clock   int64
-	rankBuf []int
+	ways  int
+	stamp []int64
+	clock int64
 }
 
 func (p *lipCore) Attach(sets, ways int) {
@@ -240,11 +230,11 @@ func (p *lipCore) Victim(set int, _ *cache.AccessInfo) int {
 	return victim
 }
 
-func (p *lipCore) RankVictims(set int, _ *cache.AccessInfo) []int {
-	p.rankBuf = rankByKey(p.ways, func(w int) int64 {
-		return -p.stamp[set*p.ways+w]
-	}, p.rankBuf)
-	return p.rankBuf
+// VictimKeys implements core.VictimKeyer: smallest stamp first.
+func (p *lipCore) VictimKeys(set int, dst []int64) {
+	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
+		dst[w] = -s
+	}
 }
 
 // LIP (LRU-insertion policy, Qureshi et al. ISCA'07) inserts fills at the

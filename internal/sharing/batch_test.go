@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/core"
 	"sharellc/internal/policy"
 	"sharellc/internal/rng"
 	"sharellc/internal/trace"
@@ -195,6 +196,42 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 	// scheduler variance while still tripping on any per-chunk leak.
 	if allocs > 400 {
 		t.Errorf("ReplayMulti allocated %.0f objects per sweep; hot loop is allocating (budget 400)", allocs)
+	}
+}
+
+// TestHookedProtectorLaneAllocSteady is the same gate for the lane class
+// the oracle and predictor experiments run: a sequential lane whose
+// PredictShared hook feeds a core.Protector over LRU. Attaching the hint
+// used to heap-allocate one AccessInfo per fill and victim selection a
+// closure and a boxed slice per protected miss; now the count must not
+// grow with the stream.
+func TestHookedProtectorLaneAllocSteady(t *testing.T) {
+	long := synthStream(60000, 3000, 8, 7)
+	var prot *core.Protector
+	configs := []LLCConfig{{Size: 64 * cache.KB, Ways: 8,
+		NewPolicy: func() cache.Policy {
+			prot = core.NewProtector(policy.NewLRUPolicy(), core.Full)
+			return prot
+		},
+		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%4 == 0 }},
+	}}
+	run := func(stream []cache.AccessInfo) func() {
+		return func() {
+			if _, err := ReplayMulti(stream, configs, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(long)() // warm the scratch pool
+	if st := prot.Stats(); st.Exclusions == 0 {
+		t.Fatalf("lane never excluded a protected victim: %+v", st)
+	}
+	short := testing.AllocsPerRun(3, run(long[:15000]))
+	full := testing.AllocsPerRun(3, run(long))
+	// The long stream has four times the accesses (tens of thousands more
+	// fills); per-replay bookkeeping measures ~30 objects either way.
+	if full > short+20 || full > 200 {
+		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
 	}
 }
 

@@ -18,10 +18,12 @@
 package sharing
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 
 	"sharellc/internal/cache"
@@ -359,6 +361,12 @@ type replayState struct {
 	hadPred bool
 	keep    bool
 	ctx     context.Context // nil = not cancellable
+
+	// hinted is the copy of the current access that carries the fill-time
+	// prediction into the cache. It lives here, not in step, because the
+	// policy interface makes a local copy escape: one heap object per
+	// hooked fill.
+	hinted cache.AccessInfo
 }
 
 // closeRes finalizes a residency at evictIndex (-1 = alive at stream end)
@@ -426,10 +434,10 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 // bookkeeping and residency maintenance. a points into the caller's
 // stream and is never written through — a fused sweep calls step once
 // per lane per access, so the multi-word record travels by reference;
-// when a fill-time prediction must be attached, it is attached to a
-// local copy before that copy reaches the cache. It is the shared
-// per-access body of the sequential replay, the shard workers and the
-// fused multi-lane replay (ReplayMulti).
+// when a fill-time prediction must be attached, it is attached to the
+// state's own copy (st.hinted) before that copy reaches the cache. It is
+// the shared per-access body of the sequential replay, the shard workers
+// and the fused multi-lane replay (ReplayMulti).
 //
 // step reports whether the access hit but does not touch the
 // aggregate Accesses/Hits/Misses counters: those are three dependent
@@ -477,9 +485,9 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 	var out cache.Result
 	if st.hadPred {
 		pred = st.hooks.PredictShared(*a)
-		ac := *a
-		ac.PredictedShared = pred
-		out = llc.FillRef(&ac)
+		st.hinted = *a
+		st.hinted.PredictedShared = pred
+		out = llc.FillRef(&st.hinted)
 	} else {
 		out = llc.FillRef(a)
 	}
@@ -637,7 +645,9 @@ func (st *replayState) closeAlive(sets, ways, shards, shard int) {
 		st.closeAliveSoA(sets, ways, shards, shard)
 		return
 	}
-	alive := make([]*Residency, 0, 64)
+	// Survivors are at most the set range's capacity, and at stream end
+	// usually all of it.
+	alive := make([]*Residency, 0, (sets-shard+shards-1)/shards*ways)
 	for set := shard; set < sets; set += shards {
 		base := set * ways
 		for w := 0; w < ways; w++ {
@@ -647,7 +657,8 @@ func (st *replayState) closeAlive(sets, ways, shards, shard int) {
 		}
 	}
 	if st.keep || st.hooks.OnResidencyEnd != nil {
-		sort.Slice(alive, func(i, j int) bool { return alive[i].FillIndex < alive[j].FillIndex })
+		// Fill indices are unique, so the order is total.
+		slices.SortFunc(alive, func(a, b *Residency) int { return cmp.Compare(a.FillIndex, b.FillIndex) })
 	}
 	for _, r := range alive {
 		st.closeRes(r, -1)
