@@ -5,8 +5,9 @@
 // hit/miss volumes across replacement policies, so only placement,
 // replacement and eviction are simulated.
 //
-// The private levels use plain LRU (their replacement policy is not under
-// study). The LLC takes a pluggable Policy so that every policy in
+// The private levels are fixed LRU filters with a small cache type of
+// their own (their replacement policy is not under study). The LLC is a
+// SetAssoc with a pluggable Policy so that every policy in
 // internal/policy, the sharing oracle and the predictors can drive it.
 package cache
 
@@ -108,9 +109,8 @@ func (ln line) block() uint64 { return uint64(ln &^ (lineValid | lineDirty)) }
 // in one compare.
 func tagOf(block uint64) line { return line(block) | lineValid }
 
-// SetAssoc is a set-associative cache with a pluggable replacement policy.
-// It is the building block for both the shared LLC and, with an internal
-// LRU policy, the private levels.
+// SetAssoc is a set-associative cache with a pluggable replacement policy:
+// the shared LLC.
 type SetAssoc struct {
 	sets   int
 	ways   int

@@ -56,7 +56,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: core count %d outside [1,128]", c.Cores)
 	}
 	check := func(label string, size, ways int) error {
-		if _, err := NewSetAssoc(size, ways, NewLRU()); err != nil {
+		if _, err := Geometry(size, ways); err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
 		return nil

@@ -6,13 +6,73 @@ import (
 	"sharellc/internal/trace"
 )
 
+// privCache is one private level: a set-associative cache under plain
+// LRU, the only policy the private levels run. Each set keeps its lines
+// in recency order, most recent first and invalid ways last, so the order
+// is the whole replacement state — no stamps, no Policy or Result per
+// reference, and an 8-way set is one host cache line. Outcomes equal
+// SetAssoc's with NewLRU(): a fill takes an invalid way while one exists
+// and otherwise displaces the least recently touched line.
+type privCache struct {
+	ways  int
+	mask  uint64
+	lines []line // sets*ways, row-major by set
+}
+
+// newPrivCache sizes one level; Config.Validate has vetted the geometry.
+func newPrivCache(sizeBytes, ways int) privCache {
+	n := sizeBytes / trace.BlockSize
+	return privCache{ways: ways, mask: uint64(n/ways - 1), lines: make([]line, n)}
+}
+
+// access presents one reference: a hit moves the line to the front (and
+// dirties it on a write); a miss fills the block there and returns the
+// line it displaced (zero, hence invalid, if an empty way took the fill).
+func (c *privCache) access(block uint64, write bool) (hit bool, victim line) {
+	base := int(block&c.mask) * c.ways
+	set := c.lines[base : base+c.ways]
+	front, pos := makeLine(block, write), len(set)-1
+	for w, ln := range set {
+		if ln&^lineDirty == tagOf(block) {
+			front, pos, hit = front|ln, w, true // |ln keeps an earlier write's dirty bit
+			break
+		}
+		if !ln.valid() {
+			pos = w
+			break
+		}
+	}
+	if !hit {
+		victim = set[pos]
+	}
+	for ; pos > 0; pos-- {
+		set[pos] = set[pos-1]
+	}
+	set[0] = front
+	return hit, victim
+}
+
+// invalidate drops block if present, closing the gap so that the valid
+// lines stay a prefix of the set.
+func (c *privCache) invalidate(block uint64) {
+	base := int(block&c.mask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w, ln := range set {
+		if ln&^lineDirty == tagOf(block) {
+			copy(set[w:], set[w+1:])
+			set[len(set)-1] = 0
+			return
+		}
+	}
+}
+
 // Hierarchy is the private part of the memory system: per-core L1 and L2
 // caches. Accesses that miss in both private levels are the LLC reference
 // stream — the input of every replacement-policy experiment.
 type Hierarchy struct {
 	cfg Config
-	l1  []*SetAssoc
-	l2  []*SetAssoc
+	l1  []privCache
+	l2  []privCache
 
 	refs    uint64 // total references presented
 	l1Hits  uint64
@@ -49,16 +109,8 @@ func newHierarchy(cfg Config, writeback bool) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{cfg: cfg, writeback: writeback}
 	for i := 0; i < cfg.Cores; i++ {
-		l1, err := NewSetAssoc(cfg.L1Size, cfg.L1Ways, NewLRU())
-		if err != nil {
-			return nil, fmt.Errorf("cache: building L1[%d]: %w", i, err)
-		}
-		l2, err := NewSetAssoc(cfg.L2Size, cfg.L2Ways, NewLRU())
-		if err != nil {
-			return nil, fmt.Errorf("cache: building L2[%d]: %w", i, err)
-		}
-		h.l1 = append(h.l1, l1)
-		h.l2 = append(h.l2, l2)
+		h.l1 = append(h.l1, newPrivCache(cfg.L1Size, cfg.L1Ways))
+		h.l2 = append(h.l2, newPrivCache(cfg.L2Size, cfg.L2Ways))
 	}
 	return h, nil
 }
@@ -69,27 +121,26 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Access presents one reference to core a.Core's private caches and
 // reports whether it missed both levels (and therefore references the LLC).
 func (h *Hierarchy) Access(a trace.Access) (llcRef bool, err error) {
-	if int(a.Core) >= h.cfg.Cores {
+	if int(a.Core) >= len(h.l1) {
 		return false, fmt.Errorf("cache: access from core %d but hierarchy has %d cores", a.Core, h.cfg.Cores)
 	}
 	h.refs++
 	block := a.Addr.BlockID()
-	info := AccessInfo{Block: block, Core: a.Core, PC: a.PC, Write: a.Write}
-	l1Res := h.l1[a.Core].Access(info)
-	if h.writeback && l1Res.Evicted && l1Res.VictimDirty {
+	hit, victim := h.l1[a.Core].access(block, a.Write)
+	if h.writeback && victim.dirty() {
 		// Dirty L1 victim written back into the L2; this may in turn
 		// displace a dirty L2 line toward the LLC.
-		h.l2Write(a.Core, l1Res.Victim)
+		h.l2Write(a.Core, victim.block())
 	}
-	if l1Res.Hit {
+	if hit {
 		h.l1Hits++
 		return false, nil
 	}
-	l2Res := h.l2[a.Core].Access(info)
-	if h.writeback && l2Res.Evicted && l2Res.VictimDirty {
-		h.emitWriteback(l2Res.Victim, a.Core)
+	hit, victim = h.l2[a.Core].access(block, a.Write)
+	if h.writeback && victim.dirty() {
+		h.emitWriteback(victim.block(), a.Core)
 	}
-	if l2Res.Hit {
+	if hit {
 		h.l2Hits++
 		return false, nil
 	}
@@ -99,9 +150,8 @@ func (h *Hierarchy) Access(a trace.Access) (llcRef bool, err error) {
 
 // l2Write installs a written-back L1 victim into the core's L2.
 func (h *Hierarchy) l2Write(core uint8, block uint64) {
-	res := h.l2[core].Access(AccessInfo{Block: block, Core: core, Write: true})
-	if res.Evicted && res.VictimDirty {
-		h.emitWriteback(res.Victim, core)
+	if _, victim := h.l2[core].access(block, true); victim.dirty() {
+		h.emitWriteback(victim.block(), core)
 	}
 }
 
@@ -121,8 +171,8 @@ func (h *Hierarchy) Writebacks() uint64 { return h.writebacks }
 // LLC when it evicts a block (back-invalidation).
 func (h *Hierarchy) Invalidate(block uint64) {
 	for i := range h.l1 {
-		h.l1[i].Invalidate(block)
-		h.l2[i].Invalidate(block)
+		h.l1[i].invalidate(block)
+		h.l2[i].invalidate(block)
 	}
 }
 
@@ -173,34 +223,7 @@ func (b *streamBuilder) join() []AccessInfo {
 // returns the LLC reference stream with Index assigned and NextUse left
 // unset (callers that need OPT call AnnotateNextUse).
 func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) {
-	h, err := NewHierarchy(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var b streamBuilder
-	for {
-		a, ok := r.Next()
-		if !ok {
-			break
-		}
-		toLLC, err := h.Access(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		if toLLC {
-			b.add(AccessInfo{
-				Block:   a.Addr.BlockID(),
-				Core:    a.Core,
-				PC:      a.PC,
-				Write:   a.Write,
-				NextUse: NoNextUse,
-			})
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return b.join(), h, nil
+	return filterStream(r, cfg, false)
 }
 
 // FilterStreamWriteback is FilterStream with dirty-victim writeback
@@ -208,36 +231,31 @@ func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) 
 // LLC stream as write accesses (PC 0 — a writeback carries no instruction
 // context), interleaved at the point of eviction.
 func FilterStreamWriteback(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) {
-	h, err := NewHierarchyWriteback(cfg)
+	return filterStream(r, cfg, true)
+}
+
+func filterStream(r trace.Reader, cfg Config, writeback bool) ([]AccessInfo, *Hierarchy, error) {
+	h, err := newHierarchy(cfg, writeback)
 	if err != nil {
 		return nil, nil, err
 	}
 	var b streamBuilder
-	h.OnWriteback = func(block uint64, core uint8) {
-		b.add(AccessInfo{
-			Block:   block,
-			Core:    core,
-			Write:   true,
-			NextUse: NoNextUse,
-		})
+	if writeback {
+		h.OnWriteback = func(block uint64, core uint8) {
+			b.add(AccessInfo{Block: block, Core: core, Write: true, NextUse: NoNextUse})
+		}
 	}
-	for {
-		a, ok := r.Next()
-		if !ok {
-			break
-		}
-		toLLC, err := h.Access(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		if toLLC {
-			b.add(AccessInfo{
-				Block:   a.Addr.BlockID(),
-				Core:    a.Core,
-				PC:      a.PC,
-				Write:   a.Write,
-				NextUse: NoNextUse,
-			})
+	buf := make([]trace.Access, trace.ChunkSize)
+	for n := len(buf); n == len(buf); {
+		n = trace.ReadBatch(r, buf)
+		for _, a := range buf[:n] {
+			toLLC, err := h.Access(a)
+			if err != nil {
+				return nil, nil, err
+			}
+			if toLLC {
+				b.add(AccessInfo{Block: a.Addr.BlockID(), Core: a.Core, PC: a.PC, Write: a.Write, NextUse: NoNextUse})
+			}
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -3,12 +3,13 @@ package cache
 import "sharellc/internal/mem"
 
 // LRU is the classic least-recently-used replacement policy, implemented
-// with per-set recency timestamps. It serves as the baseline policy of the
-// paper and as the fixed policy of the private cache levels.
+// with per-set recency timestamps. It is the baseline LLC policy of the
+// paper. The private levels are LRU too but do not use this type: they
+// keep each set in recency order instead (privCache in hierarchy.go).
 //
-// LRU lives in package cache (rather than internal/policy) because the
-// private hierarchy needs it without depending on the policy catalogue;
-// internal/policy re-exports it for the catalogue.
+// LRU lives in package cache (rather than internal/policy, which imports
+// this package) so that System, the reference hierarchy and the tests here
+// have a policy at hand; internal/policy re-exports it for the catalogue.
 type LRU struct {
 	ways  int
 	stamp []uint64 // sets*ways recency stamps; larger = more recent

@@ -87,26 +87,47 @@ func (e *entry) sharerCount() int {
 
 // Directory is the MESI directory. It is not safe for concurrent use.
 //
-// Entries live in one contiguous slab with the block-number index mapping
-// into it, so tracking a new block is a slab append instead of a heap
-// allocation per block.
+// Entries live in one contiguous slab, found through a flat open-addressed
+// index (linear probing, Fibonacci hashing, at most half full): one
+// multiply and usually one probe per reference, and tracking a new block
+// is a slab append instead of a heap allocation per block.
 type Directory struct {
-	index map[uint64]uint32 // block → slab position + 1
+	index []slot // power-of-two length
+	shift uint   // 64 - log2(len(index)): hash bits → index position
 	slab  []entry
 	stats Stats
 	clock uint64 // event counter, advanced per Load/Store
 }
 
+// slot is one index cell. The zero slot is empty: a used one has ref > 0,
+// which leaves every block number, 0 included, an ordinary key.
+type slot struct {
+	block uint64
+	ref   uint32 // slab position of the block's entry, plus one
+}
+
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{index: make(map[uint64]uint32, 1<<16)}
+	const logSlots = 12
+	return &Directory{index: make([]slot, 1<<logSlots), shift: 64 - logSlots}
+}
+
+// find returns the index slot holding block, or the empty slot where it
+// belongs. The index is never full, so the probe terminates.
+func (d *Directory) find(block uint64) *slot {
+	mask := uint64(len(d.index) - 1)
+	for i := (block * 0x9E3779B97F4A7C15) >> d.shift; ; i = (i + 1) & mask {
+		if s := &d.index[i]; s.block == block || s.ref == 0 {
+			return s
+		}
+	}
 }
 
 // lookup returns the entry tracking block, or nil if none. The pointer is
 // valid only until the next ensure (a slab append may move entries).
 func (d *Directory) lookup(block uint64) *entry {
-	if i := d.index[block]; i != 0 {
-		return &d.slab[i-1]
+	if s := d.find(block); s.ref != 0 {
+		return &d.slab[s.ref-1]
 	}
 	return nil
 }
@@ -114,12 +135,28 @@ func (d *Directory) lookup(block uint64) *entry {
 // ensure returns the entry tracking block, appending a fresh Invalid one
 // to the slab if the block is untracked.
 func (d *Directory) ensure(block uint64) *entry {
-	if i := d.index[block]; i != 0 {
-		return &d.slab[i-1]
+	s := d.find(block)
+	if s.ref == 0 {
+		if 2*(len(d.slab)+1) > len(d.index) {
+			d.grow()
+			s = d.find(block)
+		}
+		d.slab = append(d.slab, entry{})
+		*s = slot{block: block, ref: uint32(len(d.slab))}
 	}
-	d.slab = append(d.slab, entry{})
-	d.index[block] = uint32(len(d.slab))
-	return &d.slab[len(d.slab)-1]
+	return &d.slab[s.ref-1]
+}
+
+// grow doubles the index and re-inserts every key.
+func (d *Directory) grow() {
+	old := d.index
+	d.index = make([]slot, 2*len(old))
+	d.shift--
+	for _, s := range old {
+		if s.ref != 0 {
+			*d.find(s.block) = s
+		}
+	}
 }
 
 // Stats returns the aggregate protocol statistics.
@@ -233,8 +270,11 @@ func (d *Directory) Evict(core uint8, block uint64) {
 // CheckInvariants validates the MESI invariants over every entry and
 // returns the first violation, for property tests.
 func (d *Directory) CheckInvariants() error {
-	for b, i := range d.index {
-		e := &d.slab[i-1]
+	for _, s := range d.index {
+		if s.ref == 0 {
+			continue
+		}
+		b, e := s.block, &d.slab[s.ref-1]
 		n := e.sharerCount()
 		switch e.state {
 		case Invalid:

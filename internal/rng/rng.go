@@ -12,6 +12,8 @@
 // passes BigCrush on the high bits.
 package rng
 
+import "math/bits"
+
 // Source is a deterministic 64-bit pseudo-random generator.
 //
 // The zero value is not usable; construct with New. Source is not safe for
@@ -80,7 +82,7 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	// word, rejecting the small biased region of the low word.
 	for {
 		x := s.Uint64()
-		hi, lo := mul64(x, n)
+		hi, lo := bits.Mul64(x, n)
 		if lo >= n || lo >= -n%n { // -n%n == (2^64 - n) % n
 			return hi
 		}
@@ -122,23 +124,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo) without
-// importing math/bits at every call site (this is what bits.Mul64 does).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	lo32 := t & mask32
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid1 := t & mask32
-	carry = t >> 32
-	t = aLo*bHi + mid1
-	mid2 := t & mask32
-	hi = aHi*bHi + carry + t>>32
-	lo = mid2<<32 | lo32
-	return hi, lo
 }

@@ -2,7 +2,6 @@ package rng
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -161,14 +160,48 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBits(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		hi2, lo2 := bits.Mul64(a, b)
-		return hi == hi2 && lo == lo2
+// mul64ref is the hand-rolled 128-bit multiply Uint64n used before it
+// switched to bits.Mul64, kept as the reference for the test below.
+func mul64ref(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aLo * bLo
+	lo32 := t & mask32
+	carry := t >> 32
+	t = aHi*bLo + carry
+	mid1 := t & mask32
+	carry = t >> 32
+	t = aLo*bHi + mid1
+	mid2 := t & mask32
+	hi = aHi*bHi + carry + t>>32
+	lo = mid2<<32 | lo32
+	return hi, lo
+}
+
+// TestUint64nSequenceUnchanged replays Lemire's rejection loop over the
+// reference multiply and requires Uint64n to consume the same raw draws
+// and return the same values, across bounds that exercise the rejection
+// branch (n just above a power of two rejects almost half the draws).
+func TestUint64nSequenceUnchanged(t *testing.T) {
+	bounds := []uint64{1, 2, 3, 7, 10, 1 << 16, 1<<32 + 1, 1<<63 + 1, 1<<64 - 1, 0xDEADBEEFCAFEF00D}
+	got, ref := New(42), New(42)
+	for i := 0; i < 100000; i++ {
+		n := bounds[i%len(bounds)]
+		var want uint64
+		for {
+			hi, lo := mul64ref(ref.Uint64(), n)
+			if lo >= n || lo >= -n%n {
+				want = hi
+				break
+			}
+		}
+		if v := got.Uint64n(n); v != want {
+			t.Fatalf("draw %d: Uint64n(%d) = %d, reference %d", i, n, v, want)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if got.Uint64() != ref.Uint64() {
+		t.Fatal("sources diverged: a different number of raw draws was consumed")
 	}
 }
 

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -99,6 +100,80 @@ func TestZipfDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("zipf draws diverged at %d", i)
+		}
+	}
+}
+
+// TestZipfSearchMatchesSortSearch compares the guided search with the
+// whole-table binary search it replaced, on the draws where they could
+// part ways: u = 0, every guide-slice boundary and its two neighbours,
+// every CDF value and its two neighbours, and 200k random draws per
+// table (1.8 million in all).
+func TestZipfSearchMatchesSortSearch(t *testing.T) {
+	for _, tc := range []struct {
+		s float64
+		n int
+	}{{1.35, 1}, {0, 1}, {1.35, 2}, {0, 7}, {0.8, 1000}, {1.35, 12000}, {0, 4096}, {2.5, 100000}, {0.7, 90000}} {
+		z, err := NewZipf(New(1), tc.s, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			if got, want := z.search(u), sort.SearchFloat64s(z.cdf, u); got != want {
+				t.Fatalf("s=%v n=%d: search(%v) = %d, sort.SearchFloat64s = %d", tc.s, tc.n, u, got, want)
+			}
+		}
+		around := func(u float64) {
+			check(math.Nextafter(u, 0))
+			check(u)
+			check(math.Nextafter(u, 1))
+		}
+		buckets := len(z.guide) - 1
+		for b := 0; b <= buckets; b++ {
+			around(float64(b) / float64(buckets))
+		}
+		for _, c := range z.cdf {
+			around(c)
+		}
+		src := New(77)
+		for i := 0; i < 200_000; i++ {
+			check(src.Float64())
+		}
+	}
+}
+
+// TestZipfWithSourceSharesTablesNotDraws: samplers derived with
+// WithSource draw what privately built samplers over the same sources
+// draw, share the parent's tables, and do not disturb each other.
+func TestZipfWithSourceSharesTablesNotDraws(t *testing.T) {
+	const s, n = 1.1, 5000
+	parent, err := NewZipf(New(10), s, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared, private []*Zipf
+	for seed := uint64(10); seed < 14; seed++ {
+		p, err := NewZipf(New(seed), s, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		private = append(private, p)
+		z := parent
+		if seed > 10 {
+			z = parent.WithSource(New(seed))
+			if &z.cdf[0] != &parent.cdf[0] || &z.guide[0] != &parent.guide[0] {
+				t.Fatal("WithSource copied the tables")
+			}
+		}
+		shared = append(shared, z)
+	}
+	for i := 0; i < 20000; i++ {
+		k := i % len(shared) // interleave the samplers
+		if got, want := shared[k].Next(), private[k].Next(); got != want {
+			t.Fatalf("draw %d of sampler %d: shared %d, private %d", i, k, got, want)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sharellc/internal/reuse"
 	"sharellc/internal/sharing"
 	"sharellc/internal/stats"
+	"sharellc/internal/trace"
 	"sharellc/internal/workloads"
 )
 
@@ -110,21 +111,19 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 		}
 		dir := coherence.NewDirectory()
 		var refs uint64
-		for {
-			a, ok := r.Next()
-			if !ok {
-				break
+		buf := make([]trace.Access, trace.ChunkSize)
+		for n := len(buf); n == len(buf); {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			refs++
-			if refs&(1<<16-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
+			n = trace.ReadBatch(r, buf)
+			refs += uint64(n)
+			for _, a := range buf[:n] {
+				if a.Write {
+					dir.Store(a.Core, a.Addr.BlockID())
+				} else {
+					dir.Load(a.Core, a.Addr.BlockID())
 				}
-			}
-			if a.Write {
-				dir.Store(a.Core, a.Addr.BlockID())
-			} else {
-				dir.Load(a.Core, a.Addr.BlockID())
 			}
 		}
 		if err := r.Err(); err != nil {

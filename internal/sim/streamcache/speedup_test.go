@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sharellc/internal/sim"
+	"sharellc/internal/workloads"
 )
 
 // benchScale reads SHARELLC_BENCH_SCALE (a workload scale factor) so CI
@@ -93,6 +94,48 @@ func BenchmarkSuiteBuildCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// frontEndModel is the mid-sized application the two per-reference
+// benchmarks below run: it touches all four region kinds (Zipf private
+// and read-only reuse, the read-write sweep, locks).
+func frontEndModel(b *testing.B) workloads.Model {
+	m, err := workloads.ByName("bodytrack")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m.Scaled(benchScale(1))
+}
+
+// BenchmarkBuildStream is the cold path's front end for one application
+// — generate, filter through the private hierarchy, annotate — reported
+// per raw reference.
+func BenchmarkBuildStream(b *testing.B) {
+	m := frontEndModel(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.BuildStream(m, sim.DefaultConfig().Machine, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.TotalAccesses()), "ns/ref")
+}
+
+// BenchmarkCoherenceCharacterize is C1 for one application — generate,
+// MESI directory — reported per raw reference.
+func BenchmarkCoherenceCharacterize(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Models = []workloads.Model{frontEndModel(b)}
+	s, err := sim.NewSuite(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.CoherenceCharacterize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Models[0].TotalAccesses()), "ns/ref")
 }
 
 // BenchmarkSuiteBuildWarm measures full-suite construction against a

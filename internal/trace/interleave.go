@@ -23,6 +23,7 @@ type Interleaver struct {
 	cur     int // stream currently being drained
 	left    int // accesses left in the current burst
 	err     error
+	one     [1]Access // Next's destination; a local would escape per call
 }
 
 // NewInterleaver merges streams with mean burst length burst (values < 1
@@ -45,38 +46,46 @@ func NewInterleaver(streams []Reader, burst int, rnd *rng.Source) *Interleaver {
 	return il
 }
 
-// Next implements Reader. It returns accesses until every input stream is
-// exhausted.
-func (il *Interleaver) Next() (Access, bool) {
-	for il.nLive > 0 {
-		if il.cur < 0 || il.left <= 0 || !il.live[il.cur] {
+// ReadBatch implements BatchReader: it copies whole bursts (or what is
+// left of dst) until dst is full or every input stream is exhausted. A
+// stream dies when it delivers less than it was asked for, never earlier:
+// one that runs dry exactly at a burst end stays eligible for the next
+// pick, which is the schedule Next has always produced.
+func (il *Interleaver) ReadBatch(dst []Access) int {
+	n := 0
+	for n < len(dst) && il.nLive > 0 {
+		if il.cur < 0 || il.left <= 0 {
 			il.pick()
-			if il.cur < 0 {
-				break
-			}
 		}
-		a, ok := il.streams[il.cur].Next()
-		if !ok {
+		want := min(il.left, len(dst)-n)
+		got := ReadBatch(il.streams[il.cur], dst[n:n+want])
+		n += got
+		il.left -= got
+		if got < want {
 			if err := il.streams[il.cur].Err(); err != nil && il.err == nil {
 				il.err = err
 			}
 			il.live[il.cur] = false
 			il.nLive--
 			il.cur = -1
-			continue
 		}
-		il.left--
-		return a, true
 	}
-	return Access{}, false
+	return n
 }
 
-// pick selects the next live stream and a geometric-ish burst length.
-func (il *Interleaver) pick() {
-	il.cur = -1
-	if il.nLive == 0 {
-		return
+// Next implements Reader as a one-access ReadBatch, so there is a single
+// scheduling implementation. It returns accesses until every input stream
+// is exhausted.
+func (il *Interleaver) Next() (Access, bool) {
+	if il.ReadBatch(il.one[:]) == 0 {
+		return Access{}, false
 	}
+	return il.one[0], true
+}
+
+// pick selects the next live stream (there must be one) and a
+// geometric-ish burst length.
+func (il *Interleaver) pick() {
 	// Choose uniformly among live streams.
 	k := il.rnd.Intn(il.nLive)
 	for i, alive := range il.live {

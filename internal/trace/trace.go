@@ -55,6 +55,36 @@ type Reader interface {
 	Err() error
 }
 
+// BatchReader is a Reader that can also hand out accesses in bulk, which
+// spares the hot consumers (cache.FilterStream, the coherence
+// characterization) one dynamic call per reference. ReadBatch fills dst
+// from the front of the stream and returns how many accesses it wrote; a
+// count below len(dst) means the stream has ended (check Err). Next and
+// ReadBatch draw from the same position and may be mixed freely.
+type BatchReader interface {
+	Reader
+	ReadBatch(dst []Access) int
+}
+
+// ChunkSize is the batch length those consumers read with.
+const ChunkSize = 4096
+
+// ReadBatch reads from r under the BatchReader contract, falling back to
+// repeated Next calls for readers that do not implement it.
+func ReadBatch(r Reader, dst []Access) int {
+	if br, ok := r.(BatchReader); ok {
+		return br.ReadBatch(dst)
+	}
+	for i := range dst {
+		a, ok := r.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = a
+	}
+	return len(dst)
+}
+
 // SliceReader adapts an in-memory []Access to the Reader interface.
 type SliceReader struct {
 	accesses []Access
@@ -77,6 +107,13 @@ func (r *SliceReader) Next() (Access, bool) {
 	return a, true
 }
 
+// ReadBatch implements BatchReader.
+func (r *SliceReader) ReadBatch(dst []Access) int {
+	n := copy(dst, r.accesses[r.pos:])
+	r.pos += n
+	return n
+}
+
 // Err implements Reader. A slice never fails.
 func (r *SliceReader) Err() error { return nil }
 
@@ -96,21 +133,3 @@ func Collect(r Reader) ([]Access, error) {
 	}
 	return out, r.Err()
 }
-
-// FuncReader adapts a generator function to the Reader interface. The
-// function returns the next access and true, or false at end of stream.
-type FuncReader struct {
-	fn  func() (Access, bool)
-	err error
-}
-
-// NewFuncReader wraps fn as a Reader.
-func NewFuncReader(fn func() (Access, bool)) *FuncReader {
-	return &FuncReader{fn: fn}
-}
-
-// Next implements Reader.
-func (r *FuncReader) Next() (Access, bool) { return r.fn() }
-
-// Err implements Reader.
-func (r *FuncReader) Err() error { return r.err }

@@ -68,24 +68,6 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-func TestFuncReader(t *testing.T) {
-	i := 0
-	r := NewFuncReader(func() (Access, bool) {
-		if i >= 3 {
-			return Access{}, false
-		}
-		i++
-		return Access{Addr: Addr(i * 64)}, true
-	})
-	out, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d accesses, want 3", len(out))
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	accs := []Access{
 		{Core: 0, Write: false, PC: 0x400000, Addr: 0x7fff0000},

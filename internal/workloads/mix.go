@@ -32,28 +32,15 @@ func Mix(models []Model, seed uint64) (trace.Reader, error) {
 	streams := make([]trace.Reader, len(models))
 	for slot, m := range models {
 		m.Threads = 1 // single-threaded instance
-		inner, err := m.Generate(seed + uint64(slot)*1e6)
+		// Pinned to core slot, addresses moved into the slot's own space.
+		offset := trace.Addr(uint64(slot) << (mixSlotShift + trace.BlockShift))
+		r, err := m.generate(seed+uint64(slot)*1e6, uint8(slot), offset)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: mix slot %d (%s): %w", slot, m.Name, err)
 		}
-		streams[slot] = remapReader(inner, uint8(slot))
+		streams[slot] = r
 	}
 	return trace.NewInterleaver(streams, 48, master.Split()), nil
-}
-
-// remapReader pins a single-threaded stream to core slot and moves its
-// addresses into the slot's private address space.
-func remapReader(inner trace.Reader, slot uint8) trace.Reader {
-	offset := trace.Addr(uint64(slot) << (mixSlotShift + trace.BlockShift))
-	return trace.NewFuncReader(func() (trace.Access, bool) {
-		a, ok := inner.Next()
-		if !ok {
-			return trace.Access{}, false
-		}
-		a.Core = slot
-		a.Addr += offset
-		return a, true
-	})
 }
 
 // MixName derives a display name for a mix.

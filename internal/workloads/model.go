@@ -176,17 +176,28 @@ func (m Model) Scaled(f float64) Model {
 // Generate returns the model's global interleaved trace for the given
 // seed. The reader produces exactly TotalAccesses accesses.
 func (m Model) Generate(seed uint64) (trace.Reader, error) {
+	return m.generate(seed, 0, 0)
+}
+
+// generate is Generate with thread t issuing as core core0+t and every
+// address moved up by offset (Mix places its programs this way).
+func (m Model) generate(seed uint64, core0 uint8, offset trace.Addr) (trace.Reader, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	master := rng.New(seed ^ hashName(m.Name))
 	streams := make([]trace.Reader, m.Threads)
+	var first *threadGen // thread 0 builds the Zipf tables the others share
 	for t := 0; t < m.Threads; t++ {
-		g, err := newThreadGen(m, uint8(t), master.Split())
+		g, err := newThreadGen(m, uint8(t), master.Split(), first)
 		if err != nil {
 			return nil, err
 		}
-		streams[t] = trace.NewFuncReader(g.next)
+		if first == nil {
+			first = g
+		}
+		g.core, g.offset = g.core+core0, offset
+		streams[t] = g
 	}
 	return trace.NewInterleaver(streams, m.Burst, master.Split()), nil
 }
@@ -215,7 +226,9 @@ const (
 // threadGen produces one thread's access stream.
 type threadGen struct {
 	m      Model
-	tid    uint8
+	tid    uint8      // thread number: selects private region and cluster
+	core   uint8      // issuing core stamped on every access
+	offset trace.Addr // added to every address
 	rnd    *rng.Source
 	issued int
 
@@ -230,14 +243,21 @@ type threadGen struct {
 	pSeqStart float64
 }
 
-func newThreadGen(m Model, tid uint8, rnd *rng.Source) (*threadGen, error) {
-	g := &threadGen{m: m, tid: tid, rnd: rnd}
+// newThreadGen builds thread tid's generator. Every thread draws its two
+// Zipf sources from rnd in the same order; the tables behind them depend
+// only on the model, so threads after the first reuse first's.
+func newThreadGen(m Model, tid uint8, rnd *rng.Source, first *threadGen) (*threadGen, error) {
+	g := &threadGen{m: m, tid: tid, core: tid, rnd: rnd}
 	var err error
-	if g.privZipf, err = rng.NewZipf(rnd.Split(), m.PrivateZipf, m.PrivateBlocks); err != nil {
+	if first != nil {
+		g.privZipf = first.privZipf.WithSource(rnd.Split())
+	} else if g.privZipf, err = rng.NewZipf(rnd.Split(), m.PrivateZipf, m.PrivateBlocks); err != nil {
 		return nil, err
 	}
 	if m.SharedROBlocks > 0 {
-		if g.roZipf, err = rng.NewZipf(rnd.Split(), m.SharedROZipf, m.SharedROBlocks); err != nil {
+		if first != nil {
+			g.roZipf = first.roZipf.WithSource(rnd.Split())
+		} else if g.roZipf, err = rng.NewZipf(rnd.Split(), m.SharedROZipf, m.SharedROBlocks); err != nil {
 			return nil, err
 		}
 	}
@@ -256,21 +276,38 @@ func (g *threadGen) phase() int {
 	return p
 }
 
-// next produces the thread's next access.
-func (g *threadGen) next() (trace.Access, bool) {
+// Next implements trace.Reader.
+func (g *threadGen) Next() (trace.Access, bool) {
 	if g.issued >= g.m.AccessesPerThread {
 		return trace.Access{}, false
 	}
+	return g.gen(), true
+}
+
+// ReadBatch implements trace.BatchReader.
+func (g *threadGen) ReadBatch(dst []trace.Access) int {
+	n := min(len(dst), g.m.AccessesPerThread-g.issued)
+	for i := range dst[:n] {
+		dst[i] = g.gen()
+	}
+	return n
+}
+
+// Err implements trace.Reader. A generator never fails.
+func (g *threadGen) Err() error { return nil }
+
+// gen produces the thread's next access; the caller checks the budget.
+func (g *threadGen) gen() trace.Access {
 	kind := g.pickRegion()
 	blockNo, write := g.pickBlock(kind)
 	pc := g.pickPC(kind)
 	g.issued++
 	return trace.Access{
-		Core:  g.tid,
+		Core:  g.core,
 		Write: write,
 		PC:    pc,
-		Addr:  trace.Addr(blockNo << trace.BlockShift),
-	}, true
+		Addr:  trace.Addr(blockNo<<trace.BlockShift) + g.offset,
+	}
 }
 
 // pickRegion draws the region kind from the model's access mix.
