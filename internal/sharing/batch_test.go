@@ -9,7 +9,6 @@ import (
 	"sharellc/internal/core"
 	"sharellc/internal/policy"
 	"sharellc/internal/rng"
-	"sharellc/internal/trace"
 )
 
 func TestParseKernel(t *testing.T) {
@@ -56,41 +55,36 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig 
 
 // TestKernelBatchVsScalar replays every experiment family — the full
 // policy catalogue, a hooked lane and the 128-way sequential fallback —
-// under both kernels and demands byte-equal Results, including the
-// residency logs, degree histograms and oracle bit vectors.
+// under both kernels and demands byte-equal Results — counters, degree
+// histograms and block census — at every prefix.
 func TestKernelBatchVsScalar(t *testing.T) {
-	stream := synthStream(40000, 3000, 8, 7)
 	size, ways := 64*cache.KB, 8
-	opt := Options{KeepResidencies: true, Warmup: 500, FillShared: true, Shards: 4}
+	eachPrefix(synthStream(40000, 3000, 8, 7), func(stream []cache.AccessInfo) {
+		var hooksB, hooksS int
+		cfgB := batchTestConfigs(t, size, ways, &hooksB)
+		cfgS := batchTestConfigs(t, size, ways, &hooksS)
 
-	var hooksB, hooksS int
-	cfgB := batchTestConfigs(t, size, ways, &hooksB)
-	cfgS := batchTestConfigs(t, size, ways, &hooksS)
-
-	optB := opt
-	optB.Kernel = KernelBatch
-	batch, err := ReplayMulti(stream, cfgB, optB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optS := opt
-	optS.Kernel = KernelScalar
-	scalar, err := ReplayMulti(stream, cfgS, optS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(scalar) {
-		t.Fatalf("got %d batch results, %d scalar", len(batch), len(scalar))
-	}
-	for i := range scalar {
-		if !reflect.DeepEqual(batch[i], scalar[i]) {
-			t.Errorf("config %d (%s @ %d ways): batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
-				i, cfgB[i].NewPolicy().Name(), cfgB[i].Ways, batch[i], scalar[i])
+		batch, err := ReplayMulti(stream, cfgB, Options{Shards: 4, Kernel: KernelBatch})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if hooksB != len(stream) || hooksS != len(stream) {
-		t.Errorf("hooked lane saw %d/%d accesses under batch/scalar, want %d both", hooksB, hooksS, len(stream))
-	}
+		scalar, err := ReplayMulti(stream, cfgS, Options{Shards: 4, Kernel: KernelScalar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) != len(scalar) {
+			t.Fatalf("got %d batch results, %d scalar", len(batch), len(scalar))
+		}
+		for i := range scalar {
+			if !reflect.DeepEqual(batch[i], scalar[i]) {
+				t.Errorf("len %d, config %d (%s @ %d ways): batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
+					len(stream), i, cfgB[i].NewPolicy().Name(), cfgB[i].Ways, batch[i], scalar[i])
+			}
+		}
+		if hooksB != len(stream) || hooksS != len(stream) {
+			t.Errorf("hooked lane saw %d/%d accesses under batch/scalar, want %d both", hooksB, hooksS, len(stream))
+		}
+	})
 }
 
 // kernelsAgree replays stream under both kernels (one shardable and one
@@ -107,15 +101,11 @@ func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 // configsAgree is kernelsAgree over caller-chosen lane configs.
 func configsAgree(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig) {
 	t.Helper()
-	opt := Options{KeepResidencies: true, Warmup: 100, Shards: 4}
-	optB, optS := opt, opt
-	optB.Kernel = KernelBatch
-	optS.Kernel = KernelScalar
-	batch, err := ReplayMulti(stream, configs, optB)
+	batch, err := ReplayMulti(stream, configs, Options{Shards: 4, Kernel: KernelBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := ReplayMulti(stream, configs, optS)
+	scalar, err := ReplayMulti(stream, configs, Options{Shards: 4, Kernel: KernelScalar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +128,8 @@ func TestKernelBoundaryLengths(t *testing.T) {
 	}
 }
 
-// FuzzKernelBoundary fuzzes stream length, block population, warmup
-// interactions around the batch boundaries AND the policy running the
-// lane: pol selects one specialized policy from the realistic
+// FuzzKernelBoundary fuzzes stream length and block population around
+// the batch boundaries AND the policy running the lane: pol selects one specialized policy from the realistic
 // catalogue, so the fuzzer explores every monomorphic kernel (shardable
 // and two-phase alike) against the scalar replay, which runs no kernel
 // at all. Every case must replay bit-identically under both kernels.
@@ -232,30 +221,5 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	// fills); per-replay bookkeeping measures ~30 objects either way.
 	if full > short+20 || full > 200 {
 		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
-	}
-}
-
-// TestBatchKernelLargeWarmup exercises the warmup boundary landing
-// mid-stream so batch chunks are split at the boundary: counters must
-// match the scalar kernel exactly.
-func TestBatchKernelLargeWarmup(t *testing.T) {
-	stream := synthStream(3*batchSize, 500, 4, 11)
-	for _, warmup := range []int{1, batchSize, batchSize + 1, 3*batchSize - 1} {
-		configs := []LLCConfig{
-			{Size: 16 * trace.BlockSize * 4, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
-		}
-		optB := Options{Warmup: warmup, Shards: 4, Kernel: KernelBatch}
-		optS := Options{Warmup: warmup, Shards: 4, Kernel: KernelScalar}
-		batch, err := ReplayMulti(stream, configs, optB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar, err := ReplayMulti(stream, configs, optS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch[0], scalar[0]) {
-			t.Errorf("warmup %d: batch result differs from scalar", warmup)
-		}
 	}
 }

@@ -33,7 +33,6 @@ package sharing
 
 import (
 	"fmt"
-	"sort"
 
 	"sharellc/internal/cache"
 )
@@ -99,16 +98,10 @@ type batchScratch struct {
 
 	// Eviction-capture columns for the SoA advance loops' deferred
 	// close (see flushClosed): at most one entry per access of a chunk,
-	// so each is batchSize long. eidx/efill hold non-negative int64
-	// values widened to uint64. Only allocated for SoA workers.
+	// so each is batchSize long. Only allocated for SoA workers.
 	ecw   []uint64
 	ehits []uint64
 	eid   []uint32
-	eidx  []uint64
-	efill []uint64
-	eblk  []uint64
-	epc   []uint64
-	emeta []uint8
 
 	// SIMD-tier state (nil ops ⟺ tier off, the PR 9 scalar paths).
 	// cw is the chunk's expanded core/write words (simd.ExpandCW —
@@ -142,27 +135,6 @@ func decodeColumns(accs []cache.AccessInfo, blk []uint64, id []uint32, meta []ui
 	}
 }
 
-// warmupBoundaries returns, for every shard, the first in-shard
-// position at or past the warmup boundary, so chunk loops can hoist the
-// per-access counting test of the scalar kernel into a per-chunk
-// constant. The boundary is a property of the access stream alone —
-// not of any lane — and the partition already encodes it: Order holds
-// stream indices (Index == position was validated when the partition
-// was built) in ascending order within each shard. Computing all
-// boundaries once per replay replaces the per-shard binary search over
-// the gathered access records the shard walk used to run.
-func warmupBoundaries(part *PartitionIndex, warmup int) []int32 {
-	ws := make([]int32, part.Shards)
-	if warmup <= 0 {
-		return ws
-	}
-	for s := range ws {
-		seg := part.Order[part.Offs[s]:part.Offs[s+1]]
-		ws[s] = int32(sort.Search(len(seg), func(i int) bool { return int64(seg[i]) >= int64(warmup) }))
-	}
-	return ws
-}
-
 // countBatch is the count phase: Result's access/hit/miss counters
 // fold out of a chunk's outcome words as a branch-free reduction.
 func countBatch(res *Result, out []uint32) {
@@ -181,14 +153,8 @@ func countBatch(res *Result, out []uint32) {
 // outcome word, the block column (a consistency check against the
 // tracked residency — the batch twin of the scalar kernel's
 // tracker-vs-cache cross-checks), the meta byte and the residency
-// line; fills read the full record. counting is constant per chunk
-// (the warmup boundary splits chunks), so the residency hit counter
-// advances branch-free.
-func (st *replayState) advanceBatch(blk []uint64, meta []uint8, out []uint32, accs []cache.AccessInfo, counting bool) error {
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
+// line; fills read the full record.
+func (st *replayState) advanceBatch(blk []uint64, meta []uint8, out []uint32, accs []cache.AccessInfo) error {
 	lines := st.lines
 	for k, o := range out {
 		li := o & cache.BatchLine
@@ -197,7 +163,7 @@ func (st *replayState) advanceBatch(blk []uint64, meta []uint8, out []uint32, ac
 			if r.Block != blk[k] {
 				return fmt.Errorf("sharing: batch hit on line %d holding block %d, want block %d", li, r.Block, blk[k])
 			}
-			r.Hits += inc
+			r.Hits++
 			m := meta[k]
 			r.coreMask[(m&^metaWrite)>>6] |= 1 << (m & 63)
 			if m&metaWrite != 0 {
@@ -229,22 +195,17 @@ func (st *replayState) advanceBatch(blk []uint64, meta []uint8, out []uint32, ac
 
 // runLaneBatch walks one shardable lane over the gathered shard buffer
 // in chunks: probe, then the lane's bound advance variant (struct or
-// SoA, counters-only or full detail — see advanceFn). The lane's
-// active/lineID tables persist across shards and workers exactly like
-// the scalar path's active table (disjoint index ranges per shard); the
-// chunk loop also cuts at the warmup boundary so counting stays
-// per-chunk constant. Under the decode pipeline (pipe non-nil) each
-// chunk first waits for its columns — one atomic load once the
-// producer has passed it — and publishes consumption behind itself to
-// release producer lookahead.
-func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, kWarm int, pipe *colPipe, opt Options) error {
-	for lo := 0; lo < len(accs); {
+// SoA — see advanceFn). The lane's active/lineID tables persist across
+// shards and workers exactly like the scalar path's active table
+// (disjoint index ranges per shard). Under the decode pipeline (pipe
+// non-nil) each chunk first waits for its columns — one atomic load
+// once the producer has passed it — and publishes consumption behind
+// itself to release producer lookahead.
+func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, pipe *colPipe, opt Options) error {
+	for lo := 0; lo < len(accs); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(accs) {
 			hi = len(accs)
-		}
-		if lo < kWarm && kWarm < hi {
-			hi = kWarm
 		}
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
@@ -256,13 +217,12 @@ func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratc
 		}
 		out := bs.out[:hi-lo]
 		llc.ReplayBatchCols(bs.blk[lo:hi], bs.id[lo:hi], accs[lo:hi], l.active, l.lineID, out)
-		if err := l.advance(st, bs, out, accs[lo:hi], lo, lo >= kWarm); err != nil {
+		if err := l.advance(st, bs, out, accs[lo:hi], lo); err != nil {
 			return err
 		}
 		if pipe != nil {
 			pipe.consume(int64(hi))
 		}
-		lo = hi
 	}
 	return nil
 }
@@ -304,14 +264,11 @@ func decodeLog(log []uint8, blk []uint64, setMask uint64, ways int, out []uint32
 // watermark, and by then the pass has scattered every log byte of the
 // chunk's segment range — which is what lets the tracker replay
 // overlap the pass instead of barriering behind it.
-func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, order []int32, segBase, kWarm int, pipe *colPipe, opt Options) error {
-	for lo := 0; lo < len(accs); {
+func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, order []int32, segBase int, pipe *colPipe, opt Options) error {
+	for lo := 0; lo < len(accs); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(accs) {
 			hi = len(accs)
-		}
-		if lo < kWarm && kWarm < hi {
-			hi = kWarm
 		}
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
@@ -326,13 +283,12 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.
 				return err
 			}
 		}
-		if err := l.advanceLog(st, l, bs, accs[lo:hi], l.log[segBase+lo:segBase+hi], lo, lo >= kWarm); err != nil {
+		if err := l.advanceLog(st, l, bs, accs[lo:hi], l.log[segBase+lo:segBase+hi], lo); err != nil {
 			return err
 		}
 		if pipe != nil {
 			pipe.consume(int64(hi))
 		}
-		lo = hi
 	}
 	return nil
 }

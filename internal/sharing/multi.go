@@ -133,12 +133,11 @@ type lane struct {
 	shardable bool
 
 	// Shared flat state of the sharded path; every index range is owned
-	// by exactly one shard (lines by set, active/blockState by block,
-	// fillShared by fill position), so concurrent writes never collide.
+	// by exactly one shard (lines by set, active/blockState by block), so
+	// concurrent writes never collide.
 	lines      []Residency
 	active     []uint32
 	blockState []uint8
-	fillShared []bool
 	parts      []*Result // per-shard partial results
 
 	// lineID is the batch probe's line → BlockID reverse map (the
@@ -158,8 +157,8 @@ type lane struct {
 
 	// soa is the lane's SoA residency tracker, replacing lines when the
 	// replay selects it (see tracker.go); the advance variants bound
-	// below are the per-demand specializations picked once at lane
-	// setup. ring, for a two-phase lane under the batch kernel, is the
+	// below are the per-tier specializations picked once at lane setup.
+	// ring, for a two-phase lane under the batch kernel, is the
 	// chunked outcome-log pipeline between the policy pass and the
 	// tracker shards.
 	soa        *soaCols
@@ -259,9 +258,9 @@ type laneRun struct {
 // bit-identical to ReplayParallel (and therefore to sequential Replay)
 // for that configuration alone with the same Options.
 //
-// Options.Warmup, KeepResidencies, Shards, Ctx and Partitioner apply to
-// every lane; hooks are per-lane (LLCConfig.Hooks), so Options.Hooks
-// must be empty. Options.Shards bounds the number of concurrent workers
+// Options.Shards, Ctx, Partitioner and the tier knobs apply to every
+// lane; hooks are per-lane (LLCConfig.Hooks), so Options.Hooks must be
+// empty. Options.Shards bounds the number of concurrent workers
 // only — the set-partition granularity is picked internally for cache
 // locality and never affects results.
 func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([]*Result, error) {
@@ -426,7 +425,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 
 	var part *PartitionIndex
-	var warmSplits []int32
 	var passBlk []uint64
 	var passID []uint32
 	var ops *simdOps
@@ -444,12 +442,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		}
 		if err != nil {
 			return err
-		}
-		if useBatch {
-			// The warmup boundary is a property of the stream, not of
-			// any lane or shard walk: locate every shard's boundary
-			// once per replay, straight from the partition.
-			warmSplits = warmupBoundaries(part, opt.Warmup)
 		}
 		// Tracker selection: the SoA columns need the batch kernel, the
 		// SHARELLC_BATCH_TRACKER gate, and cores that fit the packed
@@ -471,28 +463,19 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		if useBatch {
 			ops = resolveSIMD(opt.SIMD)
 		}
-		// Tracker scratch comes from the pool (see scratch.go);
-		// fillShared — when recorded at all — is allocated fresh
-		// because it escapes into the merged Result.
+		// Tracker scratch comes from the pool (see scratch.go).
 		for _, l := range append(append([]*lane(nil), shardLanes...), phaseLanes...) {
 			if useSoA {
-				l.soa = grabSoA(l.sets*l.cfg.Ways, opt.KeepResidencies, opt.FillShared)
+				l.soa = grabSoA(l.sets * l.cfg.Ways)
 			} else {
 				l.lines = grab(&scratch.lines, l.sets*l.cfg.Ways, false)
 			}
 			l.active = grab(&scratch.words, numBlocks, false)
 			l.blockState = grab(&scratch.bytes, numBlocks, true)
 			l.parts = make([]*Result, shards)
-			if opt.FillShared {
-				l.fillShared = make([]bool, len(stream))
-				mem.Hugepages(l.fillShared)
-			}
 		}
-		// Per-demand advance specialization, selected once at lane
-		// setup (the way cache.BatchPolicy binds at construction): a
-		// lane whose replay never reads per-residency detail gets the
-		// counters-only loops.
-		detail := opt.KeepResidencies || opt.FillShared
+		// Advance specialization, selected once at lane setup (the way
+		// cache.BatchPolicy binds at construction).
 		if useBatch {
 			for _, l := range shardLanes {
 				l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
@@ -501,10 +484,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 					l.advance = advanceStructOut
 				case !useSoA:
 					l.advance = advanceStructOutSIMD
-				case detail && ops == nil:
-					l.advance = advanceSoAFull
-				case detail:
-					l.advance = advanceSoAFullSIMD
 				case ops == nil:
 					l.advance = advanceSoACounters
 				default:
@@ -521,10 +500,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 					l.advanceLog = advanceLogStruct
 				case !useSoA:
 					l.advanceLog = advanceLogStructSIMD
-				case detail && ops == nil:
-					l.advanceLog = advanceLogSoAFull
-				case detail:
-					l.advanceLog = advanceLogSoAFullSIMD
 				case ops == nil:
 					l.advanceLog = advanceLogSoACounters
 				default:
@@ -634,11 +609,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 							put(&scratch.blks, bs.ecw)
 							put(&scratch.blks, bs.ehits)
 							put(&scratch.cols, bs.eid)
-							put(&scratch.blks, bs.eidx)
-							put(&scratch.blks, bs.efill)
-							put(&scratch.blks, bs.eblk)
-							put(&scratch.blks, bs.epc)
-							put(&scratch.bytes, bs.emeta)
 						}
 						if bs.cw != nil {
 							put(&scratch.blks, bs.cw)
@@ -677,11 +647,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 							bs.ecw = grab(&scratch.blks, batchSize, false)
 							bs.ehits = grab(&scratch.blks, batchSize, false)
 							bs.eid = grab(&scratch.cols, batchSize, false)
-							bs.eidx = grab(&scratch.blks, batchSize, false)
-							bs.efill = grab(&scratch.blks, batchSize, false)
-							bs.eblk = grab(&scratch.blks, batchSize, false)
-							bs.epc = grab(&scratch.blks, batchSize, false)
-							bs.emeta = grab(&scratch.bytes, batchSize, false)
 						}
 						bs.ops = ops
 						if useSoA && ops != nil {
@@ -692,7 +657,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 						}
 					}
 				}
-				if errs[w] = runShard(stream, shardLanes, phaseLanes, part, s, runs, buf, bs, warmSplits, opt); errs[w] != nil {
+				if errs[w] = runShard(stream, shardLanes, phaseLanes, part, s, runs, buf, bs, opt); errs[w] != nil {
 					return
 				}
 			}
@@ -721,7 +686,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		put(&scratch.cols, passID)
 	}
 	for _, l := range append(append([]*lane(nil), shardLanes...), phaseLanes...) {
-		l.result = mergeLane(l.inst.Name(), l.fillShared, l.parts, l.blockState, opt.KeepResidencies)
+		l.result = mergeLane(l.inst.Name(), l.parts, l.blockState)
 		if l.soa != nil {
 			putSoA(l.soa)
 		} else {
@@ -815,17 +780,14 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 		return err
 	}
 	st := &replayState{
-		res:        newResult(l.inst.Name(), fillLen(opt, stream)),
+		res:        newResult(l.inst.Name()),
 		lines:      grab(&scratch.lines, l.sets*l.cfg.Ways, false),
 		active:     grab(&scratch.words, numBlocks, false),
 		blockState: grab(&scratch.bytes, numBlocks, true),
-		warmup:     int64(opt.Warmup),
 		hooks:      l.cfg.Hooks,
 		hadPred:    l.cfg.Hooks.PredictShared != nil,
-		keep:       opt.KeepResidencies,
 		ctx:        opt.Ctx,
 	}
-	mem.Hugepages(st.res.FillShared)
 	if err := st.run(llc, stream, nil); err != nil {
 		return err
 	}
@@ -853,26 +815,20 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 // from the shards it processed before. Two-phase lanes have no cache or
 // policy here at all: their walk is the tracker half only, re-enacting
 // the outcome log their policy pass recorded (see stepLogged).
-func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *PartitionIndex, s int, runs []laneRun, buf []cache.AccessInfo, bs *batchScratch, warmSplits []int32, opt Options) error {
+func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *PartitionIndex, s int, runs []laneRun, buf []cache.AccessInfo, bs *batchScratch, opt Options) error {
 	for j, l := range lanes {
-		res := newResult(l.inst.Name(), 0)
-		res.FillShared = l.fillShared
 		runs[j].st = &replayState{
-			res:        res,
+			res:        newResult(l.inst.Name()),
 			lines:      l.lines,
 			cols:       l.soa,
 			active:     l.active,
 			blockState: l.blockState,
-			warmup:     int64(opt.Warmup),
-			keep:       opt.KeepResidencies,
 		}
 	}
 	order := part.Order[part.Offs[s]:part.Offs[s+1]]
 	accs := buf[:len(order)]
 	// Batch kernel: the decode phase runs once per shard (the columns
-	// serve every lane's walk) and the warmup boundary was located once
-	// per replay (warmupBoundaries), so the chunk loops carry neither
-	// test. Both tracker layouts consume the packed 1-byte meta column;
+	// serve every lane's walk). Both tracker layouts consume the packed 1-byte meta column;
 	// the SoA advance loops expand it to the core/write word via the
 	// SIMD tier's chunk prepass (or inline under SIMDOff — either way a
 	// few ALU ops per access beats re-streaming a shard-length uint64
@@ -881,10 +837,8 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 	// ahead of the first lane's probe loop (see colPipe); the producer
 	// must be aborted and joined before the shard's columns are reused
 	// or released, including on error returns.
-	kWarm := 0
 	var pipe *colPipe
 	if bs != nil {
-		kWarm = int(warmSplits[s])
 		if bs.ops != nil && len(order) > 0 {
 			pipe = newColPipe()
 			go decodePipelined(stream, order, accs, bs, pipe)
@@ -906,12 +860,12 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 	for j := range runs {
 		llc, ways, st := runs[j].llc, runs[j].ways, runs[j].st
 		if bs != nil {
-			if err := runLaneBatch(llc, lanes[j], st, bs, accs, kWarm, pipe, opt); err != nil {
+			if err := runLaneBatch(llc, lanes[j], st, bs, accs, pipe, opt); err != nil {
 				return err
 			}
 			continue
 		}
-		var acc, hits uint64
+		var hits uint64
 		for i := range accs {
 			if opt.Ctx != nil && i&(cancelStride-1) == 0 {
 				if err := opt.Ctx.Err(); err != nil {
@@ -922,42 +876,36 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 			if err != nil {
 				return err
 			}
-			if accs[i].Index >= st.warmup {
-				acc++
-				if hit {
-					hits++
-				}
+			if hit {
+				hits++
 			}
 		}
-		st.flushCounts(acc, hits)
+		st.flushCounts(uint64(len(accs)), hits)
 	}
 	for j, l := range lanes {
 		runs[j].st.closeAlive(l.sets, l.cfg.Ways, part.Shards, s)
 		l.parts[s] = runs[j].st.res
 	}
 	for _, l := range phaseLanes {
-		res := newResult(l.inst.Name(), 0)
-		res.FillShared = l.fillShared
+		res := newResult(l.inst.Name())
 		st := &replayState{
 			res:        res,
 			lines:      l.lines,
 			cols:       l.soa,
 			active:     l.active,
 			blockState: l.blockState,
-			warmup:     int64(opt.Warmup),
-			keep:       opt.KeepResidencies,
 		}
 		setMask := uint64(l.sets - 1)
 		ways := l.cfg.Ways
 		if bs != nil {
-			if err := runPhaseLaneBatch(l, st, bs, accs, order, int(part.Offs[s]), kWarm, pipe, opt); err != nil {
+			if err := runPhaseLaneBatch(l, st, bs, accs, order, int(part.Offs[s]), pipe, opt); err != nil {
 				return err
 			}
 			st.closeAlive(l.sets, ways, part.Shards, s)
 			l.parts[s] = res
 			continue
 		}
-		var acc, hits uint64
+		var hits uint64
 		for i := range accs {
 			if opt.Ctx != nil && i&(cancelStride-1) == 0 {
 				if err := opt.Ctx.Err(); err != nil {
@@ -968,14 +916,11 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 			if err != nil {
 				return err
 			}
-			if accs[i].Index >= st.warmup {
-				acc++
-				if hit {
-					hits++
-				}
+			if hit {
+				hits++
 			}
 		}
-		st.flushCounts(acc, hits)
+		st.flushCounts(uint64(len(accs)), hits)
 		st.closeAlive(l.sets, ways, part.Shards, s)
 		l.parts[s] = res
 	}

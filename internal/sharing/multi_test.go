@@ -27,43 +27,44 @@ func multiGeometries(t *testing.T) (sizes [2]int, ways int, stream []cache.Acces
 // TestReplayMultiBitIdentical fuses every registered policy at both LLC
 // sizes into ONE ReplayMulti call — mixed geometries, shardable and
 // sequential lanes together — and demands each lane's full Result equal
-// a solo sequential ReplayParallel of the same configuration.
+// a solo sequential ReplayParallel of the same configuration, at every
+// prefix.
 func TestReplayMultiBitIdentical(t *testing.T) {
-	sizes, ways, stream := multiGeometries(t)
+	sizes, ways, full := multiGeometries(t)
 	names := policy.Names(1)
-	opt := Options{KeepResidencies: true, Warmup: 500, FillShared: true}
 
-	var configs []LLCConfig
-	var want []*Result
-	for _, size := range sizes {
-		for _, n := range names {
-			f, err := policy.ByName(n, 1)
-			if err != nil {
-				t.Fatal(err)
+	eachPrefix(full, func(stream []cache.AccessInfo) {
+		var configs []LLCConfig
+		var want []*Result
+		for _, size := range sizes {
+			for _, n := range names {
+				f, err := policy.ByName(n, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: f})
+				// Shards 1 is the sequential reference.
+				ref, err := ReplayParallel(stream, size, ways, f, Options{Shards: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, ref)
 			}
-			configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: f})
-			o := opt
-			o.Shards = 1 // sequential reference
-			ref, err := ReplayParallel(stream, size, ways, f, o)
-			if err != nil {
-				t.Fatal(err)
+		}
+		got, err := ReplayMulti(stream, configs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d results, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("len %d, %s @ %d B: fused result differs from sequential\nseq: %+v\nmulti: %+v",
+					len(stream), configs[i].NewPolicy().Name(), configs[i].Size, want[i], got[i])
 			}
-			want = append(want, ref)
 		}
-	}
-	got, err := ReplayMulti(stream, configs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s @ %d B: fused result differs from sequential\nseq: %+v\nmulti: %+v",
-				configs[i].NewPolicy().Name(), configs[i].Size, want[i], got[i])
-		}
-	}
+	})
 }
 
 // TestReplayMultiShardsOne caps the engine at one worker (the stream is

@@ -37,8 +37,7 @@ package sharing
 //     like active. The SoA tracker treats cw == 0 as "no open
 //     residency" and every other column is gated by it, so
 //     closeAliveSoA retiring survivors to a zero pair is what lets the
-//     tracker's id/fill columns recycle dirty through the
-//     cols/blks/bytes pools.
+//     tracker's id column recycle dirty through the cols pool.
 //
 // Only blockState needs an explicit clear on reuse (the census values
 // of the previous replay are meaningless for the next stream); that
@@ -47,10 +46,10 @@ package sharing
 //
 // Arrays are grabbed best-fit by capacity and returned to the pool only
 // on a replay's success path — an aborted replay abandons its scratch
-// mid-invariant, and the pool never sees it. Result.FillShared is never
-// pooled: it escapes into the returned Result. The pool retains at most
-// scratchKeep entries per kind, so its footprint tracks one sweep's
-// working set (the suite's largest workload), not the sum of history.
+// mid-invariant, and the pool never sees it. Nothing pooled escapes into
+// a returned Result. The pool retains at most scratchKeep entries per
+// kind, so its footprint tracks one sweep's working set (the suite's
+// largest workload), not the sum of history.
 
 import (
 	"sync"
@@ -61,7 +60,7 @@ import (
 
 // evictRetired marks a line slot whose survivor residency was already
 // closed by closeAlive: the slot is dead for every later scan, unlike
-// the public -1 ("alive at stream end") its logged copy keeps.
+// the public -1 ("alive at stream end") its hooked copy keeps.
 const evictRetired = -2
 
 // scratchKeep bounds the retained entries per kind: enough for every

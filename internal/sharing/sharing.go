@@ -24,10 +24,8 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/mem"
 )
 
 // Residency records one block's stay in the LLC.
@@ -121,16 +119,7 @@ func (h Hooks) any() bool {
 
 // Options configures a Replay.
 type Options struct {
-	// KeepResidencies retains every closed residency in Result for
-	// detailed offline analysis. Costs memory proportional to fills.
-	KeepResidencies bool
-	// Warmup is the number of leading accesses that are simulated (so
-	// cache and predictor state warms up) but excluded from every
-	// counter in Result — the standard discipline for sampled
-	// simulation. Residencies are counted when they close at or after
-	// the warmup boundary.
-	Warmup int
-	Hooks  Hooks
+	Hooks Hooks
 
 	// Shards bounds the parallelism of ReplayParallel and ReplayMulti:
 	// 0 picks a worker count automatically (GOMAXPROCS, capped), 1
@@ -159,14 +148,6 @@ type Options struct {
 	// returning a partition for the wrong shard count or stream length
 	// is a programming error and fails the replay.
 	Partitioner Partitioner
-
-	// FillShared records the oracle bit vector Result.FillShared (one
-	// bool per stream access). Off by default: the vector costs a
-	// stream-length allocation per replayed lane and nothing in the
-	// experiment pipeline consumes it — the oracle derives its hints
-	// from the stream itself (oracle.SharedHints), not from a prior
-	// replay's Result.
-	FillShared bool
 
 	// Kernel selects the fused-replay inner loop: the batched SoA
 	// kernel (the zero value; see kernel.go) or the scalar per-access
@@ -294,17 +275,9 @@ type Result struct {
 	DistinctBlocks       uint64
 	DistinctSharedBlocks uint64
 
-	// FillShared[i] is true iff stream access i triggered a fill whose
-	// residency became shared. This is the oracle's knowledge. Recorded
-	// only with Options.FillShared; nil otherwise.
-	FillShared []bool
-
 	// Pred accumulates fill-time prediction outcomes when a
 	// PredictShared hook was installed.
 	Pred PredStats
-
-	// Kept residencies (only with Options.KeepResidencies).
-	ResidencyLog []Residency
 }
 
 // MissRate returns misses/accesses, or 0 for an empty stream.
@@ -356,10 +329,8 @@ type replayState struct {
 	// set it.
 	cols *soaCols
 
-	warmup  int64
 	hooks   Hooks
 	hadPred bool
-	keep    bool
 	ctx     context.Context // nil = not cancellable
 
 	// hinted is the copy of the current access that carries the fill-time
@@ -377,22 +348,9 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 	deg := r.Degree()
 	shared := deg >= 2
 	if shared {
-		// FillShared and the block census stay complete even for
-		// warmup residencies: the oracle and block-population view
-		// are stream properties, not sampled statistics.
-		if res.FillShared != nil {
-			res.FillShared[r.FillIndex] = true
-		}
 		st.blockState[r.id] = blockShared
 	} else if st.blockState[r.id] == blockUnseen {
 		st.blockState[r.id] = blockPrivate
-	}
-	counted := evictIndex < 0 || evictIndex >= st.warmup
-	if !counted {
-		if st.hooks.OnResidencyEnd != nil {
-			st.hooks.OnResidencyEnd(*r)
-		}
-		return
 	}
 	res.Residencies++
 	res.DegreeResidencies[deg]++
@@ -425,9 +383,6 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 	if st.hooks.OnResidencyEnd != nil {
 		st.hooks.OnResidencyEnd(*r)
 	}
-	if st.keep {
-		res.ResidencyLog = append(res.ResidencyLog, *r)
-	}
 }
 
 // step advances the tracker by one access: hook dispatch, hit/fill
@@ -450,7 +405,6 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 	if st.hooks.OnAccess != nil {
 		st.hooks.OnAccess(*a)
 	}
-	counting := a.Index >= st.warmup
 	id := a.BlockID
 	if li := st.active[id]; li != 0 {
 		r := &st.lines[li-1]
@@ -472,9 +426,7 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		// majority path of every lane-step.
 		set := llc.SetOf(a.Block)
 		llc.Policy().Hit(set, int(li-1)-set*ways, a)
-		if counting {
-			r.Hits++
-		}
+		r.Hits++
 		r.addCore(a.Core)
 		if a.Write {
 			r.written = true
@@ -536,7 +488,6 @@ func (st *replayState) flushCounts(accesses, hits uint64) {
 // checks in both directions. Like step it reports the hit and leaves
 // the aggregate counters to the caller's flushCounts.
 func (st *replayState) stepLogged(b uint8, setMask uint64, ways int, a *cache.AccessInfo) (bool, error) {
-	counting := a.Index >= st.warmup
 	id := a.BlockID
 	li := st.active[id]
 	if b&logHit != 0 {
@@ -544,9 +495,7 @@ func (st *replayState) stepLogged(b uint8, setMask uint64, ways int, a *cache.Ac
 			return false, fmt.Errorf("sharing: policy pass hit block %d the tracker has as absent", a.Block)
 		}
 		r := &st.lines[li-1]
-		if counting {
-			r.Hits++
-		}
+		r.Hits++
 		r.addCore(a.Core)
 		if a.Write {
 			r.written = true
@@ -590,7 +539,7 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order
 	if order != nil {
 		n = len(order)
 	}
-	var acc, hits uint64
+	var hits uint64
 	for k := 0; k < n; k++ {
 		if st.ctx != nil && k&(cancelStride-1) == 0 {
 			if err := st.ctx.Err(); err != nil {
@@ -608,14 +557,11 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order
 		if err != nil {
 			return err
 		}
-		if stream[i].Index >= st.warmup {
-			acc++
-			if hit {
-				hits++
-			}
+		if hit {
+			hits++
 		}
 	}
-	st.flushCounts(acc, hits)
+	st.flushCounts(uint64(n), hits)
 	return nil
 }
 
@@ -627,16 +573,16 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order
 // EvictIndex is -1 — closed residencies are immediately overwritten by
 // the fill that evicted them, and never-filled lines hold the zero value.
 //
-// Closure order is observable only through the OnResidencyEnd hook and
-// the kept residency log (counters are order-independent sums, FillShared
-// writes are per-residency, and the block census transitions are sticky),
-// so only those replays pay for sorting the survivors into fill order.
+// Closure order is observable only through the OnResidencyEnd hook
+// (counters are order-independent sums and the block census transitions
+// are sticky), so only hooked replays pay for sorting the survivors into
+// fill order.
 // At stream end the survivors are the cache's full occupancy — sorting
 // them for every (lane, shard) of a sweep is measurable.
 //
 // After closing, each survivor's slot is retired (EvictIndex set to
-// evictRetired — the logged/hooked copies keep the public -1 "alive at
-// stream end" value) and its active entry cleared. That restores the
+// evictRetired — the hooked copies keep the public -1 "alive at stream
+// end" value) and its active entry cleared. That restores the
 // scratch invariants the pool relies on (see scratch.go): no line slot
 // claims an open residency and the active table is all zero, so both
 // arrays can seed the next replay without a clearing pass.
@@ -656,7 +602,7 @@ func (st *replayState) closeAlive(sets, ways, shards, shard int) {
 			}
 		}
 	}
-	if st.keep || st.hooks.OnResidencyEnd != nil {
+	if st.hooks.OnResidencyEnd != nil {
 		// Fill indices are unique, so the order is total.
 		slices.SortFunc(alive, func(a, b *Residency) int { return cmp.Compare(a.FillIndex, b.FillIndex) })
 	}
@@ -684,29 +630,13 @@ func census(res *Result, blockState []uint8) {
 // out at far fewer cores; 128 matches the Residency core mask width).
 const maxDegree = 128
 
-// newResult builds an empty Result; fillLen > 0 (the stream length,
-// when Options.FillShared is set) additionally allocates the oracle bit
-// vector.
-func newResult(policy string, fillLen int) *Result {
-	res := &Result{
+// newResult builds an empty Result.
+func newResult(policy string) *Result {
+	return &Result{
 		Policy:            policy,
 		DegreeResidencies: make([]uint64, maxDegree+1),
 		DegreeHits:        make([]uint64, maxDegree+1),
 	}
-	if fillLen > 0 {
-		res.FillShared = make([]bool, fillLen)
-	}
-	return res
-}
-
-// fillLen is the FillShared vector length a replay of stream should
-// allocate under opt: the stream length when recording is on, else 0
-// (leave Result.FillShared nil).
-func fillLen(opt Options, stream []cache.AccessInfo) int {
-	if opt.FillShared {
-		return len(stream)
-	}
-	return 0
 }
 
 // ensureBlockIDs resolves the stream's dense-ID annotation: an
@@ -735,19 +665,16 @@ func Replay(stream []cache.AccessInfo, llcSize, llcWays int, p cache.Policy, opt
 		return nil, err
 	}
 	stream, numBlocks := ensureBlockIDs(stream, opt)
-	res := newResult(p.Name(), fillLen(opt, stream))
+	res := newResult(p.Name())
 	st := &replayState{
 		res:        res,
 		lines:      grab(&scratch.lines, llc.Sets()*llc.Ways(), false),
 		active:     grab(&scratch.words, numBlocks, false),
 		blockState: grab(&scratch.bytes, numBlocks, true),
-		warmup:     int64(opt.Warmup),
 		hooks:      opt.Hooks,
 		hadPred:    opt.Hooks.PredictShared != nil,
-		keep:       opt.KeepResidencies,
 		ctx:        opt.Ctx,
 	}
-	mem.Hugepages(res.FillShared)
 	if err := st.run(llc, stream, nil); err != nil {
 		return nil, err
 	}
@@ -813,11 +740,8 @@ func resolveShards(streamLen, sets int, opt Options) int {
 // shard is replayed concurrently against its own cache and policy
 // instance, and the per-shard results are merged deterministically. The
 // merged Result is bit-identical to the sequential Replay: per-set
-// policies see the same per-set access sequences either way, counters are
-// order-independent sums, and the residency log is re-sorted into the
-// sequential closure order (evictions by evicting index, then
-// stream-end survivors by fill index — an access closes at most one
-// residency, so the order is total).
+// policies see the same per-set access sequences either way, and counters
+// are order-independent sums.
 //
 // Policies with cross-set state (set dueling, shared RNG draws, global
 // prediction tables) and replays with hooks fall back to the sequential
@@ -851,14 +775,10 @@ func ReplayParallel(stream []cache.AccessInfo, llcSize, llcWays int, newPolicy f
 
 // mergeLane folds the per-shard partial results of one lane into its
 // final Result, bit-identical to the sequential replay: counters are
-// order-independent sums, the block census comes from the shared
-// blockState array, and the residency log is re-sorted into the
-// sequential closure order (evictions by evicting index, then
-// stream-end survivors by fill index — an access closes at most one
-// residency, so the order is total).
-func mergeLane(policyName string, fillShared []bool, parts []*Result, blockState []uint8, keep bool) *Result {
-	merged := newResult(policyName, 0)
-	merged.FillShared = fillShared
+// order-independent sums and the block census comes from the shared
+// blockState array.
+func mergeLane(policyName string, parts []*Result, blockState []uint8) *Result {
+	merged := newResult(policyName)
 	for _, r := range parts {
 		merged.Accesses += r.Accesses
 		merged.Hits += r.Hits
@@ -875,21 +795,7 @@ func mergeLane(policyName string, fillShared []bool, parts []*Result, blockState
 			merged.DegreeResidencies[d] += r.DegreeResidencies[d]
 			merged.DegreeHits[d] += r.DegreeHits[d]
 		}
-		merged.ResidencyLog = append(merged.ResidencyLog, r.ResidencyLog...)
 	}
 	census(merged, blockState)
-	if keep {
-		log := merged.ResidencyLog
-		sort.Slice(log, func(i, j int) bool {
-			ei, ej := log[i].EvictIndex, log[j].EvictIndex
-			if (ei >= 0) != (ej >= 0) {
-				return ei >= 0
-			}
-			if ei >= 0 {
-				return ei < ej
-			}
-			return log[i].FillIndex < log[j].FillIndex
-		})
-	}
 	return merged
 }

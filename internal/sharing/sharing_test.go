@@ -38,10 +38,23 @@ func replay(t *testing.T, stream []cache.AccessInfo, opt Options) *Result {
 	return res
 }
 
+// replayLogged is replay plus the residency log: every closed residency,
+// collected through Hooks.OnResidencyEnd on the sequential path, in
+// closure order (evictions by evicting index, then stream-end survivors
+// by fill index).
+func replayLogged(t *testing.T, stream []cache.AccessInfo) (*Result, []Residency) {
+	t.Helper()
+	var log []Residency
+	res := replay(t, stream, Options{Hooks: Hooks{
+		OnResidencyEnd: func(r Residency) { log = append(log, r) },
+	}})
+	return res, log
+}
+
 func TestPrivateResidency(t *testing.T) {
 	// One core touches one block three times: 1 residency, private,
 	// 2 hits.
-	res := replay(t, mkStream([][2]uint64{{0, 1}, {0, 1}, {0, 1}}), Options{FillShared: true})
+	res, log := replayLogged(t, mkStream([][2]uint64{{0, 1}, {0, 1}, {0, 1}}))
 	if res.Accesses != 3 || res.Hits != 2 || res.Misses != 1 {
 		t.Fatalf("counts = (%d,%d,%d), want (3,2,1)", res.Accesses, res.Hits, res.Misses)
 	}
@@ -51,26 +64,24 @@ func TestPrivateResidency(t *testing.T) {
 	if res.Residencies != 1 || res.SharedResidencies != 0 {
 		t.Errorf("residencies = (%d,%d), want (1,0)", res.Residencies, res.SharedResidencies)
 	}
-	if res.FillShared[0] {
-		t.Error("private fill marked shared")
+	if len(log) != 1 || log[0].FillIndex != 0 || log[0].Shared() {
+		t.Errorf("residency log = %+v, want one private residency filled at 0", log)
 	}
 }
 
 func TestSharedResidency(t *testing.T) {
 	// Core 0 fills, core 1 hits: the residency is shared, and BOTH hits
 	// (including core 0's own later hit) count as shared hit volume.
-	res := replay(t, mkStream([][2]uint64{{0, 1}, {1, 1}, {0, 1}}), Options{FillShared: true})
+	res, log := replayLogged(t, mkStream([][2]uint64{{0, 1}, {1, 1}, {0, 1}}))
 	if res.SharedHits != 2 || res.PrivateHits != 0 {
 		t.Errorf("hit split = (%d,%d), want (2,0)", res.SharedHits, res.PrivateHits)
 	}
 	if res.SharedResidencies != 1 {
 		t.Errorf("shared residencies = %d, want 1", res.SharedResidencies)
 	}
-	if !res.FillShared[0] {
-		t.Error("shared fill not marked in FillShared")
-	}
-	if res.FillShared[1] || res.FillShared[2] {
-		t.Error("non-fill accesses marked in FillShared")
+	// The residency belongs to the fill (access 0), not to the hits.
+	if len(log) != 1 || log[0].FillIndex != 0 || !log[0].Shared() || log[0].Hits != 2 {
+		t.Errorf("residency log = %+v, want one shared residency filled at 0 with 2 hits", log)
 	}
 }
 
@@ -83,13 +94,13 @@ func TestSharingResetsAcrossResidencies(t *testing.T) {
 		{0, 4}, {0, 8}, {0, 12}, {0, 16}, // four fills evict block 0 (LRU)
 		{0, 0}, {0, 0}, // residency 2 of block 0: private
 	}
-	res := replay(t, mkStream(pairs), Options{KeepResidencies: true})
+	res, log := replayLogged(t, mkStream(pairs))
 	if res.Residencies < 2 {
 		t.Fatalf("residencies = %d, want >= 2", res.Residencies)
 	}
 	var first, second *Residency
-	for i := range res.ResidencyLog {
-		r := &res.ResidencyLog[i]
+	for i := range log {
+		r := &log[i]
 		if r.Block == 0 {
 			if first == nil {
 				first = r
@@ -156,10 +167,7 @@ func TestReadOnlyVsReadWriteSharing(t *testing.T) {
 		{Core: 1, Block: 2, Write: true, Index: 3},
 		{Core: 2, Block: 2, Index: 4},
 	}
-	res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{KeepResidencies: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, log := replayLogged(t, stream)
 	if res.ROSharedResidencies != 1 || res.RWSharedResidencies != 1 {
 		t.Errorf("RO/RW shared residencies = (%d,%d), want (1,1)",
 			res.ROSharedResidencies, res.RWSharedResidencies)
@@ -167,7 +175,7 @@ func TestReadOnlyVsReadWriteSharing(t *testing.T) {
 	if res.ROSharedHits != 1 || res.RWSharedHits != 2 {
 		t.Errorf("RO/RW shared hits = (%d,%d), want (1,2)", res.ROSharedHits, res.RWSharedHits)
 	}
-	for _, r := range res.ResidencyLog {
+	for _, r := range log {
 		if r.Block == 1 && r.Written() {
 			t.Error("read-only residency marked written")
 		}
@@ -326,8 +334,8 @@ func TestEmptyStream(t *testing.T) {
 
 // Property: conservation laws hold on random streams under every metric:
 // hits+misses=accesses, shared+private hits=hits, residencies=fills,
-// degree histograms sum to totals, FillShared marks exactly the shared
-// residencies' fills.
+// degree histograms sum to totals, and the closed residencies are exactly
+// one per fill, with the shared ones matching the shared counters.
 func TestConservationProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
@@ -336,7 +344,7 @@ func TestConservationProperties(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = [2]uint64{rnd.Uint64n(8), rnd.Uint64n(96)}
 		}
-		res := replay(t, mkStream(pairs), Options{FillShared: true})
+		res, log := replayLogged(t, mkStream(pairs))
 		if res.Hits+res.Misses != res.Accesses {
 			return false
 		}
@@ -346,23 +354,24 @@ func TestConservationProperties(t *testing.T) {
 		if res.Residencies != res.Misses {
 			return false
 		}
-		var degSum, degHits, fillShared uint64
+		var degSum, degHits uint64
 		for d, c := range res.DegreeResidencies {
 			degSum += c
 			degHits += res.DegreeHits[d]
-			if d >= 2 {
-				// shared residencies
-			}
 		}
 		if degSum != res.Residencies || degHits != res.Hits {
 			return false
 		}
-		for _, b := range res.FillShared {
-			if b {
-				fillShared++
+		var logShared, logSharedHits uint64
+		fills := make(map[int64]bool, len(log))
+		for _, r := range log {
+			fills[r.FillIndex] = true
+			if r.Shared() {
+				logShared++
+				logSharedHits += r.Hits
 			}
 		}
-		if fillShared != res.SharedResidencies {
+		if uint64(len(fills)) != res.Residencies || logShared != res.SharedResidencies || logSharedHits != res.SharedHits {
 			return false
 		}
 		if res.DistinctSharedBlocks > res.DistinctBlocks {
@@ -416,61 +425,31 @@ func TestResidencyLogDeterministic(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]uint64{rnd.Uint64n(4), rnd.Uint64n(128)}
 	}
-	a := replay(t, mkStream(pairs), Options{KeepResidencies: true})
-	b := replay(t, mkStream(pairs), Options{KeepResidencies: true})
-	if len(a.ResidencyLog) != len(b.ResidencyLog) {
+	_, a := replayLogged(t, mkStream(pairs))
+	_, b := replayLogged(t, mkStream(pairs))
+	if len(a) != len(b) {
 		t.Fatal("log lengths differ between identical replays")
 	}
-	for i := range a.ResidencyLog {
-		if a.ResidencyLog[i] != b.ResidencyLog[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("residency %d differs between identical replays", i)
 		}
 	}
-}
-
-func TestWarmupExcludesLeadingAccesses(t *testing.T) {
-	// 4 accesses, warmup 2: only the last two count.
-	pairs := [][2]uint64{{0, 1}, {0, 2}, {0, 1}, {0, 3}}
-	stream := mkStream(pairs)
-	res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{Warmup: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accesses != 2 {
-		t.Errorf("Accesses = %d, want 2", res.Accesses)
-	}
-	// Access 2 hits block 1 (warmed in); access 3 misses.
-	if res.Hits != 1 || res.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", res.Hits, res.Misses)
-	}
-}
-
-func TestWarmupKeepsOracleKnowledgeComplete(t *testing.T) {
-	// A shared residency entirely inside the warmup window must still
-	// mark FillShared (oracle knowledge is a stream property).
-	pairs := [][2]uint64{{0, 1}, {1, 1}, {0, 9}, {0, 9}}
-	stream := mkStream(pairs)
-	res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{Warmup: 4, FillShared: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FillShared[0] {
-		t.Error("warmup residency lost its FillShared bit")
-	}
-	if res.Accesses != 0 || res.Hits != 0 {
-		t.Errorf("warmup-only replay counted stats: %+v", res)
-	}
-}
-
-func TestWarmupZeroIsIdentity(t *testing.T) {
-	rnd := rng.New(8)
-	pairs := make([][2]uint64, 3000)
-	for i := range pairs {
-		pairs[i] = [2]uint64{rnd.Uint64n(4), rnd.Uint64n(64)}
-	}
-	a := replay(t, mkStream(pairs), Options{})
-	b := replay(t, mkStream(pairs), Options{Warmup: 0})
-	if a.Misses != b.Misses || a.SharedHits != b.SharedHits {
-		t.Error("Warmup 0 changed results")
+	// Closure order: evictions by evicting index, then the stream-end
+	// survivors by fill index.
+	for i := 1; i < len(a); i++ {
+		p, r := a[i-1], a[i]
+		switch {
+		case p.Evicted() && r.Evicted():
+			if p.EvictIndex >= r.EvictIndex {
+				t.Fatalf("evictions %d, %d out of order", i-1, i)
+			}
+		case !p.Evicted() && !r.Evicted():
+			if p.FillIndex >= r.FillIndex {
+				t.Fatalf("survivors %d, %d out of fill order", i-1, i)
+			}
+		case !p.Evicted():
+			t.Fatalf("survivor %d closed before eviction %d", i-1, i)
+		}
 	}
 }

@@ -30,45 +30,46 @@ func TestParseSIMD(t *testing.T) {
 	}
 }
 
-// simdTiersAgree replays stream through configs at every SIMD tier —
-// off (the PR 9 scalar paths, the reference), swar and auto — and
-// demands byte-equal Results across all three.
-func simdTiersAgree(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig, opt Options) {
+// simdTiersAgree replays every prefix of full through configs at every
+// SIMD tier — off (the PR 9 scalar paths, the reference), swar and auto
+// — and demands byte-equal Results across all three.
+func simdTiersAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
 	t.Helper()
-	optRef := opt
-	optRef.Kernel, optRef.SIMD = KernelBatch, SIMDOff
-	ref, err := ReplayMulti(stream, configs, optRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tier := range []SIMD{SIMDSWAR, SIMDAuto} {
-		optT := opt
-		optT.Kernel, optT.SIMD = KernelBatch, tier
-		got, err := ReplayMulti(stream, configs, optT)
+	eachPrefix(full, func(stream []cache.AccessInfo) {
+		optRef := opt
+		optRef.Kernel, optRef.SIMD = KernelBatch, SIMDOff
+		ref, err := ReplayMulti(stream, configs, optRef)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref {
-			if !reflect.DeepEqual(got[i], ref[i]) {
-				t.Errorf("config %d (%s @ %d ways), tier %v: result differs from scalar\ngot: %+v\nref: %+v",
-					i, configs[i].NewPolicy().Name(), configs[i].Ways, tier, got[i], ref[i])
+		for _, tier := range []SIMD{SIMDSWAR, SIMDAuto} {
+			optT := opt
+			optT.Kernel, optT.SIMD = KernelBatch, tier
+			got, err := ReplayMulti(stream, configs, optT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref {
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Errorf("len %d, config %d (%s @ %d ways), tier %v: result differs from scalar\ngot: %+v\nref: %+v",
+						len(stream), i, configs[i].NewPolicy().Name(), configs[i].Ways, tier, got[i], ref[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSIMDTiersBitIdentical replays every experiment family — the full
 // policy catalogue (shardable and two-phase lanes), a hooked lane and
 // the 128-way sequential fallback — at all three SIMD tiers and both
-// tracker representations, and demands byte-equal Results at both
-// detail demands.
+// tracker representations, and demands byte-equal Results at every
+// prefix.
 func TestSIMDTiersBitIdentical(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 21)
 	var hooks int
 	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
 	for _, tr := range []Tracker{TrackerSoA, TrackerStruct} {
-		simdTiersAgree(t, stream, configs, Options{Tracker: tr, KeepResidencies: true, Warmup: 500, FillShared: true, Shards: 4})
-		simdTiersAgree(t, stream, configs, Options{Tracker: tr, Warmup: 500, Shards: 4})
+		simdTiersAgree(t, stream, configs, Options{Tracker: tr, Shards: 4})
 	}
 }
 
@@ -83,7 +84,7 @@ func TestSIMDEnvCap(t *testing.T) {
 	stream := synthStream(20000, 1500, 8, 23)
 	var hooks int
 	configs := batchTestConfigs(t, 32*cache.KB, 8, &hooks)[:2]
-	opt := Options{KeepResidencies: true, Warmup: 100, Shards: 4, Kernel: KernelBatch}
+	opt := Options{Shards: 4, Kernel: KernelBatch}
 	auto, err := ReplayMulti(stream, configs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +123,6 @@ func closeDrainScratch(rng *rand.Rand, n, numBlocks int) *batchScratch {
 		ecw:        make([]uint64, batchSize),
 		ehits:      make([]uint64, batchSize),
 		eid:        make([]uint32, batchSize),
-		eidx:       make([]uint64, batchSize),
-		efill:      make([]uint64, batchSize),
-		eblk:       make([]uint64, batchSize),
-		epc:        make([]uint64, batchSize),
-		emeta:      make([]uint8, batchSize),
 		cw:         make([]uint64, batchSize),
 		edeg:       make([]uint8, batchSize),
 		eord:       make([]uint16, batchSize),
@@ -146,40 +142,32 @@ func closeDrainScratch(rng *rand.Rand, n, numBlocks int) *batchScratch {
 		bs.ecw[k] = cw
 		bs.ehits[k] = uint64(rng.Intn(100))
 		bs.eid[k] = uint32(rng.Intn(numBlocks))
-		bs.eidx[k] = uint64(rng.Intn(4000))
-		bs.efill[k] = uint64(rng.Intn(4000))
-		bs.eblk[k] = rng.Uint64()
-		bs.epc[k] = rng.Uint64()
-		bs.emeta[k] = uint8(rng.Intn(64)) | uint8(rng.Intn(2))<<7
 	}
 	return bs
 }
 
 // closeDrainState builds a replayState with a fresh result and block
 // census for the drain comparison.
-func closeDrainState(numBlocks, fill int, warmup uint64, keep bool) *replayState {
+func closeDrainState(numBlocks int) *replayState {
 	return &replayState{
-		res:        newResult("drain", fill),
+		res:        newResult("drain"),
 		blockState: make([]uint8, numBlocks),
-		warmup:     int64(warmup),
-		keep:       keep,
 	}
 }
 
 // FuzzCloseDrain fuzzes the batched close drain directly against the
 // inline flushClosed on identical capture columns: entry counts at and
-// around the chunk boundary (zero evictions, a full chunk of them),
-// census sizes straddling the bucket-shift boundary, warmup splitting
-// the entries, and both detail demands. Counters, census bytes,
-// FillShared marks and residency logs must come out identical — the
-// bucket permutation must be invisible.
+// around the chunk boundary (zero evictions, a full chunk of them) and
+// census sizes straddling the bucket-shift boundary. Counters and
+// census bytes must come out identical — the bucket permutation must be
+// invisible.
 func FuzzCloseDrain(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint64(1), false)
-	f.Add(uint16(1), uint16(0), uint64(2), true)
-	f.Add(uint16(batchSize), uint16(2000), uint64(3), false)
-	f.Add(uint16(batchSize-1), uint16(4000), uint64(4), true)
-	f.Add(uint16(100), uint16(50), uint64(5), false)
-	f.Fuzz(func(t *testing.T, nRaw, warmup uint16, seed uint64, keep bool) {
+	f.Add(uint16(0), uint64(1))
+	f.Add(uint16(1), uint64(2))
+	f.Add(uint16(batchSize), uint64(3))
+	f.Add(uint16(batchSize-1), uint64(4))
+	f.Add(uint16(100), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw uint16, seed uint64) {
 		n := int(nRaw)
 		if n > batchSize {
 			n = batchSize
@@ -187,13 +175,13 @@ func FuzzCloseDrain(f *testing.F) {
 		for _, numBlocks := range []int{closeBuckets - 1, closeBuckets * 40} {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			bs := closeDrainScratch(rng, n, numBlocks)
-			ref := closeDrainState(numBlocks, 4000, uint64(warmup), keep)
-			got := closeDrainState(numBlocks, 4000, uint64(warmup), keep)
+			ref := closeDrainState(numBlocks)
+			got := closeDrainState(numBlocks)
 			ref.flushClosed(bs, n)
 			got.flushClosedBatched(bs, n)
 			if !reflect.DeepEqual(ref.res, got.res) {
-				t.Errorf("numBlocks=%d n=%d keep=%v: batched drain result differs\nref: %+v\ngot: %+v",
-					numBlocks, n, keep, ref.res, got.res)
+				t.Errorf("numBlocks=%d n=%d: batched drain result differs\nref: %+v\ngot: %+v",
+					numBlocks, n, ref.res, got.res)
 			}
 			if !reflect.DeepEqual(ref.blockState, got.blockState) {
 				t.Errorf("numBlocks=%d n=%d: batched drain census differs", numBlocks, n)

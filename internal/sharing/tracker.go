@@ -19,14 +19,13 @@ package sharing
 //     where separate hits/cw columns touched two. The word doubles as
 //     the liveness flag: cw == 0 ⟺ no open residency (a fill always
 //     sets the filler's core bit).
-//   - id []uint32 — dense BlockID, read only when a residency closes;
-//   - fill detail columns (fillIdx, block, fillPC, fillMeta), allocated
-//     per demand: a lane whose experiment never reads per-residency
-//     detail (no KeepResidencies, no FillShared) gets a counters-only
-//     tracker whose fill path writes three columns, and the advance
-//     loop for that demand level is selected once at lane setup
-//     (advanceFn / advanceLogFn on lane), the way cache.BatchPolicy
-//     binds a monomorphic kernel at cache construction.
+//   - id []uint32 — dense BlockID, read only when a residency closes.
+//
+// SoA lanes carry no hooks, so nothing observes an individual residency:
+// the columns hold exactly what the counters need, and the advance loop
+// for the lane's tier is selected once at lane setup (advanceFn /
+// advanceLogFn on lane), the way cache.BatchPolicy binds a monomorphic
+// kernel at cache construction.
 //
 // The packed word caps usable cores at 63 (indices 0..62): streams with
 // wider cores, the scalar kernel, sequential lanes and the
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"sort"
 	"sync/atomic"
 
 	"sharellc/internal/cache"
@@ -108,46 +106,27 @@ const (
 	cwWritten = uint64(1) << 63
 	// soaMaxCores is the widest core count the packed word encodes.
 	soaMaxCores = 63
-	// fmPred flags a fill-time shared prediction in the fillMeta byte;
-	// the low seven bits carry the fill core.
-	fmPred = uint8(0x80)
 )
 
 // soaCols is one lane's SoA residency tracker: parallel columns indexed
 // by line (set*ways+way), shared across shard workers with the same
 // disjoint per-shard index ownership as the []Residency slab it
-// replaces. id and hc are always present; fillIdx only when the
-// replay records FillShared or keeps residencies; block/fillPC/fillMeta
-// only when it keeps residencies.
+// replaces.
 type soaCols struct {
 	id []uint32
 	hc [][2]uint64
-
-	fillIdx  []uint64
-	block    []uint64
-	fillPC   []uint64
-	fillMeta []uint8
 }
 
 // grabSoA builds the column set for lines line slots from the scratch
 // pools. hc comes from its own pool kind whose at-rest invariant is
 // all-zero (cw == 0 means "no open residency", exactly what a fresh
 // replay needs, and closeAliveSoA retires the hit half along with it);
-// every other column is gated by cw and may come back dirty.
-func grabSoA(lines int, keep, fillShared bool) *soaCols {
-	t := &soaCols{
+// the id column is gated by cw and may come back dirty.
+func grabSoA(lines int) *soaCols {
+	return &soaCols{
 		id: grab(&scratch.cols, lines, false),
 		hc: grab(&scratch.hcs, lines, false),
 	}
-	if keep || fillShared {
-		t.fillIdx = grab(&scratch.blks, lines, false)
-	}
-	if keep {
-		t.block = grab(&scratch.blks, lines, false)
-		t.fillPC = grab(&scratch.blks, lines, false)
-		t.fillMeta = grab(&scratch.bytes, lines, false)
-	}
-	return t
 }
 
 // putSoA returns the columns to their pools. Call only on a replay's
@@ -156,14 +135,6 @@ func grabSoA(lines int, keep, fillShared bool) *soaCols {
 func putSoA(t *soaCols) {
 	put(&scratch.cols, t.id)
 	put(&scratch.hcs, t.hc)
-	if t.fillIdx != nil {
-		put(&scratch.blks, t.fillIdx)
-	}
-	if t.block != nil {
-		put(&scratch.blks, t.block)
-		put(&scratch.blks, t.fillPC)
-		put(&scratch.bytes, t.fillMeta)
-	}
 }
 
 // scanCores returns 1 + the highest core number in stream — the
@@ -194,15 +165,15 @@ func cwWord(m uint8) uint64 {
 	return uint64(1)<<(m&^metaWrite) | uint64(m&metaWrite)<<56
 }
 
-// closeLineSoA finalizes the residency open in line li at evictIndex
-// (-1 = alive at stream end) and folds it into the counters — the SoA
-// twin of closeRes. SoA lanes never carry hooks or fill-time
-// predictions (those pin a lane to the sequential struct walk), so the
-// hook and Pred branches of closeRes are absent by construction. The
-// advance loops don't call this per eviction — they capture and defer
-// (see flushClosed); only closeAliveSoA's end-of-replay retirement
-// still closes straight off the live columns.
-func (st *replayState) closeLineSoA(li uint32, evictIndex int64) {
+// closeLineSoA finalizes the residency open in line li, alive at stream
+// end, and folds it into the counters — the SoA twin of closeRes. SoA
+// lanes never carry hooks or fill-time predictions (those pin a lane to
+// the sequential struct walk), so the hook and Pred branches of closeRes
+// are absent by construction. The advance loops don't call this per
+// eviction — they capture and defer (see flushClosed); only
+// closeAliveSoA's end-of-replay retirement closes straight off the live
+// columns.
+func (st *replayState) closeLineSoA(li uint32) {
 	t := st.cols
 	res := st.res
 	cw := t.hc[li][1]
@@ -210,15 +181,9 @@ func (st *replayState) closeLineSoA(li uint32, evictIndex int64) {
 	shared := deg >= 2
 	id := t.id[li]
 	if shared {
-		if res.FillShared != nil {
-			res.FillShared[t.fillIdx[li]] = true
-		}
 		st.blockState[id] = blockShared
 	} else if st.blockState[id] == blockUnseen {
 		st.blockState[id] = blockPrivate
-	}
-	if evictIndex >= 0 && evictIndex < st.warmup {
-		return
 	}
 	h := t.hc[li][0]
 	res.Residencies++
@@ -237,24 +202,6 @@ func (st *replayState) closeLineSoA(li uint32, evictIndex int64) {
 	} else {
 		res.PrivateHits += h
 	}
-	if st.keep {
-		fm := t.fillMeta[li]
-		r := Residency{
-			Block:      t.block[li],
-			FillIndex:  int64(t.fillIdx[li]),
-			FillPC:     t.fillPC[li],
-			Hits:       h,
-			EvictIndex: evictIndex,
-			id:         id,
-			FillCore:   fm &^ fmPred,
-			written:    cw&cwWritten != 0,
-			Predicted:  fm&fmPred != 0,
-		}
-		// Exact because SoA lanes cap cores at 62: the packed word's
-		// core bits are precisely coreMask[0], and coreMask[1] is zero.
-		r.coreMask[0] = cw &^ cwWritten
-		res.ResidencyLog = append(res.ResidencyLog, r)
-	}
 }
 
 // flushClosed folds a chunk's captured evictions into the counters —
@@ -264,39 +211,29 @@ func (st *replayState) closeLineSoA(li uint32, evictIndex int64) {
 // bs.e* (everything closeLineSoA would read — the refill may overwrite
 // the line before the close is folded) and the chunk ends with one
 // tight pass here. Deferring is safe because a close touches nothing
-// the rest of the chunk reads: res counters are sums, the blockState
+// the rest of the chunk reads: res counters are sums and the blockState
 // census is a monotonic unseen < private < shared lattice read only at
-// replay end, and FillShared marks are idempotent. What it buys is the
-// loop shape: the per-eviction blockState byte is a random load over a
-// multi-megabyte array, and issuing those from a call-free loop lets
-// the out-of-order window overlap several misses instead of
-// serializing each behind a function call in the advance loop — which
-// also loses its only call and keeps its column bases in registers.
-// Entry order is capture order, so ResidencyLog appends land exactly
-// where the inline closes would have put them.
+// replay end. What it buys is the loop shape: the per-eviction
+// blockState byte is a random load over a multi-megabyte array, and
+// issuing those from a call-free loop lets the out-of-order window
+// overlap several misses instead of serializing each behind a function
+// call in the advance loop — which also loses its only call and keeps
+// its column bases in registers.
 func (st *replayState) flushClosed(bs *batchScratch, n int) {
 	res := st.res
 	bstate := st.blockState
 	ecw := bs.ecw[:n]
 	ehits := bs.ehits[:n]
 	eid := bs.eid[:n]
-	eidx := bs.eidx[:n]
-	warm := uint64(st.warmup)
 	for k := range ecw {
 		cw := ecw[k]
 		deg := bits.OnesCount64(cw &^ cwWritten)
 		shared := deg >= 2
 		id := eid[k]
 		if shared {
-			if res.FillShared != nil {
-				res.FillShared[bs.efill[k]] = true
-			}
 			bstate[id] = blockShared
 		} else if bstate[id] == blockUnseen {
 			bstate[id] = blockPrivate
-		}
-		if eidx[k] < warm {
-			continue
 		}
 		h := ehits[k]
 		res.Residencies++
@@ -315,22 +252,6 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 		} else {
 			res.PrivateHits += h
 		}
-		if st.keep {
-			fm := bs.emeta[k]
-			r := Residency{
-				Block:      bs.eblk[k],
-				FillIndex:  int64(bs.efill[k]),
-				FillPC:     bs.epc[k],
-				Hits:       h,
-				EvictIndex: int64(eidx[k]),
-				id:         id,
-				FillCore:   fm &^ fmPred,
-				written:    cw&cwWritten != 0,
-				Predicted:  fm&fmPred != 0,
-			}
-			r.coreMask[0] = cw &^ cwWritten
-			res.ResidencyLog = append(res.ResidencyLog, r)
-		}
 	}
 }
 
@@ -338,88 +259,74 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 // lines with a nonzero core/write word. Retiring a survivor zeroes its
 // pair (restoring the hcs pool's all-zero at-rest invariant) and clears
 // its active entry, exactly as the struct closeAlive retires slots.
+// Nothing observes closure order on an SoA lane, so the survivors close
+// in line order.
 func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 	t := st.cols
-	// Size for the worst case — every line of the shard's sets live —
-	// so the append loop never regrows (survivors are the common case:
-	// any working set larger than the LLC leaves every line holding an
-	// open residency at stream end).
-	alive := make([]uint32, 0, (sets-shard+shards-1)/shards*ways)
 	for set := shard; set < sets; set += shards {
 		base := uint32(set * ways)
 		for w := 0; w < ways; w++ {
-			if t.hc[base+uint32(w)][1] != 0 {
-				alive = append(alive, base+uint32(w))
+			li := base + uint32(w)
+			if t.hc[li][1] == 0 {
+				continue
 			}
+			st.closeLineSoA(li)
+			st.active[t.id[li]] = 0
+			t.hc[li] = [2]uint64{}
 		}
-	}
-	if st.keep {
-		sort.Slice(alive, func(i, j int) bool { return t.fillIdx[alive[i]] < t.fillIdx[alive[j]] })
-	}
-	for _, li := range alive {
-		st.closeLineSoA(li, -1)
-		st.active[t.id[li]] = 0
-		t.hc[li] = [2]uint64{}
 	}
 }
 
 // advanceFn consumes one chunk's probe outcome words against the lane's
 // tracker (the advance phase of a shardable lane). out and accs span
 // the chunk; lo is the chunk's offset into the worker's shard columns
-// (bs). The variant — struct or SoA, counters-only or full detail — is
-// bound to lane.advance once per replay at lane setup.
-type advanceFn func(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error
+// (bs). The variant — struct or SoA, scalar or SIMD tier — is bound to
+// lane.advance once per replay at lane setup.
+type advanceFn func(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error
 
 // advanceLogFn replays one chunk of a two-phase lane's outcome log
 // against the lane's tracker (the tracker half of the split walk).
 // accs and logc span the chunk — logc is the chunk's slice of the
 // partition-ordered log, so log reads are sequential; lo is the
 // chunk's offset into the shard columns.
-type advanceLogFn func(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error
+type advanceLogFn func(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error
 
 // advanceStructOut is the struct-tracker advanceFn: the branch-free
 // count reduction followed by the PR 6 struct advance, kept bit-for-bit
 // as the SHARELLC_BATCH_TRACKER=off bisection reference.
-func advanceStructOut(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
-	if counting {
-		countBatch(st.res, out)
-	}
+func advanceStructOut(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error {
+	countBatch(st.res, out)
 	hi := lo + len(out)
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs, counting)
+	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
 }
 
 // advanceLogStruct is the struct-tracker advanceLogFn: decode the log
 // chunk into outcome words, then count and advance as the shardable
 // walk does.
-func advanceLogStruct(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
+func advanceLogStruct(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
 	hi := lo + len(accs)
 	out := bs.out[:len(accs)]
 	decodeLog(logc, bs.blk[lo:hi], uint64(l.sets-1), l.cfg.Ways, out)
-	if counting {
-		countBatch(st.res, out)
-	}
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs, counting)
+	countBatch(st.res, out)
+	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
 }
 
-// advanceSoACounters is the counters-only SoA advanceFn. The hit path
-// is branch-free column arithmetic — a counter bump and a bitset OR
-// inside one 16-byte hc pair, so one randomly-indexed cache line per
-// hit — and the fill path writes the two always-present columns.
-// Hit/miss counting is fused into the same loop (the hit branch
-// already distinguishes the outcomes), so the separate count phase
-// disappears; evictions capture the dying line into bs.e* and fold
-// after the loop (flushClosed), which keeps the loop free of calls.
-func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
+// advanceSoACounters is the SoA advanceFn. The hit path is branch-free
+// column arithmetic — a counter bump and a bitset OR inside one 16-byte
+// hc pair, so one randomly-indexed cache line per hit — and the fill
+// path writes the two columns. Hit/miss counting is fused into the same
+// loop (the hit branch already distinguishes the outcomes), so the
+// separate count phase disappears; evictions capture the dying line
+// into bs.e* and fold after the loop (flushClosed), which keeps the
+// loop free of calls. The access records are never read: the decoded
+// columns carry everything the counters need.
+func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, _ []cache.AccessInfo, lo int) error {
 	t := st.cols
 	hc, ids := t.hc, t.id
 	// Reslice the chunk columns to the outcome count so the bounds
 	// checks on the per-access loads fold away.
 	metac := bs.meta[lo:][:len(out)]
 	idc := bs.id[lo:][:len(out)]
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
 	var h uint64
 	ne := 0
 	for k, o := range out {
@@ -427,7 +334,7 @@ func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, accs []
 		p := &hc[li]
 		w := cwWord(metac[k])
 		if o&cache.BatchHit != 0 {
-			p[0] += inc
+			p[0]++
 			p[1] |= w
 			h++
 			continue
@@ -439,83 +346,13 @@ func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, accs []
 			bs.ecw[ne] = p[1]
 			bs.ehits[ne] = p[0]
 			bs.eid[ne] = ids[li]
-			bs.eidx[ne] = uint64(accs[k].Index)
 			ne++
 		}
 		ids[li] = idc[k]
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosed(bs, ne)
-	if counting {
-		n := uint64(len(out))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
-	return nil
-}
-
-// advanceSoAFull is advanceSoACounters plus the per-demand fill detail
-// columns (fill index for FillShared, plus block/PC/meta when
-// residencies are kept).
-func advanceSoAFull(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
-	t := st.cols
-	metac := bs.meta[lo:][:len(out)]
-	idc := bs.id[lo:][:len(out)]
-	blk := bs.blk[lo:][:len(out)]
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
-	var h uint64
-	ne := 0
-	for k, o := range out {
-		li := o & cache.BatchLine
-		p := &t.hc[li]
-		w := cwWord(metac[k])
-		if o&cache.BatchHit != 0 {
-			p[0] += inc
-			p[1] |= w
-			h++
-			continue
-		}
-		a := &accs[k]
-		if o&cache.BatchEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: batch evicted line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(a.Index)
-			bs.efill[ne] = t.fillIdx[li]
-			if t.block != nil {
-				bs.eblk[ne] = t.block[li]
-				bs.epc[ne] = t.fillPC[li]
-				bs.emeta[ne] = t.fillMeta[li]
-			}
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-		t.fillIdx[li] = uint64(a.Index)
-		if t.block != nil {
-			t.block[li] = blk[k]
-			t.fillPC[li] = a.PC
-			fm := a.Core
-			if a.PredictedShared {
-				fm |= fmPred
-			}
-			t.fillMeta[li] = fm
-		}
-	}
-	st.flushClosed(bs, ne)
-	if counting {
-		n := uint64(len(out))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
+	st.flushCounts(uint64(len(out)), h)
 	return nil
 }
 
@@ -525,7 +362,7 @@ func advanceSoAFull(st *replayState, bs *batchScratch, out []uint32, accs []cach
 // the tracker, with no intermediate outcome-word materialization
 // (decodeLog and countBatch fold away) and no log gather (the chunk's
 // bytes are contiguous in the partition-ordered log).
-func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
+func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
 	t := st.cols
 	setMask := uint64(l.sets - 1)
 	ways := l.cfg.Ways
@@ -533,10 +370,6 @@ func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []ca
 	blk := bs.blk[lo:][:len(accs)]
 	metac := bs.meta[lo:][:len(accs)]
 	idc := bs.id[lo:][:len(accs)]
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
 	var h uint64
 	ne := 0
 	for k := range accs {
@@ -545,7 +378,7 @@ func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []ca
 		p := &t.hc[li]
 		w := cwWord(metac[k])
 		if b&logHit != 0 {
-			p[0] += inc
+			p[0]++
 			p[1] |= w
 			h++
 			continue
@@ -557,86 +390,13 @@ func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []ca
 			bs.ecw[ne] = p[1]
 			bs.ehits[ne] = p[0]
 			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(accs[k].Index)
 			ne++
 		}
 		t.id[li] = idc[k]
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosed(bs, ne)
-	if counting {
-		n := uint64(len(accs))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
-	return nil
-}
-
-// advanceLogSoAFull is advanceLogSoACounters plus the fill detail
-// columns.
-func advanceLogSoAFull(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
-	t := st.cols
-	setMask := uint64(l.sets - 1)
-	ways := l.cfg.Ways
-	logc = logc[:len(accs)]
-	blk := bs.blk[lo:][:len(accs)]
-	metac := bs.meta[lo:][:len(accs)]
-	idc := bs.id[lo:][:len(accs)]
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
-	var h uint64
-	ne := 0
-	for k := range accs {
-		b := logc[k]
-		li := uint32(int(blk[k]&setMask)*ways) + uint32(b&logWayMask)
-		p := &t.hc[li]
-		w := cwWord(metac[k])
-		if b&logHit != 0 {
-			p[0] += inc
-			p[1] |= w
-			h++
-			continue
-		}
-		a := &accs[k]
-		if b&logEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: logged eviction of line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(a.Index)
-			bs.efill[ne] = t.fillIdx[li]
-			if t.block != nil {
-				bs.eblk[ne] = t.block[li]
-				bs.epc[ne] = t.fillPC[li]
-				bs.emeta[ne] = t.fillMeta[li]
-			}
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-		t.fillIdx[li] = uint64(a.Index)
-		if t.block != nil {
-			t.block[li] = blk[k]
-			t.fillPC[li] = a.PC
-			fm := a.Core
-			if a.PredictedShared {
-				fm |= fmPred
-			}
-			t.fillMeta[li] = fm
-		}
-	}
-	st.flushClosed(bs, ne)
-	if counting {
-		n := uint64(len(accs))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
+	st.flushCounts(uint64(len(accs)), h)
 	return nil
 }
 
@@ -678,25 +438,20 @@ func closeShiftFor(numBlocks int) uint8 {
 }
 
 // flushClosedBatched is the SIMD tier's flushClosed: one vectorized
-// degree pass over the captured cw column, then the drain — in
-// capture order when the lane keeps residencies (ResidencyLog appends
-// must land exactly where the inline closes would have put them), and
-// bucket-partitioned by block ID otherwise. Reordering the drain is
-// safe for everything but the log: the counters are order-independent
-// sums, a chunk's captured entries close distinct residencies, the
-// blockState census is a monotonic unseen < private < shared lattice
-// (two writes for the same block commute: shared stores
-// unconditionally, private only upgrades unseen), and FillShared marks
-// are idempotent — see INTERNALS.md.
+// degree pass over the captured cw column, a counting sort of the
+// captured IDs into closeBuckets partitions, then flushClosed's body
+// over the bucket permutation with the degree read from the precomputed
+// edeg column. Reordering the drain is always safe: the counters are
+// order-independent sums, a chunk's captured entries close distinct
+// residencies, and the blockState census is a monotonic unseen <
+// private < shared lattice (two writes for the same block commute:
+// shared stores unconditionally, private only upgrades unseen) — see
+// INTERNALS.md.
 func (st *replayState) flushClosedBatched(bs *batchScratch, n int) {
 	if n == 0 {
 		return
 	}
 	bs.ops.degrees(bs.ecw[:n], bs.edeg[:n])
-	if st.keep {
-		st.drainClosed(bs, n, nil)
-		return
-	}
 	eid := bs.eid[:n]
 	ord := bs.eord[:n]
 	sh := bs.closeShift
@@ -712,36 +467,17 @@ func (st *replayState) flushClosedBatched(bs *batchScratch, n int) {
 		ord[counts[b]] = uint16(k)
 		counts[b]++
 	}
-	st.drainClosed(bs, n, ord)
-}
-
-// drainClosed folds the first n captured evictions into the counters —
-// flushClosed's body with the degree read from the precomputed edeg
-// column, visiting entries in capture order (ord nil) or through the
-// bucket permutation.
-func (st *replayState) drainClosed(bs *batchScratch, n int, ord []uint16) {
 	res := st.res
 	bstate := st.blockState
-	warm := uint64(st.warmup)
-	for j := 0; j < n; j++ {
-		k := j
-		if ord != nil {
-			k = int(ord[j])
-		}
+	for _, k := range ord {
 		cw := bs.ecw[k]
 		deg := int(bs.edeg[k])
 		shared := deg >= 2
 		id := bs.eid[k]
 		if shared {
-			if res.FillShared != nil {
-				res.FillShared[bs.efill[k]] = true
-			}
 			bstate[id] = blockShared
 		} else if bstate[id] == blockUnseen {
 			bstate[id] = blockPrivate
-		}
-		if bs.eidx[k] < warm {
-			continue
 		}
 		h := bs.ehits[k]
 		res.Residencies++
@@ -760,69 +496,37 @@ func (st *replayState) drainClosed(bs *batchScratch, n int, ord []uint16) {
 		} else {
 			res.PrivateHits += h
 		}
-		if st.keep {
-			fm := bs.emeta[k]
-			r := Residency{
-				Block:      bs.eblk[k],
-				FillIndex:  int64(bs.efill[k]),
-				FillPC:     bs.epc[k],
-				Hits:       h,
-				EvictIndex: int64(bs.eidx[k]),
-				id:         id,
-				FillCore:   fm &^ fmPred,
-				written:    cw&cwWritten != 0,
-				Predicted:  fm&fmPred != 0,
-			}
-			r.coreMask[0] = cw &^ cwWritten
-			res.ResidencyLog = append(res.ResidencyLog, r)
-		}
 	}
 }
 
 // advanceStructOutSIMD is advanceStructOut with the SIMD hit-count
 // reduction in place of countBatch's scalar loop.
-func advanceStructOutSIMD(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
-	if counting {
-		h := bs.ops.countHits(out)
-		n := uint64(len(out))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
+func advanceStructOutSIMD(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error {
+	st.flushCounts(uint64(len(out)), bs.ops.countHits(out))
 	hi := lo + len(out)
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs, counting)
+	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
 }
 
 // advanceLogStructSIMD is advanceLogStruct with the SIMD outcome-log
 // hit scan in place of the decode-then-count pair.
-func advanceLogStructSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
+func advanceLogStructSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
 	hi := lo + len(accs)
 	out := bs.out[:len(accs)]
 	decodeLog(logc, bs.blk[lo:hi], uint64(l.sets-1), l.cfg.Ways, out)
-	if counting {
-		h := bs.ops.countLogHits(logc[:len(accs)])
-		n := uint64(len(accs))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs, counting)
+	st.flushCounts(uint64(len(accs)), bs.ops.countLogHits(logc[:len(accs)]))
+	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
 }
 
 // advanceSoACountersSIMD is advanceSoACounters reading the chunk's
 // core/write words from the vector-expanded cw column and draining
 // captures through the batched close path.
-func advanceSoACountersSIMD(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
+func advanceSoACountersSIMD(st *replayState, bs *batchScratch, out []uint32, _ []cache.AccessInfo, lo int) error {
 	t := st.cols
 	hc, ids := t.hc, t.id
 	metac := bs.meta[lo:][:len(out)]
 	idc := bs.id[lo:][:len(out)]
 	cwc := bs.cw[:len(out)]
 	bs.ops.expandCW(metac, cwc)
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
 	var h uint64
 	ne := 0
 	for k, o := range out {
@@ -830,7 +534,7 @@ func advanceSoACountersSIMD(st *replayState, bs *batchScratch, out []uint32, acc
 		p := &hc[li]
 		w := cwc[k]
 		if o&cache.BatchHit != 0 {
-			p[0] += inc
+			p[0]++
 			p[1] |= w
 			h++
 			continue
@@ -842,90 +546,19 @@ func advanceSoACountersSIMD(st *replayState, bs *batchScratch, out []uint32, acc
 			bs.ecw[ne] = p[1]
 			bs.ehits[ne] = p[0]
 			bs.eid[ne] = ids[li]
-			bs.eidx[ne] = uint64(accs[k].Index)
 			ne++
 		}
 		ids[li] = idc[k]
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosedBatched(bs, ne)
-	if counting {
-		n := uint64(len(out))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
-	return nil
-}
-
-// advanceSoAFullSIMD is advanceSoAFull on the vector-expanded cw
-// column with the batched close drain.
-func advanceSoAFullSIMD(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int, counting bool) error {
-	t := st.cols
-	metac := bs.meta[lo:][:len(out)]
-	idc := bs.id[lo:][:len(out)]
-	blk := bs.blk[lo:][:len(out)]
-	cwc := bs.cw[:len(out)]
-	bs.ops.expandCW(metac, cwc)
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
-	var h uint64
-	ne := 0
-	for k, o := range out {
-		li := o & cache.BatchLine
-		p := &t.hc[li]
-		w := cwc[k]
-		if o&cache.BatchHit != 0 {
-			p[0] += inc
-			p[1] |= w
-			h++
-			continue
-		}
-		a := &accs[k]
-		if o&cache.BatchEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: batch evicted line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(a.Index)
-			bs.efill[ne] = t.fillIdx[li]
-			if t.block != nil {
-				bs.eblk[ne] = t.block[li]
-				bs.epc[ne] = t.fillPC[li]
-				bs.emeta[ne] = t.fillMeta[li]
-			}
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-		t.fillIdx[li] = uint64(a.Index)
-		if t.block != nil {
-			t.block[li] = blk[k]
-			t.fillPC[li] = a.PC
-			fm := a.Core
-			if a.PredictedShared {
-				fm |= fmPred
-			}
-			t.fillMeta[li] = fm
-		}
-	}
-	st.flushClosedBatched(bs, ne)
-	if counting {
-		n := uint64(len(out))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
+	st.flushCounts(uint64(len(out)), h)
 	return nil
 }
 
 // advanceLogSoACountersSIMD is advanceLogSoACounters on the
 // vector-expanded cw column with the batched close drain.
-func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
+func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
 	t := st.cols
 	setMask := uint64(l.sets - 1)
 	ways := l.cfg.Ways
@@ -935,10 +568,6 @@ func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs 
 	idc := bs.id[lo:][:len(accs)]
 	cwc := bs.cw[:len(accs)]
 	bs.ops.expandCW(metac, cwc)
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
 	var h uint64
 	ne := 0
 	for k := range accs {
@@ -947,7 +576,7 @@ func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs 
 		p := &t.hc[li]
 		w := cwc[k]
 		if b&logHit != 0 {
-			p[0] += inc
+			p[0]++
 			p[1] |= w
 			h++
 			continue
@@ -959,87 +588,12 @@ func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs 
 			bs.ecw[ne] = p[1]
 			bs.ehits[ne] = p[0]
 			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(accs[k].Index)
 			ne++
 		}
 		t.id[li] = idc[k]
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosedBatched(bs, ne)
-	if counting {
-		n := uint64(len(accs))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
-	return nil
-}
-
-// advanceLogSoAFullSIMD is advanceLogSoAFull on the vector-expanded cw
-// column with the batched close drain.
-func advanceLogSoAFullSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int, counting bool) error {
-	t := st.cols
-	setMask := uint64(l.sets - 1)
-	ways := l.cfg.Ways
-	logc = logc[:len(accs)]
-	blk := bs.blk[lo:][:len(accs)]
-	metac := bs.meta[lo:][:len(accs)]
-	idc := bs.id[lo:][:len(accs)]
-	cwc := bs.cw[:len(accs)]
-	bs.ops.expandCW(metac, cwc)
-	inc := uint64(0)
-	if counting {
-		inc = 1
-	}
-	var h uint64
-	ne := 0
-	for k := range accs {
-		b := logc[k]
-		li := uint32(int(blk[k]&setMask)*ways) + uint32(b&logWayMask)
-		p := &t.hc[li]
-		w := cwc[k]
-		if b&logHit != 0 {
-			p[0] += inc
-			p[1] |= w
-			h++
-			continue
-		}
-		a := &accs[k]
-		if b&logEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: logged eviction of line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			bs.eidx[ne] = uint64(a.Index)
-			bs.efill[ne] = t.fillIdx[li]
-			if t.block != nil {
-				bs.eblk[ne] = t.block[li]
-				bs.epc[ne] = t.fillPC[li]
-				bs.emeta[ne] = t.fillMeta[li]
-			}
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-		t.fillIdx[li] = uint64(a.Index)
-		if t.block != nil {
-			t.block[li] = blk[k]
-			t.fillPC[li] = a.PC
-			fm := a.Core
-			if a.PredictedShared {
-				fm |= fmPred
-			}
-			t.fillMeta[li] = fm
-		}
-	}
-	st.flushClosedBatched(bs, ne)
-	if counting {
-		n := uint64(len(accs))
-		st.res.Accesses += n
-		st.res.Hits += h
-		st.res.Misses += n - h
-	}
+	st.flushCounts(uint64(len(accs)), h)
 	return nil
 }

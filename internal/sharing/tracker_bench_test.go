@@ -34,11 +34,6 @@ func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out
 		ecw:        make([]uint64, batchSize),
 		ehits:      make([]uint64, batchSize),
 		eid:        make([]uint32, batchSize),
-		eidx:       make([]uint64, batchSize),
-		efill:      make([]uint64, batchSize),
-		eblk:       make([]uint64, batchSize),
-		epc:        make([]uint64, batchSize),
-		emeta:      make([]uint8, batchSize),
 		cw:         make([]uint64, batchSize),
 		edeg:       make([]uint8, batchSize),
 		eord:       make([]uint16, batchSize),
@@ -57,7 +52,7 @@ func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out
 
 // BenchmarkAdvanceBatch measures the tracker advance phase alone —
 // outcome words in, residency state updated — for the struct layout
-// (the PR 6 reference) and both SoA demand levels, in ns/access.
+// (the PR 6 reference) and the SoA columns, in ns/access.
 func BenchmarkAdvanceBatch(b *testing.B) {
 	n := 1 << 17
 	if testing.Short() {
@@ -72,7 +67,7 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for lo := 0; lo < len(stream); lo += batchSize {
 				hi := min(lo+batchSize, len(stream))
-				if err := adv(st, bs, out[lo:hi], stream[lo:hi], lo, true); err != nil {
+				if err := adv(st, bs, out[lo:hi], stream[lo:hi], lo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +75,7 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
 	}
 	base := func() *replayState {
-		return &replayState{res: newResult("lru", 0), blockState: make([]uint8, numBlocks)}
+		return &replayState{res: newResult("lru"), blockState: make([]uint8, numBlocks)}
 	}
 	b.Run("struct", func(b *testing.B) {
 		st := base()
@@ -92,16 +87,7 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 		st.cols = &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)}
 		run(b, advanceSoACounters, st)
 	})
-	b.Run("soa-full", func(b *testing.B) {
-		st := base()
-		st.cols = &soaCols{
-			id: make([]uint32, lines), hc: make([][2]uint64, lines),
-			fillIdx: make([]uint64, lines), block: make([]uint64, lines),
-			fillPC: make([]uint64, lines), fillMeta: make([]uint8, lines),
-		}
-		run(b, advanceSoAFull, st)
-	})
-	// The SIMD-tier twins of the three layouts above, under whatever
+	// The SIMD-tier twins of the two layouts above, under whatever
 	// tier this machine resolves for auto (assembly where available,
 	// else SWAR) — the bindings replayLanes selects by default.
 	bs.ops = resolveSIMD(SIMDAuto)
@@ -117,15 +103,6 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 		st := base()
 		st.cols = &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)}
 		run(b, advanceSoACountersSIMD, st)
-	})
-	b.Run("soa-full-simd", func(b *testing.B) {
-		st := base()
-		st.cols = &soaCols{
-			id: make([]uint32, lines), hc: make([][2]uint64, lines),
-			fillIdx: make([]uint64, lines), block: make([]uint64, lines),
-			fillPC: make([]uint64, lines), fillMeta: make([]uint8, lines),
-		}
-		run(b, advanceSoAFullSIMD, st)
 	})
 }
 

@@ -33,42 +33,42 @@ func TestParseTracker(t *testing.T) {
 	}
 }
 
-// trackersAgree replays stream through configs under the batch kernel
-// with both tracker representations and demands byte-equal Results —
-// counters, degree histograms, residency logs and oracle bit vectors
-// alike. opt.Tracker is overridden per run.
-func trackersAgree(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig, opt Options) {
+// trackersAgree replays every prefix of full through configs under the
+// batch kernel with both tracker representations and demands byte-equal
+// Results — counters, degree histograms and block census alike.
+// opt.Tracker is overridden per run.
+func trackersAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
 	t.Helper()
 	optA, optB := opt, opt
 	optA.Kernel, optA.Tracker = KernelBatch, TrackerSoA
 	optB.Kernel, optB.Tracker = KernelBatch, TrackerStruct
-	soa, err := ReplayMulti(stream, configs, optA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	structs, err := ReplayMulti(stream, configs, optB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range structs {
-		if !reflect.DeepEqual(soa[i], structs[i]) {
-			t.Errorf("config %d (%s @ %d ways): SoA result differs from struct tracker\nsoa:    %+v\nstruct: %+v",
-				i, configs[i].NewPolicy().Name(), configs[i].Ways, soa[i], structs[i])
+	eachPrefix(full, func(stream []cache.AccessInfo) {
+		soa, err := ReplayMulti(stream, configs, optA)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		structs, err := ReplayMulti(stream, configs, optB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range structs {
+			if !reflect.DeepEqual(soa[i], structs[i]) {
+				t.Errorf("len %d, config %d (%s @ %d ways): SoA result differs from struct tracker\nsoa:    %+v\nstruct: %+v",
+					len(stream), i, configs[i].NewPolicy().Name(), configs[i].Ways, soa[i], structs[i])
+			}
+		}
+	})
 }
 
 // TestTrackerSoAVsStruct replays every experiment family — the full
 // policy catalogue (shardable and two-phase lanes), a hooked lane and
 // the 128-way sequential fallback — with the SoA and struct trackers
-// and demands byte-equal Results, at both detail demands (counters-only
-// and full residency detail).
+// and demands byte-equal Results at every prefix.
 func TestTrackerSoAVsStruct(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
 	var hooks int
 	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
-	trackersAgree(t, stream, configs, Options{KeepResidencies: true, Warmup: 500, FillShared: true, Shards: 4})
-	trackersAgree(t, stream, configs, Options{Warmup: 500, Shards: 4})
+	trackersAgree(t, stream, configs, Options{Shards: 4})
 }
 
 // TestTrackerEnvGate pins the SHARELLC_BATCH_TRACKER escape hatch:
@@ -83,7 +83,7 @@ func TestTrackerEnvGate(t *testing.T) {
 		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
 	}
-	opt := Options{KeepResidencies: true, Warmup: 100, Shards: 4, Kernel: KernelBatch}
+	opt := Options{Shards: 4, Kernel: KernelBatch}
 	on, err := ReplayMulti(stream, configs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(5)) }},
 		}
-		opt := Options{KeepResidencies: true, Warmup: 100, Shards: 4}
+		opt := Options{Shards: 4}
 		trackersAgree(t, stream, configs, opt)
 		opt.Cores = int(cores)
 		trackersAgree(t, stream, configs, opt)
@@ -120,24 +120,22 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 }
 
 // FuzzTrackerLog fuzzes the fused log-decode/advance loop of the
-// two-phase lanes: stream length and warmup around the chunk
-// boundaries, a cross-set policy (so the lane takes the outcome-log
-// path), at fuzzer-chosen detail demand. SoA and struct replays must
-// stay bit-identical.
+// two-phase lanes: stream length around the chunk boundaries and
+// cross-set policies (so the lanes take the outcome-log path). SoA and
+// struct replays must stay bit-identical.
 func FuzzTrackerLog(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint64(1), false)
-	f.Add(uint16(batchSize-1), uint16(100), uint64(2), true)
-	f.Add(uint16(batchSize), uint16(batchSize), uint64(3), false)
-	f.Add(uint16(batchSize+1), uint16(1), uint64(4), true)
-	f.Add(uint16(3000), uint16(2999), uint64(5), true)
-	f.Fuzz(func(t *testing.T, n, warmup uint16, seed uint64, keep bool) {
+	f.Add(uint16(0), uint64(1))
+	f.Add(uint16(batchSize-1), uint64(2))
+	f.Add(uint16(batchSize), uint64(3))
+	f.Add(uint16(batchSize+1), uint64(4))
+	f.Add(uint16(3000), uint64(5))
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64) {
 		stream := synthStream(int(n), 200, 8, seed)
 		configs := []LLCConfig{
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed | 1)) }},
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewSHiP() }},
 		}
-		opt := Options{Warmup: int(warmup), Shards: 4, KeepResidencies: keep, FillShared: keep}
-		trackersAgree(t, stream, configs, opt)
+		trackersAgree(t, stream, configs, Options{Shards: 4})
 	})
 }
 
@@ -220,5 +218,5 @@ func TestTrackerPipelineStress(t *testing.T) {
 		configs = append(configs, LLCConfig{Size: 32 * cache.KB, Ways: 8,
 			NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed)) }})
 	}
-	trackersAgree(t, stream, configs, Options{KeepResidencies: true, Warmup: 300, FillShared: true, Shards: 8})
+	trackersAgree(t, stream, configs, Options{Shards: 8})
 }

@@ -3,6 +3,7 @@ package streamcache
 import (
 	"os"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
@@ -31,10 +32,24 @@ func suiteConfig(c *Cache, scale float64) sim.Config {
 	return cfg
 }
 
+// cpuTime is the user+system CPU time this process has used so far.
+func cpuTime(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // TestWarmSuiteSpeedup is the PR's acceptance benchmark in test form:
-// constructing the full 22-workload suite from snapshots must be at
-// least 5× faster than building it cold, and the warm suite must be
-// bit-identical to the cold one.
+// constructing the full 22-workload suite from snapshots must cost at
+// most a fifth of building it cold, and the warm suite must be
+// bit-identical to the cold one. The cost is process CPU time, not wall
+// time: `go test ./...` runs this package while sibling packages compile
+// and test on the same cores, which stretches a ~10 ms warm wall-clock
+// measurement severalfold but leaves the CPU this process spends on it
+// where it was.
 func TestWarmSuiteSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -43,43 +58,41 @@ func TestWarmSuiteSpeedup(t *testing.T) {
 	scale := benchScale(0.05)
 
 	cold := New(Options{Dir: dir})
-	start := time.Now()
+	start := cpuTime(t)
 	coldSuite, err := sim.NewSuite(suiteConfig(cold, scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldDur := time.Since(start)
+	coldCPU := cpuTime(t) - start
 	if st := cold.Stats(); st.Builds != uint64(len(coldSuite.Streams)) {
 		t.Fatalf("cold construction built %d of %d streams", st.Builds, len(coldSuite.Streams))
 	}
 
 	// A fresh Cache on the same directory models a new process: the
-	// in-memory level is empty, every stream comes off disk. Take the
-	// best of three constructions so one scheduling hiccup cannot fail
-	// the ratio check.
-	warmDur := time.Duration(1<<63 - 1)
+	// in-memory level is empty, every stream comes off disk. The warm
+	// cost is the mean over several constructions, so the measured span
+	// is long against the CPU clock's resolution.
+	const warmRuns = 5
 	var warmSuite *sim.Suite
-	for i := 0; i < 3; i++ {
+	start = cpuTime(t)
+	for i := 0; i < warmRuns; i++ {
 		warm := New(Options{Dir: dir})
-		start = time.Now()
 		ws, err := sim.NewSuite(suiteConfig(warm, scale))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if d := time.Since(start); d < warmDur {
-			warmDur = d
 		}
 		if st := warm.Stats(); st.Builds != 0 || st.DiskHits != uint64(len(ws.Streams)) {
 			t.Fatalf("warm construction was not snapshot-only: %+v", st)
 		}
 		warmSuite = ws
 	}
+	warmCPU := (cpuTime(t) - start) / warmRuns
 
 	assertSuitesIdentical(t, coldSuite, warmSuite)
-	t.Logf("scale %v: cold %v, warm %v (%.1fx)", scale, coldDur, warmDur, float64(coldDur)/float64(warmDur))
-	if coldDur < 5*warmDur {
-		t.Errorf("warm suite construction only %.1fx faster than cold (cold %v, warm %v), want >= 5x",
-			float64(coldDur)/float64(warmDur), coldDur, warmDur)
+	t.Logf("scale %v: cold %v CPU, warm %v CPU (%.1fx)", scale, coldCPU, warmCPU, float64(coldCPU)/float64(warmCPU))
+	if coldCPU < 5*warmCPU {
+		t.Errorf("warm suite construction only %.1fx cheaper than cold (cold %v CPU, warm %v CPU), want >= 5x",
+			float64(coldCPU)/float64(warmCPU), coldCPU, warmCPU)
 	}
 }
 
