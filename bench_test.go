@@ -168,22 +168,6 @@ func BenchmarkComparePoliciesSuiteScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkComparePoliciesSuiteNoSIMD is the same sweep with the SIMD
-// tier forced off — the batched kernel with scalar advance loops,
-// inline eviction closes and serial decode (the PR 9 paths). Back to
-// back with BenchmarkComparePoliciesSuite it is the SIMD tier's
-// in-process A/B, the pair bench.sh records as suite_simd_vs_off.
-func BenchmarkComparePoliciesSuiteNoSIMD(b *testing.B) {
-	s := fullSuite(b).WithSIMD(sharellc.SIMDOff)
-	for i := 0; i < b.N; i++ {
-		rows, err := s.ComparePolicies(llc4MB, ways, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(rows)), "rows")
-	}
-}
-
 // itoa is a terse strconv.Itoa alias for metric names.
 func itoa(v int) string { return strconv.Itoa(v) }
 

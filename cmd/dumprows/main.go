@@ -45,7 +45,6 @@ var tinyMachine = cache.Config{
 func main() {
 	kernel := flag.String("kernel", "batch", "replay kernel: batch or scalar")
 	tracker := flag.String("tracker", "soa", "batched residency tracker: soa or struct")
-	simdF := flag.String("simd", "auto", "batched-replay SIMD tier: auto, swar or off")
 	tables := flag.Bool("tables", false, "print canonical table JSON instead of raw rows")
 	clusterN := flag.Int("cluster", 0, "run through an in-process coordinator with N workers and byte-compare against the direct run")
 	exps := flag.String("exps", "all", "comma-separated experiment ids for -tables/-cluster")
@@ -58,25 +57,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	simd, err := sharing.ParseSIMD(*simdF)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *clusterN > 0 {
-		if err := diffCluster(kern, track, simd, strings.Split(*exps, ","), *clusterN); err != nil {
+		if err := diffCluster(kern, track, strings.Split(*exps, ","), *clusterN); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *tables {
-		out, err := directTables(fixedRequest(strings.Split(*exps, ",")), kern, track, simd)
+		out, err := directTables(fixedRequest(strings.Split(*exps, ",")), kern, track)
 		if err != nil {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(renderTables(out))
 		return
 	}
-	dumpRows(kern, track, simd)
+	dumpRows(kern, track)
 }
 
 // fixedRequest is the harness request both execution paths run.
@@ -94,7 +89,7 @@ func fixedRequest(exps []string) cluster.Request {
 
 // directTables runs the request through the plain experiment index, the
 // way a single daemon or the CLI would.
-func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD) ([]*report.Table, error) {
+func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracker) ([]*report.Table, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
 	}
@@ -139,9 +134,9 @@ func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracke
 // diffCluster runs the fixed request both ways — direct and through an
 // in-process coordinator with n polling workers over real HTTP — and
 // byte-compares the rendered tables.
-func diffCluster(kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD, exps []string, n int) error {
+func diffCluster(kern sharing.Kernel, track sharing.Tracker, exps []string, n int) error {
 	req := fixedRequest(exps)
-	direct, err := directTables(req, kern, track, simd)
+	direct, err := directTables(req, kern, track)
 	if err != nil {
 		return fmt.Errorf("direct run: %w", err)
 	}
@@ -166,7 +161,6 @@ func diffCluster(kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD, 
 			Cache:          streamcache.New(streamcache.Options{}),
 			Kernel:         kern,
 			Tracker:        track,
-			SIMD:           simd,
 			Poll:           20 * time.Millisecond,
 		})
 		if err != nil {
@@ -203,7 +197,7 @@ func diffCluster(kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD, 
 }
 
 // dumpRows is the original raw-row diff dump.
-func dumpRows(kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD) {
+func dumpRows(kern sharing.Kernel, track sharing.Tracker) {
 	models := make([]workloads.Model, 0, 3)
 	for _, name := range []string{"canneal", "streamcluster", "swaptions"} {
 		m, err := workloads.ByName(name)
@@ -219,7 +213,6 @@ func dumpRows(kern sharing.Kernel, track sharing.Tracker, simd sharing.SIMD) {
 		Models:  models,
 		Kernel:  kern,
 		Tracker: track,
-		SIMD:    simd,
 	}
 	s, err := sim.NewSuite(cfg)
 	if err != nil {

@@ -70,7 +70,6 @@ type options struct {
 	seed      uint64
 	kernel    sharing.Kernel
 	tracker   sharing.Tracker
-	simd      sharing.SIMD
 	prot      core.Options
 	policies  []string
 	workloads []string
@@ -92,7 +91,6 @@ func run(w io.Writer, args []string) error {
 		strength = fs.String("strength", "full", "protection strength: full or insert-only")
 		kernel   = fs.String("kernel", "batch", "fused-replay kernel: batch or scalar")
 		tracker  = fs.String("tracker", "soa", "batched residency tracker: soa or struct")
-		simd     = fs.String("simd", "auto", "batched-replay SIMD tier: auto, swar or off")
 		skip     = fs.Int("skip-budget", 0, "protected-block skip budget (0 = default, <0 = unlimited)")
 		clear    = fs.Bool("clear-on-hit", false, "drop protection once the predicted cross-core hit arrives")
 		pols     = fs.String("policies", "lru,nru,srrip,drrip,ship", "comma-separated policies for f5")
@@ -156,9 +154,6 @@ func run(w io.Writer, args []string) error {
 	if o.tracker, err = sharing.ParseTracker(*tracker); err != nil {
 		return fmt.Errorf("unknown tracker %q (want soa or struct)", *tracker)
 	}
-	if o.simd, err = sharing.ParseSIMD(*simd); err != nil {
-		return fmt.Errorf("unknown simd tier %q (want auto, swar or off)", *simd)
-	}
 	o.prot.SkipBudget = *skip
 	o.prot.ClearOnFulfil = *clear
 	if *pols != "" {
@@ -209,7 +204,6 @@ func dispatch(w io.Writer, o options) error {
 			Models:  models,
 			Kernel:  o.kernel,
 			Tracker: o.tracker,
-			SIMD:    o.simd,
 		}
 		var streams *streamcache.Cache
 		if dir, ok := streamcache.DirFromFlag(o.cachedir); ok {

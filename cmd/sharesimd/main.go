@@ -57,7 +57,6 @@ func main() {
 		diskMB   = flag.Int64("cache-max-bytes", 0, "on-disk snapshot store budget in MB (0 = unlimited); LRU snapshots are evicted past it")
 		kernel   = flag.String("kernel", "batch", "fused-replay kernel: batch or scalar")
 		tracker  = flag.String("tracker", "soa", "batched residency tracker: soa or struct")
-		simdF    = flag.String("simd", "auto", "batched-replay SIMD tier: auto, swar or off")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		mode     = flag.String("mode", "single", "daemon role: single, coordinator or worker")
@@ -75,10 +74,6 @@ func main() {
 	track, err := sharing.ParseTracker(*tracker)
 	if err != nil {
 		log.Fatalf("unknown tracker %q (want soa or struct)", *tracker)
-	}
-	simd, err := sharing.ParseSIMD(*simdF)
-	if err != nil {
-		log.Fatalf("unknown simd tier %q (want auto, swar or off)", *simdF)
 	}
 	if *pprofOn != "" {
 		// The profiling endpoints live on their own listener, never on
@@ -129,14 +124,13 @@ func main() {
 			Cache:          streams,
 			Kernel:         kern,
 			Tracker:        track,
-			SIMD:           simd,
 			Slots:          *workers,
 			Poll:           *poll,
 		})
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
-		handler = server.NewWorkerServer(w, streams, kern, track, simd, *workers)
+		handler = server.NewWorkerServer(w, streams, kern, track, *workers)
 		workerDone = make(chan error, 1)
 		go func() { workerDone <- w.Run(ctx) }()
 	default:
@@ -147,7 +141,6 @@ func main() {
 			StreamCache: streams,
 			Kernel:      kern,
 			Tracker:     track,
-			SIMD:        simd,
 		}
 		if *mode == "coordinator" {
 			cfg.Coordinator = cluster.NewCoordinator(cluster.CoordinatorConfig{

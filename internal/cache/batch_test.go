@@ -131,8 +131,8 @@ func TestReplayBatchColsMatchesRecords(t *testing.T) {
 }
 
 // BenchmarkBatchKernel isolates the probe phase — ReplayBatchCols over
-// pre-decoded columns against an LRU cache in steady state — so future
-// SIMD work on the probe loop has a stable, sweep-independent baseline.
+// pre-decoded columns against an LRU cache in steady state — so changes
+// to the probe loop have a stable, sweep-independent baseline.
 func BenchmarkBatchKernel(b *testing.B) {
 	const (
 		ways      = 16

@@ -39,8 +39,6 @@ type WorkerConfig struct {
 	// Tracker selects the residency-tracker representation for this
 	// worker's suites.
 	Tracker sharing.Tracker
-	// SIMD selects the data-parallel tier for this worker's suites.
-	SIMD sharing.SIMD
 	// Slots is the number of bundles executed concurrently. 0 means 1.
 	Slots int
 	// Poll is the idle wait between lease attempts when the coordinator
@@ -261,7 +259,6 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 		Shards:  sim.ShardBudget(w.cfg.Slots),
 		Kernel:  w.cfg.Kernel,
 		Tracker: w.cfg.Tracker,
-		SIMD:    w.cfg.SIMD,
 		Streams: w.cfg.Cache.Stream,
 	}
 	if b.Spec == WholeExperiment {

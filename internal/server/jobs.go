@@ -207,12 +207,6 @@ type Config struct {
 	// Ignored when a custom Runner is set.
 	Tracker sharing.Tracker
 
-	// SIMD is the data-parallel tier every job's suite runs with
-	// (sim.Config.SIMD): auto by default, swar or off via the daemon's
-	// -simd flag for production bisection. Ignored when a custom Runner
-	// is set.
-	SIMD sharing.SIMD
-
 	// StreamCache, when non-nil, supplies prepared workload streams to
 	// every job's suite construction, so jobs that share (machine, seed,
 	// scale, workloads) — even while differing in LLC size or policy —
@@ -270,7 +264,7 @@ func NewManager(cfg Config) *Manager {
 		if cfg.Coordinator != nil {
 			cfg.Runner = distributedRunner(cfg.Coordinator)
 		} else {
-			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache, cfg.Kernel, cfg.Tracker, cfg.SIMD)
+			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache, cfg.Kernel, cfg.Tracker)
 		}
 	}
 	if cfg.Role == "" {

@@ -219,7 +219,6 @@ type healthView struct {
 	Role          string         `json:"role"`   // single | coordinator | worker
 	Kernel        string         `json:"kernel"`
 	Tracker       string         `json:"tracker"`
-	SIMD          string         `json:"simd"`
 	ShardBudget   int            `json:"shard_budget"`
 	Workers       occupancyView  `json:"workers"`
 	SnapshotStore *snapshotStore `json:"snapshot_store,omitempty"`
@@ -256,7 +255,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Role:        m.cfg.Role,
 		Kernel:      m.cfg.Kernel.String(),
 		Tracker:     m.cfg.Tracker.String(),
-		SIMD:        m.cfg.SIMD.String(),
 		ShardBudget: sim.ShardBudget(m.cfg.Workers),
 		Workers:     occupancyView{Busy: busy, Total: m.cfg.Workers},
 	}

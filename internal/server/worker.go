@@ -20,17 +20,16 @@ type WorkerServer struct {
 	sc      *streamcache.Cache
 	kernel  sharing.Kernel
 	tracker sharing.Tracker
-	simd    sharing.SIMD
 	slots   int
 	mux     *http.ServeMux
 }
 
 // NewWorkerServer wires a cluster.Worker into an http.Handler.
-func NewWorkerServer(w *cluster.Worker, sc *streamcache.Cache, kernel sharing.Kernel, tracker sharing.Tracker, simd sharing.SIMD, slots int) *WorkerServer {
+func NewWorkerServer(w *cluster.Worker, sc *streamcache.Cache, kernel sharing.Kernel, tracker sharing.Tracker, slots int) *WorkerServer {
 	if slots <= 0 {
 		slots = 1
 	}
-	ws := &WorkerServer{w: w, sc: sc, kernel: kernel, tracker: tracker, simd: simd, slots: slots, mux: http.NewServeMux()}
+	ws := &WorkerServer{w: w, sc: sc, kernel: kernel, tracker: tracker, slots: slots, mux: http.NewServeMux()}
 	w.Register(ws.mux)
 	ws.mux.HandleFunc("GET /healthz", ws.handleHealthz)
 	ws.mux.HandleFunc("GET /metrics", ws.handleMetrics)
@@ -46,7 +45,6 @@ func (ws *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Role:        "worker",
 		Kernel:      ws.kernel.String(),
 		Tracker:     ws.tracker.String(),
-		SIMD:        ws.simd.String(),
 		ShardBudget: sim.ShardBudget(ws.slots),
 		Workers:     occupancyView{Busy: int(st.Busy), Total: ws.slots},
 	}

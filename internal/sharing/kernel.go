@@ -21,11 +21,10 @@ package sharing
 //
 // Each phase is a short dependence-free-per-iteration loop over L1-
 // resident chunk state (batchSize is sized so the chunk columns stay
-// under the L2 slice the shard walk already budgets via blockBudget),
-// which is the layout explicit SIMD can later target. Outputs are
-// bit-identical to the scalar kernel: the probe performs exactly the
-// scalar fast-path cache transitions in the same order, and the
-// advance phase performs exactly step's tracker transitions (the
+// under the L2 slice the shard walk already budgets via blockBudget).
+// Outputs are bit-identical to the scalar kernel: the probe performs
+// exactly the scalar fast-path cache transitions in the same order, and
+// the advance phase performs exactly step's tracker transitions (the
 // differential tests in batch_test.go hold every experiment family to
 // byte equality). Hooked lanes, lanes wider than the outcome encodings
 // and the plain sequential Replay always run the scalar kernel — hooks
@@ -87,9 +86,8 @@ const metaWrite = 0x80
 // batchScratch is one worker's batch-kernel state, grabbed alongside
 // the gather buffer and reused across every shard the worker claims.
 // The columns span the worker's current shard; out spans one chunk.
-// Both tracker layouts consume the packed meta byte column — the SoA
-// advance loops expand it to the core/write word inline (cwWord), or
-// through the SIMD tier's chunk-sized cw column below.
+// Both tracker layouts consume the packed meta byte column; the SoA
+// advance loops expand it to the core/write word inline (cwWord).
 type batchScratch struct {
 	blk  []uint64
 	id   []uint32
@@ -102,20 +100,6 @@ type batchScratch struct {
 	ecw   []uint64
 	ehits []uint64
 	eid   []uint32
-
-	// SIMD-tier state (nil ops ⟺ tier off, the PR 9 scalar paths).
-	// cw is the chunk's expanded core/write words (simd.ExpandCW —
-	// chunk-sized and L1-resident, unlike the shard-length column PR 9
-	// measured and rejected); edeg/eord serve the batched close drain
-	// (flushClosedBatched): per-entry degrees and the bucket-ordered
-	// drain permutation. closeShift positions eid's top bits into
-	// closeBuckets partitions (closeShiftFor). Allocated only for SoA
-	// workers under an active SIMD tier.
-	ops        *simdOps
-	cw         []uint64
-	edeg       []uint8
-	eord       []uint16
-	closeShift uint8
 }
 
 // decodeColumns is the decode phase: one pass over the gathered shard
@@ -197,11 +181,8 @@ func (st *replayState) advanceBatch(blk []uint64, meta []uint8, out []uint32, ac
 // in chunks: probe, then the lane's bound advance variant (struct or
 // SoA — see advanceFn). The lane's active/lineID tables persist across
 // shards and workers exactly like the scalar path's active table
-// (disjoint index ranges per shard). Under the decode pipeline (pipe
-// non-nil) each chunk first waits for its columns — one atomic load
-// once the producer has passed it — and publishes consumption behind
-// itself to release producer lookahead.
-func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, pipe *colPipe, opt Options) error {
+// (disjoint index ranges per shard).
+func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, opt Options) error {
 	for lo := 0; lo < len(accs); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(accs) {
@@ -212,16 +193,10 @@ func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratc
 				return err
 			}
 		}
-		if pipe != nil {
-			pipe.waitDecoded(int64(hi))
-		}
 		out := bs.out[:hi-lo]
 		llc.ReplayBatchCols(bs.blk[lo:hi], bs.id[lo:hi], accs[lo:hi], l.active, l.lineID, out)
 		if err := l.advance(st, bs, out, accs[lo:hi], lo); err != nil {
 			return err
-		}
-		if pipe != nil {
-			pipe.consume(int64(hi))
 		}
 	}
 	return nil
@@ -264,7 +239,7 @@ func decodeLog(log []uint8, blk []uint64, setMask uint64, ways int, out []uint32
 // watermark, and by then the pass has scattered every log byte of the
 // chunk's segment range — which is what lets the tracker replay
 // overlap the pass instead of barriering behind it.
-func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, order []int32, segBase int, pipe *colPipe, opt Options) error {
+func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, order []int32, segBase int, opt Options) error {
 	for lo := 0; lo < len(accs); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(accs) {
@@ -275,9 +250,6 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.
 				return err
 			}
 		}
-		if pipe != nil {
-			pipe.waitDecoded(int64(hi))
-		}
 		if l.ring != nil {
 			if err := l.ring.wait(int64(order[hi-1]) + 1); err != nil {
 				return err
@@ -285,9 +257,6 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, accs []cache.
 		}
 		if err := l.advanceLog(st, l, bs, accs[lo:hi], l.log[segBase+lo:segBase+hi], lo); err != nil {
 			return err
-		}
-		if pipe != nil {
-			pipe.consume(int64(hi))
 		}
 	}
 	return nil

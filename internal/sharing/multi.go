@@ -427,7 +427,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	var part *PartitionIndex
 	var passBlk []uint64
 	var passID []uint32
-	var ops *simdOps
 	useSoA := false
 	if len(shardLanes)+len(phaseLanes) > 0 {
 		var err error
@@ -456,13 +455,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 				useSoA = false
 			}
 		}
-		// SIMD tier resolution: one kernel binding (assembly, SWAR or
-		// nil = off) for the whole replay, combining Options.SIMD, the
-		// SHARELLC_SIMD cap and hardware detection — see simd.go. Like
-		// the tracker knob it only applies where the batch kernel runs.
-		if useBatch {
-			ops = resolveSIMD(opt.SIMD)
-		}
 		// Tracker scratch comes from the pool (see scratch.go).
 		for _, l := range append(append([]*lane(nil), shardLanes...), phaseLanes...) {
 			if useSoA {
@@ -479,15 +471,10 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		if useBatch {
 			for _, l := range shardLanes {
 				l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
-				switch {
-				case !useSoA && ops == nil:
-					l.advance = advanceStructOut
-				case !useSoA:
-					l.advance = advanceStructOutSIMD
-				case ops == nil:
+				if useSoA {
 					l.advance = advanceSoACounters
-				default:
-					l.advance = advanceSoACountersSIMD
+				} else {
+					l.advance = advanceStructOut
 				}
 			}
 		}
@@ -495,15 +482,10 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 			l.log = grab(&scratch.bytes, len(stream), false)
 			if useBatch {
 				l.ring = newLogRing()
-				switch {
-				case !useSoA && ops == nil:
-					l.advanceLog = advanceLogStruct
-				case !useSoA:
-					l.advanceLog = advanceLogStructSIMD
-				case ops == nil:
+				if useSoA {
 					l.advanceLog = advanceLogSoACounters
-				default:
-					l.advanceLog = advanceLogSoACountersSIMD
+				} else {
+					l.advanceLog = advanceLogStruct
 				}
 			}
 		}
@@ -610,11 +592,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 							put(&scratch.blks, bs.ehits)
 							put(&scratch.cols, bs.eid)
 						}
-						if bs.cw != nil {
-							put(&scratch.blks, bs.cw)
-							put(&scratch.bytes, bs.edeg)
-							put(&scratch.halfs, bs.eord)
-						}
 						put(&scratch.cols, bs.out)
 					}
 					return
@@ -647,13 +624,6 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 							bs.ecw = grab(&scratch.blks, batchSize, false)
 							bs.ehits = grab(&scratch.blks, batchSize, false)
 							bs.eid = grab(&scratch.cols, batchSize, false)
-						}
-						bs.ops = ops
-						if useSoA && ops != nil {
-							bs.cw = grab(&scratch.blks, batchSize, false)
-							bs.edeg = grab(&scratch.bytes, batchSize, false)
-							bs.eord = grab(&scratch.halfs, batchSize, false)
-							bs.closeShift = closeShiftFor(numBlocks)
 						}
 					}
 				}
@@ -827,40 +797,22 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 	}
 	order := part.Order[part.Offs[s]:part.Offs[s+1]]
 	accs := buf[:len(order)]
+	for k, idx := range order {
+		accs[k] = stream[idx]
+	}
 	// Batch kernel: the decode phase runs once per shard (the columns
-	// serve every lane's walk). Both tracker layouts consume the packed 1-byte meta column;
-	// the SoA advance loops expand it to the core/write word via the
-	// SIMD tier's chunk prepass (or inline under SIMDOff — either way a
-	// few ALU ops per access beats re-streaming a shard-length uint64
-	// column through the cache once per lane). Under the SIMD tier the
-	// gather+decode runs as a pipelined producer goroutine, one chunk
-	// ahead of the first lane's probe loop (see colPipe); the producer
-	// must be aborted and joined before the shard's columns are reused
-	// or released, including on error returns.
-	var pipe *colPipe
+	// serve every lane's walk). Both tracker layouts consume the packed
+	// 1-byte meta column; the SoA advance loops expand it to the
+	// core/write word inline — a few ALU ops per access beats
+	// re-streaming a shard-length uint64 column through the cache once
+	// per lane.
 	if bs != nil {
-		if bs.ops != nil && len(order) > 0 {
-			pipe = newColPipe()
-			go decodePipelined(stream, order, accs, bs, pipe)
-			defer func() {
-				pipe.abort()
-				pipe.join()
-			}()
-		} else {
-			for k, idx := range order {
-				accs[k] = stream[idx]
-			}
-			decodeColumns(accs, bs.blk, bs.id, bs.meta)
-		}
-	} else {
-		for k, idx := range order {
-			accs[k] = stream[idx]
-		}
+		decodeColumns(accs, bs.blk, bs.id, bs.meta)
 	}
 	for j := range runs {
 		llc, ways, st := runs[j].llc, runs[j].ways, runs[j].st
 		if bs != nil {
-			if err := runLaneBatch(llc, lanes[j], st, bs, accs, pipe, opt); err != nil {
+			if err := runLaneBatch(llc, lanes[j], st, bs, accs, opt); err != nil {
 				return err
 			}
 			continue
@@ -898,7 +850,7 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 		setMask := uint64(l.sets - 1)
 		ways := l.cfg.Ways
 		if bs != nil {
-			if err := runPhaseLaneBatch(l, st, bs, accs, order, int(part.Offs[s]), pipe, opt); err != nil {
+			if err := runPhaseLaneBatch(l, st, bs, accs, order, int(part.Offs[s]), opt); err != nil {
 				return err
 			}
 			st.closeAlive(l.sets, ways, part.Shards, s)

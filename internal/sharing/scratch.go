@@ -75,7 +75,6 @@ var scratch struct {
 	blks  [][]uint64
 	hcs   [][][2]uint64
 	bytes [][]uint8
-	halfs [][]uint16
 	accs  [][]cache.AccessInfo
 }
 

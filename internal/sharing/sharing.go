@@ -167,16 +167,6 @@ type Options struct {
 	// are struct-tracked regardless.
 	Tracker Tracker
 
-	// SIMD selects the data-parallel tier of the batched lane walks:
-	// auto (the zero value; assembly kernels when the CPU has them,
-	// portable SWAR otherwise), swar (force the cross-architecture
-	// reference kernels), or off — the scalar PR 9 paths, kept as the
-	// bisection escape hatch. Results are bit-identical across all
-	// three. The SHARELLC_SIMD environment variable caps every replay's
-	// tier without a rebuild (see EnableSIMD). Like Tracker, it applies
-	// only where the batch kernel runs.
-	SIMD SIMD
-
 	// Cores, when positive, asserts that every access's Core is below
 	// Cores. It only steers tracker selection (the SoA tracker needs
 	// cores to fit its packed word), so a missing hint costs a

@@ -11,7 +11,7 @@ package sharing
 //
 //   - hc [][2]uint64 — the paired hit counter (hc[li][0]) and packed
 //     core/write word (hc[li][1]): bit c marks core c (c ≤ 62), bit 63
-//     marks "a store touched this residency". One SWAR word replaces
+//     marks "a store touched this residency". One packed word replaces
 //     Residency's two-word core mask plus written bool, and pairing it
 //     with the hit counter keeps the whole hit path inside one 16-byte
 //     aligned pair — hc[li][0] += inc; hc[li][1] |= cwWord(meta[k]) —
@@ -280,8 +280,8 @@ func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 // advanceFn consumes one chunk's probe outcome words against the lane's
 // tracker (the advance phase of a shardable lane). out and accs span
 // the chunk; lo is the chunk's offset into the worker's shard columns
-// (bs). The variant — struct or SoA, scalar or SIMD tier — is bound to
-// lane.advance once per replay at lane setup.
+// (bs). The variant — struct or SoA — is bound to lane.advance once per
+// replay at lane setup.
 type advanceFn func(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error
 
 // advanceLogFn replays one chunk of a two-phase lane's outcome log
@@ -396,204 +396,6 @@ func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []ca
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosed(bs, ne)
-	st.flushCounts(uint64(len(accs)), h)
-	return nil
-}
-
-// --- SIMD-tier variants -------------------------------------------------
-//
-// The variants below are the data-parallel twins of the advance loops
-// above, bound instead of them when the replay resolves an active SIMD
-// tier (Options.SIMD / SHARELLC_SIMD — see simd.go). Differences from
-// their scalar twins, each bit-identical by construction:
-//
-//   - the chunk's core/write words are expanded once up front into
-//     bs.cw (simd.ExpandCW over the meta byte column — chunk-sized, so
-//     the column stays L1-resident between the expansion and the walk,
-//     unlike the shard-length column PR 9 measured and rejected), and
-//     the loop reads words instead of re-deriving them per access;
-//   - the struct paths count hits with the SIMD reduction instead of
-//     countBatch's scalar loop (the SoA loops keep the count fused —
-//     their hit branch already distinguishes the outcomes);
-//   - captured evictions drain through flushClosedBatched: degrees
-//     popcounted in one vectorized pass over the buffered cw column,
-//     block-state writes partitioned for locality.
-
-// closeBuckets is the partition fan-out of the batched close drain: a
-// chunk's evictions are drained bucket by bucket of block-ID high
-// bits, so the random blockState byte writes of one bucket land within
-// a 1/closeBuckets slice of the shard's census instead of anywhere in
-// it. 256 buckets cut a multi-megabyte census into KB-scale regions
-// while the counting sort stays two cheap passes over at most
-// batchSize entries.
-const closeBuckets = 256
-
-// closeShiftFor returns the right shift that maps a dense BlockID
-// (< numBlocks) onto its close-drain bucket.
-func closeShiftFor(numBlocks int) uint8 {
-	if numBlocks <= closeBuckets {
-		return 0
-	}
-	return uint8(bits.Len(uint(numBlocks-1)) - 8)
-}
-
-// flushClosedBatched is the SIMD tier's flushClosed: one vectorized
-// degree pass over the captured cw column, a counting sort of the
-// captured IDs into closeBuckets partitions, then flushClosed's body
-// over the bucket permutation with the degree read from the precomputed
-// edeg column. Reordering the drain is always safe: the counters are
-// order-independent sums, a chunk's captured entries close distinct
-// residencies, and the blockState census is a monotonic unseen <
-// private < shared lattice (two writes for the same block commute:
-// shared stores unconditionally, private only upgrades unseen) — see
-// INTERNALS.md.
-func (st *replayState) flushClosedBatched(bs *batchScratch, n int) {
-	if n == 0 {
-		return
-	}
-	bs.ops.degrees(bs.ecw[:n], bs.edeg[:n])
-	eid := bs.eid[:n]
-	ord := bs.eord[:n]
-	sh := bs.closeShift
-	var counts [closeBuckets + 1]int32
-	for _, id := range eid {
-		counts[(id>>sh)+1]++
-	}
-	for b := 0; b < closeBuckets; b++ {
-		counts[b+1] += counts[b]
-	}
-	for k, id := range eid {
-		b := id >> sh
-		ord[counts[b]] = uint16(k)
-		counts[b]++
-	}
-	res := st.res
-	bstate := st.blockState
-	for _, k := range ord {
-		cw := bs.ecw[k]
-		deg := int(bs.edeg[k])
-		shared := deg >= 2
-		id := bs.eid[k]
-		if shared {
-			bstate[id] = blockShared
-		} else if bstate[id] == blockUnseen {
-			bstate[id] = blockPrivate
-		}
-		h := bs.ehits[k]
-		res.Residencies++
-		res.DegreeResidencies[deg]++
-		res.DegreeHits[deg] += h
-		if shared {
-			res.SharedResidencies++
-			res.SharedHits += h
-			if cw&cwWritten != 0 {
-				res.RWSharedResidencies++
-				res.RWSharedHits += h
-			} else {
-				res.ROSharedResidencies++
-				res.ROSharedHits += h
-			}
-		} else {
-			res.PrivateHits += h
-		}
-	}
-}
-
-// advanceStructOutSIMD is advanceStructOut with the SIMD hit-count
-// reduction in place of countBatch's scalar loop.
-func advanceStructOutSIMD(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error {
-	st.flushCounts(uint64(len(out)), bs.ops.countHits(out))
-	hi := lo + len(out)
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
-}
-
-// advanceLogStructSIMD is advanceLogStruct with the SIMD outcome-log
-// hit scan in place of the decode-then-count pair.
-func advanceLogStructSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
-	hi := lo + len(accs)
-	out := bs.out[:len(accs)]
-	decodeLog(logc, bs.blk[lo:hi], uint64(l.sets-1), l.cfg.Ways, out)
-	st.flushCounts(uint64(len(accs)), bs.ops.countLogHits(logc[:len(accs)]))
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
-}
-
-// advanceSoACountersSIMD is advanceSoACounters reading the chunk's
-// core/write words from the vector-expanded cw column and draining
-// captures through the batched close path.
-func advanceSoACountersSIMD(st *replayState, bs *batchScratch, out []uint32, _ []cache.AccessInfo, lo int) error {
-	t := st.cols
-	hc, ids := t.hc, t.id
-	metac := bs.meta[lo:][:len(out)]
-	idc := bs.id[lo:][:len(out)]
-	cwc := bs.cw[:len(out)]
-	bs.ops.expandCW(metac, cwc)
-	var h uint64
-	ne := 0
-	for k, o := range out {
-		li := o & cache.BatchLine
-		p := &hc[li]
-		w := cwc[k]
-		if o&cache.BatchHit != 0 {
-			p[0]++
-			p[1] |= w
-			h++
-			continue
-		}
-		if o&cache.BatchEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: batch evicted line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = ids[li]
-			ne++
-		}
-		ids[li] = idc[k]
-		*p = [2]uint64{0, w}
-	}
-	st.flushClosedBatched(bs, ne)
-	st.flushCounts(uint64(len(out)), h)
-	return nil
-}
-
-// advanceLogSoACountersSIMD is advanceLogSoACounters on the
-// vector-expanded cw column with the batched close drain.
-func advanceLogSoACountersSIMD(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
-	t := st.cols
-	setMask := uint64(l.sets - 1)
-	ways := l.cfg.Ways
-	logc = logc[:len(accs)]
-	blk := bs.blk[lo:][:len(accs)]
-	metac := bs.meta[lo:][:len(accs)]
-	idc := bs.id[lo:][:len(accs)]
-	cwc := bs.cw[:len(accs)]
-	bs.ops.expandCW(metac, cwc)
-	var h uint64
-	ne := 0
-	for k := range accs {
-		b := logc[k]
-		li := uint32(int(blk[k]&setMask)*ways) + uint32(b&logWayMask)
-		p := &t.hc[li]
-		w := cwc[k]
-		if b&logHit != 0 {
-			p[0]++
-			p[1] |= w
-			h++
-			continue
-		}
-		if b&logEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: logged eviction of line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-	}
-	st.flushClosedBatched(bs, ne)
 	st.flushCounts(uint64(len(accs)), h)
 	return nil
 }

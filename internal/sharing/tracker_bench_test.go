@@ -28,16 +28,12 @@ func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out
 	lines = sets * ways
 	n := len(stream)
 	bs = &batchScratch{
-		blk:        make([]uint64, n),
-		id:         make([]uint32, n),
-		meta:       make([]uint8, n),
-		ecw:        make([]uint64, batchSize),
-		ehits:      make([]uint64, batchSize),
-		eid:        make([]uint32, batchSize),
-		cw:         make([]uint64, batchSize),
-		edeg:       make([]uint8, batchSize),
-		eord:       make([]uint16, batchSize),
-		closeShift: closeShiftFor(numBlocks),
+		blk:   make([]uint64, n),
+		id:    make([]uint32, n),
+		meta:  make([]uint8, n),
+		ecw:   make([]uint64, batchSize),
+		ehits: make([]uint64, batchSize),
+		eid:   make([]uint32, batchSize),
 	}
 	decodeColumns(stream, bs.blk, bs.id, bs.meta)
 	out = make([]uint32, n)
@@ -87,23 +83,6 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 		st.cols = &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)}
 		run(b, advanceSoACounters, st)
 	})
-	// The SIMD-tier twins of the two layouts above, under whatever
-	// tier this machine resolves for auto (assembly where available,
-	// else SWAR) — the bindings replayLanes selects by default.
-	bs.ops = resolveSIMD(SIMDAuto)
-	if bs.ops == nil {
-		return
-	}
-	b.Run("struct-simd", func(b *testing.B) {
-		st := base()
-		st.lines = make([]Residency, lines)
-		run(b, advanceStructOutSIMD, st)
-	})
-	b.Run("soa-counters-simd", func(b *testing.B) {
-		st := base()
-		st.cols = &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)}
-		run(b, advanceSoACountersSIMD, st)
-	})
 }
 
 // BenchmarkTwoPhaseLane measures one two-phase lane (DRRIP: cross-set
@@ -131,9 +110,6 @@ func BenchmarkTwoPhaseLane(b *testing.B) {
 	}
 	b.Run("soa", func(b *testing.B) {
 		run(b, Options{Shards: 4, Kernel: KernelBatch, Tracker: TrackerSoA})
-	})
-	b.Run("soa-nosimd", func(b *testing.B) {
-		run(b, Options{Shards: 4, Kernel: KernelBatch, Tracker: TrackerSoA, SIMD: SIMDOff})
 	})
 	b.Run("struct", func(b *testing.B) {
 		run(b, Options{Shards: 4, Kernel: KernelBatch, Tracker: TrackerStruct})

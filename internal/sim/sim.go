@@ -47,13 +47,6 @@ type Config struct {
 	// hatch (the -tracker flag of sharesim and sharesimd). Results are
 	// identical at either setting; only wall-clock time changes.
 	Tracker sharing.Tracker
-	// SIMD selects the data-parallel tier of the batched replay for
-	// every experiment of the suite (sharing.Options.SIMD): assembly
-	// kernels when the CPU has them by default, the portable SWAR tier
-	// or the scalar paths as escape hatches (the -simd flag of sharesim,
-	// sharesimd and dumprows). Results are identical at every setting;
-	// only wall-clock time changes.
-	SIMD sharing.SIMD
 	// Streams, when non-nil, supplies each prepared stream instead of a
 	// direct BuildStream call — the hook through which the streamcache
 	// package shares streams across suites and processes. The provider
@@ -290,14 +283,6 @@ func (s *Suite) WithTracker(t sharing.Tracker) *Suite {
 	return &c
 }
 
-// WithSIMD returns a shallow copy of the suite whose experiments run
-// the given SIMD tier, sharing the prepared streams like WithKernel.
-func (s *Suite) WithSIMD(v sharing.SIMD) *Suite {
-	c := *s
-	c.Config.SIMD = v
-	return &c
-}
-
 // context returns the suite's cancellation context, defaulting to
 // Background for suites built without one.
 func (s *Suite) context() context.Context {
@@ -337,14 +322,13 @@ func (s *Suite) Stream(name string) (*Stream, error) {
 // every cell has a worker — so the outer fan-out and the inner set
 // sharding never oversubscribe the machine between them.
 // replayOpts is Stream.ReplayOptions under this suite's Config: it
-// attaches the suite-level replay knobs (currently the Kernel
-// selection) on top of the stream's own tuning, so no experiment call
+// attaches the suite-level replay knobs (the Kernel and Tracker
+// selections) on top of the stream's own tuning, so no experiment call
 // site can forget one.
 func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
 	o := st.ReplayOptions(shards, s.context())
 	o.Kernel = s.Config.Kernel
 	o.Tracker = s.Config.Tracker
-	o.SIMD = s.Config.SIMD
 	return o
 }
 

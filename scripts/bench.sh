@@ -24,14 +24,8 @@
 # sub-benchmarks, ns/access): the struct layout vs both SoA demand
 # levels for the advance phase, and the pipelined SoA / pipelined
 # struct / serial scalar shapes of a two-phase lane, plus the headline
-# speedups of each pair. PR 10 adds their SIMD-tier twins to the same
-# section.
-#
-# The PR 10 simd section records the per-loop kernel micros
-# (internal/simd's BenchmarkCountHits, BenchmarkCountLogHits,
-# BenchmarkExpandCW and BenchmarkDegrees: assembly vs SWAR vs scalar
-# at chunk length, MB/s), and the suite sweep gains its SIMD A/B twin
-# (BenchmarkComparePoliciesSuiteNoSIMD), recorded as suite_simd_vs_off.
+# speedups of each pair. (PR 10's SIMD tier and its micros were deleted
+# in PR 25; BENCH_PR10.json keeps their numbers as history.)
 #
 #   scripts/bench.sh [output.json] [baseline.json]
 #     default output:   BENCH_PR10.json
@@ -57,20 +51,19 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_PR10.json}"
 BASELINE="${2:-BENCH_PR9.json}"
-BENCHES='^(BenchmarkF1SharedHitFraction4MB|BenchmarkF2SharedHitFraction8MB|BenchmarkF9SharingPhases|BenchmarkComparePoliciesSuite|BenchmarkComparePoliciesSuiteScalar|BenchmarkComparePoliciesSuiteNoSIMD)$'
+BENCHES='^(BenchmarkF1SharedHitFraction4MB|BenchmarkF2SharedHitFraction8MB|BenchmarkF9SharingPhases|BenchmarkComparePoliciesSuite|BenchmarkComparePoliciesSuiteScalar)$'
 SUITE_BENCHES='^(BenchmarkSuiteBuildCold|BenchmarkSuiteBuildWarm)$'
 export SHARELLC_BENCH_SCALE="${SHARELLC_BENCH_SCALE:-1}"
 RAW="$(mktemp)"
 SUITE_RAW="$(mktemp)"
 POLICY_RAW="$(mktemp)"
 TRACKER_RAW="$(mktemp)"
-SIMD_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$SUITE_RAW" "$POLICY_RAW" "$TRACKER_RAW" "$SIMD_RAW"' EXIT
+trap 'rm -f "$RAW" "$SUITE_RAW" "$POLICY_RAW" "$TRACKER_RAW"' EXIT
 
 go test -bench "$BENCHES" -benchmem -count=5 -run '^$' -timeout 60m . | tee "$RAW" >&2
 
-# The probe-phase micro (sweep-independent baseline for SIMD work on the
-# batch kernel) appends to the same raw log; the parser below is keyed by
+# The probe-phase micro (sweep-independent baseline for the batch
+# kernel's probe loop) appends to the same raw log; the parser below is keyed by
 # benchmark name, so the samples land in the same JSON array.
 go test -bench '^BenchmarkBatchKernel$' -benchmem -count=5 -run '^$' -timeout 10m \
   ./internal/cache | tee -a "$RAW" >&2
@@ -81,34 +74,9 @@ go test -bench '^BenchmarkBatchKernel$' -count=5 -run '^$' -timeout 30m \
   ./internal/policy | tee "$POLICY_RAW" >&2
 
 # Residency-tracker micros (the PR 9 SoA layout and two-phase pipeline
-# A/Bs, plus the PR 10 SIMD advance twins), parsed into the tracker
-# JSON section below.
+# A/Bs), parsed into the tracker JSON section below.
 go test -bench '^(BenchmarkAdvanceBatch|BenchmarkTwoPhaseLane)$' -count=5 -run '^$' -timeout 30m \
   ./internal/sharing | tee "$TRACKER_RAW" >&2
-
-# Per-loop SIMD kernel micros (assembly vs SWAR vs scalar at chunk
-# length), parsed into the simd JSON section below.
-go test -bench '^(BenchmarkCountHits|BenchmarkCountLogHits|BenchmarkExpandCW|BenchmarkDegrees)$' \
-  -count=5 -run '^$' -timeout 10m ./internal/simd | tee "$SIMD_RAW" >&2
-
-SIMD_JSON="$(awk '
-  /^Benchmark(CountHits|CountLogHits|ExpandCW|Degrees)\// {
-    name = $1
-    sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
-    v = ""
-    for (i = 2; i <= NF; i++) if ($i == "MB/s") v = $(i - 1) + 0
-    if (v == "") next
-    if (!(name in best) || v > best[name]) best[name] = v
-    if (!(name in seen)) { seen[name] = 1; order[++n] = name }
-  }
-  END {
-    printf "{"
-    for (i = 1; i <= n; i++) {
-      if (i > 1) printf ", "
-      printf "\"%s_mb_per_s\": %g", order[i], best[order[i]]
-    }
-    printf "}"
-  }' "$SIMD_RAW")"
 
 TRACKER_JSON="$(awk '
   /^Benchmark(AdvanceBatch|TwoPhaseLane)\// {
@@ -131,8 +99,7 @@ TRACKER_JSON="$(awk '
     }
     printf "\"advance_soa_speedup\": %s, ", ratio("AdvanceBatch/struct", "AdvanceBatch/soa-counters")
     printf "\"twophase_pipeline_speedup\": %s, ", ratio("TwoPhaseLane/scalar", "TwoPhaseLane/struct")
-    printf "\"twophase_soa_speedup\": %s, ", ratio("TwoPhaseLane/scalar", "TwoPhaseLane/soa")
-    printf "\"twophase_simd_speedup\": %s", ratio("TwoPhaseLane/soa-nosimd", "TwoPhaseLane/soa")
+    printf "\"twophase_soa_speedup\": %s", ratio("TwoPhaseLane/scalar", "TwoPhaseLane/soa")
     printf "}"
   }' "$TRACKER_RAW")"
 
@@ -184,7 +151,7 @@ done
 CLUSTER_JSON+="}"
 rm -f "$DUMPBIN"
 
-awk -v scale="$SHARELLC_BENCH_SCALE" -v cluster="$CLUSTER_JSON" -v batchkernel="$KERNEL_JSON" -v tracker="$TRACKER_JSON" -v simd="$SIMD_JSON" '
+awk -v scale="$SHARELLC_BENCH_SCALE" -v cluster="$CLUSTER_JSON" -v batchkernel="$KERNEL_JSON" -v tracker="$TRACKER_JSON" '
   function flush_bench(    i) {
     if (!first) printf ",\n"
     first = 0
@@ -236,7 +203,6 @@ awk -v scale="$SHARELLC_BENCH_SCALE" -v cluster="$CLUSTER_JSON" -v batchkernel="
     printf "  \"cluster\": %s,\n", (cluster == "" ? "null" : cluster)
     printf "  \"batch_kernel\": %s,\n", (batchkernel == "" ? "null" : batchkernel)
     printf "  \"tracker\": %s,\n", (tracker == "" ? "null" : tracker)
-    printf "  \"simd\": %s,\n", (simd == "" ? "null" : simd)
     # Suite-level batch-vs-scalar A/B from the steady-state minima.
     bs = steady["BenchmarkComparePoliciesSuite"]
     ss = steady["BenchmarkComparePoliciesSuiteScalar"]
@@ -244,12 +210,6 @@ awk -v scale="$SHARELLC_BENCH_SCALE" -v cluster="$CLUSTER_JSON" -v batchkernel="
       printf "  \"suite_batch_vs_scalar\": {\"batch_ns_per_op\": %g, \"scalar_ns_per_op\": %g, \"speedup\": %.2f},\n", bs, ss, ss / bs
     else
       print "  \"suite_batch_vs_scalar\": null,"
-    # Suite-level SIMD-vs-off A/B (the PR 10 tier) from the same minima.
-    ns = steady["BenchmarkComparePoliciesSuiteNoSIMD"]
-    if (bs > 0 && ns > 0)
-      printf "  \"suite_simd_vs_off\": {\"simd_ns_per_op\": %g, \"off_ns_per_op\": %g, \"speedup\": %.2f},\n", bs, ns, ns / bs
-    else
-      print "  \"suite_simd_vs_off\": null,"
     printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\",\n", goos, goarch, cpu
     seed_ns = 3600000000
     print "  \"seed_baseline\": {"

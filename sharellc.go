@@ -100,10 +100,6 @@ type (
 	// Tracker selects the residency-tracker representation
 	// (Config.Tracker, Suite.WithTracker).
 	Tracker = sharing.Tracker
-
-	// SIMD selects the data-parallel tier of the batched replay
-	// (Config.SIMD, Suite.WithSIMD).
-	SIMD = sharing.SIMD
 )
 
 // Replay kernels. The zero value is the batched kernel; scalar is the
@@ -120,18 +116,6 @@ const (
 const (
 	TrackerSoA    = sharing.TrackerSoA
 	TrackerStruct = sharing.TrackerStruct
-)
-
-// SIMD tiers. The zero value picks the assembly kernels when the CPU
-// has them and portable SWAR otherwise; swar forces the
-// cross-architecture reference tier, off the scalar paths — the
-// bisection escape hatch (the -simd flag on sharesim, sharesimd and
-// dumprows, the SHARELLC_SIMD environment variable globally). Results
-// are bit-identical at every tier.
-const (
-	SIMDAuto = sharing.SIMDAuto
-	SIMDSWAR = sharing.SIMDSWAR
-	SIMDOff  = sharing.SIMDOff
 )
 
 // Protection strengths.
