@@ -138,27 +138,12 @@ func BenchmarkF4PolicyComparison(b *testing.B) {
 
 // BenchmarkComparePoliciesSuite times the full-suite F4 sweep itself —
 // the table the fused multi-policy replay accelerates: one stream pass
-// per workload drives every catalogue policy lane at 4 MB. Tracked in
-// BENCH_PR4.json; the reported row count guards against silently
-// dropping cells while chasing speed.
+// per workload drives every catalogue policy lane at 4 MB. The
+// benchmark's policy_sweep workload is the end-to-end view of the same
+// sweep; the reported row count guards against silently dropping cells
+// while chasing speed.
 func BenchmarkComparePoliciesSuite(b *testing.B) {
 	s := fullSuite(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := s.ComparePolicies(llc4MB, ways, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(rows)), "rows")
-	}
-}
-
-// BenchmarkComparePoliciesSuiteScalar is the same sweep forced through
-// the scalar replay kernel. Running it back to back with
-// BenchmarkComparePoliciesSuite in one process (shared suite build,
-// interleaved iterations via -count) gives the batch kernel's A/B
-// without cross-run noise; it is not part of the pinned bench.sh set.
-func BenchmarkComparePoliciesSuiteScalar(b *testing.B) {
-	s := fullSuite(b).WithKernel(sharellc.KernelScalar)
 	for i := 0; i < b.N; i++ {
 		rows, err := s.ComparePolicies(llc4MB, ways, nil)
 		if err != nil {

@@ -26,7 +26,6 @@ import (
 	"sharellc/internal/core"
 	"sharellc/internal/predictor"
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 	"sharellc/internal/workloads"
@@ -43,35 +42,25 @@ var tinyMachine = cache.Config{
 }
 
 func main() {
-	kernel := flag.String("kernel", "batch", "replay kernel: batch or scalar")
-	tracker := flag.String("tracker", "soa", "batched residency tracker: soa or struct")
 	tables := flag.Bool("tables", false, "print canonical table JSON instead of raw rows")
 	clusterN := flag.Int("cluster", 0, "run through an in-process coordinator with N workers and byte-compare against the direct run")
 	exps := flag.String("exps", "all", "comma-separated experiment ids for -tables/-cluster")
 	flag.Parse()
-	kern, err := sharing.ParseKernel(*kernel)
-	if err != nil {
-		log.Fatal(err)
-	}
-	track, err := sharing.ParseTracker(*tracker)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *clusterN > 0 {
-		if err := diffCluster(kern, track, strings.Split(*exps, ","), *clusterN); err != nil {
+		if err := diffCluster(strings.Split(*exps, ","), *clusterN); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *tables {
-		out, err := directTables(fixedRequest(strings.Split(*exps, ",")), kern, track)
+		out, err := directTables(fixedRequest(strings.Split(*exps, ",")))
 		if err != nil {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(renderTables(out))
 		return
 	}
-	dumpRows(kern, track)
+	dumpRows()
 }
 
 // fixedRequest is the harness request both execution paths run.
@@ -89,7 +78,7 @@ func fixedRequest(exps []string) cluster.Request {
 
 // directTables runs the request through the plain experiment index, the
 // way a single daemon or the CLI would.
-func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracker) ([]*report.Table, error) {
+func directTables(req cluster.Request) ([]*report.Table, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
 	}
@@ -113,8 +102,6 @@ func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracke
 					Seed:    req.Seed,
 					Scale:   req.Scale,
 					Models:  models,
-					Kernel:  kern,
-					Tracker: track,
 				})
 				if err != nil {
 					return nil, err
@@ -134,9 +121,9 @@ func directTables(req cluster.Request, kern sharing.Kernel, track sharing.Tracke
 // diffCluster runs the fixed request both ways — direct and through an
 // in-process coordinator with n polling workers over real HTTP — and
 // byte-compares the rendered tables.
-func diffCluster(kern sharing.Kernel, track sharing.Tracker, exps []string, n int) error {
+func diffCluster(exps []string, n int) error {
 	req := fixedRequest(exps)
-	direct, err := directTables(req, kern, track)
+	direct, err := directTables(req)
 	if err != nil {
 		return fmt.Errorf("direct run: %w", err)
 	}
@@ -159,8 +146,6 @@ func diffCluster(kern sharing.Kernel, track sharing.Tracker, exps []string, n in
 			CoordinatorURL: cs.URL,
 			SelfURL:        ws.URL,
 			Cache:          streamcache.New(streamcache.Options{}),
-			Kernel:         kern,
-			Tracker:        track,
 			Poll:           20 * time.Millisecond,
 		})
 		if err != nil {
@@ -197,7 +182,7 @@ func diffCluster(kern sharing.Kernel, track sharing.Tracker, exps []string, n in
 }
 
 // dumpRows is the original raw-row diff dump.
-func dumpRows(kern sharing.Kernel, track sharing.Tracker) {
+func dumpRows() {
 	models := make([]workloads.Model, 0, 3)
 	for _, name := range []string{"canneal", "streamcluster", "swaptions"} {
 		m, err := workloads.ByName(name)
@@ -211,8 +196,6 @@ func dumpRows(kern sharing.Kernel, track sharing.Tracker) {
 		Seed:    1,
 		Scale:   0.05,
 		Models:  models,
-		Kernel:  kern,
-		Tracker: track,
 	}
 	s, err := sim.NewSuite(cfg)
 	if err != nil {

@@ -49,7 +49,6 @@ import (
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
@@ -68,8 +67,6 @@ type options struct {
 	ways      int
 	scale     float64
 	seed      uint64
-	kernel    sharing.Kernel
-	tracker   sharing.Tracker
 	prot      core.Options
 	policies  []string
 	workloads []string
@@ -89,8 +86,6 @@ func run(w io.Writer, args []string) error {
 		scale    = fs.Float64("scale", 1, "workload scale factor (1 = full size)")
 		seed     = fs.Uint64("seed", 1, "master random seed")
 		strength = fs.String("strength", "full", "protection strength: full or insert-only")
-		kernel   = fs.String("kernel", "batch", "fused-replay kernel: batch or scalar")
-		tracker  = fs.String("tracker", "soa", "batched residency tracker: soa or struct")
 		skip     = fs.Int("skip-budget", 0, "protected-block skip budget (0 = default, <0 = unlimited)")
 		clear    = fs.Bool("clear-on-hit", false, "drop protection once the predicted cross-core hit arrives")
 		pols     = fs.String("policies", "lru,nru,srrip,drrip,ship", "comma-separated policies for f5")
@@ -147,13 +142,6 @@ func run(w io.Writer, args []string) error {
 	default:
 		return fmt.Errorf("unknown strength %q (want full or insert-only)", *strength)
 	}
-	var err error
-	if o.kernel, err = sharing.ParseKernel(*kernel); err != nil {
-		return fmt.Errorf("unknown kernel %q (want batch or scalar)", *kernel)
-	}
-	if o.tracker, err = sharing.ParseTracker(*tracker); err != nil {
-		return fmt.Errorf("unknown tracker %q (want soa or struct)", *tracker)
-	}
 	o.prot.SkipBudget = *skip
 	o.prot.ClearOnFulfil = *clear
 	if *pols != "" {
@@ -202,8 +190,6 @@ func dispatch(w io.Writer, o options) error {
 			Seed:    o.seed,
 			Scale:   o.scale,
 			Models:  models,
-			Kernel:  o.kernel,
-			Tracker: o.tracker,
 		}
 		var streams *streamcache.Cache
 		if dir, ok := streamcache.DirFromFlag(o.cachedir); ok {

@@ -183,9 +183,13 @@ func TestUnknownWorkloadUsage(t *testing.T) {
 }
 
 func TestBadFlagRejected(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, []string{"-definitely-not-a-flag"}); err == nil {
-		t.Error("unknown flag accepted")
+	// The replay engine has no tier switches left: the deleted -kernel,
+	// -tracker and -simd flags are unknown flags like any other.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-kernel", "scalar"}, {"-tracker", "struct"}, {"-simd", "off"}} {
+		var b strings.Builder
+		if err := run(&b, args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 
 	"sharellc/internal/cluster"
 	"sharellc/internal/server"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim/streamcache"
 )
 
@@ -55,8 +54,6 @@ func main() {
 		cachedir = flag.String("cachedir", "auto", "stream snapshot directory (auto = user cache dir, off = no snapshots; streams are still shared in-process)")
 		memMB    = flag.Int64("stream-mem", 0, "in-process stream cache budget in MB (0 = default, <0 = unlimited)")
 		diskMB   = flag.Int64("cache-max-bytes", 0, "on-disk snapshot store budget in MB (0 = unlimited); LRU snapshots are evicted past it")
-		kernel   = flag.String("kernel", "batch", "fused-replay kernel: batch or scalar")
-		tracker  = flag.String("tracker", "soa", "batched residency tracker: soa or struct")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 
 		mode     = flag.String("mode", "single", "daemon role: single, coordinator or worker")
@@ -67,14 +64,6 @@ func main() {
 	)
 	flag.Parse()
 
-	kern, err := sharing.ParseKernel(*kernel)
-	if err != nil {
-		log.Fatalf("unknown kernel %q (want batch or scalar)", *kernel)
-	}
-	track, err := sharing.ParseTracker(*tracker)
-	if err != nil {
-		log.Fatalf("unknown tracker %q (want soa or struct)", *tracker)
-	}
 	if *pprofOn != "" {
 		// The profiling endpoints live on their own listener, never on
 		// the job API's: -pprof is for operators on a trusted interface,
@@ -122,15 +111,13 @@ func main() {
 			CoordinatorURL: *coordURL,
 			SelfURL:        *selfURL,
 			Cache:          streams,
-			Kernel:         kern,
-			Tracker:        track,
 			Slots:          *workers,
 			Poll:           *poll,
 		})
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
-		handler = server.NewWorkerServer(w, streams, kern, track, *workers)
+		handler = server.NewWorkerServer(w, streams, *workers)
 		workerDone = make(chan error, 1)
 		go func() { workerDone <- w.Run(ctx) }()
 	default:
@@ -139,8 +126,6 @@ func main() {
 			CacheSize:   *cacheN,
 			QueueDepth:  *queueN,
 			StreamCache: streams,
-			Kernel:      kern,
-			Tracker:     track,
 		}
 		if *mode == "coordinator" {
 			cfg.Coordinator = cluster.NewCoordinator(cluster.CoordinatorConfig{

@@ -1,32 +1,27 @@
 package cache
 
-import (
-	"os"
-	"sync/atomic"
-)
-
-// Batched replay entry points.
+// Batched replay entry point.
 //
 // AccessRef and FillRef are per-access calls: every access pays the call
 // itself, a Result struct moving through registers, and the branchy
-// interleaving of tag, validity and policy work. The batch kernel of
+// interleaving of tag, validity and policy work. The lane engine of
 // internal/sharing instead presents accesses in chunks and consumes one
 // packed outcome word per access, so the probe runs as a single tight
 // loop whose only unavoidable per-access calls are the policy's own
-// Hit/Victim/Fill notifications. ReplayBatch walks a slice of
-// AccessInfo records (the stream-order policy pass of a two-phase
-// lane); ReplayBatchCols walks pre-decoded block and BlockID columns
-// (the set-sharded walk, whose decode phase builds the columns once per
-// shard and reuses them across every lane), touching the full record
-// only where the policy contract requires the pointer.
+// Hit/Victim/Fill notifications — and none at all when the policy binds
+// a monomorphic BatchKernel. ReplayBatchCols walks pre-decoded block and
+// BlockID columns (the engine decodes them once per shard, or once per
+// stream for the policy passes, and reuses them across every lane),
+// touching the full record only where the policy contract requires the
+// pointer.
 //
-// Both variants probe through the caller's residency table instead of
-// scanning tags — the same trust the scalar replay places in
+// The probe goes through the caller's residency table instead of
+// scanning tags — the same trust the sequential replay places in
 // sharing.replayState (see FillRef): active maps BlockID → 1+line index
 // for every resident block, lineID is the reverse map the eviction path
 // uses to clear the victim's entry, and both must describe exactly this
-// cache's contents. Like the scalar fast path, a write hit does not set
-// the line dirty bit — dirtiness feeds writeback modelling in the
+// cache's contents. Like the sequential fast path, a write hit does not
+// set the line dirty bit — dirtiness feeds writeback modelling in the
 // private hierarchy, not the LLC policy study.
 
 // Batch outcome word layout: bits 0–29 carry the line index
@@ -79,23 +74,6 @@ type BatchPolicy interface {
 	NewBatchKernel(c *SetAssoc) BatchKernel
 }
 
-// batchKernelsOn gates BatchPolicy specialization globally. Default on;
-// SHARELLC_BATCH_POLICY=off (or EnableBatchKernels(false)) forces every
-// cache onto the generic interface loop, which CI uses to keep the
-// fallback path green and tests use for kernel-vs-generic differentials.
-var batchKernelsOn atomic.Bool
-
-func init() {
-	batchKernelsOn.Store(os.Getenv("SHARELLC_BATCH_POLICY") != "off")
-}
-
-// EnableBatchKernels toggles BatchPolicy specialization for caches
-// constructed afterwards, returning the previous setting. Existing
-// caches keep the kernel they were built with.
-func EnableBatchKernels(on bool) (prev bool) {
-	return batchKernelsOn.Swap(on)
-}
-
 // HasBatchKernel reports whether this cache's batch replay runs a
 // monomorphic kernel (true) or the generic interface loop (false).
 func (c *SetAssoc) HasBatchKernel() bool { return c.kernel != nil }
@@ -103,9 +81,6 @@ func (c *SetAssoc) HasBatchKernel() bool { return c.kernel != nil }
 // bindBatchKernel performs the one-time specialization type switch of
 // lane setup: called from NewSetAssoc after Attach.
 func (c *SetAssoc) bindBatchKernel() {
-	if !batchKernelsOn.Load() {
-		return
-	}
 	if bp, ok := c.policy.(BatchPolicy); ok {
 		c.kernel = bp.NewBatchKernel(c)
 	}
@@ -155,48 +130,16 @@ func (c *SetAssoc) KernelCommit(hits, fills, evicts uint64) {
 	c.evicts += evicts
 }
 
-// ReplayBatch presents accs to the cache in one tight loop, writing one
-// outcome word per access into out (len(out) must be ≥ len(accs)) and
-// maintaining the caller's active/lineID residency tables. Counters
-// advance as if each access had gone through AccessRef.
-func (c *SetAssoc) ReplayBatch(accs []AccessInfo, active, lineID, out []uint32) {
-	pol := c.policy
-	ways := c.ways
-	mask := c.mask
-	var hits, fills, evicts uint64
-	for k := range accs {
-		a := &accs[k]
-		if li := active[a.BlockID]; li != 0 {
-			set := int(a.Block & mask)
-			pol.Hit(set, int(li-1)-set*ways, a)
-			out[k] = (li - 1) | BatchHit
-			hits++
-			continue
-		}
-		set := int(a.Block & mask)
-		li, o := c.fillSlot(set, a)
-		if o != 0 {
-			active[lineID[li]] = 0
-			evicts++
-		}
-		c.lines[li] = makeLine(a.Block, a.Write)
-		pol.Fill(set, int(li)-set*ways, a)
-		lineID[li] = a.BlockID
-		active[a.BlockID] = li + 1
-		out[k] = li | o
-		fills++
-	}
-	c.accesses += hits + fills
-	c.hits += hits
-	c.fills += fills
-	c.evicts += evicts
-}
-
-// ReplayBatchCols is ReplayBatch over pre-decoded columns: blk and id
-// carry each access's block number and dense BlockID, and the record in
-// accs is touched only by the policy calls (many policies never
-// dereference it), so a lane walk streams a few bytes per access
-// instead of the full record. blk, id, accs and out run in lockstep.
+// ReplayBatchCols presents a chunk of accesses to the cache in one tight
+// loop, writing one outcome word per access into out and maintaining
+// the caller's active/lineID residency tables. Counters advance as if
+// each access had gone through AccessRef. blk and id carry each
+// access's block number and dense BlockID; the record in accs is
+// touched only by the policy calls (many policies never dereference it)
+// and on fills, so a lane walk streams a few bytes per access instead
+// of the full record. blk, id, accs and out run in lockstep. A cache
+// whose policy bound a BatchKernel runs that instead of the generic
+// interface loop below.
 func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo, active, lineID, out []uint32) {
 	if c.kernel != nil {
 		c.kernel(blk, id, accs, active, lineID, out)

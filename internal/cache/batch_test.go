@@ -28,73 +28,11 @@ func batchStream(n int, blocks uint64, seed uint64) []AccessInfo {
 	return stream
 }
 
-// TestReplayBatchMatchesAccessRef drives the same stream through
-// AccessRef (the tag-scanning reference) and ReplayBatch in chunks of
-// several sizes, comparing every access's outcome — hit flag, line
-// index, eviction flag — and the final counters and contents.
-func TestReplayBatchMatchesAccessRef(t *testing.T) {
-	const ways = 2
-	stream := batchStream(5000, 64, 99)
-	numBlocks := 0
-	for i := range stream {
-		if int(stream[i].BlockID) >= numBlocks {
-			numBlocks = int(stream[i].BlockID) + 1
-		}
-	}
-	for _, chunk := range []int{1, 3, 16, 333, len(stream)} {
-		ref, err := NewSetAssoc(8*trace.BlockSize, ways, NewLRU())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewSetAssoc(8*trace.BlockSize, ways, NewLRU())
-		if err != nil {
-			t.Fatal(err)
-		}
-		active := make([]uint32, numBlocks)
-		lineID := make([]uint32, got.Sets()*ways)
-		out := make([]uint32, chunk)
-		for lo := 0; lo < len(stream); lo += chunk {
-			hi := lo + chunk
-			if hi > len(stream) {
-				hi = len(stream)
-			}
-			got.ReplayBatch(stream[lo:hi], active, lineID, out[:hi-lo])
-			for k := lo; k < hi; k++ {
-				want := ref.AccessRef(&stream[k])
-				o := out[k-lo]
-				li := uint32(want.Set*ways + want.Way)
-				if (o&BatchHit != 0) != want.Hit || o&BatchLine != li || (o&BatchEvict != 0) != want.Evicted {
-					t.Fatalf("chunk %d, access %d (block %d): outcome %#x, want hit=%v line=%d evict=%v",
-						chunk, k, stream[k].Block, o, want.Hit, li, want.Evicted)
-				}
-			}
-		}
-		ra, rh, rf, re := ref.Stats()
-		ga, gh, gf, ge := got.Stats()
-		if ra != ga || rh != gh || rf != gf || re != ge {
-			t.Fatalf("chunk %d: stats (%d %d %d %d) != reference (%d %d %d %d)", chunk, ga, gh, gf, ge, ra, rh, rf, re)
-		}
-		// Residency tables must describe exactly the cache contents.
-		for id, li := range active {
-			if li == 0 {
-				continue
-			}
-			if int(lineID[li-1]) != id {
-				t.Fatalf("chunk %d: active/lineID disagree for BlockID %d", chunk, id)
-			}
-		}
-	}
-}
-
-// TestReplayBatchColsMatchesRecords runs the record-walking and
-// column-walking probes over the same accesses and demands identical
-// outcome words and counters.
-func TestReplayBatchColsMatchesRecords(t *testing.T) {
-	const ways = 4
-	stream := batchStream(4096, 200, 7)
-	numBlocks := 0
-	blk := make([]uint64, len(stream))
-	id := make([]uint32, len(stream))
+// batchCols decodes stream's block and BlockID columns and returns them
+// with the dense-ID space size.
+func batchCols(stream []AccessInfo) (blk []uint64, id []uint32, numBlocks int) {
+	blk = make([]uint64, len(stream))
+	id = make([]uint32, len(stream))
 	for i := range stream {
 		blk[i] = stream[i].Block
 		id[i] = stream[i].BlockID
@@ -102,32 +40,79 @@ func TestReplayBatchColsMatchesRecords(t *testing.T) {
 			numBlocks = int(stream[i].BlockID) + 1
 		}
 	}
-	a, err := NewSetAssoc(32*trace.BlockSize, ways, NewLRU())
+	return blk, id, numBlocks
+}
+
+// probeAgrees drives stream through AccessRef (the tag-scanning
+// reference) and ReplayBatchCols in chunks of chunk accesses, comparing
+// every access's outcome — hit flag, line index, eviction flag — then
+// the final counters and the residency tables against the contents.
+func probeAgrees(t *testing.T, stream []AccessInfo, size, ways, chunk int) {
+	t.Helper()
+	blk, id, numBlocks := batchCols(stream)
+	ref, err := NewSetAssoc(size, ways, NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSetAssoc(32*trace.BlockSize, ways, NewLRU())
+	got, err := NewSetAssoc(size, ways, NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	activeA := make([]uint32, numBlocks)
-	activeB := make([]uint32, numBlocks)
-	lineA := make([]uint32, a.Sets()*ways)
-	lineB := make([]uint32, b.Sets()*ways)
-	outA := make([]uint32, len(stream))
-	outB := make([]uint32, len(stream))
-	a.ReplayBatch(stream, activeA, lineA, outA)
-	b.ReplayBatchCols(blk, id, stream, activeB, lineB, outB)
-	for k := range outA {
-		if outA[k] != outB[k] {
-			t.Fatalf("access %d: records outcome %#x != columns outcome %#x", k, outA[k], outB[k])
+	active := make([]uint32, numBlocks)
+	lineID := make([]uint32, got.Sets()*ways)
+	out := make([]uint32, chunk)
+	for lo := 0; lo < len(stream); lo += chunk {
+		hi := lo + chunk
+		if hi > len(stream) {
+			hi = len(stream)
+		}
+		got.ReplayBatchCols(blk[lo:hi], id[lo:hi], stream[lo:hi], active, lineID, out[:hi-lo])
+		for k := lo; k < hi; k++ {
+			want := ref.AccessRef(&stream[k])
+			o := out[k-lo]
+			li := uint32(want.Set*ways + want.Way)
+			if (o&BatchHit != 0) != want.Hit || o&BatchLine != li || (o&BatchEvict != 0) != want.Evicted {
+				t.Fatalf("chunk %d, access %d (block %d): outcome %#x, want hit=%v line=%d evict=%v",
+					chunk, k, stream[k].Block, o, want.Hit, li, want.Evicted)
+			}
 		}
 	}
-	aa, ah, af, ae := a.Stats()
-	ba, bh, bf, be := b.Stats()
-	if aa != ba || ah != bh || af != bf || ae != be {
-		t.Fatalf("stats diverge: records (%d %d %d %d), columns (%d %d %d %d)", aa, ah, af, ae, ba, bh, bf, be)
+	ra, rh, rf, re := ref.Stats()
+	ga, gh, gf, ge := got.Stats()
+	if ra != ga || rh != gh || rf != gf || re != ge {
+		t.Fatalf("chunk %d: stats (%d %d %d %d) != reference (%d %d %d %d)", chunk, ga, gh, gf, ge, ra, rh, rf, re)
 	}
+	// Residency tables must describe exactly the cache contents.
+	resident := 0
+	for id, li := range active {
+		if li == 0 {
+			continue
+		}
+		resident++
+		if int(lineID[li-1]) != id {
+			t.Fatalf("chunk %d: active/lineID disagree for BlockID %d", chunk, id)
+		}
+	}
+	if n := len(got.Contents()); resident != n {
+		t.Fatalf("chunk %d: %d blocks tracked as resident, cache holds %d", chunk, resident, n)
+	}
+}
+
+// TestReplayBatchMatchesAccessRef holds the column probe to AccessRef on
+// a tiny 2-way cache in chunks of several sizes, down to one access.
+func TestReplayBatchMatchesAccessRef(t *testing.T) {
+	stream := batchStream(5000, 64, 99)
+	for _, chunk := range []int{1, 3, 16, 333, len(stream)} {
+		probeAgrees(t, stream, 8*trace.BlockSize, 2, chunk)
+	}
+}
+
+// TestReplayBatchColsMatchesRecords holds the column probe, fed columns
+// decoded from the records, to the record-walking AccessRef on a 4-way
+// cache in one whole-stream call.
+func TestReplayBatchColsMatchesRecords(t *testing.T) {
+	stream := batchStream(4096, 200, 7)
+	probeAgrees(t, stream, 32*trace.BlockSize, 4, len(stream))
 }
 
 // BenchmarkBatchKernel isolates the probe phase — ReplayBatchCols over
@@ -140,16 +125,7 @@ func BenchmarkBatchKernel(b *testing.B) {
 		chunk     = 2048
 	)
 	stream := batchStream(1<<17, 4*(sizeBytes/trace.BlockSize), 12345)
-	numBlocks := 0
-	blk := make([]uint64, len(stream))
-	id := make([]uint32, len(stream))
-	for i := range stream {
-		blk[i] = stream[i].Block
-		id[i] = stream[i].BlockID
-		if int(stream[i].BlockID) >= numBlocks {
-			numBlocks = int(stream[i].BlockID) + 1
-		}
-	}
+	blk, id, numBlocks := batchCols(stream)
 	c, err := NewSetAssoc(sizeBytes, ways, NewLRU())
 	if err != nil {
 		b.Fatal(err)

@@ -10,7 +10,7 @@ package cache
 // stream; afterwards every replay pass indexes flat slices.
 //
 // Convention: a stream either has BlockIDs assigned (distinct blocks ↔
-// distinct IDs, IDs in [0, NumBlockIDs)) or is "unassigned" (every
+// distinct IDs, IDs in [0, number of distinct blocks)) or is "unassigned" (every
 // BlockID still zero, the field's zero value). EnsureBlockIDs tells the
 // two apart without a hash pass: an assigned stream with ≥ 2 distinct
 // blocks necessarily contains a nonzero ID.
@@ -65,23 +65,6 @@ func AssignBlockIDs(stream []AccessInfo) int {
 		stream[i].BlockID = remap[stream[i].BlockID]
 	}
 	return len(blocks)
-}
-
-// NumBlockIDs returns 1 + the largest BlockID in stream (0 for an empty
-// stream) — the flat-slice length replay structures need. It assumes the
-// stream's IDs were assigned by AssignBlockIDs; a subslice of an assigned
-// stream merely over-counts, which only wastes slice capacity.
-func NumBlockIDs(stream []AccessInfo) int {
-	max := uint32(0)
-	for i := range stream {
-		if id := stream[i].BlockID; id > max {
-			max = id
-		}
-	}
-	if len(stream) == 0 {
-		return 0
-	}
-	return int(max) + 1
 }
 
 // EnsureBlockIDs returns a stream with BlockIDs assigned plus the

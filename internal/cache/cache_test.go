@@ -279,9 +279,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("DefaultConfig invalid: %v", err)
 	}
-	if err := Default8MBConfig().Validate(); err != nil {
-		t.Errorf("Default8MBConfig invalid: %v", err)
-	}
 	bad := DefaultConfig()
 	bad.Cores = 0
 	if err := bad.Validate(); err == nil {

@@ -36,13 +36,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Default8MBConfig returns the paper's 8 MB-LLC machine.
-func Default8MBConfig() Config {
-	c := DefaultConfig()
-	c.LLCSize = 8 * MB
-	return c
-}
-
 // WithLLC returns a copy of c with the LLC geometry replaced.
 func (c Config) WithLLC(sizeBytes, ways int) Config {
 	c.LLCSize = sizeBytes

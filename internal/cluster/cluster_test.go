@@ -12,7 +12,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
@@ -115,7 +114,6 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 		CoordinatorURL: coordURL,
 		SelfURL:        ts.URL,
 		Cache:          streamcache.New(opts),
-		Kernel:         sharing.KernelBatch,
 		Poll:           10 * time.Millisecond,
 	})
 	if err != nil {
@@ -311,7 +309,6 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{
 		CoordinatorURL: cs2.URL,
 		Cache:          streamcache.New(streamcache.Options{}),
-		Kernel:         sharing.KernelBatch,
 	})
 	if err != nil {
 		t.Fatal(err)

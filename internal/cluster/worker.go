@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 	"sharellc/internal/workloads"
@@ -34,11 +33,6 @@ type WorkerConfig struct {
 	// Cache is the local stream store (required): fetched snapshots land
 	// in it, and suite construction pulls streams through it.
 	Cache *streamcache.Cache
-	// Kernel selects the replay kernel for this worker's suites.
-	Kernel sharing.Kernel
-	// Tracker selects the residency-tracker representation for this
-	// worker's suites.
-	Tracker sharing.Tracker
 	// Slots is the number of bundles executed concurrently. 0 means 1.
 	Slots int
 	// Poll is the idle wait between lease attempts when the coordinator
@@ -257,8 +251,6 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 		Seed:    b.Request.Seed,
 		Scale:   b.Request.Scale,
 		Shards:  sim.ShardBudget(w.cfg.Slots),
-		Kernel:  w.cfg.Kernel,
-		Tracker: w.cfg.Tracker,
 		Streams: w.cfg.Cache.Stream,
 	}
 	if b.Spec == WholeExperiment {

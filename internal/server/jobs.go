@@ -15,7 +15,6 @@ import (
 
 	"sharellc/internal/cluster"
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
@@ -195,18 +194,6 @@ type Config struct {
 	Runner     Runner
 	Now        func() time.Time // test hook; nil means time.Now
 
-	// Kernel is the fused-replay kernel every job's suite runs with
-	// (sim.Config.Kernel): batch by default, scalar via the daemon's
-	// -kernel flag for production bisection. Ignored when a custom
-	// Runner is set.
-	Kernel sharing.Kernel
-
-	// Tracker is the residency-tracker representation every job's suite
-	// runs with (sim.Config.Tracker): the SoA columns by default, struct
-	// slabs via the daemon's -tracker flag for production bisection.
-	// Ignored when a custom Runner is set.
-	Tracker sharing.Tracker
-
 	// StreamCache, when non-nil, supplies prepared workload streams to
 	// every job's suite construction, so jobs that share (machine, seed,
 	// scale, workloads) — even while differing in LLC size or policy —
@@ -264,7 +251,7 @@ func NewManager(cfg Config) *Manager {
 		if cfg.Coordinator != nil {
 			cfg.Runner = distributedRunner(cfg.Coordinator)
 		} else {
-			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache, cfg.Kernel, cfg.Tracker)
+			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache)
 		}
 	}
 	if cfg.Role == "" {

@@ -7,7 +7,6 @@ import (
 	"sharellc/internal/cluster"
 	"sharellc/internal/core"
 	"sharellc/internal/report"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
@@ -20,7 +19,7 @@ import (
 // it serves every suite's streams, so concurrent and sequential jobs
 // sharing (machine, seed, scale, workloads) build each stream at most
 // once per process regardless of their LLC size or policy.
-func defaultRunner(workers int, sc *streamcache.Cache, kernel sharing.Kernel, tracker sharing.Tracker) Runner {
+func defaultRunner(workers int, sc *streamcache.Cache) Runner {
 	shards := sim.ShardBudget(workers)
 	return func(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
 		exp, err := sim.ExperimentByID(req.Exp)
@@ -49,8 +48,6 @@ func defaultRunner(workers int, sc *streamcache.Cache, kernel sharing.Kernel, tr
 				Scale:   req.Scale,
 				Models:  models,
 				Shards:  shards,
-				Kernel:  kernel,
-				Tracker: tracker,
 				// Suite preparation reports through the same progress
 				// channel as the experiment fan-out; the "prepare" prefix
 				// distinguishes the phase in the SSE stream.

@@ -217,8 +217,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 type healthView struct {
 	Status        string         `json:"status"` // ok | draining
 	Role          string         `json:"role"`   // single | coordinator | worker
-	Kernel        string         `json:"kernel"`
-	Tracker       string         `json:"tracker"`
 	ShardBudget   int            `json:"shard_budget"`
 	Workers       occupancyView  `json:"workers"`
 	SnapshotStore *snapshotStore `json:"snapshot_store,omitempty"`
@@ -253,8 +251,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hv := healthView{
 		Status:      "ok",
 		Role:        m.cfg.Role,
-		Kernel:      m.cfg.Kernel.String(),
-		Tracker:     m.cfg.Tracker.String(),
 		ShardBudget: sim.ShardBudget(m.cfg.Workers),
 		Workers:     occupancyView{Busy: busy, Total: m.cfg.Workers},
 	}

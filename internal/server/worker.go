@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"sharellc/internal/cluster"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
@@ -16,20 +15,18 @@ import (
 // sharesimd role serves. Job submission stays on the coordinator; a
 // worker's only public API is serving streams it holds.
 type WorkerServer struct {
-	w       *cluster.Worker
-	sc      *streamcache.Cache
-	kernel  sharing.Kernel
-	tracker sharing.Tracker
-	slots   int
-	mux     *http.ServeMux
+	w     *cluster.Worker
+	sc    *streamcache.Cache
+	slots int
+	mux   *http.ServeMux
 }
 
 // NewWorkerServer wires a cluster.Worker into an http.Handler.
-func NewWorkerServer(w *cluster.Worker, sc *streamcache.Cache, kernel sharing.Kernel, tracker sharing.Tracker, slots int) *WorkerServer {
+func NewWorkerServer(w *cluster.Worker, sc *streamcache.Cache, slots int) *WorkerServer {
 	if slots <= 0 {
 		slots = 1
 	}
-	ws := &WorkerServer{w: w, sc: sc, kernel: kernel, tracker: tracker, slots: slots, mux: http.NewServeMux()}
+	ws := &WorkerServer{w: w, sc: sc, slots: slots, mux: http.NewServeMux()}
 	w.Register(ws.mux)
 	ws.mux.HandleFunc("GET /healthz", ws.handleHealthz)
 	ws.mux.HandleFunc("GET /metrics", ws.handleMetrics)
@@ -43,8 +40,6 @@ func (ws *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hv := healthView{
 		Status:      "ok",
 		Role:        "worker",
-		Kernel:      ws.kernel.String(),
-		Tracker:     ws.tracker.String(),
 		ShardBudget: sim.ShardBudget(ws.slots),
 		Workers:     occupancyView{Busy: int(st.Busy), Total: ws.slots},
 	}

@@ -2,7 +2,6 @@ package sharing
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"sharellc/internal/cache"
@@ -11,31 +10,11 @@ import (
 	"sharellc/internal/rng"
 )
 
-func TestParseKernel(t *testing.T) {
-	for s, want := range map[string]Kernel{"batch": KernelBatch, "scalar": KernelScalar} {
-		k, err := ParseKernel(s)
-		if err != nil || k != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", s, k, err, want)
-		}
-		if k.String() != s {
-			t.Errorf("Kernel(%v).String() = %q, want %q", k, k.String(), s)
-		}
-	}
-	_, err := ParseKernel("vector")
-	if err == nil {
-		t.Fatal("ParseKernel accepted an unknown kernel")
-	}
-	for _, want := range []string{"vector", "batch", "scalar"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("ParseKernel error %q does not mention %q", err, want)
-		}
-	}
-}
-
 // batchTestConfigs builds one lane per experiment family: every
 // registered policy (covering the shardable and two-phase groups), a
-// hooked lane (pinned to the sequential walk) and a 128-way lane (past
-// the outcome log's 6-bit way field, the other sequential fallback).
+// hooked lane (pinned to the sequential walk) and a 128-way LRU lane (a
+// shardable lane past the outcome log's 6-bit way field, which only
+// two-phase lanes need).
 func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig {
 	t.Helper()
 	var configs []LLCConfig
@@ -53,74 +32,66 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig 
 	return configs
 }
 
-// TestKernelBatchVsScalar replays every experiment family — the full
-// policy catalogue, a hooked lane and the 128-way sequential fallback —
-// under both kernels and demands byte-equal Results — counters, degree
-// histograms and block census — at every prefix.
-func TestKernelBatchVsScalar(t *testing.T) {
-	size, ways := 64*cache.KB, 8
-	eachPrefix(synthStream(40000, 3000, 8, 7), func(stream []cache.AccessInfo) {
-		var hooksB, hooksS int
-		cfgB := batchTestConfigs(t, size, ways, &hooksB)
-		cfgS := batchTestConfigs(t, size, ways, &hooksS)
-
-		batch, err := ReplayMulti(stream, cfgB, Options{Shards: 4, Kernel: KernelBatch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar, err := ReplayMulti(stream, cfgS, Options{Shards: 4, Kernel: KernelScalar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) != len(scalar) {
-			t.Fatalf("got %d batch results, %d scalar", len(batch), len(scalar))
-		}
-		for i := range scalar {
-			if !reflect.DeepEqual(batch[i], scalar[i]) {
-				t.Errorf("len %d, config %d (%s @ %d ways): batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
-					len(stream), i, cfgB[i].NewPolicy().Name(), cfgB[i].Ways, batch[i], scalar[i])
-			}
-		}
-		if hooksB != len(stream) || hooksS != len(stream) {
-			t.Errorf("hooked lane saw %d/%d accesses under batch/scalar, want %d both", hooksB, hooksS, len(stream))
-		}
-	})
+// TestKernelVsSequential replays every experiment family — the full
+// policy catalogue, a hooked lane and a 128-way lane — through the lane
+// engine's batched walks and demands byte-equal Results against the
+// scalar sequential walk of each lane alone — counters, degree
+// histograms and block census — at every prefix. The hooked lane must
+// see every access exactly once per replay.
+func TestKernelVsSequential(t *testing.T) {
+	var hooks int
+	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
+	full := synthStream(40000, 3000, 8, 7)
+	configsAgree(t, full, configs, Options{Shards: 4})
+	want := 0
+	for _, m := range prefixLens(len(full)) {
+		want += 2 * m // the engine replay and the reference each walk it
+	}
+	if hooks != want {
+		t.Errorf("hooked lane saw %d accesses over every prefix, want %d", hooks, want)
+	}
 }
 
-// kernelsAgree replays stream under both kernels (one shardable and one
-// two-phase lane) and reports a fatal difference. Shards is forced past
-// one so the lane engine — not the sequential fallback — runs.
+// kernelsAgree holds one shardable (LRU) and one two-phase (DRRIP) lane
+// to the sequential reference at every prefix of stream (see
+// configsAgree). Shards is forced past one so the lane engine — not the
+// sequential fallback — runs.
 func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 	t.Helper()
 	configsAgree(t, stream, []LLCConfig{
 		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
-	})
+	}, Options{Shards: 4})
 }
 
-// configsAgree is kernelsAgree over caller-chosen lane configs.
-func configsAgree(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig) {
+// configsAgree replays every eachPrefix prefix of full through configs
+// in one ReplayMulti call and demands each lane's Result equal the one
+// reference walk: sequential Replay of that lane alone, with the lane's
+// hooks. Counters, degree histograms and block census must all match.
+func configsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
 	t.Helper()
-	batch, err := ReplayMulti(stream, configs, Options{Shards: 4, Kernel: KernelBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := ReplayMulti(stream, configs, Options{Shards: 4, Kernel: KernelScalar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scalar {
-		if !reflect.DeepEqual(batch[i], scalar[i]) {
-			t.Fatalf("len %d, config %d: batch result differs from scalar\nbatch:  %+v\nscalar: %+v",
-				len(stream), i, batch[i], scalar[i])
+	eachPrefix(full, func(stream []cache.AccessInfo) {
+		got, err := ReplayMulti(stream, configs, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i, c := range configs {
+			want, err := Replay(stream, c.Size, c.Ways, c.NewPolicy(), Options{Hooks: c.Hooks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("len %d, config %d (%s @ %d ways): engine result differs from the sequential walk\nengine:     %+v\nsequential: %+v",
+					len(stream), i, want.Policy, c.Ways, got[i], want)
+			}
+		}
+	})
 }
 
 // TestKernelBoundaryLengths pins the chunk-loop edges: streams of
 // exactly batchSize−1, batchSize and batchSize+1 accesses (the chunk
 // boundary), empty and single-access streams, and a length that leaves
-// a short scalar-tail chunk.
+// a short tail chunk.
 func TestKernelBoundaryLengths(t *testing.T) {
 	for _, n := range []int{0, 1, batchSize - 1, batchSize, batchSize + 1, 2*batchSize + 37} {
 		stream := synthStream(n, 300, 4, uint64(n)+3)
@@ -129,10 +100,11 @@ func TestKernelBoundaryLengths(t *testing.T) {
 }
 
 // FuzzKernelBoundary fuzzes stream length and block population around
-// the batch boundaries AND the policy running the lane: pol selects one specialized policy from the realistic
-// catalogue, so the fuzzer explores every monomorphic kernel (shardable
-// and two-phase alike) against the scalar replay, which runs no kernel
-// at all. Every case must replay bit-identically under both kernels.
+// the batch boundaries AND the policy running the lane: pol selects one
+// specialized policy from the realistic catalogue, so the fuzzer
+// explores every monomorphic kernel (shardable and two-phase alike)
+// against the sequential walk, which runs no kernel at all. Every case
+// must replay bit-identically at every prefix.
 func FuzzKernelBoundary(f *testing.F) {
 	var kernelPolicies []string
 	for _, n := range policy.Names(1) {
@@ -154,7 +126,7 @@ func FuzzKernelBoundary(f *testing.F) {
 		}
 		configsAgree(t, stream, []LLCConfig{
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return fac() }},
-		})
+		}, Options{Shards: 4})
 	})
 }
 

@@ -28,17 +28,19 @@ package sharing
 //     and records each access's outcome in a one-byte-per-access log,
 //     from which the tracker half (the multi-megabyte arrays) then
 //     replays set-shard by set-shard like a shardable lane;
-//   - sequential lanes (per-lane hooks, or ways beyond the outcome
-//     log's 6-bit field) replay one lane at a time, each as its own
-//     full-stream walk in stream order, exactly like the sequential
-//     fallback of ReplayParallel. Hooks pin a lane here because a
-//     fill-time prediction feeds back into the very walk that would
-//     have produced the log.
+//   - sequential lanes replay one lane at a time, each as its own
+//     full-stream walk in stream order, exactly like sequential Replay.
+//     A lane lands here when the engine's encodings cannot carry it:
+//     per-lane hooks (a fill-time prediction feeds back into the very
+//     walk that would have produced the log), a cross-set policy with
+//     more ways than the outcome log's 6-bit field, more lines than the
+//     outcome word's 30-bit line index, or a stream with more cores
+//     than the tracker's packed core word (see replayLanes).
 //
-// Every lane's Result is bit-identical to what ReplayParallel would
+// Every lane's Result is bit-identical to what sequential Replay would
 // return for that lane alone: per-set policies see the same per-set
 // access sequences regardless of how sets are grouped into shards, and
-// sequential lanes run the very walk the fallback runs.
+// sequential lanes run the very walk Replay runs.
 
 import (
 	"errors"
@@ -132,39 +134,28 @@ type lane struct {
 	inst      cache.Policy // probe instance; replays the lane when sequential
 	shardable bool
 
-	// Shared flat state of the sharded path; every index range is owned
-	// by exactly one shard (lines by set, active/blockState by block), so
-	// concurrent writes never collide.
-	lines      []Residency
+	// Shared flat state of the engine lanes; every index range is owned
+	// by exactly one shard (tracker columns by set, active/blockState by
+	// block), so concurrent writes never collide.
+	soa        *soaCols // the residency tracker (see tracker.go)
 	active     []uint32
 	blockState []uint8
 	parts      []*Result // per-shard partial results
 
-	// lineID is the batch probe's line → BlockID reverse map (the
-	// inverse of active), allocated only for shardable lanes under the
-	// batch kernel. Like lines, index ranges are owned per shard.
+	// lineID is a shardable lane's probe reverse map, line → BlockID
+	// (the inverse of active). Like soa, index ranges are owned per
+	// shard.
 	lineID []uint32
 
 	// log records the cache outcome of every stream access for a
-	// two-phase lane; nil otherwise. The layout follows the kernel:
-	// stream order under the scalar pass (runPolicyPass, indexed through
-	// the partition's Order by stepLogged), partition order — shard s's
-	// bytes contiguous at Offs[s], stream order within the segment —
-	// under the batched pass (runPolicyPassBatch), so every tracker
-	// shard reads its slice sequentially instead of gathering 1/P of the
-	// bytes out of each cache line of a stream-ordered log.
-	log []uint8
-
-	// soa is the lane's SoA residency tracker, replacing lines when the
-	// replay selects it (see tracker.go); the advance variants bound
-	// below are the per-tier specializations picked once at lane setup.
-	// ring, for a two-phase lane under the batch kernel, is the
-	// chunked outcome-log pipeline between the policy pass and the
-	// tracker shards.
-	soa        *soaCols
-	advance    advanceFn
-	advanceLog advanceLogFn
-	ring       *logRing
+	// two-phase lane; nil otherwise. It is in partition order — shard
+	// s's bytes contiguous at Offs[s], stream order within the segment —
+	// so every tracker shard reads its slice sequentially instead of
+	// gathering 1/P of the bytes out of each cache line of a
+	// stream-ordered log. ring is the chunked pipeline over it between
+	// the policy pass and the tracker shards.
+	log  []uint8
+	ring *logRing
 
 	result *Result
 }
@@ -241,24 +232,12 @@ const (
 	logMaxWays = 64
 )
 
-// laneRun is one lane's replay machinery on one worker: the LLC and
-// policy instance persist across every shard the worker claims (valid
-// precisely because shardable lanes are per-set independent and shards
-// own disjoint sets — state the previous shard left behind is state the
-// next shard never reads), while st is rebuilt per shard to produce that
-// shard's partial Result.
-type laneRun struct {
-	llc  *cache.SetAssoc
-	ways int
-	st   *replayState
-}
-
 // ReplayMulti replays stream once through every configuration in
 // configs and returns one Result per configuration, in order, each
 // bit-identical to ReplayParallel (and therefore to sequential Replay)
 // for that configuration alone with the same Options.
 //
-// Options.Shards, Ctx, Partitioner and the tier knobs apply to every
+// Options.Shards, Ctx, Partitioner, Cores and NumBlocks apply to every
 // lane; hooks are per-lane (LLCConfig.Hooks), so Options.Hooks must be
 // empty. Options.Shards bounds the number of concurrent workers
 // only — the set-partition granularity is picked internally for cache
@@ -312,7 +291,7 @@ func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([
 // large the sweep's total state is.
 const blockBudget = 512 << 10
 
-// laneLineBytes approximates the combined tracker (Residency), tag and
+// laneLineBytes approximates the combined tracker, tag and
 // policy bytes behind one (set, way) of one lane, and laneBlockBytes
 // the cache footprint behind one distinct block (its active and
 // blockState entries — dense within a shard thanks to the shard-major
@@ -368,7 +347,7 @@ func blockShards(hotBytes, minSets, workers int) int {
 //     blockBudget by blockShards, so the sharded walk runs out of cache
 //     even when the lanes' total state is hundreds of MB. Workers reuse
 //     one LLC+policy instance per lane across the shards they claim
-//     (see laneRun).
+//     (see runShard).
 //
 // Sequential tasks are scheduled before shard tasks because they are
 // the long ones: a full-stream walk per task, against 1/P of the stream
@@ -376,26 +355,23 @@ func blockShards(hotBytes, minSets, workers int) int {
 func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Options) error {
 	stream, numBlocks := ensureBlockIDs(stream, opt)
 	mem.Hugepages(stream)
-	// A lane can ride the set-sharded tracker walk either whole
+	// A lane rides the engine's set-sharded tracker walk either whole
 	// (shardable: per-set-independent policy, no hooks) or split
-	// (two-phase: any hook-free policy whose way numbers fit the
-	// outcome log — the policy pass runs in stream order, the tracker
-	// pass shards). Both kinds bound the blocking granularity.
-	blocked := func(l *lane) bool {
-		return l.shardable || (!l.cfg.Hooks.any() && l.cfg.Ways <= logMaxWays)
+	// (two-phase: any hook-free policy whose way numbers fit the outcome
+	// log — the policy pass runs in stream order, the tracker pass
+	// shards). Either way its line index must fit the outcome word's
+	// 30-bit field (over a billion lines). Every other lane walks
+	// sequentially.
+	engine := func(l *lane) bool {
+		if l.cfg.Hooks.any() || l.sets*l.cfg.Ways > int(cache.BatchLine)+1 {
+			return false
+		}
+		return l.shardable || l.cfg.Ways <= logMaxWays
 	}
-	// The batch kernel's outcome word carries a 30-bit line index; a
-	// geometry too large for it (over a billion lines) pins the whole
-	// replay to the scalar kernel rather than mixing encodings.
-	useBatch := opt.Kernel == KernelBatch
-	var shardLanes, phaseLanes, seqLanes []*lane
 	minSets, hotBytes := 0, 0
 	for _, l := range lanes {
-		if !blocked(l) {
+		if !engine(l) {
 			continue
-		}
-		if l.sets*l.cfg.Ways > int(cache.BatchLine)+1 {
-			useBatch = false
 		}
 		if minSets == 0 || l.sets < minSets {
 			minSets = l.sets
@@ -411,24 +387,34 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	shards := 1
 	if minSets > 1 {
-		shards = blockShards(hotBytes, minSets, workers)
-	}
-	for _, l := range lanes {
-		switch {
-		case shards > 1 && l.shardable:
-			shardLanes = append(shardLanes, l)
-		case shards > 1 && blocked(l):
-			phaseLanes = append(phaseLanes, l)
-		default:
-			seqLanes = append(seqLanes, l)
+		// The tracker packs a residency's cores into one word, so a
+		// stream with wider cores (the Options.Cores hint, else a
+		// detection scan) sends every lane to the sequential walk.
+		cores := opt.Cores
+		if cores == 0 {
+			cores = scanCores(stream)
+		}
+		if cores <= soaMaxCores {
+			shards = blockShards(hotBytes, minSets, workers)
 		}
 	}
+	var shardLanes, phaseLanes, seqLanes []*lane
+	for _, l := range lanes {
+		switch {
+		case shards == 1 || !engine(l):
+			seqLanes = append(seqLanes, l)
+		case l.shardable:
+			shardLanes = append(shardLanes, l)
+		default:
+			phaseLanes = append(phaseLanes, l)
+		}
+	}
+	engineLanes := append(append([]*lane(nil), shardLanes...), phaseLanes...)
 
 	var part *PartitionIndex
 	var passBlk []uint64
 	var passID []uint32
-	useSoA := false
-	if len(shardLanes)+len(phaseLanes) > 0 {
+	if len(engineLanes) > 0 {
 		var err error
 		if opt.Partitioner != nil {
 			part, err = opt.Partitioner(shards)
@@ -442,57 +428,24 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		if err != nil {
 			return err
 		}
-		// Tracker selection: the SoA columns need the batch kernel, the
-		// SHARELLC_BATCH_TRACKER gate, and cores that fit the packed
-		// core/write word (Options.Cores hint, else a detection scan).
-		useSoA = useBatch && opt.Tracker == TrackerSoA && batchTrackerOn.Load()
-		if useSoA {
-			cores := opt.Cores
-			if cores == 0 {
-				cores = scanCores(stream)
-			}
-			if cores > soaMaxCores {
-				useSoA = false
-			}
-		}
 		// Tracker scratch comes from the pool (see scratch.go).
-		for _, l := range append(append([]*lane(nil), shardLanes...), phaseLanes...) {
-			if useSoA {
-				l.soa = grabSoA(l.sets * l.cfg.Ways)
-			} else {
-				l.lines = grab(&scratch.lines, l.sets*l.cfg.Ways, false)
-			}
+		for _, l := range engineLanes {
+			l.soa = grabSoA(l.sets * l.cfg.Ways)
 			l.active = grab(&scratch.words, numBlocks, false)
 			l.blockState = grab(&scratch.bytes, numBlocks, true)
 			l.parts = make([]*Result, shards)
 		}
-		// Advance specialization, selected once at lane setup (the way
-		// cache.BatchPolicy binds at construction).
-		if useBatch {
-			for _, l := range shardLanes {
-				l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
-				if useSoA {
-					l.advance = advanceSoACounters
-				} else {
-					l.advance = advanceStructOut
-				}
-			}
+		for _, l := range shardLanes {
+			l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
 		}
 		for _, l := range phaseLanes {
 			l.log = grab(&scratch.bytes, len(stream), false)
-			if useBatch {
-				l.ring = newLogRing()
-				if useSoA {
-					l.advanceLog = advanceLogSoACounters
-				} else {
-					l.advanceLog = advanceLogStruct
-				}
-			}
+			l.ring = newLogRing()
 		}
-		// The batched policy passes share one whole-stream block/BlockID
-		// column pair instead of each streaming the 56-byte records to
-		// re-derive it (see runPolicyPassBatch).
-		if useBatch && len(phaseLanes) > 0 {
+		// The policy passes share one whole-stream block/BlockID column
+		// pair instead of each streaming the 56-byte records to re-derive
+		// it (see runPolicyPassBatch).
+		if len(phaseLanes) > 0 {
 			passBlk = grab(&scratch.blks, len(stream), false)
 			passID = grab(&scratch.cols, len(stream), false)
 			decodePassColumns(stream, passBlk, passID)
@@ -500,33 +453,14 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 
 	// Stream-order tasks: the policy passes of the two-phase lanes come
-	// first, then the sequential lanes. Under the batch kernel each
-	// pass streams its log to the tracker shards through the lane's
-	// ring, so shard workers start as soon as every task is claimed and
-	// wait per chunk; under the scalar kernel the pass borrows the
-	// lane's active table (which the tracker phase seeds from), so
-	// workers block on the phase1 barrier before claiming shards, as
-	// before.
-	type seqTask struct {
-		l      *lane
-		phase1 bool
-	}
-	tasks := make([]seqTask, 0, len(phaseLanes)+len(seqLanes))
-	for _, l := range phaseLanes {
-		tasks = append(tasks, seqTask{l, true})
-	}
-	for _, l := range seqLanes {
-		tasks = append(tasks, seqTask{l, false})
-	}
-	var phase1 sync.WaitGroup
-	if !useBatch {
-		phase1.Add(len(phaseLanes))
-	}
-
+	// first, then the sequential lanes. Each pass streams its log to the
+	// tracker shards through the lane's ring, so shard workers start as
+	// soon as every task is claimed and wait per chunk.
+	tasks := len(phaseLanes) + len(seqLanes)
 	if workers < 1 {
 		workers = 1
 	}
-	if n := len(tasks) + (len(shardLanes)+len(phaseLanes))*shards; workers > n {
+	if n := tasks + len(engineLanes)*shards; workers > n {
 		workers = n
 	}
 	var seqNext, shardNext int64
@@ -537,46 +471,31 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		go func(w int) {
 			defer wg.Done()
 			for {
-				t := atomic.AddInt64(&seqNext, 1) - 1
-				if t >= int64(len(tasks)) {
+				t := int(atomic.AddInt64(&seqNext, 1) - 1)
+				if t >= tasks {
 					break
 				}
-				if tk := tasks[t]; tk.phase1 {
-					if useBatch {
-						if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, tk.l, opt); errs[w] != nil {
-							// Wake the tracker shards parked on this
-							// lane's ring: nobody will rerun the pass,
-							// and the error makes the whole replay fail.
-							tk.l.ring.fail()
-							return
-						}
-					} else {
-						errs[w] = runPolicyPass(stream, tk.l, opt)
-						// Done even on error: a worker that claimed a
-						// phase1 task must release the barrier, or peers
-						// would wait forever on a task nobody will rerun.
-						// The error makes the whole replay fail, so shard
-						// walks reading the unfinished log are discarded.
-						phase1.Done()
-						if errs[w] != nil {
-							return
-						}
+				if t < len(phaseLanes) {
+					l := phaseLanes[t]
+					if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, l, opt); errs[w] != nil {
+						// Wake the tracker shards parked on this lane's
+						// ring: nobody will rerun the pass, and the error
+						// makes the whole replay fail.
+						l.ring.fail()
+						return
 					}
-				} else if errs[w] = runSeqLane(stream, numBlocks, tk.l, opt); errs[w] != nil {
+				} else if errs[w] = runSeqLane(stream, numBlocks, seqLanes[t-len(phaseLanes)], opt); errs[w] != nil {
 					return
 				}
 			}
-			if len(shardLanes)+len(phaseLanes) == 0 {
+			if len(engineLanes) == 0 {
 				return
 			}
-			// Under the batch kernel the shard walk pipelines against the
-			// policy passes through the rings (every pass task was claimed
-			// above before any worker reaches this point, so each ring's
-			// producer is guaranteed to run); the scalar kernel barriers.
-			if !useBatch {
-				phase1.Wait()
-			}
-			var runs []laneRun
+			// The shard walk pipelines against the policy passes through
+			// the rings: every pass task was claimed above before any
+			// worker reaches this point, so each ring's producer is
+			// guaranteed to run.
+			var llcs []*cache.SetAssoc
 			var buf []cache.AccessInfo
 			var bs *batchScratch
 			for {
@@ -587,24 +506,22 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 						put(&scratch.blks, bs.blk)
 						put(&scratch.cols, bs.id)
 						put(&scratch.bytes, bs.meta)
-						if bs.ecw != nil {
-							put(&scratch.blks, bs.ecw)
-							put(&scratch.blks, bs.ehits)
-							put(&scratch.cols, bs.eid)
-						}
+						put(&scratch.blks, bs.ecw)
+						put(&scratch.blks, bs.ehits)
+						put(&scratch.cols, bs.eid)
 						put(&scratch.cols, bs.out)
 					}
 					return
 				}
-				if runs == nil {
-					runs = make([]laneRun, len(shardLanes))
+				if bs == nil {
+					llcs = make([]*cache.SetAssoc, len(shardLanes))
 					for j, l := range shardLanes {
 						llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.cfg.NewPolicy())
 						if err != nil {
 							errs[w] = err
 							return
 						}
-						runs[j] = laneRun{llc: llc, ways: l.cfg.Ways}
+						llcs[j] = llc
 					}
 					max := 0
 					for t := 0; t < shards; t++ {
@@ -613,21 +530,17 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 						}
 					}
 					buf = grab(&scratch.accs, max, false)
-					if useBatch {
-						bs = &batchScratch{
-							blk:  grab(&scratch.blks, max, false),
-							id:   grab(&scratch.cols, max, false),
-							meta: grab(&scratch.bytes, max, false),
-							out:  grab(&scratch.cols, batchSize, false),
-						}
-						if useSoA {
-							bs.ecw = grab(&scratch.blks, batchSize, false)
-							bs.ehits = grab(&scratch.blks, batchSize, false)
-							bs.eid = grab(&scratch.cols, batchSize, false)
-						}
+					bs = &batchScratch{
+						blk:   grab(&scratch.blks, max, false),
+						id:    grab(&scratch.cols, max, false),
+						meta:  grab(&scratch.bytes, max, false),
+						out:   grab(&scratch.cols, batchSize, false),
+						ecw:   grab(&scratch.blks, batchSize, false),
+						ehits: grab(&scratch.blks, batchSize, false),
+						eid:   grab(&scratch.cols, batchSize, false),
 					}
 				}
-				if errs[w] = runShard(stream, shardLanes, phaseLanes, part, s, runs, buf, bs, opt); errs[w] != nil {
+				if errs[w] = runShard(stream, shardLanes, phaseLanes, part, s, llcs, buf, bs, opt); errs[w] != nil {
 					return
 				}
 			}
@@ -651,93 +564,16 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	if firstErr != nil {
 		return firstErr
 	}
-	if passBlk != nil {
-		put(&scratch.blks, passBlk)
-		put(&scratch.cols, passID)
-	}
-	for _, l := range append(append([]*lane(nil), shardLanes...), phaseLanes...) {
+	put(&scratch.blks, passBlk)
+	put(&scratch.cols, passID)
+	for _, l := range engineLanes {
 		l.result = mergeLane(l.inst.Name(), l.parts, l.blockState)
-		if l.soa != nil {
-			putSoA(l.soa)
-		} else {
-			put(&scratch.lines, l.lines)
-		}
+		putSoA(l.soa)
 		put(&scratch.words, l.active)
 		put(&scratch.bytes, l.blockState)
-		if l.lineID != nil {
-			put(&scratch.cols, l.lineID)
-		}
-		if l.log != nil {
-			put(&scratch.bytes, l.log)
-		}
+		put(&scratch.cols, l.lineID)
+		put(&scratch.bytes, l.log)
 	}
-	return nil
-}
-
-// runPolicyPass is phase one of a two-phase lane: the full-stream,
-// stream-order walk of the lane's cache and policy — the only part of
-// the replay that genuinely needs global order when the policy keeps
-// cross-set state (dueling counters, shared RNG draws, global tables).
-// Its working set is just tags plus policy state; the multi-megabyte
-// tracker arrays are untouched. Each access's outcome lands in l.log,
-// from which the tracker half replays set-shard by set-shard (see
-// stepLogged). The policy sequence is exactly the sequential replay's:
-// one llc.Access per access in stream order. Stream Index validation
-// happened when the partition was built (two-phase lanes exist only
-// alongside a partition), so the loop carries none.
-//
-// Like the tracker's step, the pass keeps its own block → line slot
-// table so the majority path — a hit — costs one table load and the
-// policy notification instead of the cache's tag scan (the skipped
-// llc.Access would only re-derive the same (set, way); its hit counter
-// and dirty-bit updates are unobservable through the outcome log). The
-// pass borrows the lane's phase-two active table for it, plus a pooled
-// slot → block id reverse map so evictions can clear their victim's
-// entry, and re-zeroes the active table before the tracker phase seeds
-// from it.
-func runPolicyPass(stream []cache.AccessInfo, l *lane, opt Options) error {
-	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
-	if err != nil {
-		return err
-	}
-	log := l.log
-	ways := l.cfg.Ways
-	active := l.active
-	lineID := grab(&scratch.words, l.sets*ways, false)
-	pol := llc.Policy()
-	for i := range stream {
-		if opt.Ctx != nil && i&(cancelStride-1) == 0 {
-			if err := opt.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		a := &stream[i]
-		if li := active[a.BlockID]; li != 0 {
-			// As in step's hit path: the set comes from the block address
-			// (a mask), not a divide of li by the runtime ways value.
-			set := llc.SetOf(a.Block)
-			way := int(li-1) - set*ways
-			pol.Hit(set, way, a)
-			log[i] = uint8(way) | logHit
-			continue
-		}
-		out := llc.FillRef(a)
-		b := uint8(out.Way)
-		li := out.Set*ways + out.Way
-		if out.Evicted {
-			b |= logEvict
-			active[lineID[li]] = 0
-		}
-		lineID[li] = a.BlockID
-		active[a.BlockID] = uint32(li + 1)
-		log[i] = b
-	}
-	clear(active)
-	// The words pool's at-rest invariant is all-zero (active tables seed
-	// from it without a clearing pass), so the reverse map must not go
-	// back dirty.
-	clear(lineID)
-	put(&scratch.words, lineID)
 	return nil
 }
 
@@ -758,10 +594,10 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 		hadPred:    l.cfg.Hooks.PredictShared != nil,
 		ctx:        opt.Ctx,
 	}
-	if err := st.run(llc, stream, nil); err != nil {
+	if err := st.run(llc, stream); err != nil {
 		return err
 	}
-	st.closeAlive(l.sets, l.cfg.Ways, 1, 0)
+	st.closeAlive()
 	census(st.res, st.blockState)
 	l.result = st.res
 	put(&scratch.lines, st.lines)
@@ -773,108 +609,56 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 // runShard walks shard s's accesses once per shardable lane and once
 // per two-phase lane, one lane at a time. The shard's accesses are
 // first gathered from the stream into buf (the worker's reusable
-// scratch, cap ≥ any shard's length): the gather's strided loads are
-// paid once per shard, and every lane then reads a contiguous,
-// prefetch-friendly buffer. Walking lanes one after another — rather
-// than interleaving accesses across lanes — keeps exactly one lane's
-// shard slice (≈ blockBudget bytes) resident for the whole walk and
-// every policy call site monomorphic; re-reading the buffer per lane is
-// sequential and nearly free by comparison. Lane state slices are
-// shared across workers with disjoint ownership (see lane); the LLC and
-// policy instances in runs belong to the calling worker and carry over
-// from the shards it processed before. Two-phase lanes have no cache or
-// policy here at all: their walk is the tracker half only, re-enacting
-// the outcome log their policy pass recorded (see stepLogged).
-func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *PartitionIndex, s int, runs []laneRun, buf []cache.AccessInfo, bs *batchScratch, opt Options) error {
-	for j, l := range lanes {
-		runs[j].st = &replayState{
-			res:        newResult(l.inst.Name()),
-			lines:      l.lines,
-			cols:       l.soa,
-			active:     l.active,
-			blockState: l.blockState,
-		}
-	}
+// scratch, cap ≥ any shard's length) and decoded once into the worker's
+// columns (bs): the gather's strided loads are paid once per shard, and
+// every lane then reads contiguous, prefetch-friendly columns. Walking
+// lanes one after another — rather than interleaving accesses across
+// lanes — keeps exactly one lane's shard slice (≈ blockBudget bytes)
+// resident for the whole walk and every policy call site monomorphic;
+// re-reading the columns per lane is sequential and nearly free by
+// comparison.
+//
+// Lane state slices are shared across workers with disjoint ownership
+// (see lane). The caches in llcs (one per shardable lane) belong to the
+// calling worker and persist across every shard it claims — valid
+// precisely because shardable lanes are per-set independent and shards
+// own disjoint sets, so state the previous shard left behind is state
+// the next shard never reads. Two-phase lanes have no cache or policy
+// here at all: their walk is the tracker half only, re-enacting the
+// outcome log their policy pass recorded.
+func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *PartitionIndex, s int, llcs []*cache.SetAssoc, buf []cache.AccessInfo, bs *batchScratch, opt Options) error {
 	order := part.Order[part.Offs[s]:part.Offs[s+1]]
 	accs := buf[:len(order)]
 	for k, idx := range order {
 		accs[k] = stream[idx]
 	}
-	// Batch kernel: the decode phase runs once per shard (the columns
-	// serve every lane's walk). Both tracker layouts consume the packed
-	// 1-byte meta column; the SoA advance loops expand it to the
-	// core/write word inline — a few ALU ops per access beats
-	// re-streaming a shard-length uint64 column through the cache once
-	// per lane.
-	if bs != nil {
-		decodeColumns(accs, bs.blk, bs.id, bs.meta)
-	}
-	for j := range runs {
-		llc, ways, st := runs[j].llc, runs[j].ways, runs[j].st
-		if bs != nil {
-			if err := runLaneBatch(llc, lanes[j], st, bs, accs, opt); err != nil {
-				return err
-			}
-			continue
-		}
-		var hits uint64
-		for i := range accs {
-			if opt.Ctx != nil && i&(cancelStride-1) == 0 {
-				if err := opt.Ctx.Err(); err != nil {
-					return err
-				}
-			}
-			hit, err := st.step(llc, ways, &accs[i])
-			if err != nil {
-				return err
-			}
-			if hit {
-				hits++
-			}
-		}
-		st.flushCounts(uint64(len(accs)), hits)
-	}
+	decodeColumns(accs, bs.blk, bs.id, bs.meta)
 	for j, l := range lanes {
-		runs[j].st.closeAlive(l.sets, l.cfg.Ways, part.Shards, s)
-		l.parts[s] = runs[j].st.res
+		st := l.shardState()
+		if err := runLaneBatch(llcs[j], l, st, bs, accs, opt); err != nil {
+			return err
+		}
+		st.closeAliveSoA(l.sets, l.cfg.Ways, part.Shards, s)
+		l.parts[s] = st.res
 	}
 	for _, l := range phaseLanes {
-		res := newResult(l.inst.Name())
-		st := &replayState{
-			res:        res,
-			lines:      l.lines,
-			cols:       l.soa,
-			active:     l.active,
-			blockState: l.blockState,
+		st := l.shardState()
+		if err := runPhaseLaneBatch(l, st, bs, len(accs), order, int(part.Offs[s]), opt); err != nil {
+			return err
 		}
-		setMask := uint64(l.sets - 1)
-		ways := l.cfg.Ways
-		if bs != nil {
-			if err := runPhaseLaneBatch(l, st, bs, accs, order, int(part.Offs[s]), opt); err != nil {
-				return err
-			}
-			st.closeAlive(l.sets, ways, part.Shards, s)
-			l.parts[s] = res
-			continue
-		}
-		var hits uint64
-		for i := range accs {
-			if opt.Ctx != nil && i&(cancelStride-1) == 0 {
-				if err := opt.Ctx.Err(); err != nil {
-					return err
-				}
-			}
-			hit, err := st.stepLogged(l.log[order[i]], setMask, ways, &accs[i])
-			if err != nil {
-				return err
-			}
-			if hit {
-				hits++
-			}
-		}
-		st.flushCounts(uint64(len(accs)), hits)
-		st.closeAlive(l.sets, ways, part.Shards, s)
-		l.parts[s] = res
+		st.closeAliveSoA(l.sets, l.cfg.Ways, part.Shards, s)
+		l.parts[s] = st.res
 	}
 	return nil
+}
+
+// shardState is an engine lane's tracker for one shard walk: the lane's
+// shared columns and tables, and a fresh partial Result for the shard.
+func (l *lane) shardState() *replayState {
+	return &replayState{
+		res:        newResult(l.inst.Name()),
+		cols:       l.soa,
+		active:     l.active,
+		blockState: l.blockState,
+	}
 }

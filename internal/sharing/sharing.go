@@ -87,13 +87,6 @@ func MakeResidency(block, fillPC uint64, degree int) Residency {
 	return r
 }
 
-// MakeWrittenResidency is MakeResidency with the store bit set.
-func MakeWrittenResidency(block, fillPC uint64, degree int) Residency {
-	r := MakeResidency(block, fillPC, degree)
-	r.written = true
-	return r
-}
-
 // Hooks lets callers observe and steer the replay. Either field may be nil.
 type Hooks struct {
 	// PredictShared is consulted at fill time; its result is attached to
@@ -149,31 +142,13 @@ type Options struct {
 	// is a programming error and fails the replay.
 	Partitioner Partitioner
 
-	// Kernel selects the fused-replay inner loop: the batched SoA
-	// kernel (the zero value; see kernel.go) or the scalar per-access
-	// walk, kept as the bisection escape hatch. Results are
-	// bit-identical either way. It applies wherever the lane engine
-	// runs (ReplayMulti and the sharded path of ReplayParallel);
-	// sequential walks — plain Replay, hooked lanes, lanes wider than
-	// the outcome encodings — are scalar by construction and ignore it.
-	Kernel Kernel
-
-	// Tracker selects the residency-tracker representation of the
-	// batched lane walks: the SoA column tracker (the zero value; see
-	// tracker.go) or the struct-slab tracker, kept as the bisection
-	// escape hatch. Results are bit-identical either way. It applies
-	// only where the batch kernel runs; scalar replays, sequential
-	// lanes and streams whose cores exceed the packed core/write word
-	// are struct-tracked regardless.
-	Tracker Tracker
-
 	// Cores, when positive, asserts that every access's Core is below
-	// Cores. It only steers tracker selection (the SoA tracker needs
-	// cores to fit its packed word), so a missing hint costs a
-	// detection scan per replay, and a wrong low value would corrupt
-	// sharing classification exactly like a wrong NumBlocks corrupts
-	// indexing — sim.Stream records the true count and passes it here.
-	// Zero means "unknown": the replay scans.
+	// Cores. It only steers lane routing (the engine's tracker packs
+	// cores into one word; wider streams take the sequential walk), so
+	// a missing hint costs a detection scan per replay, and a wrong low
+	// value would corrupt sharing classification exactly like a wrong
+	// NumBlocks corrupts indexing — sim.Stream records the true count
+	// and passes it here. Zero means "unknown": the replay scans.
 	Cores int
 
 	// NumBlocks, when positive, asserts that the stream already carries
@@ -314,9 +289,8 @@ type replayState struct {
 	// blockState is the block census: blockUnseen, blockPrivate (seen,
 	// never shared) or blockShared (shared in ≥1 residency).
 	blockState []uint8
-	// cols, when non-nil, is the lane's SoA residency tracker and
-	// replaces lines entirely (see tracker.go); only batched lane walks
-	// set it.
+	// cols is an engine lane's SoA residency tracker, which replaces
+	// lines entirely (see tracker.go); the sequential walk leaves it nil.
 	cols *soaCols
 
 	hooks   Hooks
@@ -377,12 +351,12 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 
 // step advances the tracker by one access: hook dispatch, hit/fill
 // bookkeeping and residency maintenance. a points into the caller's
-// stream and is never written through — a fused sweep calls step once
-// per lane per access, so the multi-word record travels by reference;
-// when a fill-time prediction must be attached, it is attached to the
-// state's own copy (st.hinted) before that copy reaches the cache. It is
-// the shared per-access body of the sequential replay, the shard workers
-// and the fused multi-lane replay (ReplayMulti).
+// stream and is never written through — streams are shared across
+// lanes and concurrent replays, so the multi-word record travels by
+// reference; when a fill-time prediction must be attached, it is
+// attached to the state's own copy (st.hinted) before that copy reaches
+// the cache. It is the per-access body of the sequential walk: Replay
+// and the sequential lanes of ReplayMulti.
 //
 // step reports whether the access hit but does not touch the
 // aggregate Accesses/Hits/Misses counters: those are three dependent
@@ -459,88 +433,25 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 
 // flushCounts folds a caller's per-loop access/hit accumulators into
 // the aggregate result counters — the once-per-loop counterpart of the
-// per-access counting that step and stepLogged no longer do.
+// per-access counting that step no longer does.
 func (st *replayState) flushCounts(accesses, hits uint64) {
 	st.res.Accesses += accesses
 	st.res.Hits += hits
 	st.res.Misses += accesses - hits
 }
 
-// stepLogged advances the tracker by one access whose cache outcome was
-// already recorded by a policy pass (see runPolicyPass in multi.go): b
-// encodes the way plus hit/evicted flags, so the tracker needs neither
-// the cache nor the policy — exactly the state split that lets the
-// tracker half of a cross-set-policy lane replay set-shard by set-shard
-// while the policy half runs in stream order. Two-phase lanes never
-// carry hooks or fill-time predictions (a prediction would feed back
-// into the walk that produced the log), so the hook dispatch of step is
-// absent, and the tracker-vs-cache cross-checks become tracker-vs-log
-// checks in both directions. Like step it reports the hit and leaves
-// the aggregate counters to the caller's flushCounts.
-func (st *replayState) stepLogged(b uint8, setMask uint64, ways int, a *cache.AccessInfo) (bool, error) {
-	id := a.BlockID
-	li := st.active[id]
-	if b&logHit != 0 {
-		if li == 0 {
-			return false, fmt.Errorf("sharing: policy pass hit block %d the tracker has as absent", a.Block)
-		}
-		r := &st.lines[li-1]
-		r.Hits++
-		r.addCore(a.Core)
-		if a.Write {
-			r.written = true
-		}
-		return true, nil
-	}
-	if li != 0 {
-		return false, fmt.Errorf("sharing: policy pass missed block %d the tracker has as resident", a.Block)
-	}
-	idx := int(a.Block&setMask)*ways + int(b&logWayMask)
-	if b&logEvict != 0 {
-		victim := &st.lines[idx]
-		if st.active[victim.id] != uint32(idx+1) {
-			return false, fmt.Errorf("sharing: evicted line (set %d way %d) holds no tracked residency", idx/ways, idx%ways)
-		}
-		st.active[victim.id] = 0
-		st.closeRes(victim, a.Index)
-	}
-	st.lines[idx] = Residency{
-		Block:      a.Block,
-		FillIndex:  a.Index,
-		FillCore:   a.Core,
-		FillPC:     a.PC,
-		id:         id,
-		written:    a.Write,
-		Predicted:  a.PredictedShared,
-		EvictIndex: -1,
-	}
-	st.lines[idx].addCore(a.Core)
-	st.active[id] = uint32(idx + 1)
-	return false, nil
-}
-
-// run replays accesses through llc. With order == nil the whole stream is
-// replayed in place (validating the Index invariant); otherwise only the
-// stream positions listed in order are replayed, in that order — the
-// shard path, whose caller has already validated indices.
-func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order []int32) error {
+// run replays the whole stream through llc in place, validating the
+// Index invariant.
+func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo) error {
 	ways := llc.Ways()
-	n := len(stream)
-	if order != nil {
-		n = len(order)
-	}
 	var hits uint64
-	for k := 0; k < n; k++ {
-		if st.ctx != nil && k&(cancelStride-1) == 0 {
+	for i := range stream {
+		if st.ctx != nil && i&(cancelStride-1) == 0 {
 			if err := st.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		i := k
-		if order != nil {
-			i = int(order[k])
-		}
-		if order == nil && stream[i].Index != int64(i) {
+		if stream[i].Index != int64(i) {
 			return fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
 		}
 		hit, err := st.step(llc, ways, &stream[i])
@@ -551,24 +462,20 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order
 			hits++
 		}
 	}
-	st.flushCounts(uint64(n), hits)
+	st.flushCounts(uint64(len(stream)), hits)
 	return nil
 }
 
-// closeAlive closes residencies still alive at stream end. It scans
-// only the caller's own set range (sets ≡ shard mod shards; the
-// sequential replay passes shards=1 to scan everything): in the sharded
-// replay other shards may still be replaying, so reading any state
-// outside the range would race. A line holds an open residency iff its
-// EvictIndex is -1 — closed residencies are immediately overwritten by
-// the fill that evicted them, and never-filled lines hold the zero value.
+// closeAlive closes the residencies still alive at stream end. A line
+// holds an open residency iff its EvictIndex is -1 — closed residencies
+// are immediately overwritten by the fill that evicted them, and
+// never-filled lines hold the zero value.
 //
 // Closure order is observable only through the OnResidencyEnd hook
 // (counters are order-independent sums and the block census transitions
 // are sticky), so only hooked replays pay for sorting the survivors into
-// fill order.
-// At stream end the survivors are the cache's full occupancy — sorting
-// them for every (lane, shard) of a sweep is measurable.
+// fill order; at stream end the survivors are the cache's full
+// occupancy, so the sort is measurable.
 //
 // After closing, each survivor's slot is retired (EvictIndex set to
 // evictRetired — the hooked copies keep the public -1 "alive at stream
@@ -576,20 +483,13 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo, order
 // scratch invariants the pool relies on (see scratch.go): no line slot
 // claims an open residency and the active table is all zero, so both
 // arrays can seed the next replay without a clearing pass.
-func (st *replayState) closeAlive(sets, ways, shards, shard int) {
-	if st.cols != nil {
-		st.closeAliveSoA(sets, ways, shards, shard)
-		return
-	}
-	// Survivors are at most the set range's capacity, and at stream end
+func (st *replayState) closeAlive() {
+	// Survivors are at most the cache's capacity, and at stream end
 	// usually all of it.
-	alive := make([]*Residency, 0, (sets-shard+shards-1)/shards*ways)
-	for set := shard; set < sets; set += shards {
-		base := set * ways
-		for w := 0; w < ways; w++ {
-			if r := &st.lines[base+w]; r.EvictIndex == -1 {
-				alive = append(alive, r)
-			}
+	alive := make([]*Residency, 0, len(st.lines))
+	for i := range st.lines {
+		if r := &st.lines[i]; r.EvictIndex == -1 {
+			alive = append(alive, r)
 		}
 	}
 	if st.hooks.OnResidencyEnd != nil {
@@ -665,10 +565,10 @@ func Replay(stream []cache.AccessInfo, llcSize, llcWays int, p cache.Policy, opt
 		hadPred:    opt.Hooks.PredictShared != nil,
 		ctx:        opt.Ctx,
 	}
-	if err := st.run(llc, stream, nil); err != nil {
+	if err := st.run(llc, stream); err != nil {
 		return nil, err
 	}
-	st.closeAlive(llc.Sets(), llc.Ways(), 1, 0)
+	st.closeAlive()
 	census(res, st.blockState)
 	put(&scratch.lines, st.lines)
 	put(&scratch.words, st.active)

@@ -200,16 +200,6 @@ func TestWrittenByFill(t *testing.T) {
 	}
 }
 
-func TestMakeWrittenResidency(t *testing.T) {
-	r := MakeWrittenResidency(5, 0x100, 3)
-	if !r.Written() || r.Degree() != 3 {
-		t.Errorf("MakeWrittenResidency = written %v degree %d", r.Written(), r.Degree())
-	}
-	if MakeResidency(5, 0x100, 3).Written() {
-		t.Error("MakeResidency marked written")
-	}
-}
-
 func TestROPlusRWEqualsShared(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)

@@ -2,12 +2,13 @@ package sharing
 
 // Struct-of-arrays residency tracker.
 //
-// The batch kernel (kernel.go) turned the replay into phase loops, but
-// its advance phase still walked an array of 64-byte Residency structs:
-// every hit — the majority outcome of every replay — loaded and stored
-// a full cache line of residency state to bump one counter and OR one
-// core bit. The SoA tracker splits the residency slab into columns so
-// each phase touches only the bytes it needs:
+// The sequential walk (replayState.step) keeps an array of 64-byte
+// Residency structs, because hooks observe whole residencies. Engine
+// lanes carry no hooks, and walking that slab would load and store a
+// full cache line of residency state on every hit — the majority
+// outcome of every replay — to bump one counter and OR one core bit. The
+// engine's tracker splits the slab into columns so each phase touches
+// only the bytes it needs:
 //
 //   - hc [][2]uint64 — the paired hit counter (hc[li][0]) and packed
 //     core/write word (hc[li][1]): bit c marks core c (c ≤ 62), bit 63
@@ -21,84 +22,22 @@ package sharing
 //     sets the filler's core bit).
 //   - id []uint32 — dense BlockID, read only when a residency closes.
 //
-// SoA lanes carry no hooks, so nothing observes an individual residency:
-// the columns hold exactly what the counters need, and the advance loop
-// for the lane's tier is selected once at lane setup (advanceFn /
-// advanceLogFn on lane), the way cache.BatchPolicy binds a monomorphic
-// kernel at cache construction.
+// Nothing observes an individual residency on an engine lane, so the
+// columns hold exactly what the counters need. There are two advance
+// loops: advanceSoACounters over a shardable lane's outcome words and
+// advanceLogSoACounters over a two-phase lane's outcome log.
 //
-// The packed word caps usable cores at 63 (indices 0..62): streams with
-// wider cores, the scalar kernel, sequential lanes and the
-// SHARELLC_BATCH_TRACKER=off escape hatch all fall back to the struct
-// tracker, and the differential tests in tracker_test.go hold both
-// representations to byte-equal Results.
+// The packed word caps usable cores at 63 (indices 0..62): a stream with
+// wider cores routes every lane to the sequential walk (see
+// replayLanes), and the differential tests in tracker_test.go hold the
+// columns to byte-equal Results against that walk.
 
 import (
 	"fmt"
 	"math/bits"
-	"os"
-	"sync/atomic"
 
 	"sharellc/internal/cache"
 )
-
-// Tracker selects the residency-tracker representation of the batched
-// lane walks. The zero value is the SoA tracker, so existing callers get
-// the fast path; the struct tracker is the bisection escape hatch (the
-// -tracker flag on sharesim and sharesimd). It applies only where the
-// batch kernel runs — the scalar kernel, sequential lanes and
-// wide-core streams (cores past the packed word) are struct-tracked by
-// construction and ignore it. Results are bit-identical either way.
-type Tracker uint8
-
-const (
-	// TrackerSoA keeps residency state in per-field columns (see the
-	// package comment above).
-	TrackerSoA Tracker = iota
-	// TrackerStruct keeps residency state in []Residency slabs (the
-	// PR 6 layout), kept as the bisection reference.
-	TrackerStruct
-)
-
-// String returns the flag spelling of t.
-func (t Tracker) String() string {
-	switch t {
-	case TrackerSoA:
-		return "soa"
-	case TrackerStruct:
-		return "struct"
-	}
-	return fmt.Sprintf("Tracker(%d)", uint8(t))
-}
-
-// ParseTracker resolves a -tracker flag value, rejecting unknown values
-// with an error enumerating the valid ones.
-func ParseTracker(s string) (Tracker, error) {
-	switch s {
-	case "soa":
-		return TrackerSoA, nil
-	case "struct":
-		return TrackerStruct, nil
-	}
-	return 0, fmt.Errorf("sharing: unknown tracker %q (have soa, struct)", s)
-}
-
-// batchTrackerOn gates the SoA tracker globally, mirroring
-// cache.batchKernelsOn: default on; SHARELLC_BATCH_TRACKER=off (or
-// EnableBatchTracker(false)) forces every replay onto the struct
-// tracker without a rebuild, so a bad column specialization can be
-// bisected in production the same way a bad policy kernel can.
-var batchTrackerOn atomic.Bool
-
-func init() {
-	batchTrackerOn.Store(os.Getenv("SHARELLC_BATCH_TRACKER") != "off")
-}
-
-// EnableBatchTracker toggles the SoA tracker for replays started
-// afterwards, returning the previous setting.
-func EnableBatchTracker(on bool) (prev bool) {
-	return batchTrackerOn.Swap(on)
-}
 
 const (
 	// cwWritten is the store bit of the packed core/write word; bits
@@ -159,8 +98,7 @@ func scanCores(stream []cache.AccessInfo) int {
 // decode time: that column cost 8 bytes per access of decode write
 // plus a re-streamed read per lane — shard-length, so pushed out of
 // L2 between decode and consumption on big shards — where the meta
-// byte column is an eighth the traffic and shared with the struct
-// tracker's decode.
+// byte column is an eighth the traffic.
 func cwWord(m uint8) uint64 {
 	return uint64(1)<<(m&^metaWrite) | uint64(m&metaWrite)<<56
 }
@@ -255,12 +193,12 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 	}
 }
 
-// closeAliveSoA is closeAlive for an SoA-tracked lane: survivors are the
+// closeAliveSoA is closeAlive for an engine lane: survivors are the
 // lines with a nonzero core/write word. Retiring a survivor zeroes its
 // pair (restoring the hcs pool's all-zero at-rest invariant) and clears
-// its active entry, exactly as the struct closeAlive retires slots.
-// Nothing observes closure order on an SoA lane, so the survivors close
-// in line order.
+// its active entry, exactly as closeAlive retires Residency slots.
+// Nothing observes closure order on an engine lane, so the survivors
+// close in line order.
 func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 	t := st.cols
 	for set := shard; set < sets; set += shards {
@@ -277,41 +215,10 @@ func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 	}
 }
 
-// advanceFn consumes one chunk's probe outcome words against the lane's
-// tracker (the advance phase of a shardable lane). out and accs span
-// the chunk; lo is the chunk's offset into the worker's shard columns
-// (bs). The variant — struct or SoA — is bound to lane.advance once per
-// replay at lane setup.
-type advanceFn func(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error
-
-// advanceLogFn replays one chunk of a two-phase lane's outcome log
-// against the lane's tracker (the tracker half of the split walk).
-// accs and logc span the chunk — logc is the chunk's slice of the
-// partition-ordered log, so log reads are sequential; lo is the
-// chunk's offset into the shard columns.
-type advanceLogFn func(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error
-
-// advanceStructOut is the struct-tracker advanceFn: the branch-free
-// count reduction followed by the PR 6 struct advance, kept bit-for-bit
-// as the SHARELLC_BATCH_TRACKER=off bisection reference.
-func advanceStructOut(st *replayState, bs *batchScratch, out []uint32, accs []cache.AccessInfo, lo int) error {
-	countBatch(st.res, out)
-	hi := lo + len(out)
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
-}
-
-// advanceLogStruct is the struct-tracker advanceLogFn: decode the log
-// chunk into outcome words, then count and advance as the shardable
-// walk does.
-func advanceLogStruct(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
-	hi := lo + len(accs)
-	out := bs.out[:len(accs)]
-	decodeLog(logc, bs.blk[lo:hi], uint64(l.sets-1), l.cfg.Ways, out)
-	countBatch(st.res, out)
-	return st.advanceBatch(bs.blk[lo:hi], bs.meta[lo:hi], out, accs)
-}
-
-// advanceSoACounters is the SoA advanceFn. The hit path is branch-free
+// advanceSoACounters is the advance phase of a shardable lane: it
+// replays one chunk's probe outcome words against the tracker. out
+// spans the chunk; lo is the chunk's offset into the worker's shard
+// columns (bs). The hit path is branch-free
 // column arithmetic — a counter bump and a bitset OR inside one 16-byte
 // hc pair, so one randomly-indexed cache line per hit — and the fill
 // path writes the two columns. Hit/miss counting is fused into the same
@@ -320,7 +227,7 @@ func advanceLogStruct(st *replayState, l *lane, bs *batchScratch, accs []cache.A
 // into bs.e* and fold after the loop (flushClosed), which keeps the
 // loop free of calls. The access records are never read: the decoded
 // columns carry everything the counters need.
-func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, _ []cache.AccessInfo, lo int) error {
+func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, lo int) error {
 	t := st.cols
 	hc, ids := t.hc, t.id
 	// Reslice the chunk columns to the outcome count so the bounds
@@ -357,23 +264,22 @@ func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, _ []cac
 }
 
 // advanceLogSoACounters is the fused log-decode/count/advance loop of a
-// two-phase lane under the SoA tracker: one pass over the log chunk
-// computes each access's line index, counts the outcome and advances
-// the tracker, with no intermediate outcome-word materialization
-// (decodeLog and countBatch fold away) and no log gather (the chunk's
-// bytes are contiguous in the partition-ordered log).
-func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []cache.AccessInfo, logc []uint8, lo int) error {
+// two-phase lane: one pass over the log chunk logc computes each
+// access's line index from the block column and the logged way, counts
+// the outcome and advances the tracker, with no intermediate
+// outcome-word materialization and no log gather (the chunk's bytes are
+// contiguous in the partition-ordered log). lo is the chunk's offset
+// into the shard columns.
+func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, logc []uint8, lo int) error {
 	t := st.cols
 	setMask := uint64(l.sets - 1)
 	ways := l.cfg.Ways
-	logc = logc[:len(accs)]
-	blk := bs.blk[lo:][:len(accs)]
-	metac := bs.meta[lo:][:len(accs)]
-	idc := bs.id[lo:][:len(accs)]
+	blk := bs.blk[lo:][:len(logc)]
+	metac := bs.meta[lo:][:len(logc)]
+	idc := bs.id[lo:][:len(logc)]
 	var h uint64
 	ne := 0
-	for k := range accs {
-		b := logc[k]
+	for k, b := range logc {
 		li := uint32(int(blk[k]&setMask)*ways) + uint32(b&logWayMask)
 		p := &t.hc[li]
 		w := cwWord(metac[k])
@@ -396,6 +302,6 @@ func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, accs []ca
 		*p = [2]uint64{0, w}
 	}
 	st.flushClosed(bs, ne)
-	st.flushCounts(uint64(len(accs)), h)
+	st.flushCounts(uint64(len(logc)), h)
 	return nil
 }

@@ -47,8 +47,7 @@ func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out
 }
 
 // BenchmarkAdvanceBatch measures the tracker advance phase alone —
-// outcome words in, residency state updated — for the struct layout
-// (the PR 6 reference) and the SoA columns, in ns/access.
+// outcome words in, residency columns updated — in ns/access.
 func BenchmarkAdvanceBatch(b *testing.B) {
 	n := 1 << 17
 	if testing.Short() {
@@ -58,38 +57,29 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 	size, ways := 64*cache.KB, 8
 	out, bs, lines, numBlocks := benchOutcomes(b, stream, size, ways)
 
-	run := func(b *testing.B, adv advanceFn, st *replayState) {
+	b.Run("soa-counters", func(b *testing.B) {
+		st := &replayState{
+			res:        newResult("lru"),
+			blockState: make([]uint8, numBlocks),
+			cols:       &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)},
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for lo := 0; lo < len(stream); lo += batchSize {
 				hi := min(lo+batchSize, len(stream))
-				if err := adv(st, bs, out[lo:hi], stream[lo:hi], lo); err != nil {
+				if err := advanceSoACounters(st, bs, out[lo:hi], lo); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
-	}
-	base := func() *replayState {
-		return &replayState{res: newResult("lru"), blockState: make([]uint8, numBlocks)}
-	}
-	b.Run("struct", func(b *testing.B) {
-		st := base()
-		st.lines = make([]Residency, lines)
-		run(b, advanceStructOut, st)
-	})
-	b.Run("soa-counters", func(b *testing.B) {
-		st := base()
-		st.cols = &soaCols{id: make([]uint32, lines), hc: make([][2]uint64, lines)}
-		run(b, advanceSoACounters, st)
 	})
 }
 
 // BenchmarkTwoPhaseLane measures one two-phase lane (DRRIP: cross-set
 // dueling state, so the policy pass and the sharded tracker replay
-// split) end to end through ReplayMulti: the pipelined SoA path, the
-// struct tracker (pipelined, columns off) and the scalar kernel (serial
-// double walk — the PR 6 shape), in ns/access.
+// split) end to end through ReplayMulti, pipelined through the log
+// ring, in ns/access.
 func BenchmarkTwoPhaseLane(b *testing.B) {
 	n := 1 << 20
 	if testing.Short() {
@@ -99,22 +89,12 @@ func BenchmarkTwoPhaseLane(b *testing.B) {
 	configs := []LLCConfig{
 		{Size: 512 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
 	}
-	run := func(b *testing.B, opt Options) {
-		b.ResetTimer()
+	b.Run("soa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ReplayMulti(stream, configs, opt); err != nil {
+			if _, err := ReplayMulti(stream, configs, Options{Shards: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
-	}
-	b.Run("soa", func(b *testing.B) {
-		run(b, Options{Shards: 4, Kernel: KernelBatch, Tracker: TrackerSoA})
-	})
-	b.Run("struct", func(b *testing.B) {
-		run(b, Options{Shards: 4, Kernel: KernelBatch, Tracker: TrackerStruct})
-	})
-	b.Run("scalar", func(b *testing.B) {
-		run(b, Options{Shards: 4, Kernel: KernelScalar})
 	})
 }

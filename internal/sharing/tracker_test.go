@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,117 +13,56 @@ import (
 	"sharellc/internal/rng"
 )
 
-func TestParseTracker(t *testing.T) {
-	for s, want := range map[string]Tracker{"soa": TrackerSoA, "struct": TrackerStruct} {
-		tr, err := ParseTracker(s)
-		if err != nil || tr != want {
-			t.Errorf("ParseTracker(%q) = %v, %v; want %v", s, tr, err, want)
-		}
-		if tr.String() != s {
-			t.Errorf("Tracker(%v).String() = %q, want %q", tr, tr.String(), s)
-		}
-	}
-	_, err := ParseTracker("aos")
-	if err == nil {
-		t.Fatal("ParseTracker accepted an unknown tracker")
-	}
-	for _, want := range []string{"aos", "soa", "struct"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("ParseTracker error %q does not mention %q", err, want)
-		}
-	}
-}
-
-// trackersAgree replays every prefix of full through configs under the
-// batch kernel with both tracker representations and demands byte-equal
-// Results — counters, degree histograms and block census alike.
-// opt.Tracker is overridden per run.
-func trackersAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
-	t.Helper()
-	optA, optB := opt, opt
-	optA.Kernel, optA.Tracker = KernelBatch, TrackerSoA
-	optB.Kernel, optB.Tracker = KernelBatch, TrackerStruct
-	eachPrefix(full, func(stream []cache.AccessInfo) {
-		soa, err := ReplayMulti(stream, configs, optA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		structs, err := ReplayMulti(stream, configs, optB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range structs {
-			if !reflect.DeepEqual(soa[i], structs[i]) {
-				t.Errorf("len %d, config %d (%s @ %d ways): SoA result differs from struct tracker\nsoa:    %+v\nstruct: %+v",
-					len(stream), i, configs[i].NewPolicy().Name(), configs[i].Ways, soa[i], structs[i])
-			}
-		}
-	})
-}
-
-// TestTrackerSoAVsStruct replays every experiment family — the full
-// policy catalogue (shardable and two-phase lanes), a hooked lane and
-// the 128-way sequential fallback — with the SoA and struct trackers
-// and demands byte-equal Results at every prefix.
-func TestTrackerSoAVsStruct(t *testing.T) {
+// TestTrackerVsSequential holds the engine's SoA tracker to the
+// struct-Residency tracker of the sequential walk over every experiment
+// family — the full policy catalogue (shardable and two-phase lanes), a
+// hooked lane and a 128-way lane — at a second geometry and worker
+// count, with the Options.Cores hint set, at every prefix.
+func TestTrackerVsSequential(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
 	var hooks int
-	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
-	trackersAgree(t, stream, configs, Options{Shards: 4})
-}
-
-// TestTrackerEnvGate pins the SHARELLC_BATCH_TRACKER escape hatch:
-// with the gate off, a TrackerSoA replay runs the struct tracker and
-// still produces identical Results.
-func TestTrackerEnvGate(t *testing.T) {
-	if !batchTrackerOn.Load() {
-		t.Skip("SHARELLC_BATCH_TRACKER=off in the environment")
-	}
-	stream := synthStream(20000, 1500, 8, 9)
-	configs := []LLCConfig{
-		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
-		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
-	}
-	opt := Options{Shards: 4, Kernel: KernelBatch}
-	on, err := ReplayMulti(stream, configs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := EnableBatchTracker(false)
-	defer EnableBatchTracker(prev)
-	off, err := ReplayMulti(stream, configs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range on {
-		if !reflect.DeepEqual(on[i], off[i]) {
-			t.Errorf("config %d: gated-off replay differs from SoA replay", i)
-		}
-	}
+	configs := batchTestConfigs(t, 128*cache.KB, 16, &hooks)
+	configsAgree(t, stream, configs, Options{Shards: 2, Cores: 8})
 }
 
 // TestTrackerWideCoreFallback streams cores past the packed word's 63
-// (indices 0..62): the SoA request must silently fall back to the
-// struct tracker and still match it, with and without an Options.Cores
-// hint. A 63-core stream (the widest that fits) stays on the SoA path.
+// (indices 0..62): every lane must route to the sequential walk and
+// still match it, with and without an Options.Cores hint. A 63-core
+// stream (the widest that fits) stays on the engine. Routing shows in
+// the shardable LRU lane's factory calls: the engine builds one policy
+// per shard worker on top of the probe instance, the sequential walk
+// only the probe instance.
 func TestTrackerWideCoreFallback(t *testing.T) {
 	for _, cores := range []uint8{63, 64, 100} {
 		stream := synthStream(15000, 1200, cores, uint64(cores))
+		var calls atomic.Int32 // shard workers build policies concurrently
 		configs := []LLCConfig{
-			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { calls.Add(1); return policy.NewLRUPolicy() }},
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(5)) }},
 		}
-		opt := Options{Shards: 4}
-		trackersAgree(t, stream, configs, opt)
-		opt.Cores = int(cores)
-		trackersAgree(t, stream, configs, opt)
+		wide := cores > soaMaxCores
+		want := "engine"
+		if wide {
+			want = "sequential"
+		}
+		for _, hint := range []int{0, int(cores)} {
+			opt := Options{Shards: 4, Cores: hint}
+			calls.Store(0)
+			if _, err := ReplayMulti(stream, configs, opt); err != nil {
+				t.Fatal(err)
+			}
+			if n := calls.Load(); (n == 1) != wide {
+				t.Errorf("cores %d, hint %d: LRU lane built %d policies; want the %s walk", cores, hint, n, want)
+			}
+			configsAgree(t, stream, configs, opt)
+		}
 	}
 }
 
 // FuzzTrackerLog fuzzes the fused log-decode/advance loop of the
 // two-phase lanes: stream length around the chunk boundaries and
-// cross-set policies (so the lanes take the outcome-log path). SoA and
-// struct replays must stay bit-identical.
+// cross-set policies (so the lanes take the outcome-log path). Each lane
+// must stay bit-identical to its sequential walk at every prefix.
 func FuzzTrackerLog(f *testing.F) {
 	f.Add(uint16(0), uint64(1))
 	f.Add(uint16(batchSize-1), uint64(2))
@@ -137,7 +75,7 @@ func FuzzTrackerLog(f *testing.F) {
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed | 1)) }},
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewSHiP() }},
 		}
-		trackersAgree(t, stream, configs, Options{Shards: 4})
+		configsAgree(t, stream, configs, Options{Shards: 4})
 	})
 }
 
@@ -169,7 +107,7 @@ func TestTrackerPipelineCancel(t *testing.T) {
 	}
 	for _, after := range []int64{0, 1, 2, 5, 8} {
 		ctx := &countingCtx{Context: context.Background(), after: after}
-		_, err := ReplayMulti(stream, configs, Options{Shards: 4, Kernel: KernelBatch, Ctx: ctx})
+		_, err := ReplayMulti(stream, configs, Options{Shards: 4, Ctx: ctx})
 		if err == nil {
 			t.Fatalf("after=%d: replay succeeded under a cancelled context", after)
 		}
@@ -211,7 +149,7 @@ func TestLogRing(t *testing.T) {
 // TestTrackerPipelineStress drives many two-phase lanes through the
 // pipelined ring with more shards than workers, so publishes and waits
 // interleave heavily; run under -race in CI. Results must match the
-// barriered struct replay.
+// sequential walk.
 func TestTrackerPipelineStress(t *testing.T) {
 	stream := synthStream(30000, 2000, 8, 17)
 	var configs []LLCConfig
@@ -220,7 +158,7 @@ func TestTrackerPipelineStress(t *testing.T) {
 		configs = append(configs, LLCConfig{Size: 32 * cache.KB, Ways: 8,
 			NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed)) }})
 	}
-	trackersAgree(t, stream, configs, Options{Shards: 8})
+	configsAgree(t, stream, configs, Options{Shards: 8})
 }
 
 // closeDrainScratch builds a batchScratch holding n synthetic captured
@@ -248,7 +186,7 @@ func closeDrainScratch(r *rand.Rand, n, numBlocks int) *batchScratch {
 	return bs
 }
 
-// closeCapturedRef is the struct-tracker reference for flushClosed: each
+// closeCapturedRef is the struct-Residency reference for flushClosed: each
 // captured (cw, hits, id) entry is rebuilt as the Residency it stands
 // for — one addCore per core bit, written from bit 63 — and closed
 // through closeRes.

@@ -35,18 +35,6 @@ type Config struct {
 	// n > 1 asks for up to n shards per replay. Results are identical at
 	// every setting; only wall-clock time changes.
 	Shards int
-	// Kernel selects the fused-replay inner loop for every experiment
-	// of the suite (sharing.Options.Kernel): the batched SoA kernel by
-	// default, or the scalar walk as the bisection escape hatch (the
-	// -kernel flag of sharesim and sharesimd). Results are identical at
-	// either setting; only wall-clock time changes.
-	Kernel sharing.Kernel
-	// Tracker selects the residency-tracker representation for every
-	// experiment of the suite (sharing.Options.Tracker): the SoA columns
-	// by default, or the []Residency struct slabs as the bisection escape
-	// hatch (the -tracker flag of sharesim and sharesimd). Results are
-	// identical at either setting; only wall-clock time changes.
-	Tracker sharing.Tracker
 	// Streams, when non-nil, supplies each prepared stream instead of a
 	// direct BuildStream call — the hook through which the streamcache
 	// package shares streams across suites and processes. The provider
@@ -94,8 +82,8 @@ type Stream struct {
 
 	// coresOnce guards cores, the memoized core count of Accesses
 	// (1 + highest core number), scanned at most once per stream so
-	// every replay's SoA-tracker eligibility check skips the full-stream
-	// scan (sharing.Options.Cores).
+	// every replay's lane routing skips the full-stream scan
+	// (sharing.Options.Cores).
 	coresOnce sync.Once
 	cores     int
 }
@@ -264,25 +252,6 @@ func (s *Suite) WithProgress(fn func(done, total int, label string)) *Suite {
 	return &c
 }
 
-// WithKernel returns a shallow copy of the suite whose experiments run
-// the given replay kernel. The prepared streams are shared with the
-// receiver, so forcing the scalar kernel for an A/B or a bisection does
-// not pay a second suite build.
-func (s *Suite) WithKernel(k sharing.Kernel) *Suite {
-	c := *s
-	c.Config.Kernel = k
-	return &c
-}
-
-// WithTracker returns a shallow copy of the suite whose experiments use
-// the given residency-tracker representation, sharing the prepared
-// streams like WithKernel.
-func (s *Suite) WithTracker(t sharing.Tracker) *Suite {
-	c := *s
-	c.Config.Tracker = t
-	return &c
-}
-
 // context returns the suite's cancellation context, defaulting to
 // Background for suites built without one.
 func (s *Suite) context() context.Context {
@@ -316,22 +285,17 @@ func (s *Suite) Stream(name string) (*Stream, error) {
 	return nil, fmt.Errorf("sim: no prepared stream for workload %q", name)
 }
 
+// replayOpts is Stream.ReplayOptions under this suite's cancellation
+// context, so no experiment call site can forget it.
+func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
+	return st.ReplayOptions(shards, s.context())
+}
+
 // shardsFor picks the per-replay shard request (sharing.Options.Shards)
 // for an experiment fanning out over cells concurrent replay cells: the
 // Config's explicit Shards when set, otherwise the CPUs left over once
 // every cell has a worker — so the outer fan-out and the inner set
 // sharding never oversubscribe the machine between them.
-// replayOpts is Stream.ReplayOptions under this suite's Config: it
-// attaches the suite-level replay knobs (the Kernel and Tracker
-// selections) on top of the stream's own tuning, so no experiment call
-// site can forget one.
-func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
-	o := st.ReplayOptions(shards, s.context())
-	o.Kernel = s.Config.Kernel
-	o.Tracker = s.Config.Tracker
-	return o
-}
-
 func (s *Suite) shardsFor(cells int) int {
 	if s.Config.Shards != 0 {
 		return s.Config.Shards

@@ -11,8 +11,8 @@ import (
 	"sharellc/internal/workloads"
 )
 
-// benchScale reads SHARELLC_BENCH_SCALE (a workload scale factor) so CI
-// and bench.sh can run the speedup measurements at full size; tests and
+// benchScale reads SHARELLC_BENCH_SCALE (a workload scale factor) so a
+// run can take the speedup measurements at full size; tests and
 // default benchmark runs use a reduced suite that keeps the same 22
 // workloads but shrinks regions and trace lengths proportionally.
 func benchScale(def float64) float64 {

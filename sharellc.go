@@ -39,7 +39,6 @@ import (
 	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
-	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/workloads"
 )
@@ -92,30 +91,6 @@ type (
 
 	// OracleResult pairs the base and oracle passes of one study.
 	OracleResult = oracle.Result
-
-	// Kernel selects the replay inner-loop implementation
-	// (Config.Kernel, Suite.WithKernel).
-	Kernel = sharing.Kernel
-
-	// Tracker selects the residency-tracker representation
-	// (Config.Tracker, Suite.WithTracker).
-	Tracker = sharing.Tracker
-)
-
-// Replay kernels. The zero value is the batched kernel; scalar is the
-// escape hatch for bisecting replay regressions (the -kernel flag on
-// sharesim and sharesimd).
-const (
-	KernelBatch  = sharing.KernelBatch
-	KernelScalar = sharing.KernelScalar
-)
-
-// Residency trackers. The zero value is the SoA-column tracker; struct
-// is the escape hatch for bisecting tracker regressions (the -tracker
-// flag on sharesim and sharesimd).
-const (
-	TrackerSoA    = sharing.TrackerSoA
-	TrackerStruct = sharing.TrackerStruct
 )
 
 // Protection strengths.
