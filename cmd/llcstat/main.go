@@ -111,10 +111,13 @@ func run(args []string) error {
 		l1, 100*float64(l1)/float64(refs), l2, 100*float64(l2)/float64(refs),
 		llcRefs, 100*float64(llcRefs)/float64(refs))
 
-	res, err := sharing.Replay(stream, int(*llcMB*float64(cache.MB)), *ways, policy.NewLRUPolicy(), sharing.Options{})
+	lru := sharing.LLCConfig{Size: int(*llcMB * float64(cache.MB)), Ways: *ways,
+		NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+	results, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lru}, sharing.Options{})
 	if err != nil {
 		return err
 	}
+	res := results[0]
 	fmt.Printf("\nLLC (%gMB, %d-way, LRU):\n", *llcMB, *ways)
 	fmt.Printf("  accesses %d, hits %d, misses %d (miss rate %.1f%%)\n",
 		res.Accesses, res.Hits, res.Misses, 100*res.MissRate())

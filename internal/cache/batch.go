@@ -21,8 +21,8 @@ package cache
 // for every resident block, lineID is the reverse map the eviction path
 // uses to clear the victim's entry, and both must describe exactly this
 // cache's contents. Like the sequential fast path, a write hit does not
-// set the line dirty bit — dirtiness feeds writeback modelling in the
-// private hierarchy, not the LLC policy study.
+// set the line dirty bit — no policy reads it, and the LLC policy study
+// reports no writeback traffic.
 
 // Batch outcome word layout: bits 0–29 carry the line index
 // (set*ways+way), BatchHit marks a hit, BatchEvict marks a fill that

@@ -50,11 +50,11 @@ func batchCols(stream []AccessInfo) (blk []uint64, id []uint32, numBlocks int) {
 func probeAgrees(t *testing.T, stream []AccessInfo, size, ways, chunk int) {
 	t.Helper()
 	blk, id, numBlocks := batchCols(stream)
-	ref, err := NewSetAssoc(size, ways, NewLRU())
+	ref, err := NewSetAssoc(size, ways, &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSetAssoc(size, ways, NewLRU())
+	got, err := NewSetAssoc(size, ways, &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkBatchKernel(b *testing.B) {
 	)
 	stream := batchStream(1<<17, 4*(sizeBytes/trace.BlockSize), 12345)
 	blk, id, numBlocks := batchCols(stream)
-	c, err := NewSetAssoc(sizeBytes, ways, NewLRU())
+	c, err := NewSetAssoc(sizeBytes, ways, &LRU{})
 	if err != nil {
 		b.Fatal(err)
 	}

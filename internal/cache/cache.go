@@ -363,7 +363,7 @@ func (c *SetAssoc) Contents() []uint64 {
 // (no cross-set state such as dueling counters, shared RNG draws or global
 // prediction tables). Per-set-independent policies may be replayed with the
 // stream sharded by set index and produce results identical to a
-// sequential replay; see sharing.ReplayParallel.
+// sequential replay; see sharing.ReplayMulti.
 func PerSetIndependent(p Policy) bool {
 	ps, ok := p.(interface{ PerSetIndependent() bool })
 	return ok && ps.PerSetIndependent()

@@ -10,7 +10,7 @@ import (
 // tiny returns a small cache for directed tests: 4 sets x 2 ways = 8 blocks.
 func tiny(t *testing.T) *SetAssoc {
 	t.Helper()
-	c, err := NewSetAssoc(8*trace.BlockSize, 2, NewLRU())
+	c, err := NewSetAssoc(8*trace.BlockSize, 2, &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestGeometryValidation(t *testing.T) {
 		{-4096, 4, false},
 	}
 	for _, c := range cases {
-		_, err := NewSetAssoc(c.size, c.ways, NewLRU())
+		_, err := NewSetAssoc(c.size, c.ways, &LRU{})
 		if (err == nil) != c.ok {
 			t.Errorf("NewSetAssoc(%d, %d): err=%v, want ok=%v", c.size, c.ways, err, c.ok)
 		}
@@ -141,7 +141,7 @@ func TestStatsCounts(t *testing.T) {
 
 func TestContentsNeverExceedsCapacity(t *testing.T) {
 	f := func(blocks []uint64) bool {
-		c, err := NewSetAssoc(8*trace.BlockSize, 2, NewLRU())
+		c, err := NewSetAssoc(8*trace.BlockSize, 2, &LRU{})
 		if err != nil {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestContentsNeverExceedsCapacity(t *testing.T) {
 // Property: a block just accessed is always present immediately afterwards.
 func TestAccessedBlockIsResident(t *testing.T) {
 	f := func(blocks []uint64) bool {
-		c, err := NewSetAssoc(8*trace.BlockSize, 2, NewLRU())
+		c, err := NewSetAssoc(8*trace.BlockSize, 2, &LRU{})
 		if err != nil {
 			return false
 		}
@@ -179,7 +179,7 @@ func TestAccessedBlockIsResident(t *testing.T) {
 // Property: with W ways, cycling over W distinct conflicting blocks under
 // LRU always hits after the first round (LRU keeps a working set == assoc).
 func TestLRURetainsWorkingSetEqualToAssoc(t *testing.T) {
-	c, err := NewSetAssoc(64*trace.BlockSize, 8, NewLRU()) // 8 sets x 8 ways
+	c, err := NewSetAssoc(64*trace.BlockSize, 8, &LRU{}) // 8 sets x 8 ways
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLRURetainsWorkingSetEqualToAssoc(t *testing.T) {
 // Property: with W ways, cycling over W+1 conflicting blocks under LRU
 // never hits (the classic LRU pathological case).
 func TestLRUThrashesOnWorkingSetPlusOne(t *testing.T) {
-	c, err := NewSetAssoc(16*trace.BlockSize, 2, NewLRU()) // 8 sets x 2 ways
+	c, err := NewSetAssoc(16*trace.BlockSize, 2, &LRU{}) // 8 sets x 2 ways
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLRUThrashesOnWorkingSetPlusOne(t *testing.T) {
 }
 
 func TestLRUStackPosition(t *testing.T) {
-	p := NewLRU()
+	p := &LRU{}
 	p.Attach(1, 4)
 	for w := 0; w < 4; w++ {
 		p.Fill(0, w, &AccessInfo{})
@@ -235,7 +235,7 @@ func TestLRUStackPosition(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	c, err := NewSetAssoc(4*MB, 16, NewLRU())
+	c, err := NewSetAssoc(4*MB, 16, &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestLRUDemote(t *testing.T) {
-	p := NewLRU()
+	p := &LRU{}
 	p.Attach(1, 4)
 	for w := 0; w < 4; w++ {
 		p.Fill(0, w, &AccessInfo{})

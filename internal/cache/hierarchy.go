@@ -11,7 +11,7 @@ import (
 // in recency order, most recent first and invalid ways last, so the order
 // is the whole replacement state — no stamps, no Policy or Result per
 // reference, and an 8-way set is one host cache line. Outcomes equal
-// SetAssoc's with NewLRU(): a fill takes an invalid way while one exists
+// SetAssoc's under LRU: a fill takes an invalid way while one exists
 // and otherwise displaces the least recently touched line.
 type privCache struct {
 	ways  int
@@ -25,16 +25,17 @@ func newPrivCache(sizeBytes, ways int) privCache {
 	return privCache{ways: ways, mask: uint64(n/ways - 1), lines: make([]line, n)}
 }
 
-// access presents one reference: a hit moves the line to the front (and
-// dirties it on a write); a miss fills the block there and returns the
-// line it displaced (zero, hence invalid, if an empty way took the fill).
-func (c *privCache) access(block uint64, write bool) (hit bool, victim line) {
+// access presents one reference and reports whether it hit: a hit moves
+// the line to the front; a miss fills the block there, displacing the
+// least recently touched line if no empty way is left. Private lines
+// carry no dirty bit — nothing downstream reads it.
+func (c *privCache) access(block uint64) (hit bool) {
 	base := int(block&c.mask) * c.ways
 	set := c.lines[base : base+c.ways]
-	front, pos := makeLine(block, write), len(set)-1
+	front, pos := tagOf(block), len(set)-1
 	for w, ln := range set {
-		if ln&^lineDirty == tagOf(block) {
-			front, pos, hit = front|ln, w, true // |ln keeps an earlier write's dirty bit
+		if ln == front {
+			pos, hit = w, true
 			break
 		}
 		if !ln.valid() {
@@ -42,14 +43,11 @@ func (c *privCache) access(block uint64, write bool) (hit bool, victim line) {
 			break
 		}
 	}
-	if !hit {
-		victim = set[pos]
-	}
 	for ; pos > 0; pos-- {
 		set[pos] = set[pos-1]
 	}
 	set[0] = front
-	return hit, victim
+	return hit
 }
 
 // invalidate drops block if present, closing the gap so that the valid
@@ -58,7 +56,7 @@ func (c *privCache) invalidate(block uint64) {
 	base := int(block&c.mask) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w, ln := range set {
-		if ln&^lineDirty == tagOf(block) {
+		if ln == tagOf(block) {
 			copy(set[w:], set[w+1:])
 			set[len(set)-1] = 0
 			return
@@ -78,36 +76,16 @@ type Hierarchy struct {
 	l1Hits  uint64
 	l2Hits  uint64
 	llcRefs uint64 // references that fell through to the LLC
-
-	// writeback controls dirty-victim modelling: dirty L1 victims are
-	// written back into the L2 (possibly cascading an L2 eviction) and
-	// dirty L2 victims are reported through OnWriteback as LLC write
-	// traffic. Disabled by default — the paper's experiments concern
-	// demand references — and enabled via NewHierarchyWriteback.
-	writeback  bool
-	writebacks uint64
-	// OnWriteback, when non-nil and writeback is enabled, receives every
-	// dirty block the private hierarchy expels toward the LLC.
-	OnWriteback func(block uint64, core uint8)
 }
 
-// NewHierarchy builds the private caches described by cfg with demand
-// traffic only.
-func NewHierarchy(cfg Config) (*Hierarchy, error) {
-	return newHierarchy(cfg, false)
-}
-
-// NewHierarchyWriteback builds the private caches with dirty-victim
-// writeback modelling enabled.
-func NewHierarchyWriteback(cfg Config) (*Hierarchy, error) {
-	return newHierarchy(cfg, true)
-}
-
-func newHierarchy(cfg Config, writeback bool) (*Hierarchy, error) {
+// newHierarchy builds the private caches described by cfg. They model
+// demand traffic only: the paper's experiments concern demand
+// references, so dirty victims are not written back toward the LLC.
+func newHierarchy(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg, writeback: writeback}
+	h := &Hierarchy{cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, newPrivCache(cfg.L1Size, cfg.L1Ways))
 		h.l2 = append(h.l2, newPrivCache(cfg.L2Size, cfg.L2Ways))
@@ -126,46 +104,17 @@ func (h *Hierarchy) Access(a trace.Access) (llcRef bool, err error) {
 	}
 	h.refs++
 	block := a.Addr.BlockID()
-	hit, victim := h.l1[a.Core].access(block, a.Write)
-	if h.writeback && victim.dirty() {
-		// Dirty L1 victim written back into the L2; this may in turn
-		// displace a dirty L2 line toward the LLC.
-		h.l2Write(a.Core, victim.block())
-	}
-	if hit {
+	if h.l1[a.Core].access(block) {
 		h.l1Hits++
 		return false, nil
 	}
-	hit, victim = h.l2[a.Core].access(block, a.Write)
-	if h.writeback && victim.dirty() {
-		h.emitWriteback(victim.block(), a.Core)
-	}
-	if hit {
+	if h.l2[a.Core].access(block) {
 		h.l2Hits++
 		return false, nil
 	}
 	h.llcRefs++
 	return true, nil
 }
-
-// l2Write installs a written-back L1 victim into the core's L2.
-func (h *Hierarchy) l2Write(core uint8, block uint64) {
-	if _, victim := h.l2[core].access(block, true); victim.dirty() {
-		h.emitWriteback(victim.block(), core)
-	}
-}
-
-// emitWriteback reports one dirty block leaving the private hierarchy.
-func (h *Hierarchy) emitWriteback(block uint64, core uint8) {
-	h.writebacks++
-	if h.OnWriteback != nil {
-		h.OnWriteback(block, core)
-	}
-}
-
-// Writebacks reports how many dirty blocks the hierarchy has expelled
-// toward the LLC (always 0 without writeback modelling).
-func (h *Hierarchy) Writebacks() uint64 { return h.writebacks }
 
 // Invalidate removes block from every private cache; used by an inclusive
 // LLC when it evicts a block (back-invalidation).
@@ -223,28 +172,11 @@ func (b *streamBuilder) join() []AccessInfo {
 // returns the LLC reference stream with Index assigned and NextUse left
 // unset (callers that need OPT call AnnotateNextUse).
 func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) {
-	return filterStream(r, cfg, false)
-}
-
-// FilterStreamWriteback is FilterStream with dirty-victim writeback
-// modelling: dirty blocks expelled by the private hierarchy appear in the
-// LLC stream as write accesses (PC 0 — a writeback carries no instruction
-// context), interleaved at the point of eviction.
-func FilterStreamWriteback(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) {
-	return filterStream(r, cfg, true)
-}
-
-func filterStream(r trace.Reader, cfg Config, writeback bool) ([]AccessInfo, *Hierarchy, error) {
-	h, err := newHierarchy(cfg, writeback)
+	h, err := newHierarchy(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	var b streamBuilder
-	if writeback {
-		h.OnWriteback = func(block uint64, core uint8) {
-			b.add(AccessInfo{Block: block, Core: core, Write: true, NextUse: NoNextUse})
-		}
-	}
 	buf := make([]trace.Access, trace.ChunkSize)
 	for n := len(buf); n == len(buf); {
 		n = trace.ReadBatch(r, buf)
@@ -299,7 +231,7 @@ type System struct {
 
 // NewSystem builds the full memory system with the given LLC policy.
 func NewSystem(cfg Config, llcPolicy Policy) (*System, error) {
-	h, err := NewHierarchy(cfg)
+	h, err := newHierarchy(cfg)
 	if err != nil {
 		return nil, err
 	}

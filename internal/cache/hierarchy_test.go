@@ -18,7 +18,7 @@ func smallCfg() Config {
 }
 
 func TestHierarchyL1Filtering(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
+	h, err := newHierarchy(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestHierarchyL1Filtering(t *testing.T) {
 }
 
 func TestHierarchyL2CatchesL1Victims(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
+	h, err := newHierarchy(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestHierarchyL2CatchesL1Victims(t *testing.T) {
 }
 
 func TestHierarchyPrivatePerCore(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
+	h, err := newHierarchy(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestHierarchyPrivatePerCore(t *testing.T) {
 }
 
 func TestHierarchyRejectsOutOfRangeCore(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
+	h, err := newHierarchy(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,123 +147,13 @@ func TestAnnotateNextUseEmpty(t *testing.T) {
 	AnnotateNextUse(nil) // must not panic
 }
 
-func TestWritebackDisabledByDefault(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dirty a block, then thrash it out of both private levels.
-	if _, err := h.Access(trace.Access{Core: 0, Write: true, Addr: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for b := uint64(1); b < 64; b++ {
-		if _, err := h.Access(trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Writebacks() != 0 {
-		t.Errorf("default hierarchy emitted %d writebacks", h.Writebacks())
-	}
-}
-
-func TestWritebackEmitsDirtyVictims(t *testing.T) {
-	h, err := NewHierarchyWriteback(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	h.OnWriteback = func(block uint64, core uint8) {
-		got = append(got, block)
-		if core != 0 {
-			t.Errorf("writeback attributed to core %d", core)
-		}
-	}
-	// Dirty block 0, then stream clean blocks through the same sets to
-	// expel it from L1 and L2.
-	if _, err := h.Access(trace.Access{Core: 0, Write: true, Addr: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for b := uint64(1); b < 64; b++ {
-		if _, err := h.Access(trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Writebacks() == 0 {
-		t.Fatal("no writebacks emitted")
-	}
-	found := false
-	for _, b := range got {
-		if b == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("dirty block 0 never written back (got %v)", got)
-	}
-	if uint64(len(got)) != h.Writebacks() {
-		t.Errorf("hook fired %d times, counter says %d", len(got), h.Writebacks())
-	}
-}
-
-func TestCleanVictimsNotWrittenBack(t *testing.T) {
-	h, err := NewHierarchyWriteback(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only reads: nothing is ever dirty, so no writebacks.
-	for b := uint64(0); b < 64; b++ {
-		if _, err := h.Access(trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Writebacks() != 0 {
-		t.Errorf("read-only stream produced %d writebacks", h.Writebacks())
-	}
-}
-
-func TestFilterStreamWriteback(t *testing.T) {
-	var accs []trace.Access
-	accs = append(accs, trace.Access{Core: 0, Write: true, Addr: 0})
-	for b := uint64(1); b < 64; b++ {
-		accs = append(accs, trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)})
-	}
-	stream, h, err := FilterStreamWriteback(trace.NewSliceReader(accs), smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Writebacks() == 0 {
-		t.Fatal("no writebacks in filtered stream run")
-	}
-	wbCount := 0
-	for i, a := range stream {
-		if a.Index != int64(i) {
-			t.Fatalf("stream[%d].Index = %d", i, a.Index)
-		}
-		if a.Write && a.PC == 0 {
-			wbCount++
-		}
-	}
-	if uint64(wbCount) < h.Writebacks() {
-		t.Errorf("stream contains %d writeback records, hierarchy emitted %d", wbCount, h.Writebacks())
-	}
-	// Demand-only filtering of the same trace yields a strictly shorter
-	// stream.
-	demand, _, err := FilterStream(trace.NewSliceReader(accs), smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(demand) >= len(stream) {
-		t.Errorf("writeback stream (%d) not longer than demand stream (%d)", len(stream), len(demand))
-	}
-}
-
 func TestSystemInclusionBackInvalidation(t *testing.T) {
 	cfg := smallCfg()
 	// Shrink the LLC below the sum of private caches to force inclusion
 	// victims that are still private-resident: LLC 8 blocks, 2 ways.
 	cfg.LLCSize = 8 * trace.BlockSize
 	cfg.LLCWays = 2
-	sys, err := NewSystem(cfg, NewLRU())
+	sys, err := NewSystem(cfg, &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +184,7 @@ func TestSystemInclusionBackInvalidation(t *testing.T) {
 }
 
 func TestSystemLLCHit(t *testing.T) {
-	sys, err := NewSystem(smallCfg(), NewLRU())
+	sys, err := NewSystem(smallCfg(), &LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +212,7 @@ func TestConfigString(t *testing.T) {
 }
 
 func TestHierarchyConfigAccessor(t *testing.T) {
-	h, err := NewHierarchy(smallCfg())
+	h, err := newHierarchy(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,46 +224,19 @@ func TestHierarchyConfigAccessor(t *testing.T) {
 func TestHierarchyRejectsBadConfig(t *testing.T) {
 	bad := smallCfg()
 	bad.L1Size = 100
-	if _, err := NewHierarchy(bad); err == nil {
+	if _, err := newHierarchy(bad); err == nil {
 		t.Error("bad L1 accepted")
 	}
 	bad = smallCfg()
 	bad.L2Size = 100
-	if _, err := NewHierarchyWriteback(bad); err == nil {
+	if _, err := newHierarchy(bad); err == nil {
 		t.Error("bad L2 accepted")
 	}
-	if _, err := NewSystem(bad, NewLRU()); err == nil {
+	if _, err := NewSystem(bad, &LRU{}); err == nil {
 		t.Error("NewSystem accepted bad config")
 	}
 	ok := smallCfg()
 	if _, err := NewSystem(ok, nil); err == nil {
 		t.Error("NewSystem accepted nil policy")
-	}
-}
-
-func TestL1WritebackCascadesThroughL2(t *testing.T) {
-	// Force an L1 dirty eviction whose L2 insertion itself displaces a
-	// dirty L2 line, exercising the cascade path.
-	cfg := Config{
-		Cores:  1,
-		L1Size: 2 * trace.BlockSize, L1Ways: 2, // 1 set x 2 ways
-		L2Size: 2 * trace.BlockSize, L2Ways: 2, // 1 set x 2 ways
-		LLCSize: 16 * trace.BlockSize, LLCWays: 4,
-	}
-	h, err := NewHierarchyWriteback(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wbs []uint64
-	h.OnWriteback = func(b uint64, _ uint8) { wbs = append(wbs, b) }
-	// Dirty three blocks; with 2-way L1 and 2-way L2 the third dirty
-	// fill forces a dirty L1 victim into a full dirty L2.
-	for b := uint64(0); b < 4; b++ {
-		if _, err := h.Access(trace.Access{Core: 0, Write: true, Addr: trace.Addr(b * trace.BlockSize)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(wbs) == 0 {
-		t.Error("no cascaded writebacks emitted")
 	}
 }

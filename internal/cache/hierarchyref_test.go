@@ -9,26 +9,24 @@ import (
 )
 
 // refHierarchy is the private hierarchy as it was before the private
-// levels got their own cache type: one SetAssoc with a NewLRU() policy per
+// levels got their own cache type: one SetAssoc with a &LRU{} policy per
 // level and core, driven through Access and Result. It is kept as the
 // reference the monomorphic Hierarchy is compared against.
 type refHierarchy struct {
-	l1, l2    []*SetAssoc
-	writeback bool
+	l1, l2 []*SetAssoc
 
-	refs, l1Hits, l2Hits, llcRefs, writebacks uint64
-	onWriteback                               func(block uint64, core uint8)
+	refs, l1Hits, l2Hits, llcRefs uint64
 }
 
-func newRefHierarchy(t *testing.T, cfg Config, writeback bool) *refHierarchy {
+func newRefHierarchy(t *testing.T, cfg Config) *refHierarchy {
 	t.Helper()
-	h := &refHierarchy{writeback: writeback}
+	h := &refHierarchy{}
 	for i := 0; i < cfg.Cores; i++ {
-		l1, err := NewSetAssoc(cfg.L1Size, cfg.L1Ways, NewLRU())
+		l1, err := NewSetAssoc(cfg.L1Size, cfg.L1Ways, &LRU{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l2, err := NewSetAssoc(cfg.L2Size, cfg.L2Ways, NewLRU())
+		l2, err := NewSetAssoc(cfg.L2Size, cfg.L2Ways, &LRU{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,32 +38,16 @@ func newRefHierarchy(t *testing.T, cfg Config, writeback bool) *refHierarchy {
 func (h *refHierarchy) access(a trace.Access) bool {
 	h.refs++
 	info := AccessInfo{Block: a.Addr.BlockID(), Core: a.Core, PC: a.PC, Write: a.Write}
-	l1Res := h.l1[a.Core].Access(info)
-	if h.writeback && l1Res.Evicted && l1Res.VictimDirty {
-		res := h.l2[a.Core].Access(AccessInfo{Block: l1Res.Victim, Core: a.Core, Write: true})
-		if res.Evicted && res.VictimDirty {
-			h.emit(res.Victim, a.Core)
-		}
-	}
-	if l1Res.Hit {
+	if h.l1[a.Core].Access(info).Hit {
 		h.l1Hits++
 		return false
 	}
-	l2Res := h.l2[a.Core].Access(info)
-	if h.writeback && l2Res.Evicted && l2Res.VictimDirty {
-		h.emit(l2Res.Victim, a.Core)
-	}
-	if l2Res.Hit {
+	if h.l2[a.Core].Access(info).Hit {
 		h.l2Hits++
 		return false
 	}
 	h.llcRefs++
 	return true
-}
-
-func (h *refHierarchy) emit(block uint64, core uint8) {
-	h.writebacks++
-	h.onWriteback(block, core)
 }
 
 func (h *refHierarchy) invalidate(block uint64) {
@@ -77,77 +59,49 @@ func (h *refHierarchy) invalidate(block uint64) {
 
 // TestHierarchyMatchesSetAssocLRU drives the Hierarchy and the reference
 // with the same random traces — small block pools so that sets overflow,
-// interleaved back-invalidations so that sets carry holes — and requires
-// the same outcome per access, the same writeback sequence and the same
-// counters.
+// interleaved back-invalidations so that sets carry holes, writes mixed
+// in — and requires the same outcome per access and the same counters.
 func TestHierarchyMatchesSetAssocLRU(t *testing.T) {
-	type wb struct {
-		block uint64
-		core  uint8
-	}
 	for _, cores := range []int{1, 4, 8} {
-		for _, writeback := range []bool{false, true} {
-			t.Run(fmt.Sprintf("cores=%d/writeback=%v", cores, writeback), func(t *testing.T) {
-				cfg := Config{
-					Cores:  cores,
-					L1Size: 16 * trace.BlockSize, L1Ways: 4,
-					L2Size: 64 * trace.BlockSize, L2Ways: 8,
-					LLCSize: 256 * trace.BlockSize, LLCWays: 16,
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			cfg := Config{
+				Cores:  cores,
+				L1Size: 16 * trace.BlockSize, L1Ways: 4,
+				L2Size: 64 * trace.BlockSize, L2Ways: 8,
+				LLCSize: 256 * trace.BlockSize, LLCWays: 16,
+			}
+			h, err := newHierarchy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefHierarchy(t, cfg)
+			rnd := rng.New(uint64(7 + cores))
+			for i := 0; i < 200000; i++ {
+				if rnd.Intn(50) == 0 {
+					b := rnd.Uint64n(300)
+					h.Invalidate(b)
+					ref.invalidate(b)
+					continue
 				}
-				h, err := newHierarchy(cfg, writeback)
+				a := trace.Access{
+					Core:  uint8(rnd.Intn(cores)),
+					Write: rnd.Bool(0.3),
+					Addr:  trace.Addr(rnd.Uint64n(300) << trace.BlockShift),
+				}
+				toLLC, err := h.Access(a)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := newRefHierarchy(t, cfg, writeback)
-				// Writebacks are compared one access at a time: how many
-				// each side has emitted so far, and the latest one.
-				var got, want struct {
-					n    int
-					last wb
+				if w := ref.access(a); toLLC != w {
+					t.Fatalf("access %d (%v): toLLC = %v, reference %v", i, a, toLLC, w)
 				}
-				h.OnWriteback = func(b uint64, c uint8) { got.n, got.last = got.n+1, wb{b, c} }
-				ref.onWriteback = func(b uint64, c uint8) { want.n, want.last = want.n+1, wb{b, c} }
-
-				rnd := rng.New(uint64(7 + cores))
-				for i := 0; i < 200000; i++ {
-					if rnd.Intn(50) == 0 {
-						b := rnd.Uint64n(300)
-						h.Invalidate(b)
-						ref.invalidate(b)
-						continue
-					}
-					a := trace.Access{
-						Core:  uint8(rnd.Intn(cores)),
-						Write: rnd.Bool(0.3),
-						Addr:  trace.Addr(rnd.Uint64n(300) << trace.BlockShift),
-					}
-					toLLC, err := h.Access(a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if w := ref.access(a); toLLC != w {
-						t.Fatalf("access %d (%v): toLLC = %v, reference %v", i, a, toLLC, w)
-					}
-					if got != want {
-						t.Fatalf("access %d (%v): writebacks diverged: %+v, reference %+v", i, a, got, want)
-					}
-				}
-				refs, l1, l2, llc := h.Stats()
-				if refs != ref.refs || l1 != ref.l1Hits || l2 != ref.l2Hits || llc != ref.llcRefs {
-					t.Errorf("Stats = (%d,%d,%d,%d), reference (%d,%d,%d,%d)",
-						refs, l1, l2, llc, ref.refs, ref.l1Hits, ref.l2Hits, ref.llcRefs)
-				}
-				if h.Writebacks() != ref.writebacks {
-					t.Errorf("Writebacks = %d, reference %d", h.Writebacks(), ref.writebacks)
-				}
-				if writeback && want.n == 0 {
-					t.Error("trace produced no writebacks; the comparison is vacuous")
-				}
-				if !writeback && got.n != 0 {
-					t.Errorf("demand-mode hierarchy emitted %d writebacks", got.n)
-				}
-			})
-		}
+			}
+			refs, l1, l2, llc := h.Stats()
+			if refs != ref.refs || l1 != ref.l1Hits || l2 != ref.l2Hits || llc != ref.llcRefs {
+				t.Errorf("Stats = (%d,%d,%d,%d), reference (%d,%d,%d,%d)",
+					refs, l1, l2, llc, ref.refs, ref.l1Hits, ref.l2Hits, ref.llcRefs)
+			}
+		})
 	}
 }
 

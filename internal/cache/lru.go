@@ -16,9 +16,6 @@ type LRU struct {
 	clock uint64
 }
 
-// NewLRU returns an LRU policy.
-func NewLRU() *LRU { return &LRU{} }
-
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
 

@@ -193,14 +193,9 @@ type Protector struct {
 	fillsHinted uint64
 }
 
-// NewProtector wraps base with sharing-aware protection of the given
-// strength and default options. The same Protector instance must manage
-// exactly one cache, like any other policy.
-func NewProtector(base cache.Policy, strength Strength) *Protector {
-	return NewProtectorOpts(base, Options{Strength: strength})
-}
-
-// NewProtectorOpts wraps base with explicit options.
+// NewProtectorOpts wraps base with sharing-aware protection under opts
+// (zero fields take their defaults). The same Protector instance must
+// manage exactly one cache, like any other policy.
 func NewProtectorOpts(base cache.Policy, opts Options) *Protector {
 	if base == nil {
 		panic("core: nil base policy")

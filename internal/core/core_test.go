@@ -12,7 +12,7 @@ import (
 // protCache builds a 1-set, 4-way cache managed by a Protector over LRU.
 func protCache(t *testing.T, opts Options) (*cache.SetAssoc, *Protector) {
 	t.Helper()
-	p := NewProtectorOpts(cache.NewLRU(), opts)
+	p := NewProtectorOpts(&cache.LRU{}, opts)
 	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestStrengthString(t *testing.T) {
 }
 
 func TestNameSuffix(t *testing.T) {
-	p := NewProtector(cache.NewLRU(), Full)
+	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	if p.Name() != "lru+sa" {
 		t.Errorf("Name = %q, want lru+sa", p.Name())
 	}
@@ -42,10 +42,10 @@ func TestNameSuffix(t *testing.T) {
 func TestNilBasePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewProtector(nil) did not panic")
+			t.Error("NewProtectorOpts(nil) did not panic")
 		}
 	}()
-	NewProtector(nil, Full)
+	NewProtectorOpts(nil, Options{Strength: Full})
 }
 
 // TestNoHintsBehavesLikeBase is the no-harm guarantee for workloads with
@@ -71,7 +71,7 @@ func TestNoHintsBehavesLikeBase(t *testing.T) {
 			}
 			return misses
 		}
-		return run(cache.NewLRU()) == run(NewProtector(cache.NewLRU(), Full))
+		return run(&cache.LRU{}) == run(NewProtectorOpts(&cache.LRU{}, Options{Strength: Full}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -338,7 +338,7 @@ func TestProtectionClearedOnRefill(t *testing.T) {
 }
 
 func TestDuelRolesAndHysteresis(t *testing.T) {
-	p := NewProtectorOpts(cache.NewLRU(), Options{Strength: Full, Duel: true})
+	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full, Duel: true})
 	p.Attach(1024, 4)
 	aLeaders, bLeaders := 0, 0
 	for s := 0; s < 1024; s++ {
@@ -379,7 +379,7 @@ func TestDuelRolesAndHysteresis(t *testing.T) {
 }
 
 func TestDuelDisabledMeansAlwaysAware(t *testing.T) {
-	p := NewProtectorOpts(cache.NewLRU(), Options{Strength: Full})
+	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	p.Attach(64, 4)
 	for s := 0; s < 64; s++ {
 		if !p.aware(s) {
@@ -389,7 +389,7 @@ func TestDuelDisabledMeansAlwaysAware(t *testing.T) {
 }
 
 func TestGateDecays(t *testing.T) {
-	p := NewProtectorOpts(cache.NewLRU(), Options{Strength: Full})
+	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	p.Attach(1, 4)
 	// One hinted fill activates the gate...
 	p.Fill(0, 0, &cache.AccessInfo{PredictedShared: true})

@@ -41,12 +41,6 @@ func (r *Result) MissReduction() float64 {
 	return float64(int64(r.Base.Misses)-int64(r.Oracle.Misses)) / float64(r.Base.Misses)
 }
 
-// Run performs the two-pass oracle study for one policy on one stream
-// with default protection options.
-func Run(stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, strength core.Strength) (*Result, error) {
-	return RunOpts(stream, llcSize, llcWays, newPolicy, core.Options{Strength: strength})
-}
-
 // HorizonFactor scales the sharing-lookahead horizon: a block is hinted
 // shared at stream index i when another core touches it within
 // HorizonFactor × (LLC capacity in blocks) stream positions. An LLC
@@ -92,47 +86,6 @@ func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
 	return hints
 }
 
-// RunOpts performs the two-pass oracle study with explicit protection
-// options and the default sharing horizon. newPolicy must return a fresh
-// instance on each call (the two passes must not share trained state).
-func RunOpts(stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options) (*Result, error) {
-	return RunHorizon(stream, llcSize, llcWays, newPolicy, opts, HorizonFactor)
-}
-
-// RunHorizon is RunOpts with an explicit horizon factor (the sharing
-// lookahead window in multiples of the LLC capacity); the A4 ablation
-// sweeps it.
-func RunHorizon(stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, horizonFactor int) (*Result, error) {
-	return RunHorizonShards(context.Background(), stream, llcSize, llcWays, newPolicy, opts, horizonFactor, 0)
-}
-
-// RunHorizonShards is RunHorizon with a cancellation context and an
-// explicit shard request for the bare pass-1 replay (see
-// sharing.Options.Shards; 0 = automatic). Pass 2 installs a fill-time
-// hook and therefore always replays sequentially, so study results are
-// identical at every shard count. Cancelling ctx aborts either pass at
-// its next poll and returns the context error.
-func RunHorizonShards(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, horizonFactor, shards int) (*Result, error) {
-	if horizonFactor < 1 {
-		return nil, fmt.Errorf("oracle: horizon factor %d < 1", horizonFactor)
-	}
-	base, err := sharing.ReplayParallel(stream, llcSize, llcWays, newPolicy, sharing.Options{Shards: shards, Ctx: ctx})
-	if err != nil {
-		return nil, fmt.Errorf("oracle: pass 1: %w", err)
-	}
-	prot := core.NewProtectorOpts(newPolicy(), opts)
-	horizon := int64(horizonFactor) * int64(llcSize/trace.BlockSize)
-	hints := SharedHints(stream, horizon)
-	opt := sharing.Options{Ctx: ctx, Hooks: sharing.Hooks{
-		PredictShared: func(a cache.AccessInfo) bool { return hints[a.Index] },
-	}}
-	orc, err := sharing.Replay(stream, llcSize, llcWays, prot, opt)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: pass 2: %w", err)
-	}
-	return &Result{Base: base, Oracle: orc, Stats: prot.Stats()}, nil
-}
-
 // hintHook builds the pass-2 fill-time oracle hook for one horizon: the
 // hints are a pure trace property, so one slice serves every policy lane
 // at the same horizon.
@@ -160,10 +113,12 @@ func protectedLane(llcSize, llcWays int, newPolicy func() cache.Policy, opts cor
 // lanes plus n protected pass-2 lanes) share the stream walk, and the
 // sharing hints are computed once — they are a trace property, identical
 // for every policy at the same horizon. Results are returned in factory
-// order, each bit-identical to RunHorizonShards for that factory alone.
-// ropt carries the replay tuning (Shards, Partitioner, NumBlocks — see
-// sharing.Options); its Ctx and Hooks fields are overridden (ctx and the
-// per-lane oracle hooks).
+// order, each bit-identical to the study of that factory alone — a
+// one-factory call is the single-policy study. newPolicy factories must
+// return a fresh instance on each call (the two passes must not share
+// trained state). ropt carries the replay tuning (Shards, Partitioner,
+// Cores, NumBlocks — see sharing.Options); its Ctx is overridden by ctx,
+// and cancelling ctx aborts the study at the replay's next poll.
 func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, factories []func() cache.Policy, opts core.Options, horizonFactor int, ropt sharing.Options) ([]*Result, error) {
 	if horizonFactor < 1 {
 		return nil, fmt.Errorf("oracle: horizon factor %d < 1", horizonFactor)
@@ -176,7 +131,7 @@ func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, l
 		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
 		configs[n+i] = protectedLane(llcSize, llcWays, f, opts, hooks, &prots[i])
 	}
-	ropt.Ctx, ropt.Hooks = ctx, sharing.Hooks{}
+	ropt.Ctx = ctx
 	results, err := sharing.ReplayMulti(stream, configs, ropt)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: fused study: %w", err)
@@ -191,8 +146,9 @@ func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, l
 // RunMultiHorizons sweeps the sharing horizon for one base policy in one
 // fused replay: a single bare pass-1 lane plus one protected lane per
 // horizon factor. The returned results (one per factor, in order) share
-// the same Base, and each matches RunHorizonShards at that factor. ropt
-// is treated exactly as in RunMultiPolicies.
+// the same Base, and each matches a one-factory RunMultiPolicies at that
+// factor (the A4 ablation). ropt is treated exactly as in
+// RunMultiPolicies.
 func RunMultiHorizons(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, factors []int, ropt sharing.Options) ([]*Result, error) {
 	n := len(factors)
 	configs := make([]sharing.LLCConfig, n+1)
@@ -204,7 +160,7 @@ func RunMultiHorizons(ctx context.Context, stream []cache.AccessInfo, llcSize, l
 		}
 		configs[i+1] = protectedLane(llcSize, llcWays, newPolicy, opts, hintHook(stream, llcSize, f), &prots[i])
 	}
-	ropt.Ctx, ropt.Hooks = ctx, sharing.Hooks{}
+	ropt.Ctx = ctx
 	results, err := sharing.ReplayMulti(stream, configs, ropt)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: fused horizon sweep: %w", err)

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"sharellc/internal/cache"
@@ -18,6 +20,17 @@ const (
 )
 
 func lruFactory() cache.Policy { return policy.NewLRUPolicy() }
+
+// study is the single-policy oracle study: a one-factory
+// RunMultiPolicies at the default horizon.
+func study(stream []cache.AccessInfo, newPolicy func() cache.Policy, opts core.Options) (*Result, error) {
+	res, err := RunMultiPolicies(context.Background(), stream, size, ways,
+		[]func() cache.Policy{newPolicy}, opts, HorizonFactor, sharing.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
 
 // sharedVictimStream builds a stream where a shared block is repeatedly
 // evicted by LRU just before its cross-core reuse, so the oracle has real
@@ -45,7 +58,7 @@ func sharedVictimStream() []cache.AccessInfo {
 }
 
 func TestOracleReducesMissesWhenSharingIsEvicted(t *testing.T) {
-	res, err := Run(sharedVictimStream(), size, ways, lruFactory, core.Full)
+	res, err := study(sharedVictimStream(), lruFactory, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +80,7 @@ func TestOracleNoOpOnPrivateWorkload(t *testing.T) {
 	for i := range stream {
 		stream[i] = cache.AccessInfo{Core: 0, Block: rnd.Uint64n(64), Index: int64(i)}
 	}
-	res, err := Run(stream, size, ways, lruFactory, core.Full)
+	res, err := study(stream, lruFactory, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +104,7 @@ func TestOracleWorksWithEveryCataloguePolicy(t *testing.T) {
 			continue // OPT already sees the future; wrapping it is out of scope
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(stream, size, ways, func() cache.Policy { return f() }, core.Full)
+			res, err := study(stream, func() cache.Policy { return f() }, core.Options{Strength: core.Full})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,11 +127,11 @@ func TestMissReductionEmptyBase(t *testing.T) {
 
 func TestOracleDeterministic(t *testing.T) {
 	stream := sharedVictimStream()
-	a, err := Run(stream, size, ways, lruFactory, core.Full)
+	a, err := study(stream, lruFactory, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(stream, size, ways, lruFactory, core.Full)
+	b, err := study(stream, lruFactory, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +140,54 @@ func TestOracleDeterministic(t *testing.T) {
 	}
 }
 
+// TestOracleFusedMatchesSolo holds the fused studies to the one-factory
+// study: every lane of a multi-policy study, and the default-horizon
+// lane of a horizon sweep, must reproduce the solo study's passes and
+// protector counters exactly.
+func TestOracleFusedMatchesSolo(t *testing.T) {
+	stream := sharedVictimStream()
+	opts := core.Options{Strength: core.Full}
+	var cat []func() cache.Policy
+	for _, f := range policy.Catalogue(5) {
+		cat = append(cat, f)
+	}
+	fused, err := RunMultiPolicies(context.Background(), stream, size, ways, cat, opts, HorizonFactor, sharing.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range cat {
+		solo, err := study(stream, f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(solo, fused[i]) {
+			t.Errorf("%s: fused study differs from the solo study", solo.Base.Policy)
+		}
+	}
+	sweep, err := RunMultiHorizons(context.Background(), stream, size, ways, lruFactory, opts, []int{1, HorizonFactor}, sharing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := study(stream, lruFactory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(solo, sweep[1]) {
+		t.Error("horizon sweep at the default factor differs from the solo study")
+	}
+}
+
 func TestRunOptsVariantsAllSane(t *testing.T) {
 	stream := sharedVictimStream()
 	for _, opts := range []core.Options{
-		{Strength: InsertOnlyStrength()},
+		{Strength: core.InsertOnly},
 		{Strength: core.Full},
 		{Strength: core.Full, NoDemote: true},
 		{Strength: core.Full, Duel: true},
 		{Strength: core.Full, ClearOnFulfil: true},
 		{Strength: core.Full, SkipBudget: -1},
 	} {
-		res, err := RunOpts(stream, size, ways, lruFactory, opts)
+		res, err := study(stream, lruFactory, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
@@ -146,9 +196,6 @@ func TestRunOptsVariantsAllSane(t *testing.T) {
 		}
 	}
 }
-
-// InsertOnlyStrength exists to keep the options table readable.
-func InsertOnlyStrength() core.Strength { return core.InsertOnly }
 
 func TestSharedHints(t *testing.T) {
 	stream := []cache.AccessInfo{

@@ -74,9 +74,10 @@ func Names(seed uint64) []string {
 func Realistic(name string) bool { return name != "opt" }
 
 // PerSet reports whether p's replacement decisions in one set depend only
-// on the accesses to that set, making it eligible for set-sharded replay
-// (sharing.ReplayParallel). LRU, FIFO, NRU, PLRU, LIP, SRRIP and OPT
+// on the accesses to that set, making it eligible for the set-sharded
+// walk of sharing.ReplayMulti. LRU, FIFO, NRU, PLRU, LIP, SRRIP and OPT
 // qualify; policies with cross-set state — shared RNG draws (Random, BIP,
 // BRRIP), set-dueling selectors (DIP, DRRIP) or global prediction tables
-// (SHiP) — do not, and fall back to the sequential replay path.
+// (SHiP) — do not, and replay two-phase: one stream-order policy pass,
+// then the tracker set-shard by set-shard.
 func PerSet(p cache.Policy) bool { return cache.PerSetIndependent(p) }

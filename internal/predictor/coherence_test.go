@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
-	"sharellc/internal/policy"
 	"sharellc/internal/sharing"
 )
 
@@ -101,10 +99,7 @@ func TestCoherenceBeatsHistoryOnPhasedSharing(t *testing.T) {
 	cache.AnnotateNextUse(stream)
 
 	eval := func(pred Predictor) float64 {
-		res, err := Evaluate(stream, size, ways, policy.NewLRUPolicy(), pred)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := evaluate(t, stream, pred)
 		return res.Pred.Accuracy()
 	}
 	addr, err := NewAddress(DefaultConfig())
@@ -128,10 +123,7 @@ func TestCoherenceDrivesReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Drive(stream, size, ways, policy.NewLRUPolicy(), p, core.Full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := drive(t, stream, p)
 	if res.Pred.Total() == 0 {
 		t.Error("no residencies classified")
 	}

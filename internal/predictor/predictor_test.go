@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,57 @@ const (
 	size = 16 * trace.BlockSize
 	ways = 4
 )
+
+func lru() cache.Policy { return policy.NewLRUPolicy() }
+
+// residency fabricates one closed residency of block, filled from pc and
+// touched by degree distinct cores, by replaying exactly those accesses
+// and catching the residency as it closes at stream end.
+func residency(t *testing.T, block, pc uint64, degree int) sharing.Residency {
+	t.Helper()
+	stream := make([]cache.AccessInfo, degree)
+	for c := range stream {
+		stream[c] = cache.AccessInfo{Core: uint8(c), Block: block, PC: pc, Index: int64(c)}
+	}
+	var got []sharing.Residency
+	hooks := sharing.Hooks{OnResidencyEnd: func(r sharing.Residency) { got = append(got, r) }}
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lru, Hooks: hooks}}, sharing.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Degree() != degree {
+		t.Fatalf("fabricating a degree-%d residency closed %+v", degree, got)
+	}
+	return got[0]
+}
+
+// evaluate is the F7 lane for one predictor: a one-predictor
+// EvaluateMulti over LRU.
+func evaluate(t *testing.T, stream []cache.AccessInfo, pred Predictor) *sharing.Result {
+	t.Helper()
+	res, err := EvaluateMulti(context.Background(), stream, size, ways, lru, []Predictor{pred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
+// drive is the F8 lane for one predictor: a one-config ReplayMulti whose
+// policy is the full-strength protector over LRU and whose hooks come
+// from HooksFor. It returns the protector's counters with the result.
+func drive(t *testing.T, stream []cache.AccessInfo, pred Predictor) (*sharing.Result, core.Stats) {
+	t.Helper()
+	var prot *core.Protector
+	cfg := sharing.LLCConfig{Size: size, Ways: ways, Hooks: HooksFor(pred),
+		NewPolicy: func() cache.Policy {
+			prot = core.NewProtectorOpts(lru(), core.Options{Strength: core.Full})
+			return prot
+		}}
+	res, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0], prot.Stats()
+}
 
 func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -49,8 +101,8 @@ func TestAddressLearnsPerBlockHistory(t *testing.T) {
 	sharedBlock, privateBlock := uint64(100), uint64(200)
 	// Train a few residencies each.
 	for i := 0; i < 4; i++ {
-		p.Train(sharing.MakeResidency(sharedBlock, 0, 2))
-		p.Train(sharing.MakeResidency(privateBlock, 0, 1))
+		p.Train(residency(t, sharedBlock, 0, 2))
+		p.Train(residency(t, privateBlock, 0, 1))
 	}
 	if !p.Predict(cache.AccessInfo{Block: sharedBlock}) {
 		t.Error("address predictor missed a consistently shared block")
@@ -67,8 +119,8 @@ func TestPCLearnsPerSiteHistory(t *testing.T) {
 	}
 	sharedPC, privatePC := uint64(0x1000), uint64(0x2000)
 	for i := 0; i < 4; i++ {
-		p.Train(sharing.MakeResidency(uint64(i), sharedPC, 3))
-		p.Train(sharing.MakeResidency(uint64(100+i), privatePC, 1))
+		p.Train(residency(t, uint64(i), sharedPC, 3))
+		p.Train(residency(t, uint64(100+i), privatePC, 1))
 	}
 	if !p.Predict(cache.AccessInfo{PC: sharedPC, Block: 999}) {
 		t.Error("PC predictor missed a sharing fill site")
@@ -89,11 +141,11 @@ func TestSingleSharedOutcomeFlipsEntry(t *testing.T) {
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("cold entry predicts shared")
 	}
-	p.Train(sharing.MakeResidency(b, 0, 2))
+	p.Train(residency(t, b, 0, 2))
 	if !p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("one shared outcome did not flip the entry")
 	}
-	p.Train(sharing.MakeResidency(b, 0, 1))
+	p.Train(residency(t, b, 0, 1))
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("one private outcome did not swing the entry back")
 	}
@@ -107,16 +159,16 @@ func TestCounterSaturation(t *testing.T) {
 	}
 	b := uint64(9)
 	for i := 0; i < 100; i++ {
-		p.Train(sharing.MakeResidency(b, 0, 4)) // saturate up
+		p.Train(residency(t, b, 0, 4)) // saturate up
 	}
 	// Two private outcomes from saturation (3) → 1 < threshold flips it;
 	// hysteresis means exactly max-threshold+1 decrements are needed.
-	p.Train(sharing.MakeResidency(b, 0, 1))
+	p.Train(residency(t, b, 0, 1))
 	if !p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("single private outcome flipped a saturated entry")
 	}
-	p.Train(sharing.MakeResidency(b, 0, 1))
-	p.Train(sharing.MakeResidency(b, 0, 1))
+	p.Train(residency(t, b, 0, 1))
+	p.Train(residency(t, b, 0, 1))
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("saturated entry never unlearned")
 	}
@@ -174,10 +226,7 @@ func TestEvaluateOnConsistentWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Evaluate(stream, size, ways, policy.NewLRUPolicy(), pred)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := evaluate(t, stream, pred)
 		if res.Pred.Total() == 0 {
 			t.Fatalf("%s: no residencies classified", pred.Name())
 		}
@@ -189,7 +238,7 @@ func TestEvaluateOnConsistentWorkload(t *testing.T) {
 
 func TestEvaluateDoesNotPerturbReplacement(t *testing.T) {
 	stream := mixedStream(5000)
-	bare, err := sharing.Replay(stream, size, ways, policy.NewLRUPolicy(), sharing.Options{})
+	bare, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lru}}, sharing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +246,9 @@ func TestEvaluateDoesNotPerturbReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := Evaluate(stream, size, ways, policy.NewLRUPolicy(), pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Misses != eval.Misses {
-		t.Errorf("Evaluate changed miss count: %d vs %d", bare.Misses, eval.Misses)
+	eval := evaluate(t, stream, pred)
+	if bare[0].Misses != eval.Misses {
+		t.Errorf("evaluation changed miss count: %d vs %d", bare[0].Misses, eval.Misses)
 	}
 }
 
@@ -212,15 +258,12 @@ func TestDriveProtectsAndTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := Drive(stream, size, ways, policy.NewLRUPolicy(), pred, core.Full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stats := drive(t, stream, pred)
 	if stats.ProtectedFills == 0 {
-		t.Error("Drive never protected a fill")
+		t.Error("driven lane never protected a fill")
 	}
 	if res.Pred.Total() == 0 {
-		t.Error("Drive recorded no prediction outcomes")
+		t.Error("driven lane recorded no prediction outcomes")
 	}
 }
 
@@ -231,10 +274,7 @@ func TestPredictorsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := Drive(stream, size, ways, policy.NewLRUPolicy(), pred, core.Full)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := drive(t, stream, pred)
 		return res.Misses
 	}
 	if run() != run() {

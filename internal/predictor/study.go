@@ -5,34 +5,16 @@ import (
 	"fmt"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
 	"sharellc/internal/sharing"
 )
 
-// Evaluate measures a predictor's fill-time accuracy without letting it
-// influence replacement (experiment F7): the base policy runs untouched
-// while the predictor predicts at each fill and trains at each residency
-// end. The returned result's Pred field holds the confusion matrix.
-func Evaluate(stream []cache.AccessInfo, llcSize, llcWays int, p cache.Policy, pred Predictor) (*sharing.Result, error) {
-	return EvaluateCtx(context.Background(), stream, llcSize, llcWays, p, pred)
-}
-
-// EvaluateCtx is Evaluate with a cancellation context threaded into the
-// replay; cancelling ctx aborts a long F7 cell at its next poll.
-func EvaluateCtx(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, p cache.Policy, pred Predictor) (*sharing.Result, error) {
-	opt := sharing.Options{Hooks: HooksFor(pred), Ctx: ctx}
-	res, err := sharing.Replay(stream, llcSize, llcWays, p, opt)
-	if err != nil {
-		return nil, fmt.Errorf("predictor: evaluating %s: %w", pred.Name(), err)
-	}
-	return res, nil
-}
-
-// EvaluateMulti measures every predictor's fill-time accuracy in one
-// fused replay over the stream: one lane per predictor, each with its
-// own fresh base policy (newBase is called once per lane) and its own
-// hook set, so each lane's result is bit-identical to EvaluateCtx for
-// that predictor alone. Results are returned in predictor order.
+// EvaluateMulti measures every predictor's fill-time accuracy without
+// letting it influence replacement (experiment F7), in one fused replay
+// over the stream: one lane per predictor, each with its own fresh base
+// policy (newBase is called once per lane) and its own hook set. The
+// base policy runs untouched while the predictor predicts at each fill
+// and trains at each residency end; each result's Pred field holds that
+// predictor's confusion matrix. Results are returned in predictor order.
 func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]*sharing.Result, error) {
 	configs := make([]sharing.LLCConfig, len(preds))
 	for i, pred := range preds {
@@ -45,37 +27,13 @@ func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcW
 	return results, nil
 }
 
-// Drive runs a predictor end-to-end (experiment F8): the base policy is
-// wrapped in the sharing-aware protector and the predictor's fill-time
-// output steers protection, while training continues online from actual
-// residency outcomes. This is the realistic counterpart of oracle.Run's
-// pass 2.
-func Drive(stream []cache.AccessInfo, llcSize, llcWays int, base cache.Policy, pred Predictor, strength core.Strength) (*sharing.Result, core.Stats, error) {
-	return DriveOpts(stream, llcSize, llcWays, base, pred, core.Options{Strength: strength})
-}
-
-// DriveOpts is Drive with explicit protection options.
-func DriveOpts(stream []cache.AccessInfo, llcSize, llcWays int, base cache.Policy, pred Predictor, opts core.Options) (*sharing.Result, core.Stats, error) {
-	return DriveOptsCtx(context.Background(), stream, llcSize, llcWays, base, pred, opts)
-}
-
-// DriveOptsCtx is DriveOpts with a cancellation context threaded into
-// the replay.
-func DriveOptsCtx(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, base cache.Policy, pred Predictor, opts core.Options) (*sharing.Result, core.Stats, error) {
-	prot := core.NewProtectorOpts(base, opts)
-	opt := sharing.Options{Hooks: HooksFor(pred), Ctx: ctx}
-	res, err := sharing.Replay(stream, llcSize, llcWays, prot, opt)
-	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("predictor: driving %s: %w", pred.Name(), err)
-	}
-	return res, prot.Stats(), nil
-}
-
 // HooksFor wires a predictor into a replay lane: fill-time prediction,
 // residency training, and — for predictors that watch every access (the
-// coherence-assisted predictor) — the per-access observation feed. It is
-// exported so fused replays (sim.PredictorDriven) can build per-lane
-// hook sets directly.
+// coherence-assisted predictor) — the per-access observation feed. A
+// lane whose policy is a core.Protector over the base and whose hooks
+// come from HooksFor is a predictor-driven lane (experiment F8): the
+// predictor's output steers protection while training continues online
+// from actual residency outcomes (sim.PredictorDriven builds them).
 func HooksFor(pred Predictor) sharing.Hooks {
 	h := sharing.Hooks{
 		PredictShared:  pred.Predict,

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
-	"sharellc/internal/policy"
-	"sharellc/internal/sharing"
 )
 
 func TestTournamentConstruction(t *testing.T) {
@@ -39,9 +36,9 @@ func TestTournamentPrefersTheRightComponent(t *testing.T) {
 		for b := uint64(0); b < 32; b++ {
 			tr.Predict(cache.AccessInfo{Block: b, PC: pc})
 			if b%2 == 0 {
-				tr.Train(sharing.MakeResidency(b, pc, 3))
+				tr.Train(residency(t, b, pc, 3))
 			} else {
-				tr.Train(sharing.MakeResidency(b, pc, 1))
+				tr.Train(residency(t, b, pc, 1))
 			}
 		}
 	}
@@ -65,7 +62,7 @@ func TestTournamentAgreementNeedsNoChooser(t *testing.T) {
 	// Components agree (both cold → both predict private): Train with a
 	// matching outcome must not panic or corrupt state.
 	tr.Predict(cache.AccessInfo{Block: 7, PC: 0x10})
-	tr.Train(sharing.MakeResidency(7, 0x10, 1))
+	tr.Train(residency(t, 7, 0x10, 1))
 	if tr.Predict(cache.AccessInfo{Block: 7, PC: 0x10}) {
 		t.Error("agreed-private block predicted shared")
 	}
@@ -77,10 +74,7 @@ func TestTournamentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(stream, size, ways, policy.NewLRUPolicy(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evaluate(t, stream, tr)
 	if res.Pred.Total() == 0 {
 		t.Fatal("no residencies classified")
 	}
@@ -92,7 +86,7 @@ func TestTournamentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Drive(stream, size, ways, policy.NewLRUPolicy(), tr2, core.Full); err != nil {
-		t.Fatal(err)
+	if res, _ := drive(t, stream, tr2); res.Pred.Total() == 0 {
+		t.Error("driven tournament recorded no prediction outcomes")
 	}
 }

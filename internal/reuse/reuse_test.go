@@ -93,7 +93,7 @@ func TestLRUHitIffDistanceUnderCapacity(t *testing.T) {
 	}
 	d := Distances(stream)
 	// Fully associative = 1 set with `capacity` ways.
-	c, err := cache.NewSetAssoc(capacity*64, capacity, cache.NewLRU())
+	c, err := cache.NewSetAssoc(capacity*64, capacity, &cache.LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 
 // configsAgree replays every eachPrefix prefix of full through configs
 // in one ReplayMulti call and demands each lane's Result equal the one
-// reference walk: sequential Replay of that lane alone, with the lane's
-// hooks. Counters, degree histograms and block census must all match.
+// reference walk: the sequential walk of that lane alone, with the
+// lane's hooks. Counters, degree histograms and block census must all match.
 func configsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
 	t.Helper()
 	eachPrefix(full, func(stream []cache.AccessInfo) {
@@ -76,7 +76,7 @@ func configsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, op
 			t.Fatal(err)
 		}
 		for i, c := range configs {
-			want, err := Replay(stream, c.Size, c.Ways, c.NewPolicy(), Options{Hooks: c.Hooks})
+			want, err := seqReplay(stream, c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	var prot *core.Protector
 	configs := []LLCConfig{{Size: 64 * cache.KB, Ways: 8,
 		NewPolicy: func() cache.Policy {
-			prot = core.NewProtector(policy.NewLRUPolicy(), core.Full)
+			prot = core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full})
 			return prot
 		},
 		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%4 == 0 }},

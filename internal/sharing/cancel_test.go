@@ -22,16 +22,20 @@ func cancelStream(n int) []cache.AccessInfo {
 	return stream
 }
 
+// lruLane64K is the cancellation tests' lane: a 64 KB 8-way LRU.
+func lruLane64K() LLCConfig {
+	return LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+}
+
 func TestReplayPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stream := cancelStream(1 << 16)
-	_, err := Replay(stream, 64*cache.KB, 8, policy.NewLRUPolicy(), Options{Ctx: ctx})
+	_, err := seqReplay(stream, lruLane64K(), Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential replay with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	_, err = ReplayParallel(stream, 64*cache.KB, 8, func() cache.Policy { return policy.NewLRUPolicy() },
-		Options{Ctx: ctx, Shards: 4})
+	_, err = ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel replay with cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -44,7 +48,7 @@ func TestReplayCancelledMidStream(t *testing.T) {
 	defer cancel()
 	stream := cancelStream(1 << 22) // tens of ms of replay work
 	start := time.Now()
-	_, err := Replay(stream, 64*cache.KB, 8, policy.NewLRUPolicy(), Options{Ctx: ctx})
+	_, err := seqReplay(stream, lruLane64K(), Options{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -55,17 +59,24 @@ func TestReplayCancelledMidStream(t *testing.T) {
 
 func TestReplayNilCtxUnchanged(t *testing.T) {
 	// Cancellation support must not perturb results: a replay with a
-	// live context matches one with no context at all.
+	// live context matches one with no context at all, on the
+	// sequential walk and through the engine.
 	stream := cancelStream(1 << 16)
-	base, err := Replay(stream, 64*cache.KB, 8, policy.NewLRUPolicy(), Options{})
+	base, err := seqReplay(stream, lruLane64K(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Replay(stream, 64*cache.KB, 8, policy.NewLRUPolicy(), Options{Ctx: context.Background()})
+	got, err := seqReplay(stream, lruLane64K(), Options{Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Hits != got.Hits || base.Misses != got.Misses || base.SharedHits != got.SharedHits {
-		t.Errorf("results diverge with ctx: %+v vs %+v", base, got)
+	multi, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Result{got, multi[0]} {
+		if base.Hits != r.Hits || base.Misses != r.Misses || base.SharedHits != r.SharedHits {
+			t.Errorf("results diverge with ctx: %+v vs %+v", base, r)
+		}
 	}
 }

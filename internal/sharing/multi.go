@@ -29,18 +29,19 @@ package sharing
 //     from which the tracker half (the multi-megabyte arrays) then
 //     replays set-shard by set-shard like a shardable lane;
 //   - sequential lanes replay one lane at a time, each as its own
-//     full-stream walk in stream order, exactly like sequential Replay.
-//     A lane lands here when the engine's encodings cannot carry it:
-//     per-lane hooks (a fill-time prediction feeds back into the very
-//     walk that would have produced the log), a cross-set policy with
-//     more ways than the outcome log's 6-bit field, more lines than the
-//     outcome word's 30-bit line index, or a stream with more cores
-//     than the tracker's packed core word (see replayLanes).
+//     full-stream walk in stream order (runSeqLane). A lane lands
+//     here when the engine's encodings cannot carry it: per-lane hooks
+//     (a fill-time prediction feeds back into the very walk that would
+//     have produced the log), a cross-set policy with more ways than
+//     the outcome log's 6-bit field, more lines than the outcome
+//     word's 30-bit line index, or a stream with more cores than the
+//     tracker's packed core word (see replayLanes).
 //
-// Every lane's Result is bit-identical to what sequential Replay would
-// return for that lane alone: per-set policies see the same per-set
-// access sequences regardless of how sets are grouped into shards, and
-// sequential lanes run the very walk Replay runs.
+// Every lane's Result is bit-identical to the sequential walk of that
+// lane alone: per-set policies see the same per-set access sequences
+// regardless of how sets are grouped into shards, the two-phase tracker
+// re-enacts exactly the outcomes the stream-order policy pass produced,
+// and sequential lanes are that walk.
 
 import (
 	"errors"
@@ -122,8 +123,7 @@ type LLCConfig struct {
 	Ways      int
 	NewPolicy func() cache.Policy
 	// Hooks observe this lane only. Lanes with any hook installed are
-	// pinned to a sequential walk, exactly like the hook fallback of
-	// ReplayParallel, because hooks observe stream order.
+	// pinned to the sequential walk, because hooks observe stream order.
 	Hooks Hooks
 }
 
@@ -234,18 +234,21 @@ const (
 
 // ReplayMulti replays stream once through every configuration in
 // configs and returns one Result per configuration, in order, each
-// bit-identical to ReplayParallel (and therefore to sequential Replay)
-// for that configuration alone with the same Options.
+// bit-identical to the sequential walk of that configuration alone. It
+// is the package's only replay entry point; a single replay is a
+// one-config call.
 //
-// Options.Shards, Ctx, Partitioner, Cores and NumBlocks apply to every
-// lane; hooks are per-lane (LLCConfig.Hooks), so Options.Hooks must be
-// empty. Options.Shards bounds the number of concurrent workers
-// only — the set-partition granularity is picked internally for cache
-// locality and never affects results.
+// The stream must have contiguous Index values starting at 0 (as
+// produced by cache.FilterStream); the replay validates this because the
+// oracle keys its knowledge by stream index. Streams whose BlockIDs were
+// never assigned (hand-built, or filtered without annotation) are copied
+// and assigned on the fly.
+//
+// Options apply to every lane; hooks are per-lane (LLCConfig.Hooks).
+// Options.Shards bounds the number of concurrent workers only — the
+// set-partition granularity is picked internally for cache locality and
+// never affects results.
 func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([]*Result, error) {
-	if opt.Hooks.any() {
-		return nil, fmt.Errorf("sharing: ReplayMulti hooks are per-lane; set LLCConfig.Hooks, not Options.Hooks")
-	}
 	if len(configs) == 0 {
 		return nil, nil
 	}
@@ -328,11 +331,11 @@ func blockShards(hotBytes, minSets, workers int) int {
 	return p
 }
 
-// replayLanes is the fused engine shared by ReplayMulti and the sharded
-// path of ReplayParallel. It turns the lanes into a task list — one
-// full-stream walk per sequential lane, one task per set shard for the
-// shardable group — and runs the tasks on `workers` concurrent workers,
-// leaving each lane's merged Result in lane.result.
+// replayLanes is the fused engine behind ReplayMulti. It turns the
+// lanes into a task list — one full-stream walk per sequential lane,
+// one task per set shard for the shardable group — and runs the tasks
+// on `workers` concurrent workers, leaving each lane's merged Result in
+// lane.result.
 //
 // The scheduling is chosen for memory locality, which is what replay
 // throughput is bound by (the stream itself is read sequentially and is
@@ -577,9 +580,10 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	return nil
 }
 
-// runSeqLane replays one sequential lane over the whole stream, exactly
-// the walk sequential Replay runs (same Index validation, same hook
-// dispatch in stream order), writing the finished Result to l.result.
+// runSeqLane replays one sequential lane over the whole stream in stream
+// order — Index validation, hook dispatch and the struct tracker —
+// writing the finished Result to l.result. It is the walk every engine
+// path is tested against.
 func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) error {
 	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
 	if err != nil {

@@ -27,8 +27,7 @@ func multiGeometries(t *testing.T) (sizes [2]int, ways int, stream []cache.Acces
 // TestReplayMultiBitIdentical fuses every registered policy at both LLC
 // sizes into ONE ReplayMulti call — mixed geometries, shardable and
 // sequential lanes together — and demands each lane's full Result equal
-// a solo sequential ReplayParallel of the same configuration, at every
-// prefix.
+// the sequential walk of the same configuration alone, at every prefix.
 func TestReplayMultiBitIdentical(t *testing.T) {
 	sizes, ways, full := multiGeometries(t)
 	names := policy.Names(1)
@@ -43,8 +42,7 @@ func TestReplayMultiBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: f})
-				// Shards 1 is the sequential reference.
-				ref, err := ReplayParallel(stream, size, ways, f, Options{Shards: 1})
+				ref, err := seqReplay(stream, configs[len(configs)-1], Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +80,7 @@ func TestReplayMultiShardsOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		configs[i] = LLCConfig{Size: testSize, Ways: testWays, NewPolicy: f}
-		ref, err := Replay(stream, testSize, testWays, f(), Options{})
+		ref, err := seqReplay(stream, configs[i], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,17 +126,14 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestReplayMultiValidation covers the rejection paths: global hooks,
-// missing factories, and a partitioner returning a mismatched partition.
+// TestReplayMultiValidation covers the rejection paths: missing
+// factories, bad geometry, and a partitioner returning a mismatched
+// partition.
 func TestReplayMultiValidation(t *testing.T) {
 	stream := synthStream(2000, 50, 4, 3)
 	lru := func() cache.Policy { return policy.NewLRUPolicy() }
 	cfg := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: lru}
 
-	if _, err := ReplayMulti(stream, []LLCConfig{cfg},
-		Options{Hooks: Hooks{OnAccess: func(cache.AccessInfo) {}}}); err == nil {
-		t.Error("global Options.Hooks accepted; want per-lane-hooks error")
-	}
 	if _, err := ReplayMulti(stream, []LLCConfig{{Size: testSize, Ways: testWays}}, Options{}); err == nil {
 		t.Error("nil NewPolicy accepted")
 	}

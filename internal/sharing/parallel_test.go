@@ -74,26 +74,39 @@ func perSetFactories() map[string]func() cache.Policy {
 	}
 }
 
-// TestReplayParallelBitIdentical replays the same stream sequentially and
-// at several forced shard counts under every per-set policy, demanding
-// the full Result — counters, degree histograms and block census — be
-// identical at every prefix.
+// TestReplayParallelBitIdentical replays the same stream through a
+// one-config ReplayMulti at several worker caps under every per-set
+// policy, demanding the full Result — counters, degree histograms and
+// block census — equal the sequential walk at every prefix. Shards: 1
+// means one worker, not a sequential replay: the blocking heuristic
+// still shards a long stream, which is the path a characterization
+// replay takes on a host with few cores, so the test also asserts that
+// the full-length replay at one worker ran through a partition.
 func TestReplayParallelBitIdentical(t *testing.T) {
 	full := synthStream(20000, 200, 8, 7)
 	for name, f := range perSetFactories() {
 		t.Run(name, func(t *testing.T) {
+			c := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: f}
 			eachPrefix(full, func(stream []cache.AccessInfo) {
-				want, err := Replay(stream, testSize, testWays, f(), Options{})
+				want, err := seqReplay(stream, c, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, shards := range []int{2, 4} {
-					got, err := ReplayParallel(stream, testSize, testWays, f, Options{Shards: shards})
+				for _, shards := range []int{1, 2, 4} {
+					parts := 0
+					opt := Options{Shards: shards, Partitioner: func(n int) (*PartitionIndex, error) {
+						parts = n
+						return BuildPartition(stream, n)
+					}}
+					got, err := ReplayMulti(stream, []LLCConfig{c}, opt)
 					if err != nil {
 						t.Fatalf("len %d, shards=%d: %v", len(stream), shards, err)
 					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("len %d, shards=%d: result differs from sequential\nseq: %+v\npar: %+v", len(stream), shards, want, got)
+					if !reflect.DeepEqual(want, got[0]) {
+						t.Errorf("len %d, shards=%d: result differs from sequential\nseq: %+v\npar: %+v", len(stream), shards, want, got[0])
+					}
+					if shards == 1 && len(stream) == len(full) && parts < 2 {
+						t.Errorf("one worker replayed the full stream unsharded (partition %d)", parts)
 					}
 				}
 			})
@@ -101,56 +114,52 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayParallelFallbacks checks that ineligible configurations fall
-// back to the sequential path and still return correct results: policies
-// with cross-set state, replays with hooks installed, and explicit
-// single-shard requests.
+// TestReplayParallelFallbacks checks the lanes a shard request cannot
+// put on the per-set sharded walk: a policy with cross-set state (the
+// two-phase split) and a hooked lane (pinned to the sequential walk,
+// whose OnAccess hook must see every access once, in stream order).
+// Both must still match the sequential walk.
 func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
 
 	// DRRIP duels sets against each other: not per-set independent.
-	drrip := func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }
-	want, err := Replay(stream, testSize, testWays, drrip(), Options{})
+	drrip := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }}
+	want, err := seqReplay(stream, drrip, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReplayParallel(stream, testSize, testWays, drrip, Options{Shards: 4})
+	got, err := ReplayMulti(stream, []LLCConfig{drrip}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("non-per-set policy: parallel entry point differs from sequential")
+	if !reflect.DeepEqual(want, got[0]) {
+		t.Error("non-per-set policy: sharded request differs from sequential")
 	}
 
 	// Hooks observe stream order; a shard request must not break them.
-	var seen int
-	hooked := Options{Shards: 4, Hooks: Hooks{OnAccess: func(cache.AccessInfo) { seen++ }}}
-	if _, err := ReplayParallel(stream, testSize, testWays,
-		func() cache.Policy { return policy.NewLRUPolicy() }, hooked); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(stream) {
-		t.Errorf("OnAccess fired %d times, want %d", seen, len(stream))
-	}
-
-	// Shards=1 is an explicit sequential request.
-	seq, err := ReplayParallel(stream, testSize, testWays,
-		func() cache.Policy { return policy.NewLRUPolicy() }, Options{Shards: 1})
+	var seen []int64
+	hooked := testLane(Hooks{OnAccess: func(a cache.AccessInfo) { seen = append(seen, a.Index) }})
+	got, err = ReplayMulti(stream, []LLCConfig{hooked}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Replay(stream, testSize, testWays, policy.NewLRUPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
+	if len(seen) != len(stream) {
+		t.Fatalf("OnAccess fired %d times, want %d", len(seen), len(stream))
 	}
-	if !reflect.DeepEqual(base, seq) {
-		t.Error("Shards=1 differs from sequential Replay")
+	for i, idx := range seen {
+		if idx != int64(i) {
+			t.Fatalf("OnAccess saw index %d at call %d", idx, i)
+		}
+	}
+	if want := replay(t, stream, Hooks{}); !reflect.DeepEqual(want, got[0]) {
+		t.Error("hooked lane differs from the unhooked sequential walk")
 	}
 }
 
 // TestReplayUnassignedBlockIDs checks the EnsureBlockIDs fallback: a
 // stream filtered without annotation (all BlockIDs zero) must replay
-// correctly without mutating the caller's slice.
+// correctly, sequentially and sharded, without mutating the caller's
+// slice.
 func TestReplayUnassignedBlockIDs(t *testing.T) {
 	annotated := synthStream(2000, 50, 4, 13)
 	raw := make([]cache.AccessInfo, len(annotated))
@@ -159,30 +168,23 @@ func TestReplayUnassignedBlockIDs(t *testing.T) {
 		a.NextUse = 0
 		raw[i] = a
 	}
-	want, err := Replay(annotated, testSize, testWays, policy.NewLRUPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(raw, testSize, testWays, policy.NewLRUPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replay(t, annotated, Hooks{})
+	got := replay(t, raw, Hooks{})
 	if got.Hits != want.Hits || got.Misses != want.Misses ||
 		got.SharedHits != want.SharedHits || got.DistinctBlocks != want.DistinctBlocks {
 		t.Errorf("unassigned-ID replay differs: %+v vs %+v", got, want)
 	}
-	for i := range raw {
-		if raw[i].BlockID != 0 {
-			t.Fatal("Replay mutated the caller's stream")
-		}
-	}
-	pgot, err := ReplayParallel(raw, testSize, testWays,
-		func() cache.Policy { return policy.NewLRUPolicy() }, Options{Shards: 2})
+	pgot, err := ReplayMulti(raw, []LLCConfig{testLane(Hooks{})}, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pgot.Hits != want.Hits || pgot.Misses != want.Misses {
-		t.Errorf("unassigned-ID parallel replay differs: %+v vs %+v", pgot, want)
+	if pgot[0].Hits != want.Hits || pgot[0].Misses != want.Misses {
+		t.Errorf("unassigned-ID parallel replay differs: %+v vs %+v", pgot[0], want)
+	}
+	for i := range raw {
+		if raw[i].BlockID != 0 {
+			t.Fatal("replay mutated the caller's stream")
+		}
 	}
 }
 

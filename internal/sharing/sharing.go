@@ -11,10 +11,11 @@
 //
 // The replay engine keys every per-block structure by the dense
 // cache.AccessInfo.BlockID instead of hashing the sparse 64-bit block
-// number, so the hot loop indexes flat slices. For per-set-independent
-// policies ReplayParallel additionally shards the stream by LLC set index
-// and replays the shards concurrently, merging into a result bit-identical
-// to the sequential Replay.
+// number, so the hot loop indexes flat slices. ReplayMulti is the one
+// entry point: it replays the stream once through any number of LLC
+// configurations, sharding per-set-independent lanes by LLC set index,
+// and every lane's result is bit-identical to the sequential walk of
+// that configuration alone (see multi.go).
 package sharing
 
 import (
@@ -69,25 +70,8 @@ func (r Residency) Shared() bool { return r.Degree() >= 2 }
 // the stream running out.
 func (r Residency) Evicted() bool { return r.EvictIndex >= 0 }
 
-// MakeResidency constructs a synthetic residency of block, filled by PC
-// fillPC on core 0 and touched by degree distinct cores (clamped to
-// [1,128]). It exists so predictor training and tests can fabricate
-// ground-truth outcomes without running a replay.
-func MakeResidency(block, fillPC uint64, degree int) Residency {
-	if degree < 1 {
-		degree = 1
-	}
-	if degree > 128 {
-		degree = 128
-	}
-	r := Residency{Block: block, FillPC: fillPC, EvictIndex: -1}
-	for c := 0; c < degree; c++ {
-		r.addCore(uint8(c))
-	}
-	return r
-}
-
-// Hooks lets callers observe and steer the replay. Either field may be nil.
+// Hooks lets callers observe and steer one lane of a replay
+// (LLCConfig.Hooks). Any field may be nil.
 type Hooks struct {
 	// PredictShared is consulted at fill time; its result is attached to
 	// the fill access as cache.AccessInfo.PredictedShared (the input of
@@ -105,23 +89,22 @@ type Hooks struct {
 }
 
 // any reports whether at least one hook is installed. Hooks observe the
-// replay in stream order, so their presence forces a sequential replay.
+// replay in stream order, so their presence pins a lane to the
+// sequential walk.
 func (h Hooks) any() bool {
 	return h.PredictShared != nil || h.OnResidencyEnd != nil || h.OnAccess != nil
 }
 
-// Options configures a Replay.
+// Options configures a ReplayMulti call; every field applies to all of
+// its lanes.
 type Options struct {
-	Hooks Hooks
-
-	// Shards bounds the parallelism of ReplayParallel and ReplayMulti:
-	// 0 picks a worker count automatically (GOMAXPROCS, capped), 1
-	// forces the plain sequential replay in ReplayParallel (a single
-	// worker in ReplayMulti), and n > 1 allows up to n concurrent
-	// workers (rounded down to a power of two and clamped to the set
-	// count). It never affects results — the set-partition granularity
-	// of the sharded walk is picked separately for cache locality (see
-	// blockShards). Sequential Replay ignores it.
+	// Shards bounds the replay's parallelism: 0 picks a worker count
+	// automatically (GOMAXPROCS, capped), 1 runs a single worker, and
+	// n > 1 allows up to n concurrent workers (rounded down to a power
+	// of two and clamped to the set count). It never affects results —
+	// the set-partition granularity of the sharded walk is picked
+	// separately for cache locality (see blockShards), so even one
+	// worker walks a long stream shard by shard.
 	Shards int
 
 	// Ctx, when non-nil, makes the replay cancellable: the hot loop
@@ -160,7 +143,7 @@ type Options struct {
 	// scans and, if needed, annotates a copy. A wrong positive count is
 	// a programming error: too small panics on the first out-of-range
 	// ID (the per-block arrays are sized by it), too large only wastes
-	// memory. Sequential Replay honours it too.
+	// memory.
 	NumBlocks int
 }
 
@@ -270,12 +253,12 @@ const (
 	blockShared  = uint8(2)
 )
 
-// replayState is the residency tracker behind Replay and each shard of
-// ReplayParallel. All per-block structures are flat slices indexed by the
-// dense BlockID or by the cache's (set, way) geometry; in the sharded
-// replay the slices are shared between shards, whose index ranges are
-// disjoint by construction (a block, and therefore its set and its ID,
-// belongs to exactly one shard).
+// replayState is the residency tracker behind a sequential lane walk and
+// each shard walk of an engine lane. All per-block structures are flat
+// slices indexed by the dense BlockID or by the cache's (set, way)
+// geometry; in the sharded walk the slices are shared between shards,
+// whose index ranges are disjoint by construction (a block, and
+// therefore its set and its ID, belongs to exactly one shard).
 type replayState struct {
 	res *Result
 
@@ -355,8 +338,8 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 // lanes and concurrent replays, so the multi-word record travels by
 // reference; when a fill-time prediction must be attached, it is
 // attached to the state's own copy (st.hinted) before that copy reaches
-// the cache. It is the per-access body of the sequential walk: Replay
-// and the sequential lanes of ReplayMulti.
+// the cache. It is the per-access body of the sequential walk
+// (runSeqLane).
 //
 // step reports whether the access hit but does not touch the
 // aggregate Accesses/Hits/Misses counters: those are three dependent
@@ -379,10 +362,10 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		// replay — is skipped. The skipped llc.Access would only have
 		// re-derived the same (set, way) and updated state that is
 		// not observable through Result: the LLC's own hit counters
-		// and the line dirty bit (dirtiness feeds writeback modelling
-		// in the private hierarchy, not the policy study). The miss
-		// path trusts the tracker symmetrically (cache.FillRef skips
-		// the tag scan re-confirming absence); what remains checked
+		// and the line dirty bit (no policy reads it, and the study
+		// reports no writeback traffic). The miss path trusts the
+		// tracker symmetrically (cache.FillRef skips the tag scan
+		// re-confirming absence); what remains checked
 		// every eviction is that the cache's victim matches the
 		// tracker's open residency for that line.
 		// SetOf is a mask of the block address — recovering the set from
@@ -540,43 +523,7 @@ func ensureBlockIDs(stream []cache.AccessInfo, opt Options) ([]cache.AccessInfo,
 	return cache.EnsureBlockIDs(stream)
 }
 
-// Replay runs stream through a fresh cache of llcSize bytes and llcWays
-// associativity under policy p, tracking residencies.
-//
-// The stream must have contiguous Index values starting at 0 (as produced
-// by cache.FilterStream); Replay validates this because the oracle keys
-// its knowledge by stream index. Streams whose BlockIDs were never
-// assigned (hand-built, or filtered without annotation) are copied and
-// assigned on the fly; streams from the standard pipeline replay with no
-// extra pass.
-func Replay(stream []cache.AccessInfo, llcSize, llcWays int, p cache.Policy, opt Options) (*Result, error) {
-	llc, err := cache.NewSetAssoc(llcSize, llcWays, p)
-	if err != nil {
-		return nil, err
-	}
-	stream, numBlocks := ensureBlockIDs(stream, opt)
-	res := newResult(p.Name())
-	st := &replayState{
-		res:        res,
-		lines:      grab(&scratch.lines, llc.Sets()*llc.Ways(), false),
-		active:     grab(&scratch.words, numBlocks, false),
-		blockState: grab(&scratch.bytes, numBlocks, true),
-		hooks:      opt.Hooks,
-		hadPred:    opt.Hooks.PredictShared != nil,
-		ctx:        opt.Ctx,
-	}
-	if err := st.run(llc, stream); err != nil {
-		return nil, err
-	}
-	st.closeAlive()
-	census(res, st.blockState)
-	put(&scratch.lines, st.lines)
-	put(&scratch.words, st.active)
-	put(&scratch.bytes, st.blockState)
-	return res, nil
-}
-
-// autoShards picks the automatic shard count for ReplayParallel: one
+// autoShards picks the automatic worker count for ReplayMulti: one
 // worker per available CPU (capped), and none at all for streams too
 // short to amortize the partitioning pass.
 func autoShards(streamLen int) int {
@@ -601,10 +548,7 @@ func floorPow2(n int) int {
 // resolveShards turns an Options.Shards request into the effective
 // worker count for a replay over streamLen accesses against a cache
 // with sets sets: 0 picks automatically, and the result is clamped to
-// the set count and rounded down to a power of two. It is the single
-// clamping rule shared by ReplayParallel and ReplayMulti (sequential
-// Replay has nothing to clamp), so the two entry points can never
-// disagree about what a shard request means.
+// the set count and rounded down to a power of two.
 func resolveShards(streamLen, sets int, opt Options) int {
 	shards := opt.Shards
 	if shards == 0 {
@@ -622,49 +566,8 @@ func resolveShards(streamLen, sets int, opt Options) int {
 	return shards
 }
 
-// ReplayParallel is Replay with intra-workload parallelism: when the
-// policy built by newPolicy declares itself per-set independent (see
-// cache.PerSetIndependent) and no hooks are installed, the stream is
-// partitioned by LLC set index into 2^k shards (set bits are block bits,
-// so shard s owns exactly the blocks with block & (shards-1) == s), each
-// shard is replayed concurrently against its own cache and policy
-// instance, and the per-shard results are merged deterministically. The
-// merged Result is bit-identical to the sequential Replay: per-set
-// policies see the same per-set access sequences either way, and counters
-// are order-independent sums.
-//
-// Policies with cross-set state (set dueling, shared RNG draws, global
-// prediction tables) and replays with hooks fall back to the sequential
-// path, as does Shards == 1 — the documented way to request the plain
-// sequential replay, which the differential tests use as the reference
-// implementation. Any other setting routes through the lane engine,
-// which picks the set-partition granularity for cache locality on its
-// own (a long replay is sharded even when only one worker runs, because
-// walking the stream shard by shard keeps 1/P of the model state
-// resident instead of all of it; see replayLanes).
-func ReplayParallel(stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opt Options) (*Result, error) {
-	sets, err := cache.Geometry(llcSize, llcWays)
-	if err != nil {
-		return nil, err
-	}
-	p := newPolicy()
-	if opt.Shards == 1 || opt.Hooks.any() || !cache.PerSetIndependent(p) {
-		return Replay(stream, llcSize, llcWays, p, opt)
-	}
-	l := &lane{
-		cfg:       LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy},
-		sets:      sets,
-		inst:      p,
-		shardable: true,
-	}
-	if err := replayLanes(stream, []*lane{l}, resolveShards(len(stream), sets, opt), opt); err != nil {
-		return nil, err
-	}
-	return l.result, nil
-}
-
 // mergeLane folds the per-shard partial results of one lane into its
-// final Result, bit-identical to the sequential replay: counters are
+// final Result, bit-identical to the sequential walk: counters are
 // order-independent sums and the block census comes from the shared
 // blockState array.
 func mergeLane(policyName string, parts []*Result, blockState []uint8) *Result {

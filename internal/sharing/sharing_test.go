@@ -29,9 +29,32 @@ const (
 	testWays = 4
 )
 
-func replay(t *testing.T, stream []cache.AccessInfo, opt Options) *Result {
+// testLane is the LRU lane at the test geometry, with hooks h.
+func testLane(h Hooks) LLCConfig {
+	return LLCConfig{Size: testSize, Ways: testWays, Hooks: h,
+		NewPolicy: func() cache.Policy { return &cache.LRU{} }}
+}
+
+// seqReplay is the sequential reference walk of one configuration: a
+// one-lane lane run through runSeqLane whatever its policy, hooks or
+// geometry, after the same block-ID resolution ReplayMulti performs.
+// Every engine differential compares against it.
+func seqReplay(stream []cache.AccessInfo, c LLCConfig, opt Options) (*Result, error) {
+	sets, err := cache.Geometry(c.Size, c.Ways)
+	if err != nil {
+		return nil, err
+	}
+	stream, numBlocks := ensureBlockIDs(stream, opt)
+	l := &lane{cfg: c, sets: sets, inst: c.NewPolicy()}
+	if err := runSeqLane(stream, numBlocks, l, opt); err != nil {
+		return nil, err
+	}
+	return l.result, nil
+}
+
+func replay(t *testing.T, stream []cache.AccessInfo, h Hooks) *Result {
 	t.Helper()
-	res, err := Replay(stream, testSize, testWays, cache.NewLRU(), opt)
+	res, err := seqReplay(stream, testLane(h), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +62,14 @@ func replay(t *testing.T, stream []cache.AccessInfo, opt Options) *Result {
 }
 
 // replayLogged is replay plus the residency log: every closed residency,
-// collected through Hooks.OnResidencyEnd on the sequential path, in
-// closure order (evictions by evicting index, then stream-end survivors
-// by fill index).
+// collected through Hooks.OnResidencyEnd, in closure order (evictions by
+// evicting index, then stream-end survivors by fill index).
 func replayLogged(t *testing.T, stream []cache.AccessInfo) (*Result, []Residency) {
 	t.Helper()
 	var log []Residency
-	res := replay(t, stream, Options{Hooks: Hooks{
+	res := replay(t, stream, Hooks{
 		OnResidencyEnd: func(r Residency) { log = append(log, r) },
-	}})
+	})
 	return res, log
 }
 
@@ -131,7 +153,7 @@ func TestSharingResetsAcrossResidencies(t *testing.T) {
 func TestDegreeHistogram(t *testing.T) {
 	// Block 1 touched by cores 0,1,2; block 2 by core 3 only.
 	pairs := [][2]uint64{{0, 1}, {1, 1}, {2, 1}, {3, 2}}
-	res := replay(t, mkStream(pairs), Options{})
+	res := replay(t, mkStream(pairs), Hooks{})
 	if res.DegreeResidencies[3] != 1 {
 		t.Errorf("degree-3 residencies = %d, want 1", res.DegreeResidencies[3])
 	}
@@ -149,7 +171,7 @@ func TestDistinctBlockCensus(t *testing.T) {
 		{0, 2}, {0, 2}, // block 2 private
 		{0, 3}, // block 3 private, no reuse
 	}
-	res := replay(t, mkStream(pairs), Options{})
+	res := replay(t, mkStream(pairs), Hooks{})
 	if res.DistinctBlocks != 3 {
 		t.Errorf("DistinctBlocks = %d, want 3", res.DistinctBlocks)
 	}
@@ -191,7 +213,7 @@ func TestWrittenByFill(t *testing.T) {
 		{Core: 0, Block: 1, Write: true, Index: 0},
 		{Core: 1, Block: 1, Index: 1},
 	}
-	res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{})
+	res, err := seqReplay(stream, testLane(Hooks{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +235,7 @@ func TestROPlusRWEqualsShared(t *testing.T) {
 				Index: int64(i),
 			}
 		}
-		res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{})
+		res, err := seqReplay(stream, testLane(Hooks{}), Options{})
 		if err != nil {
 			return false
 		}
@@ -236,10 +258,9 @@ func TestPredictionAccounting(t *testing.T) {
 		{0, 3},
 	}
 	stream := mkStream(pairs)
-	opt := Options{Hooks: Hooks{
+	res := replay(t, stream, Hooks{
 		PredictShared: func(a cache.AccessInfo) bool { return a.Block%2 == 0 },
-	}}
-	res := replay(t, stream, opt)
+	})
 	if res.Pred.TP != 1 || res.Pred.FP != 1 || res.Pred.FN != 1 || res.Pred.TN != 1 {
 		t.Errorf("PredStats = %+v, want 1 each", res.Pred)
 	}
@@ -264,10 +285,9 @@ func TestPredStatsEmpty(t *testing.T) {
 func TestOnResidencyEndFiresForAll(t *testing.T) {
 	pairs := [][2]uint64{{0, 0}, {0, 4}, {0, 8}, {0, 12}, {0, 16}} // 5 blocks, 4 ways: 1 eviction
 	var ended []Residency
-	opt := Options{Hooks: Hooks{
+	res := replay(t, mkStream(pairs), Hooks{
 		OnResidencyEnd: func(r Residency) { ended = append(ended, r) },
-	}}
-	res := replay(t, mkStream(pairs), opt)
+	})
 	if uint64(len(ended)) != res.Residencies {
 		t.Errorf("hook fired %d times for %d residencies", len(ended), res.Residencies)
 	}
@@ -288,10 +308,9 @@ func TestOnResidencyEndFiresForAll(t *testing.T) {
 func TestOnAccessHookFiresForEveryAccess(t *testing.T) {
 	pairs := [][2]uint64{{0, 1}, {1, 1}, {0, 2}, {0, 1}}
 	var seen []uint64
-	opt := Options{Hooks: Hooks{
+	res := replay(t, mkStream(pairs), Hooks{
 		OnAccess: func(a cache.AccessInfo) { seen = append(seen, a.Block) },
-	}}
-	res := replay(t, mkStream(pairs), opt)
+	})
 	if uint64(len(seen)) != res.Accesses {
 		t.Fatalf("hook fired %d times for %d accesses", len(seen), res.Accesses)
 	}
@@ -304,19 +323,24 @@ func TestOnAccessHookFiresForEveryAccess(t *testing.T) {
 
 func TestStreamIndexValidation(t *testing.T) {
 	stream := []cache.AccessInfo{{Block: 1, Index: 7}}
-	if _, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{}); err == nil {
-		t.Error("misindexed stream accepted")
+	if _, err := seqReplay(stream, testLane(Hooks{}), Options{}); err == nil {
+		t.Error("sequential walk accepted a misindexed stream")
+	}
+	if _, err := ReplayMulti(stream, []LLCConfig{testLane(Hooks{})}, Options{}); err == nil {
+		t.Error("ReplayMulti accepted a misindexed stream")
 	}
 }
 
 func TestBadGeometryRejected(t *testing.T) {
-	if _, err := Replay(nil, 63, 4, cache.NewLRU(), Options{}); err == nil {
+	bad := testLane(Hooks{})
+	bad.Size = 63
+	if _, err := seqReplay(nil, bad, Options{}); err == nil {
 		t.Error("bad geometry accepted")
 	}
 }
 
 func TestEmptyStream(t *testing.T) {
-	res := replay(t, nil, Options{})
+	res := replay(t, nil, Hooks{})
 	if res.Accesses != 0 || res.Residencies != 0 || res.MissRate() != 0 || res.SharedHitFraction() != 0 {
 		t.Errorf("empty stream produced non-empty result: %+v", res)
 	}
@@ -374,7 +398,7 @@ func TestConservationProperties(t *testing.T) {
 	}
 }
 
-// Property: miss counts from Replay equal miss counts from driving the
+// Property: miss counts from the sequential walk equal miss counts from driving the
 // cache directly (the tracker must not perturb replacement).
 func TestReplayMatchesRawCache(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -388,11 +412,11 @@ func TestReplayMatchesRawCache(t *testing.T) {
 				Index: int64(i),
 			}
 		}
-		res, err := Replay(stream, testSize, testWays, cache.NewLRU(), Options{})
+		res, err := seqReplay(stream, testLane(Hooks{}), Options{})
 		if err != nil {
 			return false
 		}
-		raw, err := cache.NewSetAssoc(testSize, testWays, cache.NewLRU())
+		raw, err := cache.NewSetAssoc(testSize, testWays, &cache.LRU{})
 		if err != nil {
 			return false
 		}

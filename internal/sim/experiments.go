@@ -53,12 +53,13 @@ func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
 	var done atomic.Int64
 	err := s.par(len(s.Streams), func(i int) error {
 		st := s.Streams[i]
-		res, err := sharing.ReplayParallel(st.Accesses, llcSize, llcWays,
-			func() cache.Policy { return policy.NewLRUPolicy() },
-			s.replayOpts(st, shards))
+		lru := sharing.LLCConfig{Size: llcSize, Ways: llcWays,
+			NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lru}, s.replayOpts(st, shards))
 		if err != nil {
 			return fmt.Errorf("characterize %s: %w", st.Model.Name, err)
 		}
+		res := results[0]
 		defer s.step(&done, len(s.Streams), st.Model.Name)
 		rows[i] = CharRow{
 			Workload:             st.Model.Name,

@@ -29,10 +29,10 @@ type Config struct {
 	Scale float64
 	// Models is the workload list; empty means the full suite.
 	Models []workloads.Model
-	// Shards requests set-sharded parallel replay inside each experiment
-	// cell (sharing.Options.Shards): 0 lets each experiment budget the
-	// leftover CPUs across its fan-out, 1 forces sequential replays, and
-	// n > 1 asks for up to n shards per replay. Results are identical at
+	// Shards bounds the replay workers inside each experiment cell
+	// (sharing.Options.Shards): 0 lets each experiment budget the
+	// leftover CPUs across its fan-out, 1 = one worker, and n > 1 asks
+	// for up to n workers per replay. Results are identical at
 	// every setting; only wall-clock time changes.
 	Shards int
 	// Streams, when non-nil, supplies each prepared stream instead of a
@@ -311,7 +311,7 @@ func (s *Suite) shardsFor(cells int) int {
 func ShardBudget(n int) int { return leftoverShards(n) }
 
 // leftoverShards divides GOMAXPROCS across cells concurrent cells,
-// returning the per-cell shard budget (at least 1 = sequential).
+// returning the per-cell shard budget (at least 1 = one worker).
 func leftoverShards(cells int) int {
 	if cells < 1 {
 		cells = 1

@@ -541,7 +541,7 @@ func TestDecouplingApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := cache.NewSystem(cfg.Machine, cache.NewLRU())
+	sys, err := cache.NewSystem(cfg.Machine, &cache.LRU{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,11 +560,13 @@ func TestDecouplingApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sharing.Replay(st.Accesses, cfg.Machine.LLCSize, cfg.Machine.LLCWays,
-		policy.NewLRUPolicy(), sharing.Options{})
+	lru := sharing.LLCConfig{Size: cfg.Machine.LLCSize, Ways: cfg.Machine.LLCWays,
+		NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+	results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lru}, sharing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	lo, hi := float64(sysMisses)*0.7, float64(sysMisses)*1.3
 	if got := float64(res.Misses); got < lo || got > hi {
 		t.Errorf("decoupled misses %d vs inclusive-system misses %d: outside ±30%%", res.Misses, sysMisses)

@@ -298,15 +298,3 @@ func Names() []string {
 	}
 	return names
 }
-
-// BySuite returns the models belonging to one source suite ("parsec",
-// "splash2", "specomp").
-func BySuite(suite string) []Model {
-	var out []Model
-	for _, m := range Suite() {
-		if m.Suite == suite {
-			out = append(out, m)
-		}
-	}
-	return out
-}

@@ -78,20 +78,6 @@ func TestSuiteClassCoverage(t *testing.T) {
 	}
 }
 
-func TestBySuiteCoversAll(t *testing.T) {
-	total := 0
-	for _, s := range []string{"parsec", "splash2", "specomp"} {
-		ms := BySuite(s)
-		if len(ms) == 0 {
-			t.Errorf("suite %s empty", s)
-		}
-		total += len(ms)
-	}
-	if total != len(Suite()) {
-		t.Errorf("BySuite partitions cover %d of %d models", total, len(Suite()))
-	}
-}
-
 func TestByName(t *testing.T) {
 	m, err := ByName("canneal")
 	if err != nil {

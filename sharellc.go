@@ -34,11 +34,14 @@
 package sharellc
 
 import (
+	"context"
+
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
+	"sharellc/internal/sharing"
 	"sharellc/internal/sim"
 	"sharellc/internal/workloads"
 )
@@ -158,10 +161,16 @@ func MultiprogrammedOracle(mixes [][]Model, machine MachineConfig, seed uint64, 
 }
 
 // OracleRun performs the paper's two-pass oracle study for one policy on
-// one prepared stream: a bare-base pass, then a pass in which every fill
-// receives the oracle's sharing hint.
+// one prepared stream at the default sharing horizon: a bare-base pass,
+// then a pass in which every fill receives the oracle's sharing hint,
+// both lanes of one fused replay.
 func OracleRun(st *Stream, llcSize, llcWays int, newPolicy func() Policy, opts ProtectorOptions) (*OracleResult, error) {
-	return oracle.RunOpts(st.Accesses, llcSize, llcWays, newPolicy, opts)
+	res, err := oracle.RunMultiPolicies(context.Background(), st.Accesses, llcSize, llcWays,
+		[]func() Policy{newPolicy}, opts, oracle.HorizonFactor, sharing.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // NewAddressPredictor builds the block-address-indexed fill-time sharing
