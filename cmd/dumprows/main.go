@@ -46,88 +46,48 @@ func main() {
 	clusterN := flag.Int("cluster", 0, "run through an in-process coordinator with N workers and byte-compare against the direct run")
 	exps := flag.String("exps", "all", "comma-separated experiment ids for -tables/-cluster")
 	flag.Parse()
-	if *clusterN > 0 {
-		if err := diffCluster(strings.Split(*exps, ","), *clusterN); err != nil {
-			log.Fatal(err)
-		}
+	if !*tables && *clusterN == 0 {
+		dumpRows()
 		return
 	}
-	if *tables {
-		out, err := directTables(fixedRequest(strings.Split(*exps, ",")))
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(renderTables(out))
-		return
+	// The harness request both execution paths run, first the direct way
+	// a single daemon or the CLI would.
+	req := cluster.Request{
+		Exps:    strings.Split(*exps, ","),
+		Machine: &tinyMachine,
+		Request: sim.Request{
+			LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
+			Ways:      tinyMachine.LLCWays,
+			Seed:      1,
+			Scale:     0.05,
+			Workloads: []string{"canneal", "streamcluster", "swaptions"},
+		},
 	}
-	dumpRows()
-}
-
-// fixedRequest is the harness request both execution paths run.
-func fixedRequest(exps []string) cluster.Request {
-	return cluster.Request{
-		Exps:      exps,
-		Machine:   &tinyMachine,
-		LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
-		Ways:      tinyMachine.LLCWays,
-		Seed:      1,
-		Scale:     0.05,
-		Workloads: []string{"canneal", "streamcluster", "swaptions"},
-	}
-}
-
-// directTables runs the request through the plain experiment index, the
-// way a single daemon or the CLI would.
-func directTables(req cluster.Request) ([]*report.Table, error) {
 	if err := req.Normalize(); err != nil {
-		return nil, err
+		log.Fatal(err)
 	}
-	opts := req.Options()
-	var suite *sim.Suite
-	var out []*report.Table
-	for _, id := range req.Exps {
-		exp, err := sim.ExperimentByID(id)
-		if err != nil {
-			return nil, err
-		}
-		var s *sim.Suite
-		if exp.NeedsSuite {
-			if suite == nil {
-				models, err := sim.ModelsByName(req.Workloads)
-				if err != nil {
-					return nil, err
-				}
-				suite, err = sim.NewSuite(sim.Config{
-					Machine: req.MachineConfig(),
-					Seed:    req.Seed,
-					Scale:   req.Scale,
-					Models:  models,
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-			s = suite
-		}
-		tabs, err := exp.Run(s, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tabs...)
+	cfg, err := req.Config(req.MachineConfig())
+	if err != nil {
+		log.Fatal(err)
 	}
-	return out, nil
+	var direct []*report.Table
+	if err := sim.RunExperiments(context.Background(), cfg, req.Exps, req.Options(), nil,
+		func(t []*report.Table) error { direct = append(direct, t...); return nil }); err != nil {
+		log.Fatalf("direct run: %v", err)
+	}
+	if *clusterN == 0 {
+		os.Stdout.Write(renderTables(direct))
+		return
+	}
+	if err := diffCluster(req, direct, *clusterN); err != nil {
+		log.Fatal(err)
+	}
 }
 
-// diffCluster runs the fixed request both ways — direct and through an
-// in-process coordinator with n polling workers over real HTTP — and
-// byte-compares the rendered tables.
-func diffCluster(exps []string, n int) error {
-	req := fixedRequest(exps)
-	direct, err := directTables(req)
-	if err != nil {
-		return fmt.Errorf("direct run: %w", err)
-	}
-
+// diffCluster runs req through an in-process coordinator with n polling
+// workers over real HTTP and byte-compares the rendered tables with the
+// direct run's.
+func diffCluster(req cluster.Request, direct []*report.Table, n int) error {
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Cache: streamcache.New(streamcache.Options{}),
 	})

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,6 @@ import (
 	"time"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
@@ -62,19 +62,16 @@ func main() {
 }
 
 type options struct {
-	exp       string
-	llcMB     float64
-	ways      int
-	scale     float64
-	seed      uint64
-	prot      core.Options
-	policies  []string
-	workloads []string
-	csv       bool
-	md        bool
-	jsonOut   bool
-	quiet     bool
-	cachedir  string
+	exp string
+	// req carries the knobs as given: sharesim does not normalize them, so
+	// -workloads keeps its order and -policies its CLI default.
+	req      sim.Request
+	expOpts  sim.ExpOptions // req's options plus the protection flags jobs lack
+	csv      bool
+	md       bool
+	jsonOut  bool
+	quiet    bool
+	cachedir string
 }
 
 func run(w io.Writer, args []string) error {
@@ -128,122 +125,83 @@ func run(w io.Writer, args []string) error {
 			f.Close()
 		}()
 	}
+	if *strength != "full" && *strength != "insert-only" {
+		return fmt.Errorf("unknown strength %q (want full or insert-only)", *strength)
+	}
 	o := options{
-		exp:   strings.ToLower(*exp),
-		llcMB: *llcMB, ways: *ways, scale: *scale, seed: *seed,
+		exp: strings.ToLower(*exp),
+		req: sim.Request{LLCMB: *llcMB, Ways: *ways, Seed: *seed, Scale: *scale, Strength: *strength},
 		csv: *csvOut, md: *mdOut, jsonOut: *jsonOut, quiet: *quiet,
 		cachedir: *cachedir,
 	}
-	switch *strength {
-	case "full":
-		o.prot.Strength = core.Full
-	case "insert-only":
-		o.prot.Strength = core.InsertOnly
-	default:
-		return fmt.Errorf("unknown strength %q (want full or insert-only)", *strength)
-	}
-	o.prot.SkipBudget = *skip
-	o.prot.ClearOnFulfil = *clear
 	if *pols != "" {
-		o.policies = strings.Split(*pols, ",")
+		o.req.Policies = strings.Split(*pols, ",")
 	}
 	if *wls != "" {
-		o.workloads = strings.Split(*wls, ",")
+		o.req.Workloads = strings.Split(*wls, ",")
 	}
+	o.expOpts = o.req.Options()
+	o.expOpts.Prot.SkipBudget = *skip
+	o.expOpts.Prot.ClearOnFulfil = *clear
 	return dispatch(w, o)
 }
 
 func dispatch(w io.Writer, o options) error {
-	// Resolve the experiment list up front so an unknown id (or workload
-	// name, below) exits non-zero with a usage message before any
+	// Resolve the experiment list and the workloads up front so an unknown
+	// id or workload name exits non-zero with a usage message before any
 	// simulation work starts.
-	var exps []sim.Experiment
-	if o.exp == "all" {
-		exps = sim.Experiments()
-	} else {
-		e, err := sim.ExperimentByID(o.exp)
-		if err != nil {
+	ids := sim.ExperimentIDs()
+	if o.exp != "all" {
+		if _, err := sim.ExperimentByID(o.exp); err != nil {
 			return fmt.Errorf("%w; see sharesim -h", err)
 		}
-		exps = []sim.Experiment{e}
+		ids = []string{o.exp}
 	}
-	models, err := sim.ModelsByName(o.workloads)
+	cfg, err := o.req.Config(cache.DefaultConfig())
 	if err != nil {
 		return fmt.Errorf("%w; see sharesim -h", err)
 	}
-
-	expOpts := sim.ExpOptions{
-		LLCSize:  int(o.llcMB * float64(cache.MB)),
-		LLCWays:  o.ways,
-		Policies: o.policies,
-		Prot:     o.prot,
+	var streams *streamcache.Cache
+	if dir, ok := streamcache.DirFromFlag(o.cachedir); ok {
+		streams = streamcache.New(streamcache.Options{Dir: dir})
+		cfg.Streams = streams.Stream
 	}
-
-	var suite *sim.Suite
-	needSuite := false
-	for _, e := range exps {
-		needSuite = needSuite || e.NeedsSuite
-	}
-	if needSuite {
-		cfg := sim.Config{
-			Machine: cache.DefaultConfig(),
-			Seed:    o.seed,
-			Scale:   o.scale,
-			Models:  models,
-		}
-		var streams *streamcache.Cache
-		if dir, ok := streamcache.DirFromFlag(o.cachedir); ok {
-			streams = streamcache.New(streamcache.Options{Dir: dir})
-			cfg.Streams = streams.Stream
-		}
-		if !o.quiet {
-			// Stream-preparation callbacks arrive concurrently and may be
-			// reordered between the counter increment and the print, so
-			// only ever advance the carriage-returned progress line.
-			var mu sync.Mutex
-			best := 0
-			cfg.Progress = func(done, total int, label string) {
-				mu.Lock()
-				defer mu.Unlock()
-				if done <= best {
-					return
-				}
-				best = done
-				fmt.Fprintf(os.Stderr, "\rsharesim: preparing %d/%d workload streams", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
+	if !o.quiet {
+		// Stream-preparation callbacks arrive concurrently and may be
+		// reordered between the counter increment and the print, so
+		// only ever advance the carriage-returned progress line.
+		var mu sync.Mutex
+		best := 0
 		start := time.Now()
-		suite, err = sim.NewSuite(cfg)
-		if err != nil {
-			return err
-		}
-		if !o.quiet {
+		cfg.Progress = func(done, total int, label string) {
+			mu.Lock()
+			defer mu.Unlock()
+			if done <= best {
+				return
+			}
+			best = done
+			fmt.Fprintf(os.Stderr, "\rsharesim: preparing %d/%d workload streams", done, total)
+			if done < total {
+				return
+			}
 			from := ""
 			if streams != nil {
 				if st := streams.Stats(); st.DiskHits > 0 {
 					from = fmt.Sprintf(" (%d from snapshot cache)", st.DiskHits)
 				}
 			}
-			fmt.Fprintf(os.Stderr, "sharesim: prepared %d workload streams in %v%s\n",
-				len(suite.Streams), time.Since(start).Round(time.Millisecond), from)
+			fmt.Fprintf(os.Stderr, "\nsharesim: prepared %d workload streams in %v%s\n",
+				total, time.Since(start).Round(time.Millisecond), from)
 		}
 	}
-
-	for _, e := range exps {
-		tables, err := e.Run(suite, expOpts)
-		if err != nil {
-			return err
-		}
+	return sim.RunExperiments(context.Background(), cfg, ids, o.expOpts, nil, func(tables []*report.Table) error {
 		for _, t := range tables {
 			if err := emit(w, o, t); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func emit(w io.Writer, o options, t *report.Table) error {

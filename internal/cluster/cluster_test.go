@@ -26,56 +26,36 @@ var tinyMachine = cache.Config{
 
 func testRequest(exps []string) Request {
 	return Request{
-		Exps:      exps,
-		Machine:   &tinyMachine,
-		LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
-		Ways:      tinyMachine.LLCWays,
-		Seed:      1,
-		Scale:     0.02,
-		Workloads: []string{"canneal", "streamcluster", "swaptions"},
+		Exps:    exps,
+		Machine: &tinyMachine,
+		Request: sim.Request{
+			LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
+			Ways:      tinyMachine.LLCWays,
+			Seed:      1,
+			Scale:     0.02,
+			Workloads: []string{"canneal", "streamcluster", "swaptions"},
+		},
 	}
 }
 
-// directTables runs req the way a single daemon would, for byte-compare.
-func directTables(t *testing.T, req Request) []*report.Table {
+// wantTables is the byte-compare reference: the test request over exps
+// run the direct way a single daemon or the CLI runs it.
+func wantTables(t *testing.T, exps []string) []byte {
 	t.Helper()
+	req := testRequest(exps)
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	opts := req.Options()
-	var suite *sim.Suite
-	var out []*report.Table
-	for _, id := range req.Exps {
-		exp, err := sim.ExperimentByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s *sim.Suite
-		if exp.NeedsSuite {
-			if suite == nil {
-				models, err := sim.ModelsByName(req.Workloads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				suite, err = sim.NewSuite(sim.Config{
-					Machine: req.MachineConfig(),
-					Seed:    req.Seed,
-					Scale:   req.Scale,
-					Models:  models,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			s = suite
-		}
-		tabs, err := exp.Run(s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, tabs...)
+	cfg, err := req.Config(req.MachineConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	var out []*report.Table
+	if err := sim.RunExperiments(context.Background(), cfg, req.Exps, req.Options(), nil,
+		func(tabs []*report.Table) error { out = append(out, tabs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return marshalTables(t, out)
 }
 
 func marshalTables(t *testing.T, tables []*report.Table) []byte {
@@ -134,7 +114,7 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 		exps = []string{"config", "f1", "f5", "c1", "m1"}
 	}
 	req := testRequest(exps)
-	want := marshalTables(t, directTables(t, testRequest(exps)))
+	want := wantTables(t, exps)
 
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -174,7 +154,7 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 // completes with correct output.
 func TestDeadWorkerLeaseRequeued(t *testing.T) {
 	req := testRequest([]string{"f1"})
-	want := marshalTables(t, directTables(t, testRequest([]string{"f1"})))
+	want := wantTables(t, []string{"f1"})
 
 	coord, cs := startCoordinator(t, CoordinatorConfig{
 		Cache:    streamcache.New(streamcache.Options{}),
@@ -228,7 +208,7 @@ func TestDeadWorkerLeaseRequeued(t *testing.T) {
 // validation and the worker builds locally.
 func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 	req := testRequest([]string{"f1"})
-	want := marshalTables(t, directTables(t, testRequest([]string{"f1"})))
+	want := wantTables(t, []string{"f1"})
 
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("not a snapshot, not even close"))
@@ -345,7 +325,7 @@ func TestNormalizeDefaultsAndKey(t *testing.T) {
 	if a.LLCMB != 4 || a.Ways != 16 || a.Seed != 1 || a.Scale != 1 || a.Strength != "full" {
 		t.Errorf("defaults not applied: %+v", a)
 	}
-	b := Request{Exps: []string{"f1"}, LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}
+	b := Request{Exps: []string{"f1"}, Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
 	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +344,10 @@ func TestNormalizeDefaultsAndKey(t *testing.T) {
 	for _, bad := range []Request{
 		{},
 		{Exps: []string{"nope"}},
-		{Exps: []string{"f1"}, Scale: 2},
-		{Exps: []string{"f1"}, Strength: "sorta"},
-		{Exps: []string{"f1"}, Workloads: []string{"no-such-workload"}},
+		{Exps: []string{"f1"}, Request: sim.Request{Scale: 2}},
+		{Exps: []string{"f1"}, Request: sim.Request{Strength: "sorta"}},
+		{Exps: []string{"f1"}, Request: sim.Request{Workloads: []string{"no-such-workload"}}},
+		{Exps: []string{"f5"}, Request: sim.Request{Policies: []string{"nope"}}},
 	} {
 		if err := bad.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted", bad)
@@ -377,15 +358,15 @@ func TestNormalizeDefaultsAndKey(t *testing.T) {
 // TestBundleIDDeterminism: same inputs, same ID; any differing input,
 // different ID.
 func TestBundleIDDeterminism(t *testing.T) {
-	base := BundleID("job", "f1", 0, "canneal")
-	if base != BundleID("job", "f1", 0, "canneal") {
-		t.Error("BundleID not deterministic")
+	base := bundleID("job", "f1", 0, "canneal")
+	if base != bundleID("job", "f1", 0, "canneal") {
+		t.Error("bundleID not deterministic")
 	}
 	for _, other := range []string{
-		BundleID("job2", "f1", 0, "canneal"),
-		BundleID("job", "f2", 0, "canneal"),
-		BundleID("job", "f1", 1, "canneal"),
-		BundleID("job", "f1", 0, "swaptions"),
+		bundleID("job2", "f1", 0, "canneal"),
+		bundleID("job", "f2", 0, "canneal"),
+		bundleID("job", "f1", 1, "canneal"),
+		bundleID("job", "f1", 0, "swaptions"),
 	} {
 		if other == base {
 			t.Errorf("collision: %s", other)
@@ -394,10 +375,147 @@ func TestBundleIDDeterminism(t *testing.T) {
 }
 
 func TestCheckProto(t *testing.T) {
-	if err := CheckProto(ProtoVersion); err != nil {
+	if err := checkProto(ProtoVersion); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckProto(ProtoVersion + 1); err == nil {
+	if err := checkProto(ProtoVersion + 1); err == nil {
 		t.Error("future protocol version accepted")
+	}
+}
+
+// forgotten reports whether c holds no job, bundle or build claim.
+func forgotten(c *Coordinator) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.jobs) == 0 && len(c.bundles) == 0 && len(c.building) == 0
+}
+
+// postResult posts res for bundle id over HTTP and returns the status.
+func postResult(t *testing.T, base, id string, res BundleResult) int {
+	t.Helper()
+	body, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/cluster/bundles/"+id+"/result", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestCoordinatorForgetsFinishedJobs: a job that finishes or fails leaves
+// no job, bundle or build claim behind, and a late duplicate result for
+// one of its forgotten bundles is refused as unknown (404) without
+// counting as a failed bundle.
+func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	coord, cs := startCoordinator(t, CoordinatorConfig{Cache: streamcache.New(streamcache.Options{})})
+	startWorker(t, ctx, cs.URL, streamcache.Options{})
+	jobs := [][]string{{"f1"}, {"config"}, {"f1", "f3"}, {"f1"}}
+	for _, exps := range jobs {
+		if _, err := coord.Run(ctx, testRequest(exps), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !forgotten(coord) {
+		t.Errorf("coordinator still holds state after %d finished jobs", len(jobs))
+	}
+	if st := coord.Stats(); st.Jobs != len(jobs) || st.JobsInflight != 0 {
+		t.Errorf("Jobs = %d, JobsInflight = %d, want %d and 0", st.Jobs, st.JobsInflight, len(jobs))
+	}
+	done := testRequest([]string{"f1"})
+	if err := done.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	late := bundleID(done.Key(), "f1", 0, "canneal")
+	if code := postResult(t, cs.URL, late, BundleResult{Proto: ProtoVersion, Worker: "late"}); code != http.StatusNotFound {
+		t.Errorf("late result for a finished job's bundle: status %d, want 404", code)
+	}
+
+	// A failed job is forgotten too.
+	failing, fs := startCoordinator(t, CoordinatorConfig{MaxAttempts: 1})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := failing.Run(ctx, testRequest([]string{"f1"}), nil)
+		errc <- err
+	}()
+	var lease LeaseResponse
+	for ok := false; !ok; {
+		if lease, ok = failing.Lease("w"); !ok {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	boom := BundleResult{Proto: ProtoVersion, Worker: "w", Err: "boom"}
+	if code := postResult(t, fs.URL, lease.Bundle.ID, boom); code != http.StatusOK {
+		t.Fatalf("failing result: status %d, want 200", code)
+	}
+	if err := <-errc; err == nil {
+		t.Fatal("job with a failed bundle succeeded")
+	}
+	if !forgotten(failing) {
+		t.Error("coordinator still holds state after a failed job")
+	}
+	failed := failing.Stats().BundlesFailed
+	if code := postResult(t, fs.URL, lease.Bundle.ID, boom); code != http.StatusNotFound {
+		t.Errorf("late duplicate for a failed job's bundle: status %d, want 404", code)
+	}
+	if st := failing.Stats(); st.BundlesFailed != failed {
+		t.Errorf("late duplicate counted as a failed bundle: BundlesFailed %d -> %d", failed, st.BundlesFailed)
+	}
+}
+
+// TestControlBodyLimit: a worker-facing body one byte under the limit is
+// decoded; one byte over is refused with 413 and changes no scheduler
+// state.
+func TestControlBodyLimit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord, cs := startCoordinator(t, CoordinatorConfig{})
+	go coord.Run(ctx, testRequest([]string{"f1"}), nil)
+	var lease LeaseResponse
+	for ok := false; !ok; {
+		if lease, ok = coord.Lease("w"); !ok {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	id := lease.Bundle.ID
+	for _, c := range []struct {
+		path  string
+		body  any
+		under int // status one byte under the limit
+	}{
+		{"/v1/cluster/lease", LeaseRequest{Proto: ProtoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/bundles/" + id + "/heartbeat", HeartbeatRequest{Proto: ProtoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/bundles/b-none/result", BundleResult{Proto: ProtoVersion, Worker: "w"}, http.StatusNotFound},
+	} {
+		obj, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{maxControlBody + 1, maxControlBody} {
+			before := coord.Stats()
+			// Leading whitespace pads the body, so the decoder must read
+			// all of it before it reaches the object.
+			body := append(bytes.Repeat([]byte(" "), size-len(obj)), obj...)
+			resp, err := http.Post(cs.URL+c.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := c.under
+			if size > maxControlBody {
+				want = http.StatusRequestEntityTooLarge
+				if after := coord.Stats(); after != before {
+					t.Errorf("%s: refused body changed the scheduler: %+v -> %+v", c.path, before, after)
+				}
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d", c.path, size, resp.StatusCode, want)
+			}
+		}
 	}
 }

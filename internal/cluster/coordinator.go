@@ -79,13 +79,13 @@ type expPlan struct {
 	slices [][]*bundle
 }
 
-// job is one admitted request and its bundles.
+// job is one admitted request and its bundles, in queue order.
 type job struct {
-	key   string
-	req   Request
-	exps  []*expPlan
-	total int
-	done  int
+	key     string
+	req     Request
+	exps    []*expPlan
+	bundles []*bundle
+	done    int
 
 	err      error
 	tables   []*report.Table
@@ -148,8 +148,10 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // some worker, and returns the merged tables — byte-identical to what a
 // single daemon produces for the same request. Identical concurrent
 // requests coalesce onto one job. Cancelling ctx abandons the wait (the
-// job itself keeps draining so a later identical submission is a join,
-// not a re-run).
+// job itself keeps draining so an identical submission meanwhile is a
+// join, not a re-run). A job is forgotten once it finishes or fails, so
+// a later identical submission runs afresh: repeats are the daemon's
+// result cache's business, not the scheduler's.
 func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -158,11 +160,6 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 
 	c.mu.Lock()
 	j, ok := c.jobs[key]
-	if ok && j.err != nil && j.terminal() {
-		// A previously failed job blocks the key forever otherwise;
-		// admit a fresh attempt.
-		ok = false
-	}
 	if !ok {
 		var err error
 		j, err = c.admitLocked(key, req, progress)
@@ -171,7 +168,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 			return nil, err
 		}
 	}
-	total := j.total
+	total := len(j.bundles)
 	c.mu.Unlock()
 
 	if progress != nil {
@@ -221,7 +218,7 @@ func (c *Coordinator) admitLocked(key string, req Request, progress func(int, in
 					}
 					b := &bundle{
 						proto: Bundle{
-							ID:       BundleID(key, id, si, w),
+							ID:       bundleID(key, id, si, w),
 							Job:      key,
 							Exp:      id,
 							Spec:     si,
@@ -252,7 +249,7 @@ func (c *Coordinator) admitLocked(key string, req Request, progress func(int, in
 			}
 			p.whole = &bundle{
 				proto: Bundle{
-					ID:      BundleID(key, id, WholeExperiment, ""),
+					ID:      bundleID(key, id, WholeExperiment, ""),
 					Job:     key,
 					Exp:     id,
 					Spec:    WholeExperiment,
@@ -268,27 +265,22 @@ func (c *Coordinator) admitLocked(key string, req Request, progress func(int, in
 	// of spreading workloads across workers.
 	for _, p := range j.exps {
 		for _, row := range p.slices {
-			for _, b := range row {
-				c.enqueueLocked(b)
-				j.total++
-			}
+			j.bundles = append(j.bundles, row...)
 		}
 		if p.whole != nil {
-			c.enqueueLocked(p.whole)
-			j.total++
+			j.bundles = append(j.bundles, p.whole)
 		}
+	}
+	for _, b := range j.bundles {
+		c.bundles[b.proto.ID] = b
+		c.queue = append(c.queue, b)
 	}
 	c.jobs[key] = j
 	c.stats.Jobs++
-	if j.total == 0 {
+	if len(j.bundles) == 0 {
 		c.finishLocked(j) // purely static request (config/suite only)
 	}
 	return j, nil
-}
-
-func (c *Coordinator) enqueueLocked(b *bundle) {
-	c.bundles[b.proto.ID] = b
-	c.queue = append(c.queue, b)
 }
 
 // available reports whether some node already holds the stream, so a
@@ -343,8 +335,8 @@ func (c *Coordinator) releaseBuildingLocked(b *bundle) {
 	}
 }
 
-// failBundleLocked fails the owning job; its remaining bundles stop
-// being leased (the scan skips bundles of terminal jobs).
+// failBundleLocked fails and forgets the owning job; its remaining
+// bundles stop being leased (the scan skips bundles of terminal jobs).
 func (c *Coordinator) failBundleLocked(b *bundle, err error) {
 	b.state = bundleDone
 	c.stats.BundlesFailed++
@@ -352,6 +344,20 @@ func (c *Coordinator) failBundleLocked(b *bundle, err error) {
 	if !j.terminal() {
 		j.err = err
 		close(j.doneCh)
+	}
+	c.forgetLocked(j)
+}
+
+// forgetLocked drops a terminal job and its bundles. Waiters hold the job
+// itself, so they still read its outcome; a late result or heartbeat for
+// one of its bundles finds an unknown bundle.
+func (c *Coordinator) forgetLocked(j *job) {
+	if c.jobs[j.key] == j {
+		delete(c.jobs, j.key)
+	}
+	for _, b := range j.bundles {
+		c.releaseBuildingLocked(b)
+		delete(c.bundles, b.proto.ID)
 	}
 }
 
@@ -498,14 +504,15 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	c.stats.BundlesDone++
 	j := b.job
 	j.done++
+	total := len(j.bundles)
 	if j.progress != nil {
 		label := fmt.Sprintf("bundle %s", b.proto.Exp)
 		if b.proto.Workload != "" {
 			label = fmt.Sprintf("bundle %s[%d] %s", b.proto.Exp, b.proto.Spec, b.proto.Workload)
 		}
-		j.progress(j.done, j.total, label)
+		j.progress(j.done, total, label)
 	}
-	if j.done == j.total {
+	if j.done == total {
 		c.finishLocked(j)
 	}
 	return nil
@@ -515,7 +522,9 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 // in request order, each spec's rows appended workload by workload in
 // canonical suite order — exactly the row order a whole-suite run
 // produces, so the rendered tables are byte-identical to the direct path.
+// The job is then forgotten.
 func (c *Coordinator) finishLocked(j *job) {
+	defer c.forgetLocked(j)
 	var tables []*report.Table
 	for _, p := range j.exps {
 		switch {
@@ -548,20 +557,13 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
+	s.JobsInflight = len(c.jobs)
 	for _, b := range c.bundles {
-		if b.job.terminal() {
-			continue
-		}
 		switch b.state {
 		case bundlePending:
 			s.BundlesPending++
 		case bundleLeased:
 			s.BundlesInflight++
-		}
-	}
-	for _, j := range c.jobs {
-		if !j.terminal() {
-			s.JobsInflight++
 		}
 	}
 	return s
@@ -590,19 +592,42 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxControlBody bounds every worker-facing request body. The largest
+// legitimate one is a result: one workload's rows of one table, or a
+// whole experiment's tables for m1 and a5, plus the custody hashes. Row
+// counts do not grow with scale or suite size, and the largest result a
+// full-catalogue sweep posts is under 1.5 KiB.
+const maxControlBody = 64 << 10
+
+// decodeBody decodes one JSON body of at most maxControlBody bytes into
+// v, rejecting unknown fields. It reads the body to its end, so a body
+// past the limit fails wherever the excess sits. On failure it answers
+// the request itself — 413 past the limit, 400 otherwise — and reports
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, maxControlBody)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid %s: %w", what, err))
+	}
+	return err == nil
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid lease request: %w", err))
+	if !decodeBody(w, r, "lease request", &req) {
 		return
 	}
-	if err := CheckProto(req.Proto); err != nil {
+	if err := checkProto(req.Proto); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -616,11 +641,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid heartbeat: %w", err))
+	if !decodeBody(w, r, "heartbeat", &req) {
 		return
 	}
-	if err := CheckProto(req.Proto); err != nil {
+	if err := checkProto(req.Proto); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -637,11 +661,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var res BundleResult
-	if err := decodeBody(r, &res); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid result: %w", err))
+	if !decodeBody(w, r, "result", &res) {
 		return
 	}
-	if err := CheckProto(res.Proto); err != nil {
+	if err := checkProto(res.Proto); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -677,10 +700,10 @@ func StreamHandler(sc *streamcache.Cache, served func(bytes int)) http.HandlerFu
 	}
 }
 
-// ReadAllLimited guards peer-transfer reads: snapshots are tens of MB at
+// readAllLimited guards peer-transfer reads: snapshots are tens of MB at
 // most; a source that streams more than the cap is misbehaving and the
 // transfer falls soft to the next source.
-func ReadAllLimited(r io.Reader, limit int64) ([]byte, error) {
+func readAllLimited(r io.Reader, limit int64) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r, limit+1))
 	if err != nil {
 		return nil, err

@@ -27,11 +27,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 	"sharellc/internal/workloads"
@@ -43,27 +41,21 @@ import (
 const ProtoVersion = 1
 
 // Request is a cluster sweep submission: one or more experiment ids over
-// one suite configuration. It mirrors the daemon's job request but is
-// defined here so the server package can depend on cluster and not the
-// reverse; it additionally allows several experiments per submission
-// (the full-catalogue sweep is the cluster's unit of work) and an
-// explicit machine config (diff harnesses run tiny non-default machines).
+// the knobs the daemon's job request shares (sim.Request). Unlike a job
+// it allows several experiments per submission (the full-catalogue sweep
+// is the cluster's unit of work) and an explicit machine config (diff
+// harnesses run tiny non-default machines).
 type Request struct {
 	Exps []string `json:"exps"` // experiment ids; "all" expands to the whole catalogue
 	// Machine overrides the simulated machine; nil means cache.DefaultConfig().
-	Machine   *cache.Config `json:"machine,omitempty"`
-	LLCMB     float64       `json:"llc_mb,omitempty"`
-	Ways      int           `json:"ways,omitempty"`
-	Seed      uint64        `json:"seed,omitempty"`
-	Scale     float64       `json:"scale,omitempty"`
-	Workloads []string      `json:"workloads,omitempty"`
-	Policies  []string      `json:"policies,omitempty"`
-	Strength  string        `json:"strength,omitempty"`
+	Machine *cache.Config `json:"machine,omitempty"`
+	sim.Request
 }
 
-// Normalize fills defaults, expands "all", and validates every field
-// against the experiment index. The normalized form is what Key hashes,
-// so submissions differing only in omitted-vs-explicit defaults coalesce.
+// Normalize expands "all", validates every experiment id against the
+// index, and normalizes the knobs. The normalized form is what Key
+// hashes, so submissions differing only in omitted-vs-explicit defaults
+// coalesce.
 func (r *Request) Normalize() error {
 	if len(r.Exps) == 0 {
 		return errors.New("missing required field \"exps\"")
@@ -95,44 +87,7 @@ func (r *Request) Normalize() error {
 		}
 	}
 	r.Exps = exps
-	if r.LLCMB == 0 {
-		r.LLCMB = 4
-	}
-	if r.LLCMB <= 0 {
-		return fmt.Errorf("llc_mb must be positive, got %g", r.LLCMB)
-	}
-	if r.Ways == 0 {
-		r.Ways = 16
-	}
-	if r.Ways < 1 {
-		return fmt.Errorf("ways must be >= 1, got %d", r.Ways)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Scale == 0 {
-		r.Scale = 1
-	}
-	if r.Scale < 0 || r.Scale > 1 {
-		return fmt.Errorf("scale must be in (0, 1], got %g", r.Scale)
-	}
-	if r.Strength == "" {
-		r.Strength = "full"
-	}
-	if r.Strength != "full" && r.Strength != "insert-only" {
-		return fmt.Errorf("unknown strength %q (want full or insert-only)", r.Strength)
-	}
-	for i, w := range r.Workloads {
-		r.Workloads[i] = strings.ToLower(strings.TrimSpace(w))
-	}
-	sort.Strings(r.Workloads)
-	if _, err := sim.ModelsByName(r.Workloads); err != nil {
-		return err
-	}
-	for i, p := range r.Policies {
-		r.Policies[i] = strings.ToLower(strings.TrimSpace(p))
-	}
-	return nil
+	return r.Request.Normalize()
 }
 
 // Key is the canonical request hash: jobs, bundle IDs and result caching
@@ -150,21 +105,6 @@ func (r Request) MachineConfig() cache.Config {
 		return *r.Machine
 	}
 	return cache.DefaultConfig()
-}
-
-// Options maps the request knobs onto the experiment index's options,
-// exactly as the daemon's direct path does.
-func (r Request) Options() sim.ExpOptions {
-	o := sim.ExpOptions{
-		LLCSize:  int(r.LLCMB * float64(cache.MB)),
-		LLCWays:  r.Ways,
-		Policies: r.Policies,
-		Prot:     core.Options{Strength: core.Full},
-	}
-	if r.Strength == "insert-only" {
-		o.Prot.Strength = core.InsertOnly
-	}
-	return o
 }
 
 // WorkloadOrder is the canonical suite order the merge reconstructs:
@@ -242,11 +182,11 @@ type Bundle struct {
 	Streams  []StreamRef `json:"streams,omitempty"`
 }
 
-// BundleID derives the deterministic bundle identifier. Determinism is
+// bundleID derives the deterministic bundle identifier. Determinism is
 // load-bearing: a worker that leased a bundle from a coordinator that
 // has since restarted can still deliver its result, because the
 // resubmitted job regenerates bundles under identical IDs.
-func BundleID(jobKey, exp string, spec int, workload string) string {
+func bundleID(jobKey, exp string, spec int, workload string) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%d\x00%s", jobKey, exp, spec, workload)))
 	return "b-" + hex.EncodeToString(sum[:10])
 }
@@ -282,19 +222,19 @@ type HeartbeatResponse struct {
 // (spec bundles, sim.EncodeRows gob bytes) or Tables (whole-experiment
 // bundles, canonical table JSON) is set on success.
 type BundleResult struct {
-	Proto  int    `json:"proto"`
-	Worker string `json:"worker"`
-	Err    string `json:"error,omitempty"`
-	Rows   []byte `json:"rows,omitempty"`
+	Proto  int               `json:"proto"`
+	Worker string            `json:"worker"`
+	Err    string            `json:"error,omitempty"`
+	Rows   []byte            `json:"rows,omitempty"`
 	Tables []json.RawMessage `json:"tables,omitempty"`
 	// Built lists stream hashes resident on this worker after the run
 	// (fetched or built), so the coordinator can advertise it as a source.
 	Built []string `json:"built,omitempty"`
 }
 
-// CheckProto validates a peer's protocol version with an enumerating
+// checkProto validates a peer's protocol version with an enumerating
 // error, matching the repo's flag-parse conventions.
-func CheckProto(v int) error {
+func checkProto(v int) error {
 	if v != ProtoVersion {
 		return fmt.Errorf("unsupported protocol version %d (this node speaks: %d)", v, ProtoVersion)
 	}

@@ -245,14 +245,18 @@ func (w *Worker) ExecuteBundle(ctx context.Context, b Bundle) BundleResult {
 
 // runBundle executes the simulation slice of a bundle.
 func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Table, rows any, err error) {
-	opts := b.Request.Options()
-	baseCfg := sim.Config{
-		Machine: b.Request.MachineConfig(),
-		Seed:    b.Request.Seed,
-		Scale:   b.Request.Scale,
-		Shards:  sim.ShardBudget(w.cfg.Slots),
-		Streams: w.cfg.Cache.Stream,
+	knobs := b.Request.Request
+	if b.Spec != WholeExperiment {
+		// A spec bundle is one workload's slice: its suite holds only it.
+		knobs.Workloads = []string{b.Workload}
 	}
+	cfg, err := knobs.Config(b.Request.MachineConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Shards = sim.ShardBudget(w.cfg.Slots)
+	cfg.Streams = w.cfg.Cache.Stream
+	opts := knobs.Options()
 	if b.Spec == WholeExperiment {
 		exp, err := sim.ExperimentByID(b.Exp)
 		if err != nil {
@@ -264,7 +268,7 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 			// their own streams (m1's mixes, a5's per-seed sub-suites);
 			// they read only the config, so a bare suite avoids preparing
 			// workload streams nothing would consume.
-			suite = sim.BareSuite(ctx, baseCfg)
+			suite = sim.BareSuite(ctx, cfg)
 		}
 		tables, err = exp.Run(suite, opts)
 		return tables, nil, err
@@ -277,12 +281,6 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 	if b.Spec < 0 || b.Spec >= len(specs) {
 		return nil, nil, fmt.Errorf("spec index %d out of range for %q (%d specs)", b.Spec, b.Exp, len(specs))
 	}
-	models, err := sim.ModelsByName([]string{b.Workload})
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := baseCfg
-	cfg.Models = models
 	suite, err := sim.NewSuiteContext(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -339,7 +337,7 @@ func (w *Worker) fetchStream(ctx context.Context, src, hash string, model worklo
 		w.fetchErrors.Add(1)
 		return false
 	}
-	data, err := ReadAllLimited(resp.Body, maxSnapshotBytes)
+	data, err := readAllLimited(resp.Body, maxSnapshotBytes)
 	if err != nil {
 		w.fetchErrors.Add(1)
 		return false

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -19,22 +18,17 @@ import (
 	"sharellc/internal/sim/streamcache"
 )
 
-// Request is the body of POST /v1/jobs. Zero fields take the CLI's
-// defaults so `{"exp":"f1"}` is a complete submission.
+// Request is the body of POST /v1/jobs: one experiment id over the
+// shared knobs. Zero knobs take sim.Request's defaults, so `{"exp":"f1"}`
+// is a complete submission.
 type Request struct {
-	Exp       string   `json:"exp"`
-	LLCMB     float64  `json:"llc_mb,omitempty"`
-	Ways      int      `json:"ways,omitempty"`
-	Seed      uint64   `json:"seed,omitempty"`
-	Scale     float64  `json:"scale,omitempty"`
-	Workloads []string `json:"workloads,omitempty"`
-	Policies  []string `json:"policies,omitempty"`
-	Strength  string   `json:"strength,omitempty"`
+	Exp string `json:"exp"`
+	sim.Request
 }
 
-// normalize fills defaults and validates against the experiment index.
-// The normalized form is what gets hashed, so two requests that differ
-// only in omitted-vs-explicit defaults share one cache entry.
+// normalize validates the experiment id against the index and normalizes
+// the knobs. The normalized form is what gets hashed, so two requests
+// that differ only in omitted-vs-explicit defaults share one cache entry.
 func (r *Request) normalize() error {
 	r.Exp = strings.ToLower(strings.TrimSpace(r.Exp))
 	if r.Exp == "" {
@@ -46,44 +40,7 @@ func (r *Request) normalize() error {
 	if _, err := sim.ExperimentByID(r.Exp); err != nil {
 		return err
 	}
-	if r.LLCMB == 0 {
-		r.LLCMB = 4
-	}
-	if r.LLCMB <= 0 {
-		return fmt.Errorf("llc_mb must be positive, got %g", r.LLCMB)
-	}
-	if r.Ways == 0 {
-		r.Ways = 16
-	}
-	if r.Ways < 1 {
-		return fmt.Errorf("ways must be >= 1, got %d", r.Ways)
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Scale == 0 {
-		r.Scale = 1
-	}
-	if r.Scale < 0 || r.Scale > 1 {
-		return fmt.Errorf("scale must be in (0, 1], got %g", r.Scale)
-	}
-	if r.Strength == "" {
-		r.Strength = "full"
-	}
-	if r.Strength != "full" && r.Strength != "insert-only" {
-		return fmt.Errorf("unknown strength %q (want full or insert-only)", r.Strength)
-	}
-	for i, w := range r.Workloads {
-		r.Workloads[i] = strings.ToLower(strings.TrimSpace(w))
-	}
-	sort.Strings(r.Workloads)
-	if _, err := sim.ModelsByName(r.Workloads); err != nil {
-		return err
-	}
-	for i, p := range r.Policies {
-		r.Policies[i] = strings.ToLower(strings.TrimSpace(p))
-	}
-	return nil
+	return r.Request.Normalize()
 }
 
 // key is the result-cache key: the hash of the canonical (normalized)
@@ -202,10 +159,6 @@ type Config struct {
 	// a custom Runner is set.
 	StreamCache *streamcache.Cache
 
-	// Role names how this daemon executes jobs ("single" by default,
-	// "coordinator" when Coordinator is set); /healthz reports it.
-	Role string
-
 	// Coordinator, when non-nil, replaces the in-process runner with the
 	// cluster scheduler: each job is decomposed into bundles and executed
 	// by polling workers, with results merged byte-identically to the
@@ -236,8 +189,8 @@ type Manager struct {
 	met   *metrics
 }
 
-// NewManager starts cfg.Workers workers. Call Shutdown to drain them.
-func NewManager(cfg Config) *Manager {
+// newManager starts cfg.Workers workers. Call Shutdown to drain them.
+func newManager(cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -252,13 +205,6 @@ func NewManager(cfg Config) *Manager {
 			cfg.Runner = distributedRunner(cfg.Coordinator)
 		} else {
 			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache)
-		}
-	}
-	if cfg.Role == "" {
-		if cfg.Coordinator != nil {
-			cfg.Role = "coordinator"
-		} else {
-			cfg.Role = "single"
 		}
 	}
 	now := cfg.Now

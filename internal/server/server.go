@@ -2,14 +2,16 @@
 // manager with a bounded worker pool, a deduplicating LRU result cache
 // with request coalescing, per-job cancellation, server-sent progress
 // events and Prometheus text metrics. The simulation work itself runs
-// through the same experiment index as cmd/sharesim, so daemon results
-// are bit-identical to the CLI's -json output.
+// through sim.RunExperiments, the direct path cmd/sharesim takes too, so
+// a job's tables are bit-identical to the CLI's -json output for the
+// same knobs (docs/API.md lists where the two defaults differ).
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -26,7 +28,7 @@ type Server struct {
 
 // New builds a Server (and its Manager) from cfg.
 func New(cfg Config) *Server {
-	s := &Server{m: NewManager(cfg), mux: http.NewServeMux()}
+	s := &Server{m: newManager(cfg), mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -97,11 +99,33 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxJobBody bounds a POST /v1/jobs body. The largest legitimate body —
+// every field spelled out, all 22 workloads and all 14 policies — is
+// under 1 KiB; the limit leaves room for any formatting of it.
+const maxJobBody = 16 << 10
+
+// decodeJob decodes one job body, rejecting unknown fields, and reads the
+// body to its end so that a body past its byte limit fails wherever the
+// excess sits.
+func decodeJob(body io.Reader) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBody))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
@@ -248,9 +272,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	busy := m.met.inflight
 	m.met.mu.Unlock()
 
+	role := "single"
+	if m.cfg.Coordinator != nil {
+		role = "coordinator"
+	}
 	hv := healthView{
 		Status:      "ok",
-		Role:        m.cfg.Role,
+		Role:        role,
 		ShardBudget: sim.ShardBudget(m.cfg.Workers),
 		Workers:     occupancyView{Busy: busy, Total: m.cfg.Workers},
 	}

@@ -22,7 +22,7 @@ import (
 // fastReq is the canonical small request used across tests: scale 0.02
 // with two workloads keeps a full f1 run around a second.
 func fastReq() Request {
-	return Request{Exp: "f1", Seed: 1, Scale: 0.02, Workloads: []string{"canneal", "swaptions"}}
+	return Request{Exp: "f1", Request: sim.Request{Seed: 1, Scale: 0.02, Workloads: []string{"canneal", "swaptions"}}}
 }
 
 func postJob(t *testing.T, ts *httptest.Server, req Request) (jobView, int) {
@@ -340,6 +340,10 @@ func TestBadRequestsRejected(t *testing.T) {
 		{`{"exp":"f1","scale":7}`, "scale"},
 		{`{}`, "exp"},
 		{`{"exp":"f1","bogus":1}`, "bogus"},
+		{`{"exp":"f5","policies":["nope"]}`, "nope"},
+		// The cluster-only fields stay out of the job API.
+		{`{"exp":"f1","machine":{"Cores":8}}`, "machine"},
+		{`{"exp":"f1","exps":["f1"]}`, "exps"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
@@ -518,7 +522,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 // defaults, so `{"exp":"f1"}` and the fully spelled request share a key.
 func TestNormalizeDefaults(t *testing.T) {
 	a := Request{Exp: "F1"}
-	b := Request{Exp: "f1", LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}
+	b := Request{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
 	if err := a.normalize(); err != nil {
 		t.Fatal(err)
 	}

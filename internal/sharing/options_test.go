@@ -85,14 +85,16 @@ func TestOptionsFieldsHaveCallers(t *testing.T) {
 }
 
 // TestExportsHaveCallers keeps dead entry points from growing back: every
-// exported package-level function of the replay packages must be called
-// as pkg.Func by some non-test Go file outside its package (bench/
-// included). A package cannot name itself with its own qualifier, so any
-// qualified use found is an outside caller.
+// exported package-level function of the replay packages and of the
+// request-to-tables path (sim, its stream cache, the daemon and the
+// cluster) must be called as pkg.Func by some non-test Go file outside
+// its package (bench/ included). A package cannot name itself with its
+// own qualifier, so any qualified use found is an outside caller.
 func TestExportsHaveCallers(t *testing.T) {
 	named := callerNames(t, "")
 	fset := token.NewFileSet()
-	for _, dir := range []string{".", "../oracle", "../predictor"} {
+	for _, dir := range []string{".", "../oracle", "../predictor",
+		"../sim", "../sim/streamcache", "../server", "../cluster"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -65,19 +65,19 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 	}
 	oracleSpec := func(title string, size, ways int, names []string, prot ExpOptions) TableSpec {
 		return newSpec("oracle", title,
-			func(s *Suite) ([]OracleRow, error) { return s.OracleStudy(size, ways, names, prot.Prot) }, OracleTable)
+			func(s *Suite) ([]OracleRow, error) { return s.OracleStudy(size, ways, names, prot.Prot) }, oracleTable)
 	}
 	switch id {
 	case "f1":
-		return []TableSpec{charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, CharTable)}, true
+		return []TableSpec{charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, charTable)}, true
 	case "f2":
-		return []TableSpec{charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, CharTable)}, true
+		return []TableSpec{charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, charTable)}, true
 	case "f3":
-		return []TableSpec{charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, DegreeTable)}, true
+		return []TableSpec{charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, degreeTable)}, true
 	case "f4":
 		return []TableSpec{newSpec("policy", fmt.Sprintf("F4: policy comparison (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PolicyRow, error) { return s.ComparePolicies(o.LLCSize, o.LLCWays, nil) },
-			PolicyTable)}, true
+			policyTable)}, true
 	case "f5":
 		var specs []TableSpec
 		for _, size := range []int{o.LLCSize, 2 * o.LLCSize} {
@@ -91,22 +91,22 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			func(s *Suite) ([]PredictorRow, error) {
 				return s.PredictorAccuracy(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil)
 			},
-			PredictorTable)}, true
+			predictorTable)}, true
 	case "f8":
 		return []TableSpec{newSpec("driven", fmt.Sprintf("F8: predictor-driven replacement (%s LLC, LRU base)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]DrivenRow, error) {
 				return s.PredictorDriven(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil, o.Prot)
 			},
-			DrivenTable)}, true
+			drivenTable)}, true
 	case "f9":
 		return []TableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
-			func(s *Suite) ([]PhaseRow, error) { return s.SharingPhases(0) }, PhaseTable)}, true
+			func(s *Suite) ([]PhaseRow, error) { return s.SharingPhases(0) }, phaseTable)}, true
 	case "c1":
 		return []TableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
-			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, CoherenceTable)}, true
+			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable)}, true
 	case "c2":
 		return []TableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
-			func(s *Suite) ([]ReuseRow, error) { return s.ReuseDistances(o.LLCSize) }, ReuseTable)}, true
+			func(s *Suite) ([]ReuseRow, error) { return s.ReuseDistances(o.LLCSize) }, reuseTable)}, true
 	case "a1":
 		var specs []TableSpec
 		for _, st := range []core.Strength{core.InsertOnly, core.Full} {
@@ -127,7 +127,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 				func(s *Suite) ([]PredictorRow, error) {
 					return s.PredictorAccuracy(o.LLCSize, o.LLCWays, cfg, []string{"addr", "pc"})
 				},
-				PredictorTable))
+				predictorTable))
 		}
 		return specs, true
 	case "a3":
@@ -141,7 +141,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 	case "a4":
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]HorizonRow, error) { return s.OracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
-			HorizonTable)}, true
+			horizonTable)}, true
 	}
 	return nil, false
 }

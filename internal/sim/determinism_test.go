@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -113,11 +114,11 @@ func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 		mix = append(mix, m.Scaled(0.02))
 	}
 	mixes := [][]workloads.Model{mix}
-	want, err := MultiprogrammedOracle(mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
+	want, err := MultiprogrammedOracle(context.Background(), mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MultiprogrammedOracle(mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
+	got, err := MultiprogrammedOracle(context.Background(), mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/coherence"
@@ -48,20 +47,15 @@ type CharRow struct {
 // Characterize runs the F1/F2/F3 characterization under LRU at the given
 // LLC geometry, one row per workload.
 func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
-	shards := s.shardsFor(len(s.Streams))
-	rows := make([]CharRow, len(s.Streams))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(i int) error {
-		st := s.Streams[i]
+	return perStream(s, "characterize", func(st *Stream, shards int) ([]CharRow, error) {
 		lru := sharing.LLCConfig{Size: llcSize, Ways: llcWays,
 			NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
 		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lru}, s.replayOpts(st, shards))
 		if err != nil {
-			return fmt.Errorf("characterize %s: %w", st.Model.Name, err)
+			return nil, err
 		}
 		res := results[0]
-		defer s.step(&done, len(s.Streams), st.Model.Name)
-		rows[i] = CharRow{
+		return []CharRow{{
 			Workload:             st.Model.Name,
 			Suite:                st.Model.Suite,
 			Accesses:             res.Accesses,
@@ -75,10 +69,8 @@ func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
 			SharedBlockFrac:      stats.Ratio(res.DistinctSharedBlocks, res.DistinctBlocks),
 			DegreeResidencyShare: stats.BucketizeDegrees(res.DegreeResidencies),
 			DegreeHitShare:       stats.BucketizeDegrees(res.DegreeHits),
-		}
-		return nil
+		}}, nil
 	})
-	return rows, err
 }
 
 // CoherenceRow is one workload's coherence-traffic characterization
@@ -101,21 +93,18 @@ type CoherenceRow struct {
 // (no capacity evictions), so the rates measure *true* communication,
 // independent of cache geometry.
 func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
-	rows := make([]CoherenceRow, len(s.Streams))
-	var done atomic.Int64
 	ctx := s.context()
-	err := s.par(len(s.Streams), func(i int) error {
-		st := s.Streams[i]
+	return perStream(s, "coherence characterize", func(st *Stream, _ int) ([]CoherenceRow, error) {
 		r, err := st.Model.Generate(s.Config.Seed)
 		if err != nil {
-			return fmt.Errorf("coherence characterize %s: %w", st.Model.Name, err)
+			return nil, err
 		}
 		dir := coherence.NewDirectory()
 		var refs uint64
 		buf := make([]trace.Access, trace.ChunkSize)
 		for n := len(buf); n == len(buf); {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 			n = trace.ReadBatch(r, buf)
 			refs += uint64(n)
@@ -128,7 +117,7 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 			}
 		}
 		if err := r.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		cs := dir.Stats()
 		pkr := func(v uint64) float64 {
@@ -137,18 +126,15 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 			}
 			return 1000 * float64(v) / float64(refs)
 		}
-		rows[i] = CoherenceRow{
+		return []CoherenceRow{{
 			Workload:         st.Model.Name,
 			Refs:             refs,
 			InvalidationsPKR: pkr(cs.Invalidations),
 			DowngradesPKR:    pkr(cs.Downgrades),
 			C2CTransfersPKR:  pkr(cs.C2CTransfers),
 			UpgradesPKR:      pkr(cs.UpgradeMisses),
-		}
-		s.step(&done, len(s.Streams), st.Model.Name)
-		return nil
+		}}, nil
 	})
-	return rows, err
 }
 
 // ReuseRow is one workload's reuse-distance characterization (experiment
@@ -169,17 +155,13 @@ type ReuseRow struct {
 // ReuseDistances runs the C2 characterization, classifying each access
 // with the oracle's residency-scale sharing hint at the given LLC size.
 func (s *Suite) ReuseDistances(llcSize int) ([]ReuseRow, error) {
-	rows := make([]ReuseRow, len(s.Streams))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(i int) error {
-		st := s.Streams[i]
+	return perStream(s, "reuse distances", func(st *Stream, _ int) ([]ReuseRow, error) {
 		horizon := int64(oracle.HorizonFactor) * int64(llcSize/64)
 		hints := oracle.SharedHints(st.Accesses, horizon)
 		prof, err := reuse.Analyze(st.Accesses, hints)
 		if err != nil {
-			return fmt.Errorf("reuse distances %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
 		row := ReuseRow{
 			Workload:     st.Model.Name,
 			SharedTotal:  prof.Shared.Total,
@@ -189,10 +171,8 @@ func (s *Suite) ReuseDistances(llcSize int) ([]ReuseRow, error) {
 			row.SharedShares[b] = prof.Shared.Share(b)
 			row.PrivateShares[b] = prof.Private.Share(b)
 		}
-		rows[i] = row
-		return nil
+		return []ReuseRow{row}, nil
 	})
-	return rows, err
 }
 
 // PhaseRow is one workload's sharing-phase analysis (experiment F9):
@@ -216,16 +196,12 @@ func (s *Suite) SharingPhases(windows int) ([]PhaseRow, error) {
 	if windows == 0 {
 		windows = phase.DefaultWindows
 	}
-	rows := make([]PhaseRow, len(s.Streams))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(i int) error {
-		st := s.Streams[i]
+	return perStream(s, "phase analysis", func(st *Stream, _ int) ([]PhaseRow, error) {
 		res, err := phase.Analyze(st.Accesses, windows)
 		if err != nil {
-			return fmt.Errorf("phase analysis %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
-		rows[i] = PhaseRow{
+		return []PhaseRow{{
 			Workload:     st.Model.Name,
 			Windows:      res.Windows,
 			FlipRate:     res.FlipRate(),
@@ -234,10 +210,8 @@ func (s *Suite) SharingPhases(windows int) ([]PhaseRow, error) {
 			NeverShared:  res.NeverShared,
 			Mixed:        res.Mixed,
 			SingleWindow: res.SingleWindow,
-		}
-		return nil
+		}}, nil
 	})
-	return rows, err
 }
 
 // PolicyRow is one (workload, policy) cell of the policy comparison
@@ -269,11 +243,7 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 		}
 		factories[i] = f
 	}
-	shards := s.shardsFor(len(s.Streams))
-	rows := make([]PolicyRow, len(s.Streams)*len(names))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(w int) error {
-		st := s.Streams[w]
+	return perStream(s, "comparing", func(st *Stream, shards int) ([]PolicyRow, error) {
 		configs := make([]sharing.LLCConfig, len(names))
 		for p, f := range factories {
 			configs[p] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
@@ -281,9 +251,8 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 		results, err := sharing.ReplayMulti(st.Accesses, configs,
 			s.replayOpts(st, shards))
 		if err != nil {
-			return fmt.Errorf("comparing %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
 		// Fused results arrive grouped per workload, so LRU normalization
 		// reads straight from this group — no cross-row second pass.
 		var lruMisses uint64
@@ -292,6 +261,7 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 				lruMisses = res.Misses
 			}
 		}
+		rows := make([]PolicyRow, len(results))
 		for p, res := range results {
 			row := PolicyRow{
 				Workload:      st.Model.Name,
@@ -304,14 +274,10 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 			if lruMisses > 0 {
 				row.MissesVsLRU = float64(res.Misses) / float64(lruMisses)
 			}
-			rows[w*len(names)+p] = row
+			rows[p] = row
 		}
-		return nil
+		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // OracleRow is one (workload, policy) result of the oracle study
@@ -327,7 +293,7 @@ type OracleRow struct {
 	BaseSharedHitFrac   float64
 	OracleSharedHitFrac float64
 	// AMATSpeedup translates the miss delta into an average-memory-
-	// access-time speedup under DefaultLatency (first-order, no MLP).
+	// access-time speedup under defaultLatency (first-order, no MLP).
 	AMATSpeedup float64
 	Protector   core.Stats
 }
@@ -347,40 +313,40 @@ func (s *Suite) OracleStudy(llcSize, llcWays int, names []string, opts core.Opti
 		}
 		factories[i] = f
 	}
-	shards := s.shardsFor(len(s.Streams))
-	rows := make([]OracleRow, len(s.Streams)*len(names))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(w int) error {
-		st := s.Streams[w]
+	return perStream(s, "oracle study", func(st *Stream, shards int) ([]OracleRow, error) {
 		results, err := oracle.RunMultiPolicies(s.context(), st.Accesses, llcSize, llcWays,
 			factories, opts, oracle.HorizonFactor, s.replayOpts(st, shards))
 		if err != nil {
-			return fmt.Errorf("oracle study %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
+		rows := make([]OracleRow, len(results))
 		for p, res := range results {
-			rows[w*len(names)+p] = OracleRow{
-				Workload:            st.Model.Name,
-				Policy:              names[p],
-				BaseMisses:          res.Base.Misses,
-				OracleMisses:        res.Oracle.Misses,
-				Reduction:           res.MissReduction(),
-				BaseSharedHitFrac:   res.Base.SharedHitFraction(),
-				OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
-				AMATSpeedup: DefaultLatency().AMATSpeedup(st,
-					res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
-				Protector: res.Stats,
-			}
+			rows[p] = oracleRow(st, names[p], res)
 		}
-		return nil
+		return rows, nil
 	})
-	return rows, err
 }
 
-// BuildMixStream prepares the LLC reference stream of a multiprogrammed
+// oracleRow is the OracleRow of one base policy's oracle result on st.
+func oracleRow(st *Stream, policyName string, res *oracle.Result) OracleRow {
+	return OracleRow{
+		Workload:            st.Model.Name,
+		Policy:              policyName,
+		BaseMisses:          res.Base.Misses,
+		OracleMisses:        res.Oracle.Misses,
+		Reduction:           res.MissReduction(),
+		BaseSharedHitFrac:   res.Base.SharedHitFraction(),
+		OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
+		AMATSpeedup: defaultLatency().AMATSpeedup(st,
+			res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
+		Protector: res.Stats,
+	}
+}
+
+// buildMixStream prepares the LLC reference stream of a multiprogrammed
 // mix (independent single-threaded programs, one per core, disjoint
 // address spaces).
-func BuildMixStream(models []workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
+func buildMixStream(models []workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
 	if len(models) > machine.Cores {
 		return nil, fmt.Errorf("sim: mix of %d programs on %d cores", len(models), machine.Cores)
 	}
@@ -403,18 +369,13 @@ func BuildMixStream(models []workloads.Model, machine cache.Config, seed uint64)
 // MultiprogrammedOracle runs the M1 experiment: the sharing oracle over
 // multiprogrammed mixes, where by construction nothing is shared and the
 // oracle should have (near) nothing to offer — the paper's motivating
-// contrast with multi-threaded workloads.
-func MultiprogrammedOracle(mixes [][]workloads.Model, machine cache.Config, seed uint64, llcSize, llcWays int, opts core.Options) ([]OracleRow, error) {
-	return MultiprogrammedOracleCtx(context.Background(), mixes, machine, seed, llcSize, llcWays, opts)
-}
-
-// MultiprogrammedOracleCtx is MultiprogrammedOracle with a cancellation
-// context covering both mix preparation and the oracle replays.
-func MultiprogrammedOracleCtx(ctx context.Context, mixes [][]workloads.Model, machine cache.Config, seed uint64, llcSize, llcWays int, opts core.Options) ([]OracleRow, error) {
+// contrast with multi-threaded workloads. ctx cancels both mix
+// preparation and the oracle replays.
+func MultiprogrammedOracle(ctx context.Context, mixes [][]workloads.Model, machine cache.Config, seed uint64, llcSize, llcWays int, opts core.Options) ([]OracleRow, error) {
 	shards := leftoverShards(len(mixes))
 	rows := make([]OracleRow, len(mixes))
 	err := parallelCapCtx(ctx, len(mixes), runtime.GOMAXPROCS(0), func(i int) error {
-		st, err := BuildMixStream(mixes[i], machine, seed)
+		st, err := buildMixStream(mixes[i], machine, seed)
 		if err != nil {
 			return err
 		}
@@ -424,19 +385,7 @@ func MultiprogrammedOracleCtx(ctx context.Context, mixes [][]workloads.Model, ma
 		if err != nil {
 			return fmt.Errorf("multiprogrammed oracle %s: %w", st.Model.Name, err)
 		}
-		res := ress[0]
-		rows[i] = OracleRow{
-			Workload:            st.Model.Name,
-			Policy:              "lru",
-			BaseMisses:          res.Base.Misses,
-			OracleMisses:        res.Oracle.Misses,
-			Reduction:           res.MissReduction(),
-			BaseSharedHitFrac:   res.Base.SharedHitFraction(),
-			OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
-			AMATSpeedup: DefaultLatency().AMATSpeedup(st,
-				res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
-			Protector: res.Stats,
-		}
+		rows[i] = oracleRow(st, "lru", ress[0])
 		return nil
 	})
 	return rows, err
@@ -456,27 +405,22 @@ func (s *Suite) OracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4, 8}
 	}
-	shards := s.shardsFor(len(s.Streams))
-	rows := make([]HorizonRow, len(s.Streams)*len(factors))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(w int) error {
-		st := s.Streams[w]
+	return perStream(s, "horizon sweep", func(st *Stream, shards int) ([]HorizonRow, error) {
 		results, err := oracle.RunMultiHorizons(s.context(), st.Accesses, llcSize, llcWays,
 			func() cache.Policy { return policy.NewLRUPolicy() }, opts, factors, s.replayOpts(st, shards))
 		if err != nil {
-			return fmt.Errorf("horizon sweep %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
+		rows := make([]HorizonRow, len(results))
 		for f, res := range results {
-			rows[w*len(factors)+f] = HorizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
+			rows[f] = HorizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
 		}
-		return nil
+		return rows, nil
 	})
-	return rows, err
 }
 
-// MeanReduction averages the miss reduction of rows for one policy.
-func MeanReduction(rows []OracleRow, policyName string) float64 {
+// meanReduction averages the miss reduction of rows for one policy.
+func meanReduction(rows []OracleRow, policyName string) float64 {
 	var xs []float64
 	for _, r := range rows {
 		if r.Policy == policyName {
@@ -486,11 +430,11 @@ func MeanReduction(rows []OracleRow, policyName string) float64 {
 	return stats.Mean(xs)
 }
 
-// PredictorNames lists the realistic predictors of the F7/F8 studies in
+// predictorNames lists the realistic predictors of the F7/F8 studies in
 // presentation order: the paper's two history predictors, the tournament
 // combination (extension), and the always/never brackets that expose each
 // workload's class prior.
-func PredictorNames() []string {
+func predictorNames() []string {
 	return []string{"addr", "pc", "tournament", "coherence", "always", "never"}
 }
 
@@ -532,28 +476,25 @@ type PredictorRow struct {
 // workload's predictor lanes ride one fused stream pass.
 func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, names []string) ([]PredictorRow, error) {
 	if len(names) == 0 {
-		names = PredictorNames()
+		names = predictorNames()
 	}
-	rows := make([]PredictorRow, len(s.Streams)*len(names))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(w int) error {
-		st := s.Streams[w]
+	return perStream(s, "predictor accuracy", func(st *Stream, _ int) ([]PredictorRow, error) {
 		preds := make([]predictor.Predictor, len(names))
 		for p, n := range names {
 			pred, err := newPredictor(n, cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			preds[p] = pred
 		}
 		results, err := predictor.EvaluateMulti(s.context(), st.Accesses, llcSize, llcWays,
 			func() cache.Policy { return policy.NewLRUPolicy() }, preds)
 		if err != nil {
-			return fmt.Errorf("predictor accuracy %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
+		rows := make([]PredictorRow, len(results))
 		for p, res := range results {
-			rows[w*len(names)+p] = PredictorRow{
+			rows[p] = PredictorRow{
 				Workload:       st.Model.Name,
 				Predictor:      names[p],
 				Pred:           res.Pred,
@@ -563,9 +504,8 @@ func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, na
 				SharedBaseRate: stats.Ratio(res.SharedResidencies, res.Residencies),
 			}
 		}
-		return nil
+		return rows, nil
 	})
-	return rows, err
 }
 
 // DrivenRow is one (workload, predictor) end-to-end result (experiment
@@ -592,11 +532,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 	if len(names) == 0 {
 		names = []string{"addr", "pc"}
 	}
-	shards := s.shardsFor(len(s.Streams))
-	rows := make([]DrivenRow, len(s.Streams)*len(names))
-	var done atomic.Int64
-	err := s.par(len(s.Streams), func(w int) error {
-		st := s.Streams[w]
+	return perStream(s, "predictor driven", func(st *Stream, shards int) ([]DrivenRow, error) {
 		// Lane 0: bare LRU (the base). Lane 1: the hint-driven oracle
 		// ceiling. Lanes 2..: one protector per realistic predictor.
 		// Hook lanes call NewPolicy exactly once, so the factories can
@@ -619,7 +555,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		for p, n := range names {
 			pred, err := newPredictor(n, cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			configs[2+p] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
 				NewPolicy: protected(1 + p), Hooks: predictor.HooksFor(pred)}
@@ -627,10 +563,10 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		results, err := sharing.ReplayMulti(st.Accesses, configs,
 			s.replayOpts(st, shards))
 		if err != nil {
-			return fmt.Errorf("predictor driven %s: %w", st.Model.Name, err)
+			return nil, err
 		}
-		defer s.step(&done, len(s.Streams), st.Model.Name)
 		base, orc := results[0], results[1]
+		rows := make([]DrivenRow, len(names))
 		for p := range names {
 			row := DrivenRow{
 				Workload:     st.Model.Name,
@@ -644,9 +580,8 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 				row.Reduction = float64(int64(row.BaseMisses)-int64(row.DrivenMisses)) / float64(row.BaseMisses)
 				row.OracleReduction = float64(int64(row.BaseMisses)-int64(row.OracleMisses)) / float64(row.BaseMisses)
 			}
-			rows[w*len(names)+p] = row
+			rows[p] = row
 		}
-		return nil
+		return rows, nil
 	})
-	return rows, err
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,14 +18,139 @@ import (
 // experiment id the repository serves, shared by the sharesim CLI and
 // the sharesimd daemon so the two can never drift apart. Each entry
 // turns a prepared Suite plus per-run knobs into the experiment's
-// report tables.
+// report tables. The file also holds the request knobs every front end
+// shares (Request) and the one direct path from them to tables
+// (RunExperiments).
 
 // ExpOptions carries the per-run knobs shared by every experiment.
 type ExpOptions struct {
 	LLCSize  int // LLC capacity in bytes (f2/f5 derive the doubled size from it)
 	LLCWays  int
-	Policies []string     // f5's base-policy list (nil = the CLI default set)
+	Policies []string     // f5's base-policy list (nil = LRU only)
 	Prot     core.Options // protection options for the oracle/predictor families
+}
+
+// Request holds the knobs the daemon's job body and the cluster's sweep
+// body share; each embeds it, so both JSON bodies carry these fields
+// under the same names. Zero fields take the defaults Normalize fills.
+type Request struct {
+	LLCMB     float64  `json:"llc_mb,omitempty"`
+	Ways      int      `json:"ways,omitempty"`
+	Seed      uint64   `json:"seed,omitempty"`
+	Scale     float64  `json:"scale,omitempty"`
+	Workloads []string `json:"workloads,omitempty"`
+	Policies  []string `json:"policies,omitempty"`
+	Strength  string   `json:"strength,omitempty"`
+}
+
+// Normalize fills the defaults (4 MB, 16 ways, seed 1, scale 1, full
+// strength), bounds every knob, lower-cases and sorts the workloads and
+// lower-cases the policies, rejecting a name the suite or the policy
+// catalogue does not know. The normalized form is what a job key hashes,
+// so requests differing only in omitted-vs-explicit defaults coalesce.
+func (r *Request) Normalize() error {
+	if r.LLCMB == 0 {
+		r.LLCMB = 4
+	}
+	if r.LLCMB <= 0 {
+		return fmt.Errorf("llc_mb must be positive, got %g", r.LLCMB)
+	}
+	if r.Ways == 0 {
+		r.Ways = 16
+	}
+	if r.Ways < 1 {
+		return fmt.Errorf("ways must be >= 1, got %d", r.Ways)
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+	if r.Scale == 0 {
+		r.Scale = 1
+	}
+	if r.Scale < 0 || r.Scale > 1 {
+		return fmt.Errorf("scale must be in (0, 1], got %g", r.Scale)
+	}
+	if r.Strength == "" {
+		r.Strength = "full"
+	}
+	if r.Strength != "full" && r.Strength != "insert-only" {
+		return fmt.Errorf("unknown strength %q (want full or insert-only)", r.Strength)
+	}
+	for i, w := range r.Workloads {
+		r.Workloads[i] = strings.ToLower(strings.TrimSpace(w))
+	}
+	sort.Strings(r.Workloads)
+	if _, err := ModelsByName(r.Workloads); err != nil {
+		return err
+	}
+	for i, p := range r.Policies {
+		r.Policies[i] = strings.ToLower(strings.TrimSpace(p))
+		if _, err := policy.ByName(r.Policies[i], r.Seed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Options maps the request onto the experiment index's options.
+func (r Request) Options() ExpOptions {
+	o := DefaultExpOptions()
+	o.LLCSize = int(r.LLCMB * float64(cache.MB))
+	o.LLCWays = r.Ways
+	o.Policies = r.Policies
+	if r.Strength == "insert-only" {
+		o.Prot.Strength = core.InsertOnly
+	}
+	return o
+}
+
+// Config maps the request onto a suite configuration on machine, with
+// the workloads resolved in the order the request lists them.
+func (r Request) Config(machine cache.Config) (Config, error) {
+	models, err := ModelsByName(r.Workloads)
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{Machine: machine, Seed: r.Seed, Scale: r.Scale, Models: models}, nil
+}
+
+// RunExperiments is the direct path from a request to its tables, the one
+// every front end takes. It resolves every id first, so an unknown one
+// fails before any work; prepares the suite cfg describes, under ctx,
+// only when some experiment reads streams; then runs the experiments over
+// it in order, handing each one's tables to emit before the next starts.
+// progress, when non-nil, receives the experiments' per-workload
+// completions; cfg.Progress reports the preparation.
+func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
+	progress func(done, total int, label string), emit func([]*report.Table) error) error {
+	exps := make([]Experiment, len(ids))
+	needSuite := false
+	for i, id := range ids {
+		e, err := ExperimentByID(id)
+		if err != nil {
+			return err
+		}
+		exps[i] = e
+		needSuite = needSuite || e.NeedsSuite
+	}
+	var suite *Suite
+	if needSuite {
+		s, err := NewSuiteContext(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		suite = s.WithProgress(progress)
+	}
+	for _, e := range exps {
+		tables, err := e.Run(suite, o)
+		if err != nil {
+			return err
+		}
+		if err := emit(tables); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DefaultExpOptions is the paper's setup: 4 MB, 16-way, full protection.
@@ -175,11 +301,11 @@ func runM1(s *Suite, o ExpOptions) ([]*report.Table, error) {
 		}
 		mixes = append(mixes, ms)
 	}
-	rows, err := MultiprogrammedOracleCtx(s.context(), mixes, s.Config.Machine, s.Config.Seed, o.LLCSize, o.LLCWays, o.Prot)
+	rows, err := MultiprogrammedOracle(s.context(), mixes, s.Config.Machine, s.Config.Seed, o.LLCSize, o.LLCWays, o.Prot)
 	if err != nil {
 		return nil, err
 	}
-	return one(OracleTable(fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)), rows), nil)
+	return one(oracleTable(fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)), rows), nil)
 }
 
 // A5Workloads is the fixed workload subset the a5 seed-robustness
@@ -191,8 +317,8 @@ func A5Workloads() []string {
 	return []string{"canneal", "dedup", "barnes", "ocean", "streamcluster", "swaptions"}
 }
 
-// A5Seeds lists the seeds the a5 ablation sweeps.
-func A5Seeds() []uint64 { return []uint64{1, 2, 3} }
+// a5Seeds lists the seeds the a5 ablation sweeps.
+func a5Seeds() []uint64 { return []uint64{1, 2, 3} }
 
 func runA5(s *Suite, o ExpOptions) ([]*report.Table, error) {
 	// Seed robustness: rebuild a suite subset under several seeds and
@@ -204,7 +330,7 @@ func runA5(s *Suite, o ExpOptions) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, seed := range A5Seeds() {
+	for _, seed := range a5Seeds() {
 		cfg := s.Config
 		cfg.Seed = seed
 		cfg.Models = sub
@@ -216,7 +342,7 @@ func runA5(s *Suite, o ExpOptions) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.MustRow(fmt.Sprintf("%d", seed), stats.Pct(MeanReduction(rows, "lru")),
+		t.MustRow(fmt.Sprintf("%d", seed), stats.Pct(meanReduction(rows, "lru")),
 			fmt.Sprintf("%d", len(rows)))
 	}
 	t.Note = "same workload subset regenerated per seed; the headroom is a property of the sharing structure, not of one trace"

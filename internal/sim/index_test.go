@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/report"
 )
 
 func indexTestSuite(t *testing.T) *Suite {
@@ -177,5 +178,27 @@ func TestWithContextDoesNotPerturbResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base, got) {
 		t.Errorf("rows diverge with ctx/progress attached")
+	}
+}
+
+// TestRunExperimentsBuildsSuiteOnlyWhenNeeded: static experiments run
+// without preparing a suite, a stream-reading one prepares it, and an
+// unknown id fails before any experiment runs.
+func TestRunExperimentsBuildsSuiteOnlyWhenNeeded(t *testing.T) {
+	bad := Config{} // scale 0: preparing a suite from it fails
+	var got []*report.Table
+	emit := func(tables []*report.Table) error { got = append(got, tables...); return nil }
+	run := func(ids ...string) error {
+		got = nil
+		return RunExperiments(context.Background(), bad, ids, DefaultExpOptions(), nil, emit)
+	}
+	if err := run("config", "suite"); err != nil || len(got) != 2 {
+		t.Errorf("static experiments: %d tables, err %v; want 2 tables", len(got), err)
+	}
+	if err := run("config", "f1"); err == nil || len(got) != 0 {
+		t.Errorf("f1 on an unpreparable config: %d tables, err %v; want a preparation error first", len(got), err)
+	}
+	if err := run("config", "nope"); err == nil || len(got) != 0 {
+		t.Errorf("unknown id: %d tables, err %v; want an error before any table", len(got), err)
 	}
 }

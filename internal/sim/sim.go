@@ -175,11 +175,10 @@ type Suite struct {
 	// abort at their next poll (sharing.Options.Ctx). Set via
 	// NewSuiteContext or WithContext.
 	ctx context.Context
-	// progress, when non-nil, is invoked after each completed work item
-	// of an experiment fan-out (per workload, or per workload×policy
-	// cell) with the running completion count, the total, and the
-	// workload label. Set via WithProgress; callbacks may arrive
-	// concurrently from worker goroutines.
+	// progress, when non-nil, is invoked after each workload an
+	// experiment fan-out finishes, with the running completion count, the
+	// total, and the workload label. Set via WithProgress; callbacks may
+	// arrive concurrently from worker goroutines.
 	progress func(done, total int, label string)
 }
 
@@ -261,18 +260,42 @@ func (s *Suite) context() context.Context {
 	return context.Background()
 }
 
-// par fans f out across the CPUs under the suite's context — the outer
-// loop of every experiment runner.
-func (s *Suite) par(n int, f func(i int) error) error {
-	return parallelCapCtx(s.context(), n, runtime.GOMAXPROCS(0), f)
-}
-
-// step reports one completed work item to the progress callback, if any.
-// done is the experiment's own completion counter.
-func (s *Suite) step(done *atomic.Int64, total int, label string) {
-	if s.progress != nil {
-		s.progress(int(done.Add(1)), total, label)
+// perStream is the per-workload fan-out of every suite experiment: it
+// runs rows on each prepared stream across the CPUs under the suite's
+// context, reports each finished stream to the progress callback, and
+// concatenates the rows in suite order. rows receives the per-replay
+// shard request (sharing.Options.Shards): the Config's explicit Shards
+// when set, otherwise the CPUs left over once every stream has a worker,
+// so the fan-out and the set sharding never oversubscribe the machine
+// between them. A failure is labelled with what and the workload.
+func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) ([]R, error)) ([]R, error) {
+	n := len(s.Streams)
+	shards := s.Config.Shards
+	if shards == 0 {
+		shards = leftoverShards(n)
 	}
+	per := make([][]R, n)
+	var done atomic.Int64
+	err := parallelCapCtx(s.context(), n, runtime.GOMAXPROCS(0), func(i int) error {
+		st := s.Streams[i]
+		r, err := rows(st, shards)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", what, st.Model.Name, err)
+		}
+		per[i] = r
+		if s.progress != nil {
+			s.progress(int(done.Add(1)), n, st.Model.Name)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]R, 0, n)
+	for _, r := range per {
+		out = append(out, r...)
+	}
+	return out, nil
 }
 
 // Stream returns the prepared stream for the named workload.
@@ -291,21 +314,9 @@ func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
 	return st.ReplayOptions(shards, s.context())
 }
 
-// shardsFor picks the per-replay shard request (sharing.Options.Shards)
-// for an experiment fanning out over cells concurrent replay cells: the
-// Config's explicit Shards when set, otherwise the CPUs left over once
-// every cell has a worker — so the outer fan-out and the inner set
-// sharding never oversubscribe the machine between them.
-func (s *Suite) shardsFor(cells int) int {
-	if s.Config.Shards != 0 {
-		return s.Config.Shards
-	}
-	return leftoverShards(cells)
-}
-
 // ShardBudget returns the per-replay shard request that keeps n
 // concurrent experiment runs within GOMAXPROCS — the same leftover-CPU
-// division shardsFor applies inside a single experiment's fan-out. The
+// division perStream applies inside a single experiment's fan-out. The
 // sharesimd worker pool uses it to set Config.Shards for each of its n
 // workers so that workers × shards never oversubscribes the machine.
 func ShardBudget(n int) int { return leftoverShards(n) }
@@ -323,13 +334,7 @@ func leftoverShards(cells int) int {
 	return n
 }
 
-// parallel runs f(0..n-1) across up to GOMAXPROCS workers and returns the
-// first error.
-func parallel(n int, f func(i int) error) error {
-	return parallelCapCtx(context.Background(), n, runtime.GOMAXPROCS(0), f)
-}
-
-// parallelCapCtx is parallel with an explicit worker cap and a
+// parallelCapCtx runs f(0..n-1) across up to cap workers under a
 // cancellation context. The cap exists for callers that must split the
 // CPU budget with nested parallelism (a sharded replay inside an
 // experiment fan-out) and would otherwise oversubscribe. Work items are

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,7 +188,7 @@ func TestOracleStudy(t *testing.T) {
 	}
 	// The mean across the suite subset should be non-negative: oracle
 	// protection should help or be neutral overall.
-	if m := MeanReduction(rows, "lru"); m < -0.02 {
+	if m := meanReduction(rows, "lru"); m < -0.02 {
 		t.Errorf("mean oracle reduction %.4f is materially negative", m)
 	}
 }
@@ -213,7 +215,7 @@ func TestReuseDistances(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := ReuseTable("c2", rows).Render(&b); err != nil {
+	if err := reuseTable("c2", rows).Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "cold") {
@@ -244,7 +246,7 @@ func TestCoherenceCharacterize(t *testing.T) {
 			byName["canneal"].C2CTransfersPKR, byName["swaptions"].C2CTransfersPKR)
 	}
 	var b strings.Builder
-	if err := CoherenceTable("c1", rows).Render(&b); err != nil {
+	if err := coherenceTable("c1", rows).Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "MESI") {
@@ -277,7 +279,7 @@ func TestSharingPhases(t *testing.T) {
 			byName["canneal"].MixedFrac, byName["swaptions"].MixedFrac)
 	}
 	var b strings.Builder
-	if err := PhaseTable("f9", rows).Render(&b); err != nil {
+	if err := phaseTable("f9", rows).Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "flip rate") {
@@ -303,7 +305,7 @@ func TestOracleHorizonSweep(t *testing.T) {
 		t.Error("factor 0 accepted")
 	}
 	var b strings.Builder
-	if err := HorizonTable("a4", rows).Render(&b); err != nil {
+	if err := horizonTable("a4", rows).Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "mean reduction by horizon") {
@@ -317,7 +319,7 @@ func TestPredictorAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3*len(PredictorNames()) {
+	if len(rows) != 3*len(predictorNames()) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
@@ -384,12 +386,12 @@ func TestTablesRender(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, err := range []error{
-		CharTable("f1", char).Render(&b),
-		DegreeTable("f3", char).Render(&b),
-		PolicyTable("f4", pol).Render(&b),
-		OracleTable("f5", orc).Render(&b),
-		PredictorTable("f7", acc).Render(&b),
-		DrivenTable("f8", drv).Render(&b),
+		charTable("f1", char).Render(&b),
+		degreeTable("f3", char).Render(&b),
+		policyTable("f4", pol).Render(&b),
+		oracleTable("f5", orc).Render(&b),
+		predictorTable("f7", acc).Render(&b),
+		drivenTable("f8", drv).Render(&b),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -401,6 +403,12 @@ func TestTablesRender(t *testing.T) {
 			t.Errorf("rendered tables missing %q", want)
 		}
 	}
+}
+
+// parallel runs f(0..n-1) across up to GOMAXPROCS workers and returns
+// the first error.
+func parallel(n int, f func(i int) error) error {
+	return parallelCapCtx(context.Background(), n, runtime.GOMAXPROCS(0), f)
 }
 
 func TestParallelHelper(t *testing.T) {
@@ -458,7 +466,7 @@ func TestMultiprogrammedOracleIsNull(t *testing.T) {
 		}
 		mix = append(mix, m.Scaled(0.02))
 	}
-	rows, err := MultiprogrammedOracle([][]workloads.Model{mix}, cfg.Machine, 1, tSize, tWays, core.Options{Strength: core.Full})
+	rows, err := MultiprogrammedOracle(context.Background(), [][]workloads.Model{mix}, cfg.Machine, 1, tSize, tWays, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,10 +496,10 @@ func TestBuildMixStreamValidation(t *testing.T) {
 	for i := range tooMany {
 		tooMany[i] = m
 	}
-	if _, err := BuildMixStream(tooMany, cfg.Machine, 1); err == nil {
+	if _, err := buildMixStream(tooMany, cfg.Machine, 1); err == nil {
 		t.Error("mix larger than core count accepted")
 	}
-	st, err := BuildMixStream([]workloads.Model{m, m}, cfg.Machine, 1)
+	st, err := buildMixStream([]workloads.Model{m, m}, cfg.Machine, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ const DefaultMemBudget = 2 << 30
 // Options configures a Cache.
 type Options struct {
 	// Dir is the snapshot directory. Empty disables the disk level (the
-	// process level still works). DefaultDir picks the conventional
-	// per-user location.
+	// process level still works). DirFromFlag("auto") picks the
+	// conventional per-user location.
 	Dir string
 	// MemBudget caps the bytes of stream data resident in the process
 	// level; least-recently-used streams are evicted past it. 0 means
@@ -98,29 +98,22 @@ type Stats struct {
 	BytesWritten uint64 // snapshot bytes written to disk
 }
 
-// DefaultDir returns the conventional snapshot directory,
-// os.UserCacheDir()/sharellc, or "" when the platform reports no user
-// cache directory (callers then run without a disk level).
-func DefaultDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "sharellc")
-}
-
 // DirFromFlag maps the conventional -cachedir flag value shared by
 // cmd/sharesim and cmd/sharesimd to a snapshot directory: "auto" picks
-// DefaultDir, "off" disables the disk level, anything else is a literal
-// path. ok reports whether the disk level is wanted at all ("off", or
-// "auto" on a platform with no user cache directory, return false).
+// the conventional os.UserCacheDir()/sharellc, "off" disables the disk
+// level, anything else is a literal path. ok reports whether the disk
+// level is wanted at all ("off", or "auto" on a platform with no user
+// cache directory, return false).
 func DirFromFlag(v string) (dir string, ok bool) {
 	switch v {
 	case "off", "":
 		return "", false
 	case "auto":
-		d := DefaultDir()
-		return d, d != ""
+		base, err := os.UserCacheDir()
+		if err != nil {
+			return "", false
+		}
+		return filepath.Join(base, "sharellc"), true
 	default:
 		return v, true
 	}

@@ -8,8 +8,8 @@ import (
 	"sharellc/internal/stats"
 )
 
-// CharTable renders F1/F2 characterization rows.
-func CharTable(title string, rows []CharRow) *report.Table {
+// charTable renders F1/F2 characterization rows.
+func charTable(title string, rows []CharRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "suite", "llc-refs", "miss-rate", "shared-hit%", "ro-sh%", "rw-sh%", "shared-res%", "shared-blk%")
 	var hitFracs []float64
@@ -23,8 +23,8 @@ func CharTable(title string, rows []CharRow) *report.Table {
 	return t
 }
 
-// DegreeTable renders the F3 sharing-degree distribution.
-func DegreeTable(title string, rows []CharRow) *report.Table {
+// degreeTable renders the F3 sharing-degree distribution.
+func degreeTable(title string, rows []CharRow) *report.Table {
 	t := report.NewTable(title,
 		"workload",
 		"res d=1", "res d=2", "res d=3-4", "res d=5+",
@@ -40,8 +40,8 @@ func DegreeTable(title string, rows []CharRow) *report.Table {
 	return t
 }
 
-// PolicyTable renders F4 policy-comparison rows grouped by workload.
-func PolicyTable(title string, rows []PolicyRow) *report.Table {
+// policyTable renders F4 policy-comparison rows grouped by workload.
+func policyTable(title string, rows []PolicyRow) *report.Table {
 	t := report.NewTable(title, "workload", "policy", "misses", "vs-lru", "shared-hit%")
 	for _, r := range rows {
 		t.MustRow(r.Workload, r.Policy, report.N(r.Misses), report.F(r.MissesVsLRU), stats.Pct(r.SharedHitFrac))
@@ -63,8 +63,8 @@ func PolicyTable(title string, rows []PolicyRow) *report.Table {
 	return t
 }
 
-// OracleTable renders F5/F6 oracle-study rows.
-func OracleTable(title string, rows []OracleRow) *report.Table {
+// oracleTable renders F5/F6 oracle-study rows.
+func oracleTable(title string, rows []OracleRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "policy", "base-misses", "oracle-misses", "reduction", "amat-speedup", "base-sh%", "orc-sh%")
 	for _, r := range rows {
@@ -77,16 +77,16 @@ func OracleTable(title string, rows []OracleRow) *report.Table {
 	for _, r := range rows {
 		if !seen[r.Policy] {
 			seen[r.Policy] = true
-			note += fmt.Sprintf(" %s=%s", r.Policy, stats.Pct(MeanReduction(rows, r.Policy)))
+			note += fmt.Sprintf(" %s=%s", r.Policy, stats.Pct(meanReduction(rows, r.Policy)))
 		}
 	}
 	t.Note = note
 	return t
 }
 
-// ReuseTable renders C2 reuse-distance rows: one row per (workload,
+// reuseTable renders C2 reuse-distance rows: one row per (workload,
 // class) with the bucket shares.
-func ReuseTable(title string, rows []ReuseRow) *report.Table {
+func reuseTable(title string, rows []ReuseRow) *report.Table {
 	headers := []string{"workload", "class", "accesses"}
 	for b := 0; b < reuse.NumBuckets; b++ {
 		headers = append(headers, reuse.BucketLabel(b))
@@ -107,8 +107,8 @@ func ReuseTable(title string, rows []ReuseRow) *report.Table {
 	return t
 }
 
-// CoherenceTable renders C1 coherence-traffic rows.
-func CoherenceTable(title string, rows []CoherenceRow) *report.Table {
+// coherenceTable renders C1 coherence-traffic rows.
+func coherenceTable(title string, rows []CoherenceRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "refs", "inv/kref", "downgrade/kref", "c2c/kref", "upgrade/kref")
 	var c2c []float64
@@ -121,8 +121,8 @@ func CoherenceTable(title string, rows []CoherenceRow) *report.Table {
 	return t
 }
 
-// PhaseTable renders F9 sharing-phase rows.
-func PhaseTable(title string, rows []PhaseRow) *report.Table {
+// phaseTable renders F9 sharing-phase rows.
+func phaseTable(title string, rows []PhaseRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "flip-rate", "mixed%", "always-sh", "never-sh", "mixed", "1-window")
 	var flips, mixed []float64
@@ -137,8 +137,8 @@ func PhaseTable(title string, rows []PhaseRow) *report.Table {
 	return t
 }
 
-// HorizonTable renders A4 horizon-sweep rows.
-func HorizonTable(title string, rows []HorizonRow) *report.Table {
+// horizonTable renders A4 horizon-sweep rows.
+func horizonTable(title string, rows []HorizonRow) *report.Table {
 	t := report.NewTable(title, "workload", "horizon", "reduction")
 	byFactor := map[int][]float64{}
 	var order []int
@@ -157,8 +157,8 @@ func HorizonTable(title string, rows []HorizonRow) *report.Table {
 	return t
 }
 
-// PredictorTable renders F7 accuracy rows.
-func PredictorTable(title string, rows []PredictorRow) *report.Table {
+// predictorTable renders F7 accuracy rows.
+func predictorTable(title string, rows []PredictorRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "predictor", "accuracy", "precision", "recall", "shared-rate")
 	for _, r := range rows {
@@ -181,8 +181,8 @@ func PredictorTable(title string, rows []PredictorRow) *report.Table {
 	return t
 }
 
-// DrivenTable renders F8 predictor-driven rows.
-func DrivenTable(title string, rows []DrivenRow) *report.Table {
+// drivenTable renders F8 predictor-driven rows.
+func drivenTable(title string, rows []DrivenRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "predictor", "base-misses", "driven-misses", "reduction", "oracle-reduction")
 	byPred := map[string][]float64{}

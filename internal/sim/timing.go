@@ -15,9 +15,9 @@ type Latency struct {
 	Mem uint64 // full miss to memory
 }
 
-// DefaultLatency reflects the paper's era: 4-cycle L1, 12-cycle L2,
+// defaultLatency reflects the paper's era: 4-cycle L1, 12-cycle L2,
 // ~40-cycle LLC and 200-cycle memory.
-func DefaultLatency() Latency { return Latency{L1: 4, L2: 12, LLC: 38, Mem: 200} }
+func defaultLatency() Latency { return Latency{L1: 4, L2: 12, LLC: 38, Mem: 200} }
 
 // Cycles computes the total memory-access cycles of one workload run:
 // the private-level hits come from the prepared stream, the LLC outcome

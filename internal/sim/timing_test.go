@@ -16,7 +16,7 @@ func TestLatencyCycles(t *testing.T) {
 
 func TestAMATSpeedupDirection(t *testing.T) {
 	st := &Stream{L1Hits: 1000, L2Hits: 100}
-	l := DefaultLatency()
+	l := defaultLatency()
 	// Converting 50 misses into hits must speed things up.
 	s := l.AMATSpeedup(st, 100, 100, 150, 50)
 	if s <= 1 {

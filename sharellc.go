@@ -157,7 +157,7 @@ func NewSharingAware(base Policy, opts ProtectorOptions) *core.Protector {
 // mixes of independent single-threaded programs (the paper's motivating
 // contrast — expect no shared hits and no gain).
 func MultiprogrammedOracle(mixes [][]Model, machine MachineConfig, seed uint64, llcSize, llcWays int, opts ProtectorOptions) ([]OracleRow, error) {
-	return sim.MultiprogrammedOracle(mixes, machine, seed, llcSize, llcWays, opts)
+	return sim.MultiprogrammedOracle(context.Background(), mixes, machine, seed, llcSize, llcWays, opts)
 }
 
 // OracleRun performs the paper's two-pass oracle study for one policy on
