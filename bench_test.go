@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"sharellc"
+	"sharellc/internal/sim"
 )
 
 const (
@@ -356,17 +357,20 @@ func BenchmarkA3Associativity(b *testing.B) {
 }
 
 // BenchmarkA4HorizonSweep is the A4 ablation: oracle gain vs. the sharing
-// lookahead horizon.
+// lookahead horizon, through the experiment's table plan.
 func BenchmarkA4HorizonSweep(b *testing.B) {
 	s := ablationSuite(b)
-	opts := sharellc.ProtectorOptions{Strength: sharellc.Full}
+	specs, ok := sim.PlanFor("a4", sim.DefaultExpOptions()) // 4 MB, 16 ways, full protection
+	if !ok {
+		b.Fatal("a4 has no table plan")
+	}
 	for i := 0; i < b.N; i++ {
-		rows, err := s.OracleHorizonSweep(llc4MB, ways, []int{1, 4, 8}, opts)
+		rows, err := specs[0].Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sums := map[int][2]float64{}
-		for _, r := range rows {
+		for _, r := range rows.([]sim.HorizonRow) {
 			v := sums[r.Factor]
 			v[0] += r.Reduction
 			v[1]++

@@ -2,7 +2,7 @@ package cache
 
 // Batched replay entry point.
 //
-// AccessRef and FillRef are per-access calls: every access pays the call
+// Access and FillRef are per-access calls: every access pays the call
 // itself, a Result struct moving through registers, and the branchy
 // interleaving of tag, validity and policy work. The lane engine of
 // internal/sharing instead presents accesses in chunks and consumes one
@@ -20,9 +20,7 @@ package cache
 // sharing.replayState (see FillRef): active maps BlockID → 1+line index
 // for every resident block, lineID is the reverse map the eviction path
 // uses to clear the victim's entry, and both must describe exactly this
-// cache's contents. Like the sequential fast path, a write hit does not
-// set the line dirty bit — no policy reads it, and the LLC policy study
-// reports no writeback traffic.
+// cache's contents.
 
 // Batch outcome word layout: bits 0–29 carry the line index
 // (set*ways+way), BatchHit marks a hit, BatchEvict marks a fill that
@@ -51,8 +49,8 @@ func LogByte(o uint32, setBase uint32) uint8 {
 // order — so kernel and generic replays stay bit-identical (the
 // TestBatchPolicyVsGeneric differentials hold every kernel to it).
 // accs runs in lockstep with the columns; most kernels never touch it
-// (their policies ignore the AccessInfo), the exceptions being the
-// Write bit on fills and SHiP's fill PC / SHiP-S's hit core.
+// (their policies ignore the AccessInfo), the exceptions being SHiP's
+// fill PC and SHiP-S's hit core.
 type BatchKernel func(blk []uint64, id []uint32, accs []AccessInfo, active, lineID, out []uint32)
 
 // BatchPolicy is the optional capability interface of the batch replay
@@ -100,10 +98,9 @@ func (c *SetAssoc) KernelGeom() (mask uint64, ways int) { return c.mask, c.ways 
 func (c *SetAssoc) KernelValid() []uint16 { return c.valid }
 
 // KernelStoreLine records a fill of block into line li, mirroring the
-// generic loop's tag update (a write miss fills the line dirty; like the
-// generic batch path, write hits do not set the dirty bit).
-func (c *SetAssoc) KernelStoreLine(li uint32, block uint64, dirty bool) {
-	c.lines[li] = makeLine(block, dirty)
+// generic loop's tag update.
+func (c *SetAssoc) KernelStoreLine(li uint32, block uint64) {
+	c.lines[li] = tagOf(block)
 }
 
 // KernelColdWay is the cold half of fillSlot for kernels: the line index
@@ -133,7 +130,7 @@ func (c *SetAssoc) KernelCommit(hits, fills, evicts uint64) {
 // ReplayBatchCols presents a chunk of accesses to the cache in one tight
 // loop, writing one outcome word per access into out and maintaining
 // the caller's active/lineID residency tables. Counters advance as if
-// each access had gone through AccessRef. blk and id carry each
+// each access had gone through Access. blk and id carry each
 // access's block number and dense BlockID; the record in accs is
 // touched only by the policy calls (many policies never dereference it)
 // and on fills, so a lane walk streams a few bytes per access instead
@@ -164,7 +161,7 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 			active[lineID[li]] = 0
 			evicts++
 		}
-		c.lines[li] = makeLine(a.Block, a.Write)
+		c.lines[li] = tagOf(a.Block)
 		pol.Fill(set, int(li)-set*ways, a)
 		lineID[li] = id[k]
 		active[id[k]] = li + 1

@@ -43,7 +43,7 @@ func batchCols(stream []AccessInfo) (blk []uint64, id []uint32, numBlocks int) {
 	return blk, id, numBlocks
 }
 
-// probeAgrees drives stream through AccessRef (the tag-scanning
+// probeAgrees drives stream through Access (the tag-scanning
 // reference) and ReplayBatchCols in chunks of chunk accesses, comparing
 // every access's outcome — hit flag, line index, eviction flag — then
 // the final counters and the residency tables against the contents.
@@ -68,7 +68,7 @@ func probeAgrees(t *testing.T, stream []AccessInfo, size, ways, chunk int) {
 		}
 		got.ReplayBatchCols(blk[lo:hi], id[lo:hi], stream[lo:hi], active, lineID, out[:hi-lo])
 		for k := lo; k < hi; k++ {
-			want := ref.AccessRef(&stream[k])
+			want := ref.Access(stream[k])
 			o := out[k-lo]
 			li := uint32(want.Set*ways + want.Way)
 			if (o&BatchHit != 0) != want.Hit || o&BatchLine != li || (o&BatchEvict != 0) != want.Evicted {
@@ -83,22 +83,22 @@ func probeAgrees(t *testing.T, stream []AccessInfo, size, ways, chunk int) {
 		t.Fatalf("chunk %d: stats (%d %d %d %d) != reference (%d %d %d %d)", chunk, ga, gh, gf, ge, ra, rh, rf, re)
 	}
 	// Residency tables must describe exactly the cache contents.
-	resident := 0
+	tracked := 0
 	for id, li := range active {
 		if li == 0 {
 			continue
 		}
-		resident++
+		tracked++
 		if int(lineID[li-1]) != id {
 			t.Fatalf("chunk %d: active/lineID disagree for BlockID %d", chunk, id)
 		}
 	}
-	if n := len(got.Contents()); resident != n {
-		t.Fatalf("chunk %d: %d blocks tracked as resident, cache holds %d", chunk, resident, n)
+	if n := resident(got); tracked != n {
+		t.Fatalf("chunk %d: %d blocks tracked as resident, cache holds %d", chunk, tracked, n)
 	}
 }
 
-// TestReplayBatchMatchesAccessRef holds the column probe to AccessRef on
+// TestReplayBatchMatchesAccessRef holds the column probe to Access on
 // a tiny 2-way cache in chunks of several sizes, down to one access.
 func TestReplayBatchMatchesAccessRef(t *testing.T) {
 	stream := batchStream(5000, 64, 99)
@@ -108,7 +108,7 @@ func TestReplayBatchMatchesAccessRef(t *testing.T) {
 }
 
 // TestReplayBatchColsMatchesRecords holds the column probe, fed columns
-// decoded from the records, to the record-walking AccessRef on a 4-way
+// decoded from the records, to the record-walking Access on a 4-way
 // cache in one whole-stream call.
 func TestReplayBatchColsMatchesRecords(t *testing.T) {
 	stream := batchStream(4096, 200, 7)

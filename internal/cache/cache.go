@@ -79,34 +79,19 @@ type Policy interface {
 	Fill(set, way int, a *AccessInfo)
 }
 
-// line packs one way's bookkeeping — block number, validity, dirtiness
-// — into a single word, so a whole 16-way set scans out of two cache
-// lines instead of the four a padded struct would occupy. Block numbers
-// are byte addresses >> trace.BlockShift and therefore never reach the
-// two flag bits.
+// line packs one way's bookkeeping — block number and validity — into a
+// single word, so a whole 16-way set scans out of two cache lines instead
+// of the four a padded struct would occupy. Block numbers are byte
+// addresses >> trace.BlockShift and therefore never reach the flag bit.
 type line uint64
 
-const (
-	lineValid line = 1 << 63
-	lineDirty line = 1 << 62
-)
-
-// makeLine builds a valid line holding block.
-func makeLine(block uint64, dirty bool) line {
-	ln := line(block) | lineValid
-	if dirty {
-		ln |= lineDirty
-	}
-	return ln
-}
+const lineValid line = 1 << 63
 
 func (ln line) valid() bool   { return ln&lineValid != 0 }
-func (ln line) dirty() bool   { return ln&lineDirty != 0 }
-func (ln line) block() uint64 { return uint64(ln &^ (lineValid | lineDirty)) }
+func (ln line) block() uint64 { return uint64(ln &^ lineValid) }
 
-// tagOf is the value a valid, clean line holding block compares equal
-// to; matching `ln &^ lineDirty == tagOf(block)` tests validity and tag
-// in one compare.
+// tagOf is the valid line holding block: what a fill stores, and what a
+// lookup compares against to test validity and tag in one compare.
 func tagOf(block uint64) line { return line(block) | lineValid }
 
 // SetAssoc is a set-associative cache with a pluggable replacement policy:
@@ -180,9 +165,6 @@ func (c *SetAssoc) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *SetAssoc) Ways() int { return c.ways }
 
-// SizeBytes returns the capacity in bytes.
-func (c *SetAssoc) SizeBytes() int { return c.sets * c.ways * trace.BlockSize }
-
 // Policy returns the replacement policy managing this cache.
 func (c *SetAssoc) Policy() Policy { return c.policy }
 
@@ -191,38 +173,17 @@ func (c *SetAssoc) SetOf(block uint64) int { return int(block & c.mask) }
 
 // Result reports the outcome of one Access.
 type Result struct {
-	Hit         bool
-	Set         int
-	Way         int
-	Evicted     bool   // an existing valid line was displaced
-	Victim      uint64 // block number of the displaced line, valid if Evicted
-	VictimDirty bool
-}
-
-// Probe reports whether block is present without touching replacement
-// state or counters.
-func (c *SetAssoc) Probe(block uint64) bool {
-	set := c.SetOf(block)
-	base := set * c.ways
-	want := tagOf(block)
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w]&^lineDirty == want {
-			return true
-		}
-	}
-	return false
+	Hit     bool
+	Set     int
+	Way     int
+	Evicted bool   // an existing valid line was displaced
+	Victim  uint64 // block number of the displaced line, valid if Evicted
 }
 
 // Access presents one reference to the cache: on a miss the block is
 // filled (allocate-on-write as well as read), evicting a victim if the set
 // is full.
-func (c *SetAssoc) Access(a AccessInfo) Result { return c.AccessRef(&a) }
-
-// AccessRef is Access without the argument copy. The replay walks present
-// hundreds of millions of stream records per pass and the record is
-// read-only to the cache, so hot loops pass a pointer straight into the
-// stream slice instead of moving the multi-word struct per call.
-func (c *SetAssoc) AccessRef(a *AccessInfo) Result {
+func (c *SetAssoc) Access(a AccessInfo) Result {
 	c.accesses++
 	set := c.SetOf(a.Block)
 	base := set * c.ways
@@ -238,24 +199,21 @@ func (c *SetAssoc) AccessRef(a *AccessInfo) Result {
 			}
 			continue
 		}
-		if ln&^lineDirty == want {
+		if ln == want {
 			c.hits++
-			if a.Write {
-				c.lines[base+w] = ln | lineDirty
-			}
-			c.policy.Hit(set, w, a)
+			c.policy.Hit(set, w, &a)
 			return Result{Hit: true, Set: set, Way: w}
 		}
 	}
 	res := Result{Set: set}
 	if way < 0 {
-		way = c.victim(set, base, &res, a)
+		way = c.victim(set, base, &res, &a)
 	} else {
 		c.valid[set]++
 	}
-	c.lines[base+way] = makeLine(a.Block, a.Write)
+	c.lines[base+way] = want
 	c.fills++
-	c.policy.Fill(set, way, a)
+	c.policy.Fill(set, way, &a)
 	res.Way = way
 	return res
 }
@@ -267,10 +225,8 @@ func (c *SetAssoc) victim(set, base int, res *Result, a *AccessInfo) int {
 	if way < 0 || way >= c.ways {
 		panic(badVictim(c.policy, way, c.ways))
 	}
-	v := c.lines[base+way]
 	res.Evicted = true
-	res.Victim = v.block()
-	res.VictimDirty = v.dirty()
+	res.Victim = c.lines[base+way].block()
 	c.evicts++
 	return way
 }
@@ -281,14 +237,14 @@ func badVictim(p Policy, way, ways int) string {
 	return fmt.Sprintf("cache: policy %s returned victim way %d outside [0,%d)", p.Name(), way, ways)
 }
 
-// FillRef is the miss half of AccessRef for callers that already know
+// FillRef is the miss half of Access for callers that already know
 // the block is absent: the residency trackers mirror the cache's
 // contents exactly (see sharing.replayState), so when their block table
 // reports a miss the tag scan would only re-confirm it. Once the set is
 // full — the steady state of every replay — the scan is skipped
 // entirely and the access goes straight to the victim choice; until
 // then only the invalid-way search runs. The fill itself is identical
-// to AccessRef's miss path (first invalid way in scan order, else the
+// to Access's miss path (first invalid way in scan order, else the
 // policy's victim).
 func (c *SetAssoc) FillRef(a *AccessInfo) Result {
 	c.accesses++
@@ -311,51 +267,16 @@ func (c *SetAssoc) FillRef(a *AccessInfo) Result {
 		}
 		c.valid[set]++
 	}
-	c.lines[base+way] = makeLine(a.Block, a.Write)
+	c.lines[base+way] = tagOf(a.Block)
 	c.fills++
 	c.policy.Fill(set, way, a)
 	res.Way = way
 	return res
 }
 
-// Invalidate removes block from the cache if present, returning whether it
-// was present and whether it was dirty. Used for inclusive-hierarchy
-// back-invalidation.
-func (c *SetAssoc) Invalidate(block uint64) (present, dirty bool) {
-	set := c.SetOf(block)
-	base := set * c.ways
-	want := tagOf(block)
-	for w := 0; w < c.ways; w++ {
-		if ln := c.lines[base+w]; ln&^lineDirty == want {
-			c.lines[base+w] = 0
-			c.valid[set]--
-			return true, ln.dirty()
-		}
-	}
-	return false, false
-}
-
 // Stats reports access counters since construction.
 func (c *SetAssoc) Stats() (accesses, hits, fills, evicts uint64) {
 	return c.accesses, c.hits, c.fills, c.evicts
-}
-
-// Contents returns the valid block numbers currently cached, mainly for
-// tests and debugging.
-func (c *SetAssoc) Contents() []uint64 {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid() {
-			n++
-		}
-	}
-	out := make([]uint64, 0, n)
-	for i := range c.lines {
-		if c.lines[i].valid() {
-			out = append(out, c.lines[i].block())
-		}
-	}
-	return out
 }
 
 // PerSetIndependent reports whether p declares that its replacement

@@ -19,6 +19,29 @@ func tiny(t *testing.T) *SetAssoc {
 
 func ai(block uint64) AccessInfo { return AccessInfo{Block: block} }
 
+// probe reports whether block is resident in c without touching
+// replacement state or counters.
+func probe(c *SetAssoc, block uint64) bool {
+	base := c.SetOf(block) * c.ways
+	for _, ln := range c.lines[base : base+c.ways] {
+		if ln == tagOf(block) {
+			return true
+		}
+	}
+	return false
+}
+
+// resident counts the valid lines of c.
+func resident(c *SetAssoc) int {
+	n := 0
+	for _, ln := range c.lines {
+		if ln.valid() {
+			n++
+		}
+	}
+	return n
+}
+
 func TestGeometryValidation(t *testing.T) {
 	cases := []struct {
 		size, ways int
@@ -74,56 +97,27 @@ func TestConflictEvictionLRUOrder(t *testing.T) {
 	}
 }
 
-func TestDirtyTracking(t *testing.T) {
-	c := tiny(t)
-	c.Access(AccessInfo{Block: 0, Write: true})
-	c.Access(ai(4))
-	r := c.Access(ai(8)) // evicts block 0 (LRU) which is dirty
-	if !r.Evicted || r.Victim != 0 || !r.VictimDirty {
-		t.Errorf("expected dirty eviction of block 0, got %+v", r)
-	}
-	// A clean block evicts clean.
-	c2 := tiny(t)
-	c2.Access(ai(0))
-	c2.Access(ai(4))
-	if r := c2.Access(ai(8)); r.VictimDirty {
-		t.Error("clean victim reported dirty")
-	}
-	// Write hit marks dirty.
-	c3 := tiny(t)
-	c3.Access(ai(0))
-	c3.Access(AccessInfo{Block: 0, Write: true})
-	c3.Access(ai(4))
-	if r := c3.Access(ai(8)); !r.VictimDirty {
-		t.Error("write-hit did not mark line dirty")
-	}
-}
-
+// TestInvalidate covers back-invalidation of the private levels: an
+// invalidated block is gone from L1 and L2, so its next reference reaches
+// the LLC again, and invalidating an absent block changes nothing.
 func TestInvalidate(t *testing.T) {
-	c := tiny(t)
-	c.Access(AccessInfo{Block: 5, Write: true})
-	present, dirty := c.Invalidate(5)
-	if !present || !dirty {
-		t.Errorf("Invalidate(5) = (%v,%v), want (true,true)", present, dirty)
+	h, err := newHierarchy(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Probe(5) {
-		t.Error("block still present after invalidation")
+	a := trace.Access{Core: 0, Addr: 5 << trace.BlockShift}
+	for i, want := range []bool{true, false} {
+		if toLLC, err := h.Access(a); err != nil || toLLC != want {
+			t.Fatalf("access %d: toLLC = %v, %v; want %v", i, toLLC, err, want)
+		}
 	}
-	if present, _ := c.Invalidate(5); present {
-		t.Error("double invalidation reported present")
-	}
-}
-
-func TestProbeDoesNotPerturb(t *testing.T) {
-	c := tiny(t)
-	c.Access(ai(0))
-	c.Access(ai(4)) // 0 is LRU
-	if !c.Probe(0) || !c.Probe(4) || c.Probe(8) {
-		t.Fatal("Probe gave wrong presence")
-	}
-	// Probing 0 must not promote it: 0 must still be the victim.
-	if r := c.Access(ai(8)); r.Victim != 0 {
-		t.Errorf("Probe perturbed LRU state: victim = %d, want 0", r.Victim)
+	h.invalidate(5)
+	h.invalidate(5)
+	h.invalidate(6)
+	for i, want := range []bool{true, false} {
+		if toLLC, err := h.Access(a); err != nil || toLLC != want {
+			t.Fatalf("access %d after invalidation: toLLC = %v, %v; want %v", i, toLLC, err, want)
+		}
 	}
 }
 
@@ -148,7 +142,7 @@ func TestContentsNeverExceedsCapacity(t *testing.T) {
 		for _, b := range blocks {
 			c.Access(ai(b % 64))
 		}
-		return len(c.Contents()) <= 8
+		return resident(c) <= 8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -165,7 +159,7 @@ func TestAccessedBlockIsResident(t *testing.T) {
 		for _, b := range blocks {
 			b %= 256
 			c.Access(ai(b))
-			if !c.Probe(b) {
+			if !probe(c, b) {
 				return false
 			}
 		}
@@ -215,25 +209,6 @@ func TestLRUThrashesOnWorkingSetPlusOne(t *testing.T) {
 	}
 }
 
-func TestLRUStackPosition(t *testing.T) {
-	p := &LRU{}
-	p.Attach(1, 4)
-	for w := 0; w < 4; w++ {
-		p.Fill(0, w, &AccessInfo{})
-	}
-	// Order of recency now: way3 (MRU) ... way0 (LRU).
-	if got := p.StackPosition(0, 3); got != 0 {
-		t.Errorf("way 3 stack position = %d, want 0 (MRU)", got)
-	}
-	if got := p.StackPosition(0, 0); got != 3 {
-		t.Errorf("way 0 stack position = %d, want 3 (LRU)", got)
-	}
-	p.Hit(0, 0, &AccessInfo{})
-	if got := p.StackPosition(0, 0); got != 0 {
-		t.Errorf("after hit, way 0 stack position = %d, want 0", got)
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	c, err := NewSetAssoc(4*MB, 16, &LRU{})
 	if err != nil {
@@ -241,9 +216,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if c.Sets() != 4096 || c.Ways() != 16 {
 		t.Errorf("geometry = %d sets x %d ways", c.Sets(), c.Ways())
-	}
-	if c.SizeBytes() != 4*MB {
-		t.Errorf("SizeBytes = %d", c.SizeBytes())
 	}
 	if c.Policy().Name() != "lru" {
 		t.Errorf("Policy().Name() = %q", c.Policy().Name())
@@ -288,15 +260,5 @@ func TestConfigValidate(t *testing.T) {
 	bad.L1Size = 100
 	if err := bad.Validate(); err == nil {
 		t.Error("bogus L1 size validated")
-	}
-}
-
-func TestConfigWithLLC(t *testing.T) {
-	c := DefaultConfig().WithLLC(8*MB, 32)
-	if c.LLCSize != 8*MB || c.LLCWays != 32 {
-		t.Errorf("WithLLC = %+v", c)
-	}
-	if DefaultConfig().LLCSize != 4*MB {
-		t.Error("WithLLC mutated the receiver")
 	}
 }

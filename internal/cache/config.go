@@ -36,13 +36,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// WithLLC returns a copy of c with the LLC geometry replaced.
-func (c Config) WithLLC(sizeBytes, ways int) Config {
-	c.LLCSize = sizeBytes
-	c.LLCWays = ways
-	return c
-}
-
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > 128 {

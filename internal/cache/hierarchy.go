@@ -27,8 +27,7 @@ func newPrivCache(sizeBytes, ways int) privCache {
 
 // access presents one reference and reports whether it hit: a hit moves
 // the line to the front; a miss fills the block there, displacing the
-// least recently touched line if no empty way is left. Private lines
-// carry no dirty bit — nothing downstream reads it.
+// least recently touched line if no empty way is left.
 func (c *privCache) access(block uint64) (hit bool) {
 	base := int(block&c.mask) * c.ways
 	set := c.lines[base : base+c.ways]
@@ -80,7 +79,7 @@ type Hierarchy struct {
 
 // newHierarchy builds the private caches described by cfg. They model
 // demand traffic only: the paper's experiments concern demand
-// references, so dirty victims are not written back toward the LLC.
+// references, so no victim is written back toward the LLC.
 func newHierarchy(cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -116,9 +115,9 @@ func (h *Hierarchy) Access(a trace.Access) (llcRef bool, err error) {
 	return true, nil
 }
 
-// Invalidate removes block from every private cache; used by an inclusive
+// invalidate removes block from every private cache; used by an inclusive
 // LLC when it evicts a block (back-invalidation).
-func (h *Hierarchy) Invalidate(block uint64) {
+func (h *Hierarchy) invalidate(block uint64) {
 	for i := range h.l1 {
 		h.l1[i].invalidate(block)
 		h.l2[i].invalidate(block)
@@ -260,7 +259,7 @@ func (s *System) Access(a trace.Access) (hit bool, err error) {
 		Index: int64(s.llcHits + s.llcMisses),
 	})
 	if res.Evicted {
-		s.Hierarchy.Invalidate(res.Victim)
+		s.Hierarchy.invalidate(res.Victim)
 	}
 	if res.Hit {
 		s.llcHits++

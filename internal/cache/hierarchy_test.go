@@ -165,7 +165,7 @@ func TestSystemInclusionBackInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sys.LLC.Probe(0) {
+	if probe(sys.LLC, 0) {
 		t.Fatal("block 0 still in LLC; test premise broken")
 	}
 	// If inclusion held, the re-access to block 0 must reach the LLC

@@ -52,8 +52,21 @@ func (h *refHierarchy) access(a trace.Access) bool {
 
 func (h *refHierarchy) invalidate(block uint64) {
 	for i := range h.l1 {
-		h.l1[i].Invalidate(block)
-		h.l2[i].Invalidate(block)
+		invalidateLine(h.l1[i], block)
+		invalidateLine(h.l2[i], block)
+	}
+}
+
+// invalidateLine drops block from c if it is resident.
+func invalidateLine(c *SetAssoc, block uint64) {
+	set := c.SetOf(block)
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.lines[base+w] == tagOf(block) {
+			c.lines[base+w] = 0
+			c.valid[set]--
+			return
+		}
 	}
 }
 
@@ -79,7 +92,7 @@ func TestHierarchyMatchesSetAssocLRU(t *testing.T) {
 			for i := 0; i < 200000; i++ {
 				if rnd.Intn(50) == 0 {
 					b := rnd.Uint64n(300)
-					h.Invalidate(b)
+					h.invalidate(b)
 					ref.invalidate(b)
 					continue
 				}

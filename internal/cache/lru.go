@@ -117,7 +117,7 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			clock++
 			stamp[li] = clock
 			lineID[li] = id[k]
@@ -136,18 +136,3 @@ func (p *LRU) Ways() int { return p.ways }
 // Stamp returns the raw recency stamp of way in set (larger = more
 // recent). Exposed so wrappers can rank victims without re-deriving state.
 func (p *LRU) Stamp(set, way int) uint64 { return p.stamp[set*p.ways+way] }
-
-// StackPosition returns the recency rank of way in set: 0 = MRU,
-// ways-1 = LRU. Exposed for the sharing-awareness characterization, which
-// inspects where shared blocks sit in the recency stack.
-func (p *LRU) StackPosition(set, way int) int {
-	base := set * p.ways
-	mine := p.stamp[base+way]
-	rank := 0
-	for w := 0; w < p.ways; w++ {
-		if p.stamp[base+w] > mine {
-			rank++
-		}
-	}
-	return rank
-}

@@ -176,7 +176,7 @@ func TestDeadWorkerLeaseRequeued(t *testing.T) {
 	}()
 	var stolen Bundle
 	for {
-		lease, ok := coord.Lease("dead-worker")
+		lease, ok := coord.lease("dead-worker")
 		if ok {
 			stolen = lease.Bundle
 			break
@@ -224,8 +224,8 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord.mu.Lock()
-	for _, w := range norm.WorkloadOrder() {
-		ref, err := norm.StreamRefFor(w, norm.Seed)
+	for _, w := range norm.workloadOrder() {
+		ref, err := norm.streamRefFor(w, norm.Seed)
 		if err != nil {
 			coord.mu.Unlock()
 			t.Fatal(err)
@@ -268,7 +268,7 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	var lease LeaseResponse
 	for {
 		var ok bool
-		lease, ok = c1.Lease("survivor")
+		lease, ok = c1.lease("survivor")
 		if ok {
 			break
 		}
@@ -293,7 +293,7 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := w.ExecuteBundle(ctx, lease.Bundle)
+	res := w.executeBundle(ctx, lease.Bundle)
 	if res.Err != "" {
 		t.Fatalf("execute: %s", res.Err)
 	}
@@ -436,22 +436,26 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 		t.Errorf("late result for a finished job's bundle: status %d, want 404", code)
 	}
 
-	// A failed job is forgotten too.
-	failing, fs := startCoordinator(t, CoordinatorConfig{MaxAttempts: 1})
+	// A failed job is forgotten too: every leased bundle fails until one
+	// has used up its attempts.
+	failing, fs := startCoordinator(t, CoordinatorConfig{})
 	errc := make(chan error, 1)
 	go func() {
 		_, err := failing.Run(ctx, testRequest([]string{"f1"}), nil)
 		errc <- err
 	}()
 	var lease LeaseResponse
-	for ok := false; !ok; {
-		if lease, ok = failing.Lease("w"); !ok {
-			time.Sleep(time.Millisecond)
-		}
-	}
 	boom := BundleResult{Proto: ProtoVersion, Worker: "w", Err: "boom"}
-	if code := postResult(t, fs.URL, lease.Bundle.ID, boom); code != http.StatusOK {
-		t.Fatalf("failing result: status %d, want 200", code)
+	for attempts := map[string]int{}; attempts[lease.Bundle.ID] < maxAttempts; {
+		for ok := false; !ok; {
+			if lease, ok = failing.lease("w"); !ok {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		attempts[lease.Bundle.ID]++
+		if code := postResult(t, fs.URL, lease.Bundle.ID, boom); code != http.StatusOK {
+			t.Fatalf("failing result: status %d, want 200", code)
+		}
 	}
 	if err := <-errc; err == nil {
 		t.Fatal("job with a failed bundle succeeded")
@@ -478,7 +482,7 @@ func TestControlBodyLimit(t *testing.T) {
 	go coord.Run(ctx, testRequest([]string{"f1"}), nil)
 	var lease LeaseResponse
 	for ok := false; !ok; {
-		if lease, ok = coord.Lease("w"); !ok {
+		if lease, ok = coord.lease("w"); !ok {
 			time.Sleep(time.Millisecond)
 		}
 	}

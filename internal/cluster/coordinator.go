@@ -27,12 +27,13 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker owns a bundle between heartbeats
 	// before it is re-queued. 0 means 15s.
 	LeaseTTL time.Duration
-	// MaxAttempts bounds lease attempts per bundle before the owning job
-	// fails (a bundle that kills every worker that touches it must not
-	// re-queue forever). 0 means 5.
-	MaxAttempts int
-	Now         func() time.Time // test hook; nil means time.Now
+	Now      func() time.Time // test hook; nil means time.Now
 }
+
+// maxAttempts bounds lease attempts per bundle before the owning job
+// fails: a bundle that kills every worker that touches it must not
+// re-queue forever.
+const maxAttempts = 5
 
 // CoordinatorStats is a snapshot of the scheduler's counters, exported
 // on /metrics as the sharesimd_bundles_* and sharesimd_stream_* series.
@@ -127,9 +128,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -190,7 +188,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 // admitLocked plans a job's bundles and queues them. Caller holds c.mu.
 func (c *Coordinator) admitLocked(key string, req Request, progress func(int, int, string)) (*job, error) {
 	j := &job{key: key, req: req, doneCh: make(chan struct{}), progress: progress}
-	order := req.WorkloadOrder()
+	order := req.workloadOrder()
 	opts := req.Options()
 	for _, id := range req.Exps {
 		exp, err := sim.ExperimentByID(id)
@@ -212,7 +210,7 @@ func (c *Coordinator) admitLocked(key string, req Request, progress func(int, in
 			for si := range specs {
 				p.slices[si] = make([]*bundle, len(order))
 				for wi, w := range order {
-					ref, err := req.StreamRefFor(w, req.Seed)
+					ref, err := req.streamRefFor(w, req.Seed)
 					if err != nil {
 						return nil, err
 					}
@@ -240,7 +238,7 @@ func (c *Coordinator) admitLocked(key string, req Request, progress func(int, in
 			var refs []StreamRef
 			if id == "a5" {
 				for _, w := range sim.A5Workloads() {
-					ref, err := req.StreamRefFor(w, req.Seed)
+					ref, err := req.streamRefFor(w, req.Seed)
 					if err != nil {
 						return nil, err
 					}
@@ -318,7 +316,7 @@ func (c *Coordinator) reapLocked() {
 		b.state = bundlePending
 		b.worker = ""
 		c.stats.BundlesRequeued++
-		if b.attempts >= c.cfg.MaxAttempts {
+		if b.attempts >= maxAttempts {
 			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s) abandoned after %d lease attempts",
 				b.proto.ID, b.proto.Exp, b.proto.Spec, b.proto.Workload, b.attempts))
 			continue
@@ -367,10 +365,10 @@ var (
 	ErrLeaseLost     = errors.New("lease lost")
 )
 
-// Lease hands the next runnable bundle to worker, or ok=false when
+// lease hands the next runnable bundle to worker, or ok=false when
 // nothing is currently runnable (no work, or every candidate is gated
 // behind an in-flight stream build).
-func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
+func (c *Coordinator) lease(worker string) (LeaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked()
@@ -421,8 +419,8 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 	return LeaseResponse{Bundle: out, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}, true
 }
 
-// Heartbeat extends worker's lease on a bundle.
-func (c *Coordinator) Heartbeat(id, worker string) (HeartbeatResponse, error) {
+// heartbeat extends worker's lease on a bundle.
+func (c *Coordinator) heartbeat(id, worker string) (HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked()
@@ -469,7 +467,7 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 		b.state = bundlePending
 		b.worker = ""
 		c.stats.BundlesFailed++
-		if b.attempts >= c.cfg.MaxAttempts {
+		if b.attempts >= maxAttempts {
 			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s): %w",
 				b.proto.ID, b.proto.Exp, b.proto.Spec, b.proto.Workload, err))
 			return nil
@@ -631,7 +629,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	lease, ok := c.Lease(req.Worker)
+	lease, ok := c.lease(req.Worker)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -648,7 +646,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hb, err := c.Heartbeat(r.PathValue("id"), req.Worker)
+	hb, err := c.heartbeat(r.PathValue("id"), req.Worker)
 	switch {
 	case errors.Is(err, ErrUnknownBundle):
 		writeError(w, http.StatusNotFound, err)

@@ -107,11 +107,11 @@ func (r Request) MachineConfig() cache.Config {
 	return cache.DefaultConfig()
 }
 
-// WorkloadOrder is the canonical suite order the merge reconstructs:
+// workloadOrder is the canonical suite order the merge reconstructs:
 // the request's (normalized, sorted) workload list, or the full suite in
 // catalogue order when the list is empty — the same order
 // sim.NewSuiteContext prepares models in.
-func (r Request) WorkloadOrder() []string {
+func (r Request) workloadOrder() []string {
 	if len(r.Workloads) > 0 {
 		return r.Workloads
 	}
@@ -123,10 +123,10 @@ func (r Request) WorkloadOrder() []string {
 	return names
 }
 
-// ScaledModel resolves one workload name to the scaled model the suite
+// scaledModel resolves one workload name to the scaled model the suite
 // would prepare, replicating sim.NewSuiteContext's scaling exactly so
 // stream hashes computed here match the ones the worker's suite requests.
-func (r Request) ScaledModel(name string) (workloads.Model, error) {
+func (r Request) scaledModel(name string) (workloads.Model, error) {
 	m, err := workloads.ByName(name)
 	if err != nil {
 		return workloads.Model{}, err
@@ -137,10 +137,10 @@ func (r Request) ScaledModel(name string) (workloads.Model, error) {
 	return m, nil
 }
 
-// StreamRefFor names the content-addressed stream a workload of this
+// streamRefFor names the content-addressed stream a workload of this
 // request resolves to at the given seed.
-func (r Request) StreamRefFor(name string, seed uint64) (StreamRef, error) {
-	m, err := r.ScaledModel(name)
+func (r Request) streamRefFor(name string, seed uint64) (StreamRef, error) {
+	m, err := r.scaledModel(name)
 	if err != nil {
 		return StreamRef{}, err
 	}

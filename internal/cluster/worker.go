@@ -38,9 +38,6 @@ type WorkerConfig struct {
 	// Poll is the idle wait between lease attempts when the coordinator
 	// has no runnable work. 0 means 250ms.
 	Poll time.Duration
-	// Client is the HTTP client for all control-plane and transfer
-	// calls. Nil means http.DefaultClient.
-	Client *http.Client
 }
 
 // WorkerStats is a snapshot of a worker's counters, exported on its
@@ -63,9 +60,8 @@ type WorkerStats struct {
 // the lease (404/409) aborts the run promptly since another worker owns
 // the bundle now.
 type Worker struct {
-	cfg    WorkerConfig
-	client *http.Client
-	name   string
+	cfg  WorkerConfig
+	name string
 
 	busy        atomic.Int64
 	done        atomic.Uint64
@@ -91,15 +87,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
-	client := cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	name := cfg.SelfURL
 	if name == "" {
 		name = "anonymous-worker"
 	}
-	return &Worker{cfg: cfg, client: client, name: name}, nil
+	return &Worker{cfg: cfg, name: name}, nil
 }
 
 // Stats snapshots the worker counters.
@@ -186,7 +178,7 @@ func (w *Worker) process(ctx context.Context, lease LeaseResponse) {
 		}
 	}()
 
-	res := w.ExecuteBundle(runCtx, lease.Bundle)
+	res := w.executeBundle(runCtx, lease.Bundle)
 	cancel()
 	<-hbDone
 	// Deliver even when the lease was lost mid-run: results are
@@ -205,10 +197,10 @@ func (w *Worker) process(ctx context.Context, lease LeaseResponse) {
 	}
 }
 
-// ExecuteBundle materializes streams and runs one bundle to a result.
-// Exported so tests can drive the execution path without the poll loop
+// executeBundle materializes streams and runs one bundle to a result.
+// Tests call it to drive the execution path without the poll loop
 // (e.g. delivering a dead coordinator's lease to its successor).
-func (w *Worker) ExecuteBundle(ctx context.Context, b Bundle) BundleResult {
+func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 	res := BundleResult{Proto: ProtoVersion, Worker: w.name}
 	w.ensureStreams(ctx, b)
 
@@ -299,7 +291,7 @@ func (w *Worker) ensureStreams(ctx context.Context, b Bundle) {
 		if w.cfg.Cache.Contains(ref.Hash) {
 			continue
 		}
-		model, err := b.Request.ScaledModel(ref.Workload)
+		model, err := b.Request.scaledModel(ref.Workload)
 		if err != nil {
 			continue // undecodable ref; the run will surface the real error
 		}
@@ -327,7 +319,7 @@ func (w *Worker) fetchStream(ctx context.Context, src, hash string, model worklo
 		w.fetchErrors.Add(1)
 		return false
 	}
-	resp, err := w.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		w.fetchErrors.Add(1)
 		return false
@@ -404,7 +396,7 @@ func (w *Worker) post(ctx context.Context, url string, body, out any) (int, erro
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -79,7 +79,6 @@ type entry struct {
 }
 
 func (e *entry) addSharer(core uint8)      { e.sharers[core>>6] |= 1 << (core & 63) }
-func (e *entry) dropSharer(core uint8)     { e.sharers[core>>6] &^= 1 << (core & 63) }
 func (e *entry) hasSharer(core uint8) bool { return e.sharers[core>>6]>>(core&63)&1 == 1 }
 func (e *entry) sharerCount() int {
 	return bits.OnesCount64(e.sharers[0]) + bits.OnesCount64(e.sharers[1])
@@ -248,23 +247,6 @@ func (d *Directory) Store(core uint8, block uint64) {
 	}
 	e.state = Modified
 	e.addSharer(core)
-}
-
-// Evict removes core's copy of block (a private-cache eviction). The
-// directory transitions S→S/I and M/E→I as appropriate.
-func (d *Directory) Evict(core uint8, block uint64) {
-	e := d.lookup(block)
-	if e == nil || !e.hasSharer(core) {
-		return
-	}
-	e.dropSharer(core)
-	if e.sharerCount() == 0 {
-		e.state = Invalid
-	} else if e.state != Shared {
-		// Cannot happen under MESI (M/E have one sharer), but keep the
-		// invariant explicit.
-		e.state = Shared
-	}
 }
 
 // CheckInvariants validates the MESI invariants over every entry and

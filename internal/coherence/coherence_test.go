@@ -97,23 +97,6 @@ func TestRemoteStoreOnModified(t *testing.T) {
 	}
 }
 
-func TestEvict(t *testing.T) {
-	d := NewDirectory()
-	d.Load(0, 1)
-	d.Load(1, 1) // S {0,1}
-	d.Evict(0, 1)
-	if st, n := d.StateOf(1); st != Shared || n != 1 {
-		t.Errorf("after evict: %v/%d, want S/1", st, n)
-	}
-	d.Evict(1, 1)
-	if st, n := d.StateOf(1); st != Invalid || n != 0 {
-		t.Errorf("after last evict: %v/%d, want I/0", st, n)
-	}
-	// Evicting an absent copy is a no-op.
-	d.Evict(5, 1)
-	d.Evict(0, 999)
-}
-
 func TestColdStoreNoSpuriousTraffic(t *testing.T) {
 	d := NewDirectory()
 	d.Store(2, 7)
@@ -135,8 +118,7 @@ func TestLastSharingEventAbsent(t *testing.T) {
 }
 
 // TestInvariantsUnderRandomTraffic is the protocol's main property test:
-// after any interleaving of loads, stores and evictions, the MESI
-// invariants hold.
+// after any interleaving of loads and stores, the MESI invariants hold.
 func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
@@ -147,8 +129,6 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 			switch rnd.Intn(4) {
 			case 0:
 				d.Store(core, block)
-			case 3:
-				d.Evict(core, block)
 			default:
 				d.Load(core, block)
 			}

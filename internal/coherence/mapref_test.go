@@ -134,23 +134,6 @@ func (d *mapDirectory) Store(core uint8, block uint64) {
 	e.addSharer(core)
 }
 
-// Evict removes core's copy of block (a private-cache eviction). The
-// directory transitions S→S/I and M/E→I as appropriate.
-func (d *mapDirectory) Evict(core uint8, block uint64) {
-	e := d.lookup(block)
-	if e == nil || !e.hasSharer(core) {
-		return
-	}
-	e.dropSharer(core)
-	if e.sharerCount() == 0 {
-		e.state = Invalid
-	} else if e.state != Shared {
-		// Cannot happen under MESI (M/E have one sharer), but keep the
-		// invariant explicit.
-		e.state = Shared
-	}
-}
-
 // CheckInvariants validates the MESI invariants over every entry and
 // returns the first violation, for property tests.
 func (d *mapDirectory) CheckInvariants() error {
@@ -214,9 +197,6 @@ func TestFlatIndexMatchesMapDirectory(t *testing.T) {
 		b := pool[rnd.Intn(1+step*len(pool)/400000)]
 		core := uint8(rnd.Intn(128))
 		switch rnd.Intn(8) {
-		case 0:
-			d.Evict(core, b)
-			ref.Evict(core, b)
 		case 1, 2, 3:
 			d.Store(core, b)
 			ref.Store(core, b)

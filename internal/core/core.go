@@ -79,17 +79,6 @@ type Options struct {
 	// negative means unlimited (not recommended: dead shared blocks then
 	// pin their sets until lockout).
 	SkipBudget int
-	// NoDemote disables insertion demotion of predicted-unshared fills.
-	// By default the wrapper demotes such fills to the base policy's
-	// lowest-priority position (when the base implements Demoter).
-	NoDemote bool
-	// Duel enables set-dueling: bare-base leader sets run against
-	// sharing-aware leader sets and follower sets adopt whichever side
-	// misses less (with hysteresis). Off by default — the mechanism
-	// carries long-lived state (resident shared working sets), so on
-	// trace-scale runs the duel's convergence time eats much of the
-	// win; the hint-rate gate below is the default no-harm guard.
-	Duel bool
 	// ClearOnFulfil drops protection as soon as the predicted sharing
 	// materializes (first cross-core hit). Off by default: a block whose
 	// hint proved right is *actively shared* and keeps its protection —
@@ -155,16 +144,6 @@ type line struct {
 	fillCore  uint8
 }
 
-// duelPeriod spaces the leader sets: one sharing-aware leader and one
-// base leader per 32 sets. Denser than DIP's 1-in-64 because simulated
-// traces are millions (not billions) of references long and the selector
-// must converge within a few sweep revolutions.
-const duelPeriod = 32
-
-// pselMax sizes the 8-bit policy-selection counter (smaller than DIP's
-// 10 bits for the same trace-scale reason).
-const pselMax = 1 << 8
-
 // Protector is the sharing-aware wrapper. It implements cache.Policy by
 // delegating to the wrapped base policy and intervening on hinted fills.
 type Protector struct {
@@ -180,10 +159,6 @@ type Protector struct {
 	lines     []line
 	keys      []int64 // VictimKeys scratch, one per way
 	stats     Stats
-
-	period   int // leader spacing (shrunk for tiny caches)
-	psel     int
-	useAware bool // follower decision, updated with hysteresis
 
 	// Hint-rate gate: demotion of unhinted fills is enabled only while a
 	// meaningful fraction of recent fills carried a shared hint, so a
@@ -210,9 +185,6 @@ func NewProtectorOpts(base cache.Policy, opts Options) *Protector {
 	return &Protector{base: base, keyer: keyer, budget: budget, opts: opts}
 }
 
-// Base returns the wrapped policy.
-func (p *Protector) Base() cache.Policy { return p.base }
-
 // Name implements cache.Policy: the base name with a "+sa" suffix (e.g.
 // "lru+sa").
 func (p *Protector) Name() string { return p.base.Name() + "+sa" }
@@ -229,66 +201,6 @@ func (p *Protector) Attach(sets, ways int) {
 	p.lines = make([]line, sets*ways)
 	mem.Hugepages(p.lines)
 	p.keys = make([]int64, ways)
-	p.period = duelPeriod
-	if sets < p.period {
-		p.period = sets
-	}
-	p.psel = pselMax / 2
-}
-
-// setRole reports a set's dueling role: +1 sharing-aware leader, -1 base
-// leader, 0 follower.
-func (p *Protector) setRole(set int) int {
-	if !p.opts.Duel {
-		return +1 // everything sharing-aware
-	}
-	switch set % p.period {
-	case 0:
-		return +1
-	case p.period/2 + 1:
-		return -1
-	default:
-		return 0
-	}
-}
-
-// aware reports whether sharing-aware behaviour is active in set.
-func (p *Protector) aware(set int) bool {
-	switch p.setRole(set) {
-	case +1:
-		return true
-	case -1:
-		return false
-	default:
-		return p.useAware
-	}
-}
-
-// observeMiss trains the selector on leader-set fills (fills are misses).
-func (p *Protector) observeMiss(set int) {
-	if !p.opts.Duel {
-		return
-	}
-	switch p.setRole(set) {
-	case +1:
-		if p.psel < pselMax-1 {
-			p.psel++
-		}
-	case -1:
-		if p.psel > 0 {
-			p.psel--
-		}
-	}
-	// Hysteresis: followers switch to sharing-aware only on a clear win
-	// (low PSEL) and back only on a clear loss, because the mechanism
-	// carries long-lived state (resident shared working sets) that
-	// flapping would destroy.
-	const margin = pselMax / 8
-	if p.useAware && p.psel > pselMax/2+margin {
-		p.useAware = false
-	} else if !p.useAware && p.psel < pselMax/2-margin {
-		p.useAware = true
-	}
 }
 
 // Hit implements cache.Policy: delegate, then check whether the hit
@@ -324,7 +236,7 @@ func (p *Protector) protBit(set, way int) (*uint64, uint64) {
 // construction — had one been unprotected, it would have been chosen — so
 // exactly the protected ways the order would have walked past are charged.
 func (p *Protector) Victim(set int, a *cache.AccessInfo) int {
-	if p.opts.Strength < Full || !p.aware(set) {
+	if p.opts.Strength < Full {
 		return p.base.Victim(set, a)
 	}
 	prot := p.prot[set*p.protWords : (set+1)*p.protWords]
@@ -371,7 +283,7 @@ func (p *Protector) Victim(set int, a *cache.AccessInfo) int {
 	// Base has no ordering (e.g. Random): take its victim, and if that is
 	// protected redirect to the lowest-numbered unprotected way.
 	v := p.base.Victim(set, a)
-	if !p.Protected(set, v) {
+	if !p.protected(set, v) {
 		return v
 	}
 	p.charge(set, v)
@@ -425,7 +337,6 @@ func (p *Protector) demoteActive() bool {
 // when the fill carries a shared hint.
 func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 	p.base.Fill(set, way, a)
-	p.observeMiss(set)
 	p.fillsSeen++
 	if a.PredictedShared {
 		p.fillsHinted++
@@ -436,11 +347,8 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 	word, bit := p.protBit(set, way)
 	*word &^= bit // the previous occupant's protection ends with it
-	if !p.aware(set) {
-		return
-	}
 	if !a.PredictedShared {
-		if !p.opts.NoDemote && p.demoteActive() {
+		if p.demoteActive() {
 			if d, ok := p.base.(Demoter); ok {
 				d.Demote(set, way)
 				p.stats.Demotions++
@@ -464,13 +372,8 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 }
 
-// DuelState reports the current selector value and follower decision,
-// for diagnostics.
-func (p *Protector) DuelState() (psel int, useAware bool) { return p.psel, p.useAware }
-
-// Protected reports whether way in set currently holds a protected block.
-// Exposed for tests and detailed analysis.
-func (p *Protector) Protected(set, way int) bool {
+// protected reports whether way in set currently holds a protected block.
+func (p *Protector) protected(set, way int) bool {
 	word, bit := p.protBit(set, way)
 	return *word&bit != 0
 }

@@ -9,15 +9,49 @@ import (
 	"sharellc/internal/trace"
 )
 
-// protCache builds a 1-set, 4-way cache managed by a Protector over LRU.
-func protCache(t *testing.T, opts Options) (*cache.SetAssoc, *Protector) {
+// testCache is a 1-set, 4-way cache managed by a Protector. It mirrors the
+// cache's contents from the Access results, so a test can ask whether a
+// block is resident without touching replacement state.
+type testCache struct {
+	*cache.SetAssoc
+	resident map[uint64]bool
+}
+
+func (c *testCache) Access(a cache.AccessInfo) cache.Result {
+	r := c.SetAssoc.Access(a)
+	if r.Evicted {
+		delete(c.resident, r.Victim)
+	}
+	c.resident[a.Block] = true
+	return r
+}
+
+// plainLRU is cache.LRU without its Demote method: a Protector over it
+// never demotes unhinted fills, so the directed tests see the protection
+// mechanics alone, in plain LRU order.
+type plainLRU struct{ cache.Policy }
+
+// protCache builds a testCache whose Protector wraps base under opts.
+func protCache(t *testing.T, base cache.Policy, opts Options) (*testCache, *Protector) {
 	t.Helper()
-	p := NewProtectorOpts(&cache.LRU{}, opts)
+	p := NewProtectorOpts(base, opts)
 	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, p
+	return &testCache{SetAssoc: c, resident: map[uint64]bool{}}, p
+}
+
+// lruCache is protCache over cache.LRU, which demotes.
+func lruCache(t *testing.T, opts Options) (*testCache, *Protector) {
+	t.Helper()
+	return protCache(t, &cache.LRU{}, opts)
+}
+
+// plainCache is protCache over plainLRU, which does not.
+func plainCache(t *testing.T, opts Options) (*testCache, *Protector) {
+	t.Helper()
+	return protCache(t, plainLRU{&cache.LRU{}}, opts)
 }
 
 func TestStrengthString(t *testing.T) {
@@ -33,9 +67,6 @@ func TestNameSuffix(t *testing.T) {
 	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	if p.Name() != "lru+sa" {
 		t.Errorf("Name = %q, want lru+sa", p.Name())
-	}
-	if p.Base().Name() != "lru" {
-		t.Errorf("Base().Name() = %q", p.Base().Name())
 	}
 }
 
@@ -79,7 +110,7 @@ func TestNoHintsBehavesLikeBase(t *testing.T) {
 }
 
 func TestDemotionMakesUnhintedFillsVictimsFirst(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full})
+	c, p := lruCache(t, Options{Strength: Full})
 	// One hinted fill activates the gate; subsequent unhinted fills are
 	// demoted to the LRU position in fill order.
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
@@ -91,7 +122,7 @@ func TestDemotionMakesUnhintedFillsVictimsFirst(t *testing.T) {
 	if r.Victim != 3 {
 		t.Errorf("victim = block %d, want 3 (most recently demoted)", r.Victim)
 	}
-	if !c.Probe(0) {
+	if !c.resident[0] {
 		t.Error("hinted block evicted while demoted candidates existed")
 	}
 	if st := p.Stats(); st.Demotions != 4 { // blocks 1,2,3 and the fill of 4
@@ -100,7 +131,7 @@ func TestDemotionMakesUnhintedFillsVictimsFirst(t *testing.T) {
 }
 
 func TestHintRateGateBlocksDemotionWithoutSharing(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full})
+	c, p := lruCache(t, Options{Strength: Full})
 	// No hints at all: fills must not be demoted, LRU order preserved.
 	for b := uint64(0); b < 4; b++ {
 		c.Access(cache.AccessInfo{Block: b})
@@ -114,24 +145,8 @@ func TestHintRateGateBlocksDemotionWithoutSharing(t *testing.T) {
 	}
 }
 
-func TestNoDemoteOption(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
-	c.Access(cache.AccessInfo{Block: 1})
-	c.Access(cache.AccessInfo{Block: 2})
-	c.Access(cache.AccessInfo{Block: 3})
-	// Without demotion the LRU victim among unprotected is block 1.
-	r := c.Access(cache.AccessInfo{Block: 4})
-	if r.Victim != 1 {
-		t.Errorf("victim = block %d, want 1", r.Victim)
-	}
-	if st := p.Stats(); st.Demotions != 0 {
-		t.Errorf("NoDemote recorded %d demotions", st.Demotions)
-	}
-}
-
 func TestVictimExclusionSkipsProtected(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true})
+	c, p := plainCache(t, Options{Strength: Full})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
@@ -147,13 +162,13 @@ func TestVictimExclusionSkipsProtected(t *testing.T) {
 	if st := p.Stats(); st.Exclusions != 1 {
 		t.Errorf("exclusions = %d, want 1", st.Exclusions)
 	}
-	if !c.Probe(0) {
+	if !c.resident[0] {
 		t.Error("protected block evicted")
 	}
 }
 
 func TestSkipBudgetExpires(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true, SkipBudget: 2})
+	c, p := plainCache(t, Options{Strength: Full, SkipBudget: 2})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
@@ -163,7 +178,7 @@ func TestSkipBudgetExpires(t *testing.T) {
 	// fallback path: once the budget hits zero mid-selection, the
 	// expired block itself is evicted.
 	c.Access(cache.AccessInfo{Block: 4}) // charge 1 (skips left 1)
-	if !c.Probe(0) {
+	if !c.resident[0] {
 		t.Fatal("block 0 evicted before budget exhausted")
 	}
 	r := c.Access(cache.AccessInfo{Block: 5}) // charge 2 → expiry → evicted
@@ -173,13 +188,13 @@ func TestSkipBudgetExpires(t *testing.T) {
 	if r.Victim != 0 {
 		t.Errorf("victim = block %d, want 0 on expiry", r.Victim)
 	}
-	if c.Probe(0) {
+	if c.resident[0] {
 		t.Error("block 0 resident after budget exhaustion")
 	}
 }
 
 func TestFulfilmentRefreshesBudget(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true, SkipBudget: 2})
+	c, p := plainCache(t, Options{Strength: Full, SkipBudget: 2})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
@@ -195,16 +210,16 @@ func TestFulfilmentRefreshesBudget(t *testing.T) {
 	c.Access(cache.AccessInfo{Block: 5})
 	c.Access(cache.AccessInfo{Block: 6})
 	c.Access(cache.AccessInfo{Block: 7})
-	if !c.Probe(0) {
+	if !c.resident[0] {
 		t.Error("refreshed block evicted within renewed budget")
 	}
 }
 
 func TestClearOnFulfil(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true, ClearOnFulfil: true})
+	c, p := plainCache(t, Options{Strength: Full, ClearOnFulfil: true})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
 	c.Access(cache.AccessInfo{Block: 0, Core: 1}) // hit fulfils, clears
-	if p.Protected(0, 0) {
+	if p.protected(0, 0) {
 		t.Error("protection survived fulfilment with ClearOnFulfil")
 	}
 	if p.Stats().Fulfilled != 1 {
@@ -213,19 +228,19 @@ func TestClearOnFulfil(t *testing.T) {
 }
 
 func TestSameCoreHitDoesNotFulfil(t *testing.T) {
-	_, p := protCache(t, Options{Strength: Full, NoDemote: true})
+	_, p := plainCache(t, Options{Strength: Full})
 	p.Fill(0, 0, &cache.AccessInfo{Block: 9, PredictedShared: true, Core: 2})
 	p.Hit(0, 0, &cache.AccessInfo{Block: 9, Core: 2})
 	if p.Stats().Fulfilled != 0 {
 		t.Error("same-core hit counted as fulfilment")
 	}
-	if !p.Protected(0, 0) {
+	if !p.protected(0, 0) {
 		t.Error("protection lost on same-core hit")
 	}
 }
 
 func TestLockoutEvictsBaseVictim(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full})
+	c, p := lruCache(t, Options{Strength: Full})
 	for b := uint64(0); b < 4; b++ {
 		c.Access(cache.AccessInfo{Block: b, PredictedShared: true})
 	}
@@ -240,7 +255,7 @@ func TestLockoutEvictsBaseVictim(t *testing.T) {
 }
 
 func TestInsertOnlyNeverExcludes(t *testing.T) {
-	c, p := protCache(t, Options{Strength: InsertOnly, NoDemote: true})
+	c, p := plainCache(t, Options{Strength: InsertOnly})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
@@ -259,8 +274,8 @@ func TestInsertOnlyNeverExcludes(t *testing.T) {
 // fixedVictim is a minimal non-ranking policy for the fallback path.
 type fixedVictim struct{ ways int }
 
-func (f *fixedVictim) Name() string                     { return "fixed" }
-func (f *fixedVictim) Attach(_, ways int)               { f.ways = ways }
+func (f *fixedVictim) Name() string                      { return "fixed" }
+func (f *fixedVictim) Attach(_, ways int)                { f.ways = ways }
 func (f *fixedVictim) Hit(int, int, *cache.AccessInfo)   {}
 func (f *fixedVictim) Fill(int, int, *cache.AccessInfo)  {}
 func (f *fixedVictim) Victim(int, *cache.AccessInfo) int { return 0 }
@@ -302,7 +317,7 @@ func (e *evictCounter) ObserveEvict(int, int) { e.evicts++ }
 
 func TestEvictObserverNotified(t *testing.T) {
 	base := &evictCounter{}
-	p := NewProtectorOpts(base, Options{Strength: Full, NoDemote: true})
+	p := NewProtectorOpts(base, Options{Strength: Full})
 	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
 	if err != nil {
 		t.Fatal(err)
@@ -319,72 +334,20 @@ func TestEvictObserverNotified(t *testing.T) {
 }
 
 func TestProtectionClearedOnRefill(t *testing.T) {
-	c, p := protCache(t, Options{Strength: Full, NoDemote: true})
+	c, p := plainCache(t, Options{Strength: Full})
 	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
 	way := -1
 	for w := 0; w < 4; w++ {
-		if p.Protected(0, w) {
+		if p.protected(0, w) {
 			way = w
 		}
 	}
 	if way < 0 {
 		t.Fatal("no protected way after hinted fill")
 	}
-	c.Invalidate(0)
-	c.Access(cache.AccessInfo{Block: 9}) // fills the invalid way, unhinted
-	if p.Protected(0, way) {
+	p.Fill(0, way, &cache.AccessInfo{Block: 9}) // an unhinted refill of the way
+	if p.protected(0, way) {
 		t.Error("protection survived an unhinted refill of the way")
-	}
-}
-
-func TestDuelRolesAndHysteresis(t *testing.T) {
-	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full, Duel: true})
-	p.Attach(1024, 4)
-	aLeaders, bLeaders := 0, 0
-	for s := 0; s < 1024; s++ {
-		switch p.setRole(s) {
-		case +1:
-			aLeaders++
-		case -1:
-			bLeaders++
-		}
-	}
-	if aLeaders != 32 || bLeaders != 32 {
-		t.Errorf("leader counts = (%d,%d), want (32,32)", aLeaders, bLeaders)
-	}
-	// Followers start on the base side (useAware=false).
-	if p.aware(1) {
-		t.Error("follower started sharing-aware")
-	}
-	// B-leader misses drive PSEL down past the hysteresis margin →
-	// followers flip to sharing-aware.
-	bLeader := duelPeriod/2 + 1
-	for i := 0; i < pselMax; i++ {
-		p.Fill(bLeader, 0, &cache.AccessInfo{})
-	}
-	if !p.aware(1) {
-		t.Error("followers did not adopt sharing-aware after B losses")
-	}
-	// Leaders never follow PSEL.
-	if !p.aware(0) || p.aware(bLeader) {
-		t.Error("leader roles not fixed")
-	}
-	// A-leader misses drive PSEL back up → followers revert.
-	for i := 0; i < pselMax; i++ {
-		p.Fill(0, 0, &cache.AccessInfo{})
-	}
-	if p.aware(1) {
-		t.Error("followers did not revert to base after A losses")
-	}
-}
-
-func TestDuelDisabledMeansAlwaysAware(t *testing.T) {
-	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
-	p.Attach(64, 4)
-	for s := 0; s < 64; s++ {
-		if !p.aware(s) {
-			t.Fatalf("set %d not sharing-aware with dueling off", s)
-		}
 	}
 }
 
@@ -406,7 +369,7 @@ func TestGateDecays(t *testing.T) {
 }
 
 func TestProtectorDelegatesHits(t *testing.T) {
-	c, _ := protCache(t, Options{Strength: Full})
+	c, _ := lruCache(t, Options{Strength: Full})
 	c.Access(cache.AccessInfo{Block: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 0}) // hit promotes 0 over 1

@@ -16,7 +16,7 @@ import (
 // victim selection by ranking every way (a stable sort of the base's keys)
 // and walking the ranking to the first unprotected entry. It is the
 // reference Protector is diffed against. The embedded Protector supplies
-// the options, counters, duel and hint-rate gate, which did not change;
+// the options, counters and hint-rate gate, which did not change;
 // everything that reads or writes protection state is overridden here.
 type refProtector struct {
 	Protector
@@ -38,7 +38,7 @@ func (p *refProtector) Attach(sets, ways int) {
 	p.ref = make([]refLine, sets*ways)
 }
 
-func (p *refProtector) Protected(set, way int) bool { return p.ref[set*p.ways+way].protected }
+func (p *refProtector) protected(set, way int) bool { return p.ref[set*p.ways+way].protected }
 
 func (p *refProtector) Hit(set, way int, a *cache.AccessInfo) {
 	p.base.Hit(set, way, a)
@@ -75,7 +75,7 @@ func rankVictims(k VictimKeyer, set, ways int) []int {
 }
 
 func (p *refProtector) Victim(set int, a *cache.AccessInfo) int {
-	if p.opts.Strength < Full || !p.aware(set) {
+	if p.opts.Strength < Full {
 		return p.base.Victim(set, a)
 	}
 	base := set * p.ways
@@ -141,7 +141,6 @@ func (p *refProtector) refCharge(ln *refLine) {
 
 func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	p.base.Fill(set, way, a)
-	p.observeMiss(set)
 	p.fillsSeen++
 	if a.PredictedShared {
 		p.fillsHinted++
@@ -152,11 +151,8 @@ func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 	ln := &p.ref[set*p.ways+way]
 	*ln = refLine{}
-	if !p.aware(set) {
-		return
-	}
 	if !a.PredictedShared {
-		if !p.opts.NoDemote && p.demoteActive() {
+		if p.demoteActive() {
 			if d, ok := p.base.(Demoter); ok {
 				d.Demote(set, way)
 				p.stats.Demotions++
@@ -199,7 +195,6 @@ func TestVictimScanMatchesRankAndWalk(t *testing.T) {
 	variants := []Options{
 		{},
 		{ClearOnFulfil: true},
-		{Duel: true},
 		{SkipBudget: 1},
 		{SkipBudget: -1},
 	}
@@ -247,9 +242,9 @@ func TestVictimScanMatchesRankAndWalk(t *testing.T) {
 						}
 						for set := 0; set < sets; set++ {
 							for w := 0; w < ways; w++ {
-								if got.Protected(set, w) != want.Protected(set, w) {
+								if got.protected(set, w) != want.protected(set, w) {
 									t.Fatalf("%s: access %d: set %d way %d protected=%v, reference %v",
-										where, i, set, w, got.Protected(set, w), want.Protected(set, w))
+										where, i, set, w, got.protected(set, w), want.protected(set, w))
 								}
 							}
 						}
@@ -282,7 +277,7 @@ func quarterProtected(tb testing.TB, base string) (*Protector, int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := NewProtectorOpts(mk(), Options{Strength: Full, SkipBudget: -1, NoDemote: true})
+	p := NewProtectorOpts(mk(), Options{Strength: Full, SkipBudget: -1})
 	c, err := cache.NewSetAssoc(sets*ways*trace.BlockSize, ways, p)
 	if err != nil {
 		tb.Fatal(err)
@@ -298,8 +293,13 @@ func quarterProtected(tb testing.TB, base string) (*Protector, int) {
 		}
 	}
 	traffic()
+	order := make([]int, ways)
+	for w := range order {
+		order[w] = w
+	}
 	for set := 0; set < sets; set++ {
-		for _, w := range rnd.Perm(ways)[:ways/4] {
+		rnd.Shuffle(ways, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, w := range order[:ways/4] {
 			p.Fill(set, w, &cache.AccessInfo{PredictedShared: true})
 		}
 	}
@@ -315,7 +315,7 @@ func TestVictimDoesNotAllocate(t *testing.T) {
 		protected := 0
 		for set := 0; set < sets; set++ {
 			for w := 0; w < p.ways; w++ {
-				if p.Protected(set, w) {
+				if p.protected(set, w) {
 					protected++
 				}
 			}

@@ -97,11 +97,13 @@ func TestOracleNoOpOnPrivateWorkload(t *testing.T) {
 
 func TestOracleWorksWithEveryCataloguePolicy(t *testing.T) {
 	stream := sharedVictimStream()
-	for _, f := range policy.Catalogue(5) {
-		f := f
-		name := f().Name()
+	for _, name := range policy.Names(5) {
 		if name == "opt" {
 			continue // OPT already sees the future; wrapping it is out of scope
+		}
+		f, err := policy.ByName(name, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
 			res, err := study(stream, func() cache.Policy { return f() }, core.Options{Strength: core.Full})
@@ -148,7 +150,11 @@ func TestOracleFusedMatchesSolo(t *testing.T) {
 	stream := sharedVictimStream()
 	opts := core.Options{Strength: core.Full}
 	var cat []func() cache.Policy
-	for _, f := range policy.Catalogue(5) {
+	for _, name := range policy.Names(5) {
+		f, err := policy.ByName(name, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cat = append(cat, f)
 	}
 	fused, err := RunMultiPolicies(context.Background(), stream, size, ways, cat, opts, HorizonFactor, sharing.Options{Shards: 2})
@@ -182,8 +188,6 @@ func TestRunOptsVariantsAllSane(t *testing.T) {
 	for _, opts := range []core.Options{
 		{Strength: core.InsertOnly},
 		{Strength: core.Full},
-		{Strength: core.Full, NoDemote: true},
-		{Strength: core.Full, Duel: true},
 		{Strength: core.Full, ClearOnFulfil: true},
 		{Strength: core.Full, SkipBudget: -1},
 	} {

@@ -172,7 +172,7 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			clock++
 			stamp[li] = clock
 			lineID[li] = id[k]
@@ -209,7 +209,7 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
@@ -245,7 +245,7 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			ref[li] = 1
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
@@ -316,7 +316,7 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			way := li & wayMask
 			tree[li>>levels] = tree[li>>levels]&^clearM[way] | setM[way]
 			lineID[li] = id[k]
@@ -365,7 +365,7 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			atMRU := false
 			switch mode {
 			case insertCoin:
@@ -433,7 +433,7 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			long := true
 			switch mode {
 			case insertCoin:
@@ -474,7 +474,7 @@ func (p *DRRIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 // NewBatchKernel implements cache.BatchPolicy for SHiP: the RRIP loop
 // plus first-reuse SHCT training on hits, dead-on-eviction training in
 // the victim search, and the PC-signature insertion on fills (the one
-// record field this kernel reads besides the Write bit).
+// record field this kernel reads).
 func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
@@ -512,7 +512,7 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			sig := Signature(accs[k].PC)
 			lineSig[li] = sig
 			lineUsed[li] = false
@@ -577,7 +577,7 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k], accs[k].Write)
+			c.KernelStoreLine(li, blk[k])
 			sig := Signature(accs[k].PC)
 			lineSig[li] = sig
 			lineUsed[li] = false

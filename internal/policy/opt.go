@@ -18,8 +18,8 @@ type OPT struct {
 	nextUse []int64
 }
 
-// NewOPT returns a Belady OPT policy.
-func NewOPT() *OPT { return &OPT{} }
+// newOPT returns a Belady OPT policy.
+func newOPT() *OPT { return &OPT{} }
 
 // Name implements cache.Policy.
 func (p *OPT) Name() string { return "opt" }

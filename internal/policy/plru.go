@@ -20,8 +20,8 @@ type PLRU struct {
 	tree   []uint64 // one bitset of ways-1 direction bits per set
 }
 
-// NewPLRU returns a tree pseudo-LRU policy.
-func NewPLRU() *PLRU { return &PLRU{} }
+// newPLRU returns a tree pseudo-LRU policy.
+func newPLRU() *PLRU { return &PLRU{} }
 
 // Name implements cache.Policy.
 func (p *PLRU) Name() string { return "plru" }

@@ -17,14 +17,14 @@ func TestPLRUPanicsOnBadWays(t *testing.T) {
 					t.Errorf("Attach(1, %d) did not panic", ways)
 				}
 			}()
-			NewPLRU().Attach(1, ways)
+			newPLRU().Attach(1, ways)
 		}()
 	}
 }
 
 func TestPLRUDirectMapped(t *testing.T) {
 	// 1-way PLRU degenerates to "always way 0" and must not panic.
-	p := NewPLRU()
+	p := newPLRU()
 	p.Attach(4, 1)
 	p.Fill(0, 0, &cache.AccessInfo{})
 	if v := p.Victim(0, &cache.AccessInfo{}); v != 0 {
@@ -37,7 +37,7 @@ func TestPLRUVictimNeverMostRecent(t *testing.T) {
 	// touched way.
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
-		p := NewPLRU()
+		p := newPLRU()
 		p.Attach(1, 8)
 		last := -1
 		for i := 0; i < 500; i++ {
@@ -58,7 +58,7 @@ func TestPLRUVictimNeverMostRecent(t *testing.T) {
 func TestPLRURetainsFittingWorkingSet(t *testing.T) {
 	// Like true LRU, tree PLRU keeps a working set equal to the
 	// associativity resident under cyclic access.
-	c, err := cache.NewSetAssoc(8*trace.BlockSize, 8, NewPLRU())
+	c, err := cache.NewSetAssoc(8*trace.BlockSize, 8, newPLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestPLRUApproximatesLRU(t *testing.T) {
 		return misses
 	}
 	lru := run(NewLRUPolicy())
-	plru := run(NewPLRU())
+	plru := run(newPLRU())
 	if float64(plru) > 1.10*float64(lru) {
 		t.Errorf("PLRU misses %d exceed LRU %d by more than 10%%", plru, lru)
 	}
 }
 
 func TestPLRUDemotePointsVictim(t *testing.T) {
-	p := NewPLRU()
+	p := newPLRU()
 	p.Attach(1, 8)
 	for w := 0; w < 8; w++ {
 		p.Fill(0, w, &cache.AccessInfo{})
@@ -122,7 +122,7 @@ func TestPLRUDemotePointsVictim(t *testing.T) {
 }
 
 func TestPLRURankHeadMatchesVictim(t *testing.T) {
-	p := NewPLRU()
+	p := newPLRU()
 	p.Attach(2, 8)
 	rnd := rng.New(3)
 	keys := make([]int64, 8)

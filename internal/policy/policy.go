@@ -25,34 +25,34 @@ import (
 // factories around instead of instances.
 type Factory func() cache.Policy
 
-// Catalogue returns the named policy factories in presentation order:
+// catalogue returns the named policy factories in presentation order:
 // baselines first, then the recent proposals, then OPT.
 //
 // Policies that flip coins (Random, BIP, BRRIP, DRRIP) are seeded from
 // seed so that whole experiments stay deterministic.
-func Catalogue(seed uint64) []Factory {
+func catalogue(seed uint64) []Factory {
 	return []Factory{
 		func() cache.Policy { return NewLRUPolicy() },
-		func() cache.Policy { return NewRandom(rng.New(seed ^ 0x1)) },
-		func() cache.Policy { return NewFIFO() },
-		func() cache.Policy { return NewNRU() },
-		func() cache.Policy { return NewPLRU() },
-		func() cache.Policy { return NewLIP() },
-		func() cache.Policy { return NewBIP(rng.New(seed ^ 0x2)) },
-		func() cache.Policy { return NewDIP(rng.New(seed ^ 0x3)) },
-		func() cache.Policy { return NewSRRIP() },
-		func() cache.Policy { return NewBRRIP(rng.New(seed ^ 0x4)) },
-		func() cache.Policy { return NewDRRIP(rng.New(seed ^ 0x5)) },
-		func() cache.Policy { return NewSHiP() },
-		func() cache.Policy { return NewSHiPS() },
-		func() cache.Policy { return NewOPT() },
+		func() cache.Policy { return newRandom(rng.New(seed ^ 0x1)) },
+		func() cache.Policy { return newFIFO() },
+		func() cache.Policy { return newNRU() },
+		func() cache.Policy { return newPLRU() },
+		func() cache.Policy { return newLIP() },
+		func() cache.Policy { return newBIP(rng.New(seed ^ 0x2)) },
+		func() cache.Policy { return newDIP(rng.New(seed ^ 0x3)) },
+		func() cache.Policy { return newSRRIP() },
+		func() cache.Policy { return newBRRIP(rng.New(seed ^ 0x4)) },
+		func() cache.Policy { return newDRRIP(rng.New(seed ^ 0x5)) },
+		func() cache.Policy { return newSHiP() },
+		func() cache.Policy { return newSHiPS() },
+		func() cache.Policy { return newOPT() },
 	}
 }
 
 // ByName returns a factory for the named policy, or an error listing the
 // valid names. Names match Policy.Name values.
 func ByName(name string, seed uint64) (Factory, error) {
-	for _, f := range Catalogue(seed) {
+	for _, f := range catalogue(seed) {
 		if f().Name() == name {
 			return f, nil
 		}
@@ -63,15 +63,11 @@ func ByName(name string, seed uint64) (Factory, error) {
 // Names lists the catalogue policy names in order.
 func Names(seed uint64) []string {
 	var names []string
-	for _, f := range Catalogue(seed) {
+	for _, f := range catalogue(seed) {
 		names = append(names, f().Name())
 	}
 	return names
 }
-
-// Realistic reports whether the named policy is implementable in hardware
-// (everything except Belady OPT).
-func Realistic(name string) bool { return name != "opt" }
 
 // PerSet reports whether p's replacement decisions in one set depend only
 // on the accesses to that set, making it eligible for the set-sharded

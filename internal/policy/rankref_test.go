@@ -53,7 +53,7 @@ func argmaxKey(keys []int64) int {
 func keyedCatalogue(t *testing.T, seed uint64) []cache.Policy {
 	t.Helper()
 	var keyed []cache.Policy
-	for _, f := range Catalogue(seed) {
+	for _, f := range catalogue(seed) {
 		p := f()
 		if _, ok := p.(victimKeyer); ok {
 			keyed = append(keyed, p)

@@ -74,8 +74,8 @@ func (p *rripCore) Demote(set, way int) { p.rrpv[set*p.ways+way] = rripMax }
 // max-1 ("long re-reference interval") and promotes hits to 0.
 type SRRIP struct{ rripCore }
 
-// NewSRRIP returns an SRRIP policy.
-func NewSRRIP() *SRRIP { return &SRRIP{} }
+// newSRRIP returns an SRRIP policy.
+func newSRRIP() *SRRIP { return &SRRIP{} }
 
 // Name implements cache.Policy.
 func (p *SRRIP) Name() string { return "srrip" }
@@ -99,8 +99,8 @@ type BRRIP struct {
 	rnd *rng.Source
 }
 
-// NewBRRIP returns a BRRIP policy drawing its insertion coin from rnd.
-func NewBRRIP(rnd *rng.Source) *BRRIP { return &BRRIP{rnd: rnd} }
+// newBRRIP returns a BRRIP policy drawing its insertion coin from rnd.
+func newBRRIP(rnd *rng.Source) *BRRIP { return &BRRIP{rnd: rnd} }
 
 // Name implements cache.Policy.
 func (p *BRRIP) Name() string { return "brrip" }
@@ -122,8 +122,8 @@ type DRRIP struct {
 	duel duel
 }
 
-// NewDRRIP returns a DRRIP policy.
-func NewDRRIP(rnd *rng.Source) *DRRIP { return &DRRIP{rnd: rnd} }
+// newDRRIP returns a DRRIP policy.
+func newDRRIP(rnd *rng.Source) *DRRIP { return &DRRIP{rnd: rnd} }
 
 // Name implements cache.Policy.
 func (p *DRRIP) Name() string { return "drrip" }

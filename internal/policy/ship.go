@@ -28,8 +28,8 @@ const shipTableBits = 14
 // shipCounterMax is the saturating-counter ceiling (3-bit counters).
 const shipCounterMax = 7
 
-// NewSHiP returns a SHiP-PC policy.
-func NewSHiP() *SHiP { return &SHiP{} }
+// newSHiP returns a SHiP-PC policy.
+func newSHiP() *SHiP { return &SHiP{} }
 
 // Name implements cache.Policy.
 func (p *SHiP) Name() string { return "ship" }
@@ -117,8 +117,8 @@ type SHiPS struct {
 	lineCore []uint8
 }
 
-// NewSHiPS returns the sharing-aware SHiP variant.
-func NewSHiPS() *SHiPS { return &SHiPS{} }
+// newSHiPS returns the sharing-aware SHiP variant.
+func newSHiPS() *SHiPS { return &SHiPS{} }
 
 // Name implements cache.Policy.
 func (p *SHiPS) Name() string { return "ship-s" }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
-	p := NewSHiPS()
+	p := newSHiPS()
 	p.Attach(4, 4)
 	const pc = 0x3000
 	sig := Signature(pc)
@@ -21,7 +21,7 @@ func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
 		t.Errorf("cross-core reuse trained %d→%d, want +2", start, got)
 	}
 	// Same-core first reuse: +1 only.
-	p2 := NewSHiPS()
+	p2 := newSHiPS()
 	p2.Attach(4, 4)
 	p2.Fill(0, 0, &cache.AccessInfo{PC: pc, Core: 0})
 	p2.Hit(0, 0, &cache.AccessInfo{Core: 0})
@@ -31,7 +31,7 @@ func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
 }
 
 func TestSHiPSConfidentSiteInsertsAtZero(t *testing.T) {
-	p := NewSHiPS()
+	p := newSHiPS()
 	p.Attach(4, 4)
 	const pc = 0x5000
 	sig := Signature(pc)
@@ -81,15 +81,15 @@ func TestSHiPSBeatsSHiPOnSharedReuse(t *testing.T) {
 		}
 		return misses
 	}
-	ship := run(NewSHiP())
-	ships := run(NewSHiPS())
+	ship := run(newSHiP())
+	ships := run(newSHiPS())
 	if ships > ship {
 		t.Errorf("SHiP-S misses %d > SHiP misses %d on shared-reuse workload", ships, ship)
 	}
 }
 
 func TestSHiPSValidUnderFuzz(t *testing.T) {
-	c, err := cache.NewSetAssoc(16*trace.BlockSize, 4, NewSHiPS())
+	c, err := cache.NewSetAssoc(16*trace.BlockSize, 4, newSHiPS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSHiPSValidUnderFuzz(t *testing.T) {
 			Write: rnd.Bool(0.3),
 		})
 	}
-	if got := len(c.Contents()); got > 16 {
+	if got := resident(c); got > 16 {
 		t.Errorf("%d resident blocks exceed capacity", got)
 	}
 }

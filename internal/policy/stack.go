@@ -29,8 +29,8 @@ type Random struct {
 	rnd  *rng.Source
 }
 
-// NewRandom returns a Random policy drawing from rnd.
-func NewRandom(rnd *rng.Source) *Random { return &Random{rnd: rnd} }
+// newRandom returns a Random policy drawing from rnd.
+func newRandom(rnd *rng.Source) *Random { return &Random{rnd: rnd} }
 
 // Name implements cache.Policy.
 func (p *Random) Name() string { return "random" }
@@ -54,8 +54,8 @@ type FIFO struct {
 	clock int64
 }
 
-// NewFIFO returns a FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{} }
+// newFIFO returns a FIFO policy.
+func newFIFO() *FIFO { return &FIFO{} }
 
 // Name implements cache.Policy.
 func (p *FIFO) Name() string { return "fifo" }
@@ -126,8 +126,8 @@ type NRU struct {
 	ref  []uint8
 }
 
-// NewNRU returns an NRU policy.
-func NewNRU() *NRU { return &NRU{} }
+// newNRU returns an NRU policy.
+func newNRU() *NRU { return &NRU{} }
 
 // Name implements cache.Policy.
 func (p *NRU) Name() string { return "nru" }
@@ -242,8 +242,8 @@ func (p *lipCore) VictimKeys(set int, dst []int64) {
 // to MRU.
 type LIP struct{ lipCore }
 
-// NewLIP returns a LIP policy.
-func NewLIP() *LIP { return &LIP{} }
+// newLIP returns a LIP policy.
+func newLIP() *LIP { return &LIP{} }
 
 // Name implements cache.Policy.
 func (p *LIP) Name() string { return "lip" }
@@ -267,8 +267,8 @@ type BIP struct {
 // bipEpsilon is the probability BIP inserts at MRU.
 const bipEpsilon = 1.0 / 32
 
-// NewBIP returns a BIP policy drawing its insertion coin from rnd.
-func NewBIP(rnd *rng.Source) *BIP { return &BIP{rnd: rnd} }
+// newBIP returns a BIP policy drawing its insertion coin from rnd.
+func newBIP(rnd *rng.Source) *BIP { return &BIP{rnd: rnd} }
 
 // Name implements cache.Policy.
 func (p *BIP) Name() string { return "bip" }
@@ -291,8 +291,8 @@ type DIP struct {
 	duel duel
 }
 
-// NewDIP returns a DIP policy.
-func NewDIP(rnd *rng.Source) *DIP { return &DIP{rnd: rnd} }
+// newDIP returns a DIP policy.
+func newDIP(rnd *rng.Source) *DIP { return &DIP{rnd: rnd} }
 
 // Name implements cache.Policy.
 func (p *DIP) Name() string { return "dip" }

@@ -36,28 +36,24 @@ type Config struct {
 	// TableBits is log2 of the number of counters (untagged,
 	// direct-mapped, as cheap hardware would build it).
 	TableBits int
-	// CounterBits is the width of each saturating counter.
-	CounterBits int
-	// Threshold is the minimum counter value that predicts "shared".
-	Threshold uint8
 }
 
-// DefaultConfig matches a modest hardware budget: 16K 2-bit counters with
-// a weakly-taken threshold.
+// Every table counts in 2-bit saturating counters and predicts "shared"
+// from the weakly-taken value 2 up; only the table size varies (A2).
+const (
+	counterMax = 1<<2 - 1
+	threshold  = 2
+)
+
+// DefaultConfig matches a modest hardware budget: 16K counters.
 func DefaultConfig() Config {
-	return Config{TableBits: 14, CounterBits: 2, Threshold: 2}
+	return Config{TableBits: 14}
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.TableBits < 1 || c.TableBits > 28 {
 		return fmt.Errorf("predictor: TableBits %d outside [1,28]", c.TableBits)
-	}
-	if c.CounterBits < 1 || c.CounterBits > 8 {
-		return fmt.Errorf("predictor: CounterBits %d outside [1,8]", c.CounterBits)
-	}
-	if max := uint8(1<<c.CounterBits - 1); c.Threshold > max {
-		return fmt.Errorf("predictor: Threshold %d exceeds counter max %d", c.Threshold, max)
 	}
 	return nil
 }
@@ -66,8 +62,6 @@ func (c Config) Validate() error {
 // (increment on shared outcome, decrement on private outcome).
 type table struct {
 	counters []uint8
-	max      uint8
-	thresh   uint8
 	mask     uint64
 }
 
@@ -77,18 +71,12 @@ func newTable(cfg Config) (*table, error) {
 	}
 	t := &table{
 		counters: make([]uint8, 1<<cfg.TableBits),
-		max:      uint8(1<<cfg.CounterBits - 1),
-		thresh:   cfg.Threshold,
 		mask:     uint64(1<<cfg.TableBits - 1),
 	}
 	// Initialize counters just below threshold so a single shared
 	// outcome flips the entry to predicting shared.
-	init := uint8(0)
-	if t.thresh > 0 {
-		init = t.thresh - 1
-	}
 	for i := range t.counters {
-		t.counters[i] = init
+		t.counters[i] = threshold - 1
 	}
 	return t, nil
 }
@@ -99,13 +87,13 @@ func (t *table) index(key uint64) uint64 {
 }
 
 func (t *table) predict(key uint64) bool {
-	return t.counters[t.index(key)] >= t.thresh
+	return t.counters[t.index(key)] >= threshold
 }
 
 func (t *table) train(key uint64, shared bool) {
 	i := t.index(key)
 	if shared {
-		if t.counters[i] < t.max {
+		if t.counters[i] < counterMax {
 			t.counters[i]++
 		}
 	} else if t.counters[i] > 0 {

@@ -34,7 +34,7 @@ func residency(t *testing.T, block, pc uint64, degree int) sharing.Residency {
 	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lru, Hooks: hooks}}, sharing.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Degree() != degree {
+	if len(got) != 1 || got[0].Shared() != (degree >= 2) {
 		t.Fatalf("fabricating a degree-%d residency closed %+v", degree, got)
 	}
 	return got[0]
@@ -73,13 +73,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	bad := []Config{
-		{TableBits: 0, CounterBits: 2, Threshold: 1},
-		{TableBits: 30, CounterBits: 2, Threshold: 1},
-		{TableBits: 10, CounterBits: 0, Threshold: 0},
-		{TableBits: 10, CounterBits: 9, Threshold: 0},
-		{TableBits: 10, CounterBits: 2, Threshold: 4},
-	}
+	bad := []Config{{TableBits: 0}, {TableBits: 30}}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d validated: %+v", i, c)
@@ -152,7 +146,7 @@ func TestSingleSharedOutcomeFlipsEntry(t *testing.T) {
 }
 
 func TestCounterSaturation(t *testing.T) {
-	cfg := Config{TableBits: 8, CounterBits: 2, Threshold: 2}
+	cfg := Config{TableBits: 8}
 	p, err := NewAddress(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +183,7 @@ func TestAlwaysNever(t *testing.T) {
 }
 
 func TestTableIndexBounded(t *testing.T) {
-	tb, err := newTable(Config{TableBits: 6, CounterBits: 2, Threshold: 2})
+	tb, err := newTable(Config{TableBits: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

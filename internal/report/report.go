@@ -24,8 +24,8 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends one row; cells beyond the header count are rejected.
-func (t *Table) AddRow(cells ...string) error {
+// addRow appends one row; cells beyond the header count are rejected.
+func (t *Table) addRow(cells ...string) error {
 	if len(cells) != len(t.Headers) {
 		return fmt.Errorf("report: row has %d cells, table has %d columns", len(cells), len(t.Headers))
 	}
@@ -33,10 +33,10 @@ func (t *Table) AddRow(cells ...string) error {
 	return nil
 }
 
-// MustRow is AddRow for construction sites where a mismatch is a
+// MustRow is addRow for construction sites where a mismatch is a
 // programming error.
 func (t *Table) MustRow(cells ...string) {
-	if err := t.AddRow(cells...); err != nil {
+	if err := t.addRow(cells...); err != nil {
 		panic(err)
 	}
 }

@@ -31,7 +31,7 @@ func TestTableRender(t *testing.T) {
 
 func TestAddRowArityChecked(t *testing.T) {
 	tb := NewTable("x", "a", "b")
-	if err := tb.AddRow("only-one"); err == nil {
+	if err := tb.addRow("only-one"); err == nil {
 		t.Error("short row accepted")
 	}
 	defer func() {

@@ -50,11 +50,11 @@ func (f *fenwick) sum(i int) int32 {
 	return s
 }
 
-// Distances computes the reuse distance of every access in stream.
+// distances computes the reuse distance of every access in stream.
 // First-touch accesses get Infinite. The per-block previous-position
 // table is a flat slice over dense BlockIDs (cache.EnsureBlockIDs), not a
 // hash of the sparse block number.
-func Distances(stream []cache.AccessInfo) []int64 {
+func distances(stream []cache.AccessInfo) []int64 {
 	out := make([]int64, len(stream))
 	fw := newFenwick(len(stream))
 	stream, numBlocks := cache.EnsureBlockIDs(stream)
@@ -151,7 +151,7 @@ func Analyze(stream []cache.AccessInfo, hints []bool) (*Profile, error) {
 		return nil, fmt.Errorf("reuse: %d hints for %d accesses", len(hints), len(stream))
 	}
 	p := &Profile{}
-	for i, d := range Distances(stream) {
+	for i, d := range distances(stream) {
 		p.All.Add(d)
 		if hints != nil && hints[i] {
 			p.Shared.Add(d)

@@ -18,7 +18,7 @@ func mk(blocks ...uint64) []cache.AccessInfo {
 
 func TestDistancesBasic(t *testing.T) {
 	// Stream: A B C A B B
-	d := Distances(mk(1, 2, 3, 1, 2, 2))
+	d := distances(mk(1, 2, 3, 1, 2, 2))
 	want := []int64{Infinite, Infinite, Infinite, 2, 2, 0}
 	for i := range want {
 		if d[i] != want[i] {
@@ -28,14 +28,14 @@ func TestDistancesBasic(t *testing.T) {
 }
 
 func TestDistancesImmediateReuse(t *testing.T) {
-	d := Distances(mk(7, 7, 7))
+	d := distances(mk(7, 7, 7))
 	if d[1] != 0 || d[2] != 0 {
 		t.Errorf("immediate reuse distances = %v", d[1:])
 	}
 }
 
 func TestDistancesEmpty(t *testing.T) {
-	if len(Distances(nil)) != 0 {
+	if len(distances(nil)) != 0 {
 		t.Error("empty stream produced distances")
 	}
 }
@@ -66,7 +66,7 @@ func TestDistancesMatchReference(t *testing.T) {
 		for i := range stream {
 			stream[i] = cache.AccessInfo{Block: rnd.Uint64n(24), Index: int64(i)}
 		}
-		got := Distances(stream)
+		got := distances(stream)
 		want := referenceDistances(stream)
 		for i := range want {
 			if got[i] != want[i] {
@@ -91,7 +91,7 @@ func TestLRUHitIffDistanceUnderCapacity(t *testing.T) {
 	for i := range stream {
 		stream[i] = cache.AccessInfo{Block: rnd.Uint64n(40), Index: int64(i)}
 	}
-	d := Distances(stream)
+	d := distances(stream)
 	// Fully associative = 1 set with `capacity` ways.
 	c, err := cache.NewSetAssoc(capacity*64, capacity, &cache.LRU{})
 	if err != nil {

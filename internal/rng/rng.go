@@ -106,17 +106,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap, which
 // exchanges the elements at indexes i and j.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {

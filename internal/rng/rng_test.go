@@ -126,23 +126,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(13)
-	for _, n := range []int{0, 1, 2, 10, 257} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	s := New(17)
 	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -110,10 +110,10 @@ func (j *Job) publish(ev Event) {
 	}
 }
 
-// Subscribe returns the event history so far plus a live channel, and an
+// subscribe returns the event history so far plus a live channel, and an
 // unsubscribe func. The channel is buffered; laggards lose events rather
 // than block the worker.
-func (j *Job) Subscribe() (history []Event, live chan Event, unsub func()) {
+func (j *Job) subscribe() (history []Event, live chan Event, unsub func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	history = append([]Event(nil), j.history...)
@@ -126,8 +126,8 @@ func (j *Job) Subscribe() (history []Event, live chan Event, unsub func()) {
 	}
 }
 
-// Snapshot returns the fields the HTTP layer renders.
-func (j *Job) Snapshot() (state State, errMsg string, tables []*report.Table, cached bool, created, started, finished time.Time) {
+// snapshot returns the fields the HTTP layer renders.
+func (j *Job) snapshot() (state State, errMsg string, tables []*report.Table, cached bool, created, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -246,10 +246,10 @@ var (
 	ErrDraining = errors.New("server is draining, not accepting jobs")
 )
 
-// Submit validates, dedupes and enqueues a request. The bool reports
+// submit validates, dedupes and enqueues a request. The bool reports
 // whether the returned job is fresh work (false = cache hit or coalesced
 // onto an identical in-flight job).
-func (m *Manager) Submit(req Request) (*Job, bool, error) {
+func (m *Manager) submit(req Request) (*Job, bool, error) {
 	if err := req.normalize(); err != nil {
 		return nil, false, err
 	}
@@ -366,10 +366,10 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel aborts a job. Queued jobs are finalized immediately; running
+// cancel aborts a job. Queued jobs are finalized immediately; running
 // jobs get their context cancelled and finalize when the replay loop
 // observes it (bounded by the cancellation stride in internal/sharing).
-func (m *Manager) Cancel(id string) error {
+func (m *Manager) cancel(id string) error {
 	job, ok := m.Get(id)
 	if !ok {
 		return fmt.Errorf("no such job %s", id)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sharellc/internal/cache"
 	"sharellc/internal/report"
 	"sharellc/internal/workloads"
 )
@@ -50,7 +51,9 @@ func TestJobBodyLimit(t *testing.T) {
 // body as handleSubmit does and normalizing it never panics, and an
 // accepted request is a fixed point: its canonical JSON decodes and
 // normalizes to the same JSON and key. Its workloads are sorted
-// lower-case suite names and its scale lies in (0, 1].
+// lower-case suite names, its scale lies in (0, 1], and its LLC is a
+// geometry every catalogue policy runs at both the requested and the
+// doubled size.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range []string{
 		// docs/API.md
@@ -66,6 +69,9 @@ func FuzzJobRequest(f *testing.F) {
 		`{"exp":"f5","policies":["nope"]}`,
 		`{"exp":"f1","machine":{"Cores":8}}`,
 		`{"exp":"f1","exps":["f1"]}`,
+		`{"exp":"f4","llc_mb":3,"ways":3}`,
+		`{"exp":"f4","llc_mb":8,"ways":128}`,
+		`{"exp":"f1","llc_mb":1048576}`,
 		// bench/service.go's phase-A, phase-B and warm-up shapes
 		`{"exp":"f4","llc_mb":0.25,"ways":8,"seed":1,"scale":0.1}`,
 		`{"exp":"f8","llc_mb":1,"seed":2,"scale":0.25}`,
@@ -104,6 +110,15 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if !(req.Scale > 0 && req.Scale <= 1) {
 			t.Errorf("scale %g outside (0, 1]", req.Scale)
+		}
+		o := req.Options()
+		for _, size := range []int{o.LLCSize, 2 * o.LLCSize} {
+			if _, err := cache.Geometry(size, o.LLCWays); err != nil {
+				t.Errorf("accepted %g MB at %d ways: %d bytes is no geometry: %v", req.LLCMB, req.Ways, size, err)
+			}
+		}
+		if w := o.LLCWays; w > 64 || w&(w-1) != 0 {
+			t.Errorf("accepted %d ways, which PLRU cannot run", w)
 		}
 	})
 }

@@ -67,7 +67,7 @@ type jobView struct {
 }
 
 func viewOf(j *Job) jobView {
-	state, errMsg, tables, cached, created, started, finished := j.Snapshot()
+	state, errMsg, tables, cached, created, started, finished := j.snapshot()
 	v := jobView{
 		ID:      j.ID,
 		Exp:     j.Request.Exp,
@@ -129,7 +129,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	job, fresh, err := s.m.Submit(req)
+	job, fresh, err := s.m.submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -155,7 +155,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := s.m.Cancel(r.PathValue("id")); err != nil {
+	if err := s.m.cancel(r.PathValue("id")); err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -180,7 +180,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	history, live, unsub := job.Subscribe()
+	history, live, unsub := job.subscribe()
 	defer unsub()
 
 	emit := func(ev Event) bool {
@@ -212,7 +212,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 				default:
-					state, _, _, _, _, _, _ := job.Snapshot()
+					state, _, _, _, _, _, _ := job.snapshot()
 					emit(Event{Type: "state", State: state})
 					return
 				}

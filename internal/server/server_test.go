@@ -344,6 +344,15 @@ func TestBadRequestsRejected(t *testing.T) {
 		// The cluster-only fields stay out of the job API.
 		{`{"exp":"f1","machine":{"Cores":8}}`, "machine"},
 		{`{"exp":"f1","exps":["f1"]}`, "exps"},
+		// LLC geometries a catalogue policy cannot run, or too large to
+		// allocate: each used to be accepted and, for the first two, to
+		// panic a replay worker.
+		{`{"exp":"f4","llc_mb":3,"ways":3}`, "ways"},
+		{`{"exp":"f4","llc_mb":8,"ways":128}`, "ways"},
+		{`{"exp":"f1","llc_mb":1048576}`, "llc_mb"},
+		{`{"exp":"f1","ways":12}`, "ways"},
+		{`{"exp":"f1","llc_mb":3}`, "set count"},
+		{`{"exp":"f1","llc_mb":0.1}`, "block size"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
@@ -469,7 +478,7 @@ func TestShutdownDrains(t *testing.T) {
 	if !ok {
 		t.Fatal("job vanished")
 	}
-	state, _, _, _, _, _, _ := job.Snapshot()
+	state, _, _, _, _, _, _ := job.snapshot()
 	if state != stateDone {
 		t.Errorf("drained job state = %s, want done", state)
 	}
@@ -512,7 +521,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 		t.Fatal("drain with stuck job reported success")
 	}
 	job, _ := s.Manager().Get(v.ID)
-	state, _, _, _, _, _, _ := job.Snapshot()
+	state, _, _, _, _, _, _ := job.snapshot()
 	if state != stateCancelled {
 		t.Errorf("stuck job state = %s, want cancelled", state)
 	}

@@ -7,7 +7,6 @@ import (
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/policy"
-	"sharellc/internal/rng"
 )
 
 // batchTestConfigs builds one lane per experiment family: every
@@ -60,7 +59,7 @@ func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 	t.Helper()
 	configsAgree(t, stream, []LLCConfig{
 		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
-		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
+		{Size: size, Ways: ways, NewPolicy: catalogued(t, "drrip", 3)},
 	}, Options{Shards: 4})
 }
 
@@ -108,7 +107,7 @@ func TestKernelBoundaryLengths(t *testing.T) {
 func FuzzKernelBoundary(f *testing.F) {
 	var kernelPolicies []string
 	for _, n := range policy.Names(1) {
-		if policy.Realistic(n) {
+		if n != "opt" { // OPT binds no kernel
 			kernelPolicies = append(kernelPolicies, n)
 		}
 	}
@@ -140,7 +139,7 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 	stream := synthStream(60000, 3000, 8, 7)
 	configs := []LLCConfig{
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
-		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
+		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 	}
 	opt := Options{Shards: 2}
 	run := func() {

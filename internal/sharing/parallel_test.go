@@ -61,17 +61,23 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 	}
 }
 
-// perSetFactories are the policies that take the sharded path.
-func perSetFactories() map[string]func() cache.Policy {
-	return map[string]func() cache.Policy{
-		"lru":   func() cache.Policy { return policy.NewLRUPolicy() },
-		"fifo":  func() cache.Policy { return policy.NewFIFO() },
-		"nru":   func() cache.Policy { return policy.NewNRU() },
-		"plru":  func() cache.Policy { return policy.NewPLRU() },
-		"lip":   func() cache.Policy { return policy.NewLIP() },
-		"srrip": func() cache.Policy { return policy.NewSRRIP() },
-		"opt":   func() cache.Policy { return policy.NewOPT() },
+// catalogued returns the factory of the named catalogue policy.
+func catalogued(tb testing.TB, name string, seed uint64) policy.Factory {
+	tb.Helper()
+	f, err := policy.ByName(name, seed)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return f
+}
+
+// perSetFactories are the policies that take the sharded path.
+func perSetFactories(tb testing.TB) map[string]policy.Factory {
+	out := map[string]policy.Factory{}
+	for _, name := range []string{"lru", "fifo", "nru", "plru", "lip", "srrip", "opt"} {
+		out[name] = catalogued(tb, name, 1)
+	}
+	return out
 }
 
 // TestReplayParallelBitIdentical replays the same stream through a
@@ -84,7 +90,7 @@ func perSetFactories() map[string]func() cache.Policy {
 // the full-length replay at one worker ran through a partition.
 func TestReplayParallelBitIdentical(t *testing.T) {
 	full := synthStream(20000, 200, 8, 7)
-	for name, f := range perSetFactories() {
+	for name, f := range perSetFactories(t) {
 		t.Run(name, func(t *testing.T) {
 			c := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: f}
 			eachPrefix(full, func(stream []cache.AccessInfo) {
@@ -123,7 +129,7 @@ func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
 
 	// DRRIP duels sets against each other: not per-set independent.
-	drrip := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }}
+	drrip := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: catalogued(t, "drrip", 3)}
 	want, err := seqReplay(stream, drrip, Options{})
 	if err != nil {
 		t.Fatal(err)

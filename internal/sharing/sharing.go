@@ -52,19 +52,14 @@ func (r *Residency) addCore(core uint8) {
 	r.coreMask[core>>6] |= 1 << (core & 63)
 }
 
-// Written reports whether any access of the residency was a store. A
-// shared residency with Written is read-write (communication) sharing; a
-// shared residency without is read-only sharing.
-func (r Residency) Written() bool { return r.written }
-
-// Degree returns the number of distinct cores that accessed the block
+// degree returns the number of distinct cores that accessed the block
 // during the residency (at least 1: the filler).
-func (r Residency) Degree() int {
+func (r Residency) degree() int {
 	return bits.OnesCount64(r.coreMask[0]) + bits.OnesCount64(r.coreMask[1])
 }
 
 // Shared reports whether the residency was accessed by ≥ 2 distinct cores.
-func (r Residency) Shared() bool { return r.Degree() >= 2 }
+func (r Residency) Shared() bool { return r.degree() >= 2 }
 
 // Evicted reports whether the residency ended by eviction rather than by
 // the stream running out.
@@ -292,7 +287,7 @@ type replayState struct {
 func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 	res := st.res
 	r.EvictIndex = evictIndex
-	deg := r.Degree()
+	deg := r.degree()
 	shared := deg >= 2
 	if shared {
 		st.blockState[r.id] = blockShared
@@ -361,13 +356,11 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		// load at a random set index, on the majority path of every
 		// replay — is skipped. The skipped llc.Access would only have
 		// re-derived the same (set, way) and updated state that is
-		// not observable through Result: the LLC's own hit counters
-		// and the line dirty bit (no policy reads it, and the study
-		// reports no writeback traffic). The miss path trusts the
-		// tracker symmetrically (cache.FillRef skips the tag scan
-		// re-confirming absence); what remains checked
-		// every eviction is that the cache's victim matches the
-		// tracker's open residency for that line.
+		// not observable through Result: the LLC's own hit counters.
+		// The miss path trusts the tracker symmetrically
+		// (cache.FillRef skips the tag scan re-confirming absence); what
+		// remains checked every eviction is that the cache's victim
+		// matches the tracker's open residency for that line.
 		// SetOf is a mask of the block address — recovering the set from
 		// li would be a hardware divide by the runtime ways value, on the
 		// majority path of every lane-step.

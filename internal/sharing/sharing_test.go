@@ -136,8 +136,8 @@ func TestSharingResetsAcrossResidencies(t *testing.T) {
 	if first == nil || second == nil {
 		t.Fatal("expected two residencies of block 0 in the log")
 	}
-	if !first.Shared() || first.Degree() != 2 {
-		t.Errorf("first residency: shared=%v degree=%d, want true/2", first.Shared(), first.Degree())
+	if !first.Shared() || first.degree() != 2 {
+		t.Errorf("first residency: shared=%v degree=%d, want true/2", first.Shared(), first.degree())
 	}
 	if second.Shared() {
 		t.Error("second residency inherited sharing from the first")
@@ -198,10 +198,10 @@ func TestReadOnlyVsReadWriteSharing(t *testing.T) {
 		t.Errorf("RO/RW shared hits = (%d,%d), want (1,2)", res.ROSharedHits, res.RWSharedHits)
 	}
 	for _, r := range log {
-		if r.Block == 1 && r.Written() {
+		if r.Block == 1 && r.written {
 			t.Error("read-only residency marked written")
 		}
-		if r.Block == 2 && !r.Written() {
+		if r.Block == 2 && !r.written {
 			t.Error("written residency not marked")
 		}
 	}

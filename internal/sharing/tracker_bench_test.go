@@ -5,7 +5,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/policy"
-	"sharellc/internal/rng"
 )
 
 // benchOutcomes probes stream once through an LRU cache and returns the
@@ -87,7 +86,7 @@ func BenchmarkTwoPhaseLane(b *testing.B) {
 	}
 	stream := synthStream(n, 20000, 8, 23)
 	configs := []LLCConfig{
-		{Size: 512 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
+		{Size: 512 * cache.KB, Ways: 8, NewPolicy: catalogued(b, "drrip", 3)},
 	}
 	b.Run("soa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/policy"
-	"sharellc/internal/rng"
 )
 
 // TestTrackerVsSequential holds the engine's SoA tracker to the
@@ -38,7 +37,7 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 		var calls atomic.Int32 // shard workers build policies concurrently
 		configs := []LLCConfig{
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { calls.Add(1); return policy.NewLRUPolicy() }},
-			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(5)) }},
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 5)},
 		}
 		wide := cores > soaMaxCores
 		want := "engine"
@@ -72,8 +71,8 @@ func FuzzTrackerLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint16, seed uint64) {
 		stream := synthStream(int(n), 200, 8, seed)
 		configs := []LLCConfig{
-			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed | 1)) }},
-			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return policy.NewSHiP() }},
+			{Size: 16 * 1024, Ways: 4, NewPolicy: catalogued(t, "drrip", seed|1)},
+			{Size: 16 * 1024, Ways: 4, NewPolicy: catalogued(t, "ship", 1)},
 		}
 		configsAgree(t, stream, configs, Options{Shards: 4})
 	})
@@ -102,7 +101,7 @@ func (c *countingCtx) Err() error {
 func TestTrackerPipelineCancel(t *testing.T) {
 	stream := synthStream(4*batchSize, 800, 8, 13)
 	configs := []LLCConfig{
-		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(3)) }},
+		{Size: 32 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 		{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 	}
 	for _, after := range []int64{0, 1, 2, 5, 8} {
@@ -154,9 +153,8 @@ func TestTrackerPipelineStress(t *testing.T) {
 	stream := synthStream(30000, 2000, 8, 17)
 	var configs []LLCConfig
 	for i := 0; i < 6; i++ {
-		seed := uint64(i + 1)
 		configs = append(configs, LLCConfig{Size: 32 * cache.KB, Ways: 8,
-			NewPolicy: func() cache.Policy { return policy.NewDRRIP(rng.New(seed)) }})
+			NewPolicy: catalogued(t, "drrip", uint64(i+1))})
 	}
 	configsAgree(t, stream, configs, Options{Shards: 8})
 }

@@ -140,7 +140,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return specs, true
 	case "a4":
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
-			func(s *Suite) ([]HorizonRow, error) { return s.OracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
+			func(s *Suite) ([]HorizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
 			horizonTable)}, true
 	}
 	return nil, false

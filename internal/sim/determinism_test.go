@@ -47,7 +47,7 @@ func experimentRunners() []struct {
 			return s.OracleStudy(tSize, tWays, []string{"lru", "srrip"}, core.Options{Strength: core.Full})
 		}},
 		{"oracle-horizon-sweep", func(s *Suite) (any, error) {
-			return s.OracleHorizonSweep(tSize, tWays, []int{1, 4}, core.Options{Strength: core.Full})
+			return s.oracleHorizonSweep(tSize, tWays, []int{1, 4}, core.Options{Strength: core.Full})
 		}},
 		{"predictor-accuracy", func(s *Suite) (any, error) {
 			return s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil)

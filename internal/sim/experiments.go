@@ -337,7 +337,7 @@ func oracleRow(st *Stream, policyName string, res *oracle.Result) OracleRow {
 		Reduction:           res.MissReduction(),
 		BaseSharedHitFrac:   res.Base.SharedHitFraction(),
 		OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
-		AMATSpeedup: defaultLatency().AMATSpeedup(st,
+		AMATSpeedup: defaultLatency().amatSpeedup(st,
 			res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
 		Protector: res.Stats,
 	}
@@ -398,10 +398,10 @@ type HorizonRow struct {
 	Reduction float64
 }
 
-// OracleHorizonSweep reruns the LRU oracle study at several sharing
+// oracleHorizonSweep reruns the LRU oracle study at several sharing
 // horizons (ablation A4): how sensitive is the headroom to how far ahead
 // "will be shared during its residency" looks?
-func (s *Suite) OracleHorizonSweep(llcSize, llcWays int, factors []int, opts core.Options) ([]HorizonRow, error) {
+func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts core.Options) ([]HorizonRow, error) {
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4, 8}
 	}

@@ -43,23 +43,39 @@ type Request struct {
 	Strength  string   `json:"strength,omitempty"`
 }
 
+// maxLLCMB caps a request's LLC size in MB. Experiments replay up to
+// twice the requested size (f2, f5), and F4's 14 lanes keep about 9.5
+// bytes of per-line state per LLC byte, so one workload's F4 lanes at
+// twice this cap hold about 600 MB.
+const maxLLCMB = 32
+
+// maxWays is the widest associativity every catalogue policy supports:
+// PLRU keeps one 64-bit tree per set.
+const maxWays = 64
+
 // Normalize fills the defaults (4 MB, 16 ways, seed 1, scale 1, full
 // strength), bounds every knob, lower-cases and sorts the workloads and
 // lower-cases the policies, rejecting a name the suite or the policy
-// catalogue does not know. The normalized form is what a job key hashes,
-// so requests differing only in omitted-vs-explicit defaults coalesce.
+// catalogue does not know. The LLC must be a geometry every catalogue
+// policy can run: at most maxLLCMB, a power-of-two way count up to
+// maxWays, and a power-of-two set count. The normalized form is what a
+// job key hashes, so requests differing only in omitted-vs-explicit
+// defaults coalesce.
 func (r *Request) Normalize() error {
 	if r.LLCMB == 0 {
 		r.LLCMB = 4
 	}
-	if r.LLCMB <= 0 {
-		return fmt.Errorf("llc_mb must be positive, got %g", r.LLCMB)
+	if !(r.LLCMB > 0 && r.LLCMB <= maxLLCMB) {
+		return fmt.Errorf("llc_mb must be in (0, %d], got %g", maxLLCMB, r.LLCMB)
 	}
 	if r.Ways == 0 {
 		r.Ways = 16
 	}
-	if r.Ways < 1 {
-		return fmt.Errorf("ways must be >= 1, got %d", r.Ways)
+	if r.Ways < 1 || r.Ways > maxWays || r.Ways&(r.Ways-1) != 0 {
+		return fmt.Errorf("ways must be a power of two in [1, %d], got %d", maxWays, r.Ways)
+	}
+	if _, err := cache.Geometry(r.Options().LLCSize, r.Ways); err != nil {
+		return fmt.Errorf("llc_mb %g at %d ways: %w", r.LLCMB, r.Ways, err)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -139,7 +155,7 @@ func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 		if err != nil {
 			return err
 		}
-		suite = s.WithProgress(progress)
+		suite = s.withProgress(progress)
 	}
 	for _, e := range exps {
 		tables, err := e.Run(suite, o)

@@ -85,6 +85,14 @@ func TestModelsByNameUnknown(t *testing.T) {
 	}
 }
 
+// withContext returns a shallow copy of s whose experiment runs are
+// cancelled when ctx is, as a suite built by NewSuiteContext(ctx) is.
+func withContext(s *Suite, ctx context.Context) *Suite {
+	c := *s
+	c.ctx = ctx
+	return &c
+}
+
 // TestSuiteContextCancelsExperiments: a suite carrying a cancelled
 // context refuses to run, and a mid-flight cancellation aborts an
 // experiment promptly with the context's error.
@@ -93,7 +101,7 @@ func TestSuiteContextCancelsExperiments(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.WithContext(ctx).Characterize(256*cache.KB, 8); !errors.Is(err, context.Canceled) {
+	if _, err := withContext(s, ctx).Characterize(256*cache.KB, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled Characterize: err = %v, want context.Canceled", err)
 	}
 
@@ -107,7 +115,7 @@ func TestSuiteContextCancelsExperiments(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var once sync.Once
-	s2 := s.WithContext(ctx2).WithProgress(func(done, total int, label string) {
+	s2 := withContext(s, ctx2).withProgress(func(done, total int, label string) {
 		once.Do(cancel2)
 	})
 	start := time.Now()
@@ -130,7 +138,7 @@ func TestWithProgressReportsEveryCell(t *testing.T) {
 	var mu sync.Mutex
 	var got []int
 	total := -1
-	s2 := s.WithProgress(func(done, tot int, label string) {
+	s2 := s.withProgress(func(done, tot int, label string) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, done)
@@ -170,8 +178,8 @@ func TestWithContextDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.WithContext(context.Background()).
-		WithProgress(func(int, int, string) {}).
+	got, err := withContext(s, context.Background()).
+		withProgress(func(int, int, string) {}).
 		Characterize(256*cache.KB, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ type Config struct {
 	// preparing during NewSuite, with the running completion count, the
 	// total stream count and the workload name. Callbacks may arrive
 	// concurrently from the preparation workers. It reports only suite
-	// construction; experiment fan-out progress goes through
-	// Suite.WithProgress.
+	// construction; experiment fan-out progress goes through the suite's
+	// own progress callback.
 	Progress func(done, total int, label string)
 }
 
@@ -57,8 +57,8 @@ type Config struct {
 // caching one.
 type StreamProvider func(ctx context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error)
 
-// DefaultConfig is the paper's setup: the 4 MB-LLC machine (8 MB via
-// WithLLC), seed 1, full scale, full suite.
+// DefaultConfig is the paper's setup: the 4 MB-LLC machine (experiments
+// take the LLC geometry as arguments), seed 1, full scale, full suite.
 func DefaultConfig() Config {
 	return Config{Machine: cache.DefaultConfig(), Seed: 1, Scale: 1}
 }
@@ -137,15 +137,6 @@ func (s *Stream) ReplayOptions(shards int, ctx context.Context) sharing.Options 
 	return sharing.Options{Shards: shards, Ctx: ctx, Partitioner: s.Partitioner(), NumBlocks: s.NumBlocks, Cores: s.Cores()}
 }
 
-// LLCAPKI returns LLC accesses per thousand raw references — a coarse
-// check that the private levels filter realistically.
-func (s *Stream) LLCAPKI() float64 {
-	if s.TraceLen == 0 {
-		return 0
-	}
-	return 1000 * float64(len(s.Accesses)) / float64(s.TraceLen)
-}
-
 // BuildStream generates the model's trace, filters it through a fresh
 // private hierarchy and annotates next-use indices.
 func BuildStream(m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
@@ -173,11 +164,11 @@ type Suite struct {
 	// ctx, when non-nil, cancels every experiment run on the suite: the
 	// outer fan-out stops claiming cells and the inner replay loops
 	// abort at their next poll (sharing.Options.Ctx). Set via
-	// NewSuiteContext or WithContext.
+	// NewSuiteContext or BareSuite.
 	ctx context.Context
 	// progress, when non-nil, is invoked after each workload an
 	// experiment fan-out finishes, with the running completion count, the
-	// total, and the workload label. Set via WithProgress; callbacks may
+	// total, and the workload label. Set via withProgress; callbacks may
 	// arrive concurrently from worker goroutines.
 	progress func(done, total int, label string)
 }
@@ -234,18 +225,10 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	return &Suite{Config: cfg, Streams: streams, ctx: ctx}, nil
 }
 
-// WithContext returns a shallow copy of the suite whose experiment runs
-// are cancelled when ctx is. The prepared streams are shared, so the
-// copy is cheap.
-func (s *Suite) WithContext(ctx context.Context) *Suite {
-	c := *s
-	c.ctx = ctx
-	return &c
-}
-
-// WithProgress returns a shallow copy of the suite that reports per-cell
-// completion through fn (see the progress field for the contract).
-func (s *Suite) WithProgress(fn func(done, total int, label string)) *Suite {
+// withProgress returns a shallow copy of the suite that reports per-cell
+// completion through fn (see the progress field for the contract). The
+// prepared streams are shared, so the copy is cheap.
+func (s *Suite) withProgress(fn func(done, total int, label string)) *Suite {
 	c := *s
 	c.progress = fn
 	return &c

@@ -72,9 +72,6 @@ func TestNewSuiteBuildsStreams(t *testing.T) {
 		if uint64(len(st.Accesses)) >= st.TraceLen {
 			t.Errorf("%s: hierarchy filtered nothing", st.Model.Name)
 		}
-		if st.LLCAPKI() <= 0 {
-			t.Errorf("%s: LLCAPKI = %v", st.Model.Name, st.LLCAPKI())
-		}
 		// Streams must be NextUse-annotated for OPT.
 		annotated := false
 		for _, a := range st.Accesses {
@@ -289,7 +286,7 @@ func TestSharingPhases(t *testing.T) {
 
 func TestOracleHorizonSweep(t *testing.T) {
 	s := testSuite(t)
-	rows, err := s.OracleHorizonSweep(tSize, tWays, []int{1, 4}, core.Options{Strength: core.Full})
+	rows, err := s.oracleHorizonSweep(tSize, tWays, []int{1, 4}, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +298,7 @@ func TestOracleHorizonSweep(t *testing.T) {
 			t.Errorf("unexpected factor %d", r.Factor)
 		}
 	}
-	if _, err := s.OracleHorizonSweep(tSize, tWays, []int{0}, core.Options{}); err == nil {
+	if _, err := s.oracleHorizonSweep(tSize, tWays, []int{0}, core.Options{}); err == nil {
 		t.Error("factor 0 accepted")
 	}
 	var b strings.Builder
@@ -512,13 +509,6 @@ func TestDefaultConfigShape(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.Machine.Cores != 8 || cfg.Seed != 1 || cfg.Scale != 1 || len(cfg.Models) != 0 {
 		t.Errorf("DefaultConfig = %+v", cfg)
-	}
-}
-
-func TestLLCAPKIZero(t *testing.T) {
-	var st Stream
-	if st.LLCAPKI() != 0 {
-		t.Error("empty stream APKI != 0")
 	}
 }
 

@@ -26,8 +26,10 @@ func testModel(t *testing.T, name string, scale float64) workloads.Model {
 func TestKeyIgnoresLLCGeometry(t *testing.T) {
 	m := testModel(t, "canneal", 0.01)
 	base := cache.DefaultConfig()
+	big := base
+	big.LLCSize, big.LLCWays = 8*cache.MB, 32
 	k1 := Key(m, base, 1)
-	k2 := Key(m, base.WithLLC(8*cache.MB, 32), 1)
+	k2 := Key(m, big, 1)
 	if k1 != k2 {
 		t.Errorf("key depends on LLC geometry: %s vs %s", k1, k2)
 	}

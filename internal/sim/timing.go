@@ -19,19 +19,19 @@ type Latency struct {
 // ~40-cycle LLC and 200-cycle memory.
 func defaultLatency() Latency { return Latency{L1: 4, L2: 12, LLC: 38, Mem: 200} }
 
-// Cycles computes the total memory-access cycles of one workload run:
+// cycles computes the total memory-access cycles of one workload run:
 // the private-level hits come from the prepared stream, the LLC outcome
 // from the policy pass under evaluation.
-func (l Latency) Cycles(st *Stream, llcHits, llcMisses uint64) uint64 {
+func (l Latency) cycles(st *Stream, llcHits, llcMisses uint64) uint64 {
 	return st.L1Hits*l.L1 + st.L2Hits*l.L2 + llcHits*l.LLC + llcMisses*l.Mem
 }
 
-// AMATSpeedup returns baseCycles/newCycles for one workload: > 1 means
+// amatSpeedup returns baseCycles/newCycles for one workload: > 1 means
 // the new configuration is faster.
-func (l Latency) AMATSpeedup(st *Stream, baseHits, baseMisses, newHits, newMisses uint64) float64 {
-	nc := l.Cycles(st, newHits, newMisses)
+func (l Latency) amatSpeedup(st *Stream, baseHits, baseMisses, newHits, newMisses uint64) float64 {
+	nc := l.cycles(st, newHits, newMisses)
 	if nc == 0 {
 		return 0
 	}
-	return float64(l.Cycles(st, baseHits, baseMisses)) / float64(nc)
+	return float64(l.cycles(st, baseHits, baseMisses)) / float64(nc)
 }

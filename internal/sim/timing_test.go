@@ -9,7 +9,7 @@ import (
 func TestLatencyCycles(t *testing.T) {
 	st := &Stream{L1Hits: 10, L2Hits: 5}
 	l := Latency{L1: 1, L2: 2, LLC: 3, Mem: 4}
-	if got := l.Cycles(st, 7, 2); got != 10*1+5*2+7*3+2*4 {
+	if got := l.cycles(st, 7, 2); got != 10*1+5*2+7*3+2*4 {
 		t.Errorf("Cycles = %d", got)
 	}
 }
@@ -18,17 +18,17 @@ func TestAMATSpeedupDirection(t *testing.T) {
 	st := &Stream{L1Hits: 1000, L2Hits: 100}
 	l := defaultLatency()
 	// Converting 50 misses into hits must speed things up.
-	s := l.AMATSpeedup(st, 100, 100, 150, 50)
+	s := l.amatSpeedup(st, 100, 100, 150, 50)
 	if s <= 1 {
 		t.Errorf("speedup = %v, want > 1", s)
 	}
 	// Identity: no change → exactly 1.
-	if got := l.AMATSpeedup(st, 100, 100, 100, 100); got != 1 {
+	if got := l.amatSpeedup(st, 100, 100, 100, 100); got != 1 {
 		t.Errorf("identity speedup = %v", got)
 	}
 	// Degenerate zero-cycle run guards against division by zero.
 	empty := &Stream{}
-	if got := (Latency{}).AMATSpeedup(empty, 0, 0, 0, 0); got != 0 {
+	if got := (Latency{}).amatSpeedup(empty, 0, 0, 0, 0); got != 0 {
 		t.Errorf("zero-cycle speedup = %v", got)
 	}
 }

@@ -117,9 +117,6 @@ func (r *SliceReader) ReadBatch(dst []Access) int {
 // Err implements Reader. A slice never fails.
 func (r *SliceReader) Err() error { return nil }
 
-// Reset rewinds the reader to the beginning of the slice.
-func (r *SliceReader) Reset() { r.pos = 0 }
-
 // Collect drains r into a slice. It is mainly a convenience for tests and
 // for experiment passes that need random access to the stream.
 func Collect(r Reader) ([]Access, error) {

@@ -62,10 +62,6 @@ func TestSliceReader(t *testing.T) {
 	if _, ok := r.Next(); ok {
 		t.Error("exhausted reader returned an access")
 	}
-	r.Reset()
-	if a, ok := r.Next(); !ok || a != in[0] {
-		t.Error("Reset did not rewind")
-	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {

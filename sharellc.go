@@ -106,8 +106,8 @@ const (
 )
 
 // DefaultConfig returns the paper's setup: an 8-core CMP with 32 KB L1D
-// and 256 KB L2 per core, a 4 MB 16-way shared LLC (use WithLLC or the
-// experiment size arguments for 8 MB), seed 1, full-size workloads and
+// and 256 KB L2 per core, a 4 MB 16-way shared LLC (experiments take the
+// LLC size as an argument, e.g. 8 MB), seed 1, full-size workloads and
 // the full suite.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
