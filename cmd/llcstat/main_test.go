@@ -68,7 +68,7 @@ func TestTextMode(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
+func TestLLCStatErrors(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("missing file accepted")
 	}

@@ -78,7 +78,7 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
+func TestTracegenErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                       // missing workload
 		{"-workload", "doom"},                    // unknown workload

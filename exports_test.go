@@ -100,7 +100,7 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// TestExportsHaveCallers keeps dead entry points and dead knobs from
+// TestInternalExportsHaveCallers keeps dead entry points and dead knobs from
 // growing back in every package under internal/. It fails on
 //
 //   - an exported package-level func that no non-test file outside its
@@ -117,7 +117,7 @@ func recvName(e ast.Expr) string {
 // false alarm. A package cannot name itself with its own qualifier, so any
 // qualified use found is an outside caller. Types, consts and vars are out
 // of scope: exported constructors return the types.
-func TestExportsHaveCallers(t *testing.T) {
+func TestInternalExportsHaveCallers(t *testing.T) {
 	files := parseRepo(t)
 	usedBy := map[string]map[string]bool{} // name -> directories naming it
 	use := func(name, dir string) {

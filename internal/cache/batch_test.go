@@ -115,10 +115,10 @@ func TestReplayBatchColsMatchesRecords(t *testing.T) {
 	probeAgrees(t, stream, 32*trace.BlockSize, 4, len(stream))
 }
 
-// BenchmarkBatchKernel isolates the probe phase — ReplayBatchCols over
+// BenchmarkReplayBatchColsLRU isolates the probe phase — ReplayBatchCols over
 // pre-decoded columns against an LRU cache in steady state — so changes
 // to the probe loop have a stable, sweep-independent baseline.
-func BenchmarkBatchKernel(b *testing.B) {
+func BenchmarkReplayBatchColsLRU(b *testing.B) {
 	const (
 		ways      = 16
 		sizeBytes = 1 << 20 // 1 MB: 1024 sets x 16 ways

@@ -24,7 +24,12 @@ func (p *LRU) Attach(sets, ways int) {
 	p.ways = ways
 	p.stamp = make([]uint64, sets*ways)
 	mem.Hugepages(p.stamp)
-	// Start well above zero so Demote's min-1 arithmetic cannot wrap.
+	// Start well above zero so a touched way's stamp never falls to a
+	// never-filled way's 0. Demote's min-1 still wraps when the set has a
+	// never-filled way: the demoted stamp becomes MaxUint64, which Victim
+	// (unsigned) ranks most recent and policy.LRUPolicy's VictimKeys
+	// (negated as int64) least recent. Pinned by
+	// TestLRUDemoteWrapsOnUnfilledSet; fixing it changes table bytes.
 	p.clock = 1 << 32
 }
 

@@ -146,6 +146,9 @@ type line struct {
 
 // Protector is the sharing-aware wrapper. It implements cache.Policy by
 // delegating to the wrapped base policy and intervening on hinted fills.
+// Its hint-rate gate counts fills across every set, so a Protector is
+// never per-set independent: a hook-free lane over it replays two-phase
+// (a stream-order policy pass, then the set-sharded tracker).
 type Protector struct {
 	base   cache.Policy
 	keyer  VictimKeyer // base's ordering, nil when it has none (e.g. Random)
@@ -333,12 +336,21 @@ func (p *Protector) demoteActive() bool {
 	return p.fillsHinted*gateDenom >= p.fillsSeen
 }
 
-// Fill implements cache.Policy: delegate, then promote and mark protected
-// when the fill carries a shared hint.
+// Fill implements cache.Policy: the fill's hint is the access's
+// PredictedShared side channel (see FillHinted).
 func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
+	p.FillHinted(set, way, a, a.PredictedShared)
+}
+
+// FillHinted is Fill with the sharing hint passed beside the access
+// instead of on it: delegate, then promote and mark protected when shared
+// is set. Wrappers that own their hint (an oracle column, a predictor the
+// lane drives) call it from their own Fill, so the shared stream record is
+// never copied or written to carry the bit.
+func (p *Protector) FillHinted(set, way int, a *cache.AccessInfo, shared bool) {
 	p.base.Fill(set, way, a)
 	p.fillsSeen++
-	if a.PredictedShared {
+	if shared {
 		p.fillsHinted++
 	}
 	if p.fillsSeen >= gateWindow {
@@ -347,7 +359,7 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 	word, bit := p.protBit(set, way)
 	*word &^= bit // the previous occupant's protection ends with it
-	if !a.PredictedShared {
+	if !shared {
 		if p.demoteActive() {
 			if d, ok := p.base.(Demoter); ok {
 				d.Demote(set, way)

@@ -105,3 +105,62 @@ func TestProtectorQuickInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// besideHint is a Protector whose fill hint arrives beside the access,
+// the way an oracle or predictor-driven lane hands it over.
+type besideHint struct {
+	*Protector
+	hint bool
+}
+
+func (b *besideHint) Fill(set, way int, a *cache.AccessInfo) { b.FillHinted(set, way, a, b.hint) }
+
+// TestFillHintedMatchesFill holds FillHinted to Fill: over every
+// catalogue policy and option set, a Protector told each hint beside an
+// unhinted record makes the same cache decisions and counts the same
+// interventions as one reading the record's PredictedShared.
+func TestFillHintedMatchesFill(t *testing.T) {
+	optionSets := []Options{
+		{Strength: InsertOnly},
+		{Strength: Full},
+		{Strength: Full, SkipBudget: 1},
+		{Strength: Full, SkipBudget: -1},
+		{Strength: Full, ClearOnFulfil: true},
+	}
+	for _, name := range policy.Names(11) {
+		mk, err := policy.ByName(name, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for oi, opts := range optionSets {
+			onRecord := NewProtectorOpts(mk(), opts)
+			beside := &besideHint{Protector: NewProtectorOpts(mk(), opts)}
+			c1, err := cache.NewSetAssoc(32*trace.BlockSize, 4, onRecord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2, err := cache.NewSetAssoc(32*trace.BlockSize, 4, beside)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := rng.New(uint64(oi) + 7)
+			for i := 0; i < 8000; i++ {
+				a := cache.AccessInfo{
+					Block:   rnd.Uint64n(128),
+					Core:    uint8(rnd.Intn(8)),
+					PC:      0x400 + rnd.Uint64n(64)*4,
+					NextUse: int64(i) + int64(rnd.Intn(50)),
+				}
+				beside.hint = rnd.Bool(0.25)
+				hinted := a
+				hinted.PredictedShared = beside.hint
+				if r1, r2 := c1.Access(hinted), c2.Access(a); r1 != r2 {
+					t.Fatalf("%s opts %d access %d: on-record %+v, beside %+v", name, oi, i, r1, r2)
+				}
+			}
+			if s1, s2 := onRecord.Stats(), beside.Stats(); s1 != s2 {
+				t.Errorf("%s opts %d: stats on-record %+v, beside %+v", name, oi, s1, s2)
+			}
+		}
+	}
+}

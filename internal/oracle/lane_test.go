@@ -1,0 +1,144 @@
+package oracle
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"sharellc/internal/cache"
+	"sharellc/internal/core"
+	"sharellc/internal/policy"
+	"sharellc/internal/rng"
+	"sharellc/internal/sharing"
+)
+
+// laneSize is the LLC of the lane tests: 1024 lines, so 8 to 128 ways
+// leave 128 to 8 sets.
+const laneSize = 64 * cache.KB
+
+// laneOptions are the protection settings the route tests cover.
+var laneOptions = []core.Options{
+	{Strength: core.Full},
+	{Strength: core.InsertOnly},
+	{Strength: core.Full, ClearOnFulfil: true},
+	{Strength: core.Full, SkipBudget: 1},
+	{Strength: core.Full, SkipBudget: -1},
+}
+
+// laneStream builds an annotated pseudo-random stream with enough blocks
+// to keep every set of laneSize evicting and enough cores to share.
+func laneStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
+	r := rng.New(seed)
+	stream := make([]cache.AccessInfo, n)
+	for i := range stream {
+		b := r.Uint64n(blocks)
+		stream[i] = cache.AccessInfo{Block: b, Core: uint8(r.Intn(8)), PC: 0x400 + b%7*4, Write: r.Intn(5) == 0, Index: int64(i)}
+	}
+	cache.AnnotateNextUse(stream)
+	return stream
+}
+
+// eachPrefix calls f on the n/7, n/3, n/2 and n prefixes of stream, each
+// re-annotated as a stream of its own.
+func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
+	n := len(stream)
+	for _, m := range []int{n / 7, n / 3, n / 2, n} {
+		p := slices.Clone(stream[:m])
+		cache.AnnotateNextUse(p)
+		f(p)
+	}
+}
+
+// TestHintedLaneMatchesHooked holds the hook-free oracle lane to its
+// hooked form — the same Protector told each fill's hint by a
+// PredictShared hook, which pins it to the sequential walk. Every Result
+// field but Pred (only hooks score predictions) and every Protector
+// counter must match at 8, 16, 64 and 128 ways under every protection
+// setting, over a per-set (LRU) and a cross-set (DRRIP) base, at several
+// stream prefixes. The hook-free lane must take the two-phase route up to
+// 64 ways and the sequential walk at 128, and call NewPolicy exactly once
+// either way: the protector stashes rely on it.
+func TestHintedLaneMatchesHooked(t *testing.T) {
+	full := laneStream(24000, 3000, 7)
+	drrip, err := policy.ByName("drrip", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string]func() cache.Policy{
+		"lru":   func() cache.Policy { return policy.NewLRUPolicy() },
+		"drrip": drrip,
+	}
+	for _, ways := range []int{8, 16, 64, 128} {
+		for oi, opts := range laneOptions {
+			for name, base := range bases {
+				eachPrefix(full, func(stream []cache.AccessInfo) {
+					hints := SharedHints(stream, horizonOf(laneSize, HorizonFactor))
+					calls, parts := 0, 0
+					var prot, ref *core.Protector
+					lane := protectedLane(laneSize, ways, func() cache.Policy { calls++; return base() }, opts, hints, &prot)
+					got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4,
+						Partitioner: func(n int) (*sharing.PartitionIndex, error) {
+							parts = n
+							return sharing.BuildPartition(stream, n)
+						}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
+						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { return hints[a.Index] }},
+						NewPolicy: func() cache.Policy {
+							ref = core.NewProtectorOpts(base(), opts)
+							return ref
+						}}
+					want, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("%s, %d ways, opts %d, len %d", name, ways, oi, len(stream))
+					if want[0].Pred.Total() == 0 {
+						t.Fatalf("%s: hooked lane scored no predictions", at)
+					}
+					want[0].Pred = sharing.PredStats{}
+					if !reflect.DeepEqual(got[0], want[0]) {
+						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, got[0], want[0])
+					}
+					if prot.Stats() != ref.Stats() {
+						t.Errorf("%s: protector stats %+v, hooked %+v", at, prot.Stats(), ref.Stats())
+					}
+					if calls != 1 {
+						t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
+					}
+					if twoPhase := parts > 1; twoPhase != (ways <= 64) {
+						t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestHintedLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
+// oracle study in the mix — the bare and hint-column lanes of LRU and
+// DRRIP, plus the hint pass: once the scratch pool is warm, a study
+// allocates only per-lane and per-shard bookkeeping, orders of magnitude
+// below one object per access.
+func TestHintedLaneAllocSteady(t *testing.T) {
+	stream := laneStream(60000, 3000, 7)
+	drrip, err := policy.ByName("drrip", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
+	run := func() {
+		if _, err := RunMultiPolicies(context.Background(), stream, laneSize, 8, factories,
+			core.Options{Strength: core.Full}, HorizonFactor, sharing.Options{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the replay's scratch pool
+	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {
+		t.Errorf("oracle study allocated %.0f objects over 60k accesses x 4 lanes; a hot loop is allocating (budget 400)", allocs)
+	}
+}

@@ -2,20 +2,24 @@
 // two-pass experiment that quantifies, for any base replacement policy,
 // the headroom available from perfect fill-time knowledge of sharing.
 //
-// Pass 1 replays the LLC stream under the bare base policy and records,
-// for every fill, whether that residency became shared (≥ 2 cores). Pass 2
-// replays the identical stream with the base policy wrapped in the
-// sharing-aware protector (internal/core), feeding each fill the recorded
-// bit. This matches the paper's oracle definition: "the LLC controller
-// [can] accurately predict, at the time a block is filled into the LLC,
-// whether the block will be shared during its residency in the LLC" —
-// residency outcomes are defined by the base policy's own eviction
-// schedule, exactly as a wrapper-style oracle must.
+// Pass 1 replays the LLC stream under the bare base policy. Pass 2
+// replays the identical stream with the base policy wrapped in Hinted —
+// the sharing-aware protector (internal/core) reading each fill's hint
+// from a SharedHints column: whether another core touches the block
+// within a residency-scale horizon. This matches the paper's oracle
+// definition: "the LLC controller [can] accurately predict, at the time a
+// block is filled into the LLC, whether the block will be shared during
+// its residency in the LLC". The hint is a pure trace property, so it
+// stays defined wherever the protected run's fills diverge from the base
+// run's. Both passes are lanes of one fused replay, and neither carries a
+// hook: the protected lane runs the engine's two-phase split like any
+// other cross-set policy.
 package oracle
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
@@ -56,55 +60,106 @@ const HorizonFactor = 4
 // the protected run's fills diverge from the base run's (unlike
 // residency-outcome bits, which are only defined for the base schedule's
 // own fills).
-//
-// The same-block successor positions are exactly the stream's NextUse
-// chain, so annotated streams (cache.AnnotateNextUse — the standard
-// pipeline) need no per-block position index at all; unannotated streams
-// are copied and annotated on the fly.
 func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
-	hints := make([]bool, len(stream))
-	for i := range stream {
-		// NextUse always points strictly forward, so a zero anywhere
-		// means the stream was never annotated.
-		if stream[i].NextUse == 0 {
-			cp := make([]cache.AccessInfo, len(stream))
-			copy(cp, stream)
-			cache.AnnotateNextUse(cp)
-			stream = cp
-			break
-		}
-	}
-	for i := range stream {
-		c := stream[i].Core
-		for j := stream[i].NextUse; j != cache.NoNextUse && j-int64(i) <= horizon; j = stream[j].NextUse {
-			if stream[j].Core != c {
-				hints[i] = true
-				break
-			}
-		}
-	}
-	return hints
+	return hintColumns(stream, []int64{horizon})[0]
 }
 
-// hintHook builds the pass-2 fill-time oracle hook for one horizon: the
-// hints are a pure trace property, so one slice serves every policy lane
-// at the same horizon.
-func hintHook(stream []cache.AccessInfo, llcSize int, horizonFactor int) sharing.Hooks {
-	horizon := int64(horizonFactor) * int64(llcSize/trace.BlockSize)
-	hints := SharedHints(stream, horizon)
-	return sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { return hints[a.Index] }}
+// hintColumns computes the SharedHints column of every horizon in one
+// backward pass. Position i's cross-core successor is the next access to
+// its block by another core: when the block's next access comes from
+// another core it is that access, and when it comes from the same core it
+// is that access's own successor, because no access to the block lies
+// between the two. So the pass needs, per block, only the nearest later
+// access and its core (first) and that access's successor (second), and
+// i's successor is first or second as the cores differ or agree.
+//
+// Streams without BlockIDs (hand-built) are copied and assigned them on
+// the fly.
+func hintColumns(stream []cache.AccessInfo, horizons []int64) [][]bool {
+	stream, numBlocks := cache.EnsureBlockIDs(stream)
+	cols := make([][]bool, len(horizons))
+	for k := range cols {
+		cols[k] = make([]bool, len(stream))
+	}
+	sp, _ := laterPool.Get().(*[]later)
+	if sp == nil || cap(*sp) < numBlocks {
+		s := make([]later, numBlocks)
+		sp = &s
+	}
+	state := (*sp)[:numBlocks]
+	for b := range state {
+		state[b] = later{first: cache.NoNextUse, second: cache.NoNextUse}
+	}
+	for i := len(stream) - 1; i >= 0; i-- {
+		a := &stream[i]
+		st := &state[a.BlockID]
+		next := st.second
+		if st.core != a.Core {
+			next = st.first
+		}
+		if next != cache.NoNextUse {
+			for k, h := range horizons {
+				cols[k][i] = next-int64(i) <= h
+			}
+		}
+		*st = later{first: int64(i), second: next, core: a.Core}
+	}
+	laterPool.Put(sp)
+	return cols
+}
+
+// later is hintColumns' per-block state: the positions of the block's
+// nearest later access (first, by core) and of that access's cross-core
+// successor (second), cache.NoNextUse for none.
+type later struct {
+	first, second int64
+	core          uint8
+}
+
+// laterPool recycles hintColumns' per-block state. A sweep builds a
+// column per workload per horizon; fresh state each time would be garbage
+// the heap grows by until the next collection.
+var laterPool sync.Pool
+
+// horizonOf is the sharing horizon, in stream positions, of a factor at
+// one LLC size (see HorizonFactor).
+func horizonOf(llcSize, factor int) int64 {
+	return int64(factor) * int64(llcSize/trace.BlockSize)
+}
+
+// Hinted is the policy of an oracle lane: a core.Protector whose fill at
+// stream position i is hinted shared iff hints[i]. The hint travels with
+// the policy, not through a replay hook, so the lane is hook-free and
+// rides the engine's two-phase split: its stream-order policy pass
+// presents the fills in the sequential walk's order, which is all the
+// Protector's cross-set hint-rate gate needs.
+type Hinted struct {
+	*core.Protector
+	hints []bool
+}
+
+// NewHinted wraps base in a core.Protector under opts, hinted from
+// hints: a SharedHints column of the stream the lane replays.
+func NewHinted(base cache.Policy, opts core.Options, hints []bool) *Hinted {
+	return &Hinted{Protector: core.NewProtectorOpts(base, opts), hints: hints}
+}
+
+// Fill implements cache.Policy.
+func (h *Hinted) Fill(set, way int, a *cache.AccessInfo) {
+	h.FillHinted(set, way, a, h.hints[a.Index])
 }
 
 // protectedLane builds the pass-2 lane for one base-policy factory,
 // stashing the protector so its intervention counters can be read after
-// the fused replay. Hook lanes call NewPolicy exactly once (the
-// LLCConfig contract), so the stash is filled exactly once.
-func protectedLane(llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, hooks sharing.Hooks, stash **core.Protector) sharing.LLCConfig {
-	return sharing.LLCConfig{Size: llcSize, Ways: llcWays, Hooks: hooks,
+// the fused replay. A Protector keeps cross-set state, so the lane calls
+// NewPolicy exactly once (the LLCConfig contract) and the stash is filled
+// exactly once.
+func protectedLane(llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, hints []bool, stash **core.Protector) sharing.LLCConfig {
+	return sharing.LLCConfig{Size: llcSize, Ways: llcWays,
 		NewPolicy: func() cache.Policy {
-			p := core.NewProtectorOpts(newPolicy(), opts)
-			*stash = p
-			return p
+			h := NewHinted(newPolicy(), opts, hints)
+			*stash = h.Protector
+			return h
 		}}
 }
 
@@ -124,12 +179,12 @@ func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, l
 		return nil, fmt.Errorf("oracle: horizon factor %d < 1", horizonFactor)
 	}
 	n := len(factories)
-	hooks := hintHook(stream, llcSize, horizonFactor)
+	hints := SharedHints(stream, horizonOf(llcSize, horizonFactor))
 	configs := make([]sharing.LLCConfig, 2*n)
 	prots := make([]*core.Protector, n)
 	for i, f := range factories {
 		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
-		configs[n+i] = protectedLane(llcSize, llcWays, f, opts, hooks, &prots[i])
+		configs[n+i] = protectedLane(llcSize, llcWays, f, opts, hints, &prots[i])
 	}
 	ropt.Ctx = ctx
 	results, err := sharing.ReplayMulti(stream, configs, ropt)
@@ -145,20 +200,28 @@ func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, l
 
 // RunMultiHorizons sweeps the sharing horizon for one base policy in one
 // fused replay: a single bare pass-1 lane plus one protected lane per
-// horizon factor. The returned results (one per factor, in order) share
-// the same Base, and each matches a one-factory RunMultiPolicies at that
-// factor (the A4 ablation). ropt is treated exactly as in
-// RunMultiPolicies.
+// horizon factor. One pass builds every factor's hint column. The
+// returned results (one per factor, in
+// order) share the same Base, and each matches a one-factory
+// RunMultiPolicies at that factor (the A4 ablation). ropt is treated
+// exactly as in RunMultiPolicies.
 func RunMultiHorizons(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, factors []int, ropt sharing.Options) ([]*Result, error) {
-	n := len(factors)
-	configs := make([]sharing.LLCConfig, n+1)
-	configs[0] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}
-	prots := make([]*core.Protector, n)
-	for i, f := range factors {
+	for _, f := range factors {
 		if f < 1 {
 			return nil, fmt.Errorf("oracle: horizon factor %d < 1", f)
 		}
-		configs[i+1] = protectedLane(llcSize, llcWays, newPolicy, opts, hintHook(stream, llcSize, f), &prots[i])
+	}
+	n := len(factors)
+	horizons := make([]int64, n)
+	for i, f := range factors {
+		horizons[i] = horizonOf(llcSize, f)
+	}
+	hints := hintColumns(stream, horizons)
+	configs := make([]sharing.LLCConfig, n+1)
+	configs[0] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}
+	prots := make([]*core.Protector, n)
+	for i := range factors {
+		configs[i+1] = protectedLane(llcSize, llcWays, newPolicy, opts, hints[i], &prots[i])
 	}
 	ropt.Ctx = ctx
 	results, err := sharing.ReplayMulti(stream, configs, ropt)

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,39 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.Access(ai(0)) // 4 becomes LRU
 	if r := c.Access(ai(16)); r.Victim != 4 {
 		t.Errorf("victim = %d, want 4", r.Victim)
+	}
+}
+
+// TestLRUDemoteWrapsOnUnfilledSet pins a known wrap rather than fixing
+// it (a fix changes table bytes, so it needs its own declared change).
+// Demoting a way while its set still has a never-filled way (stamp 0)
+// stores min-1 = MaxUint64. Victim compares stamps unsigned and so ranks
+// the demoted line most recent; VictimKeys negates them as int64 and
+// ranks it least recent.
+func TestLRUDemoteWrapsOnUnfilledSet(t *testing.T) {
+	p := NewLRUPolicy()
+	p.Attach(1, 4)
+	for w := 0; w < 3; w++ {
+		p.Fill(0, w, &cache.AccessInfo{})
+	}
+	p.Demote(0, 1) // way 3 is still unfilled
+	if s := p.Stamp(0, 1); s != math.MaxUint64 {
+		t.Fatalf("demoted stamp = %d, want the wrapped MaxUint64", s)
+	}
+	p.Fill(0, 3, &cache.AccessInfo{})
+	if v := p.Victim(0, &cache.AccessInfo{}); v != 0 {
+		t.Errorf("Victim = %d, want 0: the wrapped stamp ranks way 1 most recent", v)
+	}
+	keys := make([]int64, 4)
+	p.VictimKeys(0, keys)
+	best := 0
+	for w, k := range keys {
+		if k > keys[best] {
+			best = w
+		}
+	}
+	if best != 1 {
+		t.Errorf("VictimKeys %v rank way %d first, want 1: the negated wrapped stamp ranks it least recent", keys, best)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/coherence"
-	"sharellc/internal/sharing"
 )
 
 // AccessObserver is implemented by predictors that need to see every LLC
-// access (not only fills); the study harness feeds them through
-// sharing.Hooks.OnAccess.
+// access (not only fills). An F7 lane feeds them through
+// sharing.Hooks.OnAccess (HooksFor); a Driven lane calls Observe itself,
+// before anything else happens on the access.
 type AccessObserver interface {
 	Observe(a cache.AccessInfo)
 }
@@ -73,7 +73,7 @@ func (p *Coherence) Predict(a cache.AccessInfo) bool {
 
 // Train implements Predictor. The coherence predictor learns from the
 // directory, not from residency outcomes.
-func (p *Coherence) Train(sharing.Residency) {}
+func (p *Coherence) Train(uint64, uint64, bool) {}
 
 // Stats exposes the underlying directory traffic for characterization.
 func (p *Coherence) Stats() coherence.Stats { return p.dir.Stats() }

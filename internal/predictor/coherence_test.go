@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/sharing"
 )
 
 func TestCoherenceConstruction(t *testing.T) {
@@ -18,7 +17,7 @@ func TestCoherenceConstruction(t *testing.T) {
 	if p.Name() != "coherence" {
 		t.Errorf("Name = %q", p.Name())
 	}
-	p.Train(sharing.Residency{}) // no-op, must not panic
+	p.Train(0, 0, true) // no-op, must not panic
 }
 
 func TestCoherencePredictsActiveSharing(t *testing.T) {

@@ -1,0 +1,103 @@
+package predictor
+
+import (
+	"sharellc/internal/cache"
+	"sharellc/internal/core"
+	"sharellc/internal/mem"
+)
+
+// Driven is the policy of a predictor-driven lane (experiment F8): a
+// core.Protector whose fill hints come from a realistic predictor that the
+// lane itself consults and trains online from its own residency outcomes.
+// Prediction and training travel with the policy, not through replay
+// hooks, so the lane is hook-free and rides the engine's two-phase split:
+// its stream-order policy pass calls Hit, Victim and Fill in exactly the
+// sequential walk's order, which is the order the predictor must see.
+//
+// Per access the calls follow the hooked lane (HooksFor over a Protector)
+// one for one:
+//
+//   - an AccessObserver predictor observes the access before anything
+//     else happens on it;
+//   - a miss is predicted once, before any training: in Victim when the
+//     set is full, else in Fill;
+//   - Victim trains the predictor on the residency it ends.
+//
+// Residencies still alive at stream end are never trained on; nothing
+// reads the predictor after the replay, so that changes no output.
+type Driven struct {
+	*core.Protector
+	pred Predictor
+	obs  AccessObserver // pred's per-access feed; nil when it has none
+
+	ways  int
+	lines []drivenLine // one per (set, way): the open residency there
+
+	// hint is the current miss's prediction; predicted reports that
+	// Victim already made it (and observed the access) for this miss.
+	hint      bool
+	predicted bool
+}
+
+// drivenLine is what training needs of one open residency.
+type drivenLine struct {
+	block    uint64
+	fillPC   uint64
+	fillCore uint8
+	shared   bool // a core other than fillCore hit it
+}
+
+// NewDriven wraps base in a core.Protector under opts whose fills are
+// hinted by pred. pred must belong to this lane alone.
+func NewDriven(base cache.Policy, opts core.Options, pred Predictor) *Driven {
+	d := &Driven{Protector: core.NewProtectorOpts(base, opts), pred: pred}
+	d.obs, _ = pred.(AccessObserver)
+	return d
+}
+
+// Attach implements cache.Policy.
+func (d *Driven) Attach(sets, ways int) {
+	d.Protector.Attach(sets, ways)
+	d.ways = ways
+	d.lines = make([]drivenLine, sets*ways)
+	mem.Hugepages(d.lines)
+}
+
+// observe feeds the access to an observing predictor.
+func (d *Driven) observe(a *cache.AccessInfo) {
+	if d.obs != nil {
+		d.obs.Observe(*a)
+	}
+}
+
+// Hit implements cache.Policy.
+func (d *Driven) Hit(set, way int, a *cache.AccessInfo) {
+	d.observe(a)
+	if ln := &d.lines[set*d.ways+way]; a.Core != ln.fillCore {
+		ln.shared = true
+	}
+	d.Protector.Hit(set, way, a)
+}
+
+// Victim implements cache.Policy: observe and predict the miss, choose
+// the victim, then train on the residency it ends.
+func (d *Driven) Victim(set int, a *cache.AccessInfo) int {
+	d.observe(a)
+	d.hint = d.pred.Predict(*a)
+	d.predicted = true
+	v := d.Protector.Victim(set, a)
+	ln := &d.lines[set*d.ways+v]
+	d.pred.Train(ln.block, ln.fillPC, ln.shared)
+	return v
+}
+
+// Fill implements cache.Policy.
+func (d *Driven) Fill(set, way int, a *cache.AccessInfo) {
+	if !d.predicted {
+		d.observe(a)
+		d.hint = d.pred.Predict(*a)
+	}
+	d.predicted = false
+	d.FillHinted(set, way, a, d.hint)
+	d.lines[set*d.ways+way] = drivenLine{block: a.Block, fillPC: a.PC, fillCore: a.Core}
+}

@@ -1,0 +1,159 @@
+package predictor
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"sharellc/internal/cache"
+	"sharellc/internal/core"
+	"sharellc/internal/policy"
+	"sharellc/internal/rng"
+	"sharellc/internal/sharing"
+)
+
+// drivenSize is the LLC of the driven-lane tests: 1024 lines, so 8 to
+// 128 ways leave 128 to 8 sets.
+const drivenSize = 64 * cache.KB
+
+// predictors builds one fresh instance of each of the six predictors.
+func predictors(t *testing.T) []Predictor {
+	t.Helper()
+	addr, err := NewAddress(Config{TableBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := NewPC(Config{TableBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tour, err := NewTournament(Config{TableBits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coh, err := NewCoherence(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Predictor{addr, pc, tour, coh, Always{}, Never{}}
+}
+
+// drivenStream builds an annotated pseudo-random stream whose blocks
+// recur on a few PCs and cores, so history predictors learn and flip.
+func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
+	r := rng.New(seed)
+	stream := make([]cache.AccessInfo, n)
+	for i := range stream {
+		b := r.Uint64n(blocks)
+		stream[i] = cache.AccessInfo{Block: b, Core: uint8(r.Intn(8)), PC: 0x400 + b%13*4, Write: r.Intn(5) == 0, Index: int64(i)}
+	}
+	cache.AnnotateNextUse(stream)
+	return stream
+}
+
+// TestDrivenLaneMatchesHooked holds the hook-free predictor-driven lane
+// to its hooked form — a Protector over LRU with HooksFor(pred), pinned
+// to the sequential walk — for all six predictors at 8, 16, 64 and 128
+// ways under every protection setting, at several stream prefixes. Every
+// Result field but Pred (only hooks score predictions) and every
+// Protector counter must match. The hook-free lane must take the
+// two-phase route up to 64 ways and the sequential walk at 128, and call
+// NewPolicy exactly once either way: the protector stashes rely on it.
+func TestDrivenLaneMatchesHooked(t *testing.T) {
+	full := drivenStream(24000, 3000, 5)
+	n := len(full)
+	optionSets := []core.Options{
+		{Strength: core.Full},
+		{Strength: core.InsertOnly},
+		{Strength: core.Full, ClearOnFulfil: true},
+		{Strength: core.Full, SkipBudget: 1},
+		{Strength: core.Full, SkipBudget: -1},
+	}
+	prefixes := []int{n / 7, n / 3, n / 2, n}
+	if testing.Short() {
+		prefixes = []int{n / 3, n} // the race step's budget
+	}
+	for _, m := range prefixes {
+		stream := slices.Clone(full[:m])
+		cache.AnnotateNextUse(stream)
+		for _, ways := range []int{8, 16, 64, 128} {
+			for oi, opts := range optionSets {
+				for pi, pred := range predictors(t) {
+					at := fmt.Sprintf("%s, %d ways, opts %d, len %d", pred.Name(), ways, oi, m)
+					calls, parts := 0, 0
+					var drv *Driven
+					lane := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
+						calls++
+						drv = NewDriven(lru(), opts, pred)
+						return drv
+					}}
+					got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4,
+						Partitioner: func(n int) (*sharing.PartitionIndex, error) {
+							parts = n
+							return sharing.BuildPartition(stream, n)
+						}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ref *core.Protector
+					hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t)[pi]),
+						NewPolicy: func() cache.Policy {
+							ref = core.NewProtectorOpts(lru(), opts)
+							return ref
+						}}
+					want, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[0].Pred = sharing.PredStats{}
+					if !reflect.DeepEqual(got[0], want[0]) {
+						t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
+					}
+					if drv.Stats() != ref.Stats() {
+						t.Errorf("%s: protector stats %+v, hooked %+v", at, drv.Stats(), ref.Stats())
+					}
+					if calls != 1 {
+						t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
+					}
+					if twoPhase := parts > 1; twoPhase != (ways <= 64) {
+						t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDrivenLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
+// F8 leg in the mix — bare LRU, DRRIP and an address-predictor-driven
+// lane: once the scratch pool is warm, a replay allocates only per-lane
+// and per-shard bookkeeping, orders of magnitude below one object per
+// access.
+func TestDrivenLaneAllocSteady(t *testing.T) {
+	stream := drivenStream(60000, 3000, 7)
+	drrip, err := policy.ByName("drrip", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		pred, err := NewAddress(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		configs := []sharing.LLCConfig{
+			{Size: drivenSize, Ways: 8, NewPolicy: lru},
+			{Size: drivenSize, Ways: 8, NewPolicy: drrip},
+			{Size: drivenSize, Ways: 8, NewPolicy: func() cache.Policy {
+				return NewDriven(lru(), core.Options{Strength: core.Full}, pred)
+			}},
+		}
+		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the replay's scratch pool
+	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {
+		t.Errorf("replay allocated %.0f objects over 60k accesses x 3 lanes; a hot loop is allocating (budget 400)", allocs)
+	}
+}

@@ -19,16 +19,16 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/policy"
-	"sharellc/internal/sharing"
 )
 
 // Predictor is a fill-time sharing predictor: Predict is consulted when a
 // block is filled into the LLC, Train when a residency ends with a known
-// outcome.
+// outcome — the residency's block, the PC of its fill and whether two or
+// more cores touched it.
 type Predictor interface {
 	Name() string
 	Predict(a cache.AccessInfo) bool
-	Train(r sharing.Residency)
+	Train(block, fillPC uint64, shared bool)
 }
 
 // Config sizes a table predictor.
@@ -121,7 +121,7 @@ func (p *Address) Name() string { return "addr" }
 func (p *Address) Predict(a cache.AccessInfo) bool { return p.t.predict(a.Block) }
 
 // Train implements Predictor.
-func (p *Address) Train(r sharing.Residency) { p.t.train(r.Block, r.Shared()) }
+func (p *Address) Train(block, _ uint64, shared bool) { p.t.train(block, shared) }
 
 // PC is the program-counter-indexed predictor: its key is the SHiP-style
 // signature of the fill-triggering instruction, so it learns per-code-site
@@ -146,8 +146,8 @@ func (p *PC) Predict(a cache.AccessInfo) bool {
 }
 
 // Train implements Predictor.
-func (p *PC) Train(r sharing.Residency) {
-	p.t.train(uint64(policy.Signature(r.FillPC)), r.Shared())
+func (p *PC) Train(_, fillPC uint64, shared bool) {
+	p.t.train(uint64(policy.Signature(fillPC)), shared)
 }
 
 // Always predicts every fill shared; Never predicts none. They bracket the
@@ -162,7 +162,7 @@ func (Always) Name() string { return "always" }
 func (Always) Predict(cache.AccessInfo) bool { return true }
 
 // Train implements Predictor.
-func (Always) Train(sharing.Residency) {}
+func (Always) Train(uint64, uint64, bool) {}
 
 // Never is the complement of Always.
 type Never struct{}
@@ -174,4 +174,4 @@ func (Never) Name() string { return "never" }
 func (Never) Predict(cache.AccessInfo) bool { return false }
 
 // Train implements Predictor.
-func (Never) Train(sharing.Residency) {}
+func (Never) Train(uint64, uint64, bool) {}

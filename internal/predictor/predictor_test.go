@@ -20,26 +20,6 @@ const (
 
 func lru() cache.Policy { return policy.NewLRUPolicy() }
 
-// residency fabricates one closed residency of block, filled from pc and
-// touched by degree distinct cores, by replaying exactly those accesses
-// and catching the residency as it closes at stream end.
-func residency(t *testing.T, block, pc uint64, degree int) sharing.Residency {
-	t.Helper()
-	stream := make([]cache.AccessInfo, degree)
-	for c := range stream {
-		stream[c] = cache.AccessInfo{Core: uint8(c), Block: block, PC: pc, Index: int64(c)}
-	}
-	var got []sharing.Residency
-	hooks := sharing.Hooks{OnResidencyEnd: func(r sharing.Residency) { got = append(got, r) }}
-	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lru, Hooks: hooks}}, sharing.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Shared() != (degree >= 2) {
-		t.Fatalf("fabricating a degree-%d residency closed %+v", degree, got)
-	}
-	return got[0]
-}
-
 // evaluate is the F7 lane for one predictor: a one-predictor
 // EvaluateMulti over LRU.
 func evaluate(t *testing.T, stream []cache.AccessInfo, pred Predictor) *sharing.Result {
@@ -95,8 +75,8 @@ func TestAddressLearnsPerBlockHistory(t *testing.T) {
 	sharedBlock, privateBlock := uint64(100), uint64(200)
 	// Train a few residencies each.
 	for i := 0; i < 4; i++ {
-		p.Train(residency(t, sharedBlock, 0, 2))
-		p.Train(residency(t, privateBlock, 0, 1))
+		p.Train(sharedBlock, 0, true)
+		p.Train(privateBlock, 0, false)
 	}
 	if !p.Predict(cache.AccessInfo{Block: sharedBlock}) {
 		t.Error("address predictor missed a consistently shared block")
@@ -113,8 +93,8 @@ func TestPCLearnsPerSiteHistory(t *testing.T) {
 	}
 	sharedPC, privatePC := uint64(0x1000), uint64(0x2000)
 	for i := 0; i < 4; i++ {
-		p.Train(residency(t, uint64(i), sharedPC, 3))
-		p.Train(residency(t, uint64(100+i), privatePC, 1))
+		p.Train(uint64(i), sharedPC, true)
+		p.Train(uint64(100+i), privatePC, false)
 	}
 	if !p.Predict(cache.AccessInfo{PC: sharedPC, Block: 999}) {
 		t.Error("PC predictor missed a sharing fill site")
@@ -135,11 +115,11 @@ func TestSingleSharedOutcomeFlipsEntry(t *testing.T) {
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("cold entry predicts shared")
 	}
-	p.Train(residency(t, b, 0, 2))
+	p.Train(b, 0, true)
 	if !p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("one shared outcome did not flip the entry")
 	}
-	p.Train(residency(t, b, 0, 1))
+	p.Train(b, 0, false)
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("one private outcome did not swing the entry back")
 	}
@@ -153,16 +133,16 @@ func TestCounterSaturation(t *testing.T) {
 	}
 	b := uint64(9)
 	for i := 0; i < 100; i++ {
-		p.Train(residency(t, b, 0, 4)) // saturate up
+		p.Train(b, 0, true) // saturate up
 	}
 	// Two private outcomes from saturation (3) → 1 < threshold flips it;
 	// hysteresis means exactly max-threshold+1 decrements are needed.
-	p.Train(residency(t, b, 0, 1))
+	p.Train(b, 0, false)
 	if !p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("single private outcome flipped a saturated entry")
 	}
-	p.Train(residency(t, b, 0, 1))
-	p.Train(residency(t, b, 0, 1))
+	p.Train(b, 0, false)
+	p.Train(b, 0, false)
 	if p.Predict(cache.AccessInfo{Block: b}) {
 		t.Error("saturated entry never unlearned")
 	}
@@ -175,8 +155,8 @@ func TestAlwaysNever(t *testing.T) {
 	if (Never{}).Predict(cache.AccessInfo{}) {
 		t.Error("Never predicted true")
 	}
-	(Always{}).Train(sharing.Residency{}) // must not panic
-	(Never{}).Train(sharing.Residency{})
+	(Always{}).Train(0, 0, true) // must not panic
+	(Never{}).Train(0, 0, true)
 	if (Always{}).Name() != "always" || (Never{}).Name() != "never" {
 		t.Error("bracket predictor names wrong")
 	}

@@ -29,15 +29,16 @@ func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcW
 
 // HooksFor wires a predictor into a replay lane: fill-time prediction,
 // residency training, and — for predictors that watch every access (the
-// coherence-assisted predictor) — the per-access observation feed. A
-// lane whose policy is a core.Protector over the base and whose hooks
-// come from HooksFor is a predictor-driven lane (experiment F8): the
-// predictor's output steers protection while training continues online
-// from actual residency outcomes (sim.PredictorDriven builds them).
+// coherence-assisted predictor) — the per-access observation feed. Hooks
+// pin the lane to the sequential walk; they are how F7 scores a predictor
+// (the Pred confusion matrix) without letting it steer replacement. A
+// predictor that steers protection (F8) is a Driven lane instead.
 func HooksFor(pred Predictor) sharing.Hooks {
 	h := sharing.Hooks{
-		PredictShared:  pred.Predict,
-		OnResidencyEnd: pred.Train,
+		PredictShared: pred.Predict,
+		OnResidencyEnd: func(r sharing.Residency) {
+			pred.Train(r.Block, r.FillPC, r.Shared())
+		},
 	}
 	if o, ok := pred.(AccessObserver); ok {
 		h.OnAccess = o.Observe

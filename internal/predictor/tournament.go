@@ -5,7 +5,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/policy"
-	"sharellc/internal/sharing"
 )
 
 // Tournament combines the address- and PC-indexed predictors with a
@@ -82,15 +81,14 @@ func (t *Tournament) Predict(a cache.AccessInfo) bool {
 // Train implements Predictor: train both components on the outcome, and
 // train the chooser toward whichever component was right (no update when
 // they agree or when the in-flight record was overwritten).
-func (t *Tournament) Train(r sharing.Residency) {
-	t.addr.Train(r)
-	t.pc.Train(r)
-	slot := &t.inflight[r.Block&t.inflightMask]
-	if !slot.valid || slot.block != r.Block || slot.addrSaid == slot.pcSaid {
+func (t *Tournament) Train(block, fillPC uint64, shared bool) {
+	t.addr.Train(block, fillPC, shared)
+	t.pc.Train(block, fillPC, shared)
+	slot := &t.inflight[block&t.inflightMask]
+	if !slot.valid || slot.block != block || slot.addrSaid == slot.pcSaid {
 		return
 	}
-	shared := r.Shared()
-	key := uint64(policy.Signature(r.FillPC))
+	key := uint64(policy.Signature(fillPC))
 	// chooser counter up = "prefer addr".
 	t.chooser.train(key, slot.addrSaid == shared)
 	slot.valid = false

@@ -36,9 +36,9 @@ func TestTournamentPrefersTheRightComponent(t *testing.T) {
 		for b := uint64(0); b < 32; b++ {
 			tr.Predict(cache.AccessInfo{Block: b, PC: pc})
 			if b%2 == 0 {
-				tr.Train(residency(t, b, pc, 3))
+				tr.Train(b, pc, true)
 			} else {
-				tr.Train(residency(t, b, pc, 1))
+				tr.Train(b, pc, false)
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func TestTournamentAgreementNeedsNoChooser(t *testing.T) {
 	// Components agree (both cold → both predict private): Train with a
 	// matching outcome must not panic or corrupt state.
 	tr.Predict(cache.AccessInfo{Block: 7, PC: 0x10})
-	tr.Train(residency(t, 7, 0x10, 1))
+	tr.Train(7, 0x10, false)
 	if tr.Predict(cache.AccessInfo{Block: 7, PC: 0x10}) {
 		t.Error("agreed-private block predicted shared")
 	}

@@ -159,12 +159,13 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 	}
 }
 
-// TestHookedProtectorLaneAllocSteady is the same gate for the lane class
-// the oracle and predictor experiments run: a sequential lane whose
-// PredictShared hook feeds a core.Protector over LRU. Attaching the hint
-// used to heap-allocate one AccessInfo per fill and victim selection a
-// closure and a boxed slice per protected miss; now the count must not
-// grow with the stream.
+// TestHookedProtectorLaneAllocSteady is the same gate for a hooked
+// protected lane: a sequential lane whose PredictShared hook feeds a
+// core.Protector over LRU (the experiments' protected lanes carry their
+// hint inside the policy instead; see oracle.TestHintedLaneAllocSteady).
+// Attaching the hint used to heap-allocate one AccessInfo per fill and
+// victim selection a closure and a boxed slice per protected miss; now
+// the count must not grow with the stream.
 func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	long := synthStream(60000, 3000, 8, 7)
 	var prot *core.Protector

@@ -27,15 +27,19 @@ package sharing
 //     policy — whose state is a couple of megabytes, cache-resident —
 //     and records each access's outcome in a one-byte-per-access log,
 //     from which the tracker half (the multi-megabyte arrays) then
-//     replays set-shard by set-shard like a shardable lane;
+//     replays set-shard by set-shard like a shardable lane. The
+//     protected lanes of the oracle and predictor-driven studies are
+//     this kind: their policy carries its own fill hint
+//     (oracle.Hinted, predictor.Driven), and the policy pass presents
+//     the fills in stream order, as the sequential walk does;
 //   - sequential lanes replay one lane at a time, each as its own
 //     full-stream walk in stream order (runSeqLane). A lane lands
 //     here when the engine's encodings cannot carry it: per-lane hooks
-//     (a fill-time prediction feeds back into the very walk that would
-//     have produced the log), a cross-set policy with more ways than
-//     the outcome log's 6-bit field, more lines than the outcome
-//     word's 30-bit line index, or a stream with more cores than the
-//     tracker's packed core word (see replayLanes).
+//     (they observe the walk's residencies and stream order), a
+//     cross-set policy with more ways than the outcome log's 6-bit
+//     field, more lines than the outcome word's 30-bit line index, or
+//     a stream with more cores than the tracker's packed core word
+//     (see replayLanes).
 //
 // Every lane's Result is bit-identical to the sequential walk of that
 // lane alone: per-set policies see the same per-set access sequences

@@ -533,32 +533,35 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		names = []string{"addr", "pc"}
 	}
 	return perStream(s, "predictor driven", func(st *Stream, shards int) ([]DrivenRow, error) {
-		// Lane 0: bare LRU (the base). Lane 1: the hint-driven oracle
-		// ceiling. Lanes 2..: one protector per realistic predictor.
-		// Hook lanes call NewPolicy exactly once, so the factories can
-		// stash each protector for its post-replay intervention stats.
+		// Lane 0: bare LRU (the base). Lane 1: the oracle ceiling, hinted
+		// from the SharedHints column. Lanes 2..: one protector per
+		// realistic predictor, which the lane's policy consults and trains.
+		// No lane has hooks, and a Protector keeps cross-set state, so each
+		// protected lane calls NewPolicy exactly once and the factories can
+		// stash its protector for the post-replay intervention stats.
 		horizon := int64(oracle.HorizonFactor) * int64(llcSize/64)
 		hints := oracle.SharedHints(st.Accesses, horizon)
 		configs := make([]sharing.LLCConfig, 2+len(names))
 		prots := make([]*core.Protector, 1+len(names))
-		protected := func(k int) func() cache.Policy {
-			return func() cache.Policy {
-				p := core.NewProtectorOpts(policy.NewLRUPolicy(), opts)
-				prots[k] = p
-				return p
-			}
-		}
 		configs[0] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
 			NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
-		configs[1] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: protected(0),
-			Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { return hints[a.Index] }}}
+		configs[1] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
+			NewPolicy: func() cache.Policy {
+				h := oracle.NewHinted(policy.NewLRUPolicy(), opts, hints)
+				prots[0] = h.Protector
+				return h
+			}}
 		for p, n := range names {
 			pred, err := newPredictor(n, cfg)
 			if err != nil {
 				return nil, err
 			}
 			configs[2+p] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-				NewPolicy: protected(1 + p), Hooks: predictor.HooksFor(pred)}
+				NewPolicy: func() cache.Policy {
+					d := predictor.NewDriven(policy.NewLRUPolicy(), opts, pred)
+					prots[1+p] = d.Protector
+					return d
+				}}
 		}
 		results, err := sharing.ReplayMulti(st.Accesses, configs,
 			s.replayOpts(st, shards))

@@ -78,7 +78,7 @@ func TestSuiteClassCoverage(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestModelByName(t *testing.T) {
 	m, err := ByName("canneal")
 	if err != nil {
 		t.Fatal(err)
