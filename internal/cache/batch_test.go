@@ -21,7 +21,7 @@ func batchStream(n int, blocks uint64, seed uint64) []AccessInfo {
 			Block: next() % blocks,
 			Core:  uint8(next() % 4),
 			Write: next()%5 == 0,
-			Index: int64(i),
+			Index: int32(i),
 		}
 	}
 	AssignBlockIDs(stream)

@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"sharellc/internal/mem"
 	"sharellc/internal/trace"
@@ -20,11 +21,23 @@ import (
 
 // AccessInfo describes one reference presented to the LLC, together with
 // the side-channel hints that the policy replay passes attach.
+//
+// The fields are ordered widest first, so the record packs into 32 bytes
+// with no interior padding: a full-size suite keeps twelve million of
+// them resident. TestAccessInfoSize pins the size.
 type AccessInfo struct {
 	Block uint64 // cache-block number (byte address >> trace.BlockShift)
-	Core  uint8  // issuing core
 	PC    uint64 // program counter of the triggering instruction
-	Write bool   // store vs. load
+
+	// Index is the position of this access in the LLC reference stream.
+	// A stream holds at most MaxStreamLen records, so it fits an int32.
+	Index int32
+
+	// NextUse is the stream index of the next access to the same block,
+	// or NoNextUse if the block is never referenced again. It is
+	// precomputed by the experiment pipeline and consumed only by the
+	// Belady OPT policy.
+	NextUse int32
 
 	// BlockID is the dense per-stream identifier of Block: distinct blocks
 	// of one stream get consecutive IDs starting at 0, in first-touch
@@ -35,14 +48,8 @@ type AccessInfo struct {
 	// convention consumers rely on.
 	BlockID uint32
 
-	// Index is the position of this access in the LLC reference stream.
-	Index int64
-
-	// NextUse is the stream index of the next access to the same block,
-	// or NoNextUse if the block is never referenced again. It is
-	// precomputed by the experiment pipeline and consumed only by the
-	// Belady OPT policy.
-	NextUse int64
+	Core  uint8 // issuing core
+	Write bool  // store vs. load
 
 	// PredictedShared is the fill-time sharing hint supplied by the
 	// oracle or by a realistic predictor. It is meaningful only on the
@@ -52,7 +59,18 @@ type AccessInfo struct {
 }
 
 // NoNextUse marks a block with no future reference in the stream.
-const NoNextUse int64 = -1
+const NoNextUse int32 = -1
+
+// MaxStreamLen is the most records one LLC reference stream may hold:
+// Index and NextUse are int32 stream positions, and so are the orders of
+// a sharing.PartitionIndex. Code that builds or decodes a stream fails
+// with an error instead of wrapping a position past it.
+const MaxStreamLen = math.MaxInt32
+
+// errStreamTooLong is the error for a stream of n > MaxStreamLen records.
+func errStreamTooLong(n uint64) error {
+	return fmt.Errorf("cache: stream of %d records exceeds the %d-record limit", n, uint64(MaxStreamLen))
+}
 
 // Policy is the replacement-policy contract for the LLC. A Policy manages
 // per-set ordering state; the cache owns tags and validity.

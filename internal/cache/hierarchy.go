@@ -140,23 +140,31 @@ func (h *Hierarchy) Stats() (refs, l1Hits, l2Hits, llcRefs uint64) {
 type streamBuilder struct {
 	segs [][]AccessInfo
 	seg  []AccessInfo
-	n    int64
+	n    int
 }
 
-func (b *streamBuilder) add(a AccessInfo) {
+// add appends a at the next stream position. It fails once the stream
+// holds MaxStreamLen records: no segment is sized past that bound, so
+// the check rides the segment-growth branch and the common path has none.
+func (b *streamBuilder) add(a AccessInfo) error {
 	if len(b.seg) == cap(b.seg) {
+		if b.n == MaxStreamLen {
+			return errStreamTooLong(MaxStreamLen + 1)
+		}
 		next := 1 << 15
 		if c := 2 * cap(b.seg); c > next {
 			next = c
 		}
+		next = min(next, MaxStreamLen-b.n)
 		if b.seg != nil {
 			b.segs = append(b.segs, b.seg)
 		}
 		b.seg = make([]AccessInfo, 0, next)
 	}
-	a.Index = b.n
+	a.Index = int32(b.n)
 	b.n++
 	b.seg = append(b.seg, a)
+	return nil
 }
 
 func (b *streamBuilder) join() []AccessInfo {
@@ -185,7 +193,9 @@ func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) 
 				return nil, nil, err
 			}
 			if toLLC {
-				b.add(AccessInfo{Block: a.Addr.BlockID(), Core: a.Core, PC: a.PC, Write: a.Write, NextUse: NoNextUse})
+				if err := b.add(AccessInfo{Block: a.Addr.BlockID(), Core: a.Core, PC: a.PC, Write: a.Write, NextUse: NoNextUse}); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 	}
@@ -203,14 +213,14 @@ func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) 
 // stream preparation performs.
 func AnnotateNextUse(stream []AccessInfo) int {
 	numBlocks := AssignBlockIDs(stream)
-	next := make([]int64, numBlocks)
+	next := make([]int32, numBlocks)
 	for i := range next {
 		next[i] = NoNextUse
 	}
 	for i := len(stream) - 1; i >= 0; i-- {
 		id := stream[i].BlockID
 		stream[i].NextUse = next[id]
-		next[id] = int64(i)
+		next[id] = int32(i)
 	}
 	return numBlocks
 }
@@ -251,12 +261,16 @@ func (s *System) Access(a trace.Access) (hit bool, err error) {
 	if !toLLC {
 		return true, nil
 	}
+	n := s.llcHits + s.llcMisses
+	if n >= MaxStreamLen {
+		return false, errStreamTooLong(n + 1)
+	}
 	res := s.LLC.Access(AccessInfo{
 		Block: a.Addr.BlockID(),
 		Core:  a.Core,
 		PC:    a.PC,
 		Write: a.Write,
-		Index: int64(s.llcHits + s.llcMisses),
+		Index: int32(n),
 	})
 	if res.Evicted {
 		s.Hierarchy.invalidate(res.Victim)

@@ -111,7 +111,7 @@ func TestFilterStreamIndexesAndContent(t *testing.T) {
 		t.Fatalf("LLC stream has %d accesses, want 3 (cold misses only)", len(stream))
 	}
 	for i, a := range stream {
-		if a.Index != int64(i) {
+		if int(a.Index) != i {
 			t.Errorf("stream[%d].Index = %d", i, a.Index)
 		}
 		if a.Block != uint64(i) {
@@ -135,7 +135,7 @@ func TestAnnotateNextUse(t *testing.T) {
 		{Block: 3, Index: 4},
 	}
 	AnnotateNextUse(stream)
-	want := []int64{2, NoNextUse, 3, NoNextUse, NoNextUse}
+	want := []int32{2, NoNextUse, 3, NoNextUse, NoNextUse}
 	for i, w := range want {
 		if stream[i].NextUse != w {
 			t.Errorf("stream[%d].NextUse = %d, want %d", i, stream[i].NextUse, w)

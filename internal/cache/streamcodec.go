@@ -23,7 +23,7 @@ import (
 // (FilterStream assigns it at append time), so the decoder regenerates
 // it. PredictedShared is not stored either: it is a replay-time hint,
 // always false in prepared streams (replays annotate local copies).
-// Typical records encode in 6-10 bytes instead of the 56-byte in-memory
+// Typical records encode in 6-10 bytes instead of the 32-byte in-memory
 // struct.
 
 // maxStreamCore is the largest core id the 7-bit flags field can carry;
@@ -109,11 +109,15 @@ func uvarintAt(data []byte, p int) (uint64, int) {
 // AppendAccessInfos. The decoder never panics on malformed input — it
 // returns an error on truncation, varint overflow or out-of-range values
 // (callers checksum the data first, so an error here means the checksum
-// was forged or the caller sized dst wrong). The loop is the warm-start
-// hot path — a full-size suite decodes tens of millions of records on
-// every cache load — hence the manually inlined varint fast path instead
-// of the tidier closure over binary.Uvarint.
+// was forged or the caller sized dst wrong). dst holds at most
+// MaxStreamLen records. The loop is the warm-start hot path — a
+// full-size suite decodes tens of millions of records on every cache
+// load — hence the manually inlined varint fast path instead of the
+// tidier closure over binary.Uvarint.
 func DecodeAccessInfos(data []byte, dst []AccessInfo) (int, error) {
+	if len(dst) > MaxStreamLen {
+		return 0, errStreamTooLong(uint64(len(dst)))
+	}
 	var prevBlock, prevPC uint64
 	pos := 0
 	for i := range dst {
@@ -138,19 +142,22 @@ func DecodeAccessInfos(data []byte, dst []AccessInfo) (int, error) {
 		prevPC = uint64(int64(prevPC) + trace.Unzigzag(pcDelta))
 		next := NoNextUse
 		if nextUse != 0 {
-			next = int64(i) + int64(nextUse)
-			if next <= int64(i) || next >= int64(len(dst)) {
-				return pos, fmt.Errorf("cache: stream record %d: next-use %d outside stream", i, next)
+			// Range-checked at 64 bits, before narrowing, so no offset
+			// can wrap back into the stream.
+			n := int64(i) + int64(nextUse)
+			if n <= int64(i) || n >= int64(len(dst)) {
+				return pos, fmt.Errorf("cache: stream record %d: next-use %d outside stream", i, n)
 			}
+			next = int32(n)
 		}
 		dst[i] = AccessInfo{
 			Block:   prevBlock,
-			Core:    flags >> 1,
 			PC:      prevPC,
-			Write:   flags&1 != 0,
-			BlockID: uint32(blockID),
-			Index:   int64(i),
+			Index:   int32(i),
 			NextUse: next,
+			BlockID: uint32(blockID),
+			Core:    flags >> 1,
+			Write:   flags&1 != 0,
 		}
 	}
 	return pos, nil

@@ -1,9 +1,81 @@
 package cache
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// TestAccessInfoSize pins the stream record at 32 bytes: a field added
+// or reordered fails here before it grows every resident stream.
+func TestAccessInfoSize(t *testing.T) {
+	if got := unsafe.Sizeof(AccessInfo{}); got != 32 {
+		t.Fatalf("sizeof(AccessInfo) = %d bytes, want 32", got)
+	}
+}
+
+// TestStreamBuilderStopsAtMaxStreamLen: the builder hands out positions
+// up to MaxStreamLen-1 and then fails instead of wrapping Index. It
+// starts two records short of the bound, so it allocates two records.
+func TestStreamBuilderStopsAtMaxStreamLen(t *testing.T) {
+	b := streamBuilder{n: MaxStreamLen - 2}
+	for i := 0; i < 2; i++ {
+		if err := b.add(AccessInfo{Block: uint64(i)}); err != nil {
+			t.Fatalf("add %d: %v", i, err)
+		}
+	}
+	if got := b.seg[1].Index; got != MaxStreamLen-1 {
+		t.Fatalf("last Index = %d, want %d", got, MaxStreamLen-1)
+	}
+	if err := b.add(AccessInfo{}); err == nil {
+		t.Fatalf("add past MaxStreamLen succeeded (Index %d)", b.seg[len(b.seg)-1].Index)
+	}
+	if b.n != MaxStreamLen || len(b.seg) != 2 {
+		t.Fatalf("after the refused add: n = %d, segment holds %d records", b.n, len(b.seg))
+	}
+}
+
+// TestDecodeAccessInfosRejectsWrappingNextUse: a next-use offset of
+// 2^32 + 2 from record 0 lands far outside a three-record stream, but
+// narrowed to 32 bits first it would read as position 2, inside it. The
+// decoder must range-check before it narrows.
+func TestDecodeAccessInfosRejectsWrappingNextUse(t *testing.T) {
+	data := binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<32+2)
+	data = append(data, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	if _, err := DecodeAccessInfos(data, make([]AccessInfo, 3)); err == nil {
+		t.Fatal("decoder accepted a next-use offset past 2^32")
+	}
+}
+
+// TestCodecRoundTripLongStream round-trips Index and NextUse at the
+// largest positions a unit test affords: a 2^20-record stream whose
+// first block recurs only at its last position, the widest forward
+// next-use offset the stream can hold.
+func TestCodecRoundTripLongStream(t *testing.T) {
+	const n = 1 << 20
+	stream := make([]AccessInfo, n)
+	for i := range stream {
+		stream[i] = AccessInfo{Block: uint64(i), PC: 0x400 + uint64(i%97)*4, Core: uint8(i % 8), Write: i%3 == 0, Index: int32(i)}
+	}
+	stream[n-1].Block = 0
+	AnnotateNextUse(stream)
+	if got := stream[0].NextUse; got != n-1 {
+		t.Fatalf("stream[0].NextUse = %d, want %d", got, n-1)
+	}
+	enc, err := AppendAccessInfos(nil, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := make([]AccessInfo, n)
+	used, err := DecodeAccessInfos(enc, back)
+	if err != nil || used != len(enc) {
+		t.Fatalf("decoded %d of %d bytes: %v", used, len(enc), err)
+	}
+	if !slices.Equal(back, stream) {
+		t.Fatal("long stream does not round-trip")
+	}
+}
 
 // codecStream builds a prepared-looking stream for the codec fuzzer:
 // dense BlockIDs, next-use annotations, PCs that move both ways and
@@ -48,10 +120,10 @@ func FuzzDecodeAccessInfos(f *testing.F) {
 			return
 		}
 		for i, a := range dst {
-			if a.Index != int64(i) {
+			if int(a.Index) != i {
 				t.Fatalf("record %d: Index %d", i, a.Index)
 			}
-			if a.NextUse != NoNextUse && (a.NextUse <= int64(i) || a.NextUse >= int64(len(dst))) {
+			if a.NextUse != NoNextUse && (int(a.NextUse) <= i || int(a.NextUse) >= len(dst)) {
 				t.Fatalf("record %d: NextUse %d outside (%d, %d)", i, a.NextUse, i, len(dst))
 			}
 		}

@@ -45,7 +45,7 @@ func TestProtectorOverEveryPolicyFuzz(t *testing.T) {
 						PC:              0x400 + rnd.Uint64n(64)*4,
 						Write:           rnd.Bool(0.3),
 						PredictedShared: rnd.Bool(0.25),
-						NextUse:         int64(i) + int64(rnd.Intn(50)),
+						NextUse:         int32(i) + int32(rnd.Intn(50)),
 					}
 					if c.Access(a).Hit {
 						hits++
@@ -149,7 +149,7 @@ func TestFillHintedMatchesFill(t *testing.T) {
 					Block:   rnd.Uint64n(128),
 					Core:    uint8(rnd.Intn(8)),
 					PC:      0x400 + rnd.Uint64n(64)*4,
-					NextUse: int64(i) + int64(rnd.Intn(50)),
+					NextUse: int32(i) + int32(rnd.Intn(50)),
 				}
 				beside.hint = rnd.Bool(0.25)
 				hinted := a

@@ -183,7 +183,7 @@ func hintStream(rnd *rng.Source, i, n, blocks int) cache.AccessInfo {
 		Core:            uint8(rnd.Intn(4)),
 		PC:              0x400 + rnd.Uint64n(64)*4,
 		PredictedShared: rnd.Bool(rate),
-		NextUse:         int64(i) + int64(rnd.Intn(200)),
+		NextUse:         int32(i) + int32(rnd.Intn(200)),
 	}
 }
 

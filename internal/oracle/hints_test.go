@@ -15,7 +15,7 @@ func chainHints(stream []cache.AccessInfo, horizon int64) []bool {
 	hints := make([]bool, len(stream))
 	for i := range stream {
 		c := stream[i].Core
-		for j := stream[i].NextUse; j != cache.NoNextUse && j-int64(i) <= horizon; j = stream[j].NextUse {
+		for j := stream[i].NextUse; j != cache.NoNextUse && int64(j)-int64(i) <= horizon; j = stream[j].NextUse {
 			if stream[j].Core != c {
 				hints[i] = true
 				break
@@ -46,7 +46,7 @@ func ownedStream(n int, seed uint64) []cache.AccessInfo {
 				c = uint8(r.Intn(8))
 			}
 		}
-		stream[i] = cache.AccessInfo{Block: b, Core: c, Index: int64(i)}
+		stream[i] = cache.AccessInfo{Block: b, Core: c, Index: int32(i)}
 	}
 	cache.AnnotateNextUse(stream)
 	return stream

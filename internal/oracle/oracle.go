@@ -99,10 +99,10 @@ func hintColumns(stream []cache.AccessInfo, horizons []int64) [][]bool {
 		}
 		if next != cache.NoNextUse {
 			for k, h := range horizons {
-				cols[k][i] = next-int64(i) <= h
+				cols[k][i] = int64(next)-int64(i) <= h
 			}
 		}
-		*st = later{first: int64(i), second: next, core: a.Core}
+		*st = later{first: int32(i), second: next, core: a.Core}
 	}
 	laterPool.Put(sp)
 	return cols
@@ -110,9 +110,10 @@ func hintColumns(stream []cache.AccessInfo, horizons []int64) [][]bool {
 
 // later is hintColumns' per-block state: the positions of the block's
 // nearest later access (first, by core) and of that access's cross-core
-// successor (second), cache.NoNextUse for none.
+// successor (second), cache.NoNextUse for none. Positions are int32
+// like the record's own (cache.MaxStreamLen).
 type later struct {
-	first, second int64
+	first, second int32
 	core          uint8
 }
 

@@ -51,7 +51,7 @@ func sharedVictimStream() []cache.AccessInfo {
 	}
 	stream := make([]cache.AccessInfo, len(pairs))
 	for i, p := range pairs {
-		stream[i] = cache.AccessInfo{Core: uint8(p[0]), Block: p[1], Index: int64(i)}
+		stream[i] = cache.AccessInfo{Core: uint8(p[0]), Block: p[1], Index: int32(i)}
 	}
 	cache.AnnotateNextUse(stream)
 	return stream
@@ -78,7 +78,7 @@ func TestOracleNoOpOnPrivateWorkload(t *testing.T) {
 	rnd := rng.New(4)
 	stream := make([]cache.AccessInfo, 3000)
 	for i := range stream {
-		stream[i] = cache.AccessInfo{Core: 0, Block: rnd.Uint64n(64), Index: int64(i)}
+		stream[i] = cache.AccessInfo{Core: 0, Block: rnd.Uint64n(64), Index: int32(i)}
 	}
 	res, err := study(stream, lruFactory, core.Options{Strength: core.Full})
 	if err != nil {
@@ -231,8 +231,8 @@ func TestSharedHintsProperties(t *testing.T) {
 		multi := make([]cache.AccessInfo, n)
 		for i := 0; i < n; i++ {
 			b := rnd.Uint64n(32)
-			single[i] = cache.AccessInfo{Core: 0, Block: b, Index: int64(i)}
-			multi[i] = cache.AccessInfo{Core: uint8(rnd.Intn(4)), Block: b, Index: int64(i)}
+			single[i] = cache.AccessInfo{Core: 0, Block: b, Index: int32(i)}
+			multi[i] = cache.AccessInfo{Core: uint8(rnd.Intn(4)), Block: b, Index: int32(i)}
 		}
 		for _, h := range SharedHints(single, int64(n)) {
 			if h {

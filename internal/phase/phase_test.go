@@ -12,7 +12,7 @@ import (
 func mk(pairs [][2]uint64) []cache.AccessInfo {
 	out := make([]cache.AccessInfo, len(pairs))
 	for i, p := range pairs {
-		out[i] = cache.AccessInfo{Core: uint8(p[0]), Block: p[1], Index: int64(i)}
+		out[i] = cache.AccessInfo{Core: uint8(p[0]), Block: p[1], Index: int32(i)}
 	}
 	return out
 }
@@ -120,7 +120,7 @@ func TestAnalyzeConservation(t *testing.T) {
 			stream[i] = cache.AccessInfo{
 				Core:  uint8(rnd.Intn(8)),
 				Block: rnd.Uint64n(64),
-				Index: int64(i),
+				Index: int32(i),
 			}
 		}
 		windows := 1 + rnd.Intn(16)

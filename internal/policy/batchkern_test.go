@@ -38,7 +38,7 @@ func kernStream(n, blocks int, seed uint64) []cache.AccessInfo {
 			Block: b,
 			Core:  uint8(rnd.Intn(4)),
 			PC:    0x400000 + uint64(rnd.Intn(96))*12,
-			Index: int64(i),
+			Index: int32(i),
 		}
 	}
 	cache.AssignBlockIDs(stream)

@@ -15,7 +15,7 @@ import (
 // sharing-aware or not — has left.
 type OPT struct {
 	ways    int
-	nextUse []int64
+	nextUse []int32
 }
 
 // newOPT returns a Belady OPT policy.
@@ -27,7 +27,7 @@ func (p *OPT) Name() string { return "opt" }
 // Attach implements cache.Policy.
 func (p *OPT) Attach(sets, ways int) {
 	p.ways = ways
-	p.nextUse = make([]int64, sets*ways)
+	p.nextUse = make([]int32, sets*ways)
 	mem.Hugepages(p.nextUse)
 	for i := range p.nextUse {
 		p.nextUse[i] = cache.NoNextUse
@@ -75,7 +75,7 @@ func (p *OPT) PerSetIndependent() bool { return true }
 // never-reused lines always rank first.
 func (p *OPT) horizonAt(idx int) int64 {
 	if h := p.nextUse[idx]; h != cache.NoNextUse {
-		return h
+		return int64(h)
 	}
 	return 1 << 62
 }

@@ -363,15 +363,15 @@ func TestOPTBeatsLRUOnCyclicSet(t *testing.T) {
 // annotate fills NextUse like cache.AnnotateNextUse but for AccessInfo
 // slices built directly in tests.
 func annotate(stream []cache.AccessInfo) {
-	next := map[uint64]int64{}
+	next := map[uint64]int32{}
 	for i := len(stream) - 1; i >= 0; i-- {
-		stream[i].Index = int64(i)
+		stream[i].Index = int32(i)
 		if n, ok := next[stream[i].Block]; ok {
 			stream[i].NextUse = n
 		} else {
 			stream[i].NextUse = cache.NoNextUse
 		}
-		next[stream[i].Block] = int64(i)
+		next[stream[i].Block] = int32(i)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestRankVictimsHeadAgreesWithVictim(t *testing.T) {
 					Block:   rnd.Uint64n(uint64(16 * ways)),
 					PC:      rnd.Uint64() & 0xFFFF,
 					Core:    uint8(rnd.Intn(4)),
-					NextUse: int64(i) + int64(rnd.Intn(100)),
+					NextUse: int32(i) + int32(rnd.Intn(100)),
 				})
 				if i%97 != 0 {
 					continue

@@ -54,7 +54,7 @@ func TestSHiPSBeatsSHiPOnSharedReuse(t *testing.T) {
 	// single-use blocks. SHiP-S protects the sharing site harder.
 	var stream []cache.AccessInfo
 	add := func(core uint8, block uint64, pc uint64) {
-		stream = append(stream, cache.AccessInfo{Core: core, Block: block, PC: pc, Index: int64(len(stream))})
+		stream = append(stream, cache.AccessInfo{Core: core, Block: block, PC: pc, Index: int32(len(stream))})
 	}
 	const sharePC, streamPC = 0x100, 0x200
 	next := uint64(1000)

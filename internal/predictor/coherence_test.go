@@ -74,7 +74,7 @@ func TestCoherenceBeatsHistoryOnPhasedSharing(t *testing.T) {
 	add := func(core uint8, block uint64, write bool) {
 		stream = append(stream, cache.AccessInfo{
 			Core: core, Block: block, Write: write,
-			PC: 0x400 + block*4, Index: int64(len(stream)),
+			PC: 0x400 + block*4, Index: int32(len(stream)),
 		})
 	}
 	const nBlocks = 64

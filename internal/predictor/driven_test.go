@@ -46,7 +46,7 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 	stream := make([]cache.AccessInfo, n)
 	for i := range stream {
 		b := r.Uint64n(blocks)
-		stream[i] = cache.AccessInfo{Block: b, Core: uint8(r.Intn(8)), PC: 0x400 + b%13*4, Write: r.Intn(5) == 0, Index: int64(i)}
+		stream[i] = cache.AccessInfo{Block: b, Core: uint8(r.Intn(8)), PC: 0x400 + b%13*4, Write: r.Intn(5) == 0, Index: int32(i)}
 	}
 	cache.AnnotateNextUse(stream)
 	return stream

@@ -181,9 +181,9 @@ func mixedStream(n int) []cache.AccessInfo {
 	for len(stream) < n {
 		b := rnd.Uint64n(48)
 		core0 := uint8(rnd.Intn(4))
-		stream = append(stream, cache.AccessInfo{Core: core0, Block: b, PC: 0x400 + b*4, Index: int64(len(stream))})
+		stream = append(stream, cache.AccessInfo{Core: core0, Block: b, PC: 0x400 + b*4, Index: int32(len(stream))})
 		if b%2 == 0 { // even blocks get a cross-core touch soon after
-			stream = append(stream, cache.AccessInfo{Core: (core0 + 1) % 4, Block: b, PC: 0x400 + b*4, Index: int64(len(stream))})
+			stream = append(stream, cache.AccessInfo{Core: (core0 + 1) % 4, Block: b, PC: 0x400 + b*4, Index: int32(len(stream))})
 		}
 	}
 	cache.AnnotateNextUse(stream)

@@ -11,7 +11,7 @@ import (
 func mk(blocks ...uint64) []cache.AccessInfo {
 	out := make([]cache.AccessInfo, len(blocks))
 	for i, b := range blocks {
-		out[i] = cache.AccessInfo{Block: b, Index: int64(i)}
+		out[i] = cache.AccessInfo{Block: b, Index: int32(i)}
 	}
 	return out
 }
@@ -64,7 +64,7 @@ func TestDistancesMatchReference(t *testing.T) {
 		n := 50 + rnd.Intn(300)
 		stream := make([]cache.AccessInfo, n)
 		for i := range stream {
-			stream[i] = cache.AccessInfo{Block: rnd.Uint64n(24), Index: int64(i)}
+			stream[i] = cache.AccessInfo{Block: rnd.Uint64n(24), Index: int32(i)}
 		}
 		got := distances(stream)
 		want := referenceDistances(stream)
@@ -89,7 +89,7 @@ func TestLRUHitIffDistanceUnderCapacity(t *testing.T) {
 	const capacity = 16
 	stream := make([]cache.AccessInfo, 3000)
 	for i := range stream {
-		stream[i] = cache.AccessInfo{Block: rnd.Uint64n(40), Index: int64(i)}
+		stream[i] = cache.AccessInfo{Block: rnd.Uint64n(40), Index: int32(i)}
 	}
 	d := distances(stream)
 	// Fully associative = 1 set with `capacity` ways.

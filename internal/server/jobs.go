@@ -424,12 +424,17 @@ func (m *Manager) worker() {
 	}
 }
 
-// finalize records the terminal state, publishes it, feeds the cache and
-// releases the coalescing slot.
+// finalize records the terminal state, feeds the cache, releases the
+// coalescing slot and only then publishes the state, all under m.mu (lock
+// order m.mu → job.mu, as in pruneLocked). A client that has seen done
+// therefore finds the key cached and gone from m.active: its next
+// identical POST is a cache hit, never coalesced onto the finished job.
 func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	job.mu.Lock()
+	defer job.mu.Unlock()
 	if job.state.terminal() {
-		job.mu.Unlock()
 		return
 	}
 	now := m.now()
@@ -449,21 +454,15 @@ func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
 		job.err = err
 	}
 	state := job.state
-	elapsed := job.finished.Sub(job.started).Seconds()
-	job.publish(Event{Type: "state", State: state})
-	close(job.doneCh)
-	job.mu.Unlock()
-
 	if state == stateDone {
 		m.cache.put(job.Key, tables)
 	}
-	m.met.jobFinished(string(state), job.Request.Exp, elapsed)
-
-	m.mu.Lock()
 	if m.active[job.Key] == job {
 		delete(m.active, job.Key)
 	}
-	m.mu.Unlock()
+	m.met.jobFinished(string(state), job.Request.Exp, job.finished.Sub(job.started).Seconds())
+	job.publish(Event{Type: "state", State: state})
+	close(job.doneCh)
 }
 
 // Shutdown stops accepting work, cancels anything still queued, and

@@ -179,6 +179,65 @@ func TestCacheHitServedWithoutRun(t *testing.T) {
 	}
 }
 
+// TestRePostOnDoneIsCacheHit: a POST sent the moment a job's done event
+// arrives is answered from the result cache (200, cached, a new job),
+// never coalesced onto the finished job: finalize caches the tables and
+// releases the coalescing slot before it publishes done. The test
+// spins on its event subscription and serves the POST in-process, so
+// no network round trip hides a window between the two.
+func TestRePostOnDoneIsCacheHit(t *testing.T) {
+	release := make(chan struct{})
+	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+		<-release
+		return []*report.Table{{Title: "stub", Headers: []string{"h"}, Rows: [][]string{{"x"}}}}, nil
+	}
+	s, _ := newTestServer(t, Config{Workers: 1, Runner: runner})
+	body, err := json.Marshal(fastReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() (jobView, int) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		var v jobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("POST response %q: %v", rec.Body, err)
+		}
+		return v, rec.Code
+	}
+	v1, code := post()
+	if code != http.StatusAccepted {
+		t.Fatalf("first POST status = %d", code)
+	}
+	job, ok := s.Manager().Get(v1.ID)
+	if !ok {
+		t.Fatalf("job %s not found", v1.ID)
+	}
+	_, live, unsub := job.subscribe()
+	defer unsub()
+	close(release)
+	for done := false; !done; {
+		select {
+		case ev := <-live:
+			done = ev.Type == "state" && ev.State.terminal()
+		default: // spin: react to the event as soon as it is sent
+		}
+	}
+	m := s.Manager()
+	m.mu.Lock()
+	_, active := m.active[job.Key]
+	m.mu.Unlock()
+	_, cached := m.cache.get(job.Key)
+	if active || !cached {
+		t.Fatalf("done published with the job still coalescing (%v) or its tables not cached (%v)", active, !cached)
+	}
+	v2, code := post()
+	if code != http.StatusOK || !v2.Cached || v2.ID == v1.ID || v2.State != stateDone {
+		t.Fatalf("POST on done: status %d, job %s (first %s), state %s, cached %v; want 200, a new done job served from the cache",
+			code, v2.ID, v1.ID, v2.State, v2.Cached)
+	}
+}
+
 // TestConcurrentIdenticalPostsCoalesce: two identical POSTs racing while
 // the runner blocks must share one job and one run.
 func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {

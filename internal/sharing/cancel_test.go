@@ -16,7 +16,7 @@ func cancelStream(n int) []cache.AccessInfo {
 	stream := make([]cache.AccessInfo, n)
 	for i := range stream {
 		blk := uint64(i % 4096)
-		stream[i] = cache.AccessInfo{Block: blk, Core: uint8(i % 4), Index: int64(i)}
+		stream[i] = cache.AccessInfo{Block: blk, Core: uint8(i % 4), Index: int32(i)}
 	}
 	cache.AnnotateNextUse(stream)
 	return stream

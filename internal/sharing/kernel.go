@@ -61,7 +61,7 @@ type batchScratch struct {
 
 // decodeColumns is the decode phase: one pass over the gathered shard
 // buffer unpacks the columns every lane's probe and advance loops
-// consume, so the 56-byte records are streamed once per shard instead
+// consume, so the 32-byte records are streamed once per shard instead
 // of once per lane per phase.
 func decodeColumns(accs []cache.AccessInfo, blk []uint64, id []uint32, meta []uint8) {
 	for k := range accs {
@@ -172,7 +172,7 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, n int, order 
 // passBlk/passID are the whole-stream block/BlockID columns, decoded
 // once per replay (decodePassColumns) and shared read-only by every
 // pass: a sweep runs one pass per two-phase lane, and letting each
-// re-derive the columns from the 56-byte records would stream the whole
+// re-derive the columns from the 32-byte records would stream the whole
 // record array once per lane just to recover 12 bytes per access.
 func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *PartitionIndex, passBlk []uint64, passID []uint32, l *lane, opt Options) error {
 	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
@@ -199,7 +199,7 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 		}
 		o := out[:hi-lo]
 		// The compress loop reads block numbers from the shared column,
-		// so the 56-byte records are not re-touched just to recover set
+		// so the 32-byte records are not re-touched just to recover set
 		// and shard bits.
 		blkCol := passBlk[lo:hi][:len(o)]
 		llc.ReplayBatchCols(blkCol, passID[lo:hi], stream[lo:hi], active, lineID, o)

@@ -24,7 +24,7 @@ func synthStream(n int, blocks uint64, cores uint8, seed uint64) []cache.AccessI
 			Block: b,
 			PC:    0x400 + (b%7)*4,
 			Write: r.Intn(5) == 0,
-			Index: int64(i),
+			Index: int32(i),
 		}
 	}
 	cache.AnnotateNextUse(stream)
@@ -143,7 +143,7 @@ func TestReplayParallelFallbacks(t *testing.T) {
 	}
 
 	// Hooks observe stream order; a shard request must not break them.
-	var seen []int64
+	var seen []int32
 	hooked := testLane(Hooks{OnAccess: func(a cache.AccessInfo) { seen = append(seen, a.Index) }})
 	got, err = ReplayMulti(stream, []LLCConfig{hooked}, Options{Shards: 4})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestReplayParallelFallbacks(t *testing.T) {
 		t.Fatalf("OnAccess fired %d times, want %d", len(seen), len(stream))
 	}
 	for i, idx := range seen {
-		if idx != int64(i) {
+		if int(idx) != i {
 			t.Fatalf("OnAccess saw index %d at call %d", idx, i)
 		}
 	}

@@ -390,11 +390,11 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 			return false, fmt.Errorf("sharing: evicted block %d has no tracked residency", out.Victim)
 		}
 		st.active[victim.id] = 0
-		st.closeRes(victim, a.Index)
+		st.closeRes(victim, int64(a.Index))
 	}
 	st.lines[li] = Residency{
 		Block:      a.Block,
-		FillIndex:  a.Index,
+		FillIndex:  int64(a.Index),
 		FillCore:   a.Core,
 		FillPC:     a.PC,
 		id:         id,
@@ -427,7 +427,7 @@ func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo) error
 				return err
 			}
 		}
-		if stream[i].Index != int64(i) {
+		if int(stream[i].Index) != i {
 			return fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
 		}
 		hit, err := st.step(llc, ways, &stream[i])

@@ -17,7 +17,7 @@ func mkStream(pairs [][2]uint64) []cache.AccessInfo {
 			Core:  uint8(p[0]),
 			Block: p[1],
 			PC:    0x400 + p[1]*4,
-			Index: int64(i),
+			Index: int32(i),
 		}
 	}
 	cache.AnnotateNextUse(stream)
@@ -232,7 +232,7 @@ func TestROPlusRWEqualsShared(t *testing.T) {
 				Core:  uint8(rnd.Intn(8)),
 				Block: rnd.Uint64n(96),
 				Write: rnd.Bool(0.3),
-				Index: int64(i),
+				Index: int32(i),
 			}
 		}
 		res, err := seqReplay(stream, testLane(Hooks{}), Options{})
@@ -409,7 +409,7 @@ func TestReplayMatchesRawCache(t *testing.T) {
 			stream[i] = cache.AccessInfo{
 				Core:  uint8(rnd.Intn(4)),
 				Block: rnd.Uint64n(64),
-				Index: int64(i),
+				Index: int32(i),
 			}
 		}
 		res, err := seqReplay(stream, testLane(Hooks{}), Options{})

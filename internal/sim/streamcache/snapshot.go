@@ -163,9 +163,10 @@ func decodeSnapshot(data []byte, key string, m workloads.Model) (*sim.Stream, er
 		pos += n
 	}
 	count, numBlocks := header[0], header[1]
-	// A stream has at most one BlockID per access and fits in memory;
-	// reject absurd counts before allocating.
-	if count > uint64(len(body)) || numBlocks > count {
+	// A stream holds at most cache.MaxStreamLen records and at most one
+	// BlockID per record, and it fits in memory: reject absurd counts
+	// before allocating.
+	if count > cache.MaxStreamLen || count > uint64(len(body)) || numBlocks > count {
 		return nil, errSnapshot
 	}
 	accesses := make([]cache.AccessInfo, count)

@@ -1,6 +1,7 @@
 package streamcache
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -32,7 +33,7 @@ func randomStream(rnd *rand.Rand, n int) *sim.Stream {
 			Core:    uint8(rnd.Intn(128)),
 			PC:      rnd.Uint64(),
 			Write:   rnd.Intn(2) == 0,
-			Index:   int64(i),
+			Index:   int32(i),
 			NextUse: cache.NoNextUse,
 		}
 	}
@@ -214,6 +215,68 @@ func TestSnapshotWrongKeyIgnored(t *testing.T) {
 	if _, _, ok := loadSnapshot(otherPath, otherKey, m); ok {
 		t.Fatal("snapshot with mismatched embedded key loaded successfully")
 	}
+}
+
+// TestDecodeSnapshotRejectsCountPastMaxStreamLen: a checksummed image
+// whose header claims more than cache.MaxStreamLen records is refused
+// before any record is allocated.
+func TestDecodeSnapshotRejectsCountPastMaxStreamLen(t *testing.T) {
+	m := workloads.Model{Name: "random"}
+	key := Key(m, cache.DefaultConfig(), 1)
+	keyBytes, err := decodeKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := append(append([]byte(nil), snapshotMagic[:]...), keyBytes...)
+	for _, v := range []uint64{cache.MaxStreamLen + 1, 0, 0, 0, 0} {
+		img = binary.AppendUvarint(img, v)
+	}
+	img = append(img, make([]byte, 64)...)
+	img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, crcTable))
+	if _, err := decodeSnapshot(img, key, m); err == nil {
+		t.Fatal("decoded a snapshot claiming more than cache.MaxStreamLen records")
+	}
+}
+
+// FuzzDecodeSnapshot fuzzes the snapshot container around the record
+// codec: magic, key, header and CRC trailer, seeded with a real image,
+// its truncations, a flipped CRC and the image under the wrong key.
+// decodeSnapshot must never panic, and an image it accepts must
+// re-encode to exactly its own bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	s := randomStream(rand.New(rand.NewSource(11)), 300)
+	key := Key(s.Model, cache.DefaultConfig(), 1)
+	otherKey := Key(s.Model, cache.DefaultConfig(), 2)
+	img, err := encodeSnapshot(key, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeSnapshot(img, key, s.Model); err != nil {
+		f.Fatalf("seed image does not decode: %v", err)
+	}
+	badCRC := append([]byte(nil), img...)
+	badCRC[len(badCRC)-1] ^= 1
+	for _, seed := range [][]byte{img, img[:len(img)-1], img[:len(img)-4], img[:len(img)/2], img[:49], img[:40], img[:8], nil, badCRC} {
+		f.Add(seed, false)
+	}
+	f.Add(img, true)
+	f.Fuzz(func(t *testing.T, data []byte, wrongKey bool) {
+		k := key
+		if wrongKey {
+			k = otherKey
+		}
+		got, err := decodeSnapshot(data, k, s.Model)
+		if err != nil {
+			return
+		}
+		re, err := encodeSnapshot(k, got)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted image: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted image of %d bytes re-encodes to %d different bytes", len(data), len(re))
+		}
+	})
 }
 
 // TestSnapshotEncodeRejectsReplayHints: a stream carrying replay-time
