@@ -64,9 +64,12 @@ type BatchKernel func(blk []uint64, id []uint32, accs []AccessInfo, active, line
 //
 // NewBatchKernel is called after Attach, so the returned closure may
 // capture the policy's state slices directly. Wrappers that delegate to
-// a base policy (core.Protector) must NOT forward this interface: a
-// base kernel would bypass the wrapper's overrides. Holding the base as
-// an interface field (not embedding) gives that for free.
+// a base policy (core.Protector) must NOT forward the base's kernel: it
+// would bypass the wrapper's overrides. Holding the base as an interface
+// field (not embedding) gives that for free. A wrapper may instead bind
+// a kernel of its own for a base it knows, performing its overrides
+// inline, as oracle.Hinted and predictor.Driven do over LRU through
+// core.Protector.LRUKernel.
 type BatchPolicy interface {
 	Policy
 	NewBatchKernel(c *SetAssoc) BatchKernel

@@ -141,3 +141,9 @@ func (p *LRU) Ways() int { return p.ways }
 // Stamp returns the raw recency stamp of way in set (larger = more
 // recent). Exposed so wrappers can rank victims without re-deriving state.
 func (p *LRU) Stamp(set, way int) uint64 { return p.stamp[set*p.ways+way] }
+
+// KernelState exposes the recency stamps (flat by line index) and the
+// clock to a wrapper's batch kernel, which then performs Hit, Fill and
+// Demote on them in place (core.Protector's protected-LRU kernel). Valid
+// after Attach.
+func (p *LRU) KernelState() (stamp []uint64, clock *uint64) { return p.stamp, &p.clock }

@@ -59,7 +59,9 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 // setting, over a per-set (LRU) and a cross-set (DRRIP) base, at several
 // stream prefixes. The hook-free lane must take the two-phase route up to
 // 64 ways and the sequential walk at 128, and call NewPolicy exactly once
-// either way: the protector stashes rely on it.
+// either way: the protector stashes rely on it. Its policy pass must run
+// the protected-LRU kernel over LRU and the generic loop over DRRIP, so
+// the hooked reference holds both.
 func TestHintedLaneMatchesHooked(t *testing.T) {
 	full := laneStream(24000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
@@ -113,17 +115,32 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					if twoPhase := parts > 1; twoPhase != (ways <= 64) {
 						t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
 					}
+					if got, want := laneKernel(t, NewHinted(base(), opts, hints), ways), name == "lru" && ways <= 64; got != want {
+						t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
+					}
 				})
 			}
 		}
 	}
 }
 
+// laneKernel reports whether a cache of laneSize and ways over pol binds
+// a batch kernel, as the two-phase policy pass's cache does.
+func laneKernel(t *testing.T, pol cache.Policy, ways int) bool {
+	t.Helper()
+	c, err := cache.NewSetAssoc(laneSize, ways, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.HasBatchKernel()
+}
+
 // TestHintedLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
 // oracle study in the mix — the bare and hint-column lanes of LRU and
 // DRRIP, plus the hint pass: once the scratch pool is warm, a study
 // allocates only per-lane and per-shard bookkeeping, orders of magnitude
-// below one object per access.
+// below one object per access. The LRU hint-column lane runs the
+// protected-LRU kernel.
 func TestHintedLaneAllocSteady(t *testing.T) {
 	stream := laneStream(60000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
@@ -131,6 +148,9 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
+	if !laneKernel(t, NewHinted(factories[0](), core.Options{Strength: core.Full}, make([]bool, len(stream))), 8) {
+		t.Fatal("the LRU hint-column lane binds no batch kernel")
+	}
 	run := func() {
 		if _, err := RunMultiPolicies(context.Background(), stream, laneSize, 8, factories,
 			core.Options{Strength: core.Full}, HorizonFactor, sharing.Options{Shards: 2}); err != nil {

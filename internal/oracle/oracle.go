@@ -13,7 +13,10 @@
 // stays defined wherever the protected run's fills diverge from the base
 // run's. Both passes are lanes of one fused replay, and neither carries a
 // hook: the protected lane runs the engine's two-phase split like any
-// other cross-set policy.
+// other cross-set policy. Over an LRU base (up to 64 ways) its policy pass
+// runs core's protected-LRU batch kernel, which reads the hint column
+// through Hinted's core.LaneHinter methods; over other bases it runs the
+// generic batch loop over Hinted's per-call methods.
 package oracle
 
 import (
@@ -147,8 +150,27 @@ func NewHinted(base cache.Policy, opts core.Options, hints []bool) *Hinted {
 
 // Fill implements cache.Policy.
 func (h *Hinted) Fill(set, way int, a *cache.AccessInfo) {
-	h.FillHinted(set, way, a, h.hints[a.Index])
+	h.FillHinted(set, way, a, h.LaneHint(a))
 }
+
+// NewBatchKernel implements cache.BatchPolicy: the Protector's
+// protected-LRU kernel over an LRU base, the generic loop (nil) otherwise.
+func (h *Hinted) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+	return h.LRUKernel(c, h)
+}
+
+// LaneHint implements core.LaneHinter: the hint column at the access's
+// stream position.
+func (h *Hinted) LaneHint(a *cache.AccessInfo) bool { return h.hints[a.Index] }
+
+// LaneHit implements core.LaneHinter: a hint column learns nothing.
+func (h *Hinted) LaneHit(uint32, *cache.AccessInfo) {}
+
+// LaneEvict implements core.LaneHinter.
+func (h *Hinted) LaneEvict(uint32) {}
+
+// LaneFill implements core.LaneHinter.
+func (h *Hinted) LaneFill(uint32, *cache.AccessInfo) {}
 
 // protectedLane builds the pass-2 lane for one base-policy factory,
 // stashing the protector so its intervention counters can be read after

@@ -34,9 +34,10 @@ package policy
 // OPT stays on the generic path on purpose: it is the one catalogue
 // policy that reads per-access annotations (NextUse) on every call,
 // and as the offline yardstick it is not a target the harness needs to
-// make fast. Wrapped policies (core.Protector) never reach a kernel —
-// the wrapper holds its base as an interface field, so it does not
-// re-export the capability.
+// make fast. A wrapped policy (core.Protector) never reaches its base's
+// kernel — the wrapper holds its base as an interface field, so it does
+// not re-export the capability; the oracle and predictor-driven lanes
+// over LRU bind core's protected-LRU kernel instead.
 
 import (
 	"encoding/binary"

@@ -25,6 +25,11 @@ import (
 //
 // Residencies still alive at stream end are never trained on; nothing
 // reads the predictor after the replay, so that changes no output.
+//
+// Over an LRU base NewBatchKernel binds core's protected-LRU kernel,
+// which makes the same calls through the LaneHinter methods: LaneHit on
+// a hit; LaneHint, then the victim choice, LaneEvict and LaneFill on a
+// miss.
 type Driven struct {
 	*core.Protector
 	pred Predictor
@@ -72,32 +77,59 @@ func (d *Driven) observe(a *cache.AccessInfo) {
 
 // Hit implements cache.Policy.
 func (d *Driven) Hit(set, way int, a *cache.AccessInfo) {
-	d.observe(a)
-	if ln := &d.lines[set*d.ways+way]; a.Core != ln.fillCore {
-		ln.shared = true
-	}
+	d.LaneHit(uint32(set*d.ways+way), a)
 	d.Protector.Hit(set, way, a)
 }
 
 // Victim implements cache.Policy: observe and predict the miss, choose
 // the victim, then train on the residency it ends.
 func (d *Driven) Victim(set int, a *cache.AccessInfo) int {
-	d.observe(a)
-	d.hint = d.pred.Predict(*a)
+	d.hint = d.LaneHint(a)
 	d.predicted = true
 	v := d.Protector.Victim(set, a)
-	ln := &d.lines[set*d.ways+v]
-	d.pred.Train(ln.block, ln.fillPC, ln.shared)
+	d.LaneEvict(uint32(set*d.ways + v))
 	return v
 }
 
 // Fill implements cache.Policy.
 func (d *Driven) Fill(set, way int, a *cache.AccessInfo) {
 	if !d.predicted {
-		d.observe(a)
-		d.hint = d.pred.Predict(*a)
+		d.hint = d.LaneHint(a)
 	}
 	d.predicted = false
 	d.FillHinted(set, way, a, d.hint)
-	d.lines[set*d.ways+way] = drivenLine{block: a.Block, fillPC: a.PC, fillCore: a.Core}
+	d.LaneFill(uint32(set*d.ways+way), a)
+}
+
+// NewBatchKernel implements cache.BatchPolicy: the Protector's
+// protected-LRU kernel over an LRU base, driven by the lane's predictor;
+// the generic loop (nil) otherwise.
+func (d *Driven) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+	return d.LRUKernel(c, d)
+}
+
+// LaneHit implements core.LaneHinter: observe the hit and mark the
+// residency shared when a core other than its filler hits it.
+func (d *Driven) LaneHit(li uint32, a *cache.AccessInfo) {
+	d.observe(a)
+	if ln := &d.lines[li]; a.Core != ln.fillCore {
+		ln.shared = true
+	}
+}
+
+// LaneHint implements core.LaneHinter: observe the miss, then predict it.
+func (d *Driven) LaneHint(a *cache.AccessInfo) bool {
+	d.observe(a)
+	return d.pred.Predict(*a)
+}
+
+// LaneEvict implements core.LaneHinter: train on the residency that ends.
+func (d *Driven) LaneEvict(li uint32) {
+	ln := &d.lines[li]
+	d.pred.Train(ln.block, ln.fillPC, ln.shared)
+}
+
+// LaneFill implements core.LaneHinter: open the new residency.
+func (d *Driven) LaneFill(li uint32, a *cache.AccessInfo) {
+	d.lines[li] = drivenLine{block: a.Block, fillPC: a.PC, fillCore: a.Core}
 }

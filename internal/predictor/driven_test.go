@@ -60,6 +60,8 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 // Protector counter must match. The hook-free lane must take the
 // two-phase route up to 64 ways and the sequential walk at 128, and call
 // NewPolicy exactly once either way: the protector stashes rely on it.
+// Over LRU its policy pass must run the protected-LRU kernel; the DRRIP
+// case holds the generic loop to the hooked reference.
 func TestDrivenLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -70,6 +72,11 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 		{Strength: core.Full, SkipBudget: 1},
 		{Strength: core.Full, SkipBudget: -1},
 	}
+	drrip, err := policy.ByName("drrip", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string]func() cache.Policy{"lru": lru, "drrip": drrip}
 	prefixes := []int{n / 7, n / 3, n / 2, n}
 	if testing.Short() {
 		prefixes = []int{n / 3, n} // the race step's budget
@@ -79,45 +86,50 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 		cache.AnnotateNextUse(stream)
 		for _, ways := range []int{8, 16, 64, 128} {
 			for oi, opts := range optionSets {
-				for pi, pred := range predictors(t) {
-					at := fmt.Sprintf("%s, %d ways, opts %d, len %d", pred.Name(), ways, oi, m)
-					calls, parts := 0, 0
-					var drv *Driven
-					lane := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
-						calls++
-						drv = NewDriven(lru(), opts, pred)
-						return drv
-					}}
-					got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4,
-						Partitioner: func(n int) (*sharing.PartitionIndex, error) {
-							parts = n
-							return sharing.BuildPartition(stream, n)
-						}})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var ref *core.Protector
-					hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t)[pi]),
-						NewPolicy: func() cache.Policy {
-							ref = core.NewProtectorOpts(lru(), opts)
-							return ref
+				for name, base := range bases {
+					for pi, pred := range predictors(t) {
+						at := fmt.Sprintf("%s over %s, %d ways, opts %d, len %d", pred.Name(), name, ways, oi, m)
+						calls, parts := 0, 0
+						var drv *Driven
+						lane := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
+							calls++
+							drv = NewDriven(base(), opts, pred)
+							return drv
 						}}
-					want, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want[0].Pred = sharing.PredStats{}
-					if !reflect.DeepEqual(got[0], want[0]) {
-						t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
-					}
-					if drv.Stats() != ref.Stats() {
-						t.Errorf("%s: protector stats %+v, hooked %+v", at, drv.Stats(), ref.Stats())
-					}
-					if calls != 1 {
-						t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
-					}
-					if twoPhase := parts > 1; twoPhase != (ways <= 64) {
-						t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4,
+							Partitioner: func(n int) (*sharing.PartitionIndex, error) {
+								parts = n
+								return sharing.BuildPartition(stream, n)
+							}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						var ref *core.Protector
+						hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t)[pi]),
+							NewPolicy: func() cache.Policy {
+								ref = core.NewProtectorOpts(base(), opts)
+								return ref
+							}}
+						want, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[0].Pred = sharing.PredStats{}
+						if !reflect.DeepEqual(got[0], want[0]) {
+							t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
+						}
+						if drv.Stats() != ref.Stats() {
+							t.Errorf("%s: protector stats %+v, hooked %+v", at, drv.Stats(), ref.Stats())
+						}
+						if calls != 1 {
+							t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
+						}
+						if twoPhase := parts > 1; twoPhase != (ways <= 64) {
+							t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+						}
+						if got, want := drivenKernel(t, NewDriven(base(), opts, Never{}), ways), name == "lru" && ways <= 64; got != want {
+							t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
+						}
 					}
 				}
 			}
@@ -125,16 +137,30 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 	}
 }
 
+// drivenKernel reports whether a cache of drivenSize and ways over pol
+// binds a batch kernel, as the two-phase policy pass's cache does.
+func drivenKernel(t *testing.T, pol cache.Policy, ways int) bool {
+	t.Helper()
+	c, err := cache.NewSetAssoc(drivenSize, ways, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.HasBatchKernel()
+}
+
 // TestDrivenLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
 // F8 leg in the mix — bare LRU, DRRIP and an address-predictor-driven
 // lane: once the scratch pool is warm, a replay allocates only per-lane
 // and per-shard bookkeeping, orders of magnitude below one object per
-// access.
+// access. The driven lane runs the protected-LRU kernel.
 func TestDrivenLaneAllocSteady(t *testing.T) {
 	stream := drivenStream(60000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !drivenKernel(t, NewDriven(lru(), core.Options{Strength: core.Full}, Never{}), 8) {
+		t.Fatal("the LRU driven lane binds no batch kernel")
 	}
 	run := func() {
 		pred, err := NewAddress(DefaultConfig())

@@ -12,6 +12,12 @@
 // which the F7/F8 experiments reproduce — is that neither history source
 // correlates strongly enough with active sharing phases to recover more
 // than a fraction of the oracle's gain.
+//
+// An F8 lane drives its predictor from inside the replay (Driven): over
+// an LRU base (up to 64 ways) it runs core's protected-LRU batch kernel,
+// which calls Driven's core.LaneHinter methods to observe, predict and
+// train; over other bases it runs the generic batch loop over Driven's
+// per-call methods, which make the same calls in the same order.
 package predictor
 
 import (
