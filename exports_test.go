@@ -16,8 +16,8 @@ import (
 // A key is pkg.Func, pkg.Type.Method or pkg.Type.Field; pkg.Type alone
 // covers every method of the type.
 var exportAllowlist = map[string]string{
-	"cache.NewSystem":                     "T1's note names it; results_all.txt and the bench goldens pin that note",
-	"cache.System":                        "T1's note names its methods; results_all.txt and the bench goldens pin that note",
+	"cache.NewSystem":                     "builds the inclusive reference that sim.TestDecouplingApproximation compares the decoupled stream against (DESIGN.md key decision 1)",
+	"cache.System":                        "the inclusive reference of sim.TestDecouplingApproximation (DESIGN.md key decision 1)",
 	"coherence.Directory.CheckInvariants": "test oracle for the MESI directory",
 	"cache.SetAssoc.HasBatchKernel":       "kernel-binding probe: reports whether a policy bound its batch kernel",
 	"server.Config.Runner":                "test seam: replaces the in-process experiment runner",

@@ -44,9 +44,9 @@ func LogByte(o uint32, setBase uint32) uint8 {
 // a whole chunk of pre-decoded columns with the policy's Hit/Victim/Fill
 // logic inlined into the loop body instead of dispatched through the
 // Policy interface per access. A kernel must perform exactly the state
-// transitions of the generic loop — same outcome words, same counter
-// advances, same residency-table and policy-state updates in the same
-// order — so kernel and generic replays stay bit-identical (the
+// transitions of the generic loop — same outcome words, same
+// residency-table and policy-state updates in the same order — so
+// kernel and generic replays stay bit-identical (the
 // TestBatchPolicyVsGeneric differentials hold every kernel to it).
 // accs runs in lockstep with the columns; most kernels never touch it
 // (their policies ignore the AccessInfo), the exceptions being SHiP's
@@ -121,19 +121,9 @@ func (c *SetAssoc) KernelColdWay(set int) uint32 {
 	panic("cache: set valid count below ways but no invalid way")
 }
 
-// KernelCommit folds one chunk's counters into the cache's, exactly as
-// the generic loop does at the end of its walk.
-func (c *SetAssoc) KernelCommit(hits, fills, evicts uint64) {
-	c.accesses += hits + fills
-	c.hits += hits
-	c.fills += fills
-	c.evicts += evicts
-}
-
 // ReplayBatchCols presents a chunk of accesses to the cache in one tight
 // loop, writing one outcome word per access into out and maintaining
-// the caller's active/lineID residency tables. Counters advance as if
-// each access had gone through Access. blk and id carry each
+// the caller's active/lineID residency tables. blk and id carry each
 // access's block number and dense BlockID; the record in accs is
 // touched only by the policy calls (many policies never dereference it)
 // and on fills, so a lane walk streams a few bytes per access instead
@@ -148,13 +138,11 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 	pol := c.policy
 	ways := c.ways
 	mask := c.mask
-	var hits, fills, evicts uint64
 	for k := range blk {
 		if li := active[id[k]]; li != 0 {
 			set := int(blk[k] & mask)
 			pol.Hit(set, int(li-1)-set*ways, &accs[k])
 			out[k] = (li - 1) | BatchHit
-			hits++
 			continue
 		}
 		set := int(blk[k] & mask)
@@ -162,19 +150,13 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 		li, o := c.fillSlot(set, a)
 		if o != 0 {
 			active[lineID[li]] = 0
-			evicts++
 		}
 		c.lines[li] = tagOf(a.Block)
 		pol.Fill(set, int(li)-set*ways, a)
 		lineID[li] = id[k]
 		active[id[k]] = li + 1
 		out[k] = li | o
-		fills++
 	}
-	c.accesses += hits + fills
-	c.hits += hits
-	c.fills += fills
-	c.evicts += evicts
 }
 
 // fillSlot picks the line index a fill of set should land in — the

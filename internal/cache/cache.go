@@ -19,8 +19,7 @@ import (
 	"sharellc/internal/trace"
 )
 
-// AccessInfo describes one reference presented to the LLC, together with
-// the side-channel hints that the policy replay passes attach.
+// AccessInfo describes one reference presented to the LLC.
 //
 // The fields are ordered widest first, so the record packs into 32 bytes
 // with no interior padding: a full-size suite keeps twelve million of
@@ -50,12 +49,6 @@ type AccessInfo struct {
 
 	Core  uint8 // issuing core
 	Write bool  // store vs. load
-
-	// PredictedShared is the fill-time sharing hint supplied by the
-	// oracle or by a realistic predictor. It is meaningful only on the
-	// access that triggers a fill and is consumed by the sharing-aware
-	// protection wrapper in internal/core.
-	PredictedShared bool
 }
 
 // NoNextUse marks a block with no future reference in the stream.
@@ -122,12 +115,6 @@ type SetAssoc struct {
 	valid  []uint16 // per-set count of valid lines; == ways means full
 	policy Policy
 	kernel BatchKernel // monomorphic batch probe, nil = generic loop
-
-	// Counters.
-	accesses uint64
-	hits     uint64
-	fills    uint64
-	evicts   uint64
 }
 
 // Geometry validates a (size, ways) pair and returns the set count
@@ -202,7 +189,6 @@ type Result struct {
 // filled (allocate-on-write as well as read), evicting a victim if the set
 // is full.
 func (c *SetAssoc) Access(a AccessInfo) Result {
-	c.accesses++
 	set := c.SetOf(a.Block)
 	base := set * c.ways
 	// One pass over the set finds both the hit way and the first invalid
@@ -218,7 +204,6 @@ func (c *SetAssoc) Access(a AccessInfo) Result {
 			continue
 		}
 		if ln == want {
-			c.hits++
 			c.policy.Hit(set, w, &a)
 			return Result{Hit: true, Set: set, Way: w}
 		}
@@ -230,14 +215,13 @@ func (c *SetAssoc) Access(a AccessInfo) Result {
 		c.valid[set]++
 	}
 	c.lines[base+way] = want
-	c.fills++
 	c.policy.Fill(set, way, &a)
 	res.Way = way
 	return res
 }
 
-// victim runs the eviction half of a fill on a full set: policy choice,
-// victim bookkeeping into res, eviction counters.
+// victim runs the eviction half of a fill on a full set: policy choice
+// and victim bookkeeping into res.
 func (c *SetAssoc) victim(set, base int, res *Result, a *AccessInfo) int {
 	way := c.policy.Victim(set, a)
 	if way < 0 || way >= c.ways {
@@ -245,7 +229,6 @@ func (c *SetAssoc) victim(set, base int, res *Result, a *AccessInfo) int {
 	}
 	res.Evicted = true
 	res.Victim = c.lines[base+way].block()
-	c.evicts++
 	return way
 }
 
@@ -265,7 +248,6 @@ func badVictim(p Policy, way, ways int) string {
 // to Access's miss path (first invalid way in scan order, else the
 // policy's victim).
 func (c *SetAssoc) FillRef(a *AccessInfo) Result {
-	c.accesses++
 	set := c.SetOf(a.Block)
 	base := set * c.ways
 	res := Result{Set: set}
@@ -286,15 +268,9 @@ func (c *SetAssoc) FillRef(a *AccessInfo) Result {
 		c.valid[set]++
 	}
 	c.lines[base+way] = tagOf(a.Block)
-	c.fills++
 	c.policy.Fill(set, way, a)
 	res.Way = way
 	return res
-}
-
-// Stats reports access counters since construction.
-func (c *SetAssoc) Stats() (accesses, hits, fills, evicts uint64) {
-	return c.accesses, c.hits, c.fills, c.evicts
 }
 
 // PerSetIndependent reports whether p declares that its replacement

@@ -103,13 +103,11 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 	stamp := p.stamp
 	return func(blk []uint64, id []uint32, accs []AccessInfo, active, lineID, out []uint32) {
 		clock := p.clock
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				clock++
 				stamp[li-1] = clock
 				out[k] = (li - 1) | BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -118,7 +116,6 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 				base := set * ways
 				li, o = uint32(base+minStampWay(stamp, base, ways)), BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -128,10 +125,8 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
 		p.clock = clock
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 

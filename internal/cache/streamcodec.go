@@ -21,10 +21,8 @@ import (
 //
 // Index is not stored: prepared streams always have Index == position
 // (FilterStream assigns it at append time), so the decoder regenerates
-// it. PredictedShared is not stored either: it is a replay-time hint,
-// always false in prepared streams (replays annotate local copies).
-// Typical records encode in 6-10 bytes instead of the 32-byte in-memory
-// struct.
+// it. Typical records encode in 6-10 bytes instead of the 32-byte
+// in-memory struct.
 
 // maxStreamCore is the largest core id the 7-bit flags field can carry;
 // it matches the 128-core ceiling of cache.Config and workloads.Model.
@@ -32,9 +30,9 @@ const maxStreamCore = 127
 
 // AppendAccessInfos appends the encoded records of stream to dst and
 // returns the extended slice. It fails on records the format cannot
-// represent (core > 127, a non-positive forward NextUse distance, or a
-// replay-time PredictedShared hint) — prepared streams never contain
-// these, so an error means the caller is snapshotting the wrong thing.
+// represent (core > 127 or a non-positive forward NextUse distance) —
+// prepared streams never contain these, so an error means the caller is
+// snapshotting the wrong thing.
 func AppendAccessInfos(dst []byte, stream []AccessInfo) ([]byte, error) {
 	var prevBlock, prevPC uint64
 	var buf [1 + 4*binary.MaxVarintLen64]byte
@@ -42,9 +40,6 @@ func AppendAccessInfos(dst []byte, stream []AccessInfo) ([]byte, error) {
 		a := &stream[i]
 		if a.Core > maxStreamCore {
 			return nil, fmt.Errorf("cache: stream record %d: core %d exceeds maximum %d", i, a.Core, maxStreamCore)
-		}
-		if a.PredictedShared {
-			return nil, fmt.Errorf("cache: stream record %d: PredictedShared set (not a prepared stream)", i)
 		}
 		nextUse := uint64(0)
 		if a.NextUse != NoNextUse {

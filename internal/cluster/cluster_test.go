@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -470,6 +471,59 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 	if st := failing.Stats(); st.BundlesFailed != failed {
 		t.Errorf("late duplicate counted as a failed bundle: BundlesFailed %d -> %d", failed, st.BundlesFailed)
 	}
+}
+
+// TestCancelledRunFreesJob: when the last waiter of an unfinished job
+// cancels, the job fails and is forgotten, so no bundle stays queued
+// for workers to run; while another waiter still waits, a cancelled
+// identical submission leaves the job in place.
+func TestCancelledRunFreesJob(t *testing.T) {
+	coord, cs := startCoordinator(t, CoordinatorConfig{})
+	drained := func(when string) {
+		t.Helper()
+		if st := coord.Stats(); st.BundlesPending != 0 || st.JobsInflight != 0 {
+			t.Errorf("%s: %d bundles pending, %d jobs in flight; want 0 and 0", when, st.BundlesPending, st.JobsInflight)
+		}
+		body, err := json.Marshal(LeaseRequest{Proto: ProtoVersion, Worker: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(cs.URL+"/v1/cluster/lease", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Errorf("%s: lease status %d, want 204", when, resp.StatusCode)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := coord.Run(cancelled, testRequest([]string{"f1"}), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context: %v", err)
+	}
+	drained("after the only waiter cancelled")
+
+	waiting, stop := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(waiting, testRequest([]string{"f1"}), nil)
+		errc <- err
+	}()
+	for coord.Stats().JobsInflight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := coord.Run(cancelled, testRequest([]string{"f1"}), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("joining Run under a cancelled context: %v", err)
+	}
+	if st := coord.Stats(); st.JobsInflight != 1 || st.BundlesPending == 0 || st.Jobs != 2 {
+		t.Errorf("a cancelled join dropped the job another waiter holds: %+v", st)
+	}
+	stop()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiting Run after cancel: %v", err)
+	}
+	drained("after the last waiter cancelled")
 }
 
 // TestControlBodyLimit: a worker-facing body one byte under the limit is

@@ -87,6 +87,7 @@ type job struct {
 	exps    []*expPlan
 	bundles []*bundle
 	done    int
+	waiters int // Run calls waiting on the job
 
 	err      error
 	tables   []*report.Table
@@ -145,11 +146,14 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // Run submits a request, blocks until every bundle has been executed by
 // some worker, and returns the merged tables — byte-identical to what a
 // single daemon produces for the same request. Identical concurrent
-// requests coalesce onto one job. Cancelling ctx abandons the wait (the
-// job itself keeps draining so an identical submission meanwhile is a
-// join, not a re-run). A job is forgotten once it finishes or fails, so
-// a later identical submission runs afresh: repeats are the daemon's
-// result cache's business, not the scheduler's.
+// requests coalesce onto one job. Cancelling ctx abandons the wait; when
+// the last waiter of an unfinished job leaves, the job fails and is
+// forgotten, dropping its pending bundles (a worker mid-bundle learns at
+// its next heartbeat and cancels). While another waiter still waits, the
+// job keeps draining and an identical submission is a join. A job is
+// forgotten once it finishes or fails, so a later identical submission
+// runs afresh: repeats are the daemon's result cache's business, not the
+// scheduler's.
 func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, err
@@ -166,19 +170,30 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 			return nil, err
 		}
 	}
+	j.waiters++
 	total := len(j.bundles)
 	c.mu.Unlock()
 
 	if progress != nil {
 		progress(0, total, "bundles queued")
 	}
+	var cancelled error
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		cancelled = ctx.Err()
 	case <-j.doneCh:
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	j.waiters--
+	if cancelled != nil {
+		if j.waiters == 0 && !j.terminal() {
+			j.err = cancelled
+			close(j.doneCh)
+			c.forgetLocked(j)
+		}
+		return nil, cancelled
+	}
 	if j.err != nil {
 		return nil, j.err
 	}

@@ -336,17 +336,18 @@ func (p *Protector) demoteActive() bool {
 	return p.fillsHinted*gateDenom >= p.fillsSeen
 }
 
-// Fill implements cache.Policy: the fill's hint is the access's
-// PredictedShared side channel (see FillHinted).
+// Fill implements cache.Policy: an unhinted fill. A hint reaches the
+// Protector only through FillHinted.
 func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
-	p.FillHinted(set, way, a, a.PredictedShared)
+	p.FillHinted(set, way, a, false)
 }
 
-// FillHinted is Fill with the sharing hint passed beside the access
-// instead of on it: delegate, then promote and mark protected when shared
-// is set. Wrappers that own their hint (an oracle column, a predictor the
-// lane drives) call it from their own Fill, so the shared stream record is
-// never copied or written to carry the bit.
+// FillHinted is Fill with the fill's sharing hint passed beside the
+// access: delegate, then promote and mark protected when shared is set.
+// Wrappers that own their hint (an oracle column, a predictor the lane
+// drives) call it from their own Fill, and a sequential replay lane hands
+// it its PredictShared hook's verdict (see sharing.Hooks), so the shared
+// stream record never carries the bit.
 func (p *Protector) FillHinted(set, way int, a *cache.AccessInfo, shared bool) {
 	p.base.Fill(set, way, a)
 	p.fillsSeen++

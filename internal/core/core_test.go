@@ -14,6 +14,7 @@ import (
 // block is resident without touching replacement state.
 type testCache struct {
 	*cache.SetAssoc
+	hint     *besideHint
 	resident map[uint64]bool
 }
 
@@ -26,6 +27,22 @@ func (c *testCache) Access(a cache.AccessInfo) cache.Result {
 	return r
 }
 
+// shared is Access with a shared fill hint.
+func (c *testCache) shared(a cache.AccessInfo) cache.Result {
+	c.hint.hint = true
+	defer func() { c.hint.hint = false }()
+	return c.Access(a)
+}
+
+// besideHint is a Protector whose fill hint arrives beside the access,
+// the way an oracle or predictor-driven lane hands it over.
+type besideHint struct {
+	*Protector
+	hint bool
+}
+
+func (b *besideHint) Fill(set, way int, a *cache.AccessInfo) { b.FillHinted(set, way, a, b.hint) }
+
 // plainLRU is cache.LRU without its Demote method: a Protector over it
 // never demotes unhinted fills, so the directed tests see the protection
 // mechanics alone, in plain LRU order.
@@ -34,12 +51,12 @@ type plainLRU struct{ cache.Policy }
 // protCache builds a testCache whose Protector wraps base under opts.
 func protCache(t *testing.T, base cache.Policy, opts Options) (*testCache, *Protector) {
 	t.Helper()
-	p := NewProtectorOpts(base, opts)
-	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
+	b := &besideHint{Protector: NewProtectorOpts(base, opts)}
+	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testCache{SetAssoc: c, resident: map[uint64]bool{}}, p
+	return &testCache{SetAssoc: c, hint: b, resident: map[uint64]bool{}}, b.Protector
 }
 
 // lruCache is protCache over cache.LRU, which demotes.
@@ -113,7 +130,7 @@ func TestDemotionMakesUnhintedFillsVictimsFirst(t *testing.T) {
 	c, p := lruCache(t, Options{Strength: Full})
 	// One hinted fill activates the gate; subsequent unhinted fills are
 	// demoted to the LRU position in fill order.
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
+	c.shared(cache.AccessInfo{Block: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -147,7 +164,7 @@ func TestHintRateGateBlocksDemotionWithoutSharing(t *testing.T) {
 
 func TestVictimExclusionSkipsProtected(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: Full})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
+	c.shared(cache.AccessInfo{Block: 0, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -169,7 +186,7 @@ func TestVictimExclusionSkipsProtected(t *testing.T) {
 
 func TestSkipBudgetExpires(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: Full, SkipBudget: 2})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
+	c.shared(cache.AccessInfo{Block: 0, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -195,7 +212,7 @@ func TestSkipBudgetExpires(t *testing.T) {
 
 func TestFulfilmentRefreshesBudget(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: Full, SkipBudget: 2})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
+	c.shared(cache.AccessInfo{Block: 0, Core: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -217,7 +234,7 @@ func TestFulfilmentRefreshesBudget(t *testing.T) {
 
 func TestClearOnFulfil(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: Full, ClearOnFulfil: true})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true, Core: 0})
+	c.shared(cache.AccessInfo{Block: 0, Core: 0})
 	c.Access(cache.AccessInfo{Block: 0, Core: 1}) // hit fulfils, clears
 	if p.protected(0, 0) {
 		t.Error("protection survived fulfilment with ClearOnFulfil")
@@ -229,7 +246,7 @@ func TestClearOnFulfil(t *testing.T) {
 
 func TestSameCoreHitDoesNotFulfil(t *testing.T) {
 	_, p := plainCache(t, Options{Strength: Full})
-	p.Fill(0, 0, &cache.AccessInfo{Block: 9, PredictedShared: true, Core: 2})
+	p.FillHinted(0, 0, &cache.AccessInfo{Block: 9, Core: 2}, true)
 	p.Hit(0, 0, &cache.AccessInfo{Block: 9, Core: 2})
 	if p.Stats().Fulfilled != 0 {
 		t.Error("same-core hit counted as fulfilment")
@@ -242,7 +259,7 @@ func TestSameCoreHitDoesNotFulfil(t *testing.T) {
 func TestLockoutEvictsBaseVictim(t *testing.T) {
 	c, p := lruCache(t, Options{Strength: Full})
 	for b := uint64(0); b < 4; b++ {
-		c.Access(cache.AccessInfo{Block: b, PredictedShared: true})
+		c.shared(cache.AccessInfo{Block: b})
 	}
 	// All 4 ways protected → lockout: base (LRU) victim is block 0.
 	r := c.Access(cache.AccessInfo{Block: 4})
@@ -256,7 +273,7 @@ func TestLockoutEvictsBaseVictim(t *testing.T) {
 
 func TestInsertOnlyNeverExcludes(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: InsertOnly})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
+	c.shared(cache.AccessInfo{Block: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -281,12 +298,8 @@ func (f *fixedVictim) Fill(int, int, *cache.AccessInfo)  {}
 func (f *fixedVictim) Victim(int, *cache.AccessInfo) int { return 0 }
 
 func TestFallbackWithoutRanking(t *testing.T) {
-	p := NewProtectorOpts(&fixedVictim{}, Options{Strength: Full})
-	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
+	c, p := protCache(t, &fixedVictim{}, Options{Strength: Full})
+	c.shared(cache.AccessInfo{Block: 0})
 	c.Access(cache.AccessInfo{Block: 1})
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
@@ -317,12 +330,8 @@ func (e *evictCounter) ObserveEvict(int, int) { e.evicts++ }
 
 func TestEvictObserverNotified(t *testing.T) {
 	base := &evictCounter{}
-	p := NewProtectorOpts(base, Options{Strength: Full})
-	c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
+	c, _ := protCache(t, base, Options{Strength: Full})
+	c.shared(cache.AccessInfo{Block: 0})
 	for b := uint64(1); b < 8; b++ {
 		c.Access(cache.AccessInfo{Block: b})
 	}
@@ -335,7 +344,7 @@ func TestEvictObserverNotified(t *testing.T) {
 
 func TestProtectionClearedOnRefill(t *testing.T) {
 	c, p := plainCache(t, Options{Strength: Full})
-	c.Access(cache.AccessInfo{Block: 0, PredictedShared: true})
+	c.shared(cache.AccessInfo{Block: 0})
 	way := -1
 	for w := 0; w < 4; w++ {
 		if p.protected(0, w) {
@@ -355,7 +364,7 @@ func TestGateDecays(t *testing.T) {
 	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	p.Attach(1, 4)
 	// One hinted fill activates the gate...
-	p.Fill(0, 0, &cache.AccessInfo{PredictedShared: true})
+	p.FillHinted(0, 0, &cache.AccessInfo{}, true)
 	if !p.demoteActive() {
 		t.Fatal("gate inactive after hinted fill")
 	}

@@ -31,30 +31,28 @@ func TestProtectorOverEveryPolicyFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := NewProtectorOpts(mk(), opts)
+				p := &besideHint{Protector: NewProtectorOpts(mk(), opts)}
 				c, err := cache.NewSetAssoc(32*trace.BlockSize, 4, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rnd := rng.New(uint64(oi) + 99)
-				var hits, misses uint64
+				var fills, evicts uint64
 				for i := 0; i < 15000; i++ {
 					a := cache.AccessInfo{
-						Block:           rnd.Uint64n(128),
-						Core:            uint8(rnd.Intn(8)),
-						PC:              0x400 + rnd.Uint64n(64)*4,
-						Write:           rnd.Bool(0.3),
-						PredictedShared: rnd.Bool(0.25),
-						NextUse:         int32(i) + int32(rnd.Intn(50)),
+						Block:   rnd.Uint64n(128),
+						Core:    uint8(rnd.Intn(8)),
+						PC:      0x400 + rnd.Uint64n(64)*4,
+						Write:   rnd.Bool(0.3),
+						NextUse: int32(i) + int32(rnd.Intn(50)),
 					}
-					if c.Access(a).Hit {
-						hits++
-					} else {
-						misses++
+					p.hint = rnd.Bool(0.25)
+					if r := c.Access(a); !r.Hit {
+						fills++
+						if r.Evicted {
+							evicts++
+						}
 					}
-				}
-				if hits+misses != 15000 {
-					t.Fatalf("opts %d: lost accesses", oi)
 				}
 				st := p.Stats()
 				if st.Promotions > st.ProtectedFills {
@@ -65,7 +63,7 @@ func TestProtectorOverEveryPolicyFuzz(t *testing.T) {
 				}
 				// Nothing invalidates LLC lines, so fills minus evictions
 				// is the resident count.
-				if _, _, fills, evicts := c.Stats(); fills-evicts > 32 {
+				if fills-evicts > 32 {
 					t.Errorf("opts %d: %d resident blocks exceed capacity", oi, fills-evicts)
 				}
 			}
@@ -79,19 +77,19 @@ func TestProtectorOverEveryPolicyFuzz(t *testing.T) {
 func TestProtectorQuickInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
-		p := NewProtectorOpts(policy.NewLRUPolicy(), Options{Strength: Full})
+		p := &besideHint{Protector: NewProtectorOpts(policy.NewLRUPolicy(), Options{Strength: Full})}
 		c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
 		if err != nil {
 			return false
 		}
 		for i := 0; i < 2000; i++ {
 			a := cache.AccessInfo{
-				Block:           rnd.Uint64n(16),
-				Core:            uint8(rnd.Intn(4)),
-				PredictedShared: rnd.Bool(0.5),
+				Block: rnd.Uint64n(16),
+				Core:  uint8(rnd.Intn(4)),
 			}
+			p.hint = rnd.Bool(0.5)
 			r := c.Access(a)
-			if !r.Hit && !a.PredictedShared {
+			if !r.Hit && !p.hint {
 				// The way just filled with an unhinted block must not
 				// be protected.
 				if p.protected(r.Set, r.Way) {
@@ -103,64 +101,5 @@ func TestProtectorQuickInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-// besideHint is a Protector whose fill hint arrives beside the access,
-// the way an oracle or predictor-driven lane hands it over.
-type besideHint struct {
-	*Protector
-	hint bool
-}
-
-func (b *besideHint) Fill(set, way int, a *cache.AccessInfo) { b.FillHinted(set, way, a, b.hint) }
-
-// TestFillHintedMatchesFill holds FillHinted to Fill: over every
-// catalogue policy and option set, a Protector told each hint beside an
-// unhinted record makes the same cache decisions and counts the same
-// interventions as one reading the record's PredictedShared.
-func TestFillHintedMatchesFill(t *testing.T) {
-	optionSets := []Options{
-		{Strength: InsertOnly},
-		{Strength: Full},
-		{Strength: Full, SkipBudget: 1},
-		{Strength: Full, SkipBudget: -1},
-		{Strength: Full, ClearOnFulfil: true},
-	}
-	for _, name := range policy.Names(11) {
-		mk, err := policy.ByName(name, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for oi, opts := range optionSets {
-			onRecord := NewProtectorOpts(mk(), opts)
-			beside := &besideHint{Protector: NewProtectorOpts(mk(), opts)}
-			c1, err := cache.NewSetAssoc(32*trace.BlockSize, 4, onRecord)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c2, err := cache.NewSetAssoc(32*trace.BlockSize, 4, beside)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rnd := rng.New(uint64(oi) + 7)
-			for i := 0; i < 8000; i++ {
-				a := cache.AccessInfo{
-					Block:   rnd.Uint64n(128),
-					Core:    uint8(rnd.Intn(8)),
-					PC:      0x400 + rnd.Uint64n(64)*4,
-					NextUse: int32(i) + int32(rnd.Intn(50)),
-				}
-				beside.hint = rnd.Bool(0.25)
-				hinted := a
-				hinted.PredictedShared = beside.hint
-				if r1, r2 := c1.Access(hinted), c2.Access(a); r1 != r2 {
-					t.Fatalf("%s opts %d access %d: on-record %+v, beside %+v", name, oi, i, r1, r2)
-				}
-			}
-			if s1, s2 := onRecord.Stats(), beside.Stats(); s1 != s2 {
-				t.Errorf("%s opts %d: stats on-record %+v, beside %+v", name, oi, s1, s2)
-			}
-		}
 	}
 }

@@ -54,7 +54,6 @@ func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
 		clock := *clockp
 		st := &p.stats
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				li--
@@ -74,7 +73,6 @@ func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel
 					}
 				}
 				out[k] = li | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -85,7 +83,6 @@ func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel
 				li, o = uint32(set*ways+p.lruVictim(lru, set, a)), cache.BatchEvict
 				d.LaneEvict(li)
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -125,10 +122,8 @@ func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
 		*clockp = clock
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 

@@ -72,12 +72,12 @@ type kernelLane struct {
 
 // laneState is everything a replay of one lane leaves behind.
 type laneState struct {
-	out                           []uint32
-	accesses, hits, fills, evicts uint64
-	stats                         core.Stats
-	stamps                        []uint64
-	clock                         uint64
-	log                           []uint64
+	out    []uint32
+	active []uint32 // the final residency table
+	stats  core.Stats
+	stamps []uint64
+	clock  uint64
+	log    []uint64
 }
 
 // replayLane replays stream through a fresh cache over lane — behind a
@@ -107,7 +107,7 @@ func replayLane(t *testing.T, lane kernelLane, generic bool, sets, ways int, str
 		hi := min(lo+chunks[i%len(chunks)], len(stream))
 		c.ReplayBatchCols(blk[lo:hi], id[lo:hi], stream[lo:hi], active, lineID, s.out[lo:hi])
 	}
-	s.accesses, s.hits, s.fills, s.evicts = c.Stats()
+	s.active = active
 	s.stats = lane.prot.Stats()
 	stamps, clock := lane.base.KernelState()
 	s.stamps, s.clock = slices.Clone(stamps), *clock
@@ -184,7 +184,7 @@ func drivenPredictors(t *testing.T) []predictor.Predictor {
 // generic ReplayBatchCols loop over the same lane's per-call methods, for
 // oracle lanes (all, no and mixed hints) and predictor-driven lanes (every
 // predictor) at 8, 16 and 64 ways under every protection setting. Outcome
-// words, cache counters, Protector stats, the LRU stamps and clock, and
+// words, the residency table, Protector stats, the LRU stamps and clock, and
 // for driven lanes every prediction and training must be equal, and the
 // kernel must be the route actually bound.
 func TestProtectedLRUKernelVsGeneric(t *testing.T) {
@@ -242,8 +242,7 @@ func firstDiff(got, want laneState) string {
 	if !slices.Equal(got.log, want.log) {
 		return fmt.Sprintf("predictor log differs (%d vs %d entries)", len(got.log), len(want.log))
 	}
-	return fmt.Sprintf("counters %d/%d/%d/%d, want %d/%d/%d/%d", got.accesses, got.hits, got.fills, got.evicts,
-		want.accesses, want.hits, want.fills, want.evicts)
+	return "residency table differs"
 }
 
 // TestProtectedLRUKernelWrappedDemote replays 8-way oracle lanes whose

@@ -18,9 +18,11 @@ import (
 // reference Protector is diffed against. The embedded Protector supplies
 // the options, counters and hint-rate gate, which did not change;
 // everything that reads or writes protection state is overridden here.
+// The fill hint arrives beside the access, in hint.
 type refProtector struct {
 	Protector
-	ref []refLine
+	ref  []refLine
+	hint bool // the next fill's sharing hint
 }
 
 type refLine struct {
@@ -142,7 +144,7 @@ func (p *refProtector) refCharge(ln *refLine) {
 func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	p.base.Fill(set, way, a)
 	p.fillsSeen++
-	if a.PredictedShared {
+	if p.hint {
 		p.fillsHinted++
 	}
 	if p.fillsSeen >= gateWindow {
@@ -151,7 +153,7 @@ func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 	ln := &p.ref[set*p.ways+way]
 	*ln = refLine{}
-	if !a.PredictedShared {
+	if !p.hint {
 		if p.demoteActive() {
 			if d, ok := p.base.(Demoter); ok {
 				d.Demote(set, way)
@@ -172,19 +174,18 @@ func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	}
 }
 
-// hintStream yields accesses whose hint rate moves through phases — none
-// hinted, a quarter, all — so sets pass through the none-protected,
-// mixed and all-protected (lockout) states, with enough conflict misses
-// for skip budgets to run out.
-func hintStream(rnd *rng.Source, i, n, blocks int) cache.AccessInfo {
+// hintStream yields accesses and their fill hints, the hint rate moving
+// through phases — none hinted, a quarter, all — so sets pass through the
+// none-protected, mixed and all-protected (lockout) states, with enough
+// conflict misses for skip budgets to run out.
+func hintStream(rnd *rng.Source, i, n, blocks int) (cache.AccessInfo, bool) {
 	rate := [...]float64{0.25, 1, 0, 0.25, 0.6}[i*5/n]
 	return cache.AccessInfo{
-		Block:           rnd.Uint64n(uint64(blocks)),
-		Core:            uint8(rnd.Intn(4)),
-		PC:              0x400 + rnd.Uint64n(64)*4,
-		PredictedShared: rnd.Bool(rate),
-		NextUse:         int32(i) + int32(rnd.Intn(200)),
-	}
+		Block:   rnd.Uint64n(uint64(blocks)),
+		Core:    uint8(rnd.Intn(4)),
+		PC:      0x400 + rnd.Uint64n(64)*4,
+		NextUse: int32(i) + int32(rnd.Intn(200)),
+	}, rnd.Bool(rate)
 }
 
 // TestVictimScanMatchesRankAndWalk drives Protector and refProtector, each
@@ -218,7 +219,7 @@ func TestVictimScanMatchesRankAndWalk(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, want := NewProtectorOpts(mk(), opts), newRefProtector(mk(), opts)
+					got, want := &besideHint{Protector: NewProtectorOpts(mk(), opts)}, newRefProtector(mk(), opts)
 					gc, err := cache.NewSetAssoc(sets*ways*trace.BlockSize, ways, got)
 					if err != nil {
 						t.Fatal(err)
@@ -230,7 +231,8 @@ func TestVictimScanMatchesRankAndWalk(t *testing.T) {
 					where := fmt.Sprintf("%s/%d ways/%v/variant %d", name, ways, strength, vi)
 					rnd := rng.New(uint64(ways)*31 + uint64(vi))
 					for i := 0; i < n; i++ {
-						a := hintStream(rnd, i, n, 3*sets*ways)
+						a, hint := hintStream(rnd, i, n, 3*sets*ways)
+						got.hint, want.hint = hint, hint
 						if g, w := gc.Access(a), wc.Access(a); g != w {
 							t.Fatalf("%s: access %d: got %+v, reference %+v", where, i, g, w)
 						}
@@ -300,7 +302,7 @@ func quarterProtected(tb testing.TB, base string) (*Protector, int) {
 	for set := 0; set < sets; set++ {
 		rnd.Shuffle(ways, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, w := range order[:ways/4] {
-			p.Fill(set, w, &cache.AccessInfo{PredictedShared: true})
+			p.FillHinted(set, w, &cache.AccessInfo{}, true)
 		}
 	}
 	traffic()
@@ -335,10 +337,10 @@ func TestVictimDoesNotAllocate(t *testing.T) {
 	// Lockout: every way protected.
 	p := NewProtectorOpts(policy.NewLRUPolicy(), Options{Strength: Full})
 	p.Attach(1, 16)
-	a := &cache.AccessInfo{PredictedShared: true}
+	a := &cache.AccessInfo{}
 	if avg := testing.AllocsPerRun(100, func() {
 		for w := 0; w < 16; w++ {
-			p.Fill(0, w, a)
+			p.FillHinted(0, w, a, true)
 		}
 		p.Victim(0, a)
 	}); avg != 0 {

@@ -195,7 +195,7 @@ func protectedLane(llcSize, llcWays int, newPolicy func() cache.Policy, opts cor
 // one-factory call is the single-policy study. newPolicy factories must
 // return a fresh instance on each call (the two passes must not share
 // trained state). ropt carries the replay tuning (Shards, Partitioner,
-// Cores, NumBlocks — see sharing.Options); its Ctx is overridden by ctx,
+// NumBlocks — see sharing.Options); its Ctx is overridden by ctx,
 // and cancelling ctx aborts the study at the replay's next poll.
 func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, factories []func() cache.Policy, opts core.Options, horizonFactor int, ropt sharing.Options) ([]*Result, error) {
 	if horizonFactor < 1 {

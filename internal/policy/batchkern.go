@@ -13,7 +13,7 @@ package policy
 //
 // Shared structure (the cache-side transitions are the generic loop's,
 // verbatim, in the same order — TestBatchPolicyVsGeneric holds every
-// kernel to byte-equal outcomes, counters and final policy state):
+// kernel to byte-equal outcomes and final policy state):
 //
 //	hit:  load active[id] → update policy state at line li-1 → out word.
 //	      The per-set state is flat by line index, so the hit path never
@@ -156,11 +156,9 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	stamp := p.stamp
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
 		clock := p.clock
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				out[k] = (li - 1) | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -169,7 +167,6 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 				base := set * ways
 				li, o = uint32(base+stampVictim(stamp, base, ways)), cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -179,10 +176,8 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
 		p.clock = clock
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -194,11 +189,9 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	valid := c.KernelValid()
 	rnd := p.rnd
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				out[k] = (li - 1) | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -206,7 +199,6 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			if int(valid[set]) == ways {
 				li, o = uint32(set*ways+rnd.Intn(ways)), cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -214,9 +206,7 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -228,12 +218,10 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	ref := p.ref
 	wide := ways%laneWidth == 0
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				ref[li-1] = 1
 				out[k] = (li - 1) | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -242,7 +230,6 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 				base := set * ways
 				li, o = uint32(base+nruVictim(ref, base, ways, wide)), cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -251,9 +238,7 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -286,7 +271,6 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 		}
 	}
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				idx := li - 1
@@ -294,7 +278,6 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 				way := idx & wayMask
 				tree[set] = tree[set]&^clearM[way] | setM[way]
 				out[k] = idx | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -313,7 +296,6 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 				}
 				li, o = uint32(set*ways)+way, cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -323,9 +305,7 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -347,13 +327,11 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 	stamp := p.stamp
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
 		clock := p.clock
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				clock++
 				stamp[li-1] = clock
 				out[k] = (li - 1) | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -362,7 +340,6 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 			if int(valid[set]) == ways {
 				li, o = uint32(base+stampVictim(stamp, base, ways)), cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -384,10 +361,8 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
 		p.clock = clock
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -416,12 +391,10 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 	rrpv := p.rrpv
 	wide := ways%laneWidth == 0
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				rrpv[li-1] = 0
 				out[k] = (li - 1) | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -430,7 +403,6 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 				base := set * ways
 				li, o = uint32(base+rripVictim(rrpv, base, ways, wide)), cache.BatchEvict
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -451,9 +423,7 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -482,7 +452,6 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	rrpv, shct, lineSig, lineUsed := p.rrpv, p.shct, p.lineSig, p.lineUsed
 	wide := ways%laneWidth == 0
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				idx := li - 1
@@ -494,7 +463,6 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 					}
 				}
 				out[k] = idx | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -509,7 +477,6 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 					}
 				}
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -525,9 +492,7 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }
 
@@ -541,7 +506,6 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	rrpv, shct, lineSig, lineUsed, lineCore := p.rrpv, p.shct, p.lineSig, p.lineUsed, p.lineCore
 	wide := ways%laneWidth == 0
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		var hits, fills, evicts uint64
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
 				idx := li - 1
@@ -559,7 +523,6 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 					}
 				}
 				out[k] = idx | cache.BatchHit
-				hits++
 				continue
 			}
 			set := int(blk[k] & mask)
@@ -574,7 +537,6 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 					}
 				}
 				active[lineID[li]] = 0
-				evicts++
 			} else {
 				li = c.KernelColdWay(set)
 			}
@@ -594,8 +556,6 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
-			fills++
 		}
-		c.KernelCommit(hits, fills, evicts)
 	}
 }

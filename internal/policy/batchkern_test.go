@@ -97,7 +97,7 @@ func replayCols(c *cache.SetAssoc, stream []cache.AccessInfo, numBlocks, chunk i
 // TestBatchPolicyVsGeneric replays every specialized policy through its
 // monomorphic kernel and through the generic interface loop (the policy
 // behind a genericTwin) and demands byte-equal outcome words,
-// identical cache counters and contents, and deeply equal final policy
+// identical cache contents, and deeply equal final policy
 // state — including RNG cursors, dueling counters and SHCT tables. Both
 // a SWAR-eligible associativity (16) and a scalar-search one (4) run;
 // PLRU covers both since they are powers of two.
@@ -136,14 +136,17 @@ func TestBatchPolicyVsGeneric(t *testing.T) {
 							k, stream[k].Block, outSpec[k], outGen[k])
 					}
 				}
-				sa, sh, sf, se := spec.Stats()
-				ga, gh, gf, ge := gen.Stats()
-				if sa != ga || sh != gh || sf != gf || se != ge {
-					t.Fatalf("stats diverge: kernel (%d %d %d %d), generic (%d %d %d %d)",
-						sa, sh, sf, se, ga, gh, gf, ge)
+				hits, evicts := 0, 0
+				for _, o := range outSpec {
+					if o&cache.BatchHit != 0 {
+						hits++
+					}
+					if o&cache.BatchEvict != 0 {
+						evicts++
+					}
 				}
-				if sh == 0 || se == 0 {
-					t.Fatalf("degenerate stream: hits=%d evicts=%d", sh, se)
+				if hits == 0 || evicts == 0 {
+					t.Fatalf("degenerate stream: hits=%d evicts=%d", hits, evicts)
 				}
 				if !reflect.DeepEqual(resSpec, resGen) {
 					t.Fatal("cache contents diverge")

@@ -89,20 +89,21 @@ func TestSHiPSBeatsSHiPOnSharedReuse(t *testing.T) {
 }
 
 func TestSHiPSValidUnderFuzz(t *testing.T) {
-	c, err := cache.NewSetAssoc(16*trace.BlockSize, 4, newSHiPS())
+	llc, err := cache.NewSetAssoc(16*trace.BlockSize, 4, newSHiPS())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := tally{c: llc}
 	rnd := rng.New(31)
 	for i := 0; i < 20000; i++ {
-		c.Access(cache.AccessInfo{
+		c.access(cache.AccessInfo{
 			Block: rnd.Uint64n(64),
 			Core:  uint8(rnd.Intn(8)),
 			PC:    0x400 + rnd.Uint64n(16)*4,
 			Write: rnd.Bool(0.3),
 		})
 	}
-	if got := resident(c); got > 16 {
+	if got := c.resident(); got > 16 {
 		t.Errorf("%d resident blocks exceed capacity", got)
 	}
 }

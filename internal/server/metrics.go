@@ -85,16 +85,6 @@ func (m *metrics) gauge(field *int, d int) {
 	m.mu.Unlock()
 }
 
-// snapshotRatio returns the cache hit ratio (hits / lookups), 0 when idle.
-func (m *metrics) snapshotRatio() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cacheHits+m.cacheMisses == 0 {
-		return 0
-	}
-	return float64(m.cacheHits) / float64(m.cacheHits+m.cacheMisses)
-}
-
 // write renders the registry in Prometheus text format, deterministically
 // ordered so scrapes (and tests) are stable.
 func (m *metrics) write(w io.Writer) {

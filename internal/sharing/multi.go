@@ -65,9 +65,11 @@ import (
 // set belongs entirely to one shard, which is what lets one partition
 // serve lanes of different geometries. The partition depends only on
 // (stream, Shards) and is immutable once built, so it is safe to share
-// across concurrent replays.
+// across concurrent replays. Cores is 1 + the highest Core in the stream
+// (0 for an empty stream), which the same pass reads for lane routing.
 type PartitionIndex struct {
 	Shards int
+	Cores  int
 	Order  []int32
 	Offs   []int32
 }
@@ -80,18 +82,21 @@ type Partitioner func(shards int) (*PartitionIndex, error)
 // shard worker can walk a contiguous index list in stream order. shards
 // must be a power of two ≥ 2. The pass also validates the stream Index
 // invariant (contiguous Index values starting at 0), so replays walking
-// a partition need no per-access validation.
+// a partition need no per-access validation, and records the stream's
+// core count.
 func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, error) {
 	if shards < 2 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("sharing: partition shard count %d is not a power of two >= 2", shards)
 	}
 	mask := uint64(shards - 1)
 	counts := make([]int32, shards)
+	cores := 0
 	for i := range stream {
 		if int(stream[i].Index) != i {
 			return nil, fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
 		}
 		counts[stream[i].Block&mask]++
+		cores = max(cores, int(stream[i].Core)+1)
 	}
 	offs := make([]int32, shards+1)
 	for s := 0; s < shards; s++ {
@@ -106,7 +111,7 @@ func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, err
 		pos[s]++
 	}
 	mem.Hugepages(order)
-	return &PartitionIndex{Shards: shards, Order: order, Offs: offs}, nil
+	return &PartitionIndex{Shards: shards, Cores: cores, Order: order, Offs: offs}, nil
 }
 
 // LLCConfig describes one lane of a fused replay: an LLC geometry, a
@@ -396,15 +401,28 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	shards := 1
 	if minSets > 1 {
-		// The tracker packs a residency's cores into one word, so a
-		// stream with wider cores (the Options.Cores hint, else a
-		// detection scan) sends every lane to the sequential walk.
-		cores := opt.Cores
-		if cores == 0 {
-			cores = scanCores(stream)
+		shards = blockShards(hotBytes, minSets, workers)
+	}
+	var part *PartitionIndex
+	if shards > 1 {
+		var err error
+		if opt.Partitioner != nil {
+			part, err = opt.Partitioner(shards)
+			if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
+				err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
+					part.Shards, len(part.Order), shards, len(stream))
+			}
+		} else {
+			part, err = BuildPartition(stream, shards)
 		}
-		if cores <= soaMaxCores {
-			shards = blockShards(hotBytes, minSets, workers)
+		if err != nil {
+			return err
+		}
+		// The tracker packs a residency's cores into one word, so a
+		// stream with wider cores sends every lane to the sequential
+		// walk.
+		if part.Cores > soaMaxCores {
+			part, shards = nil, 1
 		}
 	}
 	var shardLanes, phaseLanes, seqLanes []*lane
@@ -420,23 +438,9 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	engineLanes := append(append([]*lane(nil), shardLanes...), phaseLanes...)
 
-	var part *PartitionIndex
 	var passBlk []uint64
 	var passID []uint32
 	if len(engineLanes) > 0 {
-		var err error
-		if opt.Partitioner != nil {
-			part, err = opt.Partitioner(shards)
-			if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
-				err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
-					part.Shards, len(part.Order), shards, len(stream))
-			}
-		} else {
-			part, err = BuildPartition(stream, shards)
-		}
-		if err != nil {
-			return err
-		}
 		// Tracker scratch comes from the pool (see scratch.go).
 		for _, l := range engineLanes {
 			l.soa = grabSoA(l.sets * l.cfg.Ways)
@@ -591,7 +595,13 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 // writing the finished Result to l.result. It is the walk every engine
 // path is tested against.
 func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) error {
-	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
+	pol := l.inst
+	var hint *hookHint
+	if fh, ok := pol.(fillHinter); ok && l.cfg.Hooks.PredictShared != nil {
+		hint = &hookHint{fillHinter: fh}
+		pol = hint
+	}
+	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, pol)
 	if err != nil {
 		return err
 	}
@@ -602,6 +612,7 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 		blockState: grab(&scratch.bytes, numBlocks, true),
 		hooks:      l.cfg.Hooks,
 		hadPred:    l.cfg.Hooks.PredictShared != nil,
+		hint:       hint,
 		ctx:        opt.Ctx,
 	}
 	if err := st.run(llc, stream); err != nil {

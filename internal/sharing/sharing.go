@@ -68,10 +68,11 @@ func (r Residency) Evicted() bool { return r.EvictIndex >= 0 }
 // Hooks lets callers observe and steer one lane of a replay
 // (LLCConfig.Hooks). Any field may be nil.
 type Hooks struct {
-	// PredictShared is consulted at fill time; its result is attached to
-	// the fill access as cache.AccessInfo.PredictedShared (the input of
-	// the sharing-aware protection wrapper) and recorded on the
-	// residency for accuracy accounting.
+	// PredictShared is consulted at fill time. Its result is recorded on
+	// the residency for accuracy accounting and, when the lane's policy
+	// has a FillHinted method (core.Protector and the lanes embedding
+	// it), handed to FillHinted as the fill's sharing hint in place of
+	// the policy's own Fill.
 	PredictShared func(a cache.AccessInfo) bool
 	// OnResidencyEnd fires when a residency closes, either on eviction
 	// or at end of stream. Predictors use it as their training signal.
@@ -119,15 +120,6 @@ type Options struct {
 	// returning a partition for the wrong shard count or stream length
 	// is a programming error and fails the replay.
 	Partitioner Partitioner
-
-	// Cores, when positive, asserts that every access's Core is below
-	// Cores. It only steers lane routing (the engine's tracker packs
-	// cores into one word; wider streams take the sequential walk), so
-	// a missing hint costs a detection scan per replay, and a wrong low
-	// value would corrupt sharing classification exactly like a wrong
-	// NumBlocks corrupts indexing — sim.Stream records the true count
-	// and passes it here. Zero means "unknown": the replay scans.
-	Cores int
 
 	// NumBlocks, when positive, asserts that the stream already carries
 	// dense BlockIDs in [0, NumBlocks) (cache.AssignBlockIDs), letting
@@ -273,14 +265,26 @@ type replayState struct {
 
 	hooks   Hooks
 	hadPred bool
+	hint    *hookHint       // the lane's policy when it takes the hook's hint; else nil
 	ctx     context.Context // nil = not cancellable
-
-	// hinted is the copy of the current access that carries the fill-time
-	// prediction into the cache. It lives here, not in step, because the
-	// policy interface makes a local copy escape: one heap object per
-	// hooked fill.
-	hinted cache.AccessInfo
 }
+
+// fillHinter is a policy whose fill takes its sharing hint beside the
+// access: core.Protector and the lanes that embed it.
+type fillHinter interface {
+	cache.Policy
+	FillHinted(set, way int, a *cache.AccessInfo, shared bool)
+}
+
+// hookHint wraps a hooked sequential lane's fillHinter: step stores the
+// PredictShared verdict in shared, and Fill hands it to FillHinted.
+type hookHint struct {
+	fillHinter
+	shared bool
+}
+
+// Fill implements cache.Policy.
+func (h *hookHint) Fill(set, way int, a *cache.AccessInfo) { h.FillHinted(set, way, a, h.shared) }
 
 // closeRes finalizes a residency at evictIndex (-1 = alive at stream end)
 // and folds it into the counters.
@@ -331,10 +335,8 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 // bookkeeping and residency maintenance. a points into the caller's
 // stream and is never written through — streams are shared across
 // lanes and concurrent replays, so the multi-word record travels by
-// reference; when a fill-time prediction must be attached, it is
-// attached to the state's own copy (st.hinted) before that copy reaches
-// the cache. It is the per-access body of the sequential walk
-// (runSeqLane).
+// reference, and a fill-time prediction travels beside it (st.hint).
+// It is the per-access body of the sequential walk (runSeqLane).
 //
 // step reports whether the access hit but does not touch the
 // aggregate Accesses/Hits/Misses counters: those are three dependent
@@ -373,16 +375,14 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		}
 		return true, nil
 	}
-	pred := a.PredictedShared
-	var out cache.Result
+	var pred bool
 	if st.hadPred {
 		pred = st.hooks.PredictShared(*a)
-		st.hinted = *a
-		st.hinted.PredictedShared = pred
-		out = llc.FillRef(&st.hinted)
-	} else {
-		out = llc.FillRef(a)
+		if st.hint != nil {
+			st.hint.shared = pred
+		}
 	}
+	out := llc.FillRef(a)
 	li := out.Set*ways + out.Way
 	if out.Evicted {
 		victim := &st.lines[li]

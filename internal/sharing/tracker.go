@@ -76,21 +76,6 @@ func putSoA(t *soaCols) {
 	put(&scratch.hcs, t.hc)
 }
 
-// scanCores returns 1 + the highest core number in stream — the
-// fallback core-count discovery when Options.Cores carries no hint.
-func scanCores(stream []cache.AccessInfo) int {
-	var max uint8
-	for i := range stream {
-		if c := stream[i].Core; c > max {
-			max = c
-		}
-	}
-	if len(stream) == 0 {
-		return 0
-	}
-	return int(max) + 1
-}
-
 // cwWord expands one packed meta byte (decodeColumns' core/store
 // encoding) into the tracker's core/write word: bit core set, bit 63
 // carrying the store flag. The expansion is a handful of ALU ops per

@@ -16,21 +16,22 @@ import (
 // struct-Residency tracker of the sequential walk over every experiment
 // family — the full policy catalogue (shardable and two-phase lanes), a
 // hooked lane and a 128-way lane — at a second geometry and worker
-// count, with the Options.Cores hint set, at every prefix.
+// count, at every prefix.
 func TestTrackerVsSequential(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
 	var hooks int
 	configs := batchTestConfigs(t, 128*cache.KB, 16, &hooks)
-	configsAgree(t, stream, configs, Options{Shards: 2, Cores: 8})
+	configsAgree(t, stream, configs, Options{Shards: 2})
 }
 
 // TestTrackerWideCoreFallback streams cores past the packed word's 63
 // (indices 0..62): every lane must route to the sequential walk and
-// still match it, with and without an Options.Cores hint. A 63-core
-// stream (the widest that fits) stays on the engine. Routing shows in
-// the shardable LRU lane's factory calls: the engine builds one policy
-// per shard worker on top of the probe instance, the sequential walk
-// only the probe instance.
+// still match it, whether the replay builds its partition or a caller's
+// Partitioner supplies it (as sim.Stream does). A 63-core stream (the
+// widest that fits) stays on the engine. Routing shows in the shardable
+// LRU lane's factory calls: the engine builds one policy per shard
+// worker on top of the probe instance, the sequential walk only the
+// probe instance.
 func TestTrackerWideCoreFallback(t *testing.T) {
 	for _, cores := range []uint8{63, 64, 100} {
 		stream := synthStream(15000, 1200, cores, uint64(cores))
@@ -44,17 +45,34 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 		if wide {
 			want = "sequential"
 		}
-		for _, hint := range []int{0, int(cores)} {
-			opt := Options{Shards: 4, Cores: hint}
+		partitioned := 0
+		partitioner := func(shards int) (*PartitionIndex, error) {
+			partitioned++
+			return BuildPartition(stream, shards)
+		}
+		for _, opt := range []Options{{Shards: 4}, {Shards: 4, Partitioner: partitioner}} {
 			calls.Store(0)
-			if _, err := ReplayMulti(stream, configs, opt); err != nil {
+			got, err := ReplayMulti(stream, configs, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if n := calls.Load(); (n == 1) != wide {
-				t.Errorf("cores %d, hint %d: LRU lane built %d policies; want the %s walk", cores, hint, n, want)
+				t.Errorf("cores %d, partitioner %v: LRU lane built %d policies; want the %s walk", cores, opt.Partitioner != nil, n, want)
 			}
-			configsAgree(t, stream, configs, opt)
+			for i, c := range configs {
+				ref, err := seqReplay(stream, c, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[i], ref) {
+					t.Errorf("cores %d, partitioner %v, config %d: engine result differs from the sequential walk", cores, opt.Partitioner != nil, i)
+				}
+			}
 		}
+		if partitioned != 1 {
+			t.Errorf("cores %d: the caller's partitioner was asked %d times, want once", cores, partitioned)
+		}
+		configsAgree(t, stream, configs, Options{Shards: 4})
 	}
 }
 

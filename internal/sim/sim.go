@@ -79,30 +79,6 @@ type Stream struct {
 	// is built once per stream and shared (it is immutable once built).
 	partMu sync.Mutex
 	parts  map[int]*sharing.PartitionIndex
-
-	// coresOnce guards cores, the memoized core count of Accesses
-	// (1 + highest core number), scanned at most once per stream so
-	// every replay's lane routing skips the full-stream scan
-	// (sharing.Options.Cores).
-	coresOnce sync.Once
-	cores     int
-}
-
-// Cores returns 1 + the highest core number appearing in the stream,
-// scanning it once on first call. Safe for concurrent use.
-func (s *Stream) Cores() int {
-	s.coresOnce.Do(func() {
-		var max uint8
-		for i := range s.Accesses {
-			if c := s.Accesses[i].Core; c > max {
-				max = c
-			}
-		}
-		if len(s.Accesses) > 0 {
-			s.cores = int(max) + 1
-		}
-	})
-	return s.cores
 }
 
 // Partitioner returns the sharing.Partitioner serving this stream's
@@ -134,7 +110,7 @@ func (s *Stream) Partitioner() sharing.Partitioner {
 // this stream should build its sharing.Options here so no stream-level
 // memoization is forgotten at any call site.
 func (s *Stream) ReplayOptions(shards int, ctx context.Context) sharing.Options {
-	return sharing.Options{Shards: shards, Ctx: ctx, Partitioner: s.Partitioner(), NumBlocks: s.NumBlocks, Cores: s.Cores()}
+	return sharing.Options{Shards: shards, Ctx: ctx, Partitioner: s.Partitioner(), NumBlocks: s.NumBlocks}
 }
 
 // BuildStream generates the model's trace, filters it through a fresh

@@ -278,13 +278,3 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	})
 }
-
-// TestSnapshotEncodeRejectsReplayHints: a stream carrying replay-time
-// PredictedShared hints must not snapshot (it is not a prepared stream).
-func TestSnapshotEncodeRejectsReplayHints(t *testing.T) {
-	s := randomStream(rand.New(rand.NewSource(3)), 10)
-	s.Accesses[4].PredictedShared = true
-	if _, err := cache.AppendAccessInfos(nil, s.Accesses); err == nil {
-		t.Fatal("AppendAccessInfos accepted a PredictedShared record")
-	}
-}

@@ -147,8 +147,9 @@ func PolicyByName(name string, seed uint64) (PolicyFactory, error) {
 }
 
 // NewSharingAware wraps any base policy with the paper's sharing-aware
-// protection mechanism. The wrapped policy consumes the PredictedShared
-// fill hints carried by the access stream.
+// protection mechanism. Its Fill is unhinted: each fill's sharing hint
+// goes to FillHinted beside the access, from the oracle or predictor
+// that drives the lane.
 func NewSharingAware(base Policy, opts ProtectorOptions) *core.Protector {
 	return core.NewProtectorOpts(base, opts)
 }
