@@ -344,10 +344,11 @@ func (p *Protector) Fill(set, way int, a *cache.AccessInfo) {
 
 // FillHinted is Fill with the fill's sharing hint passed beside the
 // access: delegate, then promote and mark protected when shared is set.
-// Wrappers that own their hint (an oracle column, a predictor the lane
-// drives) call it from their own Fill, and a sequential replay lane hands
-// it its PredictShared hook's verdict (see sharing.Hooks), so the shared
-// stream record never carries the bit.
+// Every experiment lane's wrapper owns its hint (an oracle column, a
+// predictor the lane drives) and calls it from its own Fill, so the
+// shared stream record never carries the bit. A hooked sequential replay
+// lane, which only the reference tests and the benchmark's probes build,
+// hands it its PredictShared hook's verdict instead.
 func (p *Protector) FillHinted(set, way int, a *cache.AccessInfo, shared bool) {
 	p.base.Fill(set, way, a)
 	p.fillsSeen++

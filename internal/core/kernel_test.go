@@ -28,7 +28,7 @@ func (g genericLane) Victim(set int, a *cache.AccessInfo) int { return g.lane.Vi
 func (g genericLane) Fill(set, way int, a *cache.AccessInfo)  { g.lane.Fill(set, way, a) }
 
 // recorder logs every prediction and every training of the predictor it
-// wraps, and forwards Observe when that predictor observes accesses.
+// wraps.
 type recorder struct {
 	pred predictor.Predictor
 	log  []uint64
@@ -45,12 +45,6 @@ func (r *recorder) Predict(a cache.AccessInfo) bool {
 func (r *recorder) Train(block, fillPC uint64, shared bool) {
 	r.log = append(r.log, math.MaxUint64, block, fillPC, b2u(shared))
 	r.pred.Train(block, fillPC, shared)
-}
-
-func (r *recorder) Observe(a cache.AccessInfo) {
-	if o, ok := r.pred.(predictor.AccessObserver); ok {
-		o.Observe(a)
-	}
 }
 
 func b2u(b bool) uint64 {
@@ -158,8 +152,8 @@ func hintColumns(n int) map[string][]bool {
 }
 
 // drivenPredictors builds one fresh instance of each predictor a driven
-// lane can carry.
-func drivenPredictors(t *testing.T) []predictor.Predictor {
+// lane can carry, the coherence predictor over stream.
+func drivenPredictors(t *testing.T, stream []cache.AccessInfo) []predictor.Predictor {
 	t.Helper()
 	addr, err := predictor.NewAddress(predictor.Config{TableBits: 8})
 	if err != nil {
@@ -173,7 +167,7 @@ func drivenPredictors(t *testing.T) []predictor.Predictor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := predictor.NewCoherence(4096)
+	coh, err := predictor.NewCoherence(stream, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +195,10 @@ func TestProtectedLRUKernelVsGeneric(t *testing.T) {
 					return kernelLane{pol: h, base: base, prot: h.Protector}
 				}
 			}
-			for pi, pred := range drivenPredictors(t) {
+			for pi, pred := range drivenPredictors(t, stream) {
 				lanes["driven-"+pred.Name()] = func() kernelLane {
 					base := policy.NewLRUPolicy()
-					rec := &recorder{pred: drivenPredictors(t)[pi]}
+					rec := &recorder{pred: drivenPredictors(t, stream)[pi]}
 					d := predictor.NewDriven(base, opts, rec)
 					return kernelLane{pol: d, base: base, prot: d.Protector, rec: rec}
 				}

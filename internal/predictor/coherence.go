@@ -7,14 +7,6 @@ import (
 	"sharellc/internal/coherence"
 )
 
-// AccessObserver is implemented by predictors that need to see every LLC
-// access (not only fills). An F7 lane feeds them through
-// sharing.Hooks.OnAccess (HooksFor); a Driven lane calls Observe itself,
-// before anything else happens on the access.
-type AccessObserver interface {
-	Observe(a cache.AccessInfo)
-}
-
 // DefaultCoherenceWindow is the recency window (in LLC accesses) within
 // which a past coherence event keeps a block predicted shared.
 const DefaultCoherenceWindow = 1 << 16
@@ -28,15 +20,21 @@ const DefaultCoherenceWindow = 1 << 16
 // event (downgrade, invalidation, upgrade) within a recency window —
 // i.e. it keys on *active sharing*, not on stale address/PC history.
 //
-// It requires no residency training at all; the directory is its state.
+// It requires no residency training at all: the directory is its state,
+// and the directory sees every access whatever the cache does. Its
+// prediction at stream position i is therefore a function of the stream
+// up to i alone, so NewCoherence computes every position's prediction in
+// one directory pass, and Predict reads that column at a.Index, as
+// oracle.Hinted reads its hints. A Coherence serves only the stream it
+// was built from.
 type Coherence struct {
-	dir    *coherence.Directory
-	window uint64
+	col []bool
 }
 
-// NewCoherence builds the predictor. window <= 0 selects
-// DefaultCoherenceWindow.
-func NewCoherence(window int64) (*Coherence, error) {
+// NewCoherence builds the predictor over stream, which must carry
+// contiguous Index values from 0 (cache.FilterStream order). window <= 0
+// selects DefaultCoherenceWindow.
+func NewCoherence(stream []cache.AccessInfo, window int64) (*Coherence, error) {
 	if window < 0 {
 		return nil, fmt.Errorf("predictor: negative coherence window %d", window)
 	}
@@ -44,36 +42,30 @@ func NewCoherence(window int64) (*Coherence, error) {
 	if w == 0 {
 		w = DefaultCoherenceWindow
 	}
-	return &Coherence{dir: coherence.NewDirectory(), window: w}, nil
+	dir := coherence.NewDirectory()
+	col := make([]bool, len(stream))
+	for i := range stream {
+		a := &stream[i]
+		if a.Write {
+			dir.Store(a.Core, a.Block)
+		} else {
+			dir.Load(a.Core, a.Block)
+		}
+		if _, n := dir.StateOf(a.Block); n >= 2 {
+			col[i] = true
+		} else if last, ok := dir.LastSharingEvent(a.Block); ok {
+			col[i] = dir.Clock()-last <= w
+		}
+	}
+	return &Coherence{col: col}, nil
 }
 
 // Name implements Predictor.
 func (p *Coherence) Name() string { return "coherence" }
 
-// Observe implements AccessObserver: every LLC access drives the
-// directory.
-func (p *Coherence) Observe(a cache.AccessInfo) {
-	if a.Write {
-		p.dir.Store(a.Core, a.Block)
-	} else {
-		p.dir.Load(a.Core, a.Block)
-	}
-}
-
 // Predict implements Predictor.
-func (p *Coherence) Predict(a cache.AccessInfo) bool {
-	if _, n := p.dir.StateOf(a.Block); n >= 2 {
-		return true
-	}
-	if last, ok := p.dir.LastSharingEvent(a.Block); ok {
-		return p.dir.Clock()-last <= p.window
-	}
-	return false
-}
+func (p *Coherence) Predict(a cache.AccessInfo) bool { return p.col[a.Index] }
 
 // Train implements Predictor. The coherence predictor learns from the
 // directory, not from residency outcomes.
 func (p *Coherence) Train(uint64, uint64, bool) {}
-
-// Stats exposes the underlying directory traffic for characterization.
-func (p *Coherence) Stats() coherence.Stats { return p.dir.Stats() }

@@ -14,14 +14,10 @@ import (
 // its stream-order policy pass calls Hit, Victim and Fill in exactly the
 // sequential walk's order, which is the order the predictor must see.
 //
-// Per access the calls follow the hooked lane (HooksFor over a Protector)
-// one for one:
-//
-//   - an AccessObserver predictor observes the access before anything
-//     else happens on it;
-//   - a miss is predicted once, before any training: in Victim when the
-//     set is full, else in Fill;
-//   - Victim trains the predictor on the residency it ends.
+// Per miss the calls follow the hooked lane (HooksFor over a Protector)
+// one for one: the miss is predicted once, before any training (in
+// Victim when the set is full, else in Fill), and Victim trains the
+// predictor on the residency it ends.
 //
 // Residencies still alive at stream end are never trained on; nothing
 // reads the predictor after the replay, so that changes no output.
@@ -33,13 +29,12 @@ import (
 type Driven struct {
 	*core.Protector
 	pred Predictor
-	obs  AccessObserver // pred's per-access feed; nil when it has none
 
 	ways  int
 	lines []drivenLine // one per (set, way): the open residency there
 
 	// hint is the current miss's prediction; predicted reports that
-	// Victim already made it (and observed the access) for this miss.
+	// Victim already made it for this miss.
 	hint      bool
 	predicted bool
 }
@@ -55,9 +50,7 @@ type drivenLine struct {
 // NewDriven wraps base in a core.Protector under opts whose fills are
 // hinted by pred. pred must belong to this lane alone.
 func NewDriven(base cache.Policy, opts core.Options, pred Predictor) *Driven {
-	d := &Driven{Protector: core.NewProtectorOpts(base, opts), pred: pred}
-	d.obs, _ = pred.(AccessObserver)
-	return d
+	return &Driven{Protector: core.NewProtectorOpts(base, opts), pred: pred}
 }
 
 // Attach implements cache.Policy.
@@ -68,21 +61,14 @@ func (d *Driven) Attach(sets, ways int) {
 	mem.Hugepages(d.lines)
 }
 
-// observe feeds the access to an observing predictor.
-func (d *Driven) observe(a *cache.AccessInfo) {
-	if d.obs != nil {
-		d.obs.Observe(*a)
-	}
-}
-
 // Hit implements cache.Policy.
 func (d *Driven) Hit(set, way int, a *cache.AccessInfo) {
 	d.LaneHit(uint32(set*d.ways+way), a)
 	d.Protector.Hit(set, way, a)
 }
 
-// Victim implements cache.Policy: observe and predict the miss, choose
-// the victim, then train on the residency it ends.
+// Victim implements cache.Policy: predict the miss, choose the victim,
+// then train on the residency it ends.
 func (d *Driven) Victim(set int, a *cache.AccessInfo) int {
 	d.hint = d.LaneHint(a)
 	d.predicted = true
@@ -108,18 +94,16 @@ func (d *Driven) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return d.LRUKernel(c, d)
 }
 
-// LaneHit implements core.LaneHinter: observe the hit and mark the
-// residency shared when a core other than its filler hits it.
+// LaneHit implements core.LaneHinter: mark the residency shared when a
+// core other than its filler hits it.
 func (d *Driven) LaneHit(li uint32, a *cache.AccessInfo) {
-	d.observe(a)
 	if ln := &d.lines[li]; a.Core != ln.fillCore {
 		ln.shared = true
 	}
 }
 
-// LaneHint implements core.LaneHinter: observe the miss, then predict it.
+// LaneHint implements core.LaneHinter: predict the miss.
 func (d *Driven) LaneHint(a *cache.AccessInfo) bool {
-	d.observe(a)
 	return d.pred.Predict(*a)
 }
 

@@ -17,8 +17,9 @@ import (
 // 128 ways leave 128 to 8 sets.
 const drivenSize = 64 * cache.KB
 
-// predictors builds one fresh instance of each of the six predictors.
-func predictors(t *testing.T) []Predictor {
+// predictors builds one fresh instance of each of the six predictors,
+// the coherence predictor over stream.
+func predictors(t *testing.T, stream []cache.AccessInfo) []Predictor {
 	t.Helper()
 	addr, err := NewAddress(Config{TableBits: 8})
 	if err != nil {
@@ -32,7 +33,7 @@ func predictors(t *testing.T) []Predictor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := NewCoherence(4096)
+	coh, err := NewCoherence(stream, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,7 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 // to its hooked form — a Protector over LRU with HooksFor(pred), pinned
 // to the sequential walk — for all six predictors at 8, 16, 64 and 128
 // ways under every protection setting, at several stream prefixes. Every
-// Result field but Pred (only hooks score predictions) and every
-// Protector counter must match. The hook-free lane must take the
+// Result field and every Protector counter must match. The hook-free lane must take the
 // two-phase route up to 64 ways and the sequential walk at 128, and call
 // NewPolicy exactly once either way: the protector stashes rely on it.
 // Over LRU its policy pass must run the protected-LRU kernel; the DRRIP
@@ -87,7 +87,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 		for _, ways := range []int{8, 16, 64, 128} {
 			for oi, opts := range optionSets {
 				for name, base := range bases {
-					for pi, pred := range predictors(t) {
+					for pi, pred := range predictors(t, stream) {
 						at := fmt.Sprintf("%s over %s, %d ways, opts %d, len %d", pred.Name(), name, ways, oi, m)
 						calls, parts := 0, 0
 						var drv *Driven
@@ -105,7 +105,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 							t.Fatal(err)
 						}
 						var ref *core.Protector
-						hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t)[pi]),
+						hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t, stream)[pi]),
 							NewPolicy: func() cache.Policy {
 								ref = core.NewProtectorOpts(base(), opts)
 								return ref
@@ -114,7 +114,6 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want[0].Pred = sharing.PredStats{}
 						if !reflect.DeepEqual(got[0], want[0]) {
 							t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
 						}

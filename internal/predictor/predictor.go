@@ -13,11 +13,15 @@
 // correlates strongly enough with active sharing phases to recover more
 // than a fraction of the oracle's gain.
 //
-// An F8 lane drives its predictor from inside the replay (Driven): over
-// an LRU base (up to 64 ways) it runs core's protected-LRU batch kernel,
-// which calls Driven's core.LaneHinter methods to observe, predict and
-// train; over other bases it runs the generic batch loop over Driven's
-// per-call methods, which make the same calls in the same order.
+// Both studies carry their predictors inside the replay lane's policy,
+// so no lane is hooked and both run two-phase. An F7/A2 lane
+// (EvaluateMulti) scores every predictor at once against an untouched
+// base: no predictor steers, so all of them see the same residencies.
+// An F8 lane drives one predictor (Driven): over an LRU base (up to 64
+// ways) it runs core's protected-LRU batch kernel, which calls Driven's
+// core.LaneHinter methods to predict and train; over other bases it runs
+// the generic batch loop over Driven's per-call methods, which make the
+// same calls in the same order.
 package predictor
 
 import (

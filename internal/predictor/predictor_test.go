@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -22,31 +23,46 @@ func lru() cache.Policy { return policy.NewLRUPolicy() }
 
 // evaluate is the F7 lane for one predictor: a one-predictor
 // EvaluateMulti over LRU.
-func evaluate(t *testing.T, stream []cache.AccessInfo, pred Predictor) *sharing.Result {
+func evaluate(t *testing.T, stream []cache.AccessInfo, pred Predictor) PredStats {
 	t.Helper()
-	res, err := EvaluateMulti(context.Background(), stream, size, ways, lru, []Predictor{pred})
+	scores, err := EvaluateMulti(context.Background(), stream, size, ways, lru, []Predictor{pred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res[0]
+	return scores[0]
 }
 
 // drive is the F8 lane for one predictor: a one-config ReplayMulti whose
-// policy is the full-strength protector over LRU and whose hooks come
-// from HooksFor. It returns the protector's counters with the result.
+// policy is pred driving the full-strength protector over LRU. It
+// returns the protector's counters with the result.
 func drive(t *testing.T, stream []cache.AccessInfo, pred Predictor) (*sharing.Result, core.Stats) {
 	t.Helper()
-	var prot *core.Protector
-	cfg := sharing.LLCConfig{Size: size, Ways: ways, Hooks: HooksFor(pred),
-		NewPolicy: func() cache.Policy {
-			prot = core.NewProtectorOpts(lru(), core.Options{Strength: core.Full})
-			return prot
-		}}
+	var d *Driven
+	cfg := sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
+		d = NewDriven(lru(), core.Options{Strength: core.Full}, pred)
+		return d
+	}}
 	res, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res[0], prot.Stats()
+	return res[0], d.Stats()
+}
+
+// counted counts the predictions and trainings of the predictor it wraps.
+type counted struct {
+	Predictor
+	predicts, trains int
+}
+
+func (c *counted) Predict(a cache.AccessInfo) bool {
+	c.predicts++
+	return c.Predictor.Predict(a)
+}
+
+func (c *counted) Train(block, fillPC uint64, shared bool) {
+	c.trains++
+	c.Predictor.Train(block, fillPC, shared)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -200,11 +216,11 @@ func TestEvaluateOnConsistentWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := evaluate(t, stream, pred)
-		if res.Pred.Total() == 0 {
+		ps := evaluate(t, stream, pred)
+		if ps.Total() == 0 {
 			t.Fatalf("%s: no residencies classified", pred.Name())
 		}
-		if acc := res.Pred.Accuracy(); acc < 0.7 {
+		if acc := ps.Accuracy(); acc < 0.7 {
 			t.Errorf("%s: accuracy %.2f on a history-consistent workload, want > 0.7", pred.Name(), acc)
 		}
 	}
@@ -220,24 +236,73 @@ func TestEvaluateDoesNotPerturbReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := evaluate(t, stream, pred)
-	if bare[0].Misses != eval.Misses {
-		t.Errorf("evaluation changed miss count: %d vs %d", bare[0].Misses, eval.Misses)
+	lane := sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
+		return newScored(lru(), []Predictor{pred})
+	}}
+	eval, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bare[0], eval[0]) {
+		t.Errorf("evaluation changed the replay:\nbare:   %+v\nscored: %+v", bare[0], eval[0])
+	}
+}
+
+// TestPredictionAccounting scores a predictor that bets on even blocks.
+// Block 2 (even) becomes shared → TP. Block 4 (even) stays private → FP.
+// Block 1 (odd) becomes shared → FN. Block 3 (odd) stays private → TN.
+// None is evicted, so each is scored as an open residency at stream end.
+func TestPredictionAccounting(t *testing.T) {
+	pairs := [][2]uint64{
+		{0, 2}, {1, 2},
+		{0, 4},
+		{0, 1}, {1, 1},
+		{0, 3},
+	}
+	stream := make([]cache.AccessInfo, len(pairs))
+	for i, p := range pairs {
+		stream[i] = cache.AccessInfo{Core: uint8(p[0]), Block: p[1], Index: int32(i)}
+	}
+	ps := evaluate(t, stream, evenBlocks{})
+	if ps != (PredStats{TP: 1, FP: 1, TN: 1, FN: 1}) {
+		t.Errorf("PredStats = %+v, want 1 each", ps)
+	}
+	if got := ps.Accuracy(); got != 0.5 {
+		t.Errorf("Accuracy = %v, want 0.5", got)
+	}
+	if got := ps.Precision(); got != 0.5 {
+		t.Errorf("Precision = %v, want 0.5", got)
+	}
+	if got := ps.Recall(); got != 0.5 {
+		t.Errorf("Recall = %v, want 0.5", got)
+	}
+}
+
+// evenBlocks predicts a fill shared iff its block is even.
+type evenBlocks struct{ Never }
+
+func (evenBlocks) Predict(a cache.AccessInfo) bool { return a.Block%2 == 0 }
+
+func TestPredStatsEmpty(t *testing.T) {
+	var p PredStats
+	if p.Accuracy() != 0 || p.Precision() != 0 || p.Recall() != 0 {
+		t.Error("empty PredStats returned non-zero rates")
 	}
 }
 
 func TestDriveProtectsAndTrains(t *testing.T) {
 	stream := mixedStream(20000)
-	pred, err := NewAddress(DefaultConfig())
+	addr, err := NewAddress(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred := &counted{Predictor: addr}
 	res, stats := drive(t, stream, pred)
 	if stats.ProtectedFills == 0 {
 		t.Error("driven lane never protected a fill")
 	}
-	if res.Pred.Total() == 0 {
-		t.Error("driven lane recorded no prediction outcomes")
+	if uint64(pred.predicts) != res.Misses || pred.trains == 0 {
+		t.Errorf("driven lane made %d predictions for %d misses and %d trainings", pred.predicts, res.Misses, pred.trains)
 	}
 }
 

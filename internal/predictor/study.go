@@ -5,43 +5,207 @@ import (
 	"fmt"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 	"sharellc/internal/sharing"
 )
 
-// EvaluateMulti measures every predictor's fill-time accuracy without
-// letting it influence replacement (experiment F7), in one fused replay
-// over the stream: one lane per predictor, each with its own fresh base
-// policy (newBase is called once per lane) and its own hook set. The
-// base policy runs untouched while the predictor predicts at each fill
-// and trains at each residency end; each result's Pred field holds that
-// predictor's confusion matrix. Results are returned in predictor order.
-func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]*sharing.Result, error) {
-	configs := make([]sharing.LLCConfig, len(preds))
-	for i, pred := range preds {
-		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: newBase, Hooks: HooksFor(pred)}
-	}
-	results, err := sharing.ReplayMulti(stream, configs, sharing.Options{Ctx: ctx})
-	if err != nil {
-		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
-	}
-	return results, nil
+// PredStats accumulates fill-time prediction outcomes against residency
+// ground truth (positive class = shared).
+type PredStats struct {
+	TP, FP, TN, FN uint64
 }
 
-// HooksFor wires a predictor into a replay lane: fill-time prediction,
-// residency training, and — for predictors that watch every access (the
-// coherence-assisted predictor) — the per-access observation feed. Hooks
-// pin the lane to the sequential walk; they are how F7 scores a predictor
-// (the Pred confusion matrix) without letting it steer replacement. A
-// predictor that steers protection (F8) is a Driven lane instead.
+// add scores one residency: its fill-time verdict against its outcome.
+func (p *PredStats) add(predicted, shared bool) {
+	switch {
+	case predicted && shared:
+		p.TP++
+	case predicted:
+		p.FP++
+	case shared:
+		p.FN++
+	default:
+		p.TN++
+	}
+}
+
+// Total returns the number of classified residencies.
+func (p PredStats) Total() uint64 { return p.TP + p.FP + p.TN + p.FN }
+
+// Accuracy returns (TP+TN)/total, or 0 when empty.
+func (p PredStats) Accuracy() float64 {
+	t := p.Total()
+	if t == 0 {
+		return 0
+	}
+	return float64(p.TP+p.TN) / float64(t)
+}
+
+// Precision returns TP/(TP+FP), or 0 when no positive predictions.
+func (p PredStats) Precision() float64 {
+	if p.TP+p.FP == 0 {
+		return 0
+	}
+	return float64(p.TP) / float64(p.TP+p.FP)
+}
+
+// Recall returns TP/(TP+FN) — the fraction of truly shared residencies
+// the predictor caught — or 0 when no positives exist.
+func (p PredStats) Recall() float64 {
+	if p.TP+p.FN == 0 {
+		return 0
+	}
+	return float64(p.TP) / float64(p.TP+p.FN)
+}
+
+// maxScored bounds the predictors of one scored lane: each owns one bit
+// of a line's verdict word.
+const maxScored = 16
+
+// EvaluateMulti measures every predictor's fill-time accuracy without
+// letting it influence replacement (experiments F7 and A2). The base
+// policy (newBase is called once) runs untouched in one replay lane that
+// carries every predictor: each predicts at each fill, trains when the
+// residency ends, and is scored against that residency's outcome,
+// residencies still open at stream end included. It returns one
+// confusion matrix per predictor, in predictor order; at most 16
+// predictors fit one lane.
+func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]PredStats, error) {
+	if len(preds) > maxScored {
+		return nil, fmt.Errorf("predictor: %d predictors in one scored lane, at most %d", len(preds), maxScored)
+	}
+	var lane *scored
+	cfg := sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy {
+		lane = newScored(newBase(), preds)
+		return lane
+	}}
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx}); err != nil {
+		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
+	}
+	return lane.finish(), nil
+}
+
+// scored is the policy of an F7/A2 lane: a base policy that runs
+// untouched and the predictors scored against its residencies. No
+// predictor steers, so every predictor sees the same residencies, and
+// one lane carries them all.
+//
+// Per miss every predictor predicts before any trains on the residency
+// the miss ends: in Victim when the set is full, else in Fill. The base
+// is embedded as a cache.Policy, which hides its PerSetIndependent and
+// NewBatchKernel: the predictors' tables cross sets, so the lane runs
+// two-phase (up to 64 ways), its policy pass calling Hit, Victim and
+// Fill in stream order.
+type scored struct {
+	cache.Policy
+	preds []Predictor
+	stats []PredStats
+
+	ways  int
+	lines []scoredLine // one per (set, way)
+
+	// verdicts holds the current miss's predictions, bit k from
+	// preds[k]; predicted reports that Victim already made them.
+	verdicts  uint16
+	predicted bool
+}
+
+// scoredLine is one line's open residency: what training needs, the
+// verdicts made at its fill, and whether a residency is open there.
+type scoredLine struct {
+	drivenLine
+	verdicts uint16
+	open     bool
+}
+
+func newScored(base cache.Policy, preds []Predictor) *scored {
+	return &scored{Policy: base, preds: preds, stats: make([]PredStats, len(preds))}
+}
+
+// Attach implements cache.Policy.
+func (s *scored) Attach(sets, ways int) {
+	s.Policy.Attach(sets, ways)
+	s.ways = ways
+	s.lines = make([]scoredLine, sets*ways)
+	mem.Hugepages(s.lines)
+}
+
+// Hit implements cache.Policy: mark the residency shared when a core
+// other than its filler hits it.
+func (s *scored) Hit(set, way int, a *cache.AccessInfo) {
+	if ln := &s.lines[set*s.ways+way]; a.Core != ln.fillCore {
+		ln.shared = true
+	}
+	s.Policy.Hit(set, way, a)
+}
+
+// predict collects every predictor's verdict on the current miss.
+func (s *scored) predict(a *cache.AccessInfo) {
+	s.verdicts = 0
+	for k, p := range s.preds {
+		if p.Predict(*a) {
+			s.verdicts |= 1 << k
+		}
+	}
+	s.predicted = true
+}
+
+// Victim implements cache.Policy: predict the miss, choose the victim,
+// then score and train every predictor on the residency it ends.
+func (s *scored) Victim(set int, a *cache.AccessInfo) int {
+	s.predict(a)
+	v := s.Policy.Victim(set, a)
+	ln := &s.lines[set*s.ways+v]
+	s.score(ln)
+	for _, p := range s.preds {
+		p.Train(ln.block, ln.fillPC, ln.shared)
+	}
+	return v
+}
+
+// Fill implements cache.Policy: open the new residency with the miss's
+// verdicts.
+func (s *scored) Fill(set, way int, a *cache.AccessInfo) {
+	if !s.predicted {
+		s.predict(a)
+	}
+	s.predicted = false
+	s.Policy.Fill(set, way, a)
+	s.lines[set*s.ways+way] = scoredLine{
+		drivenLine: drivenLine{block: a.Block, fillPC: a.PC, fillCore: a.Core},
+		verdicts:   s.verdicts,
+		open:       true,
+	}
+}
+
+// score folds a closing residency into every predictor's matrix.
+func (s *scored) score(ln *scoredLine) {
+	for k := range s.stats {
+		s.stats[k].add(ln.verdicts>>k&1 == 1, ln.shared)
+	}
+}
+
+// finish scores the residencies still open at stream end and returns
+// the matrices. Nothing reads a predictor after the replay, so those
+// residencies are not trained on.
+func (s *scored) finish() []PredStats {
+	for i := range s.lines {
+		if s.lines[i].open {
+			s.score(&s.lines[i])
+		}
+	}
+	return s.stats
+}
+
+// HooksFor wires a predictor into a hooked replay lane: its prediction is
+// the lane's fill-time hint, and each residency end trains it. No
+// experiment runs hooked lanes: F7/A2 score predictors in one scored lane
+// (EvaluateMulti) and F8 drives each from a Driven lane.
 func HooksFor(pred Predictor) sharing.Hooks {
-	h := sharing.Hooks{
+	return sharing.Hooks{
 		PredictShared: pred.Predict,
 		OnResidencyEnd: func(r sharing.Residency) {
 			pred.Train(r.Block, r.FillPC, r.Shared())
 		},
 	}
-	if o, ok := pred.(AccessObserver); ok {
-		h.OnAccess = o.Observe
-	}
-	return h
 }

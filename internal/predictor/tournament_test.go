@@ -74,11 +74,11 @@ func TestTournamentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := evaluate(t, stream, tr)
-	if res.Pred.Total() == 0 {
+	ps := evaluate(t, stream, tr)
+	if ps.Total() == 0 {
 		t.Fatal("no residencies classified")
 	}
-	if acc := res.Pred.Accuracy(); acc < 0.7 {
+	if acc := ps.Accuracy(); acc < 0.7 {
 		t.Errorf("tournament accuracy %.2f on history-consistent workload", acc)
 	}
 	// And it must drive replacement without error.
@@ -86,7 +86,8 @@ func TestTournamentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := drive(t, stream, tr2); res.Pred.Total() == 0 {
-		t.Error("driven tournament recorded no prediction outcomes")
+	pred := &counted{Predictor: tr2}
+	if res, _ := drive(t, stream, pred); uint64(pred.predicts) != res.Misses || pred.trains == 0 {
+		t.Errorf("driven tournament made %d predictions for %d misses and %d trainings", pred.predicts, res.Misses, pred.trains)
 	}
 }

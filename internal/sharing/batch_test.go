@@ -11,10 +11,10 @@ import (
 
 // batchTestConfigs builds one lane per experiment family: every
 // registered policy (covering the shardable and two-phase groups), a
-// hooked lane (pinned to the sequential walk) and a 128-way LRU lane (a
-// shardable lane past the outcome log's 6-bit way field, which only
-// two-phase lanes need).
-func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig {
+// hooked LRU lane (pinned to the sequential walk; its PredictShared hook
+// counts into hookCount) and a 128-way LRU lane (a shardable lane past
+// the outcome log's 6-bit way field, which only two-phase lanes need).
+func batchTestConfigs(t *testing.T, size, ways int, hookCount *uint64) []LLCConfig {
 	t.Helper()
 	var configs []LLCConfig
 	for _, n := range policy.Names(1) {
@@ -26,7 +26,7 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig 
 	}
 	lru := func() cache.Policy { return policy.NewLRUPolicy() }
 	configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: lru,
-		Hooks: Hooks{OnAccess: func(cache.AccessInfo) { *hookCount++ }}})
+		Hooks: Hooks{PredictShared: func(cache.AccessInfo) bool { *hookCount++; return false }}})
 	configs = append(configs, LLCConfig{Size: size, Ways: 128, NewPolicy: lru})
 	return configs
 }
@@ -36,18 +36,23 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *int) []LLCConfig 
 // engine's batched walks and demands byte-equal Results against the
 // scalar sequential walk of each lane alone — counters, degree
 // histograms and block census — at every prefix. The hooked lane must
-// see every access exactly once per replay.
+// be asked for a prediction exactly once per miss per replay.
 func TestKernelVsSequential(t *testing.T) {
-	var hooks int
+	var hooks uint64
 	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
 	full := synthStream(40000, 3000, 8, 7)
 	configsAgree(t, full, configs, Options{Shards: 4})
-	want := 0
-	for _, m := range prefixLens(len(full)) {
-		want += 2 * m // the engine replay and the reference each walk it
-	}
+	var want uint64
+	bare := LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+	eachPrefix(full, func(stream []cache.AccessInfo) {
+		res, err := seqReplay(stream, bare, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += 2 * res.Misses // the engine replay and the reference each walk it
+	})
 	if hooks != want {
-		t.Errorf("hooked lane saw %d accesses over every prefix, want %d", hooks, want)
+		t.Errorf("hooked lane predicted %d misses over every prefix, want %d", hooks, want)
 	}
 }
 

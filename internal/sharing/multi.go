@@ -31,7 +31,8 @@ package sharing
 //     protected lanes of the oracle and predictor-driven studies are
 //     this kind: their policy carries its own fill hint
 //     (oracle.Hinted, predictor.Driven), and the policy pass presents
-//     the fills in stream order, as the sequential walk does;
+//     the fills in stream order, as the sequential walk does. So are
+//     the lanes that score predictors (predictor.EvaluateMulti);
 //   - sequential lanes replay one lane at a time, each as its own
 //     full-stream walk in stream order (runSeqLane). A lane lands
 //     here when the engine's encodings cannot carry it: per-lane hooks
@@ -611,7 +612,6 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 		active:     grab(&scratch.words, numBlocks, false),
 		blockState: grab(&scratch.bytes, numBlocks, true),
 		hooks:      l.cfg.Hooks,
-		hadPred:    l.cfg.Hooks.PredictShared != nil,
 		hint:       hint,
 		ctx:        opt.Ctx,
 	}

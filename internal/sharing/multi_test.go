@@ -107,7 +107,7 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 	configs := []LLCConfig{
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() },
-			Hooks: Hooks{OnAccess: func(cache.AccessInfo) {}}},
+			Hooks: Hooks{PredictShared: func(cache.AccessInfo) bool { return false }}},
 	}
 	start := time.Now()
 	_, err := ReplayMulti(stream, configs, Options{Ctx: ctx, Shards: 4})
@@ -188,7 +188,7 @@ func TestReplayMultiHookLaneFactoryOnce(t *testing.T) {
 	calls := 0
 	cfg := LLCConfig{Size: testSize, Ways: testWays,
 		NewPolicy: func() cache.Policy { calls++; return policy.NewLRUPolicy() },
-		Hooks:     Hooks{OnAccess: func(cache.AccessInfo) {}},
+		Hooks:     Hooks{PredictShared: func(cache.AccessInfo) bool { return false }},
 	}
 	if _, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{Shards: 4}); err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 // TestReplayParallelFallbacks checks the lanes a shard request cannot
 // put on the per-set sharded walk: a policy with cross-set state (the
 // two-phase split) and a hooked lane (pinned to the sequential walk,
-// whose OnAccess hook must see every access once, in stream order).
+// whose PredictShared hook must see every miss once, in stream order).
 // Both must still match the sequential walk.
 func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
@@ -144,17 +144,20 @@ func TestReplayParallelFallbacks(t *testing.T) {
 
 	// Hooks observe stream order; a shard request must not break them.
 	var seen []int32
-	hooked := testLane(Hooks{OnAccess: func(a cache.AccessInfo) { seen = append(seen, a.Index) }})
+	hooked := testLane(Hooks{PredictShared: func(a cache.AccessInfo) bool {
+		seen = append(seen, a.Index)
+		return false
+	}})
 	got, err = ReplayMulti(stream, []LLCConfig{hooked}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(stream) {
-		t.Fatalf("OnAccess fired %d times, want %d", len(seen), len(stream))
+	if uint64(len(seen)) != got[0].Misses {
+		t.Fatalf("PredictShared fired %d times for %d misses", len(seen), got[0].Misses)
 	}
-	for i, idx := range seen {
-		if int(idx) != i {
-			t.Fatalf("OnAccess saw index %d at call %d", idx, i)
+	for i := 1; i < len(seen); i++ {
+		if seen[i] <= seen[i-1] {
+			t.Fatalf("PredictShared saw index %d after %d", seen[i], seen[i-1])
 		}
 	}
 	if want := replay(t, stream, Hooks{}); !reflect.DeepEqual(want, got[0]) {

@@ -44,7 +44,6 @@ type Residency struct {
 	id         uint32 // dense BlockID of Block within the replayed stream
 	FillCore   uint8  // core that triggered the fill
 	written    bool   // any store touched the residency (fill included)
-	Predicted  bool   // the PredictShared hint attached at fill time
 }
 
 // addCore marks core as having touched the residency.
@@ -66,29 +65,24 @@ func (r Residency) Shared() bool { return r.degree() >= 2 }
 func (r Residency) Evicted() bool { return r.EvictIndex >= 0 }
 
 // Hooks lets callers observe and steer one lane of a replay
-// (LLCConfig.Hooks). Any field may be nil.
+// (LLCConfig.Hooks). Either field may be nil.
 type Hooks struct {
-	// PredictShared is consulted at fill time. Its result is recorded on
-	// the residency for accuracy accounting and, when the lane's policy
-	// has a FillHinted method (core.Protector and the lanes embedding
-	// it), handed to FillHinted as the fill's sharing hint in place of
-	// the policy's own Fill.
+	// PredictShared is consulted at every fill, before the victim
+	// choice. When the lane's policy has a FillHinted method
+	// (core.Protector and the lanes embedding it), its result is handed
+	// to FillHinted as the fill's sharing hint in place of the policy's
+	// own Fill.
 	PredictShared func(a cache.AccessInfo) bool
 	// OnResidencyEnd fires when a residency closes, either on eviction
 	// or at end of stream. Predictors use it as their training signal.
 	OnResidencyEnd func(r Residency)
-	// OnAccess fires for every stream access, before the cache acts on
-	// it. Observers that maintain their own per-block state (e.g. the
-	// coherence directory feeding the coherence-assisted predictor) hang
-	// off this hook.
-	OnAccess func(a cache.AccessInfo)
 }
 
 // any reports whether at least one hook is installed. Hooks observe the
 // replay in stream order, so their presence pins a lane to the
 // sequential walk.
 func (h Hooks) any() bool {
-	return h.PredictShared != nil || h.OnResidencyEnd != nil || h.OnAccess != nil
+	return h.PredictShared != nil || h.OnResidencyEnd != nil
 }
 
 // Options configures a ReplayMulti call; every field applies to all of
@@ -140,41 +134,6 @@ type Options struct {
 // profiles. Must be a power of two.
 const cancelStride = 1 << 13
 
-// PredStats accumulates fill-time prediction outcomes against residency
-// ground truth (positive class = shared).
-type PredStats struct {
-	TP, FP, TN, FN uint64
-}
-
-// Total returns the number of classified residencies.
-func (p PredStats) Total() uint64 { return p.TP + p.FP + p.TN + p.FN }
-
-// Accuracy returns (TP+TN)/total, or 0 when empty.
-func (p PredStats) Accuracy() float64 {
-	t := p.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(p.TP+p.TN) / float64(t)
-}
-
-// Precision returns TP/(TP+FP), or 0 when no positive predictions.
-func (p PredStats) Precision() float64 {
-	if p.TP+p.FP == 0 {
-		return 0
-	}
-	return float64(p.TP) / float64(p.TP+p.FP)
-}
-
-// Recall returns TP/(TP+FN) — the fraction of truly shared residencies
-// the predictor caught — or 0 when no positives exist.
-func (p PredStats) Recall() float64 {
-	if p.TP+p.FN == 0 {
-		return 0
-	}
-	return float64(p.TP) / float64(p.TP+p.FN)
-}
-
 // Result aggregates one replay.
 type Result struct {
 	Policy   string
@@ -209,10 +168,6 @@ type Result struct {
 	// subset that was shared in at least one residency.
 	DistinctBlocks       uint64
 	DistinctSharedBlocks uint64
-
-	// Pred accumulates fill-time prediction outcomes when a
-	// PredictShared hook was installed.
-	Pred PredStats
 }
 
 // MissRate returns misses/accesses, or 0 for an empty stream.
@@ -263,10 +218,9 @@ type replayState struct {
 	// lines entirely (see tracker.go); the sequential walk leaves it nil.
 	cols *soaCols
 
-	hooks   Hooks
-	hadPred bool
-	hint    *hookHint       // the lane's policy when it takes the hook's hint; else nil
-	ctx     context.Context // nil = not cancellable
+	hooks Hooks
+	hint  *hookHint       // the lane's policy when it takes the hook's hint; else nil
+	ctx   context.Context // nil = not cancellable
 }
 
 // fillHinter is a policy whose fill takes its sharing hint beside the
@@ -314,26 +268,14 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 	} else {
 		res.PrivateHits += r.Hits
 	}
-	if st.hadPred {
-		switch {
-		case r.Predicted && shared:
-			res.Pred.TP++
-		case r.Predicted && !shared:
-			res.Pred.FP++
-		case !r.Predicted && shared:
-			res.Pred.FN++
-		default:
-			res.Pred.TN++
-		}
-	}
 	if st.hooks.OnResidencyEnd != nil {
 		st.hooks.OnResidencyEnd(*r)
 	}
 }
 
-// step advances the tracker by one access: hook dispatch, hit/fill
-// bookkeeping and residency maintenance. a points into the caller's
-// stream and is never written through — streams are shared across
+// step advances the tracker by one access: hit/fill bookkeeping,
+// residency maintenance and the fill-time hook. a points into the
+// caller's stream and is never written through — streams are shared across
 // lanes and concurrent replays, so the multi-word record travels by
 // reference, and a fill-time prediction travels beside it (st.hint).
 // It is the per-access body of the sequential walk (runSeqLane).
@@ -346,9 +288,6 @@ func (st *replayState) closeRes(r *Residency, evictIndex int64) {
 // per-residency Hits counter stays here: it is residency state, not an
 // aggregate.
 func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) (bool, error) {
-	if st.hooks.OnAccess != nil {
-		st.hooks.OnAccess(*a)
-	}
 	id := a.BlockID
 	if li := st.active[id]; li != 0 {
 		r := &st.lines[li-1]
@@ -375,9 +314,8 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		}
 		return true, nil
 	}
-	var pred bool
-	if st.hadPred {
-		pred = st.hooks.PredictShared(*a)
+	if st.hooks.PredictShared != nil {
+		pred := st.hooks.PredictShared(*a)
 		if st.hint != nil {
 			st.hint.shared = pred
 		}
@@ -399,7 +337,6 @@ func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) 
 		FillPC:     a.PC,
 		id:         id,
 		written:    a.Write,
-		Predicted:  pred,
 		EvictIndex: -1,
 	}
 	st.lines[li].addCore(a.Core)

@@ -1,6 +1,7 @@
 package sharing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,41 +248,6 @@ func TestROPlusRWEqualsShared(t *testing.T) {
 	}
 }
 
-func TestPredictionAccounting(t *testing.T) {
-	// Predict shared iff block is even. Block 2 (even) becomes shared →
-	// TP. Block 4 (even) stays private → FP. Block 1 (odd) becomes
-	// shared → FN. Block 3 (odd) stays private → TN.
-	pairs := [][2]uint64{
-		{0, 2}, {1, 2},
-		{0, 4},
-		{0, 1}, {1, 1},
-		{0, 3},
-	}
-	stream := mkStream(pairs)
-	res := replay(t, stream, Hooks{
-		PredictShared: func(a cache.AccessInfo) bool { return a.Block%2 == 0 },
-	})
-	if res.Pred.TP != 1 || res.Pred.FP != 1 || res.Pred.FN != 1 || res.Pred.TN != 1 {
-		t.Errorf("PredStats = %+v, want 1 each", res.Pred)
-	}
-	if got := res.Pred.Accuracy(); got != 0.5 {
-		t.Errorf("Accuracy = %v, want 0.5", got)
-	}
-	if got := res.Pred.Precision(); got != 0.5 {
-		t.Errorf("Precision = %v, want 0.5", got)
-	}
-	if got := res.Pred.Recall(); got != 0.5 {
-		t.Errorf("Recall = %v, want 0.5", got)
-	}
-}
-
-func TestPredStatsEmpty(t *testing.T) {
-	var p PredStats
-	if p.Accuracy() != 0 || p.Precision() != 0 || p.Recall() != 0 {
-		t.Error("empty PredStats returned non-zero rates")
-	}
-}
-
 func TestOnResidencyEndFiresForAll(t *testing.T) {
 	pairs := [][2]uint64{{0, 0}, {0, 4}, {0, 8}, {0, 12}, {0, 16}} // 5 blocks, 4 ways: 1 eviction
 	var ended []Residency
@@ -305,19 +271,14 @@ func TestOnResidencyEndFiresForAll(t *testing.T) {
 	}
 }
 
-func TestOnAccessHookFiresForEveryAccess(t *testing.T) {
-	pairs := [][2]uint64{{0, 1}, {1, 1}, {0, 2}, {0, 1}}
-	var seen []uint64
+func TestPredictSharedFiresForEveryMiss(t *testing.T) {
+	pairs := [][2]uint64{{0, 1}, {1, 1}, {0, 2}, {0, 1}, {1, 3}}
+	var seen []int32
 	res := replay(t, mkStream(pairs), Hooks{
-		OnAccess: func(a cache.AccessInfo) { seen = append(seen, a.Block) },
+		PredictShared: func(a cache.AccessInfo) bool { seen = append(seen, a.Index); return false },
 	})
-	if uint64(len(seen)) != res.Accesses {
-		t.Fatalf("hook fired %d times for %d accesses", len(seen), res.Accesses)
-	}
-	for i, p := range pairs {
-		if seen[i] != p[1] {
-			t.Errorf("hook order broken at %d: got block %d want %d", i, seen[i], p[1])
-		}
+	if want := []int32{0, 2, 4}; !slices.Equal(seen, want) || res.Misses != uint64(len(want)) {
+		t.Errorf("hook saw misses at %v (%d misses), want %v", seen, res.Misses, want)
 	}
 }
 

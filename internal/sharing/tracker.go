@@ -90,9 +90,8 @@ func cwWord(m uint8) uint64 {
 
 // closeLineSoA finalizes the residency open in line li, alive at stream
 // end, and folds it into the counters — the SoA twin of closeRes. SoA
-// lanes never carry hooks or fill-time predictions (those pin a lane to
-// the sequential struct walk), so the hook and Pred branches of closeRes
-// are absent by construction. The advance loops don't call this per
+// lanes never carry hooks (those pin a lane to the sequential struct
+// walk), so the hook branch of closeRes is absent by construction. The advance loops don't call this per
 // eviction — they capture and defer (see flushClosed); only
 // closeAliveSoA's end-of-replay retirement closes straight off the live
 // columns.

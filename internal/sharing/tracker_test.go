@@ -19,7 +19,7 @@ import (
 // count, at every prefix.
 func TestTrackerVsSequential(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
-	var hooks int
+	var hooks uint64
 	configs := batchTestConfigs(t, 128*cache.KB, 16, &hooks)
 	configsAgree(t, stream, configs, Options{Shards: 2})
 }

@@ -438,8 +438,8 @@ func predictorNames() []string {
 	return []string{"addr", "pc", "tournament", "coherence", "always", "never"}
 }
 
-// newPredictor builds the named predictor with cfg.
-func newPredictor(name string, cfg predictor.Config) (predictor.Predictor, error) {
+// newPredictor builds the named predictor with cfg for stream.
+func newPredictor(name string, cfg predictor.Config, stream []cache.AccessInfo) (predictor.Predictor, error) {
 	switch name {
 	case "addr":
 		return predictor.NewAddress(cfg)
@@ -448,7 +448,7 @@ func newPredictor(name string, cfg predictor.Config) (predictor.Predictor, error
 	case "tournament":
 		return predictor.NewTournament(cfg)
 	case "coherence":
-		return predictor.NewCoherence(0)
+		return predictor.NewCoherence(stream, 0)
 	case "always":
 		return predictor.Always{}, nil
 	case "never":
@@ -464,7 +464,7 @@ type PredictorRow struct {
 	Workload  string
 	Predictor string
 
-	Pred           sharing.PredStats
+	Pred           predictor.PredStats
 	Accuracy       float64
 	Precision      float64
 	Recall         float64
@@ -481,27 +481,28 @@ func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, na
 	return perStream(s, "predictor accuracy", func(st *Stream, _ int) ([]PredictorRow, error) {
 		preds := make([]predictor.Predictor, len(names))
 		for p, n := range names {
-			pred, err := newPredictor(n, cfg)
+			pred, err := newPredictor(n, cfg, st.Accesses)
 			if err != nil {
 				return nil, err
 			}
 			preds[p] = pred
 		}
-		results, err := predictor.EvaluateMulti(s.context(), st.Accesses, llcSize, llcWays,
+		scores, err := predictor.EvaluateMulti(s.context(), st.Accesses, llcSize, llcWays,
 			func() cache.Policy { return policy.NewLRUPolicy() }, preds)
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]PredictorRow, len(results))
-		for p, res := range results {
+		rows := make([]PredictorRow, len(scores))
+		for p, ps := range scores {
+			// Every residency is scored, so the shared ones are TP+FN.
 			rows[p] = PredictorRow{
 				Workload:       st.Model.Name,
 				Predictor:      names[p],
-				Pred:           res.Pred,
-				Accuracy:       res.Pred.Accuracy(),
-				Precision:      res.Pred.Precision(),
-				Recall:         res.Pred.Recall(),
-				SharedBaseRate: stats.Ratio(res.SharedResidencies, res.Residencies),
+				Pred:           ps,
+				Accuracy:       ps.Accuracy(),
+				Precision:      ps.Precision(),
+				Recall:         ps.Recall(),
+				SharedBaseRate: stats.Ratio(ps.TP+ps.FN, ps.Total()),
 			}
 		}
 		return rows, nil
@@ -552,7 +553,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 				return h
 			}}
 		for p, n := range names {
-			pred, err := newPredictor(n, cfg)
+			pred, err := newPredictor(n, cfg, st.Accesses)
 			if err != nil {
 				return nil, err
 			}
