@@ -35,19 +35,18 @@ const IDGroupBits = 8
 // per-stream hashing pass; every replay structure downstream indexes
 // flat slices by the IDs it produces.
 func AssignBlockIDs(stream []AccessInfo) int {
-	ids := make(map[uint64]uint32, 1<<16)
+	idx := newBlockIndex()
 	blocks := make([]uint64, 0, 1<<16) // distinct blocks, first-touch order
 	var counts [1 << IDGroupBits]uint32
 	for i := range stream {
 		b := stream[i].Block
-		ord, ok := ids[b]
-		if !ok {
-			ord = uint32(len(blocks))
-			ids[b] = ord
+		s := idx.find(b)
+		if s.ref == 0 {
+			s = idx.add(b, len(blocks))
 			blocks = append(blocks, b)
 			counts[b&(1<<IDGroupBits-1)]++
 		}
-		stream[i].BlockID = ord // provisional first-touch ordinal
+		stream[i].BlockID = s.ref - 1 // provisional first-touch ordinal
 	}
 	var next [1 << IDGroupBits]uint32 // group base, then allocation cursor
 	sum := uint32(0)
@@ -55,16 +54,74 @@ func AssignBlockIDs(stream []AccessInfo) int {
 		next[g] = sum
 		sum += counts[g]
 	}
-	remap := make([]uint32, len(blocks))
+	dense := make([]uint32, len(blocks))
 	for ord, b := range blocks {
 		g := b & (1<<IDGroupBits - 1)
-		remap[ord] = next[g]
+		dense[ord] = next[g]
 		next[g]++
 	}
 	for i := range stream {
-		stream[i].BlockID = remap[stream[i].BlockID]
+		stream[i].BlockID = dense[stream[i].BlockID]
 	}
 	return len(blocks)
+}
+
+// blockIndex maps block numbers to first-touch ordinals: a flat
+// open-addressed table (linear probing, Fibonacci hashing, at most half
+// full, doubled on growth), so a lookup is one multiply and usually one
+// probe, and adding a block allocates nothing until the table doubles.
+type blockIndex struct {
+	slots []blockSlot // power-of-two length
+	shift uint        // 64 - log2(len(slots)): hash bits → slot position
+	n     int         // used slots
+}
+
+// blockSlot is one index cell. The zero slot is empty: a used one has
+// ref > 0, which leaves every block number, 0 included, an ordinary key.
+type blockSlot struct {
+	block uint64
+	ref   uint32 // the block's ordinal, plus one
+}
+
+// newBlockIndex returns an empty index.
+func newBlockIndex() *blockIndex {
+	const logSlots = 12
+	return &blockIndex{slots: make([]blockSlot, 1<<logSlots), shift: 64 - logSlots}
+}
+
+// find returns the slot holding block, or the empty slot where it
+// belongs. The index is never full, so the probe terminates.
+func (x *blockIndex) find(block uint64) *blockSlot {
+	mask := uint64(len(x.slots) - 1)
+	for i := (block * 0x9E3779B97F4A7C15) >> x.shift; ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.block == block || s.ref == 0 {
+			return s
+		}
+	}
+}
+
+// add records block, which find reported absent, as ordinal ord and
+// returns its slot, growing the index first if it would pass half full.
+func (x *blockIndex) add(block uint64, ord int) *blockSlot {
+	if 2*(x.n+1) > len(x.slots) {
+		x.grow()
+	}
+	s := x.find(block)
+	*s = blockSlot{block: block, ref: uint32(ord) + 1}
+	x.n++
+	return s
+}
+
+// grow doubles the index and re-inserts every key.
+func (x *blockIndex) grow() {
+	old := x.slots
+	x.slots = make([]blockSlot, 2*len(old))
+	x.shift--
+	for _, s := range old {
+		if s.ref != 0 {
+			*x.find(s.block) = s
+		}
+	}
 }
 
 // EnsureBlockIDs returns a stream with BlockIDs assigned plus the

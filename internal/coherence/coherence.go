@@ -86,76 +86,19 @@ func (e *entry) sharerCount() int {
 
 // Directory is the MESI directory. It is not safe for concurrent use.
 //
-// Entries live in one contiguous slab, found through a flat open-addressed
-// index (linear probing, Fibonacci hashing, at most half full): one
-// multiply and usually one probe per reference, and tracking a new block
-// is a slab append instead of a heap allocation per block.
+// Entries live in one flat slice indexed by a dense block id in
+// [0, blocks): the caller numbers its blocks (a stream's BlockID, or
+// workloads.Model.BlockIndex over a raw trace), so a reference costs one
+// slice index and no hashing.
 type Directory struct {
-	index []slot // power-of-two length
-	shift uint   // 64 - log2(len(index)): hash bits → index position
-	slab  []entry
-	stats Stats
-	clock uint64 // event counter, advanced per Load/Store
+	entries []entry
+	stats   Stats
+	clock   uint64 // event counter, advanced per Load/Store
 }
 
-// slot is one index cell. The zero slot is empty: a used one has ref > 0,
-// which leaves every block number, 0 included, an ordinary key.
-type slot struct {
-	block uint64
-	ref   uint32 // slab position of the block's entry, plus one
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	const logSlots = 12
-	return &Directory{index: make([]slot, 1<<logSlots), shift: 64 - logSlots}
-}
-
-// find returns the index slot holding block, or the empty slot where it
-// belongs. The index is never full, so the probe terminates.
-func (d *Directory) find(block uint64) *slot {
-	mask := uint64(len(d.index) - 1)
-	for i := (block * 0x9E3779B97F4A7C15) >> d.shift; ; i = (i + 1) & mask {
-		if s := &d.index[i]; s.block == block || s.ref == 0 {
-			return s
-		}
-	}
-}
-
-// lookup returns the entry tracking block, or nil if none. The pointer is
-// valid only until the next ensure (a slab append may move entries).
-func (d *Directory) lookup(block uint64) *entry {
-	if s := d.find(block); s.ref != 0 {
-		return &d.slab[s.ref-1]
-	}
-	return nil
-}
-
-// ensure returns the entry tracking block, appending a fresh Invalid one
-// to the slab if the block is untracked.
-func (d *Directory) ensure(block uint64) *entry {
-	s := d.find(block)
-	if s.ref == 0 {
-		if 2*(len(d.slab)+1) > len(d.index) {
-			d.grow()
-			s = d.find(block)
-		}
-		d.slab = append(d.slab, entry{})
-		*s = slot{block: block, ref: uint32(len(d.slab))}
-	}
-	return &d.slab[s.ref-1]
-}
-
-// grow doubles the index and re-inserts every key.
-func (d *Directory) grow() {
-	old := d.index
-	d.index = make([]slot, 2*len(old))
-	d.shift--
-	for _, s := range old {
-		if s.ref != 0 {
-			*d.find(s.block) = s
-		}
-	}
+// NewDirectory returns an empty directory over block ids [0, blocks).
+func NewDirectory(blocks int) *Directory {
+	return &Directory{entries: make([]entry, blocks)}
 }
 
 // Stats returns the aggregate protocol statistics.
@@ -164,30 +107,24 @@ func (d *Directory) Stats() Stats { return d.stats }
 // Clock returns the number of events processed.
 func (d *Directory) Clock() uint64 { return d.clock }
 
-// StateOf reports a block's current state and sharer count.
-func (d *Directory) StateOf(block uint64) (State, int) {
-	e := d.lookup(block)
-	if e == nil {
-		return Invalid, 0
-	}
+// StateOf reports block id's current state and sharer count.
+func (d *Directory) StateOf(id uint32) (State, int) {
+	e := &d.entries[id]
 	return e.state, e.sharerCount()
 }
 
-// LastSharingEvent returns the event-clock value of the block's most
+// LastSharingEvent returns the event-clock value of block id's most
 // recent cross-core interaction and whether one has ever occurred.
-func (d *Directory) LastSharingEvent(block uint64) (uint64, bool) {
-	e := d.lookup(block)
-	if e == nil || e.lastEvent == 0 {
-		return 0, false
-	}
-	return e.lastEvent, true
+func (d *Directory) LastSharingEvent(id uint32) (uint64, bool) {
+	e := d.entries[id].lastEvent
+	return e, e != 0
 }
 
-// Load processes a read of block by core.
-func (d *Directory) Load(core uint8, block uint64) {
+// Load processes a read of block id by core.
+func (d *Directory) Load(core uint8, id uint32) {
 	d.clock++
 	d.stats.Loads++
-	e := d.ensure(block)
+	e := &d.entries[id]
 	switch e.state {
 	case Invalid:
 		d.stats.ColdFills++
@@ -211,11 +148,11 @@ func (d *Directory) Load(core uint8, block uint64) {
 	}
 }
 
-// Store processes a write of block by core.
-func (d *Directory) Store(core uint8, block uint64) {
+// Store processes a write of block id by core.
+func (d *Directory) Store(core uint8, id uint32) {
 	d.clock++
 	d.stats.Stores++
-	e := d.ensure(block)
+	e := &d.entries[id]
 	switch e.state {
 	case Invalid:
 		d.stats.ColdFills++
@@ -252,24 +189,21 @@ func (d *Directory) Store(core uint8, block uint64) {
 // CheckInvariants validates the MESI invariants over every entry and
 // returns the first violation, for property tests.
 func (d *Directory) CheckInvariants() error {
-	for _, s := range d.index {
-		if s.ref == 0 {
-			continue
-		}
-		b, e := s.block, &d.slab[s.ref-1]
+	for b := range d.entries {
+		e := &d.entries[b]
 		n := e.sharerCount()
 		switch e.state {
 		case Invalid:
 			if n != 0 {
-				return fmt.Errorf("coherence: block %d Invalid with %d sharers", b, n)
+				return fmt.Errorf("coherence: block id %d Invalid with %d sharers", b, n)
 			}
 		case Shared:
 			if n < 1 {
-				return fmt.Errorf("coherence: block %d Shared with no sharers", b)
+				return fmt.Errorf("coherence: block id %d Shared with no sharers", b)
 			}
 		case Exclusive, Modified:
 			if n != 1 {
-				return fmt.Errorf("coherence: block %d %v with %d sharers", b, e.state, n)
+				return fmt.Errorf("coherence: block id %d %v with %d sharers", b, e.state, n)
 			}
 		}
 	}

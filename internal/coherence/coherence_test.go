@@ -19,7 +19,7 @@ func TestStateString(t *testing.T) {
 }
 
 func TestColdLoadGoesExclusive(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Load(0, 1)
 	if st, n := d.StateOf(1); st != Exclusive || n != 1 {
 		t.Errorf("state = %v/%d, want E/1", st, n)
@@ -38,7 +38,7 @@ func TestColdLoadGoesExclusive(t *testing.T) {
 }
 
 func TestRemoteLoadDowngrades(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Store(0, 1) // M at core 0
 	d.Load(1, 1)  // remote read
 	if st, n := d.StateOf(1); st != Shared || n != 2 {
@@ -54,7 +54,7 @@ func TestRemoteLoadDowngrades(t *testing.T) {
 }
 
 func TestRemoteStoreInvalidates(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Load(0, 1)
 	d.Load(1, 1)
 	d.Load(2, 1) // S with 3 sharers
@@ -68,7 +68,7 @@ func TestRemoteStoreInvalidates(t *testing.T) {
 }
 
 func TestUpgradeMiss(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Load(0, 1)
 	d.Load(1, 1) // S {0,1}
 	d.Store(0, 1)
@@ -85,7 +85,7 @@ func TestUpgradeMiss(t *testing.T) {
 }
 
 func TestRemoteStoreOnModified(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Store(0, 1)
 	d.Store(1, 1)
 	s := d.Stats()
@@ -98,7 +98,7 @@ func TestRemoteStoreOnModified(t *testing.T) {
 }
 
 func TestColdStoreNoSpuriousTraffic(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Store(2, 7)
 	s := d.Stats()
 	if s.Invalidations != 0 || s.UpgradeMisses != 0 || s.ColdFills != 1 {
@@ -107,7 +107,7 @@ func TestColdStoreNoSpuriousTraffic(t *testing.T) {
 }
 
 func TestLastSharingEventAbsent(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	d.Load(0, 1) // cold, no sharing
 	if _, ok := d.LastSharingEvent(1); ok {
 		t.Error("cold block reported a sharing event")
@@ -122,10 +122,10 @@ func TestLastSharingEventAbsent(t *testing.T) {
 func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
-		d := NewDirectory()
+		d := NewDirectory(1024)
 		for i := 0; i < 5000; i++ {
 			core := uint8(rnd.Intn(8))
-			block := rnd.Uint64n(64)
+			block := uint32(rnd.Intn(64))
 			switch rnd.Intn(4) {
 			case 0:
 				d.Store(core, block)
@@ -147,12 +147,12 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 }
 
 func TestLoadsStoresCounted(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(1024)
 	for i := 0; i < 10; i++ {
-		d.Load(0, uint64(i))
+		d.Load(0, uint32(i))
 	}
 	for i := 0; i < 5; i++ {
-		d.Store(1, uint64(i))
+		d.Store(1, uint32(i))
 	}
 	s := d.Stats()
 	if s.Loads != 10 || s.Stores != 5 {

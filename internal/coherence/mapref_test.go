@@ -8,9 +8,10 @@ import (
 	"sharellc/internal/rng"
 )
 
-// mapDirectory is the Directory as it was with a Go map for an index: the
-// same slab, the same protocol code, verbatim. It is the reference the
-// flat open-addressed index is compared against.
+// mapDirectory is the Directory as it was when it numbered blocks itself,
+// through a Go map from raw block number to a slab position: the same
+// protocol code, verbatim. It is the reference the dense, caller-numbered
+// Directory is compared against.
 type mapDirectory struct {
 	index map[uint64]uint32 // block → slab position + 1
 	slab  []entry
@@ -158,73 +159,57 @@ func (d *mapDirectory) CheckInvariants() error {
 	return nil
 }
 
-// TestFlatIndexMatchesMapDirectory runs the same event stream through the
-// Directory and the map-backed reference and compares everything the
-// package exposes. The block pool is built to stress the index: block 0,
-// the largest block number, runs of consecutive blocks, blocks that are
-// equal modulo every table size the run passes through (multiples of
-// 2^20), and blocks whose Fibonacci hashes share their top 12 bits and so
-// collide in the initial table and stay neighbours after each growth.
-func TestFlatIndexMatchesMapDirectory(t *testing.T) {
+// TestDirectoryMatchesMapDirectory runs the same event stream through the
+// Directory, keyed by a dense id per block, and the map-backed reference,
+// keyed by the raw block number, and compares everything the package
+// exposes after every step. The ids are a scrambled numbering of a sparse
+// block pool (block 0 and the largest block number included), so an entry
+// reached through the wrong id shows up as a state mismatch.
+func TestDirectoryMatchesMapDirectory(t *testing.T) {
 	pool := []uint64{0, 1<<64 - 1, 1 << 63}
-	for i := uint64(0); i < 3000; i++ {
+	for i := uint64(1); len(pool) < 6000; i++ {
 		pool = append(pool, 1000+i, i<<20, i<<44|7)
 	}
-	for b := uint64(1); len(pool) < 12000; b++ {
-		if b*0x9E3779B97F4A7C15>>52 == 0x123 {
-			pool = append(pool, b)
-		}
+	ids := map[uint64]uint32{}
+	perm := rng.New(5)
+	for i, j := range permutation(perm, len(pool)) {
+		ids[pool[i]] = uint32(j)
 	}
 
-	d, ref := NewDirectory(), newMapDirectory()
-	slots := len(d.index)
-	growths := 0
+	d, ref := NewDirectory(len(pool)), newMapDirectory()
 	compare := func(step int, b uint64) {
 		t.Helper()
-		s1, n1 := d.StateOf(b)
+		s1, n1 := d.StateOf(ids[b])
 		s2, n2 := ref.StateOf(b)
-		e1, ok1 := d.LastSharingEvent(b)
+		e1, ok1 := d.LastSharingEvent(ids[b])
 		e2, ok2 := ref.LastSharingEvent(b)
 		if s1 != s2 || n1 != n2 || e1 != e2 || ok1 != ok2 {
-			t.Fatalf("step %d block %#x: state %v/%d event %d/%v, reference %v/%d %d/%v",
-				step, b, s1, n1, e1, ok1, s2, n2, e2, ok2)
+			t.Fatalf("step %d block %#x (id %d): state %v/%d event %d/%v, reference %v/%d %d/%v",
+				step, b, ids[b], s1, n1, e1, ok1, s2, n2, e2, ok2)
+		}
+		if d.Stats() != ref.Stats() || d.Clock() != ref.Clock() {
+			t.Fatalf("step %d: stats %+v clock %d, reference %+v clock %d", step, d.Stats(), d.Clock(), ref.Stats(), ref.Clock())
 		}
 	}
 	rnd := rng.New(21)
-	for step := 0; step < 400000; step++ {
-		// The reachable part of the pool widens over the run, so that the
-		// table grows while earlier blocks are still being revisited.
-		b := pool[rnd.Intn(1+step*len(pool)/400000)]
+	for step := 0; step < 200000; step++ {
+		// The reachable part of the pool widens over the run, so that
+		// fresh blocks keep arriving while earlier ones are revisited.
+		b := pool[rnd.Intn(1+step*len(pool)/200000)]
 		core := uint8(rnd.Intn(128))
 		switch rnd.Intn(8) {
 		case 1, 2, 3:
-			d.Store(core, b)
+			d.Store(core, ids[b])
 			ref.Store(core, b)
 		default:
-			d.Load(core, b)
+			d.Load(core, ids[b])
 			ref.Load(core, b)
 		}
 		compare(step, b)
 		compare(step, pool[rnd.Intn(len(pool))]) // mostly untracked blocks early on
-		if len(d.index) != slots {
-			slots = len(d.index)
-			growths++
-			for _, b := range pool {
-				compare(step, b)
-			}
-		}
-		if 2*len(d.slab) > len(d.index) {
-			t.Fatalf("step %d: %d entries in %d slots, over half full", step, len(d.slab), len(d.index))
-		}
-	}
-	if growths < 3 {
-		t.Fatalf("the index grew %d times, want at least 3", growths)
 	}
 	for _, b := range pool {
 		compare(-1, b)
-	}
-	if d.Stats() != ref.Stats() || d.Clock() != ref.Clock() {
-		t.Errorf("stats %+v clock %d, reference %+v clock %d", d.Stats(), d.Clock(), ref.Stats(), ref.Clock())
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -233,25 +218,34 @@ func TestFlatIndexMatchesMapDirectory(t *testing.T) {
 		t.Error(err)
 	}
 
-	// CheckInvariants must reach every entry through the flat index,
-	// wherever probing put it: corrupt each in turn and expect a report
-	// that names its block.
+	// CheckInvariants must reach every entry: corrupt each in turn, by
+	// id, and expect a report that names that id.
 	checked := 0
 	for i, b := range pool {
-		e := d.lookup(b)
-		if i%31 != 0 || e == nil {
+		if i%31 != 0 {
 			continue
 		}
 		checked++
+		e := &d.entries[ids[b]]
 		saved := *e
 		*e = entry{state: Exclusive}
 		err := d.CheckInvariants()
-		if want := fmt.Sprintf("block %d ", b); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("corrupted block %#x: CheckInvariants = %v", b, err)
+		if want := fmt.Sprintf("block id %d ", ids[b]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("corrupted id %d: CheckInvariants = %v", ids[b], err)
 		}
 		*e = saved
 	}
 	if checked < 100 {
 		t.Errorf("only %d entries were corrupted and checked", checked)
 	}
+}
+
+// permutation returns a pseudo-random permutation of [0, n).
+func permutation(rnd *rng.Source, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	rnd.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
 }

@@ -33,7 +33,9 @@ type Coherence struct {
 
 // NewCoherence builds the predictor over stream, which must carry
 // contiguous Index values from 0 (cache.FilterStream order). window <= 0
-// selects DefaultCoherenceWindow.
+// selects DefaultCoherenceWindow. The directory is keyed by the stream's
+// dense BlockIDs (cache.EnsureBlockIDs numbers a copy of a stream that
+// carries none).
 func NewCoherence(stream []cache.AccessInfo, window int64) (*Coherence, error) {
 	if window < 0 {
 		return nil, fmt.Errorf("predictor: negative coherence window %d", window)
@@ -42,18 +44,19 @@ func NewCoherence(stream []cache.AccessInfo, window int64) (*Coherence, error) {
 	if w == 0 {
 		w = DefaultCoherenceWindow
 	}
-	dir := coherence.NewDirectory()
+	stream, numBlocks := cache.EnsureBlockIDs(stream)
+	dir := coherence.NewDirectory(numBlocks)
 	col := make([]bool, len(stream))
 	for i := range stream {
 		a := &stream[i]
 		if a.Write {
-			dir.Store(a.Core, a.Block)
+			dir.Store(a.Core, a.BlockID)
 		} else {
-			dir.Load(a.Core, a.Block)
+			dir.Load(a.Core, a.BlockID)
 		}
-		if _, n := dir.StateOf(a.Block); n >= 2 {
+		if _, n := dir.StateOf(a.BlockID); n >= 2 {
 			col[i] = true
-		} else if last, ok := dir.LastSharingEvent(a.Block); ok {
+		} else if last, ok := dir.LastSharingEvent(a.BlockID); ok {
 			col[i] = dir.Clock()-last <= w
 		}
 	}

@@ -9,25 +9,40 @@ import (
 
 // observedCoherence is the reference for the coherence column: the
 // predictor fed as an observer, its directory driven by every access in
-// stream order and queried at the access it has just seen.
+// stream order and queried at the access it has just seen. It numbers
+// blocks itself, in first-touch order, so it shares no id with the
+// stream's BlockIDs.
 type observedCoherence struct {
 	dir    *coherence.Directory
+	ids    map[uint64]uint32
 	window uint64
+}
+
+// newObservedCoherence returns the observer for stream.
+func newObservedCoherence(stream []cache.AccessInfo, window uint64) *observedCoherence {
+	ids := map[uint64]uint32{}
+	for _, a := range stream {
+		if _, ok := ids[a.Block]; !ok {
+			ids[a.Block] = uint32(len(ids))
+		}
+	}
+	return &observedCoherence{dir: coherence.NewDirectory(len(ids)), ids: ids, window: window}
 }
 
 func (p *observedCoherence) observe(a cache.AccessInfo) {
 	if a.Write {
-		p.dir.Store(a.Core, a.Block)
+		p.dir.Store(a.Core, p.ids[a.Block])
 	} else {
-		p.dir.Load(a.Core, a.Block)
+		p.dir.Load(a.Core, p.ids[a.Block])
 	}
 }
 
 func (p *observedCoherence) predict(a cache.AccessInfo) bool {
-	if _, n := p.dir.StateOf(a.Block); n >= 2 {
+	id := p.ids[a.Block]
+	if _, n := p.dir.StateOf(id); n >= 2 {
 		return true
 	}
-	if last, ok := p.dir.LastSharingEvent(a.Block); ok {
+	if last, ok := p.dir.LastSharingEvent(id); ok {
 		return p.dir.Clock()-last <= p.window
 	}
 	return false
@@ -131,7 +146,7 @@ func TestCoherenceColumnMatchesObserved(t *testing.T) {
 			if w == 0 {
 				w = DefaultCoherenceWindow
 			}
-			ref := &observedCoherence{dir: coherence.NewDirectory(), window: w}
+			ref := newObservedCoherence(stream, w)
 			shared := 0
 			for i, a := range stream {
 				ref.observe(a)

@@ -89,9 +89,9 @@ type CoherenceRow struct {
 }
 
 // CoherenceCharacterize regenerates each workload's raw trace and feeds
-// it to a MESI directory. The directory models infinite private caches
-// (no capacity evictions), so the rates measure *true* communication,
-// independent of cache geometry.
+// it to a MESI directory, keyed by the model's dense block index. The
+// directory models infinite private caches (no capacity evictions), so
+// the rates measure *true* communication, independent of cache geometry.
 func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 	ctx := s.context()
 	return perStream(s, "coherence characterize", func(st *Stream, _ int) ([]CoherenceRow, error) {
@@ -99,7 +99,8 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		dir := coherence.NewDirectory()
+		m := &st.Model
+		dir := coherence.NewDirectory(m.FootprintBlocks())
 		var refs uint64
 		buf := make([]trace.Access, trace.ChunkSize)
 		for n := len(buf); n == len(buf); {
@@ -109,10 +110,10 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 			n = trace.ReadBatch(r, buf)
 			refs += uint64(n)
 			for _, a := range buf[:n] {
-				if a.Write {
-					dir.Store(a.Core, a.Addr.BlockID())
+				if id := m.BlockIndex(a.Addr.BlockID()); a.Write {
+					dir.Store(a.Core, id)
 				} else {
-					dir.Load(a.Core, a.Addr.BlockID())
+					dir.Load(a.Core, id)
 				}
 			}
 		}

@@ -8,9 +8,10 @@ import (
 	"sharellc/internal/trace"
 )
 
-// referenceGenerate is Model.Generate as it was before batching and table
-// sharing: every thread builds its own Zipf tables, and the interleaver
-// reaches each thread through a Next-only reader, one access per call.
+// referenceGenerate is Model.Generate built from the per-reference
+// generator (refThreadGen) as it was before batching and table sharing:
+// every thread builds its own Zipf tables, and the interleaver reaches
+// each thread through Next, one access per call.
 func referenceGenerate(t *testing.T, m Model, seed uint64) trace.Reader {
 	t.Helper()
 	if err := m.Validate(); err != nil {
@@ -19,11 +20,11 @@ func referenceGenerate(t *testing.T, m Model, seed uint64) trace.Reader {
 	master := rng.New(seed ^ hashName(m.Name))
 	streams := make([]trace.Reader, m.Threads)
 	for i := range streams {
-		g, err := newThreadGen(m, uint8(i), master.Split(), nil)
+		g, err := newRefThreadGen(m, uint8(i), master.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams[i] = struct{ trace.Reader }{g} // hides ReadBatch
+		streams[i] = g
 	}
 	return trace.NewInterleaver(streams, m.Burst, master.Split())
 }

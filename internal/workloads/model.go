@@ -22,6 +22,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"sharellc/internal/rng"
 	"sharellc/internal/trace"
@@ -139,6 +140,8 @@ func (m Model) Validate() error {
 		return fmt.Errorf("workloads: %s: Burst %d < 1", m.Name, m.Burst)
 	case m.PCsPerRegion < 1:
 		return fmt.Errorf("workloads: %s: PCsPerRegion %d < 1", m.Name, m.PCsPerRegion)
+	case uint64(m.FootprintBlocks()) > math.MaxUint32:
+		return fmt.Errorf("workloads: %s: footprint of %d blocks exceeds the uint32 block index", m.Name, m.FootprintBlocks())
 	}
 	return nil
 }
@@ -149,6 +152,26 @@ func (m Model) TotalAccesses() int { return m.Threads * m.AccessesPerThread }
 // FootprintBlocks estimates the total distinct blocks the model can touch.
 func (m Model) FootprintBlocks() int {
 	return m.Threads*m.PrivateBlocks + m.SharedROBlocks + m.SharedRWBlocks + m.LockBlocks
+}
+
+// BlockIndex numbers a block of Generate's trace densely in
+// [0, FootprintBlocks()): the private regions thread by thread, then the
+// shared read-only, shared read-write and lock regions, each region's
+// blocks in order. It inverts Generate's region layout only; a Mix moves
+// its programs' addresses and is outside it. It runs once per reference,
+// so it takes a pointer rather than copying the Model.
+func (m *Model) BlockIndex(block uint64) uint32 {
+	in := uint32(block) // in-region block number: regions are < 2^32 blocks
+	switch block >> 40 {
+	case privateBase >> 40:
+		tid := uint32((block - privateBase) / privateStride)
+		return tid*uint32(m.PrivateBlocks) + in
+	case sharedROBase >> 40:
+		return uint32(m.Threads*m.PrivateBlocks) + in
+	case sharedRWBase >> 40:
+		return uint32(m.Threads*m.PrivateBlocks+m.SharedROBlocks) + in
+	}
+	return uint32(m.Threads*m.PrivateBlocks+m.SharedROBlocks+m.SharedRWBlocks) + in
 }
 
 // Scaled returns a copy with region sizes and trace length multiplied by
@@ -238,10 +261,28 @@ type threadGen struct {
 	// Sequential-run state per region.
 	cursor  [4]uint64 // last in-region block per region kind
 	running [4]int    // remaining accesses of the current sequential run
-	sweep   uint64    // RWSweep cursor (per-thread revolution position)
 
 	pSeqStart float64
+
+	// Phase state, set at each phase boundary so that no reference
+	// divides: the issued count at which the next phase begins, and the
+	// current phase's rotation of each region.
+	nextPhase int
+	privOff   uint64 // private hot-set rotation
+	roOff     uint64 // shared read-only hot-set rotation
+	rwStart   uint64 // start of the cluster's shared read-write window
+
+	// Shared read-write constants (zero when the model never touches
+	// the region): the hot window's length, and the cluster's sweep
+	// range with the thread's position in it.
+	rwWindow  uint64
+	sweepBase uint64
+	sweepSpan uint64
+	sweepPos  uint64 // revolution position, in [0, sweepSpan)
 }
+
+// sweepJitter bounds the per-access jitter of the shared read-write sweep.
+const sweepJitter = 16
 
 // newThreadGen builds thread tid's generator. Every thread draws its two
 // Zipf sources from rnd in the same order; the tables behind them depend
@@ -264,16 +305,39 @@ func newThreadGen(m Model, tid uint8, rnd *rng.Source, first *threadGen) (*threa
 	if m.SeqRunLen > 1 {
 		g.pSeqStart = 1.0 / float64(m.SeqRunLen)
 	}
+	if m.FracSharedRW > 0 {
+		size := uint64(m.SharedRWBlocks)
+		g.rwWindow = max(uint64(float64(size)*m.RWWindowFrac), 1)
+		// Each cluster of RWSharingDegree threads sweeps its own share of
+		// the region; with more clusters than blocks the share is one
+		// block and clusters wrap onto each other.
+		clusters := uint64((m.Threads + m.RWSharingDegree - 1) / m.RWSharingDegree)
+		g.sweepSpan = max(size/clusters, 1)
+		g.sweepBase = g.cluster() * g.sweepSpan % size
+	}
+	g.setPhase()
 	return g, nil
 }
 
-// phase returns the thread's current phase in [0, Phases).
-func (g *threadGen) phase() int {
-	p := g.issued * g.m.Phases / g.m.AccessesPerThread
-	if p >= g.m.Phases {
-		p = g.m.Phases - 1
+// cluster returns the thread's shared read-write cluster.
+func (g *threadGen) cluster() uint64 { return uint64(int(g.tid) / g.m.RWSharingDegree) }
+
+// setPhase enters the phase the issued count falls in (the last phase
+// once the count passes the end) and precomputes what that phase fixes:
+// the region rotations and the count at which the next phase begins,
+// ⌈(p+1)·AccessesPerThread/Phases⌉. More phases than accesses skip
+// phases, hence the division here rather than a plain increment.
+func (g *threadGen) setPhase() {
+	m := &g.m
+	p := min(g.issued*m.Phases/m.AccessesPerThread, m.Phases-1)
+	g.nextPhase = ((p+1)*m.AccessesPerThread + m.Phases - 1) / m.Phases
+	g.privOff = uint64(p) * uint64(m.PrivateBlocks) / uint64(m.Phases)
+	g.roOff = uint64(p) * uint64(m.SharedROBlocks) / uint64(m.Phases)
+	if g.rwWindow > 0 {
+		// The window start advances each phase and is offset per cluster
+		// so different clusters share different block ranges.
+		g.rwStart = (uint64(p)*g.rwWindow + g.cluster()*g.rwWindow*7919) % uint64(m.SharedRWBlocks)
 	}
-	return p
 }
 
 // Next implements trace.Reader.
@@ -301,7 +365,9 @@ func (g *threadGen) gen() trace.Access {
 	kind := g.pickRegion()
 	blockNo, write := g.pickBlock(kind)
 	pc := g.pickPC(kind)
-	g.issued++
+	if g.issued++; g.issued == g.nextPhase {
+		g.setPhase()
+	}
 	return trace.Access{
 		Core:  g.core,
 		Write: write,
@@ -328,96 +394,102 @@ func (g *threadGen) pickRegion() regionKind {
 }
 
 // pickBlock chooses the block number and write flag for a region access.
+// Private, shared read-only and windowed shared read-write accesses mix
+// sequential runs with random jumps (runNext, then jumpTo).
 func (g *threadGen) pickBlock(kind regionKind) (blockNo uint64, write bool) {
-	var inRegion uint64
-	var regionSize int
 	switch kind {
 	case regPrivate:
-		regionSize = g.m.PrivateBlocks
-		inRegion = g.seqOrJump(kind, regionSize, func() uint64 {
+		inRegion, ok := g.runNext(kind, uint64(g.m.PrivateBlocks))
+		if !ok {
 			// Per-phase rotation drifts the hot set through the region.
 			hot := uint64(g.privZipf.Next())
-			off := uint64(g.phase()) * uint64(regionSize) / uint64(g.m.Phases)
-			return (hot + off) % uint64(regionSize)
-		})
+			inRegion = g.jumpTo(kind, wrap(hot+g.privOff, uint64(g.m.PrivateBlocks)))
+		}
 		write = g.rnd.Bool(g.m.WriteFrac)
 		blockNo = privateBase + uint64(g.tid)*privateStride + inRegion
 
 	case regSharedRO:
-		regionSize = g.m.SharedROBlocks
-		inRegion = g.seqOrJump(kind, regionSize, func() uint64 {
+		inRegion, ok := g.runNext(kind, uint64(g.m.SharedROBlocks))
+		if !ok {
 			hot := uint64(g.roZipf.Next())
-			off := uint64(g.phase()) * uint64(regionSize) / uint64(g.m.Phases)
-			return (hot + off) % uint64(regionSize)
-		})
-		write = false
+			inRegion = g.jumpTo(kind, wrap(hot+g.roOff, uint64(g.m.SharedROBlocks)))
+		}
 		blockNo = sharedROBase + inRegion
 
 	case regSharedRW:
-		regionSize = g.m.SharedRWBlocks
+		var inRegion uint64
 		if g.m.RWSweep {
 			inRegion = g.rwSweepBlock()
+		} else if b, ok := g.runNext(kind, uint64(g.m.SharedRWBlocks)); ok {
+			inRegion = b
 		} else {
-			inRegion = g.seqOrJump(kind, regionSize, func() uint64 {
-				return g.rwWindowBlock()
-			})
+			inRegion = g.jumpTo(kind, g.rwWindowBlock())
 		}
 		write = g.rnd.Bool(g.m.WriteFrac)
 		blockNo = sharedRWBase + inRegion
 
 	case regLock:
-		inRegion = g.rnd.Uint64n(uint64(g.m.LockBlocks))
+		inRegion := g.rnd.Uint64n(uint64(g.m.LockBlocks))
 		write = g.rnd.Bool(0.5)
 		blockNo = lockBase + inRegion
 	}
 	return blockNo, write
 }
 
+// wrap reduces v, a sum of two terms below size, into [0, size).
+func wrap(v, size uint64) uint64 {
+	if v >= size {
+		v -= size
+	}
+	return v
+}
+
 // rwWindowBlock picks a block from the thread cluster's current hot window
 // of the shared read-write region.
 func (g *threadGen) rwWindowBlock() uint64 {
-	size := uint64(g.m.SharedRWBlocks)
-	window := uint64(float64(size) * g.m.RWWindowFrac)
-	if window < 1 {
-		window = 1
-	}
-	cluster := uint64(int(g.tid) / g.m.RWSharingDegree)
-	// The window start advances each phase and is offset per cluster so
-	// different clusters share different block ranges.
-	start := (uint64(g.phase())*window + cluster*window*7919) % size
-	return (start + g.rnd.Uint64n(window)) % size
+	return wrap(g.rwStart+g.rnd.Uint64n(g.rwWindow), uint64(g.m.SharedRWBlocks))
 }
 
-// rwSweepBlock advances the thread's sweep cursor through the cluster's
+// rwSweepBlock advances the thread's sweep position through the cluster's
 // share of the region. All threads of a cluster progress at the same
-// per-thread rate, so their cursors stay loosely aligned and each block
+// per-thread rate, so their positions stay loosely aligned and each block
 // receives a burst of cross-core touches once per revolution.
 func (g *threadGen) rwSweepBlock() uint64 {
-	size := uint64(g.m.SharedRWBlocks)
-	clusters := uint64((g.m.Threads + g.m.RWSharingDegree - 1) / g.m.RWSharingDegree)
-	span := size / clusters
-	if span < 1 {
-		span = 1
-	}
-	cluster := uint64(int(g.tid) / g.m.RWSharingDegree)
 	// Small jitter keeps cluster mates from colliding on the exact same
 	// block every time while preserving the burst clustering.
-	jitter := g.rnd.Uint64n(16)
-	pos := (g.sweep + jitter) % span
-	g.sweep++
-	return (cluster*span + pos) % size
+	pos, span := g.sweepPos+g.rnd.Uint64n(sweepJitter), g.sweepSpan
+	if pos >= span {
+		if span >= sweepJitter {
+			pos -= span
+		} else {
+			pos %= span // the jitter alone can pass a short span
+		}
+	}
+	if g.sweepPos++; g.sweepPos == span {
+		g.sweepPos = 0
+	}
+	return g.sweepBase + pos
 }
 
-// seqOrJump implements the sequential-run/random-jump mix: while a run is
-// active the cursor advances by one block; otherwise jump() chooses a new
-// position and, with the model's run-start probability, begins a new run.
-func (g *threadGen) seqOrJump(kind regionKind, regionSize int, jump func() uint64) uint64 {
-	if g.running[kind] > 0 {
-		g.running[kind]--
-		g.cursor[kind] = (g.cursor[kind] + 1) % uint64(regionSize)
-		return g.cursor[kind]
+// runNext continues the region's sequential run: while one is active the
+// cursor advances by one block, wrapping at size. It reports false when
+// no run is active and the caller must jump.
+func (g *threadGen) runNext(kind regionKind, size uint64) (uint64, bool) {
+	if g.running[kind] <= 0 {
+		return 0, false
 	}
-	b := jump()
+	g.running[kind]--
+	c := g.cursor[kind] + 1
+	if c == size {
+		c = 0
+	}
+	g.cursor[kind] = c
+	return c, true
+}
+
+// jumpTo moves the region's cursor to b, a freshly chosen block, and with
+// the model's run-start probability begins a new sequential run there.
+func (g *threadGen) jumpTo(kind regionKind, b uint64) uint64 {
 	g.cursor[kind] = b
 	if g.pSeqStart > 0 && g.rnd.Bool(g.pSeqStart) {
 		// Run length uniform in [1, 2*SeqRunLen-1] → mean ≈ SeqRunLen.

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"sharellc/internal/trace"
@@ -484,5 +486,80 @@ func TestSequentialRunsPresent(t *testing.T) {
 	frac := float64(seq) / float64(len(accs))
 	if frac < 0.5 {
 		t.Errorf("sequential-successor fraction = %.2f, want > 0.5 with SeqRunLen 16", frac)
+	}
+}
+
+// TestBlockIndexIsDenseBijection checks BlockIndex over everything
+// Generate emits: every block lands in [0, FootprintBlocks()), distinct
+// blocks land on distinct indices, and each region's first and last
+// block land on the region's bounds in the documented order.
+func TestBlockIndexIsDenseBijection(t *testing.T) {
+	models := append([]Model{tiny()}, edgeModels()...)
+	for _, m := range Suite() {
+		models = append(models, m.Scaled(0.02))
+	}
+	for _, m := range models {
+		fp := m.FootprintBlocks()
+		owner := make(map[uint32]uint64)
+		for _, a := range genAll(t, m, 1) {
+			b := a.Addr.BlockID()
+			id := m.BlockIndex(b)
+			if int(id) >= fp {
+				t.Fatalf("%s: block %#x → index %d, outside [0, %d)", m.Name, b, id, fp)
+			}
+			if prev, ok := owner[id]; ok && prev != b {
+				t.Fatalf("%s: blocks %#x and %#x share index %d", m.Name, prev, b, id)
+			}
+			owner[id] = b
+		}
+
+		// Region bounds: [first block, last block] → [first index, last index].
+		type bound struct {
+			first, last uint64
+			lo, hi      int
+		}
+		var bounds []bound
+		next := 0
+		region := func(base uint64, size int) {
+			if size > 0 {
+				bounds = append(bounds, bound{base, base + uint64(size) - 1, next, next + size - 1})
+				next += size
+			}
+		}
+		for tid := 0; tid < m.Threads; tid++ {
+			region(privateBase+uint64(tid)*privateStride, m.PrivateBlocks)
+		}
+		region(sharedROBase, m.SharedROBlocks)
+		region(sharedRWBase, m.SharedRWBlocks)
+		region(lockBase, m.LockBlocks)
+		if next != fp {
+			t.Fatalf("%s: regions cover %d blocks, FootprintBlocks %d", m.Name, next, fp)
+		}
+		for _, r := range bounds {
+			if lo, hi := m.BlockIndex(r.first), m.BlockIndex(r.last); int(lo) != r.lo || int(hi) != r.hi {
+				t.Errorf("%s: region [%#x, %#x] → [%d, %d], want [%d, %d]", m.Name, r.first, r.last, lo, hi, r.lo, r.hi)
+			}
+		}
+	}
+}
+
+// TestValidateBoundsFootprintToUint32: dense block indices are uint32, so
+// a model whose footprint passes math.MaxUint32 is rejected, and one that
+// reaches it exactly is not.
+func TestValidateBoundsFootprintToUint32(t *testing.T) {
+	m := base("huge", "parsec", "")
+	m.Threads, m.PrivateBlocks = 1, 1
+	m.SharedROBlocks = math.MaxUint32 - 1 - m.LockBlocks
+	if err := m.Validate(); err != nil {
+		t.Errorf("footprint of exactly MaxUint32 blocks rejected: %v", err)
+	}
+	m.SharedROBlocks++
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "uint32") {
+		t.Errorf("footprint of %d blocks: Validate = %v", m.FootprintBlocks(), err)
+	}
+	m = base("wide", "parsec", "")
+	m.Threads, m.PrivateBlocks = 2, 1<<31
+	if err := m.Validate(); err == nil {
+		t.Errorf("footprint of %d private blocks accepted", m.FootprintBlocks())
 	}
 }
