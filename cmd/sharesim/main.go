@@ -64,7 +64,8 @@ func main() {
 type options struct {
 	exp string
 	// req carries the knobs as given: sharesim does not normalize them, so
-	// -workloads keeps its order and -policies its CLI default.
+	// -workloads keeps its order and -policies its CLI default; only the
+	// job API's LLC bounds apply (sim.Request.CheckGeometry).
 	req      sim.Request
 	expOpts  sim.ExpOptions // req's options plus the protection flags jobs lack
 	csv      bool
@@ -139,6 +140,9 @@ func run(w io.Writer, args []string) error {
 	}
 	if *wls != "" {
 		o.req.Workloads = strings.Split(*wls, ",")
+	}
+	if err := o.req.CheckGeometry(); err != nil {
+		return fmt.Errorf("-llc %g -ways %d: %w", *llcMB, *ways, err)
 	}
 	o.expOpts = o.req.Options()
 	o.expOpts.Prot.SkipBudget = *skip

@@ -120,6 +120,34 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestGeometryBounds: the CLI applies the job API's LLC bounds before
+// any stream is prepared, so a geometry some policy cannot run — 128
+// ways, a 3 MB LLC (3072 sets at 16 ways), more than 32 MB — fails
+// naming the bound, for every experiment.
+func TestGeometryBounds(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ways", "128"}, "power of two in [1, 64]"},
+		{[]string{"-ways", "12"}, "power of two in [1, 64]"},
+		{[]string{"-llc", "3"}, "not a power of two"},
+		{[]string{"-llc", "64"}, "(0, 32]"},
+	} {
+		for _, exp := range []string{"f1", "f7", "config"} {
+			args := fast(append([]string{"-exp", exp}, c.args...)...)
+			var b strings.Builder
+			err := run(&b, args)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run(%v) = %v, want an error naming %q", args, err, c.want)
+			}
+			if b.Len() != 0 {
+				t.Errorf("run(%v) wrote output before failing", args)
+			}
+		}
+	}
+}
+
 func TestJSONOutput(t *testing.T) {
 	out := runOK(t, fast("-exp", "f1", "-json")...)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

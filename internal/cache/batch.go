@@ -2,7 +2,7 @@ package cache
 
 // Batched replay entry point.
 //
-// Access and FillRef are per-access calls: every access pays the call
+// Access is a per-access call: every access pays the call
 // itself, a Result struct moving through registers, and the branchy
 // interleaving of tag, validity and policy work. The lane engine of
 // internal/sharing instead presents accesses in chunks and consumes one
@@ -16,11 +16,9 @@ package cache
 // pointer.
 //
 // The probe goes through the caller's residency table instead of
-// scanning tags — the same trust the sequential replay places in
-// sharing.replayState (see FillRef): active maps BlockID → 1+line index
-// for every resident block, lineID is the reverse map the eviction path
-// uses to clear the victim's entry, and both must describe exactly this
-// cache's contents.
+// scanning tags: active maps BlockID → 1+line index for every resident
+// block, lineID is the reverse map the eviction path uses to clear the
+// victim's entry, and both must describe exactly this cache's contents.
 
 // Batch outcome word layout: bits 0–29 carry the line index
 // (set*ways+way), BatchHit marks a hit, BatchEvict marks a fill that
@@ -162,7 +160,7 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 // fillSlot picks the line index a fill of set should land in — the
 // first invalid way while the set is filling, the policy's victim once
 // it is full — returning BatchEvict in o when a valid line is
-// displaced. It is the batched twin of FillRef's slot choice and panics
+// displaced. It is the batched twin of Access's slot choice and panics
 // on the same policy contract violations.
 func (c *SetAssoc) fillSlot(set int, a *AccessInfo) (li, o uint32) {
 	base := set * c.ways

@@ -173,8 +173,8 @@ func (c *SetAssoc) Ways() int { return c.ways }
 // Policy returns the replacement policy managing this cache.
 func (c *SetAssoc) Policy() Policy { return c.policy }
 
-// SetOf returns the set index for a block number.
-func (c *SetAssoc) SetOf(block uint64) int { return int(block & c.mask) }
+// setOf returns the set index for a block number.
+func (c *SetAssoc) setOf(block uint64) int { return int(block & c.mask) }
 
 // Result reports the outcome of one Access.
 type Result struct {
@@ -189,7 +189,7 @@ type Result struct {
 // filled (allocate-on-write as well as read), evicting a victim if the set
 // is full.
 func (c *SetAssoc) Access(a AccessInfo) Result {
-	set := c.SetOf(a.Block)
+	set := c.setOf(a.Block)
 	base := set * c.ways
 	// One pass over the set finds both the hit way and the first invalid
 	// way (the fill target should the lookup miss).
@@ -238,47 +238,12 @@ func badVictim(p Policy, way, ways int) string {
 	return fmt.Sprintf("cache: policy %s returned victim way %d outside [0,%d)", p.Name(), way, ways)
 }
 
-// FillRef is the miss half of Access for callers that already know
-// the block is absent: the residency trackers mirror the cache's
-// contents exactly (see sharing.replayState), so when their block table
-// reports a miss the tag scan would only re-confirm it. Once the set is
-// full — the steady state of every replay — the scan is skipped
-// entirely and the access goes straight to the victim choice; until
-// then only the invalid-way search runs. The fill itself is identical
-// to Access's miss path (first invalid way in scan order, else the
-// policy's victim).
-func (c *SetAssoc) FillRef(a *AccessInfo) Result {
-	set := c.SetOf(a.Block)
-	base := set * c.ways
-	res := Result{Set: set}
-	var way int
-	if int(c.valid[set]) == c.ways {
-		way = c.victim(set, base, &res, a)
-	} else {
-		way = -1
-		for w := 0; w < c.ways; w++ {
-			if !c.lines[base+w].valid() {
-				way = w
-				break
-			}
-		}
-		if way < 0 {
-			panic("cache: set valid count below ways but no invalid way")
-		}
-		c.valid[set]++
-	}
-	c.lines[base+way] = tagOf(a.Block)
-	c.policy.Fill(set, way, a)
-	res.Way = way
-	return res
-}
-
 // PerSetIndependent reports whether p declares that its replacement
 // decisions in one set depend only on the sequence of accesses to that set
 // (no cross-set state such as dueling counters, shared RNG draws or global
 // prediction tables). Per-set-independent policies may be replayed with the
 // stream sharded by set index and produce results identical to a
-// sequential replay; see sharing.ReplayMulti.
+// stream-order replay; see sharing.ReplayMulti.
 func PerSetIndependent(p Policy) bool {
 	ps, ok := p.(interface{ PerSetIndependent() bool })
 	return ok && ps.PerSetIndependent()

@@ -22,7 +22,7 @@ func ai(block uint64) AccessInfo { return AccessInfo{Block: block} }
 // probe reports whether block is resident in c without touching
 // replacement state.
 func probe(c *SetAssoc, block uint64) bool {
-	base := c.SetOf(block) * c.ways
+	base := c.setOf(block) * c.ways
 	for _, ln := range c.lines[base : base+c.ways] {
 		if ln == tagOf(block) {
 			return true
@@ -208,8 +208,8 @@ func TestAccessors(t *testing.T) {
 	if c.Policy().Name() != "lru" {
 		t.Errorf("Policy().Name() = %q", c.Policy().Name())
 	}
-	if got := c.SetOf(4096); got != 0 {
-		t.Errorf("SetOf(4096) = %d", got)
+	if got := c.setOf(4096); got != 0 {
+		t.Errorf("setOf(4096) = %d", got)
 	}
 }
 

@@ -59,7 +59,7 @@ func (h *refHierarchy) invalidate(block uint64) {
 
 // invalidateLine drops block from c if it is resident.
 func invalidateLine(c *SetAssoc, block uint64) {
-	set := c.SetOf(block)
+	set := c.setOf(block)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w] == tagOf(block) {

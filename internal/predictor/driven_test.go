@@ -54,14 +54,15 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 }
 
 // TestDrivenLaneMatchesHooked holds the hook-free predictor-driven lane
-// to its hooked form — a Protector over LRU with HooksFor(pred), pinned
-// to the sequential walk — for all six predictors at 8, 16, 64 and 128
-// ways under every protection setting, at several stream prefixes. Every
-// Result field and every Protector counter must match. The hook-free lane must take the
-// two-phase route up to 64 ways and the sequential walk at 128, and call
-// NewPolicy exactly once either way: the protector stashes rely on it.
-// Over LRU its policy pass must run the protected-LRU kernel; the DRRIP
-// case holds the generic loop to the hooked reference.
+// to its hooked form — a Protector over LRU with HooksFor(pred) — for
+// all six predictors at 8, 16 and 64 ways under every protection
+// setting, at several stream prefixes. Every Result field and every
+// Protector counter must match. The hook-free lane must take the
+// two-phase route and call NewPolicy exactly once: the protector stashes
+// rely on it. Over LRU its policy pass must run the protected-LRU
+// kernel; the DRRIP case holds the generic loop to the hooked reference.
+// At 128 ways both lanes are past the two-phase route's 64 and must be
+// rejected.
 func TestDrivenLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -101,18 +102,24 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 								parts = n
 								return sharing.BuildPartition(stream, n)
 							}})
-						if err != nil {
-							t.Fatal(err)
-						}
 						var ref *core.Protector
 						hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t, stream)[pi]),
 							NewPolicy: func() cache.Policy {
 								ref = core.NewProtectorOpts(base(), opts)
 								return ref
 							}}
-						want, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+						want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+						if ways > 64 {
+							if err == nil || refErr == nil {
+								t.Errorf("%s: replayed past the two-phase route's 64 ways (driven: %v, hooked: %v)", at, err, refErr)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatal(err)
+						}
+						if refErr != nil {
+							t.Fatal(refErr)
 						}
 						if !reflect.DeepEqual(got[0], want[0]) {
 							t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
@@ -123,10 +130,10 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 						if calls != 1 {
 							t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
 						}
-						if twoPhase := parts > 1; twoPhase != (ways <= 64) {
-							t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+						if parts < 2 {
+							t.Errorf("%s: partitioned into %d shards; want the two-phase route's tracker shards", at, parts)
 						}
-						if got, want := drivenKernel(t, NewDriven(base(), opts, Never{}), ways), name == "lru" && ways <= 64; got != want {
+						if got, want := drivenKernel(t, NewDriven(base(), opts, Never{}), ways), name == "lru"; got != want {
 							t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
 						}
 					}

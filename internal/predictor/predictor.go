@@ -15,7 +15,7 @@
 //
 // Both studies carry their predictors inside the replay lane's policy,
 // so no lane is hooked and both run two-phase. An F7/A2 lane
-// (EvaluateMulti) scores every predictor at once against an untouched
+// (ScoredLane) scores every predictor at once against an untouched
 // base: no predictor steers, so all of them see the same residencies.
 // An F8 lane drives one predictor (Driven): over an LRU base (up to 64
 // ways) it runs core's protected-LRU batch kernel, which calls Driven's

@@ -63,26 +63,36 @@ func (p PredStats) Recall() float64 {
 const maxScored = 16
 
 // EvaluateMulti measures every predictor's fill-time accuracy without
-// letting it influence replacement (experiments F7 and A2). The base
-// policy (newBase is called once) runs untouched in one replay lane that
-// carries every predictor: each predicts at each fill, trains when the
-// residency ends, and is scored against that residency's outcome,
-// residencies still open at stream end included. It returns one
-// confusion matrix per predictor, in predictor order; at most 16
-// predictors fit one lane.
+// letting it influence replacement: it replays the ScoredLane of preds
+// alone under ctx and returns its confusion matrices.
 func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]PredStats, error) {
-	if len(preds) > maxScored {
-		return nil, fmt.Errorf("predictor: %d predictors in one scored lane, at most %d", len(preds), maxScored)
+	cfg, finish, err := ScoredLane(llcSize, llcWays, newBase, preds)
+	if err != nil {
+		return nil, err
 	}
-	var lane *scored
-	cfg := sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy {
-		lane = newScored(newBase(), preds)
-		return lane
-	}}
 	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx}); err != nil {
 		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
 	}
-	return lane.finish(), nil
+	return finish(), nil
+}
+
+// ScoredLane builds the replay lane of experiments F7 and A2: the base
+// policy (newBase is called once) runs untouched and carries every
+// predictor, each predicting at each fill, training when the residency
+// ends, and scored against that residency's outcome, residencies still
+// open at stream end included. After the lane's replay succeeds, finish
+// returns one confusion matrix per predictor, in predictor order. At
+// most 16 predictors fit one lane.
+func ScoredLane(llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) (cfg sharing.LLCConfig, finish func() []PredStats, err error) {
+	if len(preds) > maxScored {
+		return cfg, nil, fmt.Errorf("predictor: %d predictors in one scored lane, at most %d", len(preds), maxScored)
+	}
+	var lane *scored
+	cfg = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy {
+		lane = newScored(newBase(), preds)
+		return lane
+	}}
+	return cfg, func() []PredStats { return lane.finish() }, nil
 }
 
 // scored is the policy of an F7/A2 lane: a base policy that runs
@@ -200,7 +210,7 @@ func (s *scored) finish() []PredStats {
 // HooksFor wires a predictor into a hooked replay lane: its prediction is
 // the lane's fill-time hint, and each residency end trains it. No
 // experiment runs hooked lanes: F7/A2 score predictors in one scored lane
-// (EvaluateMulti) and F8 drives each from a Driven lane.
+// (ScoredLane) and F8 drives each from a Driven lane.
 func HooksFor(pred Predictor) sharing.Hooks {
 	return sharing.Hooks{
 		PredictShared: pred.Predict,

@@ -51,13 +51,13 @@ func hookedScores(t *testing.T, stream []cache.AccessInfo, ways int, base func()
 
 // TestScoredLaneMatchesHooked holds the F7/A2 lane — one lane scoring all
 // six predictors — to six hooked reference lanes (hookedScores) over LRU
-// and DRRIP at 8, 16, 64 and 128 ways, at several stream prefixes. Every
+// and DRRIP at 8, 16 and 64 ways, at several stream prefixes. Every
 // confusion matrix must equal its reference, and EvaluateMulti's must
 // equal the lane's. The lane must leave its base untouched (its Result
-// equals the bare base lane's), take the two-phase route up to 64 ways
-// and the sequential walk at 128, bind no batch kernel, and call
-// NewPolicy exactly once: EvaluateMulti reads the matrices off that one
-// instance.
+// equals the bare base lane's), take the two-phase route, bind no batch
+// kernel, and call NewPolicy exactly once: EvaluateMulti reads the
+// matrices off that one instance. At 128 ways the lane and
+// EvaluateMulti must be rejected: the two-phase route stops at 64.
 func TestScoredLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -88,6 +88,13 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 						parts = n
 						return sharing.BuildPartition(stream, n)
 					}})
+				if ways > 64 {
+					_, evalErr := EvaluateMulti(context.Background(), stream, drivenSize, ways, base, predictors(t, stream))
+					if err == nil || evalErr == nil {
+						t.Errorf("%s: replayed past the two-phase route's 64 ways (lane: %v, EvaluateMulti: %v)", at, err, evalErr)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,8 +125,8 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if calls != 1 {
 					t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
 				}
-				if twoPhase := parts > 1; twoPhase != (ways <= 64) {
-					t.Errorf("%s: partitioned into %d shards; want two-phase iff ways <= 64", at, parts)
+				if parts < 2 {
+					t.Errorf("%s: partitioned into %d shards; want the two-phase route's tracker shards", at, parts)
 				}
 				if drivenKernel(t, newScored(base(), nil), ways) {
 					t.Errorf("%s: scored lane binds its base's batch kernel", at)

@@ -10,10 +10,10 @@ import (
 )
 
 // batchTestConfigs builds one lane per experiment family: every
-// registered policy (covering the shardable and two-phase groups), a
-// hooked LRU lane (pinned to the sequential walk; its PredictShared hook
-// counts into hookCount) and a 128-way LRU lane (a shardable lane past
-// the outcome log's 6-bit way field, which only two-phase lanes need).
+// registered policy (covering the sharded and two-phase routes), a
+// hooked LRU lane (two-phase; its PredictShared hook counts into
+// hookCount) and a 128-way LRU lane (a sharded lane past the outcome
+// log's 6-bit way field, which only two-phase lanes need).
 func batchTestConfigs(t *testing.T, size, ways int, hookCount *uint64) []LLCConfig {
 	t.Helper()
 	var configs []LLCConfig
@@ -34,7 +34,7 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *uint64) []LLCConf
 // TestKernelVsSequential replays every experiment family — the full
 // policy catalogue, a hooked lane and a 128-way lane — through the lane
 // engine's batched walks and demands byte-equal Results against the
-// scalar sequential walk of each lane alone — counters, degree
+// scalar reference walk of each lane alone — counters, degree
 // histograms and block census — at every prefix. The hooked lane must
 // be asked for a prediction exactly once per miss per replay.
 func TestKernelVsSequential(t *testing.T) {
@@ -56,10 +56,9 @@ func TestKernelVsSequential(t *testing.T) {
 	}
 }
 
-// kernelsAgree holds one shardable (LRU) and one two-phase (DRRIP) lane
-// to the sequential reference at every prefix of stream (see
-// configsAgree). Shards is forced past one so the lane engine — not the
-// sequential fallback — runs.
+// kernelsAgree holds one sharded (LRU) and one two-phase (DRRIP) lane
+// to the reference walk at every prefix of stream (see configsAgree),
+// at four workers.
 func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 	t.Helper()
 	configsAgree(t, stream, []LLCConfig{
@@ -69,9 +68,9 @@ func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 }
 
 // configsAgree replays every eachPrefix prefix of full through configs
-// in one ReplayMulti call and demands each lane's Result equal the one
-// reference walk: the sequential walk of that lane alone, with the
-// lane's hooks. Counters, degree histograms and block census must all match.
+// in one ReplayMulti call and demands each lane's Result equal the
+// reference walk of that lane alone, with the lane's hooks. Counters,
+// degree histograms and block census must all match.
 func configsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt Options) {
 	t.Helper()
 	eachPrefix(full, func(stream []cache.AccessInfo) {
@@ -85,7 +84,7 @@ func configsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, op
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("len %d, config %d (%s @ %d ways): engine result differs from the sequential walk\nengine:     %+v\nsequential: %+v",
+				t.Fatalf("len %d, config %d (%s @ %d ways): engine result differs from the reference walk\nengine:    %+v\nreference: %+v",
 					len(stream), i, want.Policy, c.Ways, got[i], want)
 			}
 		}
@@ -106,8 +105,8 @@ func TestKernelBoundaryLengths(t *testing.T) {
 // FuzzKernelBoundary fuzzes stream length and block population around
 // the batch boundaries AND the policy running the lane: pol selects one
 // specialized policy from the realistic catalogue, so the fuzzer
-// explores every monomorphic kernel (shardable and two-phase alike)
-// against the sequential walk, which runs no kernel at all. Every case
+// explores every monomorphic kernel (sharded and two-phase alike)
+// against the reference walk, which runs no kernel at all. Every case
 // must replay bit-identically at every prefix.
 func FuzzKernelBoundary(f *testing.F) {
 	var kernelPolicies []string
@@ -165,12 +164,13 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 }
 
 // TestHookedProtectorLaneAllocSteady is the same gate for a hooked
-// protected lane: a sequential lane whose PredictShared hook feeds a
+// protected lane: a two-phase lane whose PredictShared hook feeds a
 // core.Protector over LRU (the experiments' protected lanes carry their
 // hint inside the policy instead; see oracle.TestHintedLaneAllocSteady).
 // Attaching the hint used to heap-allocate one AccessInfo per fill and
 // victim selection a closure and a boxed slice per protected miss; now
-// the count must not grow with the stream.
+// the count must not grow with the stream. Eight workers pin both
+// lengths to eight shards, so the per-shard bookkeeping is the same.
 func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	long := synthStream(60000, 3000, 8, 7)
 	var prot *core.Protector
@@ -183,7 +183,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	}}
 	run := func(stream []cache.AccessInfo) func() {
 		return func() {
-			if _, err := ReplayMulti(stream, configs, Options{}); err != nil {
+			if _, err := ReplayMulti(stream, configs, Options{Shards: 8}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,7 +195,8 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	short := testing.AllocsPerRun(3, run(long[:15000]))
 	full := testing.AllocsPerRun(3, run(long))
 	// The long stream has four times the accesses (tens of thousands more
-	// fills); per-replay bookkeeping measures ~30 objects either way.
+	// fills); per-replay bookkeeping (eight shard partials and workers)
+	// measures ~110 objects either way.
 	if full > short+20 || full > 200 {
 		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
 	}

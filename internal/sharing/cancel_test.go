@@ -10,8 +10,8 @@ import (
 	"sharellc/internal/policy"
 )
 
-// cancelStream builds a stream long enough to straddle several cancel
-// polls (cancelStride accesses apart).
+// cancelStream builds a stream long enough to straddle many cancel
+// polls (one per batchSize-access chunk).
 func cancelStream(n int) []cache.AccessInfo {
 	stream := make([]cache.AccessInfo, n)
 	for i := range stream {
@@ -31,9 +31,9 @@ func TestReplayPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stream := cancelStream(1 << 16)
-	_, err := seqReplay(stream, lruLane64K(), Options{Ctx: ctx})
+	_, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 1})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sequential replay with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("one-worker replay with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	_, err = ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 4})
 	if !errors.Is(err, context.Canceled) {
@@ -48,7 +48,7 @@ func TestReplayCancelledMidStream(t *testing.T) {
 	defer cancel()
 	stream := cancelStream(1 << 22) // tens of ms of replay work
 	start := time.Now()
-	_, err := seqReplay(stream, lruLane64K(), Options{Ctx: ctx})
+	_, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -59,14 +59,14 @@ func TestReplayCancelledMidStream(t *testing.T) {
 
 func TestReplayNilCtxUnchanged(t *testing.T) {
 	// Cancellation support must not perturb results: a replay with a
-	// live context matches one with no context at all, on the
-	// sequential walk and through the engine.
+	// live context matches the reference walk, at one worker and at the
+	// automatic worker count.
 	stream := cancelStream(1 << 16)
 	base, err := seqReplay(stream, lruLane64K(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := seqReplay(stream, lruLane64K(), Options{Ctx: context.Background()})
+	one, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: context.Background(), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReplayNilCtxUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*Result{got, multi[0]} {
+	for _, r := range []*Result{one[0], multi[0]} {
 		if base.Hits != r.Hits || base.Misses != r.Misses || base.SharedHits != r.SharedHits {
 			t.Errorf("results diverge with ctx: %+v vs %+v", base, r)
 		}

@@ -19,11 +19,11 @@ package sharing
 // Each phase is a short dependence-free-per-iteration loop over L1-
 // resident chunk state (batchSize is sized so the chunk columns stay
 // under the L2 slice the shard walk already budgets via blockBudget).
-// Results are bit-identical to the sequential walk (replayState.step):
+// Results are bit-identical to a stream-order walk of the lane alone:
 // the probe performs exactly its cache transitions in the same order,
 // and the advance performs exactly its tracker transitions (the
-// differential tests in batch_test.go and tracker_test.go hold every
-// lane to byte equality with the sequential reference).
+// differential tests hold every lane to byte equality with that walk,
+// kept in reference_test.go).
 
 import (
 	"sharellc/internal/cache"
@@ -76,7 +76,7 @@ func decodeColumns(accs []cache.AccessInfo, blk []uint64, id []uint32, meta []ui
 	}
 }
 
-// runLaneBatch walks one shardable lane over the gathered shard buffer
+// runLaneBatch walks one sharded lane over the gathered shard buffer
 // in chunks: probe, then advance. The lane's active/lineID tables
 // persist across shards and workers (disjoint index ranges per shard).
 func runLaneBatch(llc *cache.SetAssoc, l *lane, st *replayState, bs *batchScratch, accs []cache.AccessInfo, opt Options) error {
@@ -150,8 +150,10 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, n int, order 
 // cache.ReplayBatchCols chunk by chunk — the policy's monomorphic kernel
 // when it has one, the generic loop otherwise — and a compress loop
 // folds each chunk's outcome words into the one-byte-per-access log the
-// tracker phase replays. The policy call sequence is exactly the
-// sequential replay's, so cross-set policy state evolves identically.
+// tracker phase replays. The policy call sequence is exactly a
+// stream-order replay's, so cross-set policy state evolves identically,
+// and a hooked lane's hooks see the stream order they observe; its
+// survivors close once the pass ends.
 //
 // The compress loop writes the log in partition order: each byte
 // scatters to its block's shard segment (shard membership is the same
@@ -211,6 +213,9 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 			log[p] = cache.LogByte(o[k], uint32(b&setMask)*uint32(ways))
 		}
 		l.ring.publish(int64(hi))
+	}
+	if h, ok := l.inst.(*hooked); ok {
+		h.endSurvivors()
 	}
 	// The words pool's at-rest invariant is all-zero. The cols pool
 	// carries no invariant, so lineID and out go back as they are.

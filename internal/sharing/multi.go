@@ -15,38 +15,40 @@ package sharing
 // speedup over per-cell replay comes from (see the scheduling notes on
 // replayLanes).
 //
-// Lanes split into three groups:
+// Every lane takes one of two routes, decided by one property — whether
+// its policy is per-set independent and carries no hooks:
 //
-//   - shardable lanes (per-set-independent policy, no hooks) replay
+//   - sharded lanes (per-set-independent policy, no hooks) replay
 //     set-shard by set-shard: a worker that claims shard s gathers s's
 //     accesses into a contiguous buffer once and walks it once per
 //     lane, so one shard's slice of one lane's state — a fraction of a
 //     megabyte — is all that competes for cache during a walk;
-//   - two-phase lanes (cross-set policy state, no hooks) split the
-//     walk: a stream-order policy pass drives just the cache and
-//     policy — whose state is a couple of megabytes, cache-resident —
-//     and records each access's outcome in a one-byte-per-access log,
-//     from which the tracker half (the multi-megabyte arrays) then
-//     replays set-shard by set-shard like a shardable lane. The
-//     protected lanes of the oracle and predictor-driven studies are
-//     this kind: their policy carries its own fill hint
-//     (oracle.Hinted, predictor.Driven), and the policy pass presents
-//     the fills in stream order, as the sequential walk does. So are
-//     the lanes that score predictors (predictor.EvaluateMulti);
-//   - sequential lanes replay one lane at a time, each as its own
-//     full-stream walk in stream order (runSeqLane). A lane lands
-//     here when the engine's encodings cannot carry it: per-lane hooks
-//     (they observe the walk's residencies and stream order), a
-//     cross-set policy with more ways than the outcome log's 6-bit
-//     field, more lines than the outcome word's 30-bit line index, or
-//     a stream with more cores than the tracker's packed core word
-//     (see replayLanes).
+//   - two-phase lanes (every other lane) split the walk: a stream-order
+//     policy pass drives just the cache and policy — whose state is a
+//     couple of megabytes, cache-resident — and records each access's
+//     outcome in a one-byte-per-access log, from which the tracker half
+//     (the multi-megabyte arrays) then replays set-shard by set-shard
+//     like a sharded lane. The protected lanes of the oracle and
+//     predictor-driven studies are this kind (their policy carries its
+//     own fill hint: oracle.Hinted, predictor.Driven), as are the lanes
+//     that score predictors (predictor.ScoredLane) and hooked lanes,
+//     whose hooks ride the policy pass (see hooked).
 //
-// Every lane's Result is bit-identical to the sequential walk of that
+// A replay that resolves to one shard — a short stream on one worker,
+// or a one-set geometry — runs the same routes over a one-shard
+// partition. A lane neither route can encode is rejected before any
+// lane state is allocated: a two-phase lane wider than the outcome log's
+// 6-bit way field, a lane with more lines than the outcome word's 30-bit
+// line index, or a stream with more cores than the tracker's packed core
+// word (see ReplayMulti).
+//
+// Every lane's Result is bit-identical to a stream-order walk of that
 // lane alone: per-set policies see the same per-set access sequences
-// regardless of how sets are grouped into shards, the two-phase tracker
-// re-enacts exactly the outcomes the stream-order policy pass produced,
-// and sequential lanes are that walk.
+// regardless of how sets are grouped into shards, and the two-phase
+// tracker re-enacts exactly the outcomes the stream-order policy pass
+// produced. The package's tests keep that walk, with a struct-Residency
+// tracker, as the reference both routes are diffed against
+// (reference_test.go).
 
 import (
 	"errors"
@@ -67,7 +69,8 @@ import (
 // serve lanes of different geometries. The partition depends only on
 // (stream, Shards) and is immutable once built, so it is safe to share
 // across concurrent replays. Cores is 1 + the highest Core in the stream
-// (0 for an empty stream), which the same pass reads for lane routing.
+// (0 for an empty stream), which the same pass reads to check the
+// tracker's core limit.
 type PartitionIndex struct {
 	Shards int
 	Cores  int
@@ -81,13 +84,13 @@ type Partitioner func(shards int) (*PartitionIndex, error)
 
 // BuildPartition counting-sorts the stream positions by shard so each
 // shard worker can walk a contiguous index list in stream order. shards
-// must be a power of two ≥ 2. The pass also validates the stream Index
+// must be a power of two. The pass also validates the stream Index
 // invariant (contiguous Index values starting at 0), so replays walking
 // a partition need no per-access validation, and records the stream's
 // core count.
 func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, error) {
-	if shards < 2 || shards&(shards-1) != 0 {
-		return nil, fmt.Errorf("sharing: partition shard count %d is not a power of two >= 2", shards)
+	if shards < 1 || shards&(shards-1) != 0 {
+		return nil, fmt.Errorf("sharing: partition shard count %d is not a power of two", shards)
 	}
 	mask := uint64(shards - 1)
 	counts := make([]int32, shards)
@@ -120,20 +123,18 @@ func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, err
 //
 // NewPolicy must return a fresh, identically-initialized instance on
 // every call (the standard policy.Factory contract): it is called once
-// up front to probe per-set independence, and — for per-set-independent
-// lanes replayed sharded — once more per worker. Lanes whose policy
-// keeps cross-set state run exactly one stream-order walk of that probe
-// instance (the policy pass of the two-phase split, or the whole lane
-// when sequential), so they call NewPolicy exactly once in total. A
-// lane with hooks always replays as a sequential walk, likewise one
-// call in total, which is what lets callers stash the built instance
-// (e.g. to read protector stats after the replay).
+// up front to probe per-set independence, and — for sharded lanes —
+// once more per worker. A two-phase lane (cross-set policy state, or
+// hooks) runs exactly one stream-order policy pass of that probe
+// instance, so it calls NewPolicy exactly once in total, which is what
+// lets callers stash the built instance (e.g. to read protector stats
+// after the replay).
 type LLCConfig struct {
 	Size      int // LLC capacity in bytes
 	Ways      int
 	NewPolicy func() cache.Policy
-	// Hooks observe this lane only. Lanes with any hook installed are
-	// pinned to the sequential walk, because hooks observe stream order.
+	// Hooks observe this lane only, in stream order. A lane with any
+	// hook installed runs two-phase, its hooks riding the policy pass.
 	Hooks Hooks
 }
 
@@ -141,10 +142,10 @@ type LLCConfig struct {
 type lane struct {
 	cfg       LLCConfig
 	sets      int
-	inst      cache.Policy // probe instance; replays the lane when sequential
+	inst      cache.Policy // probe instance; a two-phase lane's policy pass runs it
 	shardable bool
 
-	// Shared flat state of the engine lanes; every index range is owned
+	// Shared flat state of the lane; every index range is owned
 	// by exactly one shard (tracker columns by set, active/blockState by
 	// block), so concurrent writes never collide.
 	soa        *soaCols // the residency tracker (see tracker.go)
@@ -152,7 +153,7 @@ type lane struct {
 	blockState []uint8
 	parts      []*Result // per-shard partial results
 
-	// lineID is a shardable lane's probe reverse map, line → BlockID
+	// lineID is a sharded lane's probe reverse map, line → BlockID
 	// (the inverse of active). Like soa, index ranges are owned per
 	// shard.
 	lineID []uint32
@@ -233,8 +234,7 @@ func (r *logRing) wait(n int64) error {
 }
 
 // Outcome log encoding of the two-phase split: one byte per access.
-// Way numbers fit six bits (64-way is the widest supported geometry —
-// wider lanes fall back to a plain sequential walk).
+// Way numbers fit six bits, so 64 ways is the widest two-phase lane.
 const (
 	logWayMask = uint8(1<<6 - 1)
 	logHit     = uint8(1 << 6)
@@ -244,7 +244,7 @@ const (
 
 // ReplayMulti replays stream once through every configuration in
 // configs and returns one Result per configuration, in order, each
-// bit-identical to the sequential walk of that configuration alone. It
+// bit-identical to a stream-order walk of that configuration alone. It
 // is the package's only replay entry point; a single replay is a
 // one-config call.
 //
@@ -258,6 +258,10 @@ const (
 // Options.Shards bounds the number of concurrent workers only — the
 // set-partition granularity is picked internally for cache locality and
 // never affects results.
+//
+// ReplayMulti returns an error, before it allocates any lane state, for
+// a lane with more than maxLines lines, a two-phase lane with more than
+// logMaxWays ways, and a stream with more than soaMaxCores cores.
 func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([]*Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
@@ -277,8 +281,18 @@ func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([
 		if err != nil {
 			return nil, err
 		}
-		l := &lane{cfg: c, sets: sets, inst: c.NewPolicy()}
-		l.shardable = !c.Hooks.any() && cache.PerSetIndependent(l.inst)
+		if sets*c.Ways > maxLines {
+			return nil, fmt.Errorf("sharing: config %d has %d lines; a replay lane holds at most %d", i, sets*c.Ways, maxLines)
+		}
+		inst := c.NewPolicy()
+		if c.Hooks.any() {
+			inst = newHooked(inst, c.Hooks)
+		}
+		l := &lane{cfg: c, sets: sets, inst: inst, shardable: cache.PerSetIndependent(inst)}
+		if !l.shardable && c.Ways > logMaxWays {
+			return nil, fmt.Errorf("sharing: config %d (%s) has %d ways; a lane with hooks or cross-set policy state replays two-phase, at most %d ways",
+				i, inst.Name(), c.Ways, logMaxWays)
+		}
 		if sets > maxSets {
 			maxSets = sets
 		}
@@ -294,6 +308,10 @@ func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([
 	}
 	return results, nil
 }
+
+// maxLines is the most lines one lane may hold: the outcome word's
+// 30-bit line index (cache.BatchLine).
+const maxLines = int(cache.BatchLine) + 1
 
 // blockBudget is the target size of one shard's slice of one lane's
 // model state. Replay cost is dominated by dependent loads of tracker,
@@ -320,11 +338,11 @@ const (
 	accessBytes = 56
 )
 
-// blockShards picks the set-partition granularity for the sharded
-// lanes: enough shards that one shard's slice of the largest lane's
+// blockShards picks the set-partition granularity of the tracker
+// walk: enough shards that one shard's slice of the largest lane's
 // model state fits blockBudget, at least the worker count so every
 // worker can claim a shard, at most the smallest sharded lane's set
-// count so a shard never splits a set (both bounds are powers of two,
+// count so a shard never splits a set (all three bounds are powers of two,
 // as is the result, so shard membership stays a mask of block bits).
 // The cap matches the shard-major block-ID layout (cache.IDGroupBits):
 // up to that many shards, each shard's per-block state is a few dense
@@ -344,50 +362,33 @@ func blockShards(hotBytes, minSets, workers int) int {
 }
 
 // replayLanes is the fused engine behind ReplayMulti. It turns the
-// lanes into a task list — one full-stream walk per sequential lane,
-// one task per set shard for the shardable group — and runs the tasks
-// on `workers` concurrent workers, leaving each lane's merged Result in
-// lane.result.
+// lanes into a task list — one stream-order policy pass per two-phase
+// lane, then one task per set shard covering every lane's tracker walk —
+// and runs the tasks on `workers` concurrent workers, leaving each
+// lane's merged Result in lane.result.
 //
 // The scheduling is chosen for memory locality, which is what replay
 // throughput is bound by (the stream itself is read sequentially and is
 // a minor cost next to the random-indexed model state):
 //
-//   - sequential lanes run lane-serial, so exactly one lane's model
-//     state (a few MB) is resident per worker — interleaving them would
-//     cycle every lane's state through cache between two uses of any
-//     one lane's;
-//   - shard tasks step all shardable lanes over one shard's accesses,
-//     and a shard's slice of the combined lane state is capped near
+//   - policy passes run lane-serial, so exactly one lane's cache and
+//     policy state (a few MB) is resident per worker;
+//   - shard tasks step every lane over one shard's accesses, and a
+//     shard's slice of the combined lane state is capped near
 //     blockBudget by blockShards, so the sharded walk runs out of cache
 //     even when the lanes' total state is hundreds of MB. Workers reuse
-//     one LLC+policy instance per lane across the shards they claim
-//     (see runShard).
+//     one LLC+policy instance per sharded lane across the shards they
+//     claim (see runShard).
 //
-// Sequential tasks are scheduled before shard tasks because they are
-// the long ones: a full-stream walk per task, against 1/P of the stream
-// per shard task.
+// Policy passes are claimed before shard tasks because they are the long
+// ones — a full-stream walk each, against 1/P of the stream per shard
+// task — and because the tracker shards of a two-phase lane wait on its
+// pass.
 func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Options) error {
 	stream, numBlocks := ensureBlockIDs(stream, opt)
 	mem.Hugepages(stream)
-	// A lane rides the engine's set-sharded tracker walk either whole
-	// (shardable: per-set-independent policy, no hooks) or split
-	// (two-phase: any hook-free policy whose way numbers fit the outcome
-	// log — the policy pass runs in stream order, the tracker pass
-	// shards). Either way its line index must fit the outcome word's
-	// 30-bit field (over a billion lines). Every other lane walks
-	// sequentially.
-	engine := func(l *lane) bool {
-		if l.cfg.Hooks.any() || l.sets*l.cfg.Ways > int(cache.BatchLine)+1 {
-			return false
-		}
-		return l.shardable || l.cfg.Ways <= logMaxWays
-	}
 	minSets, hotBytes := 0, 0
 	for _, l := range lanes {
-		if !engine(l) {
-			continue
-		}
 		if minSets == 0 || l.sets < minSets {
 			minSets = l.sets
 		}
@@ -400,84 +401,68 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 			hotBytes = hb
 		}
 	}
-	shards := 1
-	if minSets > 1 {
-		shards = blockShards(hotBytes, minSets, workers)
-	}
+	shards := blockShards(hotBytes, minSets, workers)
 	var part *PartitionIndex
-	if shards > 1 {
-		var err error
-		if opt.Partitioner != nil {
-			part, err = opt.Partitioner(shards)
-			if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
-				err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
-					part.Shards, len(part.Order), shards, len(stream))
-			}
-		} else {
-			part, err = BuildPartition(stream, shards)
+	var err error
+	if opt.Partitioner != nil {
+		part, err = opt.Partitioner(shards)
+		if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
+			err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
+				part.Shards, len(part.Order), shards, len(stream))
 		}
-		if err != nil {
-			return err
-		}
-		// The tracker packs a residency's cores into one word, so a
-		// stream with wider cores sends every lane to the sequential
-		// walk.
-		if part.Cores > soaMaxCores {
-			part, shards = nil, 1
-		}
+	} else {
+		part, err = BuildPartition(stream, shards)
 	}
-	var shardLanes, phaseLanes, seqLanes []*lane
+	if err != nil {
+		return err
+	}
+	if part.Cores > soaMaxCores {
+		return fmt.Errorf("sharing: stream has %d cores; the replay tracks at most %d", part.Cores, soaMaxCores)
+	}
+	var shardLanes, phaseLanes []*lane
 	for _, l := range lanes {
-		switch {
-		case shards == 1 || !engine(l):
-			seqLanes = append(seqLanes, l)
-		case l.shardable:
+		if l.shardable {
 			shardLanes = append(shardLanes, l)
-		default:
+		} else {
 			phaseLanes = append(phaseLanes, l)
 		}
 	}
-	engineLanes := append(append([]*lane(nil), shardLanes...), phaseLanes...)
 
+	// Tracker scratch comes from the pool (see scratch.go).
+	for _, l := range lanes {
+		l.soa = grabSoA(l.sets * l.cfg.Ways)
+		l.active = grab(&scratch.words, numBlocks, false)
+		l.blockState = grab(&scratch.bytes, numBlocks, true)
+		l.parts = make([]*Result, shards)
+	}
+	for _, l := range shardLanes {
+		l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
+	}
+	for _, l := range phaseLanes {
+		l.log = grab(&scratch.bytes, len(stream), false)
+		l.ring = newLogRing()
+	}
+	// The policy passes share one whole-stream block/BlockID column
+	// pair instead of each streaming the 32-byte records to re-derive
+	// it (see runPolicyPassBatch).
 	var passBlk []uint64
 	var passID []uint32
-	if len(engineLanes) > 0 {
-		// Tracker scratch comes from the pool (see scratch.go).
-		for _, l := range engineLanes {
-			l.soa = grabSoA(l.sets * l.cfg.Ways)
-			l.active = grab(&scratch.words, numBlocks, false)
-			l.blockState = grab(&scratch.bytes, numBlocks, true)
-			l.parts = make([]*Result, shards)
-		}
-		for _, l := range shardLanes {
-			l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
-		}
-		for _, l := range phaseLanes {
-			l.log = grab(&scratch.bytes, len(stream), false)
-			l.ring = newLogRing()
-		}
-		// The policy passes share one whole-stream block/BlockID column
-		// pair instead of each streaming the 32-byte records to re-derive
-		// it (see runPolicyPassBatch).
-		if len(phaseLanes) > 0 {
-			passBlk = grab(&scratch.blks, len(stream), false)
-			passID = grab(&scratch.cols, len(stream), false)
-			decodePassColumns(stream, passBlk, passID)
-		}
+	if len(phaseLanes) > 0 {
+		passBlk = grab(&scratch.blks, len(stream), false)
+		passID = grab(&scratch.cols, len(stream), false)
+		decodePassColumns(stream, passBlk, passID)
 	}
 
-	// Stream-order tasks: the policy passes of the two-phase lanes come
-	// first, then the sequential lanes. Each pass streams its log to the
-	// tracker shards through the lane's ring, so shard workers start as
-	// soon as every task is claimed and wait per chunk.
-	tasks := len(phaseLanes) + len(seqLanes)
+	// Each policy pass streams its log to the tracker shards through the
+	// lane's ring, so shard workers start as soon as every pass is
+	// claimed and wait per chunk.
 	if workers < 1 {
 		workers = 1
 	}
-	if n := tasks + len(engineLanes)*shards; workers > n {
+	if n := len(phaseLanes) + len(lanes)*shards; workers > n {
 		workers = n
 	}
-	var seqNext, shardNext int64
+	var passNext, shardNext int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -485,25 +470,18 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 		go func(w int) {
 			defer wg.Done()
 			for {
-				t := int(atomic.AddInt64(&seqNext, 1) - 1)
-				if t >= tasks {
+				t := int(atomic.AddInt64(&passNext, 1) - 1)
+				if t >= len(phaseLanes) {
 					break
 				}
-				if t < len(phaseLanes) {
-					l := phaseLanes[t]
-					if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, l, opt); errs[w] != nil {
-						// Wake the tracker shards parked on this lane's
-						// ring: nobody will rerun the pass, and the error
-						// makes the whole replay fail.
-						l.ring.fail()
-						return
-					}
-				} else if errs[w] = runSeqLane(stream, numBlocks, seqLanes[t-len(phaseLanes)], opt); errs[w] != nil {
+				l := phaseLanes[t]
+				if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, l, opt); errs[w] != nil {
+					// Wake the tracker shards parked on this lane's ring:
+					// nobody will rerun the pass, and the error makes the
+					// whole replay fail.
+					l.ring.fail()
 					return
 				}
-			}
-			if len(engineLanes) == 0 {
-				return
 			}
 			// The shard walk pipelines against the policy passes through
 			// the rings: every pass task was claimed above before any
@@ -580,7 +558,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	put(&scratch.blks, passBlk)
 	put(&scratch.cols, passID)
-	for _, l := range engineLanes {
+	for _, l := range lanes {
 		l.result = mergeLane(l.inst.Name(), l.parts, l.blockState)
 		putSoA(l.soa)
 		put(&scratch.words, l.active)
@@ -591,44 +569,8 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	return nil
 }
 
-// runSeqLane replays one sequential lane over the whole stream in stream
-// order — Index validation, hook dispatch and the struct tracker —
-// writing the finished Result to l.result. It is the walk every engine
-// path is tested against.
-func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) error {
-	pol := l.inst
-	var hint *hookHint
-	if fh, ok := pol.(fillHinter); ok && l.cfg.Hooks.PredictShared != nil {
-		hint = &hookHint{fillHinter: fh}
-		pol = hint
-	}
-	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, pol)
-	if err != nil {
-		return err
-	}
-	st := &replayState{
-		res:        newResult(l.inst.Name()),
-		lines:      grab(&scratch.lines, l.sets*l.cfg.Ways, false),
-		active:     grab(&scratch.words, numBlocks, false),
-		blockState: grab(&scratch.bytes, numBlocks, true),
-		hooks:      l.cfg.Hooks,
-		hint:       hint,
-		ctx:        opt.Ctx,
-	}
-	if err := st.run(llc, stream); err != nil {
-		return err
-	}
-	st.closeAlive()
-	census(st.res, st.blockState)
-	l.result = st.res
-	put(&scratch.lines, st.lines)
-	put(&scratch.words, st.active)
-	put(&scratch.bytes, st.blockState)
-	return nil
-}
-
-// runShard walks shard s's accesses once per shardable lane and once
-// per two-phase lane, one lane at a time. The shard's accesses are
+// runShard walks shard s's accesses once per sharded lane and once per
+// two-phase lane, one lane at a time. The shard's accesses are
 // first gathered from the stream into buf (the worker's reusable
 // scratch, cap ≥ any shard's length) and decoded once into the worker's
 // columns (bs): the gather's strided loads are paid once per shard, and
@@ -640,9 +582,9 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane, opt Options) 
 // comparison.
 //
 // Lane state slices are shared across workers with disjoint ownership
-// (see lane). The caches in llcs (one per shardable lane) belong to the
+// (see lane). The caches in llcs (one per sharded lane) belong to the
 // calling worker and persist across every shard it claims — valid
-// precisely because shardable lanes are per-set independent and shards
+// precisely because sharded lanes are per-set independent and shards
 // own disjoint sets, so state the previous shard left behind is state
 // the next shard never reads. Two-phase lanes have no cache or policy
 // here at all: their walk is the tracker half only, re-enacting the
@@ -673,7 +615,7 @@ func runShard(stream []cache.AccessInfo, lanes, phaseLanes []*lane, part *Partit
 	return nil
 }
 
-// shardState is an engine lane's tracker for one shard walk: the lane's
+// shardState is a lane's tracker for one shard walk: the lane's
 // shared columns and tables, and a fresh partial Result for the shard.
 func (l *lane) shardState() *replayState {
 	return &replayState{

@@ -3,12 +3,15 @@ package sharing
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/policy"
+	"sharellc/internal/trace"
 )
 
 // multiGeometries picks the differential-test LLC geometries: the
@@ -25,9 +28,9 @@ func multiGeometries(t *testing.T) (sizes [2]int, ways int, stream []cache.Acces
 }
 
 // TestReplayMultiBitIdentical fuses every registered policy at both LLC
-// sizes into ONE ReplayMulti call — mixed geometries, shardable and
-// sequential lanes together — and demands each lane's full Result equal
-// the sequential walk of the same configuration alone, at every prefix.
+// sizes into ONE ReplayMulti call — mixed geometries, sharded and
+// two-phase lanes together — and demands each lane's full Result equal
+// the reference walk of the same configuration alone, at every prefix.
 func TestReplayMultiBitIdentical(t *testing.T) {
 	sizes, ways, full := multiGeometries(t)
 	names := policy.Names(1)
@@ -58,48 +61,67 @@ func TestReplayMultiBitIdentical(t *testing.T) {
 		}
 		for i := range want {
 			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("len %d, %s @ %d B: fused result differs from sequential\nseq: %+v\nmulti: %+v",
+				t.Errorf("len %d, %s @ %d B: fused result differs from the reference\nref: %+v\nmulti: %+v",
 					len(stream), configs[i].NewPolicy().Name(), configs[i].Size, want[i], got[i])
 			}
 		}
 	})
 }
 
-// TestReplayMultiShardsOne caps the engine at one worker (the stream is
-// also short enough that the blocking heuristic keeps a single shard,
-// so every lane runs as its own sequential full-stream walk) and
-// demands bit-identical results there too.
-func TestReplayMultiShardsOne(t *testing.T) {
-	stream := synthStream(20000, 200, 8, 7)
-	names := policy.Names(1)
-	configs := make([]LLCConfig, len(names))
-	want := make([]*Result, len(names))
-	for i, n := range names {
-		f, err := policy.ByName(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		configs[i] = LLCConfig{Size: testSize, Ways: testWays, NewPolicy: f}
-		ref, err := seqReplay(stream, configs[i], Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ref
+// catalogueLanes is one lane per registered policy at (size, ways), plus
+// a hooked LRU lane whose PredictShared hook answers at random.
+func catalogueLanes(t *testing.T, size, ways int) []LLCConfig {
+	t.Helper()
+	var configs []LLCConfig
+	for _, n := range policy.Names(1) {
+		configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: catalogued(t, n, 1)})
 	}
-	got, err := ReplayMulti(stream, configs, Options{Shards: 1})
-	if err != nil {
+	return append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: catalogued(t, "lru", 1),
+		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%3 == 0 }}})
+}
+
+// assertOneShard replays stream through configs under opt and fails
+// unless the replay asked for a one-shard partition.
+func assertOneShard(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig, opt Options) {
+	t.Helper()
+	asked := 0
+	opt.Partitioner = func(n int) (*PartitionIndex, error) {
+		asked = n
+		return BuildPartition(stream, n)
+	}
+	if _, err := ReplayMulti(stream, configs, opt); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s: shards=1 fused result differs from sequential", names[i])
-		}
+	if asked != 1 {
+		t.Errorf("replay partitioned into %d shards, want 1", asked)
 	}
 }
 
+// TestReplayMultiShardsOne runs the catalogue and a hooked lane at one
+// worker over a stream short enough that the blocking heuristic keeps a
+// single shard, so both routes run over a one-shard partition, and
+// demands every lane equal the reference walk at every prefix.
+func TestReplayMultiShardsOne(t *testing.T) {
+	stream := synthStream(8000, 200, 8, 7)
+	configs := catalogueLanes(t, testSize, testWays)
+	configsAgree(t, stream, configs, Options{Shards: 1})
+	assertOneShard(t, stream, configs, Options{Shards: 1})
+}
+
+// TestReplayMultiOneSet replays a one-set geometry, which cannot split
+// into shards whatever the worker count: the catalogue and a hooked lane
+// at every prefix must equal the reference walk over a one-shard
+// partition.
+func TestReplayMultiOneSet(t *testing.T) {
+	stream := synthStream(40000, 40, 8, 9)
+	configs := catalogueLanes(t, 8*trace.BlockSize, 8)
+	configsAgree(t, stream, configs, Options{Shards: 4})
+	assertOneShard(t, stream, configs, Options{Shards: 4})
+}
+
 // TestReplayMultiCancelMidRun cancels a fused replay in flight. Both
-// walks — the sharded workers and the sequential lane walk (forced by
-// the hook lane) — must notice at their next poll.
+// walks — the shard workers and the hooked lane's policy pass — must
+// notice at their next poll.
 func TestReplayMultiCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -152,6 +174,48 @@ func TestReplayMultiValidation(t *testing.T) {
 	}
 }
 
+// rejected replays configs over a short stream and returns the error,
+// failing the test when the replay succeeds or its error does not name
+// the limit.
+func rejected(t *testing.T, configs []LLCConfig, limit string) {
+	t.Helper()
+	_, err := ReplayMulti(synthStream(2000, 50, 4, 3), configs, Options{Shards: 2})
+	if err == nil {
+		t.Fatal("replay accepted a lane it cannot route")
+	}
+	if !strings.Contains(err.Error(), limit) {
+		t.Errorf("error %q does not name the limit %s", err, limit)
+	}
+}
+
+// TestReplayMultiRejectsWideTwoPhaseLane: a cross-set policy at 128
+// ways runs two-phase, and the outcome log holds a 6-bit way. The same
+// geometry under a per-set policy replays sharded.
+func TestReplayMultiRejectsWideTwoPhaseLane(t *testing.T) {
+	rejected(t, []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)}}, "64 ways")
+	lru := LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)}
+	configsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{lru}, Options{Shards: 2})
+}
+
+// TestReplayMultiRejectsWideHookedLane: hooks put even a per-set policy
+// on the two-phase route, so a hooked lane is held to 64 ways too.
+func TestReplayMultiRejectsWideHookedLane(t *testing.T) {
+	rejected(t, []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1),
+		Hooks: Hooks{OnResidencyEnd: func(Residency) {}}}}, "64 ways")
+}
+
+// TestReplayMultiRejectsTooManyLines: a lane's line index must fit the
+// outcome word's 30 bits. The policy is never built, let alone attached:
+// the rejection comes before any lane state is allocated.
+func TestReplayMultiRejectsTooManyLines(t *testing.T) {
+	built := false
+	huge := LLCConfig{Size: 2 << 30 * 64, Ways: 16, NewPolicy: func() cache.Policy { built = true; return policy.NewLRUPolicy() }}
+	rejected(t, []LLCConfig{huge}, fmt.Sprint(maxLines))
+	if built {
+		t.Error("the lane's policy was built before the rejection")
+	}
+}
+
 // TestReplayMultiPartitionerReused checks that a supplied Partitioner is
 // consulted instead of rebuilding, and leaves results unchanged.
 func TestReplayMultiPartitionerReused(t *testing.T) {
@@ -199,13 +263,21 @@ func TestReplayMultiHookLaneFactoryOnce(t *testing.T) {
 }
 
 // TestBuildPartitionValidation covers the partition builder's input
-// checks: non-power-of-two shard counts and unordered streams.
+// checks: shard counts that are not a power of two and unordered
+// streams. One shard is a power of two: the whole stream in one segment.
 func TestBuildPartitionValidation(t *testing.T) {
 	stream := synthStream(100, 10, 2, 5)
-	for _, shards := range []int{0, 1, 3, 6} {
+	for _, shards := range []int{-2, 0, 3, 6} {
 		if _, err := BuildPartition(stream, shards); err == nil {
 			t.Errorf("shards=%d accepted", shards)
 		}
+	}
+	one, err := BuildPartition(stream, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Shards != 1 || len(one.Order) != len(stream) || int(one.Offs[1]) != len(stream) || one.Cores != 2 {
+		t.Errorf("one-shard partition shape wrong: %+v", one)
 	}
 	bad := synthStream(100, 10, 2, 5)
 	bad[40].Index = 7

@@ -83,8 +83,8 @@ func perSetFactories(tb testing.TB) map[string]policy.Factory {
 // TestReplayParallelBitIdentical replays the same stream through a
 // one-config ReplayMulti at several worker caps under every per-set
 // policy, demanding the full Result — counters, degree histograms and
-// block census — equal the sequential walk at every prefix. Shards: 1
-// means one worker, not a sequential replay: the blocking heuristic
+// block census — equal the reference walk at every prefix. Shards: 1
+// means one worker, not one shard: the blocking heuristic
 // still shards a long stream, which is the path a characterization
 // replay takes on a host with few cores, so the test also asserts that
 // the full-length replay at one worker ran through a partition.
@@ -109,7 +109,7 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 						t.Fatalf("len %d, shards=%d: %v", len(stream), shards, err)
 					}
 					if !reflect.DeepEqual(want, got[0]) {
-						t.Errorf("len %d, shards=%d: result differs from sequential\nseq: %+v\npar: %+v", len(stream), shards, want, got[0])
+						t.Errorf("len %d, shards=%d: result differs from the reference\nref: %+v\npar: %+v", len(stream), shards, want, got[0])
 					}
 					if shards == 1 && len(stream) == len(full) && parts < 2 {
 						t.Errorf("one worker replayed the full stream unsharded (partition %d)", parts)
@@ -121,10 +121,9 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 }
 
 // TestReplayParallelFallbacks checks the lanes a shard request cannot
-// put on the per-set sharded walk: a policy with cross-set state (the
-// two-phase split) and a hooked lane (pinned to the sequential walk,
-// whose PredictShared hook must see every miss once, in stream order).
-// Both must still match the sequential walk.
+// put on the per-set sharded walk: a policy with cross-set state and a
+// hooked lane (both two-phase; the PredictShared hook must see every
+// miss once, in stream order). Both must still match the reference walk.
 func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
 
@@ -139,7 +138,7 @@ func TestReplayParallelFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got[0]) {
-		t.Error("non-per-set policy: sharded request differs from sequential")
+		t.Error("non-per-set policy: sharded request differs from the reference")
 	}
 
 	// Hooks observe stream order; a shard request must not break them.
@@ -160,15 +159,19 @@ func TestReplayParallelFallbacks(t *testing.T) {
 			t.Fatalf("PredictShared saw index %d after %d", seen[i], seen[i-1])
 		}
 	}
-	if want := replay(t, stream, Hooks{}); !reflect.DeepEqual(want, got[0]) {
-		t.Error("hooked lane differs from the unhooked sequential walk")
+	want, err = seqReplay(stream, testLane(Hooks{}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got[0]) {
+		t.Error("hooked lane differs from the unhooked reference walk")
 	}
 }
 
 // TestReplayUnassignedBlockIDs checks the EnsureBlockIDs fallback: a
 // stream filtered without annotation (all BlockIDs zero) must replay
-// correctly, sequentially and sharded, without mutating the caller's
-// slice.
+// correctly, at the automatic worker count and at two, without mutating
+// the caller's slice.
 func TestReplayUnassignedBlockIDs(t *testing.T) {
 	annotated := synthStream(2000, 50, 4, 13)
 	raw := make([]cache.AccessInfo, len(annotated))

@@ -4,7 +4,7 @@ package sharing
 //
 // A sweep calls ReplayMulti once per workload, and every call used to
 // allocate the same few hundred megabytes of tracker state — residency
-// slabs, active tables, block censuses, outcome logs, gather buffers —
+// columns, active tables, block censuses, outcome logs, gather buffers —
 // only for the garbage collector to reclaim them moments later. The
 // allocations themselves are cheap; what is not is everything riding on
 // them: the runtime zeroing each array, the page faults of touching
@@ -15,14 +15,8 @@ package sharing
 // Most kinds need no clearing at all, because a finished replay leaves
 // them satisfying the invariants a fresh replay needs:
 //
-//   - lines ([]Residency): a replay reads a slot only after filling it,
-//     except closeAlive, which treats a slot as live iff EvictIndex is
-//     -1. Closed slots keep their evicting index and closeAlive retires
-//     survivors to evictRetired, so a recycled slab contains no slot
-//     claiming an open residency; untouched capacity is still zero from
-//     make (EvictIndex 0 — also dead).
 //   - active ([]uint32): entries are cleared when their residency
-//     closes, and closeAlive clears the survivors', so the table
+//     closes, and closeAliveSoA clears the survivors', so the table
 //     returns to all-zero — exactly the fresh state.
 //   - outcome logs ([]uint8): phase one overwrites every byte before
 //     phase two reads it.
@@ -58,18 +52,12 @@ import (
 	"sharellc/internal/mem"
 )
 
-// evictRetired marks a line slot whose survivor residency was already
-// closed by closeAlive: the slot is dead for every later scan, unlike
-// the public -1 ("alive at stream end") its hooked copy keeps.
-const evictRetired = -2
-
 // scratchKeep bounds the retained entries per kind: enough for every
 // lane of the widest sweep plus worker gather buffers.
 const scratchKeep = 64
 
 var scratch struct {
 	mu    sync.Mutex
-	lines [][]Residency
 	words [][]uint32
 	cols  [][]uint32
 	blks  [][]uint64

@@ -13,27 +13,28 @@
 // cache.AccessInfo.BlockID instead of hashing the sparse 64-bit block
 // number, so the hot loop indexes flat slices. ReplayMulti is the one
 // entry point: it replays the stream once through any number of LLC
-// configurations, sharding per-set-independent lanes by LLC set index,
-// and every lane's result is bit-identical to the sequential walk of
-// that configuration alone (see multi.go).
+// configurations, sharding per-set-independent lanes by LLC set index
+// and splitting every other lane into a stream-order policy pass and a
+// sharded tracker pass (see multi.go). Every lane's result is
+// bit-identical to a plain stream-order walk of that configuration
+// alone, which the package's tests keep as their reference.
 package sharing
 
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
-// Residency records one block's stay in the LLC.
-// Field order packs the struct into exactly 64 bytes (one cache line):
-// the replay's hot path loads and stores millions of Residencies at
-// random line indices, and at 64 bytes each such touch costs one cache
-// line instead of the two a padded layout straddles.
+// Residency records one block's stay in the LLC, as a hooked lane's
+// OnResidencyEnd receives it. Field order packs the struct into exactly
+// 64 bytes (one cache line), so touching one at a random line index
+// costs one cache line instead of the two a padded layout straddles.
 type Residency struct {
 	Block      uint64
 	FillIndex  int64  // stream index of the access that filled the block
@@ -78,11 +79,120 @@ type Hooks struct {
 	OnResidencyEnd func(r Residency)
 }
 
-// any reports whether at least one hook is installed. Hooks observe the
-// replay in stream order, so their presence pins a lane to the
-// sequential walk.
+// any reports whether at least one hook is installed.
 func (h Hooks) any() bool {
 	return h.PredictShared != nil || h.OnResidencyEnd != nil
+}
+
+// hooked is the policy of a lane with hooks: the lane's own policy
+// instance behind the hooks. Embedding it as a cache.Policy hides its
+// PerSetIndependent and NewBatchKernel, so the lane runs two-phase and
+// its policy pass calls Hit, Victim and Fill in stream order — the order
+// the hooks observe. Per miss PredictShared is asked once, before the
+// victim choice, and its verdict goes to the base's FillHinted when it
+// has one. Each line's open Residency is tracked beside the policy so
+// OnResidencyEnd fires at every eviction, and for the survivors in fill
+// order once the pass ends (endSurvivors). The lane's Result still comes
+// from the SoA tracker.
+type hooked struct {
+	cache.Policy
+	hooks      Hooks
+	fillHinted func(set, way int, a *cache.AccessInfo, shared bool) // nil = plain Fill
+
+	ways  int
+	lines []Residency // open iff EvictIndex == -1
+
+	// shared is the current miss's verdict; predicted reports that Victim
+	// already asked for it.
+	shared    bool
+	predicted bool
+}
+
+func newHooked(base cache.Policy, h Hooks) *hooked {
+	w := &hooked{Policy: base, hooks: h}
+	if fh, ok := base.(interface {
+		FillHinted(set, way int, a *cache.AccessInfo, shared bool)
+	}); ok && h.PredictShared != nil {
+		w.fillHinted = fh.FillHinted
+	}
+	return w
+}
+
+// Attach implements cache.Policy.
+func (w *hooked) Attach(sets, ways int) {
+	w.Policy.Attach(sets, ways)
+	w.ways = ways
+	w.lines = make([]Residency, sets*ways)
+	mem.Hugepages(w.lines)
+}
+
+// Hit implements cache.Policy.
+func (w *hooked) Hit(set, way int, a *cache.AccessInfo) {
+	r := &w.lines[set*w.ways+way]
+	r.Hits++
+	r.addCore(a.Core)
+	if a.Write {
+		r.written = true
+	}
+	w.Policy.Hit(set, way, a)
+}
+
+// predict asks PredictShared for the current miss's verdict.
+func (w *hooked) predict(a *cache.AccessInfo) {
+	if w.hooks.PredictShared != nil {
+		w.shared = w.hooks.PredictShared(*a)
+	}
+	w.predicted = true
+}
+
+// Victim implements cache.Policy.
+func (w *hooked) Victim(set int, a *cache.AccessInfo) int {
+	w.predict(a)
+	return w.Policy.Victim(set, a)
+}
+
+// Fill implements cache.Policy: fill the base, end the residency the
+// fill displaces, then open the new one.
+func (w *hooked) Fill(set, way int, a *cache.AccessInfo) {
+	if !w.predicted {
+		w.predict(a)
+	}
+	w.predicted = false
+	if w.fillHinted != nil {
+		w.fillHinted(set, way, a, w.shared)
+	} else {
+		w.Policy.Fill(set, way, a)
+	}
+	r := &w.lines[set*w.ways+way]
+	if r.EvictIndex == -1 {
+		w.end(r, int64(a.Index))
+	}
+	*r = Residency{Block: a.Block, FillIndex: int64(a.Index), FillPC: a.PC, EvictIndex: -1,
+		id: a.BlockID, FillCore: a.Core, written: a.Write}
+	r.addCore(a.Core)
+}
+
+// end closes r at evictIndex (-1 = alive at stream end) for the hook.
+func (w *hooked) end(r *Residency, evictIndex int64) {
+	r.EvictIndex = evictIndex
+	if w.hooks.OnResidencyEnd != nil {
+		w.hooks.OnResidencyEnd(*r)
+	}
+}
+
+// endSurvivors ends the residencies still open after the policy pass, in
+// fill order (fill indices are unique, so the order is total).
+func (w *hooked) endSurvivors() {
+	var alive []*Residency
+	for i := range w.lines {
+		if r := &w.lines[i]; r.EvictIndex == -1 {
+			alive = append(alive, r)
+		}
+	}
+	slices.SortFunc(alive, func(a, b *Residency) int { return cmp.Compare(a.FillIndex, b.FillIndex) })
+	for _, r := range alive {
+		w.end(r, -1)
+	}
 }
 
 // Options configures a ReplayMulti call; every field applies to all of
@@ -97,12 +207,12 @@ type Options struct {
 	// worker walks a long stream shard by shard.
 	Shards int
 
-	// Ctx, when non-nil, makes the replay cancellable: the hot loop
-	// polls Ctx.Err() every cancelStride accesses (per shard in the
-	// parallel replay) and returns it, so a multi-second replay stops
-	// within microseconds of cancellation. A nil Ctx replays to
-	// completion. Partial counters from an aborted replay are discarded
-	// by every caller, so cancellation cannot corrupt results.
+	// Ctx, when non-nil, makes the replay cancellable: every walk polls
+	// Ctx.Err() once per chunk of batchSize accesses and returns it, so
+	// a multi-second replay stops within microseconds of cancellation.
+	// A nil Ctx replays to completion. Partial counters from an aborted
+	// replay are discarded by every caller, so cancellation cannot
+	// corrupt results.
 	Ctx context.Context
 
 	// Partitioner, when non-nil, supplies the counting-sort shard
@@ -127,12 +237,6 @@ type Options struct {
 	// memory.
 	NumBlocks int
 }
-
-// cancelStride is how many accesses a replay processes between context
-// polls — frequent enough for sub-millisecond cancellation latency,
-// rare enough (one atomic load per 8K accesses) to stay invisible in
-// profiles. Must be a power of two.
-const cancelStride = 1 << 13
 
 // Result aggregates one replay.
 type Result struct {
@@ -195,225 +299,31 @@ const (
 	blockShared  = uint8(2)
 )
 
-// replayState is the residency tracker behind a sequential lane walk and
-// each shard walk of an engine lane. All per-block structures are flat
-// slices indexed by the dense BlockID or by the cache's (set, way)
-// geometry; in the sharded walk the slices are shared between shards,
-// whose index ranges are disjoint by construction (a block, and
-// therefore its set and its ID, belongs to exactly one shard).
+// replayState is the residency tracker of one shard walk of a lane. All
+// per-block structures are flat slices indexed by the dense BlockID or
+// by the cache's (set, way) geometry, shared between shards whose index
+// ranges are disjoint by construction (a block, and therefore its set
+// and its ID, belongs to exactly one shard).
 type replayState struct {
 	res *Result
 
-	// lines shadows the cache's line array (sets*ways, row-major by
-	// set): lines[set*ways+way] is the open residency of the block
-	// currently cached there.
-	lines []Residency
 	// active maps BlockID → 1 + its line index while the block is
 	// resident; 0 means not resident.
 	active []uint32
 	// blockState is the block census: blockUnseen, blockPrivate (seen,
 	// never shared) or blockShared (shared in ≥1 residency).
 	blockState []uint8
-	// cols is an engine lane's SoA residency tracker, which replaces
-	// lines entirely (see tracker.go); the sequential walk leaves it nil.
+	// cols is the lane's SoA residency tracker (see tracker.go).
 	cols *soaCols
-
-	hooks Hooks
-	hint  *hookHint       // the lane's policy when it takes the hook's hint; else nil
-	ctx   context.Context // nil = not cancellable
 }
 
-// fillHinter is a policy whose fill takes its sharing hint beside the
-// access: core.Protector and the lanes that embed it.
-type fillHinter interface {
-	cache.Policy
-	FillHinted(set, way int, a *cache.AccessInfo, shared bool)
-}
-
-// hookHint wraps a hooked sequential lane's fillHinter: step stores the
-// PredictShared verdict in shared, and Fill hands it to FillHinted.
-type hookHint struct {
-	fillHinter
-	shared bool
-}
-
-// Fill implements cache.Policy.
-func (h *hookHint) Fill(set, way int, a *cache.AccessInfo) { h.FillHinted(set, way, a, h.shared) }
-
-// closeRes finalizes a residency at evictIndex (-1 = alive at stream end)
-// and folds it into the counters.
-func (st *replayState) closeRes(r *Residency, evictIndex int64) {
-	res := st.res
-	r.EvictIndex = evictIndex
-	deg := r.degree()
-	shared := deg >= 2
-	if shared {
-		st.blockState[r.id] = blockShared
-	} else if st.blockState[r.id] == blockUnseen {
-		st.blockState[r.id] = blockPrivate
-	}
-	res.Residencies++
-	res.DegreeResidencies[deg]++
-	res.DegreeHits[deg] += r.Hits
-	if shared {
-		res.SharedResidencies++
-		res.SharedHits += r.Hits
-		if r.written {
-			res.RWSharedResidencies++
-			res.RWSharedHits += r.Hits
-		} else {
-			res.ROSharedResidencies++
-			res.ROSharedHits += r.Hits
-		}
-	} else {
-		res.PrivateHits += r.Hits
-	}
-	if st.hooks.OnResidencyEnd != nil {
-		st.hooks.OnResidencyEnd(*r)
-	}
-}
-
-// step advances the tracker by one access: hit/fill bookkeeping,
-// residency maintenance and the fill-time hook. a points into the
-// caller's stream and is never written through — streams are shared across
-// lanes and concurrent replays, so the multi-word record travels by
-// reference, and a fill-time prediction travels beside it (st.hint).
-// It is the per-access body of the sequential walk (runSeqLane).
-//
-// step reports whether the access hit but does not touch the
-// aggregate Accesses/Hits/Misses counters: those are three dependent
-// read-modify-writes through the heap per access, so every caller
-// accumulates them in register-resident locals and flushes once per
-// loop (flushCounts) — same sums, no per-access store traffic. The
-// per-residency Hits counter stays here: it is residency state, not an
-// aggregate.
-func (st *replayState) step(llc *cache.SetAssoc, ways int, a *cache.AccessInfo) (bool, error) {
-	id := a.BlockID
-	if li := st.active[id]; li != 0 {
-		r := &st.lines[li-1]
-		// The tracker already knows this is a hit and exactly which
-		// (set, way) holds the block, so the policy is notified
-		// directly and the cache's tag scan — a redundant dependent
-		// load at a random set index, on the majority path of every
-		// replay — is skipped. The skipped llc.Access would only have
-		// re-derived the same (set, way) and updated state that is
-		// not observable through Result: the LLC's own hit counters.
-		// The miss path trusts the tracker symmetrically
-		// (cache.FillRef skips the tag scan re-confirming absence); what
-		// remains checked every eviction is that the cache's victim
-		// matches the tracker's open residency for that line.
-		// SetOf is a mask of the block address — recovering the set from
-		// li would be a hardware divide by the runtime ways value, on the
-		// majority path of every lane-step.
-		set := llc.SetOf(a.Block)
-		llc.Policy().Hit(set, int(li-1)-set*ways, a)
-		r.Hits++
-		r.addCore(a.Core)
-		if a.Write {
-			r.written = true
-		}
-		return true, nil
-	}
-	if st.hooks.PredictShared != nil {
-		pred := st.hooks.PredictShared(*a)
-		if st.hint != nil {
-			st.hint.shared = pred
-		}
-	}
-	out := llc.FillRef(a)
-	li := out.Set*ways + out.Way
-	if out.Evicted {
-		victim := &st.lines[li]
-		if victim.Block != out.Victim || st.active[victim.id] != uint32(li+1) {
-			return false, fmt.Errorf("sharing: evicted block %d has no tracked residency", out.Victim)
-		}
-		st.active[victim.id] = 0
-		st.closeRes(victim, int64(a.Index))
-	}
-	st.lines[li] = Residency{
-		Block:      a.Block,
-		FillIndex:  int64(a.Index),
-		FillCore:   a.Core,
-		FillPC:     a.PC,
-		id:         id,
-		written:    a.Write,
-		EvictIndex: -1,
-	}
-	st.lines[li].addCore(a.Core)
-	st.active[id] = uint32(li + 1)
-	return false, nil
-}
-
-// flushCounts folds a caller's per-loop access/hit accumulators into
-// the aggregate result counters — the once-per-loop counterpart of the
-// per-access counting that step no longer does.
+// flushCounts folds an advance loop's access/hit accumulators into the
+// aggregate result counters, once per chunk instead of three dependent
+// read-modify-writes through the heap per access.
 func (st *replayState) flushCounts(accesses, hits uint64) {
 	st.res.Accesses += accesses
 	st.res.Hits += hits
 	st.res.Misses += accesses - hits
-}
-
-// run replays the whole stream through llc in place, validating the
-// Index invariant.
-func (st *replayState) run(llc *cache.SetAssoc, stream []cache.AccessInfo) error {
-	ways := llc.Ways()
-	var hits uint64
-	for i := range stream {
-		if st.ctx != nil && i&(cancelStride-1) == 0 {
-			if err := st.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if int(stream[i].Index) != i {
-			return fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
-		}
-		hit, err := st.step(llc, ways, &stream[i])
-		if err != nil {
-			return err
-		}
-		if hit {
-			hits++
-		}
-	}
-	st.flushCounts(uint64(len(stream)), hits)
-	return nil
-}
-
-// closeAlive closes the residencies still alive at stream end. A line
-// holds an open residency iff its EvictIndex is -1 — closed residencies
-// are immediately overwritten by the fill that evicted them, and
-// never-filled lines hold the zero value.
-//
-// Closure order is observable only through the OnResidencyEnd hook
-// (counters are order-independent sums and the block census transitions
-// are sticky), so only hooked replays pay for sorting the survivors into
-// fill order; at stream end the survivors are the cache's full
-// occupancy, so the sort is measurable.
-//
-// After closing, each survivor's slot is retired (EvictIndex set to
-// evictRetired — the hooked copies keep the public -1 "alive at stream
-// end" value) and its active entry cleared. That restores the
-// scratch invariants the pool relies on (see scratch.go): no line slot
-// claims an open residency and the active table is all zero, so both
-// arrays can seed the next replay without a clearing pass.
-func (st *replayState) closeAlive() {
-	// Survivors are at most the cache's capacity, and at stream end
-	// usually all of it.
-	alive := make([]*Residency, 0, len(st.lines))
-	for i := range st.lines {
-		if r := &st.lines[i]; r.EvictIndex == -1 {
-			alive = append(alive, r)
-		}
-	}
-	if st.hooks.OnResidencyEnd != nil {
-		// Fill indices are unique, so the order is total.
-		slices.SortFunc(alive, func(a, b *Residency) int { return cmp.Compare(a.FillIndex, b.FillIndex) })
-	}
-	for _, r := range alive {
-		st.closeRes(r, -1)
-		st.active[r.id] = 0
-		r.EvictIndex = evictRetired
-	}
 }
 
 // census folds the block-population view of blockState into res.
@@ -497,7 +407,7 @@ func resolveShards(streamLen, sets int, opt Options) int {
 }
 
 // mergeLane folds the per-shard partial results of one lane into its
-// final Result, bit-identical to the sequential walk: counters are
+// final Result, bit-identical to a stream-order walk: counters are
 // order-independent sums and the block census comes from the shared
 // blockState array.
 func mergeLane(policyName string, parts []*Result, blockState []uint8) *Result {

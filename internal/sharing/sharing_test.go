@@ -36,30 +36,14 @@ func testLane(h Hooks) LLCConfig {
 		NewPolicy: func() cache.Policy { return &cache.LRU{} }}
 }
 
-// seqReplay is the sequential reference walk of one configuration: a
-// one-lane lane run through runSeqLane whatever its policy, hooks or
-// geometry, after the same block-ID resolution ReplayMulti performs.
-// Every engine differential compares against it.
-func seqReplay(stream []cache.AccessInfo, c LLCConfig, opt Options) (*Result, error) {
-	sets, err := cache.Geometry(c.Size, c.Ways)
-	if err != nil {
-		return nil, err
-	}
-	stream, numBlocks := ensureBlockIDs(stream, opt)
-	l := &lane{cfg: c, sets: sets, inst: c.NewPolicy()}
-	if err := runSeqLane(stream, numBlocks, l, opt); err != nil {
-		return nil, err
-	}
-	return l.result, nil
-}
-
+// replay runs the test lane with hooks h through ReplayMulti.
 func replay(t *testing.T, stream []cache.AccessInfo, h Hooks) *Result {
 	t.Helper()
-	res, err := seqReplay(stream, testLane(h), Options{})
+	res, err := ReplayMulti(stream, []LLCConfig{testLane(h)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 // replayLogged is replay plus the residency log: every closed residency,
@@ -214,11 +198,7 @@ func TestWrittenByFill(t *testing.T) {
 		{Core: 0, Block: 1, Write: true, Index: 0},
 		{Core: 1, Block: 1, Index: 1},
 	}
-	res, err := seqReplay(stream, testLane(Hooks{}), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RWSharedResidencies != 1 {
+	if res := replay(t, stream, Hooks{}); res.RWSharedResidencies != 1 {
 		t.Errorf("write-filled shared residency not counted as RW: %+v", res)
 	}
 }
@@ -236,10 +216,7 @@ func TestROPlusRWEqualsShared(t *testing.T) {
 				Index: int32(i),
 			}
 		}
-		res, err := seqReplay(stream, testLane(Hooks{}), Options{})
-		if err != nil {
-			return false
-		}
+		res := replay(t, stream, Hooks{})
 		return res.ROSharedResidencies+res.RWSharedResidencies == res.SharedResidencies &&
 			res.ROSharedHits+res.RWSharedHits == res.SharedHits
 	}
@@ -285,7 +262,7 @@ func TestPredictSharedFiresForEveryMiss(t *testing.T) {
 func TestStreamIndexValidation(t *testing.T) {
 	stream := []cache.AccessInfo{{Block: 1, Index: 7}}
 	if _, err := seqReplay(stream, testLane(Hooks{}), Options{}); err == nil {
-		t.Error("sequential walk accepted a misindexed stream")
+		t.Error("the reference walk accepted a misindexed stream")
 	}
 	if _, err := ReplayMulti(stream, []LLCConfig{testLane(Hooks{})}, Options{}); err == nil {
 		t.Error("ReplayMulti accepted a misindexed stream")
@@ -359,7 +336,7 @@ func TestConservationProperties(t *testing.T) {
 	}
 }
 
-// Property: miss counts from the sequential walk equal miss counts from driving the
+// Property: miss counts from a replay equal miss counts from driving the
 // cache directly (the tracker must not perturb replacement).
 func TestReplayMatchesRawCache(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -373,10 +350,7 @@ func TestReplayMatchesRawCache(t *testing.T) {
 				Index: int32(i),
 			}
 		}
-		res, err := seqReplay(stream, testLane(Hooks{}), Options{})
-		if err != nil {
-			return false
-		}
+		res := replay(t, stream, Hooks{})
 		raw, err := cache.NewSetAssoc(testSize, testWays, &cache.LRU{})
 		if err != nil {
 			return false

@@ -2,13 +2,12 @@ package sharing
 
 // Struct-of-arrays residency tracker.
 //
-// The sequential walk (replayState.step) keeps an array of 64-byte
-// Residency structs, because hooks observe whole residencies. Engine
-// lanes carry no hooks, and walking that slab would load and store a
-// full cache line of residency state on every hit — the majority
-// outcome of every replay — to bump one counter and OR one core bit. The
-// engine's tracker splits the slab into columns so each phase touches
-// only the bytes it needs:
+// A slab of 64-byte Residency structs — what a hooked lane's
+// OnResidencyEnd receives — would load and store a full cache line of
+// residency state on every hit, the majority outcome of every replay,
+// to bump one counter and OR one core bit. The counters need none of
+// the rest, so the tracker splits the slab into columns and each phase
+// touches only the bytes it needs:
 //
 //   - hc [][2]uint64 — the paired hit counter (hc[li][0]) and packed
 //     core/write word (hc[li][1]): bit c marks core c (c ≤ 62), bit 63
@@ -22,15 +21,16 @@ package sharing
 //     sets the filler's core bit).
 //   - id []uint32 — dense BlockID, read only when a residency closes.
 //
-// Nothing observes an individual residency on an engine lane, so the
-// columns hold exactly what the counters need. There are two advance
-// loops: advanceSoACounters over a shardable lane's outcome words and
+// The tracker feeds only the counters (a hooked lane's residencies are
+// tracked beside its policy, in the policy pass), so the columns hold
+// exactly what the counters need. There are two advance loops:
+// advanceSoACounters over a sharded lane's outcome words and
 // advanceLogSoACounters over a two-phase lane's outcome log.
 //
-// The packed word caps usable cores at 63 (indices 0..62): a stream with
-// wider cores routes every lane to the sequential walk (see
-// replayLanes), and the differential tests in tracker_test.go hold the
-// columns to byte-equal Results against that walk.
+// The packed word caps usable cores at 63 (indices 0..62): ReplayMulti
+// rejects a stream with wider cores (see replayLanes), and the
+// differential tests hold the columns to byte-equal Results against the
+// struct-Residency reference walk in reference_test.go.
 
 import (
 	"fmt"
@@ -89,10 +89,8 @@ func cwWord(m uint8) uint64 {
 }
 
 // closeLineSoA finalizes the residency open in line li, alive at stream
-// end, and folds it into the counters — the SoA twin of closeRes. SoA
-// lanes never carry hooks (those pin a lane to the sequential struct
-// walk), so the hook branch of closeRes is absent by construction. The advance loops don't call this per
-// eviction — they capture and defer (see flushClosed); only
+// end, and folds it into the counters. The advance loops don't call
+// this per eviction — they capture and defer (see flushClosed); only
 // closeAliveSoA's end-of-replay retirement closes straight off the live
 // columns.
 func (st *replayState) closeLineSoA(li uint32) {
@@ -177,12 +175,11 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 	}
 }
 
-// closeAliveSoA is closeAlive for an engine lane: survivors are the
-// lines with a nonzero core/write word. Retiring a survivor zeroes its
-// pair (restoring the hcs pool's all-zero at-rest invariant) and clears
-// its active entry, exactly as closeAlive retires Residency slots.
-// Nothing observes closure order on an engine lane, so the survivors
-// close in line order.
+// closeAliveSoA closes the residencies alive at stream end in one
+// shard: survivors are the lines with a nonzero core/write word.
+// Retiring a survivor zeroes its pair (restoring the hcs pool's all-zero
+// at-rest invariant) and clears its active entry. The counters are
+// order-independent sums, so the survivors close in line order.
 func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 	t := st.cols
 	for set := shard; set < sets; set += shards {
@@ -199,7 +196,7 @@ func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
 	}
 }
 
-// advanceSoACounters is the advance phase of a shardable lane: it
+// advanceSoACounters is the advance phase of a sharded lane: it
 // replays one chunk's probe outcome words against the tracker. out
 // spans the chunk; lo is the chunk's offset into the worker's shard
 // columns (bs). The hit path is branch-free

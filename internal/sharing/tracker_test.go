@@ -2,9 +2,11 @@ package sharing
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,10 +15,10 @@ import (
 )
 
 // TestTrackerVsSequential holds the engine's SoA tracker to the
-// struct-Residency tracker of the sequential walk over every experiment
-// family — the full policy catalogue (shardable and two-phase lanes), a
-// hooked lane and a 128-way lane — at a second geometry and worker
-// count, at every prefix.
+// struct-Residency tracker of the reference walk over every experiment
+// family — the full policy catalogue (sharded and two-phase lanes), a
+// hooked lane and a 128-way sharded lane — at a second geometry and
+// worker count, at every prefix.
 func TestTrackerVsSequential(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
 	var hooks uint64
@@ -24,26 +26,21 @@ func TestTrackerVsSequential(t *testing.T) {
 	configsAgree(t, stream, configs, Options{Shards: 2})
 }
 
-// TestTrackerWideCoreFallback streams cores past the packed word's 63
-// (indices 0..62): every lane must route to the sequential walk and
-// still match it, whether the replay builds its partition or a caller's
-// Partitioner supplies it (as sim.Stream does). A 63-core stream (the
-// widest that fits) stays on the engine. Routing shows in the shardable
-// LRU lane's factory calls: the engine builds one policy per shard
-// worker on top of the probe instance, the sequential walk only the
-// probe instance.
-func TestTrackerWideCoreFallback(t *testing.T) {
+// TestTrackerWideCoreRejected streams cores past the packed word's 63
+// (indices 0..62): the replay must fail with an error naming the limit,
+// whether it builds its partition or a caller's Partitioner supplies it
+// (as sim.Stream does), and before any lane's policy pass or shard walk
+// runs. A 63-core stream (the widest that fits) replays and matches the
+// reference walk.
+func TestTrackerWideCoreRejected(t *testing.T) {
 	for _, cores := range []uint8{63, 64, 100} {
 		stream := synthStream(15000, 1200, cores, uint64(cores))
-		var calls atomic.Int32 // shard workers build policies concurrently
+		var asked atomic.Int32 // passes and shard walks ask concurrently
+		hooks := Hooks{PredictShared: func(cache.AccessInfo) bool { asked.Add(1); return false }}
 		configs := []LLCConfig{
-			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { calls.Add(1); return policy.NewLRUPolicy() }},
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 5)},
-		}
-		wide := cores > soaMaxCores
-		want := "engine"
-		if wide {
-			want = "sequential"
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }, Hooks: hooks},
 		}
 		partitioned := 0
 		partitioner := func(shards int) (*PartitionIndex, error) {
@@ -51,13 +48,19 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 			return BuildPartition(stream, shards)
 		}
 		for _, opt := range []Options{{Shards: 4}, {Shards: 4, Partitioner: partitioner}} {
-			calls.Store(0)
+			asked.Store(0)
 			got, err := ReplayMulti(stream, configs, opt)
+			if cores > soaMaxCores {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprint(soaMaxCores)) {
+					t.Errorf("cores %d, partitioner %v: err = %v, want the %d-core limit", cores, opt.Partitioner != nil, err, soaMaxCores)
+				}
+				if asked.Load() != 0 {
+					t.Errorf("cores %d: the hooked lane ran before the rejection", cores)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if n := calls.Load(); (n == 1) != wide {
-				t.Errorf("cores %d, partitioner %v: LRU lane built %d policies; want the %s walk", cores, opt.Partitioner != nil, n, want)
 			}
 			for i, c := range configs {
 				ref, err := seqReplay(stream, c, Options{})
@@ -65,21 +68,20 @@ func TestTrackerWideCoreFallback(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got[i], ref) {
-					t.Errorf("cores %d, partitioner %v, config %d: engine result differs from the sequential walk", cores, opt.Partitioner != nil, i)
+					t.Errorf("cores %d, partitioner %v, config %d: result differs from the reference walk", cores, opt.Partitioner != nil, i)
 				}
 			}
 		}
 		if partitioned != 1 {
 			t.Errorf("cores %d: the caller's partitioner was asked %d times, want once", cores, partitioned)
 		}
-		configsAgree(t, stream, configs, Options{Shards: 4})
 	}
 }
 
 // FuzzTrackerLog fuzzes the fused log-decode/advance loop of the
 // two-phase lanes: stream length around the chunk boundaries and
 // cross-set policies (so the lanes take the outcome-log path). Each lane
-// must stay bit-identical to its sequential walk at every prefix.
+// must stay bit-identical to its reference walk at every prefix.
 func FuzzTrackerLog(f *testing.F) {
 	f.Add(uint16(0), uint64(1))
 	f.Add(uint16(batchSize-1), uint64(2))
@@ -166,7 +168,7 @@ func TestLogRing(t *testing.T) {
 // TestTrackerPipelineStress drives many two-phase lanes through the
 // pipelined ring with more shards than workers, so publishes and waits
 // interleave heavily; run under -race in CI. Results must match the
-// sequential walk.
+// reference walk.
 func TestTrackerPipelineStress(t *testing.T) {
 	stream := synthStream(30000, 2000, 8, 17)
 	var configs []LLCConfig
@@ -206,7 +208,7 @@ func closeDrainScratch(r *rand.Rand, n, numBlocks int) *batchScratch {
 // captured (cw, hits, id) entry is rebuilt as the Residency it stands
 // for — one addCore per core bit, written from bit 63 — and closed
 // through closeRes.
-func closeCapturedRef(st *replayState, bs *batchScratch, n int) {
+func closeCapturedRef(st *seqState, bs *batchScratch, n int) {
 	for k := 0; k < n; k++ {
 		cw := bs.ecw[k]
 		r := Residency{Hits: bs.ehits[k], id: bs.eid[k], written: cw&cwWritten != 0}
@@ -233,7 +235,7 @@ func FuzzCloseDrain(f *testing.F) {
 		n := min(int(nRaw), batchSize)
 		for _, numBlocks := range []int{1, 255, 10240} {
 			bs := closeDrainScratch(rand.New(rand.NewSource(int64(seed))), n, numBlocks)
-			ref := &replayState{res: newResult("drain"), blockState: make([]uint8, numBlocks)}
+			ref := &seqState{replayState: replayState{res: newResult("drain"), blockState: make([]uint8, numBlocks)}}
 			got := &replayState{res: newResult("drain"), blockState: make([]uint8, numBlocks)}
 			closeCapturedRef(ref, bs, n)
 			got.flushClosed(bs, n)

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
+	"sharellc/internal/sharing"
 	"sharellc/internal/workloads"
 )
 
@@ -38,8 +41,8 @@ func experimentRunners() []struct {
 			return s.Characterize(tSize, tWays)
 		}},
 		// nil names = the full catalogue, so the per-set policies take
-		// the sharded path while DRRIP/SHiP/Random exercise the
-		// sequential fallback in the same run.
+		// the sharded route while DRRIP/SHiP/Random run two-phase in the
+		// same replay.
 		{"compare-policies", func(s *Suite) (any, error) {
 			return s.ComparePolicies(tSize, tWays, nil)
 		}},
@@ -69,9 +72,9 @@ func experimentRunners() []struct {
 
 // TestExperimentsShardingInvariant is the differential determinism test
 // of the set-sharded replay engine: every experiment family must produce
-// identical rows whether each replay runs sequentially (Shards=1) or
-// sharded by set index (Shards=4 on the 128-set test LLC), and identical
-// rows again on a repeated sequential run (no hidden run-to-run state).
+// identical rows whether each replay runs on one worker (Shards=1) or
+// four (Shards=4 on the 128-set test LLC), and identical rows again on a
+// repeated one-worker run (no hidden run-to-run state).
 func TestExperimentsShardingInvariant(t *testing.T) {
 	seq := suiteWithShards(t, 1)
 	shd := suiteWithShards(t, 4)
@@ -124,5 +127,41 @@ func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("repeated multiprogrammed oracle runs differ:\nrun1: %+v\nrun2: %+v", want, got)
+	}
+}
+
+// TestPredictorAccuracyUsesStreamPartitions: F7's replay takes the
+// suite's shard request and the stream's cached partitions like every
+// other experiment. After PredictorAccuracy on a Shards: 4 suite, each
+// stream's partition cache holds exactly the shard count a replay of
+// the scored lane under the same options asks for.
+func TestPredictorAccuracyUsesStreamPartitions(t *testing.T) {
+	s := suiteWithShards(t, 4)
+	if _, err := s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range s.Streams {
+		lane, _, err := predictor.ScoredLane(tSize, tWays, func() cache.Policy { return policy.NewLRUPolicy() }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asked := 0
+		opt := s.replayOpts(st, 4)
+		opt.Partitioner = func(n int) (*sharing.PartitionIndex, error) {
+			asked = n
+			return sharing.BuildPartition(st.Accesses, n)
+		}
+		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
+			t.Fatal(err)
+		}
+		st.partMu.Lock()
+		var cached []int
+		for n := range st.parts {
+			cached = append(cached, n)
+		}
+		st.partMu.Unlock()
+		if len(cached) != 1 || cached[0] != asked {
+			t.Errorf("%s: partition cache holds %v shard counts, want [%d]", st.Model.Name, cached, asked)
+		}
 	}
 }

@@ -473,13 +473,13 @@ type PredictorRow struct {
 }
 
 // PredictorAccuracy measures fill-time prediction quality without letting
-// predictions influence replacement, under the LRU base policy. All of a
-// workload's predictor lanes ride one fused stream pass.
+// predictions influence replacement, under the LRU base policy. One
+// scored lane per workload carries every predictor.
 func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, names []string) ([]PredictorRow, error) {
 	if len(names) == 0 {
 		names = predictorNames()
 	}
-	return perStream(s, "predictor accuracy", func(st *Stream, _ int) ([]PredictorRow, error) {
+	return perStream(s, "predictor accuracy", func(st *Stream, shards int) ([]PredictorRow, error) {
 		preds := make([]predictor.Predictor, len(names))
 		for p, n := range names {
 			pred, err := newPredictor(n, cfg, st.Accesses)
@@ -488,11 +488,14 @@ func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, na
 			}
 			preds[p] = pred
 		}
-		scores, err := predictor.EvaluateMulti(s.context(), st.Accesses, llcSize, llcWays,
-			func() cache.Policy { return policy.NewLRUPolicy() }, preds)
+		lane, finish, err := predictor.ScoredLane(llcSize, llcWays, func() cache.Policy { return policy.NewLRUPolicy() }, preds)
 		if err != nil {
 			return nil, err
 		}
+		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, s.replayOpts(st, shards)); err != nil {
+			return nil, err
+		}
+		scores := finish()
 		rows := make([]PredictorRow, len(scores))
 		for p, ps := range scores {
 			// Every residency is scored, so the shared ones are TP+FN.

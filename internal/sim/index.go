@@ -54,28 +54,20 @@ const maxLLCMB = 32
 const maxWays = 64
 
 // Normalize fills the defaults (4 MB, 16 ways, seed 1, scale 1, full
-// strength), bounds every knob, lower-cases and sorts the workloads and
-// lower-cases the policies, rejecting a name the suite or the policy
-// catalogue does not know. The LLC must be a geometry every catalogue
-// policy can run: at most maxLLCMB, a power-of-two way count up to
-// maxWays, and a power-of-two set count. The normalized form is what a
-// job key hashes, so requests differing only in omitted-vs-explicit
-// defaults coalesce.
+// strength), bounds every knob (the LLC through CheckGeometry),
+// lower-cases and sorts the workloads and lower-cases the policies,
+// rejecting a name the suite or the policy catalogue does not know. The
+// normalized form is what a job key hashes, so requests differing only
+// in omitted-vs-explicit defaults coalesce.
 func (r *Request) Normalize() error {
 	if r.LLCMB == 0 {
 		r.LLCMB = 4
 	}
-	if !(r.LLCMB > 0 && r.LLCMB <= maxLLCMB) {
-		return fmt.Errorf("llc_mb must be in (0, %d], got %g", maxLLCMB, r.LLCMB)
-	}
 	if r.Ways == 0 {
 		r.Ways = 16
 	}
-	if r.Ways < 1 || r.Ways > maxWays || r.Ways&(r.Ways-1) != 0 {
-		return fmt.Errorf("ways must be a power of two in [1, %d], got %d", maxWays, r.Ways)
-	}
-	if _, err := cache.Geometry(r.Options().LLCSize, r.Ways); err != nil {
-		return fmt.Errorf("llc_mb %g at %d ways: %w", r.LLCMB, r.Ways, err)
+	if err := r.CheckGeometry(); err != nil {
+		return err
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -104,6 +96,23 @@ func (r *Request) Normalize() error {
 		if _, err := policy.ByName(r.Policies[i], r.Seed); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// CheckGeometry rejects an LLC that some catalogue policy cannot run:
+// more than maxLLCMB, a way count that is not a power of two up to
+// maxWays, or a size that does not split into a power-of-two number of
+// sets. Every front end applies it before preparing any stream.
+func (r Request) CheckGeometry() error {
+	if !(r.LLCMB > 0 && r.LLCMB <= maxLLCMB) {
+		return fmt.Errorf("llc_mb must be in (0, %d], got %g", maxLLCMB, r.LLCMB)
+	}
+	if r.Ways < 1 || r.Ways > maxWays || r.Ways&(r.Ways-1) != 0 {
+		return fmt.Errorf("ways must be a power of two in [1, %d], got %d", maxWays, r.Ways)
+	}
+	if _, err := cache.Geometry(r.Options().LLCSize, r.Ways); err != nil {
+		return fmt.Errorf("llc_mb %g at %d ways: %w", r.LLCMB, r.Ways, err)
 	}
 	return nil
 }
