@@ -4,9 +4,9 @@
 // Two higher-level modes ride on the same fixed config:
 //
 //	dumprows -tables           print canonical table JSON via the experiment index
-//	dumprows -cluster 3        run the same request through an in-process
+//	dumprows -cluster 3        run one job per experiment through an in-process
 //	                           coordinator with 3 workers and byte-compare
-//	                           against the direct run (exit 1 on any diff)
+//	                           each against the direct run (exit 1 on any diff)
 package main
 
 import (
@@ -50,44 +50,46 @@ func main() {
 		dumpRows()
 		return
 	}
-	// The harness request both execution paths run, first the direct way
-	// a single daemon or the CLI would.
-	req := cluster.Request{
-		Exps:    strings.Split(*exps, ","),
-		Machine: &tinyMachine,
-		Request: sim.Request{
-			LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
-			Ways:      tinyMachine.LLCWays,
-			Seed:      1,
-			Scale:     0.05,
-			Workloads: []string{"canneal", "streamcluster", "swaptions"},
-		},
+	ids := strings.Split(*exps, ",")
+	if *exps == "all" {
+		ids = sim.ExperimentIDs()
 	}
-	if err := req.Normalize(); err != nil {
+	// The harness knobs both execution paths run, first the direct way a
+	// single daemon or the CLI would.
+	knobs := sim.Request{
+		LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
+		Ways:      tinyMachine.LLCWays,
+		Seed:      1,
+		Scale:     0.05,
+		Workloads: []string{"canneal", "streamcluster", "swaptions"},
+	}
+	if err := knobs.Normalize(); err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := req.Config(req.MachineConfig())
+	cfg, err := knobs.Config(tinyMachine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var direct []*report.Table
-	if err := sim.RunExperiments(context.Background(), cfg, req.Exps, req.Options(), nil,
-		func(t []*report.Table) error { direct = append(direct, t...); return nil }); err != nil {
+	var direct [][]*report.Table // per experiment, in ids order
+	if err := sim.RunExperiments(context.Background(), cfg, ids, knobs.Options(), nil,
+		func(t []*report.Table) error { direct = append(direct, t); return nil }); err != nil {
 		log.Fatalf("direct run: %v", err)
 	}
 	if *clusterN == 0 {
-		os.Stdout.Write(renderTables(direct))
+		for _, t := range direct {
+			os.Stdout.Write(renderTables(t))
+		}
 		return
 	}
-	if err := diffCluster(req, direct, *clusterN); err != nil {
+	if err := diffCluster(ids, knobs, direct, *clusterN); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// diffCluster runs req through an in-process coordinator with n polling
-// workers over real HTTP and byte-compares the rendered tables with the
-// direct run's.
-func diffCluster(req cluster.Request, direct []*report.Table, n int) error {
+// diffCluster runs one job per experiment id through an in-process
+// coordinator with n polling workers over real HTTP and byte-compares
+// each job's rendered tables with the direct run's.
+func diffCluster(ids []string, knobs sim.Request, direct [][]*report.Table, n int) error {
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Cache: streamcache.New(streamcache.Options{}),
 	})
@@ -115,29 +117,38 @@ func diffCluster(req cluster.Request, direct []*report.Table, n int) error {
 		go w.Run(ctx)
 	}
 
-	got, err := coord.Run(ctx, req, nil)
-	if err != nil {
-		return fmt.Errorf("cluster run: %w", err)
-	}
-	want, have := renderTables(direct), renderTables(got)
-	if !bytes.Equal(want, have) {
-		wl, hl := strings.Split(string(want), "\n"), strings.Split(string(have), "\n")
-		for i := 0; i < len(wl) || i < len(hl); i++ {
-			var a, b string
-			if i < len(wl) {
-				a = wl[i]
-			}
-			if i < len(hl) {
-				b = hl[i]
-			}
-			if a != b {
-				fmt.Fprintf(os.Stderr, "first diff at table %d:\n direct:  %s\n cluster: %s\n", i, a, b)
-				break
-			}
+	tables, size := 0, 0
+	for i, id := range ids {
+		job := cluster.Request{JobRequest: sim.JobRequest{Exp: id, Request: knobs}, Machine: &tinyMachine}
+		if err := job.Normalize(); err != nil {
+			return err
 		}
-		return fmt.Errorf("cluster(%d workers) output differs from direct run", n)
+		got, err := coord.Run(ctx, job, nil)
+		if err != nil {
+			return fmt.Errorf("cluster run of %s: %w", id, err)
+		}
+		want, have := renderTables(direct[i]), renderTables(got)
+		if !bytes.Equal(want, have) {
+			wl, hl := strings.Split(string(want), "\n"), strings.Split(string(have), "\n")
+			for k := 0; k < len(wl) || k < len(hl); k++ {
+				var a, b string
+				if k < len(wl) {
+					a = wl[k]
+				}
+				if k < len(hl) {
+					b = hl[k]
+				}
+				if a != b {
+					fmt.Fprintf(os.Stderr, "first diff in %s at table %d:\n direct:  %s\n cluster: %s\n", id, k, a, b)
+					break
+				}
+			}
+			return fmt.Errorf("cluster(%d workers) output for %s differs from direct run", n, id)
+		}
+		tables += len(got)
+		size += len(have)
 	}
-	fmt.Printf("cluster(%d workers) output identical to direct run: %d tables, %d bytes\n", n, len(got), len(have))
+	fmt.Printf("cluster(%d workers) output identical to direct run: %d tables, %d bytes\n", n, tables, size)
 	return nil
 }
 

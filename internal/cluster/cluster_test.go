@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -25,34 +27,39 @@ var tinyMachine = cache.Config{
 	LLCSize: 64 * cache.KB, LLCWays: 8,
 }
 
+// testRequest is the normalized tiny-machine job for exps, which names
+// one experiment: a Run takes the normalized job the daemon admits.
 func testRequest(exps []string) Request {
-	return Request{
-		Exps:    exps,
-		Machine: &tinyMachine,
-		Request: sim.Request{
+	if len(exps) != 1 {
+		panic(fmt.Sprintf("testRequest: a job runs one experiment, got %q", exps))
+	}
+	req := Request{
+		JobRequest: sim.JobRequest{Exp: exps[0], Request: sim.Request{
 			LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
 			Ways:      tinyMachine.LLCWays,
 			Seed:      1,
 			Scale:     0.02,
 			Workloads: []string{"canneal", "streamcluster", "swaptions"},
-		},
+		}},
+		Machine: &tinyMachine,
 	}
+	if err := req.Normalize(); err != nil {
+		panic(err)
+	}
+	return req
 }
 
-// wantTables is the byte-compare reference: the test request over exps
-// run the direct way a single daemon or the CLI runs it.
+// wantTables is the byte-compare reference: the test knobs over exps run
+// the direct way a single daemon or the CLI runs them.
 func wantTables(t *testing.T, exps []string) []byte {
 	t.Helper()
-	req := testRequest(exps)
-	if err := req.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := req.Config(req.MachineConfig())
+	req := testRequest(exps[:1])
+	cfg, err := req.Config(req.machineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []*report.Table
-	if err := sim.RunExperiments(context.Background(), cfg, req.Exps, req.Options(), nil,
+	if err := sim.RunExperiments(context.Background(), cfg, exps, req.Options(), nil,
 		func(tabs []*report.Table) error { out = append(out, tabs...); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +112,16 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 	return w
 }
 
-// TestClusterE2EByteIdentical: three workers over real HTTP execute a
-// sweep and the merged tables are byte-identical to the direct run.
+// TestClusterE2EByteIdentical: three workers over real HTTP execute one
+// job per experiment and the merged tables are byte-identical to the
+// direct run.
 // Every workload stream is built at most once cluster-wide: later
 // bundles peer-fetch instead of rebuilding.
 func TestClusterE2EByteIdentical(t *testing.T) {
-	exps := []string{"all"}
+	exps := sim.ExperimentIDs()
 	if testing.Short() {
 		exps = []string{"config", "f1", "f5", "c1", "m1"}
 	}
-	req := testRequest(exps)
 	want := wantTables(t, exps)
 
 	var mu sync.Mutex
@@ -130,9 +137,13 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 		startWorker(t, ctx, cs.URL, streamcache.Options{BuildHook: hook})
 	}
 
-	got, err := coord.Run(ctx, req, nil)
-	if err != nil {
-		t.Fatal(err)
+	var got []*report.Table
+	for _, exp := range exps {
+		tables, err := coord.Run(ctx, testRequest([]string{exp}), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		got = append(got, tables...)
 	}
 	if have := marshalTables(t, got); !bytes.Equal(want, have) {
 		t.Errorf("cluster tables differ from direct run:\nwant %d bytes\nhave %d bytes", len(want), len(have))
@@ -220,13 +231,9 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 		Cache: streamcache.New(streamcache.Options{}),
 	})
 	// Pretend the evil peer holds every stream the request needs.
-	norm := testRequest([]string{"f1"})
-	if err := norm.Normalize(); err != nil {
-		t.Fatal(err)
-	}
 	coord.mu.Lock()
-	for _, w := range norm.workloadOrder() {
-		ref, err := norm.streamRefFor(w, norm.Seed)
+	for _, w := range req.workloadOrder() {
+		ref, err := req.streamRefFor(w, req.Seed)
 		if err != nil {
 			coord.mu.Unlock()
 			t.Fatal(err)
@@ -316,39 +323,38 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	}
 }
 
-// TestNormalizeDefaultsAndKey: omitted fields default, "all" expands,
-// and omitted-vs-explicit defaults hash to the same key.
+// TestNormalizeDefaultsAndKey: a cluster request normalizes and keys as
+// the job it carries, so bundle IDs derive from the daemon's job key:
+// omitted fields default, omitted-vs-explicit defaults hash to the same
+// key, and the machine override stays out of the key.
 func TestNormalizeDefaultsAndKey(t *testing.T) {
-	a := Request{Exps: []string{"f1"}}
+	a := Request{JobRequest: sim.JobRequest{Exp: "f1"}}
 	if err := a.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if a.LLCMB != 4 || a.Ways != 16 || a.Seed != 1 || a.Scale != 1 || a.Strength != "full" {
 		t.Errorf("defaults not applied: %+v", a)
 	}
-	b := Request{Exps: []string{"f1"}, Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
+	b := Request{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}}
 	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if a.Key() != b.Key() {
 		t.Error("omitted and explicit defaults hash differently")
 	}
-
-	all := Request{Exps: []string{"all"}}
-	if err := all.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Exps) != len(sim.ExperimentIDs()) {
-		t.Errorf("all expanded to %d exps, want %d", len(all.Exps), len(sim.ExperimentIDs()))
+	b.Machine = &tinyMachine
+	if a.Key() != b.Key() || a.Key() != a.JobRequest.Key() {
+		t.Error("the machine override changed the job key")
 	}
 
 	for _, bad := range []Request{
 		{},
-		{Exps: []string{"nope"}},
-		{Exps: []string{"f1"}, Request: sim.Request{Scale: 2}},
-		{Exps: []string{"f1"}, Request: sim.Request{Strength: "sorta"}},
-		{Exps: []string{"f1"}, Request: sim.Request{Workloads: []string{"no-such-workload"}}},
-		{Exps: []string{"f5"}, Request: sim.Request{Policies: []string{"nope"}}},
+		{JobRequest: sim.JobRequest{Exp: "all"}},
+		{JobRequest: sim.JobRequest{Exp: "nope"}},
+		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Scale: 2}}},
+		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Strength: "sorta"}}},
+		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Workloads: []string{"no-such-workload"}}}},
+		{JobRequest: sim.JobRequest{Exp: "f5", Request: sim.Request{Policies: []string{"nope"}}}},
 	} {
 		if err := bad.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted", bad)
@@ -416,23 +422,20 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 
 	coord, cs := startCoordinator(t, CoordinatorConfig{Cache: streamcache.New(streamcache.Options{})})
 	startWorker(t, ctx, cs.URL, streamcache.Options{})
-	jobs := [][]string{{"f1"}, {"config"}, {"f1", "f3"}, {"f1"}}
-	for _, exps := range jobs {
-		if _, err := coord.Run(ctx, testRequest(exps), nil); err != nil {
+	// config's static tables run inline and admit no job.
+	jobs := []string{"f1", "config", "f3", "f1"}
+	for _, exp := range jobs {
+		if _, err := coord.Run(ctx, testRequest([]string{exp}), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !forgotten(coord) {
 		t.Errorf("coordinator still holds state after %d finished jobs", len(jobs))
 	}
-	if st := coord.Stats(); st.Jobs != len(jobs) || st.JobsInflight != 0 {
-		t.Errorf("Jobs = %d, JobsInflight = %d, want %d and 0", st.Jobs, st.JobsInflight, len(jobs))
+	if st := coord.Stats(); st.Jobs != len(jobs)-1 || st.JobsInflight != 0 {
+		t.Errorf("Jobs = %d, JobsInflight = %d, want %d and 0", st.Jobs, st.JobsInflight, len(jobs)-1)
 	}
-	done := testRequest([]string{"f1"})
-	if err := done.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	late := bundleID(done.Key(), "f1", 0, "canneal")
+	late := bundleID(testRequest([]string{"f1"}).Key(), "f1", 0, "canneal")
 	if code := postResult(t, cs.URL, late, BundleResult{Proto: ProtoVersion, Worker: "late"}); code != http.StatusNotFound {
 		t.Errorf("late result for a finished job's bundle: status %d, want 404", code)
 	}
@@ -473,10 +476,10 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 	}
 }
 
-// TestCancelledRunFreesJob: when the last waiter of an unfinished job
-// cancels, the job fails and is forgotten, so no bundle stays queued
-// for workers to run; while another waiter still waits, a cancelled
-// identical submission leaves the job in place.
+// TestCancelledRunFreesJob: cancelling a Run fails and forgets its
+// unfinished job, so no bundle stays queued for workers to run. A Run for
+// a job already in flight is refused and leaves that job in place: the
+// daemon's Manager coalesces identical jobs and never issues one.
 func TestCancelledRunFreesJob(t *testing.T) {
 	coord, cs := startCoordinator(t, CoordinatorConfig{})
 	drained := func(when string) {
@@ -502,7 +505,7 @@ func TestCancelledRunFreesJob(t *testing.T) {
 	if _, err := coord.Run(cancelled, testRequest([]string{"f1"}), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run under a cancelled context: %v", err)
 	}
-	drained("after the only waiter cancelled")
+	drained("after a cancelled Run")
 
 	waiting, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -513,17 +516,17 @@ func TestCancelledRunFreesJob(t *testing.T) {
 	for coord.Stats().JobsInflight == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := coord.Run(cancelled, testRequest([]string{"f1"}), nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("joining Run under a cancelled context: %v", err)
+	if _, err := coord.Run(context.Background(), testRequest([]string{"f1"}), nil); err == nil {
+		t.Fatal("a second Run of a job in flight was accepted")
 	}
 	if st := coord.Stats(); st.JobsInflight != 1 || st.BundlesPending == 0 || st.Jobs != 2 {
-		t.Errorf("a cancelled join dropped the job another waiter holds: %+v", st)
+		t.Errorf("a refused duplicate Run disturbed the job in flight: %+v", st)
 	}
 	stop()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiting Run after cancel: %v", err)
 	}
-	drained("after the last waiter cancelled")
+	drained("after the waiting Run cancelled")
 }
 
 // TestControlBodyLimit: a worker-facing body one byte under the limit is
@@ -576,4 +579,98 @@ func TestControlBodyLimit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkerRefusesInvalidBundle: a leased bundle the daemon would never
+// have admitted comes back as an error result instead of reaching the
+// simulator: an f4 bundle with a 3 MB, 3-way LLC would panic in PLRU
+// inside a replay goroutine and take the worker process down.
+func TestWorkerRefusesInvalidBundle(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{
+		CoordinatorURL: "http://127.0.0.1:1",
+		Cache:          streamcache.New(streamcache.Options{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	threeWays := testRequest([]string{"f4"})
+	threeWays.LLCMB, threeWays.Ways = 3, 3
+	badMachine := testRequest([]string{"f1"})
+	badMachine.Machine = &cache.Config{Cores: 8}
+	for _, c := range []struct {
+		name string
+		b    Bundle
+	}{
+		{"f4 at 3 MB and 3 ways", Bundle{ID: "b-ways", Spec: 0, Workload: "canneal", Request: threeWays}},
+		{"unknown experiment", Bundle{ID: "b-exp", Spec: WholeExperiment, Request: Request{JobRequest: sim.JobRequest{Exp: "f99"}}}},
+		{"spec out of range", Bundle{ID: "b-spec", Spec: 99, Workload: "canneal", Request: testRequest([]string{"f1"})}},
+		{"negative spec", Bundle{ID: "b-neg", Spec: -2, Workload: "canneal", Request: testRequest([]string{"f1"})}},
+		{"workload outside the job", Bundle{ID: "b-wl", Spec: 0, Workload: "lu", Request: testRequest([]string{"f1"})}},
+		{"planned experiment as a whole", Bundle{ID: "b-whole", Spec: WholeExperiment, Request: testRequest([]string{"f1"})}},
+		{"invalid machine", Bundle{ID: "b-machine", Spec: 0, Workload: "canneal", Request: badMachine}},
+	} {
+		if res := w.executeBundle(context.Background(), c.b); res.Err == "" {
+			t.Errorf("%s: bundle accepted", c.name)
+		}
+	}
+}
+
+// FuzzLeaseIntake holds the worker's lease intake to its contract:
+// decoding a lease response as post does and validating its bundle, short
+// of running it, never panics. An accepted bundle is a fixed point that
+// names a runnable slice: validating it again changes nothing, its LLC is
+// a geometry every catalogue policy runs at both the requested and the
+// doubled size, and its suite configuration resolves.
+func FuzzLeaseIntake(f *testing.F) {
+	for _, b := range []Bundle{
+		{ID: "b-1", Spec: 0, Workload: "canneal", Request: testRequest([]string{"f1"})},
+		{ID: "b-2", Spec: WholeExperiment, Request: testRequest([]string{"a5"})},
+		{ID: "b-3", Spec: 1, Workload: "swaptions", Request: testRequest([]string{"f5"}),
+			Streams: []StreamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}}}},
+	} {
+		raw, err := json.Marshal(LeaseResponse{Bundle: b, TTLMillis: 15000})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, body := range []string{
+		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f4","llc_mb":3,"ways":3}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f4","ways":128}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":-1,"request":{"exp":"all"}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":-1,"request":{"exp":"m1","machine":{"Cores":0}}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f1","exps":["f1"]}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":7,"workload":"Canneal","request":{"exp":"f5","workloads":["Canneal"],"policies":["LRU"]}}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lease LeaseResponse
+		if decodeJSON(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(data)), maxControlBody), &lease) != nil {
+			return
+		}
+		b := lease.Bundle
+		if b.validate() != nil {
+			return
+		}
+		once, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.validate(); err != nil {
+			t.Fatalf("validated bundle %s is rejected: %v", once, err)
+		}
+		if twice, _ := json.Marshal(b); !bytes.Equal(once, twice) {
+			t.Fatalf("validating is not idempotent:\n once %s\ntwice %s", once, twice)
+		}
+		o := b.Request.Options()
+		for _, size := range []int{o.LLCSize, 2 * o.LLCSize} {
+			if _, err := cache.Geometry(size, o.LLCWays); err != nil {
+				t.Errorf("accepted %g MB at %d ways: %d bytes is no geometry: %v", b.Request.LLCMB, b.Request.Ways, size, err)
+			}
+		}
+		if _, err := b.Request.Config(b.Request.machineConfig()); err != nil {
+			t.Errorf("accepted bundle %s has no suite configuration: %v", once, err)
+		}
+	})
 }

@@ -70,24 +70,15 @@ type bundle struct {
 	tables []*report.Table // decoded tables (whole-experiment bundles)
 }
 
-// expPlan is one experiment of a job, in request order.
-type expPlan struct {
-	id     string
-	specs  []sim.TableSpec // sliceable experiments
-	inline []*report.Table // config/suite, run at submit time
-	whole  *bundle
-	// slices[specIdx][workloadIdx], in canonical merge order.
-	slices [][]*bundle
-}
-
-// job is one admitted request and its bundles, in queue order.
+// job is one admitted request and its bundles, in queue order: a single
+// whole-experiment bundle, or one bundle per (spec, workload), spec-major
+// with workloads in canonical merge order.
 type job struct {
 	key     string
 	req     Request
-	exps    []*expPlan
+	specs   []sim.TableSpec // nil for a whole-experiment job
 	bundles []*bundle
 	done    int
-	waiters int // Run calls waiting on the job
 
 	err      error
 	tables   []*report.Table
@@ -143,156 +134,113 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 }
 
-// Run submits a request, blocks until every bundle has been executed by
-// some worker, and returns the merged tables — byte-identical to what a
-// single daemon produces for the same request. Identical concurrent
-// requests coalesce onto one job. Cancelling ctx abandons the wait; when
-// the last waiter of an unfinished job leaves, the job fails and is
-// forgotten, dropping its pending bundles (a worker mid-bundle learns at
-// its next heartbeat and cancels). While another waiter still waits, the
-// job keeps draining and an identical submission is a join. A job is
-// forgotten once it finishes or fails, so a later identical submission
-// runs afresh: repeats are the daemon's result cache's business, not the
-// scheduler's.
+// Run schedules the job req, blocks until every bundle has been executed
+// by some worker, and returns the merged tables, byte-identical to what a
+// single daemon produces for the same job. req must be normalized
+// (sim.JobRequest.Normalize): the daemon's Manager admits, coalesces and
+// caches jobs and hands each one over once, so a Run for a job already
+// in flight is an error. A static experiment (config, suite) runs inline
+// with no bundles. Cancelling ctx fails and forgets an unfinished job,
+// dropping its pending bundles; a worker mid-bundle learns at its next
+// heartbeat and cancels. A job is forgotten once it finishes or fails, so
+// a later identical Run schedules it afresh.
 func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
-	if err := req.Normalize(); err != nil {
+	exp, err := sim.ExperimentByID(req.Exp)
+	if err != nil {
 		return nil, err
+	}
+	if !exp.NeedsSuite {
+		return exp.Run(nil, req.Options())
 	}
 	key := req.Key()
 
 	c.mu.Lock()
-	j, ok := c.jobs[key]
-	if !ok {
-		var err error
-		j, err = c.admitLocked(key, req, progress)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
+	if _, ok := c.jobs[key]; ok {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("job %s (%s) is already running", key, req.Exp)
 	}
-	j.waiters++
-	total := len(j.bundles)
+	j, err := c.admitLocked(key, req, progress)
 	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	if progress != nil {
-		progress(0, total, "bundles queued")
+		progress(0, len(j.bundles), "bundles queued")
 	}
-	var cancelled error
 	select {
-	case <-ctx.Done():
-		cancelled = ctx.Err()
 	case <-j.doneCh:
+		return j.tables, j.err
+	case <-ctx.Done():
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j.waiters--
-	if cancelled != nil {
-		if j.waiters == 0 && !j.terminal() {
-			j.err = cancelled
-			close(j.doneCh)
-			c.forgetLocked(j)
-		}
-		return nil, cancelled
+	if !j.terminal() {
+		j.err = ctx.Err()
+		close(j.doneCh)
+		c.forgetLocked(j)
 	}
-	if j.err != nil {
-		return nil, j.err
-	}
-	return j.tables, nil
+	return nil, ctx.Err()
 }
 
 // admitLocked plans a job's bundles and queues them. Caller holds c.mu.
 func (c *Coordinator) admitLocked(key string, req Request, progress func(int, int, string)) (*job, error) {
 	j := &job{key: key, req: req, doneCh: make(chan struct{}), progress: progress}
-	order := req.workloadOrder()
-	opts := req.Options()
-	for _, id := range req.Exps {
-		exp, err := sim.ExperimentByID(id)
-		if err != nil {
-			return nil, err
-		}
-		p := &expPlan{id: id}
-		switch specs, ok := sim.PlanFor(id, opts); {
-		case !exp.NeedsSuite:
-			// Static description tables: cheap, run inline right here.
-			tables, err := exp.Run(nil, opts)
-			if err != nil {
-				return nil, err
-			}
-			p.inline = tables
-		case ok:
-			p.specs = specs
-			p.slices = make([][]*bundle, len(specs))
-			for si := range specs {
-				p.slices[si] = make([]*bundle, len(order))
-				for wi, w := range order {
-					ref, err := req.streamRefFor(w, req.Seed)
-					if err != nil {
-						return nil, err
-					}
-					b := &bundle{
-						proto: Bundle{
-							ID:       bundleID(key, id, si, w),
-							Job:      key,
-							Exp:      id,
-							Spec:     si,
-							Workload: w,
-							Request:  req,
-							Streams:  []StreamRef{ref},
-						},
-						job:  j,
-						kind: specs[si].Kind,
-					}
-					p.slices[si][wi] = b
+	if specs, ok := sim.PlanFor(req.Exp, req.Options()); ok {
+		j.specs = specs
+		order := req.workloadOrder()
+		for si := range specs {
+			for _, w := range order {
+				ref, err := req.streamRefFor(w, req.Seed)
+				if err != nil {
+					return nil, err
 				}
-			}
-		default:
-			// Whole-experiment bundle. a5 regenerates a fixed workload
-			// subset whose request-seed streams share hashes with the
-			// primary suite; naming them here lets the executing worker
-			// peer-fetch instead of rebuilding.
-			var refs []StreamRef
-			if id == "a5" {
-				for _, w := range sim.A5Workloads() {
-					ref, err := req.streamRefFor(w, req.Seed)
-					if err != nil {
-						return nil, err
-					}
-					refs = append(refs, ref)
-				}
-			}
-			p.whole = &bundle{
-				proto: Bundle{
-					ID:      bundleID(key, id, WholeExperiment, ""),
-					Job:     key,
-					Exp:     id,
-					Spec:    WholeExperiment,
-					Request: req,
-					Streams: refs,
-				},
-				job: j,
+				j.bundles = append(j.bundles, &bundle{
+					proto: Bundle{
+						ID:       bundleID(key, req.Exp, si, w),
+						Spec:     si,
+						Workload: w,
+						Request:  req,
+						Streams:  []StreamRef{ref},
+					},
+					job:  j,
+					kind: specs[si].Kind,
+				})
 			}
 		}
-		j.exps = append(j.exps, p)
+	} else {
+		// Whole-experiment bundle. a5 regenerates a fixed workload
+		// subset whose request-seed streams share hashes with the
+		// primary suite; naming them here lets the executing worker
+		// peer-fetch instead of rebuilding.
+		var refs []StreamRef
+		if req.Exp == "a5" {
+			for _, w := range sim.A5Workloads() {
+				ref, err := req.streamRefFor(w, req.Seed)
+				if err != nil {
+					return nil, err
+				}
+				refs = append(refs, ref)
+			}
+		}
+		j.bundles = []*bundle{{
+			proto: Bundle{
+				ID:      bundleID(key, req.Exp, WholeExperiment, ""),
+				Spec:    WholeExperiment,
+				Request: req,
+				Streams: refs,
+			},
+			job: j,
+		}}
 	}
 	// Queue in plan order; the lease scan plus stream gating takes care
 	// of spreading workloads across workers.
-	for _, p := range j.exps {
-		for _, row := range p.slices {
-			j.bundles = append(j.bundles, row...)
-		}
-		if p.whole != nil {
-			j.bundles = append(j.bundles, p.whole)
-		}
-	}
 	for _, b := range j.bundles {
 		c.bundles[b.proto.ID] = b
 		c.queue = append(c.queue, b)
 	}
 	c.jobs[key] = j
 	c.stats.Jobs++
-	if len(j.bundles) == 0 {
-		c.finishLocked(j) // purely static request (config/suite only)
-	}
 	return j, nil
 }
 
@@ -333,7 +281,7 @@ func (c *Coordinator) reapLocked() {
 		c.stats.BundlesRequeued++
 		if b.attempts >= maxAttempts {
 			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s) abandoned after %d lease attempts",
-				b.proto.ID, b.proto.Exp, b.proto.Spec, b.proto.Workload, b.attempts))
+				b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, b.attempts))
 			continue
 		}
 		c.queue = append(c.queue, b)
@@ -361,8 +309,8 @@ func (c *Coordinator) failBundleLocked(b *bundle, err error) {
 	c.forgetLocked(j)
 }
 
-// forgetLocked drops a terminal job and its bundles. Waiters hold the job
-// itself, so they still read its outcome; a late result or heartbeat for
+// forgetLocked drops a terminal job and its bundles. Run holds the job
+// itself, so it still reads the outcome; a late result or heartbeat for
 // one of its bundles finds an unknown bundle.
 func (c *Coordinator) forgetLocked(j *job) {
 	if c.jobs[j.key] == j {
@@ -484,7 +432,7 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 		c.stats.BundlesFailed++
 		if b.attempts >= maxAttempts {
 			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s): %w",
-				b.proto.ID, b.proto.Exp, b.proto.Spec, b.proto.Workload, err))
+				b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, err))
 			return nil
 		}
 		c.queue = append(c.queue, b)
@@ -519,9 +467,9 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	j.done++
 	total := len(j.bundles)
 	if j.progress != nil {
-		label := fmt.Sprintf("bundle %s", b.proto.Exp)
+		label := fmt.Sprintf("bundle %s", j.req.Exp)
 		if b.proto.Workload != "" {
-			label = fmt.Sprintf("bundle %s[%d] %s", b.proto.Exp, b.proto.Spec, b.proto.Workload)
+			label = fmt.Sprintf("bundle %s[%d] %s", j.req.Exp, b.proto.Spec, b.proto.Workload)
 		}
 		j.progress(j.done, total, label)
 	}
@@ -531,38 +479,33 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	return nil
 }
 
-// finishLocked merges a completed job's partial rows into final tables,
-// in request order, each spec's rows appended workload by workload in
-// canonical suite order — exactly the row order a whole-suite run
-// produces, so the rendered tables are byte-identical to the direct path.
-// The job is then forgotten.
+// finishLocked merges a completed job's partial rows into final tables:
+// each spec's rows appended workload by workload in canonical suite
+// order, exactly the row order a whole-suite run produces, so the
+// rendered tables are byte-identical to the direct path. The job is then
+// forgotten.
 func (c *Coordinator) finishLocked(j *job) {
 	defer c.forgetLocked(j)
-	var tables []*report.Table
-	for _, p := range j.exps {
-		switch {
-		case p.inline != nil:
-			tables = append(tables, p.inline...)
-		case p.whole != nil:
-			tables = append(tables, p.whole.tables...)
-		default:
-			for si, spec := range p.specs {
-				var merged any
-				for _, b := range p.slices[si] {
-					m, err := sim.MergeRows(spec.Kind, merged, b.rows)
-					if err != nil {
-						j.err = err
-						close(j.doneCh)
-						return
-					}
-					merged = m
-				}
-				tables = append(tables, spec.Render(merged))
+	defer close(j.doneCh)
+	if j.specs == nil {
+		j.tables = j.bundles[0].tables
+		return
+	}
+	n := len(j.bundles) / len(j.specs)
+	tables := make([]*report.Table, len(j.specs))
+	for si, spec := range j.specs {
+		var merged any
+		for _, b := range j.bundles[si*n : (si+1)*n] {
+			m, err := sim.MergeRows(spec.Kind, merged, b.rows)
+			if err != nil {
+				j.err = err
+				return
 			}
+			merged = m
 		}
+		tables[si] = spec.Render(merged)
 	}
 	j.tables = tables
-	close(j.doneCh)
 }
 
 // Stats snapshots the scheduler counters.
@@ -605,26 +548,33 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// maxControlBody bounds every worker-facing request body. The largest
-// legitimate one is a result: one workload's rows of one table, or a
-// whole experiment's tables for m1 and a5, plus the custody hashes. Row
-// counts do not grow with scale or suite size, and the largest result a
-// full-catalogue sweep posts is under 1.5 KiB.
+// maxControlBody bounds every control-plane body, in both directions.
+// The largest legitimate request is a result: one workload's rows of one
+// table, or a whole experiment's tables for m1 and a5, plus the custody
+// hashes. Row counts do not grow with scale or suite size, and the
+// largest result a full-catalogue run posts is under 1.5 KiB. The
+// largest response is a lease: one job request plus a stream reference
+// and its source URLs per workload.
 const maxControlBody = 64 << 10
 
-// decodeBody decodes one JSON body of at most maxControlBody bytes into
-// v, rejecting unknown fields. It reads the body to its end, so a body
-// past the limit fails wherever the excess sits. On failure it answers
-// the request itself — 413 past the limit, 400 otherwise — and reports
-// false.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxControlBody)
+// decodeJSON decodes one JSON value from body into v, rejecting unknown
+// fields. It reads the body to its end, so a body past a MaxBytesReader
+// limit fails wherever the excess sits.
+func decodeJSON(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		_, err = io.Copy(io.Discard, body)
 	}
+	return err
+}
+
+// decodeBody decodes one request body of at most maxControlBody bytes
+// into v. On failure it answers the request itself — 413 past the limit,
+// 400 otherwise — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, maxControlBody), v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):

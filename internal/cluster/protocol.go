@@ -1,6 +1,6 @@
-// Package cluster implements distributed sweep execution for sharesimd:
-// a coordinator decomposes a suite request into work bundles sharded by
-// (workload × LLC config table), leases them to polling workers over a
+// Package cluster implements distributed job execution for sharesimd:
+// a coordinator decomposes one experiment job into work bundles sharded
+// by (workload × LLC config table), leases them to polling workers over a
 // small versioned HTTP protocol, and deterministically merges the
 // returned rows back into the exact tables sim.Experiments produces —
 // byte-identical to a single-process run.
@@ -25,9 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/sim"
@@ -37,70 +35,23 @@ import (
 
 // ProtoVersion is the bundle-protocol version. Every request carries it;
 // a coordinator rejects mismatched workers with an enumerating error
-// rather than silently mis-scheduling.
-const ProtoVersion = 1
+// rather than silently mis-scheduling. Version 2 carries a one-experiment
+// job request in each bundle.
+const ProtoVersion = 2
 
-// Request is a cluster sweep submission: one or more experiment ids over
-// the knobs the daemon's job request shares (sim.Request). Unlike a job
-// it allows several experiments per submission (the full-catalogue sweep
-// is the cluster's unit of work) and an explicit machine config (diff
-// harnesses run tiny non-default machines).
+// Request is the job a coordinator schedules: the daemon's normalized
+// one-experiment job request, plus an explicit machine config that only
+// diff harnesses set (they run tiny non-default machines). The job's key,
+// and so every bundle ID, is the job request's Key; the machine is not
+// part of it, because the daemon never sets one.
 type Request struct {
-	Exps []string `json:"exps"` // experiment ids; "all" expands to the whole catalogue
+	sim.JobRequest
 	// Machine overrides the simulated machine; nil means cache.DefaultConfig().
 	Machine *cache.Config `json:"machine,omitempty"`
-	sim.Request
 }
 
-// Normalize expands "all", validates every experiment id against the
-// index, and normalizes the knobs. The normalized form is what Key
-// hashes, so submissions differing only in omitted-vs-explicit defaults
-// coalesce.
-func (r *Request) Normalize() error {
-	if len(r.Exps) == 0 {
-		return errors.New("missing required field \"exps\"")
-	}
-	var exps []string
-	seen := map[string]bool{}
-	add := func(id string) error {
-		if _, err := sim.ExperimentByID(id); err != nil {
-			return err
-		}
-		if !seen[id] {
-			seen[id] = true
-			exps = append(exps, id)
-		}
-		return nil
-	}
-	for _, e := range r.Exps {
-		e = strings.ToLower(strings.TrimSpace(e))
-		if e == "all" {
-			for _, id := range sim.ExperimentIDs() {
-				if err := add(id); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := add(e); err != nil {
-			return err
-		}
-	}
-	r.Exps = exps
-	return r.Request.Normalize()
-}
-
-// Key is the canonical request hash: jobs, bundle IDs and result caching
-// all derive from it, which is what lets a restarted coordinator re-adopt
-// a resubmitted job's in-flight bundles.
-func (r Request) Key() string {
-	b, _ := json.Marshal(r)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// MachineConfig resolves the simulated machine.
-func (r Request) MachineConfig() cache.Config {
+// machineConfig resolves the simulated machine.
+func (r Request) machineConfig() cache.Config {
 	if r.Machine != nil {
 		return *r.Machine
 	}
@@ -124,17 +75,14 @@ func (r Request) workloadOrder() []string {
 }
 
 // scaledModel resolves one workload name to the scaled model the suite
-// would prepare, replicating sim.NewSuiteContext's scaling exactly so
-// stream hashes computed here match the ones the worker's suite requests.
+// would prepare, so stream hashes computed here match the ones the
+// worker's suite requests.
 func (r Request) scaledModel(name string) (workloads.Model, error) {
 	m, err := workloads.ByName(name)
 	if err != nil {
 		return workloads.Model{}, err
 	}
-	if r.Scale != 1 {
-		m = m.Scaled(r.Scale)
-	}
-	return m, nil
+	return sim.ScaleModel(m, r.Scale), nil
 }
 
 // streamRefFor names the content-addressed stream a workload of this
@@ -147,7 +95,7 @@ func (r Request) streamRefFor(name string, seed uint64) (StreamRef, error) {
 	return StreamRef{
 		Workload: name,
 		Seed:     seed,
-		Hash:     streamcache.Key(m, r.MachineConfig(), seed),
+		Hash:     streamcache.Key(m, r.machineConfig(), seed),
 	}, nil
 }
 
@@ -167,15 +115,14 @@ type StreamRef struct {
 // sim.PlanFor declines: they build their own streams or are static).
 const WholeExperiment = -1
 
-// Bundle is one leased unit of work: a single (experiment, table spec,
-// workload) slice, or a whole experiment when Spec == WholeExperiment.
+// Bundle is one leased unit of work: a single (table spec, workload)
+// slice of its job's experiment, or the whole experiment when Spec ==
+// WholeExperiment.
 type Bundle struct {
-	ID  string `json:"id"`
-	Job string `json:"job"` // Request.Key() of the owning job
-	Exp string `json:"exp"`
-	// Spec indexes sim.PlanFor(Exp, Request.Options()); the worker
-	// recomputes the same plan from the carried request, so the two sides
-	// agree on parametrization by construction.
+	ID string `json:"id"`
+	// Spec indexes sim.PlanFor(Request.Exp, Request.Options()); the
+	// worker recomputes the same plan from the carried request, so the
+	// two sides agree on parametrization by construction.
 	Spec     int         `json:"spec"`
 	Workload string      `json:"workload,omitempty"` // empty for whole-experiment bundles
 	Request  Request     `json:"request"`

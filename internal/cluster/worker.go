@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -197,11 +198,17 @@ func (w *Worker) process(ctx context.Context, lease LeaseResponse) {
 	}
 }
 
-// executeBundle materializes streams and runs one bundle to a result.
-// Tests call it to drive the execution path without the poll loop
-// (e.g. delivering a dead coordinator's lease to its successor).
+// executeBundle validates a leased bundle, materializes its streams and
+// runs it to a result; a bundle that fails validation comes back as an
+// error result without touching the simulator. Tests call it to drive
+// the execution path without the poll loop (e.g. delivering a dead
+// coordinator's lease to its successor).
 func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 	res := BundleResult{Proto: ProtoVersion, Worker: w.name}
+	if err := b.validate(); err != nil {
+		res.Err = fmt.Sprintf("invalid bundle %s: %v", b.ID, err)
+		return res
+	}
 	w.ensureStreams(ctx, b)
 
 	tables, rows, err := w.runBundle(ctx, b)
@@ -235,14 +242,41 @@ func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 	return res
 }
 
-// runBundle executes the simulation slice of a bundle.
+// validate normalizes a leased bundle's request the way the daemon
+// normalizes a job body, and checks that the bundle names a slice of it:
+// a whole-experiment bundle for an experiment without a table plan, or a
+// planned spec index over one of the job's workloads. A worker trusts
+// nothing a coordinator sends, so no knob the daemon would refuse (an
+// LLC some policy cannot run, an unknown workload) reaches the simulator.
+func (b *Bundle) validate() error {
+	if err := b.Request.Normalize(); err != nil {
+		return err
+	}
+	if err := b.Request.machineConfig().Validate(); err != nil {
+		return err
+	}
+	specs, planned := sim.PlanFor(b.Request.Exp, b.Request.Options())
+	switch {
+	case b.Spec == WholeExperiment:
+		if planned {
+			return fmt.Errorf("experiment %q runs as table-spec bundles, not whole", b.Request.Exp)
+		}
+	case b.Spec < 0 || b.Spec >= len(specs):
+		return fmt.Errorf("spec index %d out of range for %q (%d specs)", b.Spec, b.Request.Exp, len(specs))
+	case !slices.Contains(b.Request.workloadOrder(), b.Workload):
+		return fmt.Errorf("workload %q is not in the job's suite", b.Workload)
+	}
+	return nil
+}
+
+// runBundle executes the simulation slice of a validated bundle.
 func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Table, rows any, err error) {
 	knobs := b.Request.Request
 	if b.Spec != WholeExperiment {
 		// A spec bundle is one workload's slice: its suite holds only it.
 		knobs.Workloads = []string{b.Workload}
 	}
-	cfg, err := knobs.Config(b.Request.MachineConfig())
+	cfg, err := knobs.Config(b.Request.machineConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -250,7 +284,7 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 	cfg.Streams = w.cfg.Cache.Stream
 	opts := knobs.Options()
 	if b.Spec == WholeExperiment {
-		exp, err := sim.ExperimentByID(b.Exp)
+		exp, err := sim.ExperimentByID(b.Request.Exp)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -266,13 +300,7 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Tabl
 		return tables, nil, err
 	}
 
-	specs, ok := sim.PlanFor(b.Exp, opts)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiment %q has no table plan", b.Exp)
-	}
-	if b.Spec < 0 || b.Spec >= len(specs) {
-		return nil, nil, fmt.Errorf("spec index %d out of range for %q (%d specs)", b.Spec, b.Exp, len(specs))
-	}
+	specs, _ := sim.PlanFor(b.Request.Exp, opts)
 	suite, err := sim.NewSuiteContext(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -402,7 +430,7 @@ func (w *Worker) post(ctx context.Context, url string, body, out any) (int, erro
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := decodeJSON(http.MaxBytesReader(nil, resp.Body, maxControlBody), out); err != nil {
 			return resp.StatusCode, err
 		}
 	}

@@ -3,12 +3,8 @@ package server
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,40 +13,6 @@ import (
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
-
-// Request is the body of POST /v1/jobs: one experiment id over the
-// shared knobs. Zero knobs take sim.Request's defaults, so `{"exp":"f1"}`
-// is a complete submission.
-type Request struct {
-	Exp string `json:"exp"`
-	sim.Request
-}
-
-// normalize validates the experiment id against the index and normalizes
-// the knobs. The normalized form is what gets hashed, so two requests
-// that differ only in omitted-vs-explicit defaults share one cache entry.
-func (r *Request) normalize() error {
-	r.Exp = strings.ToLower(strings.TrimSpace(r.Exp))
-	if r.Exp == "" {
-		return errors.New("missing required field \"exp\"")
-	}
-	if r.Exp == "all" {
-		return errors.New("\"all\" is a CLI convenience; submit one job per experiment")
-	}
-	if _, err := sim.ExperimentByID(r.Exp); err != nil {
-		return err
-	}
-	return r.Request.Normalize()
-}
-
-// key is the result-cache key: the hash of the canonical (normalized)
-// request JSON. Anything that changes simulation output must be part of
-// Request, so the key covers experiment id, config, seed and workloads.
-func (r *Request) key() string {
-	b, _ := json.Marshal(r)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
 
 type State string
 
@@ -80,7 +42,7 @@ type Event struct {
 // state so waiters need no polling.
 type Job struct {
 	ID      string
-	Request Request
+	Request sim.JobRequest
 	Key     string
 
 	mu        sync.Mutex
@@ -141,7 +103,7 @@ func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
 // Runner executes one experiment run. The indirection lets tests
 // substitute a controllable runner for the real simulator.
-type Runner func(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error)
+type Runner func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error)
 
 // Config sizes the Manager.
 type Config struct {
@@ -160,9 +122,11 @@ type Config struct {
 	StreamCache *streamcache.Cache
 
 	// Coordinator, when non-nil, replaces the in-process runner with the
-	// cluster scheduler: each job is decomposed into bundles and executed
-	// by polling workers, with results merged byte-identically to the
-	// direct path. Its protocol endpoints are mounted on the server mux
+	// cluster scheduler: each job the Manager admits is handed to it
+	// as is, decomposed into bundles and executed by polling workers,
+	// with results merged byte-identically to the direct path. The
+	// Manager stays the only place a job is coalesced, cached and
+	// cancelled. Its protocol endpoints are mounted on the server mux
 	// and its counters join /metrics. Ignored when a custom Runner is set.
 	Coordinator *cluster.Coordinator
 }
@@ -236,9 +200,6 @@ func newManager(cfg Config) *Manager {
 	return m
 }
 
-// Metrics exposes the registry for the /metrics handler.
-func (m *Manager) Metrics() *metrics { return m.met }
-
 var (
 	// ErrQueueFull is returned when the queue is at capacity.
 	ErrQueueFull = errors.New("job queue full, retry later")
@@ -249,11 +210,11 @@ var (
 // submit validates, dedupes and enqueues a request. The bool reports
 // whether the returned job is fresh work (false = cache hit or coalesced
 // onto an identical in-flight job).
-func (m *Manager) submit(req Request) (*Job, bool, error) {
-	if err := req.normalize(); err != nil {
+func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
+	if err := req.Normalize(); err != nil {
 		return nil, false, err
 	}
-	key := req.key()
+	key := req.Key()
 
 	m.mu.Lock()
 	if m.draining {
@@ -303,7 +264,7 @@ func (m *Manager) submit(req Request) (*Job, bool, error) {
 }
 
 // newJobLocked allocates a job and registers it; caller holds m.mu.
-func (m *Manager) newJobLocked(req Request, key string) *Job {
+func (m *Manager) newJobLocked(req sim.JobRequest, key string) *Job {
 	m.seq++
 	job := &Job{
 		ID:      fmt.Sprintf("job-%d", m.seq),

@@ -12,13 +12,14 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/report"
+	"sharellc/internal/sim"
 	"sharellc/internal/workloads"
 )
 
 // TestJobBodyLimit: a job body one byte under the limit is accepted; one
 // byte over is refused with 413 and creates no job.
 func TestJobBodyLimit(t *testing.T) {
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		return []*report.Table{{Title: "stub"}}, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
@@ -83,7 +84,7 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeJob(bytes.NewReader(body))
-		if err != nil || req.normalize() != nil {
+		if err != nil || req.Normalize() != nil {
 			return
 		}
 		canon, err := json.Marshal(req)
@@ -94,10 +95,10 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("normalized %s does not decode: %v", canon, err)
 		}
-		if err := again.normalize(); err != nil {
+		if err := again.Normalize(); err != nil {
 			t.Fatalf("normalized %s is rejected: %v", canon, err)
 		}
-		if twice, _ := json.Marshal(again); !bytes.Equal(twice, canon) || again.key() != req.key() {
+		if twice, _ := json.Marshal(again); !bytes.Equal(twice, canon) || again.Key() != req.Key() {
 			t.Fatalf("normalizing is not idempotent:\n once %s\ntwice %s", canon, twice)
 		}
 		if !sort.StringsAreSorted(req.Workloads) {

@@ -20,7 +20,7 @@ import (
 // regardless of their LLC size or policy.
 func defaultRunner(workers int, sc *streamcache.Cache) Runner {
 	shards := sim.ShardBudget(workers)
-	return func(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
+	return func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
 		cfg, err := req.Config(cache.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -43,11 +43,11 @@ func defaultRunner(workers int, sc *streamcache.Cache) Runner {
 }
 
 // distributedRunner routes jobs through the cluster coordinator instead
-// of the in-process pool: the job's knobs carry over unchanged (same
-// normalization, so identical jobs coalesce in both layers) and the
-// merged tables come back byte-identical to what defaultRunner produces.
+// of the in-process pool. The coordinator runs the normalized job it is
+// handed, one Run per job the Manager admits, and its merged tables come
+// back byte-identical to what defaultRunner produces.
 func distributedRunner(c *cluster.Coordinator) Runner {
-	return func(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
-		return c.Run(ctx, cluster.Request{Exps: []string{req.Exp}, Request: req.Request}, progress)
+	return func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
+		return c.Run(ctx, cluster.Request{JobRequest: req}, progress)
 	}
 }

@@ -107,8 +107,8 @@ const maxJobBody = 16 << 10
 // decodeJob decodes one job body, rejecting unknown fields, and reads the
 // body to its end so that a body past its byte limit fails wherever the
 // excess sits.
-func decodeJob(body io.Reader) (Request, error) {
-	var req Request
+func decodeJob(body io.Reader) (sim.JobRequest, error) {
+	var req sim.JobRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)

@@ -14,18 +14,20 @@ import (
 	"time"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/cluster"
 	"sharellc/internal/core"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
+	"sharellc/internal/sim/streamcache"
 )
 
 // fastReq is the canonical small request used across tests: scale 0.02
 // with two workloads keeps a full f1 run around a second.
-func fastReq() Request {
-	return Request{Exp: "f1", Request: sim.Request{Seed: 1, Scale: 0.02, Workloads: []string{"canneal", "swaptions"}}}
+func fastReq() sim.JobRequest {
+	return sim.JobRequest{Exp: "f1", Request: sim.Request{Seed: 1, Scale: 0.02, Workloads: []string{"canneal", "swaptions"}}}
 }
 
-func postJob(t *testing.T, ts *httptest.Server, req Request) (jobView, int) {
+func postJob(t *testing.T, ts *httptest.Server, req sim.JobRequest) (jobView, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -131,7 +133,7 @@ func TestEndToEndMatchesDirectRun(t *testing.T) {
 func TestCacheHitServedWithoutRun(t *testing.T) {
 	var runs int
 	var mu sync.Mutex
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		mu.Lock()
 		runs++
 		mu.Unlock()
@@ -187,7 +189,7 @@ func TestCacheHitServedWithoutRun(t *testing.T) {
 // no network round trip hides a window between the two.
 func TestRePostOnDoneIsCacheHit(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		<-release
 		return []*report.Table{{Title: "stub", Headers: []string{"h"}, Rows: [][]string{{"x"}}}}, nil
 	}
@@ -245,7 +247,7 @@ func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {
 	release := make(chan struct{})
 	var runs int
 	var mu sync.Mutex
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		mu.Lock()
 		runs++
 		mu.Unlock()
@@ -288,11 +290,73 @@ func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {
 	}
 }
 
+// TestCoordinatorModeAdmitsOnce: in coordinator mode the Manager is the
+// only job layer. Two identical POSTs coalesce onto one daemon job and
+// one coordinator job, its tables equal the in-process runner's, and a
+// repeated POST is served from the daemon's result cache.
+func TestCoordinatorModeAdmitsOnce(t *testing.T) {
+	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{})
+	_, ts := newTestServer(t, Config{Workers: 1, Coordinator: coord})
+
+	// No worker polls yet, so the first job is still in flight when the
+	// second POST arrives.
+	v1, code := postJob(t, ts, fastReq())
+	if code != http.StatusAccepted {
+		t.Fatalf("first POST status = %d, want 202", code)
+	}
+	v2, code := postJob(t, ts, fastReq())
+	if code != http.StatusOK || v2.ID != v1.ID {
+		t.Fatalf("second POST: status %d, job %s; want 200 and job %s", code, v2.ID, v1.ID)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	w, err := cluster.NewWorker(cluster.WorkerConfig{
+		CoordinatorURL: ts.URL,
+		Cache:          streamcache.New(streamcache.Options{}),
+		Poll:           10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() { w.Run(ctx); close(stopped) }()
+	defer func() { cancel(); <-stopped }()
+
+	v := waitDone(t, ts, v1.ID, 2*time.Minute)
+	if v.State != stateDone {
+		t.Fatalf("job state = %s (err %q), want done", v.State, v.Error)
+	}
+	if st := coord.Stats(); st.Jobs != 1 || st.JobsInflight != 0 {
+		t.Errorf("coordinator Jobs = %d, JobsInflight = %d; want 1 and 0", st.Jobs, st.JobsInflight)
+	}
+	req := fastReq()
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := defaultRunner(1, nil)(ctx, req, func(int, int, string) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(v.Tables)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("coordinator-mode tables differ from the in-process runner's:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+
+	v3, code := postJob(t, ts, fastReq())
+	if code != http.StatusOK || !v3.Cached || v3.State != stateDone {
+		t.Errorf("repeated POST: status %d, state %s, cached %v; want 200, done, cached", code, v3.State, v3.Cached)
+	}
+	if st := coord.Stats(); st.Jobs != 1 {
+		t.Errorf("a cached repeat reached the coordinator: Jobs = %d, want 1", st.Jobs)
+	}
+}
+
 // TestCancelRunningJob: DELETE on a running job cancels its context and
 // the job lands in cancelled promptly, freeing the worker.
 func TestCancelRunningJob(t *testing.T) {
 	started := make(chan struct{}, 4) // one signal per run; runner is shared by both jobs below
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -349,7 +413,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	block := make(chan struct{})
 	var mu sync.Mutex
 	ran := map[string]bool{}
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		mu.Lock()
 		ran[req.Exp] = true
 		mu.Unlock()
@@ -433,7 +497,7 @@ func TestBadRequestsRejected(t *testing.T) {
 // rejected with 503 and counted.
 func TestQueueFullReturns503(t *testing.T) {
 	block := make(chan struct{})
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		<-block
 		return []*report.Table{{}}, nil
 	}
@@ -468,7 +532,7 @@ func TestQueueFullReturns503(t *testing.T) {
 // TestEventsStream: the SSE endpoint replays history and ends with a
 // terminal state event; progress events carry done/total.
 func TestEventsStream(t *testing.T) {
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		progress(1, 2, "canneal")
 		progress(2, 2, "swaptions")
 		return []*report.Table{{Title: "stub"}}, nil
@@ -507,7 +571,7 @@ func TestEventsStream(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		close(started)
 		select {
 		case <-release:
@@ -561,7 +625,7 @@ func TestShutdownDrains(t *testing.T) {
 // running jobs are yanked via the base context and the drain reports it.
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	started := make(chan struct{})
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		close(started)
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
@@ -589,23 +653,23 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 // TestNormalizeDefaults: omitted fields hash identically to explicit
 // defaults, so `{"exp":"f1"}` and the fully spelled request share a key.
 func TestNormalizeDefaults(t *testing.T) {
-	a := Request{Exp: "F1"}
-	b := Request{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
-	if err := a.normalize(); err != nil {
+	a := sim.JobRequest{Exp: "F1"}
+	b := sim.JobRequest{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
+	if err := a.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.normalize(); err != nil {
+	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if a.key() != b.key() {
+	if a.Key() != b.Key() {
 		t.Errorf("default and explicit requests hash differently:\n%+v\n%+v", a, b)
 	}
 	c := b
 	c.Seed = 2
-	if err := c.normalize(); err != nil {
+	if err := c.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.key() == b.key() {
+	if c.Key() == b.Key() {
 		t.Error("different seeds share a cache key")
 	}
 }
@@ -686,7 +750,7 @@ func TestJobNotFound(t *testing.T) {
 func TestFailedRunNotCached(t *testing.T) {
 	var runs int
 	var mu sync.Mutex
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		mu.Lock()
 		runs++
 		n := runs

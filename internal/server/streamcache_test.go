@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sharellc/internal/report"
+	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
 
@@ -75,7 +76,7 @@ func TestJobsShareStreamCache(t *testing.T) {
 // TestStreamMetricsAbsentWithoutCache: a manager built without a stream
 // cache must not invent zero-valued stream series.
 func TestStreamMetricsAbsentWithoutCache(t *testing.T) {
-	runner := func(ctx context.Context, req Request, progress func(int, int, string)) ([]*report.Table, error) {
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		return nil, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})

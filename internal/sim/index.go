@@ -2,6 +2,10 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,8 +23,8 @@ import (
 // the sharesimd daemon so the two can never drift apart. Each entry
 // turns a prepared Suite plus per-run knobs into the experiment's
 // report tables. The file also holds the request knobs every front end
-// shares (Request) and the one direct path from them to tables
-// (RunExperiments).
+// shares (Request), the one job request over them (JobRequest) and the
+// one direct path from them to tables (RunExperiments).
 
 // ExpOptions carries the per-run knobs shared by every experiment.
 type ExpOptions struct {
@@ -30,9 +34,9 @@ type ExpOptions struct {
 	Prot     core.Options // protection options for the oracle/predictor families
 }
 
-// Request holds the knobs the daemon's job body and the cluster's sweep
-// body share; each embeds it, so both JSON bodies carry these fields
-// under the same names. Zero fields take the defaults Normalize fills.
+// Request holds the knobs every front end shares. The job body embeds
+// it, so its JSON carries these fields flat. Zero fields take the
+// defaults Normalize fills.
 type Request struct {
 	LLCMB     float64  `json:"llc_mb,omitempty"`
 	Ways      int      `json:"ways,omitempty"`
@@ -41,6 +45,44 @@ type Request struct {
 	Workloads []string `json:"workloads,omitempty"`
 	Policies  []string `json:"policies,omitempty"`
 	Strength  string   `json:"strength,omitempty"`
+}
+
+// JobRequest is one job: an experiment id over the shared knobs. It is
+// the body of the daemon's POST /v1/jobs, and the cluster carries it
+// unchanged from the daemon's job manager through the coordinator to
+// every bundle. Zero knobs take Request's defaults, so `{"exp":"f1"}` is
+// a complete job.
+type JobRequest struct {
+	Exp string `json:"exp"`
+	Request
+}
+
+// Normalize validates the experiment id against the index and
+// normalizes the knobs. The normalized form is what Key hashes, so two
+// jobs that differ only in omitted-vs-explicit defaults share a key.
+func (r *JobRequest) Normalize() error {
+	r.Exp = strings.ToLower(strings.TrimSpace(r.Exp))
+	if r.Exp == "" {
+		return errors.New("missing required field \"exp\"")
+	}
+	if r.Exp == "all" {
+		return errors.New("\"all\" is a CLI convenience; submit one job per experiment")
+	}
+	if _, err := ExperimentByID(r.Exp); err != nil {
+		return err
+	}
+	return r.Request.Normalize()
+}
+
+// Key is the hash of the normalized job's canonical JSON. Everything
+// that changes a job's tables is part of JobRequest, so the key covers
+// the experiment id, the LLC, the seed, the scale and the workloads. The
+// daemon's result cache and coalescing map and the cluster's bundle IDs
+// all derive from it.
+func (r JobRequest) Key() string {
+	b, _ := json.Marshal(r)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // maxLLCMB caps a request's LLC size in MB. Experiments replay up to
@@ -320,9 +362,7 @@ func runM1(s *Suite, o ExpOptions) ([]*report.Table, error) {
 			return nil, err
 		}
 		for i := range ms {
-			if s.Config.Scale != 1 {
-				ms[i] = ms[i].Scaled(s.Config.Scale)
-			}
+			ms[i] = ScaleModel(ms[i], s.Config.Scale)
 		}
 		mixes = append(mixes, ms)
 	}

@@ -149,6 +149,17 @@ type Suite struct {
 	progress func(done, total int, label string)
 }
 
+// ScaleModel is the one rule that scales a workload model to a run's
+// scale: at scale 1 the model is used as given. A stream's cache key
+// hashes the scaled model, so the suite, m1's mixes and the cluster's
+// stream references agree on every hash only by scaling through here.
+func ScaleModel(m workloads.Model, scale float64) workloads.Model {
+	if scale != 1 {
+		return m.Scaled(scale)
+	}
+	return m
+}
+
 // NewSuite prepares every workload's stream in parallel.
 func NewSuite(cfg Config) (*Suite, error) {
 	return NewSuiteContext(context.Background(), cfg)
@@ -171,10 +182,7 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	}
 	scaled := make([]workloads.Model, len(models))
 	for i, m := range models {
-		if cfg.Scale != 1 {
-			m = m.Scaled(cfg.Scale)
-		}
-		scaled[i] = m
+		scaled[i] = ScaleModel(m, cfg.Scale)
 	}
 	build := cfg.Streams
 	if build == nil {
