@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,11 +118,13 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 // job per experiment and the merged tables are byte-identical to the
 // direct run.
 // Every workload stream is built at most once cluster-wide: later
-// bundles peer-fetch instead of rebuilding.
+// bundles peer-fetch instead of rebuilding. No result body a worker posts
+// comes within 8x of the control-body bound, so a row kind that grows
+// fails here rather than with a 413 in production.
 func TestClusterE2EByteIdentical(t *testing.T) {
 	exps := sim.ExperimentIDs()
 	if testing.Short() {
-		exps = []string{"config", "f1", "f5", "c1", "m1"}
+		exps = []string{"config", "f1", "f4", "f5", "c1", "m1", "a5"}
 	}
 	want := wantTables(t, exps)
 
@@ -128,9 +132,26 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 	builds := map[string]int{}
 	hook := func(k string) { mu.Lock(); builds[k]++; mu.Unlock() }
 
-	coord, cs := startCoordinator(t, CoordinatorConfig{
+	coord := NewCoordinator(CoordinatorConfig{
 		Cache: streamcache.New(streamcache.Options{BuildHook: hook}),
 	})
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	largest := 0
+	cs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			largest = max(largest, len(body))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer cs.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < 3; i++ {
@@ -155,6 +176,10 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 		if n > 1 {
 			t.Errorf("stream %s built %d times cluster-wide, want at most 1", k, n)
 		}
+	}
+	t.Logf("largest result body: %d bytes", largest)
+	if largest == 0 || largest > maxControlBody/8 {
+		t.Errorf("largest result body is %d bytes, want within (0, %d]", largest, maxControlBody/8)
 	}
 	if st := coord.Stats(); st.BundlesDone == 0 {
 		t.Error("coordinator reports zero bundles done")
@@ -602,15 +627,53 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 		b    Bundle
 	}{
 		{"f4 at 3 MB and 3 ways", Bundle{ID: "b-ways", Spec: 0, Workload: "canneal", Request: threeWays}},
-		{"unknown experiment", Bundle{ID: "b-exp", Spec: WholeExperiment, Request: Request{JobRequest: sim.JobRequest{Exp: "f99"}}}},
+		{"unknown experiment", Bundle{ID: "b-exp", Spec: 0, Request: Request{JobRequest: sim.JobRequest{Exp: "f99"}}}},
+		{"static experiment", Bundle{ID: "b-static", Spec: 0, Request: testRequest([]string{"config"})}},
 		{"spec out of range", Bundle{ID: "b-spec", Spec: 99, Workload: "canneal", Request: testRequest([]string{"f1"})}},
 		{"negative spec", Bundle{ID: "b-neg", Spec: -2, Workload: "canneal", Request: testRequest([]string{"f1"})}},
+		{"the old whole-experiment spec", Bundle{ID: "b-old", Spec: -1, Request: testRequest([]string{"m1"})}},
 		{"workload outside the job", Bundle{ID: "b-wl", Spec: 0, Workload: "lu", Request: testRequest([]string{"f1"})}},
-		{"planned experiment as a whole", Bundle{ID: "b-whole", Spec: WholeExperiment, Request: testRequest([]string{"f1"})}},
+		{"per-workload spec without a workload", Bundle{ID: "b-none", Spec: 0, Request: testRequest([]string{"f1"})}},
+		{"whole-job spec with a workload", Bundle{ID: "b-whole", Spec: 0, Workload: "canneal", Request: testRequest([]string{"a5"})}},
 		{"invalid machine", Bundle{ID: "b-machine", Spec: 0, Workload: "canneal", Request: badMachine}},
 	} {
 		if res := w.executeBundle(context.Background(), c.b); res.Err == "" {
 			t.Errorf("%s: bundle accepted", c.name)
+		}
+	}
+	m1 := Bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
+	if err := m1.validate(); err != nil {
+		t.Errorf("m1's whole-job bundle refused: %v", err)
+	}
+}
+
+// TestWorkerPostsUnencodableRowsAsError: rows the JSON wire cannot carry
+// (a NaN or ±Inf value) become an error result, and the coordinator
+// counts that result as a failed attempt and re-queues the bundle.
+func TestWorkerPostsUnencodableRowsAsError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord, cs := startCoordinator(t, CoordinatorConfig{})
+	go coord.Run(ctx, testRequest([]string{"f4"}), nil)
+	var lease LeaseResponse
+	for ok := false; !ok; {
+		if lease, ok = coord.lease("w"); !ok {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res := BundleResult{Proto: ProtoVersion, Worker: "w"}
+		res.setRows([]sim.PolicyRow{{Workload: lease.Bundle.Workload, Policy: "lru", MissesVsLRU: x}}, nil)
+		if res.Err == "" || res.Rows != nil {
+			t.Fatalf("rows with %v: error %q, rows %s; want an error and no rows", x, res.Err, res.Rows)
+		}
+		before := coord.Stats()
+		if code := postResult(t, cs.URL, lease.Bundle.ID, res); code != http.StatusOK {
+			t.Fatalf("error result: status %d, want 200", code)
+		}
+		after := coord.Stats()
+		if after.BundlesFailed != before.BundlesFailed+1 || after.BundlesDone != 0 || after.BundlesInflight != 0 {
+			t.Errorf("error result with %v: %+v -> %+v; want one more failed bundle, re-queued", x, before, after)
 		}
 	}
 }
@@ -624,7 +687,11 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 func FuzzLeaseIntake(f *testing.F) {
 	for _, b := range []Bundle{
 		{ID: "b-1", Spec: 0, Workload: "canneal", Request: testRequest([]string{"f1"})},
-		{ID: "b-2", Spec: WholeExperiment, Request: testRequest([]string{"a5"})},
+		{ID: "b-2", Spec: 0, Request: testRequest([]string{"a5"})},
+		{ID: "b-4", Spec: 0, Request: testRequest([]string{"m1"})},
+		{ID: "b-5", Spec: 0, Request: testRequest([]string{"f1"})},
+		{ID: "b-6", Spec: 0, Workload: "canneal", Request: testRequest([]string{"m1"})},
+		{ID: "b-7", Spec: -1, Request: testRequest([]string{"m1"})},
 		{ID: "b-3", Spec: 1, Workload: "swaptions", Request: testRequest([]string{"f5"}),
 			Streams: []StreamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}}}},
 	} {

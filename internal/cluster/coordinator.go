@@ -59,24 +59,22 @@ const (
 type bundle struct {
 	proto Bundle
 	job   *job
-	kind  string // row kind for spec bundles, "" for whole-experiment
 
 	state    int
 	worker   string
 	expiry   time.Time
 	attempts int
 
-	rows   any             // decoded rows (spec bundles)
-	tables []*report.Table // decoded tables (whole-experiment bundles)
+	rows any // decoded rows
 }
 
-// job is one admitted request and its bundles, in queue order: a single
-// whole-experiment bundle, or one bundle per (spec, workload), spec-major
-// with workloads in canonical merge order.
+// job is one admitted request and its bundles, in queue order: spec-major,
+// one bundle per workload in canonical merge order for a per-workload
+// spec and one for a whole-job spec.
 type job struct {
 	key     string
 	req     Request
-	specs   []sim.TableSpec // nil for a whole-experiment job
+	specs   []sim.TableSpec
 	bundles []*bundle
 	done    int
 
@@ -139,8 +137,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // single daemon produces for the same job. req must be normalized
 // (sim.JobRequest.Normalize): the daemon's Manager admits, coalesces and
 // caches jobs and hands each one over once, so a Run for a job already
-// in flight is an error. A static experiment (config, suite) runs inline
-// with no bundles. Cancelling ctx fails and forgets an unfinished job,
+// in flight is an error. A static experiment, one without a table plan,
+// runs inline with no bundles. Cancelling ctx fails and forgets an unfinished job,
 // dropping its pending bundles; a worker mid-bundle learns at its next
 // heartbeat and cancels. A job is forgotten once it finishes or fails, so
 // a later identical Run schedules it afresh.
@@ -149,7 +147,8 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 	if err != nil {
 		return nil, err
 	}
-	if !exp.NeedsSuite {
+	specs, ok := sim.PlanFor(exp.ID, req.Options())
+	if !ok {
 		return exp.Run(nil, req.Options())
 	}
 	key := req.Key()
@@ -159,7 +158,7 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 		c.mu.Unlock()
 		return nil, fmt.Errorf("job %s (%s) is already running", key, req.Exp)
 	}
-	j, err := c.admitLocked(key, req, progress)
+	j, err := c.admitLocked(key, req, specs, progress)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -183,55 +182,32 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 	return nil, ctx.Err()
 }
 
-// admitLocked plans a job's bundles and queues them. Caller holds c.mu.
-func (c *Coordinator) admitLocked(key string, req Request, progress func(int, int, string)) (*job, error) {
-	j := &job{key: key, req: req, doneCh: make(chan struct{}), progress: progress}
-	if specs, ok := sim.PlanFor(req.Exp, req.Options()); ok {
-		j.specs = specs
-		order := req.workloadOrder()
-		for si := range specs {
-			for _, w := range order {
-				ref, err := req.streamRefFor(w, req.Seed)
+// admitLocked queues a job's bundles: one per workload for a
+// per-workload spec, naming that workload's stream, and one with an empty
+// workload for a whole-job spec, naming the streams the spec reads.
+// Caller holds c.mu.
+func (c *Coordinator) admitLocked(key string, req Request, specs []sim.TableSpec, progress func(int, int, string)) (*job, error) {
+	j := &job{key: key, req: req, specs: specs, doneCh: make(chan struct{}), progress: progress}
+	for si, sp := range specs {
+		names := req.workloadOrder()
+		if sp.Whole {
+			names = []string{""}
+		}
+		for _, w := range names {
+			reads := sp.Reads
+			if !sp.Whole {
+				reads = []string{w}
+			}
+			b := &bundle{proto: Bundle{ID: bundleID(key, req.Exp, si, w), Spec: si, Workload: w, Request: req}, job: j}
+			for _, r := range reads {
+				ref, err := req.streamRefFor(r, req.Seed)
 				if err != nil {
 					return nil, err
 				}
-				j.bundles = append(j.bundles, &bundle{
-					proto: Bundle{
-						ID:       bundleID(key, req.Exp, si, w),
-						Spec:     si,
-						Workload: w,
-						Request:  req,
-						Streams:  []StreamRef{ref},
-					},
-					job:  j,
-					kind: specs[si].Kind,
-				})
+				b.proto.Streams = append(b.proto.Streams, ref)
 			}
+			j.bundles = append(j.bundles, b)
 		}
-	} else {
-		// Whole-experiment bundle. a5 regenerates a fixed workload
-		// subset whose request-seed streams share hashes with the
-		// primary suite; naming them here lets the executing worker
-		// peer-fetch instead of rebuilding.
-		var refs []StreamRef
-		if req.Exp == "a5" {
-			for _, w := range sim.A5Workloads() {
-				ref, err := req.streamRefFor(w, req.Seed)
-				if err != nil {
-					return nil, err
-				}
-				refs = append(refs, ref)
-			}
-		}
-		j.bundles = []*bundle{{
-			proto: Bundle{
-				ID:      bundleID(key, req.Exp, WholeExperiment, ""),
-				Spec:    WholeExperiment,
-				Request: req,
-				Streams: refs,
-			},
-			job: j,
-		}}
 	}
 	// Queue in plan order; the lease scan plus stream gating takes care
 	// of spreading workloads across workers.
@@ -441,23 +417,11 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	if res.Err != "" {
 		return fail(errors.New(res.Err))
 	}
-	if b.proto.Spec == WholeExperiment {
-		tables := make([]*report.Table, len(res.Tables))
-		for i, raw := range res.Tables {
-			var t report.Table
-			if err := json.Unmarshal(raw, &t); err != nil {
-				return fail(fmt.Errorf("undecodable table payload: %w", err))
-			}
-			tables[i] = &t
-		}
-		b.tables = tables
-	} else {
-		rows, err := sim.DecodeRows(b.kind, res.Rows)
-		if err != nil {
-			return fail(err)
-		}
-		b.rows = rows
+	rows, err := sim.DecodeRows(b.job.specs[b.proto.Spec].Kind, res.Rows)
+	if err != nil {
+		return fail(err)
 	}
+	b.rows = rows
 
 	c.releaseBuildingLocked(b)
 	b.state = bundleDone
@@ -467,9 +431,9 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	j.done++
 	total := len(j.bundles)
 	if j.progress != nil {
-		label := fmt.Sprintf("bundle %s", j.req.Exp)
+		label := fmt.Sprintf("bundle %s[%d]", j.req.Exp, b.proto.Spec)
 		if b.proto.Workload != "" {
-			label = fmt.Sprintf("bundle %s[%d] %s", j.req.Exp, b.proto.Spec, b.proto.Workload)
+			label += " " + b.proto.Workload
 		}
 		j.progress(j.done, total, label)
 	}
@@ -479,33 +443,28 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	return nil
 }
 
-// finishLocked merges a completed job's partial rows into final tables:
-// each spec's rows appended workload by workload in canonical suite
+// finishLocked merges a completed job's rows into final tables: each
+// spec's rows appended bundle by bundle, workloads in canonical suite
 // order, exactly the row order a whole-suite run produces, so the
 // rendered tables are byte-identical to the direct path. The job is then
 // forgotten.
 func (c *Coordinator) finishLocked(j *job) {
 	defer c.forgetLocked(j)
 	defer close(j.doneCh)
-	if j.specs == nil {
-		j.tables = j.bundles[0].tables
-		return
-	}
-	n := len(j.bundles) / len(j.specs)
-	tables := make([]*report.Table, len(j.specs))
-	for si, spec := range j.specs {
-		var merged any
-		for _, b := range j.bundles[si*n : (si+1)*n] {
-			m, err := sim.MergeRows(spec.Kind, merged, b.rows)
-			if err != nil {
-				j.err = err
-				return
-			}
-			merged = m
+	merged := make([]any, len(j.specs))
+	for _, b := range j.bundles {
+		si := b.proto.Spec
+		m, err := sim.MergeRows(j.specs[si].Kind, merged[si], b.rows)
+		if err != nil {
+			j.err = err
+			return
 		}
-		tables[si] = spec.Render(merged)
+		merged[si] = m
 	}
-	j.tables = tables
+	j.tables = make([]*report.Table, len(j.specs))
+	for si, spec := range j.specs {
+		j.tables[si] = spec.Render(merged[si])
+	}
 }
 
 // Stats snapshots the scheduler counters.
@@ -549,12 +508,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // maxControlBody bounds every control-plane body, in both directions.
-// The largest legitimate request is a result: one workload's rows of one
-// table, or a whole experiment's tables for m1 and a5, plus the custody
-// hashes. Row counts do not grow with scale or suite size, and the
-// largest result a full-catalogue run posts is under 1.5 KiB. The
+// The largest legitimate request is a result: one bundle's rows of one
+// table as JSON, plus the custody hashes. Row counts do not grow with
+// scale or suite size, and the largest result a full-size run of the
+// catalogue at default knobs posts is 2.6 KiB (one workload's 14 policy-comparison rows);
+// the 3-worker e2e test fails past maxControlBody/8. The
 // largest response is a lease: one job request plus a stream reference
-// and its source URLs per workload.
+// and its source URLs per stream the bundle reads.
 const maxControlBody = 64 << 10
 
 // decodeJSON decodes one JSON value from body into v, rejecting unknown

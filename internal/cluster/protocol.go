@@ -1,9 +1,11 @@
 // Package cluster implements distributed job execution for sharesimd:
-// a coordinator decomposes one experiment job into work bundles sharded
-// by (workload × LLC config table), leases them to polling workers over a
-// small versioned HTTP protocol, and deterministically merges the
-// returned rows back into the exact tables sim.Experiments produces —
-// byte-identical to a single-process run.
+// a coordinator decomposes one experiment job into work bundles along
+// the experiment's table plan (sim.PlanFor) — one bundle per (table
+// spec, workload), or one per job for a whole-job spec — leases them to
+// polling workers over a small versioned HTTP protocol, and
+// deterministically merges the returned rows back into the exact tables
+// sim.Experiments produces, byte-identical to a single-process run. The
+// package names no experiment: every choice it makes reads the plan.
 //
 // The protocol is deliberately minimal (modeled on pull-based bundle
 // distribution: workers poll for work, report health via heartbeats, and
@@ -35,9 +37,9 @@ import (
 
 // ProtoVersion is the bundle-protocol version. Every request carries it;
 // a coordinator rejects mismatched workers with an enumerating error
-// rather than silently mis-scheduling. Version 2 carries a one-experiment
-// job request in each bundle.
-const ProtoVersion = 2
+// rather than silently mis-scheduling. Version 3 carries a one-experiment
+// job request in each bundle, and every result is rows.
+const ProtoVersion = 3
 
 // Request is the job a coordinator schedules: the daemon's normalized
 // one-experiment job request, plus an explicit machine config that only
@@ -110,21 +112,16 @@ type StreamRef struct {
 	Sources []string `json:"sources,omitempty"`
 }
 
-// WholeExperiment is the Bundle.Spec value of a bundle that runs an
-// entire experiment rather than one table-spec slice (the experiments
-// sim.PlanFor declines: they build their own streams or are static).
-const WholeExperiment = -1
-
-// Bundle is one leased unit of work: a single (table spec, workload)
-// slice of its job's experiment, or the whole experiment when Spec ==
-// WholeExperiment.
+// Bundle is one leased unit of work: one table spec of its job's plan,
+// over one workload for a per-workload spec or over the job's
+// configuration for a whole-job spec.
 type Bundle struct {
 	ID string `json:"id"`
 	// Spec indexes sim.PlanFor(Request.Exp, Request.Options()); the
 	// worker recomputes the same plan from the carried request, so the
 	// two sides agree on parametrization by construction.
 	Spec     int         `json:"spec"`
-	Workload string      `json:"workload,omitempty"` // empty for whole-experiment bundles
+	Workload string      `json:"workload,omitempty"` // empty for a whole-job spec
 	Request  Request     `json:"request"`
 	Streams  []StreamRef `json:"streams,omitempty"`
 }
@@ -165,15 +162,13 @@ type HeartbeatResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 }
 
-// BundleResult is the body of the result POST. Exactly one of Rows
-// (spec bundles, sim.EncodeRows gob bytes) or Tables (whole-experiment
-// bundles, canonical table JSON) is set on success.
+// BundleResult is the body of the result POST: on success the spec's
+// rows as sim.EncodeRows JSON, on failure the error.
 type BundleResult struct {
-	Proto  int               `json:"proto"`
-	Worker string            `json:"worker"`
-	Err    string            `json:"error,omitempty"`
-	Rows   []byte            `json:"rows,omitempty"`
-	Tables []json.RawMessage `json:"tables,omitempty"`
+	Proto  int             `json:"proto"`
+	Worker string          `json:"worker"`
+	Err    string          `json:"error,omitempty"`
+	Rows   json.RawMessage `json:"rows,omitempty"`
 	// Built lists stream hashes resident on this worker after the run
 	// (fetched or built), so the coordinator can advertise it as a source.
 	Built []string `json:"built,omitempty"`

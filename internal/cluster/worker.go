@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sharellc/internal/report"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 	"sharellc/internal/workloads"
@@ -210,28 +209,7 @@ func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 		return res
 	}
 	w.ensureStreams(ctx, b)
-
-	tables, rows, err := w.runBundle(ctx, b)
-	if err != nil {
-		res.Err = err.Error()
-	} else if b.Spec == WholeExperiment {
-		res.Tables = make([]json.RawMessage, len(tables))
-		for i, t := range tables {
-			raw, err := json.Marshal(t)
-			if err != nil {
-				res.Err = err.Error()
-				break
-			}
-			res.Tables[i] = raw
-		}
-	} else {
-		wire, err := sim.EncodeRows(rows)
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			res.Rows = wire
-		}
-	}
+	res.setRows(w.runBundle(ctx, b))
 	// Custody report: every referenced stream now resident here is
 	// advertisable to peers, whether it arrived by fetch or local build.
 	for _, ref := range b.Streams {
@@ -242,12 +220,23 @@ func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 	return res
 }
 
+// setRows records a run's outcome: its rows as wire JSON, or the error of
+// the run or of the encoding (a non-finite row value cannot cross).
+func (res *BundleResult) setRows(rows any, err error) {
+	if err == nil {
+		res.Rows, err = sim.EncodeRows(rows)
+	}
+	if err != nil {
+		res.Rows, res.Err = nil, err.Error()
+	}
+}
+
 // validate normalizes a leased bundle's request the way the daemon
-// normalizes a job body, and checks that the bundle names a slice of it:
-// a whole-experiment bundle for an experiment without a table plan, or a
-// planned spec index over one of the job's workloads. A worker trusts
-// nothing a coordinator sends, so no knob the daemon would refuse (an
-// LLC some policy cannot run, an unknown workload) reaches the simulator.
+// normalizes a job body, and checks that the bundle names a cell of its
+// plan: a spec index, with an empty workload for a whole-job spec and one
+// of the job's workloads for a per-workload spec. A worker trusts nothing
+// a coordinator sends, so no knob the daemon would refuse (an LLC some
+// policy cannot run, an unknown workload) reaches the simulator.
 func (b *Bundle) validate() error {
 	if err := b.Request.Normalize(); err != nil {
 		return err
@@ -255,58 +244,41 @@ func (b *Bundle) validate() error {
 	if err := b.Request.machineConfig().Validate(); err != nil {
 		return err
 	}
-	specs, planned := sim.PlanFor(b.Request.Exp, b.Request.Options())
+	specs, _ := sim.PlanFor(b.Request.Exp, b.Request.Options())
 	switch {
-	case b.Spec == WholeExperiment:
-		if planned {
-			return fmt.Errorf("experiment %q runs as table-spec bundles, not whole", b.Request.Exp)
-		}
 	case b.Spec < 0 || b.Spec >= len(specs):
 		return fmt.Errorf("spec index %d out of range for %q (%d specs)", b.Spec, b.Request.Exp, len(specs))
+	case specs[b.Spec].Whole:
+		if b.Workload != "" {
+			return fmt.Errorf("spec %d of %q runs once per job, not for workload %q", b.Spec, b.Request.Exp, b.Workload)
+		}
 	case !slices.Contains(b.Request.workloadOrder(), b.Workload):
 		return fmt.Errorf("workload %q is not in the job's suite", b.Workload)
 	}
 	return nil
 }
 
-// runBundle executes the simulation slice of a validated bundle.
-func (w *Worker) runBundle(ctx context.Context, b Bundle) (tables []*report.Table, rows any, err error) {
+// runBundle runs a validated bundle's spec: a per-workload spec over a
+// suite prepared with only its workload, a whole-job spec over a bare
+// suite, since it builds the streams it reads itself.
+func (w *Worker) runBundle(ctx context.Context, b Bundle) (any, error) {
 	knobs := b.Request.Request
-	if b.Spec != WholeExperiment {
-		// A spec bundle is one workload's slice: its suite holds only it.
-		knobs.Workloads = []string{b.Workload}
+	specs, _ := sim.PlanFor(b.Request.Exp, knobs.Options())
+	spec, prepare := specs[b.Spec], sim.BareSuite
+	if !spec.Whole {
+		knobs.Workloads, prepare = []string{b.Workload}, sim.NewSuiteContext
 	}
 	cfg, err := knobs.Config(b.Request.machineConfig())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg.Shards = sim.ShardBudget(w.cfg.Slots)
 	cfg.Streams = w.cfg.Cache.Stream
-	opts := knobs.Options()
-	if b.Spec == WholeExperiment {
-		exp, err := sim.ExperimentByID(b.Request.Exp)
-		if err != nil {
-			return nil, nil, err
-		}
-		var suite *sim.Suite
-		if exp.NeedsSuite {
-			// Whole-experiment bundles are exactly the runners that build
-			// their own streams (m1's mixes, a5's per-seed sub-suites);
-			// they read only the config, so a bare suite avoids preparing
-			// workload streams nothing would consume.
-			suite = sim.BareSuite(ctx, cfg)
-		}
-		tables, err = exp.Run(suite, opts)
-		return tables, nil, err
-	}
-
-	specs, _ := sim.PlanFor(b.Request.Exp, opts)
-	suite, err := sim.NewSuiteContext(ctx, cfg)
+	suite, err := prepare(ctx, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows, err = specs[b.Spec].Run(suite)
-	return nil, rows, err
+	return spec.Run(suite)
 }
 
 // ensureStreams makes each referenced stream locally resident if it can:

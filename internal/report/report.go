@@ -150,8 +150,8 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the canonical shape written by MarshalJSON, so a
-// table can cross a process boundary (the cluster's whole-experiment
-// bundles) and re-marshal byte-identically.
+// table read back from a daemon job's result re-marshals
+// byte-identically.
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var j tableJSON
 	if err := json.Unmarshal(data, &j); err != nil {

@@ -2,29 +2,31 @@ package sim
 
 import (
 	"bytes"
-	"context"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"sharellc/internal/core"
 	"sharellc/internal/predictor"
 	"sharellc/internal/report"
 )
 
-// This file is the distributed decomposition of the experiment index.
-// Every per-workload experiment is described as an ordered list of
-// TableSpecs: one spec per output table, each computing typed rows over
-// a (possibly single-workload) suite and rendering the merged rows into
-// the final table. The local path (Experiment.Run via planRun) and the
-// cluster path (internal/cluster bundles) both execute the same specs,
-// which is what makes a merged distributed run byte-identical to a
-// single-process run: the rows of one workload do not depend on which
-// other workloads share the suite, and the render step sees the full
-// row slice in canonical suite order either way.
+// This file is the decomposition of the experiment index. Every
+// experiment that reads streams is described as an ordered list of
+// TableSpecs: one spec per output table, each computing typed rows and
+// rendering the merged rows into the final table. A spec runs either
+// per workload, over a (possibly single-workload) prepared suite, or
+// once per job over a BareSuite (Whole). The local path (Experiment.Run
+// via planRun) and the cluster path (internal/cluster bundles) both
+// execute the same specs, which is what makes a merged distributed run
+// byte-identical to a single-process run: the rows of one workload do
+// not depend on which other workloads share the suite, and the render
+// step sees the full row slice in canonical suite order either way.
 
-// TableSpec is one output table of a sliceable experiment. Run computes
+// TableSpec is one output table of an experiment's plan. Run computes
 // the spec's typed rows ([]CharRow, []OracleRow, ...) for every workload
-// of the given suite; Render turns a merged row slice back into the
+// of the given suite, or once from its configuration for a Whole spec;
+// Render turns a merged row slice back into the
 // exact table the experiment index produces. All parametrization (LLC
 // geometry, policy lists, protection strength) is captured when the spec
 // is built by PlanFor, so coordinator and worker agree on it by
@@ -34,6 +36,13 @@ type TableSpec struct {
 	Kind string
 	// Title is the rendered table title, exposed for progress labels.
 	Title string
+	// Whole marks a spec that runs once per job over the suite's
+	// configuration rather than once per workload: it builds the streams
+	// it reads itself, so it runs on a BareSuite.
+	Whole bool
+	// Reads names the workloads whose request-seed streams a whole spec
+	// prepares, so a scheduler can place those streams ahead of the run.
+	Reads []string
 	Run   func(s *Suite) (any, error)
 	// Render accepts the merged rows (nil renders an empty table).
 	Render func(rows any) *report.Table
@@ -52,12 +61,18 @@ func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render fu
 	}
 }
 
-// PlanFor returns the distributed plan for one experiment id under the
-// given options. ok is false for experiments that do not decompose by
-// workload: the static description tables (config, suite) and the
-// experiments that build their own streams (m1's multiprogrammed mixes,
-// a5's per-seed sub-suites); those run as one opaque unit through
-// Experiment.Run instead.
+// wholeSpec marks sp as running once per job, reading the request-seed
+// streams of reads.
+func wholeSpec(sp TableSpec, reads []string) []TableSpec {
+	sp.Whole, sp.Reads = true, reads
+	return []TableSpec{sp}
+}
+
+// PlanFor returns the table plan for one experiment id under the given
+// options. ok is false only for the static description tables (config,
+// suite), which read no stream and run through Experiment.Run alone.
+// m1 (multiprogrammed mixes) and a5 (per-seed sub-suites) build their
+// own streams, so each is one whole-job spec.
 func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 	charSpec := func(title string, size int, render func(string, []CharRow) *report.Table) TableSpec {
 		return newSpec("char", title,
@@ -107,6 +122,9 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 	case "c2":
 		return []TableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
 			func(s *Suite) ([]ReuseRow, error) { return s.ReuseDistances(o.LLCSize) }, reuseTable)}, true
+	case "m1":
+		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
+			func(s *Suite) ([]OracleRow, error) { return m1Rows(s, o) }, oracleTable), nil), true
 	case "a1":
 		var specs []TableSpec
 		for _, st := range []core.Strength{core.InsertOnly, core.Full} {
@@ -142,6 +160,9 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]HorizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
 			horizonTable)}, true
+	case "a5":
+		return wholeSpec(newSpec("seed", fmt.Sprintf("A5: oracle gain across seeds (%s LLC, LRU)", mbLabel(o.LLCSize)),
+			func(s *Suite) ([]seedRow, error) { return a5Rows(s, o) }, seedTable), a5Workloads()), true
 	}
 	return nil, false
 }
@@ -169,16 +190,6 @@ func planRun(id string) func(s *Suite, o ExpOptions) ([]*report.Table, error) {
 	}
 }
 
-// BareSuite returns a suite carrying cfg and ctx but no prepared
-// streams. It exists for the whole-experiment cluster bundles whose
-// runners read only the configuration — m1 builds its own mix streams
-// and a5 its own per-seed sub-suites — so a worker does not pay a full
-// suite preparation for rows that would never touch it. Running a
-// stream-consuming experiment on a bare suite is a programming error.
-func BareSuite(ctx context.Context, cfg Config) *Suite {
-	return &Suite{Config: cfg, ctx: ctx}
-}
-
 // rowCodec decodes and merges one row kind for the cluster wire format.
 type rowCodec struct {
 	decode func(data []byte) (any, error)
@@ -191,8 +202,13 @@ func registerRows[T any](kind string) {
 	rowCodecs[kind] = rowCodec{
 		decode: func(data []byte) (any, error) {
 			var v []T
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&v); err != nil {
 				return nil, fmt.Errorf("sim: decoding %s rows: %w", kind, err)
+			}
+			if _, err := dec.Token(); err != io.EOF {
+				return nil, fmt.Errorf("sim: decoding %s rows: trailing data", kind)
 			}
 			return v, nil
 		},
@@ -215,21 +231,25 @@ func init() {
 	registerRows[CoherenceRow]("coherence")
 	registerRows[PhaseRow]("phase")
 	registerRows[HorizonRow]("horizon")
+	registerRows[seedRow]("seed")
 }
 
-// EncodeRows serializes one spec's typed row slice for the cluster wire.
-// gob round-trips every float64 bit pattern (including NaN and ±Inf,
-// which JSON would reject), so a merged render is bit-identical to a
-// local one.
+// EncodeRows serializes one spec's typed row slice for the cluster wire
+// as a JSON array. Every row float is a guarded ratio or mean, never NaN
+// or ±Inf, and Go's float64 JSON encoding round-trips every finite value
+// bit for bit (−0 included), so a merged render is bit-identical to a
+// local one. A non-finite value is an error rather than a changed row.
 func EncodeRows(rows any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
+	b, err := json.Marshal(rows)
+	if err != nil {
 		return nil, fmt.Errorf("sim: encoding rows: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeRows reverses EncodeRows for the given row kind.
+// DecodeRows reverses EncodeRows for the given row kind. It decodes
+// strictly into the kind's row slice: an unknown field, trailing bytes or
+// a non-finite number token is an error.
 func DecodeRows(kind string, data []byte) (any, error) {
 	c, ok := rowCodecs[kind]
 	if !ok {

@@ -51,11 +51,12 @@ func tableJSON(t *testing.T, tables []*report.Table) []byte {
 	return buf.Bytes()
 }
 
-// TestPlanMatchesCatalogue checks that every sliceable experiment,
+// TestPlanMatchesCatalogue checks that every per-workload experiment,
 // executed one workload at a time with the rows shipped through the
-// cluster wire codec (gob encode/decode) and merged in suite order,
+// cluster wire codec (JSON encode/decode) and merged in suite order,
 // renders tables byte-identical to a whole-suite Experiment.Run. This is
-// the determinism-of-merge property the coordinator relies on.
+// the determinism-of-merge property the coordinator relies on. The
+// whole-job plans (m1, a5) are TestBareSuite's.
 func TestPlanMatchesCatalogue(t *testing.T) {
 	names := []string{"canneal", "streamcluster", "swaptions"}
 	cfg := planTestConfig(t, names)
@@ -83,7 +84,7 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 
 	for _, id := range ExperimentIDs() {
 		specs, ok := PlanFor(id, opts)
-		if !ok {
+		if !ok || specs[0].Whole {
 			continue
 		}
 		exp, err := ExperimentByID(id)
@@ -145,35 +146,58 @@ func TestPlanTitlesMatchRun(t *testing.T) {
 	}
 }
 
-// TestPlanForUnknown pins the non-sliceable set: these run as whole
-// experiments on the cluster (or inline on the coordinator).
-func TestPlanForUnknown(t *testing.T) {
+// TestPlanForCatalogue: every experiment but the static description
+// tables has a table plan, and m1's and a5's plans are one whole-job spec
+// each (a5's naming the workloads whose streams it reads) while every
+// other spec runs per workload.
+func TestPlanForCatalogue(t *testing.T) {
 	opts := planTestOptions()
-	for _, id := range []string{"config", "suite", "m1", "a5", "nope"} {
-		if _, ok := PlanFor(id, opts); ok {
-			t.Errorf("PlanFor(%q) unexpectedly sliceable", id)
+	for _, id := range append(ExperimentIDs(), "nope") {
+		specs, ok := PlanFor(id, opts)
+		if static := id == "config" || id == "suite" || id == "nope"; ok == static {
+			t.Errorf("PlanFor(%q): planned = %v", id, ok)
+			continue
+		}
+		for i, sp := range specs {
+			whole := id == "m1" || id == "a5"
+			if sp.Whole != whole || (whole && len(specs) != 1) {
+				t.Errorf("%s spec %d: Whole = %v among %d specs", id, i, sp.Whole, len(specs))
+			}
+			if (len(sp.Reads) > 0) != (id == "a5") {
+				t.Errorf("%s spec %d reads %v", id, i, sp.Reads)
+			}
 		}
 	}
 }
 
-// TestRowCodecNonFinite checks the wire codec round-trips NaN and ±Inf
-// bit-exactly; JSON could not represent these, gob must.
-func TestRowCodecNonFinite(t *testing.T) {
-	in := []PolicyRow{{Workload: "x", Policy: "lru", MissRate: math.NaN(), MissesVsLRU: math.Inf(1), SharedHitFrac: math.Inf(-1)}}
-	wire, err := EncodeRows(in)
-	if err != nil {
-		t.Fatal(err)
+// TestEncodeRowsRefusesNonFinite: the JSON wire cannot carry NaN or
+// ±Inf, so encoding a row that holds one is an error rather than a
+// changed row.
+func TestEncodeRowsRefusesNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if wire, err := EncodeRows([]PolicyRow{{Workload: "x", Policy: "lru", MissesVsLRU: x}}); err == nil {
+			t.Errorf("EncodeRows with %v: encoded %s, want an error", x, wire)
+		}
 	}
-	out, err := DecodeRows("policy", wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := out.([]PolicyRow)
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	if !math.IsNaN(rows[0].MissRate) || !math.IsInf(rows[0].MissesVsLRU, 1) || !math.IsInf(rows[0].SharedHitFrac, -1) {
-		t.Errorf("non-finite floats not preserved: %+v", rows[0])
+}
+
+// TestDecodeRowsStrict: a body that is not exactly one array of the
+// kind's rows is refused: a non-finite or out-of-range number token, an
+// unknown field, bytes after the array, or a bare object.
+func TestDecodeRowsStrict(t *testing.T) {
+	for _, body := range []string{
+		`[{"MissesVsLRU":NaN}]`,
+		`[{"MissesVsLRU":Infinity}]`,
+		`[{"MissesVsLRU":-Infinity}]`,
+		`[{"MissesVsLRU":1e999}]`,
+		`[{"Workload":"x","Bogus":1}]`,
+		`[{"Workload":"x"}] []`,
+		`[{"Workload":"x"}]x`,
+		`{"Workload":"x"}`,
+	} {
+		if _, err := DecodeRows("policy", []byte(body)); err == nil {
+			t.Errorf("DecodeRows accepted %s", body)
+		}
 	}
 }
 
@@ -187,8 +211,10 @@ func TestDecodeRowsUnknownKind(t *testing.T) {
 	}
 }
 
-// TestBareSuite checks the config-only suite used for whole-experiment
-// bundles: m1 and a5 must run on it (they build their own streams).
+// TestBareSuite: the whole-job plans (m1, a5) run on a bare suite, the
+// way a direct run without per-workload specs and a cluster bundle run
+// them, and their rows, shipped through the wire codec, render the same
+// tables as on a prepared suite.
 func TestBareSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds sub-suites; skipped in -short")
@@ -200,22 +226,34 @@ func TestBareSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := BareSuite(context.Background(), cfg)
+	bare, err := BareSuite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"m1", "a5"} {
-		exp, err := ExperimentByID(id)
+		specs, _ := PlanFor(id, opts)
+		sp := specs[0]
+		want, err := sp.Run(whole)
+		if err != nil {
+			t.Fatalf("%s on a prepared suite: %v", id, err)
+		}
+		rows, err := sp.Run(bare)
+		if err != nil {
+			t.Fatalf("%s on a bare suite: %v", id, err)
+		}
+		wire, err := EncodeRows(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exp.Run(whole, opts)
+		got, err := DecodeRows(sp.Kind, wire)
 		if err != nil {
-			t.Fatalf("%s on full suite: %v", id, err)
+			t.Fatal(err)
 		}
-		got, err := exp.Run(bare, opts)
-		if err != nil {
-			t.Fatalf("%s on bare suite: %v", id, err)
+		if w, g := tableJSON(t, []*report.Table{sp.Render(want)}), tableJSON(t, []*report.Table{sp.Render(got)}); !bytes.Equal(w, g) {
+			t.Errorf("%s: bare-suite table differs from the prepared suite's:\nwant %s\ngot  %s", id, w, g)
 		}
-		if !bytes.Equal(tableJSON(t, want), tableJSON(t, got)) {
-			t.Errorf("%s: bare-suite run differs from full-suite run", id)
-		}
+	}
+	if _, err := BareSuite(context.Background(), Config{}); err == nil {
+		t.Error("BareSuite accepted a zero scale")
 	}
 }

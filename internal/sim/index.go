@@ -184,25 +184,33 @@ func (r Request) Config(machine cache.Config) (Config, error) {
 // RunExperiments is the direct path from a request to its tables, the one
 // every front end takes. It resolves every id first, so an unknown one
 // fails before any work; prepares the suite cfg describes, under ctx,
-// only when some experiment reads streams; then runs the experiments over
-// it in order, handing each one's tables to emit before the next starts.
+// only when some requested spec reads its streams (a run of whole-job
+// specs alone gets a BareSuite); then runs the experiments over it in
+// order, handing each one's tables to emit before the next starts.
 // progress, when non-nil, receives the experiments' per-workload
 // completions; cfg.Progress reports the preparation.
 func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 	progress func(done, total int, label string), emit func([]*report.Table) error) error {
 	exps := make([]Experiment, len(ids))
-	needSuite := false
+	var prepare func(context.Context, Config) (*Suite, error)
 	for i, id := range ids {
 		e, err := ExperimentByID(id)
 		if err != nil {
 			return err
 		}
 		exps[i] = e
-		needSuite = needSuite || e.NeedsSuite
+		specs, _ := PlanFor(e.ID, o)
+		for _, sp := range specs {
+			if !sp.Whole {
+				prepare = NewSuiteContext
+			} else if prepare == nil {
+				prepare = BareSuite
+			}
+		}
 	}
 	var suite *Suite
-	if needSuite {
-		s, err := NewSuiteContext(ctx, cfg)
+	if prepare != nil {
+		s, err := prepare(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -255,12 +263,12 @@ func Experiments() []Experiment {
 		{ID: "f9", Title: "sharing-phase stability (why the predictors fail)", NeedsSuite: true, Run: planRun("f9")},
 		{ID: "c1", Title: "coherence-protocol traffic characterization (extension)", NeedsSuite: true, Run: planRun("c1")},
 		{ID: "c2", Title: "reuse-distance distributions by sharing class (extension)", NeedsSuite: true, Run: planRun("c2")},
-		{ID: "m1", Title: "oracle on multiprogrammed mixes (motivating contrast)", NeedsSuite: true, Run: runM1},
+		{ID: "m1", Title: "oracle on multiprogrammed mixes (motivating contrast)", NeedsSuite: true, Run: planRun("m1")},
 		{ID: "a1", Title: "ablation: protection strength (insert-only vs. full)", NeedsSuite: true, Run: planRun("a1")},
 		{ID: "a2", Title: "ablation: predictor table-size sweep", NeedsSuite: true, Run: planRun("a2")},
 		{ID: "a3", Title: "ablation: LLC associativity sweep", NeedsSuite: true, Run: planRun("a3")},
 		{ID: "a4", Title: "ablation: oracle sharing-horizon sweep", NeedsSuite: true, Run: planRun("a4")},
-		{ID: "a5", Title: "ablation: seed robustness of the oracle gain", NeedsSuite: true, Run: runA5},
+		{ID: "a5", Title: "ablation: seed robustness of the oracle gain", NeedsSuite: true, Run: planRun("a5")},
 	}
 }
 
@@ -314,13 +322,6 @@ func mbLabel(size int) string {
 	return fmt.Sprintf("%gMB", float64(size)/float64(cache.MB))
 }
 
-func one(t *report.Table, err error) ([]*report.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
-}
-
 func runConfig(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
 	t := report.NewTable("T1: simulated machine configuration", "component", "value")
 	c := cache.DefaultConfig()
@@ -347,9 +348,9 @@ func runSuiteTable(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-func runM1(s *Suite, o ExpOptions) ([]*report.Table, error) {
-	// Three canonical 8-program multiprogrammed mixes drawn from the
-	// suite, scaled and seeded like the suite itself.
+// m1Rows runs M1 over three canonical 8-program multiprogrammed mixes
+// drawn from the suite, scaled and seeded like the suite itself.
+func m1Rows(s *Suite, o ExpOptions) ([]OracleRow, error) {
 	mixNames := [][]string{
 		{"swaptions", "blackscholes", "freqmine", "water", "equake", "lu", "bodytrack", "facesim"},
 		{"canneal", "swaptions", "ocean", "blackscholes", "fft", "water", "dedup", "freqmine"},
@@ -366,35 +367,37 @@ func runM1(s *Suite, o ExpOptions) ([]*report.Table, error) {
 		}
 		mixes = append(mixes, ms)
 	}
-	rows, err := MultiprogrammedOracle(s.context(), mixes, s.Config.Machine, s.Config.Seed, o.LLCSize, o.LLCWays, o.Prot)
-	if err != nil {
-		return nil, err
-	}
-	return one(oracleTable(fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)), rows), nil)
+	return MultiprogrammedOracle(s.context(), mixes, s.Config.Machine, s.Config.Seed, o.LLCSize, o.LLCWays, o.Prot)
 }
 
-// A5Workloads is the fixed workload subset the a5 seed-robustness
-// ablation regenerates under each seed. Exported so the cluster
-// coordinator can pre-distribute the matching request-seed streams: the
-// seed-1 sub-suite shares cache keys with the primary suite's streams,
-// and a worker running a5 should peer-fetch those rather than rebuild.
-func A5Workloads() []string {
+// seedRow is one seed's result of the A5 ablation: the mean LRU oracle
+// miss reduction over the a5 workload subset regenerated under it.
+type seedRow struct {
+	Seed      uint64
+	Reduction float64 // mean over the subset's workloads
+	Workloads int
+}
+
+// a5Workloads is the fixed workload subset the a5 seed-robustness
+// ablation regenerates under each seed. Its request-seed streams share
+// cache keys with the primary suite's, so the a5 spec names them for a
+// scheduler to place.
+func a5Workloads() []string {
 	return []string{"canneal", "dedup", "barnes", "ocean", "streamcluster", "swaptions"}
 }
 
 // a5Seeds lists the seeds the a5 ablation sweeps.
 func a5Seeds() []uint64 { return []uint64{1, 2, 3} }
 
-func runA5(s *Suite, o ExpOptions) ([]*report.Table, error) {
-	// Seed robustness: rebuild a suite subset under several seeds and
-	// compare the F5 means. Uses its own suites; the prepared streams
-	// are not reused.
-	t := report.NewTable(fmt.Sprintf("A5: oracle gain across seeds (%s LLC, LRU)", mbLabel(o.LLCSize)),
-		"seed", "mean-reduction", "workloads")
-	sub, err := ModelsByName(A5Workloads())
+// a5Rows measures seed robustness: it rebuilds the a5 subset under each
+// seed, in its own sub-suite (the suite's prepared streams are not
+// read), and averages the LRU oracle gain.
+func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
+	sub, err := ModelsByName(a5Workloads())
 	if err != nil {
 		return nil, err
 	}
+	var rows []seedRow
 	for _, seed := range a5Seeds() {
 		cfg := s.Config
 		cfg.Seed = seed
@@ -403,13 +406,11 @@ func runA5(s *Suite, o ExpOptions) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s2.OracleStudy(o.LLCSize, o.LLCWays, []string{"lru"}, o.Prot)
+		orows, err := s2.OracleStudy(o.LLCSize, o.LLCWays, []string{"lru"}, o.Prot)
 		if err != nil {
 			return nil, err
 		}
-		t.MustRow(fmt.Sprintf("%d", seed), stats.Pct(meanReduction(rows, "lru")),
-			fmt.Sprintf("%d", len(rows)))
+		rows = append(rows, seedRow{Seed: seed, Reduction: meanReduction(orows, "lru"), Workloads: len(orows)})
 	}
-	t.Note = "same workload subset regenerated per seed; the headroom is a property of the sharing structure, not of one trace"
-	return []*report.Table{t}, nil
+	return rows, nil
 }

@@ -7,11 +7,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/report"
+	"sharellc/internal/workloads"
 )
 
 func indexTestSuite(t *testing.T) *Suite {
@@ -208,5 +210,35 @@ func TestRunExperimentsBuildsSuiteOnlyWhenNeeded(t *testing.T) {
 	}
 	if err := run("config", "nope"); err == nil || len(got) != 0 {
 		t.Errorf("unknown id: %d tables, err %v; want an error before any table", len(got), err)
+	}
+}
+
+// TestRunExperimentsPreparesOnlyReadStreams: the direct path asks its
+// stream provider only for streams some requested spec reads. m1 builds
+// its own mixes and reads none; a5 reads its six-workload subset under
+// each of three seeds, and neither prepares the 22 suite streams.
+func TestRunExperimentsPreparesOnlyReadStreams(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.02
+	for _, c := range []struct {
+		id    string
+		calls int
+	}{{"m1", 0}, {"a5", 18}} {
+		var calls atomic.Int64
+		cfg.Streams = func(_ context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
+			calls.Add(1)
+			return BuildStream(m, machine, seed)
+		}
+		var tables []*report.Table
+		if err := RunExperiments(context.Background(), cfg, []string{c.id}, DefaultExpOptions(), nil,
+			func(ts []*report.Table) error { tables = append(tables, ts...); return nil }); err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		if len(tables) != 1 || len(tables[0].Rows) != 3 {
+			t.Errorf("%s: %d tables, want one of 3 rows", c.id, len(tables))
+		}
+		if got := calls.Load(); got != int64(c.calls) {
+			t.Errorf("%s: %d stream provider calls, want %d", c.id, got, c.calls)
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // fill sets every settable field of v, depth first, to a distinct
-// non-zero value drawn from the counter n. Float fields cycle through
-// NaN, +Inf, -Inf and a finite value: the cluster wire must carry every
-// bit pattern a row can hold.
+// value drawn from the counter n. Float fields cycle through −0, the
+// largest and the smallest positive float64 and a plain fraction: the
+// cluster wire must carry every finite bit pattern a row can hold.
 func fill(v reflect.Value, n *int) {
 	switch v.Kind() {
 	case reflect.Struct:
@@ -36,7 +36,7 @@ func fill(v reflect.Value, n *int) {
 		v.SetUint(uint64(*n))
 	case reflect.Float32, reflect.Float64:
 		*n++
-		v.SetFloat([]float64{math.NaN(), math.Inf(1), math.Inf(-1), float64(*n) / 8}[*n%4])
+		v.SetFloat([]float64{math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, float64(*n) / 8}[*n%4])
 	}
 }
 
@@ -70,8 +70,7 @@ func rowSamples(tb testing.TB) []rowSample {
 		{"coherence", sampleRows[CoherenceRow]()},
 		{"phase", sampleRows[PhaseRow]()},
 		{"horizon", sampleRows[HorizonRow]()},
-		// TestRowCodecNonFinite's row.
-		{"policy", []PolicyRow{{Workload: "x", Policy: "lru", MissRate: math.NaN(), MissesVsLRU: math.Inf(1), SharedHitFrac: math.Inf(-1)}}},
+		{"seed", sampleRows[seedRow]()},
 	}
 	have := map[string]bool{}
 	for _, sm := range samples {
@@ -88,9 +87,10 @@ func rowSamples(tb testing.TB) []rowSample {
 // FuzzDecodeRows holds the cluster's row decoder, the one reader of the
 // bytes a worker posts as a bundle result, to its contract: no input
 // panics under any row kind, and whatever decodes re-encodes to a fixed
-// point. Every seed — the encoding of each kind's sample rows, NaN and
-// ±Inf included — must decode to rows that re-encode to the same bytes;
-// truncations of those encodings seed the corpus too.
+// point. Every seed — the encoding of each kind's sample rows, −0 and the
+// float64 extremes included — must decode to the same rows, re-encoding
+// to the same bytes; truncations of those encodings seed the corpus too,
+// and so does a body with a non-finite token, which no kind decodes.
 func FuzzDecodeRows(f *testing.F) {
 	kinds := make([]string, 0, len(rowCodecs))
 	for kind := range rowCodecs {
@@ -106,6 +106,9 @@ func FuzzDecodeRows(f *testing.F) {
 		if err != nil {
 			f.Fatalf("%s: %v", sm.kind, err)
 		}
+		if !reflect.DeepEqual(rows, sm.rows) {
+			f.Fatalf("%s: rows changed on the wire:\n sent %+v\n got %+v", sm.kind, sm.rows, rows)
+		}
 		if again, err := EncodeRows(rows); err != nil || !bytes.Equal(again, wire) {
 			f.Fatalf("%s: decoded rows re-encode to different bytes (%v)", sm.kind, err)
 		}
@@ -113,6 +116,13 @@ func FuzzDecodeRows(f *testing.F) {
 			f.Add(wire[:n])
 		}
 	}
+	nonFinite := []byte(`[{"Workload":"x","Reduction":NaN}]`)
+	for _, kind := range kinds {
+		if _, err := DecodeRows(kind, nonFinite); err == nil {
+			f.Fatalf("%s: decoded a NaN token", kind)
+		}
+	}
+	f.Add(nonFinite)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range kinds {
 			rows, err := DecodeRows(kind, data)

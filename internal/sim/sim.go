@@ -160,6 +160,21 @@ func ScaleModel(m workloads.Model, scale float64) workloads.Model {
 	return m
 }
 
+// BareSuite returns a suite carrying cfg and ctx but no prepared
+// streams: the suite a whole spec runs on, since it reads only the
+// configuration and builds its own streams. It validates cfg as
+// NewSuiteContext does. Running a per-workload spec on a bare suite is a
+// programming error.
+func BareSuite(ctx context.Context, cfg Config) (*Suite, error) {
+	if cfg.Scale <= 0 {
+		return nil, fmt.Errorf("sim: non-positive scale %v", cfg.Scale)
+	}
+	if err := cfg.Machine.Validate(); err != nil {
+		return nil, err
+	}
+	return &Suite{Config: cfg, ctx: ctx}, nil
+}
+
 // NewSuite prepares every workload's stream in parallel.
 func NewSuite(cfg Config) (*Suite, error) {
 	return NewSuiteContext(context.Background(), cfg)
@@ -170,10 +185,8 @@ func NewSuite(cfg Config) (*Suite, error) {
 // context is retained so every later experiment run on the suite is
 // cancellable too.
 func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("sim: non-positive scale %v", cfg.Scale)
-	}
-	if err := cfg.Machine.Validate(); err != nil {
+	s, err := BareSuite(ctx, cfg)
+	if err != nil {
 		return nil, err
 	}
 	models := cfg.Models
@@ -190,23 +203,23 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 			return BuildStream(m, machine, seed)
 		}
 	}
-	streams := make([]*Stream, len(scaled))
+	s.Streams = make([]*Stream, len(scaled))
 	var done atomic.Int64
-	err := parallelCapCtx(ctx, len(scaled), runtime.GOMAXPROCS(0), func(i int) error {
-		s, err := build(ctx, scaled[i], cfg.Machine, cfg.Seed)
+	err = parallelCapCtx(ctx, len(scaled), runtime.GOMAXPROCS(0), func(i int) error {
+		st, err := build(ctx, scaled[i], cfg.Machine, cfg.Seed)
 		if err != nil {
 			return err
 		}
-		streams[i] = s
+		s.Streams[i] = st
 		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), len(scaled), s.Model.Name)
+			cfg.Progress(int(done.Add(1)), len(scaled), st.Model.Name)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{Config: cfg, Streams: streams, ctx: ctx}, nil
+	return s, nil
 }
 
 // withProgress returns a shallow copy of the suite that reports per-cell

@@ -207,3 +207,13 @@ func drivenTable(title string, rows []DrivenRow) *report.Table {
 	t.Note = note
 	return t
 }
+
+// seedTable renders A5 seed-robustness rows.
+func seedTable(title string, rows []seedRow) *report.Table {
+	t := report.NewTable(title, "seed", "mean-reduction", "workloads")
+	for _, r := range rows {
+		t.MustRow(fmt.Sprintf("%d", r.Seed), stats.Pct(r.Reduction), fmt.Sprintf("%d", r.Workloads))
+	}
+	t.Note = "same workload subset regenerated per seed; the headroom is a property of the sharing structure, not of one trace"
+	return t
+}
