@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +24,8 @@ import (
 	"sharellc/internal/sim/streamcache"
 )
 
-// tinyMachine keeps whole-catalogue runs in test time.
+// tinyMachine is the machine of the small jobs the protocol tests
+// submit; the byte-identity tests run goldenRequest instead.
 var tinyMachine = cache.Config{
 	Cores:  8,
 	L1Size: 2 * cache.KB, L1Ways: 2,
@@ -51,35 +55,56 @@ func testRequest(exps []string) Request {
 	return req
 }
 
-// wantTables is the byte-compare reference: the test knobs over exps run
-// the direct way a single daemon or the CLI runs them.
-func wantTables(t *testing.T, exps []string) []byte {
+// goldenPath is internal/sim's catalogue golden, the byte-compare
+// reference: the SHA-256 of every table the direct path renders for
+// goldenRequest, filed under "<normalized job JSON>#<table index>".
+const goldenPath = "../sim/testdata/catalogue.golden"
+
+// goldenRequest is the golden's seed-1 job for exp: the full suite at
+// scale 0.02 on a 128 KB, 16-way LLC of the default machine.
+func goldenRequest(exp string) Request {
+	req := Request{JobRequest: sim.JobRequest{Exp: exp, Request: sim.Request{
+		LLCMB: 0.125, Ways: 16, Seed: 1, Scale: 0.02,
+	}}}
+	if err := req.Normalize(); err != nil {
+		panic(err)
+	}
+	return req
+}
+
+// checkGolden fails t unless tables are exactly the golden's tables for
+// req: one entry per table, each hashing the table's text rendering.
+func checkGolden(t *testing.T, req Request, tables []*report.Table) {
 	t.Helper()
-	req := testRequest(exps[:1])
-	cfg, err := req.Config(req.machineConfig())
+	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*report.Table
-	if err := sim.RunExperiments(context.Background(), cfg, exps, req.Options(), nil,
-		func(tabs []*report.Table) error { out = append(out, tabs...); return nil }); err != nil {
+	var golden struct {
+		Hashes map[string]map[string]string `json:"hashes"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	job, err := json.Marshal(req.JobRequest)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return marshalTables(t, out)
-}
-
-func marshalTables(t *testing.T, tables []*report.Table) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	for _, tab := range tables {
-		raw, err := json.Marshal(tab)
-		if err != nil {
+	want := golden.Hashes[req.Exp]
+	for i, tab := range tables {
+		var b bytes.Buffer
+		if err := tab.Render(&b); err != nil {
 			t.Fatal(err)
 		}
-		b.Write(raw)
-		b.WriteByte('\n')
+		sum := sha256.Sum256(b.Bytes())
+		key := fmt.Sprintf("%s#%d", job, i)
+		if got := hex.EncodeToString(sum[:]); got != want[key] {
+			t.Errorf("%s table %d hashes to %.12s, the golden has %.12q for %s", req.Exp, i, got, want[key], key)
+		}
 	}
-	return b.Bytes()
+	if len(tables) == 0 || want[fmt.Sprintf("%s#%d", job, len(tables))] != "" {
+		t.Errorf("%s: the cluster returned %d tables, the golden has a different count", req.Exp, len(tables))
+	}
 }
 
 // startCoordinator serves c over a real HTTP listener.
@@ -115,8 +140,8 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 }
 
 // TestClusterE2EByteIdentical: three workers over real HTTP execute one
-// job per experiment and the merged tables are byte-identical to the
-// direct run.
+// job per experiment and the merged tables hash to the catalogue
+// golden, which the direct path must match too.
 // Every workload stream is built at most once cluster-wide: later
 // bundles peer-fetch instead of rebuilding. No result body a worker posts
 // comes within 8x of the control-body bound, so a row kind that grows
@@ -126,7 +151,6 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 	if testing.Short() {
 		exps = []string{"config", "f1", "f4", "f5", "c1", "m1", "a5"}
 	}
-	want := wantTables(t, exps)
 
 	var mu sync.Mutex
 	builds := map[string]int{}
@@ -158,16 +182,13 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 		startWorker(t, ctx, cs.URL, streamcache.Options{BuildHook: hook})
 	}
 
-	var got []*report.Table
 	for _, exp := range exps {
-		tables, err := coord.Run(ctx, testRequest([]string{exp}), nil)
+		req := goldenRequest(exp)
+		tables, err := coord.Run(ctx, req, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
-		got = append(got, tables...)
-	}
-	if have := marshalTables(t, got); !bytes.Equal(want, have) {
-		t.Errorf("cluster tables differ from direct run:\nwant %d bytes\nhave %d bytes", len(want), len(have))
+		checkGolden(t, req, tables)
 	}
 
 	mu.Lock()
@@ -190,8 +211,7 @@ func TestClusterE2EByteIdentical(t *testing.T) {
 // without heartbeating is re-queued on lease expiry and the sweep still
 // completes with correct output.
 func TestDeadWorkerLeaseRequeued(t *testing.T) {
-	req := testRequest([]string{"f1"})
-	want := wantTables(t, []string{"f1"})
+	req := goldenRequest("f1")
 
 	coord, cs := startCoordinator(t, CoordinatorConfig{
 		Cache:    streamcache.New(streamcache.Options{}),
@@ -231,9 +251,7 @@ func TestDeadWorkerLeaseRequeued(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if have := marshalTables(t, out.tables); !bytes.Equal(want, have) {
-		t.Error("tables after dead-worker recovery differ from direct run")
-	}
+	checkGolden(t, req, out.tables)
 	st := coord.Stats()
 	if st.BundlesRequeued == 0 {
 		t.Errorf("no bundles requeued (stolen %s)", stolen.ID)
@@ -244,8 +262,7 @@ func TestDeadWorkerLeaseRequeued(t *testing.T) {
 // advertised stream does not poison the run — the fetch is rejected at
 // validation and the worker builds locally.
 func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
-	req := testRequest([]string{"f1"})
-	want := wantTables(t, []string{"f1"})
+	req := goldenRequest("f1")
 
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("not a snapshot, not even close"))
@@ -275,9 +292,7 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if have := marshalTables(t, got); !bytes.Equal(want, have) {
-		t.Error("tables after corrupt-peer recovery differ from direct run")
-	}
+	checkGolden(t, req, got)
 	st := w.Stats()
 	if st.FetchErrors == 0 {
 		t.Error("worker never hit the corrupt peer (FetchErrors = 0); holder injection broken?")

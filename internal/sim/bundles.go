@@ -115,13 +115,13 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			drivenTable)}, true
 	case "f9":
 		return []TableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
-			func(s *Suite) ([]PhaseRow, error) { return s.SharingPhases(0) }, phaseTable)}, true
+			func(s *Suite) ([]PhaseRow, error) { return s.sharingPhases(0) }, phaseTable)}, true
 	case "c1":
 		return []TableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
 			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable)}, true
 	case "c2":
 		return []TableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
-			func(s *Suite) ([]ReuseRow, error) { return s.ReuseDistances(o.LLCSize) }, reuseTable)}, true
+			func(s *Suite) ([]ReuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable)}, true
 	case "m1":
 		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]OracleRow, error) { return m1Rows(s, o) }, oracleTable), nil), true

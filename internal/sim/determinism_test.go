@@ -59,10 +59,10 @@ func experimentRunners() []struct {
 			return s.PredictorDriven(tSize, tWays, predictor.DefaultConfig(), []string{"addr", "coherence"}, core.Options{Strength: core.Full})
 		}},
 		{"reuse-distances", func(s *Suite) (any, error) {
-			return s.ReuseDistances(tSize)
+			return s.reuseDistances(tSize)
 		}},
 		{"sharing-phases", func(s *Suite) (any, error) {
-			return s.SharingPhases(8)
+			return s.sharingPhases(8)
 		}},
 		{"coherence-characterize", func(s *Suite) (any, error) {
 			return s.CoherenceCharacterize()

@@ -153,9 +153,9 @@ type ReuseRow struct {
 	PrivateTotal  uint64
 }
 
-// ReuseDistances runs the C2 characterization, classifying each access
+// reuseDistances runs the C2 characterization, classifying each access
 // with the oracle's residency-scale sharing hint at the given LLC size.
-func (s *Suite) ReuseDistances(llcSize int) ([]ReuseRow, error) {
+func (s *Suite) reuseDistances(llcSize int) ([]ReuseRow, error) {
 	return perStream(s, "reuse distances", func(st *Stream, _ int) ([]ReuseRow, error) {
 		horizon := int64(oracle.HorizonFactor) * int64(llcSize/64)
 		hints := oracle.SharedHints(st.Accesses, horizon)
@@ -191,9 +191,9 @@ type PhaseRow struct {
 	SingleWindow uint64
 }
 
-// SharingPhases runs the F9 phase analysis over every workload's LLC
+// sharingPhases runs the F9 phase analysis over every workload's LLC
 // stream with the given number of windows (0 = phase.DefaultWindows).
-func (s *Suite) SharingPhases(windows int) ([]PhaseRow, error) {
+func (s *Suite) sharingPhases(windows int) ([]PhaseRow, error) {
 	if windows == 0 {
 		windows = phase.DefaultWindows
 	}

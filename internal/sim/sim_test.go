@@ -192,7 +192,7 @@ func TestOracleStudy(t *testing.T) {
 
 func TestReuseDistances(t *testing.T) {
 	s := testSuite(t)
-	rows, err := s.ReuseDistances(tSize)
+	rows, err := s.reuseDistances(tSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestCoherenceCharacterize(t *testing.T) {
 
 func TestSharingPhases(t *testing.T) {
 	s := testSuite(t)
-	rows, err := s.SharingPhases(0)
+	rows, err := s.sharingPhases(0)
 	if err != nil {
 		t.Fatal(err)
 	}
