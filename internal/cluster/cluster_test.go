@@ -149,7 +149,7 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 func TestClusterE2EByteIdentical(t *testing.T) {
 	exps := sim.ExperimentIDs()
 	if testing.Short() {
-		exps = []string{"config", "f1", "f4", "f5", "c1", "m1", "a5"}
+		exps = []string{"config", "f1", "f4", "f5", "c1", "m1", "a2", "a5"}
 	}
 
 	var mu sync.Mutex
@@ -651,6 +651,7 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 		{"per-workload spec without a workload", Bundle{ID: "b-none", Spec: 0, Request: testRequest([]string{"f1"})}},
 		{"whole-job spec with a workload", Bundle{ID: "b-whole", Spec: 0, Workload: "canneal", Request: testRequest([]string{"a5"})}},
 		{"invalid machine", Bundle{ID: "b-machine", Spec: 0, Workload: "canneal", Request: badMachine}},
+		{"a1's second spec, from before a1 was one spec", Bundle{ID: "b-a1", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})}},
 	} {
 		if res := w.executeBundle(context.Background(), c.b); res.Err == "" {
 			t.Errorf("%s: bundle accepted", c.name)
@@ -678,7 +679,7 @@ func TestWorkerPostsUnencodableRowsAsError(t *testing.T) {
 	}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		res := BundleResult{Proto: ProtoVersion, Worker: "w"}
-		res.setRows([]sim.PolicyRow{{Workload: lease.Bundle.Workload, Policy: "lru", MissesVsLRU: x}}, nil)
+		res.setRows([][]sim.PolicyRow{{{Workload: lease.Bundle.Workload, Policy: "lru", MissesVsLRU: x}}}, nil)
 		if res.Err == "" || res.Rows != nil {
 			t.Fatalf("rows with %v: error %q, rows %s; want an error and no rows", x, res.Err, res.Rows)
 		}
@@ -689,6 +690,33 @@ func TestWorkerPostsUnencodableRowsAsError(t *testing.T) {
 		after := coord.Stats()
 		if after.BundlesFailed != before.BundlesFailed+1 || after.BundlesDone != 0 || after.BundlesInflight != 0 {
 			t.Errorf("error result with %v: %+v -> %+v; want one more failed bundle, re-queued", x, before, after)
+		}
+	}
+}
+
+// TestCoordinatorRefusesTableCount: a result whose rows do not hold one
+// row array per table of its spec counts as a failed attempt and
+// re-queues the bundle, rather than reaching the merge.
+func TestCoordinatorRefusesTableCount(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord, cs := startCoordinator(t, CoordinatorConfig{})
+	go coord.Run(ctx, testRequest([]string{"a2"}), nil)
+	var lease LeaseResponse
+	for ok := false; !ok; {
+		if lease, ok = coord.lease("w"); !ok {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, rows := range []string{`[]`, `[[]]`, `[[],[],[],[],[]]`} {
+		before := coord.Stats()
+		res := BundleResult{Proto: ProtoVersion, Worker: "w", Rows: json.RawMessage(rows)}
+		if code := postResult(t, cs.URL, lease.Bundle.ID, res); code != http.StatusOK {
+			t.Fatalf("rows %s: status %d, want 200", rows, code)
+		}
+		after := coord.Stats()
+		if after.BundlesFailed != before.BundlesFailed+1 || after.BundlesDone != 0 || after.BundlesInflight != 0 {
+			t.Errorf("rows %s for a2's 4 tables: %+v -> %+v; want one more failed bundle, re-queued", rows, before, after)
 		}
 	}
 }
@@ -709,6 +737,7 @@ func FuzzLeaseIntake(f *testing.F) {
 		{ID: "b-7", Spec: -1, Request: testRequest([]string{"m1"})},
 		{ID: "b-3", Spec: 1, Workload: "swaptions", Request: testRequest([]string{"f5"}),
 			Streams: []StreamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}}}},
+		{ID: "b-8", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})},
 	} {
 		raw, err := json.Marshal(LeaseResponse{Bundle: b, TTLMillis: 15000})
 		if err != nil {

@@ -417,7 +417,7 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	if res.Err != "" {
 		return fail(errors.New(res.Err))
 	}
-	rows, err := sim.DecodeRows(b.job.specs[b.proto.Spec].Kind, res.Rows)
+	rows, err := b.job.specs[b.proto.Spec].DecodeRows(res.Rows)
 	if err != nil {
 		return fail(err)
 	}
@@ -461,9 +461,8 @@ func (c *Coordinator) finishLocked(j *job) {
 		}
 		merged[si] = m
 	}
-	j.tables = make([]*report.Table, len(j.specs))
 	for si, spec := range j.specs {
-		j.tables[si] = spec.Render(merged[si])
+		j.tables = append(j.tables, spec.Render(merged[si])...)
 	}
 }
 
@@ -508,8 +507,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // maxControlBody bounds every control-plane body, in both directions.
-// The largest legitimate request is a result: one bundle's rows of one
-// table as JSON, plus the custody hashes. Row counts do not grow with
+// The largest legitimate request is a result: one bundle's rows of its
+// spec's tables as JSON, plus the custody hashes. Row counts do not grow with
 // scale or suite size, and the largest result a full-size run of the
 // catalogue at default knobs posts is 2.6 KiB (one workload's 14 policy-comparison rows);
 // the 3-worker e2e test fails past maxControlBody/8. The

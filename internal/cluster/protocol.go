@@ -1,7 +1,7 @@
 // Package cluster implements distributed job execution for sharesimd:
 // a coordinator decomposes one experiment job into work bundles along
-// the experiment's table plan (sim.PlanFor) — one bundle per (table
-// spec, workload), or one per job for a whole-job spec — leases them to
+// the experiment's table plan (sim.PlanFor) — one bundle per (spec,
+// workload), or one per job for a whole-job spec — leases them to
 // polling workers over a small versioned HTTP protocol, and
 // deterministically merges the returned rows back into the exact tables
 // sim.Experiments produces, byte-identical to a single-process run. The
@@ -37,9 +37,9 @@ import (
 
 // ProtoVersion is the bundle-protocol version. Every request carries it;
 // a coordinator rejects mismatched workers with an enumerating error
-// rather than silently mis-scheduling. Version 3 carries a one-experiment
-// job request in each bundle, and every result is rows.
-const ProtoVersion = 3
+// rather than silently mis-scheduling. Version 4 carries a one-experiment
+// job request in each bundle, and every result is table-major rows.
+const ProtoVersion = 4
 
 // Request is the job a coordinator schedules: the daemon's normalized
 // one-experiment job request, plus an explicit machine config that only
@@ -112,9 +112,9 @@ type StreamRef struct {
 	Sources []string `json:"sources,omitempty"`
 }
 
-// Bundle is one leased unit of work: one table spec of its job's plan,
-// over one workload for a per-workload spec or over the job's
-// configuration for a whole-job spec.
+// Bundle is one leased unit of work: one spec of its job's plan (one
+// shared replay and its tables), over one workload for a per-workload
+// spec or over the job's configuration for a whole-job spec.
 type Bundle struct {
 	ID string `json:"id"`
 	// Spec indexes sim.PlanFor(Request.Exp, Request.Options()); the

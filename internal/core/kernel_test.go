@@ -9,7 +9,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
-	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
 	"sharellc/internal/rng"
@@ -26,6 +25,25 @@ func (g genericLane) Attach(sets, ways int)                   { g.lane.Attach(se
 func (g genericLane) Hit(set, way int, a *cache.AccessInfo)   { g.lane.Hit(set, way, a) }
 func (g genericLane) Victim(set int, a *cache.AccessInfo) int { return g.lane.Victim(set, a) }
 func (g genericLane) Fill(set, way int, a *cache.AccessInfo)  { g.lane.Fill(set, way, a) }
+
+// columnLane is an oracle lane over any hint column, oracle.Hinted's
+// shape: a Protector whose fill at stream position i is hinted hints[i]
+// and which learns nothing from the residencies.
+type columnLane struct {
+	*core.Protector
+	hints []bool
+}
+
+func (h *columnLane) Fill(set, way int, a *cache.AccessInfo) {
+	h.FillHinted(set, way, a, h.LaneHint(a))
+}
+func (h *columnLane) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+	return h.LRUKernel(c, h)
+}
+func (h *columnLane) LaneHint(a *cache.AccessInfo) bool  { return h.hints[a.Index] }
+func (h *columnLane) LaneHit(uint32, *cache.AccessInfo)  {}
+func (h *columnLane) LaneEvict(uint32)                   {}
+func (h *columnLane) LaneFill(uint32, *cache.AccessInfo) {}
 
 // recorder logs every prediction and every training of the predictor it
 // wraps.
@@ -191,7 +209,7 @@ func TestProtectedLRUKernelVsGeneric(t *testing.T) {
 			for name, col := range hints {
 				lanes["oracle-"+name] = func() kernelLane {
 					base := policy.NewLRUPolicy()
-					h := oracle.NewHinted(base, opts, col)
+					h := &columnLane{core.NewProtectorOpts(base, opts), col}
 					return kernelLane{pol: h, base: base, prot: h.Protector}
 				}
 			}
@@ -274,7 +292,7 @@ func TestProtectedLRUKernelWrappedDemote(t *testing.T) {
 		numBlocks := cache.AssignBlockIDs(stream)
 		lane := func() kernelLane {
 			base := policy.NewLRUPolicy()
-			h := oracle.NewHinted(base, core.Options{Strength: core.Full}, tc.hints)
+			h := &columnLane{core.NewProtectorOpts(base, core.Options{Strength: core.Full}), tc.hints}
 			return kernelLane{pol: h, base: base, prot: h.Protector}
 		}
 		got, _ := replayLane(t, lane(), false, tc.sets, 8, stream, numBlocks)

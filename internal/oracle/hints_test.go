@@ -58,7 +58,7 @@ func ownedStream(n int, seed uint64) []cache.AccessInfo {
 // (SharedHints) and all of them in one pass (A4's hintColumns).
 func TestSharedHintsMatchChainWalk(t *testing.T) {
 	stream := ownedStream(600000, 3)
-	horizons := []int64{0, 1, horizonOf(4<<20, HorizonFactor), horizonOf(8<<20, HorizonFactor), int64(len(stream)) + 1}
+	horizons := []int64{0, 1, Horizon(4<<20, HorizonFactor), Horizon(8<<20, HorizonFactor), int64(len(stream)) + 1}
 	cols := hintColumns(stream, horizons)
 	for k, horizon := range horizons {
 		want := chainHints(stream, horizon)

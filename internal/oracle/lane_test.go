@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -75,11 +74,17 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 		for oi, opts := range laneOptions {
 			for name, base := range bases {
 				eachPrefix(full, func(stream []cache.AccessInfo) {
-					hints := SharedHints(stream, horizonOf(laneSize, HorizonFactor))
+					hints := SharedHints(stream, Horizon(laneSize, HorizonFactor))
 					calls, parts := 0, 0
-					var prot, ref *core.Protector
-					lane := protectedLane(laneSize, ways, func() cache.Policy { calls++; return base() }, opts, hints, &prot)
-					got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4,
+					var ref *core.Protector
+					lanes, collect, err := Lanes(stream,
+						[]sharing.LLCConfig{{Size: laneSize, Ways: ways, NewPolicy: func() cache.Policy { calls++; return base() }}},
+						[]Cell{{Opts: opts, Factor: HorizonFactor}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Only the protected lane replays; its base's result slot stays nil.
+					got, err := sharing.ReplayMulti(stream, lanes[1:], sharing.Options{Shards: 4,
 						Partitioner: func(n int) (*sharing.PartitionIndex, error) {
 							parts = n
 							return sharing.BuildPartition(stream, n)
@@ -108,11 +113,12 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					if asked != want[0].Misses {
 						t.Fatalf("%s: hooked lane asked for %d hints on %d misses", at, asked, want[0].Misses)
 					}
-					if !reflect.DeepEqual(got[0], want[0]) {
-						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, got[0], want[0])
+					res := collect(append([]*sharing.Result{nil}, got...))[0]
+					if !reflect.DeepEqual(res.Oracle, want[0]) {
+						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res.Oracle, want[0])
 					}
-					if prot.Stats() != ref.Stats() {
-						t.Errorf("%s: protector stats %+v, hooked %+v", at, prot.Stats(), ref.Stats())
+					if res.Stats != ref.Stats() {
+						t.Errorf("%s: protector stats %+v, hooked %+v", at, res.Stats, ref.Stats())
 					}
 					if calls != 1 {
 						t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
@@ -120,7 +126,7 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					if parts < 2 {
 						t.Errorf("%s: partitioned into %d shards; want the two-phase route's tracker shards", at, parts)
 					}
-					if got, want := laneKernel(t, NewHinted(base(), opts, hints), ways), name == "lru"; got != want {
+					if got, want := laneKernel(t, &Hinted{core.NewProtectorOpts(base(), opts), hints}, ways), name == "lru"; got != want {
 						t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
 					}
 				})
@@ -153,12 +159,17 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
-	if !laneKernel(t, NewHinted(factories[0](), core.Options{Strength: core.Full}, make([]bool, len(stream))), 8) {
+	if !laneKernel(t, &Hinted{core.NewProtectorOpts(factories[0](), core.Options{Strength: core.Full}), make([]bool, len(stream))}, 8) {
 		t.Fatal("the LRU hint-column lane binds no batch kernel")
 	}
+	var bases []sharing.LLCConfig
+	var cells []Cell
+	for i, f := range factories {
+		bases = append(bases, sharing.LLCConfig{Size: laneSize, Ways: 8, NewPolicy: f})
+		cells = append(cells, Cell{Base: i, Opts: core.Options{Strength: core.Full}, Factor: HorizonFactor})
+	}
 	run := func() {
-		if _, err := RunMultiPolicies(context.Background(), stream, laneSize, 8, factories,
-			core.Options{Strength: core.Full}, HorizonFactor, sharing.Options{Shards: 2}); err != nil {
+		if _, err := fused(stream, bases, cells, sharing.Options{Shards: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,8 +11,9 @@
 // block is filled into the LLC, whether the block will be shared during
 // its residency in the LLC". The hint is a pure trace property, so it
 // stays defined wherever the protected run's fills diverge from the base
-// run's. Both passes are lanes of one fused replay, and neither carries a
-// hook: the protected lane runs the engine's two-phase split like any
+// run's. Lanes builds both passes as lanes of one fused replay, several
+// studies sharing their base lanes and hint columns, and no lane carries
+// a hook: a protected lane runs the engine's two-phase split like any
 // other cross-set policy. Over an LRU base (up to 64 ways) its policy pass
 // runs core's protected-LRU batch kernel, which reads the hint column
 // through Hinted's core.LaneHinter methods; over other bases it runs the
@@ -20,8 +21,8 @@
 package oracle
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sharellc/internal/cache"
@@ -125,9 +126,9 @@ type later struct {
 // the heap grows by until the next collection.
 var laterPool sync.Pool
 
-// horizonOf is the sharing horizon, in stream positions, of a factor at
+// Horizon is the sharing horizon, in stream positions, of a factor at
 // one LLC size (see HorizonFactor).
-func horizonOf(llcSize, factor int) int64 {
+func Horizon(llcSize, factor int) int64 {
 	return int64(factor) * int64(llcSize/trace.BlockSize)
 }
 
@@ -140,12 +141,6 @@ func horizonOf(llcSize, factor int) int64 {
 type Hinted struct {
 	*core.Protector
 	hints []bool
-}
-
-// NewHinted wraps base in a core.Protector under opts, hinted from
-// hints: a SharedHints column of the stream the lane replays.
-func NewHinted(base cache.Policy, opts core.Options, hints []bool) *Hinted {
-	return &Hinted{Protector: core.NewProtectorOpts(base, opts), hints: hints}
 }
 
 // Fill implements cache.Policy.
@@ -172,88 +167,58 @@ func (h *Hinted) LaneEvict(uint32) {}
 // LaneFill implements core.LaneHinter.
 func (h *Hinted) LaneFill(uint32, *cache.AccessInfo) {}
 
-// protectedLane builds the pass-2 lane for one base-policy factory,
-// stashing the protector so its intervention counters can be read after
-// the fused replay. A Protector keeps cross-set state, so the lane calls
-// NewPolicy exactly once (the LLCConfig contract) and the stash is filled
-// exactly once.
-func protectedLane(llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, hints []bool, stash **core.Protector) sharing.LLCConfig {
-	return sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-		NewPolicy: func() cache.Policy {
-			h := NewHinted(newPolicy(), opts, hints)
-			*stash = h.Protector
-			return h
-		}}
+// Cell is one protected lane of an oracle study: base lane Base wrapped
+// in a core.Protector under Opts and hinted from the SharedHints column
+// at Factor × the base's capacity (see HorizonFactor).
+type Cell struct {
+	Base   int
+	Opts   core.Options
+	Factor int
 }
 
-// RunMultiPolicies runs the two-pass oracle study for every base-policy
-// factory in one fused replay over the stream: 2n lanes (n bare pass-1
-// lanes plus n protected pass-2 lanes) share the stream walk, and the
-// sharing hints are computed once — they are a trace property, identical
-// for every policy at the same horizon. Results are returned in factory
-// order, each bit-identical to the study of that factory alone — a
-// one-factory call is the single-policy study. newPolicy factories must
-// return a fresh instance on each call (the two passes must not share
-// trained state). ropt carries the replay tuning (Shards, Partitioner,
-// NumBlocks — see sharing.Options); its Ctx is overridden by ctx,
-// and cancelling ctx aborts the study at the replay's next poll.
-func RunMultiPolicies(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, factories []func() cache.Policy, opts core.Options, horizonFactor int, ropt sharing.Options) ([]*Result, error) {
-	if horizonFactor < 1 {
-		return nil, fmt.Errorf("oracle: horizon factor %d < 1", horizonFactor)
-	}
-	n := len(factories)
-	hints := SharedHints(stream, horizonOf(llcSize, horizonFactor))
-	configs := make([]sharing.LLCConfig, 2*n)
-	prots := make([]*core.Protector, n)
-	for i, f := range factories {
-		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
-		configs[n+i] = protectedLane(llcSize, llcWays, f, opts, hints, &prots[i])
-	}
-	ropt.Ctx = ctx
-	results, err := sharing.ReplayMulti(stream, configs, ropt)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: fused study: %w", err)
-	}
-	out := make([]*Result, n)
-	for i := range out {
-		out[i] = &Result{Base: results[i], Oracle: results[n+i], Stats: prots[i].Stats()}
-	}
-	return out, nil
-}
-
-// RunMultiHorizons sweeps the sharing horizon for one base policy in one
-// fused replay: a single bare pass-1 lane plus one protected lane per
-// horizon factor. One pass builds every factor's hint column. The
-// returned results (one per factor, in
-// order) share the same Base, and each matches a one-factory
-// RunMultiPolicies at that factor (the A4 ablation). ropt is treated
-// exactly as in RunMultiPolicies.
-func RunMultiHorizons(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newPolicy func() cache.Policy, opts core.Options, factors []int, ropt sharing.Options) ([]*Result, error) {
-	for _, f := range factors {
-		if f < 1 {
-			return nil, fmt.Errorf("oracle: horizon factor %d < 1", f)
+// Lanes builds the lanes of a fused oracle study over stream: the bare
+// bases, unchanged, then one protected lane per cell. One backward pass
+// builds the hint column of every distinct horizon: the column is a trace
+// property, shared by every cell at that horizon whatever its policy,
+// ways or options. A caller may append lanes of its own and replay them
+// all in one sharing.ReplayMulti call; collect then maps that replay's
+// results to one Result per cell, in cell order, each bit-identical to
+// the cell replayed alone. Every base's NewPolicy must return a fresh
+// instance on each call: the two passes must not share trained state.
+func Lanes(stream []cache.AccessInfo, bases []sharing.LLCConfig, cells []Cell) (lanes []sharing.LLCConfig, collect func([]*sharing.Result) []*Result, err error) {
+	var horizons []int64
+	col := make([]int, len(cells)) // cell → index of its hint column
+	for i, c := range cells {
+		if c.Factor < 1 {
+			return nil, nil, fmt.Errorf("oracle: horizon factor %d < 1", c.Factor)
+		}
+		h := Horizon(bases[c.Base].Size, c.Factor)
+		if col[i] = slices.Index(horizons, h); col[i] < 0 {
+			col[i] = len(horizons)
+			horizons = append(horizons, h)
 		}
 	}
-	n := len(factors)
-	horizons := make([]int64, n)
-	for i, f := range factors {
-		horizons[i] = horizonOf(llcSize, f)
-	}
 	hints := hintColumns(stream, horizons)
-	configs := make([]sharing.LLCConfig, n+1)
-	configs[0] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}
-	prots := make([]*core.Protector, n)
-	for i := range factors {
-		configs[i+1] = protectedLane(llcSize, llcWays, newPolicy, opts, hints[i], &prots[i])
+	n := len(bases)
+	lanes = append(make([]sharing.LLCConfig, 0, n+len(cells)), bases...)
+	// A Protector keeps cross-set state, so a lane calls NewPolicy exactly
+	// once (the LLCConfig contract), and its protector is stashed there
+	// for the intervention counters.
+	prots := make([]*core.Protector, len(cells))
+	for i, c := range cells {
+		b := bases[c.Base]
+		lanes = append(lanes, sharing.LLCConfig{Size: b.Size, Ways: b.Ways,
+			NewPolicy: func() cache.Policy {
+				h := &Hinted{core.NewProtectorOpts(b.NewPolicy(), c.Opts), hints[col[i]]}
+				prots[i] = h.Protector
+				return h
+			}})
 	}
-	ropt.Ctx = ctx
-	results, err := sharing.ReplayMulti(stream, configs, ropt)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: fused horizon sweep: %w", err)
-	}
-	out := make([]*Result, n)
-	for i := range out {
-		out[i] = &Result{Base: results[0], Oracle: results[i+1], Stats: prots[i].Stats()}
-	}
-	return out, nil
+	return lanes, func(results []*sharing.Result) []*Result {
+		out := make([]*Result, len(cells))
+		for i, c := range cells {
+			out[i] = &Result{Base: results[c.Base], Oracle: results[n+i], Stats: prots[i].Stats()}
+		}
+		return out
+	}, nil
 }

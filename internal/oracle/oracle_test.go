@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -21,15 +20,33 @@ const (
 
 func lruFactory() cache.Policy { return policy.NewLRUPolicy() }
 
-// study is the single-policy oracle study: a one-factory
-// RunMultiPolicies at the default horizon.
-func study(stream []cache.AccessInfo, newPolicy func() cache.Policy, opts core.Options) (*Result, error) {
-	res, err := RunMultiPolicies(context.Background(), stream, size, ways,
-		[]func() cache.Policy{newPolicy}, opts, HorizonFactor, sharing.Options{})
+// fused replays bases and cells as one oracle study.
+func fused(stream []cache.AccessInfo, bases []sharing.LLCConfig, cells []Cell, ropt sharing.Options) ([]*Result, error) {
+	lanes, collect, err := Lanes(stream, bases, cells)
+	if err != nil {
+		return nil, err
+	}
+	results, err := sharing.ReplayMulti(stream, lanes, ropt)
+	if err != nil {
+		return nil, err
+	}
+	return collect(results), nil
+}
+
+// solo is one cell's study replayed alone: its base and its protected lane.
+func solo(stream []cache.AccessInfo, base sharing.LLCConfig, c Cell) (*Result, error) {
+	c.Base = 0
+	res, err := fused(stream, []sharing.LLCConfig{base}, []Cell{c}, sharing.Options{})
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
+}
+
+// study is the single-policy oracle study at the default horizon.
+func study(stream []cache.AccessInfo, newPolicy func() cache.Policy, opts core.Options) (*Result, error) {
+	return solo(stream, sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: newPolicy},
+		Cell{Opts: opts, Factor: HorizonFactor})
 }
 
 // sharedVictimStream builds a stream where a shared block is repeatedly
@@ -142,44 +159,54 @@ func TestOracleDeterministic(t *testing.T) {
 	}
 }
 
-// TestOracleFusedMatchesSolo holds the fused studies to the one-factory
-// study: every lane of a multi-policy study, and the default-horizon
-// lane of a horizon sweep, must reproduce the solo study's passes and
+// TestOracleFusedMatchesSolo holds fused studies to their cells replayed
+// alone: every cell of one replay — every catalogue policy over its own
+// base, LRU at 8, 16 and 32 ways, two strengths over one base, two
+// horizons over one base — must reproduce its solo study's passes and
 // protector counters exactly.
 func TestOracleFusedMatchesSolo(t *testing.T) {
-	stream := sharedVictimStream()
-	opts := core.Options{Strength: core.Full}
-	var cat []func() cache.Policy
+	victims, wide := sharedVictimStream(), laneStream(20000, 3000, 5)
+	full, insert := core.Options{Strength: core.Full}, core.Options{Strength: core.InsertOnly}
+	lru := func(size, ways int) sharing.LLCConfig {
+		return sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: lruFactory}
+	}
+	var catalogue []sharing.LLCConfig
+	var perBase []Cell
 	for _, name := range policy.Names(5) {
 		f, err := policy.ByName(name, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat = append(cat, f)
+		perBase = append(perBase, Cell{Base: len(catalogue), Opts: full, Factor: HorizonFactor})
+		catalogue = append(catalogue, sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: f})
 	}
-	fused, err := RunMultiPolicies(context.Background(), stream, size, ways, cat, opts, HorizonFactor, sharing.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range cat {
-		solo, err := study(stream, f, opts)
+	for _, sh := range []struct {
+		name   string
+		stream []cache.AccessInfo
+		bases  []sharing.LLCConfig
+		cells  []Cell
+	}{
+		{"catalogue", victims, catalogue, perBase},
+		{"8/16/32 ways", wide, []sharing.LLCConfig{lru(laneSize, 8), lru(laneSize, 16), lru(laneSize, 32)},
+			[]Cell{{Base: 0, Opts: full, Factor: HorizonFactor}, {Base: 1, Opts: full, Factor: HorizonFactor}, {Base: 2, Opts: full, Factor: HorizonFactor}}},
+		{"two strengths", wide, []sharing.LLCConfig{lru(laneSize, 16)},
+			[]Cell{{Opts: insert, Factor: HorizonFactor}, {Opts: full, Factor: HorizonFactor}}},
+		{"two horizons", victims, []sharing.LLCConfig{lru(size, ways)},
+			[]Cell{{Opts: full, Factor: 1}, {Opts: full, Factor: HorizonFactor}}},
+	} {
+		got, err := fused(sh.stream, sh.bases, sh.cells, sharing.Options{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(solo, fused[i]) {
-			t.Errorf("%s: fused study differs from the solo study", solo.Base.Policy)
+		for i, c := range sh.cells {
+			want, err := solo(sh.stream, sh.bases[c.Base], c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got[i]) {
+				t.Errorf("%s: cell %d (%s) differs from its solo study", sh.name, i, want.Base.Policy)
+			}
 		}
-	}
-	sweep, err := RunMultiHorizons(context.Background(), stream, size, ways, lruFactory, opts, []int{1, HorizonFactor}, sharing.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := study(stream, lruFactory, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(solo, sweep[1]) {
-		t.Error("horizon sweep at the default factor differs from the solo study")
 	}
 }
 
@@ -265,5 +292,33 @@ func TestSharedHintsHorizonCutoff(t *testing.T) {
 	}
 	if hints := SharedHints(stream, 3); !hints[0] {
 		t.Error("cross-core touch within horizon not marked")
+	}
+}
+
+// TestLanesRefusesBadFactor: a cell's horizon factor is at least 1.
+func TestLanesRefusesBadFactor(t *testing.T) {
+	bases := []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lruFactory}}
+	for _, f := range []int{0, -1} {
+		if _, _, err := Lanes(sharedVictimStream(), bases, []Cell{{Factor: f}}); err == nil {
+			t.Errorf("Lanes accepted horizon factor %d", f)
+		}
+	}
+}
+
+// TestLanesShareHintColumns: cells at one horizon read one hint column,
+// whatever their ways, and a cell at another horizon reads its own.
+func TestLanesShareHintColumns(t *testing.T) {
+	var bases []sharing.LLCConfig
+	for _, w := range []int{8, 16, 32} {
+		bases = append(bases, sharing.LLCConfig{Size: laneSize, Ways: w, NewPolicy: lruFactory})
+	}
+	cells := []Cell{{Base: 0, Factor: HorizonFactor}, {Base: 1, Factor: HorizonFactor}, {Base: 2, Factor: HorizonFactor}, {Base: 1, Factor: 1}}
+	lanes, _, err := Lanes(laneStream(2000, 300, 3), bases, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(i int) *bool { return &lanes[len(bases)+i].NewPolicy().(*Hinted).hints[0] }
+	if col(0) != col(1) || col(0) != col(2) || col(0) == col(3) {
+		t.Error("cells at one horizon do not share one hint column, or cells at two horizons do")
 	}
 }

@@ -13,29 +13,29 @@ import (
 
 // This file is the decomposition of the experiment index. Every
 // experiment that reads streams is described as an ordered list of
-// TableSpecs: one spec per output table, each computing typed rows and
-// rendering the merged rows into the final table. A spec runs either
+// TableSpecs: one spec per shared replay, each computing typed rows for
+// its tables and rendering the merged rows into them. A spec runs either
 // per workload, over a (possibly single-workload) prepared suite, or
 // once per job over a BareSuite (Whole). The local path (Experiment.Run
 // via planRun) and the cluster path (internal/cluster bundles) both
 // execute the same specs, which is what makes a merged distributed run
 // byte-identical to a single-process run: the rows of one workload do
 // not depend on which other workloads share the suite, and the render
-// step sees the full row slice in canonical suite order either way.
+// step sees the full row slices in canonical suite order either way.
 
-// TableSpec is one output table of an experiment's plan. Run computes
-// the spec's typed rows ([]CharRow, []OracleRow, ...) for every workload
+// TableSpec is one shared replay of an experiment's plan and the tables
+// it renders. Run computes the spec's typed rows table-major — one row
+// slice per table ([][]CharRow, [][]OracleRow, ...) — for every workload
 // of the given suite, or once from its configuration for a Whole spec;
-// Render turns a merged row slice back into the
-// exact table the experiment index produces. All parametrization (LLC
-// geometry, policy lists, protection strength) is captured when the spec
-// is built by PlanFor, so coordinator and worker agree on it by
-// construction.
+// Render turns merged rows back into the exact tables the experiment
+// index produces. All parametrization (LLC geometry, policy lists,
+// protection strength) is captured when the spec is built by PlanFor, so
+// coordinator and worker agree on it by construction.
 type TableSpec struct {
 	// Kind tags the row type for the wire codec (EncodeRows/DecodeRows).
 	Kind string
-	// Title is the rendered table title, exposed for progress labels.
-	Title string
+	// Titles are the rendered tables' titles, one per table.
+	Titles []string
 	// Whole marks a spec that runs once per job over the suite's
 	// configuration rather than once per workload: it builds the streams
 	// it reads itself, so it runs on a BareSuite.
@@ -44,21 +44,40 @@ type TableSpec struct {
 	// prepares, so a scheduler can place those streams ahead of the run.
 	Reads []string
 	Run   func(s *Suite) (any, error)
-	// Render accepts the merged rows (nil renders an empty table).
-	Render func(rows any) *report.Table
+	// Render accepts the merged rows (nil renders empty tables) and
+	// returns one table per title.
+	Render func(rows any) []*report.Table
+	codec  rowCodec
 }
 
-// newSpec builds a TableSpec from a typed runner and renderer.
-func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render func(string, []T) *report.Table) TableSpec {
+// tablesSpec builds a TableSpec of len(titles) tables from a typed runner
+// and a one-table renderer.
+func tablesSpec[T any](kind string, titles []string, run func(*Suite) ([][]T, error), render func(string, []T) *report.Table) TableSpec {
 	return TableSpec{
-		Kind:  kind,
-		Title: title,
-		Run:   func(s *Suite) (any, error) { return run(s) },
-		Render: func(rows any) *report.Table {
-			typed, _ := rows.([]T)
-			return render(title, typed)
+		Kind:   kind,
+		Titles: titles,
+		codec:  codecOf[T](kind),
+		Run:    func(s *Suite) (any, error) { return run(s) },
+		Render: func(rows any) []*report.Table {
+			typed, ok := rows.([][]T)
+			if !ok {
+				typed = make([][]T, len(titles))
+			}
+			out := make([]*report.Table, len(titles))
+			for i, title := range titles {
+				out[i] = render(title, typed[i])
+			}
+			return out
 		},
 	}
+}
+
+// newSpec builds a one-table TableSpec.
+func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render func(string, []T) *report.Table) TableSpec {
+	return tablesSpec(kind, []string{title}, func(s *Suite) ([][]T, error) {
+		rows, err := run(s)
+		return [][]T{rows}, err
+	}, render)
 }
 
 // wholeSpec marks sp as running once per job, reading the request-seed
@@ -78,9 +97,9 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return newSpec("char", title,
 			func(s *Suite) ([]CharRow, error) { return s.Characterize(size, o.LLCWays) }, render)
 	}
-	oracleSpec := func(title string, size, ways int, names []string, prot ExpOptions) TableSpec {
-		return newSpec("oracle", title,
-			func(s *Suite) ([]OracleRow, error) { return s.OracleStudy(size, ways, names, prot.Prot) }, oracleTable)
+	oracleSpec := func(titles []string, size int, ways []int, names []string, opts ...core.Options) TableSpec {
+		return tablesSpec("oracle", titles,
+			func(s *Suite) ([][]OracleRow, error) { return s.oracleTables(size, ways, names, opts) }, oracleTable)
 	}
 	switch id {
 	case "f1":
@@ -94,11 +113,13 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			func(s *Suite) ([]PolicyRow, error) { return s.ComparePolicies(o.LLCSize, o.LLCWays, nil) },
 			policyTable)}, true
 	case "f5":
+		// F5's two sizes share no hint column: two specs, so a replay
+		// holds one size's lanes at a time.
 		var specs []TableSpec
 		for _, size := range []int{o.LLCSize, 2 * o.LLCSize} {
 			specs = append(specs, oracleSpec(
-				fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength),
-				size, o.LLCWays, o.Policies, o))
+				[]string{fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength)},
+				size, []int{o.LLCWays}, o.Policies, o.Prot))
 		}
 		return specs, true
 	case "f7":
@@ -126,36 +147,30 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]OracleRow, error) { return m1Rows(s, o) }, oracleTable), nil), true
 	case "a1":
-		var specs []TableSpec
-		for _, st := range []core.Strength{core.InsertOnly, core.Full} {
-			opts := o
-			opts.Prot.Strength = st
-			specs = append(specs, oracleSpec(
-				fmt.Sprintf("A1: oracle with %s protection (%s LLC)", st, mbLabel(o.LLCSize)),
-				o.LLCSize, o.LLCWays, []string{"lru", "srrip"}, opts))
+		insert, full := o.Prot, o.Prot
+		insert.Strength, full.Strength = core.InsertOnly, core.Full
+		var titles []string
+		for _, p := range []core.Options{insert, full} {
+			titles = append(titles, fmt.Sprintf("A1: oracle with %s protection (%s LLC)", p.Strength, mbLabel(o.LLCSize)))
 		}
-		return specs, true
+		return []TableSpec{oracleSpec(titles, o.LLCSize, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
 	case "a2":
-		var specs []TableSpec
+		var titles []string
+		var cfgs []predictor.Config
 		for _, bits := range []int{8, 11, 14, 17} {
-			cfg := predictor.DefaultConfig()
-			cfg.TableBits = bits
-			specs = append(specs, newSpec("predictor",
-				fmt.Sprintf("A2: predictor accuracy with 2^%d-entry tables (%s LLC)", bits, mbLabel(o.LLCSize)),
-				func(s *Suite) ([]PredictorRow, error) {
-					return s.PredictorAccuracy(o.LLCSize, o.LLCWays, cfg, []string{"addr", "pc"})
-				},
-				predictorTable))
+			titles = append(titles, fmt.Sprintf("A2: predictor accuracy with 2^%d-entry tables (%s LLC)", bits, mbLabel(o.LLCSize)))
+			cfgs = append(cfgs, predictor.Config{TableBits: bits})
 		}
-		return specs, true
+		return []TableSpec{tablesSpec("predictor", titles, func(s *Suite) ([][]PredictorRow, error) {
+			return s.predictorTables(o.LLCSize, o.LLCWays, cfgs, []string{"addr", "pc"})
+		}, predictorTable)}, true
 	case "a3":
-		var specs []TableSpec
-		for _, w := range []int{8, 16, 32} {
-			specs = append(specs, oracleSpec(
-				fmt.Sprintf("A3: oracle gain at %d-way associativity (%s LLC)", w, mbLabel(o.LLCSize)),
-				o.LLCSize, w, []string{"lru"}, o))
+		var titles []string
+		ways := []int{8, 16, 32}
+		for _, w := range ways {
+			titles = append(titles, fmt.Sprintf("A3: oracle gain at %d-way associativity (%s LLC)", w, mbLabel(o.LLCSize)))
 		}
-		return specs, true
+		return []TableSpec{oracleSpec(titles, o.LLCSize, ways, []string{"lru"}, o.Prot)}, true
 	case "a4":
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]HorizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
@@ -184,24 +199,25 @@ func planRun(id string) func(s *Suite, o ExpOptions) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, sp.Render(rows))
+			out = append(out, sp.Render(rows)...)
 		}
 		return out, nil
 	}
 }
 
-// rowCodec decodes and merges one row kind for the cluster wire format.
+// rowCodec decodes and merges one row kind's table-major rows for the
+// cluster wire format. When tables is positive, decode refuses rows of
+// another table count.
 type rowCodec struct {
-	decode func(data []byte) (any, error)
+	decode func(data []byte, tables int) (any, error)
 	merge  func(dst, src any) any
 }
 
-var rowCodecs = map[string]rowCodec{}
-
-func registerRows[T any](kind string) {
-	rowCodecs[kind] = rowCodec{
-		decode: func(data []byte) (any, error) {
-			var v []T
+// codecOf is the codec of kind's rows, of type T.
+func codecOf[T any](kind string) rowCodec {
+	return rowCodec{
+		decode: func(data []byte, tables int) (any, error) {
+			var v [][]T
 			dec := json.NewDecoder(bytes.NewReader(data))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&v); err != nil {
@@ -210,32 +226,39 @@ func registerRows[T any](kind string) {
 			if _, err := dec.Token(); err != io.EOF {
 				return nil, fmt.Errorf("sim: decoding %s rows: trailing data", kind)
 			}
+			if tables > 0 && len(v) != tables {
+				return nil, fmt.Errorf("sim: %s rows of %d tables, want %d", kind, len(v), tables)
+			}
 			return v, nil
 		},
 		merge: func(dst, src any) any {
 			if dst == nil {
 				return src
 			}
-			return append(dst.([]T), src.([]T)...)
+			d, s := dst.([][]T), src.([][]T)
+			for t := range d {
+				d[t] = append(d[t], s[t]...)
+			}
+			return d
 		},
 	}
 }
 
+// rowCodecs holds the codec of every row kind some plan renders.
+var rowCodecs = map[string]rowCodec{}
+
 func init() {
-	registerRows[CharRow]("char")
-	registerRows[PolicyRow]("policy")
-	registerRows[OracleRow]("oracle")
-	registerRows[PredictorRow]("predictor")
-	registerRows[DrivenRow]("driven")
-	registerRows[ReuseRow]("reuse")
-	registerRows[CoherenceRow]("coherence")
-	registerRows[PhaseRow]("phase")
-	registerRows[HorizonRow]("horizon")
-	registerRows[seedRow]("seed")
+	for _, id := range ExperimentIDs() {
+		specs, _ := PlanFor(id, DefaultExpOptions())
+		for _, sp := range specs {
+			rowCodecs[sp.Kind] = sp.codec
+		}
+	}
 }
 
-// EncodeRows serializes one spec's typed row slice for the cluster wire
-// as a JSON array. Every row float is a guarded ratio or mean, never NaN
+// EncodeRows serializes one spec's table-major rows for the cluster wire
+// as a JSON array of one row array per table: a table's position is its
+// tag. Every row float is a guarded ratio or mean, never NaN
 // or ±Inf, and Go's float64 JSON encoding round-trips every finite value
 // bit for bit (−0 included), so a merged render is bit-identical to a
 // local one. A non-finite value is an error rather than a changed row.
@@ -248,20 +271,26 @@ func EncodeRows(rows any) ([]byte, error) {
 }
 
 // DecodeRows reverses EncodeRows for the given row kind. It decodes
-// strictly into the kind's row slice: an unknown field, trailing bytes or
-// a non-finite number token is an error.
+// strictly into the kind's table-major rows: an unknown field, trailing
+// bytes or a non-finite number token is an error.
 func DecodeRows(kind string, data []byte) (any, error) {
 	c, ok := rowCodecs[kind]
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown row kind %q", kind)
 	}
-	return c.decode(data)
+	return c.decode(data, 0)
 }
 
-// MergeRows appends src onto dst (both slices of the kind's row type;
-// dst may be nil). Callers append workload by workload in canonical
-// suite order, which reconstructs exactly the row order a whole-suite
-// run produces.
+// DecodeRows decodes a bundle result of sp: DecodeRows of its kind,
+// refused unless it holds exactly one row slice per table of sp.
+func (sp TableSpec) DecodeRows(data []byte) (any, error) {
+	return sp.codec.decode(data, len(sp.Titles))
+}
+
+// MergeRows appends src onto dst table by table (both the kind's
+// table-major rows of the same table count; dst may be nil). Callers
+// append workload by workload in canonical suite order, which
+// reconstructs exactly the row order a whole-suite run produces.
 func MergeRows(kind string, dst, src any) (any, error) {
 	c, ok := rowCodecs[kind]
 	if !ok {

@@ -95,22 +95,19 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: whole-suite run: %v", id, err)
 		}
-		if len(want) != len(specs) {
-			t.Fatalf("%s: %d tables from Run but %d specs from PlanFor", id, len(want), len(specs))
-		}
 		var got []*report.Table
 		for _, sp := range specs {
 			var merged any
 			for _, sub := range subs {
 				rows, err := sp.Run(sub)
 				if err != nil {
-					t.Fatalf("%s: spec %q on sub-suite: %v", id, sp.Title, err)
+					t.Fatalf("%s: spec %q on sub-suite: %v", id, sp.Titles, err)
 				}
 				wire, err := EncodeRows(rows)
 				if err != nil {
 					t.Fatalf("%s: encode: %v", id, err)
 				}
-				decoded, err := DecodeRows(sp.Kind, wire)
+				decoded, err := sp.DecodeRows(wire)
 				if err != nil {
 					t.Fatalf("%s: decode: %v", id, err)
 				}
@@ -119,7 +116,7 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 					t.Fatalf("%s: merge: %v", id, err)
 				}
 			}
-			got = append(got, sp.Render(merged))
+			got = append(got, sp.Render(merged)...)
 		}
 		if !bytes.Equal(tableJSON(t, want), tableJSON(t, got)) {
 			t.Errorf("%s: merged per-workload tables differ from whole-suite run\nwant:\n%s\ngot:\n%s",
@@ -128,8 +125,9 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 	}
 }
 
-// TestPlanTitlesMatchRun pins every spec title to the rendered table
-// title so progress labels and merge bookkeeping agree with the output.
+// TestPlanTitlesMatchRun pins every spec's titles to its rendered
+// tables' titles, one table per title, so the table count a result is
+// checked against agrees with the output.
 func TestPlanTitlesMatchRun(t *testing.T) {
 	opts := planTestOptions()
 	for _, id := range ExperimentIDs() {
@@ -138,9 +136,15 @@ func TestPlanTitlesMatchRun(t *testing.T) {
 			continue
 		}
 		for _, sp := range specs {
-			tb := sp.Render(nil)
-			if tb.Title != sp.Title {
-				t.Errorf("%s: spec title %q but rendered table title %q", id, sp.Title, tb.Title)
+			tabs := sp.Render(nil)
+			if len(tabs) != len(sp.Titles) {
+				t.Errorf("%s: %d spec titles but %d rendered tables", id, len(sp.Titles), len(tabs))
+				continue
+			}
+			for i, tb := range tabs {
+				if tb.Title != sp.Titles[i] {
+					t.Errorf("%s: spec title %q but rendered table title %q", id, sp.Titles[i], tb.Title)
+				}
 			}
 		}
 	}
@@ -149,14 +153,19 @@ func TestPlanTitlesMatchRun(t *testing.T) {
 // TestPlanForCatalogue: every experiment but the static description
 // tables has a table plan, and m1's and a5's plans are one whole-job spec
 // each (a5's naming the workloads whose streams it reads) while every
-// other spec runs per workload.
+// other spec runs per workload. A1, A2 and A3 share one replay per
+// workload across their tables: one spec each.
 func TestPlanForCatalogue(t *testing.T) {
 	opts := planTestOptions()
+	fused := map[string]int{"a1": 2, "a2": 4, "a3": 3}
 	for _, id := range append(ExperimentIDs(), "nope") {
 		specs, ok := PlanFor(id, opts)
 		if static := id == "config" || id == "suite" || id == "nope"; ok == static {
 			t.Errorf("PlanFor(%q): planned = %v", id, ok)
 			continue
+		}
+		if n, ok := fused[id]; ok && (len(specs) != 1 || len(specs[0].Titles) != n) {
+			t.Errorf("%s: %d specs, want one of %d tables", id, len(specs), n)
 		}
 		for i, sp := range specs {
 			whole := id == "m1" || id == "a5"
@@ -175,28 +184,45 @@ func TestPlanForCatalogue(t *testing.T) {
 // changed row.
 func TestEncodeRowsRefusesNonFinite(t *testing.T) {
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if wire, err := EncodeRows([]PolicyRow{{Workload: "x", Policy: "lru", MissesVsLRU: x}}); err == nil {
+		if wire, err := EncodeRows([][]PolicyRow{{{Workload: "x", Policy: "lru", MissesVsLRU: x}}}); err == nil {
 			t.Errorf("EncodeRows with %v: encoded %s, want an error", x, wire)
 		}
 	}
 }
 
 // TestDecodeRowsStrict: a body that is not exactly one array of the
-// kind's rows is refused: a non-finite or out-of-range number token, an
-// unknown field, bytes after the array, or a bare object.
+// kind's row arrays is refused: a non-finite or out-of-range number
+// token, an unknown field, bytes after the array, a bare object, or a
+// flat row array.
 func TestDecodeRowsStrict(t *testing.T) {
 	for _, body := range []string{
-		`[{"MissesVsLRU":NaN}]`,
-		`[{"MissesVsLRU":Infinity}]`,
-		`[{"MissesVsLRU":-Infinity}]`,
-		`[{"MissesVsLRU":1e999}]`,
-		`[{"Workload":"x","Bogus":1}]`,
-		`[{"Workload":"x"}] []`,
-		`[{"Workload":"x"}]x`,
+		`[[{"MissesVsLRU":NaN}]]`,
+		`[[{"MissesVsLRU":Infinity}]]`,
+		`[[{"MissesVsLRU":-Infinity}]]`,
+		`[[{"MissesVsLRU":1e999}]]`,
+		`[[{"Workload":"x","Bogus":1}]]`,
+		`[[{"Workload":"x"}]] []`,
+		`[[{"Workload":"x"}]]x`,
 		`{"Workload":"x"}`,
+		`[{"Workload":"x"}]`,
 	} {
 		if _, err := DecodeRows("policy", []byte(body)); err == nil {
 			t.Errorf("DecodeRows accepted %s", body)
+		}
+	}
+}
+
+// TestSpecDecodeRowsCountsTables: a spec refuses a result that does not
+// hold exactly one row array per table of it.
+func TestSpecDecodeRowsCountsTables(t *testing.T) {
+	specs, _ := PlanFor("a2", planTestOptions())
+	sp := specs[0]
+	if _, err := sp.DecodeRows([]byte(`[[],[],[],null]`)); err != nil {
+		t.Errorf("a2 refused four tables: %v", err)
+	}
+	for _, body := range []string{`null`, `[]`, `[[],[],[]]`, `[[],[],[],[],[]]`} {
+		if _, err := sp.DecodeRows([]byte(body)); err == nil {
+			t.Errorf("a2 (%d tables) accepted %s", len(sp.Titles), body)
 		}
 	}
 }
@@ -245,11 +271,11 @@ func TestBareSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRows(sp.Kind, wire)
+		got, err := sp.DecodeRows(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w, g := tableJSON(t, []*report.Table{sp.Render(want)}), tableJSON(t, []*report.Table{sp.Render(got)}); !bytes.Equal(w, g) {
+		if w, g := tableJSON(t, sp.Render(want)), tableJSON(t, sp.Render(got)); !bytes.Equal(w, g) {
 			t.Errorf("%s: bare-suite table differs from the prepared suite's:\nwant %s\ngot  %s", id, w, g)
 		}
 	}

@@ -48,9 +48,7 @@ type CharRow struct {
 // LLC geometry, one row per workload.
 func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
 	return perStream(s, "characterize", func(st *Stream, shards int) ([]CharRow, error) {
-		lru := sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-			NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
-		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lru}, s.replayOpts(st, shards))
+		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, s.replayOpts(st, shards))
 		if err != nil {
 			return nil, err
 		}
@@ -157,8 +155,7 @@ type ReuseRow struct {
 // with the oracle's residency-scale sharing hint at the given LLC size.
 func (s *Suite) reuseDistances(llcSize int) ([]ReuseRow, error) {
 	return perStream(s, "reuse distances", func(st *Stream, _ int) ([]ReuseRow, error) {
-		horizon := int64(oracle.HorizonFactor) * int64(llcSize/64)
-		hints := oracle.SharedHints(st.Accesses, horizon)
+		hints := oracle.SharedHints(st.Accesses, oracle.Horizon(llcSize, oracle.HorizonFactor))
 		prof, err := reuse.Analyze(st.Accesses, hints)
 		if err != nil {
 			return nil, err
@@ -236,21 +233,16 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 	if len(names) == 0 {
 		names = policy.Names(s.Config.Seed)
 	}
-	factories := make([]policy.Factory, len(names))
+	configs := make([]sharing.LLCConfig, len(names))
 	for i, n := range names {
 		f, err := policy.ByName(n, s.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		factories[i] = f
+		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
 	}
 	return perStream(s, "comparing", func(st *Stream, shards int) ([]PolicyRow, error) {
-		configs := make([]sharing.LLCConfig, len(names))
-		for p, f := range factories {
-			configs[p] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
-		}
-		results, err := sharing.ReplayMulti(st.Accesses, configs,
-			s.replayOpts(st, shards))
+		results, err := sharing.ReplayMulti(st.Accesses, configs, s.replayOpts(st, shards))
 		if err != nil {
 			return nil, err
 		}
@@ -303,45 +295,75 @@ type OracleRow struct {
 // each named base policy at the given strength — all 2×|policies| lanes
 // of one workload fused into a single stream pass.
 func (s *Suite) OracleStudy(llcSize, llcWays int, names []string, opts core.Options) ([]OracleRow, error) {
+	return firstTable(s.oracleTables(llcSize, []int{llcWays}, names, []core.Options{opts}))
+}
+
+// oracleTables runs the oracle study of one table per (ways, options)
+// pair, ways-major: per workload, one fused replay of a bare lane per
+// (ways, policy) base and a protected lane per (table, policy). Every
+// cell shares the base lane of its ways and policy and, at one LLC size,
+// one hint column. A table's rows are its policies', in name order.
+func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []core.Options) ([][]OracleRow, error) {
 	if len(names) == 0 {
 		names = []string{"lru"}
 	}
-	factories := make([]func() cache.Policy, len(names))
-	for i, n := range names {
-		f, err := policy.ByName(n, s.Config.Seed)
-		if err != nil {
-			return nil, err
+	var bases []sharing.LLCConfig
+	var cells []oracle.Cell
+	for wi, w := range ways {
+		for _, n := range names {
+			f, err := policy.ByName(n, s.Config.Seed)
+			if err != nil {
+				return nil, err
+			}
+			bases = append(bases, sharing.LLCConfig{Size: llcSize, Ways: w, NewPolicy: f})
 		}
-		factories[i] = f
+		for _, o := range opts {
+			for p := range names {
+				cells = append(cells, oracle.Cell{Base: wi*len(names) + p, Opts: o, Factor: oracle.HorizonFactor})
+			}
+		}
 	}
-	return perStream(s, "oracle study", func(st *Stream, shards int) ([]OracleRow, error) {
-		results, err := oracle.RunMultiPolicies(s.context(), st.Accesses, llcSize, llcWays,
-			factories, opts, oracle.HorizonFactor, s.replayOpts(st, shards))
-		if err != nil {
-			return nil, err
+	return oracleStudy(s, "oracle study", len(ways)*len(opts), bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
+		tables := make([][]OracleRow, len(ways)*len(opts))
+		for i, res := range results {
+			t := i / len(names)
+			tables[t] = append(tables[t], OracleRow{
+				Workload:            st.Model.Name,
+				Policy:              names[i%len(names)],
+				BaseMisses:          res.Base.Misses,
+				OracleMisses:        res.Oracle.Misses,
+				Reduction:           res.MissReduction(),
+				BaseSharedHitFrac:   res.Base.SharedHitFraction(),
+				OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
+				AMATSpeedup: defaultLatency().amatSpeedup(st,
+					res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
+				Protector: res.Stats,
+			})
 		}
-		rows := make([]OracleRow, len(results))
-		for p, res := range results {
-			rows[p] = oracleRow(st, names[p], res)
-		}
-		return rows, nil
+		return tables
 	})
 }
 
-// oracleRow is the OracleRow of one base policy's oracle result on st.
-func oracleRow(st *Stream, policyName string, res *oracle.Result) OracleRow {
-	return OracleRow{
-		Workload:            st.Model.Name,
-		Policy:              policyName,
-		BaseMisses:          res.Base.Misses,
-		OracleMisses:        res.Oracle.Misses,
-		Reduction:           res.MissReduction(),
-		BaseSharedHitFrac:   res.Base.SharedHitFraction(),
-		OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
-		AMATSpeedup: defaultLatency().amatSpeedup(st,
-			res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
-		Protector: res.Stats,
-	}
+// oracleStudy runs one fused replay of bases and cells (oracle.Lanes)
+// per workload, and rows turns a workload's cell results into its rows
+// of n tables.
+func oracleStudy[R any](s *Suite, what string, n int, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
+	return perStreamTables(s, what, n, func(st *Stream, shards int) ([][]R, error) {
+		lanes, collect, err := oracle.Lanes(st.Accesses, bases, cells)
+		if err != nil {
+			return nil, err
+		}
+		results, err := sharing.ReplayMulti(st.Accesses, lanes, s.replayOpts(st, shards))
+		if err != nil {
+			return nil, err
+		}
+		return rows(st, collect(results)), nil
+	})
+}
+
+// lruLane is a bare LRU lane of the given geometry.
+func lruLane(llcSize, llcWays int) sharing.LLCConfig {
+	return sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
 }
 
 // buildMixStream prepares the LLC reference stream of a multiprogrammed
@@ -370,26 +392,19 @@ func buildMixStream(models []workloads.Model, machine cache.Config, seed uint64)
 // MultiprogrammedOracle runs the M1 experiment: the sharing oracle over
 // multiprogrammed mixes, where by construction nothing is shared and the
 // oracle should have (near) nothing to offer — the paper's motivating
-// contrast with multi-threaded workloads. ctx cancels both mix
+// contrast with multi-threaded workloads. The mixes' streams form a suite
+// of their own, on which the LRU oracle study runs. ctx cancels both mix
 // preparation and the oracle replays.
 func MultiprogrammedOracle(ctx context.Context, mixes [][]workloads.Model, machine cache.Config, seed uint64, llcSize, llcWays int, opts core.Options) ([]OracleRow, error) {
-	shards := leftoverShards(len(mixes))
-	rows := make([]OracleRow, len(mixes))
-	err := parallelCapCtx(ctx, len(mixes), runtime.GOMAXPROCS(0), func(i int) error {
-		st, err := buildMixStream(mixes[i], machine, seed)
-		if err != nil {
-			return err
-		}
-		ress, err := oracle.RunMultiPolicies(ctx, st.Accesses, llcSize, llcWays,
-			[]func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }},
-			opts, oracle.HorizonFactor, st.ReplayOptions(shards, ctx))
-		if err != nil {
-			return fmt.Errorf("multiprogrammed oracle %s: %w", st.Model.Name, err)
-		}
-		rows[i] = oracleRow(st, "lru", ress[0])
-		return nil
+	s := &Suite{Config: Config{Machine: machine, Seed: seed, Scale: 1}, Streams: make([]*Stream, len(mixes)), ctx: ctx}
+	err := parallelCapCtx(ctx, len(mixes), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		s.Streams[i], err = buildMixStream(mixes[i], machine, seed)
+		return err
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	return s.OracleStudy(llcSize, llcWays, []string{"lru"}, opts)
 }
 
 // HorizonRow is one (workload, horizon-factor) result of the A4 ablation.
@@ -406,18 +421,18 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4, 8}
 	}
-	return perStream(s, "horizon sweep", func(st *Stream, shards int) ([]HorizonRow, error) {
-		results, err := oracle.RunMultiHorizons(s.context(), st.Accesses, llcSize, llcWays,
-			func() cache.Policy { return policy.NewLRUPolicy() }, opts, factors, s.replayOpts(st, shards))
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]HorizonRow, len(results))
-		for f, res := range results {
-			rows[f] = HorizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
-		}
-		return rows, nil
-	})
+	cells := make([]oracle.Cell, len(factors))
+	for f, factor := range factors {
+		cells[f] = oracle.Cell{Opts: opts, Factor: factor}
+	}
+	return firstTable(oracleStudy(s, "horizon sweep", 1, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
+		func(st *Stream, results []*oracle.Result) [][]HorizonRow {
+			rows := make([]HorizonRow, len(results))
+			for f, res := range results {
+				rows[f] = HorizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
+			}
+			return [][]HorizonRow{rows}
+		}))
 }
 
 // meanReduction averages the miss reduction of rows for one policy.
@@ -476,17 +491,26 @@ type PredictorRow struct {
 // predictions influence replacement, under the LRU base policy. One
 // scored lane per workload carries every predictor.
 func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, names []string) ([]PredictorRow, error) {
+	return firstTable(s.predictorTables(llcSize, llcWays, []predictor.Config{cfg}, names))
+}
+
+// predictorTables scores every named predictor under every configuration
+// in one scored LRU lane per workload: table t holds the predictors built
+// with cfgs[t], in name order.
+func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, names []string) ([][]PredictorRow, error) {
 	if len(names) == 0 {
 		names = predictorNames()
 	}
-	return perStream(s, "predictor accuracy", func(st *Stream, shards int) ([]PredictorRow, error) {
-		preds := make([]predictor.Predictor, len(names))
-		for p, n := range names {
-			pred, err := newPredictor(n, cfg, st.Accesses)
-			if err != nil {
-				return nil, err
+	return perStreamTables(s, "predictor accuracy", len(cfgs), func(st *Stream, shards int) ([][]PredictorRow, error) {
+		var preds []predictor.Predictor
+		for _, cfg := range cfgs {
+			for _, n := range names {
+				pred, err := newPredictor(n, cfg, st.Accesses)
+				if err != nil {
+					return nil, err
+				}
+				preds = append(preds, pred)
 			}
-			preds[p] = pred
 		}
 		lane, finish, err := predictor.ScoredLane(llcSize, llcWays, func() cache.Policy { return policy.NewLRUPolicy() }, preds)
 		if err != nil {
@@ -495,21 +519,21 @@ func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, na
 		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, s.replayOpts(st, shards)); err != nil {
 			return nil, err
 		}
-		scores := finish()
-		rows := make([]PredictorRow, len(scores))
-		for p, ps := range scores {
+		tables := make([][]PredictorRow, len(cfgs))
+		for i, ps := range finish() {
 			// Every residency is scored, so the shared ones are TP+FN.
-			rows[p] = PredictorRow{
+			t := i / len(names)
+			tables[t] = append(tables[t], PredictorRow{
 				Workload:       st.Model.Name,
-				Predictor:      names[p],
+				Predictor:      names[i%len(names)],
 				Pred:           ps,
 				Accuracy:       ps.Accuracy(),
 				Precision:      ps.Precision(),
 				Recall:         ps.Recall(),
 				SharedBaseRate: stats.Ratio(ps.TP+ps.FN, ps.Total()),
-			}
+			})
 		}
-		return rows, nil
+		return tables, nil
 	})
 }
 
@@ -538,57 +562,48 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		names = []string{"addr", "pc"}
 	}
 	return perStream(s, "predictor driven", func(st *Stream, shards int) ([]DrivenRow, error) {
-		// Lane 0: bare LRU (the base). Lane 1: the oracle ceiling, hinted
-		// from the SharedHints column. Lanes 2..: one protector per
-		// realistic predictor, which the lane's policy consults and trains.
-		// No lane has hooks, and a Protector keeps cross-set state, so each
-		// protected lane calls NewPolicy exactly once and the factories can
-		// stash its protector for the post-replay intervention stats.
-		horizon := int64(oracle.HorizonFactor) * int64(llcSize/64)
-		hints := oracle.SharedHints(st.Accesses, horizon)
-		configs := make([]sharing.LLCConfig, 2+len(names))
-		prots := make([]*core.Protector, 1+len(names))
-		configs[0] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-			NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
-		configs[1] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-			NewPolicy: func() cache.Policy {
-				h := oracle.NewHinted(policy.NewLRUPolicy(), opts, hints)
-				prots[0] = h.Protector
-				return h
-			}}
+		// Lane 0: bare LRU (the base). Lane 1: the oracle ceiling. Lanes
+		// 2..: one protector per realistic predictor, which the lane's
+		// policy consults and trains. A Protector keeps cross-set state, so
+		// each driven lane calls NewPolicy exactly once and can stash its
+		// protector for the post-replay intervention stats.
+		lanes, collect, err := oracle.Lanes(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)},
+			[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
+		if err != nil {
+			return nil, err
+		}
+		prots := make([]*core.Protector, len(names))
 		for p, n := range names {
 			pred, err := newPredictor(n, cfg, st.Accesses)
 			if err != nil {
 				return nil, err
 			}
-			configs[2+p] = sharing.LLCConfig{Size: llcSize, Ways: llcWays,
+			lanes = append(lanes, sharing.LLCConfig{Size: llcSize, Ways: llcWays,
 				NewPolicy: func() cache.Policy {
 					d := predictor.NewDriven(policy.NewLRUPolicy(), opts, pred)
-					prots[1+p] = d.Protector
+					prots[p] = d.Protector
 					return d
-				}}
+				}})
 		}
-		results, err := sharing.ReplayMulti(st.Accesses, configs,
-			s.replayOpts(st, shards))
+		results, err := sharing.ReplayMulti(st.Accesses, lanes, s.replayOpts(st, shards))
 		if err != nil {
 			return nil, err
 		}
-		base, orc := results[0], results[1]
+		orc := collect(results)[0]
 		rows := make([]DrivenRow, len(names))
 		for p := range names {
-			row := DrivenRow{
-				Workload:     st.Model.Name,
-				Predictor:    names[p],
-				BaseMisses:   base.Misses,
-				DrivenMisses: results[2+p].Misses,
-				OracleMisses: orc.Misses,
-				Protector:    prots[1+p].Stats(),
+			// A driven lane is pass 2 of a study hinted by its predictor.
+			driven := oracle.Result{Base: orc.Base, Oracle: results[2+p]}
+			rows[p] = DrivenRow{
+				Workload:        st.Model.Name,
+				Predictor:       names[p],
+				BaseMisses:      orc.Base.Misses,
+				DrivenMisses:    results[2+p].Misses,
+				OracleMisses:    orc.Oracle.Misses,
+				Reduction:       driven.MissReduction(),
+				OracleReduction: orc.MissReduction(),
+				Protector:       prots[p].Stats(),
 			}
-			if row.BaseMisses > 0 {
-				row.Reduction = float64(int64(row.BaseMisses)-int64(row.DrivenMisses)) / float64(row.BaseMisses)
-				row.OracleReduction = float64(int64(row.BaseMisses)-int64(row.OracleMisses)) / float64(row.BaseMisses)
-			}
-			rows[p] = row
 		}
 		return rows, nil
 	})

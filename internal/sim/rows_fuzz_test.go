@@ -50,27 +50,31 @@ func sampleRows[T any]() []T {
 	return rows
 }
 
-// rowSample is one row slice and the kind it is registered under.
+// rowSample is one spec's table-major rows and the kind they are
+// registered under.
 type rowSample struct {
 	kind string
 	rows any
 }
 
-// rowSamples returns sample rows for every registered row kind, failing
-// if a kind has none.
+// rowSamples returns one table of sample rows for every registered row
+// kind, plus a two-table sample and one with an empty table, failing if a
+// kind has none.
 func rowSamples(tb testing.TB) []rowSample {
 	tb.Helper()
 	samples := []rowSample{
-		{"char", sampleRows[CharRow]()},
-		{"policy", sampleRows[PolicyRow]()},
-		{"oracle", sampleRows[OracleRow]()},
-		{"predictor", sampleRows[PredictorRow]()},
-		{"driven", sampleRows[DrivenRow]()},
-		{"reuse", sampleRows[ReuseRow]()},
-		{"coherence", sampleRows[CoherenceRow]()},
-		{"phase", sampleRows[PhaseRow]()},
-		{"horizon", sampleRows[HorizonRow]()},
-		{"seed", sampleRows[seedRow]()},
+		{"char", [][]CharRow{sampleRows[CharRow]()}},
+		{"policy", [][]PolicyRow{sampleRows[PolicyRow]()}},
+		{"oracle", [][]OracleRow{sampleRows[OracleRow]()}},
+		{"predictor", [][]PredictorRow{sampleRows[PredictorRow]()}},
+		{"driven", [][]DrivenRow{sampleRows[DrivenRow]()}},
+		{"reuse", [][]ReuseRow{sampleRows[ReuseRow]()}},
+		{"coherence", [][]CoherenceRow{sampleRows[CoherenceRow]()}},
+		{"phase", [][]PhaseRow{sampleRows[PhaseRow]()}},
+		{"horizon", [][]HorizonRow{sampleRows[HorizonRow]()}},
+		{"seed", [][]seedRow{sampleRows[seedRow]()}},
+		{"predictor", [][]PredictorRow{sampleRows[PredictorRow](), sampleRows[PredictorRow]()}},
+		{"oracle", [][]OracleRow{sampleRows[OracleRow](), {}}},
 	}
 	have := map[string]bool{}
 	for _, sm := range samples {
@@ -87,9 +91,10 @@ func rowSamples(tb testing.TB) []rowSample {
 // FuzzDecodeRows holds the cluster's row decoder, the one reader of the
 // bytes a worker posts as a bundle result, to its contract: no input
 // panics under any row kind, and whatever decodes re-encodes to a fixed
-// point. Every seed — the encoding of each kind's sample rows, −0 and the
-// float64 extremes included — must decode to the same rows, re-encoding
-// to the same bytes; truncations of those encodings seed the corpus too,
+// point. Every seed — the table-major encoding of each kind's sample
+// rows, −0 and the float64 extremes included, and of a two-table sample
+// and an empty table — must decode to the same rows, re-encoding to the
+// same bytes; truncations of those encodings seed the corpus too,
 // and so does a body with a non-finite token, which no kind decodes.
 func FuzzDecodeRows(f *testing.F) {
 	kinds := make([]string, 0, len(rowCodecs))
@@ -116,7 +121,7 @@ func FuzzDecodeRows(f *testing.F) {
 			f.Add(wire[:n])
 		}
 	}
-	nonFinite := []byte(`[{"Workload":"x","Reduction":NaN}]`)
+	nonFinite := []byte(`[[{"Workload":"x","Reduction":NaN}]]`)
 	for _, kind := range kinds {
 		if _, err := DecodeRows(kind, nonFinite); err == nil {
 			f.Fatalf("%s: decoded a NaN token", kind)

@@ -249,14 +249,24 @@ func (s *Suite) context() context.Context {
 // so the fan-out and the set sharding never oversubscribe the machine
 // between them. A failure is labelled with what and the workload.
 func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) ([]R, error)) ([]R, error) {
-	n := len(s.Streams)
+	return firstTable(perStreamTables(s, what, 1, func(st *Stream, shards int) ([][]R, error) {
+		r, err := rows(st, shards)
+		return [][]R{r}, err
+	}))
+}
+
+// perStreamTables is perStream for an experiment of n tables: rows
+// returns one row slice per table, and each table concatenates its
+// slices in suite order.
+func perStreamTables[R any](s *Suite, what string, n int, rows func(st *Stream, shards int) ([][]R, error)) ([][]R, error) {
+	streams := len(s.Streams)
 	shards := s.Config.Shards
 	if shards == 0 {
-		shards = leftoverShards(n)
+		shards = leftoverShards(streams)
 	}
-	per := make([][]R, n)
+	per := make([][][]R, streams)
 	var done atomic.Int64
-	err := parallelCapCtx(s.context(), n, runtime.GOMAXPROCS(0), func(i int) error {
+	err := parallelCapCtx(s.context(), streams, runtime.GOMAXPROCS(0), func(i int) error {
 		st := s.Streams[i]
 		r, err := rows(st, shards)
 		if err != nil {
@@ -264,18 +274,28 @@ func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) (
 		}
 		per[i] = r
 		if s.progress != nil {
-			s.progress(int(done.Add(1)), n, st.Model.Name)
+			s.progress(int(done.Add(1)), streams, st.Model.Name)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]R, 0, n)
-	for _, r := range per {
-		out = append(out, r...)
+	out := make([][]R, n)
+	for t := range out {
+		for _, r := range per {
+			out[t] = append(out[t], r[t]...)
+		}
 	}
 	return out, nil
+}
+
+// firstTable is the first table of a table-major result.
+func firstTable[R any](tables [][]R, err error) ([]R, error) {
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
 }
 
 // Stream returns the prepared stream for the named workload.
@@ -319,54 +339,31 @@ func leftoverShards(cells int) int {
 // CPU budget with nested parallelism (a sharded replay inside an
 // experiment fan-out) and would otherwise oversubscribe. Work items are
 // claimed from a lock-free atomic counter; the first error — including
-// ctx's error once it is cancelled, checked before each claim — stops
-// further claims and is returned after all workers drain.
+// ctx's error once it is cancelled, checked before each item runs —
+// stops further claims and is returned after all workers drain.
 func parallelCapCtx(ctx context.Context, n, cap int, f func(i int) error) error {
-	workers := cap
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		wg    sync.WaitGroup
 		next  atomic.Int64
 		stop  atomic.Bool
-		mu    sync.Mutex
+		once  sync.Once
 		first error
 	)
-	fail := func(err error) {
-		stop.Store(true)
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(1, min(cap, n)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if err := ctx.Err(); err != nil {
-					fail(err)
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
+				err := ctx.Err()
+				if err == nil {
+					err = f(i)
 				}
-				if err := f(int(i)); err != nil {
-					fail(err)
+				if err != nil {
+					once.Do(func() { first = err; stop.Store(true) })
 					return
 				}
 			}

@@ -8,6 +8,21 @@ import (
 	"sharellc/internal/stats"
 )
 
+// groups collects each row's value under its key, keys in first-seen
+// order.
+func groups[R any, K comparable](rows []R, kv func(R) (K, float64)) ([]K, map[K][]float64) {
+	by := map[K][]float64{}
+	var order []K
+	for _, r := range rows {
+		k, v := kv(r)
+		if _, ok := by[k]; !ok {
+			order = append(order, k)
+		}
+		by[k] = append(by[k], v)
+	}
+	return order, by
+}
+
 // charTable renders F1/F2 characterization rows.
 func charTable(title string, rows []CharRow) *report.Table {
 	t := report.NewTable(title,
@@ -47,14 +62,7 @@ func policyTable(title string, rows []PolicyRow) *report.Table {
 		t.MustRow(r.Workload, r.Policy, report.N(r.Misses), report.F(r.MissesVsLRU), stats.Pct(r.SharedHitFrac))
 	}
 	// Per-policy geomean of normalized misses: the suite-level summary.
-	byPolicy := map[string][]float64{}
-	var order []string
-	for _, r := range rows {
-		if _, ok := byPolicy[r.Policy]; !ok {
-			order = append(order, r.Policy)
-		}
-		byPolicy[r.Policy] = append(byPolicy[r.Policy], r.MissesVsLRU)
-	}
+	order, byPolicy := groups(rows, func(r PolicyRow) (string, float64) { return r.Policy, r.MissesVsLRU })
 	note := "geomean misses vs LRU:"
 	for _, p := range order {
 		note += fmt.Sprintf(" %s=%.3f", p, stats.GeoMean(byPolicy[p]))
@@ -72,13 +80,9 @@ func oracleTable(title string, rows []OracleRow) *report.Table {
 			stats.Pct(r.Reduction), report.F(r.AMATSpeedup), stats.Pct(r.BaseSharedHitFrac), stats.Pct(r.OracleSharedHitFrac))
 	}
 	note := "mean miss reduction:"
-	// Deterministic order: walk rows, first occurrence wins.
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Policy] {
-			seen[r.Policy] = true
-			note += fmt.Sprintf(" %s=%s", r.Policy, stats.Pct(meanReduction(rows, r.Policy)))
-		}
+	order, byPolicy := groups(rows, func(r OracleRow) (string, float64) { return r.Policy, r.Reduction })
+	for _, p := range order {
+		note += fmt.Sprintf(" %s=%s", p, stats.Pct(stats.Mean(byPolicy[p])))
 	}
 	t.Note = note
 	return t
@@ -140,15 +144,10 @@ func phaseTable(title string, rows []PhaseRow) *report.Table {
 // horizonTable renders A4 horizon-sweep rows.
 func horizonTable(title string, rows []HorizonRow) *report.Table {
 	t := report.NewTable(title, "workload", "horizon", "reduction")
-	byFactor := map[int][]float64{}
-	var order []int
 	for _, r := range rows {
 		t.MustRow(r.Workload, fmt.Sprintf("%dx", r.Factor), stats.Pct(r.Reduction))
-		if _, ok := byFactor[r.Factor]; !ok {
-			order = append(order, r.Factor)
-		}
-		byFactor[r.Factor] = append(byFactor[r.Factor], r.Reduction)
 	}
+	order, byFactor := groups(rows, func(r HorizonRow) (int, float64) { return r.Factor, r.Reduction })
 	note := "mean reduction by horizon:"
 	for _, f := range order {
 		note += fmt.Sprintf(" %dx=%s", f, stats.Pct(stats.Mean(byFactor[f])))
@@ -165,14 +164,7 @@ func predictorTable(title string, rows []PredictorRow) *report.Table {
 		t.MustRow(r.Workload, r.Predictor, report.F(r.Accuracy), report.F(r.Precision),
 			report.F(r.Recall), report.F(r.SharedBaseRate))
 	}
-	byPred := map[string][]float64{}
-	var order []string
-	for _, r := range rows {
-		if _, ok := byPred[r.Predictor]; !ok {
-			order = append(order, r.Predictor)
-		}
-		byPred[r.Predictor] = append(byPred[r.Predictor], r.Accuracy)
-	}
+	order, byPred := groups(rows, func(r PredictorRow) (string, float64) { return r.Predictor, r.Accuracy })
 	note := "mean accuracy:"
 	for _, p := range order {
 		note += fmt.Sprintf(" %s=%.3f", p, stats.Mean(byPred[p]))
@@ -185,16 +177,14 @@ func predictorTable(title string, rows []PredictorRow) *report.Table {
 func drivenTable(title string, rows []DrivenRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "predictor", "base-misses", "driven-misses", "reduction", "oracle-reduction")
-	byPred := map[string][]float64{}
-	var order []string
-	var oracleRed []float64
 	for _, r := range rows {
 		t.MustRow(r.Workload, r.Predictor, report.N(r.BaseMisses), report.N(r.DrivenMisses),
 			stats.Pct(r.Reduction), stats.Pct(r.OracleReduction))
-		if _, ok := byPred[r.Predictor]; !ok {
-			order = append(order, r.Predictor)
-		}
-		byPred[r.Predictor] = append(byPred[r.Predictor], r.Reduction)
+	}
+	order, byPred := groups(rows, func(r DrivenRow) (string, float64) { return r.Predictor, r.Reduction })
+	// Every predictor of a workload shares its oracle ceiling.
+	var oracleRed []float64
+	for _, r := range rows {
 		if r.Predictor == order[0] {
 			oracleRed = append(oracleRed, r.OracleReduction)
 		}

@@ -166,12 +166,16 @@ func MultiprogrammedOracle(mixes [][]Model, machine MachineConfig, seed uint64, 
 // then a pass in which every fill receives the oracle's sharing hint,
 // both lanes of one fused replay.
 func OracleRun(st *Stream, llcSize, llcWays int, newPolicy func() Policy, opts ProtectorOptions) (*OracleResult, error) {
-	res, err := oracle.RunMultiPolicies(context.Background(), st.Accesses, llcSize, llcWays,
-		[]func() Policy{newPolicy}, opts, oracle.HorizonFactor, sharing.Options{})
+	lanes, collect, err := oracle.Lanes(st.Accesses, []sharing.LLCConfig{{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}},
+		[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	results, err := sharing.ReplayMulti(st.Accesses, lanes, sharing.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return collect(results)[0], nil
 }
 
 // NewAddressPredictor builds the block-address-indexed fill-time sharing
