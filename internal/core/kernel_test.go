@@ -185,7 +185,7 @@ func drivenPredictors(t *testing.T, stream []cache.AccessInfo) []predictor.Predi
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := predictor.NewCoherence(stream, 4096)
+	coh, err := predictor.NewCoherence(stream, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

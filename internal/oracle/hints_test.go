@@ -55,11 +55,13 @@ func ownedStream(n int, seed uint64) []cache.AccessInfo {
 // TestSharedHintsMatchChainWalk holds the backward pass to the chain walk
 // bit for bit at horizon 0, 1, the two F5 horizons (HorizonFactor at 4
 // and 8 MB) and one past the stream's length, both one horizon per pass
-// (SharedHints) and all of them in one pass (A4's hintColumns).
+// (SharedHints, which scans for the block count) and all of them in one
+// pass given the count (A4's hintColumns).
 func TestSharedHintsMatchChainWalk(t *testing.T) {
 	stream := ownedStream(600000, 3)
 	horizons := []int64{0, 1, Horizon(4<<20, HorizonFactor), Horizon(8<<20, HorizonFactor), int64(len(stream)) + 1}
-	cols := hintColumns(stream, horizons)
+	_, numBlocks := cache.EnsureBlockIDs(stream)
+	cols := hintColumns(stream, numBlocks, horizons)
 	for k, horizon := range horizons {
 		want := chainHints(stream, horizon)
 		hinted := 0

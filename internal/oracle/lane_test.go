@@ -58,8 +58,10 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 // prefixes. The hook-free lane must take the two-phase route and call
 // NewPolicy exactly once: the protector stashes rely on it. Its policy
 // pass must run the protected-LRU kernel over LRU and the generic loop
-// over DRRIP, so the hooked reference holds both. At 128 ways both
-// lanes are past the two-phase route's 64 and must be rejected.
+// over DRRIP, so the hooked reference holds both. The same lane replayed
+// counts only (sharing.Options.CountsOnly) must return the hooked lane's
+// counts, zero elsewhere, and its Protector counters. At 128 ways every
+// form is past the two-phase route's 64 and must be rejected.
 func TestHintedLaneMatchesHooked(t *testing.T) {
 	full := laneStream(24000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
@@ -77,18 +79,28 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					hints := SharedHints(stream, Horizon(laneSize, HorizonFactor))
 					calls, parts := 0, 0
 					var ref *core.Protector
-					lanes, collect, err := Lanes(stream,
-						[]sharing.LLCConfig{{Size: laneSize, Ways: ways, NewPolicy: func() cache.Policy { calls++; return base() }}},
-						[]Cell{{Opts: opts, Factor: HorizonFactor}})
-					if err != nil {
-						t.Fatal(err)
-					}
 					// Only the protected lane replays; its base's result slot stays nil.
-					got, err := sharing.ReplayMulti(stream, lanes[1:], sharing.Options{Shards: 4,
+					replay := func(opt sharing.Options) (*Result, error) {
+						lanes, collect, err := Lanes(stream, 0,
+							[]sharing.LLCConfig{{Size: laneSize, Ways: ways, NewPolicy: func() cache.Policy { calls++; return base() }}},
+							[]Cell{{Opts: opts, Factor: HorizonFactor}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := sharing.ReplayMulti(stream, lanes[1:], opt)
+						if err != nil {
+							return nil, err
+						}
+						return collect(append([]*sharing.Result{nil}, got...))[0], nil
+					}
+					res, err := replay(sharing.Options{Shards: 4,
 						Partitioner: func(n int) (*sharing.PartitionIndex, error) {
 							parts = n
 							return sharing.BuildPartition(stream, n)
 						}})
+					// The counts-only leg: the lane run as its policy pass
+					// alone must count and protect exactly as the hooked lane.
+					counted, countErr := replay(sharing.Options{Shards: 4, CountsOnly: true})
 					var asked uint64
 					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
 						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},
@@ -99,29 +111,33 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
 					at := fmt.Sprintf("%s, %d ways, opts %d, len %d", name, ways, oi, len(stream))
 					if ways > 64 {
-						if err == nil || refErr == nil {
-							t.Errorf("%s: replayed past the two-phase route's 64 ways (hint column: %v, hooked: %v)", at, err, refErr)
+						if err == nil || refErr == nil || countErr == nil {
+							t.Errorf("%s: replayed past the two-phase route's 64 ways (hint column: %v, hooked: %v, counts only: %v)", at, err, refErr, countErr)
 						}
 						return
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if refErr != nil {
-						t.Fatal(refErr)
+					for _, err := range []error{err, refErr, countErr} {
+						if err != nil {
+							t.Fatal(err)
+						}
 					}
 					if asked != want[0].Misses {
 						t.Fatalf("%s: hooked lane asked for %d hints on %d misses", at, asked, want[0].Misses)
 					}
-					res := collect(append([]*sharing.Result{nil}, got...))[0]
 					if !reflect.DeepEqual(res.Oracle, want[0]) {
 						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res.Oracle, want[0])
 					}
-					if res.Stats != ref.Stats() {
-						t.Errorf("%s: protector stats %+v, hooked %+v", at, res.Stats, ref.Stats())
+					counts := sharing.Result{Policy: want[0].Policy, Accesses: want[0].Accesses, Hits: want[0].Hits, Misses: want[0].Misses}
+					if !reflect.DeepEqual(*counted.Oracle, counts) {
+						t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted.Oracle, counts)
 					}
-					if calls != 1 {
-						t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
+					for _, st := range []core.Stats{res.Stats, counted.Stats} {
+						if st != ref.Stats() {
+							t.Errorf("%s: protector stats %+v, hooked %+v", at, st, ref.Stats())
+						}
+					}
+					if calls != 2 {
+						t.Errorf("%s: NewPolicy called %d times over two replays, want 2", at, calls)
 					}
 					if parts < 2 {
 						t.Errorf("%s: partitioned into %d shards; want the two-phase route's tracker shards", at, parts)

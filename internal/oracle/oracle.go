@@ -65,7 +65,7 @@ const HorizonFactor = 4
 // residency-outcome bits, which are only defined for the base schedule's
 // own fills).
 func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
-	return hintColumns(stream, []int64{horizon})[0]
+	return hintColumns(stream, 0, []int64{horizon})[0]
 }
 
 // hintColumns computes the SharedHints column of every horizon in one
@@ -77,10 +77,13 @@ func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
 // access and its core (first) and that access's successor (second), and
 // i's successor is first or second as the cores differ or agree.
 //
-// Streams without BlockIDs (hand-built) are copied and assigned them on
-// the fly.
-func hintColumns(stream []cache.AccessInfo, horizons []int64) [][]bool {
-	stream, numBlocks := cache.EnsureBlockIDs(stream)
+// numBlocks > 0 asserts that the stream's BlockIDs are dense in
+// [0, numBlocks) (sim.Stream.NumBlocks); 0 scans, and streams without
+// BlockIDs (hand-built) are copied and assigned them on the fly.
+func hintColumns(stream []cache.AccessInfo, numBlocks int, horizons []int64) [][]bool {
+	if numBlocks <= 0 {
+		stream, numBlocks = cache.EnsureBlockIDs(stream)
+	}
 	cols := make([][]bool, len(horizons))
 	for k := range cols {
 		cols[k] = make([]bool, len(stream))
@@ -177,15 +180,16 @@ type Cell struct {
 }
 
 // Lanes builds the lanes of a fused oracle study over stream: the bare
-// bases, unchanged, then one protected lane per cell. One backward pass
-// builds the hint column of every distinct horizon: the column is a trace
-// property, shared by every cell at that horizon whatever its policy,
-// ways or options. A caller may append lanes of its own and replay them
+// bases, unchanged, then one protected lane per cell. numBlocks is the
+// stream's distinct-block count when known, or 0 (see hintColumns). One
+// backward pass builds the hint column of every distinct horizon: the
+// column is a trace property, shared by every cell at that horizon
+// whatever its policy, ways or options. A caller may append lanes of its own and replay them
 // all in one sharing.ReplayMulti call; collect then maps that replay's
 // results to one Result per cell, in cell order, each bit-identical to
 // the cell replayed alone. Every base's NewPolicy must return a fresh
 // instance on each call: the two passes must not share trained state.
-func Lanes(stream []cache.AccessInfo, bases []sharing.LLCConfig, cells []Cell) (lanes []sharing.LLCConfig, collect func([]*sharing.Result) []*Result, err error) {
+func Lanes(stream []cache.AccessInfo, numBlocks int, bases []sharing.LLCConfig, cells []Cell) (lanes []sharing.LLCConfig, collect func([]*sharing.Result) []*Result, err error) {
 	var horizons []int64
 	col := make([]int, len(cells)) // cell → index of its hint column
 	for i, c := range cells {
@@ -198,7 +202,7 @@ func Lanes(stream []cache.AccessInfo, bases []sharing.LLCConfig, cells []Cell) (
 			horizons = append(horizons, h)
 		}
 	}
-	hints := hintColumns(stream, horizons)
+	hints := hintColumns(stream, numBlocks, horizons)
 	n := len(bases)
 	lanes = append(make([]sharing.LLCConfig, 0, n+len(cells)), bases...)
 	// A Protector keeps cross-set state, so a lane calls NewPolicy exactly

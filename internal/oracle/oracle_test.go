@@ -22,7 +22,7 @@ func lruFactory() cache.Policy { return policy.NewLRUPolicy() }
 
 // fused replays bases and cells as one oracle study.
 func fused(stream []cache.AccessInfo, bases []sharing.LLCConfig, cells []Cell, ropt sharing.Options) ([]*Result, error) {
-	lanes, collect, err := Lanes(stream, bases, cells)
+	lanes, collect, err := Lanes(stream, 0, bases, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +299,7 @@ func TestSharedHintsHorizonCutoff(t *testing.T) {
 func TestLanesRefusesBadFactor(t *testing.T) {
 	bases := []sharing.LLCConfig{{Size: size, Ways: ways, NewPolicy: lruFactory}}
 	for _, f := range []int{0, -1} {
-		if _, _, err := Lanes(sharedVictimStream(), bases, []Cell{{Factor: f}}); err == nil {
+		if _, _, err := Lanes(sharedVictimStream(), 0, bases, []Cell{{Factor: f}}); err == nil {
 			t.Errorf("Lanes accepted horizon factor %d", f)
 		}
 	}
@@ -313,7 +313,7 @@ func TestLanesShareHintColumns(t *testing.T) {
 		bases = append(bases, sharing.LLCConfig{Size: laneSize, Ways: w, NewPolicy: lruFactory})
 	}
 	cells := []Cell{{Base: 0, Factor: HorizonFactor}, {Base: 1, Factor: HorizonFactor}, {Base: 2, Factor: HorizonFactor}, {Base: 1, Factor: 1}}
-	lanes, _, err := Lanes(laneStream(2000, 300, 3), bases, cells)
+	lanes, _, err := Lanes(laneStream(2000, 300, 3), 0, bases, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

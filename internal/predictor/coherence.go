@@ -34,9 +34,10 @@ type Coherence struct {
 // NewCoherence builds the predictor over stream, which must carry
 // contiguous Index values from 0 (cache.FilterStream order). window <= 0
 // selects DefaultCoherenceWindow. The directory is keyed by the stream's
-// dense BlockIDs (cache.EnsureBlockIDs numbers a copy of a stream that
-// carries none).
-func NewCoherence(stream []cache.AccessInfo, window int64) (*Coherence, error) {
+// dense BlockIDs: numBlocks > 0 asserts they lie in [0, numBlocks)
+// (sim.Stream.NumBlocks), and 0 scans for them (cache.EnsureBlockIDs
+// numbers a copy of a stream that carries none).
+func NewCoherence(stream []cache.AccessInfo, numBlocks int, window int64) (*Coherence, error) {
 	if window < 0 {
 		return nil, fmt.Errorf("predictor: negative coherence window %d", window)
 	}
@@ -44,7 +45,9 @@ func NewCoherence(stream []cache.AccessInfo, window int64) (*Coherence, error) {
 	if w == 0 {
 		w = DefaultCoherenceWindow
 	}
-	stream, numBlocks := cache.EnsureBlockIDs(stream)
+	if numBlocks <= 0 {
+		stream, numBlocks = cache.EnsureBlockIDs(stream)
+	}
 	dir := coherence.NewDirectory(numBlocks)
 	col := make([]bool, len(stream))
 	for i := range stream {

@@ -65,10 +65,10 @@ func coherenceStream(accs ...acc) []cache.AccessInfo {
 }
 
 func TestCoherenceConstruction(t *testing.T) {
-	if _, err := NewCoherence(nil, -1); err == nil {
+	if _, err := NewCoherence(nil, 0, -1); err == nil {
 		t.Error("negative window accepted")
 	}
-	p, err := NewCoherence(nil, 0)
+	p, err := NewCoherence(nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCoherencePredictsActiveSharing(t *testing.T) {
 		acc{0, 2, false}, acc{0, 2, true}, // block 2 touched by one core only
 		acc{0, 999, false}, // first touch
 	)
-	p, err := NewCoherence(stream, 100)
+	p, err := NewCoherence(stream, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCoherenceRecencyWindow(t *testing.T) {
 	}
 	accs = append(accs, acc{1, 1, false}) // 25 events after it
 	stream := coherenceStream(accs...)
-	p, err := NewCoherence(stream, 10)
+	p, err := NewCoherence(stream, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCoherenceColumnMatchesObserved(t *testing.T) {
 	}
 	for name, stream := range streams {
 		for _, window := range []int64{0, 1, 4096} {
-			p, err := NewCoherence(stream, window)
+			p, err := NewCoherence(stream, 0, window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestCoherenceBeatsHistoryOnPhasedSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := NewCoherence(stream, 64)
+	coh, err := NewCoherence(stream, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCoherenceBeatsHistoryOnPhasedSharing(t *testing.T) {
 
 func TestCoherenceDrivesReplacement(t *testing.T) {
 	stream := mixedStream(10000)
-	coh, err := NewCoherence(stream, 0)
+	coh, err := NewCoherence(stream, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func predictors(t *testing.T, stream []cache.AccessInfo) []Predictor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := NewCoherence(stream, 4096)
+	coh, err := NewCoherence(stream, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,10 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 // two-phase route and call NewPolicy exactly once: the protector stashes
 // rely on it. Over LRU its policy pass must run the protected-LRU
 // kernel; the DRRIP case holds the generic loop to the hooked reference.
-// At 128 ways both lanes are past the two-phase route's 64 and must be
-// rejected.
+// A fresh driven lane replayed counts only (sharing.Options.CountsOnly)
+// must return the hooked lane's counts, zero elsewhere, and its
+// Protector counters. At 128 ways every form is past the two-phase
+// route's 64 and must be rejected.
 func TestDrivenLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -109,23 +111,36 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 								return ref
 							}}
 						want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+						// The counts-only leg: a fresh driven lane run as its
+						// policy pass alone.
+						var cdrv *Driven
+						counted, countErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: drivenSize, Ways: ways,
+							NewPolicy: func() cache.Policy {
+								cdrv = NewDriven(base(), opts, predictors(t, stream)[pi])
+								return cdrv
+							}}}, sharing.Options{Shards: 4, CountsOnly: true})
 						if ways > 64 {
-							if err == nil || refErr == nil {
-								t.Errorf("%s: replayed past the two-phase route's 64 ways (driven: %v, hooked: %v)", at, err, refErr)
+							if err == nil || refErr == nil || countErr == nil {
+								t.Errorf("%s: replayed past the two-phase route's 64 ways (driven: %v, hooked: %v, counts only: %v)", at, err, refErr, countErr)
 							}
 							continue
 						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if refErr != nil {
-							t.Fatal(refErr)
+						for _, err := range []error{err, refErr, countErr} {
+							if err != nil {
+								t.Fatal(err)
+							}
 						}
 						if !reflect.DeepEqual(got[0], want[0]) {
 							t.Errorf("%s: driven lane differs from the hooked lane\ndriven: %+v\nhooked: %+v", at, got[0], want[0])
 						}
-						if drv.Stats() != ref.Stats() {
-							t.Errorf("%s: protector stats %+v, hooked %+v", at, drv.Stats(), ref.Stats())
+						counts := sharing.Result{Policy: want[0].Policy, Accesses: want[0].Accesses, Hits: want[0].Hits, Misses: want[0].Misses}
+						if !reflect.DeepEqual(*counted[0], counts) {
+							t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted[0], counts)
+						}
+						for _, d := range []*Driven{drv, cdrv} {
+							if d.Stats() != ref.Stats() {
+								t.Errorf("%s: protector stats %+v, hooked %+v", at, d.Stats(), ref.Stats())
+							}
 						}
 						if calls != 1 {
 							t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)

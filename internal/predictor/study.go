@@ -64,13 +64,14 @@ const maxScored = 16
 
 // EvaluateMulti measures every predictor's fill-time accuracy without
 // letting it influence replacement: it replays the ScoredLane of preds
-// alone under ctx and returns its confusion matrices.
+// alone under ctx, counts only (the matrices come from the lane, not the
+// replay's Result), and returns its confusion matrices.
 func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]PredStats, error) {
 	cfg, finish, err := ScoredLane(llcSize, llcWays, newBase, preds)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx}); err != nil {
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx, CountsOnly: true}); err != nil {
 		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
 	}
 	return finish(), nil

@@ -54,7 +54,8 @@ func hookedScores(t *testing.T, stream []cache.AccessInfo, ways int, base func()
 // and DRRIP at 8, 16 and 64 ways, at several stream prefixes. Every
 // confusion matrix must equal its reference, and EvaluateMulti's must
 // equal the lane's. The lane must leave its base untouched (its Result
-// equals the bare base lane's), take the two-phase route, bind no batch
+// equals the bare base lane's, and counts only, the base's counts with
+// the same matrices), take the two-phase route, bind no batch
 // kernel, and call NewPolicy exactly once: EvaluateMulti reads the
 // matrices off that one instance. At 128 ways the lane and
 // EvaluateMulti must be rejected: the two-phase route stops at 64.
@@ -121,6 +122,18 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got[0], bare[0]) {
 					t.Errorf("%s: scored lane differs from the bare base\nscored: %+v\nbare:   %+v", at, got[0], bare[0])
+				}
+				cfg, finish, err := ScoredLane(drivenSize, ways, base, predictors(t, stream))
+				if err != nil {
+					t.Fatal(err)
+				}
+				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4, CountsOnly: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts := sharing.Result{Policy: bare[0].Policy, Accesses: bare[0].Accesses, Hits: bare[0].Hits, Misses: bare[0].Misses}
+				if !reflect.DeepEqual(*counted[0], counts) || !slices.Equal(finish(), scores) {
+					t.Errorf("%s: counts-only scored lane %+v, want the bare base's counts %+v and the lane's matrices", at, *counted[0], counts)
 				}
 				if calls != 1 {
 					t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)

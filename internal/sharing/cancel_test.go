@@ -3,6 +3,8 @@ package sharing
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,5 +80,50 @@ func TestReplayNilCtxUnchanged(t *testing.T) {
 		if base.Hits != r.Hits || base.Misses != r.Misses || base.SharedHits != r.SharedHits {
 			t.Errorf("results diverge with ctx: %+v vs %+v", base, r)
 		}
+	}
+}
+
+// TestReplayCountsOnlyCancelledMidPass cancels a counts-only replay from
+// inside its first lane's policy pass. The replay must return the
+// context's error, the abandoned pass must not return its dirty block →
+// line table to the words pool (whose at-rest invariant is all-zero),
+// and the next counts-only replay from the same pools must equal the
+// reference walk's counts.
+func TestReplayCountsOnlyCancelledMidPass(t *testing.T) {
+	stream := cancelStream(1 << 16)
+	ref, err := seqReplay(stream, lruLane64K(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	predicted := 0
+	canceller := lruLane64K()
+	canceller.Hooks = Hooks{PredictShared: func(cache.AccessInfo) bool {
+		if predicted++; predicted == 1000 {
+			cancel()
+		}
+		return false
+	}}
+	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Shards: 1, CountsOnly: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if uint64(predicted) >= ref.Misses {
+		t.Fatalf("the pass ran to its end (%d predictions, %d misses) before noticing the cancel", predicted, ref.Misses)
+	}
+	scratch.mu.Lock()
+	for _, words := range scratch.words {
+		if slices.ContainsFunc(words, func(w uint32) bool { return w != 0 }) {
+			t.Error("the cancelled pass returned a dirty block → line table to the words pool")
+		}
+	}
+	scratch.mu.Unlock()
+	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Shards: 1, CountsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], countsOf(ref)) {
+		t.Errorf("replay after the cancel: %+v, want %+v", got[0], countsOf(ref))
 	}
 }

@@ -26,6 +26,8 @@ package sharing
 // kept in reference_test.go).
 
 import (
+	"slices"
+
 	"sharellc/internal/cache"
 )
 
@@ -183,8 +185,11 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 	}
 	ways := l.cfg.Ways
 	setMask := uint64(l.sets - 1)
-	cur := make([]int32, part.Shards)
-	copy(cur, part.Offs[:part.Shards])
+	var cur []int32
+	if part != nil {
+		cur = slices.Clone(part.Offs[:part.Shards])
+	}
+	var hits uint64
 	log := l.log
 	active := grab(&scratch.words, numBlocks, false)
 	lineID := grab(&scratch.cols, l.sets*ways, false)
@@ -205,6 +210,12 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 		// and shard bits.
 		blkCol := passBlk[lo:hi][:len(o)]
 		llc.ReplayBatchCols(blkCol, passID[lo:hi], stream[lo:hi], active, lineID, o)
+		if opt.CountsOnly {
+			for _, w := range o {
+				hits += uint64(w&cache.BatchHit) / uint64(cache.BatchHit)
+			}
+			continue
+		}
 		for k := range o {
 			b := blkCol[k]
 			sh := int(b) & (len(cur) - 1)
@@ -217,6 +228,10 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 	if h, ok := l.inst.(*hooked); ok {
 		h.endSurvivors()
 	}
+	if opt.CountsOnly {
+		n := uint64(len(stream))
+		l.result = &Result{Policy: l.inst.Name(), Accesses: n, Hits: hits, Misses: n - hits}
+	}
 	// The words pool's at-rest invariant is all-zero. The cols pool
 	// carries no invariant, so lineID and out go back as they are.
 	clear(active)
@@ -227,10 +242,17 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 }
 
 // decodePassColumns builds the whole-stream block/BlockID columns the
-// two-phase policy passes share (see runPolicyPassBatch).
-func decodePassColumns(stream []cache.AccessInfo, blk []uint64, id []uint32) {
+// policy passes share (see runPolicyPassBatch). The same walk checks the
+// Index invariant and returns the stream's core count, which is all the
+// checking a counts-only replay, walking no partition, gets.
+func decodePassColumns(stream []cache.AccessInfo, blk []uint64, id []uint32) (cores int, err error) {
 	for i := range stream {
+		if int(stream[i].Index) != i {
+			return 0, errIndex(stream, i)
+		}
 		blk[i] = stream[i].Block
 		id[i] = stream[i].BlockID
+		cores = max(cores, int(stream[i].Core)+1)
 	}
+	return cores, nil
 }

@@ -34,6 +34,11 @@ package sharing
 //     that score predictors (predictor.ScoredLane) and hooked lanes,
 //     whose hooks ride the policy pass (see hooked).
 //
+// A caller that reads only each lane's hit and miss counts sets
+// Options.CountsOnly, and then every lane, sharded or not, runs as its
+// policy pass alone, counting hits from the outcome words: the replay
+// walks no partition and builds no outcome log or tracker.
+//
 // A replay that resolves to one shard — a short stream on one worker,
 // or a one-set geometry — runs the same routes over a one-shard
 // partition. A lane neither route can encode is rejected before any
@@ -97,7 +102,7 @@ func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, err
 	cores := 0
 	for i := range stream {
 		if int(stream[i].Index) != i {
-			return nil, fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
+			return nil, errIndex(stream, i)
 		}
 		counts[stream[i].Block&mask]++
 		cores = max(cores, int(stream[i].Core)+1)
@@ -116,6 +121,11 @@ func BuildPartition(stream []cache.AccessInfo, shards int) (*PartitionIndex, err
 	}
 	mem.Hugepages(order)
 	return &PartitionIndex{Shards: shards, Cores: cores, Order: order, Offs: offs}, nil
+}
+
+// errIndex reports a break of the stream Index invariant at position i.
+func errIndex(stream []cache.AccessInfo, i int) error {
+	return fmt.Errorf("sharing: stream index %d at position %d; use cache.FilterStream ordering", stream[i].Index, i)
 }
 
 // LLCConfig describes one lane of a fused replay: an LLC geometry, a
@@ -363,7 +373,8 @@ func blockShards(hotBytes, minSets, workers int) int {
 
 // replayLanes is the fused engine behind ReplayMulti. It turns the
 // lanes into a task list — one stream-order policy pass per two-phase
-// lane, then one task per set shard covering every lane's tracker walk —
+// lane (per lane counts only), then one task per set shard covering every
+// lane's tracker walk —
 // and runs the tasks on `workers` concurrent workers, leaving each
 // lane's merged Result in lane.result.
 //
@@ -401,46 +412,34 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 			hotBytes = hb
 		}
 	}
-	shards := blockShards(hotBytes, minSets, workers)
+	// A counts-only replay has no shard tasks: every lane is a policy
+	// pass, and the pass-column walk checks the stream instead.
+	shards, cores := 0, 0
 	var part *PartitionIndex
-	var err error
-	if opt.Partitioner != nil {
-		part, err = opt.Partitioner(shards)
-		if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
-			err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
-				part.Shards, len(part.Order), shards, len(stream))
+	if !opt.CountsOnly {
+		shards = blockShards(hotBytes, minSets, workers)
+		var err error
+		if opt.Partitioner != nil {
+			part, err = opt.Partitioner(shards)
+			if err == nil && (part.Shards != shards || len(part.Order) != len(stream)) {
+				err = fmt.Errorf("sharing: partitioner returned a partition for %d shards / %d accesses, want %d / %d",
+					part.Shards, len(part.Order), shards, len(stream))
+			}
+		} else {
+			part, err = BuildPartition(stream, shards)
 		}
-	} else {
-		part, err = BuildPartition(stream, shards)
-	}
-	if err != nil {
-		return err
-	}
-	if part.Cores > soaMaxCores {
-		return fmt.Errorf("sharing: stream has %d cores; the replay tracks at most %d", part.Cores, soaMaxCores)
+		if err != nil {
+			return err
+		}
+		cores = part.Cores
 	}
 	var shardLanes, phaseLanes []*lane
 	for _, l := range lanes {
-		if l.shardable {
+		if l.shardable && !opt.CountsOnly {
 			shardLanes = append(shardLanes, l)
 		} else {
 			phaseLanes = append(phaseLanes, l)
 		}
-	}
-
-	// Tracker scratch comes from the pool (see scratch.go).
-	for _, l := range lanes {
-		l.soa = grabSoA(l.sets * l.cfg.Ways)
-		l.active = grab(&scratch.words, numBlocks, false)
-		l.blockState = grab(&scratch.bytes, numBlocks, true)
-		l.parts = make([]*Result, shards)
-	}
-	for _, l := range shardLanes {
-		l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
-	}
-	for _, l := range phaseLanes {
-		l.log = grab(&scratch.bytes, len(stream), false)
-		l.ring = newLogRing()
 	}
 	// The policy passes share one whole-stream block/BlockID column
 	// pair instead of each streaming the 32-byte records to re-derive
@@ -450,7 +449,30 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	if len(phaseLanes) > 0 {
 		passBlk = grab(&scratch.blks, len(stream), false)
 		passID = grab(&scratch.cols, len(stream), false)
-		decodePassColumns(stream, passBlk, passID)
+		c, err := decodePassColumns(stream, passBlk, passID)
+		if err != nil {
+			return err
+		}
+		cores = max(cores, c)
+	}
+	if cores > soaMaxCores {
+		return fmt.Errorf("sharing: stream has %d cores; the replay tracks at most %d", cores, soaMaxCores)
+	}
+
+	// Tracker scratch comes from the pool (see scratch.go).
+	if !opt.CountsOnly {
+		for _, l := range lanes {
+			l.soa = grabSoA(l.sets * l.cfg.Ways)
+			l.active = grab(&scratch.words, numBlocks, false)
+			l.blockState = grab(&scratch.bytes, numBlocks, true)
+			l.parts = make([]*Result, shards)
+			if l.shardable {
+				l.lineID = grab(&scratch.cols, l.sets*l.cfg.Ways, false)
+			} else {
+				l.log = grab(&scratch.bytes, len(stream), false)
+				l.ring = newLogRing()
+			}
+		}
 	}
 
 	// Each policy pass streams its log to the tracker shards through the
@@ -479,7 +501,9 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 					// Wake the tracker shards parked on this lane's ring:
 					// nobody will rerun the pass, and the error makes the
 					// whole replay fail.
-					l.ring.fail()
+					if l.ring != nil {
+						l.ring.fail()
+					}
 					return
 				}
 			}
@@ -558,6 +582,9 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	put(&scratch.blks, passBlk)
 	put(&scratch.cols, passID)
+	if opt.CountsOnly {
+		return nil // each pass left its lane's counts in l.result
+	}
 	for _, l := range lanes {
 		l.result = mergeLane(l.inst.Name(), l.parts, l.blockState)
 		putSoA(l.soa)

@@ -236,6 +236,14 @@ type Options struct {
 	// ID (the per-block arrays are sized by it), too large only wastes
 	// memory.
 	NumBlocks int
+
+	// CountsOnly declares that the caller reads only each lane's
+	// Accesses, Hits and Misses. Every lane, sharded or not, then runs
+	// as its stream-order policy pass alone and counts hits from the
+	// outcome words: no partition, outcome log or residency tracker.
+	// Each Result carries Policy and those three counts, zero
+	// elsewhere. ReplayMulti refuses the same lanes and streams.
+	CountsOnly bool
 }
 
 // Result aggregates one replay.

@@ -5,11 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"sharellc/internal/cache"
 	"sharellc/internal/core"
-	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
-	"sharellc/internal/sharing"
 	"sharellc/internal/workloads"
 )
 
@@ -130,38 +127,32 @@ func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 	}
 }
 
-// TestPredictorAccuracyUsesStreamPartitions: F7's replay takes the
-// suite's shard request and the stream's cached partitions like every
-// other experiment. After PredictorAccuracy on a Shards: 4 suite, each
-// stream's partition cache holds exactly the shard count a replay of
-// the scored lane under the same options asks for.
-func TestPredictorAccuracyUsesStreamPartitions(t *testing.T) {
+// TestPredictorAccuracyBuildsNoPartition: F7 reads only the scored
+// lane's matrices, so its replay runs counts only and walks no
+// partition. After PredictorAccuracy on a Shards: 4 suite no stream's
+// partition cache holds an entry; F1's tracked replay on the same suite
+// then fills each with one, so the cache was there to be used.
+func TestPredictorAccuracyBuildsNoPartition(t *testing.T) {
 	s := suiteWithShards(t, 4)
+	cached := func(st *Stream) int {
+		st.partMu.Lock()
+		defer st.partMu.Unlock()
+		return len(st.parts)
+	}
 	if _, err := s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range s.Streams {
-		lane, _, err := predictor.ScoredLane(tSize, tWays, func() cache.Policy { return policy.NewLRUPolicy() }, nil)
-		if err != nil {
-			t.Fatal(err)
+		if n := cached(st); n != 0 {
+			t.Errorf("%s: F7 left %d partitions in the stream's cache, want none", st.Model.Name, n)
 		}
-		asked := 0
-		opt := s.replayOpts(st, 4)
-		opt.Partitioner = func(n int) (*sharing.PartitionIndex, error) {
-			asked = n
-			return sharing.BuildPartition(st.Accesses, n)
-		}
-		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
-			t.Fatal(err)
-		}
-		st.partMu.Lock()
-		var cached []int
-		for n := range st.parts {
-			cached = append(cached, n)
-		}
-		st.partMu.Unlock()
-		if len(cached) != 1 || cached[0] != asked {
-			t.Errorf("%s: partition cache holds %v shard counts, want [%d]", st.Model.Name, cached, asked)
+	}
+	if _, err := s.Characterize(tSize, tWays); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range s.Streams {
+		if n := cached(st); n != 1 {
+			t.Errorf("%s: F1 left %d partitions in the stream's cache, want 1", st.Model.Name, n)
 		}
 	}
 }

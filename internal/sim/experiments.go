@@ -323,7 +323,7 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 			}
 		}
 	}
-	return oracleStudy(s, "oracle study", len(ways)*len(opts), bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
+	return oracleStudy(s, "oracle study", len(ways)*len(opts), false, bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
 		tables := make([][]OracleRow, len(ways)*len(opts))
 		for i, res := range results {
 			t := i / len(names)
@@ -346,14 +346,17 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 
 // oracleStudy runs one fused replay of bases and cells (oracle.Lanes)
 // per workload, and rows turns a workload's cell results into its rows
-// of n tables.
-func oracleStudy[R any](s *Suite, what string, n int, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
+// of n tables. countsOnly replays without the residency tracker, for
+// rows that read only hits and misses (sharing.Options.CountsOnly).
+func oracleStudy[R any](s *Suite, what string, n int, countsOnly bool, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
 	return perStreamTables(s, what, n, func(st *Stream, shards int) ([][]R, error) {
-		lanes, collect, err := oracle.Lanes(st.Accesses, bases, cells)
+		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, bases, cells)
 		if err != nil {
 			return nil, err
 		}
-		results, err := sharing.ReplayMulti(st.Accesses, lanes, s.replayOpts(st, shards))
+		opt := s.replayOpts(st, shards)
+		opt.CountsOnly = countsOnly
+		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -425,7 +428,7 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 	for f, factor := range factors {
 		cells[f] = oracle.Cell{Opts: opts, Factor: factor}
 	}
-	return firstTable(oracleStudy(s, "horizon sweep", 1, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
+	return firstTable(oracleStudy(s, "horizon sweep", 1, true, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
 		func(st *Stream, results []*oracle.Result) [][]HorizonRow {
 			rows := make([]HorizonRow, len(results))
 			for f, res := range results {
@@ -433,17 +436,6 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 			}
 			return [][]HorizonRow{rows}
 		}))
-}
-
-// meanReduction averages the miss reduction of rows for one policy.
-func meanReduction(rows []OracleRow, policyName string) float64 {
-	var xs []float64
-	for _, r := range rows {
-		if r.Policy == policyName {
-			xs = append(xs, r.Reduction)
-		}
-	}
-	return stats.Mean(xs)
 }
 
 // predictorNames lists the realistic predictors of the F7/F8 studies in
@@ -454,8 +446,8 @@ func predictorNames() []string {
 	return []string{"addr", "pc", "tournament", "coherence", "always", "never"}
 }
 
-// newPredictor builds the named predictor with cfg for stream.
-func newPredictor(name string, cfg predictor.Config, stream []cache.AccessInfo) (predictor.Predictor, error) {
+// newPredictor builds the named predictor with cfg for st.
+func newPredictor(name string, cfg predictor.Config, st *Stream) (predictor.Predictor, error) {
 	switch name {
 	case "addr":
 		return predictor.NewAddress(cfg)
@@ -464,7 +456,7 @@ func newPredictor(name string, cfg predictor.Config, stream []cache.AccessInfo) 
 	case "tournament":
 		return predictor.NewTournament(cfg)
 	case "coherence":
-		return predictor.NewCoherence(stream, 0)
+		return predictor.NewCoherence(st.Accesses, st.NumBlocks, 0)
 	case "always":
 		return predictor.Always{}, nil
 	case "never":
@@ -505,7 +497,7 @@ func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, n
 		var preds []predictor.Predictor
 		for _, cfg := range cfgs {
 			for _, n := range names {
-				pred, err := newPredictor(n, cfg, st.Accesses)
+				pred, err := newPredictor(n, cfg, st)
 				if err != nil {
 					return nil, err
 				}
@@ -516,7 +508,10 @@ func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, n
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, s.replayOpts(st, shards)); err != nil {
+		// The rows come from the lane's matrices, so the replay counts only.
+		opt := s.replayOpts(st, shards)
+		opt.CountsOnly = true
+		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
 			return nil, err
 		}
 		tables := make([][]PredictorRow, len(cfgs))
@@ -567,14 +562,14 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		// policy consults and trains. A Protector keeps cross-set state, so
 		// each driven lane calls NewPolicy exactly once and can stash its
 		// protector for the post-replay intervention stats.
-		lanes, collect, err := oracle.Lanes(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)},
+		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, []sharing.LLCConfig{lruLane(llcSize, llcWays)},
 			[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
 		if err != nil {
 			return nil, err
 		}
 		prots := make([]*core.Protector, len(names))
 		for p, n := range names {
-			pred, err := newPredictor(n, cfg, st.Accesses)
+			pred, err := newPredictor(n, cfg, st)
 			if err != nil {
 				return nil, err
 			}
@@ -585,7 +580,10 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 					return d
 				}})
 		}
-		results, err := sharing.ReplayMulti(st.Accesses, lanes, s.replayOpts(st, shards))
+		// Every F8 column is a miss count or a protector counter.
+		opt := s.replayOpts(st, shards)
+		opt.CountsOnly = true
+		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,10 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/report"
+	"sharellc/internal/sharing"
 	"sharellc/internal/stats"
 	"sharellc/internal/workloads"
 )
@@ -391,7 +393,8 @@ func a5Seeds() []uint64 { return []uint64{1, 2, 3} }
 
 // a5Rows measures seed robustness: it rebuilds the a5 subset under each
 // seed, in its own sub-suite (the suite's prepared streams are not
-// read), and averages the LRU oracle gain.
+// read), and averages the LRU oracle gain. Only miss counts are read, so
+// the oracle study replays counts only.
 func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 	sub, err := ModelsByName(a5Workloads())
 	if err != nil {
@@ -406,11 +409,15 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		orows, err := s2.OracleStudy(o.LLCSize, o.LLCWays, []string{"lru"}, o.Prot)
+		reds, err := firstTable(oracleStudy(s2, "oracle study", 1, true, []sharing.LLCConfig{lruLane(o.LLCSize, o.LLCWays)},
+			[]oracle.Cell{{Opts: o.Prot, Factor: oracle.HorizonFactor}},
+			func(_ *Stream, results []*oracle.Result) [][]float64 {
+				return [][]float64{{results[0].MissReduction()}}
+			}))
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, seedRow{Seed: seed, Reduction: meanReduction(orows, "lru"), Workloads: len(orows)})
+		rows = append(rows, seedRow{Seed: seed, Reduction: stats.Mean(reds), Workloads: len(reds)})
 	}
 	return rows, nil
 }

@@ -166,7 +166,7 @@ func MultiprogrammedOracle(mixes [][]Model, machine MachineConfig, seed uint64, 
 // then a pass in which every fill receives the oracle's sharing hint,
 // both lanes of one fused replay.
 func OracleRun(st *Stream, llcSize, llcWays int, newPolicy func() Policy, opts ProtectorOptions) (*OracleResult, error) {
-	lanes, collect, err := oracle.Lanes(st.Accesses, []sharing.LLCConfig{{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}},
+	lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, []sharing.LLCConfig{{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}},
 		[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
 	if err != nil {
 		return nil, err
