@@ -59,7 +59,7 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 // NewPolicy exactly once: the protector stashes rely on it. Its policy
 // pass must run the protected-LRU kernel over LRU and the generic loop
 // over DRRIP, so the hooked reference holds both. The same lane replayed
-// counts only (sharing.Options.CountsOnly) must return the hooked lane's
+// counts only (sharing.CountsOnly) must return the hooked lane's
 // counts, zero elsewhere, and its Protector counters. At 128 ways every
 // form is past the two-phase route's 64 and must be rejected.
 func TestHintedLaneMatchesHooked(t *testing.T) {
@@ -100,7 +100,7 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 						}})
 					// The counts-only leg: the lane run as its policy pass
 					// alone must count and protect exactly as the hooked lane.
-					counted, countErr := replay(sharing.Options{Shards: 4, CountsOnly: true})
+					counted, countErr := replay(sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
 					var asked uint64
 					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
 						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},

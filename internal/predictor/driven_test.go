@@ -61,7 +61,7 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 // two-phase route and call NewPolicy exactly once: the protector stashes
 // rely on it. Over LRU its policy pass must run the protected-LRU
 // kernel; the DRRIP case holds the generic loop to the hooked reference.
-// A fresh driven lane replayed counts only (sharing.Options.CountsOnly)
+// A fresh driven lane replayed counts only (sharing.CountsOnly)
 // must return the hooked lane's counts, zero elsewhere, and its
 // Protector counters. At 128 ways every form is past the two-phase
 // route's 64 and must be rejected.
@@ -118,7 +118,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 							NewPolicy: func() cache.Policy {
 								cdrv = NewDriven(base(), opts, predictors(t, stream)[pi])
 								return cdrv
-							}}}, sharing.Options{Shards: 4, CountsOnly: true})
+							}}}, sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
 						if ways > 64 {
 							if err == nil || refErr == nil || countErr == nil {
 								t.Errorf("%s: replayed past the two-phase route's 64 ways (driven: %v, hooked: %v, counts only: %v)", at, err, refErr, countErr)

@@ -71,7 +71,7 @@ func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcW
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx, CountsOnly: true}); err != nil {
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx, Tier: sharing.CountsOnly}); err != nil {
 		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
 	}
 	return finish(), nil

@@ -127,7 +127,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4, CountsOnly: true})
+				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
 				if err != nil {
 					t.Fatal(err)
 				}

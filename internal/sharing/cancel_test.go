@@ -83,13 +83,13 @@ func TestReplayNilCtxUnchanged(t *testing.T) {
 	}
 }
 
-// TestReplayCountsOnlyCancelledMidPass cancels a counts-only replay from
-// inside its first lane's policy pass. The replay must return the
-// context's error, the abandoned pass must not return its dirty block →
-// line table to the words pool (whose at-rest invariant is all-zero),
-// and the next counts-only replay from the same pools must equal the
-// reference walk's counts.
-func TestReplayCountsOnlyCancelledMidPass(t *testing.T) {
+// cancelledMidPass cancels a replay at tier from inside its first lane's
+// policy pass. The replay must return the context's error, the abandoned
+// pass must not return its dirty block → line table to the words pool
+// (whose at-rest invariant is all-zero), and the next replay at tier from
+// the same pools must equal project of the reference walk.
+func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
+	t.Helper()
 	stream := cancelStream(1 << 16)
 	ref, err := seqReplay(stream, lruLane64K(), Options{})
 	if err != nil {
@@ -105,25 +105,38 @@ func TestReplayCountsOnlyCancelledMidPass(t *testing.T) {
 		}
 		return false
 	}}
-	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Shards: 1, CountsOnly: true})
+	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Shards: 1, Tier: tier})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("tier %d: err = %v, want context.Canceled", tier, err)
 	}
 	if uint64(predicted) >= ref.Misses {
-		t.Fatalf("the pass ran to its end (%d predictions, %d misses) before noticing the cancel", predicted, ref.Misses)
+		t.Fatalf("tier %d: the pass ran to its end (%d predictions, %d misses) before noticing the cancel", tier, predicted, ref.Misses)
 	}
 	scratch.mu.Lock()
 	for _, words := range scratch.words {
 		if slices.ContainsFunc(words, func(w uint32) bool { return w != 0 }) {
-			t.Error("the cancelled pass returned a dirty block → line table to the words pool")
+			t.Errorf("tier %d: the cancelled pass returned a dirty block → line table to the words pool", tier)
 		}
 	}
 	scratch.mu.Unlock()
-	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Shards: 1, CountsOnly: true})
+	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Shards: 1, Tier: tier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[0], countsOf(ref)) {
-		t.Errorf("replay after the cancel: %+v, want %+v", got[0], countsOf(ref))
+	if want := project(ref); !reflect.DeepEqual(got[0], want) {
+		t.Errorf("tier %d replay after the cancel: %+v, want %+v", tier, got[0], want)
 	}
+}
+
+// TestReplayCountsOnlyCancelledMidPass is cancelledMidPass for the
+// CountsOnly tier.
+func TestReplayCountsOnlyCancelledMidPass(t *testing.T) {
+	cancelledMidPass(t, CountsOnly, countsOf)
+}
+
+// TestReplaySharedHitsCancelledMidPass is cancelledMidPass for the
+// SharedHitsOnly tier: the abandoned pass also leaves its streak column
+// and per-line words behind, and the next replay must not inherit them.
+func TestReplaySharedHitsCancelledMidPass(t *testing.T) {
+	cancelledMidPass(t, SharedHitsOnly, sharedHitsOf)
 }

@@ -178,7 +178,13 @@ func runPhaseLaneBatch(l *lane, st *replayState, bs *batchScratch, n int, order 
 // pass: a sweep runs one pass per two-phase lane, and letting each
 // re-derive the columns from the 32-byte records would stream the whole
 // record array once per lane just to recover 12 bytes per access.
-func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *PartitionIndex, passBlk []uint64, passID []uint32, l *lane, opt Options) error {
+//
+// An untracked replay's pass writes no log and is its lane's whole
+// replay, leaving the lane's Result in l.result: under CountsOnly it
+// counts hits from the outcome words, under SharedHitsOnly it also keeps
+// one word per line and classifies each residency against the stream's
+// streak column (streak.go).
+func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *PartitionIndex, passBlk []uint64, passID []uint32, streak []uint32, l *lane, opt Options) error {
 	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
 	if err != nil {
 		return err
@@ -190,6 +196,10 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 		cur = slices.Clone(part.Offs[:part.Shards])
 	}
 	var hits uint64
+	var sc sharedCounts
+	if opt.Tier == SharedHitsOnly {
+		sc.lines = grab(&scratch.blks, l.sets*ways, true)
+	}
 	log := l.log
 	active := grab(&scratch.words, numBlocks, false)
 	lineID := grab(&scratch.cols, l.sets*ways, false)
@@ -210,10 +220,14 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 		// and shard bits.
 		blkCol := passBlk[lo:hi][:len(o)]
 		llc.ReplayBatchCols(blkCol, passID[lo:hi], stream[lo:hi], active, lineID, o)
-		if opt.CountsOnly {
+		switch opt.Tier {
+		case CountsOnly:
 			for _, w := range o {
 				hits += uint64(w&cache.BatchHit) / uint64(cache.BatchHit)
 			}
+			continue
+		case SharedHitsOnly:
+			sc.advance(o, streak[lo:hi])
 			continue
 		}
 		for k := range o {
@@ -228,9 +242,12 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 	if h, ok := l.inst.(*hooked); ok {
 		h.endSurvivors()
 	}
-	if opt.CountsOnly {
-		n := uint64(len(stream))
+	switch n := uint64(len(stream)); opt.Tier {
+	case CountsOnly:
 		l.result = &Result{Policy: l.inst.Name(), Accesses: n, Hits: hits, Misses: n - hits}
+	case SharedHitsOnly:
+		l.result = sc.result(l.inst.Name(), n)
+		put(&scratch.blks, sc.lines)
 	}
 	// The words pool's at-rest invariant is all-zero. The cols pool
 	// carries no invariant, so lineID and out go back as they are.
@@ -244,7 +261,7 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, part *Partitio
 // decodePassColumns builds the whole-stream block/BlockID columns the
 // policy passes share (see runPolicyPassBatch). The same walk checks the
 // Index invariant and returns the stream's core count, which is all the
-// checking a counts-only replay, walking no partition, gets.
+// checking an untracked replay, walking no partition, gets.
 func decodePassColumns(stream []cache.AccessInfo, blk []uint64, id []uint32) (cores int, err error) {
 	for i := range stream {
 		if int(stream[i].Index) != i {

@@ -34,10 +34,14 @@ package sharing
 //     that score predictors (predictor.ScoredLane) and hooked lanes,
 //     whose hooks ride the policy pass (see hooked).
 //
-// A caller that reads only each lane's hit and miss counts sets
-// Options.CountsOnly, and then every lane, sharded or not, runs as its
-// policy pass alone, counting hits from the outcome words: the replay
-// walks no partition and builds no outcome log or tracker.
+// A caller that reads less than the tracked census sets Options.Tier,
+// and then every lane, sharded or not, runs as its policy pass alone: the
+// replay walks no partition and builds no outcome log or tracker. Under
+// CountsOnly the pass counts hits from the outcome words. Under
+// SharedHitsOnly one reverse walk first builds the stream's streak column
+// (how many more accesses each access's core makes to its block before
+// another core's), and every pass classifies each residency it closes
+// from that column and one hit count per line (streak.go).
 //
 // A replay that resolves to one shard — a short stream on one worker,
 // or a one-set geometry — runs the same routes over a one-shard
@@ -373,8 +377,8 @@ func blockShards(hotBytes, minSets, workers int) int {
 
 // replayLanes is the fused engine behind ReplayMulti. It turns the
 // lanes into a task list — one stream-order policy pass per two-phase
-// lane (per lane counts only), then one task per set shard covering every
-// lane's tracker walk —
+// lane (per lane in an untracked replay), then one task per set shard
+// covering every lane's tracker walk (none in an untracked replay) —
 // and runs the tasks on `workers` concurrent workers, leaving each
 // lane's merged Result in lane.result.
 //
@@ -412,11 +416,13 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 			hotBytes = hb
 		}
 	}
-	// A counts-only replay has no shard tasks: every lane is a policy
-	// pass, and the pass-column walk checks the stream instead.
+	// An untracked replay (SharedHitsOnly or CountsOnly) has no shard
+	// tasks: every lane is a policy pass, and the pass-column walk checks
+	// the stream instead.
+	tracked := opt.Tier == Tracked
 	shards, cores := 0, 0
 	var part *PartitionIndex
-	if !opt.CountsOnly {
+	if tracked {
 		shards = blockShards(hotBytes, minSets, workers)
 		var err error
 		if opt.Partitioner != nil {
@@ -435,7 +441,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	var shardLanes, phaseLanes []*lane
 	for _, l := range lanes {
-		if l.shardable && !opt.CountsOnly {
+		if l.shardable && tracked {
 			shardLanes = append(shardLanes, l)
 		} else {
 			phaseLanes = append(phaseLanes, l)
@@ -458,9 +464,15 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	if cores > soaMaxCores {
 		return fmt.Errorf("sharing: stream has %d cores; the replay tracks at most %d", cores, soaMaxCores)
 	}
+	// Every shared-hit pass reads the one streak column.
+	var streak []uint32
+	if opt.Tier == SharedHitsOnly {
+		streak = grab(&scratch.cols, len(stream), false)
+		buildStreaks(stream, numBlocks, streak)
+	}
 
 	// Tracker scratch comes from the pool (see scratch.go).
-	if !opt.CountsOnly {
+	if tracked {
 		for _, l := range lanes {
 			l.soa = grabSoA(l.sets * l.cfg.Ways)
 			l.active = grab(&scratch.words, numBlocks, false)
@@ -497,7 +509,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 					break
 				}
 				l := phaseLanes[t]
-				if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, l, opt); errs[w] != nil {
+				if errs[w] = runPolicyPassBatch(stream, numBlocks, part, passBlk, passID, streak, l, opt); errs[w] != nil {
 					// Wake the tracker shards parked on this lane's ring:
 					// nobody will rerun the pass, and the error makes the
 					// whole replay fail.
@@ -582,8 +594,9 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, workers int, opt Opti
 	}
 	put(&scratch.blks, passBlk)
 	put(&scratch.cols, passID)
-	if opt.CountsOnly {
-		return nil // each pass left its lane's counts in l.result
+	put(&scratch.cols, streak)
+	if !tracked {
+		return nil // each pass left its lane's Result in l.result
 	}
 	for _, l := range lanes {
 		l.result = mergeLane(l.inst.Name(), l.parts, l.blockState)

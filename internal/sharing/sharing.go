@@ -237,14 +237,33 @@ type Options struct {
 	// memory.
 	NumBlocks int
 
-	// CountsOnly declares that the caller reads only each lane's
-	// Accesses, Hits and Misses. Every lane, sharded or not, then runs
-	// as its stream-order policy pass alone and counts hits from the
-	// outcome words: no partition, outcome log or residency tracker.
-	// Each Result carries Policy and those three counts, zero
-	// elsewhere. ReplayMulti refuses the same lanes and streams.
-	CountsOnly bool
+	// Tier selects how much of each lane's Result the replay computes
+	// (see Tier). The zero value is the full tracked census.
+	Tier Tier
 }
+
+// Tier is the share of a Result a replay computes. Every tier refuses
+// the same lanes and streams (see ReplayMulti), and every field a tier
+// fills equals the tracked replay's.
+type Tier uint8
+
+const (
+	// Tracked fills every Result field: the sharded walk and the
+	// two-phase tracker run the SoA residency tracker and its close
+	// census (degrees, read-only/read-write splits, distinct blocks).
+	Tracked Tier = iota
+	// SharedHitsOnly fills Policy, Accesses, Hits, Misses, SharedHits,
+	// PrivateHits, Residencies (= Misses) and SharedResidencies, zero
+	// elsewhere. Every lane runs as its stream-order policy pass alone
+	// and classifies each residency from a per-line hit count and the
+	// stream's streak column (streak.go): no partition, outcome log or
+	// tracker.
+	SharedHitsOnly
+	// CountsOnly fills Policy, Accesses, Hits and Misses, zero
+	// elsewhere. Every lane runs as its policy pass alone, counting hits
+	// from the outcome words.
+	CountsOnly
+)
 
 // Result aggregates one replay.
 type Result struct {

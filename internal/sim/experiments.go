@@ -242,7 +242,10 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
 	}
 	return perStream(s, "comparing", func(st *Stream, shards int) ([]PolicyRow, error) {
-		results, err := sharing.ReplayMulti(st.Accesses, configs, s.replayOpts(st, shards))
+		// A row reads only counts and shared hits.
+		opt := s.replayOpts(st, shards)
+		opt.Tier = sharing.SharedHitsOnly
+		results, err := sharing.ReplayMulti(st.Accesses, configs, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +326,7 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 			}
 		}
 	}
-	return oracleStudy(s, "oracle study", len(ways)*len(opts), false, bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
+	return oracleStudy(s, "oracle study", len(ways)*len(opts), sharing.SharedHitsOnly, bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
 		tables := make([][]OracleRow, len(ways)*len(opts))
 		for i, res := range results {
 			t := i / len(names)
@@ -346,16 +349,18 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 
 // oracleStudy runs one fused replay of bases and cells (oracle.Lanes)
 // per workload, and rows turns a workload's cell results into its rows
-// of n tables. countsOnly replays without the residency tracker, for
-// rows that read only hits and misses (sharing.Options.CountsOnly).
-func oracleStudy[R any](s *Suite, what string, n int, countsOnly bool, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
+// of n tables. No oracle row reads the tracked census, so the replay runs
+// at tier: sharing.SharedHitsOnly for rows that carry shared-hit
+// fractions (F5, A1, A3, M1), sharing.CountsOnly for rows that read only
+// misses (A4, A5).
+func oracleStudy[R any](s *Suite, what string, n int, tier sharing.Tier, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
 	return perStreamTables(s, what, n, func(st *Stream, shards int) ([][]R, error) {
 		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, bases, cells)
 		if err != nil {
 			return nil, err
 		}
 		opt := s.replayOpts(st, shards)
-		opt.CountsOnly = countsOnly
+		opt.Tier = tier
 		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {
 			return nil, err
@@ -428,7 +433,7 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 	for f, factor := range factors {
 		cells[f] = oracle.Cell{Opts: opts, Factor: factor}
 	}
-	return firstTable(oracleStudy(s, "horizon sweep", 1, true, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
+	return firstTable(oracleStudy(s, "horizon sweep", 1, sharing.CountsOnly, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
 		func(st *Stream, results []*oracle.Result) [][]HorizonRow {
 			rows := make([]HorizonRow, len(results))
 			for f, res := range results {
@@ -510,7 +515,7 @@ func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, n
 		}
 		// The rows come from the lane's matrices, so the replay counts only.
 		opt := s.replayOpts(st, shards)
-		opt.CountsOnly = true
+		opt.Tier = sharing.CountsOnly
 		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
 			return nil, err
 		}
@@ -582,7 +587,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 		}
 		// Every F8 column is a miss count or a protector counter.
 		opt := s.replayOpts(st, shards)
-		opt.CountsOnly = true
+		opt.Tier = sharing.CountsOnly
 		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {
 			return nil, err

@@ -409,7 +409,7 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		reds, err := firstTable(oracleStudy(s2, "oracle study", 1, true, []sharing.LLCConfig{lruLane(o.LLCSize, o.LLCWays)},
+		reds, err := firstTable(oracleStudy(s2, "oracle study", 1, sharing.CountsOnly, []sharing.LLCConfig{lruLane(o.LLCSize, o.LLCWays)},
 			[]oracle.Cell{{Opts: o.Prot, Factor: oracle.HorizonFactor}},
 			func(_ *Stream, results []*oracle.Result) [][]float64 {
 				return [][]float64{{results[0].MissReduction()}}

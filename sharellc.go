@@ -171,7 +171,7 @@ func OracleRun(st *Stream, llcSize, llcWays int, newPolicy func() Policy, opts P
 	if err != nil {
 		return nil, err
 	}
-	results, err := sharing.ReplayMulti(st.Accesses, lanes, sharing.Options{})
+	results, err := sharing.ReplayMulti(st.Accesses, lanes, st.ReplayOptions(0, nil))
 	if err != nil {
 		return nil, err
 	}

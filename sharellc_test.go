@@ -1,9 +1,12 @@
 package sharellc_test
 
 import (
+	"reflect"
 	"testing"
 
 	"sharellc"
+	"sharellc/internal/oracle"
+	"sharellc/internal/sharing"
 )
 
 // apiSuite builds a tiny suite through the public facade only.
@@ -77,6 +80,42 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if res.Base.Misses == 0 || res.Oracle.Misses == 0 {
 		t.Error("oracle run produced empty results")
+	}
+}
+
+// TestOracleRunStreamOptions: OracleRun replays with the stream's own
+// options (its partition cache and block count), and its full result, the
+// tracked census of both lanes included, equals a replay of the same lanes
+// with default options, which rescans the stream and builds its own
+// partitions.
+func TestOracleRunStreamOptions(t *testing.T) {
+	st := apiSuite(t).Streams[0]
+	for _, name := range []string{"lru", "drrip"} {
+		base, err := sharellc.PolicyByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := sharellc.ProtectorOptions{Strength: sharellc.Full}
+		got, err := sharellc.OracleRun(st, 16*sharellc.KB, 8, func() sharellc.Policy { return base() }, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes, collect, err := oracle.Lanes(st.Accesses, 0, []sharing.LLCConfig{{Size: 16 * sharellc.KB, Ways: 8, NewPolicy: base}},
+			[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := sharing.ReplayMulti(st.Accesses, lanes, sharing.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := collect(results)[0]
+		if want.Base.Misses <= want.Base.DistinctBlocks || want.Base.SharedHits == 0 {
+			t.Fatalf("%s: the reference replay evicted nothing or shared nothing: %+v", name, want.Base)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: OracleRun = %+v / %+v, a default-options replay %+v / %+v", name, got.Base, got.Oracle, want.Base, want.Oracle)
+		}
 	}
 }
 
