@@ -10,8 +10,8 @@ package cache
 // loop whose only unavoidable per-access calls are the policy's own
 // Hit/Victim/Fill notifications — and none at all when the policy binds
 // a monomorphic BatchKernel. ReplayBatchCols walks pre-decoded block and
-// BlockID columns (the engine decodes them once per shard, or once per
-// stream for the policy passes, and reuses them across every lane),
+// BlockID columns (the engine decodes them once per stream and reuses
+// them across every lane),
 // touching the full record only where the policy contract requires the
 // pointer.
 //
@@ -28,14 +28,6 @@ const (
 	BatchHit   uint32 = 1 << 30
 	BatchEvict uint32 = 1 << 31
 )
-
-// LogByte compresses a batch outcome word into the one-byte-per-access
-// outcome log of internal/sharing's two-phase lanes: the way (the line
-// index minus setBase, the set's first line) lands in the low six bits,
-// and the hit/evict flags shift down from bits 30–31 to bits 6–7.
-func LogByte(o uint32, setBase uint32) uint8 {
-	return uint8(o&BatchLine-setBase) | uint8(o>>24&0xc0)
-}
 
 // BatchKernel is a monomorphic specialization of the ReplayBatchCols
 // chunk loop for one concrete (cache, policy) pair: a single call probes

@@ -16,16 +16,13 @@ package cache
 // blocks necessarily contains a nonzero ID.
 
 // IDGroupBits sets the granularity of the shard-major ID layout: blocks
-// are grouped by their low IDGroupBits block bits (the LLC set-index
-// bits that also pick a replay shard — see sharing.PartitionIndex), and
-// IDs are dense within each group. Any power-of-two shard count up to
-// 1<<IDGroupBits then owns a few contiguous ID ranges, so a shard
-// walk's per-block state (residency maps, next-use tables) touches
-// dense array slices instead of entries scattered across the whole
-// block population — first-touch numbering puts consecutive IDs in
-// different shards almost surely, wasting 15/16 of every cache line the
-// shard pulls. The sharded replay caps its shard count at 1<<IDGroupBits
-// to match (see blockShards in package sharing).
+// are grouped by their low IDGroupBits block bits (LLC set-index bits —
+// see sharing.PartitionIndex), and IDs are dense within each group. Any
+// power-of-two set shard count up to 1<<IDGroupBits then owns a few
+// contiguous ID ranges, so a walk over one shard's sets touches dense
+// slices of every per-block array instead of entries scattered across
+// the whole block population. The stream snapshots store IDs in this
+// layout.
 const IDGroupBits = 8
 
 // AssignBlockIDs assigns each distinct block of stream a dense uint32 ID

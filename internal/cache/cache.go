@@ -241,9 +241,9 @@ func badVictim(p Policy, way, ways int) string {
 // PerSetIndependent reports whether p declares that its replacement
 // decisions in one set depend only on the sequence of accesses to that set
 // (no cross-set state such as dueling counters, shared RNG draws or global
-// prediction tables). Per-set-independent policies may be replayed with the
-// stream sharded by set index and produce results identical to a
-// stream-order replay; see sharing.ReplayMulti.
+// prediction tables). A per-set-independent policy replayed with the
+// stream split by set index gives results identical to a stream-order
+// replay.
 func PerSetIndependent(p Policy) bool {
 	ps, ok := p.(interface{ PerSetIndependent() bool })
 	return ok && ps.PerSetIndependent()

@@ -147,8 +147,8 @@ type line struct {
 // Protector is the sharing-aware wrapper. It implements cache.Policy by
 // delegating to the wrapped base policy and intervening on hinted fills.
 // Its hint-rate gate counts fills across every set, so a Protector is
-// never per-set independent: a hook-free lane over it replays two-phase
-// (a stream-order policy pass, then the set-sharded tracker).
+// never per-set independent: a lane over it needs the stream-order
+// policy pass every replay lane runs.
 type Protector struct {
 	base   cache.Policy
 	keyer  VictimKeyer // base's ordering, nil when it has none (e.g. Random)

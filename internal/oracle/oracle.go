@@ -13,8 +13,8 @@
 // stays defined wherever the protected run's fills diverge from the base
 // run's. Lanes builds both passes as lanes of one fused replay, several
 // studies sharing their base lanes and hint columns, and no lane carries
-// a hook: a protected lane runs the engine's two-phase split like any
-// other cross-set policy. Over an LRU base (up to 64 ways) its policy pass
+// a hook: a protected lane runs the engine's stream-order policy pass
+// like any other lane. Over an LRU base (up to 64 ways) its policy pass
 // runs core's protected-LRU batch kernel, which reads the hint column
 // through Hinted's core.LaneHinter methods; over other bases it runs the
 // generic batch loop over Hinted's per-call methods.
@@ -137,10 +137,9 @@ func Horizon(llcSize, factor int) int64 {
 
 // Hinted is the policy of an oracle lane: a core.Protector whose fill at
 // stream position i is hinted shared iff hints[i]. The hint travels with
-// the policy, not through a replay hook, so the lane is hook-free and
-// rides the engine's two-phase split: its stream-order policy pass
-// presents the fills in the sequential walk's order, which is all the
-// Protector's cross-set hint-rate gate needs.
+// the policy, not through a replay hook, so the lane is hook-free: its
+// stream-order policy pass presents the fills in the sequential walk's
+// order, which is all the Protector's cross-set hint-rate gate needs.
 type Hinted struct {
 	*core.Protector
 	hints []bool

@@ -70,10 +70,11 @@ func Names(seed uint64) []string {
 }
 
 // PerSet reports whether p's replacement decisions in one set depend only
-// on the accesses to that set, making it eligible for the set-sharded
-// walk of sharing.ReplayMulti. LRU, FIFO, NRU, PLRU, LIP, SRRIP and OPT
+// on the accesses to that set, so that a replay split by set index would
+// give the same result. LRU, FIFO, NRU, PLRU, LIP, SRRIP and OPT
 // qualify; policies with cross-set state — shared RNG draws (Random, BIP,
 // BRRIP), set-dueling selectors (DIP, DRRIP) or global prediction tables
-// (SHiP) — do not, and replay two-phase: one stream-order policy pass,
-// then the tracker set-shard by set-shard.
+// (SHiP) — do not. sharing.ReplayMulti runs every lane as one
+// stream-order pass either way; the bench module splits its lane probes
+// by this property.
 func PerSet(p cache.Policy) bool { return cache.PerSetIndependent(p) }

@@ -10,9 +10,9 @@ import (
 // core.Protector whose fill hints come from a realistic predictor that the
 // lane itself consults and trains online from its own residency outcomes.
 // Prediction and training travel with the policy, not through replay
-// hooks, so the lane is hook-free and rides the engine's two-phase split:
-// its stream-order policy pass calls Hit, Victim and Fill in exactly the
-// sequential walk's order, which is the order the predictor must see.
+// hooks, so the lane is hook-free: its stream-order policy pass calls
+// Hit, Victim and Fill in exactly the sequential walk's order, which is
+// the order the predictor must see.
 //
 // Per miss the calls follow the hooked lane (HooksFor over a Protector)
 // one for one: the miss is predicted once, before any training (in

@@ -14,7 +14,7 @@
 // than a fraction of the oracle's gain.
 //
 // Both studies carry their predictors inside the replay lane's policy,
-// so no lane is hooked and both run two-phase. An F7/A2 lane
+// so no lane is hooked. An F7/A2 lane
 // (ScoredLane) scores every predictor at once against an untouched
 // base: no predictor steers, so all of them see the same residencies.
 // An F8 lane drives one predictor (Driven): over an LRU base (up to 64

@@ -104,9 +104,8 @@ func ScoredLane(llcSize, llcWays int, newBase func() cache.Policy, preds []Predi
 // Per miss every predictor predicts before any trains on the residency
 // the miss ends: in Victim when the set is full, else in Fill. The base
 // is embedded as a cache.Policy, which hides its PerSetIndependent and
-// NewBatchKernel: the predictors' tables cross sets, so the lane runs
-// two-phase (up to 64 ways), its policy pass calling Hit, Victim and
-// Fill in stream order.
+// NewBatchKernel: the predictors' tables cross sets, so the lane's
+// policy pass calls Hit, Victim and Fill in stream order.
 type scored struct {
 	cache.Policy
 	preds []Predictor

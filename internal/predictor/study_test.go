@@ -51,14 +51,12 @@ func hookedScores(t *testing.T, stream []cache.AccessInfo, ways int, base func()
 
 // TestScoredLaneMatchesHooked holds the F7/A2 lane — one lane scoring all
 // six predictors — to six hooked reference lanes (hookedScores) over LRU
-// and DRRIP at 8, 16 and 64 ways, at several stream prefixes. Every
+// and DRRIP at 8, 16, 64 and 128 ways, at several stream prefixes. Every
 // confusion matrix must equal its reference, and EvaluateMulti's must
 // equal the lane's. The lane must leave its base untouched (its Result
 // equals the bare base lane's, and counts only, the base's counts with
-// the same matrices), take the two-phase route, bind no batch
-// kernel, and call NewPolicy exactly once: EvaluateMulti reads the
-// matrices off that one instance. At 128 ways the lane and
-// EvaluateMulti must be rejected: the two-phase route stops at 64.
+// the same matrices), bind no batch kernel, and call NewPolicy exactly
+// once: EvaluateMulti reads the matrices off that one instance.
 func TestScoredLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -77,25 +75,14 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 		for _, ways := range []int{8, 16, 64, 128} {
 			for name, base := range bases {
 				at := fmt.Sprintf("%s, %d ways, len %d", name, ways, m)
-				calls, parts := 0, 0
+				calls := 0
 				var lane *scored
 				cfg := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
 					calls++
 					lane = newScored(base(), predictors(t, stream))
 					return lane
 				}}
-				got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4,
-					Partitioner: func(n int) (*sharing.PartitionIndex, error) {
-						parts = n
-						return sharing.BuildPartition(stream, n)
-					}})
-				if ways > 64 {
-					_, evalErr := EvaluateMulti(context.Background(), stream, drivenSize, ways, base, predictors(t, stream))
-					if err == nil || evalErr == nil {
-						t.Errorf("%s: replayed past the two-phase route's 64 ways (lane: %v, EvaluateMulti: %v)", at, err, evalErr)
-					}
-					continue
-				}
+				got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,9 +125,6 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if calls != 1 {
 					t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
 				}
-				if parts < 2 {
-					t.Errorf("%s: partitioned into %d shards; want the two-phase route's tracker shards", at, parts)
-				}
 				if drivenKernel(t, newScored(base(), nil), ways) {
 					t.Errorf("%s: scored lane binds its base's batch kernel", at)
 				}
@@ -152,7 +136,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 // TestScoredLaneAllocSteady is TestDrivenLaneAllocSteady's gate with an
 // F7 lane in the mix — bare LRU, DRRIP and a lane scoring all six
 // predictors over LRU: once the scratch pool is warm, a replay allocates
-// only per-lane and per-shard bookkeeping, orders of magnitude below one
+// only per-lane bookkeeping, orders of magnitude below one
 // object per access.
 func TestScoredLaneAllocSteady(t *testing.T) {
 	stream := drivenStream(60000, 3000, 7)

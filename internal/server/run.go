@@ -13,8 +13,8 @@ import (
 // defaultRunner builds the production Runner: it runs the request through
 // sim.RunExperiments, the direct path cmd/sharesim takes too (which is
 // what makes daemon output bit-identical to `sharesim -json` for the same
-// knobs), and budgets per-replay set shards so that workers × shards
-// never oversubscribes GOMAXPROCS. When sc is non-nil it serves every
+// knobs), and budgets per-replay lane workers so that workers × replay
+// workers never oversubscribes GOMAXPROCS. When sc is non-nil it serves every
 // suite's streams, so concurrent and sequential jobs sharing (machine,
 // seed, scale, workloads) build each stream at most once per process
 // regardless of their LLC size or policy.

@@ -10,10 +10,9 @@ import (
 )
 
 // batchTestConfigs builds one lane per experiment family: every
-// registered policy (covering the sharded and two-phase routes), a
-// hooked LRU lane (two-phase; its PredictShared hook counts into
-// hookCount) and a 128-way LRU lane (a sharded lane past the outcome
-// log's 6-bit way field, which only two-phase lanes need).
+// registered policy (per-set and cross-set state alike), a hooked LRU
+// lane (its PredictShared hook counts into hookCount) and a 128-way LRU
+// lane (wider than the 64 ways the LRU kernels bind).
 func batchTestConfigs(t *testing.T, size, ways int, hookCount *uint64) []LLCConfig {
 	t.Helper()
 	var configs []LLCConfig
@@ -56,7 +55,7 @@ func TestKernelVsSequential(t *testing.T) {
 	}
 }
 
-// kernelsAgree holds one sharded (LRU) and one two-phase (DRRIP) lane
+// kernelsAgree holds one per-set (LRU) and one cross-set (DRRIP) lane
 // to the reference walk at every prefix of stream (see configsAgree),
 // at four workers.
 func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
@@ -105,8 +104,7 @@ func TestKernelBoundaryLengths(t *testing.T) {
 // FuzzKernelBoundary fuzzes stream length and block population around
 // the batch boundaries AND the policy running the lane: pol selects one
 // specialized policy from the realistic catalogue, so the fuzzer
-// explores every monomorphic kernel (sharded and two-phase alike)
-// against the reference walk, which runs no kernel at all. Every case
+// explores every monomorphic kernel against the reference walk, which runs no kernel at all. Every case
 // must replay bit-identically at every prefix.
 func FuzzKernelBoundary(f *testing.F) {
 	var kernelPolicies []string
@@ -135,8 +133,8 @@ func FuzzKernelBoundary(f *testing.F) {
 
 // TestReplayMultiAllocSteady asserts the fused replay's hot loops stay
 // allocation-free: once the scratch pool is warm, a whole ReplayMulti
-// sweep allocates only per-lane/per-shard bookkeeping (results, partial
-// counters, goroutines) — a count independent of stream length, orders
+// sweep allocates only per-lane bookkeeping (results, degree
+// histograms, goroutines) — a count independent of stream length, orders
 // of magnitude below one allocation per access. Wired into CI via
 // `go test -run Alloc`.
 func TestReplayMultiAllocSteady(t *testing.T) {
@@ -154,23 +152,22 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 	run() // warm the scratch pool
 	allocs := testing.AllocsPerRun(3, run)
 	// ~60k accesses × 2 lanes: anything near one alloc per access means
-	// a hot loop started allocating. A warm sweep measures ~150 objects
-	// of per-sweep bookkeeping (degree histograms per shard partial,
-	// goroutine stacks, result structs); the budget leaves room for
-	// scheduler variance while still tripping on any per-chunk leak.
+	// a hot loop started allocating. A warm sweep measures ~30 objects
+	// of per-sweep bookkeeping (degree histograms, goroutine stacks,
+	// result structs); the budget leaves room for scheduler variance
+	// while still tripping on any per-chunk leak.
 	if allocs > 400 {
 		t.Errorf("ReplayMulti allocated %.0f objects per sweep; hot loop is allocating (budget 400)", allocs)
 	}
 }
 
 // TestHookedProtectorLaneAllocSteady is the same gate for a hooked
-// protected lane: a two-phase lane whose PredictShared hook feeds a
+// protected lane: a lane whose PredictShared hook feeds a
 // core.Protector over LRU (the experiments' protected lanes carry their
 // hint inside the policy instead; see oracle.TestHintedLaneAllocSteady).
 // Attaching the hint used to heap-allocate one AccessInfo per fill and
 // victim selection a closure and a boxed slice per protected miss; now
-// the count must not grow with the stream. Eight workers pin both
-// lengths to eight shards, so the per-shard bookkeeping is the same.
+// the count must not grow with the stream.
 func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	long := synthStream(60000, 3000, 8, 7)
 	var prot *core.Protector
@@ -195,8 +192,8 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	short := testing.AllocsPerRun(3, run(long[:15000]))
 	full := testing.AllocsPerRun(3, run(long))
 	// The long stream has four times the accesses (tens of thousands more
-	// fills); per-replay bookkeeping (eight shard partials and workers)
-	// measures ~110 objects either way.
+	// fills); per-replay bookkeeping (the lane, its worker and the hooked
+	// wrapper's residency lines) measures ~40 objects either way.
 	if full > short+20 || full > 200 {
 		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
 	}

@@ -28,8 +28,8 @@ func multiGeometries(t *testing.T) (sizes [2]int, ways int, stream []cache.Acces
 }
 
 // TestReplayMultiBitIdentical fuses every registered policy at both LLC
-// sizes into ONE ReplayMulti call — mixed geometries, sharded and
-// two-phase lanes together — and demands each lane's full Result equal
+// sizes into ONE ReplayMulti call — mixed geometries, per-set and
+// cross-set policies together — and demands each lane's full Result equal
 // the reference walk of the same configuration alone, at every prefix.
 func TestReplayMultiBitIdentical(t *testing.T) {
 	sizes, ways, full := multiGeometries(t)
@@ -80,48 +80,23 @@ func catalogueLanes(t *testing.T, size, ways int) []LLCConfig {
 		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%3 == 0 }}})
 }
 
-// assertOneShard replays stream through configs under opt and fails
-// unless the replay asked for a one-shard partition.
-func assertOneShard(t *testing.T, stream []cache.AccessInfo, configs []LLCConfig, opt Options) {
-	t.Helper()
-	asked := 0
-	opt.Partitioner = func(n int) (*PartitionIndex, error) {
-		asked = n
-		return BuildPartition(stream, n)
-	}
-	if _, err := ReplayMulti(stream, configs, opt); err != nil {
-		t.Fatal(err)
-	}
-	if asked != 1 {
-		t.Errorf("replay partitioned into %d shards, want 1", asked)
-	}
-}
-
-// TestReplayMultiShardsOne runs the catalogue and a hooked lane at one
-// worker over a stream short enough that the blocking heuristic keeps a
-// single shard, so both routes run over a one-shard partition, and
-// demands every lane equal the reference walk at every prefix.
+// TestReplayMultiShardsOne runs the catalogue and a hooked lane on one
+// worker, every lane's pass after the last, and demands every lane equal
+// the reference walk at every prefix.
 func TestReplayMultiShardsOne(t *testing.T) {
-	stream := synthStream(8000, 200, 8, 7)
-	configs := catalogueLanes(t, testSize, testWays)
-	configsAgree(t, stream, configs, Options{Shards: 1})
-	assertOneShard(t, stream, configs, Options{Shards: 1})
+	configsAgree(t, synthStream(8000, 200, 8, 7), catalogueLanes(t, testSize, testWays), Options{Shards: 1})
 }
 
-// TestReplayMultiOneSet replays a one-set geometry, which cannot split
-// into shards whatever the worker count: the catalogue and a hooked lane
-// at every prefix must equal the reference walk over a one-shard
-// partition.
+// TestReplayMultiOneSet replays a one-set geometry, where every access
+// contends for the same ways: the catalogue and a hooked lane at every
+// prefix must equal the reference walk at four workers.
 func TestReplayMultiOneSet(t *testing.T) {
-	stream := synthStream(40000, 40, 8, 9)
-	configs := catalogueLanes(t, 8*trace.BlockSize, 8)
-	configsAgree(t, stream, configs, Options{Shards: 4})
-	assertOneShard(t, stream, configs, Options{Shards: 4})
+	configsAgree(t, synthStream(40000, 40, 8, 9), catalogueLanes(t, 8*trace.BlockSize, 8), Options{Shards: 4})
 }
 
 // TestReplayMultiCancelMidRun cancels a fused replay in flight. Both
-// walks — the shard workers and the hooked lane's policy pass — must
-// notice at their next poll.
+// lanes' policy passes — the bare one and the hooked one — must notice
+// at their next poll.
 func TestReplayMultiCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -149,12 +124,10 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 }
 
 // TestReplayMultiValidation covers the rejection paths: missing
-// factories, bad geometry, and a partitioner returning a mismatched
-// partition.
+// factories and bad geometry.
 func TestReplayMultiValidation(t *testing.T) {
 	stream := synthStream(2000, 50, 4, 3)
 	lru := func() cache.Policy { return policy.NewLRUPolicy() }
-	cfg := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: lru}
 
 	if _, err := ReplayMulti(stream, []LLCConfig{{Size: testSize, Ways: testWays}}, Options{}); err == nil {
 		t.Error("nil NewPolicy accepted")
@@ -165,12 +138,6 @@ func TestReplayMultiValidation(t *testing.T) {
 	res, err := ReplayMulti(stream, nil, Options{})
 	if err != nil || res != nil {
 		t.Errorf("empty configs: got (%v, %v), want (nil, nil)", res, err)
-	}
-	bad := func(shards int) (*PartitionIndex, error) {
-		return BuildPartition(stream[:1000], 2) // wrong length and likely wrong shard count
-	}
-	if _, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{Shards: 4, Partitioner: bad}); err == nil {
-		t.Error("mismatched partition accepted")
 	}
 }
 
@@ -188,20 +155,40 @@ func rejected(t *testing.T, configs []LLCConfig, limit string) {
 	}
 }
 
-// TestReplayMultiRejectsWideTwoPhaseLane: a cross-set policy at 128
-// ways runs two-phase, and the outcome log holds a 6-bit way. The same
-// geometry under a per-set policy replays sharded.
+// TestReplayMultiRejectsWideTwoPhaseLane checks that no way count is
+// refused: a cross-set policy at 128 ways, wider than a 6-bit way field
+// holds, and the same geometry under a per-set policy must equal the
+// reference walk at every prefix.
 func TestReplayMultiRejectsWideTwoPhaseLane(t *testing.T) {
-	rejected(t, []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)}}, "64 ways")
-	lru := LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)}
-	configsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{lru}, Options{Shards: 2})
+	configsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{
+		{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)},
+		{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)},
+	}, Options{Shards: 2})
 }
 
-// TestReplayMultiRejectsWideHookedLane: hooks put even a per-set policy
-// on the two-phase route, so a hooked lane is held to 64 ways too.
+// TestReplayMultiRejectsWideHookedLane is the same check for a hooked
+// lane: a 128-way LRU lane whose hooks log every prediction and
+// residency end must equal the reference walk, callbacks included.
 func TestReplayMultiRejectsWideHookedLane(t *testing.T) {
-	rejected(t, []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1),
-		Hooks: Hooks{OnResidencyEnd: func(Residency) {}}}}, "64 ways")
+	stream := synthStream(4000, 3000, 8, 5)
+	var got, want []hookEvent
+	lane := func(log *[]hookEvent) LLCConfig {
+		return LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1), Hooks: loggedHooks(log)}
+	}
+	res, err := ReplayMulti(stream, []LLCConfig{lane(&got)}, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := seqReplay(stream, lane(&want), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res[0], ref) {
+		t.Errorf("128-way hooked lane differs from the reference walk\nref: %+v\ngot: %+v", ref, res[0])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("128-way hooked lane's callbacks differ from the reference walk's (%d vs %d events)", len(got), len(want))
+	}
 }
 
 // TestReplayMultiRejectsTooManyLines: a lane's line index must fit the
@@ -216,37 +203,9 @@ func TestReplayMultiRejectsTooManyLines(t *testing.T) {
 	}
 }
 
-// TestReplayMultiPartitionerReused checks that a supplied Partitioner is
-// consulted instead of rebuilding, and leaves results unchanged.
-func TestReplayMultiPartitionerReused(t *testing.T) {
-	stream := synthStream(20000, 200, 8, 7)
-	lru := func() cache.Policy { return policy.NewLRUPolicy() }
-	cfg := LLCConfig{Size: testSize, Ways: testWays, NewPolicy: lru}
-
-	want, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	part := func(shards int) (*PartitionIndex, error) {
-		calls++
-		return BuildPartition(stream, shards)
-	}
-	got, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{Shards: 4, Partitioner: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("partitioner called %d times, want 1", calls)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("cached partition changed the result")
-	}
-}
-
 // TestReplayMultiHookLaneFactoryOnce pins the LLCConfig contract that
 // lets callers stash protector instances: a hook lane calls NewPolicy
-// exactly once no matter the shard count.
+// exactly once no matter the worker count.
 func TestReplayMultiHookLaneFactoryOnce(t *testing.T) {
 	stream := synthStream(20000, 200, 8, 7)
 	calls := 0

@@ -71,7 +71,7 @@ func catalogued(tb testing.TB, name string, seed uint64) policy.Factory {
 	return f
 }
 
-// perSetFactories are the policies that take the sharded path.
+// perSetFactories are the per-set-independent policies.
 func perSetFactories(tb testing.TB) map[string]policy.Factory {
 	out := map[string]policy.Factory{}
 	for _, name := range []string{"lru", "fifo", "nru", "plru", "lip", "srrip", "opt"} {
@@ -83,11 +83,7 @@ func perSetFactories(tb testing.TB) map[string]policy.Factory {
 // TestReplayParallelBitIdentical replays the same stream through a
 // one-config ReplayMulti at several worker caps under every per-set
 // policy, demanding the full Result — counters, degree histograms and
-// block census — equal the reference walk at every prefix. Shards: 1
-// means one worker, not one shard: the blocking heuristic
-// still shards a long stream, which is the path a characterization
-// replay takes on a host with few cores, so the test also asserts that
-// the full-length replay at one worker ran through a partition.
+// block census — equal the reference walk at every prefix.
 func TestReplayParallelBitIdentical(t *testing.T) {
 	full := synthStream(20000, 200, 8, 7)
 	for name, f := range perSetFactories(t) {
@@ -99,20 +95,12 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, shards := range []int{1, 2, 4} {
-					parts := 0
-					opt := Options{Shards: shards, Partitioner: func(n int) (*PartitionIndex, error) {
-						parts = n
-						return BuildPartition(stream, n)
-					}}
-					got, err := ReplayMulti(stream, []LLCConfig{c}, opt)
+					got, err := ReplayMulti(stream, []LLCConfig{c}, Options{Shards: shards})
 					if err != nil {
 						t.Fatalf("len %d, shards=%d: %v", len(stream), shards, err)
 					}
 					if !reflect.DeepEqual(want, got[0]) {
 						t.Errorf("len %d, shards=%d: result differs from the reference\nref: %+v\npar: %+v", len(stream), shards, want, got[0])
-					}
-					if shards == 1 && len(stream) == len(full) && parts < 2 {
-						t.Errorf("one worker replayed the full stream unsharded (partition %d)", parts)
 					}
 				}
 			})
@@ -120,10 +108,10 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayParallelFallbacks checks the lanes a shard request cannot
-// put on the per-set sharded walk: a policy with cross-set state and a
-// hooked lane (both two-phase; the PredictShared hook must see every
-// miss once, in stream order). Both must still match the reference walk.
+// TestReplayParallelFallbacks checks the lanes whose policy pass must
+// keep global stream order under a worker request: a policy with
+// cross-set state and a hooked lane (the PredictShared hook must see
+// every miss once, in stream order). Both must match the reference walk.
 func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
 
@@ -138,10 +126,10 @@ func TestReplayParallelFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got[0]) {
-		t.Error("non-per-set policy: sharded request differs from the reference")
+		t.Error("non-per-set policy: four-worker request differs from the reference")
 	}
 
-	// Hooks observe stream order; a shard request must not break them.
+	// Hooks observe stream order; a worker request must not break them.
 	var seen []int32
 	hooked := testLane(Hooks{PredictShared: func(a cache.AccessInfo) bool {
 		seen = append(seen, a.Index)

@@ -12,9 +12,8 @@ import (
 // access in stream order, through cache.Access and a struct-Residency
 // tracker that fires the lane's hooks itself. It shares the Result
 // counters and the block census with the engine but none of its
-// routing, batching or column tracking, and every differential test
-// holds both routes of ReplayMulti — sharded and two-phase, hooked lanes
-// included — to it.
+// batching or column tracking, and every differential test holds
+// ReplayMulti's policy passes — hooked lanes included — to it.
 
 // seqReplay is the reference walk of one configuration, whatever its
 // policy, hooks or geometry, after the same block-ID resolution
@@ -49,12 +48,12 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane) error {
 	st := &seqState{
 		replayState: replayState{
 			res:        newResult(l.inst.Name()),
-			active:     make([]uint32, numBlocks),
 			blockState: make([]uint8, numBlocks),
 		},
-		lines: make([]Residency, l.sets*l.cfg.Ways),
-		hooks: l.cfg.Hooks,
-		hint:  hint,
+		active: make([]uint32, numBlocks),
+		lines:  make([]Residency, l.sets*l.cfg.Ways),
+		hooks:  l.cfg.Hooks,
+		hint:   hint,
 	}
 	if err := st.run(llc, stream); err != nil {
 		return err
@@ -69,6 +68,9 @@ func runSeqLane(stream []cache.AccessInfo, numBlocks int, l *lane) error {
 // plus one struct Residency per line and the lane's hooks.
 type seqState struct {
 	replayState
+	// active maps BlockID → 1 + its line index while the block is
+	// resident; 0 means not resident.
+	active []uint32
 	// lines shadows the cache's line array (sets*ways, row-major by
 	// set): lines[set*ways+way] is the open residency of the block
 	// cached there, open iff its EvictIndex is -1.

@@ -12,12 +12,12 @@
 // The replay engine keys every per-block structure by the dense
 // cache.AccessInfo.BlockID instead of hashing the sparse 64-bit block
 // number, so the hot loop indexes flat slices. ReplayMulti is the one
-// entry point: it replays the stream once through any number of LLC
-// configurations, sharding per-set-independent lanes by LLC set index
-// and splitting every other lane into a stream-order policy pass and a
-// sharded tracker pass (see multi.go). Every lane's result is
-// bit-identical to a plain stream-order walk of that configuration
-// alone, which the package's tests keep as their reference.
+// entry point: it replays the stream through any number of LLC
+// configurations, each as one stream-order policy pass whose residency
+// census consumes the pass's outcome words chunk by chunk (see
+// multi.go). Every lane's result is bit-identical to a plain
+// stream-order walk of that configuration alone, which the package's
+// tests keep as their reference.
 package sharing
 
 import (
@@ -86,14 +86,13 @@ func (h Hooks) any() bool {
 
 // hooked is the policy of a lane with hooks: the lane's own policy
 // instance behind the hooks. Embedding it as a cache.Policy hides its
-// PerSetIndependent and NewBatchKernel, so the lane runs two-phase and
-// its policy pass calls Hit, Victim and Fill in stream order — the order
-// the hooks observe. Per miss PredictShared is asked once, before the
-// victim choice, and its verdict goes to the base's FillHinted when it
-// has one. Each line's open Residency is tracked beside the policy so
-// OnResidencyEnd fires at every eviction, and for the survivors in fill
-// order once the pass ends (endSurvivors). The lane's Result still comes
-// from the SoA tracker.
+// NewBatchKernel, so the lane's policy pass calls Hit, Victim and Fill
+// in stream order — the order the hooks observe. Per miss PredictShared
+// is asked once, before the victim choice, and its verdict goes to the
+// base's FillHinted when it has one. Each line's open Residency is
+// tracked beside the policy so OnResidencyEnd fires at every eviction,
+// and for the survivors in fill order once the pass ends
+// (endSurvivors). The lane's Result still comes from the tier's census.
 type hooked struct {
 	cache.Policy
 	hooks      Hooks
@@ -198,13 +197,10 @@ func (w *hooked) endSurvivors() {
 // Options configures a ReplayMulti call; every field applies to all of
 // its lanes.
 type Options struct {
-	// Shards bounds the replay's parallelism: 0 picks a worker count
-	// automatically (GOMAXPROCS, capped), 1 runs a single worker, and
-	// n > 1 allows up to n concurrent workers (rounded down to a power
-	// of two and clamped to the set count). It never affects results —
-	// the set-partition granularity of the sharded walk is picked
-	// separately for cache locality (see blockShards), so even one
-	// worker walks a long stream shard by shard.
+	// Shards bounds the replay's parallelism: up to Shards lanes replay
+	// concurrently, each on one worker. 0 picks the bound automatically
+	// (GOMAXPROCS, capped; one worker for a short stream). It never
+	// affects results.
 	Shards int
 
 	// Ctx, when non-nil, makes the replay cancellable: every walk polls
@@ -214,16 +210,6 @@ type Options struct {
 	// replay are discarded by every caller, so cancellation cannot
 	// corrupt results.
 	Ctx context.Context
-
-	// Partitioner, when non-nil, supplies the counting-sort shard
-	// partition of the stream (see PartitionIndex) for the requested
-	// shard count instead of rebuilding it inside the replay. The
-	// partition depends only on (stream, shard count), so one cached
-	// instance serves every lane of every experiment on the same
-	// stream; sim.Stream attaches exactly such a cache. A partitioner
-	// returning a partition for the wrong shard count or stream length
-	// is a programming error and fails the replay.
-	Partitioner Partitioner
 
 	// NumBlocks, when positive, asserts that the stream already carries
 	// dense BlockIDs in [0, NumBlocks) (cache.AssignBlockIDs), letting
@@ -242,26 +228,25 @@ type Options struct {
 	Tier Tier
 }
 
-// Tier is the share of a Result a replay computes. Every tier refuses
-// the same lanes and streams (see ReplayMulti), and every field a tier
-// fills equals the tracked replay's.
+// Tier is the share of a Result a replay computes. Every tier runs each
+// lane as its stream-order policy pass and differs only in the census
+// the pass keeps; every tier refuses the same lanes and streams (see
+// ReplayMulti), and every field a tier fills equals the tracked
+// replay's.
 type Tier uint8
 
 const (
-	// Tracked fills every Result field: the sharded walk and the
-	// two-phase tracker run the SoA residency tracker and its close
-	// census (degrees, read-only/read-write splits, distinct blocks).
+	// Tracked fills every Result field: the pass runs the SoA residency
+	// tracker and its close census (degrees, read-only/read-write
+	// splits, distinct blocks).
 	Tracked Tier = iota
 	// SharedHitsOnly fills Policy, Accesses, Hits, Misses, SharedHits,
 	// PrivateHits, Residencies (= Misses) and SharedResidencies, zero
-	// elsewhere. Every lane runs as its stream-order policy pass alone
-	// and classifies each residency from a per-line hit count and the
-	// stream's streak column (streak.go): no partition, outcome log or
-	// tracker.
+	// elsewhere. The pass classifies each residency from a per-line hit
+	// count and the stream's streak column (streak.go).
 	SharedHitsOnly
 	// CountsOnly fills Policy, Accesses, Hits and Misses, zero
-	// elsewhere. Every lane runs as its policy pass alone, counting hits
-	// from the outcome words.
+	// elsewhere. The pass counts hits from the outcome words.
 	CountsOnly
 )
 
@@ -326,17 +311,12 @@ const (
 	blockShared  = uint8(2)
 )
 
-// replayState is the residency tracker of one shard walk of a lane. All
-// per-block structures are flat slices indexed by the dense BlockID or
-// by the cache's (set, way) geometry, shared between shards whose index
-// ranges are disjoint by construction (a block, and therefore its set
-// and its ID, belongs to exactly one shard).
+// replayState is the residency tracker of one tracked lane. Its
+// structures are flat slices indexed by the dense BlockID or by the
+// cache's (set, way) geometry.
 type replayState struct {
 	res *Result
 
-	// active maps BlockID → 1 + its line index while the block is
-	// resident; 0 means not resident.
-	active []uint32
 	// blockState is the block census: blockUnseen, blockPrivate (seen,
 	// never shared) or blockShared (shared in ≥1 residency).
 	blockState []uint8
@@ -390,9 +370,9 @@ func ensureBlockIDs(stream []cache.AccessInfo, opt Options) ([]cache.AccessInfo,
 	return cache.EnsureBlockIDs(stream)
 }
 
-// autoShards picks the automatic worker count for ReplayMulti: one
-// worker per available CPU (capped), and none at all for streams too
-// short to amortize the partitioning pass.
+// autoShards picks the automatic worker bound for ReplayMulti: one
+// worker per available CPU (capped), and a single worker for streams too
+// short to amortize starting more.
 func autoShards(streamLen int) int {
 	if streamLen < 1<<15 {
 		return 1
@@ -402,60 +382,4 @@ func autoShards(streamLen int) int {
 		n = 16
 	}
 	return n
-}
-
-// floorPow2 rounds n down to a power of two (n must be ≥ 1).
-func floorPow2(n int) int {
-	for n&(n-1) != 0 {
-		n &= n - 1
-	}
-	return n
-}
-
-// resolveShards turns an Options.Shards request into the effective
-// worker count for a replay over streamLen accesses against a cache
-// with sets sets: 0 picks automatically, and the result is clamped to
-// the set count and rounded down to a power of two.
-func resolveShards(streamLen, sets int, opt Options) int {
-	shards := opt.Shards
-	if shards == 0 {
-		shards = autoShards(streamLen)
-	}
-	if shards > sets {
-		shards = sets
-	}
-	if shards > 1 {
-		shards = floorPow2(shards)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
-// mergeLane folds the per-shard partial results of one lane into its
-// final Result, bit-identical to a stream-order walk: counters are
-// order-independent sums and the block census comes from the shared
-// blockState array.
-func mergeLane(policyName string, parts []*Result, blockState []uint8) *Result {
-	merged := newResult(policyName)
-	for _, r := range parts {
-		merged.Accesses += r.Accesses
-		merged.Hits += r.Hits
-		merged.Misses += r.Misses
-		merged.SharedHits += r.SharedHits
-		merged.PrivateHits += r.PrivateHits
-		merged.Residencies += r.Residencies
-		merged.SharedResidencies += r.SharedResidencies
-		merged.ROSharedResidencies += r.ROSharedResidencies
-		merged.RWSharedResidencies += r.RWSharedResidencies
-		merged.ROSharedHits += r.ROSharedHits
-		merged.RWSharedHits += r.RWSharedHits
-		for d := range r.DegreeResidencies {
-			merged.DegreeResidencies[d] += r.DegreeResidencies[d]
-			merged.DegreeHits[d] += r.DegreeHits[d]
-		}
-	}
-	census(merged, blockState)
-	return merged
 }

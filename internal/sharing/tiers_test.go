@@ -1,7 +1,6 @@
 package sharing
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -93,8 +92,10 @@ func sharedHitsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig)
 }
 
 // untrackedRefusals checks that a replay at tier refuses what the
-// tracked replay refuses: the Index invariant with the same error, and
-// the way, line and core limits.
+// tracked replay refuses — the Index invariant with the same error, and
+// the line and core limits — and accepts a 128-way cross-set lane,
+// whose Result equals the reference walk's in every field the tier
+// fills.
 func untrackedRefusals(t *testing.T, tier Tier) {
 	t.Helper()
 	bad := synthStream(2000, 50, 4, 3)
@@ -114,15 +115,29 @@ func untrackedRefusals(t *testing.T, tier Tier) {
 		}
 	}
 	short := synthStream(2000, 50, 4, 3)
-	refused(short, LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)}, "64 ways")
+	wide := LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)}
+	res, err := ReplayMulti(short, []LLCConfig{wide}, Options{Shards: 2, Tier: tier})
+	if err != nil {
+		t.Fatalf("tier %d, 128-way lane: %v", tier, err)
+	}
+	ref, err := seqReplay(short, wide, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := countsOf
+	if tier == SharedHitsOnly {
+		project = sharedHitsOf
+	}
+	if !reflect.DeepEqual(res[0], project(ref)) {
+		t.Errorf("tier %d, 128-way lane: %+v, reference walk %+v", tier, res[0], project(ref))
+	}
 	refused(short, LLCConfig{Size: 2 << 30 * 64, Ways: 16, NewPolicy: catalogued(t, "lru", 1)}, fmt.Sprint(maxLines))
 	refused(synthStream(2000, 50, soaMaxCores+1, 3), lru[0], fmt.Sprint(soaMaxCores))
 }
 
 // TestReplayMultiCountsOnly holds the CountsOnly tier to the tracked
 // replay at every prefix: the catalogue's 14 policies plus a hooked lane
-// at two geometries, a 128-way lane (sharded when tracked, a policy pass
-// counts only), a stream short enough for one shard, and an empty
+// at two geometries and on one worker, a 128-way lane, and an empty
 // stream. Every refusal of the tracked replay stands.
 func TestReplayMultiCountsOnly(t *testing.T) {
 	countsAgree(t, synthStream(40000, 3000, 8, 7), catalogueLanes(t, 64*cache.KB, 8), Options{Shards: 4})
@@ -151,7 +166,7 @@ func (protectedLane) LaneFill(uint32, *cache.AccessInfo) {}
 
 // sharedHitLanes is the shared-hit tier's lane set at one geometry: the
 // catalogue and a hooked LRU lane (catalogueLanes), a protected lane,
-// and a 128-way LRU lane (sharded when tracked).
+// and a 128-way LRU lane.
 func sharedHitLanes(t *testing.T, size, ways int) []LLCConfig {
 	return append(catalogueLanes(t, size, ways),
 		LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
@@ -188,8 +203,8 @@ func streakStream(n int, seed uint64) []cache.AccessInfo {
 // replay and the reference walk at every prefix and at one and four
 // workers: every catalogue policy plus a hooked, a protected and a
 // 128-way lane, over a randomly shared stream and over streakStream, at
-// geometries that evict and one whose 4 sets take one shard. Every
-// refusal of the tracked replay stands.
+// geometries that evict and one of 4 sets. Every refusal of the tracked
+// replay stands.
 func TestReplayMultiSharedHits(t *testing.T) {
 	sharedHitsAgree(t, synthStream(40000, 3000, 8, 7), sharedHitLanes(t, 64*cache.KB, 8))
 	sharedHitsAgree(t, streakStream(30000, 11), sharedHitLanes(t, 32*cache.KB, 8))
@@ -268,10 +283,10 @@ func TestStreakColumn(t *testing.T) {
 }
 
 // untrackedAllocSteady checks a replay at tier: it allocates a count of
-// objects independent of stream length, never asks its Partitioner for a
-// partition, and grabs no tracker, log, census or gather scratch — the
-// pools of those kinds, drained first, stay empty, where a grab on the
-// replay's success path would have returned its fresh slice to them.
+// objects independent of stream length and grabs no tracker, meta or
+// census scratch — the pools of those kinds, drained first, stay empty,
+// where a grab on the replay's success path would have returned its
+// fresh slice to them.
 func untrackedAllocSteady(t *testing.T, tier Tier) {
 	t.Helper()
 	long := synthStream(60000, 3000, 8, 7)
@@ -279,11 +294,7 @@ func untrackedAllocSteady(t *testing.T, tier Tier) {
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "lru", 1)},
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 	}
-	asked := 0
-	opt := Options{Shards: 2, Tier: tier, Partitioner: func(int) (*PartitionIndex, error) {
-		asked++
-		return nil, errors.New("an untracked replay walks no partition")
-	}}
+	opt := Options{Shards: 2, Tier: tier}
 	run := func(stream []cache.AccessInfo) func() {
 		return func() {
 			if _, err := ReplayMulti(stream, configs, opt); err != nil {
@@ -294,24 +305,21 @@ func untrackedAllocSteady(t *testing.T, tier Tier) {
 	run(long)() // warm the scratch pool
 
 	scratch.mu.Lock()
-	hcs, bytes, accs := scratch.hcs, scratch.bytes, scratch.accs
-	scratch.hcs, scratch.bytes, scratch.accs = nil, nil, nil
+	hcs, bytes := scratch.hcs, scratch.bytes
+	scratch.hcs, scratch.bytes = nil, nil
 	scratch.mu.Unlock()
 	defer func() {
 		scratch.mu.Lock()
-		scratch.hcs, scratch.bytes, scratch.accs = hcs, bytes, accs
+		scratch.hcs, scratch.bytes = hcs, bytes
 		scratch.mu.Unlock()
 	}()
 	short := testing.AllocsPerRun(3, run(long[:15000]))
 	full := testing.AllocsPerRun(3, run(long))
-	if asked != 0 {
-		t.Errorf("tier %d: the Partitioner was asked %d times", tier, asked)
-	}
 	scratch.mu.Lock()
-	grabbed := len(scratch.hcs) + len(scratch.bytes) + len(scratch.accs)
+	grabbed := len(scratch.hcs) + len(scratch.bytes)
 	scratch.mu.Unlock()
 	if grabbed != 0 {
-		t.Errorf("a tier %d replay grabbed %d tracker, log, census or gather arrays", tier, grabbed)
+		t.Errorf("a tier %d replay grabbed %d tracker, meta or census arrays", tier, grabbed)
 	}
 	// Per-replay bookkeeping (two lanes, two workers, two results)
 	// measures a few dozen objects either way.

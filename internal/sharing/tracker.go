@@ -22,10 +22,16 @@ package sharing
 //   - id []uint32 — dense BlockID, read only when a residency closes.
 //
 // The tracker feeds only the counters (a hooked lane's residencies are
-// tracked beside its policy, in the policy pass), so the columns hold
-// exactly what the counters need. There are two advance loops:
-// advanceSoACounters over a sharded lane's outcome words and
-// advanceLogSoACounters over a two-phase lane's outcome log.
+// tracked beside its policy, in the hooked wrapper), so the columns hold
+// exactly what the counters need. A tracked lane's policy pass runs
+// advanceSoACounters over each chunk's outcome words.
+//
+// The census lives in the line: a residency's cores, store bit and hits
+// are all the degree, read-only/read-write and shared-hit counters need,
+// and its BlockID is all the block census needs, so the pass that evicts
+// a line can close its residency on the spot — there is no per-block or
+// per-access state to carry between chunks beyond the lines themselves
+// and the one blockState byte per block.
 //
 // The packed word caps usable cores at 63 (indices 0..62): ReplayMulti
 // rejects a stream with wider cores (see replayLanes), and the
@@ -48,9 +54,7 @@ const (
 )
 
 // soaCols is one lane's SoA residency tracker: parallel columns indexed
-// by line (set*ways+way), shared across shard workers with the same
-// disjoint per-shard index ownership as the []Residency slab it
-// replaces.
+// by line (set*ways+way).
 type soaCols struct {
 	id []uint32
 	hc [][2]uint64
@@ -76,22 +80,21 @@ func putSoA(t *soaCols) {
 	put(&scratch.hcs, t.hc)
 }
 
-// cwWord expands one packed meta byte (decodeColumns' core/store
+// cwWord expands one packed meta byte (decodePassColumns' core/store
 // encoding) into the tracker's core/write word: bit core set, bit 63
 // carrying the store flag. The expansion is a handful of ALU ops per
 // access, which beats materializing a pre-shifted uint64 column at
-// decode time: that column cost 8 bytes per access of decode write
-// plus a re-streamed read per lane — shard-length, so pushed out of
-// L2 between decode and consumption on big shards — where the meta
-// byte column is an eighth the traffic.
+// decode time: that column would cost 8 bytes per access of decode
+// write plus a re-streamed read per lane, where the meta byte column is
+// an eighth the traffic.
 func cwWord(m uint8) uint64 {
 	return uint64(1)<<(m&^metaWrite) | uint64(m&metaWrite)<<56
 }
 
 // closeLineSoA finalizes the residency open in line li, alive at stream
-// end, and folds it into the counters. The advance loops don't call
-// this per eviction — they capture and defer (see flushClosed); only
-// closeAliveSoA's end-of-replay retirement closes straight off the live
+// end, and folds it into the counters. The advance loop doesn't call
+// this per eviction — it captures and defers (see flushClosed); only
+// closeAliveSoA's end-of-pass retirement closes straight off the live
 // columns.
 func (st *replayState) closeLineSoA(li uint32) {
 	t := st.cols
@@ -126,7 +129,7 @@ func (st *replayState) closeLineSoA(li uint32) {
 
 // flushClosed folds a chunk's captured evictions into the counters —
 // closeLineSoA over the batchScratch capture columns instead of the
-// live tracker state. The SoA advance loops do not close residencies
+// live tracker state. The SoA advance loop does not close residencies
 // inline: the evict branch snapshots the dying line's columns into
 // bs.e* (everything closeLineSoA would read — the refill may overwrite
 // the line before the close is folded) and the chunk ends with one
@@ -175,34 +178,27 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 	}
 }
 
-// closeAliveSoA closes the residencies alive at stream end in one
-// shard: survivors are the lines with a nonzero core/write word.
-// Retiring a survivor zeroes its pair (restoring the hcs pool's all-zero
-// at-rest invariant) and clears its active entry. The counters are
-// order-independent sums, so the survivors close in line order.
-func (st *replayState) closeAliveSoA(sets, ways, shards, shard int) {
-	t := st.cols
-	for set := shard; set < sets; set += shards {
-		base := uint32(set * ways)
-		for w := 0; w < ways; w++ {
-			li := base + uint32(w)
-			if t.hc[li][1] == 0 {
-				continue
-			}
-			st.closeLineSoA(li)
-			st.active[t.id[li]] = 0
-			t.hc[li] = [2]uint64{}
+// closeAliveSoA closes the residencies alive at stream end: survivors
+// are the lines with a nonzero core/write word. Retiring a survivor
+// zeroes its pair, restoring the hcs pool's all-zero at-rest invariant.
+// The counters are order-independent sums, so the survivors close in
+// line order.
+func (st *replayState) closeAliveSoA() {
+	hc := st.cols.hc
+	for li := range hc {
+		if hc[li][1] != 0 {
+			st.closeLineSoA(uint32(li))
+			hc[li] = [2]uint64{}
 		}
 	}
 }
 
-// advanceSoACounters is the advance phase of a sharded lane: it
-// replays one chunk's probe outcome words against the tracker. out
-// spans the chunk; lo is the chunk's offset into the worker's shard
-// columns (bs). The hit path is branch-free
-// column arithmetic — a counter bump and a bitset OR inside one 16-byte
-// hc pair, so one randomly-indexed cache line per hit — and the fill
-// path writes the two columns. Hit/miss counting is fused into the same
+// advanceSoACounters is the census phase of a tracked lane: it replays
+// one chunk's probe outcome words against the tracker. out spans the
+// chunk; lo is the chunk's offset into the stream columns (bs). The hit
+// path is branch-free column arithmetic — a counter bump and a bitset
+// OR inside one 16-byte hc pair, so one randomly-indexed cache line per
+// hit — and the fill path writes the two columns. Hit/miss counting is fused into the same
 // loop (the hit branch already distinguishes the outcomes), so the
 // separate count phase disappears; evictions capture the dying line
 // into bs.e* and fold after the loop (flushClosed), which keeps the
@@ -241,48 +237,5 @@ func advanceSoACounters(st *replayState, bs *batchScratch, out []uint32, lo int)
 	}
 	st.flushClosed(bs, ne)
 	st.flushCounts(uint64(len(out)), h)
-	return nil
-}
-
-// advanceLogSoACounters is the fused log-decode/count/advance loop of a
-// two-phase lane: one pass over the log chunk logc computes each
-// access's line index from the block column and the logged way, counts
-// the outcome and advances the tracker, with no intermediate
-// outcome-word materialization and no log gather (the chunk's bytes are
-// contiguous in the partition-ordered log). lo is the chunk's offset
-// into the shard columns.
-func advanceLogSoACounters(st *replayState, l *lane, bs *batchScratch, logc []uint8, lo int) error {
-	t := st.cols
-	setMask := uint64(l.sets - 1)
-	ways := l.cfg.Ways
-	blk := bs.blk[lo:][:len(logc)]
-	metac := bs.meta[lo:][:len(logc)]
-	idc := bs.id[lo:][:len(logc)]
-	var h uint64
-	ne := 0
-	for k, b := range logc {
-		li := uint32(int(blk[k]&setMask)*ways) + uint32(b&logWayMask)
-		p := &t.hc[li]
-		w := cwWord(metac[k])
-		if b&logHit != 0 {
-			p[0]++
-			p[1] |= w
-			h++
-			continue
-		}
-		if b&logEvict != 0 {
-			if p[1] == 0 {
-				return fmt.Errorf("sharing: logged eviction of line %d holds no open residency", li)
-			}
-			bs.ecw[ne] = p[1]
-			bs.ehits[ne] = p[0]
-			bs.eid[ne] = t.id[li]
-			ne++
-		}
-		t.id[li] = idc[k]
-		*p = [2]uint64{0, w}
-	}
-	st.flushClosed(bs, ne)
-	st.flushCounts(uint64(len(logc)), h)
 	return nil
 }

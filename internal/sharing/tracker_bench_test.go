@@ -26,21 +26,23 @@ func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out
 	sets, _ := cache.Geometry(size, ways)
 	lines = sets * ways
 	n := len(stream)
+	cols := passCols{blk: make([]uint64, n), id: make([]uint32, n), meta: make([]uint8, n)}
+	if _, err := decodePassColumns(stream, cols); err != nil {
+		b.Fatal(err)
+	}
 	bs = &batchScratch{
-		blk:   make([]uint64, n),
-		id:    make([]uint32, n),
-		meta:  make([]uint8, n),
+		id:    cols.id,
+		meta:  cols.meta,
 		ecw:   make([]uint64, batchSize),
 		ehits: make([]uint64, batchSize),
 		eid:   make([]uint32, batchSize),
 	}
-	decodeColumns(stream, bs.blk, bs.id, bs.meta)
 	out = make([]uint32, n)
 	active := make([]uint32, numBlocks)
 	lineID := make([]uint32, lines)
 	for lo := 0; lo < n; lo += batchSize {
 		hi := min(lo+batchSize, n)
-		llc.ReplayBatchCols(bs.blk[lo:hi], bs.id[lo:hi], stream[lo:hi], active, lineID, out[lo:hi])
+		llc.ReplayBatchCols(cols.blk[lo:hi], cols.id[lo:hi], stream[lo:hi], active, lineID, out[lo:hi])
 	}
 	return out, bs, lines, numBlocks
 }
@@ -69,29 +71,6 @@ func BenchmarkAdvanceBatch(b *testing.B) {
 				if err := advanceSoACounters(st, bs, out[lo:hi], lo); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
-	})
-}
-
-// BenchmarkTwoPhaseLane measures one two-phase lane (DRRIP: cross-set
-// dueling state, so the policy pass and the sharded tracker replay
-// split) end to end through ReplayMulti, pipelined through the log
-// ring, in ns/access.
-func BenchmarkTwoPhaseLane(b *testing.B) {
-	n := 1 << 20
-	if testing.Short() {
-		n = 1 << 16
-	}
-	stream := synthStream(n, 20000, 8, 23)
-	configs := []LLCConfig{
-		{Size: 512 * cache.KB, Ways: 8, NewPolicy: catalogued(b, "drrip", 3)},
-	}
-	b.Run("soa", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ReplayMulti(stream, configs, Options{Shards: 4}); err != nil {
-				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")

@@ -37,9 +37,8 @@ func experimentRunners() []struct {
 		{"characterize", func(s *Suite) (any, error) {
 			return s.Characterize(tSize, tWays)
 		}},
-		// nil names = the full catalogue, so the per-set policies take
-		// the sharded route while DRRIP/SHiP/Random run two-phase in the
-		// same replay.
+		// nil names = the full catalogue: per-set and cross-set
+		// policies in the same replay.
 		{"compare-policies", func(s *Suite) (any, error) {
 			return s.ComparePolicies(tSize, tWays, nil)
 		}},
@@ -68,7 +67,7 @@ func experimentRunners() []struct {
 }
 
 // TestExperimentsShardingInvariant is the differential determinism test
-// of the set-sharded replay engine: every experiment family must produce
+// of the replay engine's worker bound: every experiment family must produce
 // identical rows whether each replay runs on one worker (Shards=1) or
 // four (Shards=4 on the 128-set test LLC), and identical rows again on a
 // repeated one-worker run (no hidden run-to-run state).
@@ -127,32 +126,26 @@ func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 	}
 }
 
-// TestPredictorAccuracyBuildsNoPartition: F7 reads only the scored
-// lane's matrices, so its replay runs counts only and walks no
-// partition. After PredictorAccuracy on a Shards: 4 suite no stream's
-// partition cache holds an entry; F1's tracked replay on the same suite
-// then fills each with one, so the cache was there to be used.
+// TestPredictorAccuracyBuildsNoPartition: F7 (counts only) and F1
+// (tracked) run every lane as its policy pass over the stream in stream
+// order, with no partition; on a Shards: 4 suite their rows must equal
+// a one-worker suite's.
 func TestPredictorAccuracyBuildsNoPartition(t *testing.T) {
-	s := suiteWithShards(t, 4)
-	cached := func(st *Stream) int {
-		st.partMu.Lock()
-		defer st.partMu.Unlock()
-		return len(st.parts)
-	}
-	if _, err := s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range s.Streams {
-		if n := cached(st); n != 0 {
-			t.Errorf("%s: F7 left %d partitions in the stream's cache, want none", st.Model.Name, n)
+	one, four := suiteWithShards(t, 1), suiteWithShards(t, 4)
+	for _, run := range []func(s *Suite) (any, error){
+		func(s *Suite) (any, error) { return s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil) },
+		func(s *Suite) (any, error) { return s.Characterize(tSize, tWays) },
+	} {
+		want, err := run(one)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := s.Characterize(tSize, tWays); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range s.Streams {
-		if n := cached(st); n != 1 {
-			t.Errorf("%s: F1 left %d partitions in the stream's cache, want 1", st.Model.Name, n)
+		got, err := run(four)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rows at four workers differ from one worker's\nfour: %+v\none:  %+v", got, want)
 		}
 	}
 }

@@ -35,8 +35,10 @@ var goldenSeeds = []uint64{1, 2}
 // a single flipped verdict; their rows carry the raw confusion counts.
 // F4, F5, A1, A3 and M1 print shared-hit percentages to two decimals,
 // which hide a drift of one shared hit; their rows carry the shared-hit
-// counts or fractions at full precision.
-var rowPinned = map[string]bool{"f7": true, "a2": true, "f4": true, "f5": true, "a1": true, "a3": true, "m1": true}
+// counts or fractions at full precision. F1, F2 and F3 print the census
+// to two decimals, which hides a drift of one hit; their rows carry the
+// raw counts and full-precision fractions.
+var rowPinned = map[string]bool{"f1": true, "f2": true, "f3": true, "f7": true, "a2": true, "f4": true, "f5": true, "a1": true, "a3": true, "m1": true}
 
 type catalogueGolden struct {
 	Hashes map[string]map[string]string `json:"hashes"`

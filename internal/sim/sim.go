@@ -30,9 +30,9 @@ type Config struct {
 	// Models is the workload list; empty means the full suite.
 	Models []workloads.Model
 	// Shards bounds the replay workers inside each experiment cell
-	// (sharing.Options.Shards): 0 lets each experiment budget the
-	// leftover CPUs across its fan-out, 1 = one worker, and n > 1 asks
-	// for up to n workers per replay. Results are identical at
+	// (sharing.Options.Shards, one lane per worker): 0 lets each
+	// experiment budget the leftover CPUs across its fan-out, 1 = one
+	// worker, and n > 1 asks for up to n workers per replay. Results are identical at
 	// every setting; only wall-clock time changes.
 	Shards int
 	// Streams, when non-nil, supplies each prepared stream instead of a
@@ -72,45 +72,24 @@ type Stream struct {
 	TraceLen  uint64 // raw references generated
 	L1Hits    uint64
 	L2Hits    uint64
-
-	// partMu guards parts, the memoized counting-sort shard partitions
-	// of Accesses keyed by shard count. Experiments at different LLC
-	// geometries resolve to the same few shard counts, so each partition
-	// is built once per stream and shared (it is immutable once built).
-	partMu sync.Mutex
-	parts  map[int]*sharing.PartitionIndex
 }
 
-// Partitioner returns the sharing.Partitioner serving this stream's
-// cached shard partitions, building each requested shard count at most
-// once. Safe for concurrent use across experiment workers.
+// Partitioner returns a sharing.Partitioner over this stream that builds
+// a fresh counting-sort shard partition per call. No replay walks one;
+// the bench module's partition probe times it.
 func (s *Stream) Partitioner() sharing.Partitioner {
 	return func(shards int) (*sharing.PartitionIndex, error) {
-		s.partMu.Lock()
-		defer s.partMu.Unlock()
-		if p, ok := s.parts[shards]; ok {
-			return p, nil
-		}
-		p, err := sharing.BuildPartition(s.Accesses, shards)
-		if err != nil {
-			return nil, err
-		}
-		if s.parts == nil {
-			s.parts = make(map[int]*sharing.PartitionIndex)
-		}
-		s.parts[shards] = p
-		return p, nil
+		return sharing.BuildPartition(s.Accesses, shards)
 	}
 }
 
-// ReplayOptions bundles the stream's replay tuning — the cached shard
-// partitions and the known distinct-block count, both skipping
-// full-stream preparation scans inside the replay — with the caller's
-// worker bound and cancellation context. Every experiment replaying
-// this stream should build its sharing.Options here so no stream-level
-// memoization is forgotten at any call site.
+// ReplayOptions bundles the stream's known distinct-block count, which
+// skips a full-stream detection scan inside the replay, with the
+// caller's worker bound and cancellation context. Every experiment
+// replaying this stream should build its sharing.Options here so no
+// stream-level knowledge is forgotten at any call site.
 func (s *Stream) ReplayOptions(shards int, ctx context.Context) sharing.Options {
-	return sharing.Options{Shards: shards, Ctx: ctx, Partitioner: s.Partitioner(), NumBlocks: s.NumBlocks}
+	return sharing.Options{Shards: shards, Ctx: ctx, NumBlocks: s.NumBlocks}
 }
 
 // BuildStream generates the model's trace, filters it through a fresh
@@ -244,10 +223,10 @@ func (s *Suite) context() context.Context {
 // runs rows on each prepared stream across the CPUs under the suite's
 // context, reports each finished stream to the progress callback, and
 // concatenates the rows in suite order. rows receives the per-replay
-// shard request (sharing.Options.Shards): the Config's explicit Shards
+// worker bound (sharing.Options.Shards): the Config's explicit Shards
 // when set, otherwise the CPUs left over once every stream has a worker,
-// so the fan-out and the set sharding never oversubscribe the machine
-// between them. A failure is labelled with what and the workload.
+// so the workload fan-out and the lane workers never oversubscribe the
+// machine between them. A failure is labelled with what and the workload.
 func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) ([]R, error)) ([]R, error) {
 	return firstTable(perStreamTables(s, what, 1, func(st *Stream, shards int) ([][]R, error) {
 		r, err := rows(st, shards)
@@ -314,11 +293,12 @@ func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
 	return st.ReplayOptions(shards, s.context())
 }
 
-// ShardBudget returns the per-replay shard request that keeps n
+// ShardBudget returns the per-replay worker bound that keeps n
 // concurrent experiment runs within GOMAXPROCS — the same leftover-CPU
 // division perStream applies inside a single experiment's fan-out. The
 // sharesimd worker pool uses it to set Config.Shards for each of its n
-// workers so that workers × shards never oversubscribes the machine.
+// workers so that workers × replay workers never oversubscribes the
+// machine.
 func ShardBudget(n int) int { return leftoverShards(n) }
 
 // leftoverShards divides GOMAXPROCS across cells concurrent cells,
@@ -336,7 +316,7 @@ func leftoverShards(cells int) int {
 
 // parallelCapCtx runs f(0..n-1) across up to cap workers under a
 // cancellation context. The cap exists for callers that must split the
-// CPU budget with nested parallelism (a sharded replay inside an
+// CPU budget with nested parallelism (a multi-lane replay inside an
 // experiment fan-out) and would otherwise oversubscribe. Work items are
 // claimed from a lock-free atomic counter; the first error — including
 // ctx's error once it is cancelled, checked before each item runs —

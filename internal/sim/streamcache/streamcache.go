@@ -44,8 +44,8 @@ import (
 // snapshot (old files are simply never looked up again, and a forged
 // lookup ignores them on the magic check). Version 2: BlockIDs became
 // shard-major (cache.AssignBlockIDs) — the byte format is unchanged,
-// but older snapshots carry the first-touch numbering, which would
-// silently forfeit the sharded replay's locality.
+// but older snapshots carry the first-touch numbering, and every ID-keyed
+// result must see one numbering.
 const codecVersion = 2
 
 // DefaultMemBudget bounds resident stream bytes when Options.MemBudget
