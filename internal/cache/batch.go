@@ -15,10 +15,13 @@ package cache
 // touching the full record only where the policy contract requires the
 // pointer.
 //
-// The probe goes through the caller's residency table instead of
-// scanning tags: active maps BlockID → 1+line index for every resident
-// block, lineID is the reverse map the eviction path uses to clear the
-// victim's entry, and both must describe exactly this cache's contents.
+// The batch path keeps no tag array: the caller's residency tables are
+// the cache's contents. active maps BlockID → 1+line index for every
+// resident block, so it finds hits; lineID is the reverse map, so it
+// names the victim whose entry an eviction clears; and both must
+// describe exactly this cache's contents. The per-set valid counts are
+// the only cache-side state a fill reads: ways fill in order, so the
+// free way of a filling set is way valid[set].
 
 // Batch outcome word layout: bits 0–29 carry the line index
 // (set*ways+way), BatchHit marks a hit, BatchEvict marks a fill that
@@ -90,25 +93,15 @@ func (c *SetAssoc) KernelGeom() (mask uint64, ways int) { return c.mask, c.ways 
 // Ways() means the set is full and a fill must evict.
 func (c *SetAssoc) KernelValid() []uint16 { return c.valid }
 
-// KernelStoreLine records a fill of block into line li, mirroring the
-// generic loop's tag update.
-func (c *SetAssoc) KernelStoreLine(li uint32, block uint64) {
-	c.lines[li] = tagOf(block)
-}
-
 // KernelColdWay is the cold half of fillSlot for kernels: the line index
-// of the first invalid way of a non-full set, counting the new line into
-// the set's valid count. Kernels inline only the full-set victim search
-// (the steady state); the filling phase takes this call.
+// of the first invalid way of a non-full set — way valid[set], since
+// ways fill in order — counting the new line into the set's valid count.
+// Kernels inline only the full-set victim search (the steady state); the
+// filling phase takes this call.
 func (c *SetAssoc) KernelColdWay(set int) uint32 {
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if !c.lines[base+w].valid() {
-			c.valid[set]++
-			return uint32(base + w)
-		}
-	}
-	panic("cache: set valid count below ways but no invalid way")
+	w := c.valid[set]
+	c.valid[set] = w + 1
+	return uint32(set*c.ways + int(w))
 }
 
 // ReplayBatchCols presents a chunk of accesses to the cache in one tight
@@ -119,8 +112,12 @@ func (c *SetAssoc) KernelColdWay(set int) uint32 {
 // and on fills, so a lane walk streams a few bytes per access instead
 // of the full record. blk, id, accs and out run in lockstep. A cache
 // whose policy bound a BatchKernel runs that instead of the generic
-// interface loop below.
+// interface loop below. It panics on a cache that Access has served.
 func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo, active, lineID, out []uint32) {
+	if c.lines != nil {
+		panic("cache: batch replay on a cache that Access has served")
+	}
+	c.batched = true
 	if c.kernel != nil {
 		c.kernel(blk, id, accs, active, lineID, out)
 		return
@@ -141,7 +138,6 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 		if o != 0 {
 			active[lineID[li]] = 0
 		}
-		c.lines[li] = tagOf(a.Block)
 		pol.Fill(set, int(li)-set*ways, a)
 		lineID[li] = id[k]
 		active[id[k]] = li + 1
@@ -155,19 +151,12 @@ func (c *SetAssoc) ReplayBatchCols(blk []uint64, id []uint32, accs []AccessInfo,
 // displaced. It is the batched twin of Access's slot choice and panics
 // on the same policy contract violations.
 func (c *SetAssoc) fillSlot(set int, a *AccessInfo) (li, o uint32) {
-	base := set * c.ways
-	if int(c.valid[set]) == c.ways {
-		way := c.policy.Victim(set, a)
-		if way < 0 || way >= c.ways {
-			panic(badVictim(c.policy, way, c.ways))
-		}
-		return uint32(base + way), BatchEvict
+	if int(c.valid[set]) < c.ways {
+		return c.KernelColdWay(set), 0
 	}
-	for w := 0; w < c.ways; w++ {
-		if !c.lines[base+w].valid() {
-			c.valid[set]++
-			return uint32(base + w), 0
-		}
+	way := c.policy.Victim(set, a)
+	if way < 0 || way >= c.ways {
+		panic(badVictim(c.policy, way, c.ways))
 	}
-	panic("cache: set valid count below ways but no invalid way")
+	return uint32(set*c.ways + way), BatchEvict
 }

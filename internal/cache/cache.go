@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"sharellc/internal/mem"
 	"sharellc/internal/trace"
 )
 
@@ -66,7 +65,8 @@ func errStreamTooLong(n uint64) error {
 }
 
 // Policy is the replacement-policy contract for the LLC. A Policy manages
-// per-set ordering state; the cache owns tags and validity.
+// per-set ordering state; the cache owns validity and, through its entry
+// point, which block each line holds (see SetAssoc).
 //
 // The cache calls exactly one of Hit or (Victim, Fill) per access: Hit when
 // the block is present, otherwise Victim to choose the way to evict from a
@@ -106,15 +106,20 @@ func (ln line) block() uint64 { return uint64(ln &^ lineValid) }
 func tagOf(block uint64) line { return line(block) | lineValid }
 
 // SetAssoc is a set-associative cache with a pluggable replacement policy:
-// the shared LLC.
+// the shared LLC. No LLC line is ever invalidated, so a set fills its
+// ways in order and a filling set's free way is way valid[set]. A cache
+// serves one entry point: Access keeps a tag array, allocated on its
+// first call; ReplayBatchCols keeps none, as the caller's residency
+// tables (active, lineID) name every line's block.
 type SetAssoc struct {
-	sets   int
-	ways   int
-	mask   uint64
-	lines  []line   // sets*ways, row-major by set
-	valid  []uint16 // per-set count of valid lines; == ways means full
-	policy Policy
-	kernel BatchKernel // monomorphic batch probe, nil = generic loop
+	sets    int
+	ways    int
+	mask    uint64
+	lines   []line   // Access's tag array: sets*ways, row-major by set; nil until the first Access
+	valid   []uint16 // per-set count of valid lines; == ways means full
+	batched bool     // a batch replay has run; Access refuses the cache
+	policy  Policy
+	kernel  BatchKernel // monomorphic batch probe, nil = generic loop
 }
 
 // Geometry validates a (size, ways) pair and returns the set count
@@ -138,9 +143,10 @@ func Geometry(sizeBytes, ways int) (sets int, err error) {
 	return sets, nil
 }
 
-// NewSetAssoc builds a cache of sizeBytes capacity and the given
+// NewSetAssoc builds an empty cache of sizeBytes capacity and the given
 // associativity, managed by policy. sizeBytes must be a multiple of
 // ways*trace.BlockSize and the resulting set count must be a power of two.
+// It allocates only the per-set valid counts.
 func NewSetAssoc(sizeBytes, ways int, policy Policy) (*SetAssoc, error) {
 	sets, err := Geometry(sizeBytes, ways)
 	if err != nil {
@@ -150,13 +156,10 @@ func NewSetAssoc(sizeBytes, ways int, policy Policy) (*SetAssoc, error) {
 		return nil, fmt.Errorf("cache: nil policy")
 	}
 	policy.Attach(sets, ways)
-	lines := make([]line, sets*ways)
-	mem.Hugepages(lines) // tag array is hit at a random set every access
 	c := &SetAssoc{
 		sets:   sets,
 		ways:   ways,
 		mask:   uint64(sets - 1),
-		lines:  lines,
 		valid:  make([]uint16, sets),
 		policy: policy,
 	}
@@ -187,8 +190,14 @@ type Result struct {
 
 // Access presents one reference to the cache: on a miss the block is
 // filled (allocate-on-write as well as read), evicting a victim if the set
-// is full.
+// is full. It panics on a cache that has run ReplayBatchCols.
 func (c *SetAssoc) Access(a AccessInfo) Result {
+	if c.lines == nil {
+		if c.batched {
+			panic("cache: Access on a cache that has run a batch replay")
+		}
+		c.lines = make([]line, c.sets*c.ways)
+	}
 	set := c.setOf(a.Block)
 	base := set * c.ways
 	// One pass over the set finds both the hit way and the first invalid

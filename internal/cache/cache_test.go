@@ -31,13 +31,12 @@ func probe(c *SetAssoc, block uint64) bool {
 	return false
 }
 
-// resident counts the valid lines of c.
+// resident counts the valid lines of c from its per-set valid counts,
+// which both entry points keep.
 func resident(c *SetAssoc) int {
 	n := 0
-	for _, ln := range c.lines {
-		if ln.valid() {
-			n++
-		}
+	for _, v := range c.valid {
+		n += int(v)
 	}
 	return n
 }

@@ -119,7 +119,6 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			clock++
 			stamp[li] = clock
 			lineID[li] = id[k]

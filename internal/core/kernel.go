@@ -86,7 +86,6 @@ func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			clock++
 			stamp[li] = clock
 

@@ -18,9 +18,10 @@ package policy
 //	hit:  load active[id] → update policy state at line li-1 → out word.
 //	      The per-set state is flat by line index, so the hit path never
 //	      recomputes the set from the block address at all.
-//	miss: set from blk&mask → victim search (full set) or cold fill →
-//	      clear the victim's active entry → store the tag line → policy
-//	      insertion state → residency tables → out word.
+//	miss: set from blk&mask → victim search (full set) or cold fill
+//	      (way valid[set], KernelColdWay) → clear the victim's active
+//	      entry → policy insertion state → residency tables → out word.
+//	      No tag is stored: the residency tables are the contents.
 //
 // Policies whose state is one byte per way (the RRIP family's RRPVs,
 // NRU's reference bytes) get a SWAR victim search when the
@@ -170,7 +171,6 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			clock++
 			stamp[li] = clock
 			lineID[li] = id[k]
@@ -202,7 +202,6 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
@@ -233,7 +232,6 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			ref[li] = 1
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
@@ -299,7 +297,6 @@ func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			way := li & wayMask
 			tree[li>>levels] = tree[li>>levels]&^clearM[way] | setM[way]
 			lineID[li] = id[k]
@@ -343,7 +340,6 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			atMRU := false
 			switch mode {
 			case insertCoin:
@@ -406,7 +402,6 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			long := true
 			switch mode {
 			case insertCoin:
@@ -480,7 +475,6 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			sig := Signature(accs[k].PC)
 			lineSig[li] = sig
 			lineUsed[li] = false
@@ -540,7 +534,6 @@ func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			c.KernelStoreLine(li, blk[k])
 			sig := Signature(accs[k].PC)
 			lineSig[li] = sig
 			lineUsed[li] = false

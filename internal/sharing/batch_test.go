@@ -2,6 +2,7 @@ package sharing
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sharellc/internal/cache"
@@ -196,5 +197,41 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	// wrapper's residency lines) measures ~40 objects either way.
 	if full > short+20 || full > 200 {
 		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
+	}
+}
+
+// TestPolicyPassAllocNoTagArray pins that a lane's policy pass builds no
+// tag array: once the scratch pool is warm, a one-lane replay at the
+// F4 geometry (4 MB, 16 ways) allocates fewer bytes than one tag array
+// of sets*ways words would take alone. The lanes' policies keep little
+// per-line state of their own (Random none, PLRU one word per set), and
+// OPT, whose per-line next-use column is half a tag array, runs the
+// generic loop. Wired into CI via `go test -run Alloc`.
+func TestPolicyPassAllocNoTagArray(t *testing.T) {
+	const size, ways = 4 * cache.MB, 16
+	stream := synthStream(60000, 3000, 8, 7)
+	cache.AnnotateNextUse(stream)
+	sets, err := cache.Geometry(size, ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagArray := uint64(sets * ways * 8)
+	for _, name := range []string{"random", "plru", "opt"} {
+		configs := []LLCConfig{{Size: size, Ways: ways, NewPolicy: catalogued(t, name, 1)}}
+		run := func() {
+			if _, err := ReplayMulti(stream, configs, Options{Shards: 1, Tier: CountsOnly}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the scratch pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= tagArray {
+			t.Errorf("%s: a warm policy pass allocated %d bytes, not below one %d-byte tag array", name, n, tagArray)
+		} else {
+			t.Logf("%s: a warm policy pass allocated %d bytes (tag array %d)", name, n, tagArray)
+		}
 	}
 }

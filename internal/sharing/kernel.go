@@ -8,8 +8,10 @@ package sharing
 //     flat struct-of-arrays columns every lane reads: block numbers,
 //     dense BlockIDs and, for a tracked replay, a one-byte core/store
 //     meta field;
-//  2. probe — cache.ReplayBatchCols runs the tag/victim/policy half as
-//     one tight loop, emitting a packed outcome word per access;
+//  2. probe — cache.ReplayBatchCols runs the lookup/victim/policy half
+//     as one tight loop over the lane's active/lineID tables (the cache
+//     keeps no tags of its own), emitting a packed outcome word per
+//     access;
 //  3. census — the tier's consumer folds the chunk's outcome words
 //     before the next chunk: the SoA residency tracker (tracker.go),
 //     the shared-hit line words (streak.go) or a hit count.
@@ -30,7 +32,7 @@ import (
 // batchSize is the accesses probed per chunk. The chunk's own state —
 // outcome words, column slices, eviction captures — stays near 32 KiB,
 // resident in L1 across the probe→census phases while leaving L2 to the
-// lane's tracker, tag and policy state.
+// lane's tracker, residency and policy state.
 const batchSize = 2 << 10
 
 // metaWrite flags a store in the decoded core/store meta byte; the low
