@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"sharellc/internal/mem"
 	"sharellc/internal/trace"
 )
 
@@ -90,6 +91,17 @@ type Policy interface {
 	Fill(set, way int, a *AccessInfo)
 }
 
+// Releaser is the optional capability of a policy whose state arrays
+// come from the mem pool: Release hands them back once the policy's
+// cache is done with them (SetAssoc.Release). A released policy's state
+// slices are nil, so a late Hit, Victim or Fill panics instead of
+// reading another lane's state; counters it reports (such as
+// core.Protector's Stats) stay readable. A wrapper forwards Release to
+// its base.
+type Releaser interface {
+	Release()
+}
+
 // line packs one way's bookkeeping — block number and validity — into a
 // single word, so a whole 16-way set scans out of two cache lines instead
 // of the four a padded struct would occupy. Block numbers are byte
@@ -146,7 +158,7 @@ func Geometry(sizeBytes, ways int) (sets int, err error) {
 // NewSetAssoc builds an empty cache of sizeBytes capacity and the given
 // associativity, managed by policy. sizeBytes must be a multiple of
 // ways*trace.BlockSize and the resulting set count must be a power of two.
-// It allocates only the per-set valid counts.
+// It holds only the per-set valid counts, from the mem pool.
 func NewSetAssoc(sizeBytes, ways int, policy Policy) (*SetAssoc, error) {
 	sets, err := Geometry(sizeBytes, ways)
 	if err != nil {
@@ -160,11 +172,22 @@ func NewSetAssoc(sizeBytes, ways int, policy Policy) (*SetAssoc, error) {
 		sets:   sets,
 		ways:   ways,
 		mask:   uint64(sets - 1),
-		valid:  make([]uint16, sets),
+		valid:  mem.Grab[uint16](sets),
 		policy: policy,
 	}
 	c.bindBatchKernel()
 	return c, nil
+}
+
+// Release hands the valid counts and, when the policy is a Releaser,
+// its state back to the mem pool. The cache is unusable afterwards:
+// Access and ReplayBatchCols panic on it.
+func (c *SetAssoc) Release() {
+	mem.Release(c.valid)
+	c.valid, c.kernel = nil, nil
+	if r, ok := c.policy.(Releaser); ok {
+		r.Release()
+	}
 }
 
 // Sets returns the number of sets.

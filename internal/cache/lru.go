@@ -22,8 +22,7 @@ func (p *LRU) Name() string { return "lru" }
 // Attach implements Policy.
 func (p *LRU) Attach(sets, ways int) {
 	p.ways = ways
-	p.stamp = make([]uint64, sets*ways)
-	mem.Hugepages(p.stamp)
+	p.stamp = mem.Grab[uint64](sets * ways)
 	// Start well above zero so a touched way's stamp never falls to a
 	// never-filled way's 0. Demote's min-1 still wraps when the set has a
 	// never-filled way: the demoted stamp becomes MaxUint64, which Victim
@@ -31,6 +30,12 @@ func (p *LRU) Attach(sets, ways int) {
 	// (negated as int64) least recent. Pinned by
 	// TestLRUDemoteWrapsOnUnfilledSet; fixing it changes table bytes.
 	p.clock = 1 << 32
+}
+
+// Release implements Releaser.
+func (p *LRU) Release() {
+	mem.Release(p.stamp)
+	p.stamp = nil
 }
 
 // Hit implements Policy.

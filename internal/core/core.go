@@ -200,10 +200,20 @@ func (p *Protector) Attach(sets, ways int) {
 	p.base.Attach(sets, ways)
 	p.ways = ways
 	p.protWords = (ways + 63) / 64
-	p.prot = make([]uint64, sets*p.protWords)
-	p.lines = make([]line, sets*ways)
-	mem.Hugepages(p.lines)
+	p.prot = mem.Grab[uint64](sets * p.protWords)
+	p.lines = mem.Grab[line](sets * ways)
 	p.keys = make([]int64, ways)
+}
+
+// Release implements cache.Releaser: the protection state and then the
+// base's go back to the mem pool. Stats stays readable.
+func (p *Protector) Release() {
+	mem.Release(p.prot)
+	mem.Release(p.lines)
+	p.prot, p.lines, p.keys = nil, nil, nil
+	if r, ok := p.base.(cache.Releaser); ok {
+		r.Release()
+	}
 }
 
 // Hit implements cache.Policy: delegate, then check whether the hit

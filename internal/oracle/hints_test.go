@@ -61,7 +61,11 @@ func TestSharedHintsMatchChainWalk(t *testing.T) {
 	stream := ownedStream(600000, 3)
 	horizons := []int64{0, 1, Horizon(4<<20, HorizonFactor), Horizon(8<<20, HorizonFactor), int64(len(stream)) + 1}
 	_, numBlocks := cache.EnsureBlockIDs(stream)
-	cols := hintColumns(stream, numBlocks, horizons)
+	cols := make([][]bool, len(horizons))
+	for k := range cols {
+		cols[k] = make([]bool, len(stream))
+	}
+	hintColumns(stream, numBlocks, horizons, cols)
 	for k, horizon := range horizons {
 		want := chainHints(stream, horizon)
 		hinted := 0

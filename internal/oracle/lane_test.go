@@ -150,7 +150,7 @@ func laneKernel(t *testing.T, pol cache.Policy, ways int) bool {
 
 // TestHintedLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
 // oracle study in the mix — the bare and hint-column lanes of LRU and
-// DRRIP, plus the hint pass: once the scratch pool is warm, a study
+// DRRIP, plus the hint pass: once the mem pool is warm, a study
 // allocates only per-lane bookkeeping, orders of magnitude
 // below one object per access. The LRU hint-column lane runs the
 // protected-LRU kernel.
@@ -175,7 +175,7 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the replay's scratch pool
+	run() // warm the mem pool
 	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {
 		t.Errorf("oracle study allocated %.0f objects over 60k accesses x 4 lanes; a hot loop is allocating (budget 400)", allocs)
 	}

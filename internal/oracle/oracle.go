@@ -23,10 +23,10 @@ package oracle
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/mem"
 	"sharellc/internal/sharing"
 	"sharellc/internal/trace"
 )
@@ -63,16 +63,20 @@ const HorizonFactor = 4
 // knowledge: a pure trace property, so it stays valid at whatever point
 // the protected run's fills diverge from the base run's (unlike
 // residency-outcome bits, which are only defined for the base schedule's
-// own fills).
+// own fills). The column is the caller's own: it never comes from or
+// goes back to the mem pool.
 func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
-	return hintColumns(stream, 0, []int64{horizon})[0]
+	col := make([]bool, len(stream))
+	hintColumns(stream, 0, []int64{horizon}, [][]bool{col})
+	return col
 }
 
-// hintColumns computes the SharedHints column of every horizon in one
-// backward pass. Position i's cross-core successor is the next access to
-// its block by another core: when the block's next access comes from
-// another core it is that access, and when it comes from the same core it
-// is that access's own successor, because no access to the block lies
+// hintColumns fills cols[k], a zeroed column of len(stream), with the
+// SharedHints column of horizons[k], every horizon in one backward pass.
+// Position i's cross-core successor is the next access to its block by
+// another core: when the block's next access comes from another core it
+// is that access, and when it comes from the same core it is that
+// access's own successor, because no access to the block lies
 // between the two. So the pass needs, per block, only the nearest later
 // access and its core (first) and that access's successor (second), and
 // i's successor is first or second as the cores differ or agree.
@@ -80,20 +84,11 @@ func SharedHints(stream []cache.AccessInfo, horizon int64) []bool {
 // numBlocks > 0 asserts that the stream's BlockIDs are dense in
 // [0, numBlocks) (sim.Stream.NumBlocks); 0 scans, and streams without
 // BlockIDs (hand-built) are copied and assigned them on the fly.
-func hintColumns(stream []cache.AccessInfo, numBlocks int, horizons []int64) [][]bool {
+func hintColumns(stream []cache.AccessInfo, numBlocks int, horizons []int64, cols [][]bool) {
 	if numBlocks <= 0 {
 		stream, numBlocks = cache.EnsureBlockIDs(stream)
 	}
-	cols := make([][]bool, len(horizons))
-	for k := range cols {
-		cols[k] = make([]bool, len(stream))
-	}
-	sp, _ := laterPool.Get().(*[]later)
-	if sp == nil || cap(*sp) < numBlocks {
-		s := make([]later, numBlocks)
-		sp = &s
-	}
-	state := (*sp)[:numBlocks]
+	state := mem.Grab[later](numBlocks)
 	for b := range state {
 		state[b] = later{first: cache.NoNextUse, second: cache.NoNextUse}
 	}
@@ -111,8 +106,7 @@ func hintColumns(stream []cache.AccessInfo, numBlocks int, horizons []int64) [][
 		}
 		*st = later{first: int32(i), second: next, core: a.Core}
 	}
-	laterPool.Put(sp)
-	return cols
+	mem.Release(state)
 }
 
 // later is hintColumns' per-block state: the positions of the block's
@@ -123,11 +117,6 @@ type later struct {
 	first, second int32
 	core          uint8
 }
-
-// laterPool recycles hintColumns' per-block state. A sweep builds a
-// column per workload per horizon; fresh state each time would be garbage
-// the heap grows by until the next collection.
-var laterPool sync.Pool
 
 // Horizon is the sharing horizon, in stream positions, of a factor at
 // one LLC size (see HorizonFactor).
@@ -154,6 +143,14 @@ func (h *Hinted) Fill(set, way int, a *cache.AccessInfo) {
 // protected-LRU kernel over an LRU base, the generic loop (nil) otherwise.
 func (h *Hinted) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return h.LRUKernel(c, h)
+}
+
+// Release implements cache.Releaser: the Protector's state and its
+// base's go back to the mem pool. The hint column is not the lane's to
+// release: Lanes' collect releases it.
+func (h *Hinted) Release() {
+	h.hints = nil
+	h.Protector.Release()
 }
 
 // LaneHint implements core.LaneHinter: the hint column at the access's
@@ -186,7 +183,9 @@ type Cell struct {
 // whatever its policy, ways or options. A caller may append lanes of its own and replay them
 // all in one sharing.ReplayMulti call; collect then maps that replay's
 // results to one Result per cell, in cell order, each bit-identical to
-// the cell replayed alone. Every base's NewPolicy must return a fresh
+// the cell replayed alone. The hint columns come from the mem pool, and
+// collect, which a caller calls once and only after the replay
+// succeeded, hands them back. Every base's NewPolicy must return a fresh
 // instance on each call: the two passes must not share trained state.
 func Lanes(stream []cache.AccessInfo, numBlocks int, bases []sharing.LLCConfig, cells []Cell) (lanes []sharing.LLCConfig, collect func([]*sharing.Result) []*Result, err error) {
 	var horizons []int64
@@ -201,7 +200,11 @@ func Lanes(stream []cache.AccessInfo, numBlocks int, bases []sharing.LLCConfig, 
 			horizons = append(horizons, h)
 		}
 	}
-	hints := hintColumns(stream, numBlocks, horizons)
+	hints := make([][]bool, len(horizons))
+	for k := range hints {
+		hints[k] = mem.Grab[bool](len(stream))
+	}
+	hintColumns(stream, numBlocks, horizons, hints)
 	n := len(bases)
 	lanes = append(make([]sharing.LLCConfig, 0, n+len(cells)), bases...)
 	// A Protector keeps cross-set state, so a lane calls NewPolicy exactly
@@ -218,6 +221,10 @@ func Lanes(stream []cache.AccessInfo, numBlocks int, bases []sharing.LLCConfig, 
 			}})
 	}
 	return lanes, func(results []*sharing.Result) []*Result {
+		for k, col := range hints {
+			mem.Release(col)
+			hints[k] = nil
+		}
 		out := make([]*Result, len(cells))
 		for i, c := range cells {
 			out[i] = &Result{Base: results[c.Base], Oracle: results[n+i], Stats: prots[i].Stats()}

@@ -27,11 +27,16 @@ func (p *OPT) Name() string { return "opt" }
 // Attach implements cache.Policy.
 func (p *OPT) Attach(sets, ways int) {
 	p.ways = ways
-	p.nextUse = make([]int32, sets*ways)
-	mem.Hugepages(p.nextUse)
+	p.nextUse = mem.Grab[int32](sets * ways)
 	for i := range p.nextUse {
 		p.nextUse[i] = cache.NoNextUse
 	}
+}
+
+// Release implements cache.Releaser.
+func (p *OPT) Release() {
+	mem.Release(p.nextUse)
+	p.nextUse = nil
 }
 
 // Hit implements cache.Policy: the line's horizon advances to the

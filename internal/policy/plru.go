@@ -37,8 +37,13 @@ func (p *PLRU) Attach(sets, ways int) {
 	}
 	p.ways = ways
 	p.levels = bits.TrailingZeros(uint(ways))
-	p.tree = make([]uint64, sets)
-	mem.Hugepages(p.tree)
+	p.tree = mem.Grab[uint64](sets)
+}
+
+// Release implements cache.Releaser.
+func (p *PLRU) Release() {
+	mem.Release(p.tree)
+	p.tree = nil
 }
 
 // touch flips every tree node on the path to way so the path points away

@@ -22,13 +22,18 @@ type rripCore struct {
 
 func (p *rripCore) Attach(sets, ways int) {
 	p.ways = ways
-	p.rrpv = make([]uint8, sets*ways)
-	mem.Hugepages(p.rrpv)
+	p.rrpv = mem.Grab[uint8](sets * ways)
 	// Empty ways start at distant so cold sets fill predictably, though
 	// the cache fills invalid ways without consulting the policy anyway.
 	for i := range p.rrpv {
 		p.rrpv[i] = rripMax
 	}
+}
+
+// Release implements cache.Releaser.
+func (p *rripCore) Release() {
+	mem.Release(p.rrpv)
+	p.rrpv = nil
 }
 
 // hit promotes the line to near-immediate re-reference (hit priority HP).

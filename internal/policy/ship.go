@@ -37,15 +37,22 @@ func (p *SHiP) Name() string { return "ship" }
 // Attach implements cache.Policy.
 func (p *SHiP) Attach(sets, ways int) {
 	p.rripCore.Attach(sets, ways)
-	p.shct = make([]uint8, 1<<shipTableBits)
+	p.shct = mem.Grab[uint8](1 << shipTableBits)
 	// Start weakly reusable so cold signatures behave like SRRIP.
 	for i := range p.shct {
 		p.shct[i] = 1
 	}
-	p.lineSig = make([]uint16, sets*ways)
-	p.lineUsed = make([]bool, sets*ways)
-	mem.Hugepages(p.lineSig)
-	mem.Hugepages(p.lineUsed)
+	p.lineSig = mem.Grab[uint16](sets * ways)
+	p.lineUsed = mem.Grab[bool](sets * ways)
+}
+
+// Release implements cache.Releaser.
+func (p *SHiP) Release() {
+	p.rripCore.Release()
+	mem.Release(p.shct)
+	mem.Release(p.lineSig)
+	mem.Release(p.lineUsed)
+	p.shct, p.lineSig, p.lineUsed = nil, nil, nil
 }
 
 // Signature hashes a PC into an SHCT index. Exported for the predictor
@@ -126,8 +133,14 @@ func (p *SHiPS) Name() string { return "ship-s" }
 // Attach implements cache.Policy.
 func (p *SHiPS) Attach(sets, ways int) {
 	p.SHiP.Attach(sets, ways)
-	p.lineCore = make([]uint8, sets*ways)
-	mem.Hugepages(p.lineCore)
+	p.lineCore = mem.Grab[uint8](sets * ways)
+}
+
+// Release implements cache.Releaser.
+func (p *SHiPS) Release() {
+	p.SHiP.Release()
+	mem.Release(p.lineCore)
+	p.lineCore = nil
 }
 
 // Hit implements cache.Policy: cross-core reuse trains the signature a

@@ -63,9 +63,14 @@ func (p *FIFO) Name() string { return "fifo" }
 // Attach implements cache.Policy.
 func (p *FIFO) Attach(sets, ways int) {
 	p.ways = ways
-	p.stamp = make([]int64, sets*ways)
-	mem.Hugepages(p.stamp)
+	p.stamp = mem.Grab[int64](sets * ways)
 	p.clock = 0
+}
+
+// Release implements cache.Releaser.
+func (p *FIFO) Release() {
+	mem.Release(p.stamp)
+	p.stamp = nil
 }
 
 // Hit implements cache.Policy. FIFO ignores hits.
@@ -135,8 +140,13 @@ func (p *NRU) Name() string { return "nru" }
 // Attach implements cache.Policy.
 func (p *NRU) Attach(sets, ways int) {
 	p.ways = ways
-	p.ref = make([]uint8, sets*ways)
-	mem.Hugepages(p.ref)
+	p.ref = mem.Grab[uint8](sets * ways)
+}
+
+// Release implements cache.Releaser.
+func (p *NRU) Release() {
+	mem.Release(p.ref)
+	p.ref = nil
 }
 
 // Hit implements cache.Policy.
@@ -186,11 +196,16 @@ type lipCore struct {
 
 func (p *lipCore) Attach(sets, ways int) {
 	p.ways = ways
-	p.stamp = make([]int64, sets*ways)
-	mem.Hugepages(p.stamp)
+	p.stamp = mem.Grab[int64](sets * ways)
 	// Start above zero so insertAtLRU's min-1 never collides with the
 	// zero stamps of untouched ways in other sets.
 	p.clock = 1 << 32
+}
+
+// Release implements cache.Releaser.
+func (p *lipCore) Release() {
+	mem.Release(p.stamp)
+	p.stamp = nil
 }
 
 func (p *lipCore) Hit(set, way int, _ *cache.AccessInfo) { p.touchMRU(set, way) }

@@ -57,8 +57,14 @@ func NewDriven(base cache.Policy, opts core.Options, pred Predictor) *Driven {
 func (d *Driven) Attach(sets, ways int) {
 	d.Protector.Attach(sets, ways)
 	d.ways = ways
-	d.lines = make([]drivenLine, sets*ways)
-	mem.Hugepages(d.lines)
+	d.lines = mem.Grab[drivenLine](sets * ways)
+}
+
+// Release implements cache.Releaser.
+func (d *Driven) Release() {
+	mem.Release(d.lines)
+	d.lines = nil
+	d.Protector.Release()
 }
 
 // Hit implements cache.Policy.

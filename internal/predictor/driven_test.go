@@ -156,7 +156,7 @@ func drivenKernel(t *testing.T, pol cache.Policy, ways int) bool {
 
 // TestDrivenLaneAllocSteady is TestReplayMultiAllocSteady's gate with an
 // F8 leg in the mix — bare LRU, DRRIP and an address-predictor-driven
-// lane: once the scratch pool is warm, a replay allocates only per-lane
+// lane: once the mem pool is warm, a replay allocates only per-lane
 // bookkeeping, orders of magnitude below one object per
 // access. The driven lane runs the protected-LRU kernel.
 func TestDrivenLaneAllocSteady(t *testing.T) {
@@ -184,7 +184,7 @@ func TestDrivenLaneAllocSteady(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the replay's scratch pool
+	run() // warm the mem pool
 	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {
 		t.Errorf("replay allocated %.0f objects over 60k accesses x 3 lanes; a hot loop is allocating (budget 400)", allocs)
 	}

@@ -93,7 +93,7 @@ func ScoredLane(llcSize, llcWays int, newBase func() cache.Policy, preds []Predi
 		lane = newScored(newBase(), preds)
 		return lane
 	}}
-	return cfg, func() []PredStats { return lane.finish() }, nil
+	return cfg, func() []PredStats { return lane.stats }, nil
 }
 
 // scored is the policy of an F7/A2 lane: a base policy that runs
@@ -136,8 +136,7 @@ func newScored(base cache.Policy, preds []Predictor) *scored {
 func (s *scored) Attach(sets, ways int) {
 	s.Policy.Attach(sets, ways)
 	s.ways = ways
-	s.lines = make([]scoredLine, sets*ways)
-	mem.Hugepages(s.lines)
+	s.lines = mem.Grab[scoredLine](sets * ways)
 }
 
 // Hit implements cache.Policy: mark the residency shared when a core
@@ -195,16 +194,22 @@ func (s *scored) score(ln *scoredLine) {
 	}
 }
 
-// finish scores the residencies still open at stream end and returns
-// the matrices. Nothing reads a predictor after the replay, so those
-// residencies are not trained on.
-func (s *scored) finish() []PredStats {
+// Release implements cache.Releaser: it scores the residencies still
+// open at stream end, which completes the matrices in s.stats, then
+// hands the lines and the base's state back to the mem pool. Nothing
+// reads a predictor after the replay, so those residencies are not
+// trained on.
+func (s *scored) Release() {
 	for i := range s.lines {
 		if s.lines[i].open {
 			s.score(&s.lines[i])
 		}
 	}
-	return s.stats
+	mem.Release(s.lines)
+	s.lines = nil
+	if r, ok := s.Policy.(cache.Releaser); ok {
+		r.Release()
+	}
 }
 
 // HooksFor wires a predictor into a hooked replay lane: its prediction is

@@ -86,7 +86,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scores := lane.finish()
+				scores := lane.stats
 				want := hookedScores(t, stream, ways, base, predictors(t, stream))
 				for k, p := range predictors(t, stream) {
 					if scores[k] != want[k] {
@@ -135,7 +135,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 
 // TestScoredLaneAllocSteady is TestDrivenLaneAllocSteady's gate with an
 // F7 lane in the mix — bare LRU, DRRIP and a lane scoring all six
-// predictors over LRU: once the scratch pool is warm, a replay allocates
+// predictors over LRU: once the mem pool is warm, a replay allocates
 // only per-lane bookkeeping, orders of magnitude below one
 // object per access.
 func TestScoredLaneAllocSteady(t *testing.T) {
@@ -158,11 +158,11 @@ func TestScoredLaneAllocSteady(t *testing.T) {
 		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{Shards: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if lane.finish()[0].Total() == 0 {
+		if lane.stats[0].Total() == 0 {
 			t.Fatal("scored lane scored no residency")
 		}
 	}
-	run() // warm the replay's scratch pool
+	run() // warm the mem pool
 	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {
 		t.Errorf("replay allocated %.0f objects over 60k accesses x 3 lanes; a hot loop is allocating (budget 400)", allocs)
 	}

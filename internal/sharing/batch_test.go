@@ -133,7 +133,7 @@ func FuzzKernelBoundary(f *testing.F) {
 }
 
 // TestReplayMultiAllocSteady asserts the fused replay's hot loops stay
-// allocation-free: once the scratch pool is warm, a whole ReplayMulti
+// allocation-free: once the mem pool is warm, a whole ReplayMulti
 // sweep allocates only per-lane bookkeeping (results, degree
 // histograms, goroutines) — a count independent of stream length, orders
 // of magnitude below one allocation per access. Wired into CI via
@@ -150,7 +150,7 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the scratch pool
+	run() // warm the mem pool
 	allocs := testing.AllocsPerRun(3, run)
 	// ~60k accesses × 2 lanes: anything near one alloc per access means
 	// a hot loop started allocating. A warm sweep measures ~30 objects
@@ -186,7 +186,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 			}
 		}
 	}
-	run(long)() // warm the scratch pool
+	run(long)() // warm the mem pool
 	if st := prot.Stats(); st.Exclusions == 0 {
 		t.Fatalf("lane never excluded a protected victim: %+v", st)
 	}
@@ -201,7 +201,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 }
 
 // TestPolicyPassAllocNoTagArray pins that a lane's policy pass builds no
-// tag array: once the scratch pool is warm, a one-lane replay at the
+// tag array: once the mem pool is warm, a one-lane replay at the
 // F4 geometry (4 MB, 16 ways) allocates fewer bytes than one tag array
 // of sets*ways words would take alone. The lanes' policies keep little
 // per-line state of their own (Random none, PLRU one word per set), and
@@ -223,7 +223,7 @@ func TestPolicyPassAllocNoTagArray(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the scratch pool
+		run() // warm the mem pool
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -84,10 +83,11 @@ func TestReplayNilCtxUnchanged(t *testing.T) {
 }
 
 // cancelledMidPass cancels a replay at tier from inside its first lane's
-// policy pass. The replay must return the context's error, the abandoned
-// pass must not return its dirty block → line table to the words pool
-// (whose at-rest invariant is all-zero), and the next replay at tier from
-// the same pools must equal project of the reference walk.
+// policy pass. The replay must return the context's error; the abandoned
+// pass must hand none of its arrays back to the mem pool — neither its
+// block → line table, columns and census nor its policy's state, which
+// stays with the policy — and the next replay at tier from the same pool
+// must equal project of the reference walk.
 func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	t.Helper()
 	stream := cancelStream(1 << 16)
@@ -99,12 +99,16 @@ func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	defer cancel()
 	predicted := 0
 	canceller := lruLane64K()
+	var lru *policy.LRUPolicy
+	canceller.NewPolicy = func() cache.Policy { lru = policy.NewLRUPolicy(); return lru }
 	canceller.Hooks = Hooks{PredictShared: func(cache.AccessInfo) bool {
 		if predicted++; predicted == 1000 {
 			cancel()
 		}
 		return false
 	}}
+	words := drainPool[uint32]()
+	defer restorePool(words)
 	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Shards: 1, Tier: tier})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("tier %d: err = %v, want context.Canceled", tier, err)
@@ -112,13 +116,13 @@ func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	if uint64(predicted) >= ref.Misses {
 		t.Fatalf("tier %d: the pass ran to its end (%d predictions, %d misses) before noticing the cancel", tier, predicted, ref.Misses)
 	}
-	scratch.mu.Lock()
-	for _, words := range scratch.words {
-		if slices.ContainsFunc(words, func(w uint32) bool { return w != 0 }) {
-			t.Errorf("tier %d: the cancelled pass returned a dirty block → line table to the words pool", tier)
-		}
+	if back := drainPool[uint32](); len(back) != 0 {
+		t.Errorf("tier %d: the cancelled replay handed %d word arrays back to the pool", tier, len(back))
+		restorePool(back)
 	}
-	scratch.mu.Unlock()
+	if stamp, _ := lru.KernelState(); stamp == nil {
+		t.Errorf("tier %d: the cancelled pass released its policy", tier)
+	}
 	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Shards: 1, Tier: tier})
 	if err != nil {
 		t.Fatal(err)

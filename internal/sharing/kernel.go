@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
 // batchSize is the accesses probed per chunk. The chunk's own state —
@@ -71,7 +72,9 @@ type batchScratch struct {
 // when it has one, the generic loop otherwise — with the tier's census
 // consuming each chunk's outcome words (see the file comment). A hooked
 // lane's survivors close once the pass ends. The lane's Result is left
-// in l.result.
+// in l.result, and the pass's arrays, the cache's and the policy's
+// (SetAssoc.Release) go back to the mem pool; a pass that returns an
+// error abandons them instead.
 func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, cols passCols, l *lane, opt Options) error {
 	llc, err := cache.NewSetAssoc(l.cfg.Size, l.cfg.Ways, l.inst)
 	if err != nil {
@@ -85,17 +88,17 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, cols passCols,
 	switch opt.Tier {
 	case Tracked:
 		st = &replayState{res: newResult(l.inst.Name()), cols: grabSoA(lines),
-			blockState: grab(&scratch.bytes, numBlocks, true)}
+			blockState: mem.Grab[uint8](numBlocks)}
 		bs = &batchScratch{id: cols.id, meta: cols.meta,
-			ecw:   grab(&scratch.blks, batchSize, false),
-			ehits: grab(&scratch.blks, batchSize, false),
-			eid:   grab(&scratch.cols, batchSize, false)}
+			ecw:   mem.Grab[uint64](batchSize),
+			ehits: mem.Grab[uint64](batchSize),
+			eid:   mem.Grab[uint32](batchSize)}
 	case SharedHitsOnly:
-		sc.lines = grab(&scratch.blks, lines, true)
+		sc.lines = mem.Grab[uint64](lines)
 	}
-	active := grab(&scratch.words, numBlocks, false)
-	lineID := grab(&scratch.cols, lines, false)
-	out := grab(&scratch.cols, batchSize, false)
+	active := mem.Grab[uint32](numBlocks)
+	lineID := mem.Grab[uint32](lines)
+	out := mem.Grab[uint32](batchSize)
 	for lo := 0; lo < len(stream); lo += batchSize {
 		hi := min(lo+batchSize, len(stream))
 		if opt.Ctx != nil {
@@ -126,23 +129,22 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, cols passCols,
 		st.closeAliveSoA()
 		census(st.res, st.blockState)
 		l.result = st.res
-		putSoA(st.cols)
-		put(&scratch.bytes, st.blockState)
-		put(&scratch.blks, bs.ecw)
-		put(&scratch.blks, bs.ehits)
-		put(&scratch.cols, bs.eid)
+		mem.Release(st.cols.id)
+		mem.Release(st.cols.hc)
+		mem.Release(st.blockState)
+		mem.Release(bs.ecw)
+		mem.Release(bs.ehits)
+		mem.Release(bs.eid)
 	case SharedHitsOnly:
 		l.result = sc.result(l.inst.Name(), n)
-		put(&scratch.blks, sc.lines)
+		mem.Release(sc.lines)
 	case CountsOnly:
 		l.result = &Result{Policy: l.inst.Name(), Accesses: n, Hits: hits, Misses: n - hits}
 	}
-	// The words pool's at-rest invariant is all-zero. The cols pool
-	// carries no invariant, so lineID and out go back as they are.
-	clear(active)
-	put(&scratch.words, active)
-	put(&scratch.cols, lineID)
-	put(&scratch.cols, out)
+	llc.Release()
+	mem.Release(active)
+	mem.Release(lineID)
+	mem.Release(out)
 	return nil
 }
 

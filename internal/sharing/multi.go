@@ -60,7 +60,9 @@ import (
 // every call (the standard policy.Factory contract). ReplayMulti calls
 // it exactly once per lane and runs that instance's policy pass, which
 // is what lets callers stash the built instance (e.g. to read protector
-// stats after the replay).
+// stats after the replay). A lane whose pass succeeds releases the
+// instance's state arrays to the mem pool (cache.Releaser), so only its
+// counters stay readable afterwards.
 type LLCConfig struct {
 	Size      int // LLC capacity in bytes
 	Ways      int
@@ -149,11 +151,11 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, opt Options) error {
 	stream, numBlocks := ensureBlockIDs(stream, opt)
 	mem.Hugepages(stream)
 	cols := passCols{
-		blk: grab(&scratch.blks, len(stream), false),
-		id:  grab(&scratch.cols, len(stream), false),
+		blk: mem.Grab[uint64](len(stream)),
+		id:  mem.Grab[uint32](len(stream)),
 	}
 	if opt.Tier == Tracked {
-		cols.meta = grab(&scratch.bytes, len(stream), false)
+		cols.meta = mem.Grab[uint8](len(stream))
 	}
 	cores, err := decodePassColumns(stream, cols)
 	if err != nil {
@@ -164,7 +166,7 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, opt Options) error {
 	}
 	// Every shared-hit pass reads the one streak column.
 	if opt.Tier == SharedHitsOnly {
-		cols.streak = grab(&scratch.cols, len(stream), false)
+		cols.streak = mem.Grab[uint32](len(stream))
 		buildStreaks(stream, numBlocks, cols.streak)
 	}
 
@@ -193,9 +195,9 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, opt Options) error {
 			return err
 		}
 	}
-	put(&scratch.blks, cols.blk)
-	put(&scratch.cols, cols.id)
-	put(&scratch.bytes, cols.meta)
-	put(&scratch.cols, cols.streak)
+	mem.Release(cols.blk)
+	mem.Release(cols.id)
+	mem.Release(cols.meta)
+	mem.Release(cols.streak)
 	return nil
 }

@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
 // buildStreaks fills the streak column of stream (see the file comment)
@@ -34,7 +35,7 @@ import (
 // the low byte (0 = no later access; replayLanes has already refused
 // streams past soaMaxCores cores).
 func buildStreaks(stream []cache.AccessInfo, numBlocks int, streak []uint32) {
-	next := grab(&scratch.blks, numBlocks, true)
+	next := mem.Grab[uint64](numBlocks)
 	for p := len(stream) - 1; p >= 0; p-- {
 		a := &stream[p]
 		c := uint64(a.Core) + 1
@@ -50,7 +51,7 @@ func buildStreaks(stream []cache.AccessInfo, numBlocks int, streak []uint32) {
 		streak[p] = k
 		next[a.BlockID] = uint64(k)<<32 | c
 	}
-	put(&scratch.blks, next)
+	mem.Release(next)
 }
 
 // sharedCounts is one shared-hit pass's per-line words and counters.

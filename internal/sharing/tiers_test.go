@@ -284,9 +284,9 @@ func TestStreakColumn(t *testing.T) {
 
 // untrackedAllocSteady checks a replay at tier: it allocates a count of
 // objects independent of stream length and grabs no tracker, meta or
-// census scratch — the pools of those kinds, drained first, stay empty,
-// where a grab on the replay's success path would have returned its
-// fresh slice to them.
+// census array — the mem pool's [2]uint64 and uint8 lists, drained
+// first, receive no array but DRRIP's RRPV column, where a grab on the
+// replay's success path would have released its fresh array to them.
 func untrackedAllocSteady(t *testing.T, tier Tier) {
 	t.Helper()
 	long := synthStream(60000, 3000, 8, 7)
@@ -302,22 +302,20 @@ func untrackedAllocSteady(t *testing.T, tier Tier) {
 			}
 		}
 	}
-	run(long)() // warm the scratch pool
+	run(long)() // warm the mem pool
 
-	scratch.mu.Lock()
-	hcs, bytes := scratch.hcs, scratch.bytes
-	scratch.hcs, scratch.bytes = nil, nil
-	scratch.mu.Unlock()
-	defer func() {
-		scratch.mu.Lock()
-		scratch.hcs, scratch.bytes = hcs, bytes
-		scratch.mu.Unlock()
-	}()
+	hcs, bytes := drainPool[[2]uint64](), drainPool[uint8]()
+	defer restorePool(hcs)
+	defer restorePool(bytes)
 	short := testing.AllocsPerRun(3, run(long[:15000]))
 	full := testing.AllocsPerRun(3, run(long))
-	scratch.mu.Lock()
-	grabbed := len(scratch.hcs) + len(scratch.bytes)
-	scratch.mu.Unlock()
+	rrpv := 64 * cache.KB / 64 // DRRIP's sets*ways column
+	grabbed := len(drainPool[[2]uint64]())
+	for _, s := range drainPool[uint8]() {
+		if cap(s) != rrpv {
+			grabbed++
+		}
+	}
 	if grabbed != 0 {
 		t.Errorf("a tier %d replay grabbed %d tracker, meta or census arrays", tier, grabbed)
 	}

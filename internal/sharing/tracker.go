@@ -43,6 +43,7 @@ import (
 	"math/bits"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
 const (
@@ -60,24 +61,11 @@ type soaCols struct {
 	hc [][2]uint64
 }
 
-// grabSoA builds the column set for lines line slots from the scratch
-// pools. hc comes from its own pool kind whose at-rest invariant is
-// all-zero (cw == 0 means "no open residency", exactly what a fresh
-// replay needs, and closeAliveSoA retires the hit half along with it);
-// the id column is gated by cw and may come back dirty.
+// grabSoA builds the column set for lines line slots from the pool,
+// zeroed: cw == 0 means "no open residency", exactly what a fresh
+// replay needs.
 func grabSoA(lines int) *soaCols {
-	return &soaCols{
-		id: grab(&scratch.cols, lines, false),
-		hc: grab(&scratch.hcs, lines, false),
-	}
-}
-
-// putSoA returns the columns to their pools. Call only on a replay's
-// success path (closeAliveSoA has retired every open residency, so the
-// hc column is back to all-zero).
-func putSoA(t *soaCols) {
-	put(&scratch.cols, t.id)
-	put(&scratch.hcs, t.hc)
+	return &soaCols{id: mem.Grab[uint32](lines), hc: mem.Grab[[2]uint64](lines)}
 }
 
 // cwWord expands one packed meta byte (decodePassColumns' core/store
@@ -179,16 +167,13 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 }
 
 // closeAliveSoA closes the residencies alive at stream end: survivors
-// are the lines with a nonzero core/write word. Retiring a survivor
-// zeroes its pair, restoring the hcs pool's all-zero at-rest invariant.
-// The counters are order-independent sums, so the survivors close in
+// are the lines with a nonzero core/write word. The counters are order-independent sums, so the survivors close in
 // line order.
 func (st *replayState) closeAliveSoA() {
 	hc := st.cols.hc
 	for li := range hc {
 		if hc[li][1] != 0 {
 			st.closeLineSoA(uint32(li))
-			hc[li] = [2]uint64{}
 		}
 	}
 }
