@@ -1,5 +1,7 @@
 package cache
 
+import "sharellc/internal/mem"
+
 // Dense block identifiers.
 //
 // Raw block numbers are sparse 64-bit values, so every structure keyed by
@@ -28,39 +30,74 @@ const IDGroupBits = 8
 // AssignBlockIDs assigns each distinct block of stream a dense uint32 ID
 // and returns the number of distinct blocks. IDs are shard-major: grouped
 // by the low IDGroupBits block bits, first-touch order within a group
-// (deterministic, like everything in the pipeline). It is the only
-// per-stream hashing pass; every replay structure downstream indexes
-// flat slices by the IDs it produces.
+// (deterministic, like everything in the pipeline). It numbers blocks
+// through a hash index, for streams whose blocks nothing else numbers (a
+// Mix's, a hand-built one); a workload's stream build numbers them
+// through the model's dense block index instead (AnnotateNextUseIndexed),
+// to the same IDs.
 func AssignBlockIDs(stream []AccessInfo) int {
 	idx := newBlockIndex()
 	blocks := make([]uint64, 0, 1<<16) // distinct blocks, first-touch order
-	var counts [1 << IDGroupBits]uint32
 	for i := range stream {
 		b := stream[i].Block
 		s := idx.find(b)
 		if s.ref == 0 {
 			s = idx.add(b, len(blocks))
 			blocks = append(blocks, b)
-			counts[b&(1<<IDGroupBits-1)]++
 		}
 		stream[i].BlockID = s.ref - 1 // provisional first-touch ordinal
 	}
-	var next [1 << IDGroupBits]uint32 // group base, then allocation cursor
+	layoutShardMajor(stream, blocks)
+	return len(blocks)
+}
+
+// numberIndexed is AssignBlockIDs for a stream whose BlockIDs hold an
+// injective dense index of their blocks in [0, span) on entry: the first
+// touches are found through a flat table over that index instead of a
+// hash, and the IDs are the same.
+func numberIndexed(stream []AccessInfo, span int) int {
+	ord := mem.Grab[uint32](span) // first-touch ordinal + 1 per index
+	blocks := mem.Grab[uint64](min(span, len(stream)))
+	n := 0
+	for i := range stream {
+		x := stream[i].BlockID
+		o := ord[x]
+		if o == 0 {
+			blocks[n] = stream[i].Block
+			n++
+			o = uint32(n)
+			ord[x] = o
+		}
+		stream[i].BlockID = o - 1 // provisional first-touch ordinal
+	}
+	mem.Release(ord)
+	layoutShardMajor(stream, blocks[:n])
+	mem.Release(blocks)
+	return n
+}
+
+// layoutShardMajor turns the provisional first-touch ordinals in
+// stream's BlockIDs into shard-major IDs: blocks[o] is ordinal o's block,
+// and a group's IDs follow its blocks' first-touch order.
+func layoutShardMajor(stream []AccessInfo, blocks []uint64) {
+	const mask = 1<<IDGroupBits - 1
+	var next [1 << IDGroupBits]uint32 // group size, then allocation cursor
+	for _, b := range blocks {
+		next[b&mask]++
+	}
 	sum := uint32(0)
 	for g := range next {
-		next[g] = sum
-		sum += counts[g]
+		next[g], sum = sum, sum+next[g]
 	}
-	dense := make([]uint32, len(blocks))
-	for ord, b := range blocks {
-		g := b & (1<<IDGroupBits - 1)
-		dense[ord] = next[g]
-		next[g]++
+	dense := mem.Grab[uint32](len(blocks))
+	for o, b := range blocks {
+		dense[o] = next[b&mask]
+		next[b&mask]++
 	}
 	for i := range stream {
 		stream[i].BlockID = dense[stream[i].BlockID]
 	}
-	return len(blocks)
+	mem.Release(dense)
 }
 
 // blockIndex maps block numbers to first-touch ordinals: a flat

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"sharellc/internal/mem"
 	"sharellc/internal/trace"
 )
 
@@ -213,7 +214,23 @@ func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) 
 // stream preparation performs.
 func AnnotateNextUse(stream []AccessInfo) int {
 	numBlocks := AssignBlockIDs(stream)
-	next := make([]int32, numBlocks)
+	annotateNextUse(stream, numBlocks)
+	return numBlocks
+}
+
+// AnnotateNextUseIndexed is AnnotateNextUse for a stream whose BlockIDs
+// hold, on entry, an injective dense index of their blocks in [0, span)
+// (workloads.Model.BlockIndex): it assigns the same BlockIDs without
+// hashing a block, and allocates nothing outside the mem pool.
+func AnnotateNextUseIndexed(stream []AccessInfo, span int) int {
+	numBlocks := numberIndexed(stream, span)
+	annotateNextUse(stream, numBlocks)
+	return numBlocks
+}
+
+// annotateNextUse fills in NextUse over BlockIDs in [0, numBlocks).
+func annotateNextUse(stream []AccessInfo, numBlocks int) {
+	next := mem.Grab[int32](numBlocks)
 	for i := range next {
 		next[i] = NoNextUse
 	}
@@ -222,7 +239,7 @@ func AnnotateNextUse(stream []AccessInfo) int {
 		stream[i].NextUse = next[id]
 		next[id] = int32(i)
 	}
-	return numBlocks
+	mem.Release(next)
 }
 
 // System couples a private hierarchy with an inclusive shared LLC: every

@@ -34,17 +34,33 @@ const maxStreamCore = 127
 // prepared streams never contain these, so an error means the caller is
 // snapshotting the wrong thing.
 func AppendAccessInfos(dst []byte, stream []AccessInfo) ([]byte, error) {
-	var prevBlock, prevPC uint64
+	var e RecordEncoder
+	return e.Append(dst, stream)
+}
+
+// RecordEncoder is AppendAccessInfos in pieces: it carries the delta
+// base from one call to the next, so a stream appended chunk by chunk
+// encodes to the bytes AppendAccessInfos gives for the whole. The zero
+// value starts a stream.
+type RecordEncoder struct {
+	prevBlock, prevPC uint64
+	n                 int // records encoded so far
+}
+
+// Append appends the encoded records of recs, the stream's next
+// records, to dst and returns the extended slice (AppendAccessInfos).
+func (e *RecordEncoder) Append(dst []byte, recs []AccessInfo) ([]byte, error) {
+	prevBlock, prevPC := e.prevBlock, e.prevPC
 	var buf [1 + 4*binary.MaxVarintLen64]byte
-	for i := range stream {
-		a := &stream[i]
+	for i := range recs {
+		a := &recs[i]
 		if a.Core > maxStreamCore {
-			return nil, fmt.Errorf("cache: stream record %d: core %d exceeds maximum %d", i, a.Core, maxStreamCore)
+			return nil, fmt.Errorf("cache: stream record %d: core %d exceeds maximum %d", e.n+i, a.Core, maxStreamCore)
 		}
 		nextUse := uint64(0)
 		if a.NextUse != NoNextUse {
 			if a.NextUse <= a.Index {
-				return nil, fmt.Errorf("cache: stream record %d: NextUse %d not after Index %d", i, a.NextUse, a.Index)
+				return nil, fmt.Errorf("cache: stream record %d: NextUse %d not after Index %d", e.n+i, a.NextUse, a.Index)
 			}
 			nextUse = uint64(a.NextUse - a.Index)
 		}
@@ -61,6 +77,7 @@ func AppendAccessInfos(dst []byte, stream []AccessInfo) ([]byte, error) {
 		dst = append(dst, buf[:n]...)
 		prevBlock, prevPC = a.Block, a.PC
 	}
+	e.prevBlock, e.prevPC, e.n = prevBlock, prevPC, e.n+len(recs)
 	return dst, nil
 }
 

@@ -7,47 +7,30 @@
 // by the same hardware that would host the predictor and they track
 // *active* sharing rather than stale address history.
 //
-// The Directory consumes the load/store event stream, maintains per-block
-// MESI state and sharer sets as the directory of an 8-core CMP would, and
-// exposes both aggregate statistics (the C1 characterization) and
-// per-block queries (the coherence-assisted predictor in
-// internal/predictor).
+// The Directory consumes the load/store event stream and keeps one
+// sharer set per block, as the directory of the CMP would, and nothing
+// else: a block's MESI state is its sharer count. No sharer is Invalid.
+// One sharer is Exclusive or Modified, which no counted event tells
+// apart (the owner's store is silent in both). Two or more sharers is
+// Shared, and no transition leaves a Shared block with one sharer: a
+// remote load adds the second, and a store collapses the set to the
+// writer, which then holds the block Modified. The Directory exposes
+// the aggregate statistics (the C1 characterization, counted during the
+// stream build) and, per access, whether it was a cross-core event (the
+// coherence-assisted predictor in internal/predictor).
 package coherence
 
 import (
 	"fmt"
 	"math/bits"
+
+	"sharellc/internal/mem"
+	"sharellc/internal/trace"
 )
 
-// State is the directory-visible MESI state of a block.
-type State uint8
-
-const (
-	// Invalid: no private cache holds the block.
-	Invalid State = iota
-	// Shared: one or more private caches hold read-only copies.
-	Shared
-	// Exclusive: exactly one private cache holds a clean copy.
-	Exclusive
-	// Modified: exactly one private cache holds a dirty copy.
-	Modified
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Modified:
-		return "M"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
-	}
-}
+// MaxCores is the core ceiling of the directory's sharer sets, the
+// ceiling of cache.Config and workloads.Model.
+const MaxCores = 128
 
 // Stats aggregates protocol traffic.
 type Stats struct {
@@ -69,143 +52,168 @@ type Stats struct {
 	ColdFills uint64
 }
 
-// entry is one block's directory record.
-type entry struct {
-	state   State
-	sharers [2]uint64 // bitmask of cores holding the block
-	// lastEvent is the event counter value of the block's most recent
-	// cross-core interaction (downgrade, invalidation, upgrade, C2C).
-	lastEvent uint64
-}
-
-func (e *entry) addSharer(core uint8)      { e.sharers[core>>6] |= 1 << (core & 63) }
-func (e *entry) hasSharer(core uint8) bool { return e.sharers[core>>6]>>(core&63)&1 == 1 }
-func (e *entry) sharerCount() int {
-	return bits.OnesCount64(e.sharers[0]) + bits.OnesCount64(e.sharers[1])
-}
-
 // Directory is the MESI directory. It is not safe for concurrent use.
 //
-// Entries live in one flat slice indexed by a dense block id in
+// Sharer sets live in one flat bit array indexed by a dense block id in
 // [0, blocks): the caller numbers its blocks (a stream's BlockID, or
 // workloads.Model.BlockIndex over a raw trace), so a reference costs one
-// slice index and no hashing.
+// slice index and no hashing. A set is 1<<shift bits, the power of two
+// at or above the core count and at least 8: a byte per block for an
+// 8-core workload, so a full-size workload's sets stay in the host's L2
+// cache. Core c of block id is bit id<<shift+c; a set never straddles a
+// word, except that a 128-core set is two whole words.
 type Directory struct {
-	entries []entry
+	sharers []uint64 // the sets; from the mem pool
+	shift   uint
+	mask    uint64 // a set narrower than a word, at bit 0 (0 for 128 cores)
 	stats   Stats
-	clock   uint64 // event counter, advanced per Load/Store
 }
 
-// NewDirectory returns an empty directory over block ids [0, blocks).
-func NewDirectory(blocks int) *Directory {
-	return &Directory{entries: make([]entry, blocks)}
+// NewDirectory returns an empty directory over block ids [0, blocks)
+// for cores 0..cores-1; cores must lie in [1, MaxCores].
+func NewDirectory(blocks, cores int) *Directory {
+	if cores < 1 || cores > MaxCores {
+		panic(fmt.Sprintf("coherence: %d cores outside [1,%d]", cores, MaxCores))
+	}
+	shift := uint(3)
+	for 1<<shift < cores {
+		shift++
+	}
+	d := &Directory{sharers: mem.Grab[uint64]((blocks<<shift + 63) / 64), shift: shift}
+	if shift <= 6 {
+		d.mask = ^uint64(0) >> (64 - 1<<shift)
+	}
+	return d
+}
+
+// Release hands the sharer sets back to the mem pool; the directory
+// must not be used afterwards. Stats stays readable.
+func (d *Directory) Release() {
+	mem.Release(d.sharers)
+	d.sharers = nil
 }
 
 // Stats returns the aggregate protocol statistics.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// Clock returns the number of events processed.
-func (d *Directory) Clock() uint64 { return d.clock }
-
-// StateOf reports block id's current state and sharer count.
-func (d *Directory) StateOf(id uint32) (State, int) {
-	e := &d.entries[id]
-	return e.state, e.sharerCount()
-}
-
-// LastSharingEvent returns the event-clock value of block id's most
-// recent cross-core interaction and whether one has ever occurred.
-func (d *Directory) LastSharingEvent(id uint32) (uint64, bool) {
-	e := d.entries[id].lastEvent
-	return e, e != 0
-}
-
-// Load processes a read of block id by core.
-func (d *Directory) Load(core uint8, id uint32) {
-	d.clock++
-	d.stats.Loads++
-	e := &d.entries[id]
-	switch e.state {
-	case Invalid:
-		d.stats.ColdFills++
-		e.state = Exclusive
-		e.addSharer(core)
-	case Shared:
-		if !e.hasSharer(core) {
-			e.addSharer(core)
-			e.lastEvent = d.clock
-		}
-	case Exclusive, Modified:
-		if e.hasSharer(core) {
-			return // silent hit in the owner
-		}
-		// Remote load: owner downgrades, data forwarded cache-to-cache.
-		d.stats.Downgrades++
-		d.stats.C2CTransfers++
-		e.state = Shared
-		e.addSharer(core)
-		e.lastEvent = d.clock
+// Sharers reports how many private caches hold block id.
+func (d *Directory) Sharers(id uint32) int {
+	pos := uint(id) << d.shift
+	if d.mask == 0 {
+		return bits.OnesCount64(d.sharers[pos>>6]) + bits.OnesCount64(d.sharers[pos>>6+1])
 	}
+	return bits.OnesCount64(d.sharers[pos>>6] >> (pos & 63) & d.mask)
 }
 
-// Store processes a write of block id by core.
-func (d *Directory) Store(core uint8, id uint32) {
-	d.clock++
+// Load processes a read of block id by core and reports whether it was
+// a cross-core event: a downgrade of a remote owner, or a new sharer of
+// a Shared block.
+func (d *Directory) Load(core uint8, id uint32) bool {
+	d.stats.Loads++
+	return d.access(core, id, false)
+}
+
+// Store processes a write of block id by core and reports whether it
+// was a cross-core event: an invalidation of a remote owner, or of a
+// Shared block's other copies.
+func (d *Directory) Store(core uint8, id uint32) bool {
 	d.stats.Stores++
-	e := &d.entries[id]
-	switch e.state {
-	case Invalid:
-		d.stats.ColdFills++
-	case Modified, Exclusive:
-		if e.hasSharer(core) {
-			e.state = Modified
-			return
+	return d.access(core, id, true)
+}
+
+// Observe processes a batch of references in order: refs[i] is a load
+// or store of block ids[i]. It is Load and Store over the batch, with
+// the silent cases — a load by a sharer, a store by the only one, most
+// of a raw trace — taken in the loop, which branches on nothing else.
+func (d *Directory) Observe(refs []trace.Access, ids []uint32) {
+	ids = ids[:len(refs)]
+	var stores uint64
+	for i := range refs {
+		a, id := &refs[i], ids[i]
+		var write uint64 // a.Write as a number
+		if a.Write {
+			write = 1
 		}
+		stores += write
+		if d.mask == 0 {
+			d.access(a.Core, id, a.Write)
+			continue
+		}
+		pos := uint(id) << d.shift
+		w, at := &d.sharers[pos>>6], pos&63
+		set, bit := *w>>at&d.mask, uint64(1)<<a.Core
+		// Silent: the core's bit, for a load, or the whole set, for a
+		// store, is the core alone.
+		if set&(bit|-write&d.mask) == bit {
+			continue
+		}
+		set, _ = d.apply(set, bit, bits.OnesCount64(set), a.Write)
+		*w = *w&^(d.mask<<at) | set<<at
+	}
+	d.stats.Stores += stores
+	d.stats.Loads += uint64(len(refs)) - stores
+}
+
+// access applies a load or store of block id by core to its set.
+func (d *Directory) access(core uint8, id uint32, write bool) bool {
+	pos := uint(id) << d.shift
+	if d.mask == 0 {
+		// A 128-core set: the core's word, and the other one, which a
+		// store empties.
+		w, other := &d.sharers[pos>>6+uint(core>>6)], &d.sharers[pos>>6+uint(^core>>6&1)]
+		set, event := d.apply(*w, 1<<(core&63), bits.OnesCount64(*w)+bits.OnesCount64(*other), write)
+		*w = set
+		if write {
+			*other = 0
+		}
+		return event
+	}
+	w, at := &d.sharers[pos>>6], pos&63
+	set := *w >> at & d.mask
+	set, event := d.apply(set, 1<<core, bits.OnesCount64(set), write)
+	*w = *w&^(d.mask<<at) | set<<at
+	return event
+}
+
+// apply is the protocol: a load or store by the core whose bit is bit,
+// on a set (or, for 128 cores, the word of it holding bit) with n
+// sharers in all. It counts the access's events and returns what the set
+// holds afterwards (a store leaves the writer alone) and whether the
+// access was a cross-core event. The state is n: 0 Invalid, 1 Exclusive
+// or Modified, 2 or more Shared.
+func (d *Directory) apply(set, bit uint64, n int, write bool) (uint64, bool) {
+	own := set&bit != 0
+	if !write {
+		switch {
+		case own:
+			return set, false // a hit in the core's own copy
+		case n == 0:
+			d.stats.ColdFills++
+			return bit, false
+		case n == 1:
+			// Remote load: the owner downgrades, data forwarded
+			// cache-to-cache.
+			d.stats.Downgrades++
+			d.stats.C2CTransfers++
+		}
+		return set | bit, true
+	}
+	switch {
+	case n == 0:
+		d.stats.ColdFills++
+		return bit, false
+	case n == 1 && own:
+		return set, false // the owner's silent E → M
+	case n == 1:
 		// Remote store: invalidate the owner, transfer ownership.
 		d.stats.Invalidations++
 		d.stats.C2CTransfers++
-		e.sharers = [2]uint64{}
-		e.lastEvent = d.clock
-	case Shared:
-		// Kill all other copies; an existing copy of our own is an
-		// upgrade (permission) miss.
-		n := e.sharerCount()
-		if e.hasSharer(core) {
-			d.stats.UpgradeMisses++
-			d.stats.Invalidations += uint64(n - 1)
-			if n > 1 {
-				e.lastEvent = d.clock
-			}
-		} else {
-			d.stats.Invalidations += uint64(n)
-			e.lastEvent = d.clock
-		}
-		e.sharers = [2]uint64{}
+	case own:
+		// An upgrade (permission) miss kills the other copies.
+		d.stats.UpgradeMisses++
+		d.stats.Invalidations += uint64(n - 1)
+	default:
+		d.stats.Invalidations += uint64(n)
 	}
-	e.state = Modified
-	e.addSharer(core)
-}
-
-// CheckInvariants validates the MESI invariants over every entry and
-// returns the first violation, for property tests.
-func (d *Directory) CheckInvariants() error {
-	for b := range d.entries {
-		e := &d.entries[b]
-		n := e.sharerCount()
-		switch e.state {
-		case Invalid:
-			if n != 0 {
-				return fmt.Errorf("coherence: block id %d Invalid with %d sharers", b, n)
-			}
-		case Shared:
-			if n < 1 {
-				return fmt.Errorf("coherence: block id %d Shared with no sharers", b)
-			}
-		case Exclusive, Modified:
-			if n != 1 {
-				return fmt.Errorf("coherence: block id %d %v with %d sharers", b, e.state, n)
-			}
-		}
-	}
-	return nil
+	return bit, true
 }

@@ -7,30 +7,23 @@ import (
 	"sharellc/internal/rng"
 )
 
-func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Modified: "M"} {
-		if s.String() != want {
-			t.Errorf("%v.String() = %q", uint8(s), s.String())
-		}
-	}
-	if State(9).String() == "" {
-		t.Error("unknown state empty")
-	}
-}
-
 func TestColdLoadGoesExclusive(t *testing.T) {
-	d := NewDirectory(1024)
-	d.Load(0, 1)
-	if st, n := d.StateOf(1); st != Exclusive || n != 1 {
-		t.Errorf("state = %v/%d, want E/1", st, n)
+	d := NewDirectory(1024, 8)
+	if d.Load(0, 1) {
+		t.Error("a cold load reported a cross-core event")
+	}
+	if n := d.Sharers(1); n != 1 {
+		t.Errorf("sharers = %d, want 1 (E)", n)
 	}
 	if d.Stats().ColdFills != 1 {
 		t.Errorf("cold fills = %d", d.Stats().ColdFills)
 	}
 	// Silent upgrade: owner's store keeps one sharer, state M.
-	d.Store(0, 1)
-	if st, n := d.StateOf(1); st != Modified || n != 1 {
-		t.Errorf("after owner store: %v/%d, want M/1", st, n)
+	if d.Store(0, 1) {
+		t.Error("the owner's store reported a cross-core event")
+	}
+	if n := d.Sharers(1); n != 1 {
+		t.Errorf("after owner store: %d sharers, want 1 (M)", n)
 	}
 	if d.Stats().Invalidations != 0 || d.Stats().C2CTransfers != 0 {
 		t.Errorf("silent upgrade generated traffic: %+v", d.Stats())
@@ -38,29 +31,33 @@ func TestColdLoadGoesExclusive(t *testing.T) {
 }
 
 func TestRemoteLoadDowngrades(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	d.Store(0, 1) // M at core 0
-	d.Load(1, 1)  // remote read
-	if st, n := d.StateOf(1); st != Shared || n != 2 {
-		t.Errorf("state = %v/%d, want S/2", st, n)
+	if !d.Load(1, 1) {
+		t.Error("a remote read reported no cross-core event")
+	}
+	if n := d.Sharers(1); n != 2 {
+		t.Errorf("sharers = %d, want 2 (S)", n)
 	}
 	s := d.Stats()
 	if s.Downgrades != 1 || s.C2CTransfers != 1 {
 		t.Errorf("stats = %+v, want 1 downgrade + 1 C2C", s)
 	}
-	if _, ok := d.LastSharingEvent(1); !ok {
-		t.Error("sharing event not recorded")
+	if d.Load(0, 1) || d.Load(1, 1) {
+		t.Error("a sharer's own read reported a cross-core event")
 	}
 }
 
 func TestRemoteStoreInvalidates(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	d.Load(0, 1)
 	d.Load(1, 1)
 	d.Load(2, 1) // S with 3 sharers
-	d.Store(3, 1)
-	if st, n := d.StateOf(1); st != Modified || n != 1 {
-		t.Errorf("state = %v/%d, want M/1", st, n)
+	if !d.Store(3, 1) {
+		t.Error("a remote store reported no cross-core event")
+	}
+	if n := d.Sharers(1); n != 1 {
+		t.Errorf("sharers = %d, want 1 (M)", n)
 	}
 	if d.Stats().Invalidations != 3 {
 		t.Errorf("invalidations = %d, want 3", d.Stats().Invalidations)
@@ -68,10 +65,12 @@ func TestRemoteStoreInvalidates(t *testing.T) {
 }
 
 func TestUpgradeMiss(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	d.Load(0, 1)
 	d.Load(1, 1) // S {0,1}
-	d.Store(0, 1)
+	if !d.Store(0, 1) {
+		t.Error("an upgrade miss reported no cross-core event")
+	}
 	s := d.Stats()
 	if s.UpgradeMisses != 1 {
 		t.Errorf("upgrade misses = %d, want 1", s.UpgradeMisses)
@@ -79,26 +78,26 @@ func TestUpgradeMiss(t *testing.T) {
 	if s.Invalidations != 1 {
 		t.Errorf("invalidations = %d, want 1 (core 1's copy)", s.Invalidations)
 	}
-	if st, n := d.StateOf(1); st != Modified || n != 1 {
-		t.Errorf("state = %v/%d", st, n)
+	if n := d.Sharers(1); n != 1 {
+		t.Errorf("sharers = %d", n)
 	}
 }
 
 func TestRemoteStoreOnModified(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	d.Store(0, 1)
 	d.Store(1, 1)
 	s := d.Stats()
 	if s.Invalidations != 1 || s.C2CTransfers != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if st, n := d.StateOf(1); st != Modified || n != 1 {
-		t.Errorf("state = %v/%d", st, n)
+	if n := d.Sharers(1); n != 1 {
+		t.Errorf("sharers = %d", n)
 	}
 }
 
 func TestColdStoreNoSpuriousTraffic(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	d.Store(2, 7)
 	s := d.Stats()
 	if s.Invalidations != 0 || s.UpgradeMisses != 0 || s.ColdFills != 1 {
@@ -106,48 +105,70 @@ func TestColdStoreNoSpuriousTraffic(t *testing.T) {
 	}
 }
 
-func TestLastSharingEventAbsent(t *testing.T) {
-	d := NewDirectory(1024)
-	d.Load(0, 1) // cold, no sharing
-	if _, ok := d.LastSharingEvent(1); ok {
-		t.Error("cold block reported a sharing event")
+// TestColdAccessReportsNoEvent: first touches are no cross-core event,
+// and a block nobody touched has no sharer.
+func TestColdAccessReportsNoEvent(t *testing.T) {
+	d := NewDirectory(1024, 8)
+	if d.Load(0, 1) || d.Store(3, 2) {
+		t.Error("a cold access reported a cross-core event")
 	}
-	if _, ok := d.LastSharingEvent(999); ok {
-		t.Error("unknown block reported a sharing event")
+	if n := d.Sharers(999); n != 0 {
+		t.Errorf("an untouched block has %d sharers", n)
 	}
 }
 
 // TestInvariantsUnderRandomTraffic is the protocol's main property test:
-// after any interleaving of loads and stores, the MESI invariants hold.
+// after any interleaving of loads and stores, the accessing core holds
+// the block, a store leaves it the only holder, every block's first
+// touch is its one cold fill, and no block ever shows one Shared
+// sharer (a cross-core load always leaves at least two).
 func TestInvariantsUnderRandomTraffic(t *testing.T) {
-	f := func(seed uint64) bool {
+	f := func(seed uint64, wide bool) bool {
 		rnd := rng.New(seed)
-		d := NewDirectory(1024)
+		cores := 8
+		if wide {
+			cores = 128
+		}
+		d := NewDirectory(64, cores)
+		touched := map[uint32]bool{}
 		for i := 0; i < 5000; i++ {
-			core := uint8(rnd.Intn(8))
+			core := uint8(rnd.Intn(cores))
 			block := uint32(rnd.Intn(64))
-			switch rnd.Intn(4) {
-			case 0:
-				d.Store(core, block)
-			default:
-				d.Load(core, block)
-			}
-			if i%257 == 0 {
-				if err := d.CheckInvariants(); err != nil {
-					t.Log(err)
+			touched[block] = true
+			var ev bool
+			if rnd.Intn(4) == 0 {
+				ev = d.Store(core, block)
+				if n := d.Sharers(block); n != 1 {
+					t.Logf("after a store block %d has %d sharers", block, n)
+					return false
+				}
+			} else {
+				ev = d.Load(core, block)
+				if n := d.Sharers(block); n < 1 || ev && n < 2 {
+					t.Logf("after a load (event %v) block %d has %d sharers", ev, block, n)
 					return false
 				}
 			}
+			if !d.has(core, block) {
+				t.Logf("core %d lost block %d it just accessed", core, block)
+				return false
+			}
 		}
-		return d.CheckInvariants() == nil
+		return d.Stats().ColdFills == uint64(len(touched))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
+// has reports whether core holds block id.
+func (d *Directory) has(core uint8, id uint32) bool {
+	pos := uint(id)<<d.shift + uint(core)
+	return d.sharers[pos>>6]>>(pos&63)&1 == 1
+}
+
 func TestLoadsStoresCounted(t *testing.T) {
-	d := NewDirectory(1024)
+	d := NewDirectory(1024, 8)
 	for i := 0; i < 10; i++ {
 		d.Load(0, uint32(i))
 	}
@@ -158,7 +179,29 @@ func TestLoadsStoresCounted(t *testing.T) {
 	if s.Loads != 10 || s.Stores != 5 {
 		t.Errorf("counts = %d/%d", s.Loads, s.Stores)
 	}
-	if d.Clock() != 15 {
-		t.Errorf("clock = %d", d.Clock())
+}
+
+// TestDirectoryCoreCeiling: the sharer sets hold every core up to the
+// ceiling, and a directory for more cores is refused.
+func TestDirectoryCoreCeiling(t *testing.T) {
+	d := NewDirectory(4, MaxCores)
+	for c := 0; c < MaxCores; c++ {
+		d.Load(uint8(c), 3)
+	}
+	if n := d.Sharers(3); n != MaxCores {
+		t.Errorf("%d sharers after %d cores read, want %d", n, MaxCores, MaxCores)
+	}
+	if d.Store(127, 3); d.Stats().Invalidations != MaxCores-1 || d.Stats().UpgradeMisses != 1 {
+		t.Errorf("stats after core 127's upgrade: %+v", d.Stats())
+	}
+	for _, cores := range []int{0, MaxCores + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDirectory(4, %d) did not panic", cores)
+				}
+			}()
+			NewDirectory(4, cores)
+		}()
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/coherence"
+	"sharellc/internal/mem"
 )
 
 // DefaultCoherenceWindow is the recency window (in LLC accesses) within
@@ -26,7 +27,8 @@ const DefaultCoherenceWindow = 1 << 16
 // up to i alone, so NewCoherence computes every position's prediction in
 // one directory pass, and Predict reads that column at a.Index, as
 // oracle.Hinted reads its hints. A Coherence serves only the stream it
-// was built from.
+// was built from. The column comes from the mem pool; Release (which
+// the F7/A2 scored lane forwards when its replay ends) hands it back.
 type Coherence struct {
 	col []bool
 }
@@ -48,21 +50,30 @@ func NewCoherence(stream []cache.AccessInfo, numBlocks int, window int64) (*Cohe
 	if numBlocks <= 0 {
 		stream, numBlocks = cache.EnsureBlockIDs(stream)
 	}
-	dir := coherence.NewDirectory(numBlocks)
-	col := make([]bool, len(stream))
+	dir := coherence.NewDirectory(numBlocks, coherence.MaxCores)
+	// last holds each block's most recent cross-core event, as its
+	// position plus one (0: none yet).
+	last := mem.Grab[uint32](numBlocks)
+	col := mem.Grab[bool](len(stream))
 	for i := range stream {
 		a := &stream[i]
+		var event bool
 		if a.Write {
-			dir.Store(a.Core, a.BlockID)
+			event = dir.Store(a.Core, a.BlockID)
 		} else {
-			dir.Load(a.Core, a.BlockID)
+			event = dir.Load(a.Core, a.BlockID)
 		}
-		if _, n := dir.StateOf(a.BlockID); n >= 2 {
+		if event {
+			last[a.BlockID] = uint32(i) + 1
+		}
+		if dir.Sharers(a.BlockID) >= 2 {
 			col[i] = true
-		} else if last, ok := dir.LastSharingEvent(a.BlockID); ok {
-			col[i] = dir.Clock()-last <= w
+		} else if e := last[a.BlockID]; e != 0 {
+			col[i] = uint64(i)+1-uint64(e) <= w
 		}
 	}
+	dir.Release()
+	mem.Release(last)
 	return &Coherence{col: col}, nil
 }
 
@@ -75,3 +86,10 @@ func (p *Coherence) Predict(a cache.AccessInfo) bool { return p.col[a.Index] }
 // Train implements Predictor. The coherence predictor learns from the
 // directory, not from residency outcomes.
 func (p *Coherence) Train(uint64, uint64, bool) {}
+
+// Release implements cache.Releaser: it hands the column back to the
+// mem pool. The predictor must not predict afterwards.
+func (p *Coherence) Release() {
+	mem.Release(p.col)
+	p.col = nil
+}

@@ -9,13 +9,15 @@ import (
 
 // observedCoherence is the reference for the coherence column: the
 // predictor fed as an observer, its directory driven by every access in
-// stream order and queried at the access it has just seen. It numbers
-// blocks itself, in first-touch order, so it shares no id with the
-// stream's BlockIDs.
+// stream order and queried at the access it has just seen, with its own
+// event clock and last-event map. It numbers blocks itself, in
+// first-touch order, so it shares no id with the stream's BlockIDs.
 type observedCoherence struct {
 	dir    *coherence.Directory
 	ids    map[uint64]uint32
 	window uint64
+	clock  uint64            // accesses observed
+	last   map[uint32]uint64 // block id → clock of its last cross-core event
 }
 
 // newObservedCoherence returns the observer for stream.
@@ -26,24 +28,30 @@ func newObservedCoherence(stream []cache.AccessInfo, window uint64) *observedCoh
 			ids[a.Block] = uint32(len(ids))
 		}
 	}
-	return &observedCoherence{dir: coherence.NewDirectory(len(ids)), ids: ids, window: window}
+	return &observedCoherence{dir: coherence.NewDirectory(len(ids), 8), ids: ids, window: window, last: map[uint32]uint64{}}
 }
 
 func (p *observedCoherence) observe(a cache.AccessInfo) {
+	p.clock++
+	id := p.ids[a.Block]
+	var event bool
 	if a.Write {
-		p.dir.Store(a.Core, p.ids[a.Block])
+		event = p.dir.Store(a.Core, id)
 	} else {
-		p.dir.Load(a.Core, p.ids[a.Block])
+		event = p.dir.Load(a.Core, id)
+	}
+	if event {
+		p.last[id] = p.clock
 	}
 }
 
 func (p *observedCoherence) predict(a cache.AccessInfo) bool {
 	id := p.ids[a.Block]
-	if _, n := p.dir.StateOf(id); n >= 2 {
+	if p.dir.Sharers(id) >= 2 {
 		return true
 	}
-	if last, ok := p.dir.LastSharingEvent(id); ok {
-		return p.dir.Clock()-last <= p.window
+	if last, ok := p.last[id]; ok {
+		return p.clock-last <= p.window
 	}
 	return false
 }

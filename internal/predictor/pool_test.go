@@ -89,11 +89,11 @@ func TestDrivenPassAllocPooled(t *testing.T) {
 }
 
 // f7Replay is one workload of F7 at the gate geometry: one scored LRU
-// lane carrying all six predictors, replayed counts only. It returns
-// the lane's confusion matrices.
-func f7Replay(t *testing.T, stream []cache.AccessInfo) []PredStats {
+// lane carrying preds, replayed counts only. It returns the lane's
+// confusion matrices.
+func f7Replay(t *testing.T, stream []cache.AccessInfo, preds []Predictor) []PredStats {
 	t.Helper()
-	cfg, finish, err := ScoredLane(gateSize, gateWays, lru, predictors(t, stream))
+	cfg, finish, err := ScoredLane(gateSize, gateWays, lru, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,40 @@ func f7Replay(t *testing.T, stream []cache.AccessInfo) []PredStats {
 }
 
 // TestScoredPassAllocPooled is the byte gate for an F7-shaped replay
-// (f7Replay). Wired into CI via `go test -run Alloc`.
+// (f7Replay with all six predictors), and for the coherence predictor
+// within it: its column, directory and last-event column come from the
+// mem pool, and the scored lane hands the column back when the replay
+// ends, so once the pool is warm the lane with the coherence predictor
+// allocates at most 16 KiB more than the lane without it (a quarter of
+// its column). Wired into CI via `go test -run Alloc`.
 func TestScoredPassAllocPooled(t *testing.T) {
 	stream := drivenStream(60000, 3000, 7)
 	budget := gateBudget(t)
-	n := warmAllocBytes(t, func() { f7Replay(t, stream) })
+	var coh *Coherence
+	n := warmAllocBytes(t, func() {
+		preds := predictors(t, stream)
+		coh = preds[3].(*Coherence)
+		f7Replay(t, stream, preds)
+	})
 	if n >= budget {
 		t.Errorf("a warm F7-shaped replay allocated %d bytes, not below one lane's %d bytes of LRU stamps", n, budget)
 	} else {
 		t.Logf("a warm F7-shaped replay allocated %d bytes (LRU stamps %d)", n, budget)
+	}
+	if coh.col != nil {
+		t.Error("the scored lane did not release the coherence column")
+	}
+	without := warmAllocBytes(t, func() {
+		preds := predictors(t, stream)
+		preds[3].(*Coherence).Release() // built but left out of the lane
+		f7Replay(t, stream, slices.Delete(preds, 3, 4))
+	})
+	const slack = 16 << 10
+	if n > without+slack {
+		t.Errorf("the coherence predictor added %d bytes to a warm F7-shaped replay (%d without it), more than %d; its %d-byte column is not pooled",
+			n-without, without, slack, len(stream))
+	} else {
+		t.Logf("the coherence predictor added %d bytes to a warm F7-shaped replay (%d without it)", int64(n)-int64(without), without)
 	}
 }
 

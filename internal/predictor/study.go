@@ -196,9 +196,10 @@ func (s *scored) score(ln *scoredLine) {
 
 // Release implements cache.Releaser: it scores the residencies still
 // open at stream end, which completes the matrices in s.stats, then
-// hands the lines and the base's state back to the mem pool. Nothing
-// reads a predictor after the replay, so those residencies are not
-// trained on.
+// hands the lines, the base's state and the state of every predictor
+// that is a cache.Releaser (the coherence column) back to the mem pool.
+// Nothing reads a predictor after the replay, so those residencies are
+// not trained on.
 func (s *scored) Release() {
 	for i := range s.lines {
 		if s.lines[i].open {
@@ -209,6 +210,11 @@ func (s *scored) Release() {
 	s.lines = nil
 	if r, ok := s.Policy.(cache.Releaser); ok {
 		r.Release()
+	}
+	for _, p := range s.preds {
+		if r, ok := p.(cache.Releaser); ok {
+			r.Release()
+		}
 	}
 }
 

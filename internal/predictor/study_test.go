@@ -144,8 +144,10 @@ func TestScoredLaneAllocSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := predictors(t, stream)
 	run := func() {
+		// A scored lane releases its predictors' state (the coherence
+		// column) when its replay ends, so each run builds its own.
+		preds := predictors(t, stream)
 		var lane *scored
 		configs := []sharing.LLCConfig{
 			{Size: drivenSize, Ways: 8, NewPolicy: lru},

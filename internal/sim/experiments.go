@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/coherence"
 	"sharellc/internal/core"
 	"sharellc/internal/oracle"
 	"sharellc/internal/phase"
@@ -15,7 +14,6 @@ import (
 	"sharellc/internal/reuse"
 	"sharellc/internal/sharing"
 	"sharellc/internal/stats"
-	"sharellc/internal/trace"
 	"sharellc/internal/workloads"
 )
 
@@ -86,39 +84,20 @@ type CoherenceRow struct {
 	UpgradesPKR      float64
 }
 
-// CoherenceCharacterize regenerates each workload's raw trace and feeds
-// it to a MESI directory, keyed by the model's dense block index. The
-// directory models infinite private caches (no capacity evictions), so
-// the rates measure *true* communication, independent of cache geometry.
+// CoherenceCharacterize reports each workload's coherence census, the
+// MESI directory keyed by the model's dense block index that the stream
+// build fed with the raw trace (a stream loaded from a snapshot
+// regenerates its trace for it). The directory models infinite private
+// caches (no capacity evictions), so the rates measure *true*
+// communication, independent of cache geometry.
 func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 	ctx := s.context()
 	return perStream(s, "coherence characterize", func(st *Stream, _ int) ([]CoherenceRow, error) {
-		r, err := st.Model.Generate(s.Config.Seed)
+		cs, err := st.coherenceCensus(ctx, s.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		m := &st.Model
-		dir := coherence.NewDirectory(m.FootprintBlocks())
-		var refs uint64
-		buf := make([]trace.Access, trace.ChunkSize)
-		for n := len(buf); n == len(buf); {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n = trace.ReadBatch(r, buf)
-			refs += uint64(n)
-			for _, a := range buf[:n] {
-				if id := m.BlockIndex(a.Addr.BlockID()); a.Write {
-					dir.Store(a.Core, id)
-				} else {
-					dir.Load(a.Core, id)
-				}
-			}
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		cs := dir.Stats()
+		refs := cs.Loads + cs.Stores
 		pkr := func(v uint64) float64 {
 			if refs == 0 {
 				return 0

@@ -12,7 +12,9 @@ import (
 	"sync/atomic"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/coherence"
 	"sharellc/internal/sharing"
+	"sharellc/internal/trace"
 	"sharellc/internal/workloads"
 )
 
@@ -72,6 +74,11 @@ type Stream struct {
 	TraceLen  uint64 // raw references generated
 	L1Hits    uint64
 	L2Hits    uint64
+
+	// census is the coherence census of the raw trace, taken by the
+	// build that made the stream, or nil for a stream decoded from a
+	// snapshot (C1 then regenerates the trace to take it).
+	census *coherence.Stats
 }
 
 // Partitioner returns a sharing.Partitioner over this stream that builds
@@ -92,8 +99,10 @@ func (s *Stream) ReplayOptions(shards int, ctx context.Context) sharing.Options 
 	return sharing.Options{Shards: shards, Ctx: ctx, NumBlocks: s.NumBlocks}
 }
 
-// BuildStream generates the model's trace, filters it through a fresh
-// private hierarchy and annotates next-use indices.
+// BuildStream generates the model's trace and makes its one pass over
+// it: each raw batch feeds the coherence census (censusTee) and then the
+// private hierarchy, whose LLC references it annotates with next-use
+// indices and dense BlockIDs numbered through the model's block index.
 func BuildStream(m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
 	if m.Threads > machine.Cores {
 		return nil, fmt.Errorf("sim: workload %s has %d threads but machine has %d cores", m.Name, m.Threads, machine.Cores)
@@ -102,13 +111,90 @@ func BuildStream(m workloads.Model, machine cache.Config, seed uint64) (*Stream,
 	if err != nil {
 		return nil, err
 	}
-	stream, h, err := cache.FilterStream(r, machine)
+	tee := newCensusTee(r, &m)
+	stream, h, err := cache.FilterStream(tee, machine)
+	census := tee.close()
 	if err != nil {
 		return nil, fmt.Errorf("sim: filtering %s: %w", m.Name, err)
 	}
-	numBlocks := cache.AnnotateNextUse(stream)
+	for i := range stream {
+		stream[i].BlockID = m.BlockIndex(stream[i].Block)
+	}
+	numBlocks := cache.AnnotateNextUseIndexed(stream, m.FootprintBlocks())
 	refs, l1, l2, _ := h.Stats()
-	return &Stream{Model: m, Accesses: stream, NumBlocks: numBlocks, TraceLen: refs, L1Hits: l1, L2Hits: l2}, nil
+	return &Stream{Model: m, Accesses: stream, NumBlocks: numBlocks, TraceLen: refs, L1Hits: l1, L2Hits: l2, census: &census}, nil
+}
+
+// censusTee is a raw trace passing through the coherence census on its
+// way to its reader: every batch read through it is fed to a MESI
+// directory keyed by the model's dense block index. It is the one census
+// loop, whether the stream build reads the trace or C1 drains a
+// regenerated one.
+type censusTee struct {
+	r   trace.Reader
+	m   *workloads.Model
+	dir *coherence.Directory
+	ids []uint32 // the batch's dense block ids
+}
+
+// newCensusTee returns the tee over r, a trace Generate made for m.
+func newCensusTee(r trace.Reader, m *workloads.Model) *censusTee {
+	return &censusTee{r: r, m: m, dir: coherence.NewDirectory(m.FootprintBlocks(), m.Threads)}
+}
+
+// ReadBatch implements trace.BatchReader.
+func (t *censusTee) ReadBatch(dst []trace.Access) int {
+	n := trace.ReadBatch(t.r, dst)
+	if len(t.ids) < n {
+		t.ids = make([]uint32, n)
+	}
+	ids := t.ids[:n]
+	for i, a := range dst[:n] {
+		ids[i] = t.m.BlockIndex(a.Addr.BlockID())
+	}
+	t.dir.Observe(dst[:n], ids)
+	return n
+}
+
+// Next implements trace.Reader.
+func (t *censusTee) Next() (trace.Access, bool) {
+	var a [1]trace.Access
+	ok := t.ReadBatch(a[:]) == 1
+	return a[0], ok
+}
+
+// Err implements trace.Reader.
+func (t *censusTee) Err() error { return t.r.Err() }
+
+// close returns the census of everything read through the tee and hands
+// the directory back to the mem pool.
+func (t *censusTee) close() coherence.Stats {
+	t.dir.Release()
+	return t.dir.Stats()
+}
+
+// coherenceCensus is the census of st's raw trace: the build's, or, for
+// a stream decoded from a snapshot, one taken by draining the tee over
+// the regenerated trace, polling ctx per batch.
+func (st *Stream) coherenceCensus(ctx context.Context, seed uint64) (coherence.Stats, error) {
+	if st.census != nil {
+		return *st.census, nil
+	}
+	r, err := st.Model.Generate(seed)
+	if err != nil {
+		return coherence.Stats{}, err
+	}
+	tee := newCensusTee(r, &st.Model)
+	buf := make([]trace.Access, trace.ChunkSize)
+	for n := len(buf); n == len(buf); {
+		if err := ctx.Err(); err != nil {
+			tee.close()
+			return coherence.Stats{}, err
+		}
+		n = tee.ReadBatch(buf)
+	}
+	census := tee.close()
+	return census, r.Err()
 }
 
 // Suite holds the prepared streams for one Config.

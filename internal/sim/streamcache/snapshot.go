@@ -1,11 +1,13 @@
 package streamcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -45,48 +47,96 @@ var errSnapshot = errors.New("streamcache: invalid snapshot")
 // trailer) for s under key, the exact bytes a snapshot file holds — and
 // therefore also the peer-transfer wire format.
 func encodeSnapshot(key string, s *sim.Stream) ([]byte, error) {
-	keyBytes, err := decodeKey(key)
-	if err != nil {
+	var b bytes.Buffer
+	// Records dominate; 8 bytes each is a comfortable overestimate.
+	b.Grow(8 * len(s.Accesses))
+	if _, err := encodeSnapshotTo(&b, key, s); err != nil {
 		return nil, err
 	}
-	// Records dominate; 8 bytes each is a comfortable overestimate for
-	// the header and typical record sizes.
-	buf := make([]byte, 0, len(snapshotMagic)+len(keyBytes)+5*binary.MaxVarintLen64+8*len(s.Accesses))
+	return b.Bytes(), nil
+}
+
+// The encoder's buffer: records are encoded snapshotChunk at a time, at
+// most 41 bytes each, and the buffer is flushed once it holds
+// snapshotFlush bytes, so it never outgrows snapshotBuf.
+const (
+	snapshotChunk = 512
+	snapshotFlush = 32 << 10
+	snapshotBuf   = 64 << 10
+)
+
+// encodeSnapshotTo writes the snapshot image for s under key to w
+// through one fixed buffer, with a running CRC-32C, and returns the
+// bytes written: the file write never holds the whole image.
+func encodeSnapshotTo(w io.Writer, key string, s *sim.Stream) (int, error) {
+	keyBytes, err := decodeKey(key)
+	if err != nil {
+		return 0, err
+	}
+	buf := make([]byte, 0, snapshotBuf)
+	var crc uint32
+	written := 0
+	flush := func() error {
+		crc = crc32.Update(crc, crcTable, buf)
+		n, err := w.Write(buf)
+		written += n
+		buf = buf[:0]
+		return err
+	}
 	buf = append(buf, snapshotMagic[:]...)
 	buf = append(buf, keyBytes...)
 	for _, v := range []uint64{uint64(len(s.Accesses)), uint64(s.NumBlocks), s.TraceLen, s.L1Hits, s.L2Hits} {
 		buf = binary.AppendUvarint(buf, v)
 	}
-	buf, err = cache.AppendAccessInfos(buf, s.Accesses)
-	if err != nil {
-		return nil, err
+	var enc cache.RecordEncoder
+	for recs := s.Accesses; len(recs) > 0; {
+		chunk := recs[:min(snapshotChunk, len(recs))]
+		recs = recs[len(chunk):]
+		if buf, err = enc.Append(buf, chunk); err != nil {
+			return written, err
+		}
+		if len(buf) >= snapshotFlush {
+			if err := flush(); err != nil {
+				return written, err
+			}
+		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Update(crc, crcTable, buf))
+	n, err := w.Write(buf)
+	return written + n, err
 }
 
-// writeSnapshot encodes s and atomically installs it at path (write to a
-// temp file in the same directory, then rename), returning the file
-// size. Failures leave no partial file behind.
+// writeSnapshot streams s's snapshot image into a temp file in path's
+// directory and atomically renames it to path, returning the file size.
+// Failures leave no partial file behind.
 func writeSnapshot(path, key string, s *sim.Stream) (int, error) {
-	buf, err := encodeSnapshot(key, s)
-	if err != nil {
-		return 0, err
-	}
-	if err := writeSnapshotBytes(path, buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
+	n := 0
+	err := installSnapshot(path, func(w io.Writer) error {
+		var err error
+		n, err = encodeSnapshotTo(w, key, s)
+		return err
+	})
+	return n, err
 }
 
 // writeSnapshotBytes atomically installs an already-encoded snapshot
-// image at path (temp file in the same directory, then rename).
+// image at path.
 func writeSnapshotBytes(path string, buf []byte) error {
+	return installSnapshot(path, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
+}
+
+// installSnapshot writes a snapshot file through write: into a temp file
+// in path's directory, then renamed to path.
+func installSnapshot(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".sllc-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op once renamed
-	if _, err := tmp.Write(buf); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -79,6 +79,64 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	}
 }
 
+// imageOf is the snapshot image of s under key rendered whole, as the
+// format defines it: magic, key, header, every record in one
+// cache.AppendAccessInfos call, and the CRC-32C of all of it.
+func imageOf(t *testing.T, key string, s *sim.Stream) []byte {
+	t.Helper()
+	keyBytes, err := decodeKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append(snapshotMagic[:], keyBytes...)
+	for _, v := range []uint64{uint64(len(s.Accesses)), uint64(s.NumBlocks), s.TraceLen, s.L1Hits, s.L2Hits} {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	if buf, err = cache.AppendAccessInfos(buf, s.Accesses); err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+}
+
+// TestSnapshotFileMatchesImage holds the streamed snapshot write — a
+// fixed buffer flushed as it fills, with a running checksum — and the
+// peer path's encodeSnapshot to the image rendered whole, on the empty
+// stream and random streams whose records end on both sides of the
+// encoder's chunk and flush boundaries.
+func TestSnapshotFileMatchesImage(t *testing.T) {
+	dir := t.TempDir()
+	rnd := rand.New(rand.NewSource(7))
+	longest := 0
+	for trial, n := range []int{0, 1, snapshotChunk - 1, snapshotChunk, snapshotChunk + 1, 3000, 4 * snapshotChunk, 120000} {
+		s := randomStream(rnd, n)
+		key := Key(s.Model, cache.DefaultConfig(), uint64(trial))
+		want := imageOf(t, key, s)
+		longest = max(longest, len(want))
+		path := filepath.Join(dir, key+".sllc")
+		size, err := writeSnapshot(path, key, s)
+		if err != nil {
+			t.Fatalf("n=%d: write: %v", n, err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != len(file) || !bytes.Equal(file, want) {
+			t.Errorf("n=%d: the file (%d bytes, reported %d) differs from the %d-byte image", n, len(file), size, len(want))
+		}
+		image, err := encodeSnapshot(key, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(image, want) {
+			t.Errorf("n=%d: encodeSnapshot's %d bytes differ from the %d-byte image", n, len(image), len(want))
+		}
+	}
+	if longest < 2*snapshotFlush {
+		t.Errorf("the longest image, %d bytes, does not span two flushes", longest)
+	}
+}
+
 // writeTestSnapshot saves one small real stream and returns its path,
 // key and model.
 func writeTestSnapshot(t *testing.T, dir string) (path, key string, m workloads.Model) {

@@ -133,14 +133,27 @@ func BenchmarkBuildStream(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.TotalAccesses()), "ns/ref")
 }
 
-// BenchmarkCoherenceCharacterize is C1 for one application — generate,
-// MESI directory — reported per raw reference.
+// BenchmarkCoherenceCharacterize is C1 for one application whose stream
+// was loaded from a snapshot, so it carries no census from its build:
+// regenerate the trace, drain it through the census tee — reported per
+// raw reference. (On a stream built in process C1 reads the build's
+// census, which BenchmarkBuildStream already times.)
 func BenchmarkCoherenceCharacterize(b *testing.B) {
+	dir := b.TempDir()
 	cfg := sim.DefaultConfig()
 	cfg.Models = []workloads.Model{frontEndModel(b)}
+	cfg.Streams = New(Options{Dir: dir}).Stream
+	if _, err := sim.NewSuite(cfg); err != nil {
+		b.Fatal(err)
+	}
+	c := New(Options{Dir: dir})
+	cfg.Streams = c.Stream
 	s, err := sim.NewSuite(cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskHits != 1 {
+		b.Fatalf("the suite did not load its stream from the snapshot: %+v", st)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

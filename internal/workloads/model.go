@@ -159,19 +159,28 @@ func (m Model) FootprintBlocks() int {
 // shared read-only, shared read-write and lock regions, each region's
 // blocks in order. It inverts Generate's region layout only; a Mix moves
 // its programs' addresses and is outside it. It runs once per reference,
-// so it takes a pointer rather than copying the Model.
+// so it takes a pointer rather than copying the Model, and it takes no
+// branch on the region, which a trace's references draw at random: the
+// region's base is picked by conditional moves, and the thread term
+// vanishes outside the private regions.
 func (m *Model) BlockIndex(block uint64) uint32 {
-	in := uint32(block) // in-region block number: regions are < 2^32 blocks
-	switch block >> 40 {
-	case privateBase >> 40:
-		tid := uint32((block - privateBase) / privateStride)
-		return tid*uint32(m.PrivateBlocks) + in
-	case sharedROBase >> 40:
-		return uint32(m.Threads*m.PrivateBlocks) + in
-	case sharedRWBase >> 40:
-		return uint32(m.Threads*m.PrivateBlocks+m.SharedROBlocks) + in
+	ro := uint32(m.Threads * m.PrivateBlocks) // the shared regions' bases
+	rw := ro + uint32(m.SharedROBlocks)
+	lock := rw + uint32(m.SharedRWBlocks)
+	var base uint32
+	if block >= sharedROBase {
+		base = ro
 	}
-	return uint32(m.Threads*m.PrivateBlocks+m.SharedROBlocks+m.SharedRWBlocks) + in
+	if block >= sharedRWBase {
+		base = rw
+	}
+	if block >= lockBase {
+		base = lock
+	}
+	// A private block is privateBase + tid*privateStride + its in-region
+	// number; a shared one has zeros between bit 32 and its region bits.
+	tid := uint32(block/privateStride) & uint32(privateBase/privateStride-1)
+	return base + tid*uint32(m.PrivateBlocks) + uint32(block)
 }
 
 // Scaled returns a copy with region sizes and trace length multiplied by
