@@ -272,7 +272,6 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Shards = sim.ShardBudget(w.cfg.Slots)
 	cfg.Streams = w.cfg.Cache.Stream
 	suite, err := prepare(ctx, cfg)
 	if err != nil {

@@ -89,7 +89,7 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 			}
 			lanes = append(lanes, cfg)
 		}
-		opt := sharing.Options{Shards: 1, Tier: tier}
+		opt := sharing.Options{Tier: tier}
 		var results []*sharing.Result
 		if fresh {
 			for i := range lanes {

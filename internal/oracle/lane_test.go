@@ -92,10 +92,10 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 						}
 						return collect(append([]*sharing.Result{nil}, got...))[0], nil
 					}
-					res, err := replay(sharing.Options{Shards: 4})
+					res, err := replay(sharing.Options{})
 					// The counts-only leg: the lane run as its policy pass
 					// alone must count and protect exactly as the hooked lane.
-					counted, countErr := replay(sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
+					counted, countErr := replay(sharing.Options{Tier: sharing.CountsOnly})
 					var asked uint64
 					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
 						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},
@@ -171,7 +171,7 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 		cells = append(cells, Cell{Base: i, Opts: core.Options{Strength: core.Full}, Factor: HorizonFactor})
 	}
 	run := func() {
-		if _, err := fused(stream, bases, cells, sharing.Options{Shards: 2}); err != nil {
+		if _, err := fused(stream, bases, cells, sharing.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -194,7 +194,7 @@ func TestOracleFusedMatchesSolo(t *testing.T) {
 		{"two horizons", victims, []sharing.LLCConfig{lru(size, ways)},
 			[]Cell{{Opts: full, Factor: 1}, {Opts: full, Factor: HorizonFactor}}},
 	} {
-		got, err := fused(sh.stream, sh.bases, sh.cells, sharing.Options{Shards: 2})
+		got, err := fused(sh.stream, sh.bases, sh.cells, sharing.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

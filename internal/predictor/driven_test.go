@@ -97,7 +97,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 							drv = NewDriven(base(), opts, pred)
 							return drv
 						}}
-						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{Shards: 4})
+						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{})
 						var ref *core.Protector
 						hooked := sharing.LLCConfig{Size: drivenSize, Ways: ways, Hooks: HooksFor(predictors(t, stream)[pi]),
 							NewPolicy: func() cache.Policy {
@@ -112,7 +112,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 							NewPolicy: func() cache.Policy {
 								cdrv = NewDriven(base(), opts, predictors(t, stream)[pi])
 								return cdrv
-							}}}, sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
+							}}}, sharing.Options{Tier: sharing.CountsOnly})
 						for _, err := range []error{err, refErr, countErr} {
 							if err != nil {
 								t.Fatal(err)
@@ -180,7 +180,7 @@ func TestDrivenLaneAllocSteady(t *testing.T) {
 				return NewDriven(lru(), core.Options{Strength: core.Full}, pred)
 			}},
 		}
-		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{Shards: 2}); err != nil {
+		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,9 +28,13 @@ func gateBudget(t *testing.T) uint64 {
 }
 
 // warmAllocBytes runs replay once to warm the mem pool, then returns
-// the bytes a second run allocates (runtime.MemStats.TotalAlloc).
+// the bytes a second run allocates (runtime.MemStats.TotalAlloc). Both
+// runs are at GOMAXPROCS=1, where the worker pool has no helper: the
+// lanes replay one at a time in the same order, as the one-lane budget
+// of the byte gates assumes.
 func warmAllocBytes(t *testing.T, replay func()) uint64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	replay()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -65,7 +69,7 @@ func f8Replay(t *testing.T, stream []cache.AccessInfo) []*Driven {
 			return driven[i]
 		}})
 	}
-	results, err := sharing.ReplayMulti(stream, lanes, sharing.Options{Shards: 1, Tier: sharing.CountsOnly})
+	results, err := sharing.ReplayMulti(stream, lanes, sharing.Options{Tier: sharing.CountsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func f7Replay(t *testing.T, stream []cache.AccessInfo, preds []Predictor) []Pred
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 1, Tier: sharing.CountsOnly}); err != nil {
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Tier: sharing.CountsOnly}); err != nil {
 		t.Fatal(err)
 	}
 	return finish()
@@ -182,7 +186,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 			return srrip
 		}},
 	}
-	if _, err := sharing.ReplayMulti(stream, lanes, sharing.Options{Shards: 2}); err != nil {
+	if _, err := sharing.ReplayMulti(stream, lanes, sharing.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if stamp, _ := bare.KernelState(); stamp != nil {

@@ -82,7 +82,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 					lane = newScored(base(), predictors(t, stream))
 					return lane
 				}}
-				got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4})
+				got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Shards: 4, Tier: sharing.CountsOnly})
+				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Tier: sharing.CountsOnly})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +157,7 @@ func TestScoredLaneAllocSteady(t *testing.T) {
 				return lane
 			}},
 		}
-		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{Shards: 2}); err != nil {
+		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if lane.stats[0].Total() == 0 {

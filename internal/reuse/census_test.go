@@ -149,7 +149,7 @@ func censusStreams(t *testing.T) map[string][]cache.AccessInfo {
 // TestStackDistanceCensusMatchesReplay holds every tier of an LRU
 // replay, at four associativities from 4 to 128 ways, to the stack-
 // distance census, field by field over what the tier fills. The four
-// geometries are the lanes of one two-worker replay.
+// geometries are the lanes of one replay.
 func TestStackDistanceCensusMatchesReplay(t *testing.T) {
 	lru, err := policy.ByName("lru", 1)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestStackDistanceCensusMatchesReplay(t *testing.T) {
 	}
 	for name, stream := range censusStreams(t) {
 		for _, tier := range []sharing.Tier{sharing.Tracked, sharing.SharedHitsOnly, sharing.CountsOnly} {
-			got, err := sharing.ReplayMulti(stream, cfgs, sharing.Options{Shards: 2, Tier: tier})
+			got, err := sharing.ReplayMulti(stream, cfgs, sharing.Options{Tier: tier})
 			if err != nil {
 				t.Fatalf("%s, tier %d: %v", name, tier, err)
 			}

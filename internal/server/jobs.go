@@ -168,7 +168,7 @@ func newManager(cfg Config) *Manager {
 		if cfg.Coordinator != nil {
 			cfg.Runner = distributedRunner(cfg.Coordinator)
 		} else {
-			cfg.Runner = defaultRunner(cfg.Workers, cfg.StreamCache)
+			cfg.Runner = defaultRunner(cfg.StreamCache)
 		}
 	}
 	now := cfg.Now
@@ -450,7 +450,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		m.baseStop() // yank running jobs; replay polls every cancelStride refs
+		m.baseStop() // yank running jobs; a replay polls its context every batchSize (2 Ki) accesses
 		<-done
 		return fmt.Errorf("drain deadline exceeded; running jobs cancelled: %w", ctx.Err())
 	}

@@ -13,19 +13,17 @@ import (
 // defaultRunner builds the production Runner: it runs the request through
 // sim.RunExperiments, the direct path cmd/sharesim takes too (which is
 // what makes daemon output bit-identical to `sharesim -json` for the same
-// knobs), and budgets per-replay lane workers so that workers × replay
-// workers never oversubscribes GOMAXPROCS. When sc is non-nil it serves every
+// knobs); every job's workloads and lanes draw on the process's one
+// worker pool (internal/par). When sc is non-nil it serves every
 // suite's streams, so concurrent and sequential jobs sharing (machine,
 // seed, scale, workloads) build each stream at most once per process
 // regardless of their LLC size or policy.
-func defaultRunner(workers int, sc *streamcache.Cache) Runner {
-	shards := sim.ShardBudget(workers)
+func defaultRunner(sc *streamcache.Cache) Runner {
 	return func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
 		cfg, err := req.Config(cache.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		cfg.Shards = shards
 		// Suite preparation reports through the same progress channel as
 		// the experiment fan-out; the "prepare" prefix distinguishes the
 		// phase in the SSE stream.

@@ -241,7 +241,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 type healthView struct {
 	Status        string         `json:"status"` // ok | draining
 	Role          string         `json:"role"`   // single | coordinator | worker
-	ShardBudget   int            `json:"shard_budget"`
 	Workers       occupancyView  `json:"workers"`
 	SnapshotStore *snapshotStore `json:"snapshot_store,omitempty"`
 	Bundles       *bundleGauges  `json:"bundles,omitempty"`
@@ -277,10 +276,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		role = "coordinator"
 	}
 	hv := healthView{
-		Status:      "ok",
-		Role:        role,
-		ShardBudget: sim.ShardBudget(m.cfg.Workers),
-		Workers:     occupancyView{Busy: busy, Total: m.cfg.Workers},
+		Status:  "ok",
+		Role:    role,
+		Workers: occupancyView{Busy: busy, Total: m.cfg.Workers},
 	}
 	if m.cfg.StreamCache != nil {
 		st := m.cfg.StreamCache.Stats()

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"sharellc/internal/cluster"
-	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
 
@@ -38,10 +37,9 @@ func (ws *WorkerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { ws.m
 func (ws *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := ws.w.Stats()
 	hv := healthView{
-		Status:      "ok",
-		Role:        "worker",
-		ShardBudget: sim.ShardBudget(ws.slots),
-		Workers:     occupancyView{Busy: int(st.Busy), Total: ws.slots},
+		Status:  "ok",
+		Role:    "worker",
+		Workers: occupancyView{Busy: int(st.Busy), Total: ws.slots},
 	}
 	if ws.sc != nil {
 		cs := ws.sc.Stats()

@@ -41,7 +41,7 @@ func TestKernelVsSequential(t *testing.T) {
 	var hooks uint64
 	configs := batchTestConfigs(t, 64*cache.KB, 8, &hooks)
 	full := synthStream(40000, 3000, 8, 7)
-	configsAgree(t, full, configs, Options{Shards: 4})
+	configsAgree(t, full, configs, Options{})
 	var want uint64
 	bare := LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
 	eachPrefix(full, func(stream []cache.AccessInfo) {
@@ -57,14 +57,13 @@ func TestKernelVsSequential(t *testing.T) {
 }
 
 // kernelsAgree holds one per-set (LRU) and one cross-set (DRRIP) lane
-// to the reference walk at every prefix of stream (see configsAgree),
-// at four workers.
+// to the reference walk at every prefix of stream (see configsAgree).
 func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 	t.Helper()
 	configsAgree(t, stream, []LLCConfig{
 		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 		{Size: size, Ways: ways, NewPolicy: catalogued(t, "drrip", 3)},
-	}, Options{Shards: 4})
+	}, Options{})
 }
 
 // configsAgree replays every eachPrefix prefix of full through configs
@@ -128,7 +127,7 @@ func FuzzKernelBoundary(f *testing.F) {
 		}
 		configsAgree(t, stream, []LLCConfig{
 			{Size: 16 * 1024, Ways: 4, NewPolicy: func() cache.Policy { return fac() }},
-		}, Options{Shards: 4})
+		}, Options{})
 	})
 }
 
@@ -144,7 +143,7 @@ func TestReplayMultiAllocSteady(t *testing.T) {
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 	}
-	opt := Options{Shards: 2}
+	opt := Options{}
 	run := func() {
 		if _, err := ReplayMulti(stream, configs, opt); err != nil {
 			t.Fatal(err)
@@ -181,7 +180,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	}}
 	run := func(stream []cache.AccessInfo) func() {
 		return func() {
-			if _, err := ReplayMulti(stream, configs, Options{Shards: 8}); err != nil {
+			if _, err := ReplayMulti(stream, configs, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -193,7 +192,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	short := testing.AllocsPerRun(3, run(long[:15000]))
 	full := testing.AllocsPerRun(3, run(long))
 	// The long stream has four times the accesses (tens of thousands more
-	// fills); per-replay bookkeeping (the lane, its worker and the hooked
+	// fills); per-replay bookkeeping (the lane, the pool's loop and the hooked
 	// wrapper's residency lines) measures ~40 objects either way.
 	if full > short+20 || full > 200 {
 		t.Errorf("hooked protector lane allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", short, full)
@@ -219,7 +218,7 @@ func TestPolicyPassAllocNoTagArray(t *testing.T) {
 	for _, name := range []string{"random", "plru", "opt"} {
 		configs := []LLCConfig{{Size: size, Ways: ways, NewPolicy: catalogued(t, name, 1)}}
 		run := func() {
-			if _, err := ReplayMulti(stream, configs, Options{Shards: 1, Tier: CountsOnly}); err != nil {
+			if _, err := ReplayMulti(stream, configs, Options{Tier: CountsOnly}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -32,13 +32,12 @@ func TestReplayPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stream := cancelStream(1 << 16)
-	_, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("one-worker replay with cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	_, err = ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel replay with cancelled ctx: err = %v, want context.Canceled", err)
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		_, err := ReplayMulti(stream, []LLCConfig{lruLane64K(), lruLane64K()}, Options{Ctx: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: replay with cancelled ctx: err = %v, want context.Canceled", procs, err)
+		}
 	}
 }
 
@@ -49,7 +48,7 @@ func TestReplayCancelledMidStream(t *testing.T) {
 	defer cancel()
 	stream := cancelStream(1 << 22) // tens of ms of replay work
 	start := time.Now()
-	_, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx, Shards: 1})
+	_, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -60,25 +59,18 @@ func TestReplayCancelledMidStream(t *testing.T) {
 
 func TestReplayNilCtxUnchanged(t *testing.T) {
 	// Cancellation support must not perturb results: a replay with a
-	// live context matches the reference walk, at one worker and at the
-	// automatic worker count.
+	// live context matches the reference walk.
 	stream := cancelStream(1 << 16)
 	base, err := seqReplay(stream, lruLane64K(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: context.Background(), Shards: 1})
+	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Ctx: context.Background()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*Result{one[0], multi[0]} {
-		if base.Hits != r.Hits || base.Misses != r.Misses || base.SharedHits != r.SharedHits {
-			t.Errorf("results diverge with ctx: %+v vs %+v", base, r)
-		}
+	if r := got[0]; base.Hits != r.Hits || base.Misses != r.Misses || base.SharedHits != r.SharedHits {
+		t.Errorf("results diverge with ctx: %+v vs %+v", base, r)
 	}
 }
 
@@ -109,7 +101,10 @@ func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	}}
 	words := drainPool[uint32]()
 	defer restorePool(words)
-	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Shards: 1, Tier: tier})
+	// One lane at a time: the second lane must not have started, and so
+	// returned its arrays, before the first one cancels.
+	setProcs(t, 1)
+	_, err = ReplayMulti(stream, []LLCConfig{canceller, lruLane64K()}, Options{Ctx: ctx, Tier: tier})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("tier %d: err = %v, want context.Canceled", tier, err)
 	}
@@ -123,7 +118,7 @@ func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	if stamp, _ := lru.KernelState(); stamp == nil {
 		t.Errorf("tier %d: the cancelled pass released its policy", tier)
 	}
-	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Shards: 1, Tier: tier})
+	got, err := ReplayMulti(stream, []LLCConfig{lruLane64K()}, Options{Tier: tier})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestReplayMultiHookedLanes(t *testing.T) {
 					NewPolicy: func() cache.Policy { return b.new(&l.prot) }})
 			}
 		}
-		got, err := ReplayMulti(stream, configs, Options{Shards: 4})
+		got, err := ReplayMulti(stream, configs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,8 @@ package sharing
 // chunk. The policy call sequence is exactly a stream-order walk's, so
 // cross-set policy state (dueling counters, shared RNG draws, global
 // tables) evolves as it would alone, and a hooked lane's hooks see the
-// stream order they observe. Lanes run in parallel on up to
-// Options.Shards workers, one whole lane per task.
+// stream order they observe. Lanes run in parallel on the process's
+// worker pool (par.For), one whole lane per item.
 //
 // Options.Tier picks the census each pass keeps:
 //
@@ -45,12 +45,12 @@ package sharing
 // derived from stack distances alone.
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/mem"
+	"sharellc/internal/par"
 )
 
 // LLCConfig describes one lane of a fused replay: an LLC geometry, a
@@ -93,8 +93,8 @@ type lane struct {
 // and assigned on the fly.
 //
 // Options apply to every lane; hooks are per-lane (LLCConfig.Hooks).
-// Options.Shards bounds the number of lanes replayed concurrently and
-// never affects results.
+// How many lanes replay at once depends only on the free workers of the
+// process's pool and never affects results.
 //
 // ReplayMulti returns an error, before it allocates any lane state, for
 // a lane with more than maxLines lines and a stream with more than
@@ -141,12 +141,13 @@ func ReplayMulti(stream []cache.AccessInfo, configs []LLCConfig, opt Options) ([
 const maxLines = int(cache.BatchLine) + 1
 
 // replayLanes is the fused engine behind ReplayMulti: it decodes the
-// stream's pass columns once, then runs every lane's policy pass on up
-// to Options.Shards workers (autoShards when 0), leaving each lane's
-// Result in lane.result. A pass walks the whole stream with one lane's
-// cache, policy and census resident, so a worker claims whole lanes:
-// the lanes of a sweep are its parallelism, and the workloads of an
-// experiment are the caller's (sim's perStream).
+// stream's pass columns once, then runs every lane's policy pass as one
+// item of par.For, leaving each lane's Result in lane.result. A pass
+// walks the whole stream with one lane's cache, policy and census
+// resident, so a worker claims whole lanes: the lanes of a sweep are its
+// parallelism, and the workloads of an experiment are the caller's
+// (sim's perStream), both drawing on the one pool. The first failing
+// lane stops further claims.
 func replayLanes(stream []cache.AccessInfo, lanes []*lane, opt Options) error {
 	stream, numBlocks := ensureBlockIDs(stream, opt)
 	mem.Hugepages(stream)
@@ -170,30 +171,15 @@ func replayLanes(stream []cache.AccessInfo, lanes []*lane, opt Options) error {
 		buildStreaks(stream, numBlocks, cols.streak)
 	}
 
-	workers := opt.Shards
-	if workers == 0 {
-		workers = autoShards(len(stream))
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	workers = max(1, min(workers, len(lanes)))
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := int(next.Add(1) - 1); t < len(lanes); t = int(next.Add(1) - 1) {
-				if errs[w] = runPolicyPassBatch(stream, numBlocks, cols, lanes[t], opt); errs[w] != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	err = par.For(ctx, len(lanes), func(t int) error {
+		return runPolicyPassBatch(stream, numBlocks, cols, lanes[t], opt)
+	})
+	if err != nil {
+		return err
 	}
 	mem.Release(cols.blk)
 	mem.Release(cols.id)

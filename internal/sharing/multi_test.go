@@ -80,18 +80,21 @@ func catalogueLanes(t *testing.T, size, ways int) []LLCConfig {
 		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%3 == 0 }}})
 }
 
-// TestReplayMultiShardsOne runs the catalogue and a hooked lane on one
-// worker, every lane's pass after the last, and demands every lane equal
-// the reference walk at every prefix.
+// TestReplayMultiShardsOne runs the catalogue and a hooked lane at
+// GOMAXPROCS=1, where the pool has no helper and every lane's pass runs
+// after the last on the caller, and demands every lane equal the
+// reference walk at every prefix.
 func TestReplayMultiShardsOne(t *testing.T) {
-	configsAgree(t, synthStream(8000, 200, 8, 7), catalogueLanes(t, testSize, testWays), Options{Shards: 1})
+	setProcs(t, 1)
+	configsAgree(t, synthStream(8000, 200, 8, 7), catalogueLanes(t, testSize, testWays), Options{})
 }
 
 // TestReplayMultiOneSet replays a one-set geometry, where every access
 // contends for the same ways: the catalogue and a hooked lane at every
-// prefix must equal the reference walk at four workers.
+// prefix must equal the reference walk at GOMAXPROCS=4.
 func TestReplayMultiOneSet(t *testing.T) {
-	configsAgree(t, synthStream(40000, 40, 8, 9), catalogueLanes(t, 8*trace.BlockSize, 8), Options{Shards: 4})
+	setProcs(t, 4)
+	configsAgree(t, synthStream(40000, 40, 8, 9), catalogueLanes(t, 8*trace.BlockSize, 8), Options{})
 }
 
 // TestReplayMultiCancelMidRun cancels a fused replay in flight. Both
@@ -107,7 +110,7 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 			Hooks: Hooks{PredictShared: func(cache.AccessInfo) bool { return false }}},
 	}
 	start := time.Now()
-	_, err := ReplayMulti(stream, configs, Options{Ctx: ctx, Shards: 4})
+	_, err := ReplayMulti(stream, configs, Options{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -146,7 +149,7 @@ func TestReplayMultiValidation(t *testing.T) {
 // the limit.
 func rejected(t *testing.T, configs []LLCConfig, limit string) {
 	t.Helper()
-	_, err := ReplayMulti(synthStream(2000, 50, 4, 3), configs, Options{Shards: 2})
+	_, err := ReplayMulti(synthStream(2000, 50, 4, 3), configs, Options{})
 	if err == nil {
 		t.Fatal("replay accepted a lane it cannot route")
 	}
@@ -163,7 +166,7 @@ func TestReplayMultiRejectsWideTwoPhaseLane(t *testing.T) {
 	configsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{
 		{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)},
 		{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)},
-	}, Options{Shards: 2})
+	}, Options{})
 }
 
 // TestReplayMultiRejectsWideHookedLane is the same check for a hooked
@@ -175,7 +178,7 @@ func TestReplayMultiRejectsWideHookedLane(t *testing.T) {
 	lane := func(log *[]hookEvent) LLCConfig {
 		return LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1), Hooks: loggedHooks(log)}
 	}
-	res, err := ReplayMulti(stream, []LLCConfig{lane(&got)}, Options{Shards: 2})
+	res, err := ReplayMulti(stream, []LLCConfig{lane(&got)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +216,7 @@ func TestReplayMultiHookLaneFactoryOnce(t *testing.T) {
 		NewPolicy: func() cache.Policy { calls++; return policy.NewLRUPolicy() },
 		Hooks:     Hooks{PredictShared: func(cache.AccessInfo) bool { return false }},
 	}
-	if _, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{Shards: 4}); err != nil {
+	if _, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

@@ -2,6 +2,7 @@ package sharing
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -10,6 +11,15 @@ import (
 	"sharellc/internal/rng"
 	"sharellc/internal/trace"
 )
+
+// setProcs sets GOMAXPROCS, and with it how many lanes the process's
+// worker pool can replay at once, for the rest of the test and restores
+// the previous value when it ends.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // synthStream builds a pseudo-random annotated stream with enough blocks
 // and cores to populate every set of the test cache and produce both
@@ -81,8 +91,8 @@ func perSetFactories(tb testing.TB) map[string]policy.Factory {
 }
 
 // TestReplayParallelBitIdentical replays the same stream through a
-// one-config ReplayMulti at several worker caps under every per-set
-// policy, demanding the full Result — counters, degree histograms and
+// one-config ReplayMulti at several GOMAXPROCS settings under every
+// per-set policy, demanding the full Result — counters, degree histograms and
 // block census — equal the reference walk at every prefix.
 func TestReplayParallelBitIdentical(t *testing.T) {
 	full := synthStream(20000, 200, 8, 7)
@@ -94,13 +104,14 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, shards := range []int{1, 2, 4} {
-					got, err := ReplayMulti(stream, []LLCConfig{c}, Options{Shards: shards})
+				for _, procs := range []int{1, 2, 4} {
+					setProcs(t, procs)
+					got, err := ReplayMulti(stream, []LLCConfig{c}, Options{})
 					if err != nil {
-						t.Fatalf("len %d, shards=%d: %v", len(stream), shards, err)
+						t.Fatalf("len %d, GOMAXPROCS=%d: %v", len(stream), procs, err)
 					}
 					if !reflect.DeepEqual(want, got[0]) {
-						t.Errorf("len %d, shards=%d: result differs from the reference\nref: %+v\npar: %+v", len(stream), shards, want, got[0])
+						t.Errorf("len %d, GOMAXPROCS=%d: result differs from the reference\nref: %+v\npar: %+v", len(stream), procs, want, got[0])
 					}
 				}
 			})
@@ -109,9 +120,9 @@ func TestReplayParallelBitIdentical(t *testing.T) {
 }
 
 // TestReplayParallelFallbacks checks the lanes whose policy pass must
-// keep global stream order under a worker request: a policy with
-// cross-set state and a hooked lane (the PredictShared hook must see
-// every miss once, in stream order). Both must match the reference walk.
+// keep global stream order: a policy with cross-set state and a hooked
+// lane (the PredictShared hook must see every miss once, in stream
+// order). Both must match the reference walk.
 func TestReplayParallelFallbacks(t *testing.T) {
 	stream := synthStream(5000, 100, 4, 11)
 
@@ -121,21 +132,21 @@ func TestReplayParallelFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReplayMulti(stream, []LLCConfig{drrip}, Options{Shards: 4})
+	got, err := ReplayMulti(stream, []LLCConfig{drrip}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got[0]) {
-		t.Error("non-per-set policy: four-worker request differs from the reference")
+		t.Error("non-per-set policy: the replay differs from the reference")
 	}
 
-	// Hooks observe stream order; a worker request must not break them.
+	// Hooks observe stream order.
 	var seen []int32
 	hooked := testLane(Hooks{PredictShared: func(a cache.AccessInfo) bool {
 		seen = append(seen, a.Index)
 		return false
 	}})
-	got, err = ReplayMulti(stream, []LLCConfig{hooked}, Options{Shards: 4})
+	got, err = ReplayMulti(stream, []LLCConfig{hooked}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +169,7 @@ func TestReplayParallelFallbacks(t *testing.T) {
 
 // TestReplayUnassignedBlockIDs checks the EnsureBlockIDs fallback: a
 // stream filtered without annotation (all BlockIDs zero) must replay
-// correctly, at the automatic worker count and at two, without mutating
-// the caller's slice.
+// correctly without mutating the caller's slice.
 func TestReplayUnassignedBlockIDs(t *testing.T) {
 	annotated := synthStream(2000, 50, 4, 13)
 	raw := make([]cache.AccessInfo, len(annotated))
@@ -173,13 +183,6 @@ func TestReplayUnassignedBlockIDs(t *testing.T) {
 	if got.Hits != want.Hits || got.Misses != want.Misses ||
 		got.SharedHits != want.SharedHits || got.DistinctBlocks != want.DistinctBlocks {
 		t.Errorf("unassigned-ID replay differs: %+v vs %+v", got, want)
-	}
-	pgot, err := ReplayMulti(raw, []LLCConfig{testLane(Hooks{})}, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pgot[0].Hits != want.Hits || pgot[0].Misses != want.Misses {
-		t.Errorf("unassigned-ID parallel replay differs: %+v vs %+v", pgot[0], want)
 	}
 	for i := range raw {
 		if raw[i].BlockID != 0 {

@@ -30,9 +30,13 @@ func restorePool[T any](held [][]T) {
 }
 
 // warmAllocBytes runs replay once to warm the mem pool, then returns
-// the bytes a second run allocates (runtime.MemStats.TotalAlloc).
+// the bytes a second run allocates (runtime.MemStats.TotalAlloc). Both
+// runs are at GOMAXPROCS=1, where the worker pool has no helper: the
+// lanes replay one at a time in the same order, as the one-lane budget
+// of the byte gates assumes.
 func warmAllocBytes(t *testing.T, replay func()) uint64 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	replay()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -59,7 +63,7 @@ func TestPolicyPassAllocCatalogueLanes(t *testing.T) {
 		configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: catalogued(t, name, 1)})
 	}
 	n := warmAllocBytes(t, func() {
-		if _, err := ReplayMulti(stream, configs, Options{Shards: 1, Tier: SharedHitsOnly}); err != nil {
+		if _, err := ReplayMulti(stream, configs, Options{Tier: SharedHitsOnly}); err != nil {
 			t.Fatal(err)
 		}
 	})

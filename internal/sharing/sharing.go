@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"context"
 	"math/bits"
-	"runtime"
 	"slices"
 
 	"sharellc/internal/cache"
@@ -197,12 +196,6 @@ func (w *hooked) endSurvivors() {
 // Options configures a ReplayMulti call; every field applies to all of
 // its lanes.
 type Options struct {
-	// Shards bounds the replay's parallelism: up to Shards lanes replay
-	// concurrently, each on one worker. 0 picks the bound automatically
-	// (GOMAXPROCS, capped; one worker for a short stream). It never
-	// affects results.
-	Shards int
-
 	// Ctx, when non-nil, makes the replay cancellable: every walk polls
 	// Ctx.Err() once per chunk of batchSize accesses and returns it, so
 	// a multi-second replay stops within microseconds of cancellation.
@@ -368,18 +361,4 @@ func ensureBlockIDs(stream []cache.AccessInfo, opt Options) ([]cache.AccessInfo,
 		return stream, opt.NumBlocks
 	}
 	return cache.EnsureBlockIDs(stream)
-}
-
-// autoShards picks the automatic worker bound for ReplayMulti: one
-// worker per available CPU (capped), and a single worker for streams too
-// short to amortize starting more.
-func autoShards(streamLen int) int {
-	if streamLen < 1<<15 {
-		return 1
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 16 {
-		n = 16
-	}
-	return n
 }

@@ -53,8 +53,8 @@ func countsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig, opt
 	})
 }
 
-// sharedHitsAgree replays configs over every prefix of full at one and
-// four workers, tracked and shared hits only, and demands each
+// sharedHitsAgree replays configs over every prefix of full at
+// GOMAXPROCS 1 and 4, tracked and shared hits only, and demands each
 // shared-hit Result equal the shared-hit fields of both the tracked
 // replay and the reference walk, with every other field zero.
 func sharedHitsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig) {
@@ -68,23 +68,24 @@ func sharedHitsAgree(t *testing.T, full []cache.AccessInfo, configs []LLCConfig)
 			}
 			want[i] = sharedHitsOf(ref)
 		}
-		for _, shards := range []int{1, 4} {
-			tracked, err := ReplayMulti(stream, configs, Options{Shards: shards})
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			tracked, err := ReplayMulti(stream, configs, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReplayMulti(stream, configs, Options{Shards: shards, Tier: SharedHitsOnly})
+			got, err := ReplayMulti(stream, configs, Options{Tier: SharedHitsOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range configs {
 				if tr := sharedHitsOf(tracked[i]); !reflect.DeepEqual(tr, want[i]) {
-					t.Fatalf("len %d, %d workers, config %d (%s @ %d ways): the tracked replay differs from the reference walk\ntracked:   %+v\nreference: %+v",
-						len(stream), shards, i, want[i].Policy, configs[i].Ways, tr, want[i])
+					t.Fatalf("len %d, GOMAXPROCS=%d, config %d (%s @ %d ways): the tracked replay differs from the reference walk\ntracked:   %+v\nreference: %+v",
+						len(stream), procs, i, want[i].Policy, configs[i].Ways, tr, want[i])
 				}
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("len %d, %d workers, config %d (%s @ %d ways): shared-hit result differs from the tracked replay and the reference walk\nshared hits: %+v\nreference:   %+v",
-						len(stream), shards, i, want[i].Policy, configs[i].Ways, got[i], want[i])
+					t.Fatalf("len %d, GOMAXPROCS=%d, config %d (%s @ %d ways): shared-hit result differs from the tracked replay and the reference walk\nshared hits: %+v\nreference:   %+v",
+						len(stream), procs, i, want[i].Policy, configs[i].Ways, got[i], want[i])
 				}
 			}
 		}
@@ -109,14 +110,14 @@ func untrackedRefusals(t *testing.T, tier Tier) {
 
 	refused := func(stream []cache.AccessInfo, c LLCConfig, limit string) {
 		t.Helper()
-		_, err := ReplayMulti(stream, []LLCConfig{c}, Options{Shards: 2, Tier: tier})
+		_, err := ReplayMulti(stream, []LLCConfig{c}, Options{Tier: tier})
 		if err == nil || !strings.Contains(err.Error(), limit) {
 			t.Errorf("tier %d replay: err = %v, want the limit %s", tier, err, limit)
 		}
 	}
 	short := synthStream(2000, 50, 4, 3)
 	wide := LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "drrip", 1)}
-	res, err := ReplayMulti(short, []LLCConfig{wide}, Options{Shards: 2, Tier: tier})
+	res, err := ReplayMulti(short, []LLCConfig{wide}, Options{Tier: tier})
 	if err != nil {
 		t.Fatalf("tier %d, 128-way lane: %v", tier, err)
 	}
@@ -137,12 +138,13 @@ func untrackedRefusals(t *testing.T, tier Tier) {
 
 // TestReplayMultiCountsOnly holds the CountsOnly tier to the tracked
 // replay at every prefix: the catalogue's 14 policies plus a hooked lane
-// at two geometries and on one worker, a 128-way lane, and an empty
+// at two geometries, the second at GOMAXPROCS=1, a 128-way lane, and an empty
 // stream. Every refusal of the tracked replay stands.
 func TestReplayMultiCountsOnly(t *testing.T) {
-	countsAgree(t, synthStream(40000, 3000, 8, 7), catalogueLanes(t, 64*cache.KB, 8), Options{Shards: 4})
-	countsAgree(t, synthStream(8000, 200, 8, 7), catalogueLanes(t, testSize, testWays), Options{Shards: 1})
-	countsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)}}, Options{Shards: 2})
+	countsAgree(t, synthStream(40000, 3000, 8, 7), catalogueLanes(t, 64*cache.KB, 8), Options{})
+	setProcs(t, 1)
+	countsAgree(t, synthStream(8000, 200, 8, 7), catalogueLanes(t, testSize, testWays), Options{})
+	countsAgree(t, synthStream(4000, 3000, 8, 5), []LLCConfig{{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)}}, Options{})
 	countsAgree(t, nil, catalogueLanes(t, testSize, testWays), Options{})
 	untrackedRefusals(t, CountsOnly)
 }
@@ -200,8 +202,8 @@ func streakStream(n int, seed uint64) []cache.AccessInfo {
 }
 
 // TestReplayMultiSharedHits holds the SharedHitsOnly tier to the tracked
-// replay and the reference walk at every prefix and at one and four
-// workers: every catalogue policy plus a hooked, a protected and a
+// replay and the reference walk at every prefix and at GOMAXPROCS 1
+// and 4: every catalogue policy plus a hooked, a protected and a
 // 128-way lane, over a randomly shared stream and over streakStream, at
 // geometries that evict and one of 4 sets. Every refusal of the tracked
 // replay stands.
@@ -294,7 +296,7 @@ func untrackedAllocSteady(t *testing.T, tier Tier) {
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "lru", 1)},
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 	}
-	opt := Options{Shards: 2, Tier: tier}
+	opt := Options{Tier: tier}
 	run := func(stream []cache.AccessInfo) func() {
 		return func() {
 			if _, err := ReplayMulti(stream, configs, opt); err != nil {
@@ -319,7 +321,7 @@ func untrackedAllocSteady(t *testing.T, tier Tier) {
 	if grabbed != 0 {
 		t.Errorf("a tier %d replay grabbed %d tracker, meta or census arrays", tier, grabbed)
 	}
-	// Per-replay bookkeeping (two lanes, two workers, two results)
+	// Per-replay bookkeeping (two lanes, a pool helper, two results)
 	// measures a few dozen objects either way.
 	if full > short+10 || full > 100 {
 		t.Errorf("tier %d replay allocated %.0f objects over 15k accesses and %.0f over 60k; want a count independent of length", tier, short, full)

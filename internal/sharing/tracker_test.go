@@ -16,12 +16,12 @@ import (
 // TestTrackerVsSequential holds the engine's SoA tracker to the
 // struct-Residency tracker of the reference walk over every experiment
 // family — the full policy catalogue, a hooked lane and a 128-way lane —
-// at a second geometry and worker count, at every prefix.
+// at a second geometry, at every prefix.
 func TestTrackerVsSequential(t *testing.T) {
 	stream := synthStream(40000, 3000, 8, 7)
 	var hooks uint64
 	configs := batchTestConfigs(t, 128*cache.KB, 16, &hooks)
-	configsAgree(t, stream, configs, Options{Shards: 2})
+	configsAgree(t, stream, configs, Options{})
 }
 
 // TestTrackerWideCoreRejected streams cores past the packed word's 63
@@ -38,7 +38,7 @@ func TestTrackerWideCoreRejected(t *testing.T) {
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 5)},
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }, Hooks: hooks},
 		}
-		got, err := ReplayMulti(stream, configs, Options{Shards: 4})
+		got, err := ReplayMulti(stream, configs, Options{})
 		if cores > soaMaxCores {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(soaMaxCores)) {
 				t.Errorf("cores %d: err = %v, want the %d-core limit", cores, err, soaMaxCores)

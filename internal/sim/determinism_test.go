@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sharellc/internal/core"
@@ -10,17 +11,21 @@ import (
 	"sharellc/internal/workloads"
 )
 
-// suiteWithShards builds the small test suite with an explicit per-replay
-// shard request.
-func suiteWithShards(t *testing.T, shards int) *Suite {
+// setProcs sets GOMAXPROCS, and with it the helper budget of the
+// process's worker pool (GOMAXPROCS-1 goroutines beside the caller), for
+// the rest of the test and restores the previous value when it ends.
+func setProcs(t *testing.T, n int) {
 	t.Helper()
-	cfg := testConfig(t)
-	cfg.Shards = shards
-	s, err := NewSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// suiteAtProcs builds the small test suite at GOMAXPROCS=procs and
+// leaves GOMAXPROCS there for the rest of the test.
+func suiteAtProcs(t *testing.T, procs int) *Suite {
+	t.Helper()
+	setProcs(t, procs)
+	return testSuite(t)
 }
 
 // experimentRunners enumerates every experiment family over the test
@@ -67,28 +72,31 @@ func experimentRunners() []struct {
 }
 
 // TestExperimentsShardingInvariant is the differential determinism test
-// of the replay engine's worker bound: every experiment family must produce
-// identical rows whether each replay runs on one worker (Shards=1) or
-// four (Shards=4 on the 128-set test LLC), and identical rows again on a
-// repeated one-worker run (no hidden run-to-run state).
+// of the worker pool's schedule: every experiment family must produce
+// identical rows, on suites built at the same setting, whether the pool
+// has no helper (GOMAXPROCS=1: every workload and lane on the caller) or
+// three (GOMAXPROCS=4), and identical rows again on a repeated
+// GOMAXPROCS=1 run (no hidden run-to-run state).
 func TestExperimentsShardingInvariant(t *testing.T) {
-	seq := suiteWithShards(t, 1)
-	shd := suiteWithShards(t, 4)
-	rep := suiteWithShards(t, 1)
+	seq := suiteAtProcs(t, 1)
+	four := suiteAtProcs(t, 4)
+	rep := suiteAtProcs(t, 1)
 	for _, ex := range experimentRunners() {
-		ex := ex
 		t.Run(ex.name, func(t *testing.T) {
+			setProcs(t, 1)
 			want, err := ex.run(seq)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			got, err := ex.run(shd)
+			setProcs(t, 4)
+			got, err := ex.run(four)
 			if err != nil {
-				t.Fatalf("sharded: %v", err)
+				t.Fatalf("parallel: %v", err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("sharded rows differ from sequential:\nseq: %+v\nshd: %+v", want, got)
+				t.Errorf("GOMAXPROCS=4 rows differ from GOMAXPROCS=1:\nseq: %+v\npar: %+v", want, got)
 			}
+			setProcs(t, 1)
 			again, err := ex.run(rep)
 			if err != nil {
 				t.Fatalf("repeat: %v", err)
@@ -101,7 +109,8 @@ func TestExperimentsShardingInvariant(t *testing.T) {
 }
 
 // TestMultiprogrammedOracleShardingInvariant covers the one experiment
-// entry point that does not go through a Suite.
+// entry point that does not go through a Suite: its mix builds and
+// replays give the same rows at GOMAXPROCS 1 and 4.
 func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 	cfg := testConfig(t)
 	var mix []workloads.Model
@@ -112,40 +121,44 @@ func TestMultiprogrammedOracleShardingInvariant(t *testing.T) {
 		}
 		mix = append(mix, m.Scaled(0.02))
 	}
-	mixes := [][]workloads.Model{mix}
+	mixes := [][]workloads.Model{mix, mix[:1]}
+	setProcs(t, 1)
 	want, err := MultiprogrammedOracle(context.Background(), mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setProcs(t, 4)
 	got, err := MultiprogrammedOracle(context.Background(), mixes, cfg.Machine, cfg.Seed, tSize, tWays, core.Options{Strength: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("repeated multiprogrammed oracle runs differ:\nrun1: %+v\nrun2: %+v", want, got)
+		t.Errorf("multiprogrammed oracle rows differ between GOMAXPROCS 1 and 4:\none:  %+v\nfour: %+v", want, got)
 	}
 }
 
 // TestPredictorAccuracyBuildsNoPartition: F7 (counts only) and F1
 // (tracked) run every lane as its policy pass over the stream in stream
-// order, with no partition; on a Shards: 4 suite their rows must equal
-// a one-worker suite's.
+// order, with no partition; at GOMAXPROCS=4 their rows must equal
+// GOMAXPROCS=1's.
 func TestPredictorAccuracyBuildsNoPartition(t *testing.T) {
-	one, four := suiteWithShards(t, 1), suiteWithShards(t, 4)
+	one, four := suiteAtProcs(t, 1), suiteAtProcs(t, 4)
 	for _, run := range []func(s *Suite) (any, error){
 		func(s *Suite) (any, error) { return s.PredictorAccuracy(tSize, tWays, predictor.DefaultConfig(), nil) },
 		func(s *Suite) (any, error) { return s.Characterize(tSize, tWays) },
 	} {
+		setProcs(t, 1)
 		want, err := run(one)
 		if err != nil {
 			t.Fatal(err)
 		}
+		setProcs(t, 4)
 		got, err := run(four)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("rows at four workers differ from one worker's\nfour: %+v\none:  %+v", got, want)
+			t.Errorf("rows at GOMAXPROCS=4 differ from GOMAXPROCS=1's\nfour: %+v\none:  %+v", got, want)
 		}
 	}
 }

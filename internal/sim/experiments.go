@@ -3,11 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/oracle"
+	"sharellc/internal/par"
 	"sharellc/internal/phase"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
@@ -45,8 +45,8 @@ type CharRow struct {
 // Characterize runs the F1/F2/F3 characterization under LRU at the given
 // LLC geometry, one row per workload.
 func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
-	return perStream(s, "characterize", func(st *Stream, shards int) ([]CharRow, error) {
-		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, s.replayOpts(st, shards))
+	return perStream(s, "characterize", func(st *Stream) ([]CharRow, error) {
+		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, s.replayOpts(st))
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ type CoherenceRow struct {
 // communication, independent of cache geometry.
 func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 	ctx := s.context()
-	return perStream(s, "coherence characterize", func(st *Stream, _ int) ([]CoherenceRow, error) {
+	return perStream(s, "coherence characterize", func(st *Stream) ([]CoherenceRow, error) {
 		cs, err := st.coherenceCensus(ctx, s.Config.Seed)
 		if err != nil {
 			return nil, err
@@ -133,7 +133,7 @@ type ReuseRow struct {
 // reuseDistances runs the C2 characterization, classifying each access
 // with the oracle's residency-scale sharing hint at the given LLC size.
 func (s *Suite) reuseDistances(llcSize int) ([]ReuseRow, error) {
-	return perStream(s, "reuse distances", func(st *Stream, _ int) ([]ReuseRow, error) {
+	return perStream(s, "reuse distances", func(st *Stream) ([]ReuseRow, error) {
 		hints := oracle.SharedHints(st.Accesses, oracle.Horizon(llcSize, oracle.HorizonFactor))
 		prof, err := reuse.Analyze(st.Accesses, hints)
 		if err != nil {
@@ -173,7 +173,7 @@ func (s *Suite) sharingPhases(windows int) ([]PhaseRow, error) {
 	if windows == 0 {
 		windows = phase.DefaultWindows
 	}
-	return perStream(s, "phase analysis", func(st *Stream, _ int) ([]PhaseRow, error) {
+	return perStream(s, "phase analysis", func(st *Stream) ([]PhaseRow, error) {
 		res, err := phase.Analyze(st.Accesses, windows)
 		if err != nil {
 			return nil, err
@@ -220,9 +220,9 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 		}
 		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
 	}
-	return perStream(s, "comparing", func(st *Stream, shards int) ([]PolicyRow, error) {
+	return perStream(s, "comparing", func(st *Stream) ([]PolicyRow, error) {
 		// A row reads only counts and shared hits.
-		opt := s.replayOpts(st, shards)
+		opt := s.replayOpts(st)
 		opt.Tier = sharing.SharedHitsOnly
 		results, err := sharing.ReplayMulti(st.Accesses, configs, opt)
 		if err != nil {
@@ -333,12 +333,12 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 // fractions (F5, A1, A3, M1), sharing.CountsOnly for rows that read only
 // misses (A4, A5).
 func oracleStudy[R any](s *Suite, what string, n int, tier sharing.Tier, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
-	return perStreamTables(s, what, n, func(st *Stream, shards int) ([][]R, error) {
+	return perStreamTables(s, what, n, func(st *Stream) ([][]R, error) {
 		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, bases, cells)
 		if err != nil {
 			return nil, err
 		}
-		opt := s.replayOpts(st, shards)
+		opt := s.replayOpts(st)
 		opt.Tier = tier
 		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {
@@ -384,7 +384,7 @@ func buildMixStream(models []workloads.Model, machine cache.Config, seed uint64)
 // preparation and the oracle replays.
 func MultiprogrammedOracle(ctx context.Context, mixes [][]workloads.Model, machine cache.Config, seed uint64, llcSize, llcWays int, opts core.Options) ([]OracleRow, error) {
 	s := &Suite{Config: Config{Machine: machine, Seed: seed, Scale: 1}, Streams: make([]*Stream, len(mixes)), ctx: ctx}
-	err := parallelCapCtx(ctx, len(mixes), runtime.GOMAXPROCS(0), func(i int) (err error) {
+	err := par.For(ctx, len(mixes), func(i int) (err error) {
 		s.Streams[i], err = buildMixStream(mixes[i], machine, seed)
 		return err
 	})
@@ -477,7 +477,7 @@ func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, n
 	if len(names) == 0 {
 		names = predictorNames()
 	}
-	return perStreamTables(s, "predictor accuracy", len(cfgs), func(st *Stream, shards int) ([][]PredictorRow, error) {
+	return perStreamTables(s, "predictor accuracy", len(cfgs), func(st *Stream) ([][]PredictorRow, error) {
 		var preds []predictor.Predictor
 		for _, cfg := range cfgs {
 			for _, n := range names {
@@ -493,7 +493,7 @@ func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, n
 			return nil, err
 		}
 		// The rows come from the lane's matrices, so the replay counts only.
-		opt := s.replayOpts(st, shards)
+		opt := s.replayOpts(st)
 		opt.Tier = sharing.CountsOnly
 		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
 			return nil, err
@@ -540,7 +540,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 	if len(names) == 0 {
 		names = []string{"addr", "pc"}
 	}
-	return perStream(s, "predictor driven", func(st *Stream, shards int) ([]DrivenRow, error) {
+	return perStream(s, "predictor driven", func(st *Stream) ([]DrivenRow, error) {
 		// Lane 0: bare LRU (the base). Lane 1: the oracle ceiling. Lanes
 		// 2..: one protector per realistic predictor, which the lane's
 		// policy consults and trains. A Protector keeps cross-set state, so
@@ -565,7 +565,7 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 				}})
 		}
 		// Every F8 column is a miss count or a protector counter.
-		opt := s.replayOpts(st, shards)
+		opt := s.replayOpts(st)
 		opt.Tier = sharing.CountsOnly
 		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
 		if err != nil {

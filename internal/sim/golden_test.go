@@ -80,19 +80,19 @@ func hashOf(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// runCatalogue runs every experiment at seed through RunExperiments with
-// the given shard request and files each table's hash, and the row
+// runCatalogue runs every experiment at seed through RunExperiments at
+// GOMAXPROCS=procs (left there for the rest of the test) and files each table's hash, and the row
 // hashes of the rowPinned experiments, like the golden. It also returns
 // each experiment's table count.
-func runCatalogue(t *testing.T, seed uint64, shards int) (got map[string]map[string]string, counts map[string]int) {
+func runCatalogue(t *testing.T, seed uint64, procs int) (got map[string]map[string]string, counts map[string]int) {
 	t.Helper()
+	setProcs(t, procs)
 	ids := ExperimentIDs()
 	req := goldenRequest(ids[0], seed)
 	cfg, err := req.Config(cache.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards = shards
 	got, counts = map[string]map[string]string{}, map[string]int{}
 	next := 0
 	err = RunExperiments(context.Background(), cfg, ids, req.Options(), nil, func(tabs []*report.Table) error {
@@ -142,9 +142,9 @@ func runCatalogue(t *testing.T, seed uint64, shards int) (got map[string]map[str
 }
 
 // TestCatalogueGolden is the byte-identity check every refactor leans
-// on: the whole catalogue at seeds 1 and 2 with one replay worker, and
-// seed 1 again with four, must hash to the checked-in golden. -short
-// runs only the four-worker seed-1 pass. A deliberate table change
+// on: the whole catalogue at seeds 1 and 2 at GOMAXPROCS=1 (the worker
+// pool has no helper), and seed 1 again at GOMAXPROCS=4, must hash to
+// the checked-in golden. -short runs only the GOMAXPROCS=4 seed-1 pass. A deliberate table change
 // rewrites the file with
 //
 //	go test ./internal/sim -run TestCatalogueGolden -update
@@ -152,8 +152,8 @@ func runCatalogue(t *testing.T, seed uint64, shards int) (got map[string]map[str
 // and is declared as such in the change's notes.
 func TestCatalogueGolden(t *testing.T) {
 	type pass struct {
-		seed   uint64
-		shards int
+		seed  uint64
+		procs int
 	}
 	passes := []pass{{1, 1}, {2, 1}, {1, 4}}
 	if testing.Short() {
@@ -177,11 +177,11 @@ func TestCatalogueGolden(t *testing.T) {
 
 	var counts map[string]int // experiment id → table count
 	for _, p := range passes {
-		got, n := runCatalogue(t, p.seed, p.shards)
+		got, n := runCatalogue(t, p.seed, p.procs)
 		counts = n
 		for exp, m := range got {
 			for key, h := range m {
-				if *update && p.shards == 1 {
+				if *update && p.procs == 1 {
 					if want.Hashes[exp] == nil {
 						want.Hashes[exp] = map[string]string{}
 					}
@@ -189,7 +189,7 @@ func TestCatalogueGolden(t *testing.T) {
 					continue
 				}
 				if w, ok := want.Hashes[exp][key]; ok && w != h {
-					t.Errorf("%s at %d shards: %s hashes to %.12s, golden has %.12s", exp, p.shards, key, h, w)
+					t.Errorf("%s at GOMAXPROCS=%d: %s hashes to %.12s, golden has %.12s", exp, p.procs, key, h, w)
 				}
 			}
 		}

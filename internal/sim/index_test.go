@@ -162,15 +162,6 @@ func TestWithProgressReportsEveryCell(t *testing.T) {
 	}
 }
 
-func TestShardBudget(t *testing.T) {
-	if got := ShardBudget(1); got < 1 {
-		t.Errorf("ShardBudget(1) = %d", got)
-	}
-	if got := ShardBudget(1 << 20); got != 1 {
-		t.Errorf("ShardBudget(huge) = %d, want 1", got)
-	}
-}
-
 // TestWithContextDoesNotPerturbResults guards the serving layer's core
 // invariant: the same suite produces bit-identical rows with and
 // without context/progress plumbing attached.

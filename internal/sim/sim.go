@@ -7,12 +7,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/coherence"
+	"sharellc/internal/par"
 	"sharellc/internal/sharing"
 	"sharellc/internal/trace"
 	"sharellc/internal/workloads"
@@ -31,12 +30,6 @@ type Config struct {
 	Scale float64
 	// Models is the workload list; empty means the full suite.
 	Models []workloads.Model
-	// Shards bounds the replay workers inside each experiment cell
-	// (sharing.Options.Shards, one lane per worker): 0 lets each
-	// experiment budget the leftover CPUs across its fan-out, 1 = one
-	// worker, and n > 1 asks for up to n workers per replay. Results are identical at
-	// every setting; only wall-clock time changes.
-	Shards int
 	// Streams, when non-nil, supplies each prepared stream instead of a
 	// direct BuildStream call — the hook through which the streamcache
 	// package shares streams across suites and processes. The provider
@@ -92,11 +85,14 @@ func (s *Stream) Partitioner() sharing.Partitioner {
 
 // ReplayOptions bundles the stream's known distinct-block count, which
 // skips a full-stream detection scan inside the replay, with the
-// caller's worker bound and cancellation context. Every experiment
-// replaying this stream should build its sharing.Options here so no
-// stream-level knowledge is forgotten at any call site.
-func (s *Stream) ReplayOptions(shards int, ctx context.Context) sharing.Options {
-	return sharing.Options{Shards: shards, Ctx: ctx, NumBlocks: s.NumBlocks}
+// caller's cancellation context. Every experiment replaying this stream
+// should build its sharing.Options here so no stream-level knowledge is
+// forgotten at any call site. The int argument is ignored: the replay's
+// lanes share the process's one worker pool (internal/par), and the
+// argument stays only because the bench module compiles against this
+// signature.
+func (s *Stream) ReplayOptions(_ int, ctx context.Context) sharing.Options {
+	return sharing.Options{Ctx: ctx, NumBlocks: s.NumBlocks}
 }
 
 // BuildStream generates the model's trace and makes its one pass over
@@ -270,7 +266,7 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	}
 	s.Streams = make([]*Stream, len(scaled))
 	var done atomic.Int64
-	err = parallelCapCtx(ctx, len(scaled), runtime.GOMAXPROCS(0), func(i int) error {
+	err = par.For(ctx, len(scaled), func(i int) error {
 		st, err := build(ctx, scaled[i], cfg.Machine, cfg.Seed)
 		if err != nil {
 			return err
@@ -306,16 +302,15 @@ func (s *Suite) context() context.Context {
 }
 
 // perStream is the per-workload fan-out of every suite experiment: it
-// runs rows on each prepared stream across the CPUs under the suite's
-// context, reports each finished stream to the progress callback, and
-// concatenates the rows in suite order. rows receives the per-replay
-// worker bound (sharing.Options.Shards): the Config's explicit Shards
-// when set, otherwise the CPUs left over once every stream has a worker,
-// so the workload fan-out and the lane workers never oversubscribe the
-// machine between them. A failure is labelled with what and the workload.
-func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) ([]R, error)) ([]R, error) {
-	return firstTable(perStreamTables(s, what, 1, func(st *Stream, shards int) ([][]R, error) {
-		r, err := rows(st, shards)
+// runs rows on each prepared stream on the process's worker pool
+// (par.For, which the replay's lanes share, so the two levels never
+// oversubscribe the machine between them) under the suite's context,
+// reports each finished stream to the progress callback, and
+// concatenates the rows in suite order. A failure is labelled with what
+// and the workload.
+func perStream[R any](s *Suite, what string, rows func(st *Stream) ([]R, error)) ([]R, error) {
+	return firstTable(perStreamTables(s, what, 1, func(st *Stream) ([][]R, error) {
+		r, err := rows(st)
 		return [][]R{r}, err
 	}))
 }
@@ -323,17 +318,13 @@ func perStream[R any](s *Suite, what string, rows func(st *Stream, shards int) (
 // perStreamTables is perStream for an experiment of n tables: rows
 // returns one row slice per table, and each table concatenates its
 // slices in suite order.
-func perStreamTables[R any](s *Suite, what string, n int, rows func(st *Stream, shards int) ([][]R, error)) ([][]R, error) {
+func perStreamTables[R any](s *Suite, what string, n int, rows func(st *Stream) ([][]R, error)) ([][]R, error) {
 	streams := len(s.Streams)
-	shards := s.Config.Shards
-	if shards == 0 {
-		shards = leftoverShards(streams)
-	}
 	per := make([][][]R, streams)
 	var done atomic.Int64
-	err := parallelCapCtx(s.context(), streams, runtime.GOMAXPROCS(0), func(i int) error {
+	err := par.For(s.context(), streams, func(i int) error {
 		st := s.Streams[i]
-		r, err := rows(st, shards)
+		r, err := rows(st)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", what, st.Model.Name, err)
 		}
@@ -375,66 +366,6 @@ func (s *Suite) Stream(name string) (*Stream, error) {
 
 // replayOpts is Stream.ReplayOptions under this suite's cancellation
 // context, so no experiment call site can forget it.
-func (s *Suite) replayOpts(st *Stream, shards int) sharing.Options {
-	return st.ReplayOptions(shards, s.context())
-}
-
-// ShardBudget returns the per-replay worker bound that keeps n
-// concurrent experiment runs within GOMAXPROCS — the same leftover-CPU
-// division perStream applies inside a single experiment's fan-out. The
-// sharesimd worker pool uses it to set Config.Shards for each of its n
-// workers so that workers × replay workers never oversubscribes the
-// machine.
-func ShardBudget(n int) int { return leftoverShards(n) }
-
-// leftoverShards divides GOMAXPROCS across cells concurrent cells,
-// returning the per-cell shard budget (at least 1 = one worker).
-func leftoverShards(cells int) int {
-	if cells < 1 {
-		cells = 1
-	}
-	n := runtime.GOMAXPROCS(0) / cells
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// parallelCapCtx runs f(0..n-1) across up to cap workers under a
-// cancellation context. The cap exists for callers that must split the
-// CPU budget with nested parallelism (a multi-lane replay inside an
-// experiment fan-out) and would otherwise oversubscribe. Work items are
-// claimed from a lock-free atomic counter; the first error — including
-// ctx's error once it is cancelled, checked before each item runs —
-// stops further claims and is returned after all workers drain.
-func parallelCapCtx(ctx context.Context, n, cap int, f func(i int) error) error {
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		stop  atomic.Bool
-		once  sync.Once
-		first error
-	)
-	for w := 0; w < max(1, min(cap, n)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				err := ctx.Err()
-				if err == nil {
-					err = f(i)
-				}
-				if err != nil {
-					once.Do(func() { first = err; stop.Store(true) })
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+func (s *Suite) replayOpts(st *Stream) sharing.Options {
+	return st.ReplayOptions(0, s.context())
 }

@@ -2,12 +2,12 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/par"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
 	"sharellc/internal/sharing"
@@ -407,10 +407,10 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
-// parallel runs f(0..n-1) across up to GOMAXPROCS workers and returns
-// the first error.
+// parallel runs f(0..n-1) on the process's worker pool and returns the
+// first error.
 func parallel(n int, f func(i int) error) error {
-	return parallelCapCtx(context.Background(), n, runtime.GOMAXPROCS(0), f)
+	return par.For(context.Background(), n, f)
 }
 
 func TestParallelHelper(t *testing.T) {
@@ -518,7 +518,7 @@ func TestDefaultConfigShape(t *testing.T) {
 }
 
 func TestParallelSingleWorkerPath(t *testing.T) {
-	// n=1 forces the serial path regardless of GOMAXPROCS.
+	// n=1 runs on the caller regardless of GOMAXPROCS.
 	ran := false
 	if err := parallel(1, func(int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
