@@ -131,36 +131,42 @@ func (h *Hierarchy) Stats() (refs, l1Hits, l2Hits, llcRefs uint64) {
 	return h.refs, h.l1Hits, h.l2Hits, h.llcRefs
 }
 
-// streamBuilder accumulates an LLC reference stream in geometrically
-// growing segments joined once at the end. A plain append over a
-// multi-gigabyte stream re-copies the whole prefix on every capacity
-// step — several times the final size in memmove by the time the last
-// record lands — where segments write each record exactly once and the
-// join copies it exactly once more. Index is assigned in add, so the
-// record's stream position is final at creation.
+// streamBuilder accumulates an LLC reference stream in fixed-size
+// segments from the mem pool, joined once at the end into the one array
+// the caller keeps. A plain append over a multi-gigabyte stream re-copies
+// the whole prefix on every capacity step; segments write each record
+// exactly once and the join copies it exactly once more, handing each
+// segment back to the pool as soon as it is copied, so a build's only
+// heap allocation that grows with the stream is the stream itself.
+// Index is assigned in add, so the record's stream position is final at
+// creation.
 type streamBuilder struct {
 	segs [][]AccessInfo
 	seg  []AccessInfo
 	n    int
 }
 
+// builderSegment is the records per segment: 1 MiB of records, so the
+// largest suite stream (about a million records) takes 31 segments and
+// two concurrent builds of it stay within the pool's retention bound.
+const builderSegment = 1 << 15
+
 // add appends a at the next stream position. It fails once the stream
-// holds MaxStreamLen records: no segment is sized past that bound, so
-// the check rides the segment-growth branch and the common path has none.
+// holds MaxStreamLen records: no segment's capacity reaches past that
+// bound, so the check rides the segment-growth branch and the common
+// path has none.
 func (b *streamBuilder) add(a AccessInfo) error {
 	if len(b.seg) == cap(b.seg) {
 		if b.n == MaxStreamLen {
 			return errStreamTooLong(MaxStreamLen + 1)
 		}
-		next := 1 << 15
-		if c := 2 * cap(b.seg); c > next {
-			next = c
-		}
-		next = min(next, MaxStreamLen-b.n)
 		if b.seg != nil {
 			b.segs = append(b.segs, b.seg)
 		}
-		b.seg = make([]AccessInfo, 0, next)
+		// A pooled array may hold more than asked for: clip it, so the
+		// segment ends at the bound.
+		next := min(builderSegment, MaxStreamLen-b.n)
+		b.seg = mem.Grab[AccessInfo](next)[:0:next]
 	}
 	a.Index = int32(b.n)
 	b.n++
@@ -168,12 +174,16 @@ func (b *streamBuilder) add(a AccessInfo) error {
 	return nil
 }
 
+// join returns the stream in one array and releases every segment to
+// the pool.
 func (b *streamBuilder) join() []AccessInfo {
 	out := make([]AccessInfo, 0, b.n)
-	for _, s := range b.segs {
+	for _, s := range append(b.segs, b.seg) {
 		out = append(out, s...)
+		mem.Release(s)
 	}
-	return append(out, b.seg...)
+	b.segs, b.seg = nil, nil
+	return out
 }
 
 // FilterStream runs the whole trace through a fresh private hierarchy and

@@ -82,8 +82,8 @@ func (e *RecordEncoder) Append(dst []byte, recs []AccessInfo) ([]byte, error) {
 }
 
 // uvarintSlow is the out-of-line continuation of uvarintAt for varints
-// longer than two bytes (and for truncation/overflow errors, reported as
-// next < 0).
+// longer than three bytes (and for truncation/overflow errors, reported
+// as next < 0).
 func uvarintSlow(data []byte, p int) (uint64, int) {
 	// p < 0 propagates a failure from an earlier field in the caller's
 	// record; one slow-path check covers the whole chain.
@@ -98,43 +98,83 @@ func uvarintSlow(data []byte, p int) (uint64, int) {
 }
 
 // uvarintAt decodes one uvarint at offset p, returning the value and the
-// offset just past it (negative on malformed input). The one- and
-// two-byte cases — the bulk of the stream encoding's deltas and ids —
-// are inlined into the caller's loop; everything else takes the
-// binary.Uvarint path.
+// offset just past it (negative on malformed input). The one- to
+// three-byte cases — the stream encoding's deltas and ids, which in a
+// full-size stream mostly take three bytes — are decoded here without a
+// loop; everything else takes the out-of-line binary.Uvarint path.
 func uvarintAt(data []byte, p int) (uint64, int) {
-	if p >= 0 && p+1 < len(data) {
-		b0 := data[p]
+	if p >= 0 && p+2 < len(data) {
+		b0, b1, b2 := data[p], data[p+1], data[p+2]
 		if b0 < 0x80 {
 			return uint64(b0), p + 1
 		}
-		if b1 := data[p+1]; b1 < 0x80 {
+		if b1 < 0x80 {
 			return uint64(b0&0x7f) | uint64(b1)<<7, p + 2
+		}
+		if b2 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, p + 3
 		}
 	}
 	return uvarintSlow(data, p)
 }
+
+// maxRecordLen is the longest encoded record: the flags byte and four
+// uvarints of at most binary.MaxVarintLen64 bytes.
+const maxRecordLen = 1 + 4*binary.MaxVarintLen64
 
 // DecodeAccessInfos decodes exactly len(dst) records from data into dst
 // and returns the number of bytes consumed. Index is regenerated as the
 // record position; every other field round-trips bit-identically through
 // AppendAccessInfos. The decoder never panics on malformed input — it
 // returns an error on truncation, varint overflow or out-of-range values
-// (callers checksum the data first, so an error here means the checksum
-// was forged or the caller sized dst wrong). dst holds at most
-// MaxStreamLen records. The loop is the warm-start hot path — a
-// full-size suite decodes tens of millions of records on every cache
-// load — hence the manually inlined varint fast path instead of the
-// tidier closure over binary.Uvarint.
+// (callers checksum the data, so an error here means the checksum was
+// forged or the caller sized dst wrong). dst holds at most MaxStreamLen
+// records. It is RecordDecoder in one call.
 func DecodeAccessInfos(data []byte, dst []AccessInfo) (int, error) {
+	var d RecordDecoder
+	return d.Decode(data, dst, true)
+}
+
+// RecordDecoder is DecodeAccessInfos in pieces, the mirror of
+// RecordEncoder: it carries the delta base and the record count from one
+// call to the next, so a stream decoded from consecutive chunks of its
+// encoding gives the records DecodeAccessInfos gives for the whole. The
+// zero value starts a stream.
+type RecordDecoder struct {
+	prevBlock, prevPC uint64
+	n                 int // records decoded so far
+}
+
+// Decode decodes the stream's next records from data into dst, which
+// holds the whole stream (dst[:n] came from earlier calls), and returns
+// the bytes it consumed. When final, data holds the rest of the
+// encoding: Decode fills dst and fails on truncation. Otherwise it stops
+// at dst's end or at the first record that may run past data's end — one
+// starting fewer than maxRecordLen bytes before it — and the caller
+// passes the unconsumed bytes again, with more behind them, on the next
+// call; a record that starts earlier is whole in data, so any failure is
+// malformed input. The loop is the warm-start hot path — a full-size
+// suite decodes tens of millions of records on every cache load — hence
+// the varint fast path (uvarintAt) instead of the tidier closure over
+// binary.Uvarint.
+func (d *RecordDecoder) Decode(data []byte, dst []AccessInfo, final bool) (int, error) {
 	if len(dst) > MaxStreamLen {
 		return 0, errStreamTooLong(uint64(len(dst)))
 	}
-	var prevBlock, prevPC uint64
-	pos := 0
-	for i := range dst {
-		if pos >= len(data) {
-			return pos, fmt.Errorf("cache: stream record %d: truncated", i)
+	// A record may start before limit: anywhere in a final chunk, or
+	// where a whole record still fits.
+	limit := len(data)
+	if !final {
+		limit -= maxRecordLen - 1
+	}
+	prevBlock, prevPC := d.prevBlock, d.prevPC
+	pos, i := 0, d.n
+	for ; i < len(dst); i++ {
+		if pos >= limit {
+			if final {
+				return pos, fmt.Errorf("cache: stream record %d: truncated", i)
+			}
+			break
 		}
 		flags := data[pos]
 		blockDelta, p1 := uvarintAt(data, pos+1)
@@ -172,5 +212,6 @@ func DecodeAccessInfos(data []byte, dst []AccessInfo) (int, error) {
 			Write:   flags&1 != 0,
 		}
 	}
+	d.prevBlock, d.prevPC, d.n = prevBlock, prevPC, i
 	return pos, nil
 }

@@ -33,6 +33,7 @@ package mem
 import (
 	"reflect"
 	"sync"
+	"unsafe"
 )
 
 // keep bounds the retained arrays per element type: enough for every
@@ -47,6 +48,33 @@ type freeList[T any] struct {
 
 // lists maps an element type to its *freeList.
 var lists sync.Map
+
+// retained is the part of every *freeList that PoolBytes reads without
+// knowing its element type.
+type retained interface{ bytes() int }
+
+// bytes returns the bytes the list's arrays hold at full capacity.
+func (l *freeList[T]) bytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, s := range l.free {
+		n += cap(s)
+	}
+	return n * int(unsafe.Sizeof(*new(T)))
+}
+
+// PoolBytes returns the bytes the pool retains, summed over the free
+// lists of every element type: memory the process keeps for later
+// Grabs, not memory in use.
+func PoolBytes() int {
+	n := 0
+	lists.Range(func(_, l any) bool {
+		n += l.(retained).bytes()
+		return true
+	})
+	return n
+}
 
 // listOf returns T's free list.
 func listOf[T any]() *freeList[T] {

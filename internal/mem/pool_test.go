@@ -79,3 +79,20 @@ func TestPoolAllocRetentionBound(t *testing.T) {
 		t.Errorf("an empty release changed the list to %d arrays", len(l.free))
 	}
 }
+
+// TestPoolBytesCountsRetainedArrays checks that PoolBytes counts a
+// released array at its full capacity times its element size, and stops
+// counting it once Grab hands it out again.
+func TestPoolBytesCountsRetainedArrays(t *testing.T) {
+	resetProbeList(t)
+	before := PoolBytes()
+	s := make([]poolProbe, 10, 40)
+	Release(s)
+	if got, want := PoolBytes()-before, 40*16; got != want {
+		t.Errorf("after releasing a 40-element array of 16-byte elements the pool grew by %d bytes, want %d", got, want)
+	}
+	Grab[poolProbe](40)
+	if got := PoolBytes() - before; got != 0 {
+		t.Errorf("after grabbing the array back the pool still counts %d bytes", got)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
 // DefaultWindows is the number of analysis windows when the caller does
@@ -30,6 +31,10 @@ type blockHistory struct {
 	active uint64 // bit w: block touched in window w
 	shared uint64 // bit w: block shared in window w
 }
+
+// coreMasks is one block's set of cores touching it in the current
+// window, one bit per core.
+type coreMasks struct{ lo, hi uint64 }
 
 // Result summarizes one analysis.
 type Result struct {
@@ -94,15 +99,13 @@ func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 		SharedBlocks: make([]uint64, windows),
 	}
 	// Flat per-BlockID state (cache.EnsureBlockIDs) instead of hashed
-	// maps: histories for the whole stream, core masks rebuilt each
-	// window with the touched IDs listed so the flush doesn't rescan
-	// every block.
+	// maps, all from the mem pool: histories for the whole stream, core
+	// masks rebuilt each window with the touched IDs listed so the flush
+	// doesn't rescan every block.
 	stream, numBlocks := cache.EnsureBlockIDs(stream)
-	hist := make([]blockHistory, numBlocks)
-
-	type masks struct{ lo, hi uint64 }
-	cur := make([]masks, numBlocks)
-	touched := make([]uint32, 0, 1<<12)
+	hist := mem.Grab[blockHistory](numBlocks)
+	cur := mem.Grab[coreMasks](numBlocks)
+	touched := mem.Grab[uint32](numBlocks)[:0] // a window touches each block at most once
 
 	flush := func(w int) {
 		for _, id := range touched {
@@ -114,7 +117,7 @@ func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 				res.SharedBlocks[w]++
 			}
 			res.ActiveBlocks[w]++
-			cur[id] = masks{}
+			cur[id] = coreMasks{}
 		}
 		touched = touched[:0]
 	}
@@ -185,5 +188,8 @@ func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 			res.Mixed++
 		}
 	}
+	mem.Release(hist)
+	mem.Release(cur)
+	mem.Release(touched)
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package phase
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +162,39 @@ func TestWindowsOneIsDegenerateButValid(t *testing.T) {
 	}
 	if r.SharedBlocks[0] != 1 || r.ActiveBlocks[0] != 2 {
 		t.Errorf("window stats = shared %v active %v", r.SharedBlocks, r.ActiveBlocks)
+	}
+}
+
+// TestPhaseAnalyzeAllocPooled is F9's byte gate: once the mem pool is
+// warm, Analyze allocates its Result plus a constant. The per-block
+// histories and core masks (16 bytes each per block) and the window's
+// touched list come from the pool. Wired into CI via
+// `go test -run Alloc`.
+func TestPhaseAnalyzeAllocPooled(t *testing.T) {
+	const n, blocks, fixed = 1 << 18, 1 << 15, 1 << 10
+	rnd := rng.New(5)
+	stream := make([]cache.AccessInfo, n)
+	for i := range stream {
+		stream[i] = cache.AccessInfo{Block: rnd.Uint64n(blocks), Core: uint8(rnd.Intn(8)), Index: int32(i)}
+	}
+	cache.AnnotateNextUse(stream)
+	want, err := Analyze(stream, DefaultWindows) // warm the mem pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Analyze(stream, DefaultWindows)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a warm run's result %+v differs from the cold run's %+v", got, want)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm F9 over %d accesses and %d blocks allocated %d bytes", n, blocks, alloc)
+	if alloc > fixed {
+		t.Errorf("a warm F9 allocated %d bytes, past %d", alloc, fixed)
 	}
 }

@@ -14,7 +14,7 @@
 // The implementation is the classic O(n log n) algorithm: a Fenwick tree
 // over access positions marks each block's most recent reference; the
 // distance of an access is the count of marked positions after its
-// block's previous reference.
+// block's previous reference (stackWalk).
 package reuse
 
 import (
@@ -22,58 +22,67 @@ import (
 	"math"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/mem"
 )
 
 // Infinite is the distance reported for first-touch (cold) accesses.
 const Infinite = int64(math.MaxInt64)
 
-// fenwick is a binary indexed tree over stream positions.
-type fenwick struct {
-	tree []int32
+// stackWalk yields the reuse distance of each access of a stream, in
+// stream order. A Fenwick tree over stream positions marks each block's
+// most recent access, so the marks count the distinct blocks seen so
+// far, and the distance of an access is the marks after its block's
+// previous access: that running count minus one prefix sum. Both tables
+// come from the mem pool; release hands them back.
+type stackWalk struct {
+	tree     []int32 // Fenwick tree over positions, 1-based
+	last     []int32 // BlockID → previous position + 1, 0 before its first access
+	distinct int32   // blocks accessed so far: the marked positions
 }
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int32, n+1)} }
+// newStackWalk sizes a walk over n accesses to blocks in [0, numBlocks).
+func newStackWalk(n, numBlocks int) stackWalk {
+	return stackWalk{tree: mem.Grab[int32](n + 1), last: mem.Grab[int32](numBlocks)}
+}
+
+// next returns the distance of access i, to block id: Infinite for a
+// first touch. Accesses are presented in order, i = 0, 1, 2, ....
+func (w *stackWalk) next(i int, id uint32) int64 {
+	d := Infinite
+	if p := int(w.last[id]) - 1; p >= 0 {
+		// Distinct blocks touched in (p, i): the marks after position
+		// p, each block marked only at its most recent access.
+		d = int64(w.distinct - w.sum(p))
+		w.add(p, -1)
+	} else {
+		w.distinct++
+	}
+	w.add(i, 1)
+	w.last[id] = int32(i + 1)
+	return d
+}
 
 // add adds delta at position i (0-based).
-func (f *fenwick) add(i int, delta int32) {
-	for i++; i < len(f.tree); i += i & -i {
-		f.tree[i] += delta
+func (w *stackWalk) add(i int, delta int32) {
+	for i++; i < len(w.tree); i += i & -i {
+		w.tree[i] += delta
 	}
 }
 
 // sum returns the prefix sum over positions [0, i] (0-based, inclusive).
-func (f *fenwick) sum(i int) int32 {
+func (w *stackWalk) sum(i int) int32 {
 	var s int32
 	for i++; i > 0; i -= i & -i {
-		s += f.tree[i]
+		s += w.tree[i]
 	}
 	return s
 }
 
-// distances computes the reuse distance of every access in stream.
-// First-touch accesses get Infinite. The per-block previous-position
-// table is a flat slice over dense BlockIDs (cache.EnsureBlockIDs), not a
-// hash of the sparse block number.
-func distances(stream []cache.AccessInfo) []int64 {
-	out := make([]int64, len(stream))
-	fw := newFenwick(len(stream))
-	stream, numBlocks := cache.EnsureBlockIDs(stream)
-	last := make([]int64, numBlocks) // BlockID → previous position + 1
-	for i := range stream {
-		id := stream[i].BlockID
-		if p := last[id]; p != 0 {
-			// Distinct blocks touched in (p-1, i) = marked positions in
-			// that open interval; each block is marked only at its most
-			// recent position.
-			out[i] = int64(fw.sum(i-1) - fw.sum(int(p-1)))
-			fw.add(int(p-1), -1)
-		} else {
-			out[i] = Infinite
-		}
-		fw.add(i, 1)
-		last[id] = int64(i) + 1
-	}
-	return out
+// release returns the walk's tables to the pool.
+func (w *stackWalk) release() {
+	mem.Release(w.tree)
+	mem.Release(w.last)
+	*w = stackWalk{}
 }
 
 // Bucket boundaries of the distance histogram, in blocks. The 4 MB and
@@ -150,8 +159,14 @@ func Analyze(stream []cache.AccessInfo, hints []bool) (*Profile, error) {
 	if hints != nil && len(hints) != len(stream) {
 		return nil, fmt.Errorf("reuse: %d hints for %d accesses", len(hints), len(stream))
 	}
+	// The per-block table is a flat slice over dense BlockIDs
+	// (cache.EnsureBlockIDs), not a hash of the sparse block number, and
+	// each distance goes straight into the histograms.
+	stream, numBlocks := cache.EnsureBlockIDs(stream)
+	w := newStackWalk(len(stream), numBlocks)
 	p := &Profile{}
-	for i, d := range distances(stream) {
+	for i := range stream {
+		d := w.next(i, stream[i].BlockID)
 		p.All.Add(d)
 		if hints != nil && hints[i] {
 			p.Shared.Add(d)
@@ -159,5 +174,6 @@ func Analyze(stream []cache.AccessInfo, hints []bool) (*Profile, error) {
 			p.Private.Add(d)
 		}
 	}
+	w.release()
 	return p, nil
 }

@@ -1,10 +1,12 @@
 package reuse
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/oracle"
 	"sharellc/internal/rng"
 )
 
@@ -13,6 +15,20 @@ func mk(blocks ...uint64) []cache.AccessInfo {
 	for i, b := range blocks {
 		out[i] = cache.AccessInfo{Block: b, Index: int32(i)}
 	}
+	return out
+}
+
+// distances returns the reuse distance of every access in stream, as
+// the walk Analyze runs yields them: the exact distances the tests
+// compare against their references.
+func distances(stream []cache.AccessInfo) []int64 {
+	out := make([]int64, len(stream))
+	stream, numBlocks := cache.EnsureBlockIDs(stream)
+	w := newStackWalk(len(stream), numBlocks)
+	for i := range stream {
+		out[i] = w.next(i, stream[i].BlockID)
+	}
+	w.release()
 	return out
 }
 
@@ -164,5 +180,41 @@ func TestAnalyzeSplitsByHints(t *testing.T) {
 	}
 	if pNil.Private.Total != 4 || pNil.Shared.Total != 0 {
 		t.Error("nil hints not all-private")
+	}
+}
+
+// TestReuseAnalyzeAllocPooled is C2's byte gate: once the mem pool is
+// warm, one workload's C2 — the oracle's hint column and Analyze over it
+// — allocates that column and the Profile plus a constant. The Fenwick
+// tree (4 bytes per access) and the last-position table (4 per block)
+// come from the pool, and no distance is stored per access. Wired into
+// CI via `go test -run Alloc`.
+func TestReuseAnalyzeAllocPooled(t *testing.T) {
+	const n, blocks, fixed = 1 << 18, 1 << 14, 4 << 10
+	rnd := rng.New(3)
+	stream := make([]cache.AccessInfo, n)
+	for i := range stream {
+		stream[i] = cache.AccessInfo{Block: rnd.Uint64n(blocks), Core: uint8(rnd.Intn(8)), Index: int32(i)}
+	}
+	cache.AnnotateNextUse(stream)
+	run := func() *Profile {
+		p, err := Analyze(stream, oracle.SharedHints(stream, 1<<16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := run() // warm the mem pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := run()
+	runtime.ReadMemStats(&after)
+	if *got != *want {
+		t.Fatalf("a warm run's profile %+v differs from the cold run's %+v", *got, *want)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm C2 over %d accesses allocated %d bytes: its %d-byte hint column and %d more", n, alloc, n, int64(alloc)-n)
+	if alloc > n+fixed {
+		t.Errorf("a warm C2 allocated %d bytes beyond its hint column, past %d", alloc-n, fixed)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"sharellc/internal/cluster"
+	"sharellc/internal/mem"
 	"sharellc/internal/sim/streamcache"
 )
 
@@ -117,6 +118,7 @@ func (m *metrics) write(w io.Writer) {
 	b.WriteString("# HELP sharesimd_jobs_inflight Jobs currently running.\n")
 	b.WriteString("# TYPE sharesimd_jobs_inflight gauge\n")
 	fmt.Fprintf(&b, "sharesimd_jobs_inflight %d\n", m.inflight)
+	writeMemSeries(&b)
 
 	b.WriteString("# HELP sharesimd_job_duration_seconds Wall-clock latency of completed runs, per experiment.\n")
 	b.WriteString("# TYPE sharesimd_job_duration_seconds histogram\n")
@@ -144,6 +146,15 @@ func (m *metrics) write(w io.Writer) {
 		writeStreamSeries(&b, m.streams())
 	}
 	io.WriteString(w, b.String())
+}
+
+// writeMemSeries renders the process's mem pool gauge, shared by every
+// role's registry: the arrays the replay engine and the cold path keep
+// for reuse between jobs.
+func writeMemSeries(b *strings.Builder) {
+	b.WriteString("# HELP sharesimd_mem_pool_bytes Bytes of pooled arrays the process retains for reuse.\n")
+	b.WriteString("# TYPE sharesimd_mem_pool_bytes gauge\n")
+	fmt.Fprintf(b, "sharesimd_mem_pool_bytes %d\n", mem.PoolBytes())
 }
 
 // writeStreamSeries renders the stream-cache counter and gauge family;

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -70,6 +71,12 @@ func TestJobsShareStreamCache(t *testing.T) {
 	// The hit counter on /metrics must agree with the cache itself.
 	if !strings.Contains(text, "sharesimd_stream_hits_total") {
 		t.Error("/metrics missing sharesimd_stream_hits_total")
+	}
+	// A finished job's replay returned its lane arrays to the mem pool,
+	// so the pool gauge reads more than nothing.
+	var pooled int
+	if _, err := fmt.Sscanf(text[strings.Index(text, "\nsharesimd_mem_pool_bytes ")+1:], "sharesimd_mem_pool_bytes %d\n", &pooled); err != nil || pooled <= 0 {
+		t.Errorf("/metrics pool gauge after two jobs: %d bytes (%v), want a positive count", pooled, err)
 	}
 }
 

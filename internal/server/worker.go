@@ -69,6 +69,7 @@ func (ws *WorkerServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# HELP sharesimd_worker_busy Bundles executing right now.\n")
 	b.WriteString("# TYPE sharesimd_worker_busy gauge\n")
 	fmt.Fprintf(&b, "sharesimd_worker_busy %d\n", st.Busy)
+	writeMemSeries(&b)
 	if ws.sc != nil {
 		writeStreamSeries(&b, ws.sc.Stats())
 	}

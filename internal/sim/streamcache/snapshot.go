@@ -24,10 +24,13 @@ import (
 //	records  count × cache.AppendAccessInfos encoding
 //	crc      [4]byte  CRC-32C (Castagnoli) of everything before it, LE
 //
-// Loads are a single bulk os.ReadFile followed by one decode pass into a
-// preallocated []cache.AccessInfo sized from the header. Every validity
-// check — magic/version, key, checksum, record decode, header bounds —
-// fails soft: loadSnapshot reports !ok and the caller rebuilds the
+// A load streams the file through one fixed buffer (snapshotReader): it
+// checks magic and key, reads the header, allocates the stream sized from
+// it, decodes the records chunk by chunk (cache.RecordDecoder) with a
+// running checksum, and checks the trailer last; the stream is the only
+// allocation that grows with the file. Every validity check —
+// magic/version, key, header bounds, record decode, checksum — fails
+// soft: loadSnapshot reports !ok and the caller rebuilds the
 // stream and rewrites the file. A snapshot can therefore be deleted,
 // truncated or bit-flipped at any time without affecting results, only
 // warm-start time.
@@ -169,59 +172,139 @@ func validateSnapshot(data []byte, key string) error {
 	return nil
 }
 
-// loadSnapshot bulk-reads path and reconstructs the stream for m. ok is
-// false — never an error surfaced to the experiment — when the file is
-// absent, from another format version, keyed differently, corrupt or
-// truncated.
+// loadSnapshot reads path and reconstructs the stream for m through one
+// fixed snapshotBuf-byte buffer. ok is false — never an error surfaced to
+// the experiment — when the file is absent, from another format version,
+// keyed differently, corrupt or truncated.
 func loadSnapshot(path, key string, m workloads.Model) (s *sim.Stream, bytesRead int, ok bool) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, false
 	}
-	s, err = decodeSnapshot(data, key, m)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, len(data), false
+		return nil, 0, false
 	}
-	return s, len(data), true
+	s, err = readSnapshot(f, fi.Size(), snapshotBuf, key, m)
+	return s, int(fi.Size()), err == nil
 }
 
-// decodeSnapshot validates and decodes one snapshot image.
+// readSnapshot decodes the size-byte snapshot image src delivers through
+// a bufSize-byte buffer, which must hold more than one record (tests
+// shrink it to cross a chunk boundary at every record).
+func readSnapshot(src io.Reader, size int64, bufSize int, key string, m workloads.Model) (*sim.Stream, error) {
+	r := snapshotReader{src: src, buf: make([]byte, bufSize), left: size, body: size - 4}
+	return r.decode(key, m)
+}
+
+// decodeSnapshot validates and decodes one snapshot image held whole in
+// memory (a peer transfer): the reader's one-chunk case.
 func decodeSnapshot(data []byte, key string, m workloads.Model) (*sim.Stream, error) {
-	const minLen = 8 + 32 + 5 + 4 // magic + key + 1-byte header fields + crc
-	if len(data) < minLen {
+	r := snapshotReader{buf: data, w: len(data), body: int64(len(data)) - 4}
+	return r.decode(key, m)
+}
+
+// snapshotReader decodes one snapshot image as it reads it: buf holds a
+// window of the image, refilled from src as the decode consumes it, with
+// a running CRC-32C of the consumed bytes checked against the trailer at
+// the end, as encodeSnapshotTo computes it while writing. An image held
+// whole in memory is its own buffer and src is nil.
+type snapshotReader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int    // buf[r:w] holds the read bytes not yet consumed
+	left int64  // image bytes src has not yet delivered
+	body int64  // bytes before the trailer not yet consumed
+	crc  uint32 // CRC-32C of the consumed bytes
+}
+
+// fill reads until buf[r:w] holds n bytes, n <= len(buf), or the rest of
+// the image, moving the unconsumed bytes to the front of buf first. It
+// reports false on a read error, a file shorter than its size included.
+func (sr *snapshotReader) fill(n int) bool {
+	if sr.w-sr.r >= n || sr.left == 0 {
+		return true
+	}
+	sr.w = copy(sr.buf, sr.buf[sr.r:sr.w])
+	sr.r = 0
+	m, err := io.ReadFull(sr.src, sr.buf[sr.w:sr.w+int(min(int64(len(sr.buf)-sr.w), sr.left))])
+	sr.w += m
+	sr.left -= int64(m)
+	return err == nil
+}
+
+// buffered returns the bytes of buf[r:w] before the trailer.
+func (sr *snapshotReader) buffered() []byte {
+	return sr.buf[sr.r : sr.r+int(min(int64(sr.w-sr.r), sr.body))]
+}
+
+// consume checksums and drops the next n bytes of buffered().
+func (sr *snapshotReader) consume(n int) {
+	sr.crc = crc32.Update(sr.crc, crcTable, sr.buf[sr.r:sr.r+n])
+	sr.r += n
+	sr.body -= int64(n)
+}
+
+// decode validates and decodes the image: magic, key, header, records
+// and trailer, in that order. Every failure is errSnapshot.
+func (sr *snapshotReader) decode(key string, m workloads.Model) (*sim.Stream, error) {
+	const minBody = 8 + 32 + 5 // magic + key + 1-byte header fields
+	if sr.body < minBody || !sr.fill(40) {
 		return nil, errSnapshot
 	}
-	if [8]byte(data[:8]) != snapshotMagic {
+	head := sr.buf[sr.r : sr.r+40]
+	if [8]byte(head[:8]) != snapshotMagic {
 		return nil, errSnapshot
 	}
 	keyBytes, err := decodeKey(key)
-	if err != nil || string(data[8:40]) != string(keyBytes) {
+	if err != nil || string(head[8:]) != string(keyBytes) {
 		return nil, errSnapshot
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, errSnapshot
-	}
-	pos := 40
-	header := make([]uint64, 5)
+	sr.consume(40)
+	var header [5]uint64
 	for i := range header {
-		v, n := binary.Uvarint(body[pos:])
+		if !sr.fill(binary.MaxVarintLen64) {
+			return nil, errSnapshot
+		}
+		v, n := binary.Uvarint(sr.buffered())
 		if n <= 0 {
 			return nil, errSnapshot
 		}
 		header[i] = v
-		pos += n
+		sr.consume(n)
 	}
 	count, numBlocks := header[0], header[1]
 	// A stream holds at most cache.MaxStreamLen records and at most one
-	// BlockID per record, and it fits in memory: reject absurd counts
-	// before allocating.
-	if count > cache.MaxStreamLen || count > uint64(len(body)) || numBlocks > count {
+	// BlockID per record, and every record takes at least one byte:
+	// reject absurd counts before allocating.
+	if count > cache.MaxStreamLen || count > uint64(sr.body) || numBlocks > count {
 		return nil, errSnapshot
 	}
 	accesses := make([]cache.AccessInfo, count)
-	n, err := cache.DecodeAccessInfos(body[pos:], accesses)
-	if err != nil || pos+n != len(body) {
+	var dec cache.RecordDecoder
+	for {
+		if !sr.fill(len(sr.buf)) {
+			return nil, errSnapshot
+		}
+		chunk := sr.buffered()
+		final := int64(len(chunk)) == sr.body
+		n, err := dec.Decode(chunk, accesses, final)
+		if err != nil {
+			return nil, errSnapshot
+		}
+		sr.consume(n)
+		if final {
+			break
+		}
+		// A full buffer holds a whole record, so a chunk that gives up
+		// nothing has decoded every record with bytes still to come.
+		if n == 0 {
+			return nil, errSnapshot
+		}
+	}
+	// What is left is the trailer alone.
+	if sr.body != 0 || !sr.fill(4) || sr.crc != binary.LittleEndian.Uint32(sr.buf[sr.r:sr.w]) {
 		return nil, errSnapshot
 	}
 	return &sim.Stream{

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sharellc/internal/cache"
@@ -296,11 +297,92 @@ func TestDecodeSnapshotRejectsCountPastMaxStreamLen(t *testing.T) {
 	}
 }
 
+// smallSnapshotBuf is a reader buffer one byte longer than the longest
+// record encoding (a flags byte and four 10-byte varints), so every
+// record of a test stream lies near a chunk boundary.
+const smallSnapshotBuf = 1 + 4*binary.MaxVarintLen64 + 1
+
+// sameStream reports whether two decoded streams are equal, header and
+// records.
+func sameStream(a, b *sim.Stream) bool {
+	return a.NumBlocks == b.NumBlocks && a.TraceLen == b.TraceLen && a.L1Hits == b.L1Hits &&
+		a.L2Hits == b.L2Hits && slices.Equal(a.Accesses, b.Accesses)
+}
+
+// TestSnapshotReaderChunkBoundaries holds the chunked reader to the
+// one-shot record decoder. A 40-record stream's encoding is cut at every
+// offset and framed as a checksummed image whose header claims the
+// records wholly inside the cut, one more, or the whole stream; read
+// through a buffer just above one record, every image must be accepted
+// exactly when cache.DecodeAccessInfos accepts its record bytes, and
+// decode to the same records. Every third record's next use is the
+// record after it, so some prefixes hold a dangling link and some do
+// not.
+func TestSnapshotReaderChunkBoundaries(t *testing.T) {
+	s := randomStream(rand.New(rand.NewSource(5)), 40)
+	for i := range s.Accesses {
+		s.Accesses[i].NextUse = cache.NoNextUse
+		if i%3 == 0 && i+1 < len(s.Accesses) {
+			s.Accesses[i].NextUse = int32(i + 1)
+		}
+	}
+	key := Key(s.Model, cache.DefaultConfig(), 1)
+	keyBytes, err := decodeKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := cache.AppendAccessInfos(nil, s.Accesses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 10*smallSnapshotBuf {
+		t.Fatalf("the records take %d bytes, under ten %d-byte chunks", len(recs), smallSnapshotBuf)
+	}
+	whole := 0 // records wholly inside the cut
+	accepted := 0
+	for cut := 0; cut <= len(recs); cut++ {
+		for whole < len(s.Accesses) {
+			end, _ := cache.AppendAccessInfos(nil, s.Accesses[:whole+1])
+			if len(end) > cut {
+				break
+			}
+			whole++
+		}
+		for _, count := range []int{whole, whole + 1, len(s.Accesses)} {
+			img := append(append([]byte(nil), snapshotMagic[:]...), keyBytes...)
+			for _, v := range []uint64{uint64(count), 0, 7, 8, 9} {
+				img = binary.AppendUvarint(img, v)
+			}
+			img = append(img, recs[:cut]...)
+			img = binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, crcTable))
+
+			want := make([]cache.AccessInfo, count)
+			n, err := cache.DecodeAccessInfos(recs[:cut], want)
+			wantOK := err == nil && n == cut
+			got, err := readSnapshot(bytes.NewReader(img), int64(len(img)), smallSnapshotBuf, key, s.Model)
+			if (err == nil) != wantOK {
+				t.Fatalf("cut %d, %d records: the chunked reader accepts %v, the one-shot decoder %v", cut, count, err == nil, wantOK)
+			}
+			if wantOK {
+				accepted++
+				if !slices.Equal(got.Accesses, want) {
+					t.Fatalf("cut %d, %d records: the chunked reader's records differ from the one-shot decoder's", cut, count)
+				}
+			}
+		}
+	}
+	if accepted < 10 {
+		t.Errorf("only %d of the cut images were accepted: the table tests rejection alone", accepted)
+	}
+}
+
 // FuzzDecodeSnapshot fuzzes the snapshot container around the record
 // codec: magic, key, header and CRC trailer, seeded with a real image,
 // its truncations, a flipped CRC and the image under the wrong key.
-// decodeSnapshot must never panic, and an image it accepts must
-// re-encode to exactly its own bytes.
+// decodeSnapshot must never panic, an image it accepts must re-encode to
+// exactly its own bytes, and the file reader must give the same answer
+// through its own buffer and through one just above one record, where
+// the seed image spans well over a hundred chunks.
 func FuzzDecodeSnapshot(f *testing.F) {
 	s := randomStream(rand.New(rand.NewSource(11)), 300)
 	key := Key(s.Model, cache.DefaultConfig(), 1)
@@ -311,6 +393,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	if _, err := decodeSnapshot(img, key, s.Model); err != nil {
 		f.Fatalf("seed image does not decode: %v", err)
+	}
+	if chunks := len(img) / smallSnapshotBuf; chunks < 100 {
+		f.Fatalf("the seed image spans only %d chunks of the small buffer", chunks)
 	}
 	badCRC := append([]byte(nil), img...)
 	badCRC[len(badCRC)-1] ^= 1
@@ -324,6 +409,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			k = otherKey
 		}
 		got, err := decodeSnapshot(data, k, s.Model)
+		for _, buf := range []int{smallSnapshotBuf, snapshotBuf} {
+			read, rerr := readSnapshot(bytes.NewReader(data), int64(len(data)), buf, k, s.Model)
+			if (rerr == nil) != (err == nil) || err == nil && !sameStream(read, got) {
+				t.Fatalf("through a %d-byte buffer the reader accepts %v, the one-shot decode %v, or they decode differently", buf, rerr == nil, err == nil)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -13,7 +13,8 @@
 //   - an on-disk level snapshots each stream into a versioned,
 //     checksummed flat binary file (cache.AppendAccessInfos records
 //     under a small header), so later processes skip generation and
-//     private-hierarchy filtering entirely and bulk-load the stream.
+//     private-hierarchy filtering entirely and decode the stream from
+//     its file through one fixed buffer.
 //
 // Correctness contract: a stream served from either level is
 // bit-identical to what sim.BuildStream would have produced — snapshots
