@@ -17,7 +17,8 @@
 // every job as leased bundles on polling workers, merging partial rows
 // into byte-identical tables. Workers serve no job API; they poll the
 // coordinator, fetch content-addressed stream snapshots from peers, and
-// expose /healthz, /metrics and GET /v1/streams/{hash}.
+// expose /healthz, /metrics and GET /v1/streams/{hash}. Every mode serves
+// through one server.Server built from the parts the role has.
 //
 // SIGINT/SIGTERM begin a graceful shutdown: the listener stops accepting
 // connections, queued jobs are cancelled, and running jobs get up to
@@ -47,7 +48,7 @@ func main() {
 
 	var (
 		addr     = flag.String("addr", ":8070", "listen address")
-		workers  = flag.Int("workers", 2, "concurrent experiment runs (single mode) or bundle slots (worker mode)")
+		workers  = flag.Int("workers", 2, "single mode: jobs run at once; coordinator mode: jobs handed to the cluster at once; worker mode: bundles executed at once")
 		cacheN   = flag.Int("cache", 64, "completed results retained in the LRU cache")
 		queueN   = flag.Int("queue", 16, "queued jobs accepted before 503")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
@@ -98,16 +99,14 @@ func main() {
 	}
 	streams := streamcache.New(streamcache.Options{Dir: dir, MemBudget: budget, DiskBudget: diskBudget})
 
-	var handler http.Handler
-	var manager *server.Manager
-	var workerDone chan error
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	switch *mode {
-	case "worker":
-		w, err := cluster.NewWorker(cluster.WorkerConfig{
+	var manager *server.Manager
+	var worker *cluster.Worker
+	if *mode == "worker" {
+		var err error
+		worker, err = cluster.NewWorker(cluster.WorkerConfig{
 			CoordinatorURL: *coordURL,
 			SelfURL:        *selfURL,
 			Cache:          streams,
@@ -117,10 +116,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
-		handler = server.NewWorkerServer(w, streams, *workers)
-		workerDone = make(chan error, 1)
-		go func() { workerDone <- w.Run(ctx) }()
-	default:
+	} else {
 		cfg := server.Config{
 			Workers:     *workers,
 			CacheSize:   *cacheN,
@@ -134,11 +130,14 @@ func main() {
 				LeaseTTL: *leaseTTL,
 			})
 		}
-		srv := server.New(cfg)
-		manager = srv.Manager()
-		handler = srv
+		manager = server.NewManager(cfg)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: server.New(manager, worker)}
+	var workerDone chan error
+	if worker != nil {
+		workerDone = make(chan error, 1)
+		go func() { workerDone <- worker.Run(ctx) }()
+	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

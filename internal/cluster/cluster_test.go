@@ -134,7 +134,7 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(mux)
+	mux.HandleFunc("GET /v1/streams/{hash}", StreamHandler(w.cfg.Cache, nil))
 	go w.Run(ctx)
 	return w
 }

@@ -496,14 +496,16 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	}))
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as JSON: the job API's and the bundle protocol's envelope.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError answers a request with {"error": err}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // maxControlBody bounds every control-plane body, in both directions.
@@ -529,28 +531,28 @@ func decodeJSON(body io.Reader, v any) error {
 	return err
 }
 
-// decodeBody decodes one request body of at most maxControlBody bytes
-// into v. On failure it answers the request itself — 413 past the limit,
-// 400 otherwise — and reports false.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := decodeJSON(http.MaxBytesReader(w, r.Body, maxControlBody), v)
+// DecodeBody decodes one request body of at most limit bytes into v,
+// naming it what in errors. On failure it answers the request itself —
+// 413 past the limit, 400 otherwise — and reports false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		WriteError(w, http.StatusRequestEntityTooLarge, err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid %s: %w", what, err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid %s: %w", what, err))
 	}
 	return err == nil
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, "lease request", &req) {
+	if !DecodeBody(w, r, maxControlBody, "lease request", &req) {
 		return
 	}
 	if err := checkProto(req.Proto); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	lease, ok := c.lease(req.Worker)
@@ -558,43 +560,43 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, lease)
+	WriteJSON(w, http.StatusOK, lease)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, "heartbeat", &req) {
+	if !DecodeBody(w, r, maxControlBody, "heartbeat", &req) {
 		return
 	}
 	if err := checkProto(req.Proto); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	hb, err := c.heartbeat(r.PathValue("id"), req.Worker)
 	switch {
 	case errors.Is(err, ErrUnknownBundle):
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 	case errors.Is(err, ErrLeaseLost):
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 	default:
-		writeJSON(w, http.StatusOK, hb)
+		WriteJSON(w, http.StatusOK, hb)
 	}
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var res BundleResult
-	if !decodeBody(w, r, "result", &res) {
+	if !DecodeBody(w, r, maxControlBody, "result", &res) {
 		return
 	}
 	if err := checkProto(res.Proto); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := c.Result(r.PathValue("id"), res); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 }
 
 // StreamHandler serves content-addressed snapshot images from a stream

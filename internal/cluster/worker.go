@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,8 +28,8 @@ type WorkerConfig struct {
 	CoordinatorURL string
 	// SelfURL is this worker's own reachable base URL. It doubles as the
 	// worker's identity in leases; when set, the coordinator advertises
-	// it to peers as a snapshot source (mount Register somewhere that
-	// serves it). Empty means anonymous: no peer serving.
+	// it to peers as a snapshot source (serve Cache's snapshots there
+	// through StreamHandler). Empty means anonymous: no peer serving.
 	SelfURL string
 	// Cache is the local stream store (required): fetched snapshots land
 	// in it, and suite construction pulls streams through it.
@@ -108,24 +109,18 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// Register mounts the worker's peer-facing snapshot endpoint on mux.
-func (w *Worker) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /v1/streams/{hash}", StreamHandler(w.cfg.Cache, nil))
-}
+// Config returns the worker's configuration, defaults applied.
+func (w *Worker) Config() WorkerConfig { return w.cfg }
 
 // Run polls for work until ctx is cancelled, executing up to cfg.Slots
 // bundles concurrently. It always returns ctx.Err().
 func (w *Worker) Run(ctx context.Context) error {
-	done := make(chan struct{})
-	for i := 0; i < w.cfg.Slots; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			w.pollLoop(ctx)
-		}()
+	var wg sync.WaitGroup
+	for range w.cfg.Slots {
+		wg.Add(1)
+		go func() { defer wg.Done(); w.pollLoop(ctx) }()
 	}
-	for i := 0; i < w.cfg.Slots; i++ {
-		<-done
-	}
+	wg.Wait()
 	return ctx.Err()
 }
 

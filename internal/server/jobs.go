@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"sharellc/internal/cluster"
+	"sharellc/internal/lru"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
@@ -149,12 +149,12 @@ type Manager struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
-	cache *resultCache
+	cache *lru.Cache[[]*report.Table] // completed results, one cost unit each; guarded by mu
 	met   *metrics
 }
 
-// newManager starts cfg.Workers workers. Call Shutdown to drain them.
-func newManager(cfg Config) *Manager {
+// NewManager starts cfg.Workers workers. Call Shutdown to drain them.
+func NewManager(cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -184,14 +184,8 @@ func newManager(cfg Config) *Manager {
 		jobs:     map[string]*Job{},
 		active:   map[string]*Job{},
 		queue:    make(chan *Job, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheSize),
+		cache:    lru.New[[]*report.Table](int64(cfg.CacheSize), nil),
 		met:      newMetrics(),
-	}
-	if cfg.StreamCache != nil {
-		m.met.streams = cfg.StreamCache.Stats
-	}
-	if cfg.Coordinator != nil {
-		m.met.cluster = cfg.Coordinator.Stats
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -229,7 +223,7 @@ func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
 		return live, false, nil
 	}
 	// Cache: an identical request already completed successfully.
-	if tables, ok := m.cache.get(key); ok {
+	if tables, ok := m.cache.Get(key); ok {
 		job := m.newJobLocked(req, key)
 		now := m.now()
 		job.state = stateDone
@@ -416,7 +410,7 @@ func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
 	}
 	state := job.state
 	if state == stateDone {
-		m.cache.put(job.Key, tables)
+		m.cache.Put(job.Key, tables, 1)
 	}
 	if m.active[job.Key] == job {
 		delete(m.active, job.Key)
@@ -454,54 +448,4 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		<-done
 		return fmt.Errorf("drain deadline exceeded; running jobs cancelled: %w", ctx.Err())
 	}
-}
-
-// resultCache is a plain LRU over completed table sets.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List               // front = most recent
-	items map[string]*list.Element // value: *cacheEntry
-}
-
-type cacheEntry struct {
-	key    string
-	tables []*report.Table
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (c *resultCache) get(key string) ([]*report.Table, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).tables, true
-}
-
-func (c *resultCache) put(key string, tables []*report.Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).tables = tables
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, tables: tables})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
-	}
-}
-
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

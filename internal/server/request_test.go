@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/cluster"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
 	"sharellc/internal/workloads"
@@ -83,7 +86,7 @@ func FuzzJobRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeJob(bytes.NewReader(body))
+		req, err := decodeJob(body)
 		if err != nil || req.Normalize() != nil {
 			return
 		}
@@ -91,7 +94,7 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := decodeJob(bytes.NewReader(canon))
+		again, err := decodeJob(canon)
 		if err != nil {
 			t.Fatalf("normalized %s does not decode: %v", canon, err)
 		}
@@ -122,4 +125,13 @@ func FuzzJobRequest(f *testing.F) {
 			t.Errorf("accepted %d ways, which PLRU cannot run", w)
 		}
 	})
+}
+
+// decodeJob decodes body as POST /v1/jobs does.
+func decodeJob(body []byte) (req sim.JobRequest, err error) {
+	rec := httptest.NewRecorder()
+	if !cluster.DecodeBody(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)), maxJobBody, "request body", &req) {
+		err = errors.New(rec.Body.String())
+	}
+	return req, err
 }

@@ -11,47 +11,59 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"sharellc/internal/cluster"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
+	"sharellc/internal/sim/streamcache"
 )
 
-// Server wires the Manager to an http.Handler.
+// Server is the HTTP surface of one sharesimd role, built from the parts
+// the role has. A Manager serves the job API (single and coordinator
+// roles) and its Coordinator the bundle protocol; a cluster.Worker makes
+// the worker role, which serves no job API. Every role with a stream
+// cache serves its snapshots, and /healthz and /metrics render whichever
+// parts exist.
 type Server struct {
-	m   *Manager
-	mux *http.ServeMux
+	m       *Manager
+	coord   *cluster.Coordinator
+	worker  *cluster.Worker
+	streams *streamcache.Cache
+	mux     *http.ServeMux
 }
 
-// New builds a Server (and its Manager) from cfg.
-func New(cfg Config) *Server {
-	s := &Server{m: newManager(cfg), mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
+// New builds the Server of a single or coordinator role from its Manager
+// m, or of a worker role from w; the other one is nil. The Coordinator
+// and the stream cache come from m's Config or w's WorkerConfig.
+func New(m *Manager, w *cluster.Worker) *Server {
+	s := &Server{m: m, worker: w, mux: http.NewServeMux()}
+	if m != nil {
+		s.coord, s.streams = m.cfg.Coordinator, m.cfg.StreamCache
+		s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+		s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+		s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+		s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
+	} else {
+		s.streams = w.Config().Cache
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	switch {
-	case cfg.Coordinator != nil:
+	case s.coord != nil:
 		// Worker-facing bundle protocol plus GET /v1/streams/{hash}.
-		cfg.Coordinator.Register(s.mux)
-	case cfg.StreamCache != nil:
-		// Even a single-mode daemon serves its snapshots, so a cluster
-		// spun up later (or a peer worker) can seed from it.
-		s.mux.HandleFunc("GET /v1/streams/{hash}", cluster.StreamHandler(cfg.StreamCache, nil))
+		s.coord.Register(s.mux)
+	case s.streams != nil:
+		// A worker serves its snapshots to peers, and so does a single
+		// daemon, so a cluster spun up later can seed from it.
+		s.mux.HandleFunc("GET /v1/streams/{hash}", cluster.StreamHandler(s.streams, nil))
 	}
 	return s
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Manager exposes the job manager, mainly for Shutdown.
-func (s *Server) Manager() *Manager { return s.m }
 
 // jobView is the JSON representation of a job returned by the API.
 type jobView struct {
@@ -88,78 +100,47 @@ func viewOf(j *Job) jobView {
 	return v
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // maxJobBody bounds a POST /v1/jobs body. The largest legitimate body —
 // every field spelled out, all 22 workloads and all 14 policies — is
 // under 1 KiB; the limit leaves room for any formatting of it.
 const maxJobBody = 16 << 10
 
-// decodeJob decodes one job body, rejecting unknown fields, and reads the
-// body to its end so that a body past its byte limit fails wherever the
-// excess sits.
-func decodeJob(body io.Reader) (sim.JobRequest, error) {
-	var req sim.JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	if err == nil {
-		_, err = io.Copy(io.Discard, body)
-	}
-	return req, err
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBody))
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+	var req sim.JobRequest
+	if !cluster.DecodeBody(w, r, maxJobBody, "request body", &req) {
 		return
 	}
 	job, fresh, err := s.m.submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		cluster.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		cluster.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	status := http.StatusAccepted
 	if !fresh {
 		status = http.StatusOK // cache hit or coalesced: nothing new started
 	}
-	writeJSON(w, status, viewOf(job))
+	cluster.WriteJSON(w, status, viewOf(job))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
+		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(job))
+	cluster.WriteJSON(w, http.StatusOK, viewOf(job))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if err := s.m.cancel(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		cluster.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
 }
 
 // handleEvents streams the job's lifecycle as server-sent events: the
@@ -168,12 +149,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.m.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
+		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		cluster.WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -231,7 +212,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range sim.Experiments() {
 		out = append(out, expView{ID: e.ID, Title: e.Title, NeedsSuite: e.NeedsSuite})
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 // healthView is the /healthz body, shared by all three daemon roles.
@@ -263,40 +244,52 @@ type bundleGauges struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	m := s.m
-	m.mu.Lock()
-	draining := m.draining
-	m.mu.Unlock()
-	m.met.mu.Lock()
-	busy := m.met.inflight
-	m.met.mu.Unlock()
-
-	role := "single"
-	if m.cfg.Coordinator != nil {
-		role = "coordinator"
+	hv := healthView{Status: "ok", Role: "single"}
+	status := http.StatusOK
+	if s.worker != nil {
+		hv.Role = "worker"
+		hv.Workers = occupancyView{Busy: int(s.worker.Stats().Busy), Total: s.worker.Config().Slots}
+	} else {
+		if s.coord != nil {
+			hv.Role = "coordinator"
+		}
+		s.m.met.mu.Lock()
+		hv.Workers = occupancyView{Busy: s.m.met.inflight, Total: s.m.cfg.Workers}
+		s.m.met.mu.Unlock()
+		s.m.mu.Lock()
+		draining := s.m.draining
+		s.m.mu.Unlock()
+		if draining {
+			hv.Status, status = "draining", http.StatusServiceUnavailable
+		}
 	}
-	hv := healthView{
-		Status:  "ok",
-		Role:    role,
-		Workers: occupancyView{Busy: busy, Total: m.cfg.Workers},
-	}
-	if m.cfg.StreamCache != nil {
-		st := m.cfg.StreamCache.Stats()
+	if s.streams != nil {
+		st := s.streams.Stats()
 		hv.SnapshotStore = &snapshotStore{MemBytes: st.BytesInMem, DiskBytes: st.DiskBytes, DiskFiles: st.DiskFiles}
 	}
-	if m.cfg.Coordinator != nil {
-		cs := m.cfg.Coordinator.Stats()
+	if s.coord != nil {
+		cs := s.coord.Stats()
 		hv.Bundles = &bundleGauges{Pending: cs.BundlesPending, Inflight: cs.BundlesInflight}
 	}
-	if draining {
-		hv.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, hv)
-		return
-	}
-	writeJSON(w, http.StatusOK, hv)
+	cluster.WriteJSON(w, status, hv)
 }
 
+// handleMetrics renders the families of every part the role has: the
+// Manager's (or the worker's) and the mem pool, then the coordinator's
+// and the stream cache's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var fams []family
+	if s.worker != nil {
+		fams = append(workerFamilies(s.worker.Stats()), memFamily())
+	} else {
+		fams = s.m.met.families()
+	}
+	if s.coord != nil {
+		fams = append(fams, clusterFamilies(s.coord.Stats())...)
+	}
+	if s.streams != nil {
+		fams = append(fams, streamFamilies(s.streams.Stats())...)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.m.met.write(w)
+	writeFamilies(w, fams)
 }

@@ -75,13 +75,13 @@ func waitDone(t *testing.T, ts *httptest.Server, id string, within time.Duration
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s := New(NewManager(cfg), nil)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		s.Manager().Shutdown(ctx)
+		s.m.Shutdown(ctx)
 	})
 	return s, ts
 }
@@ -211,7 +211,7 @@ func TestRePostOnDoneIsCacheHit(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("first POST status = %d", code)
 	}
-	job, ok := s.Manager().Get(v1.ID)
+	job, ok := s.m.Get(v1.ID)
 	if !ok {
 		t.Fatalf("job %s not found", v1.ID)
 	}
@@ -225,11 +225,11 @@ func TestRePostOnDoneIsCacheHit(t *testing.T) {
 		default: // spin: react to the event as soon as it is sent
 		}
 	}
-	m := s.Manager()
+	m := s.m
 	m.mu.Lock()
 	_, active := m.active[job.Key]
+	cached := m.cache.Contains(job.Key)
 	m.mu.Unlock()
-	_, cached := m.cache.get(job.Key)
 	if active || !cached {
 		t.Fatalf("done published with the job still coalescing (%v) or its tables not cached (%v)", active, !cached)
 	}
@@ -580,7 +580,7 @@ func TestShutdownDrains(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	s := New(Config{Workers: 1, Runner: runner})
+	s := New(NewManager(Config{Workers: 1, Runner: runner}), nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -593,11 +593,11 @@ func TestShutdownDrains(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Manager().Shutdown(ctx); err != nil {
+	if err := s.m.Shutdown(ctx); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 
-	job, ok := s.Manager().Get(v.ID)
+	job, ok := s.m.Get(v.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}
@@ -630,7 +630,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
 	}
-	s := New(Config{Workers: 1, Runner: runner})
+	s := New(NewManager(Config{Workers: 1, Runner: runner}), nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -639,11 +639,11 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	err := s.Manager().Shutdown(ctx)
+	err := s.m.Shutdown(ctx)
 	if err == nil {
 		t.Fatal("drain with stuck job reported success")
 	}
-	job, _ := s.Manager().Get(v.ID)
+	job, _ := s.m.Get(v.ID)
 	state, _, _, _, _, _, _ := job.snapshot()
 	if state != stateCancelled {
 		t.Errorf("stuck job state = %s, want cancelled", state)
@@ -674,24 +674,31 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRU: the oldest entry is evicted at capacity.
+// TestResultCacheLRU: at capacity, a completed result evicts the least
+// recently served one.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	tbl := func(s string) []*report.Table { return []*report.Table{{Title: s}} }
-	c.put("a", tbl("a"))
-	c.put("b", tbl("b"))
-	if _, ok := c.get("a"); !ok { // touch a → b is now LRU
-		t.Fatal("a missing")
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
+		return []*report.Table{{Title: fmt.Sprint(req.Seed)}}, nil
 	}
-	c.put("c", tbl("c"))
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 2, Runner: runner})
+	post := func(seed uint64) jobView {
+		t.Helper()
+		req := fastReq()
+		req.Seed = seed
+		v, _ := postJob(t, ts, req)
+		return waitDone(t, ts, v.ID, 10*time.Second)
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should have survived (recently used)")
+	post(1)
+	post(2)
+	if !post(1).Cached { // a hit touches seed 1: seed 2 is now least recent
+		t.Fatal("seed 1 missing from the result cache")
 	}
-	if c.len() != 2 {
-		t.Errorf("cache len = %d, want 2", c.len())
+	post(3)
+	if post(2).Cached {
+		t.Error("seed 2 should have been evicted")
+	}
+	if !post(3).Cached {
+		t.Error("seed 3 should have survived (recently used)")
 	}
 }
 

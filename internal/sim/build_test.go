@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -21,18 +22,44 @@ func TestBuildStreamNumbersLikeAssignBlockIDs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := slices.Clone(st.Accesses)
-			for i := range ref {
-				ref[i].BlockID, ref[i].NextUse = 0, cache.NoNextUse
-			}
-			if n := cache.AnnotateNextUse(ref); n != st.NumBlocks {
-				t.Errorf("%s at scale %v: NumBlocks %d, AssignBlockIDs %d", m.Name, scale, st.NumBlocks, n)
-			}
-			for i := range ref {
-				if ref[i] != st.Accesses[i] {
-					t.Fatalf("%s at scale %v: access %d is %+v, the hash numbering's %+v", m.Name, scale, i, st.Accesses[i], ref[i])
-				}
-			}
+			requireHashNumbering(t, fmt.Sprintf("%s at scale %v", m.Name, scale), st)
+		}
+	}
+}
+
+// TestBuildMixStreamNumbersLikeAssignBlockIDs holds M1's mix streams,
+// numbered through workloads.MixBlockIndex, to the hash numbering.
+func TestBuildMixStreamNumbersLikeAssignBlockIDs(t *testing.T) {
+	for _, names := range m1Mixes {
+		ms, err := ModelsByName(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ms {
+			ms[i] = ScaleModel(ms[i], 0.02)
+		}
+		st, err := buildMixStream(ms, cache.DefaultConfig(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireHashNumbering(t, st.Model.Name, st)
+	}
+}
+
+// requireHashNumbering fails t unless st's BlockIDs, NextUse chains and
+// block count are what cache.AnnotateNextUse assigns its accesses.
+func requireHashNumbering(t *testing.T, what string, st *Stream) {
+	t.Helper()
+	ref := slices.Clone(st.Accesses)
+	for i := range ref {
+		ref[i].BlockID, ref[i].NextUse = 0, cache.NoNextUse
+	}
+	if n := cache.AnnotateNextUse(ref); n != st.NumBlocks {
+		t.Errorf("%s: NumBlocks %d, AssignBlockIDs %d", what, st.NumBlocks, n)
+	}
+	for i := range ref {
+		if ref[i] != st.Accesses[i] {
+			t.Fatalf("%s: access %d is %+v, the hash numbering's %+v", what, i, st.Accesses[i], ref[i])
 		}
 	}
 }

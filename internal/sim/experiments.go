@@ -355,7 +355,7 @@ func lruLane(llcSize, llcWays int) sharing.LLCConfig {
 
 // buildMixStream prepares the LLC reference stream of a multiprogrammed
 // mix (independent single-threaded programs, one per core, disjoint
-// address spaces).
+// address spaces), numbering its blocks through the mix's block index.
 func buildMixStream(models []workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
 	if len(models) > machine.Cores {
 		return nil, fmt.Errorf("sim: mix of %d programs on %d cores", len(models), machine.Cores)
@@ -368,7 +368,11 @@ func buildMixStream(models []workloads.Model, machine cache.Config, seed uint64)
 	if err != nil {
 		return nil, fmt.Errorf("sim: filtering %s: %w", workloads.MixName(models), err)
 	}
-	numBlocks := cache.AnnotateNextUse(stream)
+	index, span := workloads.MixBlockIndex(models)
+	for i := range stream {
+		stream[i].BlockID = index(stream[i].Block)
+	}
+	numBlocks := cache.AnnotateNextUseIndexed(stream, span)
 	refs, l1, l2, _ := h.Stats()
 	pseudo := models[0]
 	pseudo.Name = workloads.MixName(models)

@@ -350,16 +350,18 @@ func runSuiteTable(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// m1Rows runs M1 over three canonical 8-program multiprogrammed mixes
-// drawn from the suite, scaled and seeded like the suite itself.
+// m1Mixes are M1's three canonical 8-program multiprogrammed mixes drawn
+// from the suite.
+var m1Mixes = [][]string{
+	{"swaptions", "blackscholes", "freqmine", "water", "equake", "lu", "bodytrack", "facesim"},
+	{"canneal", "swaptions", "ocean", "blackscholes", "fft", "water", "dedup", "freqmine"},
+	{"swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions"},
+}
+
+// m1Rows runs M1 over m1Mixes, scaled and seeded like the suite itself.
 func m1Rows(s *Suite, o ExpOptions) ([]OracleRow, error) {
-	mixNames := [][]string{
-		{"swaptions", "blackscholes", "freqmine", "water", "equake", "lu", "bodytrack", "facesim"},
-		{"canneal", "swaptions", "ocean", "blackscholes", "fft", "water", "dedup", "freqmine"},
-		{"swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions", "swaptions"},
-	}
 	var mixes [][]workloads.Model
-	for _, names := range mixNames {
+	for _, names := range m1Mixes {
 		ms, err := ModelsByName(names)
 		if err != nil {
 			return nil, err

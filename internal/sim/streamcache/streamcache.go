@@ -24,7 +24,6 @@
 package streamcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"unsafe"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/lru"
 	"sharellc/internal/sim"
 	"sharellc/internal/workloads"
 )
@@ -123,39 +123,24 @@ func DirFromFlag(v string) (dir string, ok bool) {
 // Cache is the two-level stream cache. The zero value is not usable;
 // call New.
 type Cache struct {
-	dir        string
-	budget     int64
-	diskBudget int64
+	dir string
 
 	mu       sync.Mutex
-	ll       *list.List               // front = most recently used
-	items    map[string]*list.Element // value: *entry
+	mem      *lru.Cache[*sim.Stream] // resident streams, costed in bytes
 	inflight map[string]*flight
-	bytes    int64
 	stats    Stats
 
-	// Disk-level LRU bookkeeping (only when dir != ""): one entry per
-	// snapshot file, front = most recently used. Tracked regardless of
-	// budget so DiskBytes/DiskFiles gauges stay meaningful.
-	dll       *list.List               // value: *diskEntry
-	ditems    map[string]*list.Element // key -> element of dll
-	diskBytes int64
+	// disk holds one entry per snapshot file, costed in file bytes
+	// (empty when dir == ""). It tracks every file regardless of budget,
+	// so the DiskBytes/DiskFiles gauges stay meaningful; an eviction
+	// removes the file under mu, which is fine for the small snapshot
+	// counts involved.
+	disk *lru.Cache[struct{}]
 
 	// buildHook, when non-nil, runs at the start of every full build
 	// (after both cache levels missed). Tests use it to count and to
 	// stall builds; it runs outside mu.
 	buildHook func(key string)
-}
-
-type entry struct {
-	key   string
-	s     *sim.Stream
-	bytes int64
-}
-
-type diskEntry struct {
-	key   string
-	bytes int64
 }
 
 // flight is one in-progress build that later requesters of the same key
@@ -171,20 +156,16 @@ type flight struct {
 // level rather than failing (the cache is an optimization, never a
 // correctness dependency).
 func New(opts Options) *Cache {
-	c := &Cache{
-		dir:        opts.Dir,
-		budget:     opts.MemBudget,
-		diskBudget: opts.DiskBudget,
-		ll:         list.New(),
-		items:      map[string]*list.Element{},
-		inflight:   map[string]*flight{},
-		dll:        list.New(),
-		ditems:     map[string]*list.Element{},
-		buildHook:  opts.BuildHook,
+	c := &Cache{dir: opts.Dir, inflight: map[string]*flight{}, buildHook: opts.BuildHook}
+	budget := opts.MemBudget
+	if budget == 0 {
+		budget = DefaultMemBudget
 	}
-	if c.budget == 0 {
-		c.budget = DefaultMemBudget
-	}
+	c.mem = lru.New(budget, func(string, *sim.Stream) { c.stats.Evictions++ })
+	c.disk = lru.New(opts.DiskBudget, func(key string, _ struct{}) {
+		c.stats.DiskEvictions++
+		os.Remove(c.snapshotPath(key))
+	})
 	if c.dir != "" {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			c.dir = ""
@@ -230,42 +211,7 @@ func (c *Cache) scanDisk() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, f := range found {
-		c.diskInsertLocked(f.key, f.bytes)
-	}
-}
-
-// diskInsertLocked records (or refreshes) one snapshot file in the disk
-// LRU and evicts least-recently-used files past the byte budget, never
-// the entry just inserted. Caller holds c.mu; file removal happens under
-// the lock, which is fine for the small snapshot counts involved.
-func (c *Cache) diskInsertLocked(key string, bytes int64) {
-	if el, ok := c.ditems[key]; ok {
-		de := el.Value.(*diskEntry)
-		c.diskBytes += bytes - de.bytes
-		de.bytes = bytes
-		c.dll.MoveToFront(el)
-	} else {
-		c.ditems[key] = c.dll.PushFront(&diskEntry{key: key, bytes: bytes})
-		c.diskBytes += bytes
-	}
-	if c.diskBudget <= 0 {
-		return
-	}
-	for c.diskBytes > c.diskBudget && c.dll.Len() > 1 {
-		last := c.dll.Back()
-		victim := last.Value.(*diskEntry)
-		c.dll.Remove(last)
-		delete(c.ditems, victim.key)
-		c.diskBytes -= victim.bytes
-		c.stats.DiskEvictions++
-		os.Remove(filepath.Join(c.dir, victim.key+snapshotExt))
-	}
-}
-
-// diskTouchLocked refreshes a snapshot's recency after a disk hit.
-func (c *Cache) diskTouchLocked(key string) {
-	if el, ok := c.ditems[key]; ok {
-		c.dll.MoveToFront(el)
+		c.disk.Put(f.key, struct{}{}, f.bytes)
 	}
 }
 
@@ -278,10 +224,10 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.BytesInMem = uint64(c.bytes)
-	s.Entries = c.ll.Len()
-	s.DiskBytes = uint64(c.diskBytes)
-	s.DiskFiles = c.dll.Len()
+	s.BytesInMem = uint64(c.mem.Cost())
+	s.Entries = c.mem.Len()
+	s.DiskBytes = uint64(c.disk.Cost())
+	s.DiskFiles = c.disk.Len()
 	return s
 }
 
@@ -309,10 +255,8 @@ func (c *Cache) Stream(ctx context.Context, m workloads.Model, machine cache.Con
 	key := Key(m, machine, seed)
 	for {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
+		if s, ok := c.mem.Get(key); ok {
 			c.stats.Hits++
-			s := el.Value.(*entry).s
 			c.mu.Unlock()
 			return s, nil
 		}
@@ -364,7 +308,7 @@ func (c *Cache) fetchOrBuild(key string, m workloads.Model, machine cache.Config
 			c.mu.Lock()
 			c.stats.DiskHits++
 			c.stats.BytesRead += uint64(n)
-			c.diskTouchLocked(key)
+			c.disk.Get(key)
 			c.mu.Unlock()
 			return s, nil
 		}
@@ -386,7 +330,7 @@ func (c *Cache) fetchOrBuild(key string, m workloads.Model, machine cache.Config
 		if n, err := writeSnapshot(c.snapshotPath(key), key, s); err == nil {
 			c.mu.Lock()
 			c.stats.BytesWritten += uint64(n)
-			c.diskInsertLocked(key, int64(n))
+			c.disk.Put(key, struct{}{}, int64(n))
 			c.mu.Unlock()
 		}
 	}
@@ -409,11 +353,7 @@ func (c *Cache) snapshotPath(key string) string {
 func (c *Cache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return true
-	}
-	_, ok := c.ditems[key]
-	return ok
+	return c.mem.Contains(key) || c.disk.Contains(key)
 }
 
 // SnapshotBytes returns the validated snapshot image for key, for
@@ -428,19 +368,14 @@ func (c *Cache) SnapshotBytes(key string) (data []byte, ok bool) {
 			if validateSnapshot(b, key) == nil {
 				c.mu.Lock()
 				c.stats.BytesRead += uint64(len(b))
-				c.diskTouchLocked(key)
+				c.disk.Get(key)
 				c.mu.Unlock()
 				return b, true
 			}
 		}
 	}
 	c.mu.Lock()
-	el, resident := c.items[key]
-	var s *sim.Stream
-	if resident {
-		s = el.Value.(*entry).s
-		c.ll.MoveToFront(el)
-	}
+	s, resident := c.mem.Get(key)
 	c.mu.Unlock()
 	if !resident {
 		return nil, false
@@ -472,7 +407,7 @@ func (c *Cache) PutSnapshot(key string, data []byte, m workloads.Model) (*sim.St
 		if err := writeSnapshotBytes(c.snapshotPath(key), data); err == nil {
 			c.mu.Lock()
 			c.stats.BytesWritten += uint64(len(data))
-			c.diskInsertLocked(key, int64(len(data)))
+			c.disk.Put(key, struct{}{}, int64(len(data)))
 			c.mu.Unlock()
 		}
 	}
@@ -485,27 +420,13 @@ func streamBytes(s *sim.Stream) int64 {
 	return int64(len(s.Accesses)) * int64(unsafe.Sizeof(cache.AccessInfo{}))
 }
 
-// insertLocked adds a freshly obtained stream to the process level and
-// evicts LRU entries past the byte budget. The new entry itself is never
-// evicted, so oversized streams still serve the requesters that are
-// about to read them. Caller holds c.mu.
+// insertLocked adds a freshly obtained stream to the process level,
+// which evicts LRU entries past the byte budget but never the new entry,
+// so oversized streams still serve the requesters that are about to read
+// them. A stream already resident under key (a lost cross-key race) is
+// kept. Caller holds c.mu.
 func (c *Cache) insertLocked(key string, s *sim.Stream) {
-	if el, ok := c.items[key]; ok { // lost a cross-key race; keep the resident one
-		c.ll.MoveToFront(el)
-		return
-	}
-	e := &entry{key: key, s: s, bytes: streamBytes(s)}
-	c.items[key] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	if c.budget < 0 {
-		return
-	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		last := c.ll.Back()
-		victim := last.Value.(*entry)
-		c.ll.Remove(last)
-		delete(c.items, victim.key)
-		c.bytes -= victim.bytes
-		c.stats.Evictions++
+	if _, ok := c.mem.Get(key); !ok {
+		c.mem.Put(key, s, streamBytes(s))
 	}
 }

@@ -43,6 +43,23 @@ func Mix(models []Model, seed uint64) (trace.Reader, error) {
 	return trace.NewInterleaver(streams, 48, master.Split()), nil
 }
 
+// MixBlockIndex numbers the blocks of a Mix of models densely and
+// injectively in [0, span): a slot's blocks follow the earlier slots'
+// footprints, each numbered by its single-threaded model's BlockIndex.
+func MixBlockIndex(models []Model) (index func(block uint64) uint32, span int) {
+	slots := make([]Model, len(models))
+	bases := make([]uint32, len(models))
+	for slot, m := range models {
+		m.Threads = 1
+		slots[slot], bases[slot] = m, uint32(span)
+		span += m.FootprintBlocks()
+	}
+	return func(block uint64) uint32 {
+		slot := block >> mixSlotShift
+		return bases[slot] + slots[slot].BlockIndex(block&(1<<mixSlotShift-1))
+	}, span
+}
+
 // MixName derives a display name for a mix.
 func MixName(models []Model) string {
 	if len(models) == 0 {
