@@ -10,13 +10,14 @@
 //
 // Cluster roles (-mode):
 //
-//	sharesimd -mode coordinator -addr :8070 -advertise http://host:8070
+//	sharesimd -mode coordinator -addr :8070
 //	sharesimd -mode worker -addr :8071 -coordinator-url http://host:8070 -advertise http://host:8071
 //
 // A coordinator accepts the same job API as a single daemon but executes
 // every job as leased bundles on polling workers, merging partial rows
 // into byte-identical tables. Workers serve no job API; they poll the
-// coordinator, fetch content-addressed stream snapshots from peers, and
+// coordinator, fetch content-addressed stream snapshots from peers (and
+// from the coordinator, when a lease says it holds one), and
 // expose /healthz, /metrics and GET /v1/streams/{hash}. Every mode serves
 // through one server.Server built from the parts the role has.
 //
@@ -59,7 +60,7 @@ func main() {
 
 		mode     = flag.String("mode", "single", "daemon role: single, coordinator or worker")
 		coordURL = flag.String("coordinator-url", "", "coordinator base URL (worker mode, required)")
-		selfURL  = flag.String("advertise", "", "this node's reachable base URL, advertised to peers as a snapshot source")
+		selfURL  = flag.String("advertise", "", "worker mode: this node's reachable base URL, advertised to peers as a snapshot source")
 		poll     = flag.Duration("poll", 250*time.Millisecond, "idle wait between lease polls (worker mode)")
 		leaseTTL = flag.Duration("lease-ttl", 15*time.Second, "bundle lease TTL before re-queue (coordinator mode)")
 	)
@@ -126,7 +127,6 @@ func main() {
 		if *mode == "coordinator" {
 			cfg.Coordinator = cluster.NewCoordinator(cluster.CoordinatorConfig{
 				Cache:    streams,
-				SelfURL:  *selfURL,
 				LeaseTTL: *leaseTTL,
 			})
 		}

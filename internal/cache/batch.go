@@ -46,7 +46,7 @@ const (
 // fill PC and SHiP-S's hit core.
 type BatchKernel func(blk []uint64, id []uint32, accs []AccessInfo, active, lineID, out []uint32)
 
-// BatchPolicy is the optional capability interface of the batch replay
+// batchPolicy is the optional capability interface of the batch replay
 // path. A policy that implements it supplies a BatchKernel bound to the
 // cache at construction time: NewSetAssoc performs the type assertion
 // once, so the per-access interface dispatch the generic loop pays
@@ -61,9 +61,9 @@ type BatchKernel func(blk []uint64, id []uint32, accs []AccessInfo, active, line
 // would bypass the wrapper's overrides. Holding the base as an interface
 // field (not embedding) gives that for free. A wrapper may instead bind
 // a kernel of its own for a base it knows, performing its overrides
-// inline, as oracle.Hinted and predictor.Driven do over LRU through
+// inline, as oracle.hinted and predictor.Driven do over LRU through
 // core.Protector.LRUKernel.
-type BatchPolicy interface {
+type batchPolicy interface {
 	Policy
 	NewBatchKernel(c *SetAssoc) BatchKernel
 }
@@ -75,7 +75,7 @@ func (c *SetAssoc) HasBatchKernel() bool { return c.kernel != nil }
 // bindBatchKernel performs the one-time specialization type switch of
 // lane setup: called from NewSetAssoc after Attach.
 func (c *SetAssoc) bindBatchKernel() {
-	if bp, ok := c.policy.(BatchPolicy); ok {
+	if bp, ok := c.policy.(batchPolicy); ok {
 		c.kernel = bp.NewBatchKernel(c)
 	}
 }

@@ -17,7 +17,7 @@ import "sharellc/internal/mem"
 // two apart without a hash pass: an assigned stream with ≥ 2 distinct
 // blocks necessarily contains a nonzero ID.
 
-// IDGroupBits sets the granularity of the shard-major ID layout: blocks
+// idGroupBits sets the granularity of the shard-major ID layout: blocks
 // are grouped by their low IDGroupBits block bits (LLC set-index bits —
 // see sharing.PartitionIndex), and IDs are dense within each group. Any
 // power-of-two set shard count up to 1<<IDGroupBits then owns a few
@@ -25,7 +25,7 @@ import "sharellc/internal/mem"
 // slices of every per-block array instead of entries scattered across
 // the whole block population. The stream snapshots store IDs in this
 // layout.
-const IDGroupBits = 8
+const idGroupBits = 8
 
 // AssignBlockIDs assigns each distinct block of stream a dense uint32 ID
 // and returns the number of distinct blocks. IDs are shard-major: grouped
@@ -80,8 +80,8 @@ func numberIndexed(stream []AccessInfo, span int) int {
 // stream's BlockIDs into shard-major IDs: blocks[o] is ordinal o's block,
 // and a group's IDs follow its blocks' first-touch order.
 func layoutShardMajor(stream []AccessInfo, blocks []uint64) {
-	const mask = 1<<IDGroupBits - 1
-	var next [1 << IDGroupBits]uint32 // group size, then allocation cursor
+	const mask = 1<<idGroupBits - 1
+	var next [1 << idGroupBits]uint32 // group size, then allocation cursor
 	for _, b := range blocks {
 		next[b&mask]++
 	}

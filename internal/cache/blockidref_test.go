@@ -13,7 +13,7 @@ import (
 func mapAssignBlockIDs(stream []AccessInfo) int {
 	ids := make(map[uint64]uint32, 1<<16)
 	blocks := make([]uint64, 0, 1<<16) // distinct blocks, first-touch order
-	var counts [1 << IDGroupBits]uint32
+	var counts [1 << idGroupBits]uint32
 	for i := range stream {
 		b := stream[i].Block
 		ord, ok := ids[b]
@@ -21,11 +21,11 @@ func mapAssignBlockIDs(stream []AccessInfo) int {
 			ord = uint32(len(blocks))
 			ids[b] = ord
 			blocks = append(blocks, b)
-			counts[b&(1<<IDGroupBits-1)]++
+			counts[b&(1<<idGroupBits-1)]++
 		}
 		stream[i].BlockID = ord // provisional first-touch ordinal
 	}
-	var next [1 << IDGroupBits]uint32 // group base, then allocation cursor
+	var next [1 << idGroupBits]uint32 // group base, then allocation cursor
 	sum := uint32(0)
 	for g := range next {
 		next[g] = sum
@@ -33,7 +33,7 @@ func mapAssignBlockIDs(stream []AccessInfo) int {
 	}
 	remap := make([]uint32, len(blocks))
 	for ord, b := range blocks {
-		g := b & (1<<IDGroupBits - 1)
+		g := b & (1<<idGroupBits - 1)
 		remap[ord] = next[g]
 		next[g]++
 	}

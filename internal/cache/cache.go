@@ -196,9 +196,6 @@ func (c *SetAssoc) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *SetAssoc) Ways() int { return c.ways }
 
-// Policy returns the replacement policy managing this cache.
-func (c *SetAssoc) Policy() Policy { return c.policy }
-
 // setOf returns the set index for a block number.
 func (c *SetAssoc) setOf(block uint64) int { return int(block & c.mask) }
 

@@ -93,12 +93,9 @@ func newHierarchy(cfg Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Config returns the configuration the hierarchy was built with.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// Access presents one reference to core a.Core's private caches and
+// access presents one reference to core a.Core's private caches and
 // reports whether it missed both levels (and therefore references the LLC).
-func (h *Hierarchy) Access(a trace.Access) (llcRef bool, err error) {
+func (h *Hierarchy) access(a trace.Access) (llcRef bool, err error) {
 	if int(a.Core) >= len(h.l1) {
 		return false, fmt.Errorf("cache: access from core %d but hierarchy has %d cores", a.Core, h.cfg.Cores)
 	}
@@ -199,7 +196,7 @@ func FilterStream(r trace.Reader, cfg Config) ([]AccessInfo, *Hierarchy, error) 
 	for n := len(buf); n == len(buf); {
 		n = trace.ReadBatch(r, buf)
 		for _, a := range buf[:n] {
-			toLLC, err := h.Access(a)
+			toLLC, err := h.access(a)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -281,7 +278,7 @@ func NewSystem(cfg Config, llcPolicy Policy) (*System, error) {
 // Access runs one reference through the full hierarchy, maintaining
 // inclusion, and reports whether it hit somewhere short of memory.
 func (s *System) Access(a trace.Access) (hit bool, err error) {
-	toLLC, err := s.Hierarchy.Access(a)
+	toLLC, err := s.Hierarchy.access(a)
 	if err != nil {
 		return false, err
 	}

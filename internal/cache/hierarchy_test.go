@@ -23,14 +23,14 @@ func TestHierarchyL1Filtering(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := trace.Access{Core: 0, Addr: 0}
-	toLLC, err := h.Access(a)
+	toLLC, err := h.access(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !toLLC {
 		t.Error("cold access did not reach the LLC")
 	}
-	toLLC, err = h.Access(a)
+	toLLC, err = h.access(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestHierarchyL2CatchesL1Victims(t *testing.T) {
 	seq := []uint64{0, 2, 4, 0}
 	wantLLC := []bool{true, true, true, false}
 	for i, b := range seq {
-		got, err := h.Access(trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)})
+		got, err := h.access(trace.Access{Core: 0, Addr: trace.Addr(b * trace.BlockSize)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +72,10 @@ func TestHierarchyPrivatePerCore(t *testing.T) {
 	// Core 0 warms a block; core 1's access to the same block must still
 	// miss the private levels (caches are private, not shared).
 	addr := trace.Addr(0)
-	if _, err := h.Access(trace.Access{Core: 0, Addr: addr}); err != nil {
+	if _, err := h.access(trace.Access{Core: 0, Addr: addr}); err != nil {
 		t.Fatal(err)
 	}
-	toLLC, err := h.Access(trace.Access{Core: 1, Addr: addr})
+	toLLC, err := h.access(trace.Access{Core: 1, Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHierarchyRejectsOutOfRangeCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Access(trace.Access{Core: 2}); err == nil {
+	if _, err := h.access(trace.Access{Core: 2}); err == nil {
 		t.Error("core 2 accepted by 2-core hierarchy")
 	}
 }
@@ -208,16 +208,6 @@ func TestConfigString(t *testing.T) {
 	s := DefaultConfig().String()
 	if s == "" {
 		t.Error("empty config string")
-	}
-}
-
-func TestHierarchyConfigAccessor(t *testing.T) {
-	h, err := newHierarchy(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Config() != smallCfg() {
-		t.Error("Config() does not round-trip")
 	}
 }
 

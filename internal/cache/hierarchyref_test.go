@@ -101,7 +101,7 @@ func TestHierarchyMatchesSetAssocLRU(t *testing.T) {
 					Write: rnd.Bool(0.3),
 					Addr:  trace.Addr(rnd.Uint64n(300) << trace.BlockShift),
 				}
-				toLLC, err := h.Access(a)
+				toLLC, err := h.access(a)
 				if err != nil {
 					t.Fatal(err)
 				}

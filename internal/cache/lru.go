@@ -134,9 +134,6 @@ func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 	}
 }
 
-// Ways returns the associativity this policy was attached with.
-func (p *LRU) Ways() int { return p.ways }
-
 // Stamp returns the raw recency stamp of way in set (larger = more
 // recent). Exposed so wrappers can rank victims without re-deriving state.
 func (p *LRU) Stamp(set, way int) uint64 { return p.stamp[set*p.ways+way] }

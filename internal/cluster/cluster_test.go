@@ -15,6 +15,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,31 +25,22 @@ import (
 	"sharellc/internal/sim/streamcache"
 )
 
-// tinyMachine is the machine of the small jobs the protocol tests
-// submit; the byte-identity tests run goldenRequest instead.
-var tinyMachine = cache.Config{
-	Cores:  8,
-	L1Size: 2 * cache.KB, L1Ways: 2,
-	L2Size: 8 * cache.KB, L2Ways: 4,
-	LLCSize: 64 * cache.KB, LLCWays: 8,
-}
-
-// testRequest is the normalized tiny-machine job for exps, which names
-// one experiment: a Run takes the normalized job the daemon admits.
-func testRequest(exps []string) Request {
+// testRequest is the normalized small job for exps, which names one
+// experiment: three workloads at the golden's knobs (scale 0.02, a
+// 128 KB, 16-way LLC of the default machine). A Run takes the normalized
+// job the daemon admits; the byte-identity tests run goldenRequest's full
+// suite instead.
+func testRequest(exps []string) sim.JobRequest {
 	if len(exps) != 1 {
 		panic(fmt.Sprintf("testRequest: a job runs one experiment, got %q", exps))
 	}
-	req := Request{
-		JobRequest: sim.JobRequest{Exp: exps[0], Request: sim.Request{
-			LLCMB:     float64(tinyMachine.LLCSize) / float64(cache.MB),
-			Ways:      tinyMachine.LLCWays,
-			Seed:      1,
-			Scale:     0.02,
-			Workloads: []string{"canneal", "streamcluster", "swaptions"},
-		}},
-		Machine: &tinyMachine,
-	}
+	req := sim.JobRequest{Exp: exps[0], Request: sim.Request{
+		LLCMB:     0.125,
+		Ways:      16,
+		Seed:      1,
+		Scale:     0.02,
+		Workloads: []string{"canneal", "streamcluster", "swaptions"},
+	}}
 	if err := req.Normalize(); err != nil {
 		panic(err)
 	}
@@ -62,10 +54,10 @@ const goldenPath = "../sim/testdata/catalogue.golden"
 
 // goldenRequest is the golden's seed-1 job for exp: the full suite at
 // scale 0.02 on a 128 KB, 16-way LLC of the default machine.
-func goldenRequest(exp string) Request {
-	req := Request{JobRequest: sim.JobRequest{Exp: exp, Request: sim.Request{
+func goldenRequest(exp string) sim.JobRequest {
+	req := sim.JobRequest{Exp: exp, Request: sim.Request{
 		LLCMB: 0.125, Ways: 16, Seed: 1, Scale: 0.02,
-	}}}
+	}}
 	if err := req.Normalize(); err != nil {
 		panic(err)
 	}
@@ -74,7 +66,7 @@ func goldenRequest(exp string) Request {
 
 // checkGolden fails t unless tables are exactly the golden's tables for
 // req: one entry per table, each hashing the table's text rendering.
-func checkGolden(t *testing.T, req Request, tables []*report.Table) {
+func checkGolden(t *testing.T, req sim.JobRequest, tables []*report.Table) {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -86,7 +78,7 @@ func checkGolden(t *testing.T, req Request, tables []*report.Table) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatalf("%s: %v", goldenPath, err)
 	}
-	job, err := json.Marshal(req.JobRequest)
+	job, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +96,17 @@ func checkGolden(t *testing.T, req Request, tables []*report.Table) {
 	}
 	if len(tables) == 0 || want[fmt.Sprintf("%s#%d", job, len(tables))] != "" {
 		t.Errorf("%s: the cluster returned %d tables, the golden has a different count", req.Exp, len(tables))
+	}
+}
+
+// leaseNext leases coord's next runnable bundle to worker, waiting until
+// there is one.
+func leaseNext(coord *Coordinator, worker string) leaseResponse {
+	for {
+		if lease, ok := coord.lease(worker); ok {
+			return lease
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -231,15 +234,7 @@ func TestDeadWorkerLeaseRequeued(t *testing.T) {
 		tables, err := coord.Run(ctx, req, nil)
 		done <- runOut{tables, err}
 	}()
-	var stolen Bundle
-	for {
-		lease, ok := coord.lease("dead-worker")
-		if ok {
-			stolen = lease.Bundle
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	stolen := leaseNext(coord, "dead-worker").Bundle
 
 	// Live workers join after the theft; once the stolen lease expires
 	// the bundle goes to one of them.
@@ -274,8 +269,8 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 	})
 	// Pretend the evil peer holds every stream the request needs.
 	coord.mu.Lock()
-	for _, w := range req.workloadOrder() {
-		ref, err := req.streamRefFor(w, req.Seed)
+	for _, w := range workloadOrder(req) {
+		ref, err := streamRefFor(req, w, req.Seed)
 		if err != nil {
 			coord.mu.Unlock()
 			t.Fatal(err)
@@ -302,6 +297,49 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 	}
 }
 
+// TestWorkerFetchesOnlyHeldStreams: a worker asks the coordinator for a
+// stream only when the lease says the coordinator holds it. Against a
+// coordinator that holds nothing, a one-worker, two-workload f5 job
+// builds both streams without a fetch; a coordinator that holds both
+// serves them, though it advertises no URL of its own, and the worker
+// builds nothing.
+func TestWorkerFetchesOnlyHeldStreams(t *testing.T) {
+	req := testRequest([]string{"f5"})
+	req.Workloads = []string{"canneal", "swaptions"}
+	for _, held := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		coordCache := streamcache.New(streamcache.Options{})
+		if held {
+			for _, name := range req.Workloads {
+				m, err := scaledModel(req, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := coordCache.Stream(ctx, m, cache.DefaultConfig(), req.Seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		coord, cs := startCoordinator(t, CoordinatorConfig{Cache: coordCache})
+		var builds atomic.Int64
+		w := startWorker(t, ctx, cs.URL, streamcache.Options{BuildHook: func(string) { builds.Add(1) }})
+		if _, err := coord.Run(ctx, req, nil); err != nil {
+			t.Fatal(err)
+		}
+		st := w.Stats()
+		got := [4]uint64{st.FetchTotal, st.FetchOK, st.FetchErrors, uint64(builds.Load())}
+		want := [4]uint64{0, 0, 0, 2} // fetches, fetched, failed fetches, builds
+		if held {
+			want = [4]uint64{2, 2, 0, 0}
+		}
+		if got != want {
+			t.Errorf("coordinator holds the streams: %v; worker fetched %d, %d ok, %d failed, built %d; want %v",
+				held, got[0], got[1], got[2], got[3], want)
+		}
+	}
+}
+
 // TestCoordinatorRestartReadoption: a lease granted by one coordinator
 // can be delivered to a fresh coordinator holding a resubmission of the
 // same job, because bundle IDs derive deterministically from the
@@ -313,15 +351,7 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go c1.Run(ctx, req, nil)
-	var lease LeaseResponse
-	for {
-		var ok bool
-		lease, ok = c1.lease("survivor")
-		if ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	lease := leaseNext(c1, "survivor")
 
 	// The original coordinator "dies"; its successor re-admits the same
 	// request and regenerates identical bundle IDs.
@@ -363,38 +393,34 @@ func TestCoordinatorRestartReadoption(t *testing.T) {
 	}
 }
 
-// TestNormalizeDefaultsAndKey: a cluster request normalizes and keys as
-// the job it carries, so bundle IDs derive from the daemon's job key:
-// omitted fields default, omitted-vs-explicit defaults hash to the same
-// key, and the machine override stays out of the key.
+// TestNormalizeDefaultsAndKey: the job a bundle carries normalizes and
+// keys as the daemon's job, so bundle IDs derive from the daemon's job
+// key: omitted fields default, and omitted-vs-explicit defaults hash to
+// the same key and the same bundle IDs.
 func TestNormalizeDefaultsAndKey(t *testing.T) {
-	a := Request{JobRequest: sim.JobRequest{Exp: "f1"}}
+	a := sim.JobRequest{Exp: "f1"}
 	if err := a.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if a.LLCMB != 4 || a.Ways != 16 || a.Seed != 1 || a.Scale != 1 || a.Strength != "full" {
 		t.Errorf("defaults not applied: %+v", a)
 	}
-	b := Request{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}}
+	b := sim.JobRequest{Exp: "f1", Request: sim.Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1, Strength: "full"}}
 	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() {
+	if a.Key() != b.Key() || bundleID(a.Key(), a.Exp, 0, "canneal") != bundleID(b.Key(), b.Exp, 0, "canneal") {
 		t.Error("omitted and explicit defaults hash differently")
 	}
-	b.Machine = &tinyMachine
-	if a.Key() != b.Key() || a.Key() != a.JobRequest.Key() {
-		t.Error("the machine override changed the job key")
-	}
 
-	for _, bad := range []Request{
+	for _, bad := range []sim.JobRequest{
 		{},
-		{JobRequest: sim.JobRequest{Exp: "all"}},
-		{JobRequest: sim.JobRequest{Exp: "nope"}},
-		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Scale: 2}}},
-		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Strength: "sorta"}}},
-		{JobRequest: sim.JobRequest{Exp: "f1", Request: sim.Request{Workloads: []string{"no-such-workload"}}}},
-		{JobRequest: sim.JobRequest{Exp: "f5", Request: sim.Request{Policies: []string{"nope"}}}},
+		{Exp: "all"},
+		{Exp: "nope"},
+		{Exp: "f1", Request: sim.Request{Scale: 2}},
+		{Exp: "f1", Request: sim.Request{Strength: "sorta"}},
+		{Exp: "f1", Request: sim.Request{Workloads: []string{"no-such-workload"}}},
+		{Exp: "f5", Request: sim.Request{Policies: []string{"nope"}}},
 	} {
 		if err := bad.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted", bad)
@@ -422,10 +448,10 @@ func TestBundleIDDeterminism(t *testing.T) {
 }
 
 func TestCheckProto(t *testing.T) {
-	if err := checkProto(ProtoVersion); err != nil {
+	if err := checkProto(protoVersion); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkProto(ProtoVersion + 1); err == nil {
+	if err := checkProto(protoVersion + 1); err == nil {
 		t.Error("future protocol version accepted")
 	}
 }
@@ -438,7 +464,7 @@ func forgotten(c *Coordinator) bool {
 }
 
 // postResult posts res for bundle id over HTTP and returns the status.
-func postResult(t *testing.T, base, id string, res BundleResult) int {
+func postResult(t *testing.T, base, id string, res bundleResult) int {
 	t.Helper()
 	body, err := json.Marshal(res)
 	if err != nil {
@@ -476,7 +502,7 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 		t.Errorf("Jobs = %d, JobsInflight = %d, want %d and 0", st.Jobs, st.JobsInflight, len(jobs)-1)
 	}
 	late := bundleID(testRequest([]string{"f1"}).Key(), "f1", 0, "canneal")
-	if code := postResult(t, cs.URL, late, BundleResult{Proto: ProtoVersion, Worker: "late"}); code != http.StatusNotFound {
+	if code := postResult(t, cs.URL, late, bundleResult{Proto: protoVersion, Worker: "late"}); code != http.StatusNotFound {
 		t.Errorf("late result for a finished job's bundle: status %d, want 404", code)
 	}
 
@@ -488,14 +514,10 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 		_, err := failing.Run(ctx, testRequest([]string{"f1"}), nil)
 		errc <- err
 	}()
-	var lease LeaseResponse
-	boom := BundleResult{Proto: ProtoVersion, Worker: "w", Err: "boom"}
+	var lease leaseResponse
+	boom := bundleResult{Proto: protoVersion, Worker: "w", Err: "boom"}
 	for attempts := map[string]int{}; attempts[lease.Bundle.ID] < maxAttempts; {
-		for ok := false; !ok; {
-			if lease, ok = failing.lease("w"); !ok {
-				time.Sleep(time.Millisecond)
-			}
-		}
+		lease = leaseNext(failing, "w")
 		attempts[lease.Bundle.ID]++
 		if code := postResult(t, fs.URL, lease.Bundle.ID, boom); code != http.StatusOK {
 			t.Fatalf("failing result: status %d, want 200", code)
@@ -527,7 +549,7 @@ func TestCancelledRunFreesJob(t *testing.T) {
 		if st := coord.Stats(); st.BundlesPending != 0 || st.JobsInflight != 0 {
 			t.Errorf("%s: %d bundles pending, %d jobs in flight; want 0 and 0", when, st.BundlesPending, st.JobsInflight)
 		}
-		body, err := json.Marshal(LeaseRequest{Proto: ProtoVersion, Worker: "w"})
+		body, err := json.Marshal(leaseRequest{Proto: protoVersion, Worker: "w"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,21 +599,15 @@ func TestControlBodyLimit(t *testing.T) {
 	defer cancel()
 	coord, cs := startCoordinator(t, CoordinatorConfig{})
 	go coord.Run(ctx, testRequest([]string{"f1"}), nil)
-	var lease LeaseResponse
-	for ok := false; !ok; {
-		if lease, ok = coord.lease("w"); !ok {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	id := lease.Bundle.ID
+	id := leaseNext(coord, "w").Bundle.ID
 	for _, c := range []struct {
 		path  string
 		body  any
 		under int // status one byte under the limit
 	}{
-		{"/v1/cluster/lease", LeaseRequest{Proto: ProtoVersion, Worker: "w"}, http.StatusOK},
-		{"/v1/cluster/bundles/" + id + "/heartbeat", HeartbeatRequest{Proto: ProtoVersion, Worker: "w"}, http.StatusOK},
-		{"/v1/cluster/bundles/b-none/result", BundleResult{Proto: ProtoVersion, Worker: "w"}, http.StatusNotFound},
+		{"/v1/cluster/lease", leaseRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/bundles/" + id + "/heartbeat", heartbeatRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/bundles/b-none/result", bundleResult{Proto: protoVersion, Worker: "w"}, http.StatusNotFound},
 	} {
 		obj, err := json.Marshal(c.body)
 		if err != nil {
@@ -635,29 +651,26 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 	}
 	threeWays := testRequest([]string{"f4"})
 	threeWays.LLCMB, threeWays.Ways = 3, 3
-	badMachine := testRequest([]string{"f1"})
-	badMachine.Machine = &cache.Config{Cores: 8}
 	for _, c := range []struct {
 		name string
-		b    Bundle
+		b    bundle
 	}{
-		{"f4 at 3 MB and 3 ways", Bundle{ID: "b-ways", Spec: 0, Workload: "canneal", Request: threeWays}},
-		{"unknown experiment", Bundle{ID: "b-exp", Spec: 0, Request: Request{JobRequest: sim.JobRequest{Exp: "f99"}}}},
-		{"static experiment", Bundle{ID: "b-static", Spec: 0, Request: testRequest([]string{"config"})}},
-		{"spec out of range", Bundle{ID: "b-spec", Spec: 99, Workload: "canneal", Request: testRequest([]string{"f1"})}},
-		{"negative spec", Bundle{ID: "b-neg", Spec: -2, Workload: "canneal", Request: testRequest([]string{"f1"})}},
-		{"the old whole-experiment spec", Bundle{ID: "b-old", Spec: -1, Request: testRequest([]string{"m1"})}},
-		{"workload outside the job", Bundle{ID: "b-wl", Spec: 0, Workload: "lu", Request: testRequest([]string{"f1"})}},
-		{"per-workload spec without a workload", Bundle{ID: "b-none", Spec: 0, Request: testRequest([]string{"f1"})}},
-		{"whole-job spec with a workload", Bundle{ID: "b-whole", Spec: 0, Workload: "canneal", Request: testRequest([]string{"a5"})}},
-		{"invalid machine", Bundle{ID: "b-machine", Spec: 0, Workload: "canneal", Request: badMachine}},
-		{"a1's second spec, from before a1 was one spec", Bundle{ID: "b-a1", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})}},
+		{"f4 at 3 MB and 3 ways", bundle{ID: "b-ways", Spec: 0, Workload: "canneal", Request: threeWays}},
+		{"unknown experiment", bundle{ID: "b-exp", Spec: 0, Request: sim.JobRequest{Exp: "f99"}}},
+		{"static experiment", bundle{ID: "b-static", Spec: 0, Request: testRequest([]string{"config"})}},
+		{"spec out of range", bundle{ID: "b-spec", Spec: 99, Workload: "canneal", Request: testRequest([]string{"f1"})}},
+		{"negative spec", bundle{ID: "b-neg", Spec: -2, Workload: "canneal", Request: testRequest([]string{"f1"})}},
+		{"the old whole-experiment spec", bundle{ID: "b-old", Spec: -1, Request: testRequest([]string{"m1"})}},
+		{"workload outside the job", bundle{ID: "b-wl", Spec: 0, Workload: "lu", Request: testRequest([]string{"f1"})}},
+		{"per-workload spec without a workload", bundle{ID: "b-none", Spec: 0, Request: testRequest([]string{"f1"})}},
+		{"whole-job spec with a workload", bundle{ID: "b-whole", Spec: 0, Workload: "canneal", Request: testRequest([]string{"a5"})}},
+		{"a1's second spec, from before a1 was one spec", bundle{ID: "b-a1", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})}},
 	} {
 		if res := w.executeBundle(context.Background(), c.b); res.Err == "" {
 			t.Errorf("%s: bundle accepted", c.name)
 		}
 	}
-	m1 := Bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
+	m1 := bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
 	if err := m1.validate(); err != nil {
 		t.Errorf("m1's whole-job bundle refused: %v", err)
 	}
@@ -665,20 +678,17 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 
 // TestWorkerPostsUnencodableRowsAsError: rows the JSON wire cannot carry
 // (a NaN or ±Inf value) become an error result, and the coordinator
-// counts that result as a failed attempt and re-queues the bundle.
+// counts that result from the lease holder as a failed attempt and
+// re-queues the bundle. The same error posted again, once the worker no
+// longer holds the lease, counts nothing.
 func TestWorkerPostsUnencodableRowsAsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	coord, cs := startCoordinator(t, CoordinatorConfig{})
 	go coord.Run(ctx, testRequest([]string{"f4"}), nil)
-	var lease LeaseResponse
-	for ok := false; !ok; {
-		if lease, ok = coord.lease("w"); !ok {
-			time.Sleep(time.Millisecond)
-		}
-	}
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		res := BundleResult{Proto: ProtoVersion, Worker: "w"}
+		lease := leaseNext(coord, "w")
+		res := bundleResult{Proto: protoVersion, Worker: "w"}
 		res.setRows([][]sim.PolicyRow{{{Workload: lease.Bundle.Workload, Policy: "lru", MissesVsLRU: x}}}, nil)
 		if res.Err == "" || res.Rows != nil {
 			t.Fatalf("rows with %v: error %q, rows %s; want an error and no rows", x, res.Err, res.Rows)
@@ -691,6 +701,12 @@ func TestWorkerPostsUnencodableRowsAsError(t *testing.T) {
 		if after.BundlesFailed != before.BundlesFailed+1 || after.BundlesDone != 0 || after.BundlesInflight != 0 {
 			t.Errorf("error result with %v: %+v -> %+v; want one more failed bundle, re-queued", x, before, after)
 		}
+		if code := postResult(t, cs.URL, lease.Bundle.ID, res); code != http.StatusOK {
+			t.Fatalf("stale error result: status %d, want 200", code)
+		}
+		if stale := coord.Stats(); stale != after {
+			t.Errorf("error result with %v from a worker without the lease: %+v -> %+v; want no change", x, after, stale)
+		}
 	}
 }
 
@@ -702,15 +718,10 @@ func TestCoordinatorRefusesTableCount(t *testing.T) {
 	defer cancel()
 	coord, cs := startCoordinator(t, CoordinatorConfig{})
 	go coord.Run(ctx, testRequest([]string{"a2"}), nil)
-	var lease LeaseResponse
-	for ok := false; !ok; {
-		if lease, ok = coord.lease("w"); !ok {
-			time.Sleep(time.Millisecond)
-		}
-	}
 	for _, rows := range []string{`[]`, `[[]]`, `[[],[],[],[],[]]`} {
+		lease := leaseNext(coord, "w")
 		before := coord.Stats()
-		res := BundleResult{Proto: ProtoVersion, Worker: "w", Rows: json.RawMessage(rows)}
+		res := bundleResult{Proto: protoVersion, Worker: "w", Rows: json.RawMessage(rows)}
 		if code := postResult(t, cs.URL, lease.Bundle.ID, res); code != http.StatusOK {
 			t.Fatalf("rows %s: status %d, want 200", rows, code)
 		}
@@ -728,7 +739,7 @@ func TestCoordinatorRefusesTableCount(t *testing.T) {
 // a geometry every catalogue policy runs at both the requested and the
 // doubled size, and its suite configuration resolves.
 func FuzzLeaseIntake(f *testing.F) {
-	for _, b := range []Bundle{
+	for _, b := range []bundle{
 		{ID: "b-1", Spec: 0, Workload: "canneal", Request: testRequest([]string{"f1"})},
 		{ID: "b-2", Spec: 0, Request: testRequest([]string{"a5"})},
 		{ID: "b-4", Spec: 0, Request: testRequest([]string{"m1"})},
@@ -736,10 +747,10 @@ func FuzzLeaseIntake(f *testing.F) {
 		{ID: "b-6", Spec: 0, Workload: "canneal", Request: testRequest([]string{"m1"})},
 		{ID: "b-7", Spec: -1, Request: testRequest([]string{"m1"})},
 		{ID: "b-3", Spec: 1, Workload: "swaptions", Request: testRequest([]string{"f5"}),
-			Streams: []StreamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}}}},
+			Streams: []streamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}, Coordinator: true}}},
 		{ID: "b-8", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})},
 	} {
-		raw, err := json.Marshal(LeaseResponse{Bundle: b, TTLMillis: 15000})
+		raw, err := json.Marshal(leaseResponse{Bundle: b, TTLMillis: 15000})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -756,7 +767,7 @@ func FuzzLeaseIntake(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var lease LeaseResponse
+		var lease leaseResponse
 		if decodeJSON(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(data)), maxControlBody), &lease) != nil {
 			return
 		}
@@ -780,7 +791,7 @@ func FuzzLeaseIntake(f *testing.F) {
 				t.Errorf("accepted %g MB at %d ways: %d bytes is no geometry: %v", b.Request.LLCMB, b.Request.Ways, size, err)
 			}
 		}
-		if _, err := b.Request.Config(b.Request.machineConfig()); err != nil {
+		if _, err := b.Request.Config(cache.DefaultConfig()); err != nil {
 			t.Errorf("accepted bundle %s has no suite configuration: %v", once, err)
 		}
 	})

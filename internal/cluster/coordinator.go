@@ -18,16 +18,12 @@ import (
 // CoordinatorConfig sizes a Coordinator.
 type CoordinatorConfig struct {
 	// Cache, when non-nil, lets the coordinator serve snapshots it holds
-	// via GET /v1/streams/{hash} and advertise itself as a source.
+	// via GET /v1/streams/{hash}; a lease marks each stream it holds, and
+	// the worker fetches that stream from its coordinator URL.
 	Cache *streamcache.Cache
-	// SelfURL is the coordinator's own base URL as workers reach it
-	// (advertised as a stream source). Empty disables the advertisement;
-	// workers still fall back to their configured coordinator URL.
-	SelfURL string
 	// LeaseTTL is how long a worker owns a bundle between heartbeats
 	// before it is re-queued. 0 means 15s.
 	LeaseTTL time.Duration
-	Now      func() time.Time // test hook; nil means time.Now
 }
 
 // maxAttempts bounds lease attempts per bundle before the owning job
@@ -55,9 +51,9 @@ const (
 	bundleDone
 )
 
-// bundle is the coordinator-side state of one protocol Bundle.
-type bundle struct {
-	proto Bundle
+// bundleState is the coordinator-side state of one protocol bundle.
+type bundleState struct {
+	proto bundle
 	job   *job
 
 	state    int
@@ -73,9 +69,9 @@ type bundle struct {
 // spec and one for a whole-job spec.
 type job struct {
 	key     string
-	req     Request
+	req     sim.JobRequest
 	specs   []sim.TableSpec
-	bundles []*bundle
+	bundles []*bundleState
 	done    int
 
 	err      error
@@ -94,22 +90,21 @@ func (j *job) terminal() bool {
 }
 
 // Coordinator owns the bundle scheduler. It is transport-agnostic — Run
-// is callable in-process (the daemon's distributed runner does) and the
-// HTTP handlers under Register adapt the worker-facing protocol.
+// is callable in-process (it is a coordinator daemon's job runner) and
+// the HTTP handlers under Register adapt the worker-facing protocol.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	now func() time.Time
 
 	mu      sync.Mutex
 	jobs    map[string]*job
-	bundles map[string]*bundle
-	queue   []*bundle
+	bundles map[string]*bundleState
+	queue   []*bundleState
 	// holders: stream hash -> worker base URLs known to hold it.
 	holders map[string]map[string]bool
 	// building: stream hash -> the leased bundle expected to materialize
 	// it. Other bundles needing the hash defer until it is available or
 	// the lease dies, so each stream is built at most once cluster-wide.
-	building map[string]*bundle
+	building map[string]*bundleState
 	stats    CoordinatorStats
 }
 
@@ -118,17 +113,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	return &Coordinator{
 		cfg:      cfg,
-		now:      now,
 		jobs:     map[string]*job{},
-		bundles:  map[string]*bundle{},
+		bundles:  map[string]*bundleState{},
 		holders:  map[string]map[string]bool{},
-		building: map[string]*bundle{},
+		building: map[string]*bundleState{},
 	}
 }
 
@@ -142,7 +132,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // dropping its pending bundles; a worker mid-bundle learns at its next
 // heartbeat and cancels. A job is forgotten once it finishes or fails, so
 // a later identical Run schedules it afresh.
-func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, total int, label string)) ([]*report.Table, error) {
+func (c *Coordinator) Run(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
 	exp, err := sim.ExperimentByID(req.Exp)
 	if err != nil {
 		return nil, err
@@ -186,10 +176,10 @@ func (c *Coordinator) Run(ctx context.Context, req Request, progress func(done, 
 // per-workload spec, naming that workload's stream, and one with an empty
 // workload for a whole-job spec, naming the streams the spec reads.
 // Caller holds c.mu.
-func (c *Coordinator) admitLocked(key string, req Request, specs []sim.TableSpec, progress func(int, int, string)) (*job, error) {
+func (c *Coordinator) admitLocked(key string, req sim.JobRequest, specs []sim.TableSpec, progress func(int, int, string)) (*job, error) {
 	j := &job{key: key, req: req, specs: specs, doneCh: make(chan struct{}), progress: progress}
 	for si, sp := range specs {
-		names := req.workloadOrder()
+		names := workloadOrder(req)
 		if sp.Whole {
 			names = []string{""}
 		}
@@ -198,9 +188,9 @@ func (c *Coordinator) admitLocked(key string, req Request, specs []sim.TableSpec
 			if !sp.Whole {
 				reads = []string{w}
 			}
-			b := &bundle{proto: Bundle{ID: bundleID(key, req.Exp, si, w), Spec: si, Workload: w, Request: req}, job: j}
+			b := &bundleState{proto: bundle{ID: bundleID(key, req.Exp, si, w), Spec: si, Workload: w, Request: req}, job: j}
 			for _, r := range reads {
-				ref, err := req.streamRefFor(r, req.Seed)
+				ref, err := streamRefFor(req, r, req.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -231,7 +221,7 @@ func (c *Coordinator) availableLocked(hash string) bool {
 
 // gatedLocked reports whether b must wait: some stream it needs is
 // neither available anywhere nor being built under b's own lease.
-func (c *Coordinator) gatedLocked(b *bundle) bool {
+func (c *Coordinator) gatedLocked(b *bundleState) bool {
 	for _, ref := range b.proto.Streams {
 		if c.availableLocked(ref.Hash) {
 			continue
@@ -246,7 +236,7 @@ func (c *Coordinator) gatedLocked(b *bundle) bool {
 // reapLocked re-queues expired leases and fails bundles that exhausted
 // their attempts. Called lazily from every protocol entry point.
 func (c *Coordinator) reapLocked() {
-	now := c.now()
+	now := time.Now()
 	for _, b := range c.bundles {
 		if b.state != bundleLeased || now.Before(b.expiry) {
 			continue
@@ -264,7 +254,7 @@ func (c *Coordinator) reapLocked() {
 	}
 }
 
-func (c *Coordinator) releaseBuildingLocked(b *bundle) {
+func (c *Coordinator) releaseBuildingLocked(b *bundleState) {
 	for hash, builder := range c.building {
 		if builder == b {
 			delete(c.building, hash)
@@ -274,7 +264,7 @@ func (c *Coordinator) releaseBuildingLocked(b *bundle) {
 
 // failBundleLocked fails and forgets the owning job; its remaining
 // bundles stop being leased (the scan skips bundles of terminal jobs).
-func (c *Coordinator) failBundleLocked(b *bundle, err error) {
+func (c *Coordinator) failBundleLocked(b *bundleState, err error) {
 	b.state = bundleDone
 	c.stats.BundlesFailed++
 	j := b.job
@@ -300,20 +290,20 @@ func (c *Coordinator) forgetLocked(j *job) {
 
 // Errors the HTTP layer maps onto status codes.
 var (
-	ErrUnknownBundle = errors.New("unknown bundle")
-	ErrLeaseLost     = errors.New("lease lost")
+	errUnknownBundle = errors.New("unknown bundle")
+	errLeaseLost     = errors.New("lease lost")
 )
 
 // lease hands the next runnable bundle to worker, or ok=false when
 // nothing is currently runnable (no work, or every candidate is gated
 // behind an in-flight stream build).
-func (c *Coordinator) lease(worker string) (LeaseResponse, bool) {
+func (c *Coordinator) lease(worker string) (leaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked()
 
 	kept := c.queue[:0]
-	var chosen *bundle
+	var chosen *bundleState
 	for _, b := range c.queue {
 		if b.state != bundlePending || b.job.terminal() {
 			continue // drop resolved entries during the scan
@@ -329,17 +319,17 @@ func (c *Coordinator) lease(worker string) (LeaseResponse, bool) {
 	}
 	c.queue = kept
 	if chosen == nil {
-		return LeaseResponse{}, false
+		return leaseResponse{}, false
 	}
 
 	chosen.state = bundleLeased
 	chosen.worker = worker
-	chosen.expiry = c.now().Add(c.cfg.LeaseTTL)
+	chosen.expiry = time.Now().Add(c.cfg.LeaseTTL)
 	chosen.attempts++
 	// Claim the streams this lease is now expected to materialize, and
 	// tell the worker where the already-available ones live.
 	out := chosen.proto
-	out.Streams = append([]StreamRef(nil), chosen.proto.Streams...)
+	out.Streams = append([]streamRef(nil), chosen.proto.Streams...)
 	for i, ref := range out.Streams {
 		if !c.availableLocked(ref.Hash) {
 			c.building[ref.Hash] = chosen
@@ -350,42 +340,43 @@ func (c *Coordinator) lease(worker string) (LeaseResponse, bool) {
 				sources = append(sources, h)
 			}
 		}
-		if c.cfg.SelfURL != "" && c.cfg.Cache != nil && c.cfg.Cache.Contains(ref.Hash) {
-			sources = append(sources, c.cfg.SelfURL)
-		}
 		out.Streams[i].Sources = sources
+		out.Streams[i].Coordinator = c.cfg.Cache != nil && c.cfg.Cache.Contains(ref.Hash)
 	}
-	return LeaseResponse{Bundle: out, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}, true
+	return leaseResponse{Bundle: out, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}, true
 }
 
 // heartbeat extends worker's lease on a bundle.
-func (c *Coordinator) heartbeat(id, worker string) (HeartbeatResponse, error) {
+func (c *Coordinator) heartbeat(id, worker string) (heartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked()
 	b, ok := c.bundles[id]
 	if !ok {
-		return HeartbeatResponse{}, ErrUnknownBundle
+		return heartbeatResponse{}, errUnknownBundle
 	}
 	if b.state != bundleLeased || b.worker != worker {
-		return HeartbeatResponse{}, ErrLeaseLost
+		return heartbeatResponse{}, errLeaseLost
 	}
-	b.expiry = c.now().Add(c.cfg.LeaseTTL)
-	return HeartbeatResponse{TTLMillis: c.cfg.LeaseTTL.Milliseconds()}, nil
+	b.expiry = time.Now().Add(c.cfg.LeaseTTL)
+	return heartbeatResponse{TTLMillis: c.cfg.LeaseTTL.Milliseconds()}, nil
 }
 
-// Result accepts a bundle's outcome. Results are accepted from any
-// worker for any unresolved bundle — including one whose lease expired
-// or that this coordinator never leased (restart re-adoption) — because
+// result accepts a bundle's outcome. Rows are accepted from any worker
+// for any unresolved bundle — including one whose lease expired or that
+// this coordinator never leased (restart re-adoption) — because
 // execution is deterministic: whoever finishes first wins, duplicates
-// are idempotent.
-func (c *Coordinator) Result(id string, res BundleResult) error {
+// are idempotent. A failure counts only from the worker holding the
+// bundle's lease: a worker whose lease expired cancels its run when the
+// next heartbeat answers 409, and that run's error must not fail the
+// lease another worker now holds.
+func (c *Coordinator) result(id string, res bundleResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked()
 	b, ok := c.bundles[id]
 	if !ok {
-		return ErrUnknownBundle
+		return errUnknownBundle
 	}
 	// Record stream custody regardless of outcome: a worker that fetched
 	// or built streams can serve peers even if its run then failed.
@@ -402,6 +393,9 @@ func (c *Coordinator) Result(id string, res BundleResult) error {
 	}
 
 	fail := func(err error) error {
+		if b.state != bundleLeased || b.worker != res.Worker {
+			return nil
+		}
 		c.releaseBuildingLocked(b)
 		b.state = bundlePending
 		b.worker = ""
@@ -547,7 +541,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
+	var req leaseRequest
 	if !DecodeBody(w, r, maxControlBody, "lease request", &req) {
 		return
 	}
@@ -564,7 +558,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
+	var req heartbeatRequest
 	if !DecodeBody(w, r, maxControlBody, "heartbeat", &req) {
 		return
 	}
@@ -574,9 +568,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	hb, err := c.heartbeat(r.PathValue("id"), req.Worker)
 	switch {
-	case errors.Is(err, ErrUnknownBundle):
+	case errors.Is(err, errUnknownBundle):
 		WriteError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrLeaseLost):
+	case errors.Is(err, errLeaseLost):
 		WriteError(w, http.StatusConflict, err)
 	default:
 		WriteJSON(w, http.StatusOK, hb)
@@ -584,7 +578,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var res BundleResult
+	var res bundleResult
 	if !DecodeBody(w, r, maxControlBody, "result", &res) {
 		return
 	}
@@ -592,7 +586,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := c.Result(r.PathValue("id"), res); err != nil {
+	if err := c.result(r.PathValue("id"), res); err != nil {
 		WriteError(w, http.StatusNotFound, err)
 		return
 	}

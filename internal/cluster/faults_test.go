@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -33,7 +34,7 @@ var faultNames = [...]string{"none", "drop", "delay", "duplicate", "corrupt", "r
 // faultCycles assigns faults to a route's requests in turn: the n-th
 // request of a route gets cycle[n % len(cycle)]. Lease polls are mostly
 // empty 204s, which a corruption leaves alone.
-var faultCycles = map[string][]fault{
+var everyFault = map[string][]fault{
 	"lease":     {noFault, drop, noFault, delay, noFault, noFault, corrupt, noFault},
 	"heartbeat": {noFault, delay},
 	"result":    {noFault, duplicate, noFault, drop, reorder, noFault, corrupt, noFault},
@@ -46,6 +47,12 @@ var faultCycles = map[string][]fault{
 // lease or result costs the bundle a lease attempt; each bundle is
 // charged at most one such loss, so no bundle nears maxAttempts.
 type faults struct {
+	cycles map[string][]fault // by route
+	// announceTTL, when non-zero, replaces the TTL a lease reply tells
+	// the worker, which heartbeats at a third of it; the coordinator
+	// keeps its own.
+	announceTTL time.Duration
+
 	mu        sync.Mutex
 	seen      map[string]int  // requests per route
 	lost      map[string]bool // bundles charged a lost lease or result
@@ -54,8 +61,8 @@ type faults struct {
 	overtaken int             // held results released by a later one
 }
 
-func newFaults() *faults {
-	return &faults{seen: map[string]int{}, lost: map[string]bool{}, injected: map[fault]int{}, landed: make(chan struct{})}
+func newFaults(cycles map[string][]fault) *faults {
+	return &faults{cycles: cycles, seen: map[string]int{}, lost: map[string]bool{}, injected: map[fault]int{}, landed: make(chan struct{})}
 }
 
 // route names the protocol route of a request path, and the bundle a
@@ -77,7 +84,7 @@ func route(path string) (name, bundle string) {
 func (f *faults) pick(name string) fault {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cycle := faultCycles[name]
+	cycle := f.cycles[name]
 	if len(cycle) == 0 {
 		return noFault
 	}
@@ -131,7 +138,7 @@ func (f *faults) wrap(next http.Handler) http.Handler {
 		}
 		k := f.pick(name)
 		switch {
-		case k == drop && name == "lease":
+		case k == drop && (name == "lease" || name == "heartbeat"):
 			f.played(drop)
 			http.Error(w, "injected fault", http.StatusServiceUnavailable)
 			return
@@ -164,12 +171,19 @@ func (f *faults) wrap(next http.Handler) http.Handler {
 		}
 		rec := serve(body)
 		out := rec.Body.Bytes()
+		if name == "lease" && rec.Code == http.StatusOK && f.announceTTL > 0 {
+			var lease leaseResponse
+			if json.Unmarshal(out, &lease) == nil {
+				lease.TTLMillis = f.announceTTL.Milliseconds()
+				out, _ = json.Marshal(lease)
+			}
+		}
 		switch {
 		case k == corrupt && name == "stream" && rec.Code == http.StatusOK:
 			f.played(corrupt)
 			out[len(out)/2] ^= 0x40 // the snapshot's checksum must catch it
 		case k == corrupt && name == "lease" && rec.Code == http.StatusOK:
-			var lease LeaseResponse
+			var lease leaseResponse
 			if json.Unmarshal(out, &lease) == nil && f.charge(lease.Bundle.ID) {
 				f.played(corrupt)
 				out[0] ^= 1 // the worker cannot decode its lease, which expires
@@ -188,19 +202,10 @@ func (f *faults) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// TestClusterE2EUnderFaults: three workers execute a catalogue subset
-// through a coordinator while every message path misbehaves — requests
-// dropped, delayed, duplicated, corrupted and reordered on the server
-// side of the coordinator's and the workers' listeners — and the merged
-// tables still hash to the catalogue golden. A Run cancelled while the
-// faults play frees its job, as TestCancelledRunFreesJob checks without
-// them.
-func TestClusterE2EUnderFaults(t *testing.T) {
-	exps := []string{"f1", "f4", "f5", "f8", "m1", "a5"}
-	if testing.Short() {
-		exps = []string{"f1", "m1"}
-	}
-	inject := newFaults()
+// startFaultyCluster serves a coordinator with a 500 ms lease TTL and
+// three workers, every listener wrapped in inject, until the test ends.
+func startFaultyCluster(t *testing.T, inject *faults) (context.Context, *Coordinator) {
+	t.Helper()
 	coord := NewCoordinator(CoordinatorConfig{
 		Cache:    streamcache.New(streamcache.Options{}),
 		LeaseTTL: 500 * time.Millisecond,
@@ -208,13 +213,13 @@ func TestClusterE2EUnderFaults(t *testing.T) {
 	mux := http.NewServeMux()
 	coord.Register(mux)
 	cs := httptest.NewServer(inject.wrap(mux))
-	defer cs.Close()
+	t.Cleanup(cs.Close)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	for range 3 {
 		wmux := http.NewServeMux()
 		ws := httptest.NewServer(inject.wrap(wmux))
-		defer ws.Close()
+		t.Cleanup(ws.Close)
 		w, err := NewWorker(WorkerConfig{
 			CoordinatorURL: cs.URL,
 			SelfURL:        ws.URL,
@@ -227,8 +232,56 @@ func TestClusterE2EUnderFaults(t *testing.T) {
 		wmux.HandleFunc("GET /v1/streams/{hash}", StreamHandler(w.cfg.Cache, nil))
 		stopped := make(chan struct{})
 		go func() { w.Run(ctx); close(stopped) }()
-		defer func() { cancel(); <-stopped }()
+		t.Cleanup(func() { cancel(); <-stopped })
 	}
+	return ctx, coord
+}
+
+// TestClusterE2EUnderFaults: three workers execute a catalogue subset
+// through a coordinator while every message path misbehaves — requests
+// dropped, delayed, duplicated, corrupted and reordered on the server
+// side of the coordinator's and the workers' listeners — and the merged
+// tables still hash to the catalogue golden. A Run cancelled while the
+// faults play frees its job, as TestCancelledRunFreesJob checks without
+// them.
+func TestClusterE2EUnderFaults(t *testing.T) {
+	checkUnderFaults(t, newFaults(everyFault))
+}
+
+// TestClusterE2EHeartbeatUnavailable is TestClusterE2EUnderFaults with
+// every other heartbeat answered by a 503, as an overloaded coordinator
+// or a proxy may answer, and leases that tell workers a 60 ms TTL, so
+// they heartbeat every 20 ms and every bundle that runs past one beat
+// meets a 503. The coordinator keeps its 500 ms TTL, so a heartbeat
+// starved under the race detector does not expire a lease. Only a 404
+// (unknown bundle) or a 409 (lease lost) means another worker owns a
+// bundle, so no run is cancelled and no bundle fails.
+func TestClusterE2EHeartbeatUnavailable(t *testing.T) {
+	cycles := maps.Clone(everyFault)
+	cycles["heartbeat"] = []fault{noFault, drop}
+	inject := newFaults(cycles)
+	inject.announceTTL = 60 * time.Millisecond
+	coord := checkUnderFaults(t, inject)
+	inject.mu.Lock()
+	unavailable := (inject.seen["heartbeat"] + 1) / 2 // the 1st, 3rd, … heartbeat
+	inject.mu.Unlock()
+	if unavailable == 0 {
+		t.Error("no heartbeat was answered with a 503")
+	}
+	if st := coord.Stats(); st.BundlesFailed != 0 {
+		t.Errorf("%d bundles failed under %d heartbeat 503s, want 0", st.BundlesFailed, unavailable)
+	}
+}
+
+// checkUnderFaults runs the fault test with inject's faults and returns
+// its coordinator.
+func checkUnderFaults(t *testing.T, inject *faults) *Coordinator {
+	t.Helper()
+	exps := []string{"f1", "f4", "f5", "f8", "m1", "a5"}
+	if testing.Short() {
+		exps = []string{"f1", "m1"}
+	}
+	ctx, coord := startFaultyCluster(t, inject)
 
 	// Cancel a Run once its first bundle has landed.
 	running, stop := context.WithCancel(ctx)
@@ -269,4 +322,5 @@ func TestClusterE2EUnderFaults(t *testing.T) {
 	t.Logf("faults injected: drop %d, delay %d, duplicate %d, corrupt %d, reorder %d (%d overtaken)",
 		inject.injected[drop], inject.injected[delay], inject.injected[duplicate],
 		inject.injected[corrupt], inject.injected[reorder], inject.overtaken)
+	return coord
 }

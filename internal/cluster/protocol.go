@@ -11,7 +11,7 @@
 // distribution: workers poll for work, report health via heartbeats, and
 // survive coordinator restarts because bundle IDs are deterministic):
 //
-//	POST /v1/cluster/lease                → 200 LeaseResponse | 204 no work
+//	POST /v1/cluster/lease                → 200 leaseResponse | 204 no work
 //	POST /v1/cluster/bundles/{id}/heartbeat → 200 extends | 404 | 409 lease lost
 //	POST /v1/cluster/bundles/{id}/result  → 200 accepted
 //	GET  /v1/streams/{hash}               → snapshot image (any peer)
@@ -19,8 +19,9 @@
 // Stream snapshots are the distribution artifact: bundles name the
 // streams they need by content hash (streamcache.Key), and a worker
 // fetches only hashes missing from its local store — from any listed
-// source or the coordinator — falling soft to a local build when every
-// transfer fails or validates badly.
+// source, or from the coordinator when the lease says it holds the
+// stream — falling soft to a local build when every transfer fails or
+// validates badly.
 package cluster
 
 import (
@@ -35,36 +36,19 @@ import (
 	"sharellc/internal/workloads"
 )
 
-// ProtoVersion is the bundle-protocol version. Every request carries it;
+// protoVersion is the bundle-protocol version. Every request carries it;
 // a coordinator rejects mismatched workers with an enumerating error
-// rather than silently mis-scheduling. Version 4 carries a one-experiment
-// job request in each bundle, and every result is table-major rows.
-const ProtoVersion = 4
-
-// Request is the job a coordinator schedules: the daemon's normalized
-// one-experiment job request, plus an explicit machine config that only
-// diff harnesses set (they run tiny non-default machines). The job's key,
-// and so every bundle ID, is the job request's Key; the machine is not
-// part of it, because the daemon never sets one.
-type Request struct {
-	sim.JobRequest
-	// Machine overrides the simulated machine; nil means cache.DefaultConfig().
-	Machine *cache.Config `json:"machine,omitempty"`
-}
-
-// machineConfig resolves the simulated machine.
-func (r Request) machineConfig() cache.Config {
-	if r.Machine != nil {
-		return *r.Machine
-	}
-	return cache.DefaultConfig()
-}
+// rather than silently mis-scheduling. Version 5 carries the daemon's
+// one-experiment job request in each bundle, run on the default machine,
+// and a lease marks each stream the coordinator holds; every result is
+// table-major rows.
+const protoVersion = 5
 
 // workloadOrder is the canonical suite order the merge reconstructs:
-// the request's (normalized, sorted) workload list, or the full suite in
+// the job's (normalized, sorted) workload list, or the full suite in
 // catalogue order when the list is empty — the same order
 // sim.NewSuiteContext prepares models in.
-func (r Request) workloadOrder() []string {
+func workloadOrder(r sim.JobRequest) []string {
 	if len(r.Workloads) > 0 {
 		return r.Workloads
 	}
@@ -79,7 +63,7 @@ func (r Request) workloadOrder() []string {
 // scaledModel resolves one workload name to the scaled model the suite
 // would prepare, so stream hashes computed here match the ones the
 // worker's suite requests.
-func (r Request) scaledModel(name string) (workloads.Model, error) {
+func scaledModel(r sim.JobRequest, name string) (workloads.Model, error) {
 	m, err := workloads.ByName(name)
 	if err != nil {
 		return workloads.Model{}, err
@@ -87,43 +71,45 @@ func (r Request) scaledModel(name string) (workloads.Model, error) {
 	return sim.ScaleModel(m, r.Scale), nil
 }
 
-// streamRefFor names the content-addressed stream a workload of this
-// request resolves to at the given seed.
-func (r Request) streamRefFor(name string, seed uint64) (StreamRef, error) {
-	m, err := r.scaledModel(name)
+// streamRefFor names the content-addressed stream a workload of job r
+// resolves to at the given seed.
+func streamRefFor(r sim.JobRequest, name string, seed uint64) (streamRef, error) {
+	m, err := scaledModel(r, name)
 	if err != nil {
-		return StreamRef{}, err
+		return streamRef{}, err
 	}
-	return StreamRef{
+	return streamRef{
 		Workload: name,
 		Seed:     seed,
-		Hash:     streamcache.Key(m, r.machineConfig(), seed),
+		Hash:     streamcache.Key(m, cache.DefaultConfig(), seed),
 	}, nil
 }
 
-// StreamRef names one prepared stream a bundle needs, by content hash.
-type StreamRef struct {
+// streamRef names one prepared stream a bundle needs, by content hash.
+type streamRef struct {
 	Workload string `json:"workload"`
 	Seed     uint64 `json:"seed"`
 	Hash     string `json:"hash"`
-	// Sources lists base URLs (peers first, coordinator implicit) known
-	// to hold the snapshot at lease time; a worker tries them in order
-	// before building locally.
-	Sources []string `json:"sources,omitempty"`
+	// Sources lists the peers' base URLs known to hold the snapshot at
+	// lease time, and Coordinator reports whether the coordinator holds
+	// it; a worker tries the peers in order, then the coordinator, before
+	// building locally.
+	Sources     []string `json:"sources,omitempty"`
+	Coordinator bool     `json:"coordinator,omitempty"`
 }
 
-// Bundle is one leased unit of work: one spec of its job's plan (one
+// bundle is one leased unit of work: one spec of its job's plan (one
 // shared replay and its tables), over one workload for a per-workload
 // spec or over the job's configuration for a whole-job spec.
-type Bundle struct {
+type bundle struct {
 	ID string `json:"id"`
 	// Spec indexes sim.PlanFor(Request.Exp, Request.Options()); the
 	// worker recomputes the same plan from the carried request, so the
 	// two sides agree on parametrization by construction.
-	Spec     int         `json:"spec"`
-	Workload string      `json:"workload,omitempty"` // empty for a whole-job spec
-	Request  Request     `json:"request"`
-	Streams  []StreamRef `json:"streams,omitempty"`
+	Spec     int            `json:"spec"`
+	Workload string         `json:"workload,omitempty"` // empty for a whole-job spec
+	Request  sim.JobRequest `json:"request"`
+	Streams  []streamRef    `json:"streams,omitempty"`
 }
 
 // bundleID derives the deterministic bundle identifier. Determinism is
@@ -135,36 +121,36 @@ func bundleID(jobKey, exp string, spec int, workload string) string {
 	return "b-" + hex.EncodeToString(sum[:10])
 }
 
-// LeaseRequest is the body of POST /v1/cluster/lease.
-type LeaseRequest struct {
+// leaseRequest is the body of POST /v1/cluster/lease.
+type leaseRequest struct {
 	Proto int `json:"proto"`
 	// Worker identifies the poller; when it is a reachable base URL the
 	// coordinator also advertises it as a snapshot source to peers.
 	Worker string `json:"worker"`
 }
 
-// LeaseResponse grants one bundle for TTLMillis; the worker must
+// leaseResponse grants one bundle for TTLMillis; the worker must
 // heartbeat well within it (TTL/3 is the convention) or the bundle is
 // re-queued for another worker.
-type LeaseResponse struct {
-	Bundle    Bundle `json:"bundle"`
+type leaseResponse struct {
+	Bundle    bundle `json:"bundle"`
 	TTLMillis int64  `json:"ttl_ms"`
 }
 
-// HeartbeatRequest is the body of the heartbeat POST.
-type HeartbeatRequest struct {
+// heartbeatRequest is the body of the heartbeat POST.
+type heartbeatRequest struct {
 	Proto  int    `json:"proto"`
 	Worker string `json:"worker"`
 }
 
-// HeartbeatResponse echoes the remaining lease grant.
-type HeartbeatResponse struct {
+// heartbeatResponse echoes the remaining lease grant.
+type heartbeatResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 }
 
-// BundleResult is the body of the result POST: on success the spec's
+// bundleResult is the body of the result POST: on success the spec's
 // rows as sim.EncodeRows JSON, on failure the error.
-type BundleResult struct {
+type bundleResult struct {
 	Proto  int             `json:"proto"`
 	Worker string          `json:"worker"`
 	Err    string          `json:"error,omitempty"`
@@ -177,8 +163,8 @@ type BundleResult struct {
 // checkProto validates a peer's protocol version with an enumerating
 // error, matching the repo's flag-parse conventions.
 func checkProto(v int) error {
-	if v != ProtoVersion {
-		return fmt.Errorf("unsupported protocol version %d (this node speaks: %d)", v, ProtoVersion)
+	if v != protoVersion {
+		return fmt.Errorf("unsupported protocol version %d (this node speaks: %d)", v, protoVersion)
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sharellc/internal/cache"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 	"sharellc/internal/workloads"
@@ -55,11 +56,12 @@ type WorkerStats struct {
 }
 
 // Worker polls a coordinator for bundles, materializes the streams each
-// bundle needs (local store, then listed sources, then the coordinator,
-// then a local build — every transfer failure falls soft), executes the
-// bundle slice, and posts the result. Heartbeats run at TTL/3; losing
-// the lease (404/409) aborts the run promptly since another worker owns
-// the bundle now.
+// bundle needs (local store, then listed sources, then the coordinator
+// when the lease says it holds the stream, then a local build — every
+// transfer failure falls soft), executes the bundle slice, and posts the
+// result. Heartbeats run at TTL/3; losing the lease (404/409) aborts the
+// run promptly since another worker owns the bundle now, while any other
+// failed heartbeat is transient and the run goes on.
 type Worker struct {
 	cfg  WorkerConfig
 	name string
@@ -146,7 +148,7 @@ func (w *Worker) pollLoop(ctx context.Context) {
 }
 
 // process runs one leased bundle under a heartbeat and reports back.
-func (w *Worker) process(ctx context.Context, lease LeaseResponse) {
+func (w *Worker) process(ctx context.Context, lease leaseResponse) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
 
@@ -197,8 +199,8 @@ func (w *Worker) process(ctx context.Context, lease LeaseResponse) {
 // error result without touching the simulator. Tests call it to drive
 // the execution path without the poll loop (e.g. delivering a dead
 // coordinator's lease to its successor).
-func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
-	res := BundleResult{Proto: ProtoVersion, Worker: w.name}
+func (w *Worker) executeBundle(ctx context.Context, b bundle) bundleResult {
+	res := bundleResult{Proto: protoVersion, Worker: w.name}
 	if err := b.validate(); err != nil {
 		res.Err = fmt.Sprintf("invalid bundle %s: %v", b.ID, err)
 		return res
@@ -217,7 +219,7 @@ func (w *Worker) executeBundle(ctx context.Context, b Bundle) BundleResult {
 
 // setRows records a run's outcome: its rows as wire JSON, or the error of
 // the run or of the encoding (a non-finite row value cannot cross).
-func (res *BundleResult) setRows(rows any, err error) {
+func (res *bundleResult) setRows(rows any, err error) {
 	if err == nil {
 		res.Rows, err = sim.EncodeRows(rows)
 	}
@@ -232,11 +234,8 @@ func (res *BundleResult) setRows(rows any, err error) {
 // of the job's workloads for a per-workload spec. A worker trusts nothing
 // a coordinator sends, so no knob the daemon would refuse (an LLC some
 // policy cannot run, an unknown workload) reaches the simulator.
-func (b *Bundle) validate() error {
+func (b *bundle) validate() error {
 	if err := b.Request.Normalize(); err != nil {
-		return err
-	}
-	if err := b.Request.machineConfig().Validate(); err != nil {
 		return err
 	}
 	specs, _ := sim.PlanFor(b.Request.Exp, b.Request.Options())
@@ -247,7 +246,7 @@ func (b *Bundle) validate() error {
 		if b.Workload != "" {
 			return fmt.Errorf("spec %d of %q runs once per job, not for workload %q", b.Spec, b.Request.Exp, b.Workload)
 		}
-	case !slices.Contains(b.Request.workloadOrder(), b.Workload):
+	case !slices.Contains(workloadOrder(b.Request), b.Workload):
 		return fmt.Errorf("workload %q is not in the job's suite", b.Workload)
 	}
 	return nil
@@ -256,14 +255,14 @@ func (b *Bundle) validate() error {
 // runBundle runs a validated bundle's spec: a per-workload spec over a
 // suite prepared with only its workload, a whole-job spec over a bare
 // suite, since it builds the streams it reads itself.
-func (w *Worker) runBundle(ctx context.Context, b Bundle) (any, error) {
+func (w *Worker) runBundle(ctx context.Context, b bundle) (any, error) {
 	knobs := b.Request.Request
 	specs, _ := sim.PlanFor(b.Request.Exp, knobs.Options())
 	spec, prepare := specs[b.Spec], sim.BareSuite
 	if !spec.Whole {
 		knobs.Workloads, prepare = []string{b.Workload}, sim.NewSuiteContext
 	}
-	cfg, err := knobs.Config(b.Request.machineConfig())
+	cfg, err := knobs.Config(cache.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -276,21 +275,24 @@ func (w *Worker) runBundle(ctx context.Context, b Bundle) (any, error) {
 }
 
 // ensureStreams makes each referenced stream locally resident if it can:
-// already present, else fetched from a listed source or the coordinator.
-// Every failure — unreachable source, truncated body, corrupt image —
-// falls soft to trying the next source, and ultimately to letting the
-// suite build the stream locally.
-func (w *Worker) ensureStreams(ctx context.Context, b Bundle) {
+// already present, else fetched from a listed source or, when the lease
+// says it holds the stream, the coordinator. A stream no node holds is
+// built locally without a fetch. Every failure — unreachable source,
+// truncated body, corrupt image — falls soft to trying the next source,
+// and ultimately to letting the suite build the stream locally.
+func (w *Worker) ensureStreams(ctx context.Context, b bundle) {
 	for _, ref := range b.Streams {
 		if w.cfg.Cache.Contains(ref.Hash) {
 			continue
 		}
-		model, err := b.Request.scaledModel(ref.Workload)
+		model, err := scaledModel(b.Request, ref.Workload)
 		if err != nil {
 			continue // undecodable ref; the run will surface the real error
 		}
-		sources := append([]string(nil), ref.Sources...)
-		sources = append(sources, w.cfg.CoordinatorURL)
+		sources := ref.Sources
+		if ref.Coordinator {
+			sources = append(sources, w.cfg.CoordinatorURL)
+		}
 		for _, src := range sources {
 			if src == "" || src == w.cfg.SelfURL {
 				continue
@@ -338,10 +340,10 @@ func (w *Worker) fetchStream(ctx context.Context, src, hash string, model worklo
 }
 
 // lease asks the coordinator for work.
-func (w *Worker) lease(ctx context.Context) (LeaseResponse, bool, error) {
-	var lease LeaseResponse
+func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
+	var lease leaseResponse
 	status, err := w.post(ctx, w.cfg.CoordinatorURL+"/v1/cluster/lease",
-		LeaseRequest{Proto: ProtoVersion, Worker: w.name}, &lease)
+		leaseRequest{Proto: protoVersion, Worker: w.name}, &lease)
 	if err != nil {
 		return lease, false, err
 	}
@@ -354,21 +356,20 @@ func (w *Worker) lease(ctx context.Context) (LeaseResponse, bool, error) {
 	return lease, true, nil
 }
 
-// heartbeat reports liveness; false means the lease is gone.
+// heartbeat reports liveness; false means the lease is gone: the
+// coordinator knows no such bundle (404) or another worker holds it
+// (409). Any other failure — a transport error, a 503 from an overloaded
+// coordinator or a proxy — is transient, not lease loss; the run goes on
+// and the next tick (or the result post) decides.
 func (w *Worker) heartbeat(ctx context.Context, bundleID string) bool {
-	var hb HeartbeatResponse
+	var hb heartbeatResponse
 	status, err := w.post(ctx, w.cfg.CoordinatorURL+"/v1/cluster/bundles/"+bundleID+"/heartbeat",
-		HeartbeatRequest{Proto: ProtoVersion, Worker: w.name}, &hb)
-	if err != nil {
-		// Transient coordinator unavailability is not lease loss; keep
-		// running and let the next tick (or the result post) decide.
-		return true
-	}
-	return status == http.StatusOK
+		heartbeatRequest{Proto: protoVersion, Worker: w.name}, &hb)
+	return err != nil || (status != http.StatusNotFound && status != http.StatusConflict)
 }
 
 // submit delivers a bundle result.
-func (w *Worker) submit(ctx context.Context, bundleID string, res BundleResult) error {
+func (w *Worker) submit(ctx context.Context, bundleID string, res bundleResult) error {
 	status, err := w.post(ctx, w.cfg.CoordinatorURL+"/v1/cluster/bundles/"+bundleID+"/result", res, nil)
 	if err != nil {
 		return err

@@ -274,6 +274,9 @@ func permutation(rnd *rng.Source, n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	rnd.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := n - 1; i > 0; i-- {
+		j := rnd.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	return p
 }

@@ -67,9 +67,9 @@ func (s Strength) String() string {
 	}
 }
 
-// DefaultSkipBudget is how many times a protected block may be passed
+// defaultSkipBudget is how many times a protected block may be passed
 // over during victim selection before its protection lapses.
-const DefaultSkipBudget = 8
+const defaultSkipBudget = 8
 
 // Options configures a Protector beyond the basic strength.
 type Options struct {
@@ -88,37 +88,37 @@ type Options struct {
 	ClearOnFulfil bool
 }
 
-// VictimKeyer is implemented by base policies whose eviction preference is
+// victimKeyer is implemented by base policies whose eviction preference is
 // a total order over a set's ways. VictimKeys writes way w's key to dst[w]
 // (len(dst) is the associativity): a higher key is a better victim and
 // equal keys prefer the lower way. The call must be pure — no aging, no
 // training — because the wrapper consults it instead of, not in addition
 // to, the base's Victim.
-type VictimKeyer interface {
+type victimKeyer interface {
 	VictimKeys(set int, dst []int64)
 }
 
-// Demoter is implemented by base policies that can move a line to their
+// demoter is implemented by base policies that can move a line to their
 // lowest-priority (evict-next) position. The wrapper demotes fills that
 // are predicted NOT to be shared, which is the highest-leverage form of
 // sharing-awareness: single-use private traffic stops displacing shared
 // working sets, exactly as LIP/BIP do for thrashing streams.
-type Demoter interface {
+type demoter interface {
 	Demote(set, way int)
 }
 
-// Promoter is implemented by base policies that can move a line to their
+// promoter is implemented by base policies that can move a line to their
 // highest-protection position without side effects on their training
 // state. When absent, the wrapper falls back to Hit, which for pure
 // recency policies is exactly a promotion.
-type Promoter interface {
+type promoter interface {
 	Promote(set, way int)
 }
 
-// EvictObserver is implemented by base policies that train on evictions
+// evictObserver is implemented by base policies that train on evictions
 // (e.g. SHiP). When the wrapper overrides the base victim choice it still
 // delivers the eviction notification so the base keeps learning.
-type EvictObserver interface {
+type evictObserver interface {
 	ObserveEvict(set, way int)
 }
 
@@ -151,7 +151,7 @@ type line struct {
 // policy pass every replay lane runs.
 type Protector struct {
 	base   cache.Policy
-	keyer  VictimKeyer // base's ordering, nil when it has none (e.g. Random)
+	keyer  victimKeyer // base's ordering, nil when it has none (e.g. Random)
 	budget int32       // opts.SkipBudget as a line stores it
 	opts   Options
 	ways   int
@@ -179,9 +179,9 @@ func NewProtectorOpts(base cache.Policy, opts Options) *Protector {
 		panic("core: nil base policy")
 	}
 	if opts.SkipBudget == 0 {
-		opts.SkipBudget = DefaultSkipBudget
+		opts.SkipBudget = defaultSkipBudget
 	}
-	keyer, _ := base.(VictimKeyer)
+	keyer, _ := base.(victimKeyer)
 	// A budget beyond int32 is indistinguishable from it: no line is
 	// passed over two billion times.
 	budget := int32(min(opts.SkipBudget, math.MaxInt32))
@@ -328,7 +328,7 @@ func (p *Protector) charge(set, way int) {
 // wrapper picks the victim from the ranking rather than via base.Victim,
 // the base's Victim-side training would otherwise be skipped.
 func (p *Protector) notifyEvict(set, way int) {
-	if o, ok := p.base.(EvictObserver); ok {
+	if o, ok := p.base.(evictObserver); ok {
 		o.ObserveEvict(set, way)
 	}
 }
@@ -373,7 +373,7 @@ func (p *Protector) FillHinted(set, way int, a *cache.AccessInfo, shared bool) {
 	*word &^= bit // the previous occupant's protection ends with it
 	if !shared {
 		if p.demoteActive() {
-			if d, ok := p.base.(Demoter); ok {
+			if d, ok := p.base.(demoter); ok {
 				d.Demote(set, way)
 				p.stats.Demotions++
 			}
@@ -384,7 +384,7 @@ func (p *Protector) FillHinted(set, way int, a *cache.AccessInfo, shared bool) {
 	// Promote to the base policy's highest-protection position (MRU for
 	// stack policies, RRPV 0 for the RRIP family) — via Promote when the
 	// base offers a training-free promotion, otherwise via Hit.
-	if pr, ok := p.base.(Promoter); ok {
+	if pr, ok := p.base.(promoter); ok {
 		pr.Promote(set, way)
 	} else {
 		p.base.Hit(set, way, a)

@@ -40,7 +40,7 @@ type LaneHinter interface {
 // LRUKernel returns the protected-LRU batch kernel of p driven by d, or
 // nil — the generic loop — unless p's base is a policy.LRUPolicy and c
 // has at most 64 ways (one protection word per set). Like any
-// cache.BatchPolicy kernel it is bound after Attach and serves c alone.
+// cache.batchPolicy kernel it is bound after Attach and serves c alone.
 func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel {
 	lru, ok := p.base.(*policy.LRUPolicy)
 	mask, ways := c.KernelGeom()

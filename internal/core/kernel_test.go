@@ -26,7 +26,7 @@ func (g genericLane) Hit(set, way int, a *cache.AccessInfo)   { g.lane.Hit(set, 
 func (g genericLane) Victim(set int, a *cache.AccessInfo) int { return g.lane.Victim(set, a) }
 func (g genericLane) Fill(set, way int, a *cache.AccessInfo)  { g.lane.Fill(set, way, a) }
 
-// columnLane is an oracle lane over any hint column, oracle.Hinted's
+// columnLane is an oracle lane over any hint column, oracle.hinted's
 // shape: a Protector whose fill at stream position i is hinted hints[i]
 // and which learns nothing from the residencies.
 type columnLane struct {

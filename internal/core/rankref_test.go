@@ -57,7 +57,7 @@ func (p *refProtector) Hit(set, way int, a *cache.AccessInfo) {
 
 // rankVictims is the old policy-side ranking, built from the key call:
 // ways by descending key, ties by ascending way.
-func rankVictims(k VictimKeyer, set, ways int) []int {
+func rankVictims(k victimKeyer, set, ways int) []int {
 	keys := make([]int64, ways)
 	k.VictimKeys(set, keys)
 	rank := make([]int, ways)
@@ -97,7 +97,7 @@ func (p *refProtector) Victim(set int, a *cache.AccessInfo) int {
 		}
 		return p.base.Victim(set, a)
 	}
-	if k, ok := p.base.(VictimKeyer); ok {
+	if k, ok := p.base.(victimKeyer); ok {
 		rank := rankVictims(k, set, p.ways)
 		for _, w := range rank {
 			if p.ref[base+w].protected {
@@ -155,7 +155,7 @@ func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 	*ln = refLine{}
 	if !p.hint {
 		if p.demoteActive() {
-			if d, ok := p.base.(Demoter); ok {
+			if d, ok := p.base.(demoter); ok {
 				d.Demote(set, way)
 				p.stats.Demotions++
 			}
@@ -163,7 +163,7 @@ func (p *refProtector) Fill(set, way int, a *cache.AccessInfo) {
 		return
 	}
 	p.stats.ProtectedFills++
-	if pr, ok := p.base.(Promoter); ok {
+	if pr, ok := p.base.(promoter); ok {
 		pr.Promote(set, way)
 	} else {
 		p.base.Hit(set, way, a)
@@ -300,7 +300,10 @@ func quarterProtected(tb testing.TB, base string) (*Protector, int) {
 		order[w] = w
 	}
 	for set := 0; set < sets; set++ {
-		rnd.Shuffle(ways, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for i := ways - 1; i > 0; i-- {
+			j := rnd.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
 		for _, w := range order[:ways/4] {
 			p.FillHinted(set, w, &cache.AccessInfo{}, true)
 		}

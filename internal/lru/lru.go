@@ -1,5 +1,5 @@
 // Package lru is the least-recently-used map behind the daemon's result
-// cache and the stream cache's memory and disk levels.
+// cache and job ledger and the stream cache's memory and disk levels.
 package lru
 
 import "container/list"

@@ -128,7 +128,7 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					if calls != 2 {
 						t.Errorf("%s: NewPolicy called %d times over two replays, want 2", at, calls)
 					}
-					if got, want := laneKernel(t, &Hinted{core.NewProtectorOpts(base(), opts), hints}, ways), name == "lru" && ways <= 64; got != want {
+					if got, want := laneKernel(t, &hinted{core.NewProtectorOpts(base(), opts), hints}, ways), name == "lru" && ways <= 64; got != want {
 						t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
 					}
 				})
@@ -161,7 +161,7 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
-	if !laneKernel(t, &Hinted{core.NewProtectorOpts(factories[0](), core.Options{Strength: core.Full}), make([]bool, len(stream))}, 8) {
+	if !laneKernel(t, &hinted{core.NewProtectorOpts(factories[0](), core.Options{Strength: core.Full}), make([]bool, len(stream))}, 8) {
 		t.Fatal("the LRU hint-column lane binds no batch kernel")
 	}
 	var bases []sharing.LLCConfig

@@ -124,47 +124,47 @@ func Horizon(llcSize, factor int) int64 {
 	return int64(factor) * int64(llcSize/trace.BlockSize)
 }
 
-// Hinted is the policy of an oracle lane: a core.Protector whose fill at
+// hinted is the policy of an oracle lane: a core.Protector whose fill at
 // stream position i is hinted shared iff hints[i]. The hint travels with
 // the policy, not through a replay hook, so the lane is hook-free: its
 // stream-order policy pass presents the fills in the sequential walk's
 // order, which is all the Protector's cross-set hint-rate gate needs.
-type Hinted struct {
+type hinted struct {
 	*core.Protector
 	hints []bool
 }
 
 // Fill implements cache.Policy.
-func (h *Hinted) Fill(set, way int, a *cache.AccessInfo) {
+func (h *hinted) Fill(set, way int, a *cache.AccessInfo) {
 	h.FillHinted(set, way, a, h.LaneHint(a))
 }
 
-// NewBatchKernel implements cache.BatchPolicy: the Protector's
+// NewBatchKernel implements cache.batchPolicy: the Protector's
 // protected-LRU kernel over an LRU base, the generic loop (nil) otherwise.
-func (h *Hinted) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (h *hinted) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return h.LRUKernel(c, h)
 }
 
 // Release implements cache.Releaser: the Protector's state and its
 // base's go back to the mem pool. The hint column is not the lane's to
 // release: Lanes' collect releases it.
-func (h *Hinted) Release() {
+func (h *hinted) Release() {
 	h.hints = nil
 	h.Protector.Release()
 }
 
 // LaneHint implements core.LaneHinter: the hint column at the access's
 // stream position.
-func (h *Hinted) LaneHint(a *cache.AccessInfo) bool { return h.hints[a.Index] }
+func (h *hinted) LaneHint(a *cache.AccessInfo) bool { return h.hints[a.Index] }
 
 // LaneHit implements core.LaneHinter: a hint column learns nothing.
-func (h *Hinted) LaneHit(uint32, *cache.AccessInfo) {}
+func (h *hinted) LaneHit(uint32, *cache.AccessInfo) {}
 
 // LaneEvict implements core.LaneHinter.
-func (h *Hinted) LaneEvict(uint32) {}
+func (h *hinted) LaneEvict(uint32) {}
 
 // LaneFill implements core.LaneHinter.
-func (h *Hinted) LaneFill(uint32, *cache.AccessInfo) {}
+func (h *hinted) LaneFill(uint32, *cache.AccessInfo) {}
 
 // Cell is one protected lane of an oracle study: base lane Base wrapped
 // in a core.Protector under Opts and hinted from the SharedHints column
@@ -215,7 +215,7 @@ func Lanes(stream []cache.AccessInfo, numBlocks int, bases []sharing.LLCConfig, 
 		b := bases[c.Base]
 		lanes = append(lanes, sharing.LLCConfig{Size: b.Size, Ways: b.Ways,
 			NewPolicy: func() cache.Policy {
-				h := &Hinted{core.NewProtectorOpts(b.NewPolicy(), c.Opts), hints[col[i]]}
+				h := &hinted{core.NewProtectorOpts(b.NewPolicy(), c.Opts), hints[col[i]]}
 				prots[i] = h.Protector
 				return h
 			}})

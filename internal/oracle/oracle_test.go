@@ -317,7 +317,7 @@ func TestLanesShareHintColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := func(i int) *bool { return &lanes[len(bases)+i].NewPolicy().(*Hinted).hints[0] }
+	col := func(i int) *bool { return &lanes[len(bases)+i].NewPolicy().(*hinted).hints[0] }
 	if col(0) != col(1) || col(0) != col(2) || col(0) == col(3) {
 		t.Error("cells at one horizon do not share one hint column, or cells at two horizons do")
 	}

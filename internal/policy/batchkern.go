@@ -1,6 +1,6 @@
 package policy
 
-// Monomorphic batch kernels (cache.BatchPolicy) for the realistic
+// Monomorphic batch kernels (cache.batchPolicy) for the realistic
 // policy catalogue.
 //
 // The generic batch probe of internal/cache pays three non-inlinable
@@ -149,9 +149,9 @@ func stampMin(stamp []int64, base, ways int) int64 {
 	return min
 }
 
-// NewBatchKernel implements cache.BatchPolicy: FIFO's hit path is pure
+// NewBatchKernel implements cache.batchPolicy: FIFO's hit path is pure
 // bookkeeping (hits change nothing), fills stamp the insertion clock.
-func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *fifo) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	stamp := p.stamp
@@ -181,10 +181,10 @@ func (p *FIFO) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy: Random keeps no state at
+// NewBatchKernel implements cache.batchPolicy: Random keeps no state at
 // all; the kernel draws the same victim sequence from the shared RNG
 // the interface path would.
-func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	rnd := p.rnd
@@ -209,9 +209,9 @@ func (p *Random) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy: NRU's reference byte at
+// NewBatchKernel implements cache.batchPolicy: NRU's reference byte at
 // li-1 is the whole hit-path update; victims come from nruVictim.
-func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *nru) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	ref := p.ref
@@ -240,7 +240,7 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy: a touch becomes two
+// NewBatchKernel implements cache.batchPolicy: a touch becomes two
 // table lookups instead of a tree walk. Which nodes a way's path
 // clears and which it sets depends only on the way, so the kernel
 // precomputes one clear mask and one set mask per way and a touch is
@@ -248,7 +248,7 @@ func (p *NRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 // interface path walks `levels` conditional node updates per touch.
 // PLRU's power-of-two associativity means set and way fall out of the
 // line index by shifting — the hit path never reads the block column.
-func (p *PLRU) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *plru) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	tree := p.tree
@@ -362,18 +362,18 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy for LIP.
-func (p *LIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for LIP.
+func (p *lip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return lipKernel(&p.lipCore, c, insertStatic, nil, nil)
 }
 
-// NewBatchKernel implements cache.BatchPolicy for BIP.
-func (p *BIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for BIP.
+func (p *bip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return lipKernel(&p.lipCore, c, insertCoin, p.rnd, nil)
 }
 
-// NewBatchKernel implements cache.BatchPolicy for DIP.
-func (p *DIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for DIP.
+func (p *dip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return lipKernel(&p.lipCore, c, insertDuel, p.rnd, &p.duel)
 }
 
@@ -422,26 +422,26 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy for SRRIP.
-func (p *SRRIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for SRRIP.
+func (p *srrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return rripKernel(&p.rripCore, c, insertStatic, nil, nil)
 }
 
-// NewBatchKernel implements cache.BatchPolicy for BRRIP.
-func (p *BRRIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for BRRIP.
+func (p *brrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return rripKernel(&p.rripCore, c, insertCoin, p.rnd, nil)
 }
 
-// NewBatchKernel implements cache.BatchPolicy for DRRIP.
-func (p *DRRIP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for DRRIP.
+func (p *drrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	return rripKernel(&p.rripCore, c, insertDuel, p.rnd, &p.duel)
 }
 
-// NewBatchKernel implements cache.BatchPolicy for SHiP: the RRIP loop
+// NewBatchKernel implements cache.batchPolicy for SHiP: the RRIP loop
 // plus first-reuse SHCT training on hits, dead-on-eviction training in
 // the victim search, and the PC-signature insertion on fills (the one
 // record field this kernel reads).
-func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *ship) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	rrpv, shct, lineSig, lineUsed := p.rrpv, p.shct, p.lineSig, p.lineUsed
@@ -490,11 +490,11 @@ func (p *SHiP) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	}
 }
 
-// NewBatchKernel implements cache.BatchPolicy for SHiP-S, overriding
+// NewBatchKernel implements cache.batchPolicy for SHiP-S, overriding
 // the kernel SHiPS would otherwise inherit from the embedded SHiP: the
 // sharing-aware variant trains a second SHCT step on cross-core first
 // reuse and promotes confident sharing sites to RRPV 0 on fill.
-func (p *SHiPS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
+func (p *shipS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	rrpv, shct, lineSig, lineUsed, lineCore := p.rrpv, p.shct, p.lineSig, p.lineUsed, p.lineCore

@@ -5,7 +5,7 @@ import (
 	"sharellc/internal/mem"
 )
 
-// OPT is Belady's offline-optimal replacement policy: evict the resident
+// opt is Belady's offline-optimal replacement policy: evict the resident
 // block whose next reference lies farthest in the future (preferring
 // blocks that are never referenced again). It is exact when the replayed
 // stream carries precomputed next-use indices (cache.AnnotateNextUse);
@@ -13,19 +13,19 @@ import (
 //
 // OPT is the paper's yardstick for how much room any realistic policy —
 // sharing-aware or not — has left.
-type OPT struct {
+type opt struct {
 	ways    int
 	nextUse []int32
 }
 
 // newOPT returns a Belady OPT policy.
-func newOPT() *OPT { return &OPT{} }
+func newOPT() *opt { return &opt{} }
 
 // Name implements cache.Policy.
-func (p *OPT) Name() string { return "opt" }
+func (p *opt) Name() string { return "opt" }
 
 // Attach implements cache.Policy.
-func (p *OPT) Attach(sets, ways int) {
+func (p *opt) Attach(sets, ways int) {
 	p.ways = ways
 	p.nextUse = mem.Grab[int32](sets * ways)
 	for i := range p.nextUse {
@@ -34,25 +34,25 @@ func (p *OPT) Attach(sets, ways int) {
 }
 
 // Release implements cache.Releaser.
-func (p *OPT) Release() {
+func (p *opt) Release() {
 	mem.Release(p.nextUse)
 	p.nextUse = nil
 }
 
 // Hit implements cache.Policy: the line's horizon advances to the
 // access's own next use.
-func (p *OPT) Hit(set, way int, a *cache.AccessInfo) {
+func (p *opt) Hit(set, way int, a *cache.AccessInfo) {
 	p.nextUse[set*p.ways+way] = a.NextUse
 }
 
 // Fill implements cache.Policy.
-func (p *OPT) Fill(set, way int, a *cache.AccessInfo) {
+func (p *opt) Fill(set, way int, a *cache.AccessInfo) {
 	p.nextUse[set*p.ways+way] = a.NextUse
 }
 
 // Victim implements cache.Policy: farthest next use wins; never-reused
 // lines (NoNextUse) beat everything. Ties go to the lowest way.
-func (p *OPT) Victim(set int, _ *cache.AccessInfo) int {
+func (p *opt) Victim(set int, _ *cache.AccessInfo) int {
 	base := set * p.ways
 	victim, best := 0, p.horizonAt(base)
 	for w := 1; w < p.ways; w++ {
@@ -63,8 +63,8 @@ func (p *OPT) Victim(set int, _ *cache.AccessInfo) int {
 	return victim
 }
 
-// VictimKeys implements core.VictimKeyer: farthest next use first.
-func (p *OPT) VictimKeys(set int, dst []int64) {
+// VictimKeys implements core.victimKeyer: farthest next use first.
+func (p *opt) VictimKeys(set int, dst []int64) {
 	base := set * p.ways
 	for w := range dst {
 		dst[w] = p.horizonAt(base + w)
@@ -74,11 +74,11 @@ func (p *OPT) VictimKeys(set int, dst []int64) {
 // PerSetIndependent reports that OPT qualifies for set-sharded replay: its
 // per-line next-use horizons are global stream indices that do not depend
 // on how accesses to other sets interleave.
-func (p *OPT) PerSetIndependent() bool { return true }
+func (p *opt) PerSetIndependent() bool { return true }
 
 // horizonAt maps NoNextUse to a value beyond any real stream index so
 // never-reused lines always rank first.
-func (p *OPT) horizonAt(idx int) int64 {
+func (p *opt) horizonAt(idx int) int64 {
 	if h := p.nextUse[idx]; h != cache.NoNextUse {
 		return int64(h)
 	}

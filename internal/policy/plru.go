@@ -7,28 +7,28 @@ import (
 	"sharellc/internal/mem"
 )
 
-// PLRU is tree-based pseudo-LRU, the approximation of LRU that commercial
+// plru is tree-based pseudo-LRU, the approximation of LRU that commercial
 // caches actually implement: a binary tree of direction bits per set,
 // flipped away from a way on every touch, followed toward the "cold" side
 // on victim selection. State is ways-1 bits per set instead of full
 // recency ordering.
 //
 // PLRU requires a power-of-two associativity.
-type PLRU struct {
+type plru struct {
 	ways   int
 	levels int
 	tree   []uint64 // one bitset of ways-1 direction bits per set
 }
 
 // newPLRU returns a tree pseudo-LRU policy.
-func newPLRU() *PLRU { return &PLRU{} }
+func newPLRU() *plru { return &plru{} }
 
 // Name implements cache.Policy.
-func (p *PLRU) Name() string { return "plru" }
+func (p *plru) Name() string { return "plru" }
 
 // Attach implements cache.Policy. It panics on non-power-of-two
 // associativity (a configuration error, like a bad cache geometry).
-func (p *PLRU) Attach(sets, ways int) {
+func (p *plru) Attach(sets, ways int) {
 	if ways <= 0 || ways&(ways-1) != 0 {
 		panic("policy: PLRU requires power-of-two associativity")
 	}
@@ -41,14 +41,14 @@ func (p *PLRU) Attach(sets, ways int) {
 }
 
 // Release implements cache.Releaser.
-func (p *PLRU) Release() {
+func (p *plru) Release() {
 	mem.Release(p.tree)
 	p.tree = nil
 }
 
 // touch flips every tree node on the path to way so the path points away
 // from it.
-func (p *PLRU) touch(set, way int) {
+func (p *plru) touch(set, way int) {
 	if p.levels == 0 {
 		return
 	}
@@ -67,21 +67,21 @@ func (p *PLRU) touch(set, way int) {
 }
 
 // Hit implements cache.Policy.
-func (p *PLRU) Hit(set, way int, _ *cache.AccessInfo) { p.touch(set, way) }
+func (p *plru) Hit(set, way int, _ *cache.AccessInfo) { p.touch(set, way) }
 
 // Fill implements cache.Policy.
-func (p *PLRU) Fill(set, way int, _ *cache.AccessInfo) { p.touch(set, way) }
+func (p *plru) Fill(set, way int, _ *cache.AccessInfo) { p.touch(set, way) }
 
-// Promote implements core.Promoter.
-func (p *PLRU) Promote(set, way int) { p.touch(set, way) }
+// Promote implements core.promoter.
+func (p *plru) Promote(set, way int) { p.touch(set, way) }
 
 // PerSetIndependent reports that PLRU qualifies for set-sharded replay:
 // its direction-bit trees are pure per-set state.
-func (p *PLRU) PerSetIndependent() bool { return true }
+func (p *plru) PerSetIndependent() bool { return true }
 
 // Demote points the whole path at way, making it the next victim
-// (core.Demoter).
-func (p *PLRU) Demote(set, way int) {
+// (core.demoter).
+func (p *plru) Demote(set, way int) {
 	node := 0
 	for level := p.levels - 1; level >= 0; level-- {
 		goRight := way>>level&1 == 1
@@ -97,7 +97,7 @@ func (p *PLRU) Demote(set, way int) {
 
 // Victim implements cache.Policy: follow the direction bits from the root
 // (bit set = go right).
-func (p *PLRU) Victim(set int, _ *cache.AccessInfo) int {
+func (p *plru) Victim(set int, _ *cache.AccessInfo) int {
 	node, way := 0, 0
 	for level := 0; level < p.levels; level++ {
 		if p.tree[set]>>node&1 == 1 {
@@ -111,10 +111,10 @@ func (p *PLRU) Victim(set int, _ *cache.AccessInfo) int {
 	return way
 }
 
-// VictimKeys implements core.VictimKeyer: a way's key is how many
+// VictimKeys implements core.victimKeyer: a way's key is how many
 // direction bits along its path currently point at it (the victim path
 // scores highest).
-func (p *PLRU) VictimKeys(set int, dst []int64) {
+func (p *plru) VictimKeys(set int, dst []int64) {
 	tree := p.tree[set]
 	for w := range dst {
 		score := int64(0)

@@ -8,7 +8,7 @@
 // VictimKeys(set, dst): dst[w] receives way w's key, a higher key is a
 // better victim and equal keys prefer the lower way. The call is pure — it
 // never ages or trains — and the sharing-aware protection wrapper in
-// internal/core (which declares the interface, core.VictimKeyer) uses it
+// internal/core (which declares the interface, core.victimKeyer) uses it
 // to skip protected blocks while otherwise honouring the base policy's
 // ordering.
 package policy

@@ -14,7 +14,7 @@ import (
 // code now scans the keys directly; this file keeps the sorted ranking as
 // the reference the scan is checked against.
 
-// victimKeyer mirrors core.VictimKeyer (core imports nothing from here).
+// victimKeyer mirrors core.victimKeyer (core imports nothing from here).
 type victimKeyer interface {
 	VictimKeys(set int, dst []int64)
 }

@@ -57,7 +57,7 @@ func (p *rripCore) Victim(set int, _ *cache.AccessInfo) int {
 	}
 }
 
-// VictimKeys implements core.VictimKeyer: higher RRPV first, without the
+// VictimKeys implements core.victimKeyer: higher RRPV first, without the
 // aging Victim performs.
 func (p *rripCore) VictimKeys(set int, dst []int64) {
 	for w, v := range p.rrpv[set*p.ways : (set+1)*p.ways] {
@@ -69,49 +69,49 @@ func (p *rripCore) VictimKeys(set int, dst []int64) {
 func (p *rripCore) insert(set, way int, v uint8) { p.rrpv[set*p.ways+way] = v }
 
 // Promote moves way to near-immediate re-reference without touching any
-// training state (core.Promoter).
+// training state (core.promoter).
 func (p *rripCore) Promote(set, way int) { p.rrpv[set*p.ways+way] = 0 }
 
-// Demote moves way to distant re-reference (core.Demoter).
+// Demote moves way to distant re-reference (core.demoter).
 func (p *rripCore) Demote(set, way int) { p.rrpv[set*p.ways+way] = rripMax }
 
-// SRRIP (static RRIP, Jaleel et al. ISCA'10) inserts fills at RRPV
+// srrip (static RRIP, Jaleel et al. ISCA'10) inserts fills at RRPV
 // max-1 ("long re-reference interval") and promotes hits to 0.
-type SRRIP struct{ rripCore }
+type srrip struct{ rripCore }
 
 // newSRRIP returns an SRRIP policy.
-func newSRRIP() *SRRIP { return &SRRIP{} }
+func newSRRIP() *srrip { return &srrip{} }
 
 // Name implements cache.Policy.
-func (p *SRRIP) Name() string { return "srrip" }
+func (p *srrip) Name() string { return "srrip" }
 
 // Fill implements cache.Policy.
-func (p *SRRIP) Fill(set, way int, _ *cache.AccessInfo) { p.insert(set, way, rripMax-1) }
+func (p *srrip) Fill(set, way int, _ *cache.AccessInfo) { p.insert(set, way, rripMax-1) }
 
 // PerSetIndependent reports that SRRIP qualifies for set-sharded replay.
 // Declared on SRRIP (not rripCore) deliberately: BRRIP, DRRIP and SHiP
 // embed rripCore but carry cross-set state and must not inherit it.
-func (p *SRRIP) PerSetIndependent() bool { return true }
+func (p *srrip) PerSetIndependent() bool { return true }
 
 // brripEpsilon is the probability BRRIP inserts at long (rather than
 // distant) re-reference.
 const brripEpsilon = 1.0 / 32
 
-// BRRIP (bimodal RRIP) inserts at distant re-reference most of the time,
+// brrip (bimodal RRIP) inserts at distant re-reference most of the time,
 // giving thrash resistance analogous to BIP.
-type BRRIP struct {
+type brrip struct {
 	rripCore
 	rnd *rng.Source
 }
 
 // newBRRIP returns a BRRIP policy drawing its insertion coin from rnd.
-func newBRRIP(rnd *rng.Source) *BRRIP { return &BRRIP{rnd: rnd} }
+func newBRRIP(rnd *rng.Source) *brrip { return &brrip{rnd: rnd} }
 
 // Name implements cache.Policy.
-func (p *BRRIP) Name() string { return "brrip" }
+func (p *brrip) Name() string { return "brrip" }
 
 // Fill implements cache.Policy.
-func (p *BRRIP) Fill(set, way int, _ *cache.AccessInfo) {
+func (p *brrip) Fill(set, way int, _ *cache.AccessInfo) {
 	if p.rnd.Bool(brripEpsilon) {
 		p.insert(set, way, rripMax-1)
 	} else {
@@ -119,28 +119,28 @@ func (p *BRRIP) Fill(set, way int, _ *cache.AccessInfo) {
 	}
 }
 
-// DRRIP set-duels SRRIP against BRRIP, the strongest of the paper's
+// drrip set-duels SRRIP against BRRIP, the strongest of the paper's
 // "recent proposals" that uses no auxiliary prediction table.
-type DRRIP struct {
+type drrip struct {
 	rripCore
 	rnd  *rng.Source
 	duel duel
 }
 
 // newDRRIP returns a DRRIP policy.
-func newDRRIP(rnd *rng.Source) *DRRIP { return &DRRIP{rnd: rnd} }
+func newDRRIP(rnd *rng.Source) *drrip { return &drrip{rnd: rnd} }
 
 // Name implements cache.Policy.
-func (p *DRRIP) Name() string { return "drrip" }
+func (p *drrip) Name() string { return "drrip" }
 
 // Attach implements cache.Policy.
-func (p *DRRIP) Attach(sets, ways int) {
+func (p *drrip) Attach(sets, ways int) {
 	p.rripCore.Attach(sets, ways)
 	p.duel.init(sets)
 }
 
 // Fill implements cache.Policy.
-func (p *DRRIP) Fill(set, way int, _ *cache.AccessInfo) {
+func (p *drrip) Fill(set, way int, _ *cache.AccessInfo) {
 	p.duel.observeMiss(set)
 	if p.duel.useA(set) { // A = SRRIP
 		p.insert(set, way, rripMax-1)

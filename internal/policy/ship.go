@@ -5,7 +5,7 @@ import (
 	"sharellc/internal/mem"
 )
 
-// SHiP (signature-based hit prediction, Wu et al. MICRO'11) augments
+// ship (signature-based hit prediction, Wu et al. MICRO'11) augments
 // SRRIP with a table of saturating counters indexed by a signature of the
 // fill-triggering instruction's PC. Signatures whose past fills tended to
 // die without reuse insert at distant re-reference; the rest insert at
@@ -15,7 +15,7 @@ import (
 // predictor — both bet that the fill PC predicts a block's future — which
 // is exactly why the paper includes it in the sharing-awareness
 // comparison.
-type SHiP struct {
+type ship struct {
 	rripCore
 	shct     []uint8 // signature history counter table
 	lineSig  []uint16
@@ -29,13 +29,13 @@ const shipTableBits = 14
 const shipCounterMax = 7
 
 // newSHiP returns a SHiP-PC policy.
-func newSHiP() *SHiP { return &SHiP{} }
+func newSHiP() *ship { return &ship{} }
 
 // Name implements cache.Policy.
-func (p *SHiP) Name() string { return "ship" }
+func (p *ship) Name() string { return "ship" }
 
 // Attach implements cache.Policy.
-func (p *SHiP) Attach(sets, ways int) {
+func (p *ship) Attach(sets, ways int) {
 	p.rripCore.Attach(sets, ways)
 	p.shct = mem.Grab[uint8](1 << shipTableBits)
 	// Start weakly reusable so cold signatures behave like SRRIP.
@@ -47,7 +47,7 @@ func (p *SHiP) Attach(sets, ways int) {
 }
 
 // Release implements cache.Releaser.
-func (p *SHiP) Release() {
+func (p *ship) Release() {
 	p.rripCore.Release()
 	mem.Release(p.shct)
 	mem.Release(p.lineSig)
@@ -67,7 +67,7 @@ func Signature(pc uint64) uint16 {
 
 // Hit implements cache.Policy: promote and mark the line's signature as
 // reused (SHCT increments once per residency, on first reuse).
-func (p *SHiP) Hit(set, way int, a *cache.AccessInfo) {
+func (p *ship) Hit(set, way int, a *cache.AccessInfo) {
 	p.rripCore.Hit(set, way, a)
 	idx := set*p.ways + way
 	if !p.lineUsed[idx] {
@@ -81,7 +81,7 @@ func (p *SHiP) Hit(set, way int, a *cache.AccessInfo) {
 // Victim implements cache.Policy: before the line chosen by the RRIP
 // search is displaced, a dead-on-eviction residency trains its signature
 // down.
-func (p *SHiP) Victim(set int, a *cache.AccessInfo) int {
+func (p *ship) Victim(set int, a *cache.AccessInfo) int {
 	way := p.rripCore.Victim(set, a)
 	p.ObserveEvict(set, way)
 	return way
@@ -90,7 +90,7 @@ func (p *SHiP) Victim(set int, a *cache.AccessInfo) int {
 // ObserveEvict trains the SHCT when a line leaves the cache without reuse.
 // It is called by Victim, and directly by wrappers (core.Protector) that
 // choose the victim from VictimKeys instead of via Victim.
-func (p *SHiP) ObserveEvict(set, way int) {
+func (p *ship) ObserveEvict(set, way int) {
 	idx := set*p.ways + way
 	if !p.lineUsed[idx] {
 		if c := p.shct[p.lineSig[idx]]; c > 0 {
@@ -100,7 +100,7 @@ func (p *SHiP) ObserveEvict(set, way int) {
 }
 
 // Fill implements cache.Policy.
-func (p *SHiP) Fill(set, way int, a *cache.AccessInfo) {
+func (p *ship) Fill(set, way int, a *cache.AccessInfo) {
 	sig := Signature(a.PC)
 	idx := set*p.ways + way
 	p.lineSig[idx] = sig
@@ -112,43 +112,43 @@ func (p *SHiP) Fill(set, way int, a *cache.AccessInfo) {
 	}
 }
 
-// SHiPS ("SHiP-S") is the sharing-aware SHiP variant this paper's
+// shipS ("SHiP-S") is the sharing-aware SHiP variant this paper's
 // characterization motivates — a concrete instance of its future-work
 // direction. The SHCT trains on *cross-core* reuse: a hit from a core
 // other than the filler counts double, so fill sites that produce shared
 // blocks saturate toward protected insertion while sites producing
 // single-use private streams train toward distant insertion. Confident
 // sharing sites additionally insert at RRPV 0.
-type SHiPS struct {
-	SHiP
+type shipS struct {
+	ship
 	lineCore []uint8
 }
 
 // newSHiPS returns the sharing-aware SHiP variant.
-func newSHiPS() *SHiPS { return &SHiPS{} }
+func newSHiPS() *shipS { return &shipS{} }
 
 // Name implements cache.Policy.
-func (p *SHiPS) Name() string { return "ship-s" }
+func (p *shipS) Name() string { return "ship-s" }
 
 // Attach implements cache.Policy.
-func (p *SHiPS) Attach(sets, ways int) {
-	p.SHiP.Attach(sets, ways)
+func (p *shipS) Attach(sets, ways int) {
+	p.ship.Attach(sets, ways)
 	p.lineCore = mem.Grab[uint8](sets * ways)
 }
 
 // Release implements cache.Releaser.
-func (p *SHiPS) Release() {
-	p.SHiP.Release()
+func (p *shipS) Release() {
+	p.ship.Release()
 	mem.Release(p.lineCore)
 	p.lineCore = nil
 }
 
 // Hit implements cache.Policy: cross-core reuse trains the signature a
 // second step.
-func (p *SHiPS) Hit(set, way int, a *cache.AccessInfo) {
+func (p *shipS) Hit(set, way int, a *cache.AccessInfo) {
 	idx := set*p.ways + way
 	firstReuse := !p.lineUsed[idx]
-	p.SHiP.Hit(set, way, a)
+	p.ship.Hit(set, way, a)
 	if firstReuse && a.Core != p.lineCore[idx] {
 		if c := p.shct[p.lineSig[idx]]; c < shipCounterMax {
 			p.shct[p.lineSig[idx]] = c + 1
@@ -158,8 +158,8 @@ func (p *SHiPS) Hit(set, way int, a *cache.AccessInfo) {
 
 // Fill implements cache.Policy: remember the filler and let confident
 // sharing sites insert at the most-protected position.
-func (p *SHiPS) Fill(set, way int, a *cache.AccessInfo) {
-	p.SHiP.Fill(set, way, a)
+func (p *shipS) Fill(set, way int, a *cache.AccessInfo) {
+	p.ship.Fill(set, way, a)
 	idx := set*p.ways + way
 	p.lineCore[idx] = a.Core
 	if p.shct[p.lineSig[idx]] >= shipCounterMax-1 {

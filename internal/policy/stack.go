@@ -14,7 +14,7 @@ type LRUPolicy struct{ cache.LRU }
 // NewLRUPolicy returns the LRU baseline.
 func NewLRUPolicy() *LRUPolicy { return &LRUPolicy{} }
 
-// VictimKeys implements core.VictimKeyer: least-recent first (a lower
+// VictimKeys implements core.victimKeyer: least-recent first (a lower
 // stamp is older, so the key is the negated stamp).
 func (p *LRUPolicy) VictimKeys(set int, dst []int64) {
 	for w := range dst {
@@ -22,68 +22,68 @@ func (p *LRUPolicy) VictimKeys(set int, dst []int64) {
 	}
 }
 
-// Random evicts a uniformly random way. It is the weakest reference point
+// random evicts a uniformly random way. It is the weakest reference point
 // in the catalogue and a sanity check for the experiment harness.
-type Random struct {
+type random struct {
 	ways int
 	rnd  *rng.Source
 }
 
 // newRandom returns a Random policy drawing from rnd.
-func newRandom(rnd *rng.Source) *Random { return &Random{rnd: rnd} }
+func newRandom(rnd *rng.Source) *random { return &random{rnd: rnd} }
 
 // Name implements cache.Policy.
-func (p *Random) Name() string { return "random" }
+func (p *random) Name() string { return "random" }
 
 // Attach implements cache.Policy.
-func (p *Random) Attach(sets, ways int) { p.ways = ways }
+func (p *random) Attach(sets, ways int) { p.ways = ways }
 
 // Hit implements cache.Policy.
-func (p *Random) Hit(int, int, *cache.AccessInfo) {}
+func (p *random) Hit(int, int, *cache.AccessInfo) {}
 
 // Fill implements cache.Policy.
-func (p *Random) Fill(int, int, *cache.AccessInfo) {}
+func (p *random) Fill(int, int, *cache.AccessInfo) {}
 
 // Victim implements cache.Policy.
-func (p *Random) Victim(int, *cache.AccessInfo) int { return p.rnd.Intn(p.ways) }
+func (p *random) Victim(int, *cache.AccessInfo) int { return p.rnd.Intn(p.ways) }
 
-// FIFO evicts in fill order, ignoring hits.
-type FIFO struct {
+// fifo evicts in fill order, ignoring hits.
+type fifo struct {
 	ways  int
 	stamp []int64
 	clock int64
 }
 
 // newFIFO returns a FIFO policy.
-func newFIFO() *FIFO { return &FIFO{} }
+func newFIFO() *fifo { return &fifo{} }
 
 // Name implements cache.Policy.
-func (p *FIFO) Name() string { return "fifo" }
+func (p *fifo) Name() string { return "fifo" }
 
 // Attach implements cache.Policy.
-func (p *FIFO) Attach(sets, ways int) {
+func (p *fifo) Attach(sets, ways int) {
 	p.ways = ways
 	p.stamp = mem.Grab[int64](sets * ways)
 	p.clock = 0
 }
 
 // Release implements cache.Releaser.
-func (p *FIFO) Release() {
+func (p *fifo) Release() {
 	mem.Release(p.stamp)
 	p.stamp = nil
 }
 
 // Hit implements cache.Policy. FIFO ignores hits.
-func (p *FIFO) Hit(int, int, *cache.AccessInfo) {}
+func (p *fifo) Hit(int, int, *cache.AccessInfo) {}
 
 // Fill implements cache.Policy.
-func (p *FIFO) Fill(set, way int, _ *cache.AccessInfo) {
+func (p *fifo) Fill(set, way int, _ *cache.AccessInfo) {
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
 }
 
-// Demote moves way to the front of the eviction queue (core.Demoter).
-func (p *FIFO) Demote(set, way int) {
+// Demote moves way to the front of the eviction queue (core.demoter).
+func (p *fifo) Demote(set, way int) {
 	base := set * p.ways
 	min := p.stamp[base]
 	for w := 1; w < p.ways; w++ {
@@ -95,7 +95,7 @@ func (p *FIFO) Demote(set, way int) {
 }
 
 // Victim implements cache.Policy: the oldest fill.
-func (p *FIFO) Victim(set int, _ *cache.AccessInfo) int {
+func (p *fifo) Victim(set int, _ *cache.AccessInfo) int {
 	base := set * p.ways
 	victim, min := 0, p.stamp[base]
 	for w := 1; w < p.ways; w++ {
@@ -108,16 +108,16 @@ func (p *FIFO) Victim(set int, _ *cache.AccessInfo) int {
 
 // PerSetIndependent reports that FIFO qualifies for set-sharded replay:
 // within-set stamp order is independent of cross-set interleaving.
-func (p *FIFO) PerSetIndependent() bool { return true }
+func (p *fifo) PerSetIndependent() bool { return true }
 
-// VictimKeys implements core.VictimKeyer: oldest fill first.
-func (p *FIFO) VictimKeys(set int, dst []int64) {
+// VictimKeys implements core.victimKeyer: oldest fill first.
+func (p *fifo) VictimKeys(set int, dst []int64) {
 	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
 		dst[w] = -s
 	}
 }
 
-// NRU is the not-recently-used policy found in commercial LLCs: one
+// nru is the not-recently-used policy found in commercial LLCs: one
 // reference bit per line. Fills and hits set the bit; the victim is the
 // lowest-numbered way with a clear bit, and when all bits in a set are set
 // they are cleared (except the just-used way's semantics follow the usual
@@ -126,41 +126,41 @@ func (p *FIFO) VictimKeys(set int, dst []int64) {
 // line index so the batch kernel updates them without recomputing the
 // set, and byte-wide so its victim search can scan eight ways per
 // machine word (see NewBatchKernel).
-type NRU struct {
+type nru struct {
 	ways int
 	ref  []uint8
 }
 
 // newNRU returns an NRU policy.
-func newNRU() *NRU { return &NRU{} }
+func newNRU() *nru { return &nru{} }
 
 // Name implements cache.Policy.
-func (p *NRU) Name() string { return "nru" }
+func (p *nru) Name() string { return "nru" }
 
 // Attach implements cache.Policy.
-func (p *NRU) Attach(sets, ways int) {
+func (p *nru) Attach(sets, ways int) {
 	p.ways = ways
 	p.ref = mem.Grab[uint8](sets * ways)
 }
 
 // Release implements cache.Releaser.
-func (p *NRU) Release() {
+func (p *nru) Release() {
 	mem.Release(p.ref)
 	p.ref = nil
 }
 
 // Hit implements cache.Policy.
-func (p *NRU) Hit(set, way int, _ *cache.AccessInfo) { p.ref[set*p.ways+way] = 1 }
+func (p *nru) Hit(set, way int, _ *cache.AccessInfo) { p.ref[set*p.ways+way] = 1 }
 
 // Fill implements cache.Policy.
-func (p *NRU) Fill(set, way int, _ *cache.AccessInfo) { p.ref[set*p.ways+way] = 1 }
+func (p *nru) Fill(set, way int, _ *cache.AccessInfo) { p.ref[set*p.ways+way] = 1 }
 
 // Demote clears way's reference bit, making it a preferred victim
-// (core.Demoter).
-func (p *NRU) Demote(set, way int) { p.ref[set*p.ways+way] = 0 }
+// (core.demoter).
+func (p *nru) Demote(set, way int) { p.ref[set*p.ways+way] = 0 }
 
 // Victim implements cache.Policy.
-func (p *NRU) Victim(set int, _ *cache.AccessInfo) int {
+func (p *nru) Victim(set int, _ *cache.AccessInfo) int {
 	base := set * p.ways
 	for w := 0; w < p.ways; w++ {
 		if p.ref[base+w] == 0 {
@@ -176,11 +176,11 @@ func (p *NRU) Victim(set int, _ *cache.AccessInfo) int {
 
 // PerSetIndependent reports that NRU qualifies for set-sharded replay: its
 // reference bits are pure per-set state.
-func (p *NRU) PerSetIndependent() bool { return true }
+func (p *nru) PerSetIndependent() bool { return true }
 
-// VictimKeys implements core.VictimKeyer: clear-bit ways outrank set-bit
+// VictimKeys implements core.victimKeyer: clear-bit ways outrank set-bit
 // ways.
-func (p *NRU) VictimKeys(set int, dst []int64) {
+func (p *nru) VictimKeys(set int, dst []int64) {
 	for w, r := range p.ref[set*p.ways : (set+1)*p.ways] {
 		dst[w] = 1 - int64(r)
 	}
@@ -210,10 +210,10 @@ func (p *lipCore) Release() {
 
 func (p *lipCore) Hit(set, way int, _ *cache.AccessInfo) { p.touchMRU(set, way) }
 
-// Promote moves way to MRU (core.Promoter).
+// Promote moves way to MRU (core.promoter).
 func (p *lipCore) Promote(set, way int) { p.touchMRU(set, way) }
 
-// Demote moves way to the LRU position (core.Demoter).
+// Demote moves way to the LRU position (core.demoter).
 func (p *lipCore) Demote(set, way int) { p.insertAtLRU(set, way) }
 
 func (p *lipCore) touchMRU(set, way int) {
@@ -245,36 +245,36 @@ func (p *lipCore) Victim(set int, _ *cache.AccessInfo) int {
 	return victim
 }
 
-// VictimKeys implements core.VictimKeyer: smallest stamp first.
+// VictimKeys implements core.victimKeyer: smallest stamp first.
 func (p *lipCore) VictimKeys(set int, dst []int64) {
 	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
 		dst[w] = -s
 	}
 }
 
-// LIP (LRU-insertion policy, Qureshi et al. ISCA'07) inserts fills at the
+// lip (LRU-insertion policy, Qureshi et al. ISCA'07) inserts fills at the
 // LRU position so single-use blocks fall out immediately; a hit promotes
 // to MRU.
-type LIP struct{ lipCore }
+type lip struct{ lipCore }
 
 // newLIP returns a LIP policy.
-func newLIP() *LIP { return &LIP{} }
+func newLIP() *lip { return &lip{} }
 
 // Name implements cache.Policy.
-func (p *LIP) Name() string { return "lip" }
+func (p *lip) Name() string { return "lip" }
 
 // Fill implements cache.Policy.
-func (p *LIP) Fill(set, way int, _ *cache.AccessInfo) { p.insertAtLRU(set, way) }
+func (p *lip) Fill(set, way int, _ *cache.AccessInfo) { p.insertAtLRU(set, way) }
 
 // PerSetIndependent reports that LIP qualifies for set-sharded replay.
 // Declared on LIP (not lipCore) deliberately: BIP and DIP embed lipCore
 // but draw on a shared RNG / dueling selector and must not inherit it.
-func (p *LIP) PerSetIndependent() bool { return true }
+func (p *lip) PerSetIndependent() bool { return true }
 
-// BIP (bimodal insertion policy) is LIP that inserts at MRU with a small
+// bip (bimodal insertion policy) is LIP that inserts at MRU with a small
 // probability epsilon (1/32), letting it adapt to slowly-changing working
 // sets.
-type BIP struct {
+type bip struct {
 	lipCore
 	rnd *rng.Source
 }
@@ -283,13 +283,13 @@ type BIP struct {
 const bipEpsilon = 1.0 / 32
 
 // newBIP returns a BIP policy drawing its insertion coin from rnd.
-func newBIP(rnd *rng.Source) *BIP { return &BIP{rnd: rnd} }
+func newBIP(rnd *rng.Source) *bip { return &bip{rnd: rnd} }
 
 // Name implements cache.Policy.
-func (p *BIP) Name() string { return "bip" }
+func (p *bip) Name() string { return "bip" }
 
 // Fill implements cache.Policy.
-func (p *BIP) Fill(set, way int, _ *cache.AccessInfo) {
+func (p *bip) Fill(set, way int, _ *cache.AccessInfo) {
 	if p.rnd.Bool(bipEpsilon) {
 		p.touchMRU(set, way)
 	} else {
@@ -297,29 +297,29 @@ func (p *BIP) Fill(set, way int, _ *cache.AccessInfo) {
 	}
 }
 
-// DIP (dynamic insertion policy) set-duels LRU against BIP: a few leader
+// dip (dynamic insertion policy) set-duels LRU against BIP: a few leader
 // sets always run one constituent, a saturating counter tracks which
 // leader group misses less, and follower sets adopt the winner.
-type DIP struct {
+type dip struct {
 	lipCore
 	rnd  *rng.Source
 	duel duel
 }
 
 // newDIP returns a DIP policy.
-func newDIP(rnd *rng.Source) *DIP { return &DIP{rnd: rnd} }
+func newDIP(rnd *rng.Source) *dip { return &dip{rnd: rnd} }
 
 // Name implements cache.Policy.
-func (p *DIP) Name() string { return "dip" }
+func (p *dip) Name() string { return "dip" }
 
 // Attach implements cache.Policy.
-func (p *DIP) Attach(sets, ways int) {
+func (p *dip) Attach(sets, ways int) {
 	p.lipCore.Attach(sets, ways)
 	p.duel.init(sets)
 }
 
 // Fill implements cache.Policy.
-func (p *DIP) Fill(set, way int, a *cache.AccessInfo) {
+func (p *dip) Fill(set, way int, a *cache.AccessInfo) {
 	p.duel.observeMiss(set)
 	if p.duel.useA(set) { // constituent A = LRU
 		p.touchMRU(set, way)

@@ -8,9 +8,9 @@ import (
 	"sharellc/internal/mem"
 )
 
-// DefaultCoherenceWindow is the recency window (in LLC accesses) within
+// defaultCoherenceWindow is the recency window (in LLC accesses) within
 // which a past coherence event keeps a block predicted shared.
-const DefaultCoherenceWindow = 1 << 16
+const defaultCoherenceWindow = 1 << 16
 
 // Coherence is the coherence-assisted fill-time sharing predictor: the
 // probe of the paper's closing conjecture that "other architectural ...
@@ -26,7 +26,7 @@ const DefaultCoherenceWindow = 1 << 16
 // prediction at stream position i is therefore a function of the stream
 // up to i alone, so NewCoherence computes every position's prediction in
 // one directory pass, and Predict reads that column at a.Index, as
-// oracle.Hinted reads its hints. A Coherence serves only the stream it
+// oracle.hinted reads its hints. A Coherence serves only the stream it
 // was built from. The column comes from the mem pool; Release (which
 // the F7/A2 scored lane forwards when its replay ends) hands it back.
 type Coherence struct {
@@ -35,7 +35,7 @@ type Coherence struct {
 
 // NewCoherence builds the predictor over stream, which must carry
 // contiguous Index values from 0 (cache.FilterStream order). window <= 0
-// selects DefaultCoherenceWindow. The directory is keyed by the stream's
+// selects defaultCoherenceWindow. The directory is keyed by the stream's
 // dense BlockIDs: numBlocks > 0 asserts they lie in [0, numBlocks)
 // (sim.Stream.NumBlocks), and 0 scans for them (cache.EnsureBlockIDs
 // numbers a copy of a stream that carries none).
@@ -45,7 +45,7 @@ func NewCoherence(stream []cache.AccessInfo, numBlocks int, window int64) (*Cohe
 	}
 	w := uint64(window)
 	if w == 0 {
-		w = DefaultCoherenceWindow
+		w = defaultCoherenceWindow
 	}
 	if numBlocks <= 0 {
 		stream, numBlocks = cache.EnsureBlockIDs(stream)

@@ -152,7 +152,7 @@ func TestCoherenceColumnMatchesObserved(t *testing.T) {
 			}
 			w := uint64(window)
 			if w == 0 {
-				w = DefaultCoherenceWindow
+				w = defaultCoherenceWindow
 			}
 			ref := newObservedCoherence(stream, w)
 			shared := 0

@@ -93,7 +93,7 @@ func (d *Driven) Fill(set, way int, a *cache.AccessInfo) {
 	d.LaneFill(uint32(set*d.ways+way), a)
 }
 
-// NewBatchKernel implements cache.BatchPolicy: the Protector's
+// NewBatchKernel implements cache.batchPolicy: the Protector's
 // protected-LRU kernel over an LRU base, driven by the lane's predictor;
 // the generic loop (nil) otherwise.
 func (d *Driven) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {

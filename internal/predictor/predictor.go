@@ -60,8 +60,8 @@ func DefaultConfig() Config {
 	return Config{TableBits: 14}
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	if c.TableBits < 1 || c.TableBits > 28 {
 		return fmt.Errorf("predictor: TableBits %d outside [1,28]", c.TableBits)
 	}
@@ -76,7 +76,7 @@ type table struct {
 }
 
 func newTable(cfg Config) (*table, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	t := &table{

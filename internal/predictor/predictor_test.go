@@ -66,12 +66,12 @@ func (c *counted) Train(block, fillPC uint64, shared bool) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := DefaultConfig().validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{{TableBits: 0}, {TableBits: 30}}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d validated: %+v", i, c)
 		}
 	}

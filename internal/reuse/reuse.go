@@ -25,8 +25,8 @@ import (
 	"sharellc/internal/mem"
 )
 
-// Infinite is the distance reported for first-touch (cold) accesses.
-const Infinite = int64(math.MaxInt64)
+// infinite is the distance reported for first-touch (cold) accesses.
+const infinite = int64(math.MaxInt64)
 
 // stackWalk yields the reuse distance of each access of a stream, in
 // stream order. A Fenwick tree over stream positions marks each block's
@@ -48,7 +48,7 @@ func newStackWalk(n, numBlocks int) stackWalk {
 // next returns the distance of access i, to block id: Infinite for a
 // first touch. Accesses are presented in order, i = 0, 1, 2, ....
 func (w *stackWalk) next(i int, id uint32) int64 {
-	d := Infinite
+	d := infinite
 	if p := int(w.last[id]) - 1; p >= 0 {
 		// Distinct blocks touched in (p, i): the marks after position
 		// p, each block marked only at its most recent access.
@@ -89,9 +89,9 @@ func (w *stackWalk) release() {
 // 8 MB LLC capacities (65536 and 131072 blocks) sit on bucket edges so
 // the histogram reads directly as "fits at 4 MB / fits at 8 MB / fits
 // nowhere".
-var BucketEdges = []int64{1 << 10, 1 << 13, 1 << 16, 1 << 17, 1 << 19}
+var bucketEdges = []int64{1 << 10, 1 << 13, 1 << 16, 1 << 17, 1 << 19}
 
-// NumBuckets is len(BucketEdges)+2: one bucket below each edge, one above
+// NumBuckets is len(bucketEdges)+2: one bucket below each edge, one above
 // the last, and one for cold (infinite) accesses.
 const NumBuckets = 7
 
@@ -103,20 +103,20 @@ func BucketLabel(i int) string {
 	case i == NumBuckets-1:
 		return "cold"
 	case i == NumBuckets-2:
-		return fmt.Sprintf(">=%dK", BucketEdges[len(BucketEdges)-1]>>10)
+		return fmt.Sprintf(">=%dK", bucketEdges[len(bucketEdges)-1]>>10)
 	case i == 0:
-		return fmt.Sprintf("<%dK", BucketEdges[0]>>10)
+		return fmt.Sprintf("<%dK", bucketEdges[0]>>10)
 	default:
-		return fmt.Sprintf("<%dK", BucketEdges[i]>>10)
+		return fmt.Sprintf("<%dK", bucketEdges[i]>>10)
 	}
 }
 
 // bucketOf maps a distance to its histogram bucket.
 func bucketOf(d int64) int {
-	if d == Infinite {
+	if d == infinite {
 		return NumBuckets - 1
 	}
-	for i, edge := range BucketEdges {
+	for i, edge := range bucketEdges {
 		if d < edge {
 			return i
 		}
@@ -130,8 +130,8 @@ type Histogram struct {
 	Total  uint64
 }
 
-// Add records one distance.
-func (h *Histogram) Add(d int64) {
+// add records one distance.
+func (h *Histogram) add(d int64) {
 	h.Counts[bucketOf(d)]++
 	h.Total++
 }
@@ -167,11 +167,11 @@ func Analyze(stream []cache.AccessInfo, hints []bool) (*Profile, error) {
 	p := &Profile{}
 	for i := range stream {
 		d := w.next(i, stream[i].BlockID)
-		p.All.Add(d)
+		p.All.add(d)
 		if hints != nil && hints[i] {
-			p.Shared.Add(d)
+			p.Shared.add(d)
 		} else {
-			p.Private.Add(d)
+			p.Private.add(d)
 		}
 	}
 	w.release()

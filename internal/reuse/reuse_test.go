@@ -35,7 +35,7 @@ func distances(stream []cache.AccessInfo) []int64 {
 func TestDistancesBasic(t *testing.T) {
 	// Stream: A B C A B B
 	d := distances(mk(1, 2, 3, 1, 2, 2))
-	want := []int64{Infinite, Infinite, Infinite, 2, 2, 0}
+	want := []int64{infinite, infinite, infinite, 2, 2, 0}
 	for i := range want {
 		if d[i] != want[i] {
 			t.Errorf("d[%d] = %d, want %d", i, d[i], want[i])
@@ -61,7 +61,7 @@ func TestDistancesEmpty(t *testing.T) {
 func referenceDistances(stream []cache.AccessInfo) []int64 {
 	out := make([]int64, len(stream))
 	for i := range stream {
-		out[i] = Infinite
+		out[i] = infinite
 		seen := map[uint64]bool{}
 		for j := i - 1; j >= 0; j-- {
 			if stream[j].Block == stream[i].Block {
@@ -115,7 +115,7 @@ func TestLRUHitIffDistanceUnderCapacity(t *testing.T) {
 	}
 	for i, a := range stream {
 		hit := c.Access(a).Hit
-		wantHit := d[i] != Infinite && d[i] < capacity
+		wantHit := d[i] != infinite && d[i] < capacity
 		if hit != wantHit {
 			t.Fatalf("access %d (distance %d): hit=%v, want %v", i, d[i], hit, wantHit)
 		}
@@ -141,10 +141,10 @@ func TestBucketLabels(t *testing.T) {
 
 func TestHistogramShares(t *testing.T) {
 	var h Histogram
-	h.Add(0)        // bucket 0
-	h.Add(Infinite) // cold
-	h.Add(1 << 16)  // < 1<<17 bucket
-	h.Add(1 << 30)  // top bucket
+	h.add(0)        // bucket 0
+	h.add(infinite) // cold
+	h.add(1 << 16)  // < 1<<17 bucket
+	h.add(1 << 30)  // top bucket
 	if h.Total != 4 {
 		t.Fatalf("total = %d", h.Total)
 	}

@@ -99,12 +99,3 @@ func (s *Source) Bool(p float64) bool {
 	}
 	return s.Float64() < p
 }
-
-// Shuffle pseudo-randomizes the order of n elements using swap, which
-// exchanges the elements at indexes i and j.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

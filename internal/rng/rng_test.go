@@ -126,23 +126,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	s := New(17)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	s.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Errorf("Shuffle changed the multiset: sum %d -> %d", sum, got)
-	}
-}
-
 // mul64ref is the hand-rolled 128-bit multiply Uint64n used before it
 // switched to bits.Mul64, kept as the reference for the test below.
 func mul64ref(a, b uint64) (hi, lo uint64) {

@@ -69,10 +69,7 @@ func (z *Zipf) WithSource(src *Source) *Zipf {
 	return &Zipf{cdf: z.cdf, guide: z.guide, src: src}
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next draws one sample in [0, N()).
+// Next draws one sample in [0, n), n the domain size NewZipf was given.
 func (z *Zipf) Next() int { return z.search(z.src.Float64()) }
 
 // search returns the smallest k with cdf[k] >= u, for u in [0, 1). The

@@ -14,39 +14,39 @@ import (
 	"sharellc/internal/sim/streamcache"
 )
 
-type State string
+type state string
 
 const (
-	stateQueued    State = "queued"
-	stateRunning   State = "running"
-	stateDone      State = "done"
-	stateFailed    State = "failed"
-	stateCancelled State = "cancelled"
+	stateQueued    state = "queued"
+	stateRunning   state = "running"
+	stateDone      state = "done"
+	stateFailed    state = "failed"
+	stateCancelled state = "cancelled"
 )
 
-func (s State) terminal() bool {
+func (s state) terminal() bool {
 	return s == stateDone || s == stateFailed || s == stateCancelled
 }
 
-// Event is one SSE frame: either a state transition or a progress tick.
-type Event struct {
+// event is one SSE frame: either a state transition or a progress tick.
+type event struct {
 	Type  string `json:"type"` // "state" or "progress"
-	State State  `json:"state,omitempty"`
+	State state  `json:"state,omitempty"`
 	Done  int    `json:"done,omitempty"`
 	Total int    `json:"total,omitempty"`
 	Label string `json:"label,omitempty"`
 }
 
-// Job tracks one submission through its lifecycle. All mutable fields
+// job tracks one submission through its lifecycle. All mutable fields
 // are guarded by mu; doneCh closes exactly once on reaching a terminal
 // state so waiters need no polling.
-type Job struct {
+type job struct {
 	ID      string
 	Request sim.JobRequest
 	Key     string
 
 	mu        sync.Mutex
-	state     State
+	state     state
 	err       error
 	tables    []*report.Table
 	cacheHit  bool
@@ -54,14 +54,14 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc
-	history   []Event
-	subs      map[chan Event]struct{}
+	history   []event
+	subs      map[chan event]struct{}
 	cancelReq bool
 
 	doneCh chan struct{}
 }
 
-func (j *Job) publish(ev Event) {
+func (j *job) publish(ev event) {
 	// Callers hold j.mu.
 	j.history = append(j.history, ev)
 	for ch := range j.subs {
@@ -75,11 +75,11 @@ func (j *Job) publish(ev Event) {
 // subscribe returns the event history so far plus a live channel, and an
 // unsubscribe func. The channel is buffered; laggards lose events rather
 // than block the worker.
-func (j *Job) subscribe() (history []Event, live chan Event, unsub func()) {
+func (j *job) subscribe() (history []event, live chan event, unsub func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history = append([]Event(nil), j.history...)
-	live = make(chan Event, 256)
+	history = append([]event(nil), j.history...)
+	live = make(chan event, 256)
 	j.subs[live] = struct{}{}
 	return history, live, func() {
 		j.mu.Lock()
@@ -89,7 +89,7 @@ func (j *Job) subscribe() (history []Event, live chan Event, unsub func()) {
 }
 
 // snapshot returns the fields the HTTP layer renders.
-func (j *Job) snapshot() (state State, errMsg string, tables []*report.Table, cached bool, created, started, finished time.Time) {
+func (j *job) snapshot() (state state, errMsg string, tables []*report.Table, cached bool, created, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -98,27 +98,26 @@ func (j *Job) snapshot() (state State, errMsg string, tables []*report.Table, ca
 	return j.state, errMsg, j.tables, j.cacheHit, j.created, j.started, j.finished
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
+// done returns a channel closed when the job reaches a terminal state.
+func (j *job) done() <-chan struct{} { return j.doneCh }
 
-// Runner executes one experiment run. The indirection lets tests
+// runner executes one experiment run. The indirection lets tests
 // substitute a controllable runner for the real simulator.
-type Runner func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error)
+type runner func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error)
 
 // Config sizes the Manager.
 type Config struct {
-	Workers    int // concurrent runs; <=0 means 1
-	QueueDepth int // queued (not yet running) jobs before 503; <=0 means 16
-	CacheSize  int // completed results retained; <=0 means 64
-	Runner     Runner
-	Now        func() time.Time // test hook; nil means time.Now
+	Workers    int    // concurrent runs; <=0 means 1
+	QueueDepth int    // queued (not yet running) jobs before 503; <=0 means 16
+	CacheSize  int    // completed results retained; <=0 means 64
+	runner     runner // tests substitute a runner; nil means the simulator or Coordinator.Run
 
 	// StreamCache, when non-nil, supplies prepared workload streams to
 	// every job's suite construction, so jobs that share (machine, seed,
 	// scale, workloads) — even while differing in LLC size or policy —
 	// build each stream at most once per daemon process. Its counters are
 	// exported on /metrics as the sharesimd_stream_* series. Ignored when
-	// a custom Runner is set.
+	// a test substitutes the runner.
 	StreamCache *streamcache.Cache
 
 	// Coordinator, when non-nil, replaces the in-process runner with the
@@ -127,26 +126,26 @@ type Config struct {
 	// with results merged byte-identically to the direct path. The
 	// Manager stays the only place a job is coalesced, cached and
 	// cancelled. Its protocol endpoints are mounted on the server mux
-	// and its counters join /metrics. Ignored when a custom Runner is set.
+	// and its counters join /metrics. Ignored when a test substitutes the
+	// runner.
 	Coordinator *cluster.Coordinator
 }
 
-// Manager owns the worker pool, the coalescing map and the result cache.
+// Manager owns the worker pool, the coalescing map, the job ledger and
+// the result cache.
 type Manager struct {
 	cfg Config
-	now func() time.Time
 
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
 	mu       sync.Mutex
-	jobs     map[string]*Job // by ID, all ever submitted (bounded by cache + active)
-	active   map[string]*Job // by request key, queued or running only
-	order    []string        // job IDs oldest-first, for pruning
+	active   map[string]*job  // by request key, queued or running only
+	finished *lru.Cache[*job] // terminal jobs by ID, the most recently used kept
 	seq      int
 	draining bool
 
-	queue chan *Job
+	queue chan *job
 	wg    sync.WaitGroup
 
 	cache *lru.Cache[[]*report.Table] // completed results, one cost unit each; guarded by mu
@@ -164,26 +163,21 @@ func NewManager(cfg Config) *Manager {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 64
 	}
-	if cfg.Runner == nil {
+	if cfg.runner == nil {
 		if cfg.Coordinator != nil {
-			cfg.Runner = distributedRunner(cfg.Coordinator)
+			cfg.runner = cfg.Coordinator.Run
 		} else {
-			cfg.Runner = defaultRunner(cfg.StreamCache)
+			cfg.runner = defaultRunner(cfg.StreamCache)
 		}
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:      cfg,
-		now:      now,
 		baseCtx:  ctx,
 		baseStop: stop,
-		jobs:     map[string]*Job{},
-		active:   map[string]*Job{},
-		queue:    make(chan *Job, cfg.QueueDepth),
+		active:   map[string]*job{},
+		finished: lru.New[*job](int64(2*cfg.CacheSize+cfg.QueueDepth+cfg.Workers), nil),
+		queue:    make(chan *job, cfg.QueueDepth),
 		cache:    lru.New[[]*report.Table](int64(cfg.CacheSize), nil),
 		met:      newMetrics(),
 	}
@@ -195,16 +189,16 @@ func NewManager(cfg Config) *Manager {
 }
 
 var (
-	// ErrQueueFull is returned when the queue is at capacity.
-	ErrQueueFull = errors.New("job queue full, retry later")
-	// ErrDraining is returned after Shutdown has begun.
-	ErrDraining = errors.New("server is draining, not accepting jobs")
+	// errQueueFull is returned when the queue is at capacity.
+	errQueueFull = errors.New("job queue full, retry later")
+	// errDraining is returned after Shutdown has begun.
+	errDraining = errors.New("server is draining, not accepting jobs")
 )
 
 // submit validates, dedupes and enqueues a request. The bool reports
 // whether the returned job is fresh work (false = cache hit or coalesced
 // onto an identical in-flight job).
-func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
+func (m *Manager) submit(req sim.JobRequest) (*job, bool, error) {
 	if err := req.Normalize(); err != nil {
 		return nil, false, err
 	}
@@ -214,7 +208,7 @@ func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
 	if m.draining {
 		m.mu.Unlock()
 		m.met.add(&m.met.rejected)
-		return nil, false, ErrDraining
+		return nil, false, errDraining
 	}
 	// Coalesce: an identical request is already queued or running.
 	if live, ok := m.active[key]; ok {
@@ -225,20 +219,21 @@ func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
 	// Cache: an identical request already completed successfully.
 	if tables, ok := m.cache.Get(key); ok {
 		job := m.newJobLocked(req, key)
-		now := m.now()
+		now := time.Now()
 		job.state = stateDone
 		job.cacheHit = true
 		job.tables = tables
 		job.started, job.finished = now, now
-		job.history = append(job.history, Event{Type: "state", State: stateDone})
+		job.history = append(job.history, event{Type: "state", State: stateDone})
 		close(job.doneCh)
+		m.finished.Put(job.ID, job, 1)
 		m.mu.Unlock()
 		m.met.add(&m.met.cacheHits)
 		return job, false, nil
 	}
 	job := m.newJobLocked(req, key)
 	job.state = stateQueued
-	job.history = append(job.history, Event{Type: "state", State: stateQueued})
+	job.history = append(job.history, event{Type: "state", State: stateQueued})
 	m.active[key] = job
 	m.mu.Unlock()
 
@@ -250,82 +245,46 @@ func (m *Manager) submit(req sim.JobRequest) (*Job, bool, error) {
 	default:
 		m.mu.Lock()
 		delete(m.active, key)
-		m.removeJobLocked(job.ID)
 		m.mu.Unlock()
 		m.met.add(&m.met.rejected)
-		return nil, false, ErrQueueFull
+		return nil, false, errQueueFull
 	}
 }
 
-// newJobLocked allocates a job and registers it; caller holds m.mu.
-func (m *Manager) newJobLocked(req sim.JobRequest, key string) *Job {
+// newJobLocked allocates a job; caller holds m.mu. The job is found by
+// ID while it is queued or running (m.active) and, once terminal, while
+// the ledger (m.finished) keeps it.
+func (m *Manager) newJobLocked(req sim.JobRequest, key string) *job {
 	m.seq++
-	job := &Job{
+	return &job{
 		ID:      fmt.Sprintf("job-%d", m.seq),
 		Request: req,
 		Key:     key,
-		created: m.now(),
-		subs:    map[chan Event]struct{}{},
+		created: time.Now(),
+		subs:    map[chan event]struct{}{},
 		doneCh:  make(chan struct{}),
 	}
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job.ID)
-	m.pruneLocked()
-	return job
 }
 
-// pruneLocked evicts the oldest terminal jobs once the ledger outgrows
-// the cache budget, keeping memory bounded under sustained load.
-func (m *Manager) pruneLocked() {
-	limit := 2*m.cfg.CacheSize + m.cfg.QueueDepth + m.cfg.Workers
-	for len(m.jobs) > limit {
-		pruned := false
-		for i, id := range m.order {
-			j := m.jobs[id]
-			if j == nil {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				pruned = true
-				break
-			}
-			j.mu.Lock()
-			term := j.state.terminal()
-			j.mu.Unlock()
-			if term {
-				delete(m.jobs, id)
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				pruned = true
-				break
-			}
-		}
-		if !pruned {
-			return // everything live; let it ride
-		}
-	}
-}
-
-func (m *Manager) removeJobLocked(id string) {
-	delete(m.jobs, id)
-	for i, jid := range m.order {
-		if jid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Get looks a job up by ID.
-func (m *Manager) Get(id string) (*Job, bool) {
+// get looks a job up by ID: a live job is never dropped, and a terminal
+// one is kept until 2×CacheSize+QueueDepth+Workers more recently used
+// terminal jobs push it out of the ledger.
+func (m *Manager) get(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	for _, j := range m.active {
+		if j.ID == id {
+			return j, true
+		}
+	}
+	return m.finished.Get(id)
 }
 
 // cancel aborts a job. Queued jobs are finalized immediately; running
 // jobs get their context cancelled and finalize when the replay loop
 // observes it (bounded by the cancellation stride in internal/sharing).
 func (m *Manager) cancel(id string) error {
-	job, ok := m.Get(id)
+	job, ok := m.get(id)
 	if !ok {
 		return fmt.Errorf("no such job %s", id)
 	}
@@ -359,15 +318,15 @@ func (m *Manager) worker() {
 		if !skip {
 			ctx, cancel := context.WithCancel(m.baseCtx)
 			job.state = stateRunning
-			job.started = m.now()
+			job.started = time.Now()
 			job.cancel = cancel
-			job.publish(Event{Type: "state", State: stateRunning})
+			job.publish(event{Type: "state", State: stateRunning})
 			job.mu.Unlock()
 
 			m.met.gauge(&m.met.inflight, 1)
-			tables, err := m.cfg.Runner(ctx, job.Request, func(done, total int, label string) {
+			tables, err := m.cfg.runner(ctx, job.Request, func(done, total int, label string) {
 				job.mu.Lock()
-				job.publish(Event{Type: "progress", Done: done, Total: total, Label: label})
+				job.publish(event{Type: "progress", Done: done, Total: total, Label: label})
 				job.mu.Unlock()
 			})
 			cancel()
@@ -379,12 +338,13 @@ func (m *Manager) worker() {
 	}
 }
 
-// finalize records the terminal state, feeds the cache, releases the
-// coalescing slot and only then publishes the state, all under m.mu (lock
-// order m.mu → job.mu, as in pruneLocked). A client that has seen done
-// therefore finds the key cached and gone from m.active: its next
-// identical POST is a cache hit, never coalesced onto the finished job.
-func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
+// finalize records the terminal state, feeds the cache, moves the job
+// from the coalescing map to the ledger and only then publishes the
+// state, all under m.mu (lock order m.mu → job.mu). A client that has
+// seen done therefore finds the key cached and gone from m.active: its
+// next identical POST is a cache hit, never coalesced onto the finished
+// job.
+func (m *Manager) finalize(job *job, tables []*report.Table, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	job.mu.Lock()
@@ -392,7 +352,7 @@ func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
 	if job.state.terminal() {
 		return
 	}
-	now := m.now()
+	now := time.Now()
 	if job.started.IsZero() {
 		job.started = now
 	}
@@ -415,8 +375,9 @@ func (m *Manager) finalize(job *Job, tables []*report.Table, err error) {
 	if m.active[job.Key] == job {
 		delete(m.active, job.Key)
 	}
+	m.finished.Put(job.ID, job, 1)
 	m.met.jobFinished(string(state), job.Request.Exp, job.finished.Sub(job.started).Seconds())
-	job.publish(Event{Type: "state", State: state})
+	job.publish(event{Type: "state", State: state})
 	close(job.doneCh)
 }
 

@@ -25,7 +25,7 @@ func TestJobBodyLimit(t *testing.T) {
 	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		return []*report.Table{{Title: "stub"}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 	post := func(size int) *http.Response {
 		t.Helper()
 		// Leading whitespace pads the body, so the decoder must read all

@@ -69,7 +69,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 type jobView struct {
 	ID       string          `json:"id"`
 	Exp      string          `json:"exp"`
-	State    State           `json:"state"`
+	State    state           `json:"state"`
 	Cached   bool            `json:"cached"`
 	Error    string          `json:"error,omitempty"`
 	Tables   []*report.Table `json:"tables,omitempty"`
@@ -78,7 +78,7 @@ type jobView struct {
 	Finished *time.Time      `json:"finished,omitempty"`
 }
 
-func viewOf(j *Job) jobView {
+func viewOf(j *job) jobView {
 	state, errMsg, tables, cached, created, started, finished := j.snapshot()
 	v := jobView{
 		ID:      j.ID,
@@ -112,7 +112,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, fresh, err := s.m.submit(req)
 	switch {
-	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
+	case errors.Is(err, errQueueFull) || errors.Is(err, errDraining):
 		cluster.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
@@ -127,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.m.Get(r.PathValue("id"))
+	job, ok := s.m.get(r.PathValue("id"))
 	if !ok {
 		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
 		return
@@ -147,7 +147,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // recorded history first, then live events until a terminal state or
 // client disconnect.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.m.Get(r.PathValue("id"))
+	job, ok := s.m.get(r.PathValue("id"))
 	if !ok {
 		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
 		return
@@ -164,7 +164,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	history, live, unsub := job.subscribe()
 	defer unsub()
 
-	emit := func(ev Event) bool {
+	emit := func(ev event) bool {
 		b, _ := json.Marshal(ev)
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
 		fl.Flush()
@@ -183,7 +183,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !emit(ev) {
 				return
 			}
-		case <-job.Done():
+		case <-job.done():
 			// Drain whatever the subscription buffered, then re-emit the
 			// terminal state in case the buffer dropped it.
 			for {
@@ -194,7 +194,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 					}
 				default:
 					state, _, _, _, _, _, _ := job.snapshot()
-					emit(Event{Type: "state", State: state})
+					emit(event{Type: "state", State: state})
 					return
 				}
 			}

@@ -139,7 +139,7 @@ func TestCacheHitServedWithoutRun(t *testing.T) {
 		mu.Unlock()
 		return []*report.Table{{Title: "stub", Headers: []string{"h"}, Rows: [][]string{{"x"}}}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 
 	v1, code := postJob(t, ts, fastReq())
 	if code != http.StatusAccepted {
@@ -193,7 +193,7 @@ func TestRePostOnDoneIsCacheHit(t *testing.T) {
 		<-release
 		return []*report.Table{{Title: "stub", Headers: []string{"h"}, Rows: [][]string{{"x"}}}}, nil
 	}
-	s, _ := newTestServer(t, Config{Workers: 1, Runner: runner})
+	s, _ := newTestServer(t, Config{Workers: 1, runner: runner})
 	body, err := json.Marshal(fastReq())
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestRePostOnDoneIsCacheHit(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("first POST status = %d", code)
 	}
-	job, ok := s.m.Get(v1.ID)
+	job, ok := s.m.get(v1.ID)
 	if !ok {
 		t.Fatalf("job %s not found", v1.ID)
 	}
@@ -255,7 +255,7 @@ func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {
 		<-release
 		return []*report.Table{{Title: "stub"}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 2, runner: runner})
 
 	v1, code := postJob(t, ts, fastReq())
 	if code != http.StatusAccepted {
@@ -361,7 +361,7 @@ func TestCancelRunningJob(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 
 	v, _ := postJob(t, ts, fastReq())
 	<-started
@@ -420,7 +420,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		<-block
 		return []*report.Table{{}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 	defer close(block)
 
 	v1, _ := postJob(t, ts, fastReq()) // occupies the only worker
@@ -501,7 +501,7 @@ func TestQueueFullReturns503(t *testing.T) {
 		<-block
 		return []*report.Table{{}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, runner: runner})
 	defer close(block)
 
 	ids := []string{"f1", "f2", "f3", "f4"}
@@ -537,7 +537,7 @@ func TestEventsStream(t *testing.T) {
 		progress(2, 2, "swaptions")
 		return []*report.Table{{Title: "stub"}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 
 	v, _ := postJob(t, ts, fastReq())
 	waitDone(t, ts, v.ID, 10*time.Second)
@@ -580,7 +580,7 @@ func TestShutdownDrains(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	s := New(NewManager(Config{Workers: 1, Runner: runner}), nil)
+	s := New(NewManager(Config{Workers: 1, runner: runner}), nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -597,7 +597,7 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatalf("drain failed: %v", err)
 	}
 
-	job, ok := s.m.Get(v.ID)
+	job, ok := s.m.get(v.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}
@@ -630,7 +630,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
 	}
-	s := New(NewManager(Config{Workers: 1, Runner: runner}), nil)
+	s := New(NewManager(Config{Workers: 1, runner: runner}), nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -643,7 +643,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	if err == nil {
 		t.Fatal("drain with stuck job reported success")
 	}
-	job, _ := s.m.Get(v.ID)
+	job, _ := s.m.get(v.ID)
 	state, _, _, _, _, _, _ := job.snapshot()
 	if state != stateCancelled {
 		t.Errorf("stuck job state = %s, want cancelled", state)
@@ -680,7 +680,7 @@ func TestResultCacheLRU(t *testing.T) {
 	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		return []*report.Table{{Title: fmt.Sprint(req.Seed)}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 2, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 2, runner: runner})
 	post := func(seed uint64) jobView {
 		t.Helper()
 		req := fastReq()
@@ -767,7 +767,7 @@ func TestFailedRunNotCached(t *testing.T) {
 		}
 		return []*report.Table{{Title: "ok"}}, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 
 	v1, _ := postJob(t, ts, fastReq())
 	f1 := waitDone(t, ts, v1.ID, 10*time.Second)
@@ -784,4 +784,69 @@ func TestFailedRunNotCached(t *testing.T) {
 		t.Errorf("runner ran %d times, want 2", runs)
 	}
 	mu.Unlock()
+}
+
+// TestJobLedgerBound: terminal jobs stay findable until
+// 2×CacheSize+QueueDepth+Workers more recent ones push them out, and a
+// queued or running job is never dropped. With one worker held busy, one
+// job queued behind it and every further POST a cache hit, the oldest
+// finished job answers 404 past the bound while the newest finished job,
+// the running one and the queued one still answer.
+func TestJobLedgerBound(t *testing.T) {
+	release := make(chan struct{})
+	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
+		if req.Seed != 1 {
+			<-release
+		}
+		return []*report.Table{{Title: fmt.Sprint(req.Seed)}}, nil
+	}
+	cfg := Config{Workers: 1, QueueDepth: 1, CacheSize: 1, runner: runner}
+	_, ts := newTestServer(t, cfg)
+	defer close(release)
+	post := func(seed uint64) jobView {
+		t.Helper()
+		req := fastReq()
+		req.Seed = seed
+		v, code := postJob(t, ts, req)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("POST seed %d: status %d", seed, code)
+		}
+		return v
+	}
+	status := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	oldest := waitDone(t, ts, post(1).ID, 10*time.Second)
+	running := post(2)
+	for getJob(t, ts, running.ID).State != stateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	queued := post(3)
+	bound := 2*cfg.CacheSize + cfg.QueueDepth + cfg.Workers
+	var newest jobView
+	for range bound {
+		if newest = post(1); !newest.Cached {
+			t.Fatal("a repeat of a finished job was not a cache hit")
+		}
+	}
+	for _, c := range []struct {
+		name string
+		id   string
+		want int
+	}{
+		{"oldest finished", oldest.ID, http.StatusNotFound},
+		{"newest finished", newest.ID, http.StatusOK},
+		{"running", running.ID, http.StatusOK},
+		{"queued", queued.ID, http.StatusOK},
+	} {
+		if got := status(c.id); got != c.want {
+			t.Errorf("%s job %s: status %d, want %d", c.name, c.id, got, c.want)
+		}
+	}
 }

@@ -86,7 +86,7 @@ func TestStreamMetricsAbsentWithoutCache(t *testing.T) {
 	runner := func(ctx context.Context, req sim.JobRequest, progress func(int, int, string)) ([]*report.Table, error) {
 		return nil, nil
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+	_, ts := newTestServer(t, Config{Workers: 1, runner: runner})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -60,10 +60,6 @@ func (r Residency) degree() int {
 // Shared reports whether the residency was accessed by ≥ 2 distinct cores.
 func (r Residency) Shared() bool { return r.degree() >= 2 }
 
-// Evicted reports whether the residency ended by eviction rather than by
-// the stream running out.
-func (r Residency) Evicted() bool { return r.EvictIndex >= 0 }
-
 // Hooks lets callers observe and steer one lane of a replay
 // (LLCConfig.Hooks). Either field may be nil.
 type Hooks struct {

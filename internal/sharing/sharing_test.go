@@ -127,10 +127,10 @@ func TestSharingResetsAcrossResidencies(t *testing.T) {
 	if second.Shared() {
 		t.Error("second residency inherited sharing from the first")
 	}
-	if !first.Evicted() {
+	if first.EvictIndex < 0 {
 		t.Error("first residency not marked evicted")
 	}
-	if second.Evicted() {
+	if second.EvictIndex >= 0 {
 		t.Error("alive-at-end residency marked evicted")
 	}
 }
@@ -239,7 +239,7 @@ func TestOnResidencyEndFiresForAll(t *testing.T) {
 	}
 	evicted := 0
 	for _, r := range ended {
-		if r.Evicted() {
+		if r.EvictIndex >= 0 {
 			evicted++
 		}
 	}
@@ -389,15 +389,15 @@ func TestResidencyLogDeterministic(t *testing.T) {
 	for i := 1; i < len(a); i++ {
 		p, r := a[i-1], a[i]
 		switch {
-		case p.Evicted() && r.Evicted():
+		case p.EvictIndex >= 0 && r.EvictIndex >= 0:
 			if p.EvictIndex >= r.EvictIndex {
 				t.Fatalf("evictions %d, %d out of order", i-1, i)
 			}
-		case !p.Evicted() && !r.Evicted():
+		case p.EvictIndex < 0 && r.EvictIndex < 0:
 			if p.FillIndex >= r.FillIndex {
 				t.Fatalf("survivors %d, %d out of fill order", i-1, i)
 			}
-		case !p.Evicted():
+		case p.EvictIndex < 0:
 			t.Fatalf("survivor %d closed before eviction %d", i-1, i)
 		}
 	}

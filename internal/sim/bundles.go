@@ -136,13 +136,13 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			drivenTable)}, true
 	case "f9":
 		return []TableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
-			func(s *Suite) ([]PhaseRow, error) { return s.sharingPhases(0) }, phaseTable)}, true
+			func(s *Suite) ([]phaseRow, error) { return s.sharingPhases(0) }, phaseTable)}, true
 	case "c1":
 		return []TableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
 			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable)}, true
 	case "c2":
 		return []TableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
-			func(s *Suite) ([]ReuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable)}, true
+			func(s *Suite) ([]reuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable)}, true
 	case "m1":
 		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]OracleRow, error) { return m1Rows(s, o) }, oracleTable), nil), true
@@ -173,7 +173,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return []TableSpec{oracleSpec(titles, o.LLCSize, ways, []string{"lru"}, o.Prot)}, true
 	case "a4":
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
-			func(s *Suite) ([]HorizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
+			func(s *Suite) ([]horizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
 			horizonTable)}, true
 	case "a5":
 		return wholeSpec(newSpec("seed", fmt.Sprintf("A5: oracle gain across seeds (%s LLC, LRU)", mbLabel(o.LLCSize)),

@@ -38,8 +38,8 @@ type CharRow struct {
 	ROSharedHitFrac float64
 	RWSharedHitFrac float64
 
-	DegreeResidencyShare [4]float64 // residency share per stats.DegreeBuckets
-	DegreeHitShare       [4]float64 // hit share per stats.DegreeBuckets
+	DegreeResidencyShare [4]float64 // residency share per stats.degreeBuckets
+	DegreeHitShare       [4]float64 // hit share per stats.degreeBuckets
 }
 
 // Characterize runs the F1/F2/F3 characterization under LRU at the given
@@ -115,13 +115,13 @@ func (s *Suite) CoherenceCharacterize() ([]CoherenceRow, error) {
 	})
 }
 
-// ReuseRow is one workload's reuse-distance characterization (experiment
+// reuseRow is one workload's reuse-distance characterization (experiment
 // C2, an extension): the distribution of LRU stack distances at the LLC,
 // split into shared-future and private accesses. Buckets follow
-// reuse.BucketEdges; the 64K- and 128K-block edges are the 4 MB and 8 MB
+// reuse.bucketEdges; the 64K- and 128K-block edges are the 4 MB and 8 MB
 // capacities, so the shares read directly as "fits at 4 MB / at 8 MB /
 // nowhere".
-type ReuseRow struct {
+type reuseRow struct {
 	Workload string
 
 	SharedShares  [reuse.NumBuckets]float64
@@ -132,14 +132,14 @@ type ReuseRow struct {
 
 // reuseDistances runs the C2 characterization, classifying each access
 // with the oracle's residency-scale sharing hint at the given LLC size.
-func (s *Suite) reuseDistances(llcSize int) ([]ReuseRow, error) {
-	return perStream(s, "reuse distances", func(st *Stream) ([]ReuseRow, error) {
+func (s *Suite) reuseDistances(llcSize int) ([]reuseRow, error) {
+	return perStream(s, "reuse distances", func(st *Stream) ([]reuseRow, error) {
 		hints := oracle.SharedHints(st.Accesses, oracle.Horizon(llcSize, oracle.HorizonFactor))
 		prof, err := reuse.Analyze(st.Accesses, hints)
 		if err != nil {
 			return nil, err
 		}
-		row := ReuseRow{
+		row := reuseRow{
 			Workload:     st.Model.Name,
 			SharedTotal:  prof.Shared.Total,
 			PrivateTotal: prof.Private.Total,
@@ -148,14 +148,14 @@ func (s *Suite) reuseDistances(llcSize int) ([]ReuseRow, error) {
 			row.SharedShares[b] = prof.Shared.Share(b)
 			row.PrivateShares[b] = prof.Private.Share(b)
 		}
-		return []ReuseRow{row}, nil
+		return []reuseRow{row}, nil
 	})
 }
 
-// PhaseRow is one workload's sharing-phase analysis (experiment F9):
+// phaseRow is one workload's sharing-phase analysis (experiment F9):
 // how stable a block's shared/private status is across program phases,
 // the mechanistic explanation of the predictor failure.
-type PhaseRow struct {
+type phaseRow struct {
 	Workload string
 
 	Windows      int
@@ -169,16 +169,16 @@ type PhaseRow struct {
 
 // sharingPhases runs the F9 phase analysis over every workload's LLC
 // stream with the given number of windows (0 = phase.DefaultWindows).
-func (s *Suite) sharingPhases(windows int) ([]PhaseRow, error) {
+func (s *Suite) sharingPhases(windows int) ([]phaseRow, error) {
 	if windows == 0 {
 		windows = phase.DefaultWindows
 	}
-	return perStream(s, "phase analysis", func(st *Stream) ([]PhaseRow, error) {
+	return perStream(s, "phase analysis", func(st *Stream) ([]phaseRow, error) {
 		res, err := phase.Analyze(st.Accesses, windows)
 		if err != nil {
 			return nil, err
 		}
-		return []PhaseRow{{
+		return []phaseRow{{
 			Workload:     st.Model.Name,
 			Windows:      res.Windows,
 			FlipRate:     res.FlipRate(),
@@ -398,8 +398,8 @@ func MultiprogrammedOracle(ctx context.Context, mixes [][]workloads.Model, machi
 	return s.OracleStudy(llcSize, llcWays, []string{"lru"}, opts)
 }
 
-// HorizonRow is one (workload, horizon-factor) result of the A4 ablation.
-type HorizonRow struct {
+// horizonRow is one (workload, horizon-factor) result of the A4 ablation.
+type horizonRow struct {
 	Workload  string
 	Factor    int // sharing lookahead in multiples of LLC capacity
 	Reduction float64
@@ -408,7 +408,7 @@ type HorizonRow struct {
 // oracleHorizonSweep reruns the LRU oracle study at several sharing
 // horizons (ablation A4): how sensitive is the headroom to how far ahead
 // "will be shared during its residency" looks?
-func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts core.Options) ([]HorizonRow, error) {
+func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts core.Options) ([]horizonRow, error) {
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4, 8}
 	}
@@ -417,12 +417,12 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 		cells[f] = oracle.Cell{Opts: opts, Factor: factor}
 	}
 	return firstTable(oracleStudy(s, "horizon sweep", 1, sharing.CountsOnly, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
-		func(st *Stream, results []*oracle.Result) [][]HorizonRow {
-			rows := make([]HorizonRow, len(results))
+		func(st *Stream, results []*oracle.Result) [][]horizonRow {
+			rows := make([]horizonRow, len(results))
 			for f, res := range results {
-				rows[f] = HorizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
+				rows[f] = horizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
 			}
-			return [][]HorizonRow{rows}
+			return [][]horizonRow{rows}
 		}))
 }
 

@@ -73,7 +73,7 @@ func (r *JobRequest) Normalize() error {
 	if _, err := ExperimentByID(r.Exp); err != nil {
 		return err
 	}
-	return r.Request.Normalize()
+	return r.Request.normalize()
 }
 
 // Key is the hash of the normalized job's canonical JSON. Everything
@@ -97,13 +97,13 @@ const maxLLCMB = 32
 // PLRU keeps one 64-bit tree per set.
 const maxWays = 64
 
-// Normalize fills the defaults (4 MB, 16 ways, seed 1, scale 1, full
+// normalize fills the defaults (4 MB, 16 ways, seed 1, scale 1, full
 // strength), bounds every knob (the LLC through CheckGeometry),
 // lower-cases and sorts the workloads and lower-cases the policies,
 // rejecting a name the suite or the policy catalogue does not know. The
 // normalized form is what a job key hashes, so requests differing only
 // in omitted-vs-explicit defaults coalesce.
-func (r *Request) Normalize() error {
+func (r *Request) normalize() error {
 	if r.LLCMB == 0 {
 		r.LLCMB = 4
 	}

@@ -68,10 +68,10 @@ func rowSamples(tb testing.TB) []rowSample {
 		{"oracle", [][]OracleRow{sampleRows[OracleRow]()}},
 		{"predictor", [][]PredictorRow{sampleRows[PredictorRow]()}},
 		{"driven", [][]DrivenRow{sampleRows[DrivenRow]()}},
-		{"reuse", [][]ReuseRow{sampleRows[ReuseRow]()}},
+		{"reuse", [][]reuseRow{sampleRows[reuseRow]()}},
 		{"coherence", [][]CoherenceRow{sampleRows[CoherenceRow]()}},
-		{"phase", [][]PhaseRow{sampleRows[PhaseRow]()}},
-		{"horizon", [][]HorizonRow{sampleRows[HorizonRow]()}},
+		{"phase", [][]phaseRow{sampleRows[phaseRow]()}},
+		{"horizon", [][]horizonRow{sampleRows[horizonRow]()}},
 		{"seed", [][]seedRow{sampleRows[seedRow]()}},
 		{"predictor", [][]PredictorRow{sampleRows[PredictorRow](), sampleRows[PredictorRow]()}},
 		{"oracle", [][]OracleRow{sampleRows[OracleRow](), {}}},

@@ -138,7 +138,7 @@ func newCensusTee(r trace.Reader, m *workloads.Model) *censusTee {
 	return &censusTee{r: r, m: m, dir: coherence.NewDirectory(m.FootprintBlocks(), m.Threads)}
 }
 
-// ReadBatch implements trace.BatchReader.
+// ReadBatch implements trace.batchReader.
 func (t *censusTee) ReadBatch(dst []trace.Access) int {
 	n := trace.ReadBatch(t.r, dst)
 	if len(t.ids) < n {
@@ -352,16 +352,6 @@ func firstTable[R any](tables [][]R, err error) ([]R, error) {
 		return nil, err
 	}
 	return tables[0], nil
-}
-
-// Stream returns the prepared stream for the named workload.
-func (s *Suite) Stream(name string) (*Stream, error) {
-	for _, st := range s.Streams {
-		if st.Model.Name == name {
-			return st, nil
-		}
-	}
-	return nil, fmt.Errorf("sim: no prepared stream for workload %q", name)
 }
 
 // replayOpts is Stream.ReplayOptions under this suite's cancellation

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 	"sharellc/internal/predictor"
 	"sharellc/internal/sharing"
 	"sharellc/internal/stats"
-	"sharellc/internal/trace"
 	"sharellc/internal/workloads"
 )
 
@@ -97,16 +97,6 @@ func TestNewSuiteValidation(t *testing.T) {
 	cfg.Machine.Cores = 4 // fewer cores than workload threads
 	if _, err := NewSuite(cfg); err == nil {
 		t.Error("thread/core mismatch accepted")
-	}
-}
-
-func TestSuiteStreamLookup(t *testing.T) {
-	s := testSuite(t)
-	if _, err := s.Stream("canneal"); err != nil {
-		t.Error(err)
-	}
-	if _, err := s.Stream("nonesuch"); err == nil {
-		t.Error("unknown stream name accepted")
 	}
 }
 
@@ -265,7 +255,7 @@ func TestSharingPhases(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byName := map[string]PhaseRow{}
+	byName := map[string]phaseRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
 		if r.FlipRate < 0 || r.FlipRate > 1 {
@@ -441,7 +431,7 @@ func TestParallelPropagatesError(t *testing.T) {
 	}
 }
 
-var errTest = trace.ErrBadMagic // reuse an existing sentinel as a distinct error value
+var errTest = errors.New("sim test: injected failure")
 
 func TestSuiteDeterministicAcrossRuns(t *testing.T) {
 	a := testSuite(t)
@@ -526,7 +516,7 @@ func TestParallelSingleWorkerPath(t *testing.T) {
 	if !ran {
 		t.Error("serial path did not run")
 	}
-	wantErr := trace.ErrBadMagic
+	wantErr := errTest
 	if err := parallel(1, func(int) error { return wantErr }); err != wantErr {
 		t.Errorf("serial path error = %v", err)
 	}

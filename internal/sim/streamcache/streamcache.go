@@ -49,9 +49,9 @@ import (
 // result must see one numbering.
 const codecVersion = 2
 
-// DefaultMemBudget bounds resident stream bytes when Options.MemBudget
+// defaultMemBudget bounds resident stream bytes when Options.MemBudget
 // is zero: two full-size 22-workload suites fit comfortably.
-const DefaultMemBudget = 2 << 30
+const defaultMemBudget = 2 << 30
 
 // Options configures a Cache.
 type Options struct {
@@ -61,7 +61,7 @@ type Options struct {
 	Dir string
 	// MemBudget caps the bytes of stream data resident in the process
 	// level; least-recently-used streams are evicted past it. 0 means
-	// DefaultMemBudget, negative means unlimited. The budget is advisory
+	// defaultMemBudget, negative means unlimited. The budget is advisory
 	// per insertion: the most recently inserted stream is never evicted,
 	// so a single stream larger than the budget still caches.
 	MemBudget int64
@@ -159,7 +159,7 @@ func New(opts Options) *Cache {
 	c := &Cache{dir: opts.Dir, inflight: map[string]*flight{}, buildHook: opts.BuildHook}
 	budget := opts.MemBudget
 	if budget == 0 {
-		budget = DefaultMemBudget
+		budget = defaultMemBudget
 	}
 	c.mem = lru.New(budget, func(string, *sim.Stream) { c.stats.Evictions++ })
 	c.disk = lru.New(opts.DiskBudget, func(key string, _ struct{}) {

@@ -90,7 +90,7 @@ func oracleTable(title string, rows []OracleRow) *report.Table {
 
 // reuseTable renders C2 reuse-distance rows: one row per (workload,
 // class) with the bucket shares.
-func reuseTable(title string, rows []ReuseRow) *report.Table {
+func reuseTable(title string, rows []reuseRow) *report.Table {
 	headers := []string{"workload", "class", "accesses"}
 	for b := 0; b < reuse.NumBuckets; b++ {
 		headers = append(headers, reuse.BucketLabel(b))
@@ -126,7 +126,7 @@ func coherenceTable(title string, rows []CoherenceRow) *report.Table {
 }
 
 // phaseTable renders F9 sharing-phase rows.
-func phaseTable(title string, rows []PhaseRow) *report.Table {
+func phaseTable(title string, rows []phaseRow) *report.Table {
 	t := report.NewTable(title,
 		"workload", "flip-rate", "mixed%", "always-sh", "never-sh", "mixed", "1-window")
 	var flips, mixed []float64
@@ -142,12 +142,12 @@ func phaseTable(title string, rows []PhaseRow) *report.Table {
 }
 
 // horizonTable renders A4 horizon-sweep rows.
-func horizonTable(title string, rows []HorizonRow) *report.Table {
+func horizonTable(title string, rows []horizonRow) *report.Table {
 	t := report.NewTable(title, "workload", "horizon", "reduction")
 	for _, r := range rows {
 		t.MustRow(r.Workload, fmt.Sprintf("%dx", r.Factor), stats.Pct(r.Reduction))
 	}
-	order, byFactor := groups(rows, func(r HorizonRow) (int, float64) { return r.Factor, r.Reduction })
+	order, byFactor := groups(rows, func(r horizonRow) (int, float64) { return r.Factor, r.Reduction })
 	note := "mean reduction by horizon:"
 	for _, f := range order {
 		note += fmt.Sprintf(" %dx=%s", f, stats.Pct(stats.Mean(byFactor[f])))

@@ -7,8 +7,8 @@ package sim
 // overlap/MLP modelling — the numbers are a first-order translation, not
 // a performance claim (the paper's own evaluation is miss-count based).
 
-// Latency holds per-level access latencies in cycles.
-type Latency struct {
+// latency holds per-level access latencies in cycles.
+type latency struct {
 	L1  uint64 // L1 hit
 	L2  uint64 // L2 hit (includes the L1 probe)
 	LLC uint64 // LLC hit (includes the private-level probes)
@@ -17,18 +17,18 @@ type Latency struct {
 
 // defaultLatency reflects the paper's era: 4-cycle L1, 12-cycle L2,
 // ~40-cycle LLC and 200-cycle memory.
-func defaultLatency() Latency { return Latency{L1: 4, L2: 12, LLC: 38, Mem: 200} }
+func defaultLatency() latency { return latency{L1: 4, L2: 12, LLC: 38, Mem: 200} }
 
 // cycles computes the total memory-access cycles of one workload run:
 // the private-level hits come from the prepared stream, the LLC outcome
 // from the policy pass under evaluation.
-func (l Latency) cycles(st *Stream, llcHits, llcMisses uint64) uint64 {
+func (l latency) cycles(st *Stream, llcHits, llcMisses uint64) uint64 {
 	return st.L1Hits*l.L1 + st.L2Hits*l.L2 + llcHits*l.LLC + llcMisses*l.Mem
 }
 
 // amatSpeedup returns baseCycles/newCycles for one workload: > 1 means
 // the new configuration is faster.
-func (l Latency) amatSpeedup(st *Stream, baseHits, baseMisses, newHits, newMisses uint64) float64 {
+func (l latency) amatSpeedup(st *Stream, baseHits, baseMisses, newHits, newMisses uint64) float64 {
 	nc := l.cycles(st, newHits, newMisses)
 	if nc == 0 {
 		return 0

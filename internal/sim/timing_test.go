@@ -8,7 +8,7 @@ import (
 
 func TestLatencyCycles(t *testing.T) {
 	st := &Stream{L1Hits: 10, L2Hits: 5}
-	l := Latency{L1: 1, L2: 2, LLC: 3, Mem: 4}
+	l := latency{L1: 1, L2: 2, LLC: 3, Mem: 4}
 	if got := l.cycles(st, 7, 2); got != 10*1+5*2+7*3+2*4 {
 		t.Errorf("Cycles = %d", got)
 	}
@@ -28,7 +28,7 @@ func TestAMATSpeedupDirection(t *testing.T) {
 	}
 	// Degenerate zero-cycle run guards against division by zero.
 	empty := &Stream{}
-	if got := (Latency{}).amatSpeedup(empty, 0, 0, 0, 0); got != 0 {
+	if got := (latency{}).amatSpeedup(empty, 0, 0, 0, 0); got != 0 {
 		t.Errorf("zero-cycle speedup = %v", got)
 	}
 }

@@ -51,9 +51,9 @@ func Ratio(num, den uint64) float64 {
 // "6.34%".
 func Pct(frac float64) string { return fmt.Sprintf("%.2f%%", 100*frac) }
 
-// DegreeBuckets are the sharing-degree groups used by the F3 experiment:
+// degreeBuckets are the sharing-degree groups used by the F3 experiment:
 // private (1), pairwise (2), small groups (3-4) and wide sharing (5+).
-var DegreeBuckets = []struct {
+var degreeBuckets = []struct {
 	Label    string
 	Min, Max int
 }{
@@ -64,7 +64,7 @@ var DegreeBuckets = []struct {
 }
 
 // BucketizeDegrees folds a per-degree count vector (index = degree) into
-// the four DegreeBuckets and returns each bucket's share of the total.
+// the four degreeBuckets and returns each bucket's share of the total.
 // An all-zero input yields all-zero shares.
 func BucketizeDegrees(byDegree []uint64) [4]float64 {
 	var counts [4]uint64
@@ -74,7 +74,7 @@ func BucketizeDegrees(byDegree []uint64) [4]float64 {
 			continue
 		}
 		total += n
-		for i, b := range DegreeBuckets {
+		for i, b := range degreeBuckets {
 			if degree >= b.Min && degree <= b.Max {
 				counts[i] += n
 				break

@@ -23,9 +23,9 @@ import (
 // magic identifies trace files; the trailing digit is the format version.
 const magic = "SHLLCTR1"
 
-// ErrBadMagic is returned by NewFileReader when the input does not start
+// errBadMagic is returned by NewFileReader when the input does not start
 // with the trace file magic.
-var ErrBadMagic = errors.New("trace: bad magic (not a trace file or wrong version)")
+var errBadMagic = errors.New("trace: bad magic (not a trace file or wrong version)")
 
 // maxCore is the largest core id the 7-bit flags field can carry.
 const maxCore = 127
@@ -106,7 +106,7 @@ func NewFileReader(r io.Reader) (*FileReader, error) {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
 	if string(hdr) != magic {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	return &FileReader{r: br}, nil
 }

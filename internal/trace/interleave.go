@@ -46,7 +46,7 @@ func NewInterleaver(streams []Reader, burst int, rnd *rng.Source) *Interleaver {
 	return il
 }
 
-// ReadBatch implements BatchReader: it copies whole bursts (or what is
+// ReadBatch implements batchReader: it copies whole bursts (or what is
 // left of dst) until dst is full or every input stream is exhausted. A
 // stream dies when it delivers less than it was asked for, never earlier:
 // one that runs dry exactly at a burst end stays eligible for the next

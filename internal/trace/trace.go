@@ -22,10 +22,6 @@ const BlockSize = 1 << BlockShift
 // Addr is a virtual byte address.
 type Addr uint64
 
-// Block returns the cache-block address (byte address with the offset bits
-// stripped), which is the unit of cache residency and sharing.
-func (a Addr) Block() Addr { return a >> BlockShift << BlockShift }
-
 // BlockID returns the block number (address divided by the block size).
 func (a Addr) BlockID() uint64 { return uint64(a) >> BlockShift }
 
@@ -55,13 +51,13 @@ type Reader interface {
 	Err() error
 }
 
-// BatchReader is a Reader that can also hand out accesses in bulk, which
+// batchReader is a Reader that can also hand out accesses in bulk, which
 // spares the hot consumers (cache.FilterStream, the coherence
 // characterization) one dynamic call per reference. ReadBatch fills dst
 // from the front of the stream and returns how many accesses it wrote; a
 // count below len(dst) means the stream has ended (check Err). Next and
 // ReadBatch draw from the same position and may be mixed freely.
-type BatchReader interface {
+type batchReader interface {
 	Reader
 	ReadBatch(dst []Access) int
 }
@@ -69,10 +65,10 @@ type BatchReader interface {
 // ChunkSize is the batch length those consumers read with.
 const ChunkSize = 4096
 
-// ReadBatch reads from r under the BatchReader contract, falling back to
+// ReadBatch reads from r under the batchReader contract, falling back to
 // repeated Next calls for readers that do not implement it.
 func ReadBatch(r Reader, dst []Access) int {
-	if br, ok := r.(BatchReader); ok {
+	if br, ok := r.(batchReader); ok {
 		return br.ReadBatch(dst)
 	}
 	for i := range dst {
@@ -107,7 +103,7 @@ func (r *SliceReader) Next() (Access, bool) {
 	return a, true
 }
 
-// ReadBatch implements BatchReader.
+// ReadBatch implements batchReader.
 func (r *SliceReader) ReadBatch(dst []Access) int {
 	n := copy(dst, r.accesses[r.pos:])
 	r.pos += n

@@ -11,21 +11,17 @@ import (
 
 func TestAddrBlock(t *testing.T) {
 	cases := []struct {
-		addr  Addr
-		block Addr
-		id    uint64
+		addr Addr
+		id   uint64
 	}{
-		{0, 0, 0},
-		{1, 0, 0},
-		{63, 0, 0},
-		{64, 64, 1},
-		{65, 64, 1},
-		{0xDEADBEEF, 0xDEADBEC0, 0xDEADBEEF >> 6},
+		{0, 0},
+		{1, 0},
+		{63, 0},
+		{64, 1},
+		{65, 1},
+		{0xDEADBEEF, 0xDEADBEEF >> 6},
 	}
 	for _, c := range cases {
-		if got := c.addr.Block(); got != c.block {
-			t.Errorf("Addr(%#x).Block() = %#x, want %#x", uint64(c.addr), uint64(got), uint64(c.block))
-		}
 		if got := c.addr.BlockID(); got != c.id {
 			t.Errorf("Addr(%#x).BlockID() = %d, want %d", uint64(c.addr), got, c.id)
 		}
@@ -167,8 +163,8 @@ func TestWriterRejectsHugeCore(t *testing.T) {
 }
 
 func TestReaderRejectsBadMagic(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("NOTATRACE..."))); err != ErrBadMagic {
-		t.Errorf("got err %v, want ErrBadMagic", err)
+	if _, err := NewFileReader(bytes.NewReader([]byte("NOTATRACE..."))); err != errBadMagic {
+		t.Errorf("got err %v, want errBadMagic", err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // each thread through Next, one access per call.
 func referenceGenerate(t *testing.T, m Model, seed uint64) trace.Reader {
 	t.Helper()
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	master := rng.New(seed ^ hashName(m.Name))

@@ -102,8 +102,8 @@ type Model struct {
 	PCsPerRegion int
 }
 
-// Validate reports whether the model is internally consistent.
-func (m Model) Validate() error {
+// validate reports whether the model is internally consistent.
+func (m Model) validate() error {
 	switch {
 	case m.Name == "":
 		return fmt.Errorf("workloads: unnamed model")
@@ -214,7 +214,7 @@ func (m Model) Generate(seed uint64) (trace.Reader, error) {
 // generate is Generate with thread t issuing as core core0+t and every
 // address moved up by offset (Mix places its programs this way).
 func (m Model) generate(seed uint64, core0 uint8, offset trace.Addr) (trace.Reader, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	master := rng.New(seed ^ hashName(m.Name))
@@ -357,7 +357,7 @@ func (g *threadGen) Next() (trace.Access, bool) {
 	return g.gen(), true
 }
 
-// ReadBatch implements trace.BatchReader.
+// ReadBatch implements trace.batchReader.
 func (g *threadGen) ReadBatch(dst []trace.Access) int {
 	n := min(len(dst), g.m.AccessesPerThread-g.issued)
 	for i := range dst[:n] {

@@ -15,7 +15,7 @@ func TestSuiteAllValid(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, m := range suite {
-		if err := m.Validate(); err != nil {
+		if err := m.validate(); err != nil {
 			t.Errorf("model %s invalid: %v", m.Name, err)
 		}
 		if seen[m.Name] {
@@ -117,13 +117,13 @@ func TestValidateCatchesBadModels(t *testing.T) {
 		func(m *Model) { m.Burst = 0 },
 		func(m *Model) { m.PCsPerRegion = 0 },
 	}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("base model invalid: %v", err)
 	}
 	for i, mutate := range bad {
 		m := good
 		mutate(&m)
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("mutation %d validated: %+v", i, m)
 		}
 	}
@@ -334,7 +334,7 @@ func TestScaled(t *testing.T) {
 	if s.PrivateBlocks != m.PrivateBlocks/2 || s.SharedROBlocks != m.SharedROBlocks/2 {
 		t.Error("scaled region sizes wrong")
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Errorf("scaled model invalid: %v", err)
 	}
 	// Extreme downscale clamps to 1, never 0.
@@ -550,16 +550,16 @@ func TestValidateBoundsFootprintToUint32(t *testing.T) {
 	m := base("huge", "parsec", "")
 	m.Threads, m.PrivateBlocks = 1, 1
 	m.SharedROBlocks = math.MaxUint32 - 1 - m.LockBlocks
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Errorf("footprint of exactly MaxUint32 blocks rejected: %v", err)
 	}
 	m.SharedROBlocks++
-	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "uint32") {
+	if err := m.validate(); err == nil || !strings.Contains(err.Error(), "uint32") {
 		t.Errorf("footprint of %d blocks: Validate = %v", m.FootprintBlocks(), err)
 	}
 	m = base("wide", "parsec", "")
 	m.Threads, m.PrivateBlocks = 2, 1<<31
-	if err := m.Validate(); err == nil {
+	if err := m.validate(); err == nil {
 		t.Errorf("footprint of %d private blocks accepted", m.FootprintBlocks())
 	}
 }
