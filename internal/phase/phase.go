@@ -78,8 +78,8 @@ func (r *Result) MixedFraction() float64 {
 	return float64(r.Mixed) / float64(multi)
 }
 
-// Analyze splits stream into windows windows (clamped to [1, 64]) and
-// computes the sharing-phase statistics.
+// Analyze splits stream into windows windows and computes the
+// sharing-phase statistics; a window count outside [1, 64] is an error.
 func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 	if windows < 1 || windows > 64 {
 		return nil, fmt.Errorf("phase: window count %d outside [1,64]", windows)
@@ -132,7 +132,7 @@ func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 			end = len(stream)
 		}
 		for i := start; i < end; i++ {
-			a := stream[i]
+			a := &stream[i]
 			m := &cur[a.BlockID]
 			if m.lo|m.hi == 0 {
 				touched = append(touched, a.BlockID)
@@ -146,43 +146,33 @@ func Analyze(stream []cache.AccessInfo, windows int) (*Result, error) {
 		flush(w)
 	}
 
-	// Transition and block-level statistics.
+	// Transition and block-level statistics: the set bits of a block's
+	// active word are its windows in order, and shared ⊆ active decides
+	// its class.
 	for id := range hist {
 		h := &hist[id]
 		if h.active == 0 {
 			continue
 		}
 		res.DistinctTotal++
-		activeWindows := bits.OnesCount64(h.active)
-		if activeWindows < 2 {
+		if h.active&(h.active-1) == 0 {
 			res.SingleWindow++
 			continue
 		}
-		var prevShared, have bool
-		allShared, noneShared := true, true
-		for w := 0; w < 64; w++ {
-			if h.active>>w&1 == 0 {
-				continue
-			}
-			shared := h.shared>>w&1 == 1
-			if shared {
-				noneShared = false
+		prev := h.shared >> bits.TrailingZeros64(h.active) & 1
+		for act := h.active & (h.active - 1); act != 0; act &= act - 1 {
+			shared := h.shared >> bits.TrailingZeros64(act) & 1
+			if shared == prev {
+				res.Persist++
 			} else {
-				allShared = false
+				res.Flip++
 			}
-			if have {
-				if shared == prevShared {
-					res.Persist++
-				} else {
-					res.Flip++
-				}
-			}
-			prevShared, have = shared, true
+			prev = shared
 		}
-		switch {
-		case allShared:
+		switch h.shared {
+		case h.active:
 			res.AlwaysShared++
-		case noneShared:
+		case 0:
 			res.NeverShared++
 		default:
 			res.Mixed++

@@ -1,6 +1,7 @@
 package phase
 
 import (
+	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -162,6 +163,102 @@ func TestWindowsOneIsDegenerateButValid(t *testing.T) {
 	}
 	if r.SharedBlocks[0] != 1 || r.ActiveBlocks[0] != 2 {
 		t.Errorf("window stats = shared %v active %v", r.SharedBlocks, r.ActiveBlocks)
+	}
+}
+
+// probeStats is the reference for Analyze's transition and class
+// counts: per-block histories from maps over the same windows, then 64
+// probes of each block's window bits in order.
+func probeStats(stream []cache.AccessInfo, windows int) Result {
+	winSize := max(len(stream)/windows, 1)
+	active, shared := map[uint64]uint64{}, map[uint64]uint64{}
+	for w := 0; w < windows && w*winSize < len(stream); w++ {
+		end := min((w+1)*winSize, len(stream))
+		if w == windows-1 {
+			end = len(stream)
+		}
+		cores := map[uint64]map[uint8]bool{}
+		for _, a := range stream[w*winSize : end] {
+			if cores[a.Block] == nil {
+				cores[a.Block] = map[uint8]bool{}
+			}
+			cores[a.Block][a.Core] = true
+		}
+		for b, cs := range cores {
+			active[b] |= 1 << w
+			if len(cs) >= 2 {
+				shared[b] |= 1 << w
+			}
+		}
+	}
+	var res Result
+	for b, act := range active {
+		res.DistinctTotal++
+		if bits.OnesCount64(act) < 2 {
+			res.SingleWindow++
+			continue
+		}
+		var prevShared, have bool
+		allShared, noneShared := true, true
+		for w := 0; w < 64; w++ {
+			if act>>w&1 == 0 {
+				continue
+			}
+			sh := shared[b]>>w&1 == 1
+			if sh {
+				noneShared = false
+			} else {
+				allShared = false
+			}
+			if have {
+				if sh == prevShared {
+					res.Persist++
+				} else {
+					res.Flip++
+				}
+			}
+			prevShared, have = sh, true
+		}
+		switch {
+		case allShared:
+			res.AlwaysShared++
+		case noneShared:
+			res.NeverShared++
+		default:
+			res.Mixed++
+		}
+	}
+	return res
+}
+
+// TestAnalyzeMatchesProbeReference holds Analyze's Persist, Flip,
+// AlwaysShared, NeverShared, Mixed and SingleWindow to the 64-probe
+// reference on random streams at 1, 2, 16, 63 and 64 windows (64 sets
+// bit 63 of the histories). Cores span up to the machine's 128
+// (cache.Config), so both core-mask words are exercised.
+func TestAnalyzeMatchesProbeReference(t *testing.T) {
+	rnd := rng.New(17)
+	for trial := 0; trial < 20; trial++ {
+		n := 64 + rnd.Intn(5000)
+		blocks := 1 + rnd.Uint64n(200)
+		cores := 2 + rnd.Intn(127)
+		stream := make([]cache.AccessInfo, n)
+		for i := range stream {
+			stream[i] = cache.AccessInfo{Core: uint8(rnd.Intn(cores)), Block: rnd.Uint64n(blocks), Index: int32(i)}
+		}
+		for _, windows := range []int{1, 2, 16, 63, 64} {
+			got, err := Analyze(stream, windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := probeStats(stream, windows)
+			g := [6]uint64{got.Persist, got.Flip, got.AlwaysShared, got.NeverShared, got.Mixed, got.SingleWindow}
+			w := [6]uint64{want.Persist, want.Flip, want.AlwaysShared, want.NeverShared, want.Mixed, want.SingleWindow}
+			if g != w || got.DistinctTotal != want.DistinctTotal {
+				t.Errorf("trial %d (%d accesses, %d blocks, %d cores), %d windows: persist/flip/always/never/mixed/single = %v over %d blocks, reference %v over %d",
+					trial, n, blocks, cores, windows, g, got.DistinctTotal, w, want.DistinctTotal)
+			}
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package reuse computes exact LRU stack (reuse) distances over the LLC
-// reference stream: for each access, the number of *distinct* blocks
+// Package reuse histograms exact LRU stack (reuse) distances over the
+// LLC reference stream: for each access, the number of *distinct* blocks
 // referenced since the previous access to the same block. A reuse
 // distance d hits in a fully-associative LRU cache of capacity > d, so
 // the distance distribution is the geometry-independent fingerprint of a
@@ -11,78 +11,96 @@
 // just beyond capacity are exactly what sharing-aware protection
 // rescues).
 //
-// The implementation is the classic O(n log n) algorithm: a Fenwick tree
-// over access positions marks each block's most recent reference; the
-// distance of an access is the count of marked positions after its
-// block's previous reference (stackWalk).
+// The implementation never computes a distance, only its bucket, in
+// one linear walk (bucketWalk): a bitmap over stream positions marks
+// each block's most recent access, and for each bucket edge e the walk
+// keeps the position of the e-th most recent mark. The distance of an
+// access is the count of marks after its block's previous access, so it
+// reaches e iff that access lies before e's boundary.
 package reuse
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/mem"
 )
 
-// infinite is the distance reported for first-touch (cold) accesses.
-const infinite = int64(math.MaxInt64)
-
-// stackWalk yields the reuse distance of each access of a stream, in
-// stream order. A Fenwick tree over stream positions marks each block's
-// most recent access, so the marks count the distinct blocks seen so
-// far, and the distance of an access is the marks after its block's
-// previous access: that running count minus one prefix sum. Both tables
-// come from the mem pool; release hands them back.
-type stackWalk struct {
-	tree     []int32 // Fenwick tree over positions, 1-based
-	last     []int32 // BlockID → previous position + 1, 0 before its first access
-	distinct int32   // blocks accessed so far: the marked positions
+// bucketWalk yields the histogram bucket of each access of a stream, in
+// stream order: the bucket of its exact LRU stack distance under edges
+// (ascending), without the distance. bound[k] is the position of the
+// edges[k]-th most recent mark, -1 while fewer blocks have been seen;
+// boundaries only move forward, so the walk is O(n) per edge. Both
+// tables come from the mem pool; release hands them back.
+type bucketWalk struct {
+	marks    []uint64 // bit i: access i is its block's most recent so far
+	last     []int32  // BlockID → previous position + 1, 0 before its first access
+	edges    []int64
+	bound    []int
+	distinct int64 // blocks accessed so far: the set marks
 }
 
-// newStackWalk sizes a walk over n accesses to blocks in [0, numBlocks).
-func newStackWalk(n, numBlocks int) stackWalk {
-	return stackWalk{tree: mem.Grab[int32](n + 1), last: mem.Grab[int32](numBlocks)}
+// newBucketWalk sizes a walk over n accesses to blocks in [0, numBlocks).
+func newBucketWalk(n, numBlocks int, edges []int64) bucketWalk {
+	w := bucketWalk{marks: mem.Grab[uint64]((n + 63) / 64), last: mem.Grab[int32](numBlocks), edges: edges, bound: make([]int, len(edges))}
+	for k := range w.bound {
+		w.bound[k] = -1
+	}
+	return w
 }
 
-// next returns the distance of access i, to block id: Infinite for a
+// next returns the bucket of access i, to block id: len(edges)+1 for a
 // first touch. Accesses are presented in order, i = 0, 1, 2, ....
-func (w *stackWalk) next(i int, id uint32) int64 {
-	d := infinite
-	if p := int(w.last[id]) - 1; p >= 0 {
-		// Distinct blocks touched in (p, i): the marks after position
-		// p, each block marked only at its most recent access.
-		d = int64(w.distinct - w.sum(p))
-		w.add(p, -1)
-	} else {
-		w.distinct++
-	}
-	w.add(i, 1)
+func (w *bucketWalk) next(i int, id uint32) int {
+	w.marks[i>>6] |= 1 << (i & 63)
+	p := int(w.last[id]) - 1
 	w.last[id] = int32(i + 1)
-	return d
+	if p < 0 {
+		// One more block: every boundary moves one mark on, and an edge
+		// the count reaches gets its first, the oldest mark.
+		w.distinct++
+		for k, e := range w.edges {
+			if w.distinct < e {
+				break
+			}
+			w.bound[k] = w.nextMark(w.bound[k])
+		}
+		return len(w.edges) + 1
+	}
+	// The block's mark moves from p to i. Its distance reaches edges[k]
+	// iff p lies before bound[k] (boundaries decrease in k): the bucket.
+	// Those boundaries move one mark on, and so does one sitting on p.
+	w.marks[p>>6] &^= 1 << (p & 63)
+	b := 0
+	for ; b < len(w.bound) && p < w.bound[b]; b++ {
+		w.bound[b] = w.nextMark(w.bound[b])
+	}
+	if b < len(w.bound) && p == w.bound[b] {
+		w.bound[b] = w.nextMark(p)
+	}
+	return b
 }
 
-// add adds delta at position i (0-based).
-func (w *stackWalk) add(i int, delta int32) {
-	for i++; i < len(w.tree); i += i & -i {
-		w.tree[i] += delta
+// nextMark returns the first marked position after pos; the mark of
+// the latest access lies after every boundary, so there is one.
+func (w *bucketWalk) nextMark(pos int) int {
+	pos++
+	if word := w.marks[pos>>6] >> (pos & 63); word != 0 {
+		return pos + bits.TrailingZeros64(word)
 	}
-}
-
-// sum returns the prefix sum over positions [0, i] (0-based, inclusive).
-func (w *stackWalk) sum(i int) int32 {
-	var s int32
-	for i++; i > 0; i -= i & -i {
-		s += w.tree[i]
+	k := pos>>6 + 1
+	for w.marks[k] == 0 {
+		k++
 	}
-	return s
+	return k<<6 + bits.TrailingZeros64(w.marks[k])
 }
 
 // release returns the walk's tables to the pool.
-func (w *stackWalk) release() {
-	mem.Release(w.tree)
+func (w *bucketWalk) release() {
+	mem.Release(w.marks)
 	mem.Release(w.last)
-	*w = stackWalk{}
+	*w = bucketWalk{}
 }
 
 // Bucket boundaries of the distance histogram, in blocks. The 4 MB and
@@ -104,24 +122,9 @@ func BucketLabel(i int) string {
 		return "cold"
 	case i == NumBuckets-2:
 		return fmt.Sprintf(">=%dK", bucketEdges[len(bucketEdges)-1]>>10)
-	case i == 0:
-		return fmt.Sprintf("<%dK", bucketEdges[0]>>10)
 	default:
 		return fmt.Sprintf("<%dK", bucketEdges[i]>>10)
 	}
-}
-
-// bucketOf maps a distance to its histogram bucket.
-func bucketOf(d int64) int {
-	if d == infinite {
-		return NumBuckets - 1
-	}
-	for i, edge := range bucketEdges {
-		if d < edge {
-			return i
-		}
-	}
-	return NumBuckets - 2
 }
 
 // Histogram is a per-class reuse-distance distribution.
@@ -130,9 +133,9 @@ type Histogram struct {
 	Total  uint64
 }
 
-// add records one distance.
-func (h *Histogram) add(d int64) {
-	h.Counts[bucketOf(d)]++
+// add records one access in bucket b.
+func (h *Histogram) add(b int) {
+	h.Counts[b]++
 	h.Total++
 }
 
@@ -161,17 +164,17 @@ func Analyze(stream []cache.AccessInfo, hints []bool) (*Profile, error) {
 	}
 	// The per-block table is a flat slice over dense BlockIDs
 	// (cache.EnsureBlockIDs), not a hash of the sparse block number, and
-	// each distance goes straight into the histograms.
+	// each bucket goes straight into the histograms.
 	stream, numBlocks := cache.EnsureBlockIDs(stream)
-	w := newStackWalk(len(stream), numBlocks)
+	w := newBucketWalk(len(stream), numBlocks, bucketEdges)
 	p := &Profile{}
 	for i := range stream {
-		d := w.next(i, stream[i].BlockID)
-		p.All.add(d)
+		b := w.next(i, stream[i].BlockID)
+		p.All.add(b)
 		if hints != nil && hints[i] {
-			p.Shared.add(d)
+			p.Shared.add(b)
 		} else {
-			p.Private.add(d)
+			p.Private.add(b)
 		}
 	}
 	w.release()

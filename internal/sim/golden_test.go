@@ -40,8 +40,11 @@ var goldenSeeds = []uint64{1, 2}
 // raw counts and full-precision fractions. C1 prints its rates per 1000
 // references to two decimals, which hides a drift of a few coherence
 // events; its rows carry the rates at full precision and the reference
-// count.
-var rowPinned = map[string]bool{"f1": true, "f2": true, "f3": true, "f7": true, "a2": true, "f4": true, "f5": true, "a1": true, "a3": true, "m1": true, "c1": true}
+// count. C2 prints its bucket shares to two decimals and F9 prints no
+// persist/flip counts, which hide a drift of one access or one
+// transition; their rows carry the shares, flip rate and mixed fraction
+// at full precision.
+var rowPinned = map[string]bool{"f1": true, "f2": true, "f3": true, "f7": true, "a2": true, "f4": true, "f5": true, "a1": true, "a3": true, "m1": true, "c1": true, "c2": true, "f9": true}
 
 type catalogueGolden struct {
 	Hashes map[string]map[string]string `json:"hashes"`
