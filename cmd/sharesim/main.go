@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"sharellc/internal/cache"
+	"sharellc/internal/policy"
 	"sharellc/internal/report"
 	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
@@ -137,6 +138,13 @@ func run(w io.Writer, args []string) error {
 	}
 	if *pols != "" {
 		o.req.Policies = strings.Split(*pols, ",")
+	}
+	// An unknown policy fails before any stream is prepared, whichever
+	// experiment reads the list.
+	for _, p := range o.req.Policies {
+		if _, err := policy.ByName(p, *seed); err != nil {
+			return fmt.Errorf("-policies: %w; see sharesim -h", err)
+		}
 	}
 	if *wls != "" {
 		o.req.Workloads = strings.Split(*wls, ",")

@@ -210,6 +210,23 @@ func TestUnknownWorkloadUsage(t *testing.T) {
 	}
 }
 
+// TestUnknownPolicyUsage: an unknown -policies name fails up front, for
+// an experiment that reads the list (f5) and one that does not (f4),
+// before any stream is prepared: the snapshot directory stays empty.
+func TestUnknownPolicyUsage(t *testing.T) {
+	for _, exp := range []string{"f5", "f4"} {
+		dir := t.TempDir()
+		var b strings.Builder
+		err := run(&b, []string{"-exp", exp, "-policies", "lru,bogus", "-scale", "0.02", "-workloads", "swaptions", "-cachedir", dir, "-quiet"})
+		if err == nil || !strings.Contains(err.Error(), `unknown policy "bogus"`) {
+			t.Errorf("-exp %s: err = %v, want an unknown-policy error", exp, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 || b.Len() != 0 {
+			t.Errorf("-exp %s: an unknown policy still prepared %d snapshot entries and printed %q", exp, len(entries), b.String())
+		}
+	}
+}
+
 func TestBadFlagRejected(t *testing.T) {
 	// The replay engine has no tier switches left: the deleted -kernel,
 	// -tracker and -simd flags are unknown flags like any other.

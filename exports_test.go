@@ -27,14 +27,12 @@ var exportAllowlist = map[string]string{
 	"cache.SetAssoc.Access":         "the scalar reference path the policy, core, reuse and sharing tests replay against",
 	"cache.SetAssoc.HasBatchKernel": "kernel-binding probe: reports whether a policy bound its batch kernel",
 	"rng.Source.Uint64":             "the raw 64-bit draw the policy and trace tests take PCs and addresses from",
-	"sharing.Tracked":               "the zero Tier, which callers get by leaving Options.Tier unset; the reuse and mem tier tests name it",
 	"streamcache.Options.BuildHook": "test seam: the cluster tests count and stall stream builds through it",
 
 	// Types no outside file names, kept exported because an exported func,
 	// method or field that outside callers use has them in its signature.
 	"cache.Hierarchy":      "returned by cache.FilterStream",
 	"cache.Result":         "returned by SetAssoc.Access",
-	"core.LaneHinter":      "the parameter of Protector.LRUKernel, which oracle and predictor lanes call",
 	"phase.Result":         "returned by phase.Analyze",
 	"predictor.Address":    "returned by predictor.NewAddress",
 	"predictor.Coherence":  "returned by predictor.NewCoherence",

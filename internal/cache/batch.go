@@ -61,8 +61,7 @@ type BatchKernel func(blk []uint64, id []uint32, accs []AccessInfo, active, line
 // would bypass the wrapper's overrides. Holding the base as an interface
 // field (not embedding) gives that for free. A wrapper may instead bind
 // a kernel of its own for a base it knows, performing its overrides
-// inline, as oracle.hinted and predictor.Driven do over LRU through
-// core.Protector.LRUKernel.
+// inline, as core.Lane does over LRU.
 type batchPolicy interface {
 	Policy
 	NewBatchKernel(c *SetAssoc) BatchKernel

@@ -7,24 +7,27 @@ import (
 	"sharellc/internal/policy"
 )
 
-// The protected-LRU batch kernel.
+// The protected lane and its LRU batch kernel.
 //
-// Every oracle and predictor-driven lane of the paper is a Protector over
-// LRU replayed through cache.ReplayBatchCols. The generic loop pays three
-// dynamic calls per access (lane wrapper → Protector → LRU) and, on every
-// protected miss, writes and rescans a key per way. LRUKernel is that loop
+// Every oracle and predictor-driven lane of the paper is a Lane: a
+// Protector whose fill hints come from a LaneHinter, replayed through
+// cache.ReplayBatchCols. Over an LRU base the generic loop would pay three
+// dynamic calls per access (Lane → Protector → LRU) and, on every
+// protected miss, write and rescan a key per way. lruKernel is that loop
 // specialized to an LRU base: touch, fulfilment, the protected victim
 // choice, the hint-rate gate, demotion and promotion run inline on the
-// LRU's stamps and the Protector's protection masks, and the lane wrapper
-// supplies only its hint through a LaneHinter. It performs exactly the
-// state transitions of the generic loop over the wrapper's per-call
+// LRU's stamps and the Protector's protection masks, and the LaneHinter
+// supplies only the hint and learns from the residencies. It performs
+// exactly the state transitions of the generic loop over Lane's per-call
 // methods, which stay as the reference (TestProtectedLRUKernelVsGeneric).
 
 // LaneHinter is what a protected lane adds to its Protector: where each
 // fill's sharing hint comes from, and what the lane learns from the
 // residencies the replay opens and ends. li is the line index
-// (set*ways+way). Per miss the kernel calls LaneHint first, then chooses
-// the victim, then LaneEvict (full sets only), then LaneFill.
+// (set*ways+way). Per miss a Lane calls LaneHint first, then chooses the
+// victim, then LaneEvict (full sets only), then LaneFill. A LaneHinter
+// with per-line state also implements Attach(sets, ways int), which the
+// Lane calls after the Protector's, and cache.Releaser.
 type LaneHinter interface {
 	// LaneHit is told of every hit before the Protector handles it.
 	LaneHit(li uint32, a *cache.AccessInfo)
@@ -37,11 +40,73 @@ type LaneHinter interface {
 	LaneFill(li uint32, a *cache.AccessInfo)
 }
 
-// LRUKernel returns the protected-LRU batch kernel of p driven by d, or
+// Lane is the policy of a protected lane: p's protection hinted by h. Its
+// per-call methods, which the replay's generic loop calls, make h's calls
+// in lruKernel's order; over an LRU base of at most 64 ways
+// NewBatchKernel binds lruKernel instead.
+type Lane struct {
+	*Protector
+	h LaneHinter
+	// hint is the current miss's; asked reports that Victim already
+	// asked h for it.
+	hint, asked bool
+}
+
+// NewLane returns the lane policy of p hinted by h. Both belong to this
+// lane alone.
+func NewLane(p *Protector, h LaneHinter) *Lane { return &Lane{Protector: p, h: h} }
+
+// Attach implements cache.Policy.
+func (l *Lane) Attach(sets, ways int) {
+	l.Protector.Attach(sets, ways)
+	if a, ok := l.h.(interface{ Attach(sets, ways int) }); ok {
+		a.Attach(sets, ways)
+	}
+}
+
+// Release implements cache.Releaser: the hinter's state, then the
+// Protector's, go back to the mem pool.
+func (l *Lane) Release() {
+	if r, ok := l.h.(cache.Releaser); ok {
+		r.Release()
+	}
+	l.Protector.Release()
+}
+
+// Hit implements cache.Policy.
+func (l *Lane) Hit(set, way int, a *cache.AccessInfo) {
+	l.h.LaneHit(uint32(set*l.ways+way), a)
+	l.Protector.Hit(set, way, a)
+}
+
+// Victim implements cache.Policy: hint the miss, choose the victim, then
+// end the residency it held.
+func (l *Lane) Victim(set int, a *cache.AccessInfo) int {
+	l.hint, l.asked = l.h.LaneHint(a), true
+	v := l.Protector.Victim(set, a)
+	l.h.LaneEvict(uint32(set*l.ways + v))
+	return v
+}
+
+// Fill implements cache.Policy: a fill into a set that was not full is
+// hinted here.
+func (l *Lane) Fill(set, way int, a *cache.AccessInfo) {
+	if !l.asked {
+		l.hint = l.h.LaneHint(a)
+	}
+	l.asked = false
+	l.FillHinted(set, way, a, l.hint)
+	l.h.LaneFill(uint32(set*l.ways+way), a)
+}
+
+// NewBatchKernel implements cache.batchPolicy.
+func (l *Lane) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel { return l.lruKernel(c, l.h) }
+
+// lruKernel returns the protected-LRU batch kernel of p driven by d, or
 // nil — the generic loop — unless p's base is a policy.LRUPolicy and c
 // has at most 64 ways (one protection word per set). Like any
 // cache.batchPolicy kernel it is bound after Attach and serves c alone.
-func (p *Protector) LRUKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel {
+func (p *Protector) lruKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel {
 	lru, ok := p.base.(*policy.LRUPolicy)
 	mask, ways := c.KernelGeom()
 	if !ok || ways > 64 {

@@ -28,7 +28,7 @@ func recycleStream() []cache.AccessInfo {
 }
 
 // recycleStep is one replay of TestRecycledLanesEqualFresh: its lanes'
-// Results, the protector counters of its oracle cells and the matrices
+// Results, the protector counters of its oracle lane and the matrices
 // of its scored lane.
 type recycleStep struct {
 	results []*sharing.Result
@@ -58,19 +58,23 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 		}
 		return sharing.LLCConfig{Size: size, Ways: 16, NewPolicy: f}
 	}
-	protected := []oracle.Cell{{Opts: core.Options{Strength: core.Full}, Factor: oracle.HorizonFactor}}
-	// replay runs base plus cells (oracle.Lanes) over the first n
-	// accesses at tier and, with scored, an F7 lane of an address and a
-	// PC predictor over LRU; fresh replays each lane alone on a drained
-	// pool.
-	replay := func(tier sharing.Tier, n int, base sharing.LLCConfig, cells []oracle.Cell, scored, fresh bool) recycleStep {
+	// replay runs base over the first n accesses at tier and, with
+	// protected, base's oracle lane and, with scored, an F7 lane of an
+	// address and a PC predictor over LRU; fresh replays each lane alone
+	// on a drained pool.
+	replay := func(tier sharing.Tier, n int, base sharing.LLCConfig, protected, scored, fresh bool) recycleStep {
 		stream := full[:n]
 		if fresh {
 			mem.Drain()
 		}
-		lanes, collect, err := oracle.Lanes(stream, 0, []sharing.LLCConfig{base}, cells)
-		if err != nil {
-			t.Fatal(err)
+		lanes := []sharing.LLCConfig{base}
+		var prot *core.Protector
+		if protected {
+			cols := oracle.Columns(stream, 0, []int64{oracle.Horizon(base.Size, oracle.HorizonFactor)})
+			defer mem.Release(cols[0])
+			prot = core.NewProtectorOpts(base.NewPolicy(), core.Options{Strength: core.Full})
+			lanes = append(lanes, sharing.LLCConfig{Size: base.Size, Ways: base.Ways,
+				NewPolicy: func() cache.Policy { return core.NewLane(prot, oracle.Hints(cols[0])) }})
 		}
 		var finish func() []predictor.PredStats
 		if scored {
@@ -91,6 +95,7 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 		}
 		opt := sharing.Options{Tier: tier}
 		var results []*sharing.Result
+		var err error
 		if fresh {
 			for i := range lanes {
 				mem.Drain()
@@ -104,8 +109,8 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := recycleStep{results: results}
-		for _, r := range collect(results) {
-			st.stats = append(st.stats, r.Stats)
+		if prot != nil {
+			st.stats = append(st.stats, prot.Stats())
 		}
 		if finish != nil {
 			st.scores = finish()
@@ -116,22 +121,22 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 	sequence := func(fresh bool) (steps []recycleStep) {
 		for _, tier := range []sharing.Tier{sharing.Tracked, sharing.SharedHitsOnly, sharing.CountsOnly} {
 			for _, s := range []struct {
-				n      int
-				base   sharing.LLCConfig
-				cells  []oracle.Cell
-				scored bool
+				n         int
+				base      sharing.LLCConfig
+				protected bool
+				scored    bool
 			}{
-				{n: len(full), base: lane("drrip", 8*cache.MB), cells: protected},
-				{n: len(full), base: lane("srrip", 4*cache.MB), cells: protected},
+				{n: len(full), base: lane("drrip", 8*cache.MB), protected: true},
+				{n: len(full), base: lane("srrip", 4*cache.MB), protected: true},
 				{n: len(full), base: lane("lru", 4*cache.MB)},
 				{n: len(full), base: lane("opt", 4*cache.MB)},
 				{n: len(full), base: lane("ship", 4*cache.MB)},
 				{n: len(full), base: lane("ship-s", 4*cache.MB)},
-				{n: len(full), base: lane("lru", 4*cache.MB), cells: protected, scored: true},
-				{n: short, base: lane("lru", 4*cache.MB), cells: protected, scored: true},
-				{n: short, base: lane("drrip", 4*cache.MB), cells: protected},
+				{n: len(full), base: lane("lru", 4*cache.MB), protected: true, scored: true},
+				{n: short, base: lane("lru", 4*cache.MB), protected: true, scored: true},
+				{n: short, base: lane("drrip", 4*cache.MB), protected: true},
 			} {
-				steps = append(steps, replay(tier, s.n, s.base, s.cells, s.scored, fresh))
+				steps = append(steps, replay(tier, s.n, s.base, s.protected, s.scored, fresh))
 			}
 		}
 		return steps

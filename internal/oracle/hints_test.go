@@ -87,3 +87,13 @@ func TestSharedHintsMatchChainWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsWithoutHorizonsReadNothing: a replay with no oracle lane
+// pays no hint pass. The stream's BlockIDs lie outside the block count
+// it is given, so a pass would index past its per-block state.
+func TestColumnsWithoutHorizonsReadNothing(t *testing.T) {
+	stream := []cache.AccessInfo{{Block: 5, BlockID: 7}, {Block: 6, BlockID: 9, Index: 1}}
+	if cols := Columns(stream, 1, nil); cols != nil {
+		t.Errorf("Columns with no horizons returned %d columns", len(cols))
+	}
+}

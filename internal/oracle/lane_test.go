@@ -8,6 +8,7 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/mem"
 	"sharellc/internal/policy"
 	"sharellc/internal/rng"
 	"sharellc/internal/sharing"
@@ -50,17 +51,16 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 	}
 }
 
-// TestHintedLaneMatchesHooked holds the hook-free oracle lane to its
-// hooked form — the same Protector told each fill's hint by a
-// PredictShared hook. Every Result field and every Protector counter
-// must match at 8, 16, 64 and 128 ways under every protection setting,
-// over a per-set (LRU) and a cross-set (DRRIP) base, at several stream
-// prefixes. The hook-free lane must call NewPolicy exactly once: the
-// protector stashes rely on it. Its policy pass must run the
+// TestHintedLaneMatchesHooked holds the hook-free oracle lane — a
+// core.Lane hinted by a Hints column — to its hooked form: the same
+// Protector told each fill's hint by a PredictShared hook. Every Result
+// field and every Protector counter must match at 8, 16, 64 and 128 ways
+// under every protection setting, over a per-set (LRU) and a cross-set
+// (DRRIP) base, at several stream prefixes. Its policy pass must run the
 // protected-LRU kernel over LRU up to 64 ways and the generic loop
 // otherwise, so the hooked reference holds both. The same lane replayed
-// counts only (sharing.CountsOnly) must return the hooked lane's
-// counts, zero elsewhere, and its Protector counters.
+// counts only (sharing.CountsOnly) must return the hooked lane's counts,
+// zero elsewhere, and its Protector counters.
 func TestHintedLaneMatchesHooked(t *testing.T) {
 	full := laneStream(24000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
@@ -76,27 +76,21 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 			for name, base := range bases {
 				eachPrefix(full, func(stream []cache.AccessInfo) {
 					hints := SharedHints(stream, Horizon(laneSize, HorizonFactor))
-					calls := 0
-					var ref *core.Protector
-					// Only the protected lane replays; its base's result slot stays nil.
-					replay := func(opt sharing.Options) (*Result, error) {
-						lanes, collect, err := Lanes(stream, 0,
-							[]sharing.LLCConfig{{Size: laneSize, Ways: ways, NewPolicy: func() cache.Policy { calls++; return base() }}},
-							[]Cell{{Opts: opts, Factor: HorizonFactor}})
+					replay := func(opt sharing.Options) (*sharing.Result, core.Stats, error) {
+						prot := core.NewProtectorOpts(base(), opts)
+						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: laneSize, Ways: ways,
+							NewPolicy: func() cache.Policy { return core.NewLane(prot, Hints(hints)) }}}, opt)
 						if err != nil {
-							t.Fatal(err)
+							return nil, core.Stats{}, err
 						}
-						got, err := sharing.ReplayMulti(stream, lanes[1:], opt)
-						if err != nil {
-							return nil, err
-						}
-						return collect(append([]*sharing.Result{nil}, got...))[0], nil
+						return got[0], prot.Stats(), nil
 					}
-					res, err := replay(sharing.Options{})
+					res, stats, err := replay(sharing.Options{})
 					// The counts-only leg: the lane run as its policy pass
 					// alone must count and protect exactly as the hooked lane.
-					counted, countErr := replay(sharing.Options{Tier: sharing.CountsOnly})
+					counted, countStats, countErr := replay(sharing.Options{Tier: sharing.CountsOnly})
 					var asked uint64
+					var ref *core.Protector
 					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
 						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},
 						NewPolicy: func() cache.Policy {
@@ -113,22 +107,19 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 					if asked != want[0].Misses {
 						t.Fatalf("%s: hooked lane asked for %d hints on %d misses", at, asked, want[0].Misses)
 					}
-					if !reflect.DeepEqual(res.Oracle, want[0]) {
-						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res.Oracle, want[0])
+					if !reflect.DeepEqual(res, want[0]) {
+						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res, want[0])
 					}
 					counts := sharing.Result{Policy: want[0].Policy, Accesses: want[0].Accesses, Hits: want[0].Hits, Misses: want[0].Misses}
-					if !reflect.DeepEqual(*counted.Oracle, counts) {
-						t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted.Oracle, counts)
+					if !reflect.DeepEqual(*counted, counts) {
+						t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted, counts)
 					}
-					for _, st := range []core.Stats{res.Stats, counted.Stats} {
+					for _, st := range []core.Stats{stats, countStats} {
 						if st != ref.Stats() {
 							t.Errorf("%s: protector stats %+v, hooked %+v", at, st, ref.Stats())
 						}
 					}
-					if calls != 2 {
-						t.Errorf("%s: NewPolicy called %d times over two replays, want 2", at, calls)
-					}
-					if got, want := laneKernel(t, &hinted{core.NewProtectorOpts(base(), opts), hints}, ways), name == "lru" && ways <= 64; got != want {
+					if got, want := laneKernel(t, core.NewLane(core.NewProtectorOpts(base(), opts), Hints(hints)), ways), name == "lru" && ways <= 64; got != want {
 						t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
 					}
 				})
@@ -161,19 +152,23 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
-	if !laneKernel(t, &hinted{core.NewProtectorOpts(factories[0](), core.Options{Strength: core.Full}), make([]bool, len(stream))}, 8) {
+	full := core.Options{Strength: core.Full}
+	if !laneKernel(t, core.NewLane(core.NewProtectorOpts(factories[0](), full), Hints(make([]bool, len(stream)))), 8) {
 		t.Fatal("the LRU hint-column lane binds no batch kernel")
 	}
-	var bases []sharing.LLCConfig
-	var cells []Cell
-	for i, f := range factories {
-		bases = append(bases, sharing.LLCConfig{Size: laneSize, Ways: 8, NewPolicy: f})
-		cells = append(cells, Cell{Base: i, Opts: core.Options{Strength: core.Full}, Factor: HorizonFactor})
-	}
 	run := func() {
-		if _, err := fused(stream, bases, cells, sharing.Options{}); err != nil {
+		cols := Columns(stream, 0, []int64{Horizon(laneSize, HorizonFactor)})
+		var lanes []sharing.LLCConfig
+		for _, f := range factories {
+			lanes = append(lanes, sharing.LLCConfig{Size: laneSize, Ways: 8, NewPolicy: f},
+				sharing.LLCConfig{Size: laneSize, Ways: 8, NewPolicy: func() cache.Policy {
+					return core.NewLane(core.NewProtectorOpts(f(), full), Hints(cols[0]))
+				}})
+		}
+		if _, err := sharing.ReplayMulti(stream, lanes, sharing.Options{}); err != nil {
 			t.Fatal(err)
 		}
+		mem.Release(cols[0])
 	}
 	run() // warm the mem pool
 	if allocs := testing.AllocsPerRun(3, run); allocs > 400 {

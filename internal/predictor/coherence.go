@@ -26,7 +26,7 @@ const defaultCoherenceWindow = 1 << 16
 // prediction at stream position i is therefore a function of the stream
 // up to i alone, so NewCoherence computes every position's prediction in
 // one directory pass, and Predict reads that column at a.Index, as
-// oracle.hinted reads its hints. A Coherence serves only the stream it
+// oracle.Hints reads its column. A Coherence serves only the stream it
 // was built from. The column comes from the mem pool; Release (which
 // the F7/A2 scored lane forwards when its replay ends) hands it back.
 type Coherence struct {

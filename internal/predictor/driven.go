@@ -2,41 +2,23 @@ package predictor
 
 import (
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
 	"sharellc/internal/mem"
 )
 
-// Driven is the policy of a predictor-driven lane (experiment F8): a
-// core.Protector whose fill hints come from a realistic predictor that the
-// lane itself consults and trains online from its own residency outcomes.
-// Prediction and training travel with the policy, not through replay
-// hooks, so the lane is hook-free: its stream-order policy pass calls
-// Hit, Victim and Fill in exactly the sequential walk's order, which is
-// the order the predictor must see.
-//
-// Per miss the calls follow the hooked lane (HooksFor over a Protector)
-// one for one: the miss is predicted once, before any training (in
-// Victim when the set is full, else in Fill), and Victim trains the
-// predictor on the residency it ends.
+// Driven is the hint source of a predictor-driven lane (experiment F8):
+// a core.LaneHinter that asks a realistic predictor for each miss's hint
+// and trains it online on the residencies the lane itself ends. The
+// lane is a core.Lane over Driven, hook-free: it makes Driven's calls in
+// the sequential walk's order, which is the order the predictor must
+// see — the miss is predicted once, before any training, and the
+// residency the victim ends trains the predictor, as a hooked lane
+// (HooksFor over a Protector) does one for one.
 //
 // Residencies still alive at stream end are never trained on; nothing
 // reads the predictor after the replay, so that changes no output.
-//
-// Over an LRU base NewBatchKernel binds core's protected-LRU kernel,
-// which makes the same calls through the LaneHinter methods: LaneHit on
-// a hit; LaneHint, then the victim choice, LaneEvict and LaneFill on a
-// miss.
 type Driven struct {
-	*core.Protector
-	pred Predictor
-
-	ways  int
+	pred  Predictor
 	lines []drivenLine // one per (set, way): the open residency there
-
-	// hint is the current miss's prediction; predicted reports that
-	// Victim already made it for this miss.
-	hint      bool
-	predicted bool
 }
 
 // drivenLine is what training needs of one open residency.
@@ -47,57 +29,17 @@ type drivenLine struct {
 	shared   bool // a core other than fillCore hit it
 }
 
-// NewDriven wraps base in a core.Protector under opts whose fills are
-// hinted by pred. pred must belong to this lane alone.
-func NewDriven(base cache.Policy, opts core.Options, pred Predictor) *Driven {
-	return &Driven{Protector: core.NewProtectorOpts(base, opts), pred: pred}
-}
+// NewDriven returns the hint source of a lane driven by pred. pred must
+// belong to this lane alone.
+func NewDriven(pred Predictor) *Driven { return &Driven{pred: pred} }
 
-// Attach implements cache.Policy.
-func (d *Driven) Attach(sets, ways int) {
-	d.Protector.Attach(sets, ways)
-	d.ways = ways
-	d.lines = mem.Grab[drivenLine](sets * ways)
-}
+// Attach sizes the per-line state; core.Lane calls it.
+func (d *Driven) Attach(sets, ways int) { d.lines = mem.Grab[drivenLine](sets * ways) }
 
 // Release implements cache.Releaser.
 func (d *Driven) Release() {
 	mem.Release(d.lines)
 	d.lines = nil
-	d.Protector.Release()
-}
-
-// Hit implements cache.Policy.
-func (d *Driven) Hit(set, way int, a *cache.AccessInfo) {
-	d.LaneHit(uint32(set*d.ways+way), a)
-	d.Protector.Hit(set, way, a)
-}
-
-// Victim implements cache.Policy: predict the miss, choose the victim,
-// then train on the residency it ends.
-func (d *Driven) Victim(set int, a *cache.AccessInfo) int {
-	d.hint = d.LaneHint(a)
-	d.predicted = true
-	v := d.Protector.Victim(set, a)
-	d.LaneEvict(uint32(set*d.ways + v))
-	return v
-}
-
-// Fill implements cache.Policy.
-func (d *Driven) Fill(set, way int, a *cache.AccessInfo) {
-	if !d.predicted {
-		d.hint = d.LaneHint(a)
-	}
-	d.predicted = false
-	d.FillHinted(set, way, a, d.hint)
-	d.LaneFill(uint32(set*d.ways+way), a)
-}
-
-// NewBatchKernel implements cache.batchPolicy: the Protector's
-// protected-LRU kernel over an LRU base, driven by the lane's predictor;
-// the generic loop (nil) otherwise.
-func (d *Driven) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return d.LRUKernel(c, d)
 }
 
 // LaneHit implements core.LaneHinter: mark the residency shared when a

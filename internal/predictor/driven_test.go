@@ -40,6 +40,12 @@ func predictors(t *testing.T, stream []cache.AccessInfo) []Predictor {
 	return []Predictor{addr, pc, tour, coh, Always{}, Never{}}
 }
 
+// drivenLane is the policy of an F8 lane: base protected under opts and
+// hinted by pred.
+func drivenLane(base cache.Policy, opts core.Options, pred Predictor) *core.Lane {
+	return core.NewLane(core.NewProtectorOpts(base, opts), NewDriven(pred))
+}
+
 // drivenStream builds an annotated pseudo-random stream whose blocks
 // recur on a few PCs and cores, so history predictors learn and flip.
 func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
@@ -58,11 +64,11 @@ func drivenStream(n int, blocks uint64, seed uint64) []cache.AccessInfo {
 // all six predictors at 8, 16 and 64 ways under every protection
 // setting, at several stream prefixes. Every Result field and every
 // Protector counter must match. The hook-free lane must call NewPolicy
-// exactly once: the protector stashes rely on it. Over LRU up to 64 ways
-// its policy pass must run the protected-LRU kernel; the DRRIP and
-// 128-way cases hold the generic loop to the hooked reference. A fresh
-// driven lane replayed counts only (sharing.CountsOnly) must return the
-// hooked lane's counts, zero elsewhere, and its Protector counters.
+// exactly once. Over LRU up to 64 ways its policy pass must run the
+// protected-LRU kernel; the DRRIP and 128-way cases hold the generic
+// loop to the hooked reference. A fresh driven lane replayed counts only
+// (sharing.CountsOnly) must return the hooked lane's counts, zero
+// elsewhere, and its Protector counters.
 func TestDrivenLaneMatchesHooked(t *testing.T) {
 	full := drivenStream(24000, 3000, 5)
 	n := len(full)
@@ -91,10 +97,10 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 					for pi, pred := range predictors(t, stream) {
 						at := fmt.Sprintf("%s over %s, %d ways, opts %d, len %d", pred.Name(), name, ways, oi, m)
 						calls := 0
-						var drv *Driven
+						var drv *core.Lane
 						lane := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
 							calls++
-							drv = NewDriven(base(), opts, pred)
+							drv = drivenLane(base(), opts, pred)
 							return drv
 						}}
 						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{})
@@ -107,10 +113,10 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 						want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
 						// The counts-only leg: a fresh driven lane run as its
 						// policy pass alone.
-						var cdrv *Driven
+						var cdrv *core.Lane
 						counted, countErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: drivenSize, Ways: ways,
 							NewPolicy: func() cache.Policy {
-								cdrv = NewDriven(base(), opts, predictors(t, stream)[pi])
+								cdrv = drivenLane(base(), opts, predictors(t, stream)[pi])
 								return cdrv
 							}}}, sharing.Options{Tier: sharing.CountsOnly})
 						for _, err := range []error{err, refErr, countErr} {
@@ -125,7 +131,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 						if !reflect.DeepEqual(*counted[0], counts) {
 							t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted[0], counts)
 						}
-						for _, d := range []*Driven{drv, cdrv} {
+						for _, d := range []*core.Lane{drv, cdrv} {
 							if d.Stats() != ref.Stats() {
 								t.Errorf("%s: protector stats %+v, hooked %+v", at, d.Stats(), ref.Stats())
 							}
@@ -133,7 +139,7 @@ func TestDrivenLaneMatchesHooked(t *testing.T) {
 						if calls != 1 {
 							t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
 						}
-						if got, want := drivenKernel(t, NewDriven(base(), opts, Never{}), ways), name == "lru" && ways <= 64; got != want {
+						if got, want := drivenKernel(t, drivenLane(base(), opts, Never{}), ways), name == "lru" && ways <= 64; got != want {
 							t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
 						}
 					}
@@ -165,7 +171,7 @@ func TestDrivenLaneAllocSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !drivenKernel(t, NewDriven(lru(), core.Options{Strength: core.Full}, Never{}), 8) {
+	if !drivenKernel(t, drivenLane(lru(), core.Options{Strength: core.Full}, Never{}), 8) {
 		t.Fatal("the LRU driven lane binds no batch kernel")
 	}
 	run := func() {
@@ -177,7 +183,7 @@ func TestDrivenLaneAllocSteady(t *testing.T) {
 			{Size: drivenSize, Ways: 8, NewPolicy: lru},
 			{Size: drivenSize, Ways: 8, NewPolicy: drrip},
 			{Size: drivenSize, Ways: 8, NewPolicy: func() cache.Policy {
-				return NewDriven(lru(), core.Options{Strength: core.Full}, pred)
+				return drivenLane(lru(), core.Options{Strength: core.Full}, pred)
 			}},
 		}
 		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{}); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/mem"
 	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/sharing"
@@ -44,16 +45,15 @@ func warmAllocBytes(t *testing.T, replay func()) uint64 {
 }
 
 // f8Replay is one workload of F8 at the gate geometry: bare LRU, its
-// oracle cell, and an addr- and a pc-driven lane, replayed counts only.
-// It returns the driven lanes' policies.
-func f8Replay(t *testing.T, stream []cache.AccessInfo) []*Driven {
+// oracle lane, and an addr- and a pc-driven lane, replayed counts only.
+func f8Replay(t *testing.T, stream []cache.AccessInfo) {
 	t.Helper()
 	opts := core.Options{Strength: core.Full}
-	lanes, collect, err := oracle.Lanes(stream, 0, []sharing.LLCConfig{{Size: gateSize, Ways: gateWays, NewPolicy: lru}},
-		[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cols := oracle.Columns(stream, 0, []int64{oracle.Horizon(gateSize, oracle.HorizonFactor)})
+	lanes := []sharing.LLCConfig{{Size: gateSize, Ways: gateWays, NewPolicy: lru},
+		{Size: gateSize, Ways: gateWays, NewPolicy: func() cache.Policy {
+			return core.NewLane(core.NewProtectorOpts(lru(), opts), oracle.Hints(cols[0]))
+		}}}
 	addr, err := NewAddress(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -62,19 +62,15 @@ func f8Replay(t *testing.T, stream []cache.AccessInfo) []*Driven {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driven := make([]*Driven, 2)
-	for i, pred := range []Predictor{addr, pc} {
+	for _, pred := range []Predictor{addr, pc} {
 		lanes = append(lanes, sharing.LLCConfig{Size: gateSize, Ways: gateWays, NewPolicy: func() cache.Policy {
-			driven[i] = NewDriven(lru(), opts, pred)
-			return driven[i]
+			return drivenLane(lru(), opts, pred)
 		}})
 	}
-	results, err := sharing.ReplayMulti(stream, lanes, sharing.Options{Tier: sharing.CountsOnly})
-	if err != nil {
+	if _, err := sharing.ReplayMulti(stream, lanes, sharing.Options{Tier: sharing.CountsOnly}); err != nil {
 		t.Fatal(err)
 	}
-	collect(results)
-	return driven
+	mem.Release(cols[0])
 }
 
 // TestDrivenPassAllocPooled is TestPolicyPassAllocCatalogueLanes'
@@ -163,7 +159,8 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	const ways = 8
 	opts := core.Options{Strength: core.Full}
 	var bare *policy.LRUPolicy
-	var driven *Driven
+	var driven *core.Lane
+	var hint *Driven
 	var scoredLane *scored
 	var srrip cache.Policy
 	pred, err := NewAddress(Config{TableBits: 8})
@@ -176,7 +173,11 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	}
 	lanes := []sharing.LLCConfig{
 		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy { bare = policy.NewLRUPolicy(); return bare }},
-		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy { driven = NewDriven(lru(), opts, pred); return driven }},
+		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
+			hint = NewDriven(pred)
+			driven = core.NewLane(core.NewProtectorOpts(lru(), opts), hint)
+			return driven
+		}},
 		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
 			scoredLane = newScored(lru(), predictors(t, stream))
 			return scoredLane
@@ -192,8 +193,8 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	if stamp, _ := bare.KernelState(); stamp != nil {
 		t.Error("the bare LRU lane kept its stamps")
 	}
-	if driven.lines != nil || scoredLane.lines != nil {
-		t.Errorf("a lane kept its lines: driven %v, scored %v", driven.lines != nil, scoredLane.lines != nil)
+	if hint.lines != nil || scoredLane.lines != nil {
+		t.Errorf("a lane kept its lines: driven %v, scored %v", hint.lines != nil, scoredLane.lines != nil)
 	}
 	a := &stream[0]
 	for name, late := range map[string]func(){

@@ -17,11 +17,11 @@
 // so no lane is hooked. An F7/A2 lane
 // (ScoredLane) scores every predictor at once against an untouched
 // base: no predictor steers, so all of them see the same residencies.
-// An F8 lane drives one predictor (Driven): over an LRU base (up to 64
-// ways) it runs core's protected-LRU batch kernel, which calls Driven's
-// core.LaneHinter methods to predict and train; over other bases it runs
-// the generic batch loop over Driven's per-call methods, which make the
-// same calls in the same order.
+// An F8 lane is a core.Lane hinted by one predictor (Driven), whose
+// core.LaneHinter methods predict and train; over an LRU base (up to 64
+// ways) the lane runs core's protected-LRU batch kernel, over other
+// bases the generic batch loop, and both make the same calls in the same
+// order.
 package predictor
 
 import (

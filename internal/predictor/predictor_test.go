@@ -37,9 +37,9 @@ func evaluate(t *testing.T, stream []cache.AccessInfo, pred Predictor) PredStats
 // returns the protector's counters with the result.
 func drive(t *testing.T, stream []cache.AccessInfo, pred Predictor) (*sharing.Result, core.Stats) {
 	t.Helper()
-	var d *Driven
+	var d *core.Lane
 	cfg := sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
-		d = NewDriven(lru(), core.Options{Strength: core.Full}, pred)
+		d = drivenLane(lru(), core.Options{Strength: core.Full}, pred)
 		return d
 	}}
 	res, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{})

@@ -149,22 +149,15 @@ func TestReplayMultiCountsOnly(t *testing.T) {
 	untrackedRefusals(t, CountsOnly)
 }
 
-// protectedLane is a hook-free protected lane: a core.Protector over
-// LRU whose fill hint is a fixed function of the access, carried in the
-// policy as the oracle's lanes carry theirs, so its policy pass runs the
-// protected-LRU kernel.
-type protectedLane struct{ *core.Protector }
+// blockHint hints a fixed function of the access, carried in a
+// core.Lane as the oracle's lanes carry their hint column, so its policy
+// pass runs the protected-LRU kernel.
+type blockHint struct{}
 
-func (p protectedLane) Fill(set, way int, a *cache.AccessInfo) {
-	p.FillHinted(set, way, a, p.LaneHint(a))
-}
-func (p protectedLane) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return p.LRUKernel(c, p)
-}
-func (protectedLane) LaneHint(a *cache.AccessInfo) bool  { return a.Block%3 == 0 }
-func (protectedLane) LaneHit(uint32, *cache.AccessInfo)  {}
-func (protectedLane) LaneEvict(uint32)                   {}
-func (protectedLane) LaneFill(uint32, *cache.AccessInfo) {}
+func (blockHint) LaneHint(a *cache.AccessInfo) bool  { return a.Block%3 == 0 }
+func (blockHint) LaneHit(uint32, *cache.AccessInfo)  {}
+func (blockHint) LaneEvict(uint32)                   {}
+func (blockHint) LaneFill(uint32, *cache.AccessInfo) {}
 
 // sharedHitLanes is the shared-hit tier's lane set at one geometry: the
 // catalogue and a hooked LRU lane (catalogueLanes), a protected lane,
@@ -172,7 +165,7 @@ func (protectedLane) LaneFill(uint32, *cache.AccessInfo) {}
 func sharedHitLanes(t *testing.T, size, ways int) []LLCConfig {
 	return append(catalogueLanes(t, size, ways),
 		LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
-			return protectedLane{core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full})}
+			return core.NewLane(core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full}), blockHint{})
 		}},
 		LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)})
 }

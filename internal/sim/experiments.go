@@ -3,9 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/mem"
 	"sharellc/internal/oracle"
 	"sharellc/internal/par"
 	"sharellc/internal/phase"
@@ -46,7 +48,7 @@ type CharRow struct {
 // LLC geometry, one row per workload.
 func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
 	return perStream(s, "characterize", func(st *Stream) ([]CharRow, error) {
-		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, s.replayOpts(st))
+		results, _, err := s.replay(st, sharing.Tracked, []lane{{policy: "lru", size: llcSize, ways: llcWays}})
 		if err != nil {
 			return nil, err
 		}
@@ -212,19 +214,13 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 	if len(names) == 0 {
 		names = policy.Names(s.Config.Seed)
 	}
-	configs := make([]sharing.LLCConfig, len(names))
+	lanes := make([]lane, len(names))
 	for i, n := range names {
-		f, err := policy.ByName(n, s.Config.Seed)
-		if err != nil {
-			return nil, err
-		}
-		configs[i] = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: f}
+		lanes[i] = lane{policy: n, size: llcSize, ways: llcWays}
 	}
 	return perStream(s, "comparing", func(st *Stream) ([]PolicyRow, error) {
 		// A row reads only counts and shared hits.
-		opt := s.replayOpts(st)
-		opt.Tier = sharing.SharedHitsOnly
-		results, err := sharing.ReplayMulti(st.Accesses, configs, opt)
+		results, _, err := s.replay(st, sharing.SharedHitsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
@@ -283,74 +279,144 @@ func (s *Suite) OracleStudy(llcSize, llcWays int, names []string, opts core.Opti
 // oracleTables runs the oracle study of one table per (ways, options)
 // pair, ways-major: per workload, one fused replay of a bare lane per
 // (ways, policy) base and a protected lane per (table, policy). Every
-// cell shares the base lane of its ways and policy and, at one LLC size,
-// one hint column. A table's rows are its policies', in name order.
+// protected lane shares the base lane of its ways and policy and, at one
+// LLC size, one hint column. A table's rows are its policies', in name
+// order. No row reads the tracked census, so the replay runs at
+// sharing.SharedHitsOnly.
 func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []core.Options) ([][]OracleRow, error) {
 	if len(names) == 0 {
 		names = []string{"lru"}
 	}
-	var bases []sharing.LLCConfig
-	var cells []oracle.Cell
-	for wi, w := range ways {
+	var lanes []lane
+	for _, w := range ways {
 		for _, n := range names {
-			f, err := policy.ByName(n, s.Config.Seed)
-			if err != nil {
-				return nil, err
-			}
-			bases = append(bases, sharing.LLCConfig{Size: llcSize, Ways: w, NewPolicy: f})
+			lanes = append(lanes, lane{policy: n, size: llcSize, ways: w})
 		}
-		for _, o := range opts {
-			for p := range names {
-				cells = append(cells, oracle.Cell{Base: wi*len(names) + p, Opts: o, Factor: oracle.HorizonFactor})
+	}
+	bases := len(lanes)
+	for _, w := range ways {
+		for o := range opts {
+			for _, n := range names {
+				lanes = append(lanes, lane{policy: n, size: llcSize, ways: w, prot: &opts[o], factor: oracle.HorizonFactor})
 			}
 		}
 	}
-	return oracleStudy(s, "oracle study", len(ways)*len(opts), sharing.SharedHitsOnly, bases, cells, func(st *Stream, results []*oracle.Result) [][]OracleRow {
+	return perStreamTables(s, "oracle study", len(ways)*len(opts), func(st *Stream) ([][]OracleRow, error) {
+		results, prot, err := s.replay(st, sharing.SharedHitsOnly, lanes)
+		if err != nil {
+			return nil, err
+		}
 		tables := make([][]OracleRow, len(ways)*len(opts))
-		for i, res := range results {
-			t := i / len(names)
+		for i := range lanes[bases:] {
+			t, p := i/len(names), i%len(names)
+			base, orc := results[t/len(opts)*len(names)+p], results[bases+i]
 			tables[t] = append(tables[t], OracleRow{
 				Workload:            st.Model.Name,
-				Policy:              names[i%len(names)],
-				BaseMisses:          res.Base.Misses,
-				OracleMisses:        res.Oracle.Misses,
-				Reduction:           res.MissReduction(),
-				BaseSharedHitFrac:   res.Base.SharedHitFraction(),
-				OracleSharedHitFrac: res.Oracle.SharedHitFraction(),
-				AMATSpeedup: defaultLatency().amatSpeedup(st,
-					res.Base.Hits, res.Base.Misses, res.Oracle.Hits, res.Oracle.Misses),
-				Protector: res.Stats,
+				Policy:              names[p],
+				BaseMisses:          base.Misses,
+				OracleMisses:        orc.Misses,
+				Reduction:           oracle.MissReduction(base, orc),
+				BaseSharedHitFrac:   base.SharedHitFraction(),
+				OracleSharedHitFrac: orc.SharedHitFraction(),
+				AMATSpeedup:         defaultLatency().amatSpeedup(st, base.Hits, base.Misses, orc.Hits, orc.Misses),
+				Protector:           prot[bases+i],
 			})
 		}
-		return tables
+		return tables, nil
 	})
 }
 
-// oracleStudy runs one fused replay of bases and cells (oracle.Lanes)
-// per workload, and rows turns a workload's cell results into its rows
-// of n tables. No oracle row reads the tracked census, so the replay runs
-// at tier: sharing.SharedHitsOnly for rows that carry shared-hit
-// fractions (F5, A1, A3, M1), sharing.CountsOnly for rows that read only
-// misses (A4, A5).
-func oracleStudy[R any](s *Suite, what string, n int, tier sharing.Tier, bases []sharing.LLCConfig, cells []oracle.Cell, rows func(*Stream, []*oracle.Result) [][]R) ([][]R, error) {
-	return perStreamTables(s, what, n, func(st *Stream) ([][]R, error) {
-		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, bases, cells)
-		if err != nil {
-			return nil, err
-		}
-		opt := s.replayOpts(st)
-		opt.Tier = tier
-		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
-		if err != nil {
-			return nil, err
-		}
-		return rows(st, collect(results)), nil
-	})
+// lane is one replay lane of an experiment, stated as a value: the base
+// policy's catalogue name and the LLC geometry, and for a protected lane
+// (prot set) its hint source — the named predictor built with cfg, or
+// else the oracle's SharedHints column at factor × the LLC's capacity
+// (oracle.HorizonFactor).
+type lane struct {
+	policy     string
+	size, ways int
+	prot       *core.Options
+	factor     int
+	pred       string
+	cfg        predictor.Config
 }
 
-// lruLane is a bare LRU lane of the given geometry.
-func lruLane(llcSize, llcWays int) sharing.LLCConfig {
-	return sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+// replay replays lanes over st in one sharing.ReplayMulti at tier,
+// and returns each lane's result and protector counters (zero for a bare
+// lane), by lane index. The hint columns go back to the mem pool when the
+// replay returns.
+func (s *Suite) replay(st *Stream, tier sharing.Tier, lanes []lane) ([]*sharing.Result, []core.Stats, error) {
+	pols, cols, err := s.lanePolicies(st, lanes)
+	defer func() {
+		for _, c := range cols {
+			mem.Release(c)
+		}
+	}()
+	if err != nil {
+		return nil, nil, err
+	}
+	configs := make([]sharing.LLCConfig, len(lanes))
+	for i, l := range lanes {
+		// ReplayMulti calls NewPolicy once per lane.
+		configs[i] = sharing.LLCConfig{Size: l.size, Ways: l.ways, NewPolicy: func() cache.Policy { return pols[i] }}
+	}
+	opt := s.replayOpts(st)
+	opt.Tier = tier
+	results, err := sharing.ReplayMulti(st.Accesses, configs, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := make([]core.Stats, len(lanes))
+	for i, pol := range pols {
+		if pl, ok := pol.(*core.Lane); ok {
+			stats[i] = pl.Stats()
+		}
+	}
+	return results, stats, nil
+}
+
+// lanePolicies is where an experiment lane becomes a policy, once per
+// lane: the base from policy.ByName under the suite seed, and for a
+// protected lane a core.Lane over core.NewProtectorOpts of it, hinted by
+// an oracle column or by a predictor the lane drives. One backward pass
+// builds the hint column of every distinct horizon (a trace property,
+// shared by every oracle lane at that horizon whatever its policy, ways
+// or options) from the mem pool; the caller releases cols, error or not.
+func (s *Suite) lanePolicies(st *Stream, lanes []lane) (pols []cache.Policy, cols [][]bool, err error) {
+	var horizons []int64
+	for _, l := range lanes {
+		if l.prot == nil || l.pred != "" {
+			continue
+		}
+		if l.factor < 1 {
+			return nil, nil, fmt.Errorf("sim: horizon factor %d < 1", l.factor)
+		}
+		if h := oracle.Horizon(l.size, l.factor); !slices.Contains(horizons, h) {
+			horizons = append(horizons, h)
+		}
+	}
+	cols = oracle.Columns(st.Accesses, st.NumBlocks, horizons)
+	pols = make([]cache.Policy, len(lanes))
+	for i, l := range lanes {
+		f, err := policy.ByName(l.policy, s.Config.Seed)
+		if err != nil {
+			return nil, cols, err
+		}
+		pols[i] = f()
+		if l.prot != nil {
+			var h core.LaneHinter
+			if l.pred == "" {
+				h = oracle.Hints(cols[slices.Index(horizons, oracle.Horizon(l.size, l.factor))])
+			} else {
+				pred, err := newPredictor(l.pred, l.cfg, st)
+				if err != nil {
+					return nil, cols, err
+				}
+				h = predictor.NewDriven(pred)
+			}
+			pols[i] = core.NewLane(core.NewProtectorOpts(pols[i], *l.prot), h)
+		}
+	}
+	return pols, cols, nil
 }
 
 // buildMixStream prepares the LLC reference stream of a multiprogrammed
@@ -407,23 +473,27 @@ type horizonRow struct {
 
 // oracleHorizonSweep reruns the LRU oracle study at several sharing
 // horizons (ablation A4): how sensitive is the headroom to how far ahead
-// "will be shared during its residency" looks?
+// "will be shared during its residency" looks? Its rows read only miss
+// counts, so the replay counts only.
 func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts core.Options) ([]horizonRow, error) {
 	if len(factors) == 0 {
 		factors = []int{1, 2, 4, 8}
 	}
-	cells := make([]oracle.Cell, len(factors))
-	for f, factor := range factors {
-		cells[f] = oracle.Cell{Opts: opts, Factor: factor}
+	lanes := []lane{{policy: "lru", size: llcSize, ways: llcWays}}
+	for _, f := range factors {
+		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, factor: f})
 	}
-	return firstTable(oracleStudy(s, "horizon sweep", 1, sharing.CountsOnly, []sharing.LLCConfig{lruLane(llcSize, llcWays)}, cells,
-		func(st *Stream, results []*oracle.Result) [][]horizonRow {
-			rows := make([]horizonRow, len(results))
-			for f, res := range results {
-				rows[f] = horizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: res.MissReduction()}
-			}
-			return [][]horizonRow{rows}
-		}))
+	return perStream(s, "horizon sweep", func(st *Stream) ([]horizonRow, error) {
+		results, _, err := s.replay(st, sharing.CountsOnly, lanes)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]horizonRow, len(factors))
+		for f, res := range results[1:] {
+			rows[f] = horizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: oracle.MissReduction(results[0], res)}
+		}
+		return rows, nil
+	})
 }
 
 // predictorNames lists the realistic predictors of the F7/F8 studies in
@@ -544,51 +614,32 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 	if len(names) == 0 {
 		names = []string{"addr", "pc"}
 	}
+	// Lane 0 is bare LRU (the base), lane 1 the oracle ceiling, and
+	// lanes 2.. one protector per realistic predictor, which the lane
+	// consults and trains.
+	lanes := []lane{{policy: "lru", size: llcSize, ways: llcWays},
+		{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, factor: oracle.HorizonFactor}}
+	for _, n := range names {
+		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, pred: n, cfg: cfg})
+	}
 	return perStream(s, "predictor driven", func(st *Stream) ([]DrivenRow, error) {
-		// Lane 0: bare LRU (the base). Lane 1: the oracle ceiling. Lanes
-		// 2..: one protector per realistic predictor, which the lane's
-		// policy consults and trains. A Protector keeps cross-set state, so
-		// each driven lane calls NewPolicy exactly once and can stash its
-		// protector for the post-replay intervention stats.
-		lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, []sharing.LLCConfig{lruLane(llcSize, llcWays)},
-			[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
-		if err != nil {
-			return nil, err
-		}
-		prots := make([]*core.Protector, len(names))
-		for p, n := range names {
-			pred, err := newPredictor(n, cfg, st)
-			if err != nil {
-				return nil, err
-			}
-			lanes = append(lanes, sharing.LLCConfig{Size: llcSize, Ways: llcWays,
-				NewPolicy: func() cache.Policy {
-					d := predictor.NewDriven(policy.NewLRUPolicy(), opts, pred)
-					prots[p] = d.Protector
-					return d
-				}})
-		}
 		// Every F8 column is a miss count or a protector counter.
-		opt := s.replayOpts(st)
-		opt.Tier = sharing.CountsOnly
-		results, err := sharing.ReplayMulti(st.Accesses, lanes, opt)
+		results, prot, err := s.replay(st, sharing.CountsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
-		orc := collect(results)[0]
+		base, orc := results[0], results[1]
 		rows := make([]DrivenRow, len(names))
 		for p := range names {
-			// A driven lane is pass 2 of a study hinted by its predictor.
-			driven := oracle.Result{Base: orc.Base, Oracle: results[2+p]}
 			rows[p] = DrivenRow{
 				Workload:        st.Model.Name,
 				Predictor:       names[p],
-				BaseMisses:      orc.Base.Misses,
+				BaseMisses:      base.Misses,
 				DrivenMisses:    results[2+p].Misses,
-				OracleMisses:    orc.Oracle.Misses,
-				Reduction:       driven.MissReduction(),
-				OracleReduction: orc.MissReduction(),
-				Protector:       prots[p].Stats(),
+				OracleMisses:    orc.Misses,
+				Reduction:       oracle.MissReduction(base, results[2+p]),
+				OracleReduction: oracle.MissReduction(base, orc),
+				Protector:       prot[2+p],
 			}
 		}
 		return rows, nil

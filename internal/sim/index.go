@@ -402,6 +402,8 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	lanes := []lane{{policy: "lru", size: o.LLCSize, ways: o.LLCWays},
+		{policy: "lru", size: o.LLCSize, ways: o.LLCWays, prot: &o.Prot, factor: oracle.HorizonFactor}}
 	var rows []seedRow
 	for _, seed := range a5Seeds() {
 		cfg := s.Config
@@ -411,11 +413,13 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		reds, err := firstTable(oracleStudy(s2, "oracle study", 1, sharing.CountsOnly, []sharing.LLCConfig{lruLane(o.LLCSize, o.LLCWays)},
-			[]oracle.Cell{{Opts: o.Prot, Factor: oracle.HorizonFactor}},
-			func(_ *Stream, results []*oracle.Result) [][]float64 {
-				return [][]float64{{results[0].MissReduction()}}
-			}))
+		reds, err := perStream(s2, "oracle study", func(st *Stream) ([]float64, error) {
+			results, _, err := s2.replay(st, sharing.CountsOnly, lanes)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{oracle.MissReduction(results[0], results[1])}, nil
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -38,6 +38,7 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
+	"sharellc/internal/mem"
 	"sharellc/internal/oracle"
 	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
@@ -166,16 +167,17 @@ func MultiprogrammedOracle(mixes [][]Model, machine MachineConfig, seed uint64, 
 // then a pass in which every fill receives the oracle's sharing hint,
 // both lanes of one fused replay.
 func OracleRun(st *Stream, llcSize, llcWays int, newPolicy func() Policy, opts ProtectorOptions) (*OracleResult, error) {
-	lanes, collect, err := oracle.Lanes(st.Accesses, st.NumBlocks, []sharing.LLCConfig{{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy}},
-		[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
+	cols := oracle.Columns(st.Accesses, st.NumBlocks, []int64{oracle.Horizon(llcSize, oracle.HorizonFactor)})
+	defer mem.Release(cols[0])
+	prot := core.NewProtectorOpts(newPolicy(), opts)
+	results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{
+		{Size: llcSize, Ways: llcWays, NewPolicy: newPolicy},
+		{Size: llcSize, Ways: llcWays, NewPolicy: func() Policy { return core.NewLane(prot, oracle.Hints(cols[0])) }},
+	}, st.ReplayOptions(0, nil))
 	if err != nil {
 		return nil, err
 	}
-	results, err := sharing.ReplayMulti(st.Accesses, lanes, st.ReplayOptions(0, nil))
-	if err != nil {
-		return nil, err
-	}
-	return collect(results)[0], nil
+	return &OracleResult{Base: results[0], Oracle: results[1], Stats: prot.Stats()}, nil
 }
 
 // NewAddressPredictor builds the block-address-indexed fill-time sharing

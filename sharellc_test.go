@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sharellc"
+	"sharellc/internal/core"
 	"sharellc/internal/oracle"
 	"sharellc/internal/sharing"
 )
@@ -100,16 +101,14 @@ func TestOracleRunStreamOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes, collect, err := oracle.Lanes(st.Accesses, 0, []sharing.LLCConfig{{Size: 16 * sharellc.KB, Ways: 8, NewPolicy: base}},
-			[]oracle.Cell{{Opts: opts, Factor: oracle.HorizonFactor}})
+		prot := core.NewProtectorOpts(base(), opts)
+		hints := oracle.Hints(oracle.SharedHints(st.Accesses, oracle.Horizon(16*sharellc.KB, oracle.HorizonFactor)))
+		results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{{Size: 16 * sharellc.KB, Ways: 8, NewPolicy: base},
+			{Size: 16 * sharellc.KB, Ways: 8, NewPolicy: func() sharellc.Policy { return core.NewLane(prot, hints) }}}, sharing.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := sharing.ReplayMulti(st.Accesses, lanes, sharing.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := collect(results)[0]
+		want := &sharellc.OracleResult{Base: results[0], Oracle: results[1], Stats: prot.Stats()}
 		if want.Base.Misses <= want.Base.DistinctBlocks || want.Base.SharedHits == 0 {
 			t.Fatalf("%s: the reference replay evicted nothing or shared nothing: %+v", name, want.Base)
 		}
