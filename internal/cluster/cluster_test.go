@@ -746,7 +746,7 @@ func FuzzLeaseIntake(f *testing.F) {
 		{ID: "b-5", Spec: 0, Request: testRequest([]string{"f1"})},
 		{ID: "b-6", Spec: 0, Workload: "canneal", Request: testRequest([]string{"m1"})},
 		{ID: "b-7", Spec: -1, Request: testRequest([]string{"m1"})},
-		{ID: "b-3", Spec: 1, Workload: "swaptions", Request: testRequest([]string{"f5"}),
+		{ID: "b-3", Spec: 0, Workload: "swaptions", Request: testRequest([]string{"f5"}),
 			Streams: []streamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}, Coordinator: true}}},
 		{ID: "b-8", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})},
 	} {

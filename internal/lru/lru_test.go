@@ -45,7 +45,7 @@ func TestLRUNeverEvictsNewest(t *testing.T) {
 		t.Errorf("evicted %q, Len %d, Cost %d; want [b a] and big alone at 50", gone, c.Len(), c.Cost())
 	}
 
-	unlimited := New[int](0, nil)
+	unlimited := New[string, int](0, nil)
 	for i, k := range []string{"a", "b", "c"} {
 		unlimited.Put(k, i, 1<<40)
 	}

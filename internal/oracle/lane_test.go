@@ -51,16 +51,36 @@ func eachPrefix(stream []cache.AccessInfo, f func(prefix []cache.AccessInfo)) {
 	}
 }
 
+// hintSources are the hint columns the lane tests replay under: the
+// oracle's, which hints far more than the gate's threshold of 1/32 of
+// fills, and one that hints every 32nd access, so the share of hinted
+// fills sits at that threshold and a lane that counts a fill into the
+// gate on the wrong side of its demotion decision demotes differently.
+var hintSources = []struct {
+	name  string
+	hints func(stream []cache.AccessInfo) []bool
+}{
+	{"oracle", func(stream []cache.AccessInfo) []bool { return SharedHints(stream, Horizon(laneSize, HorizonFactor)) }},
+	{"gate threshold", func(stream []cache.AccessInfo) []bool {
+		hints := make([]bool, len(stream))
+		for i := range hints {
+			hints[i] = i%32 == 0
+		}
+		return hints
+	}},
+}
+
 // TestHintedLaneMatchesHooked holds the hook-free oracle lane — a
 // core.Lane hinted by a Hints column — to its hooked form: the same
 // Protector told each fill's hint by a PredictShared hook. Every Result
 // field and every Protector counter must match at 8, 16, 64 and 128 ways
 // under every protection setting, over a per-set (LRU) and a cross-set
-// (DRRIP) base, at several stream prefixes. Its policy pass must run the
-// protected-LRU kernel over LRU up to 64 ways and the generic loop
-// otherwise, so the hooked reference holds both. The same lane replayed
-// counts only (sharing.CountsOnly) must return the hooked lane's counts,
-// zero elsewhere, and its Protector counters.
+// (DRRIP) base, at several stream prefixes, under each of hintSources.
+// Its policy pass must run the protected-LRU kernel over LRU up to 64
+// ways and the generic loop otherwise, so the hooked reference holds
+// both. The same lane replayed counts only (sharing.CountsOnly) must
+// return the hooked lane's counts, zero elsewhere, and its Protector
+// counters.
 func TestHintedLaneMatchesHooked(t *testing.T) {
 	full := laneStream(24000, 3000, 7)
 	drrip, err := policy.ByName("drrip", 3)
@@ -74,55 +94,57 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 	for _, ways := range []int{8, 16, 64, 128} {
 		for oi, opts := range laneOptions {
 			for name, base := range bases {
-				eachPrefix(full, func(stream []cache.AccessInfo) {
-					hints := SharedHints(stream, Horizon(laneSize, HorizonFactor))
-					replay := func(opt sharing.Options) (*sharing.Result, core.Stats, error) {
-						prot := core.NewProtectorOpts(base(), opts)
-						got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: laneSize, Ways: ways,
-							NewPolicy: func() cache.Policy { return core.NewLane(prot, Hints(hints)) }}}, opt)
-						if err != nil {
-							return nil, core.Stats{}, err
+				for _, src := range hintSources {
+					eachPrefix(full, func(stream []cache.AccessInfo) {
+						hints := src.hints(stream)
+						replay := func(opt sharing.Options) (*sharing.Result, core.Stats, error) {
+							prot := core.NewProtectorOpts(base(), opts)
+							got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: laneSize, Ways: ways,
+								NewPolicy: func() cache.Policy { return core.NewLane(prot, Hints(hints)) }}}, opt)
+							if err != nil {
+								return nil, core.Stats{}, err
+							}
+							return got[0], prot.Stats(), nil
 						}
-						return got[0], prot.Stats(), nil
-					}
-					res, stats, err := replay(sharing.Options{})
-					// The counts-only leg: the lane run as its policy pass
-					// alone must count and protect exactly as the hooked lane.
-					counted, countStats, countErr := replay(sharing.Options{Tier: sharing.CountsOnly})
-					var asked uint64
-					var ref *core.Protector
-					hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
-						Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},
-						NewPolicy: func() cache.Policy {
-							ref = core.NewProtectorOpts(base(), opts)
-							return ref
-						}}
-					want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
-					at := fmt.Sprintf("%s, %d ways, opts %d, len %d", name, ways, oi, len(stream))
-					for _, err := range []error{err, refErr, countErr} {
-						if err != nil {
-							t.Fatal(err)
+						res, stats, err := replay(sharing.Options{})
+						// The counts-only leg: the lane run as its policy pass
+						// alone must count and protect exactly as the hooked lane.
+						counted, countStats, countErr := replay(sharing.Options{Tier: sharing.CountsOnly})
+						var asked uint64
+						var ref *core.Protector
+						hooked := sharing.LLCConfig{Size: laneSize, Ways: ways,
+							Hooks: sharing.Hooks{PredictShared: func(a cache.AccessInfo) bool { asked++; return hints[a.Index] }},
+							NewPolicy: func() cache.Policy {
+								ref = core.NewProtectorOpts(base(), opts)
+								return ref
+							}}
+						want, refErr := sharing.ReplayMulti(stream, []sharing.LLCConfig{hooked}, sharing.Options{})
+						at := fmt.Sprintf("%s, %d ways, opts %d, %s hints, len %d", name, ways, oi, src.name, len(stream))
+						for _, err := range []error{err, refErr, countErr} {
+							if err != nil {
+								t.Fatal(err)
+							}
 						}
-					}
-					if asked != want[0].Misses {
-						t.Fatalf("%s: hooked lane asked for %d hints on %d misses", at, asked, want[0].Misses)
-					}
-					if !reflect.DeepEqual(res, want[0]) {
-						t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res, want[0])
-					}
-					counts := sharing.Result{Policy: want[0].Policy, Accesses: want[0].Accesses, Hits: want[0].Hits, Misses: want[0].Misses}
-					if !reflect.DeepEqual(*counted, counts) {
-						t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted, counts)
-					}
-					for _, st := range []core.Stats{stats, countStats} {
-						if st != ref.Stats() {
-							t.Errorf("%s: protector stats %+v, hooked %+v", at, st, ref.Stats())
+						if asked != want[0].Misses {
+							t.Fatalf("%s: hooked lane asked for %d hints on %d misses", at, asked, want[0].Misses)
 						}
-					}
-					if got, want := laneKernel(t, core.NewLane(core.NewProtectorOpts(base(), opts), Hints(hints)), ways), name == "lru" && ways <= 64; got != want {
-						t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
-					}
-				})
+						if !reflect.DeepEqual(res, want[0]) {
+							t.Errorf("%s: hint-column lane differs from the hooked lane\ncolumn: %+v\nhooked: %+v", at, res, want[0])
+						}
+						counts := sharing.Result{Policy: want[0].Policy, Accesses: want[0].Accesses, Hits: want[0].Hits, Misses: want[0].Misses}
+						if !reflect.DeepEqual(*counted, counts) {
+							t.Errorf("%s: counts-only lane %+v, want the hooked lane's counts %+v", at, *counted, counts)
+						}
+						for _, st := range []core.Stats{stats, countStats} {
+							if st != ref.Stats() {
+								t.Errorf("%s: protector stats %+v, hooked %+v", at, st, ref.Stats())
+							}
+						}
+						if got, want := laneKernel(t, core.NewLane(core.NewProtectorOpts(base(), opts), Hints(hints)), ways), name == "lru" && ways <= 64; got != want {
+							t.Errorf("%s: lane binds a batch kernel %v, want %v", at, got, want)
+						}
+					})
+				}
 			}
 		}
 	}

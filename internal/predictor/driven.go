@@ -36,10 +36,15 @@ func NewDriven(pred Predictor) *Driven { return &Driven{pred: pred} }
 // Attach sizes the per-line state; core.Lane calls it.
 func (d *Driven) Attach(sets, ways int) { d.lines = mem.Grab[drivenLine](sets * ways) }
 
-// Release implements cache.Releaser.
+// Release implements cache.Releaser: the lines, and the predictor's
+// state when it is a cache.Releaser (the coherence column), go back to
+// the mem pool.
 func (d *Driven) Release() {
 	mem.Release(d.lines)
 	d.lines = nil
+	if r, ok := d.pred.(cache.Releaser); ok {
+		r.Release()
+	}
 }
 
 // LaneHit implements core.LaneHinter: mark the residency shared when a

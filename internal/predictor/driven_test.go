@@ -195,3 +195,23 @@ func TestDrivenLaneAllocSteady(t *testing.T) {
 		t.Errorf("replay allocated %.0f objects over 60k accesses x 3 lanes; a hot loop is allocating (budget 400)", allocs)
 	}
 }
+
+// TestDrivenLaneReleasesItsPredictor: a coherence-driven lane hands its
+// predictor's pooled column back to the mem pool when its replay ends,
+// as the F7/A2 scored lane does.
+func TestDrivenLaneReleasesItsPredictor(t *testing.T) {
+	stream := drivenStream(20000, 3000, 5)
+	pred, err := NewCoherence(stream, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := sharing.LLCConfig{Size: drivenSize, Ways: 8, NewPolicy: func() cache.Policy {
+		return drivenLane(lru(), core.Options{Strength: core.Full}, pred)
+	}}
+	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if pred.col != nil {
+		t.Errorf("the coherence column, %d long, outlived the driven lane's replay", len(pred.col))
+	}
+}

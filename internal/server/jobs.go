@@ -140,16 +140,19 @@ type Manager struct {
 	baseStop context.CancelFunc
 
 	mu       sync.Mutex
-	active   map[string]*job  // by request key, queued or running only
-	finished *lru.Cache[*job] // terminal jobs by ID, the most recently used kept
+	active   map[string]*job          // by request key, queued or running only
+	finished *lru.Cache[string, *job] // terminal jobs by ID, the most recently used kept
 	seq      int
 	draining bool
 
 	queue chan *job
 	wg    sync.WaitGroup
 
-	cache *lru.Cache[[]*report.Table] // completed results, one cost unit each; guarded by mu
+	cache *lru.Cache[string, []*report.Table] // completed results, one cost unit each; guarded by mu
 	met   *metrics
+	// lanes is the process's lane memo, which every in-process job
+	// shares; nil when jobs run elsewhere (a coordinator, a test runner).
+	lanes *sim.LaneMemo
 }
 
 // NewManager starts cfg.Workers workers. Call Shutdown to drain them.
@@ -163,11 +166,13 @@ func NewManager(cfg Config) *Manager {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 64
 	}
+	var lanes *sim.LaneMemo
 	if cfg.runner == nil {
 		if cfg.Coordinator != nil {
 			cfg.runner = cfg.Coordinator.Run
 		} else {
-			cfg.runner = defaultRunner(cfg.StreamCache)
+			lanes = sim.NewLaneMemo()
+			cfg.runner = defaultRunner(cfg.StreamCache, lanes)
 		}
 	}
 	ctx, stop := context.WithCancel(context.Background())
@@ -176,10 +181,11 @@ func NewManager(cfg Config) *Manager {
 		baseCtx:  ctx,
 		baseStop: stop,
 		active:   map[string]*job{},
-		finished: lru.New[*job](int64(2*cfg.CacheSize+cfg.QueueDepth+cfg.Workers), nil),
+		finished: lru.New[string, *job](int64(2*cfg.CacheSize+cfg.QueueDepth+cfg.Workers), nil),
 		queue:    make(chan *job, cfg.QueueDepth),
-		cache:    lru.New[[]*report.Table](int64(cfg.CacheSize), nil),
+		cache:    lru.New[string, []*report.Table](int64(cfg.CacheSize), nil),
 		met:      newMetrics(),
+		lanes:    lanes,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)

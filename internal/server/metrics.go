@@ -9,6 +9,7 @@ import (
 
 	"sharellc/internal/cluster"
 	"sharellc/internal/mem"
+	"sharellc/internal/sim"
 	"sharellc/internal/sim/streamcache"
 )
 
@@ -157,6 +158,16 @@ func (m *metrics) families() []family {
 // jobs.
 func memFamily() family {
 	return gauge("sharesimd_mem_pool_bytes", "Bytes of pooled arrays the process retains for reuse.", mem.PoolBytes())
+}
+
+// laneMemoFamilies is the lane memo's family, served by a role that runs
+// jobs in process.
+func laneMemoFamilies(lanes *sim.LaneMemo) []family {
+	hits, misses := lanes.Counts()
+	return []family{
+		counter("sharesimd_lane_memo_hits_total", "Experiment lanes served from the lane memo instead of a replay.", hits),
+		counter("sharesimd_lane_memo_misses_total", "Experiment lanes the lane memo sent to a replay.", misses),
+	}
 }
 
 // streamFamilies is the stream cache's family, served by every role

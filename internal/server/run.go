@@ -16,8 +16,10 @@ import (
 // worker pool (internal/par). When sc is non-nil it serves every
 // suite's streams, so concurrent and sequential jobs sharing (machine,
 // seed, scale, workloads) build each stream at most once per process
-// regardless of their LLC size or policy.
-func defaultRunner(sc *streamcache.Cache) runner {
+// regardless of their LLC size or policy. Every job's suite shares the
+// lane memo lanes, so a lane that an earlier job replayed over the same
+// stream at the same or a higher tier is not replayed again.
+func defaultRunner(sc *streamcache.Cache, lanes *sim.LaneMemo) runner {
 	return func(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
 		cfg, err := req.Config(cache.DefaultConfig())
 		if err != nil {
@@ -32,6 +34,7 @@ func defaultRunner(sc *streamcache.Cache) runner {
 		if sc != nil {
 			cfg.Streams = sc.Stream
 		}
+		cfg.Lanes = lanes
 		var out []*report.Table
 		err = sim.RunExperiments(ctx, cfg, []string{req.Exp}, req.Options(), progress,
 			func(tables []*report.Table) error { out = tables; return nil })

@@ -275,14 +275,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the families of every part the role has: the
-// Manager's (or the worker's) and the mem pool, then the coordinator's
-// and the stream cache's.
+// Manager's (or the worker's) and the mem pool, the lane memo's, then
+// the coordinator's and the stream cache's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var fams []family
 	if s.worker != nil {
 		fams = append(workerFamilies(s.worker.Stats()), memFamily())
 	} else {
 		fams = s.m.met.families()
+		if s.m.lanes != nil {
+			fams = append(fams, laneMemoFamilies(s.m.lanes)...)
+		}
 	}
 	if s.coord != nil {
 		fams = append(fams, clusterFamilies(s.coord.Stats())...)

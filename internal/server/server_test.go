@@ -333,7 +333,7 @@ func TestCoordinatorModeAdmitsOnce(t *testing.T) {
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := defaultRunner(nil)(ctx, req, func(int, int, string) {})
+	want, err := defaultRunner(nil, nil)(ctx, req, func(int, int, string) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,9 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		return newSpec("char", title,
 			func(s *Suite) ([]CharRow, error) { return s.Characterize(size, o.LLCWays) }, render)
 	}
-	oracleSpec := func(titles []string, size int, ways []int, names []string, opts ...core.Options) TableSpec {
+	oracleSpec := func(titles []string, sizes, ways []int, names []string, opts ...core.Options) TableSpec {
 		return tablesSpec("oracle", titles,
-			func(s *Suite) ([][]OracleRow, error) { return s.oracleTables(size, ways, names, opts) }, oracleTable)
+			func(s *Suite) ([][]OracleRow, error) { return s.oracleTables(sizes, ways, names, opts) }, oracleTable)
 	}
 	switch id {
 	case "f1":
@@ -113,15 +113,14 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			func(s *Suite) ([]PolicyRow, error) { return s.ComparePolicies(o.LLCSize, o.LLCWays, nil) },
 			policyTable)}, true
 	case "f5":
-		// F5's two sizes share no hint column: two specs, so a replay
-		// holds one size's lanes at a time.
-		var specs []TableSpec
-		for _, size := range []int{o.LLCSize, 2 * o.LLCSize} {
-			specs = append(specs, oracleSpec(
-				[]string{fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength)},
-				size, []int{o.LLCWays}, o.Policies, o.Prot))
+		// Both sizes in one spec: each workload decodes its pass
+		// columns and builds both sizes' hint columns in one replay.
+		sizes := []int{o.LLCSize, 2 * o.LLCSize}
+		var titles []string
+		for _, size := range sizes {
+			titles = append(titles, fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength))
 		}
-		return specs, true
+		return []TableSpec{oracleSpec(titles, sizes, []int{o.LLCWays}, o.Policies, o.Prot)}, true
 	case "f7":
 		return []TableSpec{newSpec("predictor", fmt.Sprintf("F7: fill-time sharing predictor accuracy (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PredictorRow, error) {
@@ -153,7 +152,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		for _, p := range []core.Options{insert, full} {
 			titles = append(titles, fmt.Sprintf("A1: oracle with %s protection (%s LLC)", p.Strength, mbLabel(o.LLCSize)))
 		}
-		return []TableSpec{oracleSpec(titles, o.LLCSize, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
+		return []TableSpec{oracleSpec(titles, []int{o.LLCSize}, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
 	case "a2":
 		var titles []string
 		var cfgs []predictor.Config
@@ -170,7 +169,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		for _, w := range ways {
 			titles = append(titles, fmt.Sprintf("A3: oracle gain at %d-way associativity (%s LLC)", w, mbLabel(o.LLCSize)))
 		}
-		return []TableSpec{oracleSpec(titles, o.LLCSize, ways, []string{"lru"}, o.Prot)}, true
+		return []TableSpec{oracleSpec(titles, []int{o.LLCSize}, ways, []string{"lru"}, o.Prot)}, true
 	case "a4":
 		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]horizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },

@@ -134,10 +134,14 @@ type reuseRow struct {
 
 // reuseDistances runs the C2 characterization, classifying each access
 // with the oracle's residency-scale sharing hint at the given LLC size.
+// The hint column comes from the mem pool, built over the stream's known
+// block count, and goes back once the profile is taken.
 func (s *Suite) reuseDistances(llcSize int) ([]reuseRow, error) {
+	horizon := []int64{oracle.Horizon(llcSize, oracle.HorizonFactor)}
 	return perStream(s, "reuse distances", func(st *Stream) ([]reuseRow, error) {
-		hints := oracle.SharedHints(st.Accesses, oracle.Horizon(llcSize, oracle.HorizonFactor))
+		hints := oracle.Columns(st.Accesses, st.NumBlocks, horizon)[0]
 		prof, err := reuse.Analyze(st.Accesses, hints)
+		mem.Release(hints)
 		if err != nil {
 			return nil, err
 		}
@@ -273,40 +277,45 @@ type OracleRow struct {
 // each named base policy at the given strength — all 2×|policies| lanes
 // of one workload fused into a single stream pass.
 func (s *Suite) OracleStudy(llcSize, llcWays int, names []string, opts core.Options) ([]OracleRow, error) {
-	return firstTable(s.oracleTables(llcSize, []int{llcWays}, names, []core.Options{opts}))
+	return firstTable(s.oracleTables([]int{llcSize}, []int{llcWays}, names, []core.Options{opts}))
 }
 
-// oracleTables runs the oracle study of one table per (ways, options)
-// pair, ways-major: per workload, one fused replay of a bare lane per
-// (ways, policy) base and a protected lane per (table, policy). Every
-// protected lane shares the base lane of its ways and policy and, at one
-// LLC size, one hint column. A table's rows are its policies', in name
-// order. No row reads the tracked census, so the replay runs at
-// sharing.SharedHitsOnly.
-func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []core.Options) ([][]OracleRow, error) {
+// oracleTables runs the oracle study of one table per (size, ways,
+// options) triple, size-major, then ways-major: per workload, one fused
+// replay of a bare lane per (size, ways, policy) base and a protected
+// lane per (table, policy). Every protected lane shares the base lane of
+// its geometry and policy and, at one LLC size, one hint column. A
+// table's rows are its policies', in name order. No row reads the
+// tracked census, so the replay runs at sharing.SharedHitsOnly.
+func (s *Suite) oracleTables(sizes, ways []int, names []string, opts []core.Options) ([][]OracleRow, error) {
 	if len(names) == 0 {
 		names = []string{"lru"}
 	}
 	var lanes []lane
-	for _, w := range ways {
-		for _, n := range names {
-			lanes = append(lanes, lane{policy: n, size: llcSize, ways: w})
-		}
-	}
-	bases := len(lanes)
-	for _, w := range ways {
-		for o := range opts {
+	for _, size := range sizes {
+		for _, w := range ways {
 			for _, n := range names {
-				lanes = append(lanes, lane{policy: n, size: llcSize, ways: w, prot: &opts[o], factor: oracle.HorizonFactor})
+				lanes = append(lanes, lane{policy: n, size: size, ways: w})
 			}
 		}
 	}
-	return perStreamTables(s, "oracle study", len(ways)*len(opts), func(st *Stream) ([][]OracleRow, error) {
+	bases := len(lanes)
+	for _, size := range sizes {
+		for _, w := range ways {
+			for o := range opts {
+				for _, n := range names {
+					lanes = append(lanes, lane{policy: n, size: size, ways: w, prot: &opts[o], factor: oracle.HorizonFactor})
+				}
+			}
+		}
+	}
+	n := len(sizes) * len(ways) * len(opts)
+	return perStreamTables(s, "oracle study", n, func(st *Stream) ([][]OracleRow, error) {
 		results, prot, err := s.replay(st, sharing.SharedHitsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
-		tables := make([][]OracleRow, len(ways)*len(opts))
+		tables := make([][]OracleRow, n)
 		for i := range lanes[bases:] {
 			t, p := i/len(names), i%len(names)
 			base, orc := results[t/len(opts)*len(names)+p], results[bases+i]
@@ -330,7 +339,9 @@ func (s *Suite) oracleTables(llcSize int, ways []int, names []string, opts []cor
 // policy's catalogue name and the LLC geometry, and for a protected lane
 // (prot set) its hint source — the named predictor built with cfg, or
 // else the oracle's SharedHints column at factor × the LLC's capacity
-// (oracle.HorizonFactor).
+// (oracle.HorizonFactor). A field the replay reads must also be part of
+// the lane's memo key (laneKey), or two lanes that differ in it share
+// one memo entry.
 type lane struct {
 	policy     string
 	size, ways int
@@ -340,11 +351,51 @@ type lane struct {
 	cfg        predictor.Config
 }
 
-// replay replays lanes over st in one sharing.ReplayMulti at tier,
-// and returns each lane's result and protector counters (zero for a bare
-// lane), by lane index. The hint columns go back to the mem pool when the
-// replay returns.
+// replay returns each lane's result over st at tier (or a higher one)
+// and its protector counters (zero for a bare lane), by lane index. With
+// a lane memo (Config.Lanes) it takes every lane the memo serves from it
+// and replays only the rest, storing their results once the replay
+// succeeds; without one it replays every lane.
 func (s *Suite) replay(st *Stream, tier sharing.Tier, lanes []lane) ([]*sharing.Result, []core.Stats, error) {
+	memo := s.Config.Lanes
+	if memo == nil {
+		return s.replayLanes(st, tier, lanes)
+	}
+	results := make([]*sharing.Result, len(lanes))
+	stats := make([]core.Stats, len(lanes))
+	id := s.streamID(st)
+	keys := make([]laneKey, len(lanes))
+	var missing []int
+	for i, l := range lanes {
+		keys[i] = l.key(id)
+		if e, ok := memo.lookup(keys[i], tier); ok {
+			results[i], stats[i] = e.res, e.stats
+		} else {
+			missing = append(missing, i)
+		}
+	}
+	if len(missing) == 0 {
+		return results, stats, nil
+	}
+	run := make([]lane, len(missing))
+	for j, i := range missing {
+		run[j] = lanes[i]
+	}
+	res, prot, err := s.replayLanes(st, tier, run)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range missing {
+		results[i], stats[i] = res[j], prot[j]
+		memo.store(keys[i], memoEntry{tier: tier, res: res[j], stats: prot[j]})
+	}
+	return results, stats, nil
+}
+
+// replayLanes replays lanes over st in one sharing.ReplayMulti at tier,
+// and returns each lane's result and protector counters, by lane index.
+// The hint columns go back to the mem pool when the replay returns.
+func (s *Suite) replayLanes(st *Stream, tier sharing.Tier, lanes []lane) ([]*sharing.Result, []core.Stats, error) {
 	pols, cols, err := s.lanePolicies(st, lanes)
 	defer func() {
 		for _, c := range cols {

@@ -190,9 +190,14 @@ func (r Request) Config(machine cache.Config) (Config, error) {
 // specs alone gets a BareSuite); then runs the experiments over it in
 // order, handing each one's tables to emit before the next starts.
 // progress, when non-nil, receives the experiments' per-workload
-// completions; cfg.Progress reports the preparation.
+// completions; cfg.Progress reports the preparation. The experiments
+// share cfg.Lanes, or a lane memo of the call's own when it is nil, so a
+// lane that several of them replay runs once.
 func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 	progress func(done, total int, label string), emit func([]*report.Table) error) error {
+	if cfg.Lanes == nil {
+		cfg.Lanes = NewLaneMemo()
+	}
 	exps := make([]Experiment, len(ids))
 	var prepare func(context.Context, Config) (*Suite, error)
 	for i, id := range ids {
@@ -409,6 +414,7 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 		cfg := s.Config
 		cfg.Seed = seed
 		cfg.Models = sub
+		cfg.Lanes = nil // a private sub-suite, as m1's mixes: two of its three seeds are no other job's
 		s2, err := NewSuiteContext(s.context(), cfg)
 		if err != nil {
 			return nil, err

@@ -44,6 +44,12 @@ type Config struct {
 	// construction; experiment fan-out progress goes through the suite's
 	// own progress callback.
 	Progress func(done, total int, label string)
+	// Lanes, when non-nil, is the lane memo every experiment on the
+	// suite consults before it replays a lane and fills after: suites
+	// that share it replay each distinct lane over a stream once.
+	// RunExperiments makes one per call when it is nil; a suite built
+	// without one replays every lane.
+	Lanes *LaneMemo
 }
 
 // StreamProvider builds (or fetches) the prepared LLC reference stream

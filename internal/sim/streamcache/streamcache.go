@@ -126,7 +126,7 @@ type Cache struct {
 	dir string
 
 	mu       sync.Mutex
-	mem      *lru.Cache[*sim.Stream] // resident streams, costed in bytes
+	mem      *lru.Cache[string, *sim.Stream] // resident streams, costed in bytes
 	inflight map[string]*flight
 	stats    Stats
 
@@ -135,7 +135,7 @@ type Cache struct {
 	// so the DiskBytes/DiskFiles gauges stay meaningful; an eviction
 	// removes the file under mu, which is fine for the small snapshot
 	// counts involved.
-	disk *lru.Cache[struct{}]
+	disk *lru.Cache[string, struct{}]
 
 	// buildHook, when non-nil, runs at the start of every full build
 	// (after both cache levels missed). Tests use it to count and to
