@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -673,6 +674,41 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 	m1 := bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
 	if err := m1.validate(); err != nil {
 		t.Errorf("m1's whole-job bundle refused: %v", err)
+	}
+}
+
+// TestWorkerSharesLanesAcrossBundles: a worker's bundles share one lane
+// memo, so an f8 bundle takes the oracle + LRU cell and its base from the
+// f5 bundle of its workload and replays only its two driven lanes, and
+// both bundles' rows equal those of a worker without a memo.
+func TestWorkerSharesLanesAcrossBundles(t *testing.T) {
+	newWorker := func() *Worker {
+		w, err := NewWorker(WorkerConfig{CoordinatorURL: "http://127.0.0.1:1", Cache: streamcache.New(streamcache.Options{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w, bare := newWorker(), newWorker()
+	bare.lanes = nil
+	for _, exp := range []string{"f5", "f8"} {
+		b := bundle{ID: "b-" + exp, Workload: "canneal", Request: testRequest([]string{exp})}
+		got, err := w.runBundle(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bare.runBundle(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s rows with the memo:\n%+v\nwithout:\n%+v", exp, got, want)
+		}
+	}
+	// f5: two sizes' bases and oracle lanes miss; f8: the 1× base and
+	// oracle lane hit, the addr and pc driven lanes miss.
+	if hits, misses := w.lanes.Counts(); hits != 2 || misses != 6 {
+		t.Errorf("worker memo counted %d hits and %d misses, want 2 and 6", hits, misses)
 	}
 }
 

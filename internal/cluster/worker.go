@@ -65,6 +65,9 @@ type WorkerStats struct {
 type Worker struct {
 	cfg  WorkerConfig
 	name string
+	// lanes is the process's lane memo: a lane that two bundles replay
+	// over one stream (f8 reads f5's oracle cell) runs once.
+	lanes *sim.LaneMemo
 
 	busy        atomic.Int64
 	done        atomic.Uint64
@@ -94,7 +97,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if name == "" {
 		name = "anonymous-worker"
 	}
-	return &Worker{cfg: cfg, name: name}, nil
+	return &Worker{cfg: cfg, name: name, lanes: sim.NewLaneMemo()}, nil
 }
 
 // Stats snapshots the worker counters.
@@ -254,7 +257,8 @@ func (b *bundle) validate() error {
 
 // runBundle runs a validated bundle's spec: a per-workload spec over a
 // suite prepared with only its workload, a whole-job spec over a bare
-// suite, since it builds the streams it reads itself.
+// suite, since it builds the streams it reads itself. Either suite
+// consults the worker's lane memo.
 func (w *Worker) runBundle(ctx context.Context, b bundle) (any, error) {
 	knobs := b.Request.Request
 	specs, _ := sim.PlanFor(b.Request.Exp, knobs.Options())
@@ -266,7 +270,7 @@ func (w *Worker) runBundle(ctx context.Context, b bundle) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Streams = w.cfg.Cache.Stream
+	cfg.Streams, cfg.Lanes = w.cfg.Cache.Stream, w.lanes
 	suite, err := prepare(ctx, cfg)
 	if err != nil {
 		return nil, err

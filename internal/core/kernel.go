@@ -10,25 +10,25 @@ import (
 // The protected lane and its LRU batch kernel.
 //
 // Every oracle and predictor-driven lane of the paper is a Lane: a
-// Protector whose fill hints come from a LaneHinter, replayed through
+// Protector whose fill hints come from a laneHinter, replayed through
 // cache.ReplayBatchCols. Over an LRU base the generic loop would pay three
 // dynamic calls per access (Lane → Protector → LRU) and, on every
 // protected miss, write and rescan a key per way. lruKernel is that loop
 // specialized to an LRU base: touch, fulfilment, the protected victim
 // choice, the hint-rate gate, demotion and promotion run inline on the
-// LRU's stamps and the Protector's protection masks, and the LaneHinter
+// LRU's stamps and the Protector's protection masks, and the laneHinter
 // supplies only the hint and learns from the residencies. It performs
 // exactly the state transitions of the generic loop over Lane's per-call
 // methods, which stay as the reference (TestProtectedLRUKernelVsGeneric).
 
-// LaneHinter is what a protected lane adds to its Protector: where each
+// laneHinter is what a protected lane adds to its Protector: where each
 // fill's sharing hint comes from, and what the lane learns from the
 // residencies the replay opens and ends. li is the line index
 // (set*ways+way). Per miss a Lane calls LaneHint first, then chooses the
-// victim, then LaneEvict (full sets only), then LaneFill. A LaneHinter
+// victim, then LaneEvict (full sets only), then LaneFill. A laneHinter
 // with per-line state also implements Attach(sets, ways int), which the
 // Lane calls after the Protector's, and cache.Releaser.
-type LaneHinter interface {
+type laneHinter interface {
 	// LaneHit is told of every hit before the Protector handles it.
 	LaneHit(li uint32, a *cache.AccessInfo)
 	// LaneHint returns the sharing hint of the miss on a.
@@ -46,7 +46,7 @@ type LaneHinter interface {
 // NewBatchKernel binds lruKernel instead.
 type Lane struct {
 	*Protector
-	h LaneHinter
+	h laneHinter
 	// hint is the current miss's; asked reports that Victim already
 	// asked h for it.
 	hint, asked bool
@@ -54,7 +54,7 @@ type Lane struct {
 
 // NewLane returns the lane policy of p hinted by h. Both belong to this
 // lane alone.
-func NewLane(p *Protector, h LaneHinter) *Lane { return &Lane{Protector: p, h: h} }
+func NewLane(p *Protector, h laneHinter) *Lane { return &Lane{Protector: p, h: h} }
 
 // Attach implements cache.Policy.
 func (l *Lane) Attach(sets, ways int) {
@@ -106,7 +106,7 @@ func (l *Lane) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel { return l.lr
 // nil — the generic loop — unless p's base is a policy.LRUPolicy and c
 // has at most 64 ways (one protection word per set). Like any
 // cache.batchPolicy kernel it is bound after Attach and serves c alone.
-func (p *Protector) lruKernel(c *cache.SetAssoc, d LaneHinter) cache.BatchKernel {
+func (p *Protector) lruKernel(c *cache.SetAssoc, d laneHinter) cache.BatchKernel {
 	lru, ok := p.base.(*policy.LRUPolicy)
 	mask, ways := c.KernelGeom()
 	if !ok || ways > 64 {

@@ -76,7 +76,7 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 			lanes = append(lanes, sharing.LLCConfig{Size: base.Size, Ways: base.Ways,
 				NewPolicy: func() cache.Policy { return core.NewLane(prot, oracle.Hints(cols[0])) }})
 		}
-		var finish func() []predictor.PredStats
+		var scoredLane *predictor.Scored
 		if scored {
 			addr, err := predictor.NewAddress(predictor.DefaultConfig())
 			if err != nil {
@@ -86,12 +86,8 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var cfg sharing.LLCConfig
-			cfg, finish, err = predictor.ScoredLane(4*cache.MB, 16, lane("lru", 0).NewPolicy, []predictor.Predictor{addr, pc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanes = append(lanes, cfg)
+			scoredLane = predictor.NewScored(lane("lru", 0).NewPolicy(), []predictor.Predictor{addr, pc})
+			lanes = append(lanes, sharing.LLCConfig{Size: 4 * cache.MB, Ways: 16, NewPolicy: func() cache.Policy { return scoredLane }})
 		}
 		opt := sharing.Options{Tier: tier}
 		var results []*sharing.Result
@@ -112,8 +108,8 @@ func TestRecycledLanesEqualFresh(t *testing.T) {
 		if prot != nil {
 			st.stats = append(st.stats, prot.Stats())
 		}
-		if finish != nil {
-			st.scores = finish()
+		if scoredLane != nil {
+			st.scores = scoredLane.Stats()
 		}
 		return st
 	}

@@ -146,15 +146,15 @@ func Horizon(llcSize, factor int) int64 {
 // the residencies, and the column is not the lane's to release.
 type Hints []bool
 
-// LaneHint implements core.LaneHinter: the column at the access's stream
-// position.
+// LaneHint implements core.NewLane's hinter: the column at the access's
+// stream position.
 func (h Hints) LaneHint(a *cache.AccessInfo) bool { return h[a.Index] }
 
-// LaneHit implements core.LaneHinter.
+// LaneHit implements core.NewLane's hinter.
 func (Hints) LaneHit(uint32, *cache.AccessInfo) {}
 
-// LaneEvict implements core.LaneHinter.
+// LaneEvict implements core.NewLane's hinter.
 func (Hints) LaneEvict(uint32) {}
 
-// LaneFill implements core.LaneHinter.
+// LaneFill implements core.NewLane's hinter.
 func (Hints) LaneFill(uint32, *cache.AccessInfo) {}

@@ -6,8 +6,8 @@ import (
 )
 
 // Driven is the hint source of a predictor-driven lane (experiment F8):
-// a core.LaneHinter that asks a realistic predictor for each miss's hint
-// and trains it online on the residencies the lane itself ends. The
+// it asks a realistic predictor for each miss's hint and trains it
+// online on the residencies the lane itself ends. The
 // lane is a core.Lane over Driven, hook-free: it makes Driven's calls in
 // the sequential walk's order, which is the order the predictor must
 // see — the miss is predicted once, before any training, and the
@@ -47,26 +47,27 @@ func (d *Driven) Release() {
 	}
 }
 
-// LaneHit implements core.LaneHinter: mark the residency shared when a
-// core other than its filler hits it.
+// LaneHit implements core.NewLane's hinter: mark the residency shared
+// when a core other than its filler hits it.
 func (d *Driven) LaneHit(li uint32, a *cache.AccessInfo) {
 	if ln := &d.lines[li]; a.Core != ln.fillCore {
 		ln.shared = true
 	}
 }
 
-// LaneHint implements core.LaneHinter: predict the miss.
+// LaneHint implements core.NewLane's hinter: predict the miss.
 func (d *Driven) LaneHint(a *cache.AccessInfo) bool {
 	return d.pred.Predict(*a)
 }
 
-// LaneEvict implements core.LaneHinter: train on the residency that ends.
+// LaneEvict implements core.NewLane's hinter: train on the residency
+// that ends.
 func (d *Driven) LaneEvict(li uint32) {
 	ln := &d.lines[li]
 	d.pred.Train(ln.block, ln.fillPC, ln.shared)
 }
 
-// LaneFill implements core.LaneHinter: open the new residency.
+// LaneFill implements core.NewLane's hinter: open the new residency.
 func (d *Driven) LaneFill(li uint32, a *cache.AccessInfo) {
 	d.lines[li] = drivenLine{block: a.Block, fillPC: a.PC, fillCore: a.Core}
 }

@@ -93,14 +93,12 @@ func TestDrivenPassAllocPooled(t *testing.T) {
 // confusion matrices.
 func f7Replay(t *testing.T, stream []cache.AccessInfo, preds []Predictor) []PredStats {
 	t.Helper()
-	cfg, finish, err := ScoredLane(gateSize, gateWays, lru, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lane := NewScored(lru(), preds)
+	cfg := sharing.LLCConfig{Size: gateSize, Ways: gateWays, NewPolicy: func() cache.Policy { return lane }}
 	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Tier: sharing.CountsOnly}); err != nil {
 		t.Fatal(err)
 	}
-	return finish()
+	return lane.Stats()
 }
 
 // TestScoredPassAllocPooled is the byte gate for an F7-shaped replay
@@ -161,7 +159,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	var bare *policy.LRUPolicy
 	var driven *core.Lane
 	var hint *Driven
-	var scoredLane *scored
+	var scoredLane *Scored
 	var srrip cache.Policy
 	pred, err := NewAddress(Config{TableBits: 8})
 	if err != nil {
@@ -179,7 +177,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 			return driven
 		}},
 		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
-			scoredLane = newScored(lru(), predictors(t, stream))
+			scoredLane = NewScored(lru(), predictors(t, stream))
 			return scoredLane
 		}},
 		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
@@ -226,7 +224,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	if got, want := driven.Stats(), refProt.Stats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("released driven lane's Stats %+v, hooked reference %+v", got, want)
 	}
-	if got, want := scoredLane.stats, hookedScores(t, stream, ways, lru, predictors(t, stream)); !slices.Equal(got, want) {
+	if got, want := scoredLane.Stats(), hookedScores(t, stream, ways, lru, predictors(t, stream)); !slices.Equal(got, want) {
 		t.Errorf("released scored lane's matrices %+v, hooked reference %+v", got, want)
 	}
 }

@@ -14,14 +14,13 @@
 // than a fraction of the oracle's gain.
 //
 // Both studies carry their predictors inside the replay lane's policy,
-// so no lane is hooked. An F7/A2 lane
-// (ScoredLane) scores every predictor at once against an untouched
-// base: no predictor steers, so all of them see the same residencies.
-// An F8 lane is a core.Lane hinted by one predictor (Driven), whose
-// core.LaneHinter methods predict and train; over an LRU base (up to 64
-// ways) the lane runs core's protected-LRU batch kernel, over other
-// bases the generic batch loop, and both make the same calls in the same
-// order.
+// so no lane is hooked. An F7/A2 lane (Scored) scores every predictor at
+// once against an untouched base: no predictor steers, so all of them
+// see the same residencies. An F8 lane is a core.Lane hinted by one
+// predictor (Driven), whose hinter methods predict and train; over an
+// LRU base (up to 64 ways) the lane runs core's protected-LRU batch
+// kernel, over other bases the generic batch loop, and both make the
+// same calls in the same order.
 package predictor
 
 import (

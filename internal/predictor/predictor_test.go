@@ -237,7 +237,7 @@ func TestEvaluateDoesNotPerturbReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	lane := sharing.LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
-		return newScored(lru(), []Predictor{pred})
+		return NewScored(lru(), []Predictor{pred})
 	}}
 	eval, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lane}, sharing.Options{})
 	if err != nil {

@@ -58,55 +58,39 @@ func (p PredStats) Recall() float64 {
 	return float64(p.TP) / float64(p.TP+p.FN)
 }
 
-// maxScored bounds the predictors of one scored lane: each owns one bit
+// MaxScored bounds the predictors of one scored lane: each owns one bit
 // of a line's verdict word.
-const maxScored = 16
+const MaxScored = 16
 
 // EvaluateMulti measures every predictor's fill-time accuracy without
-// letting it influence replacement: it replays the ScoredLane of preds
-// alone under ctx, counts only (the matrices come from the lane, not the
-// replay's Result), and returns its confusion matrices.
+// letting it influence replacement: it replays one Scored lane of preds
+// over newBase alone under ctx, counts only (the matrices come from the
+// lane, not the replay's Result), and returns its confusion matrices.
 func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) ([]PredStats, error) {
-	cfg, finish, err := ScoredLane(llcSize, llcWays, newBase, preds)
-	if err != nil {
-		return nil, err
+	if len(preds) > MaxScored {
+		return nil, fmt.Errorf("predictor: %d predictors in one scored lane, at most %d", len(preds), MaxScored)
 	}
+	lane := NewScored(newBase(), preds)
+	cfg := sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy { return lane }}
 	if _, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Ctx: ctx, Tier: sharing.CountsOnly}); err != nil {
 		return nil, fmt.Errorf("predictor: fused evaluation: %w", err)
 	}
-	return finish(), nil
+	return lane.Stats(), nil
 }
 
-// ScoredLane builds the replay lane of experiments F7 and A2: the base
-// policy (newBase is called once) runs untouched and carries every
-// predictor, each predicting at each fill, training when the residency
-// ends, and scored against that residency's outcome, residencies still
-// open at stream end included. After the lane's replay succeeds, finish
-// returns one confusion matrix per predictor, in predictor order. At
-// most 16 predictors fit one lane.
-func ScoredLane(llcSize, llcWays int, newBase func() cache.Policy, preds []Predictor) (cfg sharing.LLCConfig, finish func() []PredStats, err error) {
-	if len(preds) > maxScored {
-		return cfg, nil, fmt.Errorf("predictor: %d predictors in one scored lane, at most %d", len(preds), maxScored)
-	}
-	var lane *scored
-	cfg = sharing.LLCConfig{Size: llcSize, Ways: llcWays, NewPolicy: func() cache.Policy {
-		lane = newScored(newBase(), preds)
-		return lane
-	}}
-	return cfg, func() []PredStats { return lane.stats }, nil
-}
-
-// scored is the policy of an F7/A2 lane: a base policy that runs
-// untouched and the predictors scored against its residencies. No
-// predictor steers, so every predictor sees the same residencies, and
-// one lane carries them all.
+// Scored is the policy of an F7/A2 lane: a base policy that runs
+// untouched and carries every predictor, each predicting at each fill,
+// training when the residency ends, and scored against that residency's
+// outcome, residencies still open at stream end included. No predictor
+// steers, so every predictor sees the same residencies, and one lane
+// carries them all.
 //
 // Per miss every predictor predicts before any trains on the residency
 // the miss ends: in Victim when the set is full, else in Fill. The base
 // is embedded as a cache.Policy, which hides its PerSetIndependent and
 // NewBatchKernel: the predictors' tables cross sets, so the lane's
 // policy pass calls Hit, Victim and Fill in stream order.
-type scored struct {
+type Scored struct {
 	cache.Policy
 	preds []Predictor
 	stats []PredStats
@@ -128,12 +112,21 @@ type scoredLine struct {
 	open     bool
 }
 
-func newScored(base cache.Policy, preds []Predictor) *scored {
-	return &scored{Policy: base, preds: preds, stats: make([]PredStats, len(preds))}
+// NewScored returns the scored lane policy of preds over base. It panics
+// past MaxScored predictors, which one verdict word cannot hold.
+func NewScored(base cache.Policy, preds []Predictor) *Scored {
+	if len(preds) > MaxScored {
+		panic(fmt.Sprintf("predictor: %d predictors in one scored lane, at most %d", len(preds), MaxScored))
+	}
+	return &Scored{Policy: base, preds: preds, stats: make([]PredStats, len(preds))}
 }
 
+// Stats returns one confusion matrix per predictor, in predictor order;
+// they are complete once the lane's replay has succeeded.
+func (s *Scored) Stats() []PredStats { return s.stats }
+
 // Attach implements cache.Policy.
-func (s *scored) Attach(sets, ways int) {
+func (s *Scored) Attach(sets, ways int) {
 	s.Policy.Attach(sets, ways)
 	s.ways = ways
 	s.lines = mem.Grab[scoredLine](sets * ways)
@@ -141,7 +134,7 @@ func (s *scored) Attach(sets, ways int) {
 
 // Hit implements cache.Policy: mark the residency shared when a core
 // other than its filler hits it.
-func (s *scored) Hit(set, way int, a *cache.AccessInfo) {
+func (s *Scored) Hit(set, way int, a *cache.AccessInfo) {
 	if ln := &s.lines[set*s.ways+way]; a.Core != ln.fillCore {
 		ln.shared = true
 	}
@@ -149,7 +142,7 @@ func (s *scored) Hit(set, way int, a *cache.AccessInfo) {
 }
 
 // predict collects every predictor's verdict on the current miss.
-func (s *scored) predict(a *cache.AccessInfo) {
+func (s *Scored) predict(a *cache.AccessInfo) {
 	s.verdicts = 0
 	for k, p := range s.preds {
 		if p.Predict(*a) {
@@ -161,7 +154,7 @@ func (s *scored) predict(a *cache.AccessInfo) {
 
 // Victim implements cache.Policy: predict the miss, choose the victim,
 // then score and train every predictor on the residency it ends.
-func (s *scored) Victim(set int, a *cache.AccessInfo) int {
+func (s *Scored) Victim(set int, a *cache.AccessInfo) int {
 	s.predict(a)
 	v := s.Policy.Victim(set, a)
 	ln := &s.lines[set*s.ways+v]
@@ -174,7 +167,7 @@ func (s *scored) Victim(set int, a *cache.AccessInfo) int {
 
 // Fill implements cache.Policy: open the new residency with the miss's
 // verdicts.
-func (s *scored) Fill(set, way int, a *cache.AccessInfo) {
+func (s *Scored) Fill(set, way int, a *cache.AccessInfo) {
 	if !s.predicted {
 		s.predict(a)
 	}
@@ -188,19 +181,19 @@ func (s *scored) Fill(set, way int, a *cache.AccessInfo) {
 }
 
 // score folds a closing residency into every predictor's matrix.
-func (s *scored) score(ln *scoredLine) {
+func (s *Scored) score(ln *scoredLine) {
 	for k := range s.stats {
 		s.stats[k].add(ln.verdicts>>k&1 == 1, ln.shared)
 	}
 }
 
 // Release implements cache.Releaser: it scores the residencies still
-// open at stream end, which completes the matrices in s.stats, then
+// open at stream end, which completes the matrices Stats returns, then
 // hands the lines, the base's state and the state of every predictor
 // that is a cache.Releaser (the coherence column) back to the mem pool.
 // Nothing reads a predictor after the replay, so those residencies are
 // not trained on.
-func (s *scored) Release() {
+func (s *Scored) Release() {
 	for i := range s.lines {
 		if s.lines[i].open {
 			s.score(&s.lines[i])
@@ -220,8 +213,8 @@ func (s *scored) Release() {
 
 // HooksFor wires a predictor into a hooked replay lane: its prediction is
 // the lane's fill-time hint, and each residency end trains it. No
-// experiment runs hooked lanes: F7/A2 score predictors in one scored lane
-// (ScoredLane) and F8 drives each from a Driven lane.
+// experiment runs hooked lanes: F7/A2 score predictors in a Scored lane
+// and F8 drives each from a Driven lane.
 func HooksFor(pred Predictor) sharing.Hooks {
 	return sharing.Hooks{
 		PredictShared: pred.Predict,

@@ -76,17 +76,16 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 			for name, base := range bases {
 				at := fmt.Sprintf("%s, %d ways, len %d", name, ways, m)
 				calls := 0
-				var lane *scored
+				lane := NewScored(base(), predictors(t, stream))
 				cfg := sharing.LLCConfig{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
 					calls++
-					lane = newScored(base(), predictors(t, stream))
 					return lane
 				}}
 				got, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				scores := lane.stats
+				scores := lane.Stats()
 				want := hookedScores(t, stream, ways, base, predictors(t, stream))
 				for k, p := range predictors(t, stream) {
 					if scores[k] != want[k] {
@@ -110,22 +109,20 @@ func TestScoredLaneMatchesHooked(t *testing.T) {
 				if !reflect.DeepEqual(got[0], bare[0]) {
 					t.Errorf("%s: scored lane differs from the bare base\nscored: %+v\nbare:   %+v", at, got[0], bare[0])
 				}
-				cfg, finish, err := ScoredLane(drivenSize, ways, base, predictors(t, stream))
-				if err != nil {
-					t.Fatal(err)
-				}
-				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{cfg}, sharing.Options{Tier: sharing.CountsOnly})
+				countsLane := NewScored(base(), predictors(t, stream))
+				counted, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy { return countsLane }}},
+					sharing.Options{Tier: sharing.CountsOnly})
 				if err != nil {
 					t.Fatal(err)
 				}
 				counts := sharing.Result{Policy: bare[0].Policy, Accesses: bare[0].Accesses, Hits: bare[0].Hits, Misses: bare[0].Misses}
-				if !reflect.DeepEqual(*counted[0], counts) || !slices.Equal(finish(), scores) {
+				if !reflect.DeepEqual(*counted[0], counts) || !slices.Equal(countsLane.Stats(), scores) {
 					t.Errorf("%s: counts-only scored lane %+v, want the bare base's counts %+v and the lane's matrices", at, *counted[0], counts)
 				}
 				if calls != 1 {
 					t.Errorf("%s: NewPolicy called %d times, want 1", at, calls)
 				}
-				if drivenKernel(t, newScored(base(), nil), ways) {
+				if drivenKernel(t, NewScored(base(), nil), ways) {
 					t.Errorf("%s: scored lane binds its base's batch kernel", at)
 				}
 			}
@@ -148,19 +145,16 @@ func TestScoredLaneAllocSteady(t *testing.T) {
 		// A scored lane releases its predictors' state (the coherence
 		// column) when its replay ends, so each run builds its own.
 		preds := predictors(t, stream)
-		var lane *scored
+		lane := NewScored(lru(), preds)
 		configs := []sharing.LLCConfig{
 			{Size: drivenSize, Ways: 8, NewPolicy: lru},
 			{Size: drivenSize, Ways: 8, NewPolicy: drrip},
-			{Size: drivenSize, Ways: 8, NewPolicy: func() cache.Policy {
-				lane = newScored(lru(), preds)
-				return lane
-			}},
+			{Size: drivenSize, Ways: 8, NewPolicy: func() cache.Policy { return lane }},
 		}
 		if _, err := sharing.ReplayMulti(stream, configs, sharing.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if lane.stats[0].Total() == 0 {
+		if lane.Stats()[0].Total() == 0 {
 			t.Fatal("scored lane scored no residency")
 		}
 	}
@@ -181,7 +175,7 @@ func TestEvaluateMultiPredictorLimit(t *testing.T) {
 			preds[i] = Always{}
 		}
 		scores, err := EvaluateMulti(context.Background(), stream, drivenSize, 8, lru, preds)
-		if k > maxScored {
+		if k > MaxScored {
 			if err == nil {
 				t.Errorf("%d predictors accepted", k)
 			}

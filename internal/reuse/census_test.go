@@ -35,8 +35,9 @@ type refResidency struct {
 }
 
 // censusDegrees is the widest degree a tracked Result's histograms
-// hold; they have censusDegrees+1 entries, index 0 unused.
-const censusDegrees = 128
+// hold, the replay's 63-core bound; they have censusDegrees+1 entries,
+// index 0 unused.
+const censusDegrees = 63
 
 // lruCensus returns the census of an LRU cache of size bytes and ways
 // ways over stream.

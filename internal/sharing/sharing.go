@@ -265,7 +265,8 @@ type Result struct {
 
 	// DegreeResidencies[d] counts residencies of sharing degree d;
 	// DegreeHits[d] counts the hits those residencies received.
-	// Index 0 is unused (degree starts at 1).
+	// Index 0 is unused (degree starts at 1); a tracked replay's
+	// histograms have 64 entries, one past its 63-core bound.
 	DegreeResidencies []uint64
 	DegreeHits        []uint64
 
@@ -335,16 +336,14 @@ func census(res *Result, blockState []uint8) {
 	}
 }
 
-// maxDegree bounds the degree histograms (the paper's machine models top
-// out at far fewer cores; 128 matches the Residency core mask width).
-const maxDegree = 128
-
-// newResult builds an empty Result.
+// newResult builds an empty Result. A residency's sharing degree is at
+// most the stream's core count, which ReplayMulti bounds by soaMaxCores,
+// so the degree histograms end there.
 func newResult(policy string) *Result {
 	return &Result{
 		Policy:            policy,
-		DegreeResidencies: make([]uint64, maxDegree+1),
-		DegreeHits:        make([]uint64, maxDegree+1),
+		DegreeResidencies: make([]uint64, soaMaxCores+1),
+		DegreeHits:        make([]uint64, soaMaxCores+1),
 	}
 }
 

@@ -150,6 +150,23 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 }
 
+// TestTrackedDegreeHistogramLength: a tracked Result's degree histograms
+// end at the replay's core bound: soaMaxCores+1 entries, the last of
+// which a block touched by every core of a soaMaxCores-core stream fills.
+func TestTrackedDegreeHistogramLength(t *testing.T) {
+	pairs := make([][2]uint64, soaMaxCores)
+	for c := range pairs {
+		pairs[c] = [2]uint64{uint64(c), 1}
+	}
+	res := replay(t, mkStream(pairs), Hooks{})
+	if len(res.DegreeResidencies) != soaMaxCores+1 || len(res.DegreeHits) != soaMaxCores+1 {
+		t.Fatalf("degree histograms of %d and %d entries, want %d", len(res.DegreeResidencies), len(res.DegreeHits), soaMaxCores+1)
+	}
+	if res.DegreeResidencies[soaMaxCores] != 1 || res.DegreeHits[soaMaxCores] != soaMaxCores-1 {
+		t.Errorf("degree-%d residencies %d with %d hits, want 1 with %d", soaMaxCores, res.DegreeResidencies[soaMaxCores], res.DegreeHits[soaMaxCores], soaMaxCores-1)
+	}
+}
+
 func TestDistinctBlockCensus(t *testing.T) {
 	pairs := [][2]uint64{
 		{0, 1}, {1, 1}, // block 1 shared

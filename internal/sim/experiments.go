@@ -48,11 +48,11 @@ type CharRow struct {
 // LLC geometry, one row per workload.
 func (s *Suite) Characterize(llcSize, llcWays int) ([]CharRow, error) {
 	return perStream(s, "characterize", func(st *Stream) ([]CharRow, error) {
-		results, _, err := s.replay(st, sharing.Tracked, []lane{{policy: "lru", size: llcSize, ways: llcWays}})
+		out, err := s.replay(st, sharing.Tracked, []lane{{policy: "lru", size: llcSize, ways: llcWays}})
 		if err != nil {
 			return nil, err
 		}
-		res := results[0]
+		res := out[0].res
 		return []CharRow{{
 			Workload:             st.Model.Name,
 			Suite:                st.Model.Suite,
@@ -224,20 +224,21 @@ func (s *Suite) ComparePolicies(llcSize, llcWays int, names []string) ([]PolicyR
 	}
 	return perStream(s, "comparing", func(st *Stream) ([]PolicyRow, error) {
 		// A row reads only counts and shared hits.
-		results, _, err := s.replay(st, sharing.SharedHitsOnly, lanes)
+		out, err := s.replay(st, sharing.SharedHitsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
 		// Fused results arrive grouped per workload, so LRU normalization
 		// reads straight from this group — no cross-row second pass.
 		var lruMisses uint64
-		for _, res := range results {
-			if res.Policy == "lru" {
-				lruMisses = res.Misses
+		for _, o := range out {
+			if o.res.Policy == "lru" {
+				lruMisses = o.res.Misses
 			}
 		}
-		rows := make([]PolicyRow, len(results))
-		for p, res := range results {
+		rows := make([]PolicyRow, len(out))
+		for p, o := range out {
+			res := o.res
 			row := PolicyRow{
 				Workload:      st.Model.Name,
 				Policy:        res.Policy,
@@ -304,21 +305,21 @@ func (s *Suite) oracleTables(sizes, ways []int, names []string, opts []core.Opti
 		for _, w := range ways {
 			for o := range opts {
 				for _, n := range names {
-					lanes = append(lanes, lane{policy: n, size: size, ways: w, prot: &opts[o], factor: oracle.HorizonFactor})
+					lanes = append(lanes, lane{policy: n, size: size, ways: w, protected: true, prot: opts[o], factor: oracle.HorizonFactor})
 				}
 			}
 		}
 	}
 	n := len(sizes) * len(ways) * len(opts)
 	return perStreamTables(s, "oracle study", n, func(st *Stream) ([][]OracleRow, error) {
-		results, prot, err := s.replay(st, sharing.SharedHitsOnly, lanes)
+		out, err := s.replay(st, sharing.SharedHitsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
 		tables := make([][]OracleRow, n)
 		for i := range lanes[bases:] {
 			t, p := i/len(names), i%len(names)
-			base, orc := results[t/len(opts)*len(names)+p], results[bases+i]
+			base, orc := out[t/len(opts)*len(names)+p].res, out[bases+i].res
 			tables[t] = append(tables[t], OracleRow{
 				Workload:            st.Model.Name,
 				Policy:              names[p],
@@ -328,7 +329,7 @@ func (s *Suite) oracleTables(sizes, ways []int, names []string, opts []core.Opti
 				BaseSharedHitFrac:   base.SharedHitFraction(),
 				OracleSharedHitFrac: orc.SharedHitFraction(),
 				AMATSpeedup:         defaultLatency().amatSpeedup(st, base.Hits, base.Misses, orc.Hits, orc.Misses),
-				Protector:           prot[bases+i],
+				Protector:           out[bases+i].prot,
 			})
 		}
 		return tables, nil
@@ -336,138 +337,178 @@ func (s *Suite) oracleTables(sizes, ways []int, names []string, opts []core.Opti
 }
 
 // lane is one replay lane of an experiment, stated as a value: the base
-// policy's catalogue name and the LLC geometry, and for a protected lane
-// (prot set) its hint source — the named predictor built with cfg, or
-// else the oracle's SharedHints column at factor × the LLC's capacity
-// (oracle.HorizonFactor). A field the replay reads must also be part of
-// the lane's memo key (laneKey), or two lanes that differ in it share
-// one memo entry.
+// policy's catalogue name and the LLC geometry; for a protected lane its
+// protection options and hint source, the named predictor built with
+// cfg, or else the oracle's SharedHints column at factor × the LLC's
+// capacity (oracle.HorizonFactor); for a scored lane (bare, with a
+// predictor named) the predictor it scores without steering. A lane is
+// comparable, and its own memo key (laneKey).
 type lane struct {
 	policy     string
 	size, ways int
-	prot       *core.Options
+	protected  bool
+	prot       core.Options
 	factor     int
 	pred       string
 	cfg        predictor.Config
 }
 
-// replay returns each lane's result over st at tier (or a higher one)
-// and its protector counters (zero for a bare lane), by lane index. With
-// a lane memo (Config.Lanes) it takes every lane the memo serves from it
-// and replays only the rest, storing their results once the replay
+// scored reports whether l scores its predictor without steering.
+func (l lane) scored() bool { return !l.protected && l.pred != "" }
+
+// base is l's base geometry: the bare lane of its policy, size and ways.
+func (l lane) base() lane { return lane{policy: l.policy, size: l.size, ways: l.ways} }
+
+// outcome is one lane's replay result: the lane's Result (shared by the
+// scored lanes of one base geometry), and a protected lane's protector
+// counters or a scored lane's confusion matrix.
+type outcome struct {
+	res  *sharing.Result
+	prot core.Stats
+	pred predictor.PredStats
+}
+
+// replay returns each lane's outcome over st at tier (or a higher one),
+// by lane index. More than predictor.MaxScored scored lanes over one base
+// geometry are refused: they fuse into one scored policy. With a lane
+// memo (Config.Lanes) it takes every lane the memo serves from it and
+// replays only the rest, storing their outcomes once the replay
 // succeeds; without one it replays every lane.
-func (s *Suite) replay(st *Stream, tier sharing.Tier, lanes []lane) ([]*sharing.Result, []core.Stats, error) {
+func (s *Suite) replay(st *Stream, tier sharing.Tier, lanes []lane) ([]outcome, error) {
+	fused := map[lane]int{} // scored lanes per base geometry
+	for _, l := range lanes {
+		if l.scored() {
+			if fused[l.base()]++; fused[l.base()] > predictor.MaxScored {
+				return nil, fmt.Errorf("sim: more than %d scored predictors over %s at %d bytes, %d ways", predictor.MaxScored, l.policy, l.size, l.ways)
+			}
+		}
+	}
 	memo := s.Config.Lanes
 	if memo == nil {
 		return s.replayLanes(st, tier, lanes)
 	}
-	results := make([]*sharing.Result, len(lanes))
-	stats := make([]core.Stats, len(lanes))
+	out := make([]outcome, len(lanes))
 	id := s.streamID(st)
-	keys := make([]laneKey, len(lanes))
-	var missing []int
+	var run []lane // the lanes the memo does not serve, whose res stays nil
 	for i, l := range lanes {
-		keys[i] = l.key(id)
-		if e, ok := memo.lookup(keys[i], tier); ok {
-			results[i], stats[i] = e.res, e.stats
+		if e, ok := memo.lookup(laneKey{l, id}, tier); ok {
+			out[i] = e.outcome
 		} else {
-			missing = append(missing, i)
+			run = append(run, l)
 		}
 	}
-	if len(missing) == 0 {
-		return results, stats, nil
+	if len(run) == 0 {
+		return out, nil
 	}
-	run := make([]lane, len(missing))
-	for j, i := range missing {
-		run[j] = lanes[i]
-	}
-	res, prot, err := s.replayLanes(st, tier, run)
+	got, err := s.replayLanes(st, tier, run)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for j, i := range missing {
-		results[i], stats[i] = res[j], prot[j]
-		memo.store(keys[i], memoEntry{tier: tier, res: res[j], stats: prot[j]})
+	for i := range out {
+		if out[i].res == nil {
+			out[i], got = got[0], got[1:]
+			memo.store(laneKey{lanes[i], id}, memoEntry{tier, out[i]})
+		}
 	}
-	return results, stats, nil
+	return out, nil
 }
 
 // replayLanes replays lanes over st in one sharing.ReplayMulti at tier,
-// and returns each lane's result and protector counters, by lane index.
-// The hint columns go back to the mem pool when the replay returns.
-func (s *Suite) replayLanes(st *Stream, tier sharing.Tier, lanes []lane) ([]*sharing.Result, []core.Stats, error) {
-	pols, cols, err := s.lanePolicies(st, lanes)
+// and returns each lane's outcome, by lane index. The hint columns go
+// back to the mem pool when the replay returns.
+func (s *Suite) replayLanes(st *Stream, tier sharing.Tier, lanes []lane) ([]outcome, error) {
+	pols, at, cols, err := s.lanePolicies(st, lanes)
 	defer func() {
 		for _, c := range cols {
 			mem.Release(c)
 		}
 	}()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	configs := make([]sharing.LLCConfig, len(lanes))
+	configs := make([]sharing.LLCConfig, len(pols))
 	for i, l := range lanes {
 		// ReplayMulti calls NewPolicy once per lane.
-		configs[i] = sharing.LLCConfig{Size: l.size, Ways: l.ways, NewPolicy: func() cache.Policy { return pols[i] }}
+		configs[at[i]] = sharing.LLCConfig{Size: l.size, Ways: l.ways, NewPolicy: func() cache.Policy { return pols[at[i]] }}
 	}
-	opt := s.replayOpts(st)
+	opt := st.ReplayOptions(0, s.context())
 	opt.Tier = tier
 	results, err := sharing.ReplayMulti(st.Accesses, configs, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	stats := make([]core.Stats, len(lanes))
-	for i, pol := range pols {
-		if pl, ok := pol.(*core.Lane); ok {
-			stats[i] = pl.Stats()
+	out := make([]outcome, len(lanes))
+	next := make([]int, len(pols)) // a scored policy's next predictor
+	for i, p := range at {
+		out[i].res = results[p]
+		switch pol := pols[p].(type) {
+		case *core.Lane:
+			out[i].prot = pol.Stats()
+		case *predictor.Scored:
+			out[i].pred = pol.Stats()[next[p]]
+			next[p]++
 		}
 	}
-	return results, stats, nil
+	return out, nil
 }
 
-// lanePolicies is where an experiment lane becomes a policy, once per
-// lane: the base from policy.ByName under the suite seed, and for a
-// protected lane a core.Lane over core.NewProtectorOpts of it, hinted by
-// an oracle column or by a predictor the lane drives. One backward pass
-// builds the hint column of every distinct horizon (a trace property,
-// shared by every oracle lane at that horizon whatever its policy, ways
-// or options) from the mem pool; the caller releases cols, error or not.
-func (s *Suite) lanePolicies(st *Stream, lanes []lane) (pols []cache.Policy, cols [][]bool, err error) {
+// lanePolicies is where an experiment lane becomes a policy: the base
+// from policy.ByName under the suite seed; for a protected lane a
+// core.Lane over core.NewProtectorOpts of it, hinted by an oracle column
+// or by a predictor the lane drives; and for the scored lanes of one base
+// geometry one predictor.Scored over one base, carrying their predictors
+// in lane order. It returns the policies to replay and each lane's index
+// among them. One backward pass builds the hint column of every distinct
+// horizon (a trace property, shared by every oracle lane at that horizon
+// whatever its policy, ways or options) from the mem pool; the caller
+// releases cols, error or not.
+func (s *Suite) lanePolicies(st *Stream, lanes []lane) (pols []cache.Policy, at []int, cols [][]bool, err error) {
 	var horizons []int64
 	for _, l := range lanes {
-		if l.prot == nil || l.pred != "" {
+		if !l.protected || l.pred != "" {
 			continue
 		}
 		if l.factor < 1 {
-			return nil, nil, fmt.Errorf("sim: horizon factor %d < 1", l.factor)
+			return nil, nil, nil, fmt.Errorf("sim: horizon factor %d < 1", l.factor)
 		}
 		if h := oracle.Horizon(l.size, l.factor); !slices.Contains(horizons, h) {
 			horizons = append(horizons, h)
 		}
 	}
 	cols = oracle.Columns(st.Accesses, st.NumBlocks, horizons)
-	pols = make([]cache.Policy, len(lanes))
+	at = make([]int, len(lanes))
+	fused := map[lane]int{}                  // a base geometry's scored policy
+	preds := map[int][]predictor.Predictor{} // what a scored policy carries
 	for i, l := range lanes {
-		f, err := policy.ByName(l.policy, s.Config.Seed)
-		if err != nil {
-			return nil, cols, err
-		}
-		pols[i] = f()
-		if l.prot != nil {
-			var h core.LaneHinter
-			if l.pred == "" {
-				h = oracle.Hints(cols[slices.Index(horizons, oracle.Horizon(l.size, l.factor))])
-			} else {
-				pred, err := newPredictor(l.pred, l.cfg, st)
-				if err != nil {
-					return nil, cols, err
-				}
-				h = predictor.NewDriven(pred)
+		g, ok := fused[l.base()]
+		if !ok || !l.scored() {
+			f, err := policy.ByName(l.policy, s.Config.Seed)
+			if err != nil {
+				return nil, nil, cols, err
 			}
-			pols[i] = core.NewLane(core.NewProtectorOpts(pols[i], *l.prot), h)
+			g = len(pols)
+			pols = append(pols, f())
+		}
+		at[i] = g
+		var pred predictor.Predictor
+		if l.pred != "" {
+			if pred, err = newPredictor(l.pred, l.cfg, st); err != nil {
+				return nil, nil, cols, err
+			}
+		}
+		switch {
+		case l.scored():
+			fused[l.base()], preds[g] = g, append(preds[g], pred)
+		case pred != nil:
+			pols[g] = core.NewLane(core.NewProtectorOpts(pols[g], l.prot), predictor.NewDriven(pred))
+		case l.protected:
+			pols[g] = core.NewLane(core.NewProtectorOpts(pols[g], l.prot), oracle.Hints(cols[slices.Index(horizons, oracle.Horizon(l.size, l.factor))]))
 		}
 	}
-	return pols, cols, nil
+	for g, ps := range preds {
+		pols[g] = predictor.NewScored(pols[g], ps)
+	}
+	return pols, at, cols, nil
 }
 
 // buildMixStream prepares the LLC reference stream of a multiprogrammed
@@ -532,16 +573,16 @@ func (s *Suite) oracleHorizonSweep(llcSize, llcWays int, factors []int, opts cor
 	}
 	lanes := []lane{{policy: "lru", size: llcSize, ways: llcWays}}
 	for _, f := range factors {
-		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, factor: f})
+		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, protected: true, prot: opts, factor: f})
 	}
 	return perStream(s, "horizon sweep", func(st *Stream) ([]horizonRow, error) {
-		results, _, err := s.replay(st, sharing.CountsOnly, lanes)
+		out, err := s.replay(st, sharing.CountsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
 		rows := make([]horizonRow, len(factors))
-		for f, res := range results[1:] {
-			rows[f] = horizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: oracle.MissReduction(results[0], res)}
+		for f, o := range out[1:] {
+			rows[f] = horizonRow{Workload: st.Model.Name, Factor: factors[f], Reduction: oracle.MissReduction(out[0].res, o.res)}
 		}
 		return rows, nil
 	})
@@ -596,35 +637,27 @@ func (s *Suite) PredictorAccuracy(llcSize, llcWays int, cfg predictor.Config, na
 }
 
 // predictorTables scores every named predictor under every configuration
-// in one scored LRU lane per workload: table t holds the predictors built
-// with cfgs[t], in name order.
+// in a scored LRU lane each, which one replay per workload fuses: table t
+// holds the predictors built with cfgs[t], in name order.
 func (s *Suite) predictorTables(llcSize, llcWays int, cfgs []predictor.Config, names []string) ([][]PredictorRow, error) {
 	if len(names) == 0 {
 		names = predictorNames()
 	}
-	return perStreamTables(s, "predictor accuracy", len(cfgs), func(st *Stream) ([][]PredictorRow, error) {
-		var preds []predictor.Predictor
-		for _, cfg := range cfgs {
-			for _, n := range names {
-				pred, err := newPredictor(n, cfg, st)
-				if err != nil {
-					return nil, err
-				}
-				preds = append(preds, pred)
-			}
+	var lanes []lane
+	for _, cfg := range cfgs {
+		for _, n := range names {
+			lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, pred: n, cfg: cfg})
 		}
-		lane, finish, err := predictor.ScoredLane(llcSize, llcWays, func() cache.Policy { return policy.NewLRUPolicy() }, preds)
+	}
+	return perStreamTables(s, "predictor accuracy", len(cfgs), func(st *Stream) ([][]PredictorRow, error) {
+		// The rows come from the lanes' matrices, so the replay counts only.
+		out, err := s.replay(st, sharing.CountsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
-		// The rows come from the lane's matrices, so the replay counts only.
-		opt := s.replayOpts(st)
-		opt.Tier = sharing.CountsOnly
-		if _, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lane}, opt); err != nil {
-			return nil, err
-		}
 		tables := make([][]PredictorRow, len(cfgs))
-		for i, ps := range finish() {
+		for i, o := range out {
+			ps := o.pred
 			// Every residency is scored, so the shared ones are TP+FN.
 			t := i / len(names)
 			tables[t] = append(tables[t], PredictorRow{
@@ -669,28 +702,28 @@ func (s *Suite) PredictorDriven(llcSize, llcWays int, cfg predictor.Config, name
 	// lanes 2.. one protector per realistic predictor, which the lane
 	// consults and trains.
 	lanes := []lane{{policy: "lru", size: llcSize, ways: llcWays},
-		{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, factor: oracle.HorizonFactor}}
+		{policy: "lru", size: llcSize, ways: llcWays, protected: true, prot: opts, factor: oracle.HorizonFactor}}
 	for _, n := range names {
-		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, prot: &opts, pred: n, cfg: cfg})
+		lanes = append(lanes, lane{policy: "lru", size: llcSize, ways: llcWays, protected: true, prot: opts, pred: n, cfg: cfg})
 	}
 	return perStream(s, "predictor driven", func(st *Stream) ([]DrivenRow, error) {
 		// Every F8 column is a miss count or a protector counter.
-		results, prot, err := s.replay(st, sharing.CountsOnly, lanes)
+		out, err := s.replay(st, sharing.CountsOnly, lanes)
 		if err != nil {
 			return nil, err
 		}
-		base, orc := results[0], results[1]
+		base, orc := out[0].res, out[1].res
 		rows := make([]DrivenRow, len(names))
-		for p := range names {
+		for p, d := range out[2:] {
 			rows[p] = DrivenRow{
 				Workload:        st.Model.Name,
 				Predictor:       names[p],
 				BaseMisses:      base.Misses,
-				DrivenMisses:    results[2+p].Misses,
+				DrivenMisses:    d.res.Misses,
 				OracleMisses:    orc.Misses,
-				Reduction:       oracle.MissReduction(base, results[2+p]),
+				Reduction:       oracle.MissReduction(base, d.res),
 				OracleReduction: oracle.MissReduction(base, orc),
-				Protector:       prot[2+p],
+				Protector:       d.prot,
 			}
 		}
 		return rows, nil

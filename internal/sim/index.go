@@ -408,7 +408,7 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 		return nil, err
 	}
 	lanes := []lane{{policy: "lru", size: o.LLCSize, ways: o.LLCWays},
-		{policy: "lru", size: o.LLCSize, ways: o.LLCWays, prot: &o.Prot, factor: oracle.HorizonFactor}}
+		{policy: "lru", size: o.LLCSize, ways: o.LLCWays, protected: true, prot: o.Prot, factor: oracle.HorizonFactor}}
 	var rows []seedRow
 	for _, seed := range a5Seeds() {
 		cfg := s.Config
@@ -420,11 +420,11 @@ func a5Rows(s *Suite, o ExpOptions) ([]seedRow, error) {
 			return nil, err
 		}
 		reds, err := perStream(s2, "oracle study", func(st *Stream) ([]float64, error) {
-			results, _, err := s2.replay(st, sharing.CountsOnly, lanes)
+			out, err := s2.replay(st, sharing.CountsOnly, lanes)
 			if err != nil {
 				return nil, err
 			}
-			return []float64{oracle.MissReduction(results[0], results[1])}, nil
+			return []float64{oracle.MissReduction(out[0].res, out[1].res)}, nil
 		})
 		if err != nil {
 			return nil, err

@@ -19,9 +19,44 @@ func TestLanesRefusesBadFactor(t *testing.T) {
 	s := testSuite(t)
 	opts := core.Options{Strength: core.Full}
 	for _, f := range []int{0, -1} {
-		if _, _, err := s.replay(s.Streams[0], sharing.CountsOnly, []lane{{policy: "lru", size: tSize, ways: tWays, prot: &opts, factor: f}}); err == nil {
+		if _, err := s.replay(s.Streams[0], sharing.CountsOnly, []lane{{policy: "lru", size: tSize, ways: tWays, protected: true, prot: opts, factor: f}}); err == nil {
 			t.Errorf("the builder accepted horizon factor %d", f)
 		}
+	}
+}
+
+// TestLanesRefuseSeventeenScored: the scored lanes of one base geometry
+// fuse into one predictor.Scored, whose verdict word holds 16
+// predictors. Sixteen replay; a seventeenth is refused before any lane
+// is looked up or replayed, even when the memo holds some of them; and
+// seventeen over two geometries replay.
+func TestLanesRefuseSeventeenScored(t *testing.T) {
+	s := testSuite(t)
+	s.Config.Lanes = NewLaneMemo()
+	var lanes []lane
+	for bits := 1; bits <= predictor.MaxScored+1; bits++ {
+		lanes = append(lanes, lane{policy: "lru", size: tSize, ways: tWays, pred: "addr", cfg: predictor.Config{TableBits: bits}})
+	}
+	if _, err := s.replay(s.Streams[0], sharing.CountsOnly, lanes[:6]); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := s.Config.Lanes.Counts()
+	if _, err := s.replay(s.Streams[0], sharing.CountsOnly, lanes); err == nil {
+		t.Errorf("%d scored predictors over one base replayed", len(lanes))
+	}
+	if h, m := s.Config.Lanes.Counts(); h != hits || m != misses || s.Config.Lanes.entries.Len() != 6 {
+		t.Errorf("the refused replay looked up lanes: hits %d → %d, misses %d → %d", hits, h, misses, m)
+	}
+	out, err := s.replay(s.Streams[0], sharing.CountsOnly, lanes[:predictor.MaxScored])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := out[len(out)-1].pred; last.Total() == 0 {
+		t.Error("the sixteenth scored predictor scored nothing")
+	}
+	lanes[0].ways *= 2
+	if _, err := s.replay(s.Streams[0], sharing.CountsOnly, lanes); err != nil {
+		t.Errorf("seventeen scored predictors over two geometries: %v", err)
 	}
 }
 
@@ -38,16 +73,16 @@ func TestLanesShareHintColumns(t *testing.T) {
 			for _, w := range []int{4, 8, 16} {
 				for _, n := range []string{"lru", "srrip"} {
 					lanes = append(lanes, lane{policy: n, size: size, ways: w},
-						lane{policy: n, size: size, ways: w, prot: &full, factor: f},
-						lane{policy: n, size: size, ways: w, prot: &insert, factor: f})
+						lane{policy: n, size: size, ways: w, protected: true, prot: full, factor: f},
+						lane{policy: n, size: size, ways: w, protected: true, prot: insert, factor: f})
 				}
 			}
 		}
 		return lanes
 	}
 	pcfg := predictor.DefaultConfig()
-	driven := []lane{{policy: "lru", size: tSize, ways: tWays, prot: &full, pred: "addr", cfg: pcfg},
-		{policy: "lru", size: tSize, ways: tWays, prot: &full, pred: "coherence", cfg: pcfg}}
+	driven := []lane{{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, pred: "addr", cfg: pcfg},
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, pred: "coherence", cfg: pcfg}}
 	for _, c := range []struct {
 		name  string
 		lanes []lane
@@ -58,7 +93,7 @@ func TestLanesShareHintColumns(t *testing.T) {
 		{"two sizes", append(oracleLanes(tSize, oracle.HorizonFactor), oracleLanes(2*tSize, oracle.HorizonFactor)...), 2},
 		{"driven", driven, 0},
 	} {
-		_, cols, err := s.lanePolicies(s.Streams[0], c.lanes)
+		_, _, cols, err := s.lanePolicies(s.Streams[0], c.lanes)
 		for _, col := range cols {
 			mem.Release(col)
 		}
@@ -74,33 +109,40 @@ func TestLanesShareHintColumns(t *testing.T) {
 // TestOracleFusedMatchesSolo holds the builder's fused replays to their
 // lanes replayed alone: every lane of one replay — every catalogue policy
 // bare and protected, LRU at 8, 16 and 32 ways, two strengths over one
-// base, two horizons, a predictor-driven lane — must reproduce its solo
-// replay's result and protector counters exactly.
+// base, two horizons, a predictor-driven lane, scored lanes over two
+// policies, two sizes and two associativities, two of them fused into
+// one scored policy — must reproduce its solo replay's result, protector
+// counters and confusion matrix exactly.
 func TestOracleFusedMatchesSolo(t *testing.T) {
 	s := testSuite(t)
 	full, insert := core.Options{Strength: core.Full}, core.Options{Strength: core.InsertOnly}
 	var lanes []lane
 	for _, n := range policy.Names(s.Config.Seed) {
-		lanes = append(lanes, lane{policy: n, size: tSize, ways: tWays}, lane{policy: n, size: tSize, ways: tWays, prot: &full, factor: oracle.HorizonFactor})
+		lanes = append(lanes, lane{policy: n, size: tSize, ways: tWays}, lane{policy: n, size: tSize, ways: tWays, protected: true, prot: full, factor: oracle.HorizonFactor})
 	}
 	for _, w := range []int{8, 16, 32} {
-		lanes = append(lanes, lane{policy: "lru", size: tSize, ways: w, prot: &full, factor: oracle.HorizonFactor})
+		lanes = append(lanes, lane{policy: "lru", size: tSize, ways: w, protected: true, prot: full, factor: oracle.HorizonFactor})
 	}
-	lanes = append(lanes, lane{policy: "lru", size: tSize, ways: 16, prot: &insert, factor: oracle.HorizonFactor},
-		lane{policy: "lru", size: tSize, ways: tWays, prot: &full, factor: 1},
-		lane{policy: "lru", size: tSize, ways: tWays, prot: &full, pred: "pc", cfg: predictor.DefaultConfig()})
+	lanes = append(lanes, lane{policy: "lru", size: tSize, ways: 16, protected: true, prot: insert, factor: oracle.HorizonFactor},
+		lane{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, factor: 1},
+		lane{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, pred: "pc", cfg: predictor.DefaultConfig()},
+		lane{policy: "lru", size: tSize, ways: tWays, pred: "coherence", cfg: predictor.DefaultConfig()},
+		lane{policy: "srrip", size: tSize, ways: tWays, pred: "tournament", cfg: predictor.DefaultConfig()},
+		lane{policy: "lru", size: tSize, ways: tWays, pred: "pc", cfg: predictor.DefaultConfig()},
+		lane{policy: "lru", size: 2 * tSize, ways: tWays, pred: "addr", cfg: predictor.DefaultConfig()},
+		lane{policy: "lru", size: tSize, ways: 4, pred: "addr", cfg: predictor.DefaultConfig()})
 	for _, st := range s.Streams {
-		got, gotStats, err := s.replay(st, sharing.Tracked, lanes)
+		got, err := s.replay(st, sharing.Tracked, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range lanes {
-			want, wantStats, err := s.replay(st, sharing.Tracked, lanes[i:i+1])
+			want, err := s.replay(st, sharing.Tracked, lanes[i:i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i], want[0]) || gotStats[i] != wantStats[0] {
-				t.Errorf("%s: lane %d (%s) differs from its solo replay", st.Model.Name, i, want[0].Policy)
+			if !reflect.DeepEqual(got[i], want[0]) {
+				t.Errorf("%s: lane %d (%s) differs from its solo replay", st.Model.Name, i, want[0].res.Policy)
 			}
 		}
 	}
@@ -154,20 +196,20 @@ func TestProtectedLaneMatchesReference(t *testing.T) {
 		for _, ways := range []int{4, 16, 64, 128} {
 			for _, opts := range []core.Options{{Strength: core.Full}, {Strength: core.InsertOnly}} {
 				at := fmt.Sprintf("%s, %d ways, %s", st.Model.Name, ways, opts.Strength)
-				results, stats, err := s.replay(st, sharing.CountsOnly, []lane{{policy: "lru", size: tSize, ways: ways},
-					{policy: "lru", size: tSize, ways: ways, prot: &opts, factor: oracle.HorizonFactor}})
+				out, err := s.replay(st, sharing.CountsOnly, []lane{{policy: "lru", size: tSize, ways: ways},
+					{policy: "lru", size: tSize, ways: ways, protected: true, prot: opts, factor: oracle.HorizonFactor}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				base := refReplay(st.Accesses, tSize, ways, nil, false)
 				ref := refReplay(st.Accesses, tSize, ways, hints, opts.Strength == core.Full)
-				if results[0].Hits != base.hits || results[0].Misses != base.miss {
-					t.Errorf("%s: bare lane %d hits / %d misses, reference %d / %d", at, results[0].Hits, results[0].Misses, base.hits, base.miss)
+				if r := out[0].res; r.Hits != base.hits || r.Misses != base.miss {
+					t.Errorf("%s: bare lane %d hits / %d misses, reference %d / %d", at, r.Hits, r.Misses, base.hits, base.miss)
 				}
-				if results[1].Hits != ref.hits || results[1].Misses != ref.miss {
-					t.Errorf("%s: oracle lane %d hits / %d misses, reference %d / %d", at, results[1].Hits, results[1].Misses, ref.hits, ref.miss)
+				if r := out[1].res; r.Hits != ref.hits || r.Misses != ref.miss {
+					t.Errorf("%s: oracle lane %d hits / %d misses, reference %d / %d", at, r.Hits, r.Misses, ref.hits, ref.miss)
 				}
-				if got := refStats(stats[1]); got != ref.stats {
+				if got := refStats(out[1].prot); got != ref.stats {
 					t.Errorf("%s: protector counters %+v, reference %+v", at, got, ref.stats)
 				}
 				fired.add(ref.stats)

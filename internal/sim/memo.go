@@ -4,29 +4,29 @@ import (
 	"sync"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/core"
 	"sharellc/internal/lru"
-	"sharellc/internal/predictor"
 	"sharellc/internal/sharing"
 	"sharellc/internal/workloads"
 )
 
 // laneMemoEntries bounds a LaneMemo. An entry takes about 1.1 KB (its
-// key holds the workload model), 3.4 KB when its Result is tracked and
-// keeps the degree histograms, so a full memo holds 2–7 MB. The bound
-// holds every distinct lane of `sharesim -exp all` (40 a workload, 880
-// over the suite).
+// key holds the workload model), 2.1 KB when its Result is tracked and
+// keeps the two 64-entry degree histograms, so a full memo holds 2–4.3
+// MB. The bound holds every distinct lane of `sharesim -exp all` (52 a
+// workload, 1144 over the suite).
 const laneMemoEntries = 2048
 
-// LaneMemo remembers experiment lanes' replay results, so that a lane
+// LaneMemo remembers experiment lanes' replay outcomes, so that a lane
 // that several experiments (or several jobs) replay over one stream runs
-// once. It maps a lane key to the highest tier computed for it, its
-// Result and its protector counters; past laneMemoEntries the least
-// recently used entry goes. A stored result serves its own tier and
-// every lower one (Tracked ⊇ SharedHitsOnly ⊇ CountsOnly); a request for
-// a higher tier replays the lane and replaces the entry. Only a
-// successful replay is stored. A LaneMemo is safe for concurrent use;
-// two suites that miss on one lane at once both replay it.
+// once. It maps a lane key to the highest tier computed for it and the
+// lane's outcome; past laneMemoEntries the least recently used entry
+// goes. A stored result serves its own tier and every lower one (Tracked
+// ⊇ SharedHitsOnly ⊇ CountsOnly); a request for a higher tier replays
+// the lane and replaces the entry. Only a successful replay is stored. A
+// scored lane's entry is its one predictor's, so a replay that scored it
+// beside other predictors serves a request for it alone. A LaneMemo is
+// safe for concurrent use; two suites that miss on one lane at once both
+// replay it.
 //
 // The memo hands out its stored Results: callers read them and never
 // write.
@@ -36,27 +36,19 @@ type LaneMemo struct {
 	hits, misses uint64
 }
 
-// memoEntry is one stored lane: its results at tier.
+// memoEntry is one stored lane: its outcome at tier.
 type memoEntry struct {
-	tier  sharing.Tier
-	res   *sharing.Result
-	stats core.Stats
+	tier sharing.Tier
+	outcome
 }
 
-// laneKey identifies one lane's replay over one stream. The lane part is
-// the lane value with the protection options by value and only the hint
-// source its protection reads (none for a bare lane); the stream part
-// is what streamcache.Key hashes: the scaled model, the private machine
-// geometry and the seed, which also seeds the stochastic policies.
+// laneKey identifies one lane's replay over one stream: the lane value
+// itself, and what streamcache.Key hashes of the stream: the scaled
+// model, the private machine geometry and the seed, which also seeds the
+// stochastic policies.
 type laneKey struct {
-	policy     string
-	size, ways int
-	protected  bool
-	opts       core.Options
-	factor     int
-	pred       string
-	cfg        predictor.Config
-	stream     streamID
+	lane
+	stream streamID
 }
 
 // streamID is the stream part of a laneKey.
@@ -106,20 +98,6 @@ func (m *LaneMemo) store(k laneKey, e memoEntry) {
 		return
 	}
 	m.entries.Put(k, e, 1)
-}
-
-// key is l's memo key over the stream id.
-func (l lane) key(id streamID) laneKey {
-	k := laneKey{policy: l.policy, size: l.size, ways: l.ways, stream: id}
-	if l.prot != nil {
-		k.protected, k.opts = true, *l.prot
-		if l.pred == "" {
-			k.factor = l.factor
-		} else {
-			k.pred, k.cfg = l.pred, l.cfg
-		}
-	}
-	return k
 }
 
 // streamID is st's memo identity under the suite's machine and seed.

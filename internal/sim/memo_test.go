@@ -8,6 +8,7 @@ import (
 
 	"sharellc/internal/core"
 	"sharellc/internal/oracle"
+	"sharellc/internal/predictor"
 	"sharellc/internal/report"
 	"sharellc/internal/sharing"
 )
@@ -23,12 +24,12 @@ func TestSuiteWithoutMemoReplaysEveryLane(t *testing.T) {
 	}
 	opts := core.Options{Strength: core.Full}
 	lanes := []lane{{policy: "lru", size: tSize, ways: tWays},
-		{policy: "lru", size: tSize, ways: tWays, prot: &opts, factor: oracle.HorizonFactor}}
-	twice := func() (first, second []*sharing.Result) {
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: opts, factor: oracle.HorizonFactor}}
+	twice := func() (first, second []outcome) {
 		t.Helper()
 		var err error
-		for _, res := range []*[]*sharing.Result{&first, &second} {
-			if *res, _, err = s.replay(s.Streams[0], sharing.Tracked, lanes); err != nil {
+		for _, out := range []*[]outcome{&first, &second} {
+			if *out, err = s.replay(s.Streams[0], sharing.Tracked, lanes); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -36,7 +37,7 @@ func TestSuiteWithoutMemoReplaysEveryLane(t *testing.T) {
 	}
 	first, second := twice()
 	for i := range lanes {
-		if first[i] == second[i] {
+		if first[i].res == second[i].res {
 			t.Errorf("lane %d: a suite without a memo returned one result to two replays", i)
 		}
 		if !reflect.DeepEqual(first[i], second[i]) {
@@ -80,15 +81,14 @@ func TestLaneMemoTiers(t *testing.T) {
 	st := s.Streams[1]
 	opts := core.Options{Strength: core.Full}
 	lanes := []lane{{policy: "lru", size: tSize, ways: tWays},
-		{policy: "srrip", size: tSize, ways: tWays, prot: &opts, factor: oracle.HorizonFactor}}
-	fresh := map[sharing.Tier][]*sharing.Result{}
-	var freshStats []core.Stats
+		{policy: "srrip", size: tSize, ways: tWays, protected: true, prot: opts, factor: oracle.HorizonFactor}}
+	fresh := map[sharing.Tier][]outcome{}
 	for _, tier := range []sharing.Tier{sharing.Tracked, sharing.SharedHitsOnly, sharing.CountsOnly} {
-		res, stats, err := s.replay(st, tier, lanes)
+		out, err := s.replay(st, tier, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[tier], freshStats = res, stats
+		fresh[tier] = out
 	}
 
 	memo := NewLaneMemo()
@@ -110,7 +110,7 @@ func TestLaneMemoTiers(t *testing.T) {
 		{sharing.Tracked, true},
 	} {
 		h0, m0 := memo.Counts()
-		res, stats, err := m.replay(st, step.tier, lanes)
+		out, err := m.replay(st, step.tier, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,66 +118,94 @@ func TestLaneMemoTiers(t *testing.T) {
 		if hit := h1-h0 == uint64(len(lanes)) && m1 == m0; hit != step.hit {
 			t.Errorf("step %d (tier %d): hits +%d, misses +%d; want a hit %v", i, step.tier, h1-h0, m1-m0, step.hit)
 		}
-		for l := range lanes {
-			if got, want := atTier(res[l], step.tier), atTier(fresh[step.tier][l], step.tier); !reflect.DeepEqual(got, want) {
+		for l, o := range out {
+			want := fresh[step.tier][l]
+			if got, want := atTier(o.res, step.tier), atTier(want.res, step.tier); !reflect.DeepEqual(got, want) {
 				t.Errorf("step %d, lane %d: served %+v, want %+v", i, l, got, want)
 			}
-			if stats[l] != freshStats[l] {
-				t.Errorf("step %d, lane %d: protector %+v, want %+v", i, l, stats[l], freshStats[l])
+			if o.prot != want.prot {
+				t.Errorf("step %d, lane %d: protector %+v, want %+v", i, l, o.prot, want.prot)
 			}
 		}
 	}
 
 	// A result stored at a lower tier leaves a higher entry in place.
-	k := lanes[0].key(s.streamID(st))
-	memo.store(k, memoEntry{tier: sharing.CountsOnly, res: fresh[sharing.CountsOnly][0]})
+	k := laneKey{lanes[0], s.streamID(st)}
+	memo.store(k, memoEntry{sharing.CountsOnly, fresh[sharing.CountsOnly][0]})
 	if e, ok := memo.lookup(k, sharing.Tracked); !ok || e.tier != sharing.Tracked {
 		t.Errorf("a counts-only store replaced the tracked entry: %+v, %v", e, ok)
 	}
 }
 
-// TestLaneMemoKeys: lanes that differ in anything their replay reads get
-// different keys — policy, geometry, protection, hint source, stream and
-// seed — while a bare lane's unread hint fields do not split its key.
+// TestLaneMemoKeys: a key is the lane value and the stream, so lanes
+// that differ in anything their replay reads get different keys —
+// policy, geometry, protection, hint source, a scored lane's predictor
+// or its config, stream and seed. A scored, a driven and a bare lane over
+// one base share no memo entry: each is served its own outcome.
 func TestLaneMemoKeys(t *testing.T) {
 	s := testSuite(t)
 	id := s.streamID(s.Streams[0])
 	full, insert := core.Options{Strength: core.Full}, core.Options{Strength: core.InsertOnly}
+	pcfg := predictor.DefaultConfig()
 	base := lane{policy: "lru", size: tSize, ways: tWays}
-	oracleLane := lane{policy: "lru", size: tSize, ways: tWays, prot: &full, factor: oracle.HorizonFactor}
+	driven := lane{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, pred: "addr", cfg: pcfg}
+	scored := lane{policy: "lru", size: tSize, ways: tWays, pred: "addr", cfg: pcfg}
 	distinct := []lane{base,
 		{policy: "srrip", size: tSize, ways: tWays},
 		{policy: "lru", size: 2 * tSize, ways: tWays},
 		{policy: "lru", size: tSize, ways: 2 * tWays},
-		oracleLane,
-		{policy: "lru", size: tSize, ways: tWays, prot: &insert, factor: oracle.HorizonFactor},
-		{policy: "lru", size: tSize, ways: tWays, prot: &full, factor: 1},
-		{policy: "lru", size: tSize, ways: tWays, prot: &full, pred: "addr"},
-		{policy: "lru", size: tSize, ways: tWays, prot: &full, pred: "pc"},
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, factor: oracle.HorizonFactor},
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: insert, factor: oracle.HorizonFactor},
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, factor: 1},
+		driven,
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: full, pred: "pc", cfg: pcfg},
+		scored,
+		{policy: "lru", size: tSize, ways: tWays, pred: "pc", cfg: pcfg},
+		{policy: "lru", size: tSize, ways: tWays, pred: "addr", cfg: predictor.Config{TableBits: 8}},
+		{policy: "srrip", size: tSize, ways: tWays, pred: "addr", cfg: pcfg},
 	}
 	seen := map[laneKey]int{}
 	for i, l := range distinct {
-		k := l.key(id)
+		k := laneKey{l, id}
 		if j, ok := seen[k]; ok {
 			t.Errorf("lanes %d and %d share a key", j, i)
 		}
 		seen[k] = i
 	}
-	same := full
-	if base.key(id) != (lane{policy: "lru", size: tSize, ways: tWays, factor: 3, pred: "addr"}).key(id) {
-		t.Error("a bare lane's unread hint fields split its key")
-	}
-	if oracleLane.key(id) != (lane{policy: "lru", size: tSize, ways: tWays, prot: &same, factor: oracle.HorizonFactor}).key(id) {
-		t.Error("two pointers to equal options split an oracle lane's key")
-	}
-	other := s.streamID(s.Streams[1])
-	if base.key(id) == base.key(other) {
+	if (laneKey{base, id}) == (laneKey{base, s.streamID(s.Streams[1])}) {
 		t.Error("two workloads' streams share a key")
 	}
 	reseeded := *s
 	reseeded.Config.Seed++
-	if base.key(id) == base.key(reseeded.streamID(s.Streams[0])) {
+	if (laneKey{base, id}) == (laneKey{base, reseeded.streamID(s.Streams[0])}) {
 		t.Error("two seeds share a key")
+	}
+
+	// Each of the three lanes over LRU is replayed alone into one memo,
+	// then all three are served at once: every outcome is its own lane's.
+	m := *s
+	m.Config.Lanes = NewLaneMemo()
+	lanes := []lane{base, driven, scored}
+	var want []outcome
+	for _, l := range lanes {
+		out, err := m.replay(m.Streams[0], sharing.CountsOnly, []lane{l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, out[0])
+	}
+	got, err := m.replay(m.Streams[0], sharing.CountsOnly, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := m.Config.Lanes.Counts(); hits != 3 || misses != 3 {
+		t.Errorf("memo counted %d hits and %d misses, want 3 and 3", hits, misses)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("served %+v, want %+v", got, want)
+	}
+	if want[1].prot == (core.Stats{}) || want[2].pred.Total() == 0 || want[0].pred.Total() != 0 || want[2].prot != (core.Stats{}) {
+		t.Errorf("a lane's outcome lacks its kind's counters: bare %+v, driven %+v, scored %+v", want[0], want[1], want[2])
 	}
 }
 
@@ -190,15 +218,15 @@ func TestLaneMemoStoresOnlySuccess(t *testing.T) {
 	s.Config.Lanes = memo
 	opts := core.Options{Strength: core.Full}
 	bad := []lane{{policy: "lru", size: tSize, ways: tWays},
-		{policy: "lru", size: tSize, ways: tWays, prot: &opts, factor: 0}}
-	if _, _, err := s.replay(s.Streams[0], sharing.CountsOnly, bad); err == nil {
+		{policy: "lru", size: tSize, ways: tWays, protected: true, prot: opts, factor: 0}}
+	if _, err := s.replay(s.Streams[0], sharing.CountsOnly, bad); err == nil {
 		t.Fatal("a lane of horizon factor 0 replayed")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := *s
 	c.ctx = ctx
-	if _, _, err := c.replay(s.Streams[0], sharing.CountsOnly, bad[:1]); err == nil {
+	if _, err := c.replay(s.Streams[0], sharing.CountsOnly, bad[:1]); err == nil {
 		t.Fatal("a cancelled replay succeeded")
 	}
 	if n := memo.entries.Len(); n != 0 {
@@ -207,15 +235,16 @@ func TestLaneMemoStoresOnlySuccess(t *testing.T) {
 }
 
 // TestRunExperimentsSharesLanes: the experiments of one RunExperiments
-// call share its lane memo, so F3 and F5 take F1's tracked LRU lane and
-// F8 takes F5's oracle cell and its base, and every table equals the one
-// a suite without a memo renders.
+// call share its lane memo, so F3 and F5 take F1's tracked LRU lane, F8
+// takes F5's oracle cell and its base, and A2 takes F7's 2^14-entry addr
+// and pc predictors, and every table equals the one a suite without a
+// memo renders.
 func TestRunExperimentsSharesLanes(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Lanes = NewLaneMemo()
 	o := DefaultExpOptions()
 	o.LLCSize, o.LLCWays = tSize, tWays
-	ids := []string{"f1", "f3", "f5", "f8"}
+	ids := []string{"f1", "f3", "f5", "f8", "f7", "a2"}
 	var got []*report.Table
 	err := RunExperiments(context.Background(), cfg, ids, o, nil, func(tabs []*report.Table) error {
 		got = append(got, tabs...)
@@ -228,9 +257,11 @@ func TestRunExperimentsSharesLanes(t *testing.T) {
 	// Per workload: f1 misses on its one lane; f3 hits it; f5 hits it
 	// as its 1× base and misses on its 2× base and both oracle lanes;
 	// f8 hits f5's 1× base and oracle lane and misses on its two driven
-	// lanes.
-	if hits, misses := cfg.Lanes.Counts(); hits != 4*workloads || misses != 6*workloads {
-		t.Errorf("memo counted %d hits and %d misses, want %d and %d", hits, misses, 4*workloads, 6*workloads)
+	// lanes; f7 misses on its six scored predictors; a2 hits f7's addr
+	// and pc at its default 2^14 entries and replays the other six of
+	// its eight.
+	if hits, misses := cfg.Lanes.Counts(); hits != 6*workloads || misses != 18*workloads {
+		t.Errorf("memo counted %d hits and %d misses, want %d and %d", hits, misses, 6*workloads, 18*workloads)
 	}
 	s, err := NewSuite(testConfig(t))
 	if err != nil {

@@ -359,9 +359,3 @@ func firstTable[R any](tables [][]R, err error) ([]R, error) {
 	}
 	return tables[0], nil
 }
-
-// replayOpts is Stream.ReplayOptions under this suite's cancellation
-// context, so no experiment call site can forget it.
-func (s *Suite) replayOpts(st *Stream) sharing.Options {
-	return st.ReplayOptions(0, s.context())
-}
