@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,14 +268,12 @@ func TestCorruptPeerSnapshotFallsSoft(t *testing.T) {
 		Cache: streamcache.New(streamcache.Options{}),
 	})
 	// Pretend the evil peer holds every stream the request needs.
+	plan, _ := sim.PlanJob(req)
 	coord.mu.Lock()
-	for _, w := range workloadOrder(req) {
-		ref, err := streamRefFor(req, w, req.Seed)
-		if err != nil {
-			coord.mu.Unlock()
-			t.Fatal(err)
+	for _, cell := range plan.Cells {
+		for _, m := range plan.Reads(cell) {
+			coord.holders[refFor(m, req.Seed).Hash] = map[string]bool{evil.URL: true}
 		}
-		coord.holders[ref.Hash] = map[string]bool{evil.URL: true}
 	}
 	coord.mu.Unlock()
 
@@ -312,13 +309,12 @@ func TestWorkerFetchesOnlyHeldStreams(t *testing.T) {
 		defer cancel()
 		coordCache := streamcache.New(streamcache.Options{})
 		if held {
-			for _, name := range req.Workloads {
-				m, err := scaledModel(req, name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := coordCache.Stream(ctx, m, cache.DefaultConfig(), req.Seed); err != nil {
-					t.Fatal(err)
+			plan, _ := sim.PlanJob(req)
+			for _, cell := range plan.Cells {
+				for _, m := range plan.Reads(cell) {
+					if _, err := coordCache.Stream(ctx, m, cache.DefaultConfig(), req.Seed); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -550,7 +546,7 @@ func TestCancelledRunFreesJob(t *testing.T) {
 		if st := coord.Stats(); st.BundlesPending != 0 || st.JobsInflight != 0 {
 			t.Errorf("%s: %d bundles pending, %d jobs in flight; want 0 and 0", when, st.BundlesPending, st.JobsInflight)
 		}
-		body, err := json.Marshal(leaseRequest{Proto: protoVersion, Worker: "w"})
+		body, err := json.Marshal(workerRequest{Proto: protoVersion, Worker: "w"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,8 +602,8 @@ func TestControlBodyLimit(t *testing.T) {
 		body  any
 		under int // status one byte under the limit
 	}{
-		{"/v1/cluster/lease", leaseRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
-		{"/v1/cluster/bundles/" + id + "/heartbeat", heartbeatRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/lease", workerRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
+		{"/v1/cluster/bundles/" + id + "/heartbeat", workerRequest{Proto: protoVersion, Worker: "w"}, http.StatusOK},
 		{"/v1/cluster/bundles/b-none/result", bundleResult{Proto: protoVersion, Worker: "w"}, http.StatusNotFound},
 	} {
 		obj, err := json.Marshal(c.body)
@@ -672,7 +668,7 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 		}
 	}
 	m1 := bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
-	if err := m1.validate(); err != nil {
+	if _, err := m1.validate(); err != nil {
 		t.Errorf("m1's whole-job bundle refused: %v", err)
 	}
 }
@@ -693,16 +689,12 @@ func TestWorkerSharesLanesAcrossBundles(t *testing.T) {
 	bare.lanes = nil
 	for _, exp := range []string{"f5", "f8"} {
 		b := bundle{ID: "b-" + exp, Workload: "canneal", Request: testRequest([]string{exp})}
-		got, err := w.runBundle(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
+		got, want := w.executeBundle(context.Background(), b), bare.executeBundle(context.Background(), b)
+		if got.Err != "" || want.Err != "" {
+			t.Fatalf("%s: errors %q and %q", exp, got.Err, want.Err)
 		}
-		want, err := bare.runBundle(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s rows with the memo:\n%+v\nwithout:\n%+v", exp, got, want)
+		if !bytes.Equal(got.Rows, want.Rows) {
+			t.Errorf("%s rows with the memo:\n%s\nwithout:\n%s", exp, got.Rows, want.Rows)
 		}
 	}
 	// f5: two sizes' bases and oracle lanes miss; f8: the 1× base and
@@ -808,14 +800,14 @@ func FuzzLeaseIntake(f *testing.F) {
 			return
 		}
 		b := lease.Bundle
-		if b.validate() != nil {
+		if _, err := b.validate(); err != nil {
 			return
 		}
 		once, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.validate(); err != nil {
+		if _, err := b.validate(); err != nil {
 			t.Fatalf("validated bundle %s is rejected: %v", once, err)
 		}
 		if twice, _ := json.Marshal(b); !bytes.Equal(once, twice) {

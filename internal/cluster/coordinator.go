@@ -64,13 +64,12 @@ type bundleState struct {
 	rows any // decoded rows
 }
 
-// job is one admitted request and its bundles, in queue order: spec-major,
-// one bundle per workload in canonical merge order for a per-workload
-// spec and one for a whole-job spec.
+// job is one admitted request and its bundles, one per cell of its plan
+// in the plan's merge order.
 type job struct {
 	key     string
 	req     sim.JobRequest
-	specs   []sim.TableSpec
+	plan    sim.Job
 	bundles []*bundleState
 	done    int
 
@@ -133,12 +132,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // heartbeat and cancels. A job is forgotten once it finishes or fails, so
 // a later identical Run schedules it afresh.
 func (c *Coordinator) Run(ctx context.Context, req sim.JobRequest, progress func(done, total int, label string)) ([]*report.Table, error) {
-	exp, err := sim.ExperimentByID(req.Exp)
-	if err != nil {
-		return nil, err
-	}
-	specs, ok := sim.PlanFor(exp.ID, req.Options())
+	plan, ok := sim.PlanJob(req)
 	if !ok {
+		exp, err := sim.ExperimentByID(req.Exp)
+		if err != nil {
+			return nil, err
+		}
 		return exp.Run(nil, req.Options())
 	}
 	key := req.Key()
@@ -148,11 +147,8 @@ func (c *Coordinator) Run(ctx context.Context, req sim.JobRequest, progress func
 		c.mu.Unlock()
 		return nil, fmt.Errorf("job %s (%s) is already running", key, req.Exp)
 	}
-	j, err := c.admitLocked(key, req, specs, progress)
+	j := c.admitLocked(key, req, plan, progress)
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 
 	if progress != nil {
 		progress(0, len(j.bundles), "bundles queued")
@@ -172,42 +168,24 @@ func (c *Coordinator) Run(ctx context.Context, req sim.JobRequest, progress func
 	return nil, ctx.Err()
 }
 
-// admitLocked queues a job's bundles: one per workload for a
-// per-workload spec, naming that workload's stream, and one with an empty
-// workload for a whole-job spec, naming the streams the spec reads.
-// Caller holds c.mu.
-func (c *Coordinator) admitLocked(key string, req sim.JobRequest, specs []sim.TableSpec, progress func(int, int, string)) (*job, error) {
-	j := &job{key: key, req: req, specs: specs, doneCh: make(chan struct{}), progress: progress}
-	for si, sp := range specs {
-		names := workloadOrder(req)
-		if sp.Whole {
-			names = []string{""}
+// admitLocked queues one bundle per cell of a job's plan, in plan order,
+// naming the streams the cell reads; the lease scan plus stream gating
+// takes care of spreading workloads across workers. Caller holds c.mu.
+func (c *Coordinator) admitLocked(key string, req sim.JobRequest, plan sim.Job, progress func(int, int, string)) *job {
+	j := &job{key: key, req: req, plan: plan, doneCh: make(chan struct{}), progress: progress}
+	for _, cell := range plan.Cells {
+		b := &bundleState{proto: bundle{ID: bundleID(key, req.Exp, cell.Spec, cell.Workload),
+			Spec: cell.Spec, Workload: cell.Workload, Request: req}, job: j}
+		for _, m := range plan.Reads(cell) {
+			b.proto.Streams = append(b.proto.Streams, refFor(m, req.Seed))
 		}
-		for _, w := range names {
-			reads := sp.Reads
-			if !sp.Whole {
-				reads = []string{w}
-			}
-			b := &bundleState{proto: bundle{ID: bundleID(key, req.Exp, si, w), Spec: si, Workload: w, Request: req}, job: j}
-			for _, r := range reads {
-				ref, err := streamRefFor(req, r, req.Seed)
-				if err != nil {
-					return nil, err
-				}
-				b.proto.Streams = append(b.proto.Streams, ref)
-			}
-			j.bundles = append(j.bundles, b)
-		}
-	}
-	// Queue in plan order; the lease scan plus stream gating takes care
-	// of spreading workloads across workers.
-	for _, b := range j.bundles {
+		j.bundles = append(j.bundles, b)
 		c.bundles[b.proto.ID] = b
 		c.queue = append(c.queue, b)
 	}
 	c.jobs[key] = j
 	c.stats.Jobs++
-	return j, nil
+	return j
 }
 
 // available reports whether some node already holds the stream, so a
@@ -241,17 +219,22 @@ func (c *Coordinator) reapLocked() {
 		if b.state != bundleLeased || now.Before(b.expiry) {
 			continue
 		}
-		c.releaseBuildingLocked(b)
-		b.state = bundlePending
-		b.worker = ""
-		c.stats.BundlesRequeued++
-		if b.attempts >= maxAttempts {
-			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s) abandoned after %d lease attempts",
-				b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, b.attempts))
-			continue
-		}
-		c.queue = append(c.queue, b)
+		c.requeueLocked(b, &c.stats.BundlesRequeued, fmt.Errorf("abandoned after %d lease attempts", b.attempts))
 	}
+}
+
+// requeueLocked takes b back from its lease, counting it in n, and
+// queues it again, or fails its job with err once b spent its attempts.
+func (c *Coordinator) requeueLocked(b *bundleState, n *uint64, err error) {
+	c.releaseBuildingLocked(b)
+	b.state, b.worker = bundlePending, ""
+	*n++
+	if b.attempts >= maxAttempts {
+		c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s): %w",
+			b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, err))
+		return
+	}
+	c.queue = append(c.queue, b)
 }
 
 func (c *Coordinator) releaseBuildingLocked(b *bundleState) {
@@ -314,9 +297,7 @@ func (c *Coordinator) lease(worker string) (leaseResponse, bool) {
 		}
 		kept = append(kept, b)
 	}
-	for i := len(kept); i < len(c.queue); i++ {
-		c.queue[i] = nil
-	}
+	clear(c.queue[len(kept):])
 	c.queue = kept
 	if chosen == nil {
 		return leaseResponse{}, false
@@ -393,25 +374,15 @@ func (c *Coordinator) result(id string, res bundleResult) error {
 	}
 
 	fail := func(err error) error {
-		if b.state != bundleLeased || b.worker != res.Worker {
-			return nil
+		if b.state == bundleLeased && b.worker == res.Worker {
+			c.requeueLocked(b, &c.stats.BundlesFailed, err)
 		}
-		c.releaseBuildingLocked(b)
-		b.state = bundlePending
-		b.worker = ""
-		c.stats.BundlesFailed++
-		if b.attempts >= maxAttempts {
-			c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s): %w",
-				b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, err))
-			return nil
-		}
-		c.queue = append(c.queue, b)
 		return nil
 	}
 	if res.Err != "" {
 		return fail(errors.New(res.Err))
 	}
-	rows, err := b.job.specs[b.proto.Spec].DecodeRows(res.Rows)
+	rows, err := b.job.plan.Decode(b.proto.cell(), res.Rows)
 	if err != nil {
 		return fail(err)
 	}
@@ -437,27 +408,17 @@ func (c *Coordinator) result(id string, res bundleResult) error {
 	return nil
 }
 
-// finishLocked merges a completed job's rows into final tables: each
-// spec's rows appended bundle by bundle, workloads in canonical suite
-// order, exactly the row order a whole-suite run produces, so the
-// rendered tables are byte-identical to the direct path. The job is then
-// forgotten.
+// finishLocked merges a completed job's rows, bundle by bundle in plan
+// order, into its tables (sim.Job.Tables), byte-identical to the direct
+// path. The job is then forgotten.
 func (c *Coordinator) finishLocked(j *job) {
-	defer c.forgetLocked(j)
-	defer close(j.doneCh)
-	merged := make([]any, len(j.specs))
-	for _, b := range j.bundles {
-		si := b.proto.Spec
-		m, err := sim.MergeRows(j.specs[si].Kind, merged[si], b.rows)
-		if err != nil {
-			j.err = err
-			return
-		}
-		merged[si] = m
+	rows := make([]any, len(j.bundles))
+	for i, b := range j.bundles {
+		rows[i] = b.rows
 	}
-	for si, spec := range j.specs {
-		j.tables = append(j.tables, spec.Render(merged[si])...)
-	}
+	j.tables, j.err = j.plan.Tables(rows)
+	close(j.doneCh)
+	c.forgetLocked(j)
 }
 
 // Stats snapshots the scheduler counters.
@@ -541,7 +502,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
+	var req workerRequest
 	if !DecodeBody(w, r, maxControlBody, "lease request", &req) {
 		return
 	}
@@ -558,7 +519,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
+	var req workerRequest
 	if !DecodeBody(w, r, maxControlBody, "heartbeat", &req) {
 		return
 	}
@@ -616,18 +577,4 @@ func StreamHandler(sc *streamcache.Cache, served func(bytes int)) http.HandlerFu
 		w.WriteHeader(http.StatusOK)
 		w.Write(data)
 	}
-}
-
-// readAllLimited guards peer-transfer reads: snapshots are tens of MB at
-// most; a source that streams more than the cap is misbehaving and the
-// transfer falls soft to the next source.
-func readAllLimited(r io.Reader, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("response exceeds %d-byte snapshot cap", limit)
-	}
-	return data, nil
 }

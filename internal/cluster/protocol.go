@@ -1,11 +1,10 @@
 // Package cluster implements distributed job execution for sharesimd:
-// a coordinator decomposes one experiment job into work bundles along
-// the experiment's table plan (sim.PlanFor) — one bundle per (spec,
-// workload), or one per job for a whole-job spec — leases them to
-// polling workers over a small versioned HTTP protocol, and
-// deterministically merges the returned rows back into the exact tables
-// sim.Experiments produces, byte-identical to a single-process run. The
-// package names no experiment: every choice it makes reads the plan.
+// a coordinator leases one work bundle per cell of a job's plan
+// (sim.PlanJob) to polling workers over a small versioned HTTP protocol,
+// each worker runs its cell (sim.Job.Run), and the plan merges the rows
+// into the tables a single process renders, byte for byte
+// (sim.Job.Tables). The package keeps leases, stream custody and gating;
+// every choice of cell, suite and merge order is the plan's.
 //
 // The protocol is deliberately minimal (modeled on pull-based bundle
 // distribution: workers poll for work, report health via heartbeats, and
@@ -44,45 +43,10 @@ import (
 // table-major rows.
 const protoVersion = 5
 
-// workloadOrder is the canonical suite order the merge reconstructs:
-// the job's (normalized, sorted) workload list, or the full suite in
-// catalogue order when the list is empty — the same order
-// sim.NewSuiteContext prepares models in.
-func workloadOrder(r sim.JobRequest) []string {
-	if len(r.Workloads) > 0 {
-		return r.Workloads
-	}
-	suite := workloads.Suite()
-	names := make([]string, len(suite))
-	for i, m := range suite {
-		names[i] = m.Name
-	}
-	return names
-}
-
-// scaledModel resolves one workload name to the scaled model the suite
-// would prepare, so stream hashes computed here match the ones the
-// worker's suite requests.
-func scaledModel(r sim.JobRequest, name string) (workloads.Model, error) {
-	m, err := workloads.ByName(name)
-	if err != nil {
-		return workloads.Model{}, err
-	}
-	return sim.ScaleModel(m, r.Scale), nil
-}
-
-// streamRefFor names the content-addressed stream a workload of job r
-// resolves to at the given seed.
-func streamRefFor(r sim.JobRequest, name string, seed uint64) (streamRef, error) {
-	m, err := scaledModel(r, name)
-	if err != nil {
-		return streamRef{}, err
-	}
-	return streamRef{
-		Workload: name,
-		Seed:     seed,
-		Hash:     streamcache.Key(m, cache.DefaultConfig(), seed),
-	}, nil
+// refFor names the content-addressed stream of the scaled model m at
+// seed on the default machine, the stream a cell's suite requests.
+func refFor(m workloads.Model, seed uint64) streamRef {
+	return streamRef{Workload: m.Name, Seed: seed, Hash: streamcache.Key(m, cache.DefaultConfig(), seed)}
 }
 
 // streamRef names one prepared stream a bundle needs, by content hash.
@@ -98,19 +62,21 @@ type streamRef struct {
 	Coordinator bool     `json:"coordinator,omitempty"`
 }
 
-// bundle is one leased unit of work: one spec of its job's plan (one
+// bundle is one leased unit of work: one cell of its job's plan (one
 // shared replay and its tables), over one workload for a per-workload
-// spec or over the job's configuration for a whole-job spec.
+// spec or over the job's configuration for a whole spec.
 type bundle struct {
 	ID string `json:"id"`
-	// Spec indexes sim.PlanFor(Request.Exp, Request.Options()); the
-	// worker recomputes the same plan from the carried request, so the
-	// two sides agree on parametrization by construction.
+	// Spec and Workload name a cell of sim.PlanJob(Request), the plan
+	// the worker recomputes from the carried request.
 	Spec     int            `json:"spec"`
 	Workload string         `json:"workload,omitempty"` // empty for a whole-job spec
 	Request  sim.JobRequest `json:"request"`
 	Streams  []streamRef    `json:"streams,omitempty"`
 }
+
+// cell is the plan cell the bundle names.
+func (b bundle) cell() sim.Cell { return sim.Cell{Spec: b.Spec, Workload: b.Workload} }
 
 // bundleID derives the deterministic bundle identifier. Determinism is
 // load-bearing: a worker that leased a bundle from a coordinator that
@@ -121,8 +87,8 @@ func bundleID(jobKey, exp string, spec int, workload string) string {
 	return "b-" + hex.EncodeToString(sum[:10])
 }
 
-// leaseRequest is the body of POST /v1/cluster/lease.
-type leaseRequest struct {
+// workerRequest is the body of the lease and the heartbeat POSTs.
+type workerRequest struct {
 	Proto int `json:"proto"`
 	// Worker identifies the poller; when it is a reachable base URL the
 	// coordinator also advertises it as a snapshot source to peers.
@@ -137,18 +103,12 @@ type leaseResponse struct {
 	TTLMillis int64  `json:"ttl_ms"`
 }
 
-// heartbeatRequest is the body of the heartbeat POST.
-type heartbeatRequest struct {
-	Proto  int    `json:"proto"`
-	Worker string `json:"worker"`
-}
-
 // heartbeatResponse echoes the remaining lease grant.
 type heartbeatResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 }
 
-// bundleResult is the body of the result POST: on success the spec's
+// bundleResult is the body of the result POST: on success the cell's
 // rows as sim.EncodeRows JSON, on failure the error.
 type bundleResult struct {
 	Proto  int             `json:"proto"`

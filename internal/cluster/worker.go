@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -197,19 +198,21 @@ func (w *Worker) process(ctx context.Context, lease leaseResponse) {
 	}
 }
 
-// executeBundle validates a leased bundle, materializes its streams and
-// runs it to a result; a bundle that fails validation comes back as an
-// error result without touching the simulator. Tests call it to drive
-// the execution path without the poll loop (e.g. delivering a dead
-// coordinator's lease to its successor).
+// executeBundle validates a leased bundle, materializes the streams its
+// cell reads and runs it to a result; a bundle that fails validation
+// comes back as an error result without touching the simulator. Tests
+// call it to drive the execution path without the poll loop (e.g.
+// delivering a dead coordinator's lease to its successor).
 func (w *Worker) executeBundle(ctx context.Context, b bundle) bundleResult {
 	res := bundleResult{Proto: protoVersion, Worker: w.name}
-	if err := b.validate(); err != nil {
+	plan, err := b.validate()
+	if err != nil {
 		res.Err = fmt.Sprintf("invalid bundle %s: %v", b.ID, err)
 		return res
 	}
-	w.ensureStreams(ctx, b)
-	res.setRows(w.runBundle(ctx, b))
+	w.ensureStreams(ctx, b, plan.Reads(b.cell()))
+	cfg := sim.Config{Machine: cache.DefaultConfig(), Streams: w.cfg.Cache.Stream, Lanes: w.lanes}
+	res.setRows(plan.Run(ctx, cfg, b.cell()))
 	// Custody report: every referenced stream now resident here is
 	// advertisable to peers, whether it arrived by fetch or local build.
 	for _, ref := range b.Streams {
@@ -232,66 +235,33 @@ func (res *bundleResult) setRows(rows any, err error) {
 }
 
 // validate normalizes a leased bundle's request the way the daemon
-// normalizes a job body, and checks that the bundle names a cell of its
-// plan: a spec index, with an empty workload for a whole-job spec and one
-// of the job's workloads for a per-workload spec. A worker trusts nothing
-// a coordinator sends, so no knob the daemon would refuse (an LLC some
+// normalizes a job body and returns its plan, refusing a bundle whose
+// cell the plan does not hold (sim.Job.Check). A worker trusts nothing a
+// coordinator sends, so no knob the daemon would refuse (an LLC some
 // policy cannot run, an unknown workload) reaches the simulator.
-func (b *bundle) validate() error {
+func (b *bundle) validate() (sim.Job, error) {
 	if err := b.Request.Normalize(); err != nil {
-		return err
+		return sim.Job{}, err
 	}
-	specs, _ := sim.PlanFor(b.Request.Exp, b.Request.Options())
-	switch {
-	case b.Spec < 0 || b.Spec >= len(specs):
-		return fmt.Errorf("spec index %d out of range for %q (%d specs)", b.Spec, b.Request.Exp, len(specs))
-	case specs[b.Spec].Whole:
-		if b.Workload != "" {
-			return fmt.Errorf("spec %d of %q runs once per job, not for workload %q", b.Spec, b.Request.Exp, b.Workload)
-		}
-	case !slices.Contains(workloadOrder(b.Request), b.Workload):
-		return fmt.Errorf("workload %q is not in the job's suite", b.Workload)
+	plan, ok := sim.PlanJob(b.Request)
+	if !ok {
+		return sim.Job{}, fmt.Errorf("experiment %q has no table plan", b.Request.Exp)
 	}
-	return nil
+	return plan, plan.Check(b.cell())
 }
 
-// runBundle runs a validated bundle's spec: a per-workload spec over a
-// suite prepared with only its workload, a whole-job spec over a bare
-// suite, since it builds the streams it reads itself. Either suite
-// consults the worker's lane memo.
-func (w *Worker) runBundle(ctx context.Context, b bundle) (any, error) {
-	knobs := b.Request.Request
-	specs, _ := sim.PlanFor(b.Request.Exp, knobs.Options())
-	spec, prepare := specs[b.Spec], sim.BareSuite
-	if !spec.Whole {
-		knobs.Workloads, prepare = []string{b.Workload}, sim.NewSuiteContext
-	}
-	cfg, err := knobs.Config(cache.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	cfg.Streams, cfg.Lanes = w.cfg.Cache.Stream, w.lanes
-	suite, err := prepare(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Run(suite)
-}
-
-// ensureStreams makes each referenced stream locally resident if it can:
-// already present, else fetched from a listed source or, when the lease
-// says it holds the stream, the coordinator. A stream no node holds is
-// built locally without a fetch. Every failure — unreachable source,
-// truncated body, corrupt image — falls soft to trying the next source,
-// and ultimately to letting the suite build the stream locally.
-func (w *Worker) ensureStreams(ctx context.Context, b bundle) {
+// ensureStreams makes each referenced stream of a model the cell reads
+// locally resident if it can: already present, else fetched from a
+// listed source or, when the lease says it holds the stream, the
+// coordinator. A stream no node holds is built locally without a fetch.
+// Every failure — unreachable source, truncated body, corrupt image —
+// falls soft to trying the next source, and ultimately to letting the
+// suite build the stream locally.
+func (w *Worker) ensureStreams(ctx context.Context, b bundle, reads []workloads.Model) {
 	for _, ref := range b.Streams {
-		if w.cfg.Cache.Contains(ref.Hash) {
-			continue
-		}
-		model, err := scaledModel(b.Request, ref.Workload)
-		if err != nil {
-			continue // undecodable ref; the run will surface the real error
+		i := slices.IndexFunc(reads, func(m workloads.Model) bool { return m.Name == ref.Workload })
+		if i < 0 || w.cfg.Cache.Contains(ref.Hash) {
+			continue // no stream of this cell, or resident already
 		}
 		sources := ref.Sources
 		if ref.Coordinator {
@@ -301,7 +271,7 @@ func (w *Worker) ensureStreams(ctx context.Context, b bundle) {
 			if src == "" || src == w.cfg.SelfURL {
 				continue
 			}
-			if w.fetchStream(ctx, src, ref.Hash, model) {
+			if w.fetchStream(ctx, src, ref.Hash, reads[i]) {
 				break
 			}
 		}
@@ -313,41 +283,44 @@ func (w *Worker) ensureStreams(ctx context.Context, b bundle) {
 // are soft: the caller tries the next source or builds locally.
 func (w *Worker) fetchStream(ctx context.Context, src, hash string, model workloads.Model) bool {
 	w.fetchTotal.Add(1)
-	url := strings.TrimSuffix(src, "/") + "/v1/streams/" + hash
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	n, err := w.installSnapshot(ctx, strings.TrimSuffix(src, "/")+"/v1/streams/"+hash, hash, model)
 	if err != nil {
 		w.fetchErrors.Add(1)
 		return false
+	}
+	w.fetchBytes.Add(uint64(n))
+	w.fetchOK.Add(1)
+	return true
+}
+
+// installSnapshot fetches the snapshot image at url, at most
+// maxSnapshotBytes, installs it under hash and returns its size.
+func (w *Worker) installSnapshot(ctx context.Context, url, hash string, model workloads.Model) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		w.fetchErrors.Add(1)
-		return false
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		w.fetchErrors.Add(1)
-		return false
+		return 0, fmt.Errorf("snapshot %s: status %d", hash, resp.StatusCode)
 	}
-	data, err := readAllLimited(resp.Body, maxSnapshotBytes)
+	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxSnapshotBytes))
 	if err != nil {
-		w.fetchErrors.Add(1)
-		return false
+		return 0, err
 	}
-	if _, err := w.cfg.Cache.PutSnapshot(hash, data, model); err != nil {
-		w.fetchErrors.Add(1)
-		return false
-	}
-	w.fetchBytes.Add(uint64(len(data)))
-	w.fetchOK.Add(1)
-	return true
+	_, err = w.cfg.Cache.PutSnapshot(hash, data, model)
+	return len(data), err
 }
 
 // lease asks the coordinator for work.
 func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 	var lease leaseResponse
 	status, err := w.post(ctx, w.cfg.CoordinatorURL+"/v1/cluster/lease",
-		leaseRequest{Proto: protoVersion, Worker: w.name}, &lease)
+		workerRequest{Proto: protoVersion, Worker: w.name}, &lease)
 	if err != nil {
 		return lease, false, err
 	}
@@ -366,9 +339,8 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, bool, error) {
 // coordinator or a proxy — is transient, not lease loss; the run goes on
 // and the next tick (or the result post) decides.
 func (w *Worker) heartbeat(ctx context.Context, bundleID string) bool {
-	var hb heartbeatResponse
 	status, err := w.post(ctx, w.cfg.CoordinatorURL+"/v1/cluster/bundles/"+bundleID+"/heartbeat",
-		heartbeatRequest{Proto: protoVersion, Worker: w.name}, &hb)
+		workerRequest{Proto: protoVersion, Worker: w.name}, nil)
 	return err != nil || (status != http.StatusNotFound && status != http.StatusConflict)
 }
 

@@ -88,14 +88,25 @@ func (j *job) subscribe() (history []event, live chan event, unsub func()) {
 	}
 }
 
-// snapshot returns the fields the HTTP layer renders.
-func (j *job) snapshot() (state state, errMsg string, tables []*report.Table, cached bool, created, started, finished time.Time) {
+// view renders the job as the API returns it: its tables only once it
+// is done.
+func (j *job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	v := jobView{ID: j.ID, Exp: j.Request.Exp, State: j.state, Cached: j.cacheHit, Created: j.created}
 	if j.err != nil {
-		errMsg = j.err.Error()
+		v.Error = j.err.Error()
 	}
-	return j.state, errMsg, j.tables, j.cacheHit, j.created, j.started, j.finished
+	if started := j.started; !started.IsZero() {
+		v.Started = &started
+	}
+	if finished := j.finished; !finished.IsZero() {
+		v.Finished = &finished
+	}
+	if j.state == stateDone {
+		v.Tables = j.tables
+	}
+	return v
 }
 
 // done returns a channel closed when the job reaches a terminal state.

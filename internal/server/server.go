@@ -78,28 +78,6 @@ type jobView struct {
 	Finished *time.Time      `json:"finished,omitempty"`
 }
 
-func viewOf(j *job) jobView {
-	state, errMsg, tables, cached, created, started, finished := j.snapshot()
-	v := jobView{
-		ID:      j.ID,
-		Exp:     j.Request.Exp,
-		State:   state,
-		Cached:  cached,
-		Error:   errMsg,
-		Created: created,
-	}
-	if !started.IsZero() {
-		v.Started = &started
-	}
-	if !finished.IsZero() {
-		v.Finished = &finished
-	}
-	if state == stateDone {
-		v.Tables = tables
-	}
-	return v
-}
-
 // maxJobBody bounds a POST /v1/jobs body. The largest legitimate body —
 // every field spelled out, all 22 workloads and all 14 policies — is
 // under 1 KiB; the limit leaves room for any formatting of it.
@@ -123,7 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !fresh {
 		status = http.StatusOK // cache hit or coalesced: nothing new started
 	}
-	cluster.WriteJSON(w, status, viewOf(job))
+	cluster.WriteJSON(w, status, job.view())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -132,7 +110,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %s", r.PathValue("id")))
 		return
 	}
-	cluster.WriteJSON(w, http.StatusOK, viewOf(job))
+	cluster.WriteJSON(w, http.StatusOK, job.view())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -193,8 +171,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 				default:
-					state, _, _, _, _, _, _ := job.snapshot()
-					emit(event{Type: "state", State: state})
+					emit(event{Type: "state", State: job.view().State})
 					return
 				}
 			}
@@ -210,7 +187,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []expView
 	for _, e := range sim.Experiments() {
-		out = append(out, expView{ID: e.ID, Title: e.Title, NeedsSuite: e.NeedsSuite})
+		out = append(out, expView{ID: e.ID, Title: e.Title, NeedsSuite: e.NeedsSuite()})
 	}
 	cluster.WriteJSON(w, http.StatusOK, out)
 }

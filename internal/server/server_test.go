@@ -601,7 +601,7 @@ func TestShutdownDrains(t *testing.T) {
 	if !ok {
 		t.Fatal("job vanished")
 	}
-	state, _, _, _, _, _, _ := job.snapshot()
+	state := job.view().State
 	if state != stateDone {
 		t.Errorf("drained job state = %s, want done", state)
 	}
@@ -644,7 +644,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 		t.Fatal("drain with stuck job reported success")
 	}
 	job, _ := s.m.get(v.ID)
-	state, _, _, _, _, _, _ := job.snapshot()
+	state := job.view().State
 	if state != stateCancelled {
 		t.Errorf("stuck job state = %s, want cancelled", state)
 	}

@@ -18,7 +18,7 @@ func TestBuildStreamNumbersLikeAssignBlockIDs(t *testing.T) {
 	machine := cache.DefaultConfig()
 	for _, scale := range []float64{0.02, 0.05} {
 		for _, m := range workloads.Suite() {
-			st, err := BuildStream(ScaleModel(m, scale), machine, 3)
+			st, err := BuildStream(scaleModel(m, scale), machine, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +36,7 @@ func TestBuildMixStreamNumbersLikeAssignBlockIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range ms {
-			ms[i] = ScaleModel(ms[i], 0.02)
+			ms[i] = scaleModel(ms[i], 0.02)
 		}
 		st, err := buildMixStream(ms, cache.DefaultConfig(), 2)
 		if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,40 +10,41 @@ import (
 	"sharellc/internal/core"
 	"sharellc/internal/predictor"
 	"sharellc/internal/report"
+	"sharellc/internal/workloads"
 )
 
 // This file is the decomposition of the experiment index. Every
 // experiment that reads streams is described as an ordered list of
-// TableSpecs: one spec per shared replay, each computing typed rows for
+// tableSpecs: one spec per shared replay, each computing typed rows for
 // its tables and rendering the merged rows into them. A spec runs either
 // per workload, over a (possibly single-workload) prepared suite, or
-// once per job over a BareSuite (Whole). The local path (Experiment.Run
-// via planRun) and the cluster path (internal/cluster bundles) both
-// execute the same specs, which is what makes a merged distributed run
-// byte-identical to a single-process run: the rows of one workload do
-// not depend on which other workloads share the suite, and the render
-// step sees the full row slices in canonical suite order either way.
+// once per job over a bare suite (whole). The local path (Experiment.Run)
+// and the cluster path (a job's plan, PlanJob) both execute the same
+// specs, which is what makes a merged distributed run byte-identical to
+// a single-process run: the rows of one workload do not depend on which
+// other workloads share the suite, and the render step sees the full
+// row slices in canonical suite order either way.
 
-// TableSpec is one shared replay of an experiment's plan and the tables
+// tableSpec is one shared replay of an experiment's plan and the tables
 // it renders. Run computes the spec's typed rows table-major — one row
 // slice per table ([][]CharRow, [][]OracleRow, ...) — for every workload
-// of the given suite, or once from its configuration for a Whole spec;
+// of the given suite, or once from its configuration for a whole spec;
 // Render turns merged rows back into the exact tables the experiment
 // index produces. All parametrization (LLC geometry, policy lists,
 // protection strength) is captured when the spec is built by PlanFor, so
 // coordinator and worker agree on it by construction.
-type TableSpec struct {
+type tableSpec struct {
 	// Kind tags the row type for the wire codec (EncodeRows/DecodeRows).
 	Kind string
 	// Titles are the rendered tables' titles, one per table.
 	Titles []string
-	// Whole marks a spec that runs once per job over the suite's
+	// whole marks a spec that runs once per job over the suite's
 	// configuration rather than once per workload: it builds the streams
-	// it reads itself, so it runs on a BareSuite.
-	Whole bool
-	// Reads names the workloads whose request-seed streams a whole spec
+	// it reads itself, so it runs on a bare suite.
+	whole bool
+	// reads names the workloads whose request-seed streams a whole spec
 	// prepares, so a scheduler can place those streams ahead of the run.
-	Reads []string
+	reads []string
 	Run   func(s *Suite) (any, error)
 	// Render accepts the merged rows (nil renders empty tables) and
 	// returns one table per title.
@@ -50,10 +52,10 @@ type TableSpec struct {
 	codec  rowCodec
 }
 
-// tablesSpec builds a TableSpec of len(titles) tables from a typed runner
+// tablesSpec builds a tableSpec of len(titles) tables from a typed runner
 // and a one-table renderer.
-func tablesSpec[T any](kind string, titles []string, run func(*Suite) ([][]T, error), render func(string, []T) *report.Table) TableSpec {
-	return TableSpec{
+func tablesSpec[T any](kind string, titles []string, run func(*Suite) ([][]T, error), render func(string, []T) *report.Table) tableSpec {
+	return tableSpec{
 		Kind:   kind,
 		Titles: titles,
 		codec:  codecOf[T](kind),
@@ -72,8 +74,8 @@ func tablesSpec[T any](kind string, titles []string, run func(*Suite) ([][]T, er
 	}
 }
 
-// newSpec builds a one-table TableSpec.
-func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render func(string, []T) *report.Table) TableSpec {
+// newSpec builds a one-table tableSpec.
+func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render func(string, []T) *report.Table) tableSpec {
 	return tablesSpec(kind, []string{title}, func(s *Suite) ([][]T, error) {
 		rows, err := run(s)
 		return [][]T{rows}, err
@@ -82,9 +84,9 @@ func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render fu
 
 // wholeSpec marks sp as running once per job, reading the request-seed
 // streams of reads.
-func wholeSpec(sp TableSpec, reads []string) []TableSpec {
-	sp.Whole, sp.Reads = true, reads
-	return []TableSpec{sp}
+func wholeSpec(sp tableSpec, reads []string) []tableSpec {
+	sp.whole, sp.reads = true, reads
+	return []tableSpec{sp}
 }
 
 // PlanFor returns the table plan for one experiment id under the given
@@ -92,24 +94,24 @@ func wholeSpec(sp TableSpec, reads []string) []TableSpec {
 // suite), which read no stream and run through Experiment.Run alone.
 // m1 (multiprogrammed mixes) and a5 (per-seed sub-suites) build their
 // own streams, so each is one whole-job spec.
-func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
-	charSpec := func(title string, size int, render func(string, []CharRow) *report.Table) TableSpec {
+func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
+	charSpec := func(title string, size int, render func(string, []CharRow) *report.Table) tableSpec {
 		return newSpec("char", title,
 			func(s *Suite) ([]CharRow, error) { return s.Characterize(size, o.LLCWays) }, render)
 	}
-	oracleSpec := func(titles []string, sizes, ways []int, names []string, opts ...core.Options) TableSpec {
+	oracleSpec := func(titles []string, sizes, ways []int, names []string, opts ...core.Options) tableSpec {
 		return tablesSpec("oracle", titles,
 			func(s *Suite) ([][]OracleRow, error) { return s.oracleTables(sizes, ways, names, opts) }, oracleTable)
 	}
 	switch id {
 	case "f1":
-		return []TableSpec{charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, charTable)}, true
+		return []tableSpec{charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, charTable)}, true
 	case "f2":
-		return []TableSpec{charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, charTable)}, true
+		return []tableSpec{charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, charTable)}, true
 	case "f3":
-		return []TableSpec{charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, degreeTable)}, true
+		return []tableSpec{charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, degreeTable)}, true
 	case "f4":
-		return []TableSpec{newSpec("policy", fmt.Sprintf("F4: policy comparison (%s LLC)", mbLabel(o.LLCSize)),
+		return []tableSpec{newSpec("policy", fmt.Sprintf("F4: policy comparison (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PolicyRow, error) { return s.ComparePolicies(o.LLCSize, o.LLCWays, nil) },
 			policyTable)}, true
 	case "f5":
@@ -120,27 +122,27 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		for _, size := range sizes {
 			titles = append(titles, fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength))
 		}
-		return []TableSpec{oracleSpec(titles, sizes, []int{o.LLCWays}, o.Policies, o.Prot)}, true
+		return []tableSpec{oracleSpec(titles, sizes, []int{o.LLCWays}, o.Policies, o.Prot)}, true
 	case "f7":
-		return []TableSpec{newSpec("predictor", fmt.Sprintf("F7: fill-time sharing predictor accuracy (%s LLC, LRU)", mbLabel(o.LLCSize)),
+		return []tableSpec{newSpec("predictor", fmt.Sprintf("F7: fill-time sharing predictor accuracy (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PredictorRow, error) {
 				return s.PredictorAccuracy(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil)
 			},
 			predictorTable)}, true
 	case "f8":
-		return []TableSpec{newSpec("driven", fmt.Sprintf("F8: predictor-driven replacement (%s LLC, LRU base)", mbLabel(o.LLCSize)),
+		return []tableSpec{newSpec("driven", fmt.Sprintf("F8: predictor-driven replacement (%s LLC, LRU base)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]DrivenRow, error) {
 				return s.PredictorDriven(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil, o.Prot)
 			},
 			drivenTable)}, true
 	case "f9":
-		return []TableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
+		return []tableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
 			func(s *Suite) ([]phaseRow, error) { return s.sharingPhases(0) }, phaseTable)}, true
 	case "c1":
-		return []TableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
+		return []tableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
 			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable)}, true
 	case "c2":
-		return []TableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
+		return []tableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
 			func(s *Suite) ([]reuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable)}, true
 	case "m1":
 		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
@@ -152,7 +154,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		for _, p := range []core.Options{insert, full} {
 			titles = append(titles, fmt.Sprintf("A1: oracle with %s protection (%s LLC)", p.Strength, mbLabel(o.LLCSize)))
 		}
-		return []TableSpec{oracleSpec(titles, []int{o.LLCSize}, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
+		return []tableSpec{oracleSpec(titles, []int{o.LLCSize}, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
 	case "a2":
 		var titles []string
 		var cfgs []predictor.Config
@@ -160,7 +162,7 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 			titles = append(titles, fmt.Sprintf("A2: predictor accuracy with 2^%d-entry tables (%s LLC)", bits, mbLabel(o.LLCSize)))
 			cfgs = append(cfgs, predictor.Config{TableBits: bits})
 		}
-		return []TableSpec{tablesSpec("predictor", titles, func(s *Suite) ([][]PredictorRow, error) {
+		return []tableSpec{tablesSpec("predictor", titles, func(s *Suite) ([][]PredictorRow, error) {
 			return s.predictorTables(o.LLCSize, o.LLCWays, cfgs, []string{"addr", "pc"})
 		}, predictorTable)}, true
 	case "a3":
@@ -169,9 +171,9 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 		for _, w := range ways {
 			titles = append(titles, fmt.Sprintf("A3: oracle gain at %d-way associativity (%s LLC)", w, mbLabel(o.LLCSize)))
 		}
-		return []TableSpec{oracleSpec(titles, []int{o.LLCSize}, ways, []string{"lru"}, o.Prot)}, true
+		return []tableSpec{oracleSpec(titles, []int{o.LLCSize}, ways, []string{"lru"}, o.Prot)}, true
 	case "a4":
-		return []TableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
+		return []tableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]horizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
 			horizonTable)}, true
 	case "a5":
@@ -181,39 +183,149 @@ func PlanFor(id string, o ExpOptions) ([]TableSpec, bool) {
 	return nil, false
 }
 
-// planRun adapts an experiment's plan back into the Experiment.Run
-// signature: every spec runs over the whole suite and renders directly.
-// Keeping the index entries on this path guarantees the local and
-// distributed executions can never drift — there is only one definition
-// of each table.
-func planRun(id string) func(s *Suite, o ExpOptions) ([]*report.Table, error) {
-	return func(s *Suite, o ExpOptions) ([]*report.Table, error) {
-		specs, ok := PlanFor(id, o)
-		if !ok {
-			return nil, fmt.Errorf("sim: experiment %q has no table plan", id)
-		}
-		out := make([]*report.Table, 0, len(specs))
-		for _, sp := range specs {
-			rows, err := sp.Run(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sp.Render(rows)...)
-		}
-		return out, nil
+// Cell is one unit of a job's plan: a spec index and the workload the
+// spec runs over, empty for a whole spec. The cluster leases one bundle
+// per cell.
+type Cell struct {
+	Spec     int
+	Workload string
+}
+
+// Job is the plan of one job: the one place that decides its cells,
+// the suite each runs on and how their rows merge into the tables a
+// whole-suite Experiment.Run renders.
+type Job struct {
+	// Cells are in merge order: spec-major, one per workload in the
+	// suite's model order, or one with no workload for a whole spec.
+	Cells []Cell
+	req   JobRequest
+	specs []tableSpec
+	reads map[Cell][]workloads.Model // unscaled: the cell's workload, or a whole spec's reads
+}
+
+// PlanJob plans the normalized job req. ok is false for an experiment
+// without a table plan (config, suite) or a workload the suite lacks.
+func PlanJob(req JobRequest) (Job, bool) {
+	specs, ok := PlanFor(req.Exp, req.Options())
+	suite, err := ModelsByName(req.Workloads)
+	if !ok || err != nil {
+		return Job{}, false
 	}
+	if len(suite) == 0 {
+		suite = workloads.Suite()
+	}
+	j := Job{req: req, specs: specs, reads: map[Cell][]workloads.Model{}}
+	for si, sp := range specs {
+		if sp.whole {
+			c := Cell{Spec: si}
+			j.Cells = append(j.Cells, c)
+			j.reads[c], _ = ModelsByName(sp.reads) // catalogue names
+			continue
+		}
+		for _, m := range suite {
+			c := Cell{Spec: si, Workload: m.Name}
+			j.Cells, j.reads[c] = append(j.Cells, c), []workloads.Model{m}
+		}
+	}
+	return j, true
+}
+
+// Check refuses a cell the plan does not hold: a spec index out of
+// range, a workload on a whole spec or a workload outside the job.
+func (j Job) Check(c Cell) error {
+	if _, ok := j.reads[c]; !ok {
+		return fmt.Errorf("%q (%d specs) has no cell of spec %d and workload %q", j.req.Exp, len(j.specs), c.Spec, c.Workload)
+	}
+	return nil
+}
+
+// Reads lists the scaled models whose request-seed streams the cell
+// reads, so a scheduler can place those streams ahead of the run.
+func (j Job) Reads(c Cell) []workloads.Model {
+	out := make([]workloads.Model, len(j.reads[c]))
+	for i, m := range j.reads[c] {
+		out[i] = scaleModel(m, j.req.Scale)
+	}
+	return out
+}
+
+// Run returns one cell's rows. cfg supplies the machine, the stream
+// provider and the lane memo; the request supplies the seed, the scale
+// and the models the cell reads, which a whole spec builds itself.
+func (j Job) Run(ctx context.Context, cfg Config, c Cell) (any, error) {
+	if err := j.Check(c); err != nil {
+		return nil, err
+	}
+	sp := j.specs[c.Spec]
+	cfg.Seed, cfg.Scale, cfg.Models = j.req.Seed, j.req.Scale, j.reads[c]
+	s, err := suiteFor(ctx, cfg, []tableSpec{sp})
+	if err != nil {
+		return nil, err
+	}
+	return sp.Run(s)
+}
+
+// Decode decodes the wire rows (EncodeRows of Run) of c, one of Cells,
+// refusing rows without exactly one row slice per table of its spec.
+func (j Job) Decode(c Cell, data []byte) (any, error) {
+	sp := j.specs[c.Spec]
+	return sp.codec.decode(data, len(sp.Titles))
+}
+
+// Tables merges every cell's rows, given in the order of Cells, table
+// by table onto each spec's first rows, and renders them: the bytes a
+// whole-suite Experiment.Run renders. Rows of another kind or table
+// count are an error.
+func (j Job) Tables(rows []any) ([]*report.Table, error) {
+	if len(rows) != len(j.Cells) {
+		return nil, fmt.Errorf("sim: rows of %d cells for a job of %d", len(rows), len(j.Cells))
+	}
+	merged := make([]any, len(j.specs))
+	for i, c := range j.Cells {
+		var err error
+		sp := j.specs[c.Spec]
+		if merged[c.Spec], err = sp.codec.merge(merged[c.Spec], rows[i], len(sp.Titles)); err != nil {
+			return nil, err
+		}
+	}
+	var out []*report.Table
+	for si, sp := range j.specs {
+		out = append(out, sp.Render(merged[si])...)
+	}
+	return out, nil
+}
+
+// suiteFor is the one choice of the suite specs run on, for a job's cell
+// and a direct run alike: cfg's streams when some spec runs per workload,
+// a bare suite when all are whole (each builds what it reads), else none.
+func suiteFor(ctx context.Context, cfg Config, specs []tableSpec) (*Suite, error) {
+	for _, sp := range specs {
+		if !sp.whole {
+			return NewSuiteContext(ctx, cfg)
+		}
+	}
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	return bareSuite(ctx, cfg)
 }
 
 // rowCodec decodes and merges one row kind's table-major rows for the
-// cluster wire format. When tables is positive, decode refuses rows of
-// another table count.
+// cluster wire format. When tables is positive, decode and merge refuse
+// rows of another table count.
 type rowCodec struct {
 	decode func(data []byte, tables int) (any, error)
-	merge  func(dst, src any) any
+	merge  func(dst, src any, tables int) (any, error)
 }
 
 // codecOf is the codec of kind's rows, of type T.
 func codecOf[T any](kind string) rowCodec {
+	count := func(v [][]T, tables int) (any, error) {
+		if tables > 0 && len(v) != tables {
+			return nil, fmt.Errorf("sim: %s rows of %d tables, want %d", kind, len(v), tables)
+		}
+		return v, nil
+	}
 	return rowCodec{
 		decode: func(data []byte, tables int) (any, error) {
 			var v [][]T
@@ -225,20 +337,24 @@ func codecOf[T any](kind string) rowCodec {
 			if _, err := dec.Token(); err != io.EOF {
 				return nil, fmt.Errorf("sim: decoding %s rows: trailing data", kind)
 			}
-			if tables > 0 && len(v) != tables {
-				return nil, fmt.Errorf("sim: %s rows of %d tables, want %d", kind, len(v), tables)
-			}
-			return v, nil
+			return count(v, tables)
 		},
-		merge: func(dst, src any) any {
-			if dst == nil {
-				return src
+		merge: func(dst, src any, tables int) (any, error) {
+			s, ok := src.([][]T)
+			if !ok {
+				return nil, fmt.Errorf("sim: merging %T as %s rows", src, kind)
 			}
-			d, s := dst.([][]T), src.([][]T)
+			if dst == nil {
+				return count(s, tables)
+			}
+			d := dst.([][]T)
+			if _, err := count(s, len(d)); err != nil {
+				return nil, err
+			}
 			for t := range d {
 				d[t] = append(d[t], s[t]...)
 			}
-			return d
+			return d, nil
 		},
 	}
 }
@@ -280,12 +396,6 @@ func DecodeRows(kind string, data []byte) (any, error) {
 	return c.decode(data, 0)
 }
 
-// DecodeRows decodes a bundle result of sp: DecodeRows of its kind,
-// refused unless it holds exactly one row slice per table of sp.
-func (sp TableSpec) DecodeRows(data []byte) (any, error) {
-	return sp.codec.decode(data, len(sp.Titles))
-}
-
 // MergeRows appends src onto dst table by table (both the kind's
 // table-major rows of the same table count; dst may be nil). Callers
 // append workload by workload in canonical suite order, which
@@ -295,5 +405,5 @@ func MergeRows(kind string, dst, src any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown row kind %q", kind)
 	}
-	return c.merge(dst, src), nil
+	return c.merge(dst, src, 0)
 }

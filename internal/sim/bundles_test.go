@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/report"
+	"sharellc/internal/workloads"
 )
 
 func planTestConfig(t *testing.T, names []string) Config {
@@ -84,7 +86,7 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 
 	for _, id := range ExperimentIDs() {
 		specs, ok := PlanFor(id, opts)
-		if !ok || specs[0].Whole {
+		if !ok || specs[0].whole {
 			continue
 		}
 		exp, err := ExperimentByID(id)
@@ -107,7 +109,7 @@ func TestPlanMatchesCatalogue(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: encode: %v", id, err)
 				}
-				decoded, err := sp.DecodeRows(wire)
+				decoded, err := sp.codec.decode(wire, len(sp.Titles))
 				if err != nil {
 					t.Fatalf("%s: decode: %v", id, err)
 				}
@@ -169,11 +171,11 @@ func TestPlanForCatalogue(t *testing.T) {
 		}
 		for i, sp := range specs {
 			whole := id == "m1" || id == "a5"
-			if sp.Whole != whole || (whole && len(specs) != 1) {
-				t.Errorf("%s spec %d: Whole = %v among %d specs", id, i, sp.Whole, len(specs))
+			if sp.whole != whole || (whole && len(specs) != 1) {
+				t.Errorf("%s spec %d: Whole = %v among %d specs", id, i, sp.whole, len(specs))
 			}
-			if (len(sp.Reads) > 0) != (id == "a5") {
-				t.Errorf("%s spec %d reads %v", id, i, sp.Reads)
+			if (len(sp.reads) > 0) != (id == "a5") {
+				t.Errorf("%s spec %d reads %v", id, i, sp.reads)
 			}
 		}
 	}
@@ -212,17 +214,17 @@ func TestDecodeRowsStrict(t *testing.T) {
 	}
 }
 
-// TestSpecDecodeRowsCountsTables: a spec refuses a result that does not
-// hold exactly one row array per table of it.
+// TestSpecDecodeRowsCountsTables: a job's plan refuses a cell's result
+// that does not hold exactly one row array per table of its spec.
 func TestSpecDecodeRowsCountsTables(t *testing.T) {
-	specs, _ := PlanFor("a2", planTestOptions())
-	sp := specs[0]
-	if _, err := sp.DecodeRows([]byte(`[[],[],[],null]`)); err != nil {
+	plan, _ := PlanJob(JobRequest{Exp: "a2", Request: Request{LLCMB: 4, Ways: 16, Seed: 1, Scale: 1}})
+	cell := plan.Cells[0]
+	if _, err := plan.Decode(cell, []byte(`[[],[],[],null]`)); err != nil {
 		t.Errorf("a2 refused four tables: %v", err)
 	}
 	for _, body := range []string{`null`, `[]`, `[[],[],[]]`, `[[],[],[],[],[]]`} {
-		if _, err := sp.DecodeRows([]byte(body)); err == nil {
-			t.Errorf("a2 (%d tables) accepted %s", len(sp.Titles), body)
+		if _, err := plan.Decode(cell, []byte(body)); err == nil {
+			t.Errorf("a2 (%d tables) accepted %s", len(plan.specs[0].Titles), body)
 		}
 	}
 }
@@ -252,7 +254,7 @@ func TestBareSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := BareSuite(context.Background(), cfg)
+	bare, err := bareSuite(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestBareSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sp.DecodeRows(wire)
+		got, err := sp.codec.decode(wire, len(sp.Titles))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +281,167 @@ func TestBareSuite(t *testing.T) {
 			t.Errorf("%s: bare-suite table differs from the prepared suite's:\nwant %s\ngot  %s", id, w, g)
 		}
 	}
-	if _, err := BareSuite(context.Background(), Config{}); err == nil {
-		t.Error("BareSuite accepted a zero scale")
+	if _, err := bareSuite(context.Background(), Config{}); err == nil {
+		t.Error("bareSuite accepted a zero scale")
+	}
+}
+
+// planJob plans a normalized request of exp over workloads.
+func planJob(t *testing.T, exp string, workloads ...string) (JobRequest, Job) {
+	t.Helper()
+	req := JobRequest{Exp: exp, Request: Request{LLCMB: 0.125, Ways: 16, Scale: 0.02, Workloads: workloads}}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	plan, ok := PlanJob(req)
+	if !ok {
+		t.Fatalf("%s over %v: no plan", exp, workloads)
+	}
+	return req, plan
+}
+
+// TestPlanJobCells: a job's cells come out spec-major, one per workload
+// in the suite's model order (the request's sorted list, or the full
+// suite's catalogue order), or one with no workload for a whole spec,
+// and each cell reads the request-scale models of its streams: its
+// workload's, a5's six, m1's none. Static experiments have no plan.
+func TestPlanJobCells(t *testing.T) {
+	names := func(ms []workloads.Model) []string {
+		var out []string
+		for _, m := range ms {
+			out = append(out, m.Name)
+		}
+		return out
+	}
+	var want []Cell
+	for _, name := range []string{"canneal", "swaptions"} {
+		want = append(want, Cell{Spec: 0, Workload: name})
+	}
+	if _, plan := planJob(t, "f5", "swaptions", "canneal"); !reflect.DeepEqual(plan.Cells, want) {
+		t.Errorf("f5 over swaptions and canneal: cells %v, want %v", plan.Cells, want)
+	}
+	want = nil
+	for _, m := range workloads.Suite() {
+		want = append(want, Cell{Spec: 0, Workload: m.Name})
+	}
+	req, plan := planJob(t, "f4")
+	if !reflect.DeepEqual(plan.Cells, want) {
+		t.Errorf("f4 over the full suite: cells %v, want %v", plan.Cells, want)
+	}
+	for _, c := range plan.Cells {
+		m, err := workloads.ByName(c.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Reads(c); !reflect.DeepEqual(got, []workloads.Model{m.Scaled(req.Scale)}) {
+			t.Errorf("f4 cell %v reads %v, want %s at scale %g", c, names(got), c.Workload, req.Scale)
+		}
+	}
+	for _, c := range []struct {
+		exp   string
+		reads []string
+	}{{"m1", nil}, {"a5", a5Workloads()}} {
+		_, plan := planJob(t, c.exp, "canneal")
+		if want := []Cell{{Spec: 0}}; !reflect.DeepEqual(plan.Cells, want) {
+			t.Errorf("%s: cells %v, want %v", c.exp, plan.Cells, want)
+		}
+		if got := names(plan.Reads(plan.Cells[0])); !reflect.DeepEqual(got, c.reads) {
+			t.Errorf("%s reads %v, want %v", c.exp, got, c.reads)
+		}
+	}
+	for _, req := range []JobRequest{{Exp: "config"}, {Exp: "suite"}, {Exp: "nope"},
+		{Exp: "f1", Request: Request{Workloads: []string{"doom"}}}} {
+		if _, ok := PlanJob(req); ok {
+			t.Errorf("%+v: planned", req)
+		}
+	}
+}
+
+// TestPlanJobCheck: Check holds a cell to the plan, refusing the cells a
+// worker must refuse in a leased bundle.
+func TestPlanJobCheck(t *testing.T) {
+	_, f1 := planJob(t, "f1", "canneal", "streamcluster", "swaptions")
+	_, a5 := planJob(t, "a5", "canneal")
+	for _, c := range []struct {
+		name string
+		plan Job
+		cell Cell
+		ok   bool
+	}{
+		{"f1 over canneal", f1, Cell{Spec: 0, Workload: "canneal"}, true},
+		{"a5's whole spec", a5, Cell{Spec: 0}, true},
+		{"spec out of range", f1, Cell{Spec: 99, Workload: "canneal"}, false},
+		{"negative spec", f1, Cell{Spec: -2, Workload: "canneal"}, false},
+		{"the old whole-experiment spec", a5, Cell{Spec: -1}, false},
+		{"workload outside the job", f1, Cell{Spec: 0, Workload: "lu"}, false},
+		{"per-workload spec without a workload", f1, Cell{Spec: 0}, false},
+		{"whole-job spec with a workload", a5, Cell{Spec: 0, Workload: "canneal"}, false},
+	} {
+		if err := c.plan.Check(c.cell); (err == nil) != c.ok {
+			t.Errorf("%s: Check(%+v) = %v, want ok %v", c.name, c.cell, err, c.ok)
+		}
+	}
+}
+
+// TestPlanJobTablesCountsTables: Tables refuses rows that do not hold one
+// row slice per table of their cell's spec, rows of another kind and
+// rows of another cell count, and renders one table per title.
+func TestPlanJobTablesCountsTables(t *testing.T) {
+	_, plan := planJob(t, "a2", "canneal", "swaptions")
+	four := [][]PredictorRow{nil, nil, nil, nil}
+	if tabs, err := plan.Tables([]any{four, [][]PredictorRow{nil, nil, nil, nil}}); err != nil || len(tabs) != 4 {
+		t.Errorf("a2 with four tables per cell: %d tables, error %v; want 4 and none", len(tabs), err)
+	}
+	for _, rows := range [][]any{
+		{four, [][]PredictorRow{nil, nil, nil}},
+		{[][]PredictorRow{nil, nil, nil, nil, nil}, four},
+		{[][]PredictorRow{}, [][]PredictorRow{}},
+		{four, [][]PolicyRow{nil, nil, nil, nil}},
+		{four},
+	} {
+		if _, err := plan.Tables(rows); err == nil {
+			t.Errorf("a2 (4 tables, 2 cells) accepted %d cells' rows of %v tables", len(rows), rows)
+		}
+	}
+}
+
+// TestPlanJobMatchesRunExperiments: a job run cell by cell through its
+// plan, its rows shipped through the wire codec and merged by Tables,
+// renders the bytes of the direct path over the whole suite.
+func TestPlanJobMatchesRunExperiments(t *testing.T) {
+	for _, exp := range []string{"f1", "a2"} {
+		req, plan := planJob(t, exp, "swaptions", "canneal")
+		var rows []any
+		for _, c := range plan.Cells {
+			r, err := plan.Run(context.Background(), Config{Machine: cache.DefaultConfig()}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := EncodeRows(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := plan.Decode(c, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, decoded)
+		}
+		got, err := plan.Tables(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := req.Config(cache.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*report.Table
+		if err := RunExperiments(context.Background(), cfg, []string{exp}, req.Options(), nil,
+			func(ts []*report.Table) error { want = ts; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := tableJSON(t, got), tableJSON(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s: plan tables differ from the direct path\nwant:\n%s\ngot:\n%s", exp, w, g)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func TestPinM1OracleGainsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BareSuite(context.Background(), cfg)
+		s, err := bareSuite(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPinM1OracleGainsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k := range ms {
-				ms[k] = ScaleModel(ms[k], cfg.Scale)
+				ms[k] = scaleModel(ms[k], cfg.Scale)
 			}
 			st, err := buildMixStream(ms, cfg.Machine, seed)
 			if err != nil {

@@ -185,43 +185,36 @@ func (r Request) Config(machine cache.Config) (Config, error) {
 
 // RunExperiments is the direct path from a request to its tables, the one
 // every front end takes. It resolves every id first, so an unknown one
-// fails before any work; prepares the suite cfg describes, under ctx,
-// only when some requested spec reads its streams (a run of whole-job
-// specs alone gets a BareSuite); then runs the experiments over it in
-// order, handing each one's tables to emit before the next starts.
-// progress, when non-nil, receives the experiments' per-workload
-// completions; cfg.Progress reports the preparation. The experiments
-// share cfg.Lanes, or a lane memo of the call's own when it is nil, so a
-// lane that several of them replay runs once.
+// fails before any work; prepares the suite cfg describes, under ctx, as
+// a job's cell does (suiteFor: its streams only when some requested spec
+// reads them per workload); then runs the experiments over it in order,
+// handing each one's tables to emit before the next starts. progress,
+// when non-nil, receives the experiments' per-workload completions;
+// cfg.Progress reports the preparation. The experiments share cfg.Lanes,
+// or a lane memo of the call's own when it is nil, so a lane that
+// several of them replay runs once.
 func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 	progress func(done, total int, label string), emit func([]*report.Table) error) error {
 	if cfg.Lanes == nil {
 		cfg.Lanes = NewLaneMemo()
 	}
 	exps := make([]Experiment, len(ids))
-	var prepare func(context.Context, Config) (*Suite, error)
+	var specs []tableSpec
 	for i, id := range ids {
 		e, err := ExperimentByID(id)
 		if err != nil {
 			return err
 		}
 		exps[i] = e
-		specs, _ := PlanFor(e.ID, o)
-		for _, sp := range specs {
-			if !sp.Whole {
-				prepare = NewSuiteContext
-			} else if prepare == nil {
-				prepare = BareSuite
-			}
-		}
+		plan, _ := PlanFor(e.ID, o)
+		specs = append(specs, plan...)
 	}
-	var suite *Suite
-	if prepare != nil {
-		s, err := prepare(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		suite = s.withProgress(progress)
+	suite, err := suiteFor(ctx, cfg, specs)
+	if err != nil {
+		return err
+	}
+	if suite != nil {
+		suite = suite.withProgress(progress)
 	}
 	for _, e := range exps {
 		tables, err := e.Run(suite, o)
@@ -248,34 +241,62 @@ func DefaultExpOptions() ExpOptions {
 type Experiment struct {
 	ID    string
 	Title string // short human description for catalogues (-exp listings, /v1/experiments)
-	// NeedsSuite is false for the static description tables (config,
-	// suite), whose Run ignores the *Suite argument entirely.
-	NeedsSuite bool
-	Run        func(s *Suite, o ExpOptions) ([]*report.Table, error)
+	// static renders the description table of an experiment PlanFor has
+	// no plan for (config, suite).
+	static func() *report.Table
+}
+
+// NeedsSuite reports whether the experiment reads streams: whether
+// PlanFor has a plan for it. The static description tables (config,
+// suite) do not, and their Run ignores the *Suite argument.
+func (e Experiment) NeedsSuite() bool {
+	_, ok := PlanFor(e.ID, DefaultExpOptions())
+	return ok
+}
+
+// Run renders the experiment's tables: every spec of its plan over the
+// whole suite s, or its static table.
+func (e Experiment) Run(s *Suite, o ExpOptions) ([]*report.Table, error) {
+	specs, ok := PlanFor(e.ID, o)
+	if !ok {
+		return []*report.Table{e.static()}, nil
+	}
+	if s == nil {
+		return nil, fmt.Errorf("sim: experiment %q needs a prepared suite", e.ID)
+	}
+	var out []*report.Table
+	for _, sp := range specs {
+		rows, err := sp.Run(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sp.Render(rows)...)
+	}
+	return out, nil
 }
 
 // Experiments returns the full index in presentation order (the order
 // `-exp all` runs them).
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "config", Title: "T1: the simulated machine configuration", Run: runConfig},
-		{ID: "suite", Title: "T2: the workload suite and its sharing parameters", Run: runSuiteTable},
-		{ID: "f1", Title: "shared vs. private LLC hit volume (default-size LLC)", NeedsSuite: true, Run: planRun("f1")},
-		{ID: "f2", Title: "shared vs. private LLC hit volume (doubled LLC)", NeedsSuite: true, Run: planRun("f2")},
-		{ID: "f3", Title: "sharing-degree distribution", NeedsSuite: true, Run: planRun("f3")},
-		{ID: "f4", Title: "policy comparison vs. LRU and Belady OPT", NeedsSuite: true, Run: planRun("f4")},
-		{ID: "f5", Title: "oracle study at both LLC sizes (per-workload rows = F6)", NeedsSuite: true, Run: planRun("f5")},
-		{ID: "f7", Title: "fill-time predictor accuracy", NeedsSuite: true, Run: planRun("f7")},
-		{ID: "f8", Title: "predictor-driven replacement vs. the oracle ceiling", NeedsSuite: true, Run: planRun("f8")},
-		{ID: "f9", Title: "sharing-phase stability (why the predictors fail)", NeedsSuite: true, Run: planRun("f9")},
-		{ID: "c1", Title: "coherence-protocol traffic characterization (extension)", NeedsSuite: true, Run: planRun("c1")},
-		{ID: "c2", Title: "reuse-distance distributions by sharing class (extension)", NeedsSuite: true, Run: planRun("c2")},
-		{ID: "m1", Title: "oracle on multiprogrammed mixes (motivating contrast)", NeedsSuite: true, Run: planRun("m1")},
-		{ID: "a1", Title: "ablation: protection strength (insert-only vs. full)", NeedsSuite: true, Run: planRun("a1")},
-		{ID: "a2", Title: "ablation: predictor table-size sweep", NeedsSuite: true, Run: planRun("a2")},
-		{ID: "a3", Title: "ablation: LLC associativity sweep", NeedsSuite: true, Run: planRun("a3")},
-		{ID: "a4", Title: "ablation: oracle sharing-horizon sweep", NeedsSuite: true, Run: planRun("a4")},
-		{ID: "a5", Title: "ablation: seed robustness of the oracle gain", NeedsSuite: true, Run: planRun("a5")},
+		{ID: "config", Title: "T1: the simulated machine configuration", static: configTable},
+		{ID: "suite", Title: "T2: the workload suite and its sharing parameters", static: suiteTable},
+		{ID: "f1", Title: "shared vs. private LLC hit volume (default-size LLC)"},
+		{ID: "f2", Title: "shared vs. private LLC hit volume (doubled LLC)"},
+		{ID: "f3", Title: "sharing-degree distribution"},
+		{ID: "f4", Title: "policy comparison vs. LRU and Belady OPT"},
+		{ID: "f5", Title: "oracle study at both LLC sizes (per-workload rows = F6)"},
+		{ID: "f7", Title: "fill-time predictor accuracy"},
+		{ID: "f8", Title: "predictor-driven replacement vs. the oracle ceiling"},
+		{ID: "f9", Title: "sharing-phase stability (why the predictors fail)"},
+		{ID: "c1", Title: "coherence-protocol traffic characterization (extension)"},
+		{ID: "c2", Title: "reuse-distance distributions by sharing class (extension)"},
+		{ID: "m1", Title: "oracle on multiprogrammed mixes (motivating contrast)"},
+		{ID: "a1", Title: "ablation: protection strength (insert-only vs. full)"},
+		{ID: "a2", Title: "ablation: predictor table-size sweep"},
+		{ID: "a3", Title: "ablation: LLC associativity sweep"},
+		{ID: "a4", Title: "ablation: oracle sharing-horizon sweep"},
+		{ID: "a5", Title: "ablation: seed robustness of the oracle gain"},
 	}
 }
 
@@ -329,7 +350,7 @@ func mbLabel(size int) string {
 	return fmt.Sprintf("%gMB", float64(size)/float64(cache.MB))
 }
 
-func runConfig(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
+func configTable() *report.Table {
 	t := report.NewTable("T1: simulated machine configuration", "component", "value")
 	c := cache.DefaultConfig()
 	t.MustRow("cores", fmt.Sprintf("%d", c.Cores))
@@ -338,10 +359,10 @@ func runConfig(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
 	t.MustRow("LLC (shared)", fmt.Sprintf("4MB and 8MB, %d-way, 64B blocks, policy under study", c.LLCWays))
 	t.MustRow("policies", strings.Join(policy.Names(1), ", "))
 	t.Note = "functional (miss-count) model; inclusive LLC available via cache.System"
-	return []*report.Table{t}, nil
+	return t
 }
 
-func runSuiteTable(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
+func suiteTable() *report.Table {
 	t := report.NewTable("T2: workload suite",
 		"workload", "suite", "threads", "refs", "footprint", "sh-RO%", "sh-RW%", "wr%", "description")
 	for _, m := range workloads.Suite() {
@@ -352,7 +373,7 @@ func runSuiteTable(_ *Suite, _ ExpOptions) ([]*report.Table, error) {
 			stats.Pct(m.FracSharedRO), stats.Pct(m.FracSharedRW), stats.Pct(m.WriteFrac),
 			m.Description)
 	}
-	return []*report.Table{t}, nil
+	return t
 }
 
 // m1Mixes are M1's three canonical 8-program multiprogrammed mixes drawn
@@ -372,7 +393,7 @@ func m1Rows(s *Suite, o ExpOptions) ([]OracleRow, error) {
 			return nil, err
 		}
 		for i := range ms {
-			ms[i] = ScaleModel(ms[i], s.Config.Scale)
+			ms[i] = scaleModel(ms[i], s.Config.Scale)
 		}
 		mixes = append(mixes, ms)
 	}

@@ -39,7 +39,7 @@ func TestExperimentIndexComplete(t *testing.T) {
 		t.Errorf("ExperimentIDs() = %v, want %v", got, want)
 	}
 	for _, e := range Experiments() {
-		if e.Run == nil {
+		if _, ok := PlanFor(e.ID, DefaultExpOptions()); !ok && e.static == nil {
 			t.Errorf("experiment %s has no runner", e.ID)
 		}
 		if e.Title == "" {
@@ -67,7 +67,7 @@ func TestStaticExperimentsRunWithoutSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.NeedsSuite {
+		if e.NeedsSuite() {
 			t.Errorf("%s should not need a suite", id)
 		}
 		tables, err := e.Run(nil, DefaultExpOptions())

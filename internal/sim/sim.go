@@ -207,7 +207,7 @@ type Suite struct {
 	// ctx, when non-nil, cancels every experiment run on the suite: the
 	// outer fan-out stops claiming cells and the inner replay loops
 	// abort at their next poll (sharing.Options.Ctx). Set via
-	// NewSuiteContext or BareSuite.
+	// NewSuiteContext or bareSuite.
 	ctx context.Context
 	// progress, when non-nil, is invoked after each workload an
 	// experiment fan-out finishes, with the running completion count, the
@@ -216,23 +216,23 @@ type Suite struct {
 	progress func(done, total int, label string)
 }
 
-// ScaleModel is the one rule that scales a workload model to a run's
+// scaleModel is the one rule that scales a workload model to a run's
 // scale: at scale 1 the model is used as given. A stream's cache key
 // hashes the scaled model, so the suite, m1's mixes and the cluster's
 // stream references agree on every hash only by scaling through here.
-func ScaleModel(m workloads.Model, scale float64) workloads.Model {
+func scaleModel(m workloads.Model, scale float64) workloads.Model {
 	if scale != 1 {
 		return m.Scaled(scale)
 	}
 	return m
 }
 
-// BareSuite returns a suite carrying cfg and ctx but no prepared
+// bareSuite returns a suite carrying cfg and ctx but no prepared
 // streams: the suite a whole spec runs on, since it reads only the
 // configuration and builds its own streams. It validates cfg as
 // NewSuiteContext does. Running a per-workload spec on a bare suite is a
 // programming error.
-func BareSuite(ctx context.Context, cfg Config) (*Suite, error) {
+func bareSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("sim: non-positive scale %v", cfg.Scale)
 	}
@@ -252,7 +252,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 // context is retained so every later experiment run on the suite is
 // cancellable too.
 func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
-	s, err := BareSuite(ctx, cfg)
+	s, err := bareSuite(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	}
 	scaled := make([]workloads.Model, len(models))
 	for i, m := range models {
-		scaled[i] = ScaleModel(m, cfg.Scale)
+		scaled[i] = scaleModel(m, cfg.Scale)
 	}
 	build := cfg.Streams
 	if build == nil {
