@@ -79,7 +79,7 @@ type options struct {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("sharesim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "f1", "experiment id (config, suite, f1-f9, c1, c2, m1, a1-a5, all)")
+		exp      = fs.String("exp", "f1", "experiment id ("+strings.Join(append(sim.ExperimentIDs(), "all"), ", ")+")")
 		llcMB    = fs.Float64("llc", 4, "LLC size in MB")
 		ways     = fs.Int("ways", 16, "LLC associativity")
 		scale    = fs.Float64("scale", 1, "workload scale factor (1 = full size)")

@@ -2,9 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sharellc/internal/sim"
 )
 
 // runOK executes the CLI entry point with args and returns its stdout.
@@ -261,5 +267,32 @@ func TestCachedirWarmRunIdentical(t *testing.T) {
 	}
 	if warm := runOK(t, args...); warm != cold {
 		t.Errorf("warm run output differs from cold run:\n%s\nvs\n%s", warm, cold)
+	}
+}
+
+// TestUsageNamesEveryExperiment: the -exp help lists exactly the
+// experiment index's ids and "all", in index order.
+func TestUsageNamesEveryExperiment(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run(io.Discard, []string{"-h"})
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(string(usage), "\n  -exp string\n")
+	_, ids, _ := strings.Cut(line, "experiment id (")
+	ids, _, _ = strings.Cut(ids, ")")
+	if got, want := strings.Split(ids, ", "), append(sim.ExperimentIDs(), "all"); !reflect.DeepEqual(got, want) {
+		t.Errorf("-exp usage lists %q, want %q:\n%s", got, want, usage)
 	}
 }

@@ -48,7 +48,7 @@ func testRequest(exps []string) sim.JobRequest {
 }
 
 // goldenPath is internal/sim's catalogue golden, the byte-compare
-// reference: the SHA-256 of every table the direct path renders for
+// reference: the SHA-256 of every table sim.RunExperiments renders for
 // goldenRequest, filed under "<normalized job JSON>#<table index>".
 const goldenPath = "../sim/testdata/catalogue.golden"
 
@@ -144,7 +144,7 @@ func startWorker(t *testing.T, ctx context.Context, coordURL string, opts stream
 
 // TestClusterE2EByteIdentical: three workers over real HTTP execute one
 // job per experiment and the merged tables hash to the catalogue
-// golden, which the direct path must match too.
+// golden, which sim.RunExperiments must match too.
 // Every workload stream is built at most once cluster-wide: later
 // bundles peer-fetch instead of rebuilding. No result body a worker posts
 // comes within 8x of the control-body bound, so a row kind that grows
@@ -406,7 +406,7 @@ func TestNormalizeDefaultsAndKey(t *testing.T) {
 	if err := b.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() || bundleID(a.Key(), a.Exp, 0, "canneal") != bundleID(b.Key(), b.Exp, 0, "canneal") {
+	if a.Key() != b.Key() || bundleID(a.Key(), a.Exp, "canneal") != bundleID(b.Key(), b.Exp, "canneal") {
 		t.Error("omitted and explicit defaults hash differently")
 	}
 
@@ -428,15 +428,15 @@ func TestNormalizeDefaultsAndKey(t *testing.T) {
 // TestBundleIDDeterminism: same inputs, same ID; any differing input,
 // different ID.
 func TestBundleIDDeterminism(t *testing.T) {
-	base := bundleID("job", "f1", 0, "canneal")
-	if base != bundleID("job", "f1", 0, "canneal") {
+	base := bundleID("job", "f1", "canneal")
+	if base != bundleID("job", "f1", "canneal") {
 		t.Error("bundleID not deterministic")
 	}
 	for _, other := range []string{
-		bundleID("job2", "f1", 0, "canneal"),
-		bundleID("job", "f2", 0, "canneal"),
-		bundleID("job", "f1", 1, "canneal"),
-		bundleID("job", "f1", 0, "swaptions"),
+		bundleID("job2", "f1", "canneal"),
+		bundleID("job", "f2", "canneal"),
+		bundleID("job", "f1", "swaptions"),
+		bundleID("job", "f1", ""),
 	} {
 		if other == base {
 			t.Errorf("collision: %s", other)
@@ -444,12 +444,17 @@ func TestBundleIDDeterminism(t *testing.T) {
 	}
 }
 
+// TestCheckProto: the current protocol version passes without an
+// answer; another one is answered 400 with both versions named.
 func TestCheckProto(t *testing.T) {
-	if err := checkProto(protoVersion); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	if !checkProto(rec, protoVersion) || rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("protocol %d refused: %d %s", protoVersion, rec.Code, rec.Body)
 	}
-	if err := checkProto(protoVersion + 1); err == nil {
-		t.Error("future protocol version accepted")
+	rec = httptest.NewRecorder()
+	if checkProto(rec, protoVersion-1) || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), fmt.Sprintf("version %d (this node speaks: %d)", protoVersion-1, protoVersion)) {
+		t.Errorf("protocol %d: %d %s, want a 400 naming both versions", protoVersion-1, rec.Code, rec.Body)
 	}
 }
 
@@ -498,7 +503,7 @@ func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
 	if st := coord.Stats(); st.Jobs != len(jobs)-1 || st.JobsInflight != 0 {
 		t.Errorf("Jobs = %d, JobsInflight = %d, want %d and 0", st.Jobs, st.JobsInflight, len(jobs)-1)
 	}
-	late := bundleID(testRequest([]string{"f1"}).Key(), "f1", 0, "canneal")
+	late := bundleID(testRequest([]string{"f1"}).Key(), "f1", "canneal")
 	if code := postResult(t, cs.URL, late, bundleResult{Proto: protoVersion, Worker: "late"}); code != http.StatusNotFound {
 		t.Errorf("late result for a finished job's bundle: status %d, want 404", code)
 	}
@@ -652,24 +657,27 @@ func TestWorkerRefusesInvalidBundle(t *testing.T) {
 		name string
 		b    bundle
 	}{
-		{"f4 at 3 MB and 3 ways", bundle{ID: "b-ways", Spec: 0, Workload: "canneal", Request: threeWays}},
-		{"unknown experiment", bundle{ID: "b-exp", Spec: 0, Request: sim.JobRequest{Exp: "f99"}}},
-		{"static experiment", bundle{ID: "b-static", Spec: 0, Request: testRequest([]string{"config"})}},
-		{"spec out of range", bundle{ID: "b-spec", Spec: 99, Workload: "canneal", Request: testRequest([]string{"f1"})}},
-		{"negative spec", bundle{ID: "b-neg", Spec: -2, Workload: "canneal", Request: testRequest([]string{"f1"})}},
-		{"the old whole-experiment spec", bundle{ID: "b-old", Spec: -1, Request: testRequest([]string{"m1"})}},
-		{"workload outside the job", bundle{ID: "b-wl", Spec: 0, Workload: "lu", Request: testRequest([]string{"f1"})}},
-		{"per-workload spec without a workload", bundle{ID: "b-none", Spec: 0, Request: testRequest([]string{"f1"})}},
-		{"whole-job spec with a workload", bundle{ID: "b-whole", Spec: 0, Workload: "canneal", Request: testRequest([]string{"a5"})}},
-		{"a1's second spec, from before a1 was one spec", bundle{ID: "b-a1", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})}},
+		{"f4 at 3 MB and 3 ways", bundle{ID: "b-ways", Workload: "canneal", Request: threeWays}},
+		{"unknown experiment", bundle{ID: "b-exp", Request: sim.JobRequest{Exp: "f99"}}},
+		{"static experiment", bundle{ID: "b-static", Request: testRequest([]string{"config"})}},
+		{"workload outside the job", bundle{ID: "b-wl", Workload: "lu", Request: testRequest([]string{"f1"})}},
+		{"per-workload spec without a workload", bundle{ID: "b-none", Request: testRequest([]string{"f1"})}},
+		{"whole-job spec with a workload", bundle{ID: "b-whole", Workload: "canneal", Request: testRequest([]string{"a5"})}},
 	} {
 		if res := w.executeBundle(context.Background(), c.b); res.Err == "" {
 			t.Errorf("%s: bundle accepted", c.name)
 		}
 	}
-	m1 := bundle{ID: "b-m1", Spec: 0, Request: testRequest([]string{"m1"})}
+	m1 := bundle{ID: "b-m1", Request: testRequest([]string{"m1"})}
 	if _, err := m1.validate(); err != nil {
 		t.Errorf("m1's whole-job bundle refused: %v", err)
+	}
+	// A version-5 coordinator named a cell by a spec index too; the
+	// strict lease decode refuses the field.
+	v5 := `{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f1"}},"ttl_ms":1}`
+	var lease leaseResponse
+	if err := decodeJSON(strings.NewReader(v5), &lease); err == nil {
+		t.Errorf("a version-5 lease carrying a spec index decoded: %+v", lease)
 	}
 }
 
@@ -768,15 +776,15 @@ func TestCoordinatorRefusesTableCount(t *testing.T) {
 // doubled size, and its suite configuration resolves.
 func FuzzLeaseIntake(f *testing.F) {
 	for _, b := range []bundle{
-		{ID: "b-1", Spec: 0, Workload: "canneal", Request: testRequest([]string{"f1"})},
-		{ID: "b-2", Spec: 0, Request: testRequest([]string{"a5"})},
-		{ID: "b-4", Spec: 0, Request: testRequest([]string{"m1"})},
-		{ID: "b-5", Spec: 0, Request: testRequest([]string{"f1"})},
-		{ID: "b-6", Spec: 0, Workload: "canneal", Request: testRequest([]string{"m1"})},
-		{ID: "b-7", Spec: -1, Request: testRequest([]string{"m1"})},
-		{ID: "b-3", Spec: 0, Workload: "swaptions", Request: testRequest([]string{"f5"}),
+		{ID: "b-1", Workload: "canneal", Request: testRequest([]string{"f1"})},
+		{ID: "b-2", Request: testRequest([]string{"a5"})},
+		{ID: "b-4", Request: testRequest([]string{"m1"})},
+		{ID: "b-5", Request: testRequest([]string{"f1"})},
+		{ID: "b-6", Workload: "canneal", Request: testRequest([]string{"m1"})},
+		{ID: "b-7", Workload: "canneal", Request: testRequest([]string{"a5"})},
+		{ID: "b-3", Workload: "swaptions", Request: testRequest([]string{"f5"}),
 			Streams: []streamRef{{Workload: "swaptions", Seed: 1, Hash: "00", Sources: []string{"http://peer"}, Coordinator: true}}},
-		{ID: "b-8", Spec: 1, Workload: "canneal", Request: testRequest([]string{"a1"})},
+		{ID: "b-8", Workload: "canneal", Request: testRequest([]string{"a1"})},
 	} {
 		raw, err := json.Marshal(leaseResponse{Bundle: b, TTLMillis: 15000})
 		if err != nil {
@@ -785,12 +793,12 @@ func FuzzLeaseIntake(f *testing.F) {
 		f.Add(raw)
 	}
 	for _, body := range []string{
-		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f4","llc_mb":3,"ways":3}},"ttl_ms":1}`,
-		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f4","ways":128}},"ttl_ms":1}`,
-		`{"bundle":{"id":"b","spec":-1,"request":{"exp":"all"}},"ttl_ms":1}`,
-		`{"bundle":{"id":"b","spec":-1,"request":{"exp":"m1","machine":{"Cores":0}}},"ttl_ms":1}`,
-		`{"bundle":{"id":"b","spec":0,"workload":"canneal","request":{"exp":"f1","exps":["f1"]}},"ttl_ms":1}`,
-		`{"bundle":{"id":"b","spec":7,"workload":"Canneal","request":{"exp":"f5","workloads":["Canneal"],"policies":["LRU"]}}}`,
+		`{"bundle":{"id":"b","workload":"canneal","request":{"exp":"f4","llc_mb":3,"ways":3}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","workload":"canneal","request":{"exp":"f4","ways":128}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","request":{"exp":"all"}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","request":{"exp":"m1","machine":{"Cores":0}}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","workload":"canneal","request":{"exp":"f1","exps":["f1"]}},"ttl_ms":1}`,
+		`{"bundle":{"id":"b","spec":0,"workload":"Canneal","request":{"exp":"f5","workloads":["Canneal"],"policies":["LRU"]}}}`,
 	} {
 		f.Add([]byte(body))
 	}

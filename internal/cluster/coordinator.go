@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -173,10 +174,9 @@ func (c *Coordinator) Run(ctx context.Context, req sim.JobRequest, progress func
 // takes care of spreading workloads across workers. Caller holds c.mu.
 func (c *Coordinator) admitLocked(key string, req sim.JobRequest, plan sim.Job, progress func(int, int, string)) *job {
 	j := &job{key: key, req: req, plan: plan, doneCh: make(chan struct{}), progress: progress}
-	for _, cell := range plan.Cells {
-		b := &bundleState{proto: bundle{ID: bundleID(key, req.Exp, cell.Spec, cell.Workload),
-			Spec: cell.Spec, Workload: cell.Workload, Request: req}, job: j}
-		for _, m := range plan.Reads(cell) {
+	for _, workload := range plan.Cells {
+		b := &bundleState{proto: bundle{ID: bundleID(key, req.Exp, workload), Workload: workload, Request: req}, job: j}
+		for _, m := range plan.Reads(workload) {
 			b.proto.Streams = append(b.proto.Streams, refFor(m, req.Seed))
 		}
 		j.bundles = append(j.bundles, b)
@@ -230,8 +230,8 @@ func (c *Coordinator) requeueLocked(b *bundleState, n *uint64, err error) {
 	b.state, b.worker = bundlePending, ""
 	*n++
 	if b.attempts >= maxAttempts {
-		c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%d/%s): %w",
-			b.proto.ID, b.job.req.Exp, b.proto.Spec, b.proto.Workload, err))
+		c.failBundleLocked(b, fmt.Errorf("bundle %s (%s/%s): %w",
+			b.proto.ID, b.job.req.Exp, b.proto.Workload, err))
 		return
 	}
 	c.queue = append(c.queue, b)
@@ -382,7 +382,7 @@ func (c *Coordinator) result(id string, res bundleResult) error {
 	if res.Err != "" {
 		return fail(errors.New(res.Err))
 	}
-	rows, err := b.job.plan.Decode(b.proto.cell(), res.Rows)
+	rows, err := b.job.plan.Decode(res.Rows)
 	if err != nil {
 		return fail(err)
 	}
@@ -396,11 +396,7 @@ func (c *Coordinator) result(id string, res bundleResult) error {
 	j.done++
 	total := len(j.bundles)
 	if j.progress != nil {
-		label := fmt.Sprintf("bundle %s[%d]", j.req.Exp, b.proto.Spec)
-		if b.proto.Workload != "" {
-			label += " " + b.proto.Workload
-		}
-		j.progress(j.done, total, label)
+		j.progress(j.done, total, strings.TrimSpace("bundle "+j.req.Exp+" "+b.proto.Workload))
 	}
 	if j.done == total {
 		c.finishLocked(j)
@@ -503,11 +499,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req workerRequest
-	if !DecodeBody(w, r, maxControlBody, "lease request", &req) {
-		return
-	}
-	if err := checkProto(req.Proto); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	if !DecodeBody(w, r, maxControlBody, "lease request", &req) || !checkProto(w, req.Proto) {
 		return
 	}
 	lease, ok := c.lease(req.Worker)
@@ -520,11 +512,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req workerRequest
-	if !DecodeBody(w, r, maxControlBody, "heartbeat", &req) {
-		return
-	}
-	if err := checkProto(req.Proto); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	if !DecodeBody(w, r, maxControlBody, "heartbeat", &req) || !checkProto(w, req.Proto) {
 		return
 	}
 	hb, err := c.heartbeat(r.PathValue("id"), req.Worker)
@@ -540,11 +528,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var res bundleResult
-	if !DecodeBody(w, r, maxControlBody, "result", &res) {
-		return
-	}
-	if err := checkProto(res.Proto); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	if !DecodeBody(w, r, maxControlBody, "result", &res) || !checkProto(w, res.Proto) {
 		return
 	}
 	if err := c.result(r.PathValue("id"), res); err != nil {

@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"net/http"
 
 	"sharellc/internal/cache"
 	"sharellc/internal/sim"
@@ -37,11 +38,11 @@ import (
 
 // protoVersion is the bundle-protocol version. Every request carries it;
 // a coordinator rejects mismatched workers with an enumerating error
-// rather than silently mis-scheduling. Version 5 carries the daemon's
+// rather than silently mis-scheduling. Version 6 carries the daemon's
 // one-experiment job request in each bundle, run on the default machine,
-// and a lease marks each stream the coordinator holds; every result is
-// table-major rows.
-const protoVersion = 5
+// and names the bundle's cell by its workload alone; a lease marks each
+// stream the coordinator holds; every result is table-major rows.
+const protoVersion = 6
 
 // refFor names the content-addressed stream of the scaled model m at
 // seed on the default machine, the stream a cell's suite requests.
@@ -62,28 +63,24 @@ type streamRef struct {
 	Coordinator bool     `json:"coordinator,omitempty"`
 }
 
-// bundle is one leased unit of work: one cell of its job's plan (one
-// shared replay and its tables), over one workload for a per-workload
-// spec or over the job's configuration for a whole spec.
+// bundle is one leased unit of work: one cell of its job's plan (its
+// experiment's shared replay and tables), over one workload for a
+// per-workload spec or over the job's configuration for a whole spec.
 type bundle struct {
 	ID string `json:"id"`
-	// Spec and Workload name a cell of sim.PlanJob(Request), the plan
-	// the worker recomputes from the carried request.
-	Spec     int            `json:"spec"`
+	// Workload names a cell of sim.PlanJob(Request), the plan the worker
+	// recomputes from the carried request.
 	Workload string         `json:"workload,omitempty"` // empty for a whole-job spec
 	Request  sim.JobRequest `json:"request"`
 	Streams  []streamRef    `json:"streams,omitempty"`
 }
 
-// cell is the plan cell the bundle names.
-func (b bundle) cell() sim.Cell { return sim.Cell{Spec: b.Spec, Workload: b.Workload} }
-
 // bundleID derives the deterministic bundle identifier. Determinism is
 // load-bearing: a worker that leased a bundle from a coordinator that
 // has since restarted can still deliver its result, because the
 // resubmitted job regenerates bundles under identical IDs.
-func bundleID(jobKey, exp string, spec int, workload string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%d\x00%s", jobKey, exp, spec, workload)))
+func bundleID(jobKey, exp, workload string) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%s", jobKey, exp, workload)))
 	return "b-" + hex.EncodeToString(sum[:10])
 }
 
@@ -120,11 +117,12 @@ type bundleResult struct {
 	Built []string `json:"built,omitempty"`
 }
 
-// checkProto validates a peer's protocol version with an enumerating
-// error, matching the repo's flag-parse conventions.
-func checkProto(v int) error {
+// checkProto validates a peer's protocol version. On a mismatch it
+// answers the request itself, 400 with an enumerating error matching the
+// repo's flag-parse conventions, and reports false.
+func checkProto(w http.ResponseWriter, v int) bool {
 	if v != protoVersion {
-		return fmt.Errorf("unsupported protocol version %d (this node speaks: %d)", v, protoVersion)
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unsupported protocol version %d (this node speaks: %d)", v, protoVersion))
 	}
-	return nil
+	return v == protoVersion
 }

@@ -210,9 +210,9 @@ func (w *Worker) executeBundle(ctx context.Context, b bundle) bundleResult {
 		res.Err = fmt.Sprintf("invalid bundle %s: %v", b.ID, err)
 		return res
 	}
-	w.ensureStreams(ctx, b, plan.Reads(b.cell()))
+	w.ensureStreams(ctx, b, plan.Reads(b.Workload))
 	cfg := sim.Config{Machine: cache.DefaultConfig(), Streams: w.cfg.Cache.Stream, Lanes: w.lanes}
-	res.setRows(plan.Run(ctx, cfg, b.cell()))
+	res.setRows(plan.Run(ctx, cfg, b.Workload))
 	// Custody report: every referenced stream now resident here is
 	// advertisable to peers, whether it arrived by fetch or local build.
 	for _, ref := range b.Streams {
@@ -247,7 +247,7 @@ func (b *bundle) validate() (sim.Job, error) {
 	if !ok {
 		return sim.Job{}, fmt.Errorf("experiment %q has no table plan", b.Request.Exp)
 	}
-	return plan, plan.Check(b.cell())
+	return plan, plan.Check(b.Workload)
 }
 
 // ensureStreams makes each referenced stream of a model the cell reads

@@ -134,7 +134,7 @@ type Config struct {
 	// Coordinator, when non-nil, replaces the in-process runner with the
 	// cluster scheduler: each job the Manager admits is handed to it
 	// as is, decomposed into bundles and executed by polling workers,
-	// with results merged byte-identically to the direct path. The
+	// with results merged byte-identically to the in-process run. The
 	// Manager stays the only place a job is coalesced, cached and
 	// cancelled. Its protocol endpoints are mounted on the server mux
 	// and its counters join /metrics. Ignored when a test substitutes the

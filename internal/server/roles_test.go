@@ -32,9 +32,9 @@ var roleProbes = []struct{ method, path, body string }{
 	{"DELETE", "/v1/jobs/job-none", ""},
 	{"GET", "/v1/jobs/job-none/events", ""},
 	{"GET", "/v1/experiments", ""},
-	{"POST", "/v1/cluster/lease", `{"proto":5,"worker":"probe"}`},
-	{"POST", "/v1/cluster/bundles/b-none/heartbeat", `{"proto":5,"worker":"probe"}`},
-	{"POST", "/v1/cluster/bundles/b-none/result", `{"proto":5,"worker":"probe"}`},
+	{"POST", "/v1/cluster/lease", `{"proto":6,"worker":"probe"}`},
+	{"POST", "/v1/cluster/bundles/b-none/heartbeat", `{"proto":6,"worker":"probe"}`},
+	{"POST", "/v1/cluster/bundles/b-none/result", `{"proto":6,"worker":"probe"}`},
 	{"GET", "/v1/streams/none", ""},
 	{"GET", "/healthz", ""},
 	{"GET", "/metrics", ""},

@@ -10,9 +10,10 @@ import (
 )
 
 // defaultRunner builds the production runner: it runs the request through
-// sim.RunExperiments, the direct path cmd/sharesim takes too (which is
-// what makes daemon output bit-identical to `sharesim -json` for the same
-// knobs); every job's workloads and lanes draw on the process's one
+// sim.RunExperiments, the path cmd/sharesim takes too (which is what
+// makes daemon output bit-identical to `sharesim -json` for the same
+// knobs): the job's cells, one per workload, run at once in process and
+// merge as a cluster job's do, and their lanes draw on the process's one
 // worker pool (internal/par). When sc is non-nil it serves every
 // suite's streams, so concurrent and sequential jobs sharing (machine,
 // seed, scale, workloads) build each stream at most once per process
@@ -26,7 +27,7 @@ func defaultRunner(sc *streamcache.Cache, lanes *sim.LaneMemo) runner {
 			return nil, err
 		}
 		// Suite preparation reports through the same progress channel as
-		// the experiment fan-out; the "prepare" prefix distinguishes the
+		// the finished cells; the "prepare" prefix distinguishes the
 		// phase in the SSE stream.
 		cfg.Progress = func(done, total int, label string) {
 			progress(done, total, "prepare "+label)

@@ -2,8 +2,9 @@
 // manager with a bounded worker pool, a deduplicating LRU result cache
 // with request coalescing, per-job cancellation, server-sent progress
 // events and Prometheus text metrics. The simulation work itself runs
-// through sim.RunExperiments, the direct path cmd/sharesim takes too, so
-// a job's tables are bit-identical to the CLI's -json output for the
+// through sim.RunExperiments, the path cmd/sharesim takes too: a job's
+// plan run cell by cell in process, as a cluster worker runs each cell,
+// so a job's tables are bit-identical to the CLI's -json output for the
 // same knobs (docs/API.md lists where the two defaults differ).
 package server
 

@@ -6,32 +6,36 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
+	"sync/atomic"
 
 	"sharellc/internal/core"
+	"sharellc/internal/par"
 	"sharellc/internal/predictor"
 	"sharellc/internal/report"
 	"sharellc/internal/workloads"
 )
 
 // This file is the decomposition of the experiment index. Every
-// experiment that reads streams is described as an ordered list of
-// tableSpecs: one spec per shared replay, each computing typed rows for
-// its tables and rendering the merged rows into them. A spec runs either
-// per workload, over a (possibly single-workload) prepared suite, or
-// once per job over a bare suite (whole). The local path (Experiment.Run)
-// and the cluster path (a job's plan, PlanJob) both execute the same
-// specs, which is what makes a merged distributed run byte-identical to
-// a single-process run: the rows of one workload do not depend on which
-// other workloads share the suite, and the render step sees the full
-// row slices in canonical suite order either way.
+// experiment that reads streams is one tableSpec: one shared replay that
+// computes typed rows for its tables and renders the merged rows into
+// them. A spec runs either per workload, over a single-workload prepared
+// suite, or once per job over a bare suite (whole). A job's plan
+// (PlanJob) is that spec and its cells, one per workload; the in-process
+// run (Job.runLocal) and a cluster worker both run each cell through
+// Job.Run, and Job.Tables merges their rows. Merged tables are
+// byte-identical to a run over any other split of the workloads: the rows
+// of one workload do not depend on which other workloads share the
+// suite, and the render step sees the full row slices in canonical suite
+// order.
 
-// tableSpec is one shared replay of an experiment's plan and the tables
-// it renders. Run computes the spec's typed rows table-major — one row
+// tableSpec is an experiment's plan: one shared replay and the tables it
+// renders. Run computes the spec's typed rows table-major — one row
 // slice per table ([][]CharRow, [][]OracleRow, ...) — for every workload
 // of the given suite, or once from its configuration for a whole spec;
 // Render turns merged rows back into the exact tables the experiment
 // index produces. All parametrization (LLC geometry, policy lists,
-// protection strength) is captured when the spec is built by PlanFor, so
+// protection strength) is captured when the spec is built by planFor, so
 // coordinator and worker agree on it by construction.
 type tableSpec struct {
 	// Kind tags the row type for the wire codec (EncodeRows/DecodeRows).
@@ -84,17 +88,26 @@ func newSpec[T any](kind, title string, run func(*Suite) ([]T, error), render fu
 
 // wholeSpec marks sp as running once per job, reading the request-seed
 // streams of reads.
-func wholeSpec(sp tableSpec, reads []string) []tableSpec {
+func wholeSpec(sp tableSpec, reads []string) tableSpec {
 	sp.whole, sp.reads = true, reads
-	return []tableSpec{sp}
+	return sp
 }
 
-// PlanFor returns the table plan for one experiment id under the given
+// PlanFor is planFor as a one-spec list, the form the bench module reads.
+func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
+	sp, ok := planFor(id, o)
+	if !ok {
+		return nil, false
+	}
+	return []tableSpec{sp}, true
+}
+
+// planFor returns the table plan for one experiment id under the given
 // options. ok is false only for the static description tables (config,
 // suite), which read no stream and run through Experiment.Run alone.
 // m1 (multiprogrammed mixes) and a5 (per-seed sub-suites) build their
-// own streams, so each is one whole-job spec.
-func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
+// own streams, so each is a whole-job spec.
+func planFor(id string, o ExpOptions) (tableSpec, bool) {
 	charSpec := func(title string, size int, render func(string, []CharRow) *report.Table) tableSpec {
 		return newSpec("char", title,
 			func(s *Suite) ([]CharRow, error) { return s.Characterize(size, o.LLCWays) }, render)
@@ -105,15 +118,15 @@ func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
 	}
 	switch id {
 	case "f1":
-		return []tableSpec{charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, charTable)}, true
+		return charSpec(fmt.Sprintf("F1: shared vs private LLC hits (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, charTable), true
 	case "f2":
-		return []tableSpec{charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, charTable)}, true
+		return charSpec(fmt.Sprintf("F2: shared vs private LLC hits (%s LLC, LRU)", mbLabel(2*o.LLCSize)), 2*o.LLCSize, charTable), true
 	case "f3":
-		return []tableSpec{charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, degreeTable)}, true
+		return charSpec(fmt.Sprintf("F3: sharing-degree distribution (%s LLC, LRU)", mbLabel(o.LLCSize)), o.LLCSize, degreeTable), true
 	case "f4":
-		return []tableSpec{newSpec("policy", fmt.Sprintf("F4: policy comparison (%s LLC)", mbLabel(o.LLCSize)),
+		return newSpec("policy", fmt.Sprintf("F4: policy comparison (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PolicyRow, error) { return s.ComparePolicies(o.LLCSize, o.LLCWays, nil) },
-			policyTable)}, true
+			policyTable), true
 	case "f5":
 		// Both sizes in one spec: each workload decodes its pass
 		// columns and builds both sizes' hint columns in one replay.
@@ -122,28 +135,28 @@ func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
 		for _, size := range sizes {
 			titles = append(titles, fmt.Sprintf("F5/F6: oracle study (%s LLC, %s)", mbLabel(size), o.Prot.Strength))
 		}
-		return []tableSpec{oracleSpec(titles, sizes, []int{o.LLCWays}, o.Policies, o.Prot)}, true
+		return oracleSpec(titles, sizes, []int{o.LLCWays}, o.Policies, o.Prot), true
 	case "f7":
-		return []tableSpec{newSpec("predictor", fmt.Sprintf("F7: fill-time sharing predictor accuracy (%s LLC, LRU)", mbLabel(o.LLCSize)),
+		return newSpec("predictor", fmt.Sprintf("F7: fill-time sharing predictor accuracy (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]PredictorRow, error) {
 				return s.PredictorAccuracy(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil)
 			},
-			predictorTable)}, true
+			predictorTable), true
 	case "f8":
-		return []tableSpec{newSpec("driven", fmt.Sprintf("F8: predictor-driven replacement (%s LLC, LRU base)", mbLabel(o.LLCSize)),
+		return newSpec("driven", fmt.Sprintf("F8: predictor-driven replacement (%s LLC, LRU base)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]DrivenRow, error) {
 				return s.PredictorDriven(o.LLCSize, o.LLCWays, predictor.DefaultConfig(), nil, o.Prot)
 			},
-			drivenTable)}, true
+			drivenTable), true
 	case "f9":
-		return []tableSpec{newSpec("phase", "F9: sharing-phase stability (16 windows)",
-			func(s *Suite) ([]phaseRow, error) { return s.sharingPhases(0) }, phaseTable)}, true
+		return newSpec("phase", "F9: sharing-phase stability (16 windows)",
+			func(s *Suite) ([]phaseRow, error) { return s.sharingPhases(0) }, phaseTable), true
 	case "c1":
-		return []tableSpec{newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
-			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable)}, true
+		return newSpec("coherence", "C1: coherence-protocol traffic (MESI directory)",
+			func(s *Suite) ([]CoherenceRow, error) { return s.CoherenceCharacterize() }, coherenceTable), true
 	case "c2":
-		return []tableSpec{newSpec("reuse", "C2: reuse-distance distribution by sharing class",
-			func(s *Suite) ([]reuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable)}, true
+		return newSpec("reuse", "C2: reuse-distance distribution by sharing class",
+			func(s *Suite) ([]reuseRow, error) { return s.reuseDistances(o.LLCSize) }, reuseTable), true
 	case "m1":
 		return wholeSpec(newSpec("oracle", fmt.Sprintf("M1: oracle on multiprogrammed mixes (%s LLC)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]OracleRow, error) { return m1Rows(s, o) }, oracleTable), nil), true
@@ -154,7 +167,7 @@ func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
 		for _, p := range []core.Options{insert, full} {
 			titles = append(titles, fmt.Sprintf("A1: oracle with %s protection (%s LLC)", p.Strength, mbLabel(o.LLCSize)))
 		}
-		return []tableSpec{oracleSpec(titles, []int{o.LLCSize}, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full)}, true
+		return oracleSpec(titles, []int{o.LLCSize}, []int{o.LLCWays}, []string{"lru", "srrip"}, insert, full), true
 	case "a2":
 		var titles []string
 		var cfgs []predictor.Config
@@ -162,142 +175,157 @@ func PlanFor(id string, o ExpOptions) ([]tableSpec, bool) {
 			titles = append(titles, fmt.Sprintf("A2: predictor accuracy with 2^%d-entry tables (%s LLC)", bits, mbLabel(o.LLCSize)))
 			cfgs = append(cfgs, predictor.Config{TableBits: bits})
 		}
-		return []tableSpec{tablesSpec("predictor", titles, func(s *Suite) ([][]PredictorRow, error) {
+		return tablesSpec("predictor", titles, func(s *Suite) ([][]PredictorRow, error) {
 			return s.predictorTables(o.LLCSize, o.LLCWays, cfgs, []string{"addr", "pc"})
-		}, predictorTable)}, true
+		}, predictorTable), true
 	case "a3":
 		var titles []string
 		ways := []int{8, 16, 32}
 		for _, w := range ways {
 			titles = append(titles, fmt.Sprintf("A3: oracle gain at %d-way associativity (%s LLC)", w, mbLabel(o.LLCSize)))
 		}
-		return []tableSpec{oracleSpec(titles, []int{o.LLCSize}, ways, []string{"lru"}, o.Prot)}, true
+		return oracleSpec(titles, []int{o.LLCSize}, ways, []string{"lru"}, o.Prot), true
 	case "a4":
-		return []tableSpec{newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
+		return newSpec("horizon", fmt.Sprintf("A4: oracle gain vs sharing horizon (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]horizonRow, error) { return s.oracleHorizonSweep(o.LLCSize, o.LLCWays, nil, o.Prot) },
-			horizonTable)}, true
+			horizonTable), true
 	case "a5":
 		return wholeSpec(newSpec("seed", fmt.Sprintf("A5: oracle gain across seeds (%s LLC, LRU)", mbLabel(o.LLCSize)),
 			func(s *Suite) ([]seedRow, error) { return a5Rows(s, o) }, seedTable), a5Workloads()), true
 	}
-	return nil, false
-}
-
-// Cell is one unit of a job's plan: a spec index and the workload the
-// spec runs over, empty for a whole spec. The cluster leases one bundle
-// per cell.
-type Cell struct {
-	Spec     int
-	Workload string
+	return tableSpec{}, false
 }
 
 // Job is the plan of one job: the one place that decides its cells,
-// the suite each runs on and how their rows merge into the tables a
-// whole-suite Experiment.Run renders.
+// the suite each runs on and how their rows merge into its tables.
 type Job struct {
-	// Cells are in merge order: spec-major, one per workload in the
-	// suite's model order, or one with no workload for a whole spec.
-	Cells []Cell
+	// Cells are the workloads the spec runs over, in merge order: the
+	// suite's model order, or one empty workload for a whole spec. The
+	// cluster leases one bundle per cell.
+	Cells []string
 	req   JobRequest
-	specs []tableSpec
-	reads map[Cell][]workloads.Model // unscaled: the cell's workload, or a whole spec's reads
+	spec  tableSpec
+	reads map[string][]workloads.Model // unscaled: the cell's workload, or a whole spec's reads
 }
 
 // PlanJob plans the normalized job req. ok is false for an experiment
 // without a table plan (config, suite) or a workload the suite lacks.
 func PlanJob(req JobRequest) (Job, bool) {
-	specs, ok := PlanFor(req.Exp, req.Options())
-	suite, err := ModelsByName(req.Workloads)
-	if !ok || err != nil {
+	models, err := ModelsByName(req.Workloads)
+	if err != nil {
 		return Job{}, false
 	}
-	if len(suite) == 0 {
-		suite = workloads.Suite()
+	return planJob(req, req.Options(), models)
+}
+
+// planJob plans req.Exp under o over models (nil for the full suite), to
+// run at req's seed and scale.
+func planJob(req JobRequest, o ExpOptions, models []workloads.Model) (Job, bool) {
+	sp, ok := planFor(req.Exp, o)
+	if !ok {
+		return Job{}, false
 	}
-	j := Job{req: req, specs: specs, reads: map[Cell][]workloads.Model{}}
-	for si, sp := range specs {
-		if sp.whole {
-			c := Cell{Spec: si}
-			j.Cells = append(j.Cells, c)
-			j.reads[c], _ = ModelsByName(sp.reads) // catalogue names
-			continue
-		}
-		for _, m := range suite {
-			c := Cell{Spec: si, Workload: m.Name}
-			j.Cells, j.reads[c] = append(j.Cells, c), []workloads.Model{m}
-		}
+	j := Job{req: req, spec: sp, reads: map[string][]workloads.Model{}}
+	if sp.whole {
+		j.Cells = []string{""}
+		j.reads[""], _ = ModelsByName(sp.reads) // catalogue names
+		return j, true
+	}
+	if len(models) == 0 {
+		models = workloads.Suite()
+	}
+	for _, m := range models {
+		j.Cells, j.reads[m.Name] = append(j.Cells, m.Name), []workloads.Model{m}
 	}
 	return j, true
 }
 
-// Check refuses a cell the plan does not hold: a spec index out of
-// range, a workload on a whole spec or a workload outside the job.
-func (j Job) Check(c Cell) error {
-	if _, ok := j.reads[c]; !ok {
-		return fmt.Errorf("%q (%d specs) has no cell of spec %d and workload %q", j.req.Exp, len(j.specs), c.Spec, c.Workload)
+// Check refuses a cell the plan does not hold: a workload on a whole
+// spec, none on a per-workload spec, or a workload outside the job.
+func (j Job) Check(workload string) error {
+	if _, ok := j.reads[workload]; !ok {
+		return fmt.Errorf("%q has no cell of workload %q", j.req.Exp, workload)
 	}
 	return nil
 }
 
-// Reads lists the scaled models whose request-seed streams the cell
-// reads, so a scheduler can place those streams ahead of the run.
-func (j Job) Reads(c Cell) []workloads.Model {
-	out := make([]workloads.Model, len(j.reads[c]))
-	for i, m := range j.reads[c] {
+// Reads lists the scaled models whose request-seed streams the cell of
+// workload reads, so a scheduler can place those streams ahead of the
+// run.
+func (j Job) Reads(workload string) []workloads.Model {
+	out := make([]workloads.Model, len(j.reads[workload]))
+	for i, m := range j.reads[workload] {
 		out[i] = scaleModel(m, j.req.Scale)
 	}
 	return out
 }
 
-// Run returns one cell's rows. cfg supplies the machine, the stream
-// provider and the lane memo; the request supplies the seed, the scale
-// and the models the cell reads, which a whole spec builds itself.
-func (j Job) Run(ctx context.Context, cfg Config, c Cell) (any, error) {
-	if err := j.Check(c); err != nil {
+// Run returns the rows of the cell of workload: the one place a cell
+// runs. cfg supplies the machine, the stream provider and the lane memo;
+// the request supplies the seed, the scale and the models the cell
+// reads, which a whole spec builds itself.
+func (j Job) Run(ctx context.Context, cfg Config, workload string) (any, error) {
+	if err := j.Check(workload); err != nil {
 		return nil, err
 	}
-	sp := j.specs[c.Spec]
-	cfg.Seed, cfg.Scale, cfg.Models = j.req.Seed, j.req.Scale, j.reads[c]
-	s, err := suiteFor(ctx, cfg, []tableSpec{sp})
+	cfg.Seed, cfg.Scale, cfg.Models = j.req.Seed, j.req.Scale, j.reads[workload]
+	s, err := suiteFor(ctx, cfg, []tableSpec{j.spec})
 	if err != nil {
 		return nil, err
 	}
-	return sp.Run(s)
+	return j.spec.Run(s)
 }
 
-// Decode decodes the wire rows (EncodeRows of Run) of c, one of Cells,
-// refusing rows without exactly one row slice per table of its spec.
-func (j Job) Decode(c Cell, data []byte) (any, error) {
-	sp := j.specs[c.Spec]
-	return sp.codec.decode(data, len(sp.Titles))
+// Decode decodes a cell's wire rows (EncodeRows of Run), refusing rows
+// without exactly one row slice per table.
+func (j Job) Decode(data []byte) (any, error) {
+	return j.spec.codec.decode(data, len(j.spec.Titles))
 }
 
 // Tables merges every cell's rows, given in the order of Cells, table
-// by table onto each spec's first rows, and renders them: the bytes a
-// whole-suite Experiment.Run renders. Rows of another kind or table
+// by table, and renders them. Rows of another kind, table count or cell
 // count are an error.
 func (j Job) Tables(rows []any) ([]*report.Table, error) {
 	if len(rows) != len(j.Cells) {
 		return nil, fmt.Errorf("sim: rows of %d cells for a job of %d", len(rows), len(j.Cells))
 	}
-	merged := make([]any, len(j.specs))
-	for i, c := range j.Cells {
+	var merged any
+	for _, r := range rows {
 		var err error
-		sp := j.specs[c.Spec]
-		if merged[c.Spec], err = sp.codec.merge(merged[c.Spec], rows[i], len(sp.Titles)); err != nil {
+		if merged, err = j.spec.codec.merge(merged, r, len(j.spec.Titles)); err != nil {
 			return nil, err
 		}
 	}
-	var out []*report.Table
-	for si, sp := range j.specs {
-		out = append(out, sp.Render(merged[si])...)
+	return j.spec.Render(merged), nil
+}
+
+// runLocal runs every cell in process, at once on the process's worker
+// pool, reports each finished cell to progress (when non-nil) and merges
+// the rows.
+func (j Job) runLocal(ctx context.Context, cfg Config, progress func(done, total int, label string)) ([]*report.Table, error) {
+	rows := make([]any, len(j.Cells))
+	var done atomic.Int64
+	err := par.For(ctx, len(j.Cells), func(i int) error {
+		r, err := j.Run(ctx, cfg, j.Cells[i])
+		if err != nil {
+			return err
+		}
+		rows[i] = r
+		if progress != nil {
+			progress(int(done.Add(1)), len(j.Cells), strings.TrimSpace(j.req.Exp+" "+j.Cells[i]))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return j.Tables(rows)
 }
 
 // suiteFor is the one choice of the suite specs run on, for a job's cell
-// and a direct run alike: cfg's streams when some spec runs per workload,
-// a bare suite when all are whole (each builds what it reads), else none.
+// and RunExperiments' preparation alike: cfg's streams when some spec
+// runs per workload, a bare suite when all are whole (each builds what
+// it reads), else none.
 func suiteFor(ctx context.Context, cfg Config, specs []tableSpec) (*Suite, error) {
 	for _, sp := range specs {
 		if !sp.whole {
@@ -364,8 +392,7 @@ var rowCodecs = map[string]rowCodec{}
 
 func init() {
 	for _, id := range ExperimentIDs() {
-		specs, _ := PlanFor(id, DefaultExpOptions())
-		for _, sp := range specs {
+		if sp, ok := planFor(id, DefaultExpOptions()); ok {
 			rowCodecs[sp.Kind] = sp.codec
 		}
 	}

@@ -26,7 +26,7 @@ import (
 // turns a prepared Suite plus per-run knobs into the experiment's
 // report tables. The file also holds the request knobs every front end
 // shares (Request), the one job request over them (JobRequest) and the
-// one direct path from them to tables (RunExperiments).
+// one path from them to tables (RunExperiments).
 
 // ExpOptions carries the per-run knobs shared by every experiment.
 type ExpOptions struct {
@@ -183,16 +183,17 @@ func (r Request) Config(machine cache.Config) (Config, error) {
 	return Config{Machine: machine, Seed: r.Seed, Scale: r.Scale, Models: models}, nil
 }
 
-// RunExperiments is the direct path from a request to its tables, the one
+// RunExperiments is the one path from a request to its tables that
 // every front end takes. It resolves every id first, so an unknown one
-// fails before any work; prepares the suite cfg describes, under ctx, as
-// a job's cell does (suiteFor: its streams only when some requested spec
-// reads them per workload); then runs the experiments over it in order,
+// fails before any work; prepares the suite cfg describes, under ctx,
+// once for all of them (suiteFor: its streams only when some requested
+// spec reads them per workload); then runs the experiments in order,
+// each one's cells at once over the prepared streams (Experiment.Run),
 // handing each one's tables to emit before the next starts. progress,
-// when non-nil, receives the experiments' per-workload completions;
-// cfg.Progress reports the preparation. The experiments share cfg.Lanes,
-// or a lane memo of the call's own when it is nil, so a lane that
-// several of them replay runs once.
+// when non-nil, receives each experiment's finished cells; cfg.Progress
+// reports the preparation. The experiments share cfg.Lanes, or a lane
+// memo of the call's own when it is nil, so a lane that several of them
+// replay runs once.
 func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 	progress func(done, total int, label string), emit func([]*report.Table) error) error {
 	if cfg.Lanes == nil {
@@ -206,18 +207,16 @@ func RunExperiments(ctx context.Context, cfg Config, ids []string, o ExpOptions,
 			return err
 		}
 		exps[i] = e
-		plan, _ := PlanFor(e.ID, o)
-		specs = append(specs, plan...)
+		if sp, ok := planFor(e.ID, o); ok {
+			specs = append(specs, sp)
+		}
 	}
 	suite, err := suiteFor(ctx, cfg, specs)
 	if err != nil {
 		return err
 	}
-	if suite != nil {
-		suite = suite.withProgress(progress)
-	}
 	for _, e := range exps {
-		tables, err := e.Run(suite, o)
+		tables, err := e.run(suite, o, progress)
 		if err != nil {
 			return err
 		}
@@ -241,38 +240,37 @@ func DefaultExpOptions() ExpOptions {
 type Experiment struct {
 	ID    string
 	Title string // short human description for catalogues (-exp listings, /v1/experiments)
-	// static renders the description table of an experiment PlanFor has
+	// static renders the description table of an experiment planFor has
 	// no plan for (config, suite).
 	static func() *report.Table
 }
 
-// NeedsSuite reports whether the experiment reads streams: whether
-// PlanFor has a plan for it. The static description tables (config,
-// suite) do not, and their Run ignores the *Suite argument.
-func (e Experiment) NeedsSuite() bool {
-	_, ok := PlanFor(e.ID, DefaultExpOptions())
-	return ok
+// NeedsSuite reports whether the experiment reads streams: whether it
+// has a table plan rather than a static table. The static description
+// tables (config, suite) do not, and their Run ignores the *Suite
+// argument.
+func (e Experiment) NeedsSuite() bool { return e.static == nil }
+
+// Run renders the experiment's tables: its static table, or its job
+// over the workloads, seed and scale of the prepared suite s, whose
+// cells read s's streams.
+func (e Experiment) Run(s *Suite, o ExpOptions) ([]*report.Table, error) {
+	return e.run(s, o, nil)
 }
 
-// Run renders the experiment's tables: every spec of its plan over the
-// whole suite s, or its static table.
-func (e Experiment) Run(s *Suite, o ExpOptions) ([]*report.Table, error) {
-	specs, ok := PlanFor(e.ID, o)
-	if !ok {
+// run is Run reporting each finished cell to progress.
+func (e Experiment) run(s *Suite, o ExpOptions, progress func(done, total int, label string)) ([]*report.Table, error) {
+	if !e.NeedsSuite() {
 		return []*report.Table{e.static()}, nil
 	}
 	if s == nil {
 		return nil, fmt.Errorf("sim: experiment %q needs a prepared suite", e.ID)
 	}
-	var out []*report.Table
-	for _, sp := range specs {
-		rows, err := sp.Run(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sp.Render(rows)...)
-	}
-	return out, nil
+	req := JobRequest{Exp: e.ID, Request: Request{Seed: s.Config.Seed, Scale: s.Config.Scale}}
+	job, _ := planJob(req, o, s.Config.Models)
+	cfg := s.Config
+	cfg.Streams, cfg.Progress = s.provider(), nil
+	return job.runLocal(s.context(), cfg, progress)
 }
 
 // Experiments returns the full index in presentation order (the order

@@ -39,8 +39,8 @@ func TestExperimentIndexComplete(t *testing.T) {
 		t.Errorf("ExperimentIDs() = %v, want %v", got, want)
 	}
 	for _, e := range Experiments() {
-		if _, ok := PlanFor(e.ID, DefaultExpOptions()); !ok && e.static == nil {
-			t.Errorf("experiment %s has no runner", e.ID)
+		if _, ok := planFor(e.ID, DefaultExpOptions()); ok == (e.static != nil) {
+			t.Errorf("experiment %s has a plan %v and a static table %v", e.ID, ok, e.static != nil)
 		}
 		if e.Title == "" {
 			t.Errorf("experiment %s has no title", e.ID)
@@ -107,24 +107,19 @@ func TestSuiteContextCancelsExperiments(t *testing.T) {
 		t.Errorf("pre-cancelled Characterize: err = %v, want context.Canceled", err)
 	}
 
-	// Mid-flight: cancel once the first progress callback fires. The
-	// fused F4 has only one work unit per workload, so pin the outer
-	// fan-out to a single worker: unit 1 completes, fires the callback,
-	// and the sequential claim loop must then see the cancelled context
-	// before touching unit 2.
+	// Mid-flight: cancel once the first cell reports. Pin the cells to a
+	// single worker: cell 1 completes, fires the callback, and the
+	// sequential claim loop must then see the cancelled context before
+	// running cell 2.
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	var once sync.Once
-	s2 := withContext(s, ctx2).withProgress(func(done, total int, label string) {
-		once.Do(cancel2)
-	})
+	o := DefaultExpOptions()
+	o.LLCSize, o.LLCWays = 256*cache.KB, 8
 	start := time.Now()
-	_, err := s2.ComparePolicies(256*cache.KB, 8, nil)
-	if err == nil {
-		t.Fatal("ComparePolicies completed despite cancellation")
-	}
+	err := RunExperiments(ctx2, s.Config, []string{"f4"}, o, func(int, int, string) { cancel2() },
+		func([]*report.Table) error { t.Error("f4 rendered despite cancellation"); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled in the chain", err)
 	}
@@ -133,52 +128,65 @@ func TestSuiteContextCancelsExperiments(t *testing.T) {
 	}
 }
 
-// TestWithProgressReportsEveryCell: the progress callback sees every
-// completed cell exactly once and ends at done == total.
-func TestWithProgressReportsEveryCell(t *testing.T) {
+// TestRunExperimentsReportsEveryCell: RunExperiments' progress callback
+// sees every finished cell of each experiment exactly once, labelled
+// with the experiment and the workload, and each experiment's count ends
+// at done == total.
+func TestRunExperimentsReportsEveryCell(t *testing.T) {
 	s := indexTestSuite(t)
 	var mu sync.Mutex
-	var got []int
-	total := -1
-	s2 := s.withProgress(func(done, tot int, label string) {
+	done := map[string][]int{} // workload label → done counts reported
+	progress := func(d, tot int, label string) {
 		mu.Lock()
 		defer mu.Unlock()
-		got = append(got, done)
-		total = tot
-	})
-	if _, err := s2.Characterize(256*cache.KB, 8); err != nil {
+		if tot != len(s.Streams) {
+			t.Errorf("cell %s reported %d of %d, want a total of %d", label, d, tot, len(s.Streams))
+		}
+		done[label] = append(done[label], d)
+	}
+	o := DefaultExpOptions()
+	o.LLCSize, o.LLCWays = 256*cache.KB, 8
+	exps := []string{"f1", "f3"}
+	if err := RunExperiments(context.Background(), s.Config, exps, o, progress,
+		func([]*report.Table) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if total != len(s.Streams) || len(got) != total {
-		t.Fatalf("progress: %d callbacks, total %d, want %d", len(got), total, len(s.Streams))
-	}
-	seen := map[int]bool{}
-	for _, d := range got {
-		if d < 1 || d > total || seen[d] {
-			t.Errorf("bad done sequence %v", got)
-			break
+	for _, exp := range exps {
+		seen := map[int]bool{}
+		for _, st := range s.Streams {
+			ds := done[exp+" "+st.Model.Name]
+			if len(ds) != 1 {
+				t.Errorf("%s over %s reported %d times", exp, st.Model.Name, len(ds))
+				continue
+			}
+			seen[ds[0]] = true
 		}
-		seen[d] = true
+		for d := 1; d <= len(s.Streams); d++ {
+			if !seen[d] {
+				t.Errorf("%s: no cell reported done = %d: %v", exp, d, done)
+			}
+		}
+	}
+	if len(done) != len(exps)*len(s.Streams) {
+		t.Errorf("progress labels %v, want one per experiment and workload", done)
 	}
 }
 
 // TestWithContextDoesNotPerturbResults guards the serving layer's core
 // invariant: the same suite produces bit-identical rows with and
-// without context/progress plumbing attached.
+// without a context attached.
 func TestWithContextDoesNotPerturbResults(t *testing.T) {
 	s := indexTestSuite(t)
 	base, err := s.Characterize(256*cache.KB, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := withContext(s, context.Background()).
-		withProgress(func(int, int, string) {}).
-		Characterize(256*cache.KB, 8)
+	got, err := withContext(s, context.Background()).Characterize(256*cache.KB, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, got) {
-		t.Errorf("rows diverge with ctx/progress attached")
+		t.Errorf("rows diverge with a context attached")
 	}
 }
 
@@ -204,7 +212,7 @@ func TestRunExperimentsBuildsSuiteOnlyWhenNeeded(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsPreparesOnlyReadStreams: the direct path asks its
+// TestRunExperimentsPreparesOnlyReadStreams: RunExperiments asks its
 // stream provider only for streams some requested spec reads. m1 builds
 // its own mixes and reads none; a5 reads its six-workload subset under
 // each of three seeds, and neither prepares the 22 suite streams.
@@ -231,5 +239,30 @@ func TestRunExperimentsPreparesOnlyReadStreams(t *testing.T) {
 		if got := calls.Load(); got != int64(c.calls) {
 			t.Errorf("%s: %d stream provider calls, want %d", c.id, got, c.calls)
 		}
+	}
+}
+
+// TestRunExperimentsCellsReadPreparedStreams: the cells of every
+// experiment read the streams RunExperiments prepared rather than asking
+// the provider again; only a stream the suite lacks reaches it. F1 and
+// F3 ask for nothing beyond the 22 prepared streams, and A5 only for its
+// six workloads' streams at seeds 2 and 3: seed 1's are the suite's.
+func TestRunExperimentsCellsReadPreparedStreams(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.02
+	var calls atomic.Int64
+	cfg.Streams = func(_ context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
+		calls.Add(1)
+		return BuildStream(m, machine, seed)
+	}
+	o := DefaultExpOptions()
+	o.LLCSize = cache.MB / 8
+	if err := RunExperiments(context.Background(), cfg, []string{"f1", "f3", "a5"}, o, nil,
+		func([]*report.Table) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := len(workloads.Suite()) + 2*len(a5Workloads())
+	if got := calls.Load(); got != int64(want) {
+		t.Errorf("%d stream provider calls, want %d", got, want)
 	}
 }

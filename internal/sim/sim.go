@@ -41,8 +41,8 @@ type Config struct {
 	// preparing during NewSuite, with the running completion count, the
 	// total stream count and the workload name. Callbacks may arrive
 	// concurrently from the preparation workers. It reports only suite
-	// construction; experiment fan-out progress goes through the suite's
-	// own progress callback.
+	// construction; RunExperiments reports each finished cell through
+	// its own progress argument.
 	Progress func(done, total int, label string)
 	// Lanes, when non-nil, is the lane memo every experiment on the
 	// suite consults before it replays a lane and fills after: suites
@@ -209,11 +209,6 @@ type Suite struct {
 	// abort at their next poll (sharing.Options.Ctx). Set via
 	// NewSuiteContext or bareSuite.
 	ctx context.Context
-	// progress, when non-nil, is invoked after each workload an
-	// experiment fan-out finishes, with the running completion count, the
-	// total, and the workload label. Set via withProgress; callbacks may
-	// arrive concurrently from worker goroutines.
-	progress func(done, total int, label string)
 }
 
 // scaleModel is the one rule that scales a workload model to a run's
@@ -264,12 +259,7 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	for i, m := range models {
 		scaled[i] = scaleModel(m, cfg.Scale)
 	}
-	build := cfg.Streams
-	if build == nil {
-		build = func(_ context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
-			return BuildStream(m, machine, seed)
-		}
-	}
+	build := cfg.streams()
 	s.Streams = make([]*Stream, len(scaled))
 	var done atomic.Int64
 	err = par.For(ctx, len(scaled), func(i int) error {
@@ -289,13 +279,28 @@ func NewSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	return s, nil
 }
 
-// withProgress returns a shallow copy of the suite that reports per-cell
-// completion through fn (see the progress field for the contract). The
-// prepared streams are shared, so the copy is cheap.
-func (s *Suite) withProgress(fn func(done, total int, label string)) *Suite {
-	c := *s
-	c.progress = fn
-	return &c
+// streams is cfg's stream provider, or BuildStream when it has none.
+func (cfg Config) streams() StreamProvider {
+	if cfg.Streams != nil {
+		return cfg.Streams
+	}
+	return func(_ context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
+		return BuildStream(m, machine, seed)
+	}
+}
+
+// provider serves the suite's prepared streams, and any other stream
+// (another seed's, a model the suite lacks) from the suite's own
+// provider: the streams a cell over the suite reads.
+func (s *Suite) provider() StreamProvider {
+	return func(ctx context.Context, m workloads.Model, machine cache.Config, seed uint64) (*Stream, error) {
+		for _, st := range s.Streams {
+			if st.Model == m && seed == s.Config.Seed && machine == s.Config.Machine {
+				return st, nil
+			}
+		}
+		return s.Config.streams()(ctx, m, machine, seed)
+	}
 }
 
 // context returns the suite's cancellation context, defaulting to
@@ -310,8 +315,7 @@ func (s *Suite) context() context.Context {
 // perStream is the per-workload fan-out of every suite experiment: it
 // runs rows on each prepared stream on the process's worker pool
 // (par.For, which the replay's lanes share, so the two levels never
-// oversubscribe the machine between them) under the suite's context,
-// reports each finished stream to the progress callback, and
+// oversubscribe the machine between them) under the suite's context and
 // concatenates the rows in suite order. A failure is labelled with what
 // and the workload.
 func perStream[R any](s *Suite, what string, rows func(st *Stream) ([]R, error)) ([]R, error) {
@@ -327,7 +331,6 @@ func perStream[R any](s *Suite, what string, rows func(st *Stream) ([]R, error))
 func perStreamTables[R any](s *Suite, what string, n int, rows func(st *Stream) ([][]R, error)) ([][]R, error) {
 	streams := len(s.Streams)
 	per := make([][][]R, streams)
-	var done atomic.Int64
 	err := par.For(s.context(), streams, func(i int) error {
 		st := s.Streams[i]
 		r, err := rows(st)
@@ -335,9 +338,6 @@ func perStreamTables[R any](s *Suite, what string, n int, rows func(st *Stream) 
 			return fmt.Errorf("%s %s: %w", what, st.Model.Name, err)
 		}
 		per[i] = r
-		if s.progress != nil {
-			s.progress(int(done.Add(1)), streams, st.Model.Name)
-		}
 		return nil
 	})
 	if err != nil {
