@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/policy"
 	"sharellc/internal/sharing"
 	"sharellc/internal/trace"
 )
@@ -112,7 +111,7 @@ func run(args []string) error {
 		llcRefs, 100*float64(llcRefs)/float64(refs))
 
 	lru := sharing.LLCConfig{Size: int(*llcMB * float64(cache.MB)), Ways: *ways,
-		NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+		NewPolicy: func() cache.Policy { return &cache.LRU{} }}
 	results, err := sharing.ReplayMulti(stream, []sharing.LLCConfig{lru}, sharing.Options{})
 	if err != nil {
 		return err

@@ -266,14 +266,3 @@ func (c *SetAssoc) victim(set, base int, res *Result, a *AccessInfo) int {
 func badVictim(p Policy, way, ways int) string {
 	return fmt.Sprintf("cache: policy %s returned victim way %d outside [0,%d)", p.Name(), way, ways)
 }
-
-// PerSetIndependent reports whether p declares that its replacement
-// decisions in one set depend only on the sequence of accesses to that set
-// (no cross-set state such as dueling counters, shared RNG draws or global
-// prediction tables). A per-set-independent policy replayed with the
-// stream split by set index gives results identical to a stream-order
-// replay.
-func PerSetIndependent(p Policy) bool {
-	ps, ok := p.(interface{ PerSetIndependent() bool })
-	return ok && ps.PerSetIndependent()
-}

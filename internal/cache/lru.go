@@ -9,7 +9,7 @@ import "sharellc/internal/mem"
 //
 // LRU lives in package cache (rather than internal/policy, which imports
 // this package) so that System, the reference hierarchy and the tests here
-// have a policy at hand; internal/policy re-exports it for the catalogue.
+// have a policy at hand; the internal/policy catalogue builds it as "lru".
 type LRU struct {
 	ways  int
 	stamp []uint64 // sets*ways recency stamps; larger = more recent
@@ -26,9 +26,9 @@ func (p *LRU) Attach(sets, ways int) {
 	// Start well above zero so a touched way's stamp never falls to a
 	// never-filled way's 0. Demote's min-1 still wraps when the set has a
 	// never-filled way: the demoted stamp becomes MaxUint64, which Victim
-	// (unsigned) ranks most recent and policy.LRUPolicy's VictimKeys
-	// (negated as int64) least recent. Pinned by
-	// TestLRUDemoteWrapsOnUnfilledSet; fixing it changes table bytes.
+	// (unsigned) ranks most recent and VictimKeys (negated as int64)
+	// least recent. Pinned by TestLRUDemoteWrapsOnUnfilledSet; fixing it
+	// changes table bytes.
 	p.clock = 1 << 32
 }
 
@@ -56,6 +56,14 @@ func (p *LRU) Victim(set int, _ *AccessInfo) int {
 	return victim
 }
 
+// VictimKeys implements core.victimKeyer: least-recent first (a lower
+// stamp is older, so the key is the negated stamp).
+func (p *LRU) VictimKeys(set int, dst []int64) {
+	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
+		dst[w] = -int64(s)
+	}
+}
+
 func (p *LRU) touch(set, way int) {
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
@@ -73,12 +81,6 @@ func (p *LRU) Demote(set, way int) {
 	}
 	p.stamp[base+way] = min - 1
 }
-
-// PerSetIndependent reports that LRU decisions depend only on the relative
-// recency order within each set: the global clock assigns stamps whose
-// within-set ordering is unaffected by how accesses to other sets
-// interleave, so set-sharded replay is exact.
-func (p *LRU) PerSetIndependent() bool { return true }
 
 // minStampWay returns the way of the smallest stamp in the set at base.
 // Kept out of the kernel closure on purpose: as a leaf over one slice
@@ -100,8 +102,6 @@ func minStampWay(stamp []uint64, base, ways int) int {
 // the min-stamp victim scan inlined into the chunk loop. The stamp
 // array is flat by line index, so the hit path — the vast majority —
 // touches only the recency stamp at li-1 and never recomputes the set.
-// policy.LRUPolicy inherits this kernel by embedding (it overrides no
-// replacement method, only adds victim ranking).
 func (p *LRU) NewBatchKernel(c *SetAssoc) BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()

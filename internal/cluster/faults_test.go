@@ -52,6 +52,12 @@ type faults struct {
 	// the worker, which heartbeats at a third of it; the coordinator
 	// keeps its own.
 	announceTTL time.Duration
+	// holdBuilds, when set, makes every worker's stream build wait until
+	// a heartbeat has been answered, so a run meets a heartbeat even when
+	// its bundles would finish inside one heartbeat period.
+	holdBuilds bool
+	beat       chan struct{} // closed once the first heartbeat is answered
+	beatOnce   sync.Once
 
 	mu        sync.Mutex
 	seen      map[string]int  // requests per route
@@ -62,7 +68,21 @@ type faults struct {
 }
 
 func newFaults(cycles map[string][]fault) *faults {
-	return &faults{cycles: cycles, seen: map[string]int{}, lost: map[string]bool{}, injected: map[fault]int{}, landed: make(chan struct{})}
+	return &faults{cycles: cycles, beat: make(chan struct{}), seen: map[string]int{}, lost: map[string]bool{}, injected: map[fault]int{}, landed: make(chan struct{})}
+}
+
+// holdBuild is the workers' BuildHook under holdBuilds: it returns once
+// a heartbeat has been answered or ctx ends.
+func (f *faults) holdBuild(ctx context.Context) func(string) {
+	if !f.holdBuilds {
+		return nil
+	}
+	return func(string) {
+		select {
+		case <-f.beat:
+		case <-ctx.Done():
+		}
+	}
 }
 
 // route names the protocol route of a request path, and the bundle a
@@ -122,6 +142,9 @@ func (f *faults) land() {
 func (f *faults) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name, bundle := route(r.URL.Path)
+		if name == "heartbeat" {
+			defer f.beatOnce.Do(func() { close(f.beat) })
+		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			return
@@ -223,7 +246,7 @@ func startFaultyCluster(t *testing.T, inject *faults) (context.Context, *Coordin
 		w, err := NewWorker(WorkerConfig{
 			CoordinatorURL: cs.URL,
 			SelfURL:        ws.URL,
-			Cache:          streamcache.New(streamcache.Options{}),
+			Cache:          streamcache.New(streamcache.Options{BuildHook: inject.holdBuild(ctx)}),
 			Poll:           10 * time.Millisecond,
 		})
 		if err != nil {
@@ -252,8 +275,10 @@ func TestClusterE2EUnderFaults(t *testing.T) {
 // every other heartbeat answered by a 503, as an overloaded coordinator
 // or a proxy may answer, and leases that tell workers a 60 ms TTL, so
 // they heartbeat every 20 ms and every bundle that runs past one beat
-// meets a 503. The coordinator keeps its 500 ms TTL, so a heartbeat
-// starved under the race detector does not expire a lease. Only a 404
+// meets a 503; the workers' first stream build waits for a heartbeat,
+// so one is sent even when every bundle would finish inside one beat.
+// The coordinator keeps its 500 ms TTL, so a heartbeat starved under
+// the race detector does not expire a lease. Only a 404
 // (unknown bundle) or a 409 (lease lost) means another worker owns a
 // bundle, so no run is cancelled and no bundle fails.
 func TestClusterE2EHeartbeatUnavailable(t *testing.T) {
@@ -261,6 +286,7 @@ func TestClusterE2EHeartbeatUnavailable(t *testing.T) {
 	cycles["heartbeat"] = []fault{noFault, drop}
 	inject := newFaults(cycles)
 	inject.announceTTL = 60 * time.Millisecond
+	inject.holdBuilds = true
 	coord := checkUnderFaults(t, inject)
 	inject.mu.Lock()
 	unavailable := (inject.seen["heartbeat"] + 1) / 2 // the 1st, 3rd, … heartbeat

@@ -43,10 +43,20 @@ type besideHint struct {
 
 func (b *besideHint) Fill(set, way int, a *cache.AccessInfo) { b.FillHinted(set, way, a, b.hint) }
 
-// plainLRU is cache.LRU without its Demote method: a Protector over it
-// never demotes unhinted fills, so the directed tests see the protection
-// mechanics alone, in plain LRU order.
+// plainLRU is cache.LRU without its Demote and VictimKeys methods: a
+// Protector over it never demotes unhinted fills, so the directed tests
+// see the protection mechanics alone, in plain LRU order.
 type plainLRU struct{ cache.Policy }
+
+// demotingLRU is cache.LRU without its VictimKeys method: a Protector
+// over it demotes unhinted fills and takes LRU's own Victim, so the
+// directed tests see demotion in plain LRU order.
+type demotingLRU struct {
+	cache.Policy
+	lru *cache.LRU
+}
+
+func (d demotingLRU) Demote(set, way int) { d.lru.Demote(set, way) }
 
 // protCache builds a testCache whose Protector wraps base under opts.
 func protCache(t *testing.T, base cache.Policy, opts Options) (*testCache, *Protector) {
@@ -59,10 +69,11 @@ func protCache(t *testing.T, base cache.Policy, opts Options) (*testCache, *Prot
 	return &testCache{SetAssoc: c, hint: b, resident: map[uint64]bool{}}, b.Protector
 }
 
-// lruCache is protCache over cache.LRU, which demotes.
+// lruCache is protCache over demotingLRU.
 func lruCache(t *testing.T, opts Options) (*testCache, *Protector) {
 	t.Helper()
-	return protCache(t, &cache.LRU{}, opts)
+	lru := &cache.LRU{}
+	return protCache(t, demotingLRU{lru, lru}, opts)
 }
 
 // plainCache is protCache over plainLRU, which does not.
@@ -191,7 +202,7 @@ func TestSkipBudgetExpires(t *testing.T) {
 	c.Access(cache.AccessInfo{Block: 2})
 	c.Access(cache.AccessInfo{Block: 3})
 	// Each conflicting fill charges block 0 once (it is the base LRU
-	// victim). cache.LRU has no VictimKeys, so the wrapper uses the
+	// victim). plainLRU has no VictimKeys, so the wrapper uses the
 	// fallback path: once the budget hits zero mid-selection, the
 	// expired block itself is evicted.
 	c.Access(cache.AccessInfo{Block: 4}) // charge 1 (skips left 1)
@@ -318,12 +329,6 @@ func TestFallbackWithoutRanking(t *testing.T) {
 type evictCounter struct {
 	cache.LRU
 	evicts int
-}
-
-func (e *evictCounter) VictimKeys(set int, dst []int64) {
-	for w := range dst {
-		dst[w] = -int64(e.Stamp(set, w))
-	}
 }
 
 func (e *evictCounter) ObserveEvict(int, int) { e.evicts++ }

@@ -77,7 +77,7 @@ func TestProtectorOverEveryPolicyFuzz(t *testing.T) {
 func TestProtectorQuickInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rnd := rng.New(seed)
-		p := &besideHint{Protector: NewProtectorOpts(policy.NewLRUPolicy(), Options{Strength: Full})}
+		p := &besideHint{Protector: NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})}
 		c, err := cache.NewSetAssoc(4*trace.BlockSize, 4, p)
 		if err != nil {
 			return false

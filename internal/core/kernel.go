@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/policy"
 )
 
 // The protected lane and its LRU batch kernel.
@@ -103,11 +102,11 @@ func (l *Lane) Fill(set, way int, a *cache.AccessInfo) {
 func (l *Lane) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel { return l.lruKernel(c, l.h) }
 
 // lruKernel returns the protected-LRU batch kernel of p driven by d, or
-// nil — the generic loop — unless p's base is a policy.LRUPolicy and c
+// nil — the generic loop — unless p's base is a *cache.LRU and c
 // has at most 64 ways (one protection word per set). Like any
 // cache.batchPolicy kernel it is bound after Attach and serves c alone.
 func (p *Protector) lruKernel(c *cache.SetAssoc, d laneHinter) cache.BatchKernel {
-	lru, ok := p.base.(*policy.LRUPolicy)
+	lru, ok := p.base.(*cache.LRU)
 	mask, ways := c.KernelGeom()
 	if !ok || ways > 64 {
 		return nil
@@ -154,8 +153,8 @@ func (p *Protector) lruKernel(c *cache.SetAssoc, d laneHinter) cache.BatchKernel
 			clock++
 			stamp[li] = clock
 
-			// FillHinted over LRU: LRUPolicy is a Demoter and not a
-			// Promoter, so promotion is a second touch (its Hit).
+			// FillHinted over LRU: cache.LRU is a demoter and not a
+			// promoter, so promotion is a second touch (its Hit).
 			p.fillsSeen++
 			if shared {
 				p.fillsHinted++
@@ -194,11 +193,11 @@ func (p *Protector) lruKernel(c *cache.SetAssoc, d laneHinter) cache.BatchKernel
 // lruVictim is Victim over an LRU base with at most 64 ways. With no way
 // protected (always so under InsertOnly, which never protects), or every
 // way (lockout), it is LRU's own choice: the least unsigned stamp.
-// Otherwise it is the keyed choice over LRUPolicy's VictimKeys,
+// Otherwise it is the keyed choice over cache.LRU's VictimKeys,
 // -int64(stamp), scanned over the unprotected ways' mask. The two orders
 // disagree on a stamp Demote wrapped (see cache.LRU.Attach), so each
 // branch keeps its own.
-func (p *Protector) lruVictim(lru *policy.LRUPolicy, set int, a *cache.AccessInfo) int {
+func (p *Protector) lruVictim(lru *cache.LRU, set int, a *cache.AccessInfo) int {
 	m := p.prot[set]
 	if m == 0 {
 		return lru.Victim(set, a)

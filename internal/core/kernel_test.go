@@ -10,7 +10,6 @@ import (
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/oracle"
-	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
 	"sharellc/internal/rng"
 	"sharellc/internal/trace"
@@ -59,7 +58,7 @@ func b2u(b bool) uint64 {
 // recorder of its predictor.
 type kernelLane struct {
 	pol  cache.Policy
-	base *policy.LRUPolicy
+	base *cache.LRU
 	prot *core.Protector
 	rec  *recorder
 }
@@ -190,14 +189,14 @@ func TestProtectedLRUKernelVsGeneric(t *testing.T) {
 			lanes := map[string]func() kernelLane{}
 			for name, col := range hints {
 				lanes["oracle-"+name] = func() kernelLane {
-					base := policy.NewLRUPolicy()
+					base := &cache.LRU{}
 					h := core.NewLane(core.NewProtectorOpts(base, opts), oracle.Hints(col))
 					return kernelLane{pol: h, base: base, prot: h.Protector}
 				}
 			}
 			for pi, pred := range drivenPredictors(t, stream) {
 				lanes["driven-"+pred.Name()] = func() kernelLane {
-					base := policy.NewLRUPolicy()
+					base := &cache.LRU{}
 					rec := &recorder{pred: drivenPredictors(t, stream)[pi]}
 					d := core.NewLane(core.NewProtectorOpts(base, opts), predictor.NewDriven(rec))
 					return kernelLane{pol: d, base: base, prot: d.Protector, rec: rec}
@@ -273,7 +272,7 @@ func TestProtectedLRUKernelWrappedDemote(t *testing.T) {
 		}
 		numBlocks := cache.AssignBlockIDs(stream)
 		lane := func() kernelLane {
-			base := policy.NewLRUPolicy()
+			base := &cache.LRU{}
 			h := core.NewLane(core.NewProtectorOpts(base, core.Options{Strength: core.Full}), oracle.Hints(tc.hints))
 			return kernelLane{pol: h, base: base, prot: h.Protector}
 		}

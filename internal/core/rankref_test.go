@@ -338,7 +338,7 @@ func TestVictimDoesNotAllocate(t *testing.T) {
 		}
 	}
 	// Lockout: every way protected.
-	p := NewProtectorOpts(policy.NewLRUPolicy(), Options{Strength: Full})
+	p := NewProtectorOpts(&cache.LRU{}, Options{Strength: Full})
 	p.Attach(1, 16)
 	a := &cache.AccessInfo{}
 	if avg := testing.AllocsPerRun(100, func() {

@@ -88,7 +88,7 @@ func TestHintedLaneMatchesHooked(t *testing.T) {
 		t.Fatal(err)
 	}
 	bases := map[string]func() cache.Policy{
-		"lru":   func() cache.Policy { return policy.NewLRUPolicy() },
+		"lru":   func() cache.Policy { return &cache.LRU{} },
 		"drrip": drrip,
 	}
 	for _, ways := range []int{8, 16, 64, 128} {
@@ -173,7 +173,7 @@ func TestHintedLaneAllocSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories := []func() cache.Policy{func() cache.Policy { return policy.NewLRUPolicy() }, drrip}
+	factories := []func() cache.Policy{func() cache.Policy { return &cache.LRU{} }, drrip}
 	full := core.Options{Strength: core.Full}
 	if !laneKernel(t, core.NewLane(core.NewProtectorOpts(factories[0](), full), Hints(make([]bool, len(stream)))), 8) {
 		t.Fatal("the LRU hint-column lane binds no batch kernel")

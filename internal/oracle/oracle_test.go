@@ -17,7 +17,7 @@ const (
 	ways = 4
 )
 
-func lruFactory() cache.Policy { return policy.NewLRUPolicy() }
+func lruFactory() cache.Policy { return &cache.LRU{} }
 
 // study is the single-policy oracle study at the default horizon: the
 // bare base and its oracle lane, one fused replay.

@@ -45,7 +45,6 @@ import (
 	"math/bits"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/rng"
 )
 
 // SWAR byte-lane constants of the victim searches.
@@ -122,8 +121,7 @@ func nruVictim(ref []uint8, base, ways int, wide bool) int {
 }
 
 // stampVictim is the min-stamp scan shared by the LRU-stack family
-// (FIFO and the LIP/BIP/DIP core; cache.LRU carries its own copy on
-// uint64 stamps).
+// (FIFO and LIP; cache.LRU carries its own copy on uint64 stamps).
 //
 //go:noinline
 func stampVictim(stamp []int64, base, ways int) int {
@@ -306,19 +304,9 @@ func (p *plru) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	}
 }
 
-// Insertion modes of the shared LRU-stack (LIP/BIP/DIP) and RRIP
-// (SRRIP/BRRIP/DRRIP) kernels. The mode is a captured constant, so the
-// per-fill switch predicts perfectly; sharing one loop per family keeps
-// the kernel bodies from tripling.
-const (
-	insertStatic = iota // LIP at-LRU / SRRIP at long
-	insertCoin          // BIP / BRRIP: MRU-or-long with probability epsilon
-	insertDuel          // DIP / DRRIP: set-dueling selector picks per fill
-)
-
-// lipKernel is the monomorphic loop of the LIP/BIP/DIP family: LRU
-// stamps flat by line index, hits touch MRU, fills insert per mode.
-func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for the LIP family: LRU
+// stamps flat by line index, hits touch MRU, fills insert per atMRU.
+func (p *lip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	stamp := p.stamp
@@ -340,15 +328,7 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			atMRU := false
-			switch mode {
-			case insertCoin:
-				atMRU = rnd.Bool(bipEpsilon)
-			case insertDuel:
-				d.observeMiss(set)
-				atMRU = d.useA(set) || rnd.Bool(bipEpsilon)
-			}
-			if atMRU {
+			if p.atMRU(set) {
 				clock++
 				stamp[li] = clock
 			} else {
@@ -362,26 +342,10 @@ func lipKernel(p *lipCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel
 	}
 }
 
-// NewBatchKernel implements cache.batchPolicy for LIP.
-func (p *lip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return lipKernel(&p.lipCore, c, insertStatic, nil, nil)
-}
-
-// NewBatchKernel implements cache.batchPolicy for BIP.
-func (p *bip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return lipKernel(&p.lipCore, c, insertCoin, p.rnd, nil)
-}
-
-// NewBatchKernel implements cache.batchPolicy for DIP.
-func (p *dip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return lipKernel(&p.lipCore, c, insertDuel, p.rnd, &p.duel)
-}
-
-// rripKernel is the monomorphic loop of the SRRIP/BRRIP/DRRIP family:
-// flat RRPV bytes, hits promote to 0, fills insert at long or distant
-// re-reference per mode, victims from the (SWAR when possible) RRIP
-// search.
-func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *duel) cache.BatchKernel {
+// NewBatchKernel implements cache.batchPolicy for the RRIP family: flat
+// RRPV bytes, hits promote to 0, fills insert per fillRRPV, victims
+// from the (SWAR when possible) RRIP search.
+func (p *rrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
 	rrpv := p.rrpv
@@ -402,19 +366,7 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			long := true
-			switch mode {
-			case insertCoin:
-				long = rnd.Bool(brripEpsilon)
-			case insertDuel:
-				d.observeMiss(set)
-				long = d.useA(set) || rnd.Bool(brripEpsilon)
-			}
-			if long {
-				rrpv[li] = rripMax - 1
-			} else {
-				rrpv[li] = rripMax
-			}
+			rrpv[li] = p.fillRRPV(set)
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o
@@ -422,130 +374,32 @@ func rripKernel(p *rripCore, c *cache.SetAssoc, mode int, rnd *rng.Source, d *du
 	}
 }
 
-// NewBatchKernel implements cache.batchPolicy for SRRIP.
-func (p *srrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return rripKernel(&p.rripCore, c, insertStatic, nil, nil)
-}
-
-// NewBatchKernel implements cache.batchPolicy for BRRIP.
-func (p *brrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return rripKernel(&p.rripCore, c, insertCoin, p.rnd, nil)
-}
-
-// NewBatchKernel implements cache.batchPolicy for DRRIP.
-func (p *drrip) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	return rripKernel(&p.rripCore, c, insertDuel, p.rnd, &p.duel)
-}
-
-// NewBatchKernel implements cache.batchPolicy for SHiP: the RRIP loop
-// plus first-reuse SHCT training on hits, dead-on-eviction training in
-// the victim search, and the PC-signature insertion on fills (the one
-// record field this kernel reads).
+// NewBatchKernel implements cache.batchPolicy for SHiP and SHiP-S: the
+// RRIP loop with ship's hit, eviction and fill rules (the fill's PC
+// signature and the hit's core are the record fields it reads).
 func (p *ship) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
 	mask, ways := c.KernelGeom()
 	valid := c.KernelValid()
-	rrpv, shct, lineSig, lineUsed := p.rrpv, p.shct, p.lineSig, p.lineUsed
+	rrpv := p.rrpv
 	wide := ways%laneWidth == 0
 	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
 		for k := range blk {
 			if li := active[id[k]]; li != 0 {
-				idx := li - 1
-				rrpv[idx] = 0
-				if !lineUsed[idx] {
-					lineUsed[idx] = true
-					if cnt := shct[lineSig[idx]]; cnt < shipCounterMax {
-						shct[lineSig[idx]] = cnt + 1
-					}
-				}
-				out[k] = idx | cache.BatchHit
+				p.hit(int(li-1), accs[k].Core)
+				out[k] = (li - 1) | cache.BatchHit
 				continue
 			}
 			set := int(blk[k] & mask)
 			var li, o uint32
 			if int(valid[set]) == ways {
 				base := set * ways
-				w := rripVictim(rrpv, base, ways, wide)
-				li, o = uint32(base+w), cache.BatchEvict
-				if !lineUsed[li] {
-					if cnt := shct[lineSig[li]]; cnt > 0 {
-						shct[lineSig[li]] = cnt - 1
-					}
-				}
+				li, o = uint32(base+rripVictim(rrpv, base, ways, wide)), cache.BatchEvict
+				p.evict(int(li))
 				active[lineID[li]] = 0
 			} else {
 				li = c.KernelColdWay(set)
 			}
-			sig := Signature(accs[k].PC)
-			lineSig[li] = sig
-			lineUsed[li] = false
-			if shct[sig] == 0 {
-				rrpv[li] = rripMax
-			} else {
-				rrpv[li] = rripMax - 1
-			}
-			lineID[li] = id[k]
-			active[id[k]] = li + 1
-			out[k] = li | o
-		}
-	}
-}
-
-// NewBatchKernel implements cache.batchPolicy for SHiP-S, overriding
-// the kernel SHiPS would otherwise inherit from the embedded SHiP: the
-// sharing-aware variant trains a second SHCT step on cross-core first
-// reuse and promotes confident sharing sites to RRPV 0 on fill.
-func (p *shipS) NewBatchKernel(c *cache.SetAssoc) cache.BatchKernel {
-	mask, ways := c.KernelGeom()
-	valid := c.KernelValid()
-	rrpv, shct, lineSig, lineUsed, lineCore := p.rrpv, p.shct, p.lineSig, p.lineUsed, p.lineCore
-	wide := ways%laneWidth == 0
-	return func(blk []uint64, id []uint32, accs []cache.AccessInfo, active, lineID, out []uint32) {
-		for k := range blk {
-			if li := active[id[k]]; li != 0 {
-				idx := li - 1
-				firstReuse := !lineUsed[idx]
-				rrpv[idx] = 0
-				if firstReuse {
-					lineUsed[idx] = true
-					if cnt := shct[lineSig[idx]]; cnt < shipCounterMax {
-						shct[lineSig[idx]] = cnt + 1
-					}
-					if accs[k].Core != lineCore[idx] {
-						if cnt := shct[lineSig[idx]]; cnt < shipCounterMax {
-							shct[lineSig[idx]] = cnt + 1
-						}
-					}
-				}
-				out[k] = idx | cache.BatchHit
-				continue
-			}
-			set := int(blk[k] & mask)
-			var li, o uint32
-			if int(valid[set]) == ways {
-				base := set * ways
-				w := rripVictim(rrpv, base, ways, wide)
-				li, o = uint32(base+w), cache.BatchEvict
-				if !lineUsed[li] {
-					if cnt := shct[lineSig[li]]; cnt > 0 {
-						shct[lineSig[li]] = cnt - 1
-					}
-				}
-				active[lineID[li]] = 0
-			} else {
-				li = c.KernelColdWay(set)
-			}
-			sig := Signature(accs[k].PC)
-			lineSig[li] = sig
-			lineUsed[li] = false
-			if shct[sig] == 0 {
-				rrpv[li] = rripMax
-			} else {
-				rrpv[li] = rripMax - 1
-			}
-			lineCore[li] = accs[k].Core
-			if shct[sig] >= shipCounterMax-1 {
-				rrpv[li] = 0
-			}
+			p.fill(int(li), &accs[k])
 			lineID[li] = id[k]
 			active[id[k]] = li + 1
 			out[k] = li | o

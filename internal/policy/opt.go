@@ -71,11 +71,6 @@ func (p *opt) VictimKeys(set int, dst []int64) {
 	}
 }
 
-// PerSetIndependent reports that OPT qualifies for set-sharded replay: its
-// per-line next-use horizons are global stream indices that do not depend
-// on how accesses to other sets interleave.
-func (p *opt) PerSetIndependent() bool { return true }
-
 // horizonAt maps NoNextUse to a value beyond any real stream index so
 // never-reused lines always rank first.
 func (p *opt) horizonAt(idx int) int64 {

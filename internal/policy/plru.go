@@ -75,10 +75,6 @@ func (p *plru) Fill(set, way int, _ *cache.AccessInfo) { p.touch(set, way) }
 // Promote implements core.promoter.
 func (p *plru) Promote(set, way int) { p.touch(set, way) }
 
-// PerSetIndependent reports that PLRU qualifies for set-sharded replay:
-// its direction-bit trees are pure per-set state.
-func (p *plru) PerSetIndependent() bool { return true }
-
 // Demote points the whole path at way, making it the next victim
 // (core.demoter).
 func (p *plru) Demote(set, way int) {

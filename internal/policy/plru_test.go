@@ -100,7 +100,7 @@ func TestPLRUApproximatesLRU(t *testing.T) {
 		}
 		return misses
 	}
-	lru := run(NewLRUPolicy())
+	lru := run(&cache.LRU{})
 	plru := run(newPLRU())
 	if float64(plru) > 1.10*float64(lru) {
 		t.Errorf("PLRU misses %d exceed LRU %d by more than 10%%", plru, lru)

@@ -32,19 +32,19 @@ type Factory func() cache.Policy
 // seed so that whole experiments stay deterministic.
 func catalogue(seed uint64) []Factory {
 	return []Factory{
-		func() cache.Policy { return NewLRUPolicy() },
+		func() cache.Policy { return &cache.LRU{} },
 		func() cache.Policy { return newRandom(rng.New(seed ^ 0x1)) },
 		func() cache.Policy { return newFIFO() },
 		func() cache.Policy { return newNRU() },
 		func() cache.Policy { return newPLRU() },
-		func() cache.Policy { return newLIP() },
-		func() cache.Policy { return newBIP(rng.New(seed ^ 0x2)) },
-		func() cache.Policy { return newDIP(rng.New(seed ^ 0x3)) },
-		func() cache.Policy { return newSRRIP() },
-		func() cache.Policy { return newBRRIP(rng.New(seed ^ 0x4)) },
-		func() cache.Policy { return newDRRIP(rng.New(seed ^ 0x5)) },
-		func() cache.Policy { return newSHiP() },
-		func() cache.Policy { return newSHiPS() },
+		func() cache.Policy { return newLIP(static, nil) },
+		func() cache.Policy { return newLIP(bimodal, rng.New(seed^0x2)) },
+		func() cache.Policy { return newLIP(dueling, rng.New(seed^0x3)) },
+		func() cache.Policy { return newRRIP(static, nil) },
+		func() cache.Policy { return newRRIP(bimodal, rng.New(seed^0x4)) },
+		func() cache.Policy { return newRRIP(dueling, rng.New(seed^0x5)) },
+		func() cache.Policy { return newSHiP(false) },
+		func() cache.Policy { return newSHiP(true) },
 		func() cache.Policy { return newOPT() },
 	}
 }
@@ -74,7 +74,17 @@ func Names(seed uint64) []string {
 // give the same result. LRU, FIFO, NRU, PLRU, LIP, SRRIP and OPT
 // qualify; policies with cross-set state — shared RNG draws (Random, BIP,
 // BRRIP), set-dueling selectors (DIP, DRRIP) or global prediction tables
-// (SHiP) — do not. sharing.ReplayMulti runs every lane as one
-// stream-order pass either way; the bench module splits its lane probes
-// by this property.
-func PerSet(p cache.Policy) bool { return cache.PerSetIndependent(p) }
+// (SHiP) — do not, and neither does any wrapper. sharing.ReplayMulti runs
+// every lane as one stream-order pass either way; the bench module
+// splits its lane probes by this property.
+func PerSet(p cache.Policy) bool {
+	switch q := p.(type) {
+	case *cache.LRU, *fifo, *nru, *plru, *opt:
+		return true
+	case *lip:
+		return q.mode == static
+	case *rrip:
+		return q.mode == static
+	}
+	return false
+}

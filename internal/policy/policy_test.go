@@ -36,6 +36,39 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCatalogueProperties pins, per catalogue name, the name round trip
+// through ByName, PerSet (true exactly for the policies with no cross-set
+// state: no shared RNG draw, dueling selector or global table) and
+// whether NewSetAssoc binds a batch kernel (every policy but OPT). A mode
+// of a policy family must not inherit a sibling mode's answers.
+func TestCatalogueProperties(t *testing.T) {
+	perSet := map[string]bool{"lru": true, "fifo": true, "nru": true, "plru": true, "lip": true, "srrip": true, "opt": true}
+	names := Names(3)
+	if len(names) != 14 {
+		t.Fatalf("catalogue has %d policies, want 14", len(names))
+	}
+	for _, name := range names {
+		f, err := ByName(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := f()
+		if got := p.Name(); got != name {
+			t.Errorf("ByName(%q) built %q", name, got)
+		}
+		if got := PerSet(p); got != perSet[name] {
+			t.Errorf("PerSet(%s) = %v, want %v", name, got, perSet[name])
+		}
+		c, err := cache.NewSetAssoc(64*16*trace.BlockSize, 16, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.HasBatchKernel(), name != "opt"; got != want {
+			t.Errorf("%s: batch kernel bound = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func newCache(t *testing.T, p cache.Policy, ways int) *cache.SetAssoc {
 	t.Helper()
 	c, err := cache.NewSetAssoc(4*ways*trace.BlockSize, ways, p)
@@ -94,7 +127,7 @@ func TestAllPoliciesValidVictims(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	p := NewLRUPolicy()
+	p := &cache.LRU{}
 	c := newCache(t, p, 4) // set 0: blocks 0,4,8,12,16...
 	for _, b := range []uint64{0, 4, 8, 12} {
 		c.Access(ai(b))
@@ -112,7 +145,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // the demoted line most recent; VictimKeys negates them as int64 and
 // ranks it least recent.
 func TestLRUDemoteWrapsOnUnfilledSet(t *testing.T) {
-	p := NewLRUPolicy()
+	p := &cache.LRU{}
 	p.Attach(1, 4)
 	for w := 0; w < 3; w++ {
 		p.Fill(0, w, &cache.AccessInfo{})
@@ -168,7 +201,7 @@ func TestNRUVictimPrefersColdBit(t *testing.T) {
 }
 
 func TestLIPDropsSingleUseBlocks(t *testing.T) {
-	p := newLIP()
+	p := newLIP(static, nil)
 	c := newCache(t, p, 4)
 	// Establish a hot working set of 3 blocks in set 0 and re-touch them
 	// so they hold MRU positions.
@@ -193,7 +226,7 @@ func TestLIPDropsSingleUseBlocks(t *testing.T) {
 }
 
 func TestBIPMostlyInsertsAtLRU(t *testing.T) {
-	p := newBIP(rng.New(1))
+	p := newLIP(bimodal, rng.New(1))
 	c := newCache(t, p, 4)
 	hot := []uint64{0, 4, 8}
 	for _, b := range hot {
@@ -220,8 +253,8 @@ func TestSRRIPScanResistance(t *testing.T) {
 	// SRRIP: hot blocks at RRPV 0, scan blocks inserted at rripMax-1.
 	// A one-pass scan should not wipe a re-referenced working set the way
 	// it does under LRU.
-	lruMisses := missesUnderPolicy(t, NewLRUPolicy(), scanWorkload())
-	srripMisses := missesUnderPolicy(t, newSRRIP(), scanWorkload())
+	lruMisses := missesUnderPolicy(t, &cache.LRU{}, scanWorkload())
+	srripMisses := missesUnderPolicy(t, newRRIP(static, nil), scanWorkload())
 	if srripMisses >= lruMisses {
 		t.Errorf("SRRIP misses %d >= LRU misses %d on mixed scan workload", srripMisses, lruMisses)
 	}
@@ -264,9 +297,9 @@ func missesUnderPolicy(t *testing.T, p cache.Policy, stream []cache.AccessInfo) 
 
 func TestDRRIPNotWorseThanWorstConstituent(t *testing.T) {
 	stream := scanWorkload()
-	s := missesUnderPolicy(t, newSRRIP(), stream)
-	b := missesUnderPolicy(t, newBRRIP(rng.New(2)), stream)
-	d := missesUnderPolicy(t, newDRRIP(rng.New(2)), stream)
+	s := missesUnderPolicy(t, newRRIP(static, nil), stream)
+	b := missesUnderPolicy(t, newRRIP(bimodal, rng.New(2)), stream)
+	d := missesUnderPolicy(t, newRRIP(dueling, rng.New(2)), stream)
 	worst := s
 	if b > worst {
 		worst = b
@@ -280,9 +313,9 @@ func TestDRRIPNotWorseThanWorstConstituent(t *testing.T) {
 
 func TestDIPNotWorseThanWorstConstituent(t *testing.T) {
 	stream := scanWorkload()
-	lru := missesUnderPolicy(t, NewLRUPolicy(), stream)
-	bip := missesUnderPolicy(t, newBIP(rng.New(4)), stream)
-	dip := missesUnderPolicy(t, newDIP(rng.New(4)), stream)
+	lru := missesUnderPolicy(t, &cache.LRU{}, stream)
+	bip := missesUnderPolicy(t, newLIP(bimodal, rng.New(4)), stream)
+	dip := missesUnderPolicy(t, newLIP(dueling, rng.New(4)), stream)
 	worst := lru
 	if bip > worst {
 		worst = bip
@@ -302,8 +335,8 @@ func TestBRRIPThrashResistance(t *testing.T) {
 			stream = append(stream, ai(b))
 		}
 	}
-	srrip := missesUnderPolicy(t, newSRRIP(), stream)
-	brrip := missesUnderPolicy(t, newBRRIP(rng.New(6)), stream)
+	srrip := missesUnderPolicy(t, newRRIP(static, nil), stream)
+	brrip := missesUnderPolicy(t, newRRIP(bimodal, rng.New(6)), stream)
 	if brrip >= srrip {
 		t.Errorf("BRRIP misses %d >= SRRIP misses %d on cyclic overflow", brrip, srrip)
 	}
@@ -313,7 +346,7 @@ func TestSHiPLearnsDeadPC(t *testing.T) {
 	// One PC fills blocks that are never reused; another fills blocks
 	// that are always reused. After training, dead-PC fills must insert
 	// at distant RRPV.
-	p := newSHiP()
+	p := newSHiP(false)
 	p.Attach(4, 4)
 	const deadPC, livePC = 0x1000, 0x2000
 	// Train the dead PC: keep set 0 full of dead-PC fills and let the
@@ -364,7 +397,7 @@ func TestOPTBeatsLRUOnCyclicSet(t *testing.T) {
 		}
 	}
 	annotate(stream)
-	lru := missesUnderPolicy(t, NewLRUPolicy(), stream)
+	lru := missesUnderPolicy(t, &cache.LRU{}, stream)
 	opt := missesUnderPolicy(t, newOPT(), stream)
 	if lru != uint64(len(stream)) {
 		t.Errorf("LRU misses = %d, want %d (total thrash)", lru, len(stream))

@@ -65,9 +65,6 @@ func (p *rripCore) VictimKeys(set int, dst []int64) {
 	}
 }
 
-// insert sets the fill RRPV of way.
-func (p *rripCore) insert(set, way int, v uint8) { p.rrpv[set*p.ways+way] = v }
-
 // Promote moves way to near-immediate re-reference without touching any
 // training state (core.promoter).
 func (p *rripCore) Promote(set, way int) { p.rrpv[set*p.ways+way] = 0 }
@@ -75,80 +72,39 @@ func (p *rripCore) Promote(set, way int) { p.rrpv[set*p.ways+way] = 0 }
 // Demote moves way to distant re-reference (core.demoter).
 func (p *rripCore) Demote(set, way int) { p.rrpv[set*p.ways+way] = rripMax }
 
-// srrip (static RRIP, Jaleel et al. ISCA'10) inserts fills at RRPV
-// max-1 ("long re-reference interval") and promotes hits to 0.
-type srrip struct{ rripCore }
-
-// newSRRIP returns an SRRIP policy.
-func newSRRIP() *srrip { return &srrip{} }
-
-// Name implements cache.Policy.
-func (p *srrip) Name() string { return "srrip" }
-
-// Fill implements cache.Policy.
-func (p *srrip) Fill(set, way int, _ *cache.AccessInfo) { p.insert(set, way, rripMax-1) }
-
-// PerSetIndependent reports that SRRIP qualifies for set-sharded replay.
-// Declared on SRRIP (not rripCore) deliberately: BRRIP, DRRIP and SHiP
-// embed rripCore but carry cross-set state and must not inherit it.
-func (p *srrip) PerSetIndependent() bool { return true }
-
-// brripEpsilon is the probability BRRIP inserts at long (rather than
-// distant) re-reference.
-const brripEpsilon = 1.0 / 32
-
-// brrip (bimodal RRIP) inserts at distant re-reference most of the time,
-// giving thrash resistance analogous to BIP.
-type brrip struct {
+// rrip is the RRIP family (Jaleel et al. ISCA'10): hits promote to
+// near-immediate re-reference and fills insert per the rule's mode.
+// SRRIP inserts every fill at RRPV max-1 ("long re-reference
+// interval"); BRRIP inserts at distant re-reference except with
+// probability bimodalEpsilon, giving thrash resistance analogous to
+// BIP; DRRIP set-duels SRRIP against BRRIP, the strongest of the
+// paper's "recent proposals" that uses no auxiliary prediction table.
+type rrip struct {
 	rripCore
-	rnd *rng.Source
+	rule
 }
 
-// newBRRIP returns a BRRIP policy drawing its insertion coin from rnd.
-func newBRRIP(rnd *rng.Source) *brrip { return &brrip{rnd: rnd} }
+// newRRIP returns the RRIP-family policy of mode m; the bimodal and
+// dueling modes draw their coin from rnd.
+func newRRIP(m mode, rnd *rng.Source) *rrip { return &rrip{rule: rule{mode: m, rnd: rnd}} }
 
 // Name implements cache.Policy.
-func (p *brrip) Name() string { return "brrip" }
-
-// Fill implements cache.Policy.
-func (p *brrip) Fill(set, way int, _ *cache.AccessInfo) {
-	if p.rnd.Bool(brripEpsilon) {
-		p.insert(set, way, rripMax-1)
-	} else {
-		p.insert(set, way, rripMax)
-	}
-}
-
-// drrip set-duels SRRIP against BRRIP, the strongest of the paper's
-// "recent proposals" that uses no auxiliary prediction table.
-type drrip struct {
-	rripCore
-	rnd  *rng.Source
-	duel duel
-}
-
-// newDRRIP returns a DRRIP policy.
-func newDRRIP(rnd *rng.Source) *drrip { return &drrip{rnd: rnd} }
-
-// Name implements cache.Policy.
-func (p *drrip) Name() string { return "drrip" }
+func (p *rrip) Name() string { return [...]string{"srrip", "brrip", "drrip"}[p.mode] }
 
 // Attach implements cache.Policy.
-func (p *drrip) Attach(sets, ways int) {
+func (p *rrip) Attach(sets, ways int) {
 	p.rripCore.Attach(sets, ways)
 	p.duel.init(sets)
 }
 
 // Fill implements cache.Policy.
-func (p *drrip) Fill(set, way int, _ *cache.AccessInfo) {
-	p.duel.observeMiss(set)
-	if p.duel.useA(set) { // A = SRRIP
-		p.insert(set, way, rripMax-1)
-		return
+func (p *rrip) Fill(set, way int, _ *cache.AccessInfo) { p.rrpv[set*p.ways+way] = p.fillRRPV(set) }
+
+// fillRRPV is the family's fill rule: the RRPV a fill into set inserts
+// at, long re-reference (constituent A's; SRRIP's always) or distant.
+func (p *rrip) fillRRPV(set int) uint8 {
+	if p.mode == static || p.fillA(set) {
+		return rripMax - 1
 	}
-	if p.rnd.Bool(brripEpsilon) { // B = BRRIP
-		p.insert(set, way, rripMax-1)
-	} else {
-		p.insert(set, way, rripMax)
-	}
+	return rripMax
 }

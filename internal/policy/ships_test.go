@@ -9,7 +9,7 @@ import (
 )
 
 func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
-	p := newSHiPS()
+	p := newSHiP(true)
 	p.Attach(4, 4)
 	const pc = 0x3000
 	sig := Signature(pc)
@@ -21,7 +21,7 @@ func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
 		t.Errorf("cross-core reuse trained %d→%d, want +2", start, got)
 	}
 	// Same-core first reuse: +1 only.
-	p2 := newSHiPS()
+	p2 := newSHiP(true)
 	p2.Attach(4, 4)
 	p2.Fill(0, 0, &cache.AccessInfo{PC: pc, Core: 0})
 	p2.Hit(0, 0, &cache.AccessInfo{Core: 0})
@@ -31,7 +31,7 @@ func TestSHiPSTrainsDoubleOnCrossCoreReuse(t *testing.T) {
 }
 
 func TestSHiPSConfidentSiteInsertsAtZero(t *testing.T) {
-	p := newSHiPS()
+	p := newSHiP(true)
 	p.Attach(4, 4)
 	const pc = 0x5000
 	sig := Signature(pc)
@@ -81,15 +81,15 @@ func TestSHiPSBeatsSHiPOnSharedReuse(t *testing.T) {
 		}
 		return misses
 	}
-	ship := run(newSHiP())
-	ships := run(newSHiPS())
+	ship := run(newSHiP(false))
+	ships := run(newSHiP(true))
 	if ships > ship {
 		t.Errorf("SHiP-S misses %d > SHiP misses %d on shared-reuse workload", ships, ship)
 	}
 }
 
 func TestSHiPSValidUnderFuzz(t *testing.T) {
-	llc, err := cache.NewSetAssoc(16*trace.BlockSize, 4, newSHiPS())
+	llc, err := cache.NewSetAssoc(16*trace.BlockSize, 4, newSHiP(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,22 +6,6 @@ import (
 	"sharellc/internal/rng"
 )
 
-// LRUPolicy wraps cache.LRU (which lives in package cache so the private
-// levels can use it without importing the catalogue) and adds victim keys
-// for the protection wrapper.
-type LRUPolicy struct{ cache.LRU }
-
-// NewLRUPolicy returns the LRU baseline.
-func NewLRUPolicy() *LRUPolicy { return &LRUPolicy{} }
-
-// VictimKeys implements core.victimKeyer: least-recent first (a lower
-// stamp is older, so the key is the negated stamp).
-func (p *LRUPolicy) VictimKeys(set int, dst []int64) {
-	for w := range dst {
-		dst[w] = -int64(p.Stamp(set, w))
-	}
-}
-
 // random evicts a uniformly random way. It is the weakest reference point
 // in the catalogue and a sanity check for the experiment harness.
 type random struct {
@@ -106,10 +90,6 @@ func (p *fifo) Victim(set int, _ *cache.AccessInfo) int {
 	return victim
 }
 
-// PerSetIndependent reports that FIFO qualifies for set-sharded replay:
-// within-set stamp order is independent of cross-set interleaving.
-func (p *fifo) PerSetIndependent() bool { return true }
-
 // VictimKeys implements core.victimKeyer: oldest fill first.
 func (p *fifo) VictimKeys(set int, dst []int64) {
 	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
@@ -174,10 +154,6 @@ func (p *nru) Victim(set int, _ *cache.AccessInfo) int {
 	return 0
 }
 
-// PerSetIndependent reports that NRU qualifies for set-sharded replay: its
-// reference bits are pure per-set state.
-func (p *nru) PerSetIndependent() bool { return true }
-
 // VictimKeys implements core.victimKeyer: clear-bit ways outrank set-bit
 // ways.
 func (p *nru) VictimKeys(set int, dst []int64) {
@@ -186,151 +162,121 @@ func (p *nru) VictimKeys(set int, dst []int64) {
 	}
 }
 
-// lipCore is the shared machinery of LIP and BIP: LRU stamps with
-// configurable insertion position.
-type lipCore struct {
+// lip is the LRU-insertion family (Qureshi et al. ISCA'07): LRU stamps
+// whose hits promote to MRU and whose fills insert per the rule's mode.
+// LIP inserts every fill at the LRU position, so single-use blocks fall
+// out immediately; BIP inserts at MRU with probability bimodalEpsilon,
+// adapting to slowly-changing working sets; DIP set-duels LRU (every
+// fill at MRU) against BIP.
+type lip struct {
+	rule
 	ways  int
 	stamp []int64
 	clock int64
 }
 
-func (p *lipCore) Attach(sets, ways int) {
+// newLIP returns the LIP-family policy of mode m; the bimodal and
+// dueling modes draw their coin from rnd.
+func newLIP(m mode, rnd *rng.Source) *lip { return &lip{rule: rule{mode: m, rnd: rnd}} }
+
+// Name implements cache.Policy.
+func (p *lip) Name() string { return [...]string{"lip", "bip", "dip"}[p.mode] }
+
+// Attach implements cache.Policy.
+func (p *lip) Attach(sets, ways int) {
 	p.ways = ways
 	p.stamp = mem.Grab[int64](sets * ways)
 	// Start above zero so insertAtLRU's min-1 never collides with the
 	// zero stamps of untouched ways in other sets.
 	p.clock = 1 << 32
+	p.duel.init(sets)
 }
 
 // Release implements cache.Releaser.
-func (p *lipCore) Release() {
+func (p *lip) Release() {
 	mem.Release(p.stamp)
 	p.stamp = nil
 }
 
-func (p *lipCore) Hit(set, way int, _ *cache.AccessInfo) { p.touchMRU(set, way) }
+// Hit implements cache.Policy.
+func (p *lip) Hit(set, way int, _ *cache.AccessInfo) { p.touchMRU(set, way) }
+
+// Fill implements cache.Policy.
+func (p *lip) Fill(set, way int, _ *cache.AccessInfo) {
+	if p.atMRU(set) {
+		p.touchMRU(set, way)
+	} else {
+		p.insertAtLRU(set, way)
+	}
+}
+
+// atMRU is the family's fill rule: whether a fill into set inserts at
+// MRU (constituent A's position) rather than at LRU. LIP never does.
+func (p *lip) atMRU(set int) bool { return p.mode != static && p.fillA(set) }
 
 // Promote moves way to MRU (core.promoter).
-func (p *lipCore) Promote(set, way int) { p.touchMRU(set, way) }
+func (p *lip) Promote(set, way int) { p.touchMRU(set, way) }
 
 // Demote moves way to the LRU position (core.demoter).
-func (p *lipCore) Demote(set, way int) { p.insertAtLRU(set, way) }
+func (p *lip) Demote(set, way int) { p.insertAtLRU(set, way) }
 
-func (p *lipCore) touchMRU(set, way int) {
+func (p *lip) touchMRU(set, way int) {
 	p.clock++
 	p.stamp[set*p.ways+way] = p.clock
 }
 
 // insertAtLRU gives way the smallest stamp in its set, making it the next
 // victim unless it is re-referenced first.
-func (p *lipCore) insertAtLRU(set, way int) {
+func (p *lip) insertAtLRU(set, way int) {
 	base := set * p.ways
-	min := p.stamp[base]
-	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < min {
-			min = s
-		}
-	}
-	p.stamp[base+way] = min - 1
+	p.stamp[base+way] = stampMin(p.stamp, base, p.ways) - 1
 }
 
-func (p *lipCore) Victim(set int, _ *cache.AccessInfo) int {
-	base := set * p.ways
-	victim, min := 0, p.stamp[base]
-	for w := 1; w < p.ways; w++ {
-		if s := p.stamp[base+w]; s < min {
-			victim, min = w, s
-		}
-	}
-	return victim
+// Victim implements cache.Policy.
+func (p *lip) Victim(set int, _ *cache.AccessInfo) int {
+	return stampVictim(p.stamp, set*p.ways, p.ways)
 }
 
 // VictimKeys implements core.victimKeyer: smallest stamp first.
-func (p *lipCore) VictimKeys(set int, dst []int64) {
+func (p *lip) VictimKeys(set int, dst []int64) {
 	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
 		dst[w] = -s
 	}
 }
 
-// lip (LRU-insertion policy, Qureshi et al. ISCA'07) inserts fills at the
-// LRU position so single-use blocks fall out immediately; a hit promotes
-// to MRU.
-type lip struct{ lipCore }
+// mode is the insertion rule of the LIP and RRIP families.
+type mode uint8
 
-// newLIP returns a LIP policy.
-func newLIP() *lip { return &lip{} }
+const (
+	static  mode = iota // LIP at LRU / SRRIP at long re-reference
+	bimodal             // BIP / BRRIP: A's position with probability bimodalEpsilon
+	dueling             // DIP / DRRIP: set dueling picks A or bimodal per fill
+)
 
-// Name implements cache.Policy.
-func (p *lip) Name() string { return "lip" }
+// bimodalEpsilon is the probability a bimodal fill takes constituent A's
+// insertion position: MRU for BIP, long re-reference for BRRIP.
+const bimodalEpsilon = 1.0 / 32
 
-// Fill implements cache.Policy.
-func (p *lip) Fill(set, way int, _ *cache.AccessInfo) { p.insertAtLRU(set, way) }
-
-// PerSetIndependent reports that LIP qualifies for set-sharded replay.
-// Declared on LIP (not lipCore) deliberately: BIP and DIP embed lipCore
-// but draw on a shared RNG / dueling selector and must not inherit it.
-func (p *lip) PerSetIndependent() bool { return true }
-
-// bip (bimodal insertion policy) is LIP that inserts at MRU with a small
-// probability epsilon (1/32), letting it adapt to slowly-changing working
-// sets.
-type bip struct {
-	lipCore
-	rnd *rng.Source
-}
-
-// bipEpsilon is the probability BIP inserts at MRU.
-const bipEpsilon = 1.0 / 32
-
-// newBIP returns a BIP policy drawing its insertion coin from rnd.
-func newBIP(rnd *rng.Source) *bip { return &bip{rnd: rnd} }
-
-// Name implements cache.Policy.
-func (p *bip) Name() string { return "bip" }
-
-// Fill implements cache.Policy.
-func (p *bip) Fill(set, way int, _ *cache.AccessInfo) {
-	if p.rnd.Bool(bipEpsilon) {
-		p.touchMRU(set, way)
-	} else {
-		p.insertAtLRU(set, way)
-	}
-}
-
-// dip (dynamic insertion policy) set-duels LRU against BIP: a few leader
-// sets always run one constituent, a saturating counter tracks which
-// leader group misses less, and follower sets adopt the winner.
-type dip struct {
-	lipCore
+// rule is a family's insertion rule: its mode and, for the bimodal and
+// dueling modes, the coin and the set-dueling selector.
+type rule struct {
+	mode mode
 	rnd  *rng.Source
 	duel duel
 }
 
-// newDIP returns a DIP policy.
-func newDIP(rnd *rng.Source) *dip { return &dip{rnd: rnd} }
-
-// Name implements cache.Policy.
-func (p *dip) Name() string { return "dip" }
-
-// Attach implements cache.Policy.
-func (p *dip) Attach(sets, ways int) {
-	p.lipCore.Attach(sets, ways)
-	p.duel.init(sets)
-}
-
-// Fill implements cache.Policy.
-func (p *dip) Fill(set, way int, a *cache.AccessInfo) {
-	p.duel.observeMiss(set)
-	if p.duel.useA(set) { // constituent A = LRU
-		p.touchMRU(set, way)
-		return
+// fillA reports whether a bimodal or dueling fill into set takes
+// constituent A's insertion position. A dueling fill first updates the
+// selector, then asks it, and flips the coin only for a set that runs
+// the bimodal constituent.
+func (r *rule) fillA(set int) bool {
+	if r.mode == dueling {
+		r.duel.observeMiss(set)
+		if r.duel.useA(set) {
+			return true
+		}
 	}
-	// Constituent B = BIP.
-	if p.rnd.Bool(bipEpsilon) {
-		p.touchMRU(set, way)
-	} else {
-		p.insertAtLRU(set, way)
-	}
+	return r.rnd.Bool(bimodalEpsilon)
 }
 
 // duel implements set-dueling (Qureshi et al.): leader sets for

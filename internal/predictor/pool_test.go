@@ -156,7 +156,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 	stream := drivenStream(30000, 3000, 5)
 	const ways = 8
 	opts := core.Options{Strength: core.Full}
-	var bare *policy.LRUPolicy
+	var bare *cache.LRU
 	var driven *core.Lane
 	var hint *Driven
 	var scoredLane *Scored
@@ -170,7 +170,7 @@ func TestReleasedLanesDropTheirState(t *testing.T) {
 		t.Fatal(err)
 	}
 	lanes := []sharing.LLCConfig{
-		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy { bare = policy.NewLRUPolicy(); return bare }},
+		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy { bare = &cache.LRU{}; return bare }},
 		{Size: drivenSize, Ways: ways, NewPolicy: func() cache.Policy {
 			hint = NewDriven(pred)
 			driven = core.NewLane(core.NewProtectorOpts(lru(), opts), hint)

@@ -8,7 +8,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
-	"sharellc/internal/policy"
 	"sharellc/internal/rng"
 	"sharellc/internal/sharing"
 	"sharellc/internal/trace"
@@ -19,7 +18,7 @@ const (
 	ways = 4
 )
 
-func lru() cache.Policy { return policy.NewLRUPolicy() }
+func lru() cache.Policy { return &cache.LRU{} }
 
 // evaluate is the F7 lane for one predictor: a one-predictor
 // EvaluateMulti over LRU.

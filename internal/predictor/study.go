@@ -87,9 +87,9 @@ func EvaluateMulti(ctx context.Context, stream []cache.AccessInfo, llcSize, llcW
 //
 // Per miss every predictor predicts before any trains on the residency
 // the miss ends: in Victim when the set is full, else in Fill. The base
-// is embedded as a cache.Policy, which hides its PerSetIndependent and
-// NewBatchKernel: the predictors' tables cross sets, so the lane's
-// policy pass calls Hit, Victim and Fill in stream order.
+// is embedded as a cache.Policy, which hides its NewBatchKernel: the
+// predictors' tables cross sets, so the lane's policy pass calls Hit,
+// Victim and Fill in stream order.
 type Scored struct {
 	cache.Policy
 	preds []Predictor

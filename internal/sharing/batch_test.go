@@ -24,7 +24,7 @@ func batchTestConfigs(t *testing.T, size, ways int, hookCount *uint64) []LLCConf
 		}
 		configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: f})
 	}
-	lru := func() cache.Policy { return policy.NewLRUPolicy() }
+	lru := func() cache.Policy { return &cache.LRU{} }
 	configs = append(configs, LLCConfig{Size: size, Ways: ways, NewPolicy: lru,
 		Hooks: Hooks{PredictShared: func(cache.AccessInfo) bool { *hookCount++; return false }}})
 	configs = append(configs, LLCConfig{Size: size, Ways: 128, NewPolicy: lru})
@@ -43,7 +43,7 @@ func TestKernelVsSequential(t *testing.T) {
 	full := synthStream(40000, 3000, 8, 7)
 	configsAgree(t, full, configs, Options{})
 	var want uint64
-	bare := LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+	bare := LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }}
 	eachPrefix(full, func(stream []cache.AccessInfo) {
 		res, err := seqReplay(stream, bare, Options{})
 		if err != nil {
@@ -61,7 +61,7 @@ func TestKernelVsSequential(t *testing.T) {
 func kernelsAgree(t *testing.T, stream []cache.AccessInfo, size, ways int) {
 	t.Helper()
 	configsAgree(t, stream, []LLCConfig{
-		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
+		{Size: size, Ways: ways, NewPolicy: func() cache.Policy { return &cache.LRU{} }},
 		{Size: size, Ways: ways, NewPolicy: catalogued(t, "drrip", 3)},
 	}, Options{})
 }
@@ -140,7 +140,7 @@ func FuzzKernelBoundary(f *testing.F) {
 func TestReplayMultiAllocSteady(t *testing.T) {
 	stream := synthStream(60000, 3000, 8, 7)
 	configs := []LLCConfig{
-		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
+		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }},
 		{Size: 64 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 3)},
 	}
 	opt := Options{}
@@ -173,7 +173,7 @@ func TestHookedProtectorLaneAllocSteady(t *testing.T) {
 	var prot *core.Protector
 	configs := []LLCConfig{{Size: 64 * cache.KB, Ways: 8,
 		NewPolicy: func() cache.Policy {
-			prot = core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full})
+			prot = core.NewProtectorOpts(&cache.LRU{}, core.Options{Strength: core.Full})
 			return prot
 		},
 		Hooks: Hooks{PredictShared: func(a cache.AccessInfo) bool { return a.Block%4 == 0 }},

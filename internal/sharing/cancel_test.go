@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/policy"
 )
 
 // cancelStream builds a stream long enough to straddle many cancel
@@ -25,7 +24,7 @@ func cancelStream(n int) []cache.AccessInfo {
 
 // lruLane64K is the cancellation tests' lane: a 64 KB 8-way LRU.
 func lruLane64K() LLCConfig {
-	return LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+	return LLCConfig{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }}
 }
 
 func TestReplayPreCancelled(t *testing.T) {
@@ -91,8 +90,8 @@ func cancelledMidPass(t *testing.T, tier Tier, project func(*Result) *Result) {
 	defer cancel()
 	predicted := 0
 	canceller := lruLane64K()
-	var lru *policy.LRUPolicy
-	canceller.NewPolicy = func() cache.Policy { lru = policy.NewLRUPolicy(); return lru }
+	var lru *cache.LRU
+	canceller.NewPolicy = func() cache.Policy { lru = &cache.LRU{}; return lru }
 	canceller.Hooks = Hooks{PredictShared: func(cache.AccessInfo) bool {
 		if predicted++; predicted == 1000 {
 			cancel()

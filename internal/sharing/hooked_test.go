@@ -7,7 +7,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
-	"sharellc/internal/policy"
 )
 
 // hookEvent is one callback of a hooked lane: a PredictShared call at a
@@ -42,10 +41,10 @@ func TestReplayMultiHookedLanes(t *testing.T) {
 		name string
 		new  func(prot **core.Protector) cache.Policy
 	}{
-		{"lru", func(**core.Protector) cache.Policy { return policy.NewLRUPolicy() }},
+		{"lru", func(**core.Protector) cache.Policy { return &cache.LRU{} }},
 		{"drrip", func(**core.Protector) cache.Policy { return catalogued(t, "drrip", 3)() }},
 		{"protector", func(prot **core.Protector) cache.Policy {
-			*prot = core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full})
+			*prot = core.NewProtectorOpts(&cache.LRU{}, core.Options{Strength: core.Full})
 			return *prot
 		}},
 	}

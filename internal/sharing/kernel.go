@@ -126,7 +126,7 @@ func runPolicyPassBatch(stream []cache.AccessInfo, numBlocks int, cols passCols,
 	}
 	switch n := uint64(len(stream)); opt.Tier {
 	case Tracked:
-		st.closeAliveSoA()
+		st.closeAliveSoA(bs)
 		census(st.res, st.blockState)
 		l.result = st.res
 		mem.Release(st.cols.id)

@@ -105,8 +105,8 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 	defer cancel()
 	stream := cancelStream(1 << 21)
 	configs := []LLCConfig{
-		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
-		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() },
+		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }},
+		{Size: 64 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} },
 			Hooks: Hooks{PredictShared: func(cache.AccessInfo) bool { return false }}},
 	}
 	start := time.Now()
@@ -130,7 +130,7 @@ func TestReplayMultiCancelMidRun(t *testing.T) {
 // factories and bad geometry.
 func TestReplayMultiValidation(t *testing.T) {
 	stream := synthStream(2000, 50, 4, 3)
-	lru := func() cache.Policy { return policy.NewLRUPolicy() }
+	lru := func() cache.Policy { return &cache.LRU{} }
 
 	if _, err := ReplayMulti(stream, []LLCConfig{{Size: testSize, Ways: testWays}}, Options{}); err == nil {
 		t.Error("nil NewPolicy accepted")
@@ -199,7 +199,7 @@ func TestReplayMultiRejectsWideHookedLane(t *testing.T) {
 // the rejection comes before any lane state is allocated.
 func TestReplayMultiRejectsTooManyLines(t *testing.T) {
 	built := false
-	huge := LLCConfig{Size: 2 << 30 * 64, Ways: 16, NewPolicy: func() cache.Policy { built = true; return policy.NewLRUPolicy() }}
+	huge := LLCConfig{Size: 2 << 30 * 64, Ways: 16, NewPolicy: func() cache.Policy { built = true; return &cache.LRU{} }}
 	rejected(t, []LLCConfig{huge}, fmt.Sprint(maxLines))
 	if built {
 		t.Error("the lane's policy was built before the rejection")
@@ -213,7 +213,7 @@ func TestReplayMultiHookLaneFactoryOnce(t *testing.T) {
 	stream := synthStream(20000, 200, 8, 7)
 	calls := 0
 	cfg := LLCConfig{Size: testSize, Ways: testWays,
-		NewPolicy: func() cache.Policy { calls++; return policy.NewLRUPolicy() },
+		NewPolicy: func() cache.Policy { calls++; return &cache.LRU{} },
 		Hooks:     Hooks{PredictShared: func(cache.AccessInfo) bool { return false }},
 	}
 	if _, err := ReplayMulti(stream, []LLCConfig{cfg}, Options{}); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
-	"sharellc/internal/policy"
 	"sharellc/internal/rng"
 )
 
@@ -165,7 +164,7 @@ func (blockHint) LaneFill(uint32, *cache.AccessInfo) {}
 func sharedHitLanes(t *testing.T, size, ways int) []LLCConfig {
 	return append(catalogueLanes(t, size, ways),
 		LLCConfig{Size: size, Ways: ways, NewPolicy: func() cache.Policy {
-			return core.NewLane(core.NewProtectorOpts(policy.NewLRUPolicy(), core.Options{Strength: core.Full}), blockHint{})
+			return core.NewLane(core.NewProtectorOpts(&cache.LRU{}, core.Options{Strength: core.Full}), blockHint{})
 		}},
 		LLCConfig{Size: 64 * cache.KB, Ways: 128, NewPolicy: catalogued(t, "lru", 1)})
 }

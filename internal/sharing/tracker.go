@@ -79,52 +79,17 @@ func cwWord(m uint8) uint64 {
 	return uint64(1)<<(m&^metaWrite) | uint64(m&metaWrite)<<56
 }
 
-// closeLineSoA finalizes the residency open in line li, alive at stream
-// end, and folds it into the counters. The advance loop doesn't call
-// this per eviction — it captures and defers (see flushClosed); only
-// closeAliveSoA's end-of-pass retirement closes straight off the live
-// columns.
-func (st *replayState) closeLineSoA(li uint32) {
-	t := st.cols
-	res := st.res
-	cw := t.hc[li][1]
-	deg := bits.OnesCount64(cw &^ cwWritten)
-	shared := deg >= 2
-	id := t.id[li]
-	if shared {
-		st.blockState[id] = blockShared
-	} else if st.blockState[id] == blockUnseen {
-		st.blockState[id] = blockPrivate
-	}
-	h := t.hc[li][0]
-	res.Residencies++
-	res.DegreeResidencies[deg]++
-	res.DegreeHits[deg] += h
-	if shared {
-		res.SharedResidencies++
-		res.SharedHits += h
-		if cw&cwWritten != 0 {
-			res.RWSharedResidencies++
-			res.RWSharedHits += h
-		} else {
-			res.ROSharedResidencies++
-			res.ROSharedHits += h
-		}
-	} else {
-		res.PrivateHits += h
-	}
-}
-
-// flushClosed folds a chunk's captured evictions into the counters —
-// closeLineSoA over the batchScratch capture columns instead of the
-// live tracker state. The SoA advance loop does not close residencies
-// inline: the evict branch snapshots the dying line's columns into
-// bs.e* (everything closeLineSoA would read — the refill may overwrite
-// the line before the close is folded) and the chunk ends with one
-// tight pass here. Deferring is safe because a close touches nothing
-// the rest of the chunk reads: res counters are sums and the blockState
-// census is a monotonic unseen < private < shared lattice read only at
-// replay end. What it buys is the loop shape: the per-eviction
+// flushClosed folds n captured residency closes into the counters, from
+// the batchScratch capture columns: a chunk's evictions, or a batch of
+// the survivors closeAliveSoA captures at stream end. The SoA advance
+// loop does not close residencies inline: the evict branch snapshots
+// the dying line's columns into bs.e* (everything a close reads — the
+// refill may overwrite the line before the close is folded) and the
+// chunk ends with one tight pass here. Deferring is safe because a
+// close touches nothing the rest of the chunk reads: res counters are
+// sums and the blockState census is a monotonic unseen < private <
+// shared lattice read only at replay end. What it buys is the loop
+// shape: the per-eviction
 // blockState byte is a random load over a multi-megabyte array, and
 // issuing those from a call-free loop lets the out-of-order window
 // overlap several misses instead of serializing each behind a function
@@ -167,15 +132,23 @@ func (st *replayState) flushClosed(bs *batchScratch, n int) {
 }
 
 // closeAliveSoA closes the residencies alive at stream end: survivors
-// are the lines with a nonzero core/write word. The counters are order-independent sums, so the survivors close in
-// line order.
-func (st *replayState) closeAliveSoA() {
-	hc := st.cols.hc
-	for li := range hc {
-		if hc[li][1] != 0 {
-			st.closeLineSoA(uint32(li))
+// are the lines with a nonzero core/write word. They are captured into
+// bs's columns batchSize at a time and folded by flushClosed, in line
+// order: the counters are order-independent sums.
+func (st *replayState) closeAliveSoA(bs *batchScratch) {
+	ids := st.cols.id
+	n := 0
+	for li, p := range st.cols.hc {
+		if p[1] == 0 {
+			continue
+		}
+		bs.ecw[n], bs.ehits[n], bs.eid[n] = p[1], p[0], ids[li]
+		if n++; n == batchSize {
+			st.flushClosed(bs, n)
+			n = 0
 		}
 	}
+	st.flushClosed(bs, n)
 }
 
 // advanceSoACounters is the census phase of a tracked lane: it replays

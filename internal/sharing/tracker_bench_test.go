@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/policy"
 )
 
 // benchOutcomes probes stream once through an LRU cache and returns the
@@ -14,7 +13,7 @@ import (
 // over the same outcomes leaves the tracker self-consistent).
 func benchOutcomes(b *testing.B, stream []cache.AccessInfo, size, ways int) (out []uint32, bs *batchScratch, lines, numBlocks int) {
 	b.Helper()
-	llc, err := cache.NewSetAssoc(size, ways, policy.NewLRUPolicy())
+	llc, err := cache.NewSetAssoc(size, ways, &cache.LRU{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sharellc/internal/cache"
-	"sharellc/internal/policy"
 )
 
 // TestTrackerVsSequential holds the engine's SoA tracker to the
@@ -34,9 +33,9 @@ func TestTrackerWideCoreRejected(t *testing.T) {
 		var asked atomic.Int32 // the lanes' passes ask concurrently
 		hooks := Hooks{PredictShared: func(cache.AccessInfo) bool { asked.Add(1); return false }}
 		configs := []LLCConfig{
-			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }},
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }},
 			{Size: 32 * cache.KB, Ways: 8, NewPolicy: catalogued(t, "drrip", 5)},
-			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }, Hooks: hooks},
+			{Size: 32 * cache.KB, Ways: 8, NewPolicy: func() cache.Policy { return &cache.LRU{} }, Hooks: hooks},
 		}
 		got, err := ReplayMulti(stream, configs, Options{})
 		if cores > soaMaxCores {

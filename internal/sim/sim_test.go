@@ -9,7 +9,6 @@ import (
 	"sharellc/internal/cache"
 	"sharellc/internal/core"
 	"sharellc/internal/par"
-	"sharellc/internal/policy"
 	"sharellc/internal/predictor"
 	"sharellc/internal/sharing"
 	"sharellc/internal/stats"
@@ -554,7 +553,7 @@ func TestDecouplingApproximation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lru := sharing.LLCConfig{Size: cfg.Machine.LLCSize, Ways: cfg.Machine.LLCWays,
-		NewPolicy: func() cache.Policy { return policy.NewLRUPolicy() }}
+		NewPolicy: func() cache.Policy { return &cache.LRU{} }}
 	results, err := sharing.ReplayMulti(st.Accesses, []sharing.LLCConfig{lru}, sharing.Options{})
 	if err != nil {
 		t.Fatal(err)
